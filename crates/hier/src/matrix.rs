@@ -60,8 +60,9 @@ pub struct HierMatrix<T> {
     col_index: DegreeIndex<T>,
     /// Durable backing (WAL + checkpointed level files), present only for
     /// matrices created through [`HierMatrix::new_durable`] /
-    /// [`HierMatrix::open`].  See [`crate::persist`].
-    durable: Option<DurableState>,
+    /// [`HierMatrix::open`].  See [`crate::persist`].  Boxed: the
+    /// bookkeeping is cold beside the levels and most matrices have none.
+    durable: Option<Box<DurableState>>,
 }
 
 /// A clone is a detached in-memory copy: it shares no durable directory
@@ -612,7 +613,7 @@ impl<T: ScalarType> HierMatrix<T> {
                 levels: entries.clone(),
             },
         )?;
-        m.durable = Some(DurableState {
+        m.durable = Some(Box::new(DurableState {
             cfg,
             wal,
             wal_gen,
@@ -620,9 +621,10 @@ impl<T: ScalarType> HierMatrix<T> {
             levels: entries,
             dirty: vec![false; n_levels],
             report: None,
+            level_buf: Vec::new(),
             retired_appends: 0,
             retired_syncs: 0,
-        });
+        }));
         Ok(m)
     }
 
@@ -670,8 +672,7 @@ impl<T: ScalarType> HierMatrix<T> {
         // way).
         let replayed = report.wal_records_replayed > 0;
         for r in &records {
-            let vals: Vec<T> = r.valbits.iter().map(|&b| T::decode_bits(b)).collect();
-            m.update_batch(&r.rows, &r.cols, &vals)
+            m.update_batch(&r.rows, &r.cols, &r.vals)
                 .map_err(|e| persist::corruption(format!("wal record failed to replay: {e}")))?;
         }
         report.wal_records_replayed = records.len() as u64;
@@ -683,7 +684,7 @@ impl<T: ScalarType> HierMatrix<T> {
         for &i in &report.corrupt_levels {
             dirty[i] = true;
         }
-        m.durable = Some(DurableState {
+        m.durable = Some(Box::new(DurableState {
             cfg,
             wal: wal_writer,
             wal_gen: man.wal_gen,
@@ -691,9 +692,10 @@ impl<T: ScalarType> HierMatrix<T> {
             levels: man.levels,
             dirty,
             report: Some(report),
+            level_buf: Vec::new(),
             retired_appends: 0,
             retired_syncs: 0,
-        });
+        }));
         Ok(m)
     }
 
@@ -784,7 +786,7 @@ impl<T: ScalarType> HierMatrix<T> {
         }
         // Compress pending tails so the level files carry everything.
         self.settle_levels();
-        let d = self.durable.as_ref().expect("checked durable above");
+        let d = self.durable.as_mut().expect("checked durable above");
         let dir = d.cfg.dir.clone();
         let mut next_gen = d.next_gen;
         // Build the new entry table locally; `self.durable` is swapped only
@@ -804,7 +806,7 @@ impl<T: ScalarType> HierMatrix<T> {
             let gen = next_gen;
             next_gen += 1;
             let name = manifest::level_file_name(gen);
-            persist::format::write_level(&dir, &name, &level.settled_arc())?;
+            persist::format::write_level(&dir, &name, level.dcsr(), &mut d.level_buf)?;
             new_entries.push(manifest::LevelEntry { gen, nnz });
         }
         // Fresh empty WAL for the post-checkpoint tail.
@@ -828,12 +830,12 @@ impl<T: ScalarType> HierMatrix<T> {
         manifest::write(&dir, &man)?;
         // Committed: swap in-memory state and retire the old generation's
         // files (best-effort — reopen sweeps leftovers).
-        let d = self.durable.as_mut().expect("checked durable above");
         let old_wal_gen = d.wal_gen;
         let old_entries = std::mem::replace(&mut d.levels, new_entries);
-        d.retired_appends += d.wal.appends();
-        d.retired_syncs += d.wal.syncs();
-        d.wal = new_wal;
+        let retired = std::mem::replace(&mut d.wal, new_wal);
+        d.retired_appends += retired.appends();
+        d.retired_syncs += retired.syncs();
+        d.wal.inherit_buffer(retired);
         d.wal_gen = new_wal_gen;
         d.next_gen = next_gen;
         for flag in d.dirty.iter_mut() {
@@ -860,7 +862,9 @@ impl<T: ScalarType> HierMatrix<T> {
     /// Pre-validates everything `update_batch` would reject (length
     /// mismatch, out-of-bounds indices) so the WAL never records a batch
     /// the matrix then refuses — replay must be able to apply every
-    /// surviving record.
+    /// surviving record.  The append in turn refuses, before writing a
+    /// byte, a batch too large for one frame: on any `Err` neither the log
+    /// nor the in-memory levels hold the batch.
     fn wal_log(&mut self, rows: &[Index], cols: &[Index], vals: &[T]) -> GrbResult<()> {
         if rows.len() != cols.len() || rows.len() != vals.len() {
             return Err(GrbError::DimensionMismatch {
@@ -876,12 +880,11 @@ impl<T: ScalarType> HierMatrix<T> {
             hyperstream_graphblas::validate_index(max_row, self.nrows)?;
             hyperstream_graphblas::validate_index(max_col, self.ncols)?;
         }
-        let valbits: Vec<u64> = vals.iter().map(|v| v.encode_bits()).collect();
         let d = self
             .durable
             .as_mut()
             .expect("wal_log is only called when durable");
-        d.wal.append(rows, cols, &valbits, d.cfg.fsync)
+        d.wal.append(rows, cols, vals, d.cfg.fsync)
     }
 
     /// The maintained degree index (settled content only — settle first via
@@ -1784,5 +1787,34 @@ mod tests {
         }
         assert_eq!(m.get(1, 1), Some(50.0));
         assert_eq!(m.total_weight(), 50);
+    }
+
+    #[test]
+    fn repeated_checkpoints_reuse_the_level_encode_buffer() {
+        let dir = std::env::temp_dir().join(format!("hyperstream-ckpt-buf-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut m = HierMatrix::<u64>::new_durable(
+            1 << 20,
+            1 << 20,
+            small_config(),
+            DurableConfig::new(&dir).fsync(persist::FsyncPolicy::Never),
+        )
+        .unwrap();
+        let level_buf = |m: &HierMatrix<u64>| {
+            let buf = &m.durable.as_ref().unwrap().level_buf;
+            (buf.as_ptr(), buf.capacity())
+        };
+        let idx: Vec<u64> = (0..2000).collect();
+        m.update_batch(&idx, &idx, &idx).unwrap();
+        m.flush().unwrap();
+        let first = level_buf(&m);
+        assert!(first.1 >= 2000 * 16, "the checkpoint encoded through it");
+        // The same cells again: every level file comes out the same size.
+        m.update_batch(&idx, &idx, &idx).unwrap();
+        m.flush().unwrap();
+        assert_eq!(level_buf(&m), first);
+        assert_eq!(m.get(7, 7), Some(14));
+        drop(m);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

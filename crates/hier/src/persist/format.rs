@@ -31,7 +31,7 @@
 //! [`GrbError::Corruption`](hyperstream_graphblas::GrbError); no input
 //! can cause a panic or an out-of-bounds read.
 
-use super::{corruption, crc32, decode_u64s, get_u32, get_u64, io_err, put_u32, put_u64};
+use super::{corruption, crc32, encode_u64s, get_u32, get_u64, io_err, le_u64s, Crc32};
 use hyperstream_graphblas::formats::dcsr::Dcsr;
 use hyperstream_graphblas::{GrbResult, ScalarType};
 use std::fs::File;
@@ -70,81 +70,95 @@ fn layout(ne: u64, nnz: u64) -> Option<([(u64, u64); SECTIONS], u64)> {
     Some((sections, off))
 }
 
+/// Encode one section at its `(offset, byte_len)` in the file image
+/// `file`, zero the padding behind it up to `end` (the next section, or
+/// the end of the file), and return the section's CRC.  Offsets were
+/// checked against `file.len()` by the caller.
+fn encode_section(
+    file: &mut [u8],
+    (off, len): (u64, u64),
+    end: usize,
+    words: impl Iterator<Item = u64>,
+) -> u32 {
+    let data_end = (off + len) as usize;
+    let mut crc = Crc32::new();
+    encode_u64s(&mut file[off as usize..data_end], words, &mut crc);
+    file[data_end..end].fill(0);
+    crc.finish()
+}
+
 /// Serialize `dcsr` into `<dir>/<name>` via write-temp → fsync → rename.
 /// The caller is responsible for fsyncing the directory before a
 /// manifest references the new name.
-pub(crate) fn write_level<T: ScalarType>(dir: &Path, name: &str, dcsr: &Dcsr<T>) -> GrbResult<()> {
+///
+/// The whole file image — header page, four sections, zero padding — is
+/// encoded into `buf`, which the caller keeps across checkpoints: once it
+/// has grown to the largest level, writing a level allocates nothing.
+pub(crate) fn write_level<T: ScalarType>(
+    dir: &Path,
+    name: &str,
+    dcsr: &Dcsr<T>,
+    buf: &mut Vec<u8>,
+) -> GrbResult<()> {
     let (row_ids, row_ptr, col_idx, vals) = dcsr.raw_parts();
     let ne = row_ids.len() as u64;
     let nnz = col_idx.len() as u64;
-    let (sections, total) =
-        layout(ne, nnz).ok_or_else(|| corruption("level layout overflows u64"))?;
+    let (sections, total) = layout(ne, nnz)
+        .and_then(|(sections, total)| Some((sections, usize::try_from(total).ok()?)))
+        .ok_or_else(|| corruption("level layout overflows the address space"))?;
 
-    // Encode the four sections.
-    let mut bodies: [Vec<u8>; SECTIONS] = [Vec::new(), Vec::new(), Vec::new(), Vec::new()];
-    bodies[0].reserve(row_ids.len() * 8);
-    for &r in row_ids {
-        bodies[0].extend_from_slice(&r.to_le_bytes());
-    }
-    bodies[1].reserve(row_ptr.len() * 8);
-    for &p in row_ptr {
-        bodies[1].extend_from_slice(&(p as u64).to_le_bytes());
-    }
-    bodies[2].reserve(col_idx.len() * 8);
-    for &c in col_idx {
-        bodies[2].extend_from_slice(&c.to_le_bytes());
-    }
-    bodies[3].reserve(vals.len() * 8);
-    for &v in vals {
-        bodies[3].extend_from_slice(&v.encode_bits().to_le_bytes());
-    }
+    // Resizing (never clearing) zero-fills only what the buffer grows by,
+    // so every byte that must read as zero — the rest of the header page
+    // and the padding behind each section — is zeroed explicitly below.
+    buf.resize(total, 0);
+    let next = |i: usize| sections.get(i + 1).map_or(total, |s| s.0 as usize);
+    let crcs = [
+        encode_section(buf, sections[0], next(0), row_ids.iter().copied()),
+        encode_section(buf, sections[1], next(1), row_ptr.iter().map(|&p| p as u64)),
+        encode_section(buf, sections[2], next(2), col_idx.iter().copied()),
+        encode_section(
+            buf,
+            sections[3],
+            next(3),
+            vals.iter().map(|v| v.encode_bits()),
+        ),
+    ];
 
-    // Header page.
-    let mut header = Vec::with_capacity(PAGE as usize);
-    put_u32(&mut header, LEVEL_MAGIC);
-    put_u32(&mut header, LEVEL_VERSION);
-    put_u32(&mut header, T::TYPE_TAG as u32);
-    put_u32(&mut header, 0);
-    put_u64(&mut header, dcsr.nrows());
-    put_u64(&mut header, dcsr.ncols());
-    put_u64(&mut header, nnz);
-    put_u64(&mut header, ne);
-    for (i, &(off, len)) in sections.iter().enumerate() {
-        put_u64(&mut header, off);
-        put_u64(&mut header, len);
-        put_u32(&mut header, crc32(&bodies[i]));
-        put_u32(&mut header, 0);
+    // Header page, patched in now that the section checksums are known.
+    let (header, body) = buf.split_at_mut(PAGE as usize);
+    header.fill(0);
+    let mut at = 0;
+    let mut put = |field: &[u8]| {
+        header[at..at + field.len()].copy_from_slice(field);
+        at += field.len();
+    };
+    put(&LEVEL_MAGIC.to_le_bytes());
+    put(&LEVEL_VERSION.to_le_bytes());
+    put(&(T::TYPE_TAG as u32).to_le_bytes());
+    put(&0u32.to_le_bytes());
+    put(&dcsr.nrows().to_le_bytes());
+    put(&dcsr.ncols().to_le_bytes());
+    put(&nnz.to_le_bytes());
+    put(&ne.to_le_bytes());
+    for (&(off, len), crc) in sections.iter().zip(crcs) {
+        put(&off.to_le_bytes());
+        put(&len.to_le_bytes());
+        put(&crc.to_le_bytes());
+        put(&0u32.to_le_bytes());
     }
-    debug_assert_eq!(header.len(), HEADER_CRC_OFFSET);
-    let hcrc = crc32(&header);
-    put_u32(&mut header, hcrc);
-    header.resize(PAGE as usize, 0);
+    debug_assert_eq!(at, HEADER_CRC_OFFSET);
+    let hcrc = crc32(&header[..HEADER_CRC_OFFSET]);
+    header[HEADER_CRC_OFFSET..HEADER_CRC_OFFSET + 4].copy_from_slice(&hcrc.to_le_bytes());
 
     let tmp = dir.join(format!("{name}.tmp"));
     let mut file = File::create(&tmp).map_err(|e| io_err("create level tmp", e))?;
-    file.write_all(&header)
+    file.write_all(header)
         .map_err(|e| io_err("write level header", e))?;
     // An armed `persist-partial-write` leaves a header-only temp file —
     // the state a crash between the header and body writes produces.
     crate::failpoint!("persist-partial-write");
-    let mut pos = PAGE;
-    for (i, body) in bodies.iter().enumerate() {
-        let (off, len) = sections[i];
-        debug_assert_eq!(len as usize, body.len());
-        if off > pos {
-            let pad = vec![0u8; (off - pos) as usize];
-            file.write_all(&pad)
-                .map_err(|e| io_err("pad level section", e))?;
-        }
-        file.write_all(body)
-            .map_err(|e| io_err("write level section", e))?;
-        pos = off + len;
-    }
-    if total > pos {
-        let pad = vec![0u8; (total - pos) as usize];
-        file.write_all(&pad)
-            .map_err(|e| io_err("pad level tail", e))?;
-    }
+    file.write_all(body)
+        .map_err(|e| io_err("write level sections", e))?;
     crate::failpoint!("persist-pre-fsync");
     file.sync_all().map_err(|e| io_err("fsync level file", e))?;
     crate::failpoint!("persist-post-fsync");
@@ -243,19 +257,15 @@ pub(crate) fn read_level<T: ScalarType>(
         *section = body;
     }
 
-    let row_ids = decode_u64s(sections[0]);
-    let row_ptr_words = decode_u64s(sections[1]);
-    let mut row_ptr = Vec::with_capacity(row_ptr_words.len());
-    for w in row_ptr_words {
+    let row_ids = le_u64s(sections[0]).collect();
+    let mut row_ptr = Vec::with_capacity(sections[1].len() / 8);
+    for w in le_u64s(sections[1]) {
         let p = usize::try_from(w)
             .map_err(|_| corruption(format!("level {name}: row_ptr value {w} overflows usize")))?;
         row_ptr.push(p);
     }
-    let col_idx = decode_u64s(sections[2]);
-    let vals: Vec<T> = decode_u64s(sections[3])
-        .into_iter()
-        .map(T::decode_bits)
-        .collect();
+    let col_idx = le_u64s(sections[2]).collect();
+    let vals = le_u64s(sections[3]).map(T::decode_bits).collect();
     Dcsr::try_from_raw_parts(nrows, ncols, row_ids, row_ptr, col_idx, vals)
         .map_err(|e| corruption(format!("level {name}: invariant check failed: {e}")))
 }
@@ -290,7 +300,7 @@ mod tests {
     fn write_then_read_round_trips() {
         let dir = tmpdir("roundtrip");
         let d = sample();
-        write_level(&dir, "lvl-test.dat", &d).unwrap();
+        write_level(&dir, "lvl-test.dat", &d, &mut Vec::new()).unwrap();
         let back: Dcsr<u64> =
             read_level(&dir, "lvl-test.dat", d.nrows(), d.ncols(), d.nvals() as u64).unwrap();
         assert_eq!(back, d);
@@ -302,7 +312,7 @@ mod tests {
     fn empty_level_round_trips() {
         let dir = tmpdir("empty");
         let d = Dcsr::<u64>::new(100, 100);
-        write_level(&dir, "lvl-e.dat", &d).unwrap();
+        write_level(&dir, "lvl-e.dat", &d, &mut Vec::new()).unwrap();
         let back: Dcsr<u64> = read_level(&dir, "lvl-e.dat", 100, 100, 0).unwrap();
         assert!(back.is_empty());
         std::fs::remove_dir_all(&dir).unwrap();
@@ -312,7 +322,7 @@ mod tests {
     fn mismatched_expectations_are_corruption() {
         let dir = tmpdir("mismatch");
         let d = sample();
-        write_level(&dir, "lvl-m.dat", &d).unwrap();
+        write_level(&dir, "lvl-m.dat", &d, &mut Vec::new()).unwrap();
         // Wrong nnz.
         assert!(read_level::<u64>(&dir, "lvl-m.dat", d.nrows(), d.ncols(), 99).is_err());
         // Wrong dims.
@@ -328,7 +338,7 @@ mod tests {
     fn truncation_extension_and_flips_are_corruption() {
         let dir = tmpdir("mutate");
         let d = sample();
-        write_level(&dir, "lvl-x.dat", &d).unwrap();
+        write_level(&dir, "lvl-x.dat", &d, &mut Vec::new()).unwrap();
         let path = dir.join("lvl-x.dat");
         let orig = std::fs::read(&path).unwrap();
 
@@ -350,6 +360,25 @@ mod tests {
         flip[32] ^= 0x01;
         std::fs::write(&path, &flip).unwrap();
         assert!(read_level::<u64>(&dir, "lvl-x.dat", d.nrows(), d.ncols(), 4).is_err());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn rewriting_a_level_reuses_the_buffer_and_leaks_no_stale_bytes() {
+        let dir = tmpdir("reuse");
+        let idx: Vec<u64> = (0..5000).collect();
+        let big = Dcsr::from_tuples(1 << 20, 1 << 20, &idx, &idx, &idx, Plus).unwrap();
+        let mut buf = Vec::new();
+        write_level(&dir, "big-1.dat", &big, &mut buf).unwrap();
+        let (ptr, cap) = (buf.as_ptr(), buf.capacity());
+        write_level(&dir, "big-2.dat", &big, &mut buf).unwrap();
+        // A smaller level through the same, now dirty, buffer.
+        write_level(&dir, "small.dat", &sample(), &mut buf).unwrap();
+        assert_eq!((buf.as_ptr(), buf.capacity()), (ptr, cap));
+        write_level(&dir, "small-fresh.dat", &sample(), &mut Vec::new()).unwrap();
+        let read = |name: &str| std::fs::read(dir.join(name)).unwrap();
+        assert_eq!(read("big-1.dat"), read("big-2.dat"));
+        assert_eq!(read("small.dat"), read("small-fresh.dat"));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -30,7 +30,7 @@ pub(crate) struct Recovered<T> {
     /// One matrix per level, loaded from the checkpointed files.
     pub(crate) levels: Vec<Matrix<T>>,
     /// WAL records to replay on top of the levels.
-    pub(crate) records: Vec<wal::WalRecord>,
+    pub(crate) records: Vec<wal::WalRecord<T>>,
     /// The WAL reopened for append after the truncated tail.
     pub(crate) wal_writer: wal::WalWriter,
     /// What recovery observed.
@@ -77,7 +77,7 @@ pub(crate) fn open_dir<T: ScalarType>(cfg: &DurableConfig) -> GrbResult<Recovere
 
     let wal_name = manifest::wal_file_name(m.wal_gen);
     let wal_path = dir.join(wal_name);
-    let scan = wal::scan(&wal_path, T::TYPE_TAG)?;
+    let scan = wal::scan::<T>(&wal_path)?;
     if scan.torn {
         wal::truncate_to(&wal_path, scan.good_len)?;
         report.torn_tail_truncated = true;

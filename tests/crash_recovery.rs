@@ -14,9 +14,11 @@
 //! * report what it did ([`RecoveryReport`]) instead of guessing
 //!   silently.
 //!
-//! The failpoint-armed cases live behind `--features failpoints` (the
-//! registry is process-global, so they serialise through [`exclusive`]);
-//! everything else runs in the default test sweep.
+//! The failpoint-armed cases live behind `--features failpoints`.  The
+//! registry is process-global, so they serialise through `exclusive`,
+//! and every other test here holds [`unarmed`] so a site armed by a
+//! neighbouring test thread can never fire inside it.  Everything else
+//! runs in the default test sweep.
 
 use hyperstream::prelude::*;
 use proptest::prelude::*;
@@ -51,6 +53,18 @@ impl Drop for TempDir {
             let _ = std::fs::remove_dir_all(&self.0);
         }
     }
+}
+
+/// Test-order lock over the process-global failpoint registry: shared by
+/// tests that arm nothing, exclusive for the ones that arm sites.
+static REGISTRY_LOCK: std::sync::RwLock<()> = std::sync::RwLock::new(());
+
+/// Hold for the duration of a test that runs persistence code but arms no
+/// failpoint: keeps it from overlapping a test that does.
+fn unarmed() -> std::sync::RwLockReadGuard<'static, ()> {
+    REGISTRY_LOCK
+        .read()
+        .unwrap_or_else(|poison| poison.into_inner())
 }
 
 fn small_cuts() -> HierConfig {
@@ -106,6 +120,7 @@ fn the_wal_file(dir: &Path) -> PathBuf {
 
 #[test]
 fn clean_reopen_after_flush_replays_nothing() {
+    let _quiet = unarmed();
     let dir = TempDir::new("clean-flush");
     let updates: Vec<(u64, u64, u64)> = (0..300u64)
         .map(|i| ((i * 7) % 97, (i * 13) % 89, 1 + i % 3))
@@ -134,6 +149,7 @@ fn clean_reopen_after_flush_replays_nothing() {
 /// replay the tail *without* reporting a torn frame.
 #[test]
 fn clean_drop_without_flush_leaves_no_torn_tail() {
+    let _quiet = unarmed();
     let dir = TempDir::new("clean-drop");
     let updates: Vec<(u64, u64, u64)> = (0..50u64).map(|i| (i % 11, i % 7, 1)).collect();
     let mut m = HierMatrix::<u64>::new_durable(
@@ -159,6 +175,7 @@ fn clean_drop_without_flush_leaves_no_torn_tail() {
 
 #[test]
 fn simulated_kill_recovers_every_fsynced_batch() {
+    let _quiet = unarmed();
     let dir = TempDir::new("kill");
     let updates: Vec<(u64, u64, u64)> = (0..200u64)
         .map(|i| ((i * 3) % 31, (i * 5) % 29, 1 + i % 2))
@@ -187,6 +204,7 @@ fn simulated_kill_recovers_every_fsynced_batch() {
 
 #[test]
 fn reopen_is_o_levels_not_o_nnz_reingest() {
+    let _quiet = unarmed();
     // Structural check on the recovery path: after a flush, reopen must
     // replay zero WAL records whatever the entry count — the levels come
     // back as whole files, not as re-ingested tuples.
@@ -209,6 +227,7 @@ fn reopen_is_o_levels_not_o_nnz_reingest() {
 
 #[test]
 fn new_durable_refuses_an_initialised_directory() {
+    let _quiet = unarmed();
     let dir = TempDir::new("refuse");
     let m = HierMatrix::<u64>::new_durable(DIM, DIM, small_cuts(), DurableConfig::new(dir.path()))
         .unwrap();
@@ -232,6 +251,7 @@ fn new_durable_refuses_an_initialised_directory() {
 
 #[test]
 fn scalar_type_mismatch_is_typed_corruption() {
+    let _quiet = unarmed();
     let dir = TempDir::new("tag");
     let m = HierMatrix::<f64>::new_durable(DIM, DIM, small_cuts(), DurableConfig::new(dir.path()))
         .unwrap();
@@ -250,6 +270,7 @@ fn scalar_type_mismatch_is_typed_corruption() {
 
 #[test]
 fn corrupt_level_strict_open_fails_salvage_reports() {
+    let _quiet = unarmed();
     let dir = TempDir::new("corrupt-lvl");
     let mut m =
         HierMatrix::<u64>::new_durable(DIM, DIM, small_cuts(), DurableConfig::new(dir.path()))
@@ -307,6 +328,7 @@ proptest! {
         updates in update_stream(200),
         cut_ppm in 0u64..1_000_000,
     ) {
+        let _quiet = unarmed();
         let dir = TempDir::new("wal-cut");
         let mut m = HierMatrix::<u64>::new_durable(
             DIM, DIM, small_cuts(), DurableConfig::new(dir.path()),
@@ -348,6 +370,7 @@ proptest! {
 
 #[test]
 fn sharded_durable_engine_reopens_every_shard() {
+    let _quiet = unarmed();
     let dir = TempDir::new("sharded");
     let updates: Vec<(u64, u64, u64)> = (0..800u64)
         .map(|i| ((i * 2_654_435_761) % DIM, (i * 40_503) % DIM, 1 + i % 4))
@@ -394,11 +417,9 @@ mod failpoint_crashes {
     use super::*;
     use hyperstream::hier::failpoint::{self, FailAction};
 
-    /// Global test-order lock: held for the duration of any test that
-    /// arms failpoints; disarms everything on release, even on panic.
-    static REGISTRY_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-    struct Exclusive(#[allow(dead_code)] std::sync::MutexGuard<'static, ()>);
+    /// [`REGISTRY_LOCK`] held exclusively, for the duration of any test
+    /// that arms failpoints; disarms everything on release, even on panic.
+    struct Exclusive(#[allow(dead_code)] std::sync::RwLockWriteGuard<'static, ()>);
 
     impl Drop for Exclusive {
         fn drop(&mut self) {
@@ -408,7 +429,7 @@ mod failpoint_crashes {
 
     fn exclusive() -> Exclusive {
         let guard = REGISTRY_LOCK
-            .lock()
+            .write()
             .unwrap_or_else(|poison| poison.into_inner());
         failpoint::disarm_all();
         Exclusive(guard)
@@ -478,6 +499,57 @@ mod failpoint_crashes {
             drop(r);
             let r2 = HierMatrix::<u64>::open(dir.path()).unwrap();
             prop_assert_eq!(contents(&r2), want2);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(36))]
+
+        // Error, then CONTINUE: a failed append — refused outright
+        // (`persist-wal-append`) or torn between its two writes
+        // (`persist-partial-write`) — must not poison the log.  Every
+        // update acknowledged after the failure is appended behind it,
+        // and recovery must reach all of them: no torn bytes may stay in
+        // front of a good frame.
+        #[test]
+        fn failed_append_then_continued_ingest_loses_no_acked_update(
+            site in 0usize..2,
+            nth in 1u64..40,
+            updates in update_stream(160),
+        ) {
+            let _x = exclusive();
+            let dir = TempDir::new("fail-continue");
+            let mut m = HierMatrix::<u64>::new_durable(
+                DIM, DIM, small_cuts(), DurableConfig::new(dir.path()),
+            ).unwrap();
+            failpoint::arm(SITES[site], nth, FailAction::Error);
+            let mut acked = Vec::new();
+            let mut failed = Vec::new();
+            for &u in &updates {
+                match m.update(u.0, u.1, u.2) {
+                    Ok(()) => acked.push(u),
+                    Err(_) => failed.push(u),
+                }
+            }
+            prop_assert!(failed.len() <= 1, "a site fires exactly once");
+            failpoint::disarm_all();
+            let in_memory = contents(&m);
+            std::mem::forget(m);
+
+            let r = HierMatrix::<u64>::open(dir.path()).unwrap();
+            let got = contents(&r);
+            // Disk and memory agree on what happened ...
+            prop_assert_eq!(&got, &in_memory, "site {} nth {}", SITES[site], nth);
+            // ... and that is every acknowledged update, plus at most the
+            // one failed update when its error surfaced from the
+            // checkpoint *after* it was logged and applied
+            // (`persist-partial-write` also guards the level-file write).
+            let lo = oracle(&acked);
+            acked.extend(failed);
+            prop_assert!(
+                got == lo || got == oracle(&acked),
+                "site {} nth {}: acknowledged updates lost", SITES[site], nth,
+            );
         }
     }
 

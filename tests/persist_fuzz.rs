@@ -99,6 +99,18 @@ fn store_files(dir: &Path) -> Vec<PathBuf> {
     files
 }
 
+/// The store's one live WAL file.
+fn wal_file(dir: &Path) -> PathBuf {
+    store_files(dir)
+        .into_iter()
+        .find(|p| {
+            p.file_name()
+                .and_then(|n| n.to_str())
+                .is_some_and(|n| n.starts_with("wal-"))
+        })
+        .expect("store has a live WAL")
+}
+
 fn update_stream(max_len: usize) -> impl Strategy<Value = Vec<(u64, u64, u64)>> {
     prop::collection::vec((0u64..120, 0u64..120, 1u64..5), 64..max_len).prop_map(|v| {
         v.into_iter()
@@ -134,6 +146,61 @@ fn apply_mutation(path: &Path, kind: Mutation, pos_ppm: u64, garbage: u8) {
 /// `got` equals the oracle of some update prefix.
 fn is_some_prefix(got: &BTreeMap<(u64, u64), u64>, updates: &[(u64, u64, u64)]) -> bool {
     (0..=updates.len()).any(|k| &oracle(&updates[..k]) == got)
+}
+
+/// The frame checksum runs a 16-byte-chunk kernel with a bytewise
+/// remainder: a flip in any of a chunk's 16 byte lanes, or anywhere in the
+/// sub-16-byte remainder, must still fail the frame — the batch drops out
+/// as a torn tail and the checkpointed state below it is untouched.
+#[test]
+fn flip_in_every_crc_lane_and_in_the_remainder_drops_the_frame() {
+    let dir = TempDir::new("crc-lanes");
+    let mut m = HierMatrix::<u64>::new_durable(
+        DIM,
+        DIM,
+        HierConfig::from_cuts(vec![8, 64]).unwrap(),
+        DurableConfig::new(dir.path()),
+    )
+    .unwrap();
+    let base = [(1u64, 2u64, 3u64), (4, 5, 6)];
+    for &(r, c, v) in &base {
+        m.update(r, c, v).unwrap();
+    }
+    m.flush().unwrap();
+    // One three-tuple frame behind the checkpoint: a 72-byte payload is
+    // four 16-byte chunks and an 8-byte remainder.
+    let tail = [(7u64, 8u64, 9u64), (10, 11, 12), (1, 2, 30)];
+    m.update_batch(&tail.map(|t| t.0), &tail.map(|t| t.1), &tail.map(|t| t.2))
+        .unwrap();
+    std::mem::forget(m);
+
+    let wal = wal_file(dir.path());
+    let orig = std::fs::read(&wal).unwrap();
+    let payload = 16 + 12; // file header + frame header
+    assert_eq!(orig.len(), payload + 72);
+
+    let checkpointed = oracle(&base);
+    let second_chunk = (16..32).map(|lane| payload + lane);
+    let remainder = (64..72).map(|k| payload + k);
+    for pos in second_chunk.chain(remainder) {
+        let mut bytes = orig.clone();
+        bytes[pos] ^= 0x04;
+        std::fs::write(&wal, &bytes).unwrap();
+        let r = HierMatrix::<u64>::open(dir.path()).unwrap();
+        assert_eq!(
+            contents(&r),
+            checkpointed,
+            "flip at byte {pos} went undetected"
+        );
+        let rep = r.recovery_report().unwrap();
+        assert!(rep.torn_tail_truncated && rep.wal_records_replayed == 0);
+    }
+
+    // The unflipped frame does replay: the flips are what dropped it.
+    std::fs::write(&wal, &orig).unwrap();
+    let r = HierMatrix::<u64>::open(dir.path()).unwrap();
+    let all: Vec<_> = base.iter().chain(&tail).copied().collect();
+    assert_eq!(contents(&r), oracle(&all));
 }
 
 proptest! {
@@ -199,14 +266,7 @@ proptest! {
     ) {
         let dir = TempDir::new("wal-rot");
         build_store(dir.path(), &updates);
-        let wal = store_files(dir.path())
-            .into_iter()
-            .find(|p| {
-                p.file_name()
-                    .and_then(|n| n.to_str())
-                    .is_some_and(|n| n.starts_with("wal-"))
-            })
-            .expect("store has a live WAL");
+        let wal = wal_file(dir.path());
         let len = std::fs::metadata(&wal).unwrap().len();
         if len <= 16 {
             // The last update triggered a cascade-checkpoint and rotated
