@@ -22,7 +22,8 @@
 //! the per-trial rates + relative spread of every best-of-N measurement,
 //! so the single-core host drift is visible in the artifact instead of
 //! silently folded away.  Flags: `--quick` (reduced stream + the top-k
-//! and in-degree sweep-regression tripwires CI relies on), `--batches N`.
+//! and in-degree sweep-regression tripwires and the top-k flatness
+//! tripwire CI relies on), `--batches N`.
 
 use hyperstream_bench::{arg_value, bench_meta, fmt_rate, quick_mode, TrialRates};
 use hyperstream_cluster::{measure_mixed, MixedRate, QueryMix, SystemKind};
@@ -221,6 +222,47 @@ fn col_tripwire(stream: &[Vec<hyperstream_workload::Edge>]) -> Result<(f64, f64)
     Ok((took, sweep_per_query / indexed_per_query.max(1e-12)))
 }
 
+/// The flatness tripwire behind `--quick`: ranking reads must keep up with
+/// the stream.  Over 20 batches, each followed by one `read_top_k(10)` and
+/// one `read_in_top_k(10)`, the summed read time must stay under a tenth
+/// of the summed `update_batch` time.  The settle observers keep both
+/// top-k caches current, so each read is a 10-entry copy; if a regression
+/// sends the first read after every batch back to a rebuild over all rows
+/// the share is ~0.7 and grows with the stream.  A ratio, so host speed
+/// cancels.  The pending tail is settled (untimed, exactly the work the
+/// next batch would do) before the reads so that they time the index
+/// alone.  Returns the share either way.
+fn flatness_tripwire() -> Result<f64, f64> {
+    use hyperstream_graphblas::{CursorReader, MatrixReader};
+    use hyperstream_hier::{HierConfig, HierMatrix};
+    use std::time::Instant;
+
+    const BATCHES: usize = 20;
+    const MAX_SHARE: f64 = 0.10;
+
+    let mut m = HierMatrix::<u64>::new(DIM, DIM, HierConfig::paper_default()).expect("valid dims");
+    // Activate both indexes while empty: every batch then pays its upkeep.
+    std::hint::black_box((m.read_top_k(10), m.read_in_top_k(10)));
+    let (mut rows, mut cols, mut vals) = (Vec::new(), Vec::new(), Vec::new());
+    let (mut ingest, mut reads) = (0.0f64, 0.0f64);
+    for batch in &hyperstream_bench::paper_batches(BATCHES, 2020) {
+        hyperstream_workload::edges_to_tuples_into(batch, &mut rows, &mut cols, &mut vals);
+        let start = Instant::now();
+        m.update_batch(&rows, &cols, &vals).expect("in-bounds");
+        ingest += start.elapsed().as_secs_f64();
+        m.with_level_dcsrs(&mut |_| {});
+        let start = Instant::now();
+        std::hint::black_box((m.read_top_k(10), m.read_in_top_k(10)));
+        reads += start.elapsed().as_secs_f64();
+    }
+    let share = reads / ingest;
+    if share < MAX_SHARE {
+        Ok(share)
+    } else {
+        Err(share)
+    }
+}
+
 fn main() {
     let quick = quick_mode();
     let batches = arg_value("--batches")
@@ -381,6 +423,21 @@ fn main() {
                 eprintln!(
                     "in-degree tripwire FAILED: 2000-query burst took {took:.3}s (budget 5s) — \
                      column queries have regressed to full sweeps"
+                );
+                std::process::exit(1);
+            }
+        }
+        match flatness_tripwire() {
+            Ok(share) => println!(
+                "flatness tripwire: top-k reads after each of 20 batches cost {:.2}% of ingest \
+                 (budget 10%) — caches kept current by the settle",
+                100.0 * share
+            ),
+            Err(share) => {
+                eprintln!(
+                    "flatness tripwire FAILED: top-k reads after each of 20 batches cost {:.0}% of \
+                     ingest (budget 10%) — the first read after a batch is rebuilding its cache",
+                    100.0 * share
                 );
                 std::process::exit(1);
             }

@@ -7,9 +7,9 @@
 //!   the GraphBLAS operations, the hierarchical cascade, and the baseline
 //!   stores; and
 //! * **experiment binaries** (`src/bin/`) — long-running harnesses that
-//!   regenerate each figure/claim of the paper's evaluation (see
-//!   `DESIGN.md` §3 for the experiment index and `EXPERIMENTS.md` for the
-//!   recorded results):
+//!   regenerate each figure/claim of the paper's evaluation (the root
+//!   `README.md`, "Benchmarks & figures", indexes all of them; most write
+//!   their results to a `BENCH_<name>.json` in the working directory):
 //!
 //! | binary | experiment |
 //! |--------|-----------|

@@ -21,14 +21,27 @@
 //!   never the cell oracle).
 //! * an exact **`nnz`** counter.
 //!
-//! `top_k` and the degree histogram are served from **lazily rebuilt
-//! caches**: the first query after a mutation scans the row stats once
-//! (`O(rows)` with a bounded min-heap — no sort of the full row set), and
-//! every further query until the next mutation answers in `O(k)` /
-//! `O(distinct degrees)`.  Answers are deterministic (degree descending,
-//! row ascending) and byte-identical to the cursor-sweep fallback, which
-//! the read paths keep as a `debug_assert` and the equivalence property
-//! tests drive directly.
+//! `top_k` is served from a cache of the top 128 ranks that the settle
+//! observers **keep current**: one bounded-heap scan of the row stats
+//! (`O(rows)`, no sort of the full row set) builds it on the first query,
+//! and from then on every settle notes which rows it raised past the
+//! cache's last entry and re-ranks the cached rows plus those once, when
+//! it ends — so a `top_k(k <= 128)` after a batch is `O(k)`, and the
+//! upkeep is a compare or two per raised row plus 128 probes and a
+//! 128-entry sort per settle.  This is exact, not approximate: degrees
+//! only grow between `clear()`s, so a row the batch did not touch cannot
+//! overtake anything, every cached row still ranks at or above the old
+//! last entry afterwards, and so a row from outside makes the new top
+//! ranks only if the batch raised it above that entry.  What still
+//! rebuilds lazily (first query after a mutation
+//! scans the row stats once): a cold or just-activated cache, an index
+//! refilled through [`DegreeIndex::add_unique_row`], any `k` above 128
+//! (a wide cache is never upkept — re-ranking it costs a probe per covered
+//! rank on every settle), and the degree histogram, which no streaming
+//! reader asks for between writes.  Answers are deterministic (degree
+//! descending, row ascending) and byte-identical to the cursor-sweep
+//! fallback, which the read paths keep as a `debug_assert` and the
+//! equivalence property tests drive directly.
 //!
 //! Ordering caveat: per-row weights fold in *arrival* order while a cursor
 //! sweep folds in level/column order.  For the integer scalar types every
@@ -118,6 +131,36 @@ struct RowStatsCore<V> {
     version: u64,
 }
 
+impl<V: ScalarType> RowStatsCore<V> {
+    /// Fold `new_cells` newly distinct cells and `weight` into `row`'s
+    /// stats; returns the row's degree before.
+    #[inline]
+    fn add(&mut self, row: Index, new_cells: u64, weight: V) -> u64 {
+        let stat = self.rows.entry(row).or_insert(RowStat {
+            degree: 0,
+            weight: V::default(),
+        });
+        let old = stat.degree;
+        stat.degree += new_cells;
+        stat.weight = stat.weight.add(weight);
+        self.nnz += new_cells as usize;
+        old
+    }
+
+    /// Close one observed mutation: bump the version and, when the
+    /// observer tracked `cache.topk` through it, bring the cache up to
+    /// date and carry its stamp.
+    fn stamp(&mut self, cache: &mut QueryCache, upkeep: Option<TopkUpkeep>) {
+        self.version += 1;
+        if let Some(upkeep) = upkeep {
+            if upkeep.stale || !upkeep.entrants.is_empty() {
+                cache.rerank(&self.rows, &upkeep.entrants);
+            }
+            cache.topk_version = self.version;
+        }
+    }
+}
+
 impl<V> Default for RowStatsCore<V> {
     fn default() -> Self {
         Self {
@@ -128,8 +171,10 @@ impl<V> Default for RowStatsCore<V> {
     }
 }
 
-/// Lazily rebuilt query caches (not shared: snapshots rebuild their own
-/// from the shared core on first use).
+/// Query caches, each valid for the core version it is stamped with (not
+/// shared: a snapshot's view carries its own copy, warm as captured).
+/// The observers re-stamp `topk` when they kept it current; `hist` is
+/// always rebuilt on demand.
 ///
 /// Version 0 is the empty core's version, so `Default` (all-empty caches
 /// stamped 0) is trivially consistent with a fresh core.
@@ -148,11 +193,92 @@ struct QueryCache {
     hist_version: u64,
     /// Reusable min-heap buffer for rebuilds.
     heap_buf: Vec<std::cmp::Reverse<(u64, std::cmp::Reverse<Index>)>>,
+    /// How many times `rebuild_topk` ran — pins "one rebuild, then upkeep".
+    #[cfg(test)]
+    rebuilds: usize,
+}
+
+/// Ranking order of the top-k cache: degree descending, row ascending.
+#[inline]
+fn rank(a: &(Index, usize), b: &(Index, usize)) -> std::cmp::Ordering {
+    b.1.cmp(&a.1).then(a.0.cmp(&b.0))
+}
+
+/// Top-k upkeep across one observer call: how the call moved rows relative
+/// to the cache *as it stood when the call began*.  Per row it costs one or
+/// two compares against `floor`; [`QueryCache::rerank`] settles the rest
+/// once, at the end of the call.
+///
+/// Exact because degrees only grow between rebuilds: every cached row ends
+/// the call ranked at or above `floor`, so a row outside the cache makes the
+/// new top ranks only if it ends above `floor` too — and the first rise
+/// that takes it there is seen here, whatever order the keys arrive in.
+struct TopkUpkeep {
+    /// The cache's last entry; `None` while the cache held every row.
+    floor: Option<(Index, usize)>,
+    /// A cached row rose, so its cached degree is out of date.
+    stale: bool,
+    /// Rows outside the cache that rose above `floor`, each listed once.
+    entrants: Vec<Index>,
+}
+
+impl TopkUpkeep {
+    /// `row`'s degree went from `old` to `new` (equal when only its weight
+    /// changed, which moves nothing).
+    #[inline]
+    fn raise(&mut self, row: Index, old: u64, new: u64) {
+        let at_or_above_floor = |degree: u64| match &self.floor {
+            Some(floor) => rank(&(row, degree as usize), floor).is_le(),
+            None => degree > 0,
+        };
+        // Nearly every row of a batch stops at this first compare.
+        if new == old || !at_or_above_floor(new) {
+            return;
+        }
+        if at_or_above_floor(old) {
+            // Cached at the start, or already listed by an earlier rise.
+            self.stale = true;
+        } else {
+            self.entrants.push(row);
+        }
+    }
+}
+
+impl QueryCache {
+    /// Start keeping `topk` current across the mutation an observer is
+    /// about to apply, if it is current now (`version` is the core's,
+    /// pre-bump) and of the default width.  Wider covers stay lazily
+    /// rebuilt: re-ranking one costs a probe per covered rank.
+    fn upkeep(&self, version: u64) -> Option<TopkUpkeep> {
+        (self.topk_version == version && self.covered == TOPK_MIN_COVER).then(|| TopkUpkeep {
+            // An incomplete cache is full, so it has a last entry.
+            floor: self.topk.last().filter(|_| !self.complete).copied(),
+            stale: false,
+            entrants: Vec::new(),
+        })
+    }
+
+    /// Re-rank the cached rows plus `entrants` by their degrees in `rows`
+    /// and keep the top `covered`.  The buffer is refilled in place, so it
+    /// never grows past the cover.
+    fn rerank<V>(&mut self, rows: &HashMap<Index, RowStat<V>, FxBuildHasher>, entrants: &[Index]) {
+        let cached = self.topk.iter().map(|&(row, _)| row);
+        let mut ranked: Vec<(Index, usize)> = cached
+            .chain(entrants.iter().copied())
+            .map(|row| (row, rows[&row].degree as usize))
+            .collect();
+        ranked.sort_unstable_by(rank);
+        self.complete &= ranked.len() <= self.covered;
+        ranked.truncate(self.covered);
+        self.topk.clear();
+        self.topk.extend_from_slice(&ranked);
+    }
 }
 
 /// Smallest top-k cache width: rebuilding for a tiny `k` would re-scan the
 /// row stats again as soon as a slightly larger `k` arrives, so rebuilds
-/// always cover at least this many ranks.
+/// always cover at least this many ranks.  Also the only width the settle
+/// observers upkeep ([`QueryCache::upkeep`]).
 const TOPK_MIN_COVER: usize = 128;
 
 /// A read-only view of a [`DegreeIndex`]: the `Arc`-shared row stats plus
@@ -209,8 +335,9 @@ impl<V: ScalarType> DegreeIndexView<V> {
     }
 
     /// The `k` rows with the most distinct columns (degree descending, row
-    /// ascending) — O(k) when the cache is warm, one O(rows) bounded-heap
-    /// scan to rebuild it after a mutation.
+    /// ascending) — O(k) when the cache is current, which for `k <= 128`
+    /// it stays across settles once built; otherwise one O(rows)
+    /// bounded-heap scan rebuilds it.
     pub fn top_k(&mut self, k: usize) -> Vec<(Index, usize)> {
         if k == 0 {
             return Vec::new();
@@ -246,10 +373,12 @@ impl<V: ScalarType> DegreeIndexView<V> {
                 .map(|Reverse((d, Reverse(r)))| (r, d as usize)),
         );
         self.cache.heap_buf = buf;
-        self.cache
-            .topk
-            .sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+        self.cache.topk.sort_unstable_by(rank);
         self.cache.topk_version = self.core.version;
+        #[cfg(test)]
+        {
+            self.cache.rebuilds += 1;
+        }
     }
 
     /// The degree histogram (`degree -> row count`) — O(distinct degrees)
@@ -350,12 +479,17 @@ impl<V: ScalarType> DegreeIndex<V> {
     ///
     /// Cost: one cell probe per batch entry plus one row-stat update per
     /// *distinct row in the batch* (the row-major order lets the per-row
-    /// deltas accumulate in registers before touching the map).
+    /// deltas accumulate in registers before touching the map), and — while
+    /// the top-k cache is current — a compare or two per row whose degree
+    /// rose plus one re-rank of the cache at the end.  Grouping by the first
+    /// slice is a fast path, not a requirement: the column index feeds
+    /// `(cols, rows)`, where a key recurs in many runs.
     pub fn observe_settle(&mut self, rows: &[Index], cols: &[Index], vals: &[V]) {
         if !self.active || rows.is_empty() {
             return;
         }
-        let core = Arc::make_mut(&mut self.view.core);
+        let (core, cache) = (Arc::make_mut(&mut self.view.core), &mut self.view.cache);
+        let mut upkeep = cache.upkeep(core.version);
         let mut i = 0;
         while i < rows.len() {
             let row = rows[i];
@@ -368,15 +502,12 @@ impl<V: ScalarType> DegreeIndex<V> {
                 weight = weight.add(vals[i]);
                 i += 1;
             }
-            let stat = core.rows.entry(row).or_insert(RowStat {
-                degree: 0,
-                weight: V::default(),
-            });
-            stat.degree += new_cells;
-            stat.weight = stat.weight.add(weight);
-            core.nnz += new_cells as usize;
+            let old = core.add(row, new_cells, weight);
+            if let Some(upkeep) = upkeep.as_mut() {
+                upkeep.raise(row, old, old + new_cells);
+            }
         }
-        core.version += 1;
+        core.stamp(cache, upkeep);
     }
 
     /// Observe a settled structure wholesale (the `update_matrix` bulk
@@ -386,7 +517,8 @@ impl<V: ScalarType> DegreeIndex<V> {
         if !self.active || ids.is_empty() {
             return;
         }
-        let core = Arc::make_mut(&mut self.view.core);
+        let (core, cache) = (Arc::make_mut(&mut self.view.core), &mut self.view.cache);
+        let mut upkeep = cache.upkeep(core.version);
         for (slot, &row) in ids.iter().enumerate() {
             let mut new_cells = 0u64;
             let mut weight = V::default();
@@ -396,15 +528,12 @@ impl<V: ScalarType> DegreeIndex<V> {
                 }
                 weight = weight.add(vals[j]);
             }
-            let stat = core.rows.entry(row).or_insert(RowStat {
-                degree: 0,
-                weight: V::default(),
-            });
-            stat.degree += new_cells;
-            stat.weight = stat.weight.add(weight);
-            core.nnz += new_cells as usize;
+            let old = core.add(row, new_cells, weight);
+            if let Some(upkeep) = upkeep.as_mut() {
+                upkeep.raise(row, old, old + new_cells);
+            }
         }
-        core.version += 1;
+        core.stamp(cache, upkeep);
     }
 
     /// Observe a settled structure **transposed**: every `(row, col)` entry
@@ -418,23 +547,19 @@ impl<V: ScalarType> DegreeIndex<V> {
         if !self.active || ids.is_empty() {
             return;
         }
-        let core = Arc::make_mut(&mut self.view.core);
+        let (core, cache) = (Arc::make_mut(&mut self.view.core), &mut self.view.cache);
+        let mut upkeep = cache.upkeep(core.version);
         for (slot, &row) in ids.iter().enumerate() {
             for j in ptr[slot]..ptr[slot + 1] {
                 let col = cols[j];
                 let new_cell = self.cells.insert(cell_key(col, row));
-                let stat = core.rows.entry(col).or_insert(RowStat {
-                    degree: 0,
-                    weight: V::default(),
-                });
-                if new_cell {
-                    stat.degree += 1;
-                    core.nnz += 1;
+                let old = core.add(col, new_cell as u64, vals[j]);
+                if let Some(upkeep) = upkeep.as_mut() {
+                    upkeep.raise(col, old, old + new_cell as u64);
                 }
-                stat.weight = stat.weight.add(vals[j]);
             }
         }
-        core.version += 1;
+        core.stamp(cache, upkeep);
     }
 
     /// Record one row's worth of entries that are *known distinct and new*
@@ -445,13 +570,7 @@ impl<V: ScalarType> DegreeIndex<V> {
     /// (rebuild again instead).
     pub fn add_unique_row(&mut self, row: Index, degree: u64, weight: V) {
         let core = Arc::make_mut(&mut self.view.core);
-        let stat = core.rows.entry(row).or_insert(RowStat {
-            degree: 0,
-            weight: V::default(),
-        });
-        stat.degree += degree;
-        stat.weight = stat.weight.add(weight);
-        core.nnz += degree as usize;
+        core.add(row, degree, weight);
         core.version += 1;
     }
 
@@ -596,6 +715,112 @@ mod tests {
         assert_eq!(ix.top_k(2).len(), 2);
         assert_eq!(ix.top_k(250).len(), 250);
         assert_eq!(ix.top_k(1000).len(), 300);
+    }
+
+    /// From-scratch ranking of `(row, col)` cells — the oracle for upkeep.
+    fn ranking(cells: &HashSet<(u64, u64)>) -> Vec<(u64, usize)> {
+        let mut deg: HashMap<u64, usize> = HashMap::new();
+        for &(r, _) in cells {
+            *deg.entry(r).or_insert(0) += 1;
+        }
+        let mut all: Vec<(u64, usize)> = deg.into_iter().collect();
+        all.sort_by(rank);
+        all
+    }
+
+    #[test]
+    fn settles_upkeep_the_topk_cache_with_a_single_rebuild() {
+        let mut ix = DegreeIndex::<u64>::new();
+        // 400 rows against a 128-entry cache: rows enter, get displaced
+        // and re-enter; ties at the boundary are common.
+        let seed: Vec<(u64, u64, u64)> = (0..400).map(|r| (r, 1000, 1)).collect();
+        settle(&mut ix, &seed);
+        let mut cells: HashSet<(u64, u64)> = seed.iter().map(|e| (e.0, e.1)).collect();
+        let mut state = 7u64;
+        for step in 0..50u64 {
+            let mut batch: Vec<(u64, u64, u64)> = (0..40)
+                .map(|_| {
+                    state = state
+                        .wrapping_mul(6364136223846793005)
+                        .wrapping_add(1442695040888963407);
+                    ((state >> 33) % 400, (state >> 13) % (4 + step), 1)
+                })
+                .collect();
+            batch.sort_unstable();
+            batch.dedup_by_key(|e| (e.0, e.1));
+            cells.extend(batch.iter().map(|e| (e.0, e.1)));
+            settle(&mut ix, &batch);
+            let expect = ranking(&cells);
+            assert_eq!(ix.top_k(10), expect[..10.min(expect.len())], "step {step}");
+            assert_eq!(
+                ix.top_k(128),
+                expect[..128.min(expect.len())],
+                "step {step}"
+            );
+        }
+        // The first query built the cache; 49 settles kept it current and
+        // never grew it (its capacity is in `memory_bytes`).
+        assert_eq!(ix.view.cache.rebuilds, 1);
+        assert_eq!(ix.view.cache.topk.capacity(), TOPK_MIN_COVER);
+    }
+
+    #[test]
+    fn upkeep_fills_a_complete_cache_then_overflows_it() {
+        // Fewer rows than the cover: the cache is complete and admits every
+        // new row; the 129th row makes it incomplete.
+        let mut ix = DegreeIndex::<u64>::new();
+        settle(&mut ix, &[(0, 0, 1)]);
+        assert_eq!(ix.top_k(1), vec![(0, 1)]);
+        let mut cells: HashSet<(u64, u64)> = [(0, 0)].into();
+        for r in 1..200u64 {
+            let batch = [(r, 0, 1), (r / 2, r, 1)];
+            let mut sorted = batch.to_vec();
+            sorted.sort_unstable();
+            cells.extend(sorted.iter().map(|e| (e.0, e.1)));
+            settle(&mut ix, &sorted);
+            let expect = ranking(&cells);
+            assert_eq!(ix.top_k(128), expect[..128.min(expect.len())], "row {r}");
+        }
+        assert_eq!(ix.view.cache.rebuilds, 1);
+        assert!(!ix.view.cache.complete);
+        // Beyond the cover the answer comes from a rebuild, and the wide
+        // cache it leaves is not upkept: the next narrow query rebuilds.
+        assert_eq!(ix.top_k(usize::MAX), ranking(&cells));
+        assert_eq!(ix.view.cache.rebuilds, 2);
+        settle(&mut ix, &[(500, 0, 1)]);
+        cells.insert((500, 0));
+        // (the settle left the 200-entry cache alone and merely stale)
+        assert_eq!(ix.view.cache.topk.len(), 200);
+        assert_ne!(ix.view.cache.topk_version, ix.view.core.version);
+        assert_eq!(ix.top_k(3), ranking(&cells)[..3]);
+        assert_eq!(ix.view.cache.rebuilds, 3);
+        // ...after which upkeep resumes at the default width.
+        settle(&mut ix, &[(500, 1, 1), (501, 0, 1)]);
+        cells.extend([(500, 1), (501, 0)]);
+        assert_eq!(ix.top_k(128), ranking(&cells)[..128]);
+        assert_eq!(ix.view.cache.rebuilds, 3);
+    }
+
+    #[test]
+    fn upkeep_handles_ungrouped_keys_and_every_observer() {
+        // The column index's feed: keys recur across runs of one call.
+        let mut ix = DegreeIndex::<u64>::new();
+        ix.activate();
+        ix.observe_settle(&[1, 2, 1], &[10, 10, 11], &[1, 1, 1]);
+        assert_eq!(ix.top_k(2), vec![(1, 2), (2, 1)]);
+        ix.observe_settle(&[2, 3, 2, 3, 2], &[20, 20, 21, 21, 22], &[1; 5]);
+        assert_eq!(ix.top_k(3), vec![(2, 4), (1, 2), (3, 2)]);
+        let d = Dcsr::from_tuples(100, 100, &[3, 3, 9], &[30, 31, 2], &[1u64; 3], Plus).unwrap();
+        ix.observe_dcsr(&d);
+        assert_eq!(ix.top_k(3), vec![(2, 4), (3, 4), (1, 2)]);
+        // Transposed: (3,30) (3,31) (9,2) feed keys 30, 31, 2.
+        ix.observe_dcsr_transposed(&d);
+        assert_eq!(ix.top_k(2), vec![(2, 5), (3, 4)]);
+        assert_eq!(ix.view.cache.rebuilds, 1);
+        // A refill through `add_unique_row` is not upkept.
+        ix.add_unique_row(77, 9, 9);
+        assert_eq!(ix.top_k(1), vec![(77, 9)]);
+        assert_eq!(ix.view.cache.rebuilds, 2);
     }
 
     #[test]

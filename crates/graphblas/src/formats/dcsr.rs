@@ -225,6 +225,21 @@ impl<T: ScalarType> MergeScratch<T> {
     }
 }
 
+/// Digit width of the transpose radix ([`Dcsr::transposed`]): 2,048
+/// buckets keep a pass's write heads and its `u32` histogram (8 KiB) inside
+/// L1, and three digits cover the paper's `2^32` column space.
+const TRANSPOSE_DIGIT_BITS: u32 = 11;
+
+/// Turn a digit histogram into exclusive start offsets.
+fn exclusive_prefix_sum(plane: &mut [u32]) {
+    let mut sum = 0u32;
+    for slot in plane {
+        let count = *slot;
+        *slot = sum;
+        sum += count;
+    }
+}
+
 impl<T: ScalarType> Dcsr<T> {
     /// An empty hypersparse matrix.
     pub fn new(nrows: Index, ncols: Index) -> Self {
@@ -638,6 +653,99 @@ impl<T: ScalarType> Dcsr<T> {
         self.row_ptr.push(0);
         self.col_idx.clear();
         self.vals.clear();
+    }
+
+    /// The transpose as a new `ncols x nrows` structure — the one kernel
+    /// behind [`Matrix::col_shadow`](crate::matrix::Matrix::col_shadow),
+    /// the snapshot twin and [`ops::transpose`](crate::ops::transpose).
+    ///
+    /// The source is already sorted and duplicate-free, so the transpose is
+    /// a *stable sort by column alone*: rows then come out ascending inside
+    /// every column for free.  One LSD radix over the column ids
+    /// ([`TRANSPOSE_DIGIT_BITS`]-bit digits; digits on which every column
+    /// agrees are skipped, so a `2^40`-wide matrix is just more passes)
+    /// carries a `u32` source position, then one gather writes the four
+    /// output arrays at exact capacity.  `O(passes * nnz)`, no comparison
+    /// sort, no dedup; the two key/position plane pairs and the expanded
+    /// source-row table (32 bytes per entry together) live only for the
+    /// call.
+    ///
+    /// # Panics
+    /// Panics when the structure holds more than `u32::MAX` entries.
+    pub(crate) fn transposed(&self) -> Dcsr<T> {
+        const BUCKETS: usize = 1 << TRANSPOSE_DIGIT_BITS;
+        const DIGIT_MASK: u64 = BUCKETS as u64 - 1;
+
+        let n = self.col_idx.len();
+        assert!(
+            u32::try_from(n).is_ok(),
+            "transpose carries u32 source positions: {n} entries exceed u32::MAX"
+        );
+        if n == 0 {
+            return Dcsr::new(self.ncols, self.nrows);
+        }
+
+        // Digits worth a pass: those on which some column differs from the
+        // first.  Their histograms come from one shared read of the columns
+        // (a digit's distribution does not depend on the order of passes).
+        let first = self.col_idx[0];
+        let varying = self.col_idx.iter().fold(0u64, |m, &c| m | (c ^ first));
+        let shifts: Vec<u32> = (0..u64::BITS)
+            .step_by(TRANSPOSE_DIGIT_BITS as usize)
+            .filter(|&s| (varying >> s) & DIGIT_MASK != 0)
+            .collect();
+        let mut hist = vec![0u32; shifts.len() * BUCKETS];
+        for &c in &self.col_idx {
+            for (plane, &s) in hist.chunks_exact_mut(BUCKETS).zip(&shifts) {
+                plane[((c >> s) & DIGIT_MASK) as usize] += 1;
+            }
+        }
+
+        // (key, source position) planes, stably re-scattered once per
+        // varying digit, least significant first.  With none (a single
+        // column) the source order already is the answer.
+        let mut keys = self.col_idx.clone();
+        let mut pos: Vec<u32> = (0..n as u32).collect();
+        if !shifts.is_empty() {
+            let (mut keys_alt, mut pos_alt) = (vec![0u64; n], vec![0u32; n]);
+            for (plane, &s) in hist.chunks_exact_mut(BUCKETS).zip(&shifts) {
+                exclusive_prefix_sum(plane);
+                for (&c, &p) in keys.iter().zip(&pos) {
+                    let slot = &mut plane[((c >> s) & DIGIT_MASK) as usize];
+                    keys_alt[*slot as usize] = c;
+                    pos_alt[*slot as usize] = p;
+                    *slot += 1;
+                }
+                std::mem::swap(&mut keys, &mut keys_alt);
+                std::mem::swap(&mut pos, &mut pos_alt);
+            }
+        }
+
+        // Gather.  `src_rows[p]` is the row of source entry `p`.
+        let mut src_rows = Vec::with_capacity(n);
+        for (k, &r) in self.row_ids.iter().enumerate() {
+            src_rows.resize(self.row_ptr[k + 1], r);
+        }
+        let distinct = 1 + keys.windows(2).filter(|w| w[0] != w[1]).count();
+        let mut row_ids = Vec::with_capacity(distinct);
+        let mut row_ptr = Vec::with_capacity(distinct + 1);
+        row_ids.push(keys[0]);
+        row_ptr.push(0);
+        for (i, w) in keys.windows(2).enumerate() {
+            if w[0] != w[1] {
+                row_ids.push(w[1]);
+                row_ptr.push(i + 1);
+            }
+        }
+        row_ptr.push(n);
+        Dcsr {
+            nrows: self.ncols,
+            ncols: self.nrows,
+            row_ids,
+            row_ptr,
+            col_idx: pos.iter().map(|&p| src_rows[p as usize]).collect(),
+            vals: pos.iter().map(|&p| self.vals[p as usize]).collect(),
+        }
     }
 
     fn check_same_dims(&self, other: &Dcsr<T>) -> GrbResult<()> {

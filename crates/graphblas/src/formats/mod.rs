@@ -4,17 +4,13 @@
 //! |--------|--------|---------|----------|
 //! | [`coo::Coo`]   | `O(nnz)`             | appending unsorted tuples        | construction, pending updates |
 //! | [`dcsr::Dcsr`] | `O(nnz + #non-empty rows)` | row-wise traversal, merging | the compressed "settled" form of every matrix (hypersparse-safe) |
-//! | [`csr::Csr`]   | `O(nnz + nrows)`     | dense-ish row spaces             | comparison baseline; breaks down for 2^32-row traffic matrices |
-//! | [`dok::Dok`]   | `O(nnz)` hash map    | random single-element updates    | comparison baseline for streaming inserts |
 //!
 //! The paper's argument is about which of these an *update stream* should
 //! touch and when: appending to a small COO/DCSR in cache is cheap; merging
 //! into a large DCSR in DRAM is expensive; hence the hierarchy.
 
 pub mod coo;
-pub mod csr;
 pub mod dcsr;
-pub mod dok;
 pub mod merge;
 
 use crate::index::Index;

@@ -84,9 +84,7 @@ pub mod prelude {
     pub use crate::degree_index::{DegreeIndex, DegreeIndexView};
     pub use crate::error::{GrbError, GrbResult};
     pub use crate::formats::coo::Coo;
-    pub use crate::formats::csr::Csr;
     pub use crate::formats::dcsr::Dcsr;
-    pub use crate::formats::dok::Dok;
     pub use crate::index::Index;
     pub use crate::mask::Mask;
     pub use crate::mask::VectorMask;

@@ -401,9 +401,12 @@ impl<T: ScalarType> Matrix<T> {
     /// lookup on the twin — O(k) instead of an O(nnz) sweep.
     ///
     /// Lazy and cached: the first call settles pending tuples and builds
-    /// the transpose (one O(nnz log nnz) sort); later calls are O(1) until
-    /// the next mutation invalidates it.  Holders share the structure
-    /// through the [`Arc`] exactly like [`Matrix::settled_arc`] snapshots.
+    /// the transpose — one stable radix over the column ids plus one
+    /// gather, `O(nnz)` per varying 11-bit column digit (three for a
+    /// `2^32`-wide matrix), through buffers that live only for the call;
+    /// later calls are O(1) until the next mutation invalidates it.
+    /// Holders share the structure through the [`Arc`] exactly like
+    /// [`Matrix::settled_arc`] snapshots.
     ///
     /// Callers that route settles through an observer hook (the
     /// hierarchical levels feeding a [`DegreeIndex`]) must settle *before*
@@ -413,13 +416,11 @@ impl<T: ScalarType> Matrix<T> {
     /// [`DegreeIndex`]: crate::degree_index::DegreeIndex
     pub fn col_shadow(&mut self) -> Arc<Dcsr<T>> {
         self.wait();
-        if self.col_shadow.is_none() {
-            let (rows, cols, vals) = self.settled.extract_tuples();
-            let t = Dcsr::from_tuples(self.ncols, self.nrows, &cols, &rows, &vals, Plus)
-                .expect("transposed tuples stay within the swapped dims");
-            self.col_shadow = Some(Arc::new(t));
-        }
-        Arc::clone(self.col_shadow.as_ref().expect("just built"))
+        let settled = &self.settled;
+        Arc::clone(
+            self.col_shadow
+                .get_or_insert_with(|| Arc::new(settled.transposed())),
+        )
     }
 
     /// Whether the column twin is currently materialised — lets tests and

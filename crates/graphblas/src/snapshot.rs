@@ -29,6 +29,7 @@ use crate::cursor::{
     merged_row_range, merged_row_reduce, merged_top_k_with, TopKScratch,
 };
 use crate::degree_index::DegreeIndexView;
+use crate::formats::coo::Coo;
 use crate::formats::dcsr::Dcsr;
 use crate::index::Index;
 use crate::ops::binary::Plus;
@@ -132,14 +133,15 @@ impl<V: ScalarType> MatrixSnapshot<V> {
     /// built on first use and cached (cheap Arc clone afterwards).
     fn col_shadow(&mut self) -> Arc<Dcsr<V>> {
         if self.col_shadow.is_none() {
-            let (mut rows, mut cols, mut vals) = (Vec::new(), Vec::new(), Vec::new());
+            // The merged stream is row-major and duplicate-free, so the
+            // COO stays in sorted state and compresses without a sort.
+            let mut merged = Coo::new(self.nrows, self.ncols);
             for_each_merged(&self.level_dcsrs(), Plus, &mut |r, c, v| {
-                rows.push(r);
-                cols.push(c);
-                vals.push(v);
+                merged.push(r, c, v)
             });
-            let t = Dcsr::from_tuples(self.ncols, self.nrows, &cols, &rows, &vals, Plus)
-                .expect("transposed snapshot tuples stay within the swapped dims");
+            let t = Dcsr::from_sorted_coo(&merged)
+                .expect("a merged level stream is sorted and duplicate-free")
+                .transposed();
             self.col_shadow = Some(Arc::new(t));
         }
         Arc::clone(self.col_shadow.as_ref().expect("just built"))

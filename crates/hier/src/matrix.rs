@@ -32,9 +32,14 @@ use std::sync::Arc;
 /// batch through the index (cascades move cells between levels without
 /// changing the represented union, so they cost the index nothing), which
 /// turns `read_nnz` / `read_row_degree` / `read_row_reduce` into O(1)
-/// answers and `read_top_k` / the degree histogram into O(k) answers off
-/// lazily rebuilt caches — previously all full cursor sweeps.  The sweep
-/// path is retained as the `sweep_*` fallback family and re-checked by
+/// answers and `read_top_k` into an O(k) answer off a cache of the top 128
+/// ranks that the same settle keeps current: degrees only grow, so a row
+/// the batch did not touch cannot overtake anything, and a touched row
+/// enters exactly when it now outranks the cache's last entry.  The first
+/// ranking read after a batch therefore costs what later ones do, not a
+/// scan of every row; only `k > 128` and the degree histogram still
+/// rebuild (O(rows)) on the first read after a mutation.  The sweep path
+/// is retained as the `sweep_*` fallback family and re-checked by
 /// `debug_assert` on every indexed answer.
 ///
 /// The *column* read path mirrors all of this through the transpose: a
@@ -42,9 +47,14 @@ use std::sync::Arc;
 /// same settle observer with the coordinate slices swapped) answers
 /// in-degree / in-degree-top-k / in-degree-histogram in O(1)/O(k), and
 /// per-level column twins ([`Matrix::col_shadow`]) serve column extracts
-/// and column-range scans in O(k) per level.  Cascades are union-preserving
-/// so they cost the column structures nothing either; the `sweep_col_*` /
-/// `sweep_in_*` fallbacks retain the cursor path for equivalence checks.
+/// and column-range scans in O(k) per level.  A twin is dropped when its
+/// level changes and rebuilt by the first column read after that — one
+/// radix pass per varying 11-bit column digit plus a gather over the
+/// level's entries, so after a batch that is level 0 (and whatever a
+/// cascade just rewrote), not the whole matrix.  Cascades are
+/// union-preserving so they cost the column *index* nothing; the
+/// `sweep_col_*` / `sweep_in_*` fallbacks retain the cursor path for
+/// equivalence checks.
 #[derive(Debug)]
 pub struct HierMatrix<T> {
     nrows: Index,

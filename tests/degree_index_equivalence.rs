@@ -233,6 +233,158 @@ proptest! {
     }
 }
 
+/// The cache widths a reader can ask for: nothing, inside the upkept
+/// cover, exactly the cover, one past it, and "everything" twice over.
+const KS: [usize; 7] = [0, 1, 10, 128, 129, 10_000, usize::MAX];
+
+// One settle's worth of cells from skewed pools of 400 row and 400 column
+// ids: enough distinct keys on both axes to overflow the 128-entry cache,
+// skewed so that a few keys climb while most tie at low degrees.
+fn settle_batch() -> impl Strategy<Value = Vec<(u64, u64, u64)>> {
+    prop::collection::vec((0u64..400, 0u64..400, 1u64..5), 1usize..80).prop_map(|v| {
+        v.into_iter()
+            .map(|(r, c, w)| {
+                (
+                    (r * r / 400 * 20_000_019) % DIM,
+                    (c * c / 400 * 40_000_003) % DIM,
+                    w,
+                )
+            })
+            .collect()
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    // The top-k cache the settle observers keep current is exact: after
+    // every settle, for every width, the row index (grouped feed) and the
+    // column index (the same event with the slices swapped, so keys recur
+    // un-grouped) answer exactly what an index built from scratch over
+    // the same cells answers, and what the flat matrix says.
+    #[test]
+    fn upkept_top_k_equals_from_scratch_index_and_flat(
+        steps in prop::collection::vec((settle_batch(), 0usize..7, 0u64..12), 1usize..30),
+    ) {
+        let mut row_ix = DegreeIndex::<u64>::new();
+        let mut col_ix = DegreeIndex::<u64>::new();
+        row_ix.activate();
+        col_ix.activate();
+        let mut flat = Matrix::<u64>::new(DIM, DIM);
+        // A view taken mid-stream with the answers it must keep giving.
+        let mut frozen: Option<(DegreeIndexView<u64>, DegreeIndexView<u64>, Matrix<u64>)> = None;
+        for (batch, k_sel, action) in steps {
+            if action == 0 {
+                // The matrix was cleared: both indexes deactivate, and the
+                // next degree query re-activates them over what is there.
+                row_ix.clear();
+                col_ix.clear();
+                flat = Matrix::<u64>::new(DIM, DIM);
+                row_ix.activate();
+                col_ix.activate();
+            }
+            // The settle's dedup-unpack: sorted row-major, duplicates folded.
+            let (r, c, v): (Vec<u64>, Vec<u64>, Vec<u64>) = (
+                batch.iter().map(|e| e.0).collect(),
+                batch.iter().map(|e| e.1).collect(),
+                batch.iter().map(|e| e.2).collect(),
+            );
+            let settled = Matrix::from_tuples(DIM, DIM, &r, &c, &v, Plus).unwrap();
+            let (rows, cols, vals) = settled.extract_tuples();
+            row_ix.observe_settle(&rows, &cols, &vals);
+            col_ix.observe_settle(&cols, &rows, &vals);
+            flat.accum_tuples(&rows, &cols, &vals).unwrap();
+            flat.wait();
+            let flat_t = transpose(&flat);
+
+            let mut scratch_row = DegreeIndex::<u64>::new();
+            scratch_row.activate();
+            scratch_row.observe_dcsr(flat.dcsr());
+            let mut scratch_col = DegreeIndex::<u64>::new();
+            scratch_col.activate();
+            scratch_col.observe_dcsr_transposed(flat.dcsr());
+
+            // This step's width first (it decides what the cache looks
+            // like going into the next settle), then a narrow one.
+            for k in [KS[k_sel], 10] {
+                let got = row_ix.top_k(k);
+                prop_assert_eq!(&got, &scratch_row.top_k(k));
+                prop_assert_eq!(&got, &reference_top_k(&flat, k));
+                let got = col_ix.top_k(k);
+                prop_assert_eq!(&got, &scratch_col.top_k(k));
+                prop_assert_eq!(&got, &reference_top_k(&flat_t, k));
+            }
+            prop_assert_eq!(row_ix.nnz(), flat.nvals());
+            prop_assert_eq!(col_ix.nnz(), flat.nvals());
+
+            if let Some((row_view, col_view, at)) = frozen.as_mut() {
+                let at_t = transpose(at);
+                for k in [1, 10, 128, usize::MAX] {
+                    prop_assert_eq!(row_view.top_k(k), reference_top_k(at, k));
+                    prop_assert_eq!(col_view.top_k(k), reference_top_k(&at_t, k));
+                }
+            }
+            if action == 1 {
+                frozen = Some((row_ix.view(), col_ix.view(), flat.clone()));
+            }
+        }
+    }
+}
+
+/// Hostile reads between batches, on every engine: `k = 0`, `k = MAX` and
+/// out-of-range columns return the empty / full / zero answer, never
+/// panic, and leave the next batches' answers exact.
+#[test]
+fn hostile_reads_between_batches_are_total_and_harmless() {
+    fn drive<S: StreamingSystem<u64>>(sys: &mut S) {
+        let mut flat = Matrix::<u64>::new(DIM, DIM);
+        for batch in 0..6u64 {
+            let rows: Vec<u64> = (0..500)
+                .map(|i| ((i * 7 + batch) % 300) * 1_000_003)
+                .collect();
+            let cols: Vec<u64> = (0..500)
+                .map(|i| ((i * i + batch) % 211) * 2_000_003)
+                .collect();
+            let vals = vec![1u64; 500];
+            sys.insert_batch(&rows, &cols, &vals).unwrap();
+            flat.accum_tuples(&rows, &cols, &vals).unwrap();
+            flat.wait();
+            let flat_t = transpose(&flat);
+            let name = sys.reader_name().to_string();
+            assert!(sys.read_top_k(0).is_empty(), "{name}");
+            assert!(sys.read_in_top_k(0).is_empty(), "{name}");
+            assert_eq!(
+                sys.read_top_k(usize::MAX),
+                reference_top_k(&flat, usize::MAX),
+                "{name}"
+            );
+            assert_eq!(
+                sys.read_in_top_k(usize::MAX),
+                reference_top_k(&flat_t, usize::MAX),
+                "{name}"
+            );
+            // The wide reads above must not poison the narrow ones.
+            assert_eq!(sys.read_top_k(10), reference_top_k(&flat, 10), "{name}");
+            assert_eq!(
+                sys.read_in_top_k(10),
+                reference_top_k(&flat_t, 10),
+                "{name}"
+            );
+            for col in [DIM, DIM + 1, u64::MAX] {
+                let mut out = vec![(1, 1)];
+                sys.read_col(col, &mut out);
+                assert!(out.is_empty(), "{name}: column {col} is outside the matrix");
+                assert_eq!(sys.read_col_degree(col), 0, "{name}");
+            }
+        }
+    }
+    let cfg = || HierConfig::from_cuts(vec![64, 1024]).unwrap();
+    drive(&mut Matrix::<u64>::new(DIM, DIM));
+    drive(&mut HierMatrix::<u64>::new(DIM, DIM, cfg()).unwrap());
+    drive(&mut WindowedHierMatrix::<u64>::new(DIM, DIM, cfg(), 1 << 40, 2).unwrap());
+    drive(&mut ShardedHierMatrix::<u64>::with_shards(DIM, DIM, 3).unwrap());
+}
+
 /// The degree histogram served through the generic algorithm layer equals
 /// the flat computation for every hierarchical system (the index sits
 /// behind `read_degree_histogram`, which `algo::degree_distribution` uses).

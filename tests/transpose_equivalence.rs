@@ -308,6 +308,76 @@ proptest! {
     }
 }
 
+/// Entries for the transpose-kernel property below, bent into one of the
+/// shapes that stress a different part of the column radix: a single input
+/// row, a single output row (no digit varies), a hub column holding half
+/// the entries, no repeated row or column at all, nothing to sort, and
+/// unconstrained.
+fn shaped_entries(
+    raw: Vec<(u64, u64, u64)>,
+    shape: u64,
+    nrows: u64,
+    ncols: u64,
+) -> (Vec<u64>, Vec<u64>, Vec<u64>) {
+    let n = raw.len() as u64;
+    let entries: Vec<(u64, u64, u64)> = raw
+        .into_iter()
+        .zip(0u64..)
+        .map(|((r, c, v), i)| match shape {
+            0 => (nrows / 3, c % ncols, v),
+            1 => (r % nrows, ncols - 1, v),
+            2 if i % 2 == 0 => (r % nrows, ncols / 2, v),
+            3 => (i * (nrows / n), i * (ncols / n), v),
+            _ => (r % nrows, c % ncols, v),
+        })
+        .filter(|_| shape != 4)
+        .collect();
+    (
+        entries.iter().map(|e| e.0).collect(),
+        entries.iter().map(|e| e.1).collect(),
+        entries.iter().map(|e| e.2).collect(),
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    // The one transpose kernel (`ops::transpose`, `Matrix::col_shadow`) is
+    // byte-identical to rebuilding from the swapped tuples, at every width
+    // of the column space: 100 (one radix digit), 2^32 (three) and 2^40
+    // with columns above 2^32 (four).
+    #[test]
+    fn transpose_kernel_is_byte_identical_to_a_rebuild_from_swapped_tuples(
+        raw in prop::collection::vec((0u64..u64::MAX, 0u64..u64::MAX, 1u64..1000), 1usize..100),
+        shape in 0u64..7,
+        row_dim in 0usize..3,
+        col_dim in 0usize..3,
+    ) {
+        const DIMS: [u64; 3] = [100, 1 << 32, 1 << 40];
+        let (nrows, ncols) = (DIMS[row_dim], DIMS[col_dim]);
+        let (rows, cols, vals) = shaped_entries(raw, shape, nrows, ncols);
+        let a = Matrix::from_tuples(nrows, ncols, &rows, &cols, &vals, Plus).unwrap();
+        let (sr, sc, sv) = a.extract_tuples();
+        let oracle = Dcsr::from_tuples(ncols, nrows, &sc, &sr, &sv, Plus).unwrap();
+
+        let t = transpose(&a);
+        prop_assert_eq!((t.nrows(), t.ncols()), (ncols, nrows));
+        prop_assert_eq!(t.dcsr().raw_parts(), oracle.raw_parts());
+        prop_assert!(t.check_invariants().is_ok());
+        let twin = a.clone().col_shadow();
+        prop_assert_eq!(twin.raw_parts(), oracle.raw_parts());
+        prop_assert!(twin.check_invariants().is_ok());
+        // Pending tuples are settled into the answer, not dropped.
+        let mut pending = Matrix::<u64>::new(nrows, ncols);
+        pending.accum_tuples(&rows, &cols, &vals).unwrap();
+        prop_assert_eq!(transpose(&pending).dcsr().raw_parts(), oracle.raw_parts());
+        // An involution.
+        let back = transpose(&t);
+        prop_assert_eq!((back.nrows(), back.ncols()), (nrows, ncols));
+        prop_assert_eq!(back.dcsr().raw_parts(), a.dcsr().raw_parts());
+    }
+}
+
 /// In-degree top-k through the generic algorithm layer equals the
 /// out-degree ranking of the explicitly transposed stream, for flat,
 /// hierarchical and sharded systems alike (the asymmetry the column twin
