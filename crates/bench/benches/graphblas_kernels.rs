@@ -2,6 +2,7 @@
 //! (the cascade primitive), mxm and reduce on hypersparse operands.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use hyperstream_graphblas::algo::pagerank;
 use hyperstream_graphblas::cursor::{merge_levels, merged_nnz, merged_row_into, merged_top_k};
 use hyperstream_graphblas::formats::coo::Coo;
 use hyperstream_graphblas::formats::dcsr::Dcsr;
@@ -12,8 +13,10 @@ use hyperstream_graphblas::ops::mxm::mxm;
 use hyperstream_graphblas::ops::reduce::reduce_rows;
 use hyperstream_graphblas::ops::semiring::PlusTimes;
 use hyperstream_graphblas::Matrix;
+use hyperstream_graphblas::MatrixSnapshot;
 use hyperstream_graphblas::MergeScratch;
 use hyperstream_workload::{PowerLawConfig, PowerLawGenerator};
+use std::sync::Arc;
 
 const DIM: u64 = 1 << 32;
 
@@ -231,6 +234,19 @@ fn bench_merged_cursor(c: &mut Criterion) {
     });
     group.bench_function("merged_nnz_cursor", |b| b.iter(|| merged_nnz(&refs)));
     group.bench_function("merged_top_k_8", |b| b.iter(|| merged_top_k(&refs, 8)));
+    // The graph algorithms' vertex-relabel front end over the same four
+    // levels: PageRank with zero iterations is its set-up and hand-over.
+    let mut snap = MatrixSnapshot::new(
+        "levels",
+        DIM,
+        DIM,
+        levels.iter().cloned().map(Arc::new).collect(),
+        (&[], &[], &[]),
+        None,
+    );
+    group.bench_function("compact_graph", |b| {
+        b.iter(|| pagerank(&mut snap, 0.85, 0, 0.0).nvals())
+    });
     let probe_rows: Vec<u64> = levels[3].row_ids().iter().step_by(64).copied().collect();
     group.throughput(Throughput::Elements(probe_rows.len() as u64));
     group.bench_function("merged_row_queries", |b| {

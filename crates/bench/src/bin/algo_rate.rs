@@ -24,8 +24,8 @@
 //! (`tri_batches` / `mxm_edges` in the artifact — never a silent cap).
 //! The run writes `BENCH_algo_rate.json` with best-of-N rates, per-trial
 //! spreads and SPA strategy counters.  Flags: `--quick` (reduced stream +
-//! the SPA-speedup and reader-vs-tuples tripwires CI relies on),
-//! `--batches N`.
+//! the SPA-speedup, reader-vs-tuples and pagerank set-up tripwires CI
+//! relies on), `--batches N`.
 
 use hyperstream_bench::{arg_value, bench_meta, fmt_rate, quick_mode, TrialRates};
 use hyperstream_graphblas::algo::{bfs_levels, pagerank, pagerank_tuples, triangle_count};
@@ -496,6 +496,7 @@ fn main() {
     let mut results: Vec<SystemResult> = Vec::new();
     let mut pagerank_tuples_seconds = f64::INFINITY;
     let mut pagerank_reader_seconds = f64::INFINITY;
+    let mut pagerank_setup_over_five_iters = f64::INFINITY;
     for mut sys in build_systems(&stream) {
         let label = sys.label();
         let mut pure = Vec::new();
@@ -520,6 +521,16 @@ fn main() {
             print_point(label, "pagerank-tuples", &pt);
             pagerank_tuples_seconds = pt.seconds;
             pure.push(("\"algo\": \"pagerank_tuples\"".to_string(), pt));
+
+            // Set-up against iterations on the same hierarchy: one call
+            // costs S + k·I, so two iteration counts (tolerance 0: no early
+            // stop) separate the two.  A ratio, so host speed cancels.
+            let mut at = |iters: usize| {
+                measure(3, 1, || pagerank(h, DAMPING, iters, 0.0).nvals() as u64).seconds
+            };
+            let (one, twenty_one) = (at(1), at(21));
+            let iter = ((twenty_one - one) / 20.0).max(1e-12);
+            pagerank_setup_over_five_iters = (one - iter) / (5.0 * iter);
         }
 
         results.push(SystemResult {
@@ -591,6 +602,10 @@ fn main() {
             "pagerank_reader_over_tuples",
             pagerank_tuples_seconds / pagerank_reader_seconds.max(1e-12),
         ),
+        (
+            "pagerank_setup_over_five_iters",
+            pagerank_setup_over_five_iters,
+        ),
     ];
     println!();
     println!(
@@ -599,6 +614,9 @@ fn main() {
     println!(
         "reader-native pagerank over tuple-rebuild fallback (hier): {:.1}x",
         speedups[2].1
+    );
+    println!(
+        "pagerank set-up over five of its iterations (hier): {pagerank_setup_over_five_iters:.1}x"
     );
 
     let json_path = "BENCH_algo_rate.json";
@@ -617,8 +635,7 @@ fn main() {
     }
 
     // CI tripwires (quick mode only; release builds only — under
-    // debug_assertions pagerank re-derives its degree vector through a
-    // full sweep and the SPA kernels run their own self-checks, which is
+    // debug_assertions the SPA kernels run their own self-checks, which is
     // exactly the overhead the thresholds exist to catch).
     if quick && !cfg!(debug_assertions) {
         // The mxm (Gustavson) point is where the accumulator dominates;
@@ -645,6 +662,20 @@ fn main() {
         println!(
             "reader tripwire: pagerank {pagerank_reader_seconds:.3}s vs tuples rebuild \
              {pagerank_tuples_seconds:.3}s — cursor path healthy"
+        );
+        // The relabel front end is linear passes over the edges; a
+        // comparison sort or a per-edge search creeping back in shows here
+        // (about 7x before the front end existed, about 2x with it).
+        if pagerank_setup_over_five_iters > 4.0 {
+            eprintln!(
+                "set-up tripwire FAILED: pagerank set-up costs \
+                 {pagerank_setup_over_five_iters:.1}x five of its iterations (need <= 4x)"
+            );
+            std::process::exit(1);
+        }
+        println!(
+            "set-up tripwire: pagerank set-up {pagerank_setup_over_five_iters:.1}x five \
+             iterations — front end healthy"
         );
     }
 }

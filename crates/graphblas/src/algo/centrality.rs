@@ -1,115 +1,90 @@
-//! Centrality measures: PageRank and connected components, expressed with
-//! the GraphBLAS kernels.
+//! Centrality measures: PageRank and connected components.
 //!
 //! These round out the "various network statistics" computed on streaming
 //! traffic matrices (paper §III).  The primary entry points run over any
-//! [`CursorReader`], driving the iteration directly off the reader's DCSR
-//! level slices; the `*_tuples` fallbacks pull the pattern through the
-//! plain entry cursor and rebuild a flat matrix first, which is what the
-//! DB-analogue stores use.
+//! [`CursorReader`] and share one pipeline: a merged cursor sweep of the
+//! reader's level slices collects the distinct adjacency pattern, one
+//! position-carrying radix over the destination ids plus one linear merge
+//! relabels it onto dense `u32` vertex positions (CSR over positions and
+//! the sorted id table), the algorithm iterates on dense arrays, and the
+//! result is handed over as a [`SparseVector`] by move.  Set-up is
+//! `O(passes · edges)` — three radix passes for ids below `2^32`, more
+//! above — with no comparison sort and no per-edge search; its buffers
+//! (about 20 bytes per edge and 12 per vertex) live for the call only, and
+//! nothing is cached on the reader.
+//!
+//! The `*_tuples` fallbacks pull the pattern through the plain entry
+//! cursor and rebuild a flat matrix first, which is what the DB-analogue
+//! stores use and what the equivalence tests compare against.
 
-use crate::cursor::LevelCursors;
+use super::compact::CompactGraph;
 use crate::index::Index;
 use crate::matrix::Matrix;
-use crate::ops::binary::{First, Plus};
+use crate::ops::binary::Plus;
 use crate::ops::mxv::vxm;
 use crate::ops::semiring::{MinFirst, PlusTimes};
 use crate::reader::{read_tuples, CursorReader, MatrixReader};
 use crate::types::ScalarType;
 use crate::vector::SparseVector;
 
+/// Hand a dense per-position result over as a sparse vector, by move.
+fn hand_over<T: ScalarType>(size: Index, active: Vec<Index>, vals: Vec<T>) -> SparseVector<T> {
+    let out = SparseVector::from_sorted_parts(size, active, vals);
+    // Sorted and distinct by construction, and inside the dims of the
+    // reader whose levels they came from; a reader that broke that contract
+    // gets the empty answer in release builds, not a panic.
+    debug_assert!(out.is_ok(), "vertex table rejected: {out:?}");
+    out.unwrap_or_else(|_| SparseVector::new(size))
+}
+
 /// PageRank over the directed graph whose adjacency pattern is `a`
 /// (edge `i -> j` for every stored entry; weights ignored).
 ///
-/// Runs over any [`CursorReader`].  Out-degrees are served straight from
-/// the reader's row [`DegreeIndex`](crate::degree_index::DegreeIndex) when
-/// it keeps one (`O(rows)` once instead of a counting sweep; a
-/// `debug_assert` cross-checks the index against the sweep in debug
-/// builds).  One cursor sweep folds the distinct adjacency pattern into a
-/// position-ranked scratch (each destination as a `u32` slot into the
-/// active set), so every iteration is a dense-array push of
-/// `rank(i)/outdeg(i)` under `plus` — no per-iteration level lookups, no
-/// scatter sorts, and the weighted transition matrix is never built.
+/// Runs over any [`CursorReader`] on the module's shared front end: the
+/// out-degree of a source is the width of its destination list, and every
+/// iteration is a dense-array push of `rank(i)/outdeg(i)` under `plus`
+/// along `u32` destination positions — no per-iteration level lookups, no
+/// scatter sorts, and the weighted transition matrix is never built.  Cost
+/// is the `O(passes · edges)` set-up plus `O(edges + vertices)` per
+/// iteration.
 ///
 /// Returns the rank of every vertex that has at least one in- or out-edge.
 /// `damping` is the usual 0.85; iteration stops after `max_iters` or when
-/// the L1 change drops below `tol`.
+/// the L1 change drops below `tol`.  `max_iters = 0` returns the uniform
+/// start vector.
 pub fn pagerank<V, R>(a: &mut R, damping: f64, max_iters: usize, tol: f64) -> SparseVector<f64>
 where
     V: ScalarType,
     R: CursorReader<V> + ?Sized,
 {
     let (nrows, ncols) = a.read_dims();
-    let indexed = a.out_degrees();
-    let need_sweep = indexed.is_none() || cfg!(debug_assertions);
-    let mut rank = SparseVector::<f64>::new(nrows.max(ncols));
-    a.with_level_dcsrs(&mut |lv| {
-        // One sweep collects the source rows, their distinct out-neighbour
-        // lists folded across levels (flattened CSR-style into `adj`), and
-        // — when no index served them — the distinct out-degree per row.
-        let mut sweep: Vec<(Index, u64)> = Vec::new();
-        let mut srcs: Vec<Index> = Vec::new();
-        let mut offsets: Vec<usize> = vec![0];
-        let mut adj: Vec<Index> = Vec::new();
-        let mut cur = LevelCursors::new(lv);
-        while let Some(r) = cur.next_row() {
-            srcs.push(r);
-            cur.fold_row(First, &mut |c, _| adj.push(c));
-            offsets.push(adj.len());
-            if need_sweep {
-                sweep.push((r, (offsets[srcs.len()] - offsets[srcs.len() - 1]) as u64));
+    let g = CompactGraph::from_reader(a);
+    let n = g.active.len();
+    if n == 0 {
+        return SparseVector::new(nrows.max(ncols));
+    }
+    let teleport = (1.0 - damping) / n as f64;
+    let mut rank = vec![1.0 / n as f64; n];
+    let mut spread = vec![0.0f64; n];
+    for _ in 0..max_iters {
+        spread.fill(0.0);
+        for (&src, w) in g.src_pos.iter().zip(g.offsets.windows(2)) {
+            let contrib = rank[src as usize] / (w[1] - w[0]) as f64;
+            for &t in &g.targets[w[0]..w[1]] {
+                spread[t as usize] += contrib;
             }
         }
-        let mut active: Vec<Index> = srcs.clone();
-        active.extend_from_slice(&adj);
-        active.sort_unstable();
-        active.dedup();
-        let n = active.len();
-        if n == 0 {
-            return;
+        let mut delta = 0.0;
+        for (r, &s) in rank.iter_mut().zip(&spread) {
+            let val = teleport + damping * s;
+            delta += (val - *r).abs();
+            *r = val;
         }
-        if let Some(ix) = &indexed {
-            debug_assert_eq!(
-                ix, &sweep,
-                "DegreeIndex-served out-degrees must match the level sweep"
-            );
+        if delta < tol {
+            break;
         }
-        let degrees = indexed.as_ref().unwrap_or(&sweep);
-
-        // Rank every vertex once into its position in the sorted active
-        // set, so the iterations below run on dense arrays.
-        assert!(n <= u32::MAX as usize, "active set exceeds u32 positions");
-        let pos = |v: Index| active.binary_search(&v).expect("vertex is active") as u32;
-        let targets: Vec<u32> = adj.iter().map(|&c| pos(c)).collect();
-        let src_pos: Vec<u32> = degrees.iter().map(|&(r, _)| pos(r)).collect();
-
-        let teleport = (1.0 - damping) / n as f64;
-        let mut cur_rank = vec![1.0 / n as f64; n];
-        let mut spread = vec![0.0f64; n];
-        for _ in 0..max_iters {
-            spread.iter_mut().for_each(|s| *s = 0.0);
-            for (k, &(r, d)) in degrees.iter().enumerate() {
-                debug_assert_eq!(r, srcs[k], "degrees align with the sweep order");
-                let contrib = cur_rank[src_pos[k] as usize] / d as f64;
-                for &t in &targets[offsets[k]..offsets[k + 1]] {
-                    spread[t as usize] += contrib;
-                }
-            }
-            let mut delta = 0.0;
-            for p in 0..n {
-                let val = teleport + damping * spread[p];
-                delta += (val - cur_rank[p]).abs();
-                cur_rank[p] = val;
-            }
-            if delta < tol {
-                break;
-            }
-        }
-        for (p, &v) in active.iter().enumerate() {
-            rank.set(v, cur_rank[p]).expect("active vertex in range");
-        }
-    });
-    rank
+    }
+    hand_over(nrows.max(ncols), g.active, rank)
 }
 
 /// [`pagerank`] over any [`MatrixReader`], the tuple-materialising
@@ -186,10 +161,13 @@ where
 /// Connected components of the *undirected* graph whose adjacency pattern is
 /// `a` (treated symmetrically), via min-label propagation.
 ///
-/// Runs over any [`CursorReader`]: each round sweeps the stored cells of
-/// the level slices once, propagating the smaller endpoint label in *both*
-/// directions — no symmetrised copy of the pattern is ever built, and
-/// duplicate cells across levels are harmless under `min`.
+/// Runs over any [`CursorReader`] on the module's shared front end: labels
+/// are a dense array over vertex positions, and each round walks the
+/// distinct edges once, pulling the smaller endpoint label across in
+/// whichever direction it points — no symmetrised copy of the pattern is
+/// ever built.  Labels only ever fall and a label is always the id of a
+/// vertex in the same component, so the fixpoint is the component minimum
+/// whatever the order of updates within a round.
 ///
 /// Returns, for every vertex with at least one edge, the smallest vertex id
 /// in its component.
@@ -199,53 +177,28 @@ where
     R: CursorReader<V> + ?Sized,
 {
     let (nrows, ncols) = a.read_dims();
-    let mut out = SparseVector::<u64>::new(nrows.max(ncols));
-    a.with_level_dcsrs(&mut |lv| {
-        let mut active: Vec<Index> = Vec::new();
-        for d in lv {
-            let (row_ids, _, cols, _) = d.raw_parts();
-            active.extend_from_slice(row_ids);
-            active.extend_from_slice(cols);
-        }
-        active.sort_unstable();
-        active.dedup();
-        if active.is_empty() {
-            return;
-        }
-        // labels[p] is the label of vertex active[p]; start from the id.
-        let mut labels: Vec<u64> = active.clone();
-        loop {
-            let mut changed = false;
-            let mut next = labels.clone();
-            for d in lv {
-                let (row_ids, row_ptr, cols, _) = d.raw_parts();
-                for (s, &i) in row_ids.iter().enumerate() {
-                    let pi = active.binary_search(&i).expect("endpoint is active");
-                    let li = labels[pi];
-                    for &j in &cols[row_ptr[s]..row_ptr[s + 1]] {
-                        let pj = active.binary_search(&j).expect("endpoint is active");
-                        let lj = labels[pj];
-                        if lj < next[pi] {
-                            next[pi] = lj;
-                            changed = true;
-                        }
-                        if li < next[pj] {
-                            next[pj] = li;
-                            changed = true;
-                        }
-                    }
+    let g = CompactGraph::from_reader(a);
+    // labels[p] is the label of vertex active[p]; start from the id.
+    let mut labels: Vec<u64> = g.active.clone();
+    let mut changed = true;
+    while changed {
+        changed = false;
+        for (&src, w) in g.src_pos.iter().zip(g.offsets.windows(2)) {
+            let pi = src as usize;
+            for &t in &g.targets[w[0]..w[1]] {
+                let pj = t as usize;
+                let (li, lj) = (labels[pi], labels[pj]);
+                if lj < li {
+                    labels[pi] = lj;
+                    changed = true;
+                } else if li < lj {
+                    labels[pj] = li;
+                    changed = true;
                 }
             }
-            labels = next;
-            if !changed {
-                break;
-            }
         }
-        for (p, &v) in active.iter().enumerate() {
-            out.set(v, labels[p]).expect("vertex in range");
-        }
-    });
-    out
+    }
+    hand_over(nrows.max(ncols), g.active, labels)
 }
 
 /// [`connected_components`] over any [`MatrixReader`], the
@@ -369,6 +322,63 @@ mod tests {
         for (v, r) in fast.iter() {
             let s = slow.get(v).expect("same active set");
             assert!((r - s).abs() < 1e-9, "v={v}: {r} vs {s}");
+        }
+    }
+
+    /// Shapes the front end could trip on: nothing at all, one self-loop,
+    /// destinations that are never sources, and ids above `2^32` in a
+    /// `2^40` space (the radix needs more than three passes there).
+    fn hostile_graphs() -> Vec<Matrix<u64>> {
+        let hi = 1u64 << 33;
+        vec![
+            Matrix::<u64>::new(1 << 40, 1 << 40),
+            graph(8, &[(3, 3)]),
+            graph(1 << 32, &[(1, 9), (1, 7), (2, 9), (5, 1 << 31)]),
+            graph(
+                1 << 40,
+                &[
+                    (hi + 5, 2),
+                    (2, hi + 5),
+                    (hi + 5, (1 << 39) + 1),
+                    (7, hi),
+                    ((1 << 39) + 1, 7),
+                    (hi + (1 << 22), hi + (1 << 11)),
+                ],
+            ),
+        ]
+    }
+
+    #[test]
+    fn pagerank_survives_hostile_inputs_and_matches_the_oracle() {
+        for mut g in hostile_graphs() {
+            for (damping, iters) in [(0.85, 0), (0.85, 1), (0.85, 40), (0.0, 5), (1.0, 5)] {
+                let fast = pagerank(&mut g, damping, iters, 0.0);
+                let slow = pagerank_tuples(&mut g, damping, iters, 0.0);
+                assert_eq!(
+                    fast.nvals(),
+                    slow.nvals(),
+                    "damping {damping}, {iters} iters"
+                );
+                for ((v, r), (w, s)) in fast.iter().zip(slow.iter()) {
+                    assert_eq!(v, w);
+                    assert!(
+                        (r - s).abs() < 1e-9,
+                        "v={v} damping {damping}, {iters} iters: {r} vs {s}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn components_survive_hostile_inputs_and_match_the_oracle() {
+        for mut g in hostile_graphs() {
+            let fast = connected_components(&mut g);
+            let slow = connected_components_tuples(&mut g);
+            assert_eq!(
+                fast.iter().collect::<Vec<_>>(),
+                slow.iter().collect::<Vec<_>>()
+            );
         }
     }
 

@@ -17,23 +17,18 @@ where
     V: ScalarType,
     R: MatrixReader<V> + ?Sized,
 {
-    let mut v = SparseVector::new(a.read_dims().0);
-    // Entries arrive row-major sorted: count run lengths and append each
-    // finished run (appends at the tail, so building the vector is linear).
-    let mut run: Option<(Index, u64)> = None;
-    a.read_entries(&mut |r, _, _| match &mut run {
-        Some((cr, n)) if *cr == r => *n += 1,
+    // Entries arrive row-major sorted: each run of one row id is a row,
+    // its length the degree.
+    let (mut rows, mut degs): (Vec<Index>, Vec<u64>) = (Vec::new(), Vec::new());
+    a.read_entries(&mut |r, _, _| match degs.last_mut() {
+        Some(n) if rows.last() == Some(&r) => *n += 1,
         _ => {
-            if let Some((cr, n)) = run.take() {
-                v.set(cr, n).expect("row id within reader dims");
-            }
-            run = Some((r, 1));
+            rows.push(r);
+            degs.push(1);
         }
     });
-    if let Some((cr, n)) = run {
-        v.set(cr, n).expect("row id within reader dims");
-    }
-    v
+    SparseVector::from_sorted_parts(a.read_dims().0, rows, degs)
+        .expect("reader contract: rows ascending, inside the reader's dims")
 }
 
 /// In-degree of every non-empty column.
@@ -49,14 +44,11 @@ where
 {
     let bound = a.read_nnz();
     let mut degs = a.read_in_top_k(bound);
-    // Ranked by degree; re-sort by column id so the vector builds with
-    // ascending appends (linear) like the row-side mirror.
+    // Ranked by degree; the vector wants them by column id.
     degs.sort_unstable_by_key(|&(c, _)| c);
-    let mut v = SparseVector::new(a.read_dims().1);
-    for (c, n) in degs {
-        v.set(c, n as u64).expect("col id within reader dims");
-    }
-    v
+    let (cols, counts) = degs.into_iter().map(|(c, n)| (c, n as u64)).unzip();
+    SparseVector::from_sorted_parts(a.read_dims().1, cols, counts)
+        .expect("reader contract: distinct columns, inside the reader's dims")
 }
 
 /// Histogram of a degree vector: `count[d]` = number of vertices with degree `d`.

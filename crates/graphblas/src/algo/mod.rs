@@ -15,6 +15,7 @@
 //! rebuilding a flat matrix first.
 
 pub mod centrality;
+mod compact;
 pub mod degree;
 pub mod traversal;
 pub mod triangles;

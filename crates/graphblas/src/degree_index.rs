@@ -325,8 +325,8 @@ impl<V: ScalarType> DegreeIndexView<V> {
     }
 
     /// Every non-empty row's `(row, distinct-column count)`, sorted by
-    /// row — the out-degree table the reader-native pagerank consumes in
-    /// one O(rows) pass instead of a per-iteration entry sweep.
+    /// row — the out-degree table the sharded engine's push-down pagerank
+    /// gathers from its shards in one O(rows) pass each.
     pub fn row_degrees(&self) -> Vec<(Index, u64)> {
         let mut out: Vec<(Index, u64)> =
             self.core.rows.iter().map(|(&r, s)| (r, s.degree)).collect();

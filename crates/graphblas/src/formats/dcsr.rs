@@ -225,10 +225,11 @@ impl<T: ScalarType> MergeScratch<T> {
     }
 }
 
-/// Digit width of the transpose radix ([`Dcsr::transposed`]): 2,048
-/// buckets keep a pass's write heads and its `u32` histogram (8 KiB) inside
-/// L1, and three digits cover the paper's `2^32` column space.
-const TRANSPOSE_DIGIT_BITS: u32 = 11;
+/// Digit width of the position-carrying radix
+/// ([`radix_sort_with_positions`]): 2,048 buckets keep a pass's write heads
+/// and its `u32` histogram (8 KiB) inside L1, and three digits cover the
+/// paper's `2^32` index space.
+const POSITION_RADIX_DIGIT_BITS: u32 = 11;
 
 /// Turn a digit histogram into exclusive start offsets.
 fn exclusive_prefix_sum(plane: &mut [u32]) {
@@ -238,6 +239,79 @@ fn exclusive_prefix_sum(plane: &mut [u32]) {
         *slot = sum;
         sum += count;
     }
+}
+
+/// The one size limit of the position-carrying radix and of the structures
+/// built on it ([`Dcsr::transposed`], the graph algorithms' vertex relabel):
+/// positions are `u32`.
+///
+/// # Panics
+/// Panics when `n` exceeds `u32::MAX`.
+pub(crate) fn assert_u32_positions(n: usize) {
+    assert!(
+        u32::try_from(n).is_ok(),
+        "positions are carried as u32: {n} exceeds u32::MAX"
+    );
+}
+
+/// Stable LSD radix sort of `keys` that carries every key's `u32` source
+/// position: returns `(sorted, pos)` with `sorted[i] == keys[pos[i]]`, equal
+/// keys keeping their input order.
+///
+/// [`POSITION_RADIX_DIGIT_BITS`]-bit digits; digits on which every key
+/// agrees are skipped, so ids above `2^32` are just more passes, and the
+/// histograms of all varying digits come from one shared read of the keys
+/// (a digit's distribution does not depend on the order of passes).
+/// `O(passes * n)`, no comparisons; the second key/position plane pair
+/// lives only for the call.
+///
+/// # Panics
+/// Panics when `keys` holds more than `u32::MAX` entries
+/// ([`assert_u32_positions`]).
+pub(crate) fn radix_sort_with_positions(mut keys: Vec<Index>) -> (Vec<Index>, Vec<u32>) {
+    const BUCKETS: usize = 1 << POSITION_RADIX_DIGIT_BITS;
+    const DIGIT_MASK: u64 = BUCKETS as u64 - 1;
+
+    let n = keys.len();
+    assert_u32_positions(n);
+    let mut pos: Vec<u32> = (0..n as u32).collect();
+    let Some(&first) = keys.first() else {
+        return (keys, pos);
+    };
+
+    // Digits worth a pass: those on which some key differs from the first.
+    let varying = keys.iter().fold(0u64, |m, &c| m | (c ^ first));
+    let shifts: Vec<u32> = (0..u64::BITS)
+        .step_by(POSITION_RADIX_DIGIT_BITS as usize)
+        .filter(|&s| (varying >> s) & DIGIT_MASK != 0)
+        .collect();
+    // With none (a single distinct key) the input order already is the
+    // answer.
+    if shifts.is_empty() {
+        return (keys, pos);
+    }
+    let mut hist = vec![0u32; shifts.len() * BUCKETS];
+    for &c in &keys {
+        for (plane, &s) in hist.chunks_exact_mut(BUCKETS).zip(&shifts) {
+            plane[((c >> s) & DIGIT_MASK) as usize] += 1;
+        }
+    }
+
+    // (key, source position) planes, stably re-scattered once per varying
+    // digit, least significant first.
+    let (mut keys_alt, mut pos_alt) = (vec![0u64; n], vec![0u32; n]);
+    for (plane, &s) in hist.chunks_exact_mut(BUCKETS).zip(&shifts) {
+        exclusive_prefix_sum(plane);
+        for (&c, &p) in keys.iter().zip(&pos) {
+            let slot = &mut plane[((c >> s) & DIGIT_MASK) as usize];
+            keys_alt[*slot as usize] = c;
+            pos_alt[*slot as usize] = p;
+            *slot += 1;
+        }
+        std::mem::swap(&mut keys, &mut keys_alt);
+        std::mem::swap(&mut pos, &mut pos_alt);
+    }
+    (keys, pos)
 }
 
 impl<T: ScalarType> Dcsr<T> {
@@ -661,65 +735,21 @@ impl<T: ScalarType> Dcsr<T> {
     ///
     /// The source is already sorted and duplicate-free, so the transpose is
     /// a *stable sort by column alone*: rows then come out ascending inside
-    /// every column for free.  One LSD radix over the column ids
-    /// ([`TRANSPOSE_DIGIT_BITS`]-bit digits; digits on which every column
-    /// agrees are skipped, so a `2^40`-wide matrix is just more passes)
-    /// carries a `u32` source position, then one gather writes the four
-    /// output arrays at exact capacity.  `O(passes * nnz)`, no comparison
-    /// sort, no dedup; the two key/position plane pairs and the expanded
-    /// source-row table (32 bytes per entry together) live only for the
-    /// call.
+    /// every column for free.  One position-carrying radix over the column
+    /// ids ([`radix_sort_with_positions`]; a `2^40`-wide matrix is just
+    /// more passes), then one gather writes the four output arrays at exact
+    /// capacity.  `O(passes * nnz)`, no comparison sort, no dedup; the two
+    /// key/position plane pairs and the expanded source-row table (32 bytes
+    /// per entry together) live only for the call.
     ///
     /// # Panics
     /// Panics when the structure holds more than `u32::MAX` entries.
     pub(crate) fn transposed(&self) -> Dcsr<T> {
-        const BUCKETS: usize = 1 << TRANSPOSE_DIGIT_BITS;
-        const DIGIT_MASK: u64 = BUCKETS as u64 - 1;
-
         let n = self.col_idx.len();
-        assert!(
-            u32::try_from(n).is_ok(),
-            "transpose carries u32 source positions: {n} entries exceed u32::MAX"
-        );
         if n == 0 {
             return Dcsr::new(self.ncols, self.nrows);
         }
-
-        // Digits worth a pass: those on which some column differs from the
-        // first.  Their histograms come from one shared read of the columns
-        // (a digit's distribution does not depend on the order of passes).
-        let first = self.col_idx[0];
-        let varying = self.col_idx.iter().fold(0u64, |m, &c| m | (c ^ first));
-        let shifts: Vec<u32> = (0..u64::BITS)
-            .step_by(TRANSPOSE_DIGIT_BITS as usize)
-            .filter(|&s| (varying >> s) & DIGIT_MASK != 0)
-            .collect();
-        let mut hist = vec![0u32; shifts.len() * BUCKETS];
-        for &c in &self.col_idx {
-            for (plane, &s) in hist.chunks_exact_mut(BUCKETS).zip(&shifts) {
-                plane[((c >> s) & DIGIT_MASK) as usize] += 1;
-            }
-        }
-
-        // (key, source position) planes, stably re-scattered once per
-        // varying digit, least significant first.  With none (a single
-        // column) the source order already is the answer.
-        let mut keys = self.col_idx.clone();
-        let mut pos: Vec<u32> = (0..n as u32).collect();
-        if !shifts.is_empty() {
-            let (mut keys_alt, mut pos_alt) = (vec![0u64; n], vec![0u32; n]);
-            for (plane, &s) in hist.chunks_exact_mut(BUCKETS).zip(&shifts) {
-                exclusive_prefix_sum(plane);
-                for (&c, &p) in keys.iter().zip(&pos) {
-                    let slot = &mut plane[((c >> s) & DIGIT_MASK) as usize];
-                    keys_alt[*slot as usize] = c;
-                    pos_alt[*slot as usize] = p;
-                    *slot += 1;
-                }
-                std::mem::swap(&mut keys, &mut keys_alt);
-                std::mem::swap(&mut pos, &mut pos_alt);
-            }
-        }
+        let (keys, pos) = radix_sort_with_positions(self.col_idx.clone());
 
         // Gather.  `src_rows[p]` is the row of source entry `p`.
         let mut src_rows = Vec::with_capacity(n);

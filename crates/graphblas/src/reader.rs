@@ -305,13 +305,6 @@ pub trait CursorReader<V: ScalarType>: MatrixReader<V> {
     /// slices.  Row ids and in-row columns are sorted within each level;
     /// the same cell may appear in several levels and combines under `+`.
     fn with_level_dcsrs(&mut self, f: &mut dyn FnMut(&[&crate::formats::dcsr::Dcsr<V>]));
-
-    /// `(row, distinct stored columns)` for every non-empty row, sorted by
-    /// row — served from a degree index when the reader keeps one.  `None`
-    /// means the caller should sweep the level slices itself.
-    fn out_degrees(&mut self) -> Option<Vec<(Index, u64)>> {
-        None
-    }
 }
 
 /// A full system under test: ingests a stream *and* answers queries — the
@@ -469,19 +462,6 @@ impl<T: ScalarType> CursorReader<T> for Matrix<T> {
         self.wait();
         f(&[self.dcsr()]);
     }
-
-    /// O(non-empty rows) straight off the compressed row pointers.
-    fn out_degrees(&mut self) -> Option<Vec<(Index, u64)>> {
-        self.wait();
-        let (row_ids, ptr, _, _) = self.dcsr().raw_parts();
-        Some(
-            row_ids
-                .iter()
-                .zip(ptr.windows(2))
-                .map(|(&r, w)| (r, (w[1] - w[0]) as u64))
-                .collect(),
-        )
-    }
 }
 
 #[cfg(test)]
@@ -625,12 +605,21 @@ mod tests {
     fn cursor_reader_exposes_single_level_and_degrees() {
         let mut m = sample();
         let mut nnz = 0;
+        let mut swept = Vec::new();
         m.with_level_dcsrs(&mut |levels| {
             assert_eq!(levels.len(), 1);
             nnz = levels[0].nvals();
+            let mut cur = cursor::LevelCursors::new(levels);
+            while let Some(r) = cur.next_row() {
+                swept.push((r, cur.row_degree()));
+            }
         });
         assert_eq!(nnz, 4);
-        assert_eq!(m.out_degrees(), Some(vec![(5, 3), (9, 1)]));
+        // A cursor sweep of the one level reads the row-pointer degrees.
+        assert_eq!(swept, vec![(5, 3), (9, 1)]);
+        for &(r, d) in &swept {
+            assert_eq!(m.read_row_degree(r), d);
+        }
     }
 
     #[test]

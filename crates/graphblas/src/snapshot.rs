@@ -270,12 +270,6 @@ impl<V: ScalarType> crate::reader::CursorReader<V> for MatrixSnapshot<V> {
     fn with_level_dcsrs(&mut self, f: &mut dyn FnMut(&[&Dcsr<V>])) {
         f(&self.level_dcsrs());
     }
-
-    /// Served from the captured degree-index view when the source settled
-    /// before capture; `None` (caller sweeps) when a pending tail exists.
-    fn out_degrees(&mut self) -> Option<Vec<(Index, u64)>> {
-        self.index.as_ref().map(|ix| ix.row_degrees())
-    }
 }
 
 #[cfg(test)]

@@ -69,6 +69,30 @@ impl<T: ScalarType> SparseVector<T> {
         Ok(v)
     }
 
+    /// Build from parallel arrays that are already in stored form:
+    /// `idx` strictly increasing and below `size`, `vals` parallel to it.
+    /// O(n) — one validation pass, then the arrays are moved in (ascending
+    /// [`set`](Self::set) calls cost a binary search each instead).
+    pub fn from_sorted_parts(size: Index, idx: Vec<Index>, vals: Vec<T>) -> GrbResult<Self> {
+        if idx.len() != vals.len() {
+            return Err(GrbError::DimensionMismatch {
+                detail: "index/value vector lengths differ".into(),
+            });
+        }
+        Self::try_new(size)?;
+        if let Some(w) = idx.windows(2).find(|w| w[0] >= w[1]) {
+            return Err(GrbError::InvalidValue(format!(
+                "indices must be strictly increasing: {} then {}",
+                w[0], w[1]
+            )));
+        }
+        // Ascending, so the last index bounds them all.
+        if let Some(&last) = idx.last() {
+            validate_index(last, size)?;
+        }
+        Ok(Self { size, idx, vals })
+    }
+
     /// Logical length.
     pub fn size(&self) -> Index {
         self.size
@@ -205,6 +229,34 @@ mod tests {
         assert_eq!(v.get(7), Some(4));
         assert_eq!(v.get(8), None);
         assert_eq!(v.size(), 1 << 32);
+    }
+
+    #[test]
+    fn from_sorted_parts_moves_valid_input_and_rejects_the_rest() {
+        let v = SparseVector::from_sorted_parts(1 << 40, vec![3, 7, 1 << 33], vec![1u64, 2, 3])
+            .unwrap();
+        assert_eq!(
+            v,
+            SparseVector::from_tuples(1 << 40, &[3, 7, 1 << 33], &[1u64, 2, 3], Plus).unwrap()
+        );
+        assert!(SparseVector::<u64>::from_sorted_parts(8, vec![], vec![])
+            .unwrap()
+            .is_empty());
+        assert!(matches!(
+            SparseVector::from_sorted_parts(8, vec![1, 2], vec![1u64]),
+            Err(GrbError::DimensionMismatch { .. })
+        ));
+        for unsorted in [vec![2, 1], vec![1, 1]] {
+            assert!(matches!(
+                SparseVector::from_sorted_parts(8, unsorted, vec![1u64, 2]),
+                Err(GrbError::InvalidValue(_))
+            ));
+        }
+        assert_eq!(
+            SparseVector::from_sorted_parts(8, vec![1, 8], vec![1u64, 2]),
+            Err(GrbError::IndexOutOfBounds { index: 8, dim: 8 })
+        );
+        assert!(SparseVector::from_sorted_parts(0, vec![], Vec::<u64>::new()).is_err());
     }
 
     #[test]

@@ -391,6 +391,15 @@ impl<T: ScalarType> HierMatrix<T> {
         }
     }
 
+    /// `(row, distinct stored columns)` for every non-empty row, sorted by
+    /// row, off the degree index (a cell living in several levels counts
+    /// once: the cell oracle deduplicates across levels) — what a shard
+    /// worker answers the engine's out-degree fan-out with.
+    pub(crate) fn out_degrees(&mut self) -> Vec<(Index, u64)> {
+        self.ensure_index();
+        self.index.row_degrees()
+    }
+
     /// Settle everything and make sure the *column* degree index is live —
     /// the transpose mirror of [`HierMatrix::ensure_index`].  The first
     /// in-degree query activates it and rebuilds it with one transposed
@@ -1235,14 +1244,6 @@ impl<T: ScalarType> CursorReader<T> for HierMatrix<T> {
         // `+` — exactly the level-slice contract the cursor kernels need.
         self.settle_levels();
         f(&self.dcsr_refs());
-    }
-
-    fn out_degrees(&mut self) -> Option<Vec<(Index, u64)>> {
-        // Cells living in several levels are counted once: the index is
-        // rebuilt through the cell oracle on activation and maintained by
-        // the settle observer, which deduplicates across levels.
-        self.ensure_index();
-        Some(self.index.row_degrees())
     }
 }
 

@@ -533,11 +533,7 @@ fn worker_loop<T: ScalarType>(
                         });
                         ReaderReply::Push(out)
                     }
-                    ReaderQuery::OutDegrees => ReaderReply::Degrees(
-                        shard
-                            .out_degrees()
-                            .expect("hier shards always serve out-degrees"),
-                    ),
+                    ReaderQuery::OutDegrees => ReaderReply::Degrees(shard.out_degrees()),
                 };
                 let _ = reply.send(answer);
             }
@@ -1371,27 +1367,37 @@ impl<T: ScalarType> ShardedHierMatrix<T> {
         active.sort_unstable();
         active.dedup();
         let n = active.len();
-        let mut rank = SparseVector::<f64>::new(self.nrows.max(self.ncols));
+        let size = self.nrows.max(self.ncols);
         if n == 0 {
-            return Ok(rank);
+            return SparseVector::try_new(size);
         }
-        for &v in &active {
-            rank.set(v, 1.0 / n as f64)?;
-        }
+        // Ranks are dense over `active`; every source row is in it, so one
+        // walk of the two ascending lists finds each source's position.
+        let mut at = 0;
+        let src_pos: Vec<usize> = degrees
+            .iter()
+            .map(|&(r, _)| {
+                while active[at] < r {
+                    at += 1;
+                }
+                at
+            })
+            .collect();
+        let mut rank = vec![1.0 / n as f64; n];
         let teleport = (1.0 - damping) / n as f64;
         let mut push: Vec<(Index, f64)> = Vec::with_capacity(degrees.len());
         for _ in 0..max_iters {
             push.clear();
-            for &(r, d) in &degrees {
-                if let Some(rv) = rank.get(r) {
-                    push.push((r, rv / d as f64));
-                }
-            }
+            push.extend(
+                degrees
+                    .iter()
+                    .zip(&src_pos)
+                    .map(|(&(r, d), &p)| (r, rank[p] / d as f64)),
+            );
             let spread = self.try_vxm_pattern(&push, PatternAdd::Plus)?;
-            let mut next = SparseVector::<f64>::new(rank.size());
             let mut delta = 0.0;
             let mut sp = spread.iter().peekable();
-            for &v in &active {
+            for (&v, rv) in active.iter().zip(rank.iter_mut()) {
                 let mut mass = 0.0;
                 while let Some(&&(j, m)) = sp.peek() {
                     if j < v {
@@ -1404,15 +1410,14 @@ impl<T: ScalarType> ShardedHierMatrix<T> {
                     }
                 }
                 let val = teleport + damping * mass;
-                delta += (val - rank.get(v).unwrap_or(0.0)).abs();
-                next.set(v, val)?;
+                delta += (val - *rv).abs();
+                *rv = val;
             }
-            rank = next;
             if delta < tol {
                 break;
             }
         }
-        Ok(rank)
+        SparseVector::from_sorted_parts(size, active, rank)
     }
 
     /// Level-synchronous BFS with each wave's frontier sliced to its
@@ -2296,16 +2301,6 @@ impl<T: ScalarType> CursorReader<T> for ShardedHierMatrix<T> {
             }
         }
     }
-
-    fn out_degrees(&mut self) -> Option<Vec<(Index, u64)>> {
-        match self.try_out_degrees() {
-            Ok(d) => Some(d),
-            Err(e) => {
-                self.latch_err(e);
-                None
-            }
-        }
-    }
 }
 
 /// One consistent point-in-time view of the whole sharded engine: a
@@ -2487,18 +2482,6 @@ impl<T: ScalarType> CursorReader<T> for ShardedSnapshot<T> {
         // Shards hold disjoint rows, so their captured levels concatenate
         // into one valid level decomposition of the whole engine.
         f(&self.all_levels());
-    }
-
-    fn out_degrees(&mut self) -> Option<Vec<(Index, u64)>> {
-        // Disjoint rows: concatenate the per-shard index answers and
-        // restore global row order.  `None` as soon as any shard capture
-        // lacks its index view (e.g. it carried a pending tail).
-        let mut all: Vec<(Index, u64)> = Vec::new();
-        for s in &mut self.shards {
-            all.extend(s.out_degrees()?);
-        }
-        all.sort_unstable_by_key(|&(r, _)| r);
-        Some(all)
     }
 }
 
@@ -3090,7 +3073,14 @@ mod tests {
             flat.accum_element(r, c, v).unwrap();
         }
         let got = engine.try_out_degrees().unwrap();
-        let want = CursorReader::out_degrees(&mut flat).unwrap();
+        // The oracle: a cursor sweep of the flat matrix's one level.
+        let mut want = Vec::new();
+        flat.with_level_dcsrs(&mut |lv| {
+            let mut cur = hyperstream_graphblas::cursor::LevelCursors::new(lv);
+            while let Some(r) = cur.next_row() {
+                want.push((r, cur.row_degree() as u64));
+            }
+        });
         assert_eq!(got, want);
     }
 
