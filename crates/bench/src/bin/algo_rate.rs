@@ -12,8 +12,9 @@
 //!   (`spa_kernel_stats`) alongside every timing;
 //! * **pure algorithm points** — reader-native `pagerank`, `bfs_levels`
 //!   and `triangle_count` driven directly off the DCSR level slices of the
-//!   flat matrix, the hierarchical matrix, the sharded engine (pattern
-//!   pushes dispatched to the owning shards) and a settled snapshot;
+//!   flat matrix, the hierarchical matrix, the sharded engine (its
+//!   snapshot's level slices; BFS by pattern pushes dispatched to the
+//!   owning shards) and a settled snapshot;
 //! * **under-ingest points** — the hierarchical and sharded systems
 //!   re-run pagerank (and triangle counting on a capped prefix) after
 //!   every 100,000-edge batch of a power-law stream, reporting the
@@ -204,7 +205,7 @@ impl System {
         match self {
             System::Flat(m) => pagerank(m, DAMPING, iters, TOL),
             System::Hier(m) => pagerank(m, DAMPING, iters, TOL),
-            System::Sharded(m) => m.pagerank(DAMPING, iters, TOL).expect("healthy engine"),
+            System::Sharded(m) => pagerank(m, DAMPING, iters, TOL),
             System::Snapshot(s) => pagerank(s, DAMPING, iters, TOL),
         }
     }

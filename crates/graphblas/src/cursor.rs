@@ -494,30 +494,10 @@ pub fn merged_row_reduce<T: ScalarType, Op: BinaryOp<T>>(
 /// degree descending then row id ascending — the "top talkers by fan-out"
 /// query.  One cursor sweep with a size-`k` min-heap; no materialisation.
 pub fn merged_top_k<T: ScalarType>(levels: &[&Dcsr<T>], k: usize) -> Vec<(Index, usize)> {
-    merged_top_k_with(levels, k, &mut TopKScratch::default())
-}
-
-/// Reusable buffer for the top-k sweeps: the min-heap's backing vector
-/// survives between queries, so a query-heavy mixed workload performs one
-/// heap allocation total instead of one per top-k call.
-#[derive(Debug, Clone, Default)]
-pub struct TopKScratch {
-    buf: Vec<Reverse<(usize, Reverse<Index>)>>,
-}
-
-/// [`merged_top_k`] through a caller-held [`TopKScratch`].
-pub fn merged_top_k_with<T: ScalarType>(
-    levels: &[&Dcsr<T>],
-    k: usize,
-    scratch: &mut TopKScratch,
-) -> Vec<(Index, usize)> {
     if k == 0 {
         return Vec::new();
     }
-    // Clear before heapifying: `from` on an empty Vec is free, while
-    // heapifying leftover elements would sift garbage for nothing.
-    scratch.buf.clear();
-    let mut heap = BinaryHeap::from(std::mem::take(&mut scratch.buf));
+    let mut heap = BinaryHeap::new();
     let mut cur = LevelCursors::new(levels);
     while let Some(row) = cur.next_row() {
         let d = cur.row_degree();
@@ -526,12 +506,10 @@ pub fn merged_top_k_with<T: ScalarType>(
             heap.pop();
         }
     }
-    let mut buf = heap.into_vec();
-    let mut out: Vec<(Index, usize)> = buf
-        .drain(..)
+    let mut out: Vec<(Index, usize)> = heap
+        .into_iter()
         .map(|Reverse((d, Reverse(r)))| (r, d))
         .collect();
-    scratch.buf = buf;
     out.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
     out
 }
@@ -879,19 +857,6 @@ mod tests {
         let mut none = Vec::new();
         merged_row_range::<u64, _>(&[], 0, 10, Plus, &mut |r, c, v| none.push((r, c, v)));
         assert!(none.is_empty());
-    }
-
-    #[test]
-    fn merged_top_k_with_reuses_scratch() {
-        let owned = sample_levels();
-        let levels: Vec<&Dcsr<u64>> = owned.iter().collect();
-        let mut scratch = TopKScratch::default();
-        let first = merged_top_k_with(&levels, 3, &mut scratch);
-        assert_eq!(first, merged_top_k(&levels, 3));
-        // Second call (different k) through the same scratch stays correct.
-        let second = merged_top_k_with(&levels, 100, &mut scratch);
-        assert_eq!(second, merged_top_k(&levels, 100));
-        assert!(merged_top_k_with(&levels, 0, &mut scratch).is_empty());
     }
 
     #[test]

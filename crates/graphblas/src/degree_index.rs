@@ -324,16 +324,6 @@ impl<V: ScalarType> DegreeIndexView<V> {
         self.core.rows.get(&row).map(|s| s.weight)
     }
 
-    /// Every non-empty row's `(row, distinct-column count)`, sorted by
-    /// row — the out-degree table the sharded engine's push-down pagerank
-    /// gathers from its shards in one O(rows) pass each.
-    pub fn row_degrees(&self) -> Vec<(Index, u64)> {
-        let mut out: Vec<(Index, u64)> =
-            self.core.rows.iter().map(|(&r, s)| (r, s.degree)).collect();
-        out.sort_unstable_by_key(|&(r, _)| r);
-        out
-    }
-
     /// The `k` rows with the most distinct columns (degree descending, row
     /// ascending) — O(k) when the cache is current, which for `k <= 128`
     /// it stays across settles once built; otherwise one O(rows)
@@ -461,6 +451,14 @@ impl<V: ScalarType> DegreeIndex<V> {
     /// companion).  The caches are cloned warm.
     pub fn view(&self) -> DegreeIndexView<V> {
         self.view.clone()
+    }
+
+    /// The index's own view, for querying in place: the stats a live
+    /// [`LevelStore`](crate::level_read::LevelStore) answers from.  Its
+    /// query caches warm across calls; the row stats stay writable only
+    /// through the observers.
+    pub fn view_mut(&mut self) -> &mut DegreeIndexView<V> {
+        &mut self.view
     }
 
     /// Bytes held by the index structures (hash tables + caches), for the
@@ -597,11 +595,6 @@ impl<V: ScalarType> DegreeIndex<V> {
     /// The `k` highest-degree rows (degree desc, row asc) — O(k) warm.
     pub fn top_k(&mut self, k: usize) -> Vec<(Index, usize)> {
         self.view.top_k(k)
-    }
-
-    /// Every non-empty row's `(row, degree)` sorted by row — O(rows).
-    pub fn row_degrees(&self) -> Vec<(Index, u64)> {
-        self.view.row_degrees()
     }
 
     /// The degree histogram — O(distinct degrees) warm.

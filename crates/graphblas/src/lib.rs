@@ -56,6 +56,7 @@ pub mod formats;
 
 pub mod cursor;
 pub mod degree_index;
+pub mod level_read;
 pub mod matrix;
 pub mod reader;
 pub mod sink;
@@ -71,6 +72,7 @@ pub use error::{GrbError, GrbResult};
 pub use formats::dcsr::MergeScratch;
 pub use formats::merge::{merge_kernel_stats, reset_merge_kernel_stats, MergeKernelStats};
 pub use index::{validate_dims, validate_index, Index};
+pub use level_read::LevelStore;
 pub use matrix::Matrix;
 pub use ops::spa::{reset_spa_kernel_stats, spa_kernel_stats, SpaKernelStats, SpaScratch};
 pub use reader::{CursorReader, MatrixReader, StreamingSystem};
@@ -86,6 +88,7 @@ pub mod prelude {
     pub use crate::formats::coo::Coo;
     pub use crate::formats::dcsr::Dcsr;
     pub use crate::index::Index;
+    pub use crate::level_read::LevelStore;
     pub use crate::mask::Mask;
     pub use crate::mask::VectorMask;
     pub use crate::matrix::Matrix;

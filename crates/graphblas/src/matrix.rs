@@ -9,12 +9,12 @@
 //! "defer and batch" idea the hierarchical matrix generalises to multiple
 //! levels.
 
-use crate::cursor::TopKScratch;
 use crate::error::{GrbError, GrbResult};
 use crate::formats::coo::Coo;
 use crate::formats::dcsr::{Dcsr, MergeScratch};
 use crate::formats::{Entry, MemoryFootprint};
 use crate::index::{validate_dims, validate_index, Index};
+use crate::level_read::LevelStore;
 use crate::ops::binary::{Plus, Second};
 use crate::ops::BinaryOp;
 use crate::types::ScalarType;
@@ -43,10 +43,6 @@ pub struct Matrix<T> {
     /// accumulate goes through these instead of allocating fresh vectors.
     /// Not part of the matrix *value* (excluded from `PartialEq`).
     scratch: MergeScratch<T>,
-    /// Reusable top-k heap buffer: repeated degree-ranking queries (the
-    /// mixed-workload hot loop) reuse one allocation instead of building a
-    /// fresh heap per call.  A cache, like `scratch`.
-    topk_scratch: TopKScratch,
     /// Lazily-built column-major twin: the settled structure transposed
     /// (an `ncols x nrows` [`Dcsr`] whose "rows" are this matrix's
     /// columns).  Built on the first column-side query and invalidated
@@ -71,7 +67,6 @@ impl<T: Clone> Clone for Matrix<T> {
             pending: self.pending.clone(),
             pending_limit: self.pending_limit,
             scratch: MergeScratch::default(),
-            topk_scratch: TopKScratch::default(),
             // Immutable once built, so clones share it like the settled
             // structure; the next mutation of either copy drops its own.
             col_shadow: self.col_shadow.clone(),
@@ -118,7 +113,6 @@ impl<T: ScalarType> Matrix<T> {
             pending: Coo::try_new(nrows, ncols)?,
             pending_limit: DEFAULT_PENDING_LIMIT,
             scratch: MergeScratch::new(),
-            topk_scratch: TopKScratch::default(),
             col_shadow: None,
         })
     }
@@ -141,7 +135,6 @@ impl<T: ScalarType> Matrix<T> {
             pending: Coo::try_new(nrows, ncols)?,
             pending_limit: DEFAULT_PENDING_LIMIT,
             scratch: MergeScratch::new(),
-            topk_scratch: TopKScratch::default(),
             col_shadow: None,
         })
     }
@@ -155,7 +148,6 @@ impl<T: ScalarType> Matrix<T> {
             pending_limit: DEFAULT_PENDING_LIMIT,
             settled: Arc::new(d),
             scratch: MergeScratch::new(),
-            topk_scratch: TopKScratch::default(),
             col_shadow: None,
         }
     }
@@ -391,11 +383,6 @@ impl<T: ScalarType> Matrix<T> {
         Arc::clone(&self.settled)
     }
 
-    /// The reusable top-k scratch paired with this matrix's read path.
-    pub(crate) fn topk_scratch(&mut self) -> &mut TopKScratch {
-        &mut self.topk_scratch
-    }
-
     /// The column-major twin of the settled structure: an `ncols x nrows`
     /// [`Dcsr`] storing the transpose, so a column extract is a *row*
     /// lookup on the twin — O(k) instead of an O(nnz) sweep.
@@ -490,6 +477,31 @@ impl<T: ScalarType> Matrix<T> {
     /// Validate internal invariants (used by property tests).
     pub fn check_invariants(&self) -> GrbResult<()> {
         self.settled.check_invariants()
+    }
+}
+
+/// The flat matrix is the single-level store: settling its pending tuples
+/// (`wait`) is its whole deferred work, its one twin is the column shadow,
+/// and it keeps no stats — every degree answer sweeps the row pointers.
+impl<T: ScalarType> LevelStore for Matrix<T> {
+    type Value = T;
+
+    fn store_name(&self) -> &str {
+        "flat-graphblas"
+    }
+
+    fn store_dims(&self) -> (Index, Index) {
+        (self.nrows, self.ncols)
+    }
+
+    fn with_levels<R>(&mut self, f: impl FnOnce(&[&Dcsr<T>]) -> R) -> R {
+        self.wait();
+        f(&[self.dcsr()])
+    }
+
+    fn with_twins<R>(&mut self, f: impl FnOnce(&[&Dcsr<T>]) -> R) -> R {
+        let twin = self.col_shadow();
+        f(&[&*twin])
     }
 }
 

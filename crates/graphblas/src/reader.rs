@@ -6,10 +6,13 @@
 //! source talk to?"), degree counts ("how many distinct destinations?"),
 //! top-k fan-out scans ("scanner candidates"), point gets and full sorted
 //! sweeps — all interleaved with the update stream.  `MatrixReader` is that
-//! contract.  Implementations answer from their native structures (merged
-//! level cursors for the hierarchies, the worker pool for the sharded
-//! engine, LSM runs / posting lists / B-trees for the database analogues)
-//! without building a merged copy of the matrix first.
+//! contract.  Implementations answer from their native structures without
+//! building a merged copy of the matrix first: every store whose content is
+//! a list of settled levels (the flat matrix, snapshots, the hierarchy, the
+//! windowed hierarchy) through the single implementation in
+//! [`crate::level_read`]; the sharded engine through its worker pool; the
+//! database analogues from LSM runs / posting lists / B-trees, overriding
+//! only what the provided sweep defaults below do not already give them.
 //!
 //! Query methods take `&mut self`: a reader may complete cheap deferred
 //! work (settle a pending-tuple buffer, refresh an index segment, drain an
@@ -18,10 +21,7 @@
 //!
 //! [`StreamingSink`]: crate::sink::StreamingSink
 
-use crate::cursor;
 use crate::index::Index;
-use crate::matrix::Matrix;
-use crate::ops::binary::Plus;
 use crate::sink::StreamingSink;
 use crate::types::ScalarType;
 
@@ -74,7 +74,7 @@ pub trait MatrixReader<V: ScalarType> {
     /// sorted order, duplicates combined — the subnet-style range scan.
     ///
     /// The default filters a full [`read_entries`](MatrixReader::read_entries)
-    /// sweep; indexed readers override with a cursor range-skip (cost
+    /// sweep; level-backed readers use a cursor range-skip (cost
     /// proportional to the range's content) and the sharded engine
     /// dispatches only to the workers whose row bands overlap the range.
     fn read_row_range(&mut self, lo: Index, hi: Index, f: &mut dyn FnMut(Index, Index, V)) {
@@ -138,14 +138,16 @@ pub trait MatrixReader<V: ScalarType> {
     ///
     /// The default sweeps [`read_entries`](MatrixReader::read_entries)
     /// counting row runs (valid because entries arrive row-major sorted)
-    /// through a size-`k` min-heap.
+    /// through a min-heap that never holds more than `k + 1` rows.  The
+    /// heap grows on push: `k` comes from the caller and may exceed
+    /// anything that could be allocated, the row count cannot.
     fn read_top_k(&mut self, k: usize) -> Vec<(Index, usize)> {
         if k == 0 {
             return Vec::new();
         }
         use std::cmp::Reverse;
         let mut heap: std::collections::BinaryHeap<Reverse<(usize, Reverse<Index>)>> =
-            std::collections::BinaryHeap::with_capacity(k + 1);
+            std::collections::BinaryHeap::new();
         let mut run: Option<(Index, usize)> = None;
         self.read_entries(&mut |r, _, _| match &mut run {
             Some((cr, n)) if *cr == r => *n += 1,
@@ -300,6 +302,8 @@ pub fn read_tuples<V: ScalarType, R: MatrixReader<V> + ?Sized>(
 /// slices to a callback lets every implementation complete its cheap
 /// deferred work (settle, drain, index refresh) first and keep borrowing
 /// local — products over a live structure never materialize `Σ levels`.
+/// Every [`LevelStore`](crate::level_read::LevelStore) is one; the sharded
+/// engine and its snapshot concatenate their shards' levels.
 pub trait CursorReader<V: ScalarType>: MatrixReader<V> {
     /// Complete deferred work, then call `f` once with the settled level
     /// slices.  Row ids and in-row columns are sorted within each level;
@@ -314,159 +318,11 @@ pub trait StreamingSystem<V: ScalarType>: StreamingSink<V> + MatrixReader<V> {}
 
 impl<V: ScalarType, S: StreamingSink<V> + MatrixReader<V> + ?Sized> StreamingSystem<V> for S {}
 
-/// The flat matrix answers from its settled DCSR; pending tuples settle
-/// first (`wait`), which is exactly the single-level form of "complete
-/// cheap deferred work before reading".
-impl<T: ScalarType> MatrixReader<T> for Matrix<T> {
-    fn reader_name(&self) -> &str {
-        "flat-graphblas"
-    }
-
-    fn read_dims(&self) -> (Index, Index) {
-        (self.nrows(), self.ncols())
-    }
-
-    fn read_nnz(&mut self) -> usize {
-        self.wait();
-        self.nvals_settled()
-    }
-
-    fn read_get(&mut self, row: Index, col: Index) -> Option<T> {
-        self.wait();
-        self.dcsr().get(row, col)
-    }
-
-    fn read_row(&mut self, row: Index, out: &mut Vec<(Index, T)>) {
-        self.wait();
-        out.clear();
-        if let Some((cols, vals)) = self.dcsr().row(row) {
-            out.extend(cols.iter().copied().zip(vals.iter().copied()));
-        }
-    }
-
-    fn read_row_degree(&mut self, row: Index) -> usize {
-        self.wait();
-        self.dcsr().row(row).map_or(0, |(cols, _)| cols.len())
-    }
-
-    fn read_row_reduce(&mut self, row: Index) -> Option<T> {
-        self.wait();
-        cursor::merged_row_reduce(&[self.dcsr()], row, Plus)
-    }
-
-    fn read_top_k(&mut self, k: usize) -> Vec<(Index, usize)> {
-        self.wait();
-        // The heap buffer is owned by the matrix: repeated top-k queries in
-        // a mixed workload reuse one allocation (split borrow through raw
-        // parts is not possible here, so take/restore the scratch).
-        let mut scratch = std::mem::take(self.topk_scratch());
-        let out = cursor::merged_top_k_with(&[self.dcsr()], k, &mut scratch);
-        *self.topk_scratch() = scratch;
-        out
-    }
-
-    fn read_entries(&mut self, f: &mut dyn FnMut(Index, Index, T)) {
-        self.wait();
-        for (r, c, v) in self.dcsr().iter() {
-            f(r, c, v);
-        }
-    }
-
-    fn read_row_range(&mut self, lo: Index, hi: Index, f: &mut dyn FnMut(Index, Index, T)) {
-        self.wait();
-        cursor::merged_row_range(&[self.dcsr()], lo, hi, Plus, f);
-    }
-
-    /// O(non-empty rows) straight off the compressed row pointers — no
-    /// entry sweep and no per-call scratch.
-    fn read_degree_histogram(&mut self) -> std::collections::BTreeMap<u64, u64> {
-        self.wait();
-        let (_, ptr, _, _) = self.dcsr().raw_parts();
-        let mut counts = std::collections::BTreeMap::new();
-        for w in ptr.windows(2) {
-            *counts.entry((w[1] - w[0]) as u64).or_insert(0u64) += 1;
-        }
-        counts
-    }
-
-    /// O(k) off the column twin: a column extract is a row lookup on the
-    /// transposed shadow.
-    fn read_col(&mut self, col: Index, out: &mut Vec<(Index, T)>) {
-        let shadow = self.col_shadow();
-        out.clear();
-        if let Some((rows, vals)) = shadow.row(col) {
-            out.extend(rows.iter().copied().zip(vals.iter().copied()));
-        }
-    }
-
-    fn read_col_degree(&mut self, col: Index) -> usize {
-        self.col_shadow().row(col).map_or(0, |(rows, _)| rows.len())
-    }
-
-    fn read_col_reduce(&mut self, col: Index) -> Option<T> {
-        let shadow = self.col_shadow();
-        cursor::merged_row_reduce(&[&*shadow], col, Plus)
-    }
-
-    /// In-degree ranking off the twin's compressed row pointers — the
-    /// column-side mirror of [`read_top_k`](MatrixReader::read_top_k),
-    /// sharing the same reusable heap scratch.
-    fn read_in_top_k(&mut self, k: usize) -> Vec<(Index, usize)> {
-        let shadow = self.col_shadow();
-        let mut scratch = std::mem::take(self.topk_scratch());
-        let out = cursor::merged_top_k_with(&[&*shadow], k, &mut scratch);
-        *self.topk_scratch() = scratch;
-        out
-    }
-
-    /// O(non-empty columns) off the twin's compressed pointers.
-    fn read_in_degree_histogram(&mut self) -> std::collections::BTreeMap<u64, u64> {
-        let shadow = self.col_shadow();
-        let (_, ptr, _, _) = shadow.raw_parts();
-        let mut counts = std::collections::BTreeMap::new();
-        for w in ptr.windows(2) {
-            *counts.entry((w[1] - w[0]) as u64).or_insert(0u64) += 1;
-        }
-        counts
-    }
-
-    /// A row-range skip on the twin: cost proportional to the columns'
-    /// content, emitted column-major with the original orientation.
-    fn read_col_range(&mut self, lo: Index, hi: Index, f: &mut dyn FnMut(Index, Index, T)) {
-        let shadow = self.col_shadow();
-        cursor::merged_row_range(&[&*shadow], lo, hi, Plus, &mut |c, r, v| f(r, c, v));
-    }
-
-    /// One settle for the whole batch, then direct settled-row lookups.
-    fn read_rows(&mut self, rows: &[Index]) -> Vec<Vec<(Index, T)>> {
-        self.wait();
-        rows.iter()
-            .map(|&r| {
-                self.dcsr().row(r).map_or_else(Vec::new, |(cols, vals)| {
-                    cols.iter().copied().zip(vals.iter().copied()).collect()
-                })
-            })
-            .collect()
-    }
-
-    /// One settle for the whole batch, then direct settled point gets.
-    fn read_get_many(&mut self, keys: &[(Index, Index)]) -> Vec<Option<T>> {
-        self.wait();
-        keys.iter().map(|&(r, c)| self.dcsr().get(r, c)).collect()
-    }
-}
-
-/// The flat matrix is the single-level case: settle, then the one DCSR.
-impl<T: ScalarType> CursorReader<T> for Matrix<T> {
-    fn with_level_dcsrs(&mut self, f: &mut dyn FnMut(&[&crate::formats::dcsr::Dcsr<T>])) {
-        self.wait();
-        f(&[self.dcsr()]);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cursor;
+    use crate::matrix::Matrix;
 
     fn sample() -> Matrix<u64> {
         let mut m = Matrix::<u64>::new(1 << 32, 1 << 32);

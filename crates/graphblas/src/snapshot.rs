@@ -16,24 +16,25 @@
 //!   source's [`DegreeIndex`], so `top_k`/`nnz`/degree answers stay
 //!   O(k)/O(1) off the live path too.
 //!
-//! The snapshot implements [`MatrixReader`] itself, so every generic
-//! analytic (the `algo` module, the mixed-workload harness) runs against
-//! it unchanged — the "analytics while ingest" overlap of the roadmap:
-//! take a snapshot at a drain barrier, answer the sweep from it, and let
-//! the ingest channel keep draining underneath.
+//! The snapshot is a [`LevelStore`] — captured levels (tail included), one
+//! lazily built twin, the captured views as stats — so it reads through
+//! the same [`crate::level_read`] implementation as the live stores, and
+//! every generic analytic (the `algo` module, the mixed-workload harness)
+//! runs against it unchanged — the "analytics while ingest" overlap of the
+//! roadmap: take a snapshot at a drain barrier, answer the sweep from it,
+//! and let the ingest channel keep draining underneath.
 //!
 //! [`Matrix`]: crate::matrix::Matrix
+//! [`MatrixReader`]: crate::reader::MatrixReader
+//! [`DegreeIndex`]: crate::degree_index::DegreeIndex
 
-use crate::cursor::{
-    for_each_merged, merged_nnz, merged_point, merged_row_degree, merged_row_into,
-    merged_row_range, merged_row_reduce, merged_top_k_with, TopKScratch,
-};
+use crate::cursor::for_each_merged;
 use crate::degree_index::DegreeIndexView;
 use crate::formats::coo::Coo;
 use crate::formats::dcsr::Dcsr;
 use crate::index::Index;
+use crate::level_read::LevelStore;
 use crate::ops::binary::Plus;
-use crate::reader::MatrixReader;
 use crate::types::ScalarType;
 use std::sync::Arc;
 
@@ -58,7 +59,6 @@ pub struct MatrixSnapshot<V> {
     /// captured content (levels + tail) merged and transposed once, then
     /// every column read is O(k).  Lazy like the source matrices' twins.
     col_shadow: Option<Arc<Dcsr<V>>>,
-    topk_scratch: TopKScratch,
 }
 
 impl<V: ScalarType> MatrixSnapshot<V> {
@@ -93,7 +93,6 @@ impl<V: ScalarType> MatrixSnapshot<V> {
             col_index: None,
             col_shadow: None,
             tail,
-            topk_scratch: TopKScratch::default(),
         }
     }
 
@@ -149,126 +148,35 @@ impl<V: ScalarType> MatrixSnapshot<V> {
 }
 
 /// Snapshot queries run over the captured levels only — by construction
-/// nothing here ever settles, drains or otherwise disturbs the source.
-impl<V: ScalarType> MatrixReader<V> for MatrixSnapshot<V> {
-    fn reader_name(&self) -> &str {
+/// nothing here ever settles, drains or otherwise disturbs the source.  The
+/// captured views are the stats (absent when a pending tail was captured,
+/// so those snapshots sweep); the one twin is the whole capture transposed.
+impl<V: ScalarType> LevelStore for MatrixSnapshot<V> {
+    type Value = V;
+
+    fn store_name(&self) -> &str {
         &self.name
     }
 
-    fn read_dims(&self) -> (Index, Index) {
+    fn store_dims(&self) -> (Index, Index) {
         (self.nrows, self.ncols)
     }
 
-    fn read_nnz(&mut self) -> usize {
-        match &self.index {
-            Some(ix) => ix.nnz(),
-            None => merged_nnz(&self.level_dcsrs()),
-        }
+    fn with_levels<R>(&mut self, f: impl FnOnce(&[&Dcsr<V>]) -> R) -> R {
+        f(&self.level_dcsrs())
     }
 
-    fn read_get(&mut self, row: Index, col: Index) -> Option<V> {
-        merged_point(&self.level_dcsrs(), row, col, Plus)
+    fn with_twins<R>(&mut self, f: impl FnOnce(&[&Dcsr<V>]) -> R) -> R {
+        let twin = self.col_shadow();
+        f(&[&*twin])
     }
 
-    fn read_row(&mut self, row: Index, out: &mut Vec<(Index, V)>) {
-        merged_row_into(&self.level_dcsrs(), row, Plus, out);
+    fn row_stats(&mut self) -> Option<&mut DegreeIndexView<V>> {
+        self.index.as_mut()
     }
 
-    fn read_row_degree(&mut self, row: Index) -> usize {
-        match &self.index {
-            Some(ix) => ix.row_degree(row),
-            None => merged_row_degree(&self.level_dcsrs(), row),
-        }
-    }
-
-    fn read_row_reduce(&mut self, row: Index) -> Option<V> {
-        match &self.index {
-            Some(ix) => ix.row_weight(row),
-            None => merged_row_reduce(&self.level_dcsrs(), row, Plus),
-        }
-    }
-
-    fn read_top_k(&mut self, k: usize) -> Vec<(Index, usize)> {
-        match &mut self.index {
-            Some(ix) => ix.top_k(k),
-            None => {
-                let levels: Vec<&Dcsr<V>> = self
-                    .levels
-                    .iter()
-                    .map(|a| a.as_ref())
-                    .chain(self.tail.as_ref())
-                    .collect();
-                merged_top_k_with(&levels, k, &mut self.topk_scratch)
-            }
-        }
-    }
-
-    fn read_entries(&mut self, f: &mut dyn FnMut(Index, Index, V)) {
-        for_each_merged(&self.level_dcsrs(), Plus, f);
-    }
-
-    fn read_row_range(&mut self, lo: Index, hi: Index, f: &mut dyn FnMut(Index, Index, V)) {
-        merged_row_range(&self.level_dcsrs(), lo, hi, Plus, f);
-    }
-
-    fn read_degree_histogram(&mut self) -> std::collections::BTreeMap<u64, u64> {
-        match &mut self.index {
-            Some(ix) => ix.degree_histogram(),
-            None => crate::cursor::merged_degree_histogram(&self.level_dcsrs()),
-        }
-    }
-
-    fn read_col(&mut self, col: Index, out: &mut Vec<(Index, V)>) {
-        let shadow = self.col_shadow();
-        out.clear();
-        if let Some((rows, vals)) = shadow.row(col) {
-            out.extend(rows.iter().copied().zip(vals.iter().copied()));
-        }
-    }
-
-    fn read_col_degree(&mut self, col: Index) -> usize {
-        if let Some(ix) = &self.col_index {
-            return ix.row_degree(col);
-        }
-        self.col_shadow().row(col).map_or(0, |(rows, _)| rows.len())
-    }
-
-    fn read_col_reduce(&mut self, col: Index) -> Option<V> {
-        if let Some(ix) = &self.col_index {
-            return ix.row_weight(col);
-        }
-        let shadow = self.col_shadow();
-        merged_row_reduce(&[&*shadow], col, Plus)
-    }
-
-    fn read_in_top_k(&mut self, k: usize) -> Vec<(Index, usize)> {
-        if let Some(ix) = &mut self.col_index {
-            return ix.top_k(k);
-        }
-        let shadow = self.col_shadow();
-        merged_top_k_with(&[&*shadow], k, &mut self.topk_scratch)
-    }
-
-    fn read_in_degree_histogram(&mut self) -> std::collections::BTreeMap<u64, u64> {
-        if let Some(ix) = &mut self.col_index {
-            return ix.degree_histogram();
-        }
-        let shadow = self.col_shadow();
-        crate::cursor::merged_degree_histogram(&[&*shadow])
-    }
-
-    fn read_col_range(&mut self, lo: Index, hi: Index, f: &mut dyn FnMut(Index, Index, V)) {
-        let shadow = self.col_shadow();
-        merged_row_range(&[&*shadow], lo, hi, Plus, &mut |c, r, v| f(r, c, v));
-    }
-}
-
-/// The captured levels (tail included) *are* the snapshot's cursor form —
-/// reader-native products run over a point-in-time capture while the
-/// source keeps ingesting.
-impl<V: ScalarType> crate::reader::CursorReader<V> for MatrixSnapshot<V> {
-    fn with_level_dcsrs(&mut self, f: &mut dyn FnMut(&[&Dcsr<V>])) {
-        f(&self.level_dcsrs());
+    fn col_stats(&mut self) -> Option<&mut DegreeIndexView<V>> {
+        self.col_index.as_mut()
     }
 }
 
@@ -276,6 +184,7 @@ impl<V: ScalarType> crate::reader::CursorReader<V> for MatrixSnapshot<V> {
 mod tests {
     use super::*;
     use crate::matrix::Matrix;
+    use crate::reader::MatrixReader;
 
     #[test]
     fn snapshot_is_immune_to_source_mutation() {

@@ -3,18 +3,14 @@
 use crate::config::HierConfig;
 use crate::persist::{self, manifest, recover, wal, DurableConfig, DurableState, RecoveryReport};
 use crate::stats::HierStats;
-use hyperstream_graphblas::cursor::{
-    for_each_merged, merge_levels, merged_col_degree, merged_col_into, merged_col_range,
-    merged_col_reduce, merged_in_degree_histogram, merged_in_top_k, merged_nnz, merged_point,
-    merged_row_degree, merged_row_into, merged_row_range, merged_row_reduce, merged_top_k,
-};
+use hyperstream_graphblas::cursor::{merge_levels, merged_nnz};
 use hyperstream_graphblas::formats::dcsr::Dcsr;
 use hyperstream_graphblas::formats::MemoryFootprint;
 use hyperstream_graphblas::ops::binary::Plus;
 use hyperstream_graphblas::ops::monoid::PlusMonoid;
 use hyperstream_graphblas::ops::reduce::reduce_scalar;
 use hyperstream_graphblas::{
-    CursorReader, DegreeIndex, GrbError, GrbResult, Index, Matrix, MatrixReader, MatrixSnapshot,
+    DegreeIndex, DegreeIndexView, GrbError, GrbResult, Index, LevelStore, Matrix, MatrixSnapshot,
     ScalarType, StreamingSink,
 };
 use std::sync::Arc;
@@ -38,9 +34,9 @@ use std::sync::Arc;
 /// enters exactly when it now outranks the cache's last entry.  The first
 /// ranking read after a batch therefore costs what later ones do, not a
 /// scan of every row; only `k > 128` and the degree histogram still
-/// rebuild (O(rows)) on the first read after a mutation.  The sweep path
-/// is retained as the `sweep_*` fallback family and re-checked by
-/// `debug_assert` on every indexed answer.
+/// rebuild (O(rows)) on the first read after a mutation.  The shared read
+/// path ([`hyperstream_graphblas::level_read`]) re-derives every indexed
+/// answer from a cursor sweep in debug builds.
 ///
 /// The *column* read path mirrors all of this through the transpose: a
 /// second, lazily-activated [`DegreeIndex`] keyed by column (fed by the
@@ -52,9 +48,7 @@ use std::sync::Arc;
 /// radix pass per varying 11-bit column digit plus a gather over the
 /// level's entries, so after a batch that is level 0 (and whatever a
 /// cascade just rewrote), not the whole matrix.  Cascades are
-/// union-preserving so they cost the column *index* nothing; the
-/// `sweep_col_*` / `sweep_in_*` fallbacks retain the cursor path for
-/// equivalence checks.
+/// union-preserving so they cost the column *index* nothing.
 #[derive(Debug)]
 pub struct HierMatrix<T> {
     nrows: Index,
@@ -369,12 +363,6 @@ impl<T: ScalarType> HierMatrix<T> {
         }
     }
 
-    /// The settled level DCSRs without settling — callers must have
-    /// settled first ([`HierMatrix::settle_levels`]).
-    fn dcsr_refs(&self) -> Vec<&Dcsr<T>> {
-        self.levels.iter().map(|l| l.dcsr()).collect()
-    }
-
     /// Settle everything and make sure the degree index is live.  The index
     /// is lazily activated so pure-ingest streams pay zero maintenance: the
     /// first degree query lands here, activates it and rebuilds it with one
@@ -391,15 +379,6 @@ impl<T: ScalarType> HierMatrix<T> {
         }
     }
 
-    /// `(row, distinct stored columns)` for every non-empty row, sorted by
-    /// row, off the degree index (a cell living in several levels counts
-    /// once: the cell oracle deduplicates across levels) — what a shard
-    /// worker answers the engine's out-degree fan-out with.
-    pub(crate) fn out_degrees(&mut self) -> Vec<(Index, u64)> {
-        self.ensure_index();
-        self.index.row_degrees()
-    }
-
     /// Settle everything and make sure the *column* degree index is live —
     /// the transpose mirror of [`HierMatrix::ensure_index`].  The first
     /// in-degree query activates it and rebuilds it with one transposed
@@ -413,12 +392,6 @@ impl<T: ScalarType> HierMatrix<T> {
                 self.col_index.observe_dcsr_transposed(level.dcsr());
             }
         }
-    }
-
-    /// Settle and return the level DCSRs for cursor queries.
-    fn settled_level_dcsrs(&mut self) -> Vec<&Dcsr<T>> {
-        self.settle_levels();
-        self.levels.iter().map(|l| l.dcsr()).collect()
     }
 
     /// Settle (through the index observers) and return each level's column
@@ -437,18 +410,14 @@ impl<T: ScalarType> HierMatrix<T> {
     ///
     /// Settled hierarchies are counted through the merged cursors without
     /// materialising; only when pending tuples exist does this fall back to
-    /// a materialisation pass (use the [`MatrixReader`] interface to settle
+    /// a materialisation pass (use the
+    /// [`MatrixReader`](hyperstream_graphblas::MatrixReader) interface to settle
     /// and avoid even that).
     pub fn nvals_exact(&self) -> usize {
         if self.levels.iter().all(|l| l.npending() == 0) {
             if self.index.is_active() {
                 // Everything settled has passed through the index.
-                let n = self.index.nnz();
-                debug_assert_eq!(n, {
-                    let dcsrs: Vec<&Dcsr<T>> = self.level_dcsrs().collect();
-                    merged_nnz(&dcsrs)
-                });
-                n
+                self.index.nnz()
             } else {
                 let dcsrs: Vec<&Dcsr<T>> = self.level_dcsrs().collect();
                 merged_nnz(&dcsrs)
@@ -922,7 +891,8 @@ impl<T: ScalarType> HierMatrix<T> {
     /// Take a consistent point-in-time snapshot: settles the cache-resident
     /// pending tuples (through the index observer), then captures Arc'd
     /// handles to every level plus a degree-index view — O(levels), no
-    /// entry is copied.  The snapshot answers every [`MatrixReader`] query
+    /// entry is copied.  The snapshot answers every
+    /// [`MatrixReader`](hyperstream_graphblas::MatrixReader) query
     /// independently while this matrix keeps ingesting (subsequent settles
     /// and cascades copy-on-write their own structures).
     pub fn snapshot(&mut self) -> MatrixSnapshot<T> {
@@ -972,91 +942,6 @@ impl<T: ScalarType> HierMatrix<T> {
         )
         .with_col_index(col_view)
     }
-
-    /// The retained cursor-sweep fallback of [`MatrixReader::read_nnz`]:
-    /// counts distinct cells by walking the merged level cursors.  The
-    /// equivalence property tests pit every indexed answer against its
-    /// `sweep_*` twin.
-    pub fn sweep_nnz(&mut self) -> usize {
-        let dcsrs = self.settled_level_dcsrs();
-        merged_nnz(&dcsrs)
-    }
-
-    /// Cursor-sweep fallback of [`MatrixReader::read_row_degree`].
-    pub fn sweep_row_degree(&mut self, row: Index) -> usize {
-        let dcsrs = self.settled_level_dcsrs();
-        merged_row_degree(&dcsrs, row)
-    }
-
-    /// Cursor-sweep fallback of [`MatrixReader::read_row_reduce`].
-    pub fn sweep_row_reduce(&mut self, row: Index) -> Option<T> {
-        let dcsrs = self.settled_level_dcsrs();
-        merged_row_reduce(&dcsrs, row, Plus)
-    }
-
-    /// Cursor-sweep fallback of [`MatrixReader::read_top_k`].
-    pub fn sweep_top_k(&mut self, k: usize) -> Vec<(Index, usize)> {
-        let dcsrs = self.settled_level_dcsrs();
-        merged_top_k(&dcsrs, k)
-    }
-
-    /// Cursor-sweep fallback of [`MatrixReader::read_degree_histogram`].
-    pub fn sweep_degree_histogram(&mut self) -> std::collections::BTreeMap<u64, u64> {
-        self.settle_levels();
-        hyperstream_graphblas::cursor::merged_degree_histogram(&self.dcsr_refs())
-    }
-
-    /// Cursor-sweep fallback of [`MatrixReader::read_col`]: per-level
-    /// binary searches over the row-major structures, no column twin.
-    pub fn sweep_col(&mut self, col: Index, out: &mut Vec<(Index, T)>) {
-        let dcsrs = self.settled_level_dcsrs();
-        merged_col_into(&dcsrs, col, Plus, out);
-    }
-
-    /// Cursor-sweep fallback of [`MatrixReader::read_col_degree`].
-    pub fn sweep_col_degree(&mut self, col: Index) -> usize {
-        let dcsrs = self.settled_level_dcsrs();
-        merged_col_degree(&dcsrs, col)
-    }
-
-    /// Cursor-sweep fallback of [`MatrixReader::read_col_reduce`].
-    pub fn sweep_col_reduce(&mut self, col: Index) -> Option<T> {
-        let dcsrs = self.settled_level_dcsrs();
-        merged_col_reduce(&dcsrs, col, Plus)
-    }
-
-    /// Cursor-sweep fallback of [`MatrixReader::read_in_top_k`]: one full
-    /// merged sweep counting every column — the O(nnz) cost the column
-    /// index exists to avoid.
-    pub fn sweep_in_top_k(&mut self, k: usize) -> Vec<(Index, usize)> {
-        let dcsrs = self.settled_level_dcsrs();
-        merged_in_top_k(&dcsrs, k)
-    }
-
-    /// Cursor-sweep fallback of [`MatrixReader::read_in_degree_histogram`].
-    pub fn sweep_in_degree_histogram(&mut self) -> std::collections::BTreeMap<u64, u64> {
-        let dcsrs = self.settled_level_dcsrs();
-        merged_in_degree_histogram(&dcsrs)
-    }
-
-    /// Cursor-sweep fallback of [`MatrixReader::read_col_range`].
-    pub fn sweep_col_range(&mut self, lo: Index, hi: Index, f: &mut dyn FnMut(Index, Index, T)) {
-        let dcsrs = self.settled_level_dcsrs();
-        merged_col_range(&dcsrs, lo, hi, Plus, f);
-    }
-}
-
-/// Two `+`-reductions agree: exactly for the integer scalars, to relative
-/// rounding for `f64` (arrival-order vs level-order folds).
-pub(crate) fn reduce_agrees<T: ScalarType>(a: Option<T>, b: Option<T>) -> bool {
-    match (a, b) {
-        (None, None) => true,
-        (Some(x), Some(y)) => {
-            let (x, y) = (x.to_f64(), y.to_f64());
-            (x - y).abs() <= 1e-9 * x.abs().max(y.abs()).max(1.0)
-        }
-        _ => false,
-    }
 }
 
 /// The paper's insert path: `insert` feeds level 0 and runs the cascade
@@ -1087,169 +972,55 @@ impl<T: ScalarType> StreamingSink<T> for HierMatrix<T> {
     }
 }
 
-/// The paper's query path: point/row/entry extraction merges the L level
-/// cursors on the fly (after settling the cache-resident pending buffers);
-/// the degree-centric answers — nnz, per-row degree/reduce, top-k, degree
-/// histogram — come from the incremental [`DegreeIndex`] in O(1)/O(k).  In
-/// debug builds every indexed answer is re-derived through the retained
-/// cursor-sweep fallback.
-impl<T: ScalarType> MatrixReader<T> for HierMatrix<T> {
-    fn reader_name(&self) -> &str {
+/// The paper's query path: the settled levels (the cache-resident pending
+/// buffers settle first) are the hierarchy's level list, the per-level
+/// column shadows its twins, and the two incremental [`DegreeIndex`]es its
+/// stats — so nnz, degree, reduce, top-k and the histograms are O(1)/O(k)
+/// on both sides.  Every `read_*` body is the shared one.
+impl<T: ScalarType> LevelStore for HierMatrix<T> {
+    type Value = T;
+
+    fn store_name(&self) -> &str {
         "hier-graphblas"
     }
 
-    fn read_dims(&self) -> (Index, Index) {
+    fn store_dims(&self) -> (Index, Index) {
         (self.nrows, self.ncols)
     }
 
-    fn read_nnz(&mut self) -> usize {
-        self.ensure_index();
-        let n = self.index.nnz();
-        debug_assert_eq!(n, merged_nnz(&self.dcsr_refs()));
-        n
-    }
-
-    fn read_get(&mut self, row: Index, col: Index) -> Option<T> {
-        // Per-level gets fold pending tuples in directly; no settle needed.
-        HierMatrix::get(self, row, col)
-    }
-
-    fn read_row(&mut self, row: Index, out: &mut Vec<(Index, T)>) {
-        let dcsrs = self.settled_level_dcsrs();
-        merged_row_into(&dcsrs, row, Plus, out);
-    }
-
-    fn read_row_degree(&mut self, row: Index) -> usize {
-        self.ensure_index();
-        let d = self.index.row_degree(row);
-        debug_assert_eq!(d, merged_row_degree(&self.dcsr_refs(), row));
-        d
-    }
-
-    fn read_row_reduce(&mut self, row: Index) -> Option<T> {
-        self.ensure_index();
-        let w = self.index.row_weight(row);
-        debug_assert!(
-            reduce_agrees(w, merged_row_reduce(&self.dcsr_refs(), row, Plus)),
-            "index weight diverged from cursor fold for row {row}"
-        );
-        w
-    }
-
-    fn read_top_k(&mut self, k: usize) -> Vec<(Index, usize)> {
-        self.ensure_index();
-        let top = self.index.top_k(k);
-        debug_assert_eq!(top, merged_top_k(&self.dcsr_refs(), k));
-        top
-    }
-
-    fn read_entries(&mut self, f: &mut dyn FnMut(Index, Index, T)) {
-        let dcsrs = self.settled_level_dcsrs();
-        for_each_merged(&dcsrs, Plus, f);
-    }
-
-    fn read_row_range(&mut self, lo: Index, hi: Index, f: &mut dyn FnMut(Index, Index, T)) {
-        let dcsrs = self.settled_level_dcsrs();
-        merged_row_range(&dcsrs, lo, hi, Plus, f);
-    }
-
-    fn read_degree_histogram(&mut self) -> std::collections::BTreeMap<u64, u64> {
-        self.ensure_index();
-        let hist = self.index.degree_histogram();
-        debug_assert_eq!(hist, self.sweep_degree_histogram());
-        hist
-    }
-
-    fn read_col(&mut self, col: Index, out: &mut Vec<(Index, T)>) {
-        // O(k) off the per-level column twins instead of the default
-        // full-entry sweep: one binary search per twin, then a k-way merge
-        // of the per-level column runs.
-        let shadows = self.settled_col_shadows();
-        let refs: Vec<&Dcsr<T>> = shadows.iter().map(|s| s.as_ref()).collect();
-        merged_row_into(&refs, col, Plus, out);
-        debug_assert_eq!(*out, {
-            let mut sweep = Vec::new();
-            merged_col_into(&self.dcsr_refs(), col, Plus, &mut sweep);
-            sweep
-        });
-    }
-
-    fn read_col_degree(&mut self, col: Index) -> usize {
-        self.ensure_col_index();
-        let d = self.col_index.row_degree(col);
-        debug_assert_eq!(d, merged_col_degree(&self.dcsr_refs(), col));
-        d
-    }
-
-    fn read_col_reduce(&mut self, col: Index) -> Option<T> {
-        self.ensure_col_index();
-        let w = self.col_index.row_weight(col);
-        debug_assert!(
-            reduce_agrees(w, merged_col_reduce(&self.dcsr_refs(), col, Plus)),
-            "column index weight diverged from cursor fold for col {col}"
-        );
-        w
-    }
-
-    fn read_in_top_k(&mut self, k: usize) -> Vec<(Index, usize)> {
-        self.ensure_col_index();
-        let top = self.col_index.top_k(k);
-        debug_assert_eq!(top, merged_in_top_k(&self.dcsr_refs(), k));
-        top
-    }
-
-    fn read_in_degree_histogram(&mut self) -> std::collections::BTreeMap<u64, u64> {
-        self.ensure_col_index();
-        let hist = self.col_index.degree_histogram();
-        debug_assert_eq!(hist, merged_in_degree_histogram(&self.dcsr_refs()));
-        hist
-    }
-
-    fn read_col_range(&mut self, lo: Index, hi: Index, f: &mut dyn FnMut(Index, Index, T)) {
-        // The twins are row-major in (col, row), so a plain row-range walk
-        // over them *is* the column-major contract order — no collect/sort
-        // pass like the default sweep needs.
-        let shadows = self.settled_col_shadows();
-        let refs: Vec<&Dcsr<T>> = shadows.iter().map(|s| s.as_ref()).collect();
-        merged_row_range(&refs, lo, hi, Plus, &mut |c, r, v| f(r, c, v));
-    }
-
-    fn read_rows(&mut self, rows: &[Index]) -> Vec<Vec<(Index, T)>> {
-        // One settle for the whole batch (the default pays the settle
-        // check per call through `read_row`).
-        let dcsrs = self.settled_level_dcsrs();
-        rows.iter()
-            .map(|&row| {
-                let mut out = Vec::new();
-                merged_row_into(&dcsrs, row, Plus, &mut out);
-                out
-            })
-            .collect()
-    }
-
-    fn read_get_many(&mut self, keys: &[(Index, Index)]) -> Vec<Option<T>> {
-        // One settle, then two binary searches per key per level — the
-        // default's per-key `read_get` rescans every pending tuple instead.
-        let dcsrs = self.settled_level_dcsrs();
-        keys.iter()
-            .map(|&(row, col)| merged_point(&dcsrs, row, col, Plus))
-            .collect()
-    }
-}
-
-impl<T: ScalarType> CursorReader<T> for HierMatrix<T> {
-    fn with_level_dcsrs(&mut self, f: &mut dyn FnMut(&[&Dcsr<T>])) {
-        // One settle folds the pending tuples into level 0; afterwards the
-        // level DCSRs are the complete represented content, summed under
-        // `+` — exactly the level-slice contract the cursor kernels need.
+    fn with_levels<R>(&mut self, f: impl FnOnce(&[&Dcsr<T>]) -> R) -> R {
         self.settle_levels();
-        f(&self.dcsr_refs());
+        let levels: Vec<&Dcsr<T>> = self.level_dcsrs().collect();
+        f(&levels)
+    }
+
+    fn with_twins<R>(&mut self, f: impl FnOnce(&[&Dcsr<T>]) -> R) -> R {
+        let shadows = self.settled_col_shadows();
+        let twins: Vec<&Dcsr<T>> = shadows.iter().map(|s| s.as_ref()).collect();
+        f(&twins)
+    }
+
+    fn row_stats(&mut self) -> Option<&mut DegreeIndexView<T>> {
+        self.ensure_index();
+        Some(self.index.view_mut())
+    }
+
+    fn col_stats(&mut self) -> Option<&mut DegreeIndexView<T>> {
+        self.ensure_col_index();
+        Some(self.col_index.view_mut())
+    }
+
+    /// Per-level gets fold pending tuples in directly; no settle needed.
+    fn point_get(&mut self, row: Index, col: Index) -> Option<T> {
+        self.get(row, col)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hyperstream_graphblas::cursor::*;
+    use hyperstream_graphblas::MatrixReader;
 
     fn small_config() -> HierConfig {
         HierConfig::from_cuts(vec![8, 64, 512]).unwrap()
@@ -1557,19 +1328,34 @@ mod tests {
             m.update(i % 131, (i * 17) % 257, i % 7 + 1).unwrap();
         }
         // Mid-stream: entries sit across levels plus the pending buffer.
-        assert_eq!(m.read_nnz(), m.sweep_nnz());
+        assert_eq!(m.read_nnz(), m.with_levels(merged_nnz));
         for row in [0u64, 1, 77, 130, 131, 9999] {
-            assert_eq!(m.read_row_degree(row), m.sweep_row_degree(row), "{row}");
-            assert_eq!(m.read_row_reduce(row), m.sweep_row_reduce(row), "{row}");
+            assert_eq!(
+                m.read_row_degree(row),
+                m.with_levels(|lv| merged_row_degree(lv, row)),
+                "{row}"
+            );
+            assert_eq!(
+                m.read_row_reduce(row),
+                m.with_levels(|lv| merged_row_reduce(lv, row, Plus)),
+                "{row}"
+            );
         }
         for k in [0usize, 1, 8, 1000] {
-            assert_eq!(m.read_top_k(k), m.sweep_top_k(k), "k = {k}");
+            assert_eq!(
+                m.read_top_k(k),
+                m.with_levels(|lv| merged_top_k(lv, k)),
+                "k = {k}"
+            );
         }
-        assert_eq!(m.read_degree_histogram(), m.sweep_degree_histogram());
+        assert_eq!(
+            m.read_degree_histogram(),
+            m.with_levels(merged_degree_histogram)
+        );
         // Flush (cascades everything to the top) must not disturb the index.
         m.flush().unwrap();
-        assert_eq!(m.read_nnz(), m.sweep_nnz());
-        assert_eq!(m.read_top_k(5), m.sweep_top_k(5));
+        assert_eq!(m.read_nnz(), m.with_levels(merged_nnz));
+        assert_eq!(m.read_top_k(5), m.with_levels(|lv| merged_top_k(lv, 5)));
         // update_matrix path feeds the index too.
         let upd = Matrix::from_tuples(
             1 << 20,
@@ -1581,7 +1367,7 @@ mod tests {
         )
         .unwrap();
         m.update_matrix(&upd).unwrap();
-        assert_eq!(m.read_nnz(), m.sweep_nnz());
+        assert_eq!(m.read_nnz(), m.with_levels(merged_nnz));
         assert_eq!(m.read_row_degree(500_000), 1);
         // clear resets the index with the content.
         m.clear();
@@ -1597,29 +1383,47 @@ mod tests {
         }
         // Mid-stream: entries sit across levels plus the pending buffer.
         for col in [0u64, 1, 77, 200, 256, 257, 9999] {
-            assert_eq!(m.read_col_degree(col), m.sweep_col_degree(col), "{col}");
-            assert!(
-                reduce_agrees(m.read_col_reduce(col), m.sweep_col_reduce(col)),
+            assert_eq!(
+                m.read_col_degree(col),
+                m.with_levels(|lv| merged_col_degree(lv, col)),
+                "{col}"
+            );
+            assert_eq!(
+                m.read_col_reduce(col),
+                m.with_levels(|lv| merged_col_reduce(lv, col, Plus)),
                 "col {col}"
             );
             let mut got = Vec::new();
             m.read_col(col, &mut got);
             let mut sweep = Vec::new();
-            m.sweep_col(col, &mut sweep);
+            m.with_levels(|lv| merged_col_into(lv, col, Plus, &mut sweep));
             assert_eq!(got, sweep, "{col}");
         }
         for k in [0usize, 1, 8, 1000] {
-            assert_eq!(m.read_in_top_k(k), m.sweep_in_top_k(k), "k = {k}");
+            assert_eq!(
+                m.read_in_top_k(k),
+                m.with_levels(|lv| merged_in_top_k(lv, k)),
+                "k = {k}"
+            );
         }
-        assert_eq!(m.read_in_degree_histogram(), m.sweep_in_degree_histogram());
+        assert_eq!(
+            m.read_in_degree_histogram(),
+            m.with_levels(merged_in_degree_histogram)
+        );
         // Flush (cascades everything to the top) must not disturb the
         // column index, and more ingest keeps it maintained incrementally.
         m.flush().unwrap();
         for i in 0..500u64 {
             m.update(i % 7 + 200_000, (i * 5) % 61, 1).unwrap();
         }
-        assert_eq!(m.read_in_top_k(5), m.sweep_in_top_k(5));
-        assert_eq!(m.read_in_degree_histogram(), m.sweep_in_degree_histogram());
+        assert_eq!(
+            m.read_in_top_k(5),
+            m.with_levels(|lv| merged_in_top_k(lv, 5))
+        );
+        assert_eq!(
+            m.read_in_degree_histogram(),
+            m.with_levels(merged_in_degree_histogram)
+        );
         // update_matrix path feeds the column index too.
         let upd = Matrix::from_tuples(
             1 << 20,
@@ -1632,7 +1436,10 @@ mod tests {
         .unwrap();
         m.update_matrix(&upd).unwrap();
         assert_eq!(m.read_col_degree(999_999), 1);
-        assert_eq!(m.read_in_top_k(3), m.sweep_in_top_k(3));
+        assert_eq!(
+            m.read_in_top_k(3),
+            m.with_levels(|lv| merged_in_top_k(lv, 3))
+        );
         // clear resets the column index with the content.
         m.clear();
         assert!(m.read_in_top_k(3).is_empty());
@@ -1702,7 +1509,7 @@ mod tests {
         let mut plain = m.snapshot();
         assert!(plain.has_index());
         assert!(!plain.has_col_index());
-        let expect_top = m.sweep_in_top_k(4);
+        let expect_top = m.with_levels(|lv| merged_in_top_k(lv, 4));
         assert_eq!(plain.read_in_top_k(4), expect_top);
         // Activate the column index, snapshot again: the view rides along
         // and survives further ingest on the source.

@@ -373,11 +373,8 @@ enum ReaderQuery {
     /// of the frontier: the worker runs the reader-native kernel over its
     /// own level DCSRs and ships the partial product back; the producer
     /// folds overlapping output columns under the same monoid.  This is
-    /// the distributed `mxv` step of BFS (`min`) and pagerank (`plus`).
+    /// the distributed `mxv` step of BFS (`min`) or of a mass push (`plus`).
     VxmPattern(Vec<(Index, f64)>, PatternAdd),
-    /// The shard's complete row → out-degree list (distinct cells per
-    /// row, served from the shard's degree index).
-    OutDegrees,
 }
 
 /// A worker's answer to a [`ReaderQuery`] (disjoint-row partials the
@@ -396,7 +393,6 @@ enum ReaderReply<T> {
     Rows(Vec<Vec<(Index, T)>>),
     Values(Vec<Option<T>>),
     Push(Vec<(Index, f64)>),
-    Degrees(Vec<(Index, u64)>),
 }
 
 /// A worker's answer to a drain barrier.
@@ -533,7 +529,6 @@ fn worker_loop<T: ScalarType>(
                         });
                         ReaderReply::Push(out)
                     }
-                    ReaderQuery::OutDegrees => ReaderReply::Degrees(shard.out_degrees()),
                 };
                 let _ = reply.send(answer);
             }
@@ -1329,97 +1324,6 @@ impl<T: ScalarType> ShardedHierMatrix<T> {
         Ok(out)
     }
 
-    /// Row → out-degree list for the whole engine, served from each
-    /// shard's degree index over the query channel.  Rows are disjoint
-    /// across shards, so the partials concatenate; one sort restores
-    /// global row order.
-    pub fn try_out_degrees(&mut self) -> GrbResult<Vec<(Index, u64)>> {
-        let mut all: Vec<(Index, u64)> = Vec::new();
-        for reply in self.query_all(|| ReaderQuery::OutDegrees)? {
-            match reply {
-                ReaderReply::Degrees(part) => all.extend(part),
-                _ => unreachable!("worker answered OutDegrees with a wrong reply"),
-            }
-        }
-        all.sort_unstable_by_key(|&(r, _)| r);
-        Ok(all)
-    }
-
-    /// PageRank with every `mxv` iteration pushed down to the shard pool:
-    /// out-degrees come from the per-shard degree indexes
-    /// ([`Self::try_out_degrees`]), and each iteration is one distributed
-    /// pattern push of `rank(i)/outdeg(i)` under `plus`
-    /// ([`Self::try_vxm_pattern`]) — no transition matrix and no
-    /// materialised `Σ shards Σ levels` are ever formed, and the shards
-    /// multiply their slices in parallel.
-    ///
-    /// Same contract as [`hyperstream_graphblas::algo::pagerank`]: ranks
-    /// for every vertex with at least one in- or out-edge.
-    pub fn pagerank(
-        &mut self,
-        damping: f64,
-        max_iters: usize,
-        tol: f64,
-    ) -> GrbResult<SparseVector<f64>> {
-        let degrees = self.try_out_degrees()?;
-        let mut active: Vec<Index> = self.ensure_in_degrees()?.keys().copied().collect();
-        active.extend(degrees.iter().map(|&(r, _)| r));
-        active.sort_unstable();
-        active.dedup();
-        let n = active.len();
-        let size = self.nrows.max(self.ncols);
-        if n == 0 {
-            return SparseVector::try_new(size);
-        }
-        // Ranks are dense over `active`; every source row is in it, so one
-        // walk of the two ascending lists finds each source's position.
-        let mut at = 0;
-        let src_pos: Vec<usize> = degrees
-            .iter()
-            .map(|&(r, _)| {
-                while active[at] < r {
-                    at += 1;
-                }
-                at
-            })
-            .collect();
-        let mut rank = vec![1.0 / n as f64; n];
-        let teleport = (1.0 - damping) / n as f64;
-        let mut push: Vec<(Index, f64)> = Vec::with_capacity(degrees.len());
-        for _ in 0..max_iters {
-            push.clear();
-            push.extend(
-                degrees
-                    .iter()
-                    .zip(&src_pos)
-                    .map(|(&(r, d), &p)| (r, rank[p] / d as f64)),
-            );
-            let spread = self.try_vxm_pattern(&push, PatternAdd::Plus)?;
-            let mut delta = 0.0;
-            let mut sp = spread.iter().peekable();
-            for (&v, rv) in active.iter().zip(rank.iter_mut()) {
-                let mut mass = 0.0;
-                while let Some(&&(j, m)) = sp.peek() {
-                    if j < v {
-                        sp.next();
-                    } else {
-                        if j == v {
-                            mass = m;
-                        }
-                        break;
-                    }
-                }
-                let val = teleport + damping * mass;
-                delta += (val - *rv).abs();
-                *rv = val;
-            }
-            if delta < tol {
-                break;
-            }
-        }
-        SparseVector::from_sorted_parts(size, active, rank)
-    }
-
     /// Level-synchronous BFS with each wave's frontier sliced to its
     /// owning shards ([`Self::try_vxm_pattern`] under `min`); the visited
     /// mask is applied producer-side, where the level vector lives.
@@ -2097,73 +2001,73 @@ impl<T: ScalarType> ShardedHierMatrix<T> {
         Ok(())
     }
 
-    /// Fallible dual of [`MatrixReader::read_rows`].  Rows owned by a lost
-    /// shard come back empty under degraded reads.
-    pub fn try_read_rows(&mut self, rows: &[Index]) -> GrbResult<Vec<Vec<(Index, T)>>> {
-        // Group the keys by owning shard, push one batched query per
-        // involved worker, and scatter the per-shard answers back into
-        // request order.
-        let mut per_shard: ShardBatch<Index> = Vec::new();
-        for (i, &row) in rows.iter().enumerate() {
-            let owner = self.owner(row);
+    /// The batched-read dispatch: group `keys` by owning shard, push one
+    /// batched query per involved worker (`query` builds it from the keys
+    /// that shard owns), and scatter the per-shard answers (`unpack`) back
+    /// into request order.  Keys owned by a lost shard keep `empty` under
+    /// degraded reads.
+    fn query_batched<K: Copy, A: Clone>(
+        &mut self,
+        keys: &[K],
+        row_of: impl Fn(&K) -> Index,
+        query: impl Fn(Vec<K>) -> ReaderQuery,
+        unpack: impl Fn(ReaderReply<T>) -> Vec<A>,
+        empty: A,
+    ) -> GrbResult<Vec<A>> {
+        let mut per_shard: ShardBatch<K> = Vec::new();
+        for (i, key) in keys.iter().enumerate() {
+            let owner = self.owner(row_of(key));
             match per_shard.iter_mut().find(|(s, _, _)| *s == owner) {
-                Some((_, idxs, keys)) => {
+                Some((_, idxs, owned)) => {
                     idxs.push(i);
-                    keys.push(row);
+                    owned.push(*key);
                 }
-                None => per_shard.push((owner, vec![i], vec![row])),
+                None => per_shard.push((owner, vec![i], vec![*key])),
             }
         }
         let queries: Vec<(usize, ReaderQuery)> = per_shard
             .iter()
-            .map(|(s, _, keys)| (*s, ReaderQuery::Rows(keys.clone())))
+            .map(|(s, _, owned)| (*s, query(owned.clone())))
             .collect();
-        let mut out: Vec<Vec<(Index, T)>> = vec![Vec::new(); rows.len()];
+        let mut out = vec![empty; keys.len()];
         for ((_, idxs, _), reply) in per_shard.iter().zip(self.query_each(queries)?) {
-            match reply {
-                None => {}
-                Some(ReaderReply::Rows(parts)) => {
-                    for (&i, part) in idxs.iter().zip(parts) {
-                        out[i] = part;
-                    }
+            if let Some(reply) = reply {
+                for (&i, answer) in idxs.iter().zip(unpack(reply)) {
+                    out[i] = answer;
                 }
-                Some(_) => unreachable!("worker answered Rows with a non-Rows reply"),
             }
         }
         Ok(out)
     }
 
+    /// Fallible dual of [`MatrixReader::read_rows`].  Rows owned by a lost
+    /// shard come back empty under degraded reads.
+    pub fn try_read_rows(&mut self, rows: &[Index]) -> GrbResult<Vec<Vec<(Index, T)>>> {
+        self.query_batched(
+            rows,
+            |&row| row,
+            ReaderQuery::Rows,
+            |reply| match reply {
+                ReaderReply::Rows(parts) => parts,
+                _ => unreachable!("worker answered Rows with a non-Rows reply"),
+            },
+            Vec::new(),
+        )
+    }
+
     /// Fallible dual of [`MatrixReader::read_get_many`].  Keys owned by a
     /// lost shard come back `None` under degraded reads.
     pub fn try_read_get_many(&mut self, keys: &[(Index, Index)]) -> GrbResult<Vec<Option<T>>> {
-        let mut per_shard: ShardBatch<(Index, Index)> = Vec::new();
-        for (i, &key) in keys.iter().enumerate() {
-            let owner = self.owner(key.0);
-            match per_shard.iter_mut().find(|(s, _, _)| *s == owner) {
-                Some((_, idxs, ks)) => {
-                    idxs.push(i);
-                    ks.push(key);
-                }
-                None => per_shard.push((owner, vec![i], vec![key])),
-            }
-        }
-        let queries: Vec<(usize, ReaderQuery)> = per_shard
-            .iter()
-            .map(|(s, _, ks)| (*s, ReaderQuery::GetMany(ks.clone())))
-            .collect();
-        let mut out: Vec<Option<T>> = vec![None; keys.len()];
-        for ((_, idxs, _), reply) in per_shard.iter().zip(self.query_each(queries)?) {
-            match reply {
-                None => {}
-                Some(ReaderReply::Values(vals)) => {
-                    for (&i, v) in idxs.iter().zip(vals) {
-                        out[i] = v;
-                    }
-                }
-                Some(_) => unreachable!("worker answered GetMany with a non-Values reply"),
-            }
-        }
-        Ok(out)
+        self.query_batched(
+            keys,
+            |&(row, _)| row,
+            ReaderQuery::GetMany,
+            |reply| match reply {
+                ReaderReply::Values(vals) => vals,
+                _ => unreachable!("worker answered GetMany with a non-Values reply"),
+            },
+            None,
+        )
     }
 
     /// Unwrap an infallible reader answer: latch the error and hand back
@@ -3065,27 +2969,7 @@ mod tests {
     }
 
     #[test]
-    fn out_degrees_concatenate_disjoint_shards() {
-        let mut engine = tiny_engine(3, ShardPartitioner::RowHash);
-        let mut flat = Matrix::<u64>::new(DIM, DIM);
-        for &(r, c, v) in &stream(1200) {
-            engine.update(r, c, v).unwrap();
-            flat.accum_element(r, c, v).unwrap();
-        }
-        let got = engine.try_out_degrees().unwrap();
-        // The oracle: a cursor sweep of the flat matrix's one level.
-        let mut want = Vec::new();
-        flat.with_level_dcsrs(&mut |lv| {
-            let mut cur = hyperstream_graphblas::cursor::LevelCursors::new(lv);
-            while let Some(r) = cur.next_row() {
-                want.push((r, cur.row_degree() as u64));
-            }
-        });
-        assert_eq!(got, want);
-    }
-
-    #[test]
-    fn pushdown_pagerank_and_bfs_match_flat_oracle() {
+    fn pushdown_bfs_and_cursor_pagerank_match_flat_oracle() {
         let edges: &[(u64, u64)] = &[
             (0, 1),
             (1, 2),
@@ -3103,7 +2987,7 @@ mod tests {
                 engine.update(r, c, 1).unwrap();
                 flat.accum_element(r, c, 1).unwrap();
             }
-            let pr = engine.pagerank(0.85, 60, 1e-12).unwrap();
+            let pr = hyperstream_graphblas::algo::pagerank(&mut engine, 0.85, 60, 1e-12);
             let oracle = hyperstream_graphblas::algo::pagerank(&mut flat, 0.85, 60, 1e-12);
             assert_eq!(pr.nvals(), oracle.nvals(), "{partitioner:?}");
             for (v, r) in pr.iter() {

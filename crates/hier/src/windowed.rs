@@ -8,22 +8,21 @@
 //! windows" while the stream keeps flowing.  Each window is itself a full
 //! hierarchical matrix, so per-window ingest keeps the paper's fast-memory
 //! behaviour.
+//!
+//! Reads cover the retained windows as one level store: every window's
+//! levels are the level list, so the shared read path
+//! ([`hyperstream_graphblas::level_read`]) and the reader-native graph
+//! algorithms run over "the last k windows" without materialising them.
 
 use crate::config::HierConfig;
 use crate::matrix::HierMatrix;
-use hyperstream_graphblas::cursor::{
-    for_each_merged, merge_levels, merged_col_degree, merged_col_into, merged_col_range,
-    merged_col_reduce, merged_in_degree_histogram, merged_in_top_k, merged_nnz, merged_point,
-    merged_row_degree, merged_row_into, merged_row_range, merged_row_reduce, merged_top_k,
-    LevelCursors,
-};
+use hyperstream_graphblas::cursor::{for_each_merged, merge_levels, LevelCursors};
 use hyperstream_graphblas::formats::dcsr::Dcsr;
 use hyperstream_graphblas::ops::binary::Plus;
 use hyperstream_graphblas::{
-    DegreeIndex, GrbResult, Index, Matrix, MatrixReader, ScalarType, StreamingSink,
+    DegreeIndex, DegreeIndexView, GrbResult, Index, LevelStore, Matrix, ScalarType, StreamingSink,
 };
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::Arc;
 
 /// A rotating sequence of hierarchical matrices, one per time window.
 ///
@@ -244,154 +243,66 @@ impl<T: ScalarType> StreamingSink<T> for WindowedHierMatrix<T> {
 
 /// The windowed read path: queries cover the *retained* windows plus the
 /// current one (evicted windows are gone by design, matching the sink's
-/// totals).  Point/row/entry extraction merges one set of cursors over
-/// every window's levels; the degree-centric answers come from the lazily
-/// rebuilt union index (checked against the cursor sweep in debug builds).
-impl<T: ScalarType> MatrixReader<T> for WindowedHierMatrix<T> {
-    fn reader_name(&self) -> &str {
+/// totals).  The level list is every retained window's levels, the twins
+/// every window's per-level column shadows (Arc-cached, so a query burst
+/// between rotations builds them once), and the stats the two lazily
+/// rebuilt union indexes.  Every `read_*` body — and `CursorReader`, so
+/// the graph algorithms run over the retained windows — is the shared one.
+impl<T: ScalarType> LevelStore for WindowedHierMatrix<T> {
+    type Value = T;
+
+    fn store_name(&self) -> &str {
         "hier-graphblas-windowed"
     }
 
-    fn read_dims(&self) -> (Index, Index) {
+    fn store_dims(&self) -> (Index, Index) {
         (self.nrows, self.ncols)
     }
 
-    fn read_nnz(&mut self) -> usize {
+    fn with_levels<R>(&mut self, f: impl FnOnce(&[&Dcsr<T>]) -> R) -> R {
+        self.settle_windows();
+        f(&Self::retained_dcsrs(&self.closed, &self.current))
+    }
+
+    fn with_twins<R>(&mut self, f: impl FnOnce(&[&Dcsr<T>]) -> R) -> R {
+        let mut shadows = Vec::new();
+        for w in self.closed.iter_mut().chain([&mut self.current]) {
+            shadows.extend(w.settled_col_shadows());
+        }
+        let twins: Vec<&Dcsr<T>> = shadows.iter().map(|s| s.as_ref()).collect();
+        f(&twins)
+    }
+
+    fn row_stats(&mut self) -> Option<&mut DegreeIndexView<T>> {
         self.refresh_index();
-        let n = self.index.nnz();
-        debug_assert_eq!(n, self.sweep_nnz());
-        n
+        Some(self.index.view_mut())
     }
 
-    fn read_get(&mut self, row: Index, col: Index) -> Option<T> {
-        let dcsrs = self.retained_settled_dcsrs();
-        merged_point(&dcsrs, row, col, Plus)
-    }
-
-    fn read_row(&mut self, row: Index, out: &mut Vec<(Index, T)>) {
-        let dcsrs = self.retained_settled_dcsrs();
-        merged_row_into(&dcsrs, row, Plus, out);
-    }
-
-    fn read_row_degree(&mut self, row: Index) -> usize {
-        self.refresh_index();
-        let d = self.index.row_degree(row);
-        debug_assert_eq!(d, self.sweep_row_degree(row));
-        d
-    }
-
-    fn read_row_reduce(&mut self, row: Index) -> Option<T> {
-        self.refresh_index();
-        let w = self.index.row_weight(row);
-        debug_assert!(crate::matrix::reduce_agrees(w, self.sweep_row_reduce(row)));
-        w
-    }
-
-    fn read_top_k(&mut self, k: usize) -> Vec<(Index, usize)> {
-        self.refresh_index();
-        let top = self.index.top_k(k);
-        debug_assert_eq!(top, self.sweep_top_k(k));
-        top
-    }
-
-    fn read_entries(&mut self, f: &mut dyn FnMut(Index, Index, T)) {
-        let dcsrs = self.retained_settled_dcsrs();
-        for_each_merged(&dcsrs, Plus, f);
-    }
-
-    fn read_row_range(&mut self, lo: Index, hi: Index, f: &mut dyn FnMut(Index, Index, T)) {
-        let dcsrs = self.retained_settled_dcsrs();
-        merged_row_range(&dcsrs, lo, hi, Plus, f);
-    }
-
-    fn read_degree_histogram(&mut self) -> std::collections::BTreeMap<u64, u64> {
-        self.refresh_index();
-        let hist = self.index.degree_histogram();
-        debug_assert_eq!(hist, self.sweep_degree_histogram());
-        hist
-    }
-
-    fn read_col(&mut self, col: Index, out: &mut Vec<(Index, T)>) {
-        // O(k) off the per-window column twins (each window's shadows are
-        // Arc-cached, so a query burst between rotations builds them once).
-        let shadows = self.retained_col_shadows();
-        let refs: Vec<&Dcsr<T>> = shadows.iter().map(|s| s.as_ref()).collect();
-        merged_row_into(&refs, col, Plus, out);
-        debug_assert_eq!(*out, {
-            let mut sweep = Vec::new();
-            self.sweep_col(col, &mut sweep);
-            sweep
-        });
-    }
-
-    fn read_col_degree(&mut self, col: Index) -> usize {
+    fn col_stats(&mut self) -> Option<&mut DegreeIndexView<T>> {
         self.refresh_col_index();
-        let d = self.col_index.row_degree(col);
-        debug_assert_eq!(d, self.sweep_col_degree(col));
-        d
-    }
-
-    fn read_col_reduce(&mut self, col: Index) -> Option<T> {
-        self.refresh_col_index();
-        let w = self.col_index.row_weight(col);
-        debug_assert!(crate::matrix::reduce_agrees(w, self.sweep_col_reduce(col)));
-        w
-    }
-
-    fn read_in_top_k(&mut self, k: usize) -> Vec<(Index, usize)> {
-        self.refresh_col_index();
-        let top = self.col_index.top_k(k);
-        debug_assert_eq!(top, self.sweep_in_top_k(k));
-        top
-    }
-
-    fn read_in_degree_histogram(&mut self) -> std::collections::BTreeMap<u64, u64> {
-        self.refresh_col_index();
-        let hist = self.col_index.degree_histogram();
-        debug_assert_eq!(hist, self.sweep_in_degree_histogram());
-        hist
-    }
-
-    fn read_col_range(&mut self, lo: Index, hi: Index, f: &mut dyn FnMut(Index, Index, T)) {
-        // The twins are row-major in (col, row): a row-range walk over them
-        // is already the column-major contract order.
-        let shadows = self.retained_col_shadows();
-        let refs: Vec<&Dcsr<T>> = shadows.iter().map(|s| s.as_ref()).collect();
-        merged_row_range(&refs, lo, hi, Plus, &mut |c, r, v| f(r, c, v));
-    }
-
-    fn read_rows(&mut self, rows: &[Index]) -> Vec<Vec<(Index, T)>> {
-        // One settle across every retained window for the whole batch.
-        let dcsrs = self.retained_settled_dcsrs();
-        rows.iter()
-            .map(|&row| {
-                let mut out = Vec::new();
-                merged_row_into(&dcsrs, row, Plus, &mut out);
-                out
-            })
-            .collect()
-    }
-
-    fn read_get_many(&mut self, keys: &[(Index, Index)]) -> Vec<Option<T>> {
-        let dcsrs = self.retained_settled_dcsrs();
-        keys.iter()
-            .map(|&(row, col)| merged_point(&dcsrs, row, col, Plus))
-            .collect()
+        Some(self.col_index.view_mut())
     }
 }
 
 impl<T: ScalarType> WindowedHierMatrix<T> {
-    /// Settle every retained window's levels and return all their DCSRs
-    /// for one merged cursor sweep.
-    fn retained_settled_dcsrs(&mut self) -> Vec<&Dcsr<T>> {
-        for w in &mut self.closed {
+    /// Settle every retained window's pending tuples.
+    fn settle_windows(&mut self) {
+        for w in self.closed.iter_mut().chain([&mut self.current]) {
             w.settle_levels();
         }
-        self.current.settle_levels();
-        self.closed
+    }
+
+    /// Every retained window's level DCSRs, oldest window first — callers
+    /// must have settled first ([`WindowedHierMatrix::settle_windows`]).
+    /// Borrows only the windows, so an index can be refilled alongside.
+    fn retained_dcsrs<'a>(
+        closed: &'a VecDeque<HierMatrix<T>>,
+        current: &'a HierMatrix<T>,
+    ) -> Vec<&'a Dcsr<T>> {
+        closed
             .iter()
+            .chain([current])
             .flat_map(|w| w.level_dcsrs())
-            .chain(self.current.level_dcsrs())
             .collect()
     }
 
@@ -403,17 +314,9 @@ impl<T: ScalarType> WindowedHierMatrix<T> {
         if !self.index_stale {
             return;
         }
-        for w in &mut self.closed {
-            w.settle_levels();
-        }
-        self.current.settle_levels();
+        self.settle_windows();
         self.index.clear();
-        let dcsrs: Vec<&Dcsr<T>> = self
-            .closed
-            .iter()
-            .flat_map(|w| w.level_dcsrs())
-            .chain(self.current.level_dcsrs())
-            .collect();
+        let dcsrs = Self::retained_dcsrs(&self.closed, &self.current);
         let mut cur = LevelCursors::new(&dcsrs);
         while let Some(row) = cur.next_row() {
             let mut degree = 0u64;
@@ -427,48 +330,6 @@ impl<T: ScalarType> WindowedHierMatrix<T> {
         self.index_stale = false;
     }
 
-    /// Cursor-sweep fallback of [`MatrixReader::read_nnz`].
-    pub fn sweep_nnz(&mut self) -> usize {
-        let dcsrs = self.retained_settled_dcsrs();
-        merged_nnz(&dcsrs)
-    }
-
-    /// Cursor-sweep fallback of [`MatrixReader::read_row_degree`].
-    pub fn sweep_row_degree(&mut self, row: Index) -> usize {
-        let dcsrs = self.retained_settled_dcsrs();
-        merged_row_degree(&dcsrs, row)
-    }
-
-    /// Cursor-sweep fallback of [`MatrixReader::read_row_reduce`].
-    pub fn sweep_row_reduce(&mut self, row: Index) -> Option<T> {
-        let dcsrs = self.retained_settled_dcsrs();
-        merged_row_reduce(&dcsrs, row, Plus)
-    }
-
-    /// Cursor-sweep fallback of [`MatrixReader::read_top_k`].
-    pub fn sweep_top_k(&mut self, k: usize) -> Vec<(Index, usize)> {
-        let dcsrs = self.retained_settled_dcsrs();
-        merged_top_k(&dcsrs, k)
-    }
-
-    /// Cursor-sweep fallback of [`MatrixReader::read_degree_histogram`].
-    pub fn sweep_degree_histogram(&mut self) -> std::collections::BTreeMap<u64, u64> {
-        let dcsrs = self.retained_settled_dcsrs();
-        hyperstream_graphblas::cursor::merged_degree_histogram(&dcsrs)
-    }
-
-    /// Settle every retained window (through the index observers) and
-    /// collect every window's per-level column twins for one merged
-    /// transpose-side sweep.
-    fn retained_col_shadows(&mut self) -> Vec<Arc<Dcsr<T>>> {
-        let mut shadows = Vec::new();
-        for w in &mut self.closed {
-            shadows.extend(w.settled_col_shadows());
-        }
-        shadows.extend(self.current.settled_col_shadows());
-        shadows
-    }
-
     /// Rebuild the union *column* index if any mutation outdated it — the
     /// transpose mirror of [`WindowedHierMatrix::refresh_index`].  A
     /// row-major union sweep does not group columns the way it groups rows,
@@ -478,18 +339,10 @@ impl<T: ScalarType> WindowedHierMatrix<T> {
         if !self.col_index_stale {
             return;
         }
-        for w in &mut self.closed {
-            w.settle_levels();
-        }
-        self.current.settle_levels();
+        self.settle_windows();
         self.col_index.clear();
-        let dcsrs: Vec<&Dcsr<T>> = self
-            .closed
-            .iter()
-            .flat_map(|w| w.level_dcsrs())
-            .chain(self.current.level_dcsrs())
-            .collect();
         let mut cols: BTreeMap<Index, (u64, T)> = BTreeMap::new();
+        let dcsrs = Self::retained_dcsrs(&self.closed, &self.current);
         for_each_merged(&dcsrs, Plus, &mut |_, c, v| {
             let slot = cols.entry(c).or_insert((0, T::default()));
             slot.0 += 1;
@@ -500,47 +353,13 @@ impl<T: ScalarType> WindowedHierMatrix<T> {
         }
         self.col_index_stale = false;
     }
-
-    /// Cursor-sweep fallback of [`MatrixReader::read_col`].
-    pub fn sweep_col(&mut self, col: Index, out: &mut Vec<(Index, T)>) {
-        let dcsrs = self.retained_settled_dcsrs();
-        merged_col_into(&dcsrs, col, Plus, out);
-    }
-
-    /// Cursor-sweep fallback of [`MatrixReader::read_col_degree`].
-    pub fn sweep_col_degree(&mut self, col: Index) -> usize {
-        let dcsrs = self.retained_settled_dcsrs();
-        merged_col_degree(&dcsrs, col)
-    }
-
-    /// Cursor-sweep fallback of [`MatrixReader::read_col_reduce`].
-    pub fn sweep_col_reduce(&mut self, col: Index) -> Option<T> {
-        let dcsrs = self.retained_settled_dcsrs();
-        merged_col_reduce(&dcsrs, col, Plus)
-    }
-
-    /// Cursor-sweep fallback of [`MatrixReader::read_in_top_k`].
-    pub fn sweep_in_top_k(&mut self, k: usize) -> Vec<(Index, usize)> {
-        let dcsrs = self.retained_settled_dcsrs();
-        merged_in_top_k(&dcsrs, k)
-    }
-
-    /// Cursor-sweep fallback of [`MatrixReader::read_in_degree_histogram`].
-    pub fn sweep_in_degree_histogram(&mut self) -> std::collections::BTreeMap<u64, u64> {
-        let dcsrs = self.retained_settled_dcsrs();
-        merged_in_degree_histogram(&dcsrs)
-    }
-
-    /// Cursor-sweep fallback of [`MatrixReader::read_col_range`].
-    pub fn sweep_col_range(&mut self, lo: Index, hi: Index, f: &mut dyn FnMut(Index, Index, T)) {
-        let dcsrs = self.retained_settled_dcsrs();
-        merged_col_range(&dcsrs, lo, hi, Plus, f);
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hyperstream_graphblas::cursor::*;
+    use hyperstream_graphblas::MatrixReader;
 
     fn windowed(window: u64, max: usize) -> WindowedHierMatrix<u64> {
         WindowedHierMatrix::new(
@@ -667,25 +486,40 @@ mod tests {
             // that survive in other windows and some that do not.
             w.update(i % 7, (i * 3) % 11, 1).unwrap();
             if i % 40 == 39 {
-                assert_eq!(w.read_nnz(), w.sweep_nnz(), "at update {i}");
-                assert_eq!(w.read_top_k(4), w.sweep_top_k(4), "at update {i}");
+                assert_eq!(w.read_nnz(), w.with_levels(merged_nnz), "at update {i}");
+                assert_eq!(
+                    w.read_top_k(4),
+                    w.with_levels(|lv| merged_top_k(lv, 4)),
+                    "at update {i}"
+                );
             }
         }
         // Evictions happened (6 closed, 2 retained).
         assert_eq!(w.windows_closed(), 6);
         assert_eq!(w.retained_windows(), 2);
         for row in 0u64..8 {
-            assert_eq!(w.read_row_degree(row), w.sweep_row_degree(row), "{row}");
-            assert_eq!(w.read_row_reduce(row), w.sweep_row_reduce(row), "{row}");
+            assert_eq!(
+                w.read_row_degree(row),
+                w.with_levels(|lv| merged_row_degree(lv, row)),
+                "{row}"
+            );
+            assert_eq!(
+                w.read_row_reduce(row),
+                w.with_levels(|lv| merged_row_reduce(lv, row, Plus)),
+                "{row}"
+            );
         }
-        assert_eq!(w.read_degree_histogram(), w.sweep_degree_histogram());
+        assert_eq!(
+            w.read_degree_histogram(),
+            w.with_levels(merged_degree_histogram)
+        );
         // Manual rotation invalidates the cached index too.
         let before = w.read_nnz();
         w.rotate().unwrap();
         w.rotate().unwrap();
         w.rotate().unwrap();
         // All content evicted: three empty windows pushed the full ones out.
-        assert_eq!(w.read_nnz(), w.sweep_nnz());
+        assert_eq!(w.read_nnz(), w.with_levels(merged_nnz));
         assert!(w.read_nnz() < before);
     }
 
@@ -695,20 +529,35 @@ mod tests {
         for i in 0..170u64 {
             w.update(i % 7, (i * 3) % 11, 1).unwrap();
             if i % 40 == 39 {
-                assert_eq!(w.read_in_top_k(4), w.sweep_in_top_k(4), "at update {i}");
+                assert_eq!(
+                    w.read_in_top_k(4),
+                    w.with_levels(|lv| merged_in_top_k(lv, 4)),
+                    "at update {i}"
+                );
             }
         }
         assert_eq!(w.windows_closed(), 6);
         for col in 0u64..12 {
-            assert_eq!(w.read_col_degree(col), w.sweep_col_degree(col), "{col}");
-            assert_eq!(w.read_col_reduce(col), w.sweep_col_reduce(col), "{col}");
+            assert_eq!(
+                w.read_col_degree(col),
+                w.with_levels(|lv| merged_col_degree(lv, col)),
+                "{col}"
+            );
+            assert_eq!(
+                w.read_col_reduce(col),
+                w.with_levels(|lv| merged_col_reduce(lv, col, Plus)),
+                "{col}"
+            );
             let mut got = Vec::new();
             w.read_col(col, &mut got);
             let mut sweep = Vec::new();
-            w.sweep_col(col, &mut sweep);
+            w.with_levels(|lv| merged_col_into(lv, col, Plus, &mut sweep));
             assert_eq!(got, sweep, "{col}");
         }
-        assert_eq!(w.read_in_degree_histogram(), w.sweep_in_degree_histogram());
+        assert_eq!(
+            w.read_in_degree_histogram(),
+            w.with_levels(merged_in_degree_histogram)
+        );
         // Rotating everything out empties the column answers too.
         w.rotate().unwrap();
         w.rotate().unwrap();

@@ -8,6 +8,7 @@
 //! materialised flat matrix.  Snapshots taken mid-stream must keep
 //! answering the captured state no matter how far the source streams on.
 
+use hyperstream::graphblas::cursor::*;
 use hyperstream::prelude::*;
 use proptest::prelude::*;
 
@@ -82,11 +83,11 @@ proptest! {
             }
         }
         // Index-served answers == cursor-sweep fallback == flat reference.
-        prop_assert_eq!(hier.read_nnz(), hier.sweep_nnz());
+        prop_assert_eq!(hier.read_nnz(), hier.with_levels(merged_nnz));
         prop_assert_eq!(hier.read_nnz(), flat.nvals());
-        prop_assert_eq!(hier.read_top_k(k), hier.sweep_top_k(k));
+        prop_assert_eq!(hier.read_top_k(k), hier.with_levels(|lv| merged_top_k(lv, k)));
         prop_assert_eq!(hier.read_top_k(k), reference_top_k(&flat, k));
-        prop_assert_eq!(hier.read_degree_histogram(), hier.sweep_degree_histogram());
+        prop_assert_eq!(hier.read_degree_histogram(), hier.with_levels(merged_degree_histogram));
         prop_assert_eq!(
             hier.read_degree_histogram(),
             {
@@ -95,8 +96,8 @@ proptest! {
             }
         );
         for probe in [updates[0].0, (49 * 20_000_019) % DIM] {
-            prop_assert_eq!(hier.read_row_degree(probe), hier.sweep_row_degree(probe));
-            prop_assert_eq!(hier.read_row_reduce(probe), hier.sweep_row_reduce(probe));
+            prop_assert_eq!(hier.read_row_degree(probe), hier.with_levels(|lv| merged_row_degree(lv, probe)));
+            prop_assert_eq!(hier.read_row_reduce(probe), hier.with_levels(|lv| merged_row_reduce(lv, probe, Plus)));
             let expect_deg = flat.dcsr().row(probe).map_or(0, |(c, _)| c.len());
             prop_assert_eq!(hier.read_row_degree(probe), expect_deg);
         }
@@ -218,14 +219,14 @@ proptest! {
         // Index answers == cursor sweep over the retained windows ==
         // materialised retained union (evictions included).
         let retained = w.materialize_retained().unwrap();
-        prop_assert_eq!(w.read_nnz(), w.sweep_nnz());
+        prop_assert_eq!(w.read_nnz(), w.with_levels(merged_nnz));
         prop_assert_eq!(w.read_nnz(), retained.nvals());
-        prop_assert_eq!(w.read_top_k(k), w.sweep_top_k(k));
+        prop_assert_eq!(w.read_top_k(k), w.with_levels(|lv| merged_top_k(lv, k)));
         prop_assert_eq!(w.read_top_k(k), reference_top_k(&retained, k));
-        prop_assert_eq!(w.read_degree_histogram(), w.sweep_degree_histogram());
+        prop_assert_eq!(w.read_degree_histogram(), w.with_levels(merged_degree_histogram));
         let probe = updates[updates.len() - 1].0;
-        prop_assert_eq!(w.read_row_degree(probe), w.sweep_row_degree(probe));
-        prop_assert_eq!(w.read_row_reduce(probe), w.sweep_row_reduce(probe));
+        prop_assert_eq!(w.read_row_degree(probe), w.with_levels(|lv| merged_row_degree(lv, probe)));
+        prop_assert_eq!(w.read_row_reduce(probe), w.with_levels(|lv| merged_row_reduce(lv, probe, Plus)));
         prop_assert_eq!(
             w.read_row_degree(probe),
             retained.dcsr().row(probe).map_or(0, |(c, _)| c.len())

@@ -8,9 +8,15 @@
 //! matrix.  This is the read-side mirror of the write-side equivalence
 //! suites: the cascade schedule, the sharding, the string keys and the
 //! storage engines may only change the *cost* of a query, never its value.
+//!
+//! The level-backed stores (flat, hierarchy, windowed hierarchy, both
+//! snapshot captures) share one `MatrixReader` implementation; the same
+//! generated cases drive all 18 of its `read_*` methods against a
+//! `BTreeMap<(row, col), value>` oracle through [`check_reads`].
 
 use hyperstream::prelude::*;
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 
 const DIM: u64 = 1 << 32;
 
@@ -93,6 +99,222 @@ fn all_systems(cuts: &[u64], shards: usize, chunk: usize) -> Vec<Box<dyn Streami
     ]
 }
 
+/// The content oracle: every cell of the represented matrix.
+type Cells = BTreeMap<(u64, u64), u64>;
+
+fn cells_of(updates: &[(u64, u64, u64)]) -> Cells {
+    let mut cells = Cells::new();
+    for &(r, c, v) in updates {
+        *cells.entry((r, c)).or_insert(0) += v;
+    }
+    cells
+}
+
+/// `cells` grouped by one coordinate: key -> sorted `(other, value)`.
+fn grouped(cells: &Cells, by_col: bool) -> BTreeMap<u64, Vec<(u64, u64)>> {
+    let mut out: BTreeMap<u64, Vec<(u64, u64)>> = BTreeMap::new();
+    for (&(r, c), &v) in cells {
+        let (key, other) = if by_col { (c, r) } else { (r, c) };
+        out.entry(key).or_default().push((other, v));
+    }
+    for line in out.values_mut() {
+        line.sort_unstable();
+    }
+    out
+}
+
+fn ranked(lines: &BTreeMap<u64, Vec<(u64, u64)>>, k: usize) -> Vec<(u64, usize)> {
+    let mut all: Vec<(u64, usize)> = lines.iter().map(|(&key, l)| (key, l.len())).collect();
+    all.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+    all.truncate(k);
+    all
+}
+
+fn histogram_of(lines: &BTreeMap<u64, Vec<(u64, u64)>>) -> BTreeMap<u64, u64> {
+    let mut hist = BTreeMap::new();
+    for l in lines.values() {
+        *hist.entry(l.len() as u64).or_insert(0) += 1;
+    }
+    hist
+}
+
+/// All 18 `read_*` methods of one reader (and its `CursorReader` levels)
+/// against the cell oracle: present and absent rows/columns, a straddling
+/// range, the whole range and `lo >= hi`, `k` of 0, `k` and `usize::MAX`.
+fn check_reads<S: CursorReader<u64>>(s: &mut S, cells: &Cells, dims: (u64, u64), k: usize) {
+    let name = s.reader_name().to_string();
+    let rows = grouped(cells, false);
+    let cols = grouped(cells, true);
+    assert_eq!(s.read_dims(), dims, "dims of {name}");
+    assert_eq!(s.read_nnz(), cells.len(), "nnz of {name}");
+
+    let mut entries = Vec::new();
+    s.read_entries(&mut |r, c, v| entries.push(((r, c), v)));
+    let expect: Vec<_> = cells.iter().map(|(&rc, &v)| (rc, v)).collect();
+    assert_eq!(entries, expect, "entries of {name}");
+    // The cursor form sums to the same content.
+    let mut summed = Cells::new();
+    s.with_level_dcsrs(&mut |levels| {
+        for level in levels {
+            for (r, c, v) in level.iter() {
+                *summed.entry((r, c)).or_insert(0) += v;
+            }
+        }
+    });
+    assert_eq!(&summed, cells, "levels of {name}");
+
+    // One probe set per side: first, last and an id nothing stores.
+    let probes = |lines: &BTreeMap<u64, Vec<(u64, u64)>>, dim: u64| -> Vec<u64> {
+        let absent = (0..dim).rev().find(|id| !lines.contains_key(id)).unwrap();
+        let (first, last) = (
+            lines.keys().next().unwrap(),
+            lines.keys().next_back().unwrap(),
+        );
+        vec![*first, *last, absent]
+    };
+    let (row_probes, col_probes) = (probes(&rows, dims.0), probes(&cols, dims.1));
+    let mut got = Vec::new();
+    for &r in &row_probes {
+        let line = rows.get(&r).cloned().unwrap_or_default();
+        s.read_row(r, &mut got);
+        assert_eq!(got, line, "row {r} of {name}");
+        assert_eq!(
+            s.read_row_degree(r),
+            line.len(),
+            "degree of row {r} of {name}"
+        );
+        let sum = (!line.is_empty()).then(|| line.iter().map(|&(_, v)| v).sum::<u64>());
+        assert_eq!(s.read_row_reduce(r), sum, "reduce of row {r} of {name}");
+        for &c in &col_probes {
+            assert_eq!(
+                s.read_get(r, c),
+                cells.get(&(r, c)).copied(),
+                "get of {name}"
+            );
+        }
+    }
+    for &c in &col_probes {
+        let line = cols.get(&c).cloned().unwrap_or_default();
+        s.read_col(c, &mut got);
+        assert_eq!(got, line, "col {c} of {name}");
+        assert_eq!(
+            s.read_col_degree(c),
+            line.len(),
+            "degree of col {c} of {name}"
+        );
+        let sum = (!line.is_empty()).then(|| line.iter().map(|&(_, v)| v).sum::<u64>());
+        assert_eq!(s.read_col_reduce(c), sum, "reduce of col {c} of {name}");
+    }
+
+    let batch = s.read_rows(&row_probes);
+    let expect: Vec<_> = row_probes
+        .iter()
+        .map(|r| rows.get(r).cloned().unwrap_or_default())
+        .collect();
+    assert_eq!(batch, expect, "batched rows of {name}");
+    let keys: Vec<(u64, u64)> = row_probes
+        .iter()
+        .flat_map(|&r| col_probes.iter().map(move |&c| (r, c)))
+        .collect();
+    let expect: Vec<_> = keys.iter().map(|rc| cells.get(rc).copied()).collect();
+    assert_eq!(s.read_get_many(&keys), expect, "batched gets of {name}");
+
+    for k in [0, k, usize::MAX] {
+        assert_eq!(s.read_top_k(k), ranked(&rows, k), "top-{k} of {name}");
+        assert_eq!(s.read_in_top_k(k), ranked(&cols, k), "in-top-{k} of {name}");
+    }
+    assert_eq!(
+        s.read_degree_histogram(),
+        histogram_of(&rows),
+        "histogram of {name}"
+    );
+    assert_eq!(
+        s.read_in_degree_histogram(),
+        histogram_of(&cols),
+        "in-degree histogram of {name}"
+    );
+
+    let mid = |probes: &[u64]| (probes[0] + probes[1]) / 2;
+    for (lo, hi) in [
+        (row_probes[0], mid(&row_probes) + 1),
+        (0, dims.0),
+        (mid(&row_probes), mid(&row_probes)),
+        (row_probes[1], row_probes[0]),
+    ] {
+        let mut got = Vec::new();
+        s.read_row_range(lo, hi, &mut |r, c, v| got.push(((r, c), v)));
+        let expect: Vec<_> = cells
+            .iter()
+            .filter(|&(&(r, _), _)| r >= lo && r < hi)
+            .map(|(&rc, &v)| (rc, v))
+            .collect();
+        assert_eq!(got, expect, "rows {lo}..{hi} of {name}");
+    }
+    for (lo, hi) in [
+        (col_probes[0], mid(&col_probes) + 1),
+        (0, dims.1),
+        (mid(&col_probes), mid(&col_probes)),
+        (col_probes[1], col_probes[0]),
+    ] {
+        let mut got = Vec::new();
+        s.read_col_range(lo, hi, &mut |r, c, v| got.push(((c, r), v)));
+        // Column-major: (col, row) ascending.
+        let mut expect: Vec<_> = cells
+            .iter()
+            .filter(|&(&(_, c), _)| c >= lo && c < hi)
+            .map(|(&(r, c), &v)| ((c, r), v))
+            .collect();
+        expect.sort_unstable();
+        assert_eq!(got, expect, "cols {lo}..{hi} of {name}");
+    }
+}
+
+/// `check_reads` over every level-backed store fed `updates`: the flat
+/// matrix, the hierarchy (pending tail unsettled), a windowed hierarchy
+/// that rotates and evicts mid-stream, and both snapshot captures — one
+/// settled with its stats views, one through `&self` with a pending tail.
+fn check_level_backed_stores(updates: &[(u64, u64, u64)], cuts: &[u64], dim: u64, k: usize) {
+    let cfg = HierConfig::from_cuts(cuts.to_vec()).unwrap();
+    let cells = cells_of(updates);
+
+    let mut flat = Matrix::<u64>::new(dim, dim);
+    let mut hier = HierMatrix::<u64>::new(dim, dim, cfg.clone()).unwrap();
+    for &(r, c, v) in updates {
+        flat.insert(r, c, v).unwrap();
+        hier.insert(r, c, v).unwrap();
+    }
+    check_reads(&mut flat, &cells, (dim, dim), k);
+    // Captured before any read settles the hierarchy: the tail is copied
+    // and the degree answers sweep.
+    let mut tailed = hier.snapshot_ref();
+    check_reads(&mut tailed, &cells, (dim, dim), k);
+    check_reads(&mut hier, &cells, (dim, dim), k);
+    // Both indexes are live now, so their views ride along.
+    let mut settled = hier.snapshot();
+    assert!(settled.has_index() && settled.has_col_index());
+    check_reads(&mut settled, &cells, (dim, dim), k);
+
+    // Four-ish windows, two closed ones retained: the oldest are evicted.
+    let window = (updates.len() as u64 / 4).max(1);
+    let mut windowed = WindowedHierMatrix::<u64>::new(dim, dim, cfg, window, 2).unwrap();
+    for (i, &(r, c, v)) in updates.iter().enumerate() {
+        windowed.insert(r, c, v).unwrap();
+        if i == updates.len() / 2 {
+            // A mid-stream read must survive the rotations that follow.
+            let _ = windowed.read_in_top_k(k);
+        }
+    }
+    let current = (updates.len() as u64 - 1) / window;
+    let first_retained = (current.saturating_sub(2) * window) as usize;
+    assert_eq!(windowed.windows_closed(), current);
+    check_reads(
+        &mut windowed,
+        &cells_of(&updates[first_retained..]),
+        (dim, dim),
+        k,
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
@@ -163,6 +385,105 @@ proptest! {
                 entries.2.push(v);
             });
             prop_assert_eq!(&entries, &expect_entries, "entries of {}", &name);
+        }
+        check_level_backed_stores(&updates, &cuts, DIM, k);
+    }
+}
+
+/// The same battery where packed 32-bit keys cannot reach: `2^40`
+/// dimensions and ids above `2^32`.
+#[test]
+fn level_backed_stores_answer_above_2_pow_32() {
+    const WIDE: u64 = 1 << 40;
+    let updates: Vec<(u64, u64, u64)> = (0..400u64)
+        .map(|i| {
+            let r = (1 << 32) + ((i % 37 + 1) * 20_000_000_019) % (WIDE - (1 << 32));
+            let c = (1 << 33) + ((i * 7 % 53 + 1) * 40_000_000_003) % (WIDE - (1 << 33));
+            (r, c, i % 4 + 1)
+        })
+        .collect();
+    assert!(updates.iter().all(|&(r, c, _)| r > 1 << 32 && c > 1 << 32));
+    check_level_backed_stores(&updates, &[8, 64], WIDE, 5);
+}
+
+/// A retained-window union is a `CursorReader` like any other level store,
+/// so the graph algorithms run over it directly.
+#[test]
+fn pagerank_over_retained_windows_matches_the_materialized_union() {
+    use hyperstream::graphblas::algo::pagerank;
+
+    let cfg = HierConfig::from_cuts(vec![8, 64]).unwrap();
+    let mut windowed = WindowedHierMatrix::<u64>::new(DIM, DIM, cfg, 300, 2).unwrap();
+    for i in 0..1500u64 {
+        windowed
+            .insert((i * 13) % 101, (i * 7 + i / 300) % 101, 1)
+            .unwrap();
+    }
+    assert!(windowed.windows_closed() > windowed.retained_windows() as u64);
+    let mut union = windowed.materialize_retained().unwrap();
+    let got = pagerank(&mut windowed, 0.85, 40, 1e-12);
+    let want = pagerank(&mut union, 0.85, 40, 1e-12);
+    assert_eq!(got.nvals(), want.nvals());
+    for (v, rank) in got.iter() {
+        let expect = want.get(v).expect("same active set");
+        assert!(
+            (rank - expect).abs() < 1e-9,
+            "vertex {v}: {rank} vs {expect}"
+        );
+    }
+}
+
+/// A caller-chosen `k` never sizes an allocation: `usize::MAX` ranks every
+/// row and column through the provided defaults (a defaults-only wrapper,
+/// a baseline store) and through the sharded engine and its snapshot.
+#[test]
+fn hostile_k_ranks_everything() {
+    /// Only the required methods: every other answer is a provided default.
+    struct Defaults(Matrix<u64>);
+    impl MatrixReader<u64> for Defaults {
+        fn reader_name(&self) -> &str {
+            "defaults-only"
+        }
+        fn read_dims(&self) -> (u64, u64) {
+            self.0.read_dims()
+        }
+        fn read_get(&mut self, r: u64, c: u64) -> Option<u64> {
+            self.0.read_get(r, c)
+        }
+        fn read_row(&mut self, r: u64, out: &mut Vec<(u64, u64)>) {
+            self.0.read_row(r, out)
+        }
+        fn read_entries(&mut self, f: &mut dyn FnMut(u64, u64, u64)) {
+            self.0.read_entries(f)
+        }
+    }
+
+    let updates: Vec<(u64, u64, u64)> = (0..500u64).map(|i| (i % 23, (i * 7) % 41, 1)).collect();
+    let cells = cells_of(&updates);
+    let (by_row, by_col) = (
+        ranked(&grouped(&cells, false), usize::MAX),
+        ranked(&grouped(&cells, true), usize::MAX),
+    );
+    let mut flat = Matrix::<u64>::new(DIM, DIM);
+    let mut baseline = RowStore::new();
+    let mut engine = ShardedHierMatrix::<u64>::with_shards(DIM, DIM, 3).unwrap();
+    for &(r, c, v) in &updates {
+        flat.insert(r, c, v).unwrap();
+        baseline.insert(r, c, v).unwrap();
+        engine.insert(r, c, v).unwrap();
+    }
+    let mut snapshot = engine.snapshot().unwrap();
+    let readers: [&mut dyn MatrixReader<u64>; 4] = [
+        &mut Defaults(flat),
+        &mut baseline,
+        &mut engine,
+        &mut snapshot,
+    ];
+    for reader in readers {
+        let name = reader.reader_name().to_string();
+        for k in [usize::MAX, usize::MAX - 1, 1_000_000_000_000] {
+            assert_eq!(reader.read_top_k(k), by_row, "top-{k} of {name}");
+            assert_eq!(reader.read_in_top_k(k), by_col, "in-top-{k} of {name}");
         }
     }
 }

@@ -9,6 +9,7 @@
 //! mid-stream must keep answering the captured state no matter how far the
 //! source streams on.
 
+use hyperstream::graphblas::cursor::*;
 use hyperstream::prelude::*;
 use proptest::prelude::*;
 
@@ -98,11 +99,11 @@ proptest! {
             }
         }
         // Twin-served answers == cursor-sweep fallback == transposed flat.
-        prop_assert_eq!(hier.read_in_top_k(k), hier.sweep_in_top_k(k));
+        prop_assert_eq!(hier.read_in_top_k(k), hier.with_levels(|lv| merged_in_top_k(lv, k)));
         prop_assert_eq!(hier.read_in_top_k(k), reference_top_k(&transposed, k));
         prop_assert_eq!(
             hier.read_in_degree_histogram(),
-            hier.sweep_in_degree_histogram()
+            hier.with_levels(merged_in_degree_histogram)
         );
         prop_assert_eq!(
             hier.read_in_degree_histogram(),
@@ -115,7 +116,7 @@ proptest! {
             let mut got = Vec::new();
             hier.read_col(probe, &mut got);
             let mut swept = Vec::new();
-            hier.sweep_col(probe, &mut swept);
+            hier.with_levels(|lv| merged_col_into(lv, probe, Plus, &mut swept));
             prop_assert_eq!(&got, &swept);
             let mut expect = Vec::new();
             {
@@ -123,9 +124,9 @@ proptest! {
                 t.read_row(probe, &mut expect);
             }
             prop_assert_eq!(&got, &expect);
-            prop_assert_eq!(hier.read_col_degree(probe), hier.sweep_col_degree(probe));
+            prop_assert_eq!(hier.read_col_degree(probe), hier.with_levels(|lv| merged_col_degree(lv, probe)));
             prop_assert_eq!(hier.read_col_degree(probe), expect.len());
-            prop_assert_eq!(hier.read_col_reduce(probe), hier.sweep_col_reduce(probe));
+            prop_assert_eq!(hier.read_col_reduce(probe), hier.with_levels(|lv| merged_col_reduce(lv, probe, Plus)));
         }
         // Column-band scans equal the transposed entries swapped back.
         let (lo, hi) = (updates[0].1.min(updates[updates.len() - 1].1),
@@ -133,7 +134,7 @@ proptest! {
         let mut got = Vec::new();
         hier.read_col_range(lo, hi, &mut |r, c, v| got.push((r, c, v)));
         let mut swept = Vec::new();
-        hier.sweep_col_range(lo, hi, &mut |r, c, v| swept.push((r, c, v)));
+        hier.with_levels(|lv| merged_col_range(lv, lo, hi, Plus, &mut |r, c, v| swept.push((r, c, v))));
         prop_assert_eq!(&got, &swept);
         prop_assert_eq!(got, reference_col_band(&transposed, lo, hi));
         // Batched reads agree with their single-key loops.
@@ -284,26 +285,26 @@ proptest! {
         let (rrows, rcols, rvals) = retained.extract_tuples();
         let retained_t =
             Matrix::from_tuples(DIM, DIM, &rcols, &rrows, &rvals, Plus).unwrap();
-        prop_assert_eq!(w.read_in_top_k(k), w.sweep_in_top_k(k));
+        prop_assert_eq!(w.read_in_top_k(k), w.with_levels(|lv| merged_in_top_k(lv, k)));
         prop_assert_eq!(w.read_in_top_k(k), reference_top_k(&retained_t, k));
         prop_assert_eq!(
             w.read_in_degree_histogram(),
-            w.sweep_in_degree_histogram()
+            w.with_levels(merged_in_degree_histogram)
         );
         let probe = updates[updates.len() - 1].1;
         let mut got = Vec::new();
         w.read_col(probe, &mut got);
         let mut swept = Vec::new();
-        w.sweep_col(probe, &mut swept);
+        w.with_levels(|lv| merged_col_into(lv, probe, Plus, &mut swept));
         prop_assert_eq!(&got, &swept);
         let expect_deg = retained_t.dcsr().row(probe).map_or(0, |(c, _)| c.len());
-        prop_assert_eq!(w.read_col_degree(probe), w.sweep_col_degree(probe));
+        prop_assert_eq!(w.read_col_degree(probe), w.with_levels(|lv| merged_col_degree(lv, probe)));
         prop_assert_eq!(w.read_col_degree(probe), expect_deg);
-        prop_assert_eq!(w.read_col_reduce(probe), w.sweep_col_reduce(probe));
+        prop_assert_eq!(w.read_col_reduce(probe), w.with_levels(|lv| merged_col_reduce(lv, probe, Plus)));
         let mut band = Vec::new();
         w.read_col_range(0, DIM / 2, &mut |r, c, v| band.push((r, c, v)));
         let mut band_swept = Vec::new();
-        w.sweep_col_range(0, DIM / 2, &mut |r, c, v| band_swept.push((r, c, v)));
+        w.with_levels(|lv| merged_col_range(lv, 0, DIM / 2, Plus, &mut |r, c, v| band_swept.push((r, c, v))));
         prop_assert_eq!(band, band_swept);
     }
 }
