@@ -79,6 +79,14 @@ impl<T: ScalarType> Coo<T> {
         c
     }
 
+    /// Room for `additional` more tuples, grown to exactly that when it has
+    /// to grow (see [`Matrix::reserve_pending`](crate::matrix::Matrix)).
+    pub(crate) fn reserve_exact(&mut self, additional: usize) {
+        self.rows.reserve_exact(additional);
+        self.cols.reserve_exact(additional);
+        self.vals.reserve_exact(additional);
+    }
+
     /// Number of rows of the logical matrix.
     pub fn nrows(&self) -> Index {
         self.nrows
@@ -368,12 +376,15 @@ impl<T: ScalarType> Coo<T> {
             }
         }
 
+        // Buffers sized to `n` in one step grow to exactly `n`: doubling
+        // would double them whenever a settle is a tuple longer than any
+        // before it, and the footprint would turn on the order of settles.
         sort_rows.clear();
         sort_cols.clear();
         sort_vals.clear();
-        sort_rows.reserve(n);
-        sort_cols.reserve(n);
-        sort_vals.reserve(n);
+        sort_rows.reserve_exact(n);
+        sort_cols.reserve_exact(n);
+        sort_vals.reserve_exact(n);
 
         if nactive == 0 {
             // Every tuple hits the same cell: fold the values in insertion
@@ -413,8 +424,8 @@ impl<T: ScalarType> Coo<T> {
         // separate planes so the key stream stays contiguous `u64`s — the
         // digit extract vectorises and each scatter store is 8 bytes tight
         // instead of a padded 16-byte pair.
-        radix_keys.resize(n, 0);
-        radix_vals.resize(n, T::default());
+        resize_exact(radix_keys, n, 0);
+        resize_exact(radix_vals, n, T::default());
         {
             let p = active[0];
             let shift = p * digit_bits;
@@ -429,8 +440,8 @@ impl<T: ScalarType> Coo<T> {
             }
         }
         if nactive > 1 {
-            radix_keys_alt.resize(n, 0);
-            radix_vals_alt.resize(n, T::default());
+            resize_exact(radix_keys_alt, n, 0);
+            resize_exact(radix_vals_alt, n, T::default());
         }
         let mut flipped = false; // data currently in radix_keys/radix_vals
         for &p in &active[1..nactive] {
@@ -574,6 +585,12 @@ impl<T: ScalarType> Coo<T> {
             value_bytes: self.vals.capacity() * std::mem::size_of::<T>(),
         }
     }
+}
+
+/// `Vec::resize` that grows the allocation to exactly `n`.
+fn resize_exact<U: Clone>(v: &mut Vec<U>, n: usize, fill: U) {
+    v.reserve_exact(n.saturating_sub(v.len()));
+    v.resize(n, fill);
 }
 
 #[cfg(test)]
@@ -733,6 +750,25 @@ mod tests {
         assert!(c.extend_from_slices(&[0, 1], &[1, 2], &[1, 2]).is_ok());
         assert_eq!(c.len(), 2);
         assert!(c.extend_from_slices(&[0], &[1, 2], &[1, 2]).is_err());
+    }
+
+    #[test]
+    fn a_settle_one_tuple_longer_does_not_double_the_buffers() {
+        // Refilled to 5,000 then 5,001 tuples: buffers and scratch end at
+        // the longer fill, not at twice the shorter.
+        let mut c = Coo::<u64>::new(1 << 32, 1 << 32);
+        let mut scratch = MergeScratch::default();
+        let mut held = Vec::new();
+        for n in [5000u64, 5001] {
+            let rows: Vec<Index> = (0..n).rev().collect();
+            c.clear();
+            c.reserve_exact(rows.len());
+            c.extend_from_slices(&rows, &rows, &rows).unwrap();
+            c.sort_dedup_with(Plus, &mut scratch);
+            assert_eq!(c.len() as u64, n);
+            held.push(c.memory().total() + scratch.memory_bytes());
+        }
+        assert!(held[1] - held[0] < held[0] / 100, "{held:?}");
     }
 
     #[test]

@@ -245,6 +245,16 @@ impl<T: ScalarType> Matrix<T> {
         Ok(())
     }
 
+    /// Room for `additional` more pending tuples, grown to exactly that when
+    /// it has to grow.  [`Matrix::accum_tuples`] alone doubles the buffer,
+    /// which suits one that only grows; a caller that refills it to about
+    /// the same length between settles (the hierarchy's level 0) reserves
+    /// first, so that it holds the longest fill so far and not twice that
+    /// whenever a fill is one tuple longer than any before.
+    pub fn reserve_pending(&mut self, additional: usize) {
+        self.pending.reserve_exact(additional);
+    }
+
     /// Force all pending tuples into the settled structure using `+` on
     /// duplicates (the common accumulate semantics).
     pub fn wait(&mut self) {
@@ -307,14 +317,7 @@ impl<T: ScalarType> Matrix<T> {
 
     /// [`Matrix::accum_matrix`] under an explicit combination operator.
     pub fn accum_matrix_op<Op: BinaryOp<T>>(&mut self, other: &Matrix<T>, op: Op) -> GrbResult<()> {
-        if self.nrows != other.nrows || self.ncols != other.ncols {
-            return Err(GrbError::DimensionMismatch {
-                detail: format!(
-                    "{}x{} vs {}x{}",
-                    self.nrows, self.ncols, other.nrows, other.ncols
-                ),
-            });
-        }
+        self.check_same_dims(other)?;
         // Pending duplicates settle under `+` (exactly as the functional
         // `ewise_add` settles its operands); `op` applies only across the
         // two operands.
@@ -326,6 +329,34 @@ impl<T: ScalarType> Matrix<T> {
             let settled_other = other.to_settled();
             Arc::make_mut(&mut self.settled).merge_into(settled_other.dcsr(), op, &mut self.scratch)
         }
+    }
+
+    /// Exchange the settled structures of two matrices of equal dimensions
+    /// — two pointer swaps, whatever the sizes.  This is how a cascade
+    /// into a level that holds nothing moves its source up instead of
+    /// copying it ([`Matrix::accum_matrix`] into an empty matrix copies
+    /// every entry and leaves the source's buffers allocated behind it).
+    /// Pending tuples stay where they are; both column twins are dropped;
+    /// a snapshot holding either [`Matrix::settled_arc`] keeps reading the
+    /// structure it captured.
+    pub fn swap_settled(&mut self, other: &mut Matrix<T>) -> GrbResult<()> {
+        self.check_same_dims(other)?;
+        std::mem::swap(&mut self.settled, &mut other.settled);
+        self.col_shadow = None;
+        other.col_shadow = None;
+        Ok(())
+    }
+
+    fn check_same_dims(&self, other: &Matrix<T>) -> GrbResult<()> {
+        if self.nrows == other.nrows && self.ncols == other.ncols {
+            return Ok(());
+        }
+        Err(GrbError::DimensionMismatch {
+            detail: format!(
+                "{}x{} vs {}x{}",
+                self.nrows, self.ncols, other.nrows, other.ncols
+            ),
+        })
     }
 
     /// Value at `(row, col)` taking pending tuples into account

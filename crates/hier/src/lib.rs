@@ -46,6 +46,7 @@
 pub mod config;
 #[cfg(feature = "failpoints")]
 pub mod failpoint;
+mod fold;
 pub mod matrix;
 pub mod memtrace;
 pub mod persist;

@@ -1,17 +1,20 @@
 //! The hierarchical hypersparse matrix itself.
 
 use crate::config::HierConfig;
+use crate::fold::BatchFold;
 use crate::persist::{self, manifest, recover, wal, DurableConfig, DurableState, RecoveryReport};
 use crate::stats::HierStats;
 use hyperstream_graphblas::cursor::{merge_levels, merged_nnz};
+use hyperstream_graphblas::formats::coo::RADIX_DIM_MAX;
 use hyperstream_graphblas::formats::dcsr::Dcsr;
 use hyperstream_graphblas::formats::MemoryFootprint;
 use hyperstream_graphblas::ops::binary::Plus;
 use hyperstream_graphblas::ops::monoid::PlusMonoid;
 use hyperstream_graphblas::ops::reduce::reduce_scalar;
+use hyperstream_graphblas::sink::check_tuple_lengths;
 use hyperstream_graphblas::{
-    DegreeIndex, DegreeIndexView, GrbError, GrbResult, Index, LevelStore, Matrix, MatrixSnapshot,
-    ScalarType, StreamingSink,
+    validate_index, DegreeIndex, DegreeIndexView, GrbError, GrbResult, Index, LevelStore, Matrix,
+    MatrixSnapshot, ScalarType, StreamingSink,
 };
 use std::sync::Arc;
 
@@ -55,6 +58,14 @@ pub struct HierMatrix<T> {
     ncols: Index,
     config: HierConfig,
     levels: Vec<Matrix<T>>,
+    /// Raw tuples appended to level 0 since its last settle.  At least
+    /// `levels[0].npending()`, which counts a folded batch's distinct
+    /// cells only; the cascade trigger counts these, so settles and
+    /// cascades fall on the batches they would without the fold.
+    raw_pending: usize,
+    /// The in-batch duplicate fold in front of level 0 (see [`crate::fold`]);
+    /// empty between calls.
+    fold: BatchFold<T>,
     stats: HierStats,
     index: DegreeIndex<T>,
     /// Column-keyed twin of `index`: the same settle events observed with
@@ -79,6 +90,8 @@ impl<T: Clone> Clone for HierMatrix<T> {
             ncols: self.ncols,
             config: self.config.clone(),
             levels: self.levels.clone(),
+            raw_pending: self.raw_pending,
+            fold: BatchFold::new(),
             stats: self.stats.clone(),
             index: self.index.clone(),
             col_index: self.col_index.clone(),
@@ -115,6 +128,8 @@ impl<T: ScalarType> HierMatrix<T> {
             stats: HierStats::new(n_levels),
             config,
             levels,
+            raw_pending: 0,
+            fold: BatchFold::new(),
             index: DegreeIndex::new(),
             col_index: DegreeIndex::new(),
             durable: None,
@@ -168,10 +183,11 @@ impl<T: ScalarType> HierMatrix<T> {
 
     /// Apply one streaming update `A(row, col) += val`.
     pub fn update(&mut self, row: Index, col: Index, val: T) -> GrbResult<()> {
-        if self.durable.is_some() {
-            self.wal_log(&[row], &[col], &[val])?;
-        }
+        validate_index(row, self.nrows)?;
+        validate_index(col, self.ncols)?;
+        self.wal_log(&[row], &[col], &[val])?;
         self.levels[0].accum_element(row, col, val)?;
+        self.raw_pending += 1;
         self.stats.updates += 1;
         self.mark_dirty(0);
         self.maybe_cascade()?;
@@ -180,16 +196,35 @@ impl<T: ScalarType> HierMatrix<T> {
 
     /// Apply a batch of updates given as parallel slices.
     ///
-    /// The whole batch takes the bulk path: one validation pass, one bulk
-    /// extend of the level-0 pending buffer, and one cascade check — which
+    /// The whole batch takes the bulk path: one validation pass, one
+    /// append to the level-0 pending buffer, and one cascade check — which
     /// mirrors how the paper's benchmark feeds 100,000-edge sets into `A_1`.
-    /// The batch applies atomically: on any invalid index nothing is
-    /// inserted.
+    /// The batch applies atomically: on mismatched slice lengths or any
+    /// invalid index nothing is logged and nothing is inserted.
+    ///
+    /// Where the packed `row << 32 | col` key exists (both dimensions at
+    /// most `2^32`) the append goes through the in-batch duplicate fold
+    /// ([`crate::fold`]): a batch whose prefix repeats cells reaches level
+    /// 0 as its distinct cells, each carrying the `+` of its repeats.
+    /// Integer weights wrap exactly as they would unfolded; `f64` weights
+    /// agree up to reassociation (a cell's repeats inside one batch are
+    /// summed before they meet the cell's earlier tuples).
     pub fn update_batch(&mut self, rows: &[Index], cols: &[Index], vals: &[T]) -> GrbResult<()> {
-        if self.durable.is_some() {
-            self.wal_log(rows, cols, vals)?;
+        // The one check a batch gets, before anything changes: it serves
+        // the WAL (replay must be able to apply every record), the fold and
+        // the raw append.  Two branch-free maximum scans.
+        check_tuple_lengths(rows, cols, vals)?;
+        if let (Some(&max_row), Some(&max_col)) = (rows.iter().max(), cols.iter().max()) {
+            validate_index(max_row, self.nrows)?;
+            validate_index(max_col, self.ncols)?;
         }
-        self.levels[0].accum_tuples(rows, cols, vals)?;
+        self.wal_log(rows, cols, vals)?;
+        if self.nrows <= RADIX_DIM_MAX && self.ncols <= RADIX_DIM_MAX {
+            self.fold.append(&mut self.levels[0], rows, cols, vals)?;
+        } else {
+            self.levels[0].accum_tuples(rows, cols, vals)?;
+        }
+        self.raw_pending += rows.len();
         self.stats.updates += rows.len() as u64;
         self.mark_dirty(0);
         self.maybe_cascade()?;
@@ -211,6 +246,7 @@ impl<T: ScalarType> HierMatrix<T> {
         }
         let nupd = a.nvals_settled() + a.npending();
         if self.durable.is_some() {
+            // In bounds and of equal lengths by construction.
             let (r, c, v) = a.extract_tuples();
             self.wal_log(&r, &c, &v)?;
         }
@@ -235,8 +271,8 @@ impl<T: ScalarType> HierMatrix<T> {
     }
 
     /// Upper bound on the number of stored entries at level `i`
-    /// (exact for settled levels; counts pending tuples before duplicate
-    /// collapse for level 0).
+    /// (exact for settled levels; level 0's pending tuples count before
+    /// they collapse with each other across batches and with settled cells).
     pub fn level_entries_bound(&self, level: usize) -> usize {
         self.levels[level].nvals_settled() + self.levels[level].npending()
     }
@@ -260,12 +296,14 @@ impl<T: ScalarType> HierMatrix<T> {
         self.levels.iter().map(|l| l.memory()).collect()
     }
 
-    /// Total bytes across all levels, including the degree index's tables.
+    /// Total bytes across all levels, including the degree index's tables
+    /// and the batch fold's index.
     pub fn memory_bytes(&self) -> usize {
         self.memory_per_level()
             .iter()
             .map(|m| m.total())
             .sum::<usize>()
+            + self.fold.memory_bytes()
             + self.index.memory_bytes()
             + self.col_index.memory_bytes()
     }
@@ -351,6 +389,9 @@ impl<T: ScalarType> HierMatrix<T> {
             // coordinate-agnostic, so this maintains the in-degree stats.
             col_index.observe_settle(cols, rows, vals);
         });
+        if i == 0 {
+            self.raw_pending = 0;
+        }
     }
 
     /// Settle every level's pending tuples in place (cheap — only level 0
@@ -481,6 +522,7 @@ impl<T: ScalarType> HierMatrix<T> {
         for level in &mut self.levels {
             level.clear();
         }
+        self.raw_pending = 0;
         self.index.clear();
         self.col_index.clear();
         self.reset_stats();
@@ -496,8 +538,10 @@ impl<T: ScalarType> HierMatrix<T> {
     /// Run the cascade check starting at level 0, exactly as in the paper:
     /// repeat while `nnz(A_i) > c_i` and `i < N`.
     ///
-    /// The fill proxy for level 0 is its pending-tuple count, which counts
-    /// duplicates; when the proxy trips the cut the level is first settled
+    /// The fill proxy for level 0 is the raw tuples appended since its
+    /// last settle, duplicates included (however many of them the batch
+    /// fold has already collapsed, so that the fold moves no settle); when
+    /// the proxy trips the cut the level is first settled
     /// (cheap — it is cache resident by construction) and the *distinct*
     /// entry count decides whether a cascade really happens.  Duplicate-heavy
     /// streams therefore stay in fast memory, which is the behaviour the
@@ -510,7 +554,12 @@ impl<T: ScalarType> HierMatrix<T> {
                 .config
                 .cut(i)
                 .expect("every level below the top has a cut");
-            if (self.level_entries_bound(i) as u64) <= cut {
+            let unsettled = if i == 0 {
+                self.raw_pending
+            } else {
+                self.levels[i].npending()
+            };
+            if ((self.levels[i].nvals_settled() + unsettled) as u64) <= cut {
                 break;
             }
             if self.levels[i].npending() > 0 {
@@ -537,9 +586,11 @@ impl<T: ScalarType> HierMatrix<T> {
     /// The merge is in place ([`Matrix::accum_matrix`]): the destination
     /// level's old structure becomes its scratch space for the next cascade
     /// and the source level keeps its buffer capacity, so steady-state
-    /// cascading allocates nothing — previously every cascade rebuilt the
-    /// entire destination level on the heap, the single biggest cost on the
-    /// streaming hot path.
+    /// cascading allocates nothing.  Into a destination that holds nothing
+    /// there is nothing to merge: the two levels exchange their structures
+    /// ([`Matrix::swap_settled`]) and no entry is copied — a `flush()`
+    /// through empty upper levels used to copy the whole matrix once per
+    /// level and leave each copy's buffers allocated behind it.
     fn cascade_level(&mut self, i: usize) {
         debug_assert!(i + 1 < self.levels.len());
         crate::failpoint_panic!("hier-cascade");
@@ -552,10 +603,14 @@ impl<T: ScalarType> HierMatrix<T> {
             return;
         }
         let (src_levels, dst_levels) = self.levels.split_at_mut(i + 1);
-        dst_levels[0]
-            .accum_matrix(&src_levels[i])
-            .expect("levels share dimensions by construction");
-        self.levels[i].clear_retaining_capacity();
+        let (src, dst) = (&mut src_levels[i], &mut dst_levels[0]);
+        if dst.is_empty() {
+            dst.swap_settled(src)
+        } else {
+            dst.accum_matrix(src)
+                .map(|()| src.clear_retaining_capacity())
+        }
+        .expect("levels share dimensions by construction");
         self.stats.cascades[i] += 1;
         self.stats.entries_moved[i] += moved;
         self.mark_dirty(i);
@@ -647,6 +702,8 @@ impl<T: ScalarType> HierMatrix<T> {
             ncols: man.ncols,
             config,
             levels,
+            raw_pending: 0,
+            fold: BatchFold::new(),
             stats: HierStats::new(n_levels),
             index: DegreeIndex::new(),
             col_index: DegreeIndex::new(),
@@ -845,34 +902,20 @@ impl<T: ScalarType> HierMatrix<T> {
         }
     }
 
-    /// Log a batch to the WAL *before* it touches the in-memory levels.
+    /// Log a batch to the WAL *before* it touches the in-memory levels
+    /// (no-op when not durable).
     ///
-    /// Pre-validates everything `update_batch` would reject (length
-    /// mismatch, out-of-bounds indices) so the WAL never records a batch
+    /// The caller has already rejected everything the levels would (length
+    /// mismatch, out-of-bounds indices), so the WAL never records a batch
     /// the matrix then refuses — replay must be able to apply every
     /// surviving record.  The append in turn refuses, before writing a
     /// byte, a batch too large for one frame: on any `Err` neither the log
     /// nor the in-memory levels hold the batch.
     fn wal_log(&mut self, rows: &[Index], cols: &[Index], vals: &[T]) -> GrbResult<()> {
-        if rows.len() != cols.len() || rows.len() != vals.len() {
-            return Err(GrbError::DimensionMismatch {
-                detail: format!(
-                    "update batch slices disagree: {} rows, {} cols, {} vals",
-                    rows.len(),
-                    cols.len(),
-                    vals.len()
-                ),
-            });
+        match self.durable.as_mut() {
+            Some(d) => d.wal.append(rows, cols, vals, d.cfg.fsync),
+            None => Ok(()),
         }
-        if let (Some(&max_row), Some(&max_col)) = (rows.iter().max(), cols.iter().max()) {
-            hyperstream_graphblas::validate_index(max_row, self.nrows)?;
-            hyperstream_graphblas::validate_index(max_col, self.ncols)?;
-        }
-        let d = self
-            .durable
-            .as_mut()
-            .expect("wal_log is only called when durable");
-        d.wal.append(rows, cols, vals, d.cfg.fsync)
     }
 
     /// The maintained degree index (settled content only — settle first via
@@ -1054,6 +1097,56 @@ mod tests {
         assert!(m.update(10, 0, 1).is_err());
         assert!(m.update_batch(&[1, 20], &[1, 1], &[1, 1]).is_err());
         assert!(m.update_batch(&[1], &[1, 2], &[1]).is_err());
+    }
+
+    #[test]
+    fn a_rejected_batch_changes_nothing() {
+        // A batch long enough to fold, with repeats for the sample to find.
+        let n = 3 * crate::fold::SAMPLE as u64;
+        let good: Vec<u64> = (0..n).map(|i| i % 500).collect();
+        let dir = std::env::temp_dir().join(format!("hyperstream-reject-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let durable = |dim: u64, sub: &str| {
+            let cfg = DurableConfig::new(dir.join(sub)).fsync(persist::FsyncPolicy::Never);
+            HierMatrix::<u64>::new_durable(dim, dim, small_config(), cfg).unwrap()
+        };
+        // 2^32 takes the folded path, 2^40 (no packed key) the raw one.
+        for (dim, sub) in [(1u64 << 32, "folded"), (1 << 40, "raw")] {
+            let memory = HierMatrix::<u64>::new(dim, dim, small_config()).unwrap();
+            for mut m in [memory, durable(dim, sub)] {
+                m.update_batch(&good, &good, &good).unwrap();
+                let observe = |m: &HierMatrix<u64>| {
+                    let levels: Vec<_> = m
+                        .levels
+                        .iter()
+                        .map(|l| (l.extract_tuples(), l.npending()))
+                        .collect();
+                    let stats = m.stats().clone();
+                    (
+                        m.nvals_exact(),
+                        m.total_weight(),
+                        stats,
+                        m.wal_telemetry(),
+                        levels,
+                        m.raw_pending,
+                    )
+                };
+                let before = observe(&m);
+                // Out of range in the last position only.
+                let mut bad = good.clone();
+                *bad.last_mut().unwrap() = dim;
+                assert!(m.update_batch(&bad, &good, &good).is_err());
+                assert!(m.update_batch(&good, &bad, &good).is_err());
+                // Mismatched lengths, each slice in turn.
+                let short = &good[..good.len() - 1];
+                assert!(m.update_batch(short, &good, &good).is_err());
+                assert!(m.update_batch(&good, short, &good).is_err());
+                assert!(m.update_batch(&good, &good, short).is_err());
+                assert!(m.update(dim, 0, 1).is_err());
+                assert_eq!(observe(&m), before, "dim {dim}, durable {}", m.is_durable());
+            }
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -458,6 +458,12 @@ fn worker_loop<T: ScalarType>(
                 // The engine may already be shutting down; dropping the
                 // buffers then is fine.
                 let _ = recycle.send((rows, cols, vals));
+                // With fewer cores than threads a producer blocked on this
+                // worker's full channel otherwise waits out the whole
+                // backlog (four chunks per shard) in one stall; handing the
+                // core over after each chunk lets it refill the freed slot.
+                // Free when nobody else is runnable on this core.
+                std::thread::yield_now();
             }
             WorkerMsg::Flush => {
                 // Latch a failed flush: the next barrier ack reports it
