@@ -153,18 +153,11 @@ mod tests {
         assert_eq!(pts.len(), 2);
         assert_eq!(pts[0].instances, 1);
         assert_eq!(pts[1].instances, 2);
+        assert_eq!(pts[0].updates, 20_000);
         assert_eq!(pts[1].updates, 40_000);
-        assert!(pts[0].aggregate_rate() > 0.0);
-        // Two instances should deliver more aggregate throughput than one
-        // on any machine with at least two cores; allow generous slack for
-        // single-core CI machines.
-        if std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            >= 2
-        {
-            assert!(pts[1].aggregate_rate() > pts[0].aggregate_rate() * 0.8);
-        }
+        // Both counts ran and were timed.  Which of them was faster is the
+        // host scheduler's answer, not this code's: it is not asserted.
+        assert!(pts.iter().all(|p| p.aggregate_rate() > 0.0));
     }
 
     #[test]

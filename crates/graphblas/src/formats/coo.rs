@@ -209,6 +209,23 @@ impl<T: ScalarType> Coo<T> {
         Ok(())
     }
 
+    /// Drop every tuple from position `len` on (see
+    /// [`Matrix::truncate_pending`](crate::matrix::Matrix)).  The sorted
+    /// flag tracks exactly whether the tuples are strictly increasing, so
+    /// one scan of what is left makes it what it was at that length.
+    pub(crate) fn truncate(&mut self, len: usize) {
+        if len >= self.rows.len() {
+            return;
+        }
+        self.rows.truncate(len);
+        self.cols.truncate(len);
+        self.vals.truncate(len);
+        if !self.sorted_dedup {
+            let keys = || self.rows.iter().zip(&self.cols);
+            self.sorted_dedup = keys().zip(keys().skip(1)).all(|(a, b)| a < b);
+        }
+    }
+
     /// Remove all tuples, keeping the allocation.
     pub fn clear(&mut self) {
         self.rows.clear();
@@ -769,6 +786,30 @@ mod tests {
             held.push(c.memory().total() + scratch.memory_bytes());
         }
         assert!(held[1] - held[0] < held[0] / 100, "{held:?}");
+    }
+
+    #[test]
+    fn truncate_takes_an_append_back_sorted_flag_included() {
+        let mut c = Coo::<u64>::new(100, 100);
+        c.extend_from_slices(&[1, 2, 5], &[9, 0, 5], &[1, 1, 1])
+            .unwrap();
+        let held = c.clone();
+        // An append that breaks the order, taken back: equal to a list the
+        // append never reached, so the next settle still skips the sort.
+        c.extend_from_slices(&[5, 0], &[5, 0], &[7, 7]).unwrap();
+        assert!(!c.is_sorted_dedup());
+        c.truncate(3);
+        assert_eq!(c, held);
+        assert!(c.is_sorted_dedup());
+        // A cut that leaves the out-of-order pair in stays unsorted; a
+        // length past the end changes nothing; a cut to nothing is sorted.
+        c.push(0, 0, 7);
+        c.push(3, 3, 7);
+        c.truncate(4);
+        c.truncate(9);
+        assert_eq!((c.len(), c.is_sorted_dedup()), (4, false));
+        c.truncate(0);
+        assert!(c.is_empty() && c.is_sorted_dedup());
     }
 
     #[test]

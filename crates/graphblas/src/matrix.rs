@@ -255,6 +255,16 @@ impl<T: ScalarType> Matrix<T> {
         self.pending.reserve_exact(additional);
     }
 
+    /// Take back the pending tuples from position `len` on, as if they had
+    /// never been appended (no-op when there are no more than `len`).  For a
+    /// caller that appends first and may then have to refuse the batch: the
+    /// durable hierarchy logs what its level 0 kept of a batch, and a batch
+    /// whose log append fails must leave no trace in memory either.  `len`
+    /// is an [`Matrix::npending`] read since the last settle.
+    pub fn truncate_pending(&mut self, len: usize) {
+        self.pending.truncate(len);
+    }
+
     /// Force all pending tuples into the settled structure using `+` on
     /// duplicates (the common accumulate semantics).
     pub fn wait(&mut self) {

@@ -101,13 +101,15 @@ impl<T: Clone> Clone for HierMatrix<T> {
 }
 
 /// Clean shutdown flushes the WAL tail to stable storage, so the next
-/// open never sees a torn tail after an orderly drop.  Errors are
+/// open never sees a torn tail after an orderly drop, and unlinks the files
+/// a cascade's checkpoint retired if no later call got to it.  Errors are
 /// swallowed — a failing disk at drop time has nowhere to report to, and
 /// recovery handles the resulting state anyway.
 impl<T> Drop for HierMatrix<T> {
     fn drop(&mut self) {
         if let Some(d) = self.durable.as_mut() {
             let _ = d.wal.sync();
+            d.remove_retired();
         }
     }
 }
@@ -182,11 +184,16 @@ impl<T: ScalarType> HierMatrix<T> {
     }
 
     /// Apply one streaming update `A(row, col) += val`.
+    ///
+    /// Logged in [`HierMatrix::update_batch`]'s order (append, log, take
+    /// back on `Err`) although one tuple has nothing to fold: one order
+    /// means one roll-back, which the single-update crash properties drive.
     pub fn update(&mut self, row: Index, col: Index, val: T) -> GrbResult<()> {
         validate_index(row, self.nrows)?;
         validate_index(col, self.ncols)?;
-        self.wal_log(&[row], &[col], &[val])?;
+        let appended_from = self.levels[0].npending();
         self.levels[0].accum_element(row, col, val)?;
+        self.wal_log_appended(appended_from)?;
         self.raw_pending += 1;
         self.stats.updates += 1;
         self.mark_dirty(0);
@@ -209,21 +216,30 @@ impl<T: ScalarType> HierMatrix<T> {
     /// Integer weights wrap exactly as they would unfolded; `f64` weights
     /// agree up to reassociation (a cell's repeats inside one batch are
     /// summed before they meet the cell's earlier tuples).
+    ///
+    /// A durable matrix logs **what level 0 kept** of the batch — its
+    /// distinct cells where the fold engaged, its raw tuples where it did
+    /// not — as one WAL frame, after the append and before statistics,
+    /// cascade or checkpoint learn of the batch.  If the log refuses the
+    /// frame the appended tuples are cut off level 0 again, so the batch is
+    /// still atomic and still never acknowledged before it is logged (the
+    /// argument is in [`crate::persist`]).
     pub fn update_batch(&mut self, rows: &[Index], cols: &[Index], vals: &[T]) -> GrbResult<()> {
         // The one check a batch gets, before anything changes: it serves
-        // the WAL (replay must be able to apply every record), the fold and
-        // the raw append.  Two branch-free maximum scans.
+        // the fold, the raw append and the WAL (replay must be able to
+        // apply every record).  Two branch-free maximum scans.
         check_tuple_lengths(rows, cols, vals)?;
         if let (Some(&max_row), Some(&max_col)) = (rows.iter().max(), cols.iter().max()) {
             validate_index(max_row, self.nrows)?;
             validate_index(max_col, self.ncols)?;
         }
-        self.wal_log(rows, cols, vals)?;
+        let appended_from = self.levels[0].npending();
         if self.nrows <= RADIX_DIM_MAX && self.ncols <= RADIX_DIM_MAX {
             self.fold.append(&mut self.levels[0], rows, cols, vals)?;
         } else {
             self.levels[0].accum_tuples(rows, cols, vals)?;
         }
+        self.wal_log_appended(appended_from)?;
         self.raw_pending += rows.len();
         self.stats.updates += rows.len() as u64;
         self.mark_dirty(0);
@@ -245,10 +261,12 @@ impl<T: ScalarType> HierMatrix<T> {
             });
         }
         let nupd = a.nvals_settled() + a.npending();
-        if self.durable.is_some() {
-            // In bounds and of equal lengths by construction.
+        if let Some(d) = self.durable.as_mut() {
+            d.remove_retired();
+            // Logged before it is applied (the merge below leaves nothing
+            // to take back); in bounds and of equal lengths by construction.
             let (r, c, v) = a.extract_tuples();
-            self.wal_log(&r, &c, &v)?;
+            d.wal.append(&r, &c, &v, d.cfg.fsync)?;
         }
         // `accum_matrix` settles level 0 internally; settle through the
         // observed path first so the index sees the dedup-unpack, then feed
@@ -574,9 +592,10 @@ impl<T: ScalarType> HierMatrix<T> {
         }
         // Checkpoint when a cascade chain completes: level 0 is empty at
         // this point, so the settled levels are the complete state and
-        // the WAL can rotate empty (cascade-as-compaction).
+        // the WAL can rotate empty (cascade-as-compaction).  The files it
+        // retires are unlinked by the next call, not on this slow batch.
         if cascaded && self.durable.is_some() {
-            self.checkpoint()?;
+            self.commit_checkpoint()?;
         }
         Ok(())
     }
@@ -665,6 +684,7 @@ impl<T: ScalarType> HierMatrix<T> {
             dirty: vec![false; n_levels],
             report: None,
             level_buf: Vec::new(),
+            retired: Vec::new(),
             retired_appends: 0,
             retired_syncs: 0,
         }));
@@ -738,6 +758,7 @@ impl<T: ScalarType> HierMatrix<T> {
             dirty,
             report: Some(report),
             level_buf: Vec::new(),
+            retired: Vec::new(),
             retired_appends: 0,
             retired_syncs: 0,
         }));
@@ -822,10 +843,23 @@ impl<T: ScalarType> HierMatrix<T> {
     /// leaves `self` still consistently backed by the previous
     /// checkpoint + WAL.
     ///
-    /// No-op on a non-durable matrix; called automatically when a cascade
-    /// chain completes, on [`HierMatrix::flush`], and on
-    /// [`HierMatrix::clear`].
+    /// No-op on a non-durable matrix; called on [`HierMatrix::flush`] and
+    /// [`HierMatrix::clear`], and when it returns the directory holds only
+    /// what the manifest references.  A completed cascade chain triggers
+    /// the same commit without the unlinks: the retired files stay queued
+    /// until the next update call, `flush()`, `clear()`, `checkpoint()` or
+    /// drop (a crash in between leaves what every reopen sweeps).
     pub fn checkpoint(&mut self) -> GrbResult<()> {
+        self.commit_checkpoint()?;
+        if let Some(d) = self.durable.as_mut() {
+            d.remove_retired();
+        }
+        Ok(())
+    }
+
+    /// [`HierMatrix::checkpoint`] up to and including the manifest commit;
+    /// the files it retires are queued in [`DurableState::retired`].
+    fn commit_checkpoint(&mut self) -> GrbResult<()> {
         if self.durable.is_none() {
             return Ok(());
         }
@@ -873,8 +907,8 @@ impl<T: ScalarType> HierMatrix<T> {
             levels: new_entries.clone(),
         };
         manifest::write(&dir, &man)?;
-        // Committed: swap in-memory state and retire the old generation's
-        // files (best-effort — reopen sweeps leftovers).
+        // Committed: swap in-memory state and queue the old generation's
+        // files for removal (best-effort — reopen sweeps leftovers).
         let old_wal_gen = d.wal_gen;
         let old_entries = std::mem::replace(&mut d.levels, new_entries);
         let retired = std::mem::replace(&mut d.wal, new_wal);
@@ -888,10 +922,11 @@ impl<T: ScalarType> HierMatrix<T> {
         }
         for (old, new) in old_entries.iter().zip(d.levels.iter()) {
             if old.gen != 0 && old.gen != new.gen {
-                let _ = std::fs::remove_file(dir.join(manifest::level_file_name(old.gen)));
+                d.retired.push(dir.join(manifest::level_file_name(old.gen)));
             }
         }
-        let _ = std::fs::remove_file(dir.join(manifest::wal_file_name(old_wal_gen)));
+        d.retired
+            .push(dir.join(manifest::wal_file_name(old_wal_gen)));
         Ok(())
     }
 
@@ -902,20 +937,30 @@ impl<T: ScalarType> HierMatrix<T> {
         }
     }
 
-    /// Log a batch to the WAL *before* it touches the in-memory levels
-    /// (no-op when not durable).
+    /// Log the pending tuples this call appended to level 0 — everything
+    /// from position `from` on — as one WAL frame, or take them back (no-op
+    /// when not durable).
     ///
     /// The caller has already rejected everything the levels would (length
     /// mismatch, out-of-bounds indices), so the WAL never records a batch
-    /// the matrix then refuses — replay must be able to apply every
-    /// surviving record.  The append in turn refuses, before writing a
-    /// byte, a batch too large for one frame: on any `Err` neither the log
-    /// nor the in-memory levels hold the batch.
-    fn wal_log(&mut self, rows: &[Index], cols: &[Index], vals: &[T]) -> GrbResult<()> {
-        match self.durable.as_mut() {
-            Some(d) => d.wal.append(rows, cols, vals, d.cfg.fsync),
-            None => Ok(()),
+    /// replay would refuse.  The append in turn refuses a batch too large
+    /// for one frame and rolls a partial write back: on any `Err` the frame
+    /// is not in the log, and cutting level 0 back to `from` (its sorted
+    /// flag with it) takes the batch out of memory — nothing but the
+    /// pending buffer has seen it yet.
+    fn wal_log_appended(&mut self, from: usize) -> GrbResult<()> {
+        let Some(d) = self.durable.as_mut() else {
+            return Ok(());
+        };
+        d.remove_retired();
+        let (rows, cols, vals) = self.levels[0].pending_parts();
+        let logged = d
+            .wal
+            .append(&rows[from..], &cols[from..], &vals[from..], d.cfg.fsync);
+        if logged.is_err() {
+            self.levels[0].truncate_pending(from);
         }
+        logged
     }
 
     /// The maintained degree index (settled content only — settle first via
@@ -1064,6 +1109,7 @@ mod tests {
     use super::*;
     use hyperstream_graphblas::cursor::*;
     use hyperstream_graphblas::MatrixReader;
+    use std::path::{Path, PathBuf};
 
     fn small_config() -> HierConfig {
         HierConfig::from_cuts(vec![8, 64, 512]).unwrap()
@@ -1702,15 +1748,7 @@ mod tests {
 
     #[test]
     fn repeated_checkpoints_reuse_the_level_encode_buffer() {
-        let dir = std::env::temp_dir().join(format!("hyperstream-ckpt-buf-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let mut m = HierMatrix::<u64>::new_durable(
-            1 << 20,
-            1 << 20,
-            small_config(),
-            DurableConfig::new(&dir).fsync(persist::FsyncPolicy::Never),
-        )
-        .unwrap();
+        let (dir, mut m) = scratch_store("ckpt-buf", 1 << 20, small_config());
         let level_buf = |m: &HierMatrix<u64>| {
             let buf = &m.durable.as_ref().unwrap().level_buf;
             (buf.as_ptr(), buf.capacity())
@@ -1725,6 +1763,138 @@ mod tests {
         m.flush().unwrap();
         assert_eq!(level_buf(&m), first);
         assert_eq!(m.get(7, 7), Some(14));
+        drop(m);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A fresh durable `u64` matrix under `std::env::temp_dir()`, fsync off.
+    fn scratch_store(name: &str, dim: u64, config: HierConfig) -> (PathBuf, HierMatrix<u64>) {
+        let dir = std::env::temp_dir().join(format!("hyperstream-{name}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cfg = DurableConfig::new(&dir).fsync(persist::FsyncPolicy::Never);
+        let m = HierMatrix::new_durable(dim, dim, config, cfg).unwrap();
+        (dir, m)
+    }
+
+    /// What a frame holds, pinned in bytes: a batch grows the log by one
+    /// 12-byte frame header and 24 bytes per tuple *level 0 kept*.
+    #[test]
+    fn a_wal_frame_holds_what_level_0_kept_of_the_batch() {
+        const FRAME: u64 = 12;
+        const TUPLE: u64 = 24;
+        let n = 100_000u64;
+        let repeating: Vec<u64> = (0..n).map(|i| i % 1000).collect();
+        let distinct: Vec<u64> = (0..n).collect();
+        let short: Vec<u64> = (0..crate::fold::SAMPLE as u64 - 1)
+            .map(|i| i % 10)
+            .collect();
+        let ones = vec![1u64; n as usize];
+        // (dimension, batch, tuples the frame must hold)
+        let cases = [
+            (1u64 << 32, &repeating, 1000),
+            (1 << 32, &distinct, n),
+            (1 << 32, &short, short.len() as u64),
+            // No packed key above 2^32: no fold, the raw tuples are logged.
+            (1 << 40, &repeating, n),
+        ];
+        for (case, (dim, batch, kept)) in cases.into_iter().enumerate() {
+            let (dir, mut m) = scratch_store("frame", dim, HierConfig::paper_default());
+            let wal = dir.join(manifest::wal_file_name(1));
+            let len = || std::fs::metadata(&wal).unwrap().len();
+            // A tail already pending: the frame starts where this call did.
+            m.update_batch(&[7, 3], &[7, 3], &[1, 1]).unwrap();
+            let before = len();
+            m.update_batch(batch, batch, &ones[..batch.len()]).unwrap();
+            assert_eq!(len() - before, FRAME + TUPLE * kept, "case {case}");
+            assert_eq!(m.stats().updates, 2 + batch.len() as u64);
+            assert_eq!(m.wal_telemetry(), Some((2, 0)));
+            let want = m.materialize_ref().extract_tuples();
+            drop(m);
+            let records = wal::scan::<u64>(&wal).unwrap().records;
+            assert_eq!(records.len(), 2, "case {case}: one record a batch");
+            assert_eq!(records[1].rows.len() as u64, kept, "case {case}");
+            let reopened = HierMatrix::<u64>::open(&dir).unwrap();
+            assert_eq!(reopened.recovery_report().unwrap().wal_records_replayed, 2);
+            assert_eq!(reopened.materialize_ref().extract_tuples(), want);
+            drop(reopened);
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
+    }
+
+    /// A cascade's checkpoint leaves the generation it retires on disk;
+    /// every next call, and a reopen after a kill, leaves exactly what the
+    /// manifest references.
+    #[test]
+    fn retired_files_go_with_the_next_call_not_the_checkpoint_batch() {
+        use std::collections::BTreeSet;
+        let on_disk = |dir: &Path| -> BTreeSet<String> {
+            std::fs::read_dir(dir)
+                .unwrap()
+                .map(|e| e.unwrap().file_name().into_string().unwrap())
+                .collect()
+        };
+        let referenced = |m: &HierMatrix<u64>| -> BTreeSet<String> {
+            let d = m.durable.as_ref().unwrap();
+            let levels = d.levels.iter().filter(|l| l.gen != 0);
+            levels
+                .map(|l| manifest::level_file_name(l.gen))
+                .chain([manifest::wal_file_name(d.wal_gen), "MANIFEST".into()])
+                .collect()
+        };
+        let (dir, mut m) = scratch_store("retired", 1 << 20, small_config());
+        // Twenty new cells overflow level 0's cut of 8: cascade, checkpoint.
+        let mut next = 0u64;
+        let mut cascade = |m: &mut HierMatrix<u64>| {
+            let cells: Vec<u64> = (next..next + 20).collect();
+            next += 20;
+            let checkpointed = m.durable.as_ref().unwrap().wal_gen;
+            m.update_batch(&cells, &cells, &cells).unwrap();
+            assert_ne!(m.durable.as_ref().unwrap().wal_gen, checkpointed);
+        };
+
+        cascade(&mut m);
+        let first_wal = manifest::wal_file_name(1);
+        assert!(
+            on_disk(&dir).contains(&first_wal),
+            "unlinked on the stall path"
+        );
+        assert!(!referenced(&m).contains(&first_wal));
+        cascade(&mut m);
+        // The first call after it sweeps; these two retired a level file too.
+        assert_eq!(on_disk(&dir).len(), referenced(&m).len() + 2);
+        m.update(1, 2, 3).unwrap();
+        assert_eq!(on_disk(&dir), referenced(&m), "after update");
+        cascade(&mut m);
+        m.update_batch(&[1], &[2], &[3]).unwrap();
+        assert_eq!(on_disk(&dir), referenced(&m), "after update_batch");
+        cascade(&mut m);
+        m.flush().unwrap();
+        assert_eq!(on_disk(&dir), referenced(&m), "after flush");
+        cascade(&mut m);
+        m.clear();
+        assert_eq!(on_disk(&dir), referenced(&m), "after clear");
+        assert_eq!(referenced(&m).len(), 2, "an empty store: manifest and log");
+        cascade(&mut m);
+        cascade(&mut m);
+        let (kept, want) = (referenced(&m), m.materialize_ref().extract_tuples());
+        assert!(on_disk(&dir).len() > kept.len());
+        drop(m);
+        assert_eq!(on_disk(&dir), kept, "after drop");
+
+        // Killed between the checkpoint and the next call: the leftovers
+        // are what every open sweeps.
+        let mut m = HierMatrix::<u64>::open(&dir).unwrap();
+        assert_eq!(m.materialize_ref().extract_tuples(), want);
+        cascade(&mut m);
+        let (kept, want) = (referenced(&m), m.materialize_ref().extract_tuples());
+        assert!(on_disk(&dir).len() > kept.len());
+        std::mem::forget(m);
+        let m = HierMatrix::<u64>::open(&dir).unwrap();
+        assert_eq!(on_disk(&dir), kept, "after a kill and a reopen");
+        assert_eq!(referenced(&m), kept);
+        assert_eq!(m.materialize_ref().extract_tuples(), want);
+        let report = m.recovery_report().unwrap();
+        assert!(!report.torn_tail_truncated && report.corrupt_levels.is_empty());
         drop(m);
         std::fs::remove_dir_all(&dir).unwrap();
     }

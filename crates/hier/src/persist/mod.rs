@@ -35,6 +35,30 @@
 //! Because ⊕ is associative and commutative, replaying WAL records on top
 //! of checkpointed levels reproduces the represented matrix regardless of
 //! where the cascade schedule was interrupted.
+//!
+//! ## What a frame holds, and when it is written
+//!
+//! The hierarchy absorbs repeated cells in fast memory, and the log rides
+//! on that: a batch is first appended to level 0's pending buffer — through
+//! the in-batch fold, which keeps 34k distinct cells of a 100k-tuple batch
+//! of the paper's stream — and its frame carries exactly the tuples that
+//! append added, not the slices the caller sent.  The order is append →
+//! log → acknowledge.  If the log refuses the frame (too large, an I/O
+//! error, a failed fsync) the appended tuples are cut off the pending
+//! buffer before the error returns, so neither side holds the batch:
+//! statistics, cascade and checkpoint run after the log, `&mut self` keeps
+//! readers out, and a crash in the interval loses memory that was never
+//! acknowledged.  An `Ok` means what it meant: the frame is in the log,
+//! fsynced where the [`FsyncPolicy`] says so.  Replay settles on a schedule
+//! of its own (it counts logged tuples, the live matrix counted raw ones):
+//! nothing for integer weights, at most the order of an `f64` sum.
+//!
+//! A commit leaves the previous generation's files unreferenced.  Unlinking
+//! them costs 2–3 ms on what is already the slowest batch around, so the
+//! checkpoint a cascade triggers only *queues* them: the next update call
+//! unlinks them before it logs, `flush()`, `clear()` and `checkpoint()`
+//! before they return, and so does drop.  A crash in between leaves what
+//! every open already sweeps.
 
 pub mod format;
 pub mod manifest;
@@ -48,23 +72,22 @@ use std::path::PathBuf;
 ///
 /// | Policy | Durability on crash | Measured ingest window vs. in-memory |
 /// |---|---|---|
-/// | `EveryBatch` | every acknowledged batch | 1.15–1.3x the `Never` window (`persist.every_batch_tax`) |
+/// | `EveryBatch` | every acknowledged batch | 1.1–1.3x the `Never` window (`persist.every_batch_tax`) |
 /// | `EveryN(n)`  | all but the last `< n` batches | between the two |
-/// | `Never`      | only checkpointed levels | 2.14x (`persist.ingest_tax`; 3.88x before the sliced CRC) |
+/// | `Never`      | only checkpointed levels | 1.8–2.1x (`persist.ingest_tax`; 2.1–2.5x while frames held raw tuples, 3.88x before the sliced CRC) |
 ///
 /// Measured by `benchmark/run.sh --trace --workload durable_ingest` (2M
-/// power-law updates in 100k batches, 20 WAL frames and 4 checkpoints,
-/// medians of three runs alternated with the previous commit on one
-/// host).  Every byte written or read back goes through [`Crc32`]; moving
-/// it from a bytewise table loop (0.35 GB/s here) to slicing-by-16
-/// (1.84 GB/s) and encoding frames and level files in one pass took
-/// `persist.ingest_tax` from 3.88 to 2.14 and a clean reopen of the 7.7 MB
-/// store (`persist.open_clean_ms`) from 27.0 ms to 8.5 ms, with byte
-/// counts, frame counts and checkpoint counts unchanged.  The format did
-/// not change; stores written before this PR open after it and vice
-/// versa.  What is left of the tax is checkpoint volume (each completed
-/// cascade chain rewrites its dirty levels whole) and the
-/// fsync → rename → manifest chain behind every checkpoint.
+/// power-law updates in 100k batches, 20 WAL frames and 4 checkpoints, on
+/// one host against the previous commit).  The format never changed on the
+/// way down: slicing-by-16 [`Crc32`] (1.84 GB/s here, bytewise 0.35) and
+/// single-pass encoding took the tax from 3.88 to 2.14; frames that hold
+/// what level 0 kept of a batch (see the [module text](self)) write 19.56
+/// bytes per raw update, was 35.42 (`persist.wchar_per_update`, exact), a
+/// plain batch's append costs 0.85 ms, was 2.6, and every policy fsyncs a
+/// third of the bytes it did.  What is left is the checkpoint: each
+/// completed cascade chain rewrites its dirty levels whole (encode + CRC,
+/// write, fsync) and commits through fsync → rename → manifest, 9–19 ms
+/// on top of a 5–9 ms cascade batch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FsyncPolicy {
     /// Fsync the WAL after every appended batch: an `Ok` from an update
@@ -356,11 +379,24 @@ pub(crate) struct DurableState {
     /// steady-state checkpoints allocate nothing.  I/O scratch, not matrix
     /// content: it is not part of `memory_bytes()`.
     pub(crate) level_buf: Vec<u8>,
+    /// Files the committed manifest stopped referencing that are still on
+    /// disk, queued by a checkpoint for [`DurableState::remove_retired`].
+    pub(crate) retired: Vec<PathBuf>,
     /// WAL frames appended by writers already retired by checkpoint
     /// rotation (the live writer's own count is added on read).
     pub(crate) retired_appends: u64,
     /// Fsyncs issued by retired WAL writers.
     pub(crate) retired_syncs: u64,
+}
+
+impl DurableState {
+    /// Unlink the queued [`DurableState::retired`] files.  Best-effort:
+    /// they are unreferenced, and whatever survives the next open sweeps.
+    pub(crate) fn remove_retired(&mut self) {
+        for path in self.retired.drain(..) {
+            let _ = std::fs::remove_file(path);
+        }
+    }
 }
 
 #[cfg(test)]

@@ -8,6 +8,11 @@
 //! payload:           rows[n] u64 LE | cols[n] u64 LE | valbits[n] u64 LE   (n = len / 24)
 //! ```
 //!
+//! One frame is one acknowledged update call, and `n` counts the tuples
+//! that call added to level 0's pending buffer: a batch's distinct cells
+//! where the in-batch fold engaged (each carrying the `+` of its repeats),
+//! its raw tuples where it did not, one tuple for a single update.
+//!
 //! Frames carry a monotonically increasing sequence number starting at 0
 //! for each WAL generation.  Replay stops at the first frame that fails
 //! any check — short header, bad length, CRC mismatch, out-of-order
@@ -151,7 +156,8 @@ impl WalWriter {
     ///
     /// On `Err` the frame is not in the log: a partial write is rolled
     /// back to the last complete frame, so frames appended later stay
-    /// reachable by [`scan`].
+    /// reachable by [`scan`] — and the caller, which has the tuples in
+    /// level 0 already, takes them out again.
     pub(crate) fn append<T: ScalarType>(
         &mut self,
         rows: &[u64],

@@ -26,9 +26,15 @@ pub fn row_hash(row: Index) -> u64 {
 /// then row ascending.  One combine rule shared by every disjoint-row
 /// engine so their tie-breaking can never diverge.
 pub(crate) fn rerank_top_k(mut all: Vec<(Index, usize)>, k: usize) -> Vec<(Index, usize)> {
-    all.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+    all.sort_by(by_rank);
     all.truncate(k);
     all
+}
+
+/// The one ranking order of `(id, degree)` pairs: degree descending, then
+/// id ascending.
+fn by_rank(a: &(Index, usize), b: &(Index, usize)) -> std::cmp::Ordering {
+    b.1.cmp(&a.1).then(a.0.cmp(&b.0))
 }
 
 /// Sum per-part degree histograms from disjoint-row parts: every row is
@@ -45,47 +51,71 @@ pub(crate) fn sum_histograms(
     counts
 }
 
-/// Sum per-part `(column, degree)` partials from parts that own disjoint
-/// **row** sets.  Columns are *not* disjoint across row-partitioned parts
-/// — one column's cells split over every part — so, unlike the row-side
-/// top-k, partial rankings cannot be re-ranked: the per-column degrees
-/// must be summed first and ranked afterwards.
-pub(crate) fn sum_col_degrees(
-    parts: impl IntoIterator<Item = Vec<(Index, usize)>>,
-) -> std::collections::BTreeMap<Index, usize> {
-    let mut degrees = std::collections::BTreeMap::new();
-    for part in parts {
-        for (c, d) in part {
-            *degrees.entry(c).or_insert(0) += d;
+/// Ranks of a summed in-degree map that are ranked when it is built — the
+/// cover of the degree index's own top-k cache.
+const IN_TOP_READY: usize = 128;
+
+/// The column → in-degree map over parts that own disjoint **row** sets
+/// (instances, shards, shard snapshots), with its top ranks beside it.
+///
+/// Columns are *not* disjoint across row-partitioned parts — one column's
+/// cells split over every part — so, unlike the row-side top-k, partial
+/// rankings cannot be re-ranked: the per-column degrees must be summed
+/// first and ranked afterwards.  Holders cache the sum; the ranking is done
+/// once, here, so a burst of ranking reads against a cached sum copies a
+/// prefix instead of sorting every column per read.
+#[derive(Debug)]
+pub(crate) struct SummedInDegrees {
+    degrees: std::collections::BTreeMap<Index, usize>,
+    /// The first [`IN_TOP_READY`] ranks (or all there are), in
+    /// [`rerank_top_k`]'s order.
+    top: Vec<(Index, usize)>,
+}
+
+impl SummedInDegrees {
+    /// Sum per-part `(column, degree)` partials and rank the top.
+    pub(crate) fn sum(parts: impl IntoIterator<Item = Vec<(Index, usize)>>) -> Self {
+        let mut degrees = std::collections::BTreeMap::new();
+        for part in parts {
+            for (c, d) in part {
+                *degrees.entry(c).or_insert(0) += d;
+            }
+        }
+        let top = rank(&degrees, IN_TOP_READY);
+        Self { degrees, top }
+    }
+
+    /// The `k` highest in-degree columns.
+    pub(crate) fn top_k(&self, k: usize) -> Vec<(Index, usize)> {
+        if k <= self.top.len() || self.top.len() == self.degrees.len() {
+            self.top[..k.min(self.top.len())].to_vec()
+        } else {
+            rank(&self.degrees, k)
         }
     }
-    degrees
-}
 
-/// Rank a summed column→degree map (degree descending, column ascending)
-/// and keep the first `k` — the in-degree combine rule paired with
-/// [`sum_col_degrees`], mirroring [`rerank_top_k`]'s tie-breaking.
-pub(crate) fn rank_col_degrees(
-    degrees: &std::collections::BTreeMap<Index, usize>,
-    k: usize,
-) -> Vec<(Index, usize)> {
-    let mut all: Vec<(Index, usize)> = degrees.iter().map(|(&c, &d)| (c, d)).collect();
-    all.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-    all.truncate(k);
-    all
-}
-
-/// Histogram of a summed column→degree map — the in-degree mirror of
-/// [`sum_histograms`], which would over-count columns whose cells split
-/// across parts if applied to per-part in-degree histograms.
-pub(crate) fn col_degree_histogram(
-    degrees: &std::collections::BTreeMap<Index, usize>,
-) -> std::collections::BTreeMap<u64, u64> {
-    let mut counts = std::collections::BTreeMap::new();
-    for &d in degrees.values() {
-        *counts.entry(d as u64).or_insert(0) += 1;
+    /// The in-degree histogram — the mirror of [`sum_histograms`], which
+    /// would over-count columns whose cells split across parts if applied
+    /// to per-part in-degree histograms.
+    pub(crate) fn histogram(&self) -> std::collections::BTreeMap<u64, u64> {
+        let mut counts = std::collections::BTreeMap::new();
+        for &d in self.degrees.values() {
+            *counts.entry(d as u64).or_insert(0) += 1;
+        }
+        counts
     }
-    counts
+}
+
+/// The first `k` of `degrees` by rank: a selection of the `k` best, then a
+/// sort of those alone.
+fn rank(degrees: &std::collections::BTreeMap<Index, usize>, k: usize) -> Vec<(Index, usize)> {
+    let mut all: Vec<(Index, usize)> = degrees.iter().map(|(&c, &d)| (c, d)).collect();
+    if (1..all.len()).contains(&k) {
+        all.select_nth_unstable_by(k, by_rank);
+    }
+    all.truncate(k);
+    all.sort_unstable_by(by_rank);
+    all
 }
 
 /// Reusable per-shard staging buffers for partitioning a tuple stream.
@@ -325,7 +355,7 @@ impl<T: ScalarType> InstancePool<T> {
                 m.read_in_top_k(bound)
             })
             .collect();
-        rank_col_degrees(&sum_col_degrees(parts), k)
+        SummedInDegrees::sum(parts).top_k(k)
     }
 
     /// In-degree of one column across the pool (per-instance column-index
@@ -348,7 +378,7 @@ impl<T: ScalarType> InstancePool<T> {
                 m.read_in_top_k(bound)
             })
             .collect();
-        col_degree_histogram(&sum_col_degrees(parts))
+        SummedInDegrees::sum(parts).histogram()
     }
 
     /// Materialise the union of all instances into a single matrix

@@ -68,10 +68,7 @@
 use crate::config::HierConfig;
 use crate::matrix::HierMatrix;
 use crate::persist::{DurableConfig, RecoveryReport};
-use crate::pool::{
-    col_degree_histogram, rank_col_degrees, rerank_top_k, row_hash, sum_col_degrees,
-    sum_histograms, PartitionBuffers,
-};
+use crate::pool::{rerank_top_k, row_hash, sum_histograms, PartitionBuffers, SummedInDegrees};
 use crate::stats::HierStats;
 use hyperstream_graphblas::formats::dcsr::Dcsr;
 use hyperstream_graphblas::ops::binary::Plus;
@@ -221,10 +218,10 @@ pub struct ShardRecovery {
     ///
     /// Durable engine: an *upper bound* on the at-risk tuples — those
     /// dispatched since the last acknowledged barrier, which may or may
-    /// not have reached the store before the worker died (applied batches
-    /// are WAL-logged before they touch memory, so under
+    /// not have reached the store before the worker died (a batch is
+    /// WAL-logged before its apply is acknowledged, so under
     /// [`crate::persist::FsyncPolicy::EveryBatch`] everything the worker
-    /// actually applied is on disk).  Zero still means provably exact.
+    /// acknowledged is on disk).  Zero still means provably exact.
     pub lost_tuples: u64,
     /// Present when the shard is durable: what reopening its on-disk
     /// store observed.  `None` on in-memory engines.
@@ -575,13 +572,13 @@ pub struct ShardedHierMatrix<T> {
     /// range-dispatch tests assert a narrow `read_row_range` on a
     /// RowRange-partitioned engine touches only the overlapping workers.
     last_fanout: usize,
-    /// Producer-side cache of the summed column → in-degree map.  Unlike
-    /// row rankings (disjoint rows, rerank per query), the in-degree
-    /// ranking needs every shard's full column stats shipped and summed —
-    /// expensive enough that a query burst must not repeat it.  Any staged
-    /// tuple invalidates the cache; flushes and settles don't (they never
-    /// change the represented union).
-    in_degrees_cache: Option<std::collections::BTreeMap<Index, usize>>,
+    /// Producer-side cache of the summed column → in-degree map and its
+    /// top ranks.  Unlike row rankings (disjoint rows, rerank per query),
+    /// the in-degree ranking needs every shard's full column stats shipped,
+    /// summed and ranked — expensive enough that a query burst must not
+    /// repeat any of it.  Any staged tuple invalidates the cache; flushes
+    /// and settles don't (they never change the represented union).
+    in_degrees_cache: Option<SummedInDegrees>,
     /// Per-shard replay retention (empty vectors when
     /// [`ShardedConfig::replay_limit_tuples`] is 0).
     replay: Vec<ReplayBuffer<T>>,
@@ -1269,6 +1266,7 @@ impl<T: ScalarType> ShardedHierMatrix<T> {
             ncols: self.ncols,
             shards,
             lost: self.last_answer_lost.clone(),
+            in_degrees: None,
         })
     }
 
@@ -1366,7 +1364,7 @@ impl<T: ScalarType> ShardedHierMatrix<T> {
     /// A degraded (survivors-only) sum is cached like any other: every
     /// staged tuple already invalidates the cache, and
     /// [`Self::respawn_shard`] clears it when a lost band comes back.
-    fn ensure_in_degrees(&mut self) -> GrbResult<&std::collections::BTreeMap<Index, usize>> {
+    fn ensure_in_degrees(&mut self) -> GrbResult<&SummedInDegrees> {
         if self.in_degrees_cache.is_none() {
             let parts: Vec<Vec<(Index, usize)>> = self
                 .query_all(|| ReaderQuery::InDegrees)?
@@ -1376,7 +1374,7 @@ impl<T: ScalarType> ShardedHierMatrix<T> {
                     _ => unreachable!("worker answered InDegrees with a non-TopK reply"),
                 })
                 .collect();
-            self.in_degrees_cache = Some(sum_col_degrees(parts));
+            self.in_degrees_cache = Some(SummedInDegrees::sum(parts));
         }
         Ok(self.in_degrees_cache.as_ref().expect("just filled"))
     }
@@ -1568,9 +1566,10 @@ impl<T: ScalarType> ShardedHierMatrix<T> {
             });
         }
         // Durable shards recover from their on-disk store: checkpointed
-        // levels plus the WAL tail the dead worker logged before each
-        // in-memory apply.  The old worker's file handles are harmless —
-        // the thread has already exited, so nothing writes through them.
+        // levels plus the WAL tail the dead worker logged before it
+        // acknowledged each apply.  The old worker's file handles are
+        // harmless — the thread has already exited, so nothing writes
+        // through them.
         let mut disk = None;
         let fresh = match &self.durable {
             Some(dcfg) => {
@@ -1971,14 +1970,14 @@ impl<T: ScalarType> ShardedHierMatrix<T> {
         // Per-shard in-degree top-k lists can NOT be re-ranked like the row
         // side: a column's degree splits across the row-partitioned shards.
         // Workers ship their complete column stats; sum, then rank.
-        Ok(rank_col_degrees(self.ensure_in_degrees()?, k))
+        Ok(self.ensure_in_degrees()?.top_k(k))
     }
 
     /// Fallible dual of [`MatrixReader::read_in_degree_histogram`].
     pub fn try_read_in_degree_histogram(
         &mut self,
     ) -> GrbResult<std::collections::BTreeMap<u64, u64>> {
-        Ok(col_degree_histogram(self.ensure_in_degrees()?))
+        Ok(self.ensure_in_degrees()?.histogram())
     }
 
     /// Fallible dual of [`MatrixReader::read_col_range`].
@@ -2227,6 +2226,9 @@ pub struct ShardedSnapshot<T> {
     /// Shards missing from the capture (degraded snapshot of a degraded
     /// engine); empty for a complete capture.
     lost: Vec<usize>,
+    /// The summed in-degree map, built by the first in-degree ranking or
+    /// histogram read.
+    in_degrees: Option<SummedInDegrees>,
 }
 
 impl<T: ScalarType> ShardedSnapshot<T> {
@@ -2248,17 +2250,16 @@ impl<T: ScalarType> ShardedSnapshot<T> {
     }
 
     /// Column → in-degree over the whole capture: per-shard stats summed
-    /// (a column's degree splits across the row-partitioned shards).
-    fn summed_in_degrees(&mut self) -> std::collections::BTreeMap<Index, usize> {
-        let parts: Vec<Vec<(Index, usize)>> = self
-            .shards
-            .iter_mut()
-            .map(|s| {
+    /// (a column's degree splits across the row-partitioned shards), once —
+    /// the capture never changes.
+    fn summed_in_degrees(&mut self) -> &SummedInDegrees {
+        let shards = &mut self.shards;
+        self.in_degrees.get_or_insert_with(|| {
+            SummedInDegrees::sum(shards.iter_mut().map(|s| {
                 let bound = s.read_nnz();
                 s.read_in_top_k(bound)
-            })
-            .collect();
-        sum_col_degrees(parts)
+            }))
+        })
     }
 }
 
@@ -2347,11 +2348,11 @@ impl<T: ScalarType> MatrixReader<T> for ShardedSnapshot<T> {
         if k == 0 {
             return Vec::new();
         }
-        rank_col_degrees(&self.summed_in_degrees(), k)
+        self.summed_in_degrees().top_k(k)
     }
 
     fn read_in_degree_histogram(&mut self) -> std::collections::BTreeMap<u64, u64> {
-        col_degree_histogram(&self.summed_in_degrees())
+        self.summed_in_degrees().histogram()
     }
 
     fn read_col_range(&mut self, lo: Index, hi: Index, f: &mut dyn FnMut(Index, Index, T)) {

@@ -100,6 +100,10 @@ fn update_stream(max_len: usize) -> impl Strategy<Value = Vec<(u64, u64, u64)>> 
     })
 }
 
+/// The live WAL of a store no checkpoint failed on: the highest generation
+/// on disk.  A kill right after a cascade's checkpoint leaves the log that
+/// checkpoint retired beside it — the next call would have unlinked it, the
+/// next open sweeps it.
 fn the_wal_file(dir: &Path) -> PathBuf {
     let mut wals: Vec<PathBuf> = std::fs::read_dir(dir)
         .unwrap()
@@ -110,8 +114,8 @@ fn the_wal_file(dir: &Path) -> PathBuf {
                 .is_some_and(|n| n.starts_with("wal-"))
         })
         .collect();
-    assert_eq!(wals.len(), 1, "exactly one live WAL expected");
-    wals.pop().unwrap()
+    wals.sort();
+    wals.pop().expect("a store always has a WAL")
 }
 
 // ---------------------------------------------------------------------
@@ -365,6 +369,131 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
+// Batches: the frame of a batch holds what level 0 kept of it (its folded
+// cells where the in-batch fold engaged), so the batch path gets the
+// properties the single-update path has.
+// ---------------------------------------------------------------------
+
+/// Cuts that some of the batches below overflow and some do not, so a
+/// schedule of them mixes plain appends, settles, cascades and checkpoints.
+fn batch_cuts() -> HierConfig {
+    HierConfig::from_cuts(vec![2000, 20_000]).unwrap()
+}
+
+/// More distinct cells than the fold's index holds (2^16) in one batch.
+const SPILL_CELLS: u64 = (1 << 16) + 5000;
+
+/// One batch as parallel slices, by kind, varied by `salt`:
+///
+/// * `0` — at least 4,096 tuples over 300 cells: the fold engages and the
+///   frame holds 300 tuples;
+/// * `1` — at least 4,096 distinct cells: the fold samples the prefix, finds
+///   no repeats and appends raw;
+/// * `2` — every one of [`SPILL_CELLS`] cells twice: the fold engages and
+///   spills mid-batch, still one frame;
+/// * `3` — 100 tuples, below the fold's sample and below every cut: a
+///   pending tail for the next batch to land behind.
+///
+/// Kinds 0 and 3 share a cell pool, so values accumulate across batches.
+/// `weight` scales the values (a weight near `u64::MAX` makes them wrap).
+fn batch_of(kind: u8, salt: u64, weight: u64) -> (Vec<u64>, Vec<u64>, Vec<u64>) {
+    let cell = |id: u64| ((id * 20_000_019) % DIM, (id / 3 * 40_000_003) % DIM);
+    let ids: Vec<u64> = match kind {
+        0 => (0..4096 + salt % 1000)
+            .map(|i| (i * 7 + salt) % 300)
+            .collect(),
+        1 => (0..4096 + salt % 1000)
+            .map(|i| 1000 + salt * 8192 + i)
+            .collect(),
+        2 => (0..2 * SPILL_CELLS).map(|i| 1_000_000 + i / 2).collect(),
+        _ => (0..100).map(|i| (i * 3 + salt) % 300).collect(),
+    };
+    let (rows, cols) = ids.iter().map(|&id| cell(id)).unzip();
+    let vals = (0..ids.len() as u64)
+        .map(|i| weight.wrapping_mul(1 + (i + salt) % 4))
+        .collect();
+    (rows, cols, vals)
+}
+
+/// Flat oracle of a batch prefix, wrapping like `u64`'s `+` does.
+fn batch_oracle(batches: &[(Vec<u64>, Vec<u64>, Vec<u64>)]) -> BTreeMap<(u64, u64), u64> {
+    let mut m = BTreeMap::new();
+    for (rows, cols, vals) in batches {
+        for i in 0..rows.len() {
+            let cell = m.entry((rows[i], cols[i])).or_insert(0u64);
+            *cell = cell.wrapping_add(vals[i]);
+        }
+    }
+    m
+}
+
+/// Dropped without `flush()`, the store replays frames of folded cells on a
+/// settle schedule of its own (replay counts the logged tuples, the live
+/// matrix counted the raw ones).  For `u64` that must not show: `+` wraps
+/// associatively, `u64::MAX` included.
+#[test]
+fn batches_dropped_without_flush_replay_exactly_for_u64() {
+    let _quiet = unarmed();
+    for weight in [1, u64::MAX / 3] {
+        let dir = TempDir::new("batch-replay");
+        let cfg = DurableConfig::new(dir.path()).fsync(FsyncPolicy::Never);
+        let mut m = HierMatrix::<u64>::new_durable(DIM, DIM, batch_cuts(), cfg).unwrap();
+        let batches: Vec<_> = [0u8, 3, 1, 0, 2, 3, 0]
+            .iter()
+            .enumerate()
+            .map(|(salt, &kind)| batch_of(kind, salt as u64, weight))
+            .collect();
+        for (r, c, v) in &batches {
+            m.update_batch(r, c, v).unwrap();
+        }
+        let want = contents(&m);
+        assert_eq!(want, batch_oracle(&batches), "weight {weight}");
+        drop(m);
+
+        let r = HierMatrix::<u64>::open(dir.path()).unwrap();
+        assert_eq!(contents(&r), want, "weight {weight}");
+        let rep = r.recovery_report().unwrap();
+        assert!(!rep.torn_tail_truncated);
+        assert!(rep.wal_records_replayed > 0, "the tail was never flushed");
+    }
+}
+
+/// The same for `f64`, where `+` is not associative: a cell's repeats
+/// inside one batch are summed before the frame is written on both sides,
+/// but replay may settle and cascade — and so combine a cell's per-batch
+/// sums — in another order than the live matrix did.  The structure must be
+/// equal; a value may differ by reassociation only.  Tolerance: every
+/// value here is a sum of at most `terms` positive terms, for which any two
+/// summation orders agree within `terms * f64::EPSILON` of the sum.
+#[test]
+fn batches_dropped_without_flush_replay_up_to_reassociation_for_f64() {
+    let _quiet = unarmed();
+    let dir = TempDir::new("batch-replay-f64");
+    let cfg = DurableConfig::new(dir.path()).fsync(FsyncPolicy::Never);
+    let mut m = HierMatrix::<f64>::new_durable(DIM, DIM, batch_cuts(), cfg).unwrap();
+    let mut terms = 0usize;
+    for (salt, &kind) in [0u8, 3, 1, 0, 3, 0, 0].iter().enumerate() {
+        let (r, c, v) = batch_of(kind, salt as u64, 1);
+        let v: Vec<f64> = v.iter().map(|&w| 0.1 * w as f64).collect();
+        m.update_batch(&r, &c, &v).unwrap();
+        terms += r.len();
+    }
+    let want = m.materialize_ref().extract_tuples();
+    drop(m);
+
+    let r = HierMatrix::<f64>::open(dir.path()).unwrap();
+    assert!(r.recovery_report().unwrap().wal_records_replayed > 0);
+    let got = r.materialize_ref().extract_tuples();
+    assert_eq!((&got.0, &got.1), (&want.0, &want.1), "same cells");
+    for (g, w) in got.2.iter().zip(&want.2) {
+        assert!(
+            (g - w).abs() <= terms as f64 * f64::EPSILON * w.abs(),
+            "{g} vs {w}: more than reassociation"
+        );
+    }
+}
+
+// ---------------------------------------------------------------------
 // Sharded engine: durable shards round-trip through a full engine drop.
 // ---------------------------------------------------------------------
 
@@ -554,8 +683,9 @@ mod failpoint_crashes {
     }
 
     /// A WAL-append failure must reject the update *atomically*: the
-    /// in-memory matrix stays on the pre-update state (log-before-apply),
-    /// and the store keeps working once the fault clears.
+    /// in-memory matrix ends on the pre-update state (the tuple is appended,
+    /// then logged, then taken back when the log refuses it), and the store
+    /// keeps working once the fault clears.
     #[test]
     fn wal_append_failure_rejects_update_atomically() {
         let _x = exclusive();
@@ -576,6 +706,122 @@ mod failpoint_crashes {
         let r = HierMatrix::<u64>::open(dir.path()).unwrap();
         assert_eq!(contents(&r), want);
         assert!(!want.contains_key(&(2, 2)));
+    }
+
+    /// Everything a rejected batch must leave as it was.
+    fn observe(m: &HierMatrix<u64>) -> impl PartialEq + std::fmt::Debug {
+        (
+            contents(m),
+            m.nvals_exact(),
+            m.total_weight(),
+            m.level_entries_bound(0),
+            m.stats().updates,
+            m.wal_telemetry(),
+        )
+    }
+
+    /// A batch is appended to level 0 (folded) *before* its frame is
+    /// logged; a failed append — refused outright or torn between its two
+    /// writes — must take it back out, whichever way it went in, and the
+    /// store must keep working once the fault clears.
+    #[test]
+    fn wal_append_failure_rejects_a_batch_atomically() {
+        let _x = exclusive();
+        for site in ["persist-wal-append", "persist-partial-write"] {
+            for kind in [0u8, 1, 2] {
+                let dir = TempDir::new("batch-append-fail");
+                let mut m = HierMatrix::<u64>::new_durable(
+                    DIM,
+                    DIM,
+                    batch_cuts(),
+                    DurableConfig::new(dir.path()),
+                )
+                .unwrap();
+                // Settled cells under a pending tail: the rejected batch
+                // lands behind tuples that must stay.
+                for (r, c, v) in [batch_of(0, 1, 1), batch_of(3, 2, 1)] {
+                    m.update_batch(&r, &c, &v).unwrap();
+                }
+                let before = observe(&m);
+                let held = contents(&m);
+                assert_eq!(m.level_entries_bound(0), 300 + 100, "cells and a tail");
+
+                let (r, c, v) = batch_of(kind, 3, 1);
+                failpoint::arm(site, 1, FailAction::Error);
+                let refused = m.update_batch(&r, &c, &v);
+                failpoint::disarm_all();
+                assert!(
+                    matches!(refused, Err(GrbError::Injected(_))),
+                    "{site}, kind {kind}: {refused:?}"
+                );
+                assert_eq!(observe(&m), before, "{site}, kind {kind}");
+
+                m.update_batch(&r, &c, &v).unwrap();
+                let want = contents(&m);
+                assert_ne!(want, held, "the next batch lands");
+                std::mem::forget(m);
+                let reopened = HierMatrix::<u64>::open(dir.path()).unwrap();
+                assert_eq!(contents(&reopened), want, "{site}, kind {kind}");
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(36))]
+
+        // The crash property of the single-update path, for batches:
+        // injected error + simulated kill at every persistence site on a
+        // random schedule of folded, raw, spilling and short batches.  The
+        // reopened store holds an acknowledged *batch* prefix, or that plus
+        // the one batch in flight — never part of a batch, although the
+        // frame that carries it holds fewer tuples than the caller sent.
+        #[test]
+        fn crash_at_any_persistence_site_recovers_an_acked_batch_prefix(
+            site in 0usize..6,
+            nth in 1u64..10,
+            kinds in prop::collection::vec(0u8..4, 3usize..8),
+        ) {
+            let _x = exclusive();
+            let dir = TempDir::new("batch-site-crash");
+            let mut m = HierMatrix::<u64>::new_durable(
+                DIM, DIM, batch_cuts(), DurableConfig::new(dir.path()),
+            ).unwrap();
+            let batches: Vec<_> = kinds
+                .iter()
+                .enumerate()
+                .map(|(salt, &kind)| batch_of(kind, salt as u64, 1))
+                .collect();
+            failpoint::arm(SITES[site], nth, FailAction::Error);
+            let mut acked = 0usize;
+            let mut failed = false;
+            for (r, c, v) in &batches {
+                match m.update_batch(r, c, v) {
+                    Ok(()) => acked += 1,
+                    Err(_) => { failed = true; break; }
+                }
+            }
+            failpoint::disarm_all();
+            std::mem::forget(m);
+
+            let mut r = HierMatrix::<u64>::open(dir.path()).unwrap();
+            let got = contents(&r);
+            let lo = batch_oracle(&batches[..acked]);
+            let hi = batch_oracle(&batches[..(acked + usize::from(failed)).min(batches.len())]);
+            prop_assert!(
+                got == lo || got == hi,
+                "site {} nth {} kinds {:?}: recovered neither the {} acked batches nor one more",
+                SITES[site], nth, kinds, acked,
+            );
+
+            // The reopened store must be fully serviceable.
+            let (br, bc, bv) = batch_of(0, 99, 1);
+            r.update_batch(&br, &bc, &bv).unwrap();
+            r.flush().unwrap();
+            let want2 = contents(&r);
+            drop(r);
+            let r2 = HierMatrix::<u64>::open(dir.path()).unwrap();
+            prop_assert_eq!(contents(&r2), want2);
+        }
     }
 
     /// Durable sharded engine: a worker killed mid-cascade respawns from

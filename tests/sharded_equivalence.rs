@@ -225,6 +225,78 @@ proptest! {
     }
 }
 
+/// In-degree rankings come off a sum that is ranked once and cached — by
+/// the engine until the next update, by a snapshot for good.  Whatever `k`
+/// asks of the ready ranks (inside them, their last, one past them, more
+/// than there are columns), engine and snapshot must answer what one
+/// instance holding the transposed stream ranks by row, ties broken alike,
+/// and a further batch must reach the engine's answer and not the
+/// snapshot's.
+#[test]
+fn sharded_in_top_k_equals_a_transposed_single_instance() {
+    let cuts = HierConfig::from_cuts(vec![64, 1024]).unwrap();
+    let mut engine =
+        ShardedHierMatrix::<u64>::new(DIM, DIM, cuts.clone(), ShardedConfig::with_shards(3))
+            .unwrap();
+    let mut transposed = HierMatrix::<u64>::new(DIM, DIM, cuts).unwrap();
+    // Column `c` gets `1 + c % 7` cells (so every degree is shared by dozens
+    // of columns) in rows spread over the shards, `extra` more on request.
+    let batch = |cols: std::ops::Range<u64>, extra: u64| {
+        let (mut r, mut c) = (Vec::new(), Vec::new());
+        for col in cols {
+            for j in extra * 7..=extra * 7 + col % 7 {
+                r.push((j * 20_000_019 + col * 977) % DIM);
+                c.push((col * 40_000_003) % DIM);
+            }
+        }
+        let v = vec![1u64; r.len()];
+        (r, c, v)
+    };
+    const KS: [usize; 6] = [0, 1, 10, 128, 129, 1000];
+
+    let (r, c, v) = batch(0..310, 0);
+    engine.update_batch(&r, &c, &v).unwrap();
+    transposed.update_batch(&c, &r, &v).unwrap();
+    let mut snapshot = engine.snapshot().unwrap();
+    let before: Vec<_> = KS.iter().map(|&k| transposed.read_top_k(k)).collect();
+    assert_eq!(before[5].len(), 310, "fewer columns than the largest k");
+    assert_eq!(before[3][127].1, before[4][128].1, "a tie across rank 128");
+    for (&k, want) in KS.iter().zip(&before) {
+        assert_eq!(&engine.read_in_top_k(k), want, "engine, k = {k}");
+        assert_eq!(&snapshot.read_in_top_k(k), want, "snapshot, k = {k}");
+    }
+
+    // New columns, and old ones raised past their neighbours.
+    for (r, c, v) in [batch(310..400, 0), batch(0..50, 1)] {
+        engine.update_batch(&r, &c, &v).unwrap();
+        transposed.update_batch(&c, &r, &v).unwrap();
+    }
+    let mut later = engine.snapshot().unwrap();
+    for (i, &k) in KS.iter().enumerate() {
+        let want = transposed.read_top_k(k);
+        assert_eq!(
+            engine.read_in_top_k(k),
+            want,
+            "engine after a batch, k = {k}"
+        );
+        assert_eq!(later.read_in_top_k(k), want, "new snapshot, k = {k}");
+        assert_eq!(
+            snapshot.read_in_top_k(k),
+            before[i],
+            "old snapshot, k = {k}"
+        );
+    }
+    assert_ne!(
+        before[2],
+        transposed.read_top_k(10),
+        "the batch changed the ranks"
+    );
+    assert_eq!(
+        engine.read_in_degree_histogram(),
+        transposed.read_degree_histogram()
+    );
+}
+
 // Drop-under-fault cases — drop while a barrier is outstanding (timed-out
 // flush) and drop after a worker panic — need fault injection to create
 // those states deterministically; they live with the rest of the chaos
