@@ -183,8 +183,8 @@ impl Default for HierAssoc {
 }
 
 /// The D4M insert path driven by integer indices: keys are the decimal
-/// strings of `row` / `col`, exactly how the Fig. 2 harness has always fed
-/// this baseline.  Keeping the string formatting *inside* the sink keeps the
+/// strings of `row` / `col`, the way the paper's Fig. 2 feeds this
+/// comparison system.  Keeping the string formatting *inside* the sink keeps the
 /// string-machinery cost on the measured path, which is the point of the
 /// "Hierarchical D4M vs Hierarchical GraphBLAS" comparison.  One generic
 /// impl covers every weight type: the array stores `f64` natively, so

@@ -14,8 +14,9 @@
 //! nothing is cached on the reader.
 //!
 //! The `*_tuples` fallbacks pull the pattern through the plain entry
-//! cursor and rebuild a flat matrix first, which is what the DB-analogue
-//! stores use and what the equivalence tests compare against.
+//! cursor and rebuild a flat matrix first, which is what a store without
+//! level slices (the D4M associative array) uses and what the equivalence
+//! tests compare against.
 
 use super::compact::CompactGraph;
 use crate::index::Index;

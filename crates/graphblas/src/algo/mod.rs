@@ -10,8 +10,8 @@
 //! driving the kernels directly off the reader's DCSR level slices, so no
 //! materialised `Σ levels` or tuple round-trip is ever formed.  The
 //! `*_tuples` fallbacks accept any
-//! [`MatrixReader`](crate::reader::MatrixReader) (e.g. the DB-analogue
-//! stores) by pulling the pattern through the sorted entry cursor and
+//! [`MatrixReader`](crate::reader::MatrixReader) (e.g. the D4M associative
+//! array) by pulling the pattern through the sorted entry cursor and
 //! rebuilding a flat matrix first.
 
 pub mod centrality;

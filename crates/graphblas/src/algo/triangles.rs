@@ -21,7 +21,7 @@ use crate::types::ScalarType;
 /// `A ⊕.⊗ A` intermediate is never formed and a hierarchical or snapshot
 /// reader is consumed without materialising `Σ levels` or round-tripping
 /// the pattern through tuples.  For readers that only implement the plain
-/// entry cursor (e.g. the DB-analogue stores), use
+/// entry cursor (e.g. the D4M associative array), use
 /// [`triangle_count_tuples`].
 pub fn triangle_count<V, R>(a: &mut R) -> u64
 where

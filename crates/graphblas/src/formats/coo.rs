@@ -21,8 +21,8 @@ use crate::types::ScalarType;
 pub const RADIX_DIM_MAX: Index = 1 << 32;
 
 /// Batch length at which the radix settle kernel switches from 8-bit to
-/// 13-bit digits.  13 bits won a measured sweep (8/11/12/13/14/16, the
-/// `merge_rate` bench's `digit_sweep` section) on settle-sized batches:
+/// 13-bit digits.  13 bits won a measured sweep (8/11/12/13/14/16) on
+/// settle-sized batches:
 /// wide enough that a full 64-bit key needs only 5 passes, narrow enough
 /// that the 8,192 scatter bucket tails (512 KB) stay cache-resident
 /// instead of thrashing like 65,536 streams do.
@@ -302,48 +302,6 @@ impl<T: ScalarType> Coo<T> {
     ///   comparison path pays an extra per-run index sort for this.
     fn sort_dedup_radix<Op: BinaryOp<T>>(&mut self, dup: Op, scratch: &mut MergeScratch<T>) {
         let n = self.rows.len();
-        let digit_bits: usize = if n >= RADIX_XWIDE_MIN {
-            14
-        } else if n >= RADIX_WIDE_MIN {
-            13
-        } else {
-            8
-        };
-        self.sort_dedup_radix_with_bits(dup, scratch, digit_bits);
-    }
-
-    /// [`Coo::sort_dedup_radix`] with the digit width forced — the
-    /// `merge_rate` digit-width sweep re-measures the 8/11/12/13/14/16
-    /// table on the current plane layout through this.  Requires both
-    /// dimensions within the packed-key space (`<= 2^32`) and
-    /// `8 <= digit_bits <= 16`.  Not part of the supported API.
-    #[doc(hidden)]
-    pub fn sort_dedup_radix_forced<Op: BinaryOp<T>>(
-        &mut self,
-        dup: Op,
-        scratch: &mut MergeScratch<T>,
-        digit_bits: usize,
-    ) {
-        assert!(
-            self.nrows <= RADIX_DIM_MAX && self.ncols <= RADIX_DIM_MAX,
-            "radix settle requires packed-key dimensions"
-        );
-        if self.sorted_dedup {
-            return;
-        }
-        self.sort_dedup_radix_with_bits(dup, scratch, digit_bits);
-    }
-
-    fn sort_dedup_radix_with_bits<Op: BinaryOp<T>>(
-        &mut self,
-        dup: Op,
-        scratch: &mut MergeScratch<T>,
-        digit_bits: usize,
-    ) {
-        // The fixed-size `active` table below caps the plane count at 8, so
-        // digits narrower than 8 bits (9 planes for a 64-bit key) are out.
-        assert!((8..=16).contains(&digit_bits), "unsupported digit width");
-        let n = self.rows.len();
         if n == 0 {
             self.sorted_dedup = true;
             return;
@@ -361,10 +319,17 @@ impl<T: ScalarType> Coo<T> {
         } = scratch;
 
         // Digit width: scatter passes are the expensive part (random
-        // 16-byte writes), so larger batches use 13-bit digits — fewer
-        // passes whose 8,192 bucket tails still fit in cache (see
-        // RADIX_WIDE_MIN for the measured sweep; the caller picked the
-        // width).
+        // 16-byte writes), so larger batches use 13- then 14-bit digits —
+        // fewer passes whose bucket tails still fit in cache (see
+        // RADIX_WIDE_MIN for the measured sweep).  The fixed-size `active`
+        // table below caps the plane count at 8, so no width under 8 bits.
+        let digit_bits: usize = if n >= RADIX_XWIDE_MIN {
+            14
+        } else if n >= RADIX_WIDE_MIN {
+            13
+        } else {
+            8
+        };
         let nplanes = 64usize.div_ceil(digit_bits);
         let nbuckets = 1usize << digit_bits;
         let digit_mask = (nbuckets - 1) as u64;

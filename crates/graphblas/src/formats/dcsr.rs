@@ -513,8 +513,8 @@ impl<T: ScalarType> Dcsr<T> {
 
     /// [`Dcsr::merge`] forced through the retained element-at-a-time
     /// fallback kernel — the verification baseline the equivalence
-    /// proptests and the `merge_rate` benchmark compare against.  Output is
-    /// byte-identical to [`Dcsr::merge`].
+    /// proptests compare against.  Output is byte-identical to
+    /// [`Dcsr::merge`].
     pub fn merge_linear<Op: BinaryOp<T>>(&self, other: &Dcsr<T>, op: Op) -> GrbResult<Dcsr<T>> {
         self.merge_impl(other, op, false)
     }

@@ -13,7 +13,7 @@
 //! | condition (checked in order)     | strategy | cost |
 //! |----------------------------------|----------|------|
 //! | column ranges disjoint           | two bulk copies | `O(1)` check + memcpy |
-//! | one side ≥ [`GALLOP_RATIO`]× larger | **gallop**: exponential probe + binary search through the large side, bulk-copy the skipped spans | `O(k log(n/k))` |
+//! | one side ≥ `GALLOP_RATIO` (8)× larger | **gallop**: exponential probe + binary search through the large side, bulk-copy the skipped spans | `O(k log(n/k))` |
 //! | comparable sizes                 | branchless two-pointer (unconditional write, conditional advance) | `O(n + m)`, no unpredictable branches |
 //!
 //! The previous element-at-a-time merge is retained verbatim
@@ -35,8 +35,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// Size-ratio crossover at which a colliding-run merge switches from the
 /// branchless two-pointer kernel to galloping through the larger side.
 ///
-/// Measured on the 1-core container by the `merge_rate` bench (forced
-/// single-row strategies, large side 2^16, hash-jittered interleave): the
+/// Measured on the 1-core container (forced single-row strategies, large
+/// side 2^16, hash-jittered interleave): the
 /// gallop kernel overtakes the linear walk at ratio 4 (3.5e8 vs 3.2e8
 /// elems/s) and is decisively ahead of every alternative from ratio 8 up
 /// (4.4e8 at 8, 9.7e8 at 128, vs ~2.7e8 linear / ~2.2e8 branchless).
@@ -44,7 +44,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// collisions make per-element gallops pure overhead — so 8 keeps the
 /// switch on the side that wins under *every* measured pattern rather
 /// than the collision-free best case.
-pub const GALLOP_RATIO: usize = 8;
+const GALLOP_RATIO: usize = 8;
 
 static GALLOPED: AtomicU64 = AtomicU64::new(0);
 static BULK_ROW: AtomicU64 = AtomicU64::new(0);
@@ -52,8 +52,8 @@ static BRANCHLESS: AtomicU64 = AtomicU64::new(0);
 static LINEAR: AtomicU64 = AtomicU64::new(0);
 
 /// Snapshot of the process-global merge strategy counters: how many
-/// elements each kernel has processed since process start (or the last
-/// [`reset_merge_kernel_stats`]).  "Processed" counts both operands of a
+/// elements each kernel has processed since process start (readers take
+/// before/after deltas).  "Processed" counts both operands of a
 /// run — a galloped merge of a 4-element batch into a 4,096-element row
 /// adds 4,100 to `galloped_elems`.
 ///
@@ -74,7 +74,7 @@ pub struct MergeKernelStats {
     /// comparable-size colliding runs.
     pub branchless_elems: u64,
     /// Elements processed by the retained element-at-a-time fallback (the
-    /// `*_linear` entry points used by equivalence tests and benches).
+    /// `*_linear` entry points used by the equivalence tests).
     pub linear_elems: u64,
 }
 
@@ -93,15 +93,6 @@ pub fn merge_kernel_stats() -> MergeKernelStats {
         branchless_elems: BRANCHLESS.load(Ordering::Relaxed),
         linear_elems: LINEAR.load(Ordering::Relaxed),
     }
-}
-
-/// Reset the process-global strategy counters to zero (benchmark harness
-/// use; concurrent merges may land counts immediately after).
-pub fn reset_merge_kernel_stats() {
-    GALLOPED.store(0, Ordering::Relaxed);
-    BULK_ROW.store(0, Ordering::Relaxed);
-    BRANCHLESS.store(0, Ordering::Relaxed);
-    LINEAR.store(0, Ordering::Relaxed);
 }
 
 /// Per-merge-call local tally: kernels add to plain integers on the hot
@@ -424,61 +415,6 @@ fn merge_row_branchless<T: ScalarType, Op: BinaryOp<T>, S: MergeSink<T>>(
     }
 }
 
-/// Strategy selector for the isolated-kernel entry point used by the
-/// `merge_rate` crossover sweep.
-#[doc(hidden)]
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RowMergeStrategy {
-    /// The adaptive dispatch (what production merges run).
-    Adaptive,
-    /// Force the element-at-a-time fallback.
-    Linear,
-    /// Force the gallop kernel (larger side galloped).
-    Gallop,
-    /// Force the branchless two-pointer kernel.
-    Branchless,
-}
-
-/// Isolated single-run merge into plane-separated output vectors with a
-/// forced strategy — the `merge_rate` benchmark measures the crossover
-/// constant with this, outside any DCSR structure.  Not part of the
-/// supported API.
-#[doc(hidden)]
-#[allow(clippy::too_many_arguments)]
-pub fn merge_row_into_planes<T: ScalarType, Op: BinaryOp<T>>(
-    strategy: RowMergeStrategy,
-    ca: &[Index],
-    va: &[T],
-    cb: &[Index],
-    vb: &[T],
-    op: Op,
-    out_cols: &mut Vec<Index>,
-    out_vals: &mut Vec<T>,
-) {
-    let mut tally = MergeTally::default();
-    let mut sink = PlaneSink {
-        cols: out_cols,
-        vals: out_vals,
-    };
-    match strategy {
-        RowMergeStrategy::Adaptive => merge_row_adaptive(ca, va, cb, vb, op, &mut sink, &mut tally),
-        RowMergeStrategy::Linear => merge_row_linear(ca, va, cb, vb, op, &mut sink, &mut tally),
-        RowMergeStrategy::Gallop => {
-            if ca.len() >= cb.len() {
-                merge_row_gallop_large_a(ca, va, cb, vb, op, &mut sink);
-            } else {
-                merge_row_gallop_large_b(ca, va, cb, vb, op, &mut sink);
-            }
-            tally.galloped += (ca.len() + cb.len()) as u64;
-        }
-        RowMergeStrategy::Branchless => {
-            merge_row_branchless(ca, va, cb, vb, op, &mut sink);
-            tally.branchless += (ca.len() + cb.len()) as u64;
-        }
-    }
-    tally.commit();
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -557,37 +493,6 @@ mod tests {
             assert_eq!(a, l, "Max {}x{}", ca.len(), cb.len());
         }
         assert_eq!(bigv.len(), 1000);
-    }
-
-    #[test]
-    fn forced_strategies_agree() {
-        let ca: Vec<Index> = (0..256).map(|i| i * 2).collect();
-        let va: Vec<u64> = (0..256u64).collect();
-        let cb: Vec<Index> = vec![3, 4, 100, 511];
-        let vb: Vec<u64> = vec![1, 2, 3, 4];
-        let mut expect_c = Vec::new();
-        let mut expect_v = Vec::new();
-        merge_row_into_planes(
-            RowMergeStrategy::Linear,
-            &ca,
-            &va,
-            &cb,
-            &vb,
-            Plus,
-            &mut expect_c,
-            &mut expect_v,
-        );
-        for strategy in [
-            RowMergeStrategy::Adaptive,
-            RowMergeStrategy::Gallop,
-            RowMergeStrategy::Branchless,
-        ] {
-            let mut got_c = Vec::new();
-            let mut got_v = Vec::new();
-            merge_row_into_planes(strategy, &ca, &va, &cb, &vb, Plus, &mut got_c, &mut got_v);
-            assert_eq!(got_c, expect_c, "{strategy:?}");
-            assert_eq!(got_v, expect_v, "{strategy:?}");
-        }
     }
 
     #[test]

@@ -20,9 +20,8 @@ pub type Entry<T> = (Index, Index, T);
 
 /// Summary of the memory consumed by a sparse structure, in bytes.
 ///
-/// These figures drive the memory-hierarchy placement decisions in
-/// `hyperstream-memsim` and the statistics reported by the hierarchical
-/// matrix.
+/// These figures are what `memory()` / `memory_bytes()` report for a flat
+/// matrix and for each level of the hierarchical matrix.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct MemoryFootprint {
     /// Bytes used by index arrays (row ids, row pointers, column ids).

@@ -40,7 +40,7 @@ pub fn validate_index(index: Index, dim: Index) -> GrbResult<()> {
     }
 }
 
-/// A half-open index range `[start, end)` used by extract/assign operations.
+/// A half-open index range `[start, end)` used by extract operations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IndexRange {
     /// Inclusive start.

@@ -70,11 +70,11 @@ pub mod algo;
 pub use degree_index::{DegreeIndex, DegreeIndexView};
 pub use error::{GrbError, GrbResult};
 pub use formats::dcsr::MergeScratch;
-pub use formats::merge::{merge_kernel_stats, reset_merge_kernel_stats, MergeKernelStats};
+pub use formats::merge::{merge_kernel_stats, MergeKernelStats};
 pub use index::{validate_dims, validate_index, Index};
 pub use level_read::LevelStore;
 pub use matrix::Matrix;
-pub use ops::spa::{reset_spa_kernel_stats, spa_kernel_stats, SpaKernelStats, SpaScratch};
+pub use ops::spa::{spa_kernel_stats, SpaKernelStats, SpaScratch};
 pub use reader::{CursorReader, MatrixReader, StreamingSystem};
 pub use sink::StreamingSink;
 pub use snapshot::MatrixSnapshot;
@@ -96,10 +96,9 @@ pub mod prelude {
     pub use crate::ops::binary::{
         Div, First, Land, Lor, Lxor, Max, Min, Minus, Plus, Second, Times,
     };
-    pub use crate::ops::ewise_add::{ewise_add, ewise_add_into, ewise_add_monoid};
+    pub use crate::ops::ewise_add::{ewise_add, ewise_add_into};
     pub use crate::ops::ewise_mult::ewise_mult;
-    pub use crate::ops::extract::{extract, extract_col, extract_row};
-    pub use crate::ops::kron::kron;
+    pub use crate::ops::extract::extract;
     pub use crate::ops::monoid::{
         LandMonoid, LorMonoid, MaxMonoid, MinMonoid, PlusMonoid, TimesMonoid,
     };
@@ -112,9 +111,7 @@ pub mod prelude {
     pub use crate::ops::reduce::{reduce_cols, reduce_rows, reduce_scalar};
     pub use crate::ops::select::{select, SelectOp};
     pub use crate::ops::semiring::{MaxPlus, MinPlus, PlusTimes};
-    pub use crate::ops::spa::{
-        reset_spa_kernel_stats, spa_kernel_stats, SpaKernelStats, SpaScratch,
-    };
+    pub use crate::ops::spa::{spa_kernel_stats, SpaKernelStats, SpaScratch};
     pub use crate::ops::transpose::transpose;
     pub use crate::ops::unary::{AInv, Abs, Identity, MInv, One};
     pub use crate::ops::{BinaryOp, Monoid, Semiring, UnaryOp};

@@ -7,7 +7,7 @@
 
 use crate::error::GrbResult;
 use crate::matrix::Matrix;
-use crate::ops::{BinaryOp, Monoid};
+use crate::ops::BinaryOp;
 use crate::types::ScalarType;
 
 /// `C = A ⊕ B`: the pattern of `C` is the union of the patterns of `A` and
@@ -62,45 +62,10 @@ where
     acc.accum_matrix_op(b, op)
 }
 
-/// `C = A ⊕ B` under a monoid (alias of [`ewise_add`]; the monoid identity is
-/// not needed because absent entries are simply copied, but requiring a
-/// monoid documents that the caller relies on associativity/commutativity —
-/// as the hierarchical cascade does).
-pub fn ewise_add_monoid<T, M>(a: &Matrix<T>, b: &Matrix<T>, monoid: M) -> Matrix<T>
-where
-    T: ScalarType,
-    M: Monoid<T>,
-{
-    ewise_add(a, b, monoid)
-}
-
-/// Sum a slice of matrices: `C = Σ_i A_i` under a monoid.
-///
-/// This is the "complete all pending updates for analysis" step of the
-/// paper (`A = Σ_{i=1}^N A_i`).  The sum is computed smallest-first to keep
-/// intermediate results small.
-pub fn sum_all<T, M>(mats: &[&Matrix<T>], monoid: M) -> Option<Matrix<T>>
-where
-    T: ScalarType,
-    M: Monoid<T>,
-{
-    if mats.is_empty() {
-        return None;
-    }
-    let mut order: Vec<usize> = (0..mats.len()).collect();
-    order.sort_by_key(|&i| mats[i].nvals_settled() + mats[i].npending());
-    let mut acc = mats[order[0]].to_settled();
-    for &i in &order[1..] {
-        ewise_add_into(&mut acc, mats[i], monoid).expect("dimensions match by construction");
-    }
-    Some(acc)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::ops::binary::{Max, Plus};
-    use crate::ops::monoid::PlusMonoid;
 
     fn m(entries: &[(u64, u64, u64)]) -> Matrix<u64> {
         let rows: Vec<_> = entries.iter().map(|e| e.0).collect();
@@ -165,19 +130,6 @@ mod tests {
     }
 
     #[test]
-    fn sum_all_matches_pairwise() {
-        let a = m(&[(1, 1, 1)]);
-        let b = m(&[(1, 1, 2), (2, 2, 2)]);
-        let c = m(&[(3, 3, 3)]);
-        let total = sum_all(&[&a, &b, &c], PlusMonoid).unwrap();
-        assert_eq!(total.get(1, 1), Some(3));
-        assert_eq!(total.get(2, 2), Some(2));
-        assert_eq!(total.get(3, 3), Some(3));
-        assert_eq!(total.nvals(), 3);
-        assert!(sum_all::<u64, _>(&[], PlusMonoid).is_none());
-    }
-
-    #[test]
     fn ewise_add_into_matches_functional_form() {
         let a = m(&[(1, 1, 10), (2, 2, 20)]);
         let b = m(&[(2, 2, 5), (3, 3, 30)]);
@@ -202,12 +154,5 @@ mod tests {
         ewise_add_into(&mut acc, &b, Max).unwrap();
         assert_eq!(acc.extract_tuples(), expect.extract_tuples());
         assert_eq!(acc.get(1, 1), Some(12)); // max(5 + 7, 3)
-    }
-
-    #[test]
-    fn monoid_alias() {
-        let a = m(&[(1, 1, 1)]);
-        let b = m(&[(1, 1, 2)]);
-        assert_eq!(ewise_add_monoid(&a, &b, PlusMonoid).get(1, 1), Some(3));
     }
 }

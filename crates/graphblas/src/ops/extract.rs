@@ -1,11 +1,10 @@
 //! Sub-matrix extraction (`GrB_extract`).
 
 use crate::error::{GrbError, GrbResult};
-use crate::index::{Index, IndexRange};
+use crate::index::IndexRange;
 use crate::matrix::Matrix;
 use crate::ops::binary::Second;
 use crate::types::ScalarType;
-use crate::vector::SparseVector;
 
 /// Extract the sub-matrix `A[rows, cols]`, re-indexed to the origin.
 ///
@@ -47,54 +46,6 @@ pub fn extract<T: ScalarType>(
         }
     }
     Matrix::from_tuples(rows.len(), cols.len(), &out_r, &out_c, &out_v, Second)
-}
-
-/// Extract row `i` of `A` as a sparse vector of length `A.ncols()`.
-pub fn extract_row<T: ScalarType>(a: &Matrix<T>, row: Index) -> GrbResult<SparseVector<T>> {
-    if row >= a.nrows() {
-        return Err(GrbError::IndexOutOfBounds {
-            index: row,
-            dim: a.nrows(),
-        });
-    }
-    let settled;
-    let da = if a.npending() == 0 {
-        a.dcsr()
-    } else {
-        settled = a.to_settled();
-        settled.dcsr()
-    };
-    let mut out = SparseVector::new(a.ncols());
-    if let Some((cols, vals)) = da.row(row) {
-        for (k, &c) in cols.iter().enumerate() {
-            out.set(c, vals[k])?;
-        }
-    }
-    Ok(out)
-}
-
-/// Extract column `j` of `A` as a sparse vector of length `A.nrows()`.
-pub fn extract_col<T: ScalarType>(a: &Matrix<T>, col: Index) -> GrbResult<SparseVector<T>> {
-    if col >= a.ncols() {
-        return Err(GrbError::IndexOutOfBounds {
-            index: col,
-            dim: a.ncols(),
-        });
-    }
-    let settled;
-    let da = if a.npending() == 0 {
-        a.dcsr()
-    } else {
-        settled = a.to_settled();
-        settled.dcsr()
-    };
-    let mut out = SparseVector::new(a.nrows());
-    for (r, c, v) in da.iter() {
-        if c == col {
-            out.set(r, v)?;
-        }
-    }
-    Ok(out)
 }
 
 #[cfg(test)]
@@ -144,33 +95,9 @@ mod tests {
     }
 
     #[test]
-    fn row_and_col_extraction() {
-        let a = m();
-        let r10 = extract_row(&a, 10).unwrap();
-        assert_eq!(r10.nvals(), 2);
-        assert_eq!(r10.get(10), Some(1));
-        assert_eq!(r10.get(20), Some(2));
-
-        let c20 = extract_col(&a, 20).unwrap();
-        assert_eq!(c20.nvals(), 2);
-        assert_eq!(c20.get(10), Some(2));
-        assert_eq!(c20.get(20), Some(3));
-
-        let empty_row = extract_row(&a, 0).unwrap();
-        assert!(empty_row.is_empty());
-
-        assert!(extract_row(&a, 100).is_err());
-        assert!(extract_col(&a, 100).is_err());
-    }
-
-    #[test]
     fn extraction_with_pending() {
         let mut a = Matrix::<u64>::new(50, 50);
         a.accum_element(1, 2, 9).unwrap();
-        let r = extract_row(&a, 1).unwrap();
-        assert_eq!(r.get(2), Some(9));
-        let c = extract_col(&a, 2).unwrap();
-        assert_eq!(c.get(1), Some(9));
         let sub = extract(
             &a,
             IndexRange::new(0, 10).unwrap(),

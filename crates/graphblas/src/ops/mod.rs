@@ -11,11 +11,9 @@ pub mod semiring;
 pub mod unary;
 
 pub mod apply;
-pub mod assign;
 pub mod ewise_add;
 pub mod ewise_mult;
 pub mod extract;
-pub mod kron;
 pub mod mxm;
 pub mod mxv;
 pub mod reader_mx;

@@ -145,7 +145,7 @@ where
 }
 
 /// The retained `BTreeMap`-accumulator kernel — the verification fallback
-/// the equivalence proptests and the `algo_rate` bench compare against.
+/// the equivalence proptests compare against.
 ///
 /// # Panics
 /// Panics when the inner dimensions disagree; see [`try_mxm_btree`].
@@ -217,34 +217,6 @@ where
     )
 }
 
-/// Number of scalar multiplications `mxm(a, b)` would perform (the "flops"
-/// measure used to size benchmark workloads).
-pub fn mxm_flops<T: ScalarType>(a: &Matrix<T>, b: &Matrix<T>) -> u64 {
-    let (sa, sb);
-    let da = if a.npending() == 0 {
-        a.dcsr()
-    } else {
-        sa = a.to_settled();
-        sa.dcsr()
-    };
-    let db = if b.npending() == 0 {
-        b.dcsr()
-    } else {
-        sb = b.to_settled();
-        sb.dcsr()
-    };
-    let mut flops = 0u64;
-    for &i in da.row_ids() {
-        let (a_cols, _) = da.row(i).expect("row non-empty");
-        for &k in a_cols {
-            if let Some((b_cols, _)) = db.row(k) {
-                flops += b_cols.len() as u64;
-            }
-        }
-    }
-    flops
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -311,14 +283,6 @@ mod tests {
         let c = mxm(&a, &a, LorLand);
         assert_eq!(c.get(0, 2), Some(1));
         assert_eq!(c.get(0, 1), None);
-    }
-
-    #[test]
-    fn flops_counts_products() {
-        let a = m(4, 4, &[(0, 1, 1), (0, 2, 1)]);
-        let b = m(4, 4, &[(1, 0, 1), (1, 3, 1), (2, 3, 1)]);
-        // row 0 of A: k=1 hits 2 entries of B, k=2 hits 1 entry => 3 flops
-        assert_eq!(mxm_flops(&a, &b), 3);
     }
 
     #[test]

@@ -157,7 +157,7 @@ where
 }
 
 /// The retained `BTreeMap`-accumulator `vxm` — the verification fallback
-/// the equivalence proptests and the `algo_rate` bench compare against.
+/// the equivalence proptests compare against.
 ///
 /// # Panics
 /// Panics when `u.size() != A.nrows()`; see [`try_vxm_btree`].

@@ -110,7 +110,7 @@ fn gather_row<'a, T: ScalarType>(
 /// `C = A ⊕.⊗ B` with both operands given as level slices.  `adims`/`bdims`
 /// are the logical `(nrows, ncols)` the readers claim (needed because a
 /// slice list may be empty).
-pub fn mxm_levels<T, S>(
+fn mxm_levels<T, S>(
     adims: (Index, Index),
     bdims: (Index, Index),
     a_levels: &[&Dcsr<T>],
@@ -135,7 +135,7 @@ where
 
 /// Masked [`mxm_levels`]: only output positions the structural mask allows
 /// are kept (checked at drain time, after accumulation).
-pub fn mxm_levels_masked<T, S, M>(
+fn mxm_levels_masked<T, S, M>(
     adims: (Index, Index),
     bdims: (Index, Index),
     a_levels: &[&Dcsr<T>],
@@ -242,7 +242,7 @@ where
 /// `w = A ⊕.⊗ u` off level slices: one cursor sweep over A's non-empty
 /// rows, each folded under `+` and probed against `u` with a scalar
 /// accumulator — no scatter structure needed.
-pub fn mxv_levels<T, S>(
+fn mxv_levels<T, S>(
     adims: (Index, Index),
     a_levels: &[&Dcsr<T>],
     u: &SparseVector<T>,
@@ -257,7 +257,7 @@ where
 
 /// Masked [`mxv_levels`]: rows the mask denies are skipped *before* any
 /// product is formed — the masked frontier pull.
-pub fn mxv_levels_masked<T, S, M>(
+fn mxv_levels_masked<T, S, M>(
     adims: (Index, Index),
     a_levels: &[&Dcsr<T>],
     u: &SparseVector<T>,
@@ -316,7 +316,7 @@ where
 }
 
 /// `w = u ⊕.⊗ A` off level slices, accumulated through the shared SPA.
-pub fn vxm_levels<T, S>(
+fn vxm_levels<T, S>(
     u: &SparseVector<T>,
     adims: (Index, Index),
     a_levels: &[&Dcsr<T>],
@@ -339,7 +339,7 @@ where
 
 /// Masked [`vxm_levels`]: only output positions the vector mask allows are
 /// kept (checked at drain time).
-pub fn vxm_levels_masked<T, S, M>(
+fn vxm_levels_masked<T, S, M>(
     u: &SparseVector<T>,
     adims: (Index, Index),
     a_levels: &[&Dcsr<T>],

@@ -20,8 +20,8 @@
 //! scatter buffer only ever grow.
 //!
 //! Strategy counters (process-global, relaxed atomics, committed once per
-//! kernel call) record rows and flops per strategy so the `algo_rate` bench
-//! can report *why* a workload got faster — see [`spa_kernel_stats`].
+//! kernel call) record rows and flops per strategy so a benchmark can
+//! report *why* a workload got faster — see [`spa_kernel_stats`].
 
 use crate::index::Index;
 use crate::ops::BinaryOp;
@@ -47,7 +47,7 @@ static SCATTER_FLOPS: AtomicU64 = AtomicU64::new(0);
 
 /// Snapshot of the process-global SPA strategy counters: accumulator rows
 /// and multiply–add products routed through each strategy since process
-/// start (or the last [`reset_spa_kernel_stats`]).
+/// start (readers take before/after deltas).
 ///
 /// Like [`merge_kernel_stats`](crate::formats::merge::merge_kernel_stats),
 /// the counters are process-wide and updated with relaxed atomics once per
@@ -64,18 +64,6 @@ pub struct SpaKernelStats {
     pub scatter_flops: u64,
 }
 
-impl SpaKernelStats {
-    /// Total products across both strategies.
-    pub fn total_flops(&self) -> u64 {
-        self.dense_flops + self.scatter_flops
-    }
-
-    /// Total accumulator rows across both strategies.
-    pub fn total_rows(&self) -> u64 {
-        self.dense_rows + self.scatter_rows
-    }
-}
-
 /// Read the process-global SPA strategy counters.
 pub fn spa_kernel_stats() -> SpaKernelStats {
     SpaKernelStats {
@@ -84,15 +72,6 @@ pub fn spa_kernel_stats() -> SpaKernelStats {
         scatter_rows: SCATTER_ROWS.load(Ordering::Relaxed),
         scatter_flops: SCATTER_FLOPS.load(Ordering::Relaxed),
     }
-}
-
-/// Reset the process-global SPA strategy counters to zero (benchmark
-/// harness use; concurrent kernels may land counts immediately after).
-pub fn reset_spa_kernel_stats() {
-    DENSE_ROWS.store(0, Ordering::Relaxed);
-    DENSE_FLOPS.store(0, Ordering::Relaxed);
-    SCATTER_ROWS.store(0, Ordering::Relaxed);
-    SCATTER_FLOPS.store(0, Ordering::Relaxed);
 }
 
 /// Accumulation strategy chosen for one output row — see the module docs
@@ -344,7 +323,6 @@ mod tests {
 
     #[test]
     fn stats_tally_commits_once() {
-        reset_spa_kernel_stats();
         let mut spa = SpaScratch::<u64>::new();
         run_row(&mut spa, SpaStrategy::DenseBand, &[(1, 1), (2, 2)], Plus);
         run_row(&mut spa, SpaStrategy::SortedScatter, &[(1, 1)], Plus);
@@ -355,6 +333,7 @@ mod tests {
         let post = spa_kernel_stats();
         assert!(post.dense_rows - pre.dense_rows >= 1);
         assert!(post.scatter_rows - pre.scatter_rows >= 1);
-        assert!(post.total_flops() - pre.total_flops() >= 3);
+        assert!(post.dense_flops - pre.dense_flops >= 2);
+        assert!(post.scatter_flops - pre.scatter_flops >= 1);
     }
 }

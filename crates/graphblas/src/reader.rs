@@ -11,8 +11,8 @@
 //! a list of settled levels (the flat matrix, snapshots, the hierarchy, the
 //! windowed hierarchy) through the single implementation in
 //! [`crate::level_read`]; the sharded engine through its worker pool; the
-//! database analogues from LSM runs / posting lists / B-trees, overriding
-//! only what the provided sweep defaults below do not already give them.
+//! D4M associative array from its string-keyed levels, implementing only
+//! the required methods and taking the provided sweep defaults below.
 //!
 //! Query methods take `&mut self`: a reader may complete cheap deferred
 //! work (settle a pending-tuple buffer, refresh an index segment, drain an
@@ -312,7 +312,7 @@ pub trait CursorReader<V: ScalarType>: MatrixReader<V> {
 }
 
 /// A full system under test: ingests a stream *and* answers queries — the
-/// combined contract the mixed-workload harness drives through one
+/// combined contract the equivalence suites drive through one
 /// `Box<dyn StreamingSystem<u64>>`.
 pub trait StreamingSystem<V: ScalarType>: StreamingSink<V> + MatrixReader<V> {}
 

@@ -2,21 +2,19 @@
 //! system under test.
 //!
 //! The paper's Fig. 2 compares hierarchical hypersparse GraphBLAS matrices
-//! against flat GraphBLAS matrices, hierarchical D4M associative arrays and
-//! four database analogues — all ingesting the *same* stream of
-//! `(row, col, value)` updates.  `StreamingSink` is that common contract:
-//! anything that can absorb accumulate-updates and report what it stored can
-//! be driven by one generic harness (`hyperstream_cluster::measure::drive_sink`)
-//! instead of a hand-rolled call site per system.
+//! against flat GraphBLAS matrices and hierarchical D4M associative arrays
+//! — all ingesting the *same* stream of `(row, col, value)` updates.
+//! `StreamingSink` is that common contract: anything that can absorb
+//! accumulate-updates and report what it stored can be driven by one
+//! generic loop (the `benchmark/` package's workloads, the equivalence
+//! suites) instead of a hand-rolled call site per system.
 //!
 //! Implementations in this workspace:
 //!
 //! * [`Matrix`] — the flat pending-tuple path (this crate);
 //! * `HierMatrix`, `WindowedHierMatrix` — the hierarchical cascade
 //!   (`hyperstream-hier`);
-//! * `HierAssoc` — hierarchical D4M associative arrays (`hyperstream-d4m`);
-//! * `TabletStore`, `ArrayStore`, `RowStore`, `DocStore` — the database
-//!   analogues (`hyperstream-baselines`).
+//! * `HierAssoc` — hierarchical D4M associative arrays (`hyperstream-d4m`).
 
 use crate::error::{GrbError, GrbResult};
 use crate::index::Index;

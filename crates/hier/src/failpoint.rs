@@ -167,9 +167,9 @@ pub fn hits(name: &str) -> u64 {
         .sum()
 }
 
-/// Total fires across every armed site — benchmark artifacts record this
-/// as `faults_injected` so a measurement taken with the feature compiled
-/// in can attest that no fault actually fired.
+/// Total fires across every armed site — a run taken with the feature
+/// compiled in reads this to attest that no fault actually fired
+/// (`tests/fault_injection.rs` pins it at zero for a disarmed build).
 pub fn total_fired() -> u64 {
     let reg = lock_registry();
     reg.sites.values().map(|s| s.fired).sum()

@@ -48,7 +48,6 @@ pub mod config;
 pub mod failpoint;
 mod fold;
 pub mod matrix;
-pub mod memtrace;
 pub mod persist;
 pub mod pool;
 pub mod sharded;
@@ -60,7 +59,6 @@ pub use config::HierConfig;
 #[cfg(feature = "failpoints")]
 pub use failpoint::FailAction;
 pub use matrix::HierMatrix;
-pub use memtrace::{simulate_flat_trace, simulate_hier_trace, TraceComparison};
 pub use persist::{DurableConfig, FsyncPolicy, RecoveryReport};
 pub use pool::{InstancePool, PartitionBuffers};
 pub use sharded::{EngineHealth, ShardRecovery};

@@ -295,13 +295,6 @@ impl<T: ScalarType> HierMatrix<T> {
         self.levels[level].nvals_settled() + self.levels[level].npending()
     }
 
-    /// Upper bound on the total number of stored entries across all levels.
-    pub fn total_entries_bound(&self) -> usize {
-        (0..self.levels.len())
-            .map(|i| self.level_entries_bound(i))
-            .sum()
-    }
-
     /// Per-level entry bounds, useful for inspecting the cascade state.
     pub fn entries_per_level(&self) -> Vec<usize> {
         (0..self.levels.len())
@@ -1120,7 +1113,7 @@ mod tests {
         let m = HierMatrix::<u64>::new(1 << 32, 1 << 32, small_config()).unwrap();
         assert_eq!(m.levels(), 4);
         assert_eq!(m.nrows(), 1 << 32);
-        assert_eq!(m.total_entries_bound(), 0);
+        assert_eq!(m.entries_per_level(), vec![0; 4]);
         assert_eq!(m.stats().updates, 0);
     }
 
@@ -1315,7 +1308,7 @@ mod tests {
             m.update(i, i, 1).unwrap();
         }
         m.clear();
-        assert_eq!(m.total_entries_bound(), 0);
+        assert_eq!(m.entries_per_level(), vec![0; 4]);
         assert_eq!(m.stats().updates, 0);
         assert_eq!(m.nvals_exact(), 0);
     }

@@ -4,8 +4,7 @@
 //! instances, one per process, each building its own graph.  Within one
 //! process the same pattern appears when a stream is sharded by flow hash
 //! across several instances (e.g. one per worker thread).  `InstancePool`
-//! provides that sharding plus aggregate statistics; the
-//! `hyperstream-cluster` crate runs one pool per simulated node.
+//! provides that sharding plus aggregate statistics.
 
 use crate::config::HierConfig;
 use crate::matrix::HierMatrix;

@@ -17,7 +17,8 @@
 //! * **working-set reduction** — each shard's levels hold ~1/N of the
 //!   entries, so every cascade merge rewrites ~1/N of the data.  This is
 //!   measurable even on a single core once a stream outgrows one
-//!   hierarchy's cut schedule (see the `parallel_rate` benchmark).
+//!   hierarchy's cut schedule (`sharded.over_single` of the
+//!   `sharded_ingest` benchmark workload).
 //!
 //! # Threading model
 //!

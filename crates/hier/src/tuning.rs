@@ -8,8 +8,8 @@
 //!   memory-hierarchy cost model (level 1 sized to the L2 working set,
 //!   geometric growth up the hierarchy); and
 //! * [`sweep_cut_schedules`] — an exhaustive sweep of candidate schedules
-//!   under the cost model, used by the `cut_sweep` ablation benchmark
-//!   (experiment E4) and as a starting point for empirical tuning.
+//!   under the cost model, a starting point for empirical tuning
+//!   (`examples/cut_tuning.rs`).
 
 use crate::config::HierConfig;
 use hyperstream_memsim::{CostModel, MemoryHierarchy};

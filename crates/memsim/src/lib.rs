@@ -16,8 +16,8 @@
 //!   hierarchical update strategies (driven by
 //!   [`tracker::AccessTracker`]).
 //!
-//! These drive experiment E5 (`memory_pressure` binary) and the per-level
-//! statistics reported by `hyperstream-hier`.
+//! The analytic model prices the cut schedules that
+//! `hyperstream_hier::tuning` recommends and sweeps.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

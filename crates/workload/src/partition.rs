@@ -3,8 +3,7 @@
 //!
 //! The paper's cluster experiment gives every process its *own* stream
 //! (weak scaling); a single-node sharded engine instead splits one stream
-//! by row ownership (strong scaling).  Both shapes are provided here so the
-//! `parallel_rate` benchmark can measure either.
+//! by row ownership (strong scaling).  Both shapes are provided here.
 
 use crate::edge::Edge;
 use crate::powerlaw::{PowerLawConfig, PowerLawGenerator};

@@ -11,15 +11,15 @@
 //! * [`graphblas`] — hypersparse GraphBLAS substrate (formats, monoids,
 //!   semirings, kernels, graph algorithms);
 //! * [`hier`] — the hierarchical hypersparse matrix (the paper's
-//!   contribution) plus cut tuning and memory-trace instrumentation;
+//!   contribution) plus cut tuning;
 //! * [`d4m`] — D4M-style associative arrays and hierarchical associative
-//!   arrays (string-keyed baselines);
-//! * [`baselines`] — in-memory analogues of the database systems of Fig. 2
-//!   and the published reference rates;
+//!   arrays (the string-keyed comparison system);
 //! * [`workload`] — power-law / Kronecker / IP-traffic stream generators;
-//! * [`memsim`] — memory-hierarchy cost model and cache simulator;
-//! * [`cluster`] — single-node measurement, weak-scaling executor and
-//!   SuperCloud-scale extrapolation (the Fig. 2 harness).
+//! * [`memsim`] — memory-hierarchy cost model and cache simulator.
+//!
+//! Rates are measured in one place, the `benchmark/` package
+//! (`benchmark/run.sh`), which is its own workspace on top of `graphblas`,
+//! `hier` and `workload`.
 //!
 //! ## Quickstart
 //!
@@ -44,8 +44,6 @@
 
 #![forbid(unsafe_code)]
 
-pub use hyperstream_baselines as baselines;
-pub use hyperstream_cluster as cluster;
 pub use hyperstream_d4m as d4m;
 pub use hyperstream_graphblas as graphblas;
 pub use hyperstream_hier as hier;
@@ -64,10 +62,6 @@ pub mod prelude {
 
     pub use hyperstream_d4m::{Assoc, HierAssoc, HierAssocConfig};
 
-    pub use hyperstream_baselines::{
-        ArrayStore, DocStore, InsertRecord, RowStore, StreamingStore, TabletStore,
-    };
-
     pub use hyperstream_workload::{
         edges_to_tuples, partition_batch, shard_streams, Edge, IpTrafficConfig, IpTrafficGenerator,
         IpVersion, KroneckerConfig, KroneckerGenerator, PowerLawConfig, PowerLawGenerator,
@@ -76,11 +70,5 @@ pub mod prelude {
 
     pub use hyperstream_memsim::{
         AccessTracker, CacheConfig, CacheSim, CostModel, MemoryHierarchy,
-    };
-
-    pub use hyperstream_cluster::{
-        build_fig2, drive_mixed, drive_sink, make_sink, make_system, measure_mixed,
-        measure_scaling, measure_system, ClusterSpec, ExtrapolationModel, Fig2Options, MixedRate,
-        NodeSpec, SystemKind,
     };
 }

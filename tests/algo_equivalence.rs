@@ -15,8 +15,8 @@
 //!   matrix; and
 //! * `triangle_count` / `bfs_levels` / `connected_components` /
 //!   `pagerank` must agree across every system: cursor-native primaries
-//!   on the level-slice readers, `*_tuples` fallbacks on the DB-analogue
-//!   stores (pagerank to 1e-9; everything else exactly).
+//!   on the level-slice readers, `*_tuples` fallbacks on every sink
+//!   system (pagerank to 1e-9; everything else exactly).
 
 use hyperstream::graphblas::algo::{
     bfs_levels, bfs_levels_tuples, connected_components, connected_components_tuples, pagerank,
@@ -255,7 +255,7 @@ fn check_readers_vs_oracle(
 
 /// Triangles, BFS, components and pagerank agree across every system:
 /// cursor-native primaries on the level readers, `*_tuples` fallbacks
-/// on the DB-analogue stores.
+/// on every sink system.
 fn check_algorithms_agree(
     updates: &[(u64, u64, u64)],
     cuts: &[u64],
@@ -301,7 +301,7 @@ fn check_algorithms_agree(
         prop_assert!(close(&pr), "pagerank of {}: {:?}", &name, pr);
     }
 
-    // Tuple fallbacks over every sink system, DB analogues included.
+    // Tuple fallbacks over every sink system, the D4M store included.
     let hier_cfg = HierConfig::from_cuts(cuts.to_vec()).unwrap();
     let mut systems: Vec<Box<dyn StreamingSystem<u64>>> = vec![
         Box::new(Matrix::<u64>::new(DIM, DIM)),
@@ -325,10 +325,6 @@ fn check_algorithms_agree(
         Box::new(HierAssoc::new(
             HierAssocConfig::from_cuts(cuts.to_vec()).unwrap(),
         )),
-        Box::new(TabletStore::with_memtable_limit(32)),
-        Box::new(ArrayStore::with_chunk_dim(1 << 24)),
-        Box::new(RowStore::new()),
-        Box::new(DocStore::with_shards(3)),
     ];
     for sys in systems.iter_mut() {
         let name = sys.reader_name().to_string();

@@ -448,3 +448,51 @@ fn injected_hier_flush_error_propagates_through_engine() {
     assert_eq!(engine.health(), EngineHealth::Healthy);
     engine.flush().unwrap();
 }
+
+/// Failpoints compiled in, nothing armed: a sharded batch ingest and the
+/// read battery fire no site and every answer equals the flat matrix — a
+/// fault-capable build that injects nothing behaves like a plain one.
+#[test]
+fn disarmed_build_fires_nothing_and_answers_like_flat() {
+    let _fp = exclusive();
+    let updates: Vec<(u64, u64, u64)> = (0..4_000u64)
+        .map(|i| {
+            (
+                ((i % 97) * 20_000_019) % DIM,
+                ((i * 7 % 211) * 40_000_003) % DIM,
+                1 + i % 3,
+            )
+        })
+        .collect();
+    let (rows, (cols, vals)): (Vec<u64>, (Vec<u64>, Vec<u64>)) =
+        updates.iter().map(|&(r, c, v)| (r, (c, v))).unzip();
+    let mut engine = ShardedHierMatrix::<u64>::new(
+        DIM,
+        DIM,
+        HierConfig::from_cuts(vec![8, 64]).unwrap(),
+        chaos_config(3),
+    )
+    .unwrap();
+    engine.insert_batch(&rows, &cols, &vals).unwrap();
+    engine.flush().unwrap();
+    let mut flat = build_flat(&updates);
+
+    assert_eq!(engine.read_nnz(), flat.nvals());
+    assert_eq!(engine.read_top_k(10), reference_top_k(&flat, 10));
+    assert_eq!(engine.read_in_top_k(10), flat.read_in_top_k(10));
+    let (mut got, mut want) = (Vec::new(), Vec::new());
+    for &(r, c, _) in updates.iter().step_by(131) {
+        assert_eq!(engine.read_get(r, c), flat.read_get(r, c));
+        assert_eq!(engine.read_row_degree(r), flat.read_row_degree(r));
+        assert_eq!(engine.read_col_degree(c), flat.read_col_degree(c));
+        engine.read_row(r, &mut got);
+        flat.read_row(r, &mut want);
+        assert_eq!(got, want, "row {r}");
+        engine.read_col(c, &mut got);
+        flat.read_col(c, &mut want);
+        assert_eq!(got, want, "col {c}");
+    }
+    assert!(engine.take_read_error().is_none());
+    assert_eq!(engine.health(), EngineHealth::Healthy);
+    assert_eq!(failpoint::total_fired(), 0);
+}

@@ -67,43 +67,6 @@ fn hierarchy_equals_d4m_assoc_on_the_same_stream() {
 }
 
 #[test]
-fn baseline_stores_agree_with_graphblas_content() {
-    // Every system — the hierarchy included — ingests the stream through the
-    // same `StreamingSink` interface the measurement harness uses.
-    let edges = stream(5_000, 31);
-    let (rows, cols, vals) = edges_to_tuples(&edges);
-
-    let mut hier = HierMatrix::<u64>::with_default_config(1 << 32, 1 << 32).unwrap();
-    hier.insert_batch(&rows, &cols, &vals).unwrap();
-    StreamingSink::flush(&mut hier).unwrap();
-    let expected_cells = StreamingSink::nvals(&hier);
-    let expected_weight = StreamingSink::total_weight(&hier);
-
-    let mut sinks: Vec<Box<dyn StreamingSink<u64>>> = vec![
-        Box::new(TabletStore::new()),
-        Box::new(ArrayStore::new()),
-        Box::new(RowStore::new()),
-        Box::new(DocStore::new()),
-    ];
-    for sink in &mut sinks {
-        sink.insert_batch(&rows, &cols, &vals).unwrap();
-        sink.flush().unwrap();
-        assert_eq!(
-            sink.nvals(),
-            expected_cells,
-            "{} cell count",
-            sink.sink_name()
-        );
-        assert_eq!(
-            sink.total_weight(),
-            expected_weight,
-            "{} total weight",
-            sink.sink_name()
-        );
-    }
-}
-
-#[test]
 fn instance_pool_preserves_global_content() {
     let edges = stream(8_000, 41);
     let mut pool = InstancePool::<u64>::new(

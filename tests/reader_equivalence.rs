@@ -92,10 +92,6 @@ fn all_systems(cuts: &[u64], shards: usize, chunk: usize) -> Vec<Box<dyn Streami
         Box::new(HierAssoc::new(
             HierAssocConfig::from_cuts(cuts.to_vec()).unwrap(),
         )),
-        Box::new(TabletStore::with_memtable_limit(32)),
-        Box::new(ArrayStore::with_chunk_dim(1 << 24)),
-        Box::new(RowStore::new()),
-        Box::new(DocStore::with_shards(3)),
     ]
 }
 
@@ -435,7 +431,7 @@ fn pagerank_over_retained_windows_matches_the_materialized_union() {
 
 /// A caller-chosen `k` never sizes an allocation: `usize::MAX` ranks every
 /// row and column through the provided defaults (a defaults-only wrapper,
-/// a baseline store) and through the sharded engine and its snapshot.
+/// the D4M store) and through the sharded engine and its snapshot.
 #[test]
 fn hostile_k_ranks_everything() {
     /// Only the required methods: every other answer is a provided default.
@@ -465,20 +461,16 @@ fn hostile_k_ranks_everything() {
         ranked(&grouped(&cells, true), usize::MAX),
     );
     let mut flat = Matrix::<u64>::new(DIM, DIM);
-    let mut baseline = RowStore::new();
+    let mut assoc = HierAssoc::with_default_config();
     let mut engine = ShardedHierMatrix::<u64>::with_shards(DIM, DIM, 3).unwrap();
     for &(r, c, v) in &updates {
         flat.insert(r, c, v).unwrap();
-        baseline.insert(r, c, v).unwrap();
+        StreamingSink::<u64>::insert(&mut assoc, r, c, v).unwrap();
         engine.insert(r, c, v).unwrap();
     }
     let mut snapshot = engine.snapshot().unwrap();
-    let readers: [&mut dyn MatrixReader<u64>; 4] = [
-        &mut Defaults(flat),
-        &mut baseline,
-        &mut engine,
-        &mut snapshot,
-    ];
+    let readers: [&mut dyn MatrixReader<u64>; 4] =
+        [&mut Defaults(flat), &mut assoc, &mut engine, &mut snapshot];
     for reader in readers {
         let name = reader.reader_name().to_string();
         for k in [usize::MAX, usize::MAX - 1, 1_000_000_000_000] {
