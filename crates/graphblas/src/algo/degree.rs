@@ -105,12 +105,9 @@ impl DegreeDistribution {
 ///
 /// Served through [`MatrixReader::read_degree_histogram`], so index-backed
 /// readers (the hierarchical systems) answer in O(distinct degrees) rather
-/// than sweeping every entry.  This counts *rows*; the column mirror is
-/// [`in_degree_distribution`] — since the column read path landed, both
-/// directions are index-served symmetrically (out-degree off the row
-/// [`DegreeIndex`], in-degree off the column twin/index).
-///
-/// [`DegreeIndex`]: crate::degree_index::DegreeIndex
+/// than sweeping every entry.  This counts *rows*; the column mirror —
+/// the background model for destination-centric telemetry — is the same
+/// wrapper around [`MatrixReader::read_in_degree_histogram`].
 pub fn degree_distribution<V, R>(a: &mut R) -> DegreeDistribution
 where
     V: ScalarType,
@@ -118,23 +115,6 @@ where
 {
     DegreeDistribution {
         counts: a.read_degree_histogram(),
-    }
-}
-
-/// Compute the **in**-degree (column-pattern) distribution of a matrix —
-/// the background model for *destination*-centric telemetry (victim
-/// profiles) the way [`degree_distribution`] models sources.
-///
-/// Served through [`MatrixReader::read_in_degree_histogram`]: O(distinct
-/// degrees) off a column index, one O(k) twin lookup otherwise — never the
-/// old full-entry sweep.
-pub fn in_degree_distribution<V, R>(a: &mut R) -> DegreeDistribution
-where
-    V: ScalarType,
-    R: MatrixReader<V> + ?Sized,
-{
-    DegreeDistribution {
-        counts: a.read_in_degree_histogram(),
     }
 }
 
@@ -175,16 +155,6 @@ mod tests {
         g.accum_tuples(&[3, 3, 3], &[1, 2, 1], &[1, 1, 1]).unwrap();
         // Pending only; duplicates on (3, 1) must collapse in the pattern.
         assert_eq!(row_degree(&mut g).get(3), Some(2));
-    }
-
-    #[test]
-    fn in_degree_distribution_mirrors_transpose() {
-        let mut g = star_graph(5, 4);
-        let dist = in_degree_distribution(&mut g);
-        // Four leaves, each with in-degree 1; the hub has none.
-        assert_eq!(dist.counts.get(&1), Some(&4));
-        assert_eq!(dist.total_vertices(), 4);
-        assert_eq!(dist.max_degree(), 1);
     }
 
     #[test]

@@ -391,6 +391,19 @@ pub fn for_each_merged<T: ScalarType, Op: BinaryOp<T>>(
     op: Op,
     f: &mut dyn FnMut(Index, Index, T),
 ) {
+    // A single non-empty level (a flat matrix, a flushed hierarchy) is its
+    // own union: walk it without the per-row cursor bookkeeping.
+    let mut nonempty = levels.iter().filter(|d| !d.is_empty());
+    if let (Some(only), None) = (nonempty.next(), nonempty.next()) {
+        let (ids, ptr, cols, vals) = only.raw_parts();
+        for (slot, &row) in ids.iter().enumerate() {
+            let (lo, hi) = (ptr[slot], ptr[slot + 1]);
+            for (&c, &v) in cols[lo..hi].iter().zip(&vals[lo..hi]) {
+                f(row, c, v);
+            }
+        }
+        return;
+    }
     let mut cur = LevelCursors::new(levels);
     while let Some(row) = cur.next_row() {
         cur.fold_row(op, &mut |c, v| f(row, c, v));

@@ -8,21 +8,26 @@
 //! [`DegreeIndex`] turns those answers into cheap lookups by maintaining,
 //! *incrementally on the existing hot-path events*:
 //!
-//! * a **cell-membership oracle** (`cells`): the set of distinct
-//!   `(row, col)` cells of the represented union.  Fed from the settle
-//!   dedup-unpack (the sorted, deduplicated pending batch), one hash probe
-//!   per settled distinct cell decides whether the union grew.  Cascades
-//!   (`merge_into` between levels) move cells without changing the union,
-//!   so they need **no** index maintenance at all.
-//! * **per-row counters** (`rows`): distinct-column degree and the
-//!   `+`-monoid weight reduction of every non-empty row, shared with
-//!   snapshots through an [`Arc`] (copy-on-write: maintaining the index
-//!   while a snapshot is outstanding clones the row stats once, `O(rows)`,
-//!   never the cell oracle).
+//! * **per-key counters** (`rows`): distinct-cell degree and the
+//!   `+`-monoid weight reduction of every non-empty row (or column — the
+//!   index is keyed by whichever coordinate its owner feeds it), shared
+//!   with snapshots through an [`Arc`] (copy-on-write: maintaining the
+//!   index while a snapshot is outstanding clones the stats once,
+//!   `O(rows)`).
 //! * an exact **`nnz`** counter.
 //!
+//! The index does **not** know which cells exist.  Whether a settled cell
+//! is new to the represented union is a question about `(row, col)` pairs,
+//! and its answer serves the row index and the column index alike, so the
+//! *owner* keeps the one cell-membership oracle (the hierarchy: a set of
+//! every distinct cell, probed once per settled cell) and hands each index
+//! what [`DegreeIndex::observe`] takes: the batch's keys on this index's
+//! axis, its values, and one flag per cell saying whether the union grew.
+//! Cascades (`merge_into` between levels) move cells without changing the
+//! union, so they need **no** index maintenance at all.
+//!
 //! `top_k` is served from a cache of the top 128 ranks that the settle
-//! observers **keep current**: one bounded-heap scan of the row stats
+//! observer **keeps current**: one bounded-heap scan of the row stats
 //! (`O(rows)`, no sort of the full row set) builds it on the first query,
 //! and from then on every settle notes which rows it raised past the
 //! cache's last entry and re-ranks the cached rows plus those once, when
@@ -48,10 +53,9 @@
 //! reader uses the `+` monoid is associative and the answers are
 //! byte-identical; for `f64` the two paths may differ in the last ulp.
 
-use crate::formats::dcsr::Dcsr;
 use crate::index::Index;
 use crate::types::ScalarType;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
@@ -94,23 +98,11 @@ impl Hasher for FxHasher {
         self.mix(n as u64);
         self.mix((n >> 64) as u64);
     }
-
-    #[inline]
-    fn write_usize(&mut self, n: usize) {
-        self.mix(n as u64);
-    }
 }
 
 /// Deterministic builder: no per-process random seed, so iteration order —
 /// which never leaks into answers, all of which sort — is reproducible.
 pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
-
-/// Pack a `(row, col)` coordinate into the cell-oracle key.  Dimensions are
-/// capped at [`crate::index::MAX_DIM`] = 2^60, so both halves fit.
-#[inline]
-fn cell_key(row: Index, col: Index) -> u128 {
-    ((row as u128) << 64) | col as u128
-}
 
 /// Degree and weight-reduce counters of one non-empty row.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -123,7 +115,7 @@ pub struct RowStat<V> {
 
 /// The shared (snapshot-visible) part of the index: per-row stats, the
 /// exact distinct-cell count, and a version stamp for the lazy caches.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 struct RowStatsCore<V> {
     rows: HashMap<Index, RowStat<V>, FxBuildHasher>,
     nnz: usize,
@@ -161,19 +153,9 @@ impl<V: ScalarType> RowStatsCore<V> {
     }
 }
 
-impl<V> Default for RowStatsCore<V> {
-    fn default() -> Self {
-        Self {
-            rows: HashMap::default(),
-            nnz: 0,
-            version: 0,
-        }
-    }
-}
-
 /// Query caches, each valid for the core version it is stamped with (not
 /// shared: a snapshot's view carries its own copy, warm as captured).
-/// The observers re-stamp `topk` when they kept it current; `hist` is
+/// The observer re-stamps `topk` when it kept it current; `hist` is
 /// always rebuilt on demand.
 ///
 /// Version 0 is the empty core's version, so `Default` (all-empty caches
@@ -278,7 +260,7 @@ impl QueryCache {
 /// Smallest top-k cache width: rebuilding for a tiny `k` would re-scan the
 /// row stats again as soon as a slightly larger `k` arrives, so rebuilds
 /// always cover at least this many ranks.  Also the only width the settle
-/// observers upkeep ([`QueryCache::upkeep`]).
+/// observer upkeeps ([`QueryCache::upkeep`]).
 const TOPK_MIN_COVER: usize = 128;
 
 /// A read-only view of a [`DegreeIndex`]: the `Arc`-shared row stats plus
@@ -287,30 +269,16 @@ const TOPK_MIN_COVER: usize = 128;
 /// while the view keeps answering from the captured state.
 ///
 /// [`MatrixSnapshot`]: crate::snapshot::MatrixSnapshot
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct DegreeIndexView<V> {
     core: Arc<RowStatsCore<V>>,
     cache: QueryCache,
-}
-
-impl<V: ScalarType> Default for DegreeIndexView<V> {
-    fn default() -> Self {
-        Self {
-            core: Arc::new(RowStatsCore::default()),
-            cache: QueryCache::default(),
-        }
-    }
 }
 
 impl<V: ScalarType> DegreeIndexView<V> {
     /// Distinct `(row, col)` cells — O(1).
     pub fn nnz(&self) -> usize {
         self.core.nnz
-    }
-
-    /// Number of non-empty rows — O(1).
-    pub fn nrows_nonempty(&self) -> usize {
-        self.core.rows.len()
     }
 
     /// Distinct columns stored in `row` — O(1).
@@ -389,37 +357,23 @@ impl<V: ScalarType> DegreeIndexView<V> {
 /// its levels.  See the [module documentation](self) for the design.
 ///
 /// The index starts **inactive**: pure-ingest workloads never touch it
-/// (the observers return immediately), so streams that are never asked a
+/// (the observer returns immediately), so streams that are never asked a
 /// degree question pay zero maintenance.  The first degree query
-/// activates it ([`DegreeIndex::activate`] + one `observe`/`add` rebuild
-/// sweep by the owner); from then on the settle observer maintains it
-/// incrementally.
-#[derive(Debug, Clone)]
+/// activates it ([`DegreeIndex::activate`] + one deduplicated sweep of the
+/// current content by the owner); from then on the owner's settle observer
+/// maintains it incrementally.
+#[derive(Debug, Clone, Default)]
 pub struct DegreeIndex<V> {
-    /// Membership oracle over every distinct cell of the union.  Writer
-    /// private: snapshots never need it, so maintaining the index past a
-    /// snapshot copies only the row stats, not this set.
-    cells: HashSet<u128, FxBuildHasher>,
-    /// False until the first degree query: observers are no-ops while
+    /// False until the first degree query: the observer is a no-op while
     /// inactive.
     active: bool,
     view: DegreeIndexView<V>,
 }
 
-impl<V: ScalarType> Default for DegreeIndex<V> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl<V: ScalarType> DegreeIndex<V> {
     /// An empty, inactive index.
     pub fn new() -> Self {
-        Self {
-            cells: HashSet::default(),
-            active: false,
-            view: DegreeIndexView::default(),
-        }
+        Self::default()
     }
 
     /// True once a degree query has activated maintenance.
@@ -427,10 +381,10 @@ impl<V: ScalarType> DegreeIndex<V> {
         self.active
     }
 
-    /// Start maintaining the index.  The owner must immediately rebuild it
-    /// from the current content (e.g. [`DegreeIndex::observe_dcsr`] per
-    /// settled level — the cell oracle deduplicates across levels);
-    /// afterwards every settle flows through the observers.  Idempotent.
+    /// Start maintaining the index.  The owner must immediately feed it
+    /// the current content (one deduplicated sweep through
+    /// [`DegreeIndex::add_unique_row`]); afterwards every settle flows
+    /// through [`DegreeIndex::observe`].  Idempotent.
     pub fn activate(&mut self) {
         self.active = true;
     }
@@ -438,8 +392,6 @@ impl<V: ScalarType> DegreeIndex<V> {
     /// Remove everything and deactivate (the matrix was cleared; the next
     /// degree query rebuilds from scratch).
     pub fn clear(&mut self) {
-        self.cells.clear();
-        self.cells.shrink_to_fit();
         self.active = false;
         let core = Arc::make_mut(&mut self.view.core);
         core.rows.clear();
@@ -456,116 +408,61 @@ impl<V: ScalarType> DegreeIndex<V> {
     /// The index's own view, for querying in place: the stats a live
     /// [`LevelStore`](crate::level_read::LevelStore) answers from.  Its
     /// query caches warm across calls; the row stats stay writable only
-    /// through the observers.
+    /// through the observer.
     pub fn view_mut(&mut self) -> &mut DegreeIndexView<V> {
         &mut self.view
     }
 
-    /// Bytes held by the index structures (hash tables + caches), for the
+    /// Bytes held by the index structures (stats table + caches), for the
     /// memory accounting of the owning matrix.
     pub fn memory_bytes(&self) -> usize {
-        self.cells.capacity() * std::mem::size_of::<u128>()
-            + self.view.core.rows.capacity()
-                * (std::mem::size_of::<Index>() + std::mem::size_of::<RowStat<V>>())
+        self.view.core.rows.capacity()
+            * (std::mem::size_of::<Index>() + std::mem::size_of::<RowStat<V>>())
             + self.view.cache.topk.capacity() * std::mem::size_of::<(Index, usize)>()
     }
 
-    /// Observe the settle dedup-unpack: `rows/cols/vals` are one sorted,
-    /// row-major, in-batch-deduplicated pending batch about to merge into a
-    /// settled level.  Values must already be combined under `+` (they
-    /// are — the hierarchy settles with the `Plus` monoid).
+    /// Observe cells entering or re-entering the represented union: cell
+    /// `i` lies on this index's axis at `keys[i]`, carries `vals[i]`, and
+    /// `new[i]` says whether the union did not hold it before (the owner's
+    /// cell oracle decides that, once, for both axes).  The settle
+    /// dedup-unpack feeds this — a sorted, in-batch-deduplicated pending
+    /// batch with values already combined under `+` — and so does a bulk
+    /// matrix update.
     ///
-    /// Cost: one cell probe per batch entry plus one row-stat update per
-    /// *distinct row in the batch* (the row-major order lets the per-row
-    /// deltas accumulate in registers before touching the map), and — while
-    /// the top-k cache is current — a compare or two per row whose degree
-    /// rose plus one re-rank of the cache at the end.  Grouping by the first
-    /// slice is a fast path, not a requirement: the column index feeds
-    /// `(cols, rows)`, where a key recurs in many runs.
-    pub fn observe_settle(&mut self, rows: &[Index], cols: &[Index], vals: &[V]) {
-        if !self.active || rows.is_empty() {
+    /// Cost: one stat update per *run of equal keys* (the row index sees a
+    /// row-major batch, so a row's deltas accumulate in registers before
+    /// touching the map), and — while the top-k cache is current — a
+    /// compare or two per key whose degree rose plus one re-rank of the
+    /// cache at the end.  Grouping is a fast path, not a requirement: the
+    /// column index is fed the batch's columns, where a key recurs often.
+    pub fn observe(&mut self, keys: &[Index], vals: &[V], new: &[bool]) {
+        if !self.active || keys.is_empty() {
             return;
         }
         let (core, cache) = (Arc::make_mut(&mut self.view.core), &mut self.view.cache);
         let mut upkeep = cache.upkeep(core.version);
         let mut i = 0;
-        while i < rows.len() {
-            let row = rows[i];
+        while i < keys.len() {
+            let key = keys[i];
             let mut new_cells = 0u64;
             let mut weight = V::default();
-            while i < rows.len() && rows[i] == row {
-                if self.cells.insert(cell_key(row, cols[i])) {
-                    new_cells += 1;
-                }
+            while i < keys.len() && keys[i] == key {
+                new_cells += new[i] as u64;
                 weight = weight.add(vals[i]);
                 i += 1;
             }
-            let old = core.add(row, new_cells, weight);
+            let old = core.add(key, new_cells, weight);
             if let Some(upkeep) = upkeep.as_mut() {
-                upkeep.raise(row, old, old + new_cells);
+                upkeep.raise(key, old, old + new_cells);
             }
         }
         core.stamp(cache, upkeep);
     }
 
-    /// Observe a settled structure wholesale (the `update_matrix` bulk
-    /// path): every entry runs through the cell oracle.
-    pub fn observe_dcsr(&mut self, d: &Dcsr<V>) {
-        let (ids, ptr, cols, vals) = d.raw_parts();
-        if !self.active || ids.is_empty() {
-            return;
-        }
-        let (core, cache) = (Arc::make_mut(&mut self.view.core), &mut self.view.cache);
-        let mut upkeep = cache.upkeep(core.version);
-        for (slot, &row) in ids.iter().enumerate() {
-            let mut new_cells = 0u64;
-            let mut weight = V::default();
-            for j in ptr[slot]..ptr[slot + 1] {
-                if self.cells.insert(cell_key(row, cols[j])) {
-                    new_cells += 1;
-                }
-                weight = weight.add(vals[j]);
-            }
-            let old = core.add(row, new_cells, weight);
-            if let Some(upkeep) = upkeep.as_mut() {
-                upkeep.raise(row, old, old + new_cells);
-            }
-        }
-        core.stamp(cache, upkeep);
-    }
-
-    /// Observe a settled structure **transposed**: every `(row, col)` entry
-    /// feeds the oracle and stats as `(col, row)`.  This is how a *column*
-    /// degree index rebuilds from row-major level structures — the settle
-    /// observer is coordinate-agnostic (grouping by the first coordinate is
-    /// only a fast path), so the same [`DegreeIndex`] type indexes either
-    /// axis; only this bulk rebuild needs to know the storage is row-major.
-    pub fn observe_dcsr_transposed(&mut self, d: &Dcsr<V>) {
-        let (ids, ptr, cols, vals) = d.raw_parts();
-        if !self.active || ids.is_empty() {
-            return;
-        }
-        let (core, cache) = (Arc::make_mut(&mut self.view.core), &mut self.view.cache);
-        let mut upkeep = cache.upkeep(core.version);
-        for (slot, &row) in ids.iter().enumerate() {
-            for j in ptr[slot]..ptr[slot + 1] {
-                let col = cols[j];
-                let new_cell = self.cells.insert(cell_key(col, row));
-                let old = core.add(col, new_cell as u64, vals[j]);
-                if let Some(upkeep) = upkeep.as_mut() {
-                    upkeep.raise(col, old, old + new_cell as u64);
-                }
-            }
-        }
-        core.stamp(cache, upkeep);
-    }
-
-    /// Record one row's worth of entries that are *known distinct and new*
-    /// (no cell probes) — the rebuild path of readers that reconstruct an
-    /// index from an already-deduplicated union sweep, where the oracle
-    /// would be pure overhead.  The cell oracle is left untouched, so a
-    /// rebuilt index must not be maintained incrementally afterwards
-    /// (rebuild again instead).
+    /// Record one key's worth of cells that are *known distinct and new* —
+    /// the fill path of an owner walking an already-deduplicated union
+    /// sweep: a hierarchy activating a side, the windowed union index
+    /// rebuilding.  The top-k cache is left to its next lazy rebuild.
     pub fn add_unique_row(&mut self, row: Index, degree: u64, weight: V) {
         let core = Arc::make_mut(&mut self.view.core);
         core.add(row, degree, weight);
@@ -575,11 +472,6 @@ impl<V: ScalarType> DegreeIndex<V> {
     /// Distinct `(row, col)` cells — O(1).
     pub fn nnz(&self) -> usize {
         self.view.nnz()
-    }
-
-    /// Number of non-empty rows — O(1).
-    pub fn nrows_nonempty(&self) -> usize {
-        self.view.nrows_nonempty()
     }
 
     /// Distinct columns stored in `row` — O(1).
@@ -596,42 +488,59 @@ impl<V: ScalarType> DegreeIndex<V> {
     pub fn top_k(&mut self, k: usize) -> Vec<(Index, usize)> {
         self.view.top_k(k)
     }
-
-    /// The degree histogram — O(distinct degrees) warm.
-    pub fn degree_histogram(&mut self) -> BTreeMap<u64, u64> {
-        self.view.degree_histogram()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ops::binary::Plus;
+    use std::collections::HashSet;
 
-    fn settle(ix: &mut DegreeIndex<u64>, batch: &[(u64, u64, u64)]) {
-        // Batches must arrive sorted row-major and deduplicated, like the
-        // real settle produces.
-        ix.activate();
-        let rows: Vec<u64> = batch.iter().map(|e| e.0).collect();
-        let cols: Vec<u64> = batch.iter().map(|e| e.1).collect();
+    /// An index keyed by row (`by_col`: by column) together with the cell
+    /// oracle its owner keeps for it.
+    #[derive(Default)]
+    struct Owned {
+        ix: DegreeIndex<u64>,
+        cells: HashSet<(u64, u64)>,
+        by_col: bool,
+    }
+
+    impl std::ops::Deref for Owned {
+        type Target = DegreeIndex<u64>;
+        fn deref(&self) -> &Self::Target {
+            &self.ix
+        }
+    }
+
+    impl std::ops::DerefMut for Owned {
+        fn deref_mut(&mut self) -> &mut Self::Target {
+            &mut self.ix
+        }
+    }
+
+    /// What the owner does on a settle: ask the oracle which cells are new
+    /// and feed the index its axis.  Batches arrive sorted row-major and
+    /// deduplicated, like the real settle produces.
+    fn settle(o: &mut Owned, batch: &[(u64, u64, u64)]) {
+        o.ix.activate();
+        let key = |e: &(u64, u64, u64)| if o.by_col { e.1 } else { e.0 };
+        let keys: Vec<u64> = batch.iter().map(key).collect();
         let vals: Vec<u64> = batch.iter().map(|e| e.2).collect();
-        ix.observe_settle(&rows, &cols, &vals);
+        let new: Vec<bool> = batch.iter().map(|e| o.cells.insert((e.0, e.1))).collect();
+        o.ix.observe(&keys, &vals, &new);
     }
 
     #[test]
-    fn inactive_index_ignores_observers() {
+    fn inactive_index_ignores_the_observer() {
         let mut ix = DegreeIndex::<u64>::new();
         assert!(!ix.is_active());
-        ix.observe_settle(&[1, 2], &[1, 2], &[1, 1]);
-        let d = Dcsr::from_tuples(10, 10, &[3], &[3], &[3u64], Plus).unwrap();
-        ix.observe_dcsr(&d);
+        ix.observe(&[1, 2], &[1, 1], &[true, true]);
         // Nothing recorded: pure-ingest streams pay no maintenance.
         assert_eq!(ix.nnz(), 0);
         assert!(ix.top_k(5).is_empty());
         // Activation starts maintenance; clear() deactivates again.
         ix.activate();
         assert!(ix.is_active());
-        ix.observe_dcsr(&d);
+        ix.observe(&[3], &[3], &[true]);
         assert_eq!(ix.nnz(), 1);
         ix.clear();
         assert!(!ix.is_active());
@@ -639,7 +548,7 @@ mod tests {
 
     #[test]
     fn incremental_counters_match_reality() {
-        let mut ix = DegreeIndex::<u64>::new();
+        let mut ix = Owned::default();
         assert_eq!(ix.nnz(), 0);
         assert_eq!(ix.row_degree(5), 0);
         assert_eq!(ix.row_weight(5), None);
@@ -660,19 +569,19 @@ mod tests {
         assert_eq!(ix.top_k(2), vec![(5, 3), (9, 1)]);
         assert_eq!(ix.top_k(100), vec![(5, 3), (9, 1)]);
 
-        let hist = ix.degree_histogram();
+        let hist = ix.view_mut().degree_histogram();
         assert_eq!(hist.get(&3), Some(&1));
         assert_eq!(hist.get(&1), Some(&1));
 
         ix.clear();
         assert_eq!(ix.nnz(), 0);
         assert!(ix.top_k(5).is_empty());
-        assert!(ix.degree_histogram().is_empty());
+        assert!(ix.view_mut().degree_histogram().is_empty());
     }
 
     #[test]
     fn top_k_deterministic_ordering_and_cache_reuse() {
-        let mut ix = DegreeIndex::<u64>::new();
+        let mut ix = Owned::default();
         // Rows 1..=40 with degree i % 4 + 1: plenty of ties.
         for r in 1u64..=40 {
             let deg = r % 4 + 1;
@@ -700,7 +609,7 @@ mod tests {
 
     #[test]
     fn topk_beyond_cached_cover_rebuilds() {
-        let mut ix = DegreeIndex::<u64>::new();
+        let mut ix = Owned::default();
         for r in 0u64..300 {
             settle(&mut ix, &[(r, 0, 1)]);
         }
@@ -723,7 +632,7 @@ mod tests {
 
     #[test]
     fn settles_upkeep_the_topk_cache_with_a_single_rebuild() {
-        let mut ix = DegreeIndex::<u64>::new();
+        let mut ix = Owned::default();
         // 400 rows against a 128-entry cache: rows enter, get displaced
         // and re-enter; ties at the boundary are common.
         let seed: Vec<(u64, u64, u64)> = (0..400).map(|r| (r, 1000, 1)).collect();
@@ -753,15 +662,15 @@ mod tests {
         }
         // The first query built the cache; 49 settles kept it current and
         // never grew it (its capacity is in `memory_bytes`).
-        assert_eq!(ix.view.cache.rebuilds, 1);
-        assert_eq!(ix.view.cache.topk.capacity(), TOPK_MIN_COVER);
+        assert_eq!(ix.ix.view.cache.rebuilds, 1);
+        assert_eq!(ix.ix.view.cache.topk.capacity(), TOPK_MIN_COVER);
     }
 
     #[test]
     fn upkeep_fills_a_complete_cache_then_overflows_it() {
         // Fewer rows than the cover: the cache is complete and admits every
         // new row; the 129th row makes it incomplete.
-        let mut ix = DegreeIndex::<u64>::new();
+        let mut ix = Owned::default();
         settle(&mut ix, &[(0, 0, 1)]);
         assert_eq!(ix.top_k(1), vec![(0, 1)]);
         let mut cells: HashSet<(u64, u64)> = [(0, 0)].into();
@@ -774,51 +683,52 @@ mod tests {
             let expect = ranking(&cells);
             assert_eq!(ix.top_k(128), expect[..128.min(expect.len())], "row {r}");
         }
-        assert_eq!(ix.view.cache.rebuilds, 1);
-        assert!(!ix.view.cache.complete);
+        assert_eq!(ix.ix.view.cache.rebuilds, 1);
+        assert!(!ix.ix.view.cache.complete);
         // Beyond the cover the answer comes from a rebuild, and the wide
         // cache it leaves is not upkept: the next narrow query rebuilds.
         assert_eq!(ix.top_k(usize::MAX), ranking(&cells));
-        assert_eq!(ix.view.cache.rebuilds, 2);
+        assert_eq!(ix.ix.view.cache.rebuilds, 2);
         settle(&mut ix, &[(500, 0, 1)]);
         cells.insert((500, 0));
         // (the settle left the 200-entry cache alone and merely stale)
-        assert_eq!(ix.view.cache.topk.len(), 200);
-        assert_ne!(ix.view.cache.topk_version, ix.view.core.version);
+        assert_eq!(ix.ix.view.cache.topk.len(), 200);
+        assert_ne!(ix.ix.view.cache.topk_version, ix.ix.view.core.version);
         assert_eq!(ix.top_k(3), ranking(&cells)[..3]);
-        assert_eq!(ix.view.cache.rebuilds, 3);
+        assert_eq!(ix.ix.view.cache.rebuilds, 3);
         // ...after which upkeep resumes at the default width.
         settle(&mut ix, &[(500, 1, 1), (501, 0, 1)]);
         cells.extend([(500, 1), (501, 0)]);
         assert_eq!(ix.top_k(128), ranking(&cells)[..128]);
-        assert_eq!(ix.view.cache.rebuilds, 3);
+        assert_eq!(ix.ix.view.cache.rebuilds, 3);
     }
 
     #[test]
-    fn upkeep_handles_ungrouped_keys_and_every_observer() {
+    fn upkeep_handles_ungrouped_keys() {
         // The column index's feed: keys recur across runs of one call.
-        let mut ix = DegreeIndex::<u64>::new();
-        ix.activate();
-        ix.observe_settle(&[1, 2, 1], &[10, 10, 11], &[1, 1, 1]);
+        let mut ix = Owned {
+            by_col: true,
+            ..Owned::default()
+        };
+        settle(&mut ix, &[(10, 1, 1), (10, 2, 1), (11, 1, 1)]);
         assert_eq!(ix.top_k(2), vec![(1, 2), (2, 1)]);
-        ix.observe_settle(&[2, 3, 2, 3, 2], &[20, 20, 21, 21, 22], &[1; 5]);
+        settle(
+            &mut ix,
+            &[(20, 2, 1), (20, 3, 1), (21, 2, 1), (21, 3, 1), (22, 2, 1)],
+        );
         assert_eq!(ix.top_k(3), vec![(2, 4), (1, 2), (3, 2)]);
-        let d = Dcsr::from_tuples(100, 100, &[3, 3, 9], &[30, 31, 2], &[1u64; 3], Plus).unwrap();
-        ix.observe_dcsr(&d);
+        settle(&mut ix, &[(2, 9, 1), (30, 3, 1), (31, 3, 1)]);
         assert_eq!(ix.top_k(3), vec![(2, 4), (3, 4), (1, 2)]);
-        // Transposed: (3,30) (3,31) (9,2) feed keys 30, 31, 2.
-        ix.observe_dcsr_transposed(&d);
-        assert_eq!(ix.top_k(2), vec![(2, 5), (3, 4)]);
-        assert_eq!(ix.view.cache.rebuilds, 1);
+        assert_eq!(ix.ix.view.cache.rebuilds, 1);
         // A refill through `add_unique_row` is not upkept.
         ix.add_unique_row(77, 9, 9);
         assert_eq!(ix.top_k(1), vec![(77, 9)]);
-        assert_eq!(ix.view.cache.rebuilds, 2);
+        assert_eq!(ix.ix.view.cache.rebuilds, 2);
     }
 
     #[test]
     fn view_is_stable_under_writer_mutation() {
-        let mut ix = DegreeIndex::<u64>::new();
+        let mut ix = Owned::default();
         settle(&mut ix, &[(1, 1, 5), (2, 1, 6), (2, 2, 7)]);
         let mut view = ix.view();
         settle(&mut ix, &[(3, 1, 1), (3, 2, 1), (3, 3, 1)]);
@@ -833,44 +743,27 @@ mod tests {
     }
 
     #[test]
-    fn observe_dcsr_bulk_path() {
-        let d =
-            Dcsr::from_tuples(100, 100, &[4, 4, 9], &[1, 2, 3], &[10u64, 20, 30], Plus).unwrap();
-        let mut ix = DegreeIndex::<u64>::new();
-        ix.activate();
-        ix.observe_dcsr(&d);
-        // Overlapping re-observation only accumulates weight where cells
-        // repeat.
-        ix.observe_dcsr(&d);
-        assert_eq!(ix.nnz(), 3);
-        assert_eq!(ix.row_degree(4), 2);
-        assert_eq!(ix.row_weight(4), Some(60));
-    }
-
-    #[test]
-    fn transposed_observation_builds_a_column_index() {
-        // (4,1) (4,2) (9,2): column degrees are {1: 1, 2: 2}.
-        let d =
-            Dcsr::from_tuples(100, 100, &[4, 4, 9], &[1, 2, 2], &[10u64, 20, 30], Plus).unwrap();
-        let mut ix = DegreeIndex::<u64>::new();
-        ix.activate();
-        ix.observe_dcsr_transposed(&d);
-        assert_eq!(ix.nnz(), 3);
-        assert_eq!(ix.row_degree(1), 1);
-        assert_eq!(ix.row_degree(2), 2);
-        assert_eq!(ix.row_weight(2), Some(50));
-        assert_eq!(ix.top_k(1), vec![(2, 2)]);
-        // Re-observation only accumulates weight where cells repeat.
-        ix.observe_dcsr_transposed(&d);
-        assert_eq!(ix.nnz(), 3);
-        assert_eq!(ix.row_degree(2), 2);
-        // The settle observer with swapped coordinate slices maintains the
-        // same column stats incrementally (grouping by the first slice is a
-        // fast path, not a correctness requirement).
-        ix.observe_settle(&[7, 2], &[1, 8], &[5, 5]);
-        assert_eq!(ix.row_degree(7), 1);
-        assert_eq!(ix.row_degree(2), 3);
-        assert_eq!(ix.nnz(), 5);
+    fn a_cell_seen_again_adds_weight_not_degree() {
+        // (4,1) (4,2) (9,2): row degrees {4: 2, 9: 1}, column degrees
+        // {1: 1, 2: 2} — one type, either axis.
+        let batch = [(4, 1, 10), (4, 2, 20), (9, 2, 30)];
+        let mut by_row = Owned::default();
+        let mut by_col = Owned {
+            by_col: true,
+            ..Owned::default()
+        };
+        for _ in 0..2 {
+            settle(&mut by_row, &batch);
+            settle(&mut by_col, &batch);
+            assert_eq!((by_row.nnz(), by_col.nnz()), (3, 3));
+            assert_eq!((by_row.row_degree(4), by_col.row_degree(2)), (2, 2));
+            assert_eq!(by_col.top_k(1), vec![(2, 2)]);
+        }
+        assert_eq!(by_row.row_weight(4), Some(60));
+        assert_eq!(by_col.row_weight(2), Some(100));
+        settle(&mut by_col, &[(2, 8, 5), (7, 1, 5)]);
+        assert_eq!((by_col.row_degree(8), by_col.row_degree(1)), (1, 2));
+        assert_eq!(by_col.nnz(), 5);
     }
 
     #[test]

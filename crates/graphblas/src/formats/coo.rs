@@ -132,20 +132,12 @@ impl<T: ScalarType> Coo<T> {
         self.vals.push(val);
     }
 
-    /// Append a tuple with bounds checking.
-    pub fn try_push(&mut self, row: Index, col: Index, val: T) -> GrbResult<()> {
-        validate_index(row, self.nrows)?;
-        validate_index(col, self.ncols)?;
-        self.push(row, col, val);
-        Ok(())
-    }
-
     /// Append many tuples from parallel slices.
     ///
     /// The whole batch is validated in one pass *before* anything is
     /// appended (the batch applies atomically), then the three vectors are
     /// extended with bulk copies — one bounds/sortedness scan and three
-    /// `memcpy`-style extends instead of a `try_push` per tuple.  This is
+    /// `memcpy`-style extends instead of a checked push per tuple.  This is
     /// the bulk insert path of [`Matrix::accum_tuples`]
     /// (`Matrix`: crate::matrix::Matrix).
     pub fn extend_from_slices(
@@ -549,11 +541,6 @@ impl<T: ScalarType> Coo<T> {
         self.sorted_dedup = true;
     }
 
-    /// Consume the COO and return its tuple vectors `(rows, cols, vals)`.
-    pub fn into_parts(self) -> (Vec<Index>, Vec<Index>, Vec<T>) {
-        (self.rows, self.cols, self.vals)
-    }
-
     /// Borrow the tuple slices `(rows, cols, vals)`.
     pub fn parts(&self) -> (&[Index], &[Index], &[T]) {
         (&self.rows, &self.cols, &self.vals)
@@ -718,15 +705,6 @@ mod tests {
     }
 
     #[test]
-    fn try_push_bounds() {
-        let mut c = Coo::<u8>::new(4, 4);
-        assert!(c.try_push(3, 3, 1).is_ok());
-        assert!(c.try_push(4, 0, 1).is_err());
-        assert!(c.try_push(0, 4, 1).is_err());
-        assert_eq!(c.len(), 1);
-    }
-
-    #[test]
     fn extend_from_slices_checks_lengths() {
         let mut c = Coo::<u8>::new(4, 4);
         assert!(c.extend_from_slices(&[0, 1], &[1, 2], &[1, 2]).is_ok());
@@ -748,7 +726,7 @@ mod tests {
             c.extend_from_slices(&rows, &rows, &rows).unwrap();
             c.sort_dedup_with(Plus, &mut scratch);
             assert_eq!(c.len() as u64, n);
-            held.push(c.memory().total() + scratch.memory_bytes());
+            held.push(c.memory().total() + scratch.footprint().total());
         }
         assert!(held[1] - held[0] < held[0] / 100, "{held:?}");
     }

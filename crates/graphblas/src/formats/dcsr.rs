@@ -132,11 +132,6 @@ impl<T: ScalarType> MergeScratch<T> {
         }
     }
 
-    /// Bytes currently held by the scratch buffers.
-    pub fn memory_bytes(&self) -> usize {
-        self.footprint().total()
-    }
-
     /// Clear the DCSR staging buffers and reserve for a merge of `nnz`
     /// entries over at most `nrows` non-empty rows.
     fn begin_merge(&mut self, nrows_hint: usize, nnz_hint: usize) {
@@ -256,62 +251,108 @@ pub(crate) fn assert_u32_positions(n: usize) {
 
 /// Stable LSD radix sort of `keys` that carries every key's `u32` source
 /// position: returns `(sorted, pos)` with `sorted[i] == keys[pos[i]]`, equal
-/// keys keeping their input order.
-///
-/// [`POSITION_RADIX_DIGIT_BITS`]-bit digits; digits on which every key
-/// agrees are skipped, so ids above `2^32` are just more passes, and the
-/// histograms of all varying digits come from one shared read of the keys
-/// (a digit's distribution does not depend on the order of passes).
-/// `O(passes * n)`, no comparisons; the second key/position plane pair
-/// lives only for the call.
-///
-/// # Panics
-/// Panics when `keys` holds more than `u32::MAX` entries
-/// ([`assert_u32_positions`]).
-pub(crate) fn radix_sort_with_positions(mut keys: Vec<Index>) -> (Vec<Index>, Vec<u32>) {
-    const BUCKETS: usize = 1 << POSITION_RADIX_DIGIT_BITS;
-    const DIGIT_MASK: u64 = BUCKETS as u64 - 1;
-
-    let n = keys.len();
-    assert_u32_positions(n);
-    let mut pos: Vec<u32> = (0..n as u32).collect();
-    let Some(&first) = keys.first() else {
-        return (keys, pos);
+/// keys keeping their input order.  See [`PositionRadix::sort`]; the second
+/// key/position plane pair lives only for the call.
+pub(crate) fn radix_sort_with_positions(keys: Vec<Index>) -> (Vec<Index>, Vec<u32>) {
+    let mut planes = PositionRadix {
+        keys,
+        ..PositionRadix::default()
     };
+    planes.sort();
+    (planes.keys, planes.pos)
+}
 
-    // Digits worth a pass: those on which some key differs from the first.
-    let varying = keys.iter().fold(0u64, |m, &c| m | (c ^ first));
-    let shifts: Vec<u32> = (0..u64::BITS)
-        .step_by(POSITION_RADIX_DIGIT_BITS as usize)
-        .filter(|&s| (varying >> s) & DIGIT_MASK != 0)
-        .collect();
-    // With none (a single distinct key) the input order already is the
-    // answer.
-    if shifts.is_empty() {
-        return (keys, pos);
+/// The planes of [`radix_sort_with_positions`], for a caller that sorts
+/// batch after batch (a column twin transposing every settle) and keeps
+/// them between calls: once they have grown to the longest batch a sort
+/// allocates nothing.
+#[derive(Debug, Default)]
+pub(crate) struct PositionRadix {
+    keys: Vec<Index>,
+    pos: Vec<u32>,
+    keys_alt: Vec<Index>,
+    pos_alt: Vec<u32>,
+    hist: Vec<u32>,
+}
+
+impl PositionRadix {
+    /// [`radix_sort_with_positions`] of a copy of `keys`; the answer is
+    /// borrowed from the planes and stands until the next call.
+    pub(crate) fn sort_slice(&mut self, keys: &[Index]) -> (&[Index], &[u32]) {
+        self.keys.clear();
+        self.keys.extend_from_slice(keys);
+        self.sort();
+        (&self.keys, &self.pos)
     }
-    let mut hist = vec![0u32; shifts.len() * BUCKETS];
-    for &c in &keys {
-        for (plane, &s) in hist.chunks_exact_mut(BUCKETS).zip(&shifts) {
-            plane[((c >> s) & DIGIT_MASK) as usize] += 1;
+
+    /// Bytes held by the planes.
+    pub(crate) fn memory_bytes(&self) -> usize {
+        (self.keys.capacity() + self.keys_alt.capacity()) * std::mem::size_of::<Index>()
+            + (self.pos.capacity() + self.pos_alt.capacity() + self.hist.capacity())
+                * std::mem::size_of::<u32>()
+    }
+
+    /// Sort `self.keys` in place, leaving every key's source position in
+    /// `self.pos`.
+    ///
+    /// [`POSITION_RADIX_DIGIT_BITS`]-bit digits; digits on which every key
+    /// agrees are skipped, so ids above `2^32` are just more passes, and the
+    /// histograms of all varying digits come from one shared read of the keys
+    /// (a digit's distribution does not depend on the order of passes).
+    /// `O(passes * n)`, no comparisons.
+    ///
+    /// # Panics
+    /// Panics when there are more than `u32::MAX` keys
+    /// ([`assert_u32_positions`]).
+    fn sort(&mut self) {
+        const BUCKETS: usize = 1 << POSITION_RADIX_DIGIT_BITS;
+        const DIGIT_MASK: u64 = BUCKETS as u64 - 1;
+
+        let n = self.keys.len();
+        assert_u32_positions(n);
+        self.pos.clear();
+        self.pos.extend(0..n as u32);
+        let Some(&first) = self.keys.first() else {
+            return;
+        };
+
+        // Digits worth a pass: those on which some key differs from the
+        // first.  With none (a single distinct key) the input order already
+        // is the answer.
+        let varying = self.keys.iter().fold(0u64, |m, &c| m | (c ^ first));
+        let mut shifts = [0u32; u64::BITS.div_ceil(POSITION_RADIX_DIGIT_BITS) as usize];
+        let mut passes = 0;
+        for s in (0..u64::BITS).step_by(POSITION_RADIX_DIGIT_BITS as usize) {
+            if (varying >> s) & DIGIT_MASK != 0 {
+                shifts[passes] = s;
+                passes += 1;
+            }
+        }
+        let shifts = &shifts[..passes];
+        self.hist.clear();
+        self.hist.resize(passes * BUCKETS, 0);
+        for &c in &self.keys {
+            for (plane, &s) in self.hist.chunks_exact_mut(BUCKETS).zip(shifts) {
+                plane[((c >> s) & DIGIT_MASK) as usize] += 1;
+            }
+        }
+
+        // (key, source position) planes, stably re-scattered once per varying
+        // digit, least significant first.
+        self.keys_alt.resize(n, 0);
+        self.pos_alt.resize(n, 0);
+        for (plane, &s) in self.hist.chunks_exact_mut(BUCKETS).zip(shifts) {
+            exclusive_prefix_sum(plane);
+            for (&c, &p) in self.keys.iter().zip(&self.pos) {
+                let slot = &mut plane[((c >> s) & DIGIT_MASK) as usize];
+                self.keys_alt[*slot as usize] = c;
+                self.pos_alt[*slot as usize] = p;
+                *slot += 1;
+            }
+            std::mem::swap(&mut self.keys, &mut self.keys_alt);
+            std::mem::swap(&mut self.pos, &mut self.pos_alt);
         }
     }
-
-    // (key, source position) planes, stably re-scattered once per varying
-    // digit, least significant first.
-    let (mut keys_alt, mut pos_alt) = (vec![0u64; n], vec![0u32; n]);
-    for (plane, &s) in hist.chunks_exact_mut(BUCKETS).zip(&shifts) {
-        exclusive_prefix_sum(plane);
-        for (&c, &p) in keys.iter().zip(&pos) {
-            let slot = &mut plane[((c >> s) & DIGIT_MASK) as usize];
-            keys_alt[*slot as usize] = c;
-            pos_alt[*slot as usize] = p;
-            *slot += 1;
-        }
-        std::mem::swap(&mut keys, &mut keys_alt);
-        std::mem::swap(&mut pos, &mut pos_alt);
-    }
-    (keys, pos)
 }
 
 impl<T: ScalarType> Dcsr<T> {
@@ -654,10 +695,27 @@ impl<T: ScalarType> Dcsr<T> {
                 "COO must be sorted and deduplicated before merging".into(),
             ));
         }
-        if coo.is_empty() {
-            return Ok(());
+        let (rows, cols, vals) = coo.parts();
+        self.merge_sorted_tuples_into(rows, cols, vals, op, scratch, adaptive);
+        Ok(())
+    }
+
+    /// The merge behind [`Dcsr::merge_sorted_coo_into`], for tuples the
+    /// caller knows to be in bounds, strictly increasing in `(row, col)` and
+    /// of equal lengths (a column twin merges a settle's batch transposed,
+    /// which is all three by construction).
+    pub(crate) fn merge_sorted_tuples_into<Op: BinaryOp<T>>(
+        &mut self,
+        b_rows: &[Index],
+        b_cols: &[Index],
+        b_vals: &[T],
+        op: Op,
+        scratch: &mut MergeScratch<T>,
+        adaptive: bool,
+    ) {
+        if b_rows.is_empty() {
+            return;
         }
-        let (b_rows, b_cols, b_vals) = coo.parts();
         scratch.begin_merge(
             self.row_ids.len() + b_rows.len(),
             self.nvals() + b_rows.len(),
@@ -715,7 +773,6 @@ impl<T: ScalarType> Dcsr<T> {
         std::mem::swap(&mut self.row_ptr, &mut scratch.row_ptr);
         std::mem::swap(&mut self.col_idx, &mut scratch.col_idx);
         std::mem::swap(&mut self.vals, &mut scratch.vals);
-        Ok(())
     }
 
     /// Remove every entry, keeping the buffer capacity for reuse (the
@@ -1093,7 +1150,7 @@ mod tests {
         let expect2 = a.merge(&b, Plus).unwrap();
         a.merge_into(&b, Plus, &mut scratch).unwrap();
         assert_eq!(a, expect2);
-        assert!(scratch.memory_bytes() > 0);
+        assert!(scratch.footprint().total() > 0);
     }
 
     #[test]

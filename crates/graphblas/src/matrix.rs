@@ -11,7 +11,7 @@
 
 use crate::error::{GrbError, GrbResult};
 use crate::formats::coo::Coo;
-use crate::formats::dcsr::{Dcsr, MergeScratch};
+use crate::formats::dcsr::{Dcsr, MergeScratch, PositionRadix};
 use crate::formats::{Entry, MemoryFootprint};
 use crate::index::{validate_dims, validate_index, Index};
 use crate::level_read::LevelStore;
@@ -45,11 +45,76 @@ pub struct Matrix<T> {
     scratch: MergeScratch<T>,
     /// Lazily-built column-major twin: the settled structure transposed
     /// (an `ncols x nrows` [`Dcsr`] whose "rows" are this matrix's
-    /// columns).  Built on the first column-side query and invalidated
-    /// whenever the settled structure changes, so pure-ingest workloads
-    /// never pay for it.  Derived content, not part of the matrix *value*
-    /// (excluded from `PartialEq`, shared by `Clone`).
-    col_shadow: Option<Arc<Dcsr<T>>>,
+    /// columns).  Built on the first column-side query, so pure-ingest
+    /// workloads never pay for it; from then on every settle and every
+    /// matrix accumulate applies to it what it applies to the settled
+    /// structure, and only a swap or a clear drops it.  Derived content,
+    /// not part of the matrix *value* (excluded from `PartialEq`, shared by
+    /// `Clone`).
+    col_shadow: Option<ColTwin<T>>,
+}
+
+/// A column twin and what keeps it current: its own merge ping-pong and
+/// the buffers a settle's batch is transposed through.  All of it lives and
+/// dies with the twin: a matrix never asked a column question holds none,
+/// and one that is allocates nothing per settle once they fit its batches.
+#[derive(Debug)]
+struct ColTwin<T> {
+    dcsr: Arc<Dcsr<T>>,
+    scratch: MergeScratch<T>,
+    radix: PositionRadix,
+    /// The batch's rows and values in column-major order (its sorted
+    /// columns stay in `radix`).
+    rows: Vec<Index>,
+    vals: Vec<T>,
+}
+
+impl<T> ColTwin<T> {
+    fn new(dcsr: Arc<Dcsr<T>>) -> Self {
+        Self {
+            dcsr,
+            scratch: MergeScratch::default(),
+            radix: PositionRadix::default(),
+            rows: Vec::new(),
+            vals: Vec::new(),
+        }
+    }
+}
+
+impl<T: ScalarType> ColTwin<T> {
+    /// Apply one settle: `batch` — sorted row-major, duplicate-free — is
+    /// transposed and merged into the twin under the settle's own `dup`.
+    /// A stable sort by column alone leaves rows ascending inside every
+    /// column: the transposed batch is again sorted and duplicate-free.
+    /// A reader still holding the old twin keeps it (copy-on-write).
+    fn settle<Op: BinaryOp<T>>(&mut self, batch: &Coo<T>, dup: Op) {
+        let (rows, cols, vals) = batch.parts();
+        let (cols, pos) = self.radix.sort_slice(cols);
+        self.rows.clear();
+        self.rows.extend(pos.iter().map(|&p| rows[p as usize]));
+        self.vals.clear();
+        self.vals.extend(pos.iter().map(|&p| vals[p as usize]));
+        Arc::make_mut(&mut self.dcsr).merge_sorted_tuples_into(
+            cols,
+            &self.rows,
+            &self.vals,
+            dup,
+            &mut self.scratch,
+            true,
+        );
+    }
+
+    fn memory(&self) -> MemoryFootprint {
+        let (d, sc) = (self.dcsr.memory(), self.scratch.footprint());
+        let planes =
+            self.radix.memory_bytes() + self.rows.capacity() * std::mem::size_of::<Index>();
+        MemoryFootprint {
+            index_bytes: d.index_bytes + sc.index_bytes + planes,
+            value_bytes: d.value_bytes
+                + sc.value_bytes
+                + self.vals.capacity() * std::mem::size_of::<T>(),
+        }
+    }
 }
 
 /// Clones copy the represented content but start with *empty* scratch
@@ -67,9 +132,12 @@ impl<T: Clone> Clone for Matrix<T> {
             pending: self.pending.clone(),
             pending_limit: self.pending_limit,
             scratch: MergeScratch::default(),
-            // Immutable once built, so clones share it like the settled
-            // structure; the next mutation of either copy drops its own.
-            col_shadow: self.col_shadow.clone(),
+            // Clones share it like the settled structure; the next mutation
+            // of either copy copy-on-writes its own.
+            col_shadow: self
+                .col_shadow
+                .as_ref()
+                .map(|twin| ColTwin::new(Arc::clone(&twin.dcsr))),
         }
     }
 }
@@ -176,15 +244,9 @@ impl<T: ScalarType> Matrix<T> {
     /// [`Matrix::nvals_settled`] + [`Matrix::npending`] to inspect the split
     /// without any work.
     pub fn nvals(&self) -> usize {
-        if self.pending.is_empty() {
-            self.settled.nvals()
-        } else {
-            // Cheap path impossible: duplicates between pending and settled
-            // may collapse. Clone-and-settle for correctness.
-            let mut tmp = self.clone();
-            tmp.wait();
-            tmp.settled.nvals()
-        }
+        // No cheap path with pending tuples: duplicates between pending and
+        // settled may collapse.  Clone-and-settle for correctness.
+        self.to_settled().settled.nvals()
     }
 
     /// Number of entries in the settled (compressed) structure only.
@@ -279,15 +341,7 @@ impl<T: ScalarType> Matrix<T> {
     /// performs no allocation once the buffers have grown to the working-set
     /// size.
     pub fn wait_with<Op: BinaryOp<T>>(&mut self, dup: Op) {
-        if self.pending.is_empty() {
-            return;
-        }
-        self.pending.sort_dedup_with(dup, &mut self.scratch);
-        Arc::make_mut(&mut self.settled)
-            .merge_sorted_coo_into(&self.pending, dup, &mut self.scratch)
-            .expect("pending tuples are within bounds");
-        self.pending.clear();
-        self.col_shadow = None;
+        self.settle(dup, |_, _, _| {});
     }
 
     /// [`Matrix::wait`] with a hook into the settle's dedup-unpack: after
@@ -299,19 +353,30 @@ impl<T: ScalarType> Matrix<T> {
     /// stored values change in this settle.
     #[allow(clippy::type_complexity)]
     pub fn wait_observed(&mut self, observe: &mut dyn FnMut(&[Index], &[Index], &[T])) {
+        self.settle(Plus, observe);
+    }
+
+    /// One settle: the pending tuples are sorted and deduplicated under
+    /// `dup`, shown to `observe`, and merged into the settled structure —
+    /// and, transposed, into the column twin if there is one.
+    fn settle<Op: BinaryOp<T>>(
+        &mut self,
+        dup: Op,
+        mut observe: impl FnMut(&[Index], &[Index], &[T]),
+    ) {
         if self.pending.is_empty() {
             return;
         }
-        self.pending.sort_dedup_with(Plus, &mut self.scratch);
-        {
-            let (r, c, v) = self.pending.parts();
-            observe(r, c, v);
+        self.pending.sort_dedup_with(dup, &mut self.scratch);
+        let (rows, cols, vals) = self.pending.parts();
+        observe(rows, cols, vals);
+        if let Some(twin) = &mut self.col_shadow {
+            twin.settle(&self.pending, dup);
         }
         Arc::make_mut(&mut self.settled)
-            .merge_sorted_coo_into(&self.pending, Plus, &mut self.scratch)
+            .merge_sorted_coo_into(&self.pending, dup, &mut self.scratch)
             .expect("pending tuples are within bounds");
         self.pending.clear();
-        self.col_shadow = None;
     }
 
     /// Accumulate a whole matrix in place: `self = self ⊕ other` under `+`.
@@ -332,7 +397,15 @@ impl<T: ScalarType> Matrix<T> {
         // `ewise_add` settles its operands); `op` applies only across the
         // two operands.
         self.wait();
-        self.col_shadow = None;
+        // Twin into twin when both sides hold one that is current; a source
+        // without one (or with tuples still pending) costs the destination
+        // its own, and the next column read transposes the result afresh.
+        match (&mut self.col_shadow, &other.col_shadow) {
+            (Some(twin), Some(src)) if other.npending() == 0 => {
+                Arc::make_mut(&mut twin.dcsr).merge_into(&src.dcsr, op, &mut twin.scratch)?
+            }
+            _ => self.col_shadow = None,
+        }
         if other.npending() == 0 {
             Arc::make_mut(&mut self.settled).merge_into(other.dcsr(), op, &mut self.scratch)
         } else {
@@ -428,13 +501,18 @@ impl<T: ScalarType> Matrix<T> {
     /// [`Dcsr`] storing the transpose, so a column extract is a *row*
     /// lookup on the twin — O(k) instead of an O(nnz) sweep.
     ///
-    /// Lazy and cached: the first call settles pending tuples and builds
-    /// the transpose — one stable radix over the column ids plus one
-    /// gather, `O(nnz)` per varying 11-bit column digit (three for a
-    /// `2^32`-wide matrix), through buffers that live only for the call;
-    /// later calls are O(1) until the next mutation invalidates it.
-    /// Holders share the structure through the [`Arc`] exactly like
-    /// [`Matrix::settled_arc`] snapshots.
+    /// Lazy and kept: the first call settles pending tuples and builds the
+    /// transpose — one stable radix over the column ids plus one gather,
+    /// `O(nnz)` per varying 11-bit column digit (three for a `2^32`-wide
+    /// matrix), through buffers that live only for the call.  From then on
+    /// the twin is merged forward — a settle merges its batch into it
+    /// transposed, [`Matrix::accum_matrix_op`] merges the source's twin into
+    /// it (or drops it when the source has none) — so a held twin is always
+    /// exactly the transpose of the settled structure and later calls are
+    /// O(1).  Only [`Matrix::swap_settled`] and the two clears drop it.
+    /// Holders share the structure through the [`Arc`] like
+    /// [`Matrix::settled_arc`] snapshots and keep what they hold: upkeep
+    /// past an outstanding holder copy-on-writes.
     ///
     /// Callers that route settles through an observer hook (the
     /// hierarchical levels feeding a [`DegreeIndex`]) must settle *before*
@@ -445,10 +523,10 @@ impl<T: ScalarType> Matrix<T> {
     pub fn col_shadow(&mut self) -> Arc<Dcsr<T>> {
         self.wait();
         let settled = &self.settled;
-        Arc::clone(
-            self.col_shadow
-                .get_or_insert_with(|| Arc::new(settled.transposed())),
-        )
+        let twin = self
+            .col_shadow
+            .get_or_insert_with(|| ColTwin::new(Arc::new(settled.transposed())));
+        Arc::clone(&twin.dcsr)
     }
 
     /// Whether the column twin is currently materialised — lets tests and
@@ -458,12 +536,6 @@ impl<T: ScalarType> Matrix<T> {
         self.col_shadow.is_some()
     }
 
-    /// Settle pending tuples and return the complete hypersparse structure.
-    pub fn settled_dcsr(&mut self) -> &Dcsr<T> {
-        self.wait();
-        &self.settled
-    }
-
     /// The pending (not yet settled) tuples as parallel slices — read-side
     /// callers fold these in after merging the settled structures, instead
     /// of clone-and-settling the whole matrix.
@@ -471,10 +543,16 @@ impl<T: ScalarType> Matrix<T> {
         self.pending.parts()
     }
 
-    /// A settled copy of this matrix (does not mutate `self`).
+    /// A settled copy of this matrix (does not mutate `self`).  Where there
+    /// is something to settle the copy gives up the shared column twin:
+    /// keeping it current would copy it whole, for a copy that may never be
+    /// asked a column question.
     pub fn to_settled(&self) -> Matrix<T> {
         let mut m = self.clone();
-        m.wait();
+        if !m.pending.is_empty() {
+            m.col_shadow = None;
+            m.wait();
+        }
         m
     }
 
@@ -493,26 +571,25 @@ impl<T: ScalarType> Matrix<T> {
         }
     }
 
-    /// Total bytes of memory used (settled + pending + scratch structures).
+    /// Total bytes of memory used (settled + pending + scratch structures,
+    /// and the column twin with its own scratch when one is held).
     ///
     /// The scratch buffers are included because the merge ping-pong keeps
     /// them at roughly the settled structure's size once the matrix has
     /// cascaded/settled — omitting them would under-report the resident
     /// footprint by up to 2x.
     pub fn memory(&self) -> MemoryFootprint {
-        let s = self.settled.memory();
-        let p = self.pending.memory();
-        let sc = self.scratch.footprint();
-        let mut f = MemoryFootprint {
-            index_bytes: s.index_bytes + p.index_bytes + sc.index_bytes,
-            value_bytes: s.value_bytes + p.value_bytes + sc.value_bytes,
-        };
-        if let Some(shadow) = &self.col_shadow {
-            let sh = shadow.memory();
-            f.index_bytes += sh.index_bytes;
-            f.value_bytes += sh.value_bytes;
+        let twin = self.col_shadow.as_ref().map(ColTwin::memory);
+        let parts = [
+            self.settled.memory(),
+            self.pending.memory(),
+            self.scratch.footprint(),
+            twin.unwrap_or_default(),
+        ];
+        MemoryFootprint {
+            index_bytes: parts.iter().map(|p| p.index_bytes).sum(),
+            value_bytes: parts.iter().map(|p| p.value_bytes).sum(),
         }
-        f
     }
 
     /// Validate internal invariants (used by property tests).
@@ -763,37 +840,48 @@ mod tests {
         assert_eq!(shadow.row(7), None);
         // Cached: a second call hands out the same structure.
         assert!(Arc::ptr_eq(&shadow, &m.col_shadow()));
-        // Clones share the cache; mutating the original invalidates only
-        // the original's.
+        // Clones share the twin; settling the original merges the batch
+        // into the original's own copy and leaves the clone's (and the
+        // reader's `shadow`) as they were.
         let clone = m.clone();
         assert!(clone.has_col_shadow());
         m.accum_element(9, 1, 1).unwrap();
         m.wait();
-        assert!(!m.has_col_shadow());
-        assert!(clone.has_col_shadow());
-        assert_eq!(
-            m.col_shadow().row(1),
-            Some((&[5u64, 9][..], &[10u64, 1][..]))
-        );
-        // Clearing drops it too.
+        assert!(m.has_col_shadow());
+        let kept = m.col_shadow();
+        assert_eq!(kept.raw_parts(), m.dcsr().transposed().raw_parts());
+        assert_eq!(kept.row(1), Some((&[5u64, 9][..], &[10u64, 1][..])));
+        assert_eq!(shadow.row(1), Some((&[5u64][..], &[10u64][..])));
+        assert!(Arc::ptr_eq(&shadow, &clone.clone().col_shadow()));
+        // Clearing drops it.
         m.clear();
         assert!(!m.has_col_shadow());
         assert_eq!(m.col_shadow().nvals(), 0);
     }
 
     #[test]
-    fn col_shadow_invalidated_by_matrix_accum() {
+    fn col_shadow_kept_by_matrix_accum_when_the_source_holds_one() {
         let mut a = Matrix::<u64>::new(100, 100);
         a.accum_element(1, 3, 7).unwrap();
         let _ = a.col_shadow();
         let mut b = Matrix::<u64>::new(100, 100);
         b.accum_element(2, 3, 5).unwrap();
+        // A source without a twin costs the destination its own.
         a.accum_matrix(&b).unwrap();
         assert!(!a.has_col_shadow());
         assert_eq!(
             a.col_shadow().row(3),
             Some((&[1u64, 2][..], &[7u64, 5][..]))
         );
+        // Twin merges into twin.
+        let _ = b.col_shadow();
+        b.accum_element(4, 3, 1).unwrap();
+        b.wait();
+        a.accum_matrix(&b).unwrap();
+        assert!(a.has_col_shadow());
+        let kept = a.col_shadow();
+        assert_eq!(kept.raw_parts(), a.dcsr().transposed().raw_parts());
+        assert_eq!(kept.row(3), Some((&[1u64, 2, 4][..], &[7u64, 10, 1][..])));
     }
 
     #[test]

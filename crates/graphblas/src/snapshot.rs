@@ -257,7 +257,7 @@ mod tests {
         // An Arc-shared column view captured alongside the levels.
         let mut cix = DegreeIndex::<u64>::new();
         cix.activate();
-        cix.observe_dcsr_transposed(m.dcsr());
+        cix.observe(&[7, 7, 7, 2], &[1, 2, 3, 4], &[true; 4]);
         let mut snap = MatrixSnapshot::new(
             "snap",
             m.nrows(),

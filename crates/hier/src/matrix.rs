@@ -4,7 +4,8 @@ use crate::config::HierConfig;
 use crate::fold::BatchFold;
 use crate::persist::{self, manifest, recover, wal, DurableConfig, DurableState, RecoveryReport};
 use crate::stats::HierStats;
-use hyperstream_graphblas::cursor::{merge_levels, merged_nnz};
+use hyperstream_graphblas::cursor::{for_each_merged, merge_levels, merged_nnz};
+use hyperstream_graphblas::degree_index::FxBuildHasher;
 use hyperstream_graphblas::formats::coo::RADIX_DIM_MAX;
 use hyperstream_graphblas::formats::dcsr::Dcsr;
 use hyperstream_graphblas::formats::MemoryFootprint;
@@ -16,6 +17,7 @@ use hyperstream_graphblas::{
     validate_index, DegreeIndex, DegreeIndexView, GrbError, GrbResult, Index, LevelStore, Matrix,
     MatrixSnapshot, ScalarType, StreamingSink,
 };
+use std::collections::HashSet;
 use std::sync::Arc;
 
 /// An N-level hierarchical hypersparse matrix accumulating under `+`.
@@ -27,8 +29,9 @@ use std::sync::Arc;
 /// GraphBLAS `ewise_add` calls.
 ///
 /// Alongside the levels the matrix maintains an incremental
-/// [`DegreeIndex`]: every level-0 settle feeds its sorted, deduplicated
-/// batch through the index (cascades move cells between levels without
+/// [`DegreeIndex`]: every level-0 settle asks the matrix's one cell oracle
+/// which cells of its sorted, deduplicated batch are new to the union and
+/// feeds the index the answer (cascades move cells between levels without
 /// changing the represented union, so they cost the index nothing), which
 /// turns `read_nnz` / `read_row_degree` / `read_row_reduce` into O(1)
 /// answers and `read_top_k` into an O(k) answer off a cache of the top 128
@@ -43,15 +46,17 @@ use std::sync::Arc;
 ///
 /// The *column* read path mirrors all of this through the transpose: a
 /// second, lazily-activated [`DegreeIndex`] keyed by column (fed by the
-/// same settle observer with the coordinate slices swapped) answers
-/// in-degree / in-degree-top-k / in-degree-histogram in O(1)/O(k), and
-/// per-level column twins ([`Matrix::col_shadow`]) serve column extracts
-/// and column-range scans in O(k) per level.  A twin is dropped when its
-/// level changes and rebuilt by the first column read after that — one
-/// radix pass per varying 11-bit column digit plus a gather over the
-/// level's entries, so after a batch that is level 0 (and whatever a
-/// cascade just rewrote), not the whole matrix.  Cascades are
-/// union-preserving so they cost the column *index* nothing.
+/// same settle observer: the batch's columns and the same oracle answers)
+/// serves in-degree / in-degree-top-k / in-degree-histogram in O(1)/O(k),
+/// and per-level column twins ([`Matrix::col_shadow`]) serve column
+/// extracts and column-range scans in O(k) per level.  A twin is built by
+/// the first column read of its level — one radix pass per varying 11-bit
+/// column digit plus a gather over the level's entries — and from then on
+/// rides the settle: each level-0 batch merges into level 0's twin
+/// transposed and a cascade merges twin into twin, so a column read after
+/// a batch finds every twin current.  Only a cascade into an *empty* level
+/// (the two swap structures) and a cleared source drop theirs.  Cascades
+/// are union-preserving so they cost the column *index* nothing.
 #[derive(Debug)]
 pub struct HierMatrix<T> {
     nrows: Index,
@@ -67,12 +72,7 @@ pub struct HierMatrix<T> {
     /// empty between calls.
     fold: BatchFold<T>,
     stats: HierStats,
-    index: DegreeIndex<T>,
-    /// Column-keyed twin of `index`: the same settle events observed with
-    /// the coordinate slices swapped maintain in-degree stats (the observer
-    /// is coordinate-agnostic).  Lazily activated by the first column-side
-    /// degree query, so pure-ingest and row-only workloads never pay.
-    col_index: DegreeIndex<T>,
+    degrees: Degrees<T>,
     /// Durable backing (WAL + checkpointed level files), present only for
     /// matrices created through [`HierMatrix::new_durable`] /
     /// [`HierMatrix::open`].  See [`crate::persist`].  Boxed: the
@@ -93,10 +93,118 @@ impl<T: Clone> Clone for HierMatrix<T> {
             raw_pending: self.raw_pending,
             fold: BatchFold::new(),
             stats: self.stats.clone(),
-            index: self.index.clone(),
-            col_index: self.col_index.clone(),
+            degrees: self.degrees.clone(),
             durable: None,
         }
+    }
+}
+
+/// Pack a `(row, col)` coordinate into the cell-oracle key.  Dimensions are
+/// capped at `2^60`, so both halves fit.
+#[inline]
+fn cell_key(row: Index, col: Index) -> u128 {
+    ((row as u128) << 64) | col as u128
+}
+
+/// The row and the column [`DegreeIndex`] and the one cell oracle that
+/// feeds both: whether a settled cell is new to the represented union is
+/// one question with one answer for both axes, so it is asked once.
+/// Both sides start inactive and the oracle empty (pure ingest pays
+/// nothing); the first degree question on a side activates it and, if the
+/// other is not live yet, fills the oracle in the same sweep — so the
+/// oracle is complete exactly while a side is active.
+#[derive(Debug, Clone, Default)]
+struct Degrees<T> {
+    /// Every distinct cell of the represented union, while a side is active.
+    cells: HashSet<u128, FxBuildHasher>,
+    /// Per cell of the batch being observed: did the union grow?
+    grew: Vec<bool>,
+    rows: DegreeIndex<T>,
+    cols: DegreeIndex<T>,
+}
+
+impl<T: ScalarType> Degrees<T> {
+    fn is_live(&self) -> bool {
+        self.rows.is_active() || self.cols.is_active()
+    }
+
+    /// The settle observer: `rows / cols / vals` are cells about to merge
+    /// into a level, duplicate-free, values combined under `+`.  One oracle
+    /// probe per cell; each active side then folds its own coordinate.
+    fn observe(&mut self, rows: &[Index], cols: &[Index], vals: &[T]) {
+        if !self.is_live() {
+            return;
+        }
+        let cells = &mut self.cells;
+        self.grew.clear();
+        self.grew.extend(
+            rows.iter()
+                .zip(cols)
+                .map(|(&r, &c)| cells.insert(cell_key(r, c))),
+        );
+        self.rows.observe(rows, vals, &self.grew);
+        self.cols.observe(cols, vals, &self.grew);
+    }
+
+    /// Make one side live over the settled `levels`: one deduplicated sweep
+    /// (a cell that sits in several levels arrives once, its values
+    /// summed), every cell new to that side's index, which also fills the
+    /// oracle unless the other side already keeps it complete.
+    fn activate(&mut self, by_col: bool, levels: &[&Dcsr<T>]) {
+        const CHUNK: usize = 4096;
+        let fill = !self.is_live();
+        let (rows, cols) = (&mut self.rows, &mut self.cols);
+        let index = if by_col { cols } else { rows };
+        index.activate();
+        if fill {
+            // The union holds at least what its largest level holds.
+            let largest = levels.iter().map(|d| d.nvals()).max();
+            self.cells.reserve(largest.unwrap_or(0));
+        }
+        // Staged a few thousand cells at a time, so that the oracle and the
+        // index are each filled in a loop of their own: nearly every probe
+        // misses the cache, and only back to back do the misses overlap.
+        let key = |cell: &(Index, Index, T)| if by_col { cell.1 } else { cell.0 };
+        let mut staged = Vec::with_capacity(CHUNK);
+        let mut unload = |staged: &mut Vec<(Index, Index, T)>| {
+            if fill {
+                self.cells
+                    .extend(staged.iter().map(|&(r, c, _)| cell_key(r, c)));
+            }
+            // A run of equal keys (a whole row, on the row side) is one update.
+            let mut rest = &staged[..];
+            while let Some(first) = rest.first() {
+                let run = rest.iter().take_while(|cell| key(cell) == key(first));
+                let (n, weight) =
+                    run.fold((0, T::default()), |(n, w), cell| (n + 1, w.add(cell.2)));
+                index.add_unique_row(key(first), n as u64, weight);
+                rest = &rest[n..];
+            }
+            staged.clear();
+        };
+        for_each_merged(levels, Plus, &mut |r, c, v| {
+            staged.push((r, c, v));
+            if staged.len() == CHUNK {
+                unload(&mut staged);
+            }
+        });
+        unload(&mut staged);
+    }
+
+    /// Forget everything and deactivate both sides (the matrix was cleared;
+    /// the next degree question re-activates over what is there then).
+    fn clear(&mut self) {
+        self.cells = HashSet::default();
+        self.rows.clear();
+        self.cols.clear();
+    }
+
+    /// Bytes held: both indexes' tables, and the oracle once.
+    fn memory_bytes(&self) -> usize {
+        self.cells.capacity() * std::mem::size_of::<u128>()
+            + self.grew.capacity()
+            + self.rows.memory_bytes()
+            + self.cols.memory_bytes()
     }
 }
 
@@ -132,8 +240,7 @@ impl<T: ScalarType> HierMatrix<T> {
             levels,
             raw_pending: 0,
             fold: BatchFold::new(),
-            index: DegreeIndex::new(),
-            col_index: DegreeIndex::new(),
+            degrees: Degrees::default(),
             durable: None,
         })
     }
@@ -171,16 +278,6 @@ impl<T: ScalarType> HierMatrix<T> {
     /// Reset instrumentation counters (matrix contents are unchanged).
     pub fn reset_stats(&mut self) {
         self.stats = HierStats::new(self.levels.len());
-    }
-
-    /// Merge-kernel strategy counters (galloped / bulk-row / branchless /
-    /// linear elements).  These are **process-global** — every matrix and
-    /// every shard worker in the process shares them — re-exported here so
-    /// engine-level debugging and the bench harness can explain *which*
-    /// merge strategy a workload's cascades took without reaching into the
-    /// graphblas crate.
-    pub fn merge_kernel_stats() -> hyperstream_graphblas::MergeKernelStats {
-        hyperstream_graphblas::merge_kernel_stats()
     }
 
     /// Apply one streaming update `A(row, col) += val`.
@@ -270,18 +367,24 @@ impl<T: ScalarType> HierMatrix<T> {
         }
         // `accum_matrix` settles level 0 internally; settle through the
         // observed path first so the index sees the dedup-unpack, then feed
-        // the whole update matrix through the cell oracle.
+        // the whole update matrix through the same observer.
         self.settle_level(0);
-        if a.npending() == 0 {
-            self.index.observe_dcsr(a.dcsr());
-            self.col_index.observe_dcsr_transposed(a.dcsr());
-            self.levels[0].accum_matrix(a)?;
+        let settled;
+        let a = if a.npending() == 0 {
+            a
         } else {
-            let settled = a.to_settled();
-            self.index.observe_dcsr(settled.dcsr());
-            self.col_index.observe_dcsr_transposed(settled.dcsr());
-            self.levels[0].accum_matrix(&settled)?;
+            settled = a.to_settled();
+            &settled
+        };
+        if self.degrees.is_live() {
+            let (ids, ptr, cols, vals) = a.dcsr().raw_parts();
+            let mut rows = Vec::with_capacity(cols.len());
+            for (slot, &row) in ids.iter().enumerate() {
+                rows.resize(ptr[slot + 1], row);
+            }
+            self.degrees.observe(&rows, cols, vals);
         }
+        self.levels[0].accum_matrix(a)?;
         self.stats.updates += nupd as u64;
         self.mark_dirty(0);
         self.maybe_cascade()?;
@@ -307,16 +410,15 @@ impl<T: ScalarType> HierMatrix<T> {
         self.levels.iter().map(|l| l.memory()).collect()
     }
 
-    /// Total bytes across all levels, including the degree index's tables
-    /// and the batch fold's index.
+    /// Total bytes across all levels, including the degree indexes' tables,
+    /// the cell oracle they share (counted once) and the batch fold's index.
     pub fn memory_bytes(&self) -> usize {
         self.memory_per_level()
             .iter()
             .map(|m| m.total())
             .sum::<usize>()
             + self.fold.memory_bytes()
-            + self.index.memory_bytes()
-            + self.col_index.memory_bytes()
+            + self.degrees.memory_bytes()
     }
 
     /// Sum of all stored values (in `f64`), computable without materialising
@@ -392,14 +494,8 @@ impl<T: ScalarType> HierMatrix<T> {
             return;
         }
         crate::failpoint_panic!("hier-settle");
-        let index = &mut self.index;
-        let col_index = &mut self.col_index;
-        self.levels[i].wait_observed(&mut |rows, cols, vals| {
-            index.observe_settle(rows, cols, vals);
-            // Same event, coordinates swapped: the observer is
-            // coordinate-agnostic, so this maintains the in-degree stats.
-            col_index.observe_settle(cols, rows, vals);
-        });
+        let degrees = &mut self.degrees;
+        self.levels[i].wait_observed(&mut |rows, cols, vals| degrees.observe(rows, cols, vals));
         if i == 0 {
             self.raw_pending = 0;
         }
@@ -415,34 +511,17 @@ impl<T: ScalarType> HierMatrix<T> {
         }
     }
 
-    /// Settle everything and make sure the degree index is live.  The index
-    /// is lazily activated so pure-ingest streams pay zero maintenance: the
-    /// first degree query lands here, activates it and rebuilds it with one
-    /// pass over the settled levels (the cell oracle deduplicates cells
-    /// that sit in several levels); every later settle maintains it
-    /// incrementally through the observer.
-    fn ensure_index(&mut self) {
+    /// Settle everything and make sure one side's degree index (`by_col`:
+    /// the column side's) is live.  The first degree question of a side
+    /// lands here and activates it ([`Degrees::activate`]); every later
+    /// settle maintains it incrementally through the observer.
+    fn ensure_degrees(&mut self, by_col: bool) {
         self.settle_levels();
-        if !self.index.is_active() {
-            self.index.activate();
-            for level in &self.levels {
-                self.index.observe_dcsr(level.dcsr());
-            }
-        }
-    }
-
-    /// Settle everything and make sure the *column* degree index is live —
-    /// the transpose mirror of [`HierMatrix::ensure_index`].  The first
-    /// in-degree query activates it and rebuilds it with one transposed
-    /// pass over the settled levels; every later settle maintains it
-    /// incrementally through the swapped-coordinate observer.
-    fn ensure_col_index(&mut self) {
-        self.settle_levels();
-        if !self.col_index.is_active() {
-            self.col_index.activate();
-            for level in &self.levels {
-                self.col_index.observe_dcsr_transposed(level.dcsr());
-            }
+        let d = &self.degrees;
+        let active = if by_col { &d.cols } else { &d.rows }.is_active();
+        if !active {
+            let levels: Vec<&Dcsr<T>> = self.levels.iter().map(|l| l.dcsr()).collect();
+            self.degrees.activate(by_col, &levels);
         }
     }
 
@@ -450,9 +529,9 @@ impl<T: ScalarType> HierMatrix<T> {
     /// twin.  Settling first matters: [`Matrix::col_shadow`] runs a plain
     /// *unobserved* settle internally, which would bypass the degree
     /// indexes — after [`HierMatrix::settle_levels`] that internal wait is
-    /// a no-op.  Twins are lazily built and Arc-cached per level, so a
-    /// column-read phase builds each once and cascades invalidate only the
-    /// levels they touch.
+    /// a no-op.  Twins are lazily built per level and then kept current by
+    /// the settles and cascades themselves, so only a level that was
+    /// swapped or cleared since the last column read is transposed here.
     pub(crate) fn settled_col_shadows(&mut self) -> Vec<Arc<Dcsr<T>>> {
         self.settle_levels();
         self.levels.iter_mut().map(|l| l.col_shadow()).collect()
@@ -467,9 +546,9 @@ impl<T: ScalarType> HierMatrix<T> {
     /// and avoid even that).
     pub fn nvals_exact(&self) -> usize {
         if self.levels.iter().all(|l| l.npending() == 0) {
-            if self.index.is_active() {
-                // Everything settled has passed through the index.
-                self.index.nnz()
+            if self.degrees.is_live() {
+                // Everything settled has passed through the oracle.
+                self.degrees.cells.len()
             } else {
                 let dcsrs: Vec<&Dcsr<T>> = self.level_dcsrs().collect();
                 merged_nnz(&dcsrs)
@@ -534,8 +613,7 @@ impl<T: ScalarType> HierMatrix<T> {
             level.clear();
         }
         self.raw_pending = 0;
-        self.index.clear();
-        self.col_index.clear();
+        self.degrees.clear();
         self.reset_stats();
         if self.durable.is_some() {
             for i in 0..self.levels.len() {
@@ -718,8 +796,7 @@ impl<T: ScalarType> HierMatrix<T> {
             raw_pending: 0,
             fold: BatchFold::new(),
             stats: HierStats::new(n_levels),
-            index: DegreeIndex::new(),
-            col_index: DegreeIndex::new(),
+            degrees: Degrees::default(),
             durable: None,
         };
         // Replay the WAL on top of the checkpoint while `durable` is still
@@ -956,19 +1033,6 @@ impl<T: ScalarType> HierMatrix<T> {
         logged
     }
 
-    /// The maintained degree index (settled content only — settle first via
-    /// the reader interface for answers covering pending tuples).
-    pub fn degree_index(&self) -> &DegreeIndex<T> {
-        &self.index
-    }
-
-    /// The maintained *column* (in-degree) index.  Inactive until the first
-    /// column-side degree query; see [`HierMatrix::degree_index`] for the
-    /// settling caveat.
-    pub fn col_degree_index(&self) -> &DegreeIndex<T> {
-        &self.col_index
-    }
-
     /// Take a consistent point-in-time snapshot: settles the cache-resident
     /// pending tuples (through the index observer), then captures Arc'd
     /// handles to every level plus a degree-index view — O(levels), no
@@ -977,19 +1041,20 @@ impl<T: ScalarType> HierMatrix<T> {
     /// independently while this matrix keeps ingesting (subsequent settles
     /// and cascades copy-on-write their own structures).
     pub fn snapshot(&mut self) -> MatrixSnapshot<T> {
-        self.ensure_index();
+        self.ensure_degrees(false);
         // Column stats ride along only when the column index is already
         // live — snapshotting must not defeat its lazy activation.  A
         // snapshot without the view still answers column queries off its
         // own lazily-built merged twin.
-        let col_view = self.col_index.is_active().then(|| self.col_index.view());
+        let cols = &self.degrees.cols;
+        let col_view = cols.is_active().then(|| cols.view());
         MatrixSnapshot::new(
             "hier-graphblas-snapshot",
             self.nrows,
             self.ncols,
             self.levels.iter().map(|l| l.settled_arc()).collect(),
             (&[], &[], &[]),
-            Some(self.index.view()),
+            Some(self.degrees.rows.view()),
         )
         .with_col_index(col_view)
     }
@@ -1007,12 +1072,8 @@ impl<T: ScalarType> HierMatrix<T> {
             tc.extend_from_slice(c);
             tv.extend_from_slice(v);
         }
-        let index = if tr.is_empty() && self.index.is_active() {
-            Some(self.index.view())
-        } else {
-            None
-        };
-        let col_view = (tr.is_empty() && self.col_index.is_active()).then(|| self.col_index.view());
+        let view = |ix: &DegreeIndex<T>| (tr.is_empty() && ix.is_active()).then(|| ix.view());
+        let (index, col_view) = (view(&self.degrees.rows), view(&self.degrees.cols));
         MatrixSnapshot::new(
             "hier-graphblas-snapshot",
             self.nrows,
@@ -1082,13 +1143,13 @@ impl<T: ScalarType> LevelStore for HierMatrix<T> {
     }
 
     fn row_stats(&mut self) -> Option<&mut DegreeIndexView<T>> {
-        self.ensure_index();
-        Some(self.index.view_mut())
+        self.ensure_degrees(false);
+        Some(self.degrees.rows.view_mut())
     }
 
     fn col_stats(&mut self) -> Option<&mut DegreeIndexView<T>> {
-        self.ensure_col_index();
-        Some(self.col_index.view_mut())
+        self.ensure_degrees(true);
+        Some(self.degrees.cols.view_mut())
     }
 
     /// Per-level gets fold pending tuples in directly; no settle needed.
@@ -1344,6 +1405,49 @@ mod tests {
         }
         assert!(m.memory_bytes() > before);
         assert_eq!(m.memory_per_level().len(), 4);
+    }
+
+    #[test]
+    fn both_degree_sides_share_one_cell_oracle_counted_once() {
+        let mut m = HierMatrix::<u64>::new(1 << 20, 1 << 20, small_config()).unwrap();
+        // 31 x 47 cells hit again and again: when a side activates, most
+        // cells sit in several levels at once.
+        for i in 0..2000u64 {
+            m.update(i % 31, (i * 11) % 47, 1).unwrap();
+        }
+        assert!(m.entries_per_level().iter().sum::<usize>() > m.nvals_exact());
+        assert_eq!(m.degrees.memory_bytes(), 0, "pure ingest builds no oracle");
+        // Column side first: its sweep fills the oracle, deduplicated.
+        let in_top = m.read_in_top_k(3);
+        assert_eq!(in_top, m.with_levels(|lv| merged_in_top_k(lv, 3)));
+        let nnz = m.with_levels(merged_nnz);
+        assert_eq!((m.degrees.cells.len(), m.degrees.cols.nnz()), (nnz, nnz));
+        let oracle = m.degrees.cells.capacity() * std::mem::size_of::<u128>();
+        // The row side joins without touching it, and ingest keeps it one.
+        assert_eq!(m.read_top_k(3), m.with_levels(|lv| merged_top_k(lv, 3)));
+        assert_eq!(m.degrees.rows.nnz(), nnz);
+        assert_eq!(
+            oracle,
+            m.degrees.cells.capacity() * std::mem::size_of::<u128>()
+        );
+        for i in 0..500u64 {
+            m.update(i % 31, 100 + i % 7, 1).unwrap();
+        }
+        let nnz = m.read_nnz();
+        assert_eq!(m.degrees.cells.len(), nnz);
+        let d = &m.degrees;
+        let sides = d.rows.memory_bytes() + d.cols.memory_bytes();
+        let oracle = d.cells.capacity() * std::mem::size_of::<u128>();
+        assert!(oracle > 0 && sides > 0);
+        let levels: usize = m.memory_per_level().iter().map(|f| f.total()).sum();
+        // Once: with an oracle inside each index this read `2 * oracle`.
+        assert_eq!(
+            m.memory_bytes(),
+            levels + m.fold.memory_bytes() + sides + oracle + d.grew.capacity()
+        );
+        // `clear()` gives all of it back.
+        m.clear();
+        assert_eq!(m.degrees.cells.capacity(), 0);
     }
 
     #[test]

@@ -377,6 +377,127 @@ proptest! {
         prop_assert_eq!((back.nrows(), back.ncols()), (nrows, ncols));
         prop_assert_eq!(back.dcsr().raw_parts(), a.dcsr().raw_parts());
     }
+
+    // A held column twin is merged forward, exactly: after any sequence of
+    // public `Matrix` operations it is byte-identical to the transpose of a
+    // matrix rebuilt from scratch out of the same content, it is present
+    // exactly when the rules say it is kept, and a reader's `Arc` from an
+    // early read is never written through.
+    #[test]
+    fn a_held_twin_equals_a_fresh_transpose_after_every_operation(
+        steps in prop::collection::vec(
+            (
+                0usize..20,
+                prop::collection::vec((0u64..u64::MAX, 0u64..u64::MAX, 1u64..1000), 1usize..40),
+                0u64..7,
+            ),
+            1usize..40,
+        ),
+        row_dim in 0usize..3,
+        col_dim in 0usize..3,
+    ) {
+        const DIMS: [u64; 3] = [100, 1 << 32, 1 << 40];
+        let (nrows, ncols) = (DIMS[row_dim], DIMS[col_dim]);
+        let rebuilt = |m: &Matrix<u64>| {
+            let (r, c, v) = m.extract_tuples();
+            Matrix::from_tuples(nrows, ncols, &r, &c, &v, Plus).unwrap()
+        };
+        let mut m = Matrix::<u64>::new(nrows, ncols);
+        let mut kept = false;
+        let mut held: Option<(std::sync::Arc<Dcsr<u64>>, Dcsr<u64>)> = None;
+        for (op, raw, shape) in steps {
+            // A dozen ids per axis, spread over the whole index space:
+            // steps keep hitting cells that earlier steps stored.
+            const SPREAD: u64 = u64::MAX / 12;
+            let raw = raw
+                .into_iter()
+                .map(|(r, c, v)| (r % 12 * SPREAD, c % 12 * SPREAD, v))
+                .collect();
+            let (rows, cols, vals) = shaped_entries(raw, shape, nrows, ncols);
+            // An operand for the whole-matrix operations: settled, with a
+            // twin (`op` odd) or without one.
+            let operand = |with_twin: bool| {
+                let mut b = Matrix::from_tuples(nrows, ncols, &rows, &cols, &vals, Plus).unwrap();
+                if with_twin {
+                    let _ = b.col_shadow();
+                }
+                b
+            };
+            match op {
+                0..=3 => m.accum_tuples(&rows, &cols, &vals).unwrap(),
+                4 => {
+                    for i in 0..rows.len().min(3) {
+                        m.accum_element(rows[i], cols[i], vals[i]).unwrap();
+                    }
+                }
+                5 => {
+                    for i in 0..rows.len().min(3) {
+                        m.set_element(rows[i], cols[i], vals[i]).unwrap();
+                    }
+                }
+                6 => m.wait(),
+                7 => m.wait_with(Second),
+                8 | 9 => {
+                    // Twin into twin, or the destination loses its own.
+                    let b = operand(op == 9);
+                    m.accum_matrix(&b).unwrap();
+                    kept &= op == 9;
+                }
+                10 => {
+                    let b = operand(true);
+                    m.accum_matrix_op(&b, Second).unwrap();
+                }
+                11 => {
+                    // A source whose twin is behind its pending tuples.
+                    let mut b = operand(true);
+                    b.accum_tuples(&rows, &cols, &vals).unwrap();
+                    prop_assert!(b.has_col_shadow());
+                    m.accum_matrix(&b).unwrap();
+                    kept &= b.npending() == 0;
+                }
+                12 => {
+                    let mut b = operand(true);
+                    m.swap_settled(&mut b).unwrap();
+                    prop_assert!(!b.has_col_shadow());
+                    kept = false;
+                }
+                13 => {
+                    m.clear();
+                    kept = false;
+                }
+                14 => {
+                    m.clear_retaining_capacity();
+                    kept = false;
+                }
+                15 => {
+                    m.accum_tuples(&rows, &cols, &vals).unwrap();
+                    m.truncate_pending(m.npending() / 2);
+                }
+                _ => {
+                    let twin = m.col_shadow();
+                    kept = true;
+                    held.get_or_insert_with(|| (twin.clone(), twin.as_ref().clone()));
+                }
+            }
+            prop_assert_eq!(m.has_col_shadow(), kept, "after op {}", op);
+            // Read the live twin through a clone (clones share it), so that
+            // the check itself settles nothing in `m`.
+            let mut probe = m.clone();
+            if kept {
+                let twin = probe.col_shadow();
+                prop_assert!(twin.check_invariants().is_ok());
+                prop_assert_eq!(
+                    twin.raw_parts(),
+                    transpose(&rebuilt(&probe)).dcsr().raw_parts(),
+                    "after op {}", op
+                );
+            }
+            prop_assert!(m.check_invariants().is_ok());
+        }
+        if let Some((arc, then)) = held {
+            prop_assert_eq!(&*arc, &then);
+        }
+    }
 }
 
 /// In-degree top-k through the generic algorithm layer equals the
