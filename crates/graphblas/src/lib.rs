@@ -75,7 +75,7 @@ pub use index::{validate_dims, validate_index, Index};
 pub use level_read::LevelStore;
 pub use matrix::Matrix;
 pub use ops::spa::{spa_kernel_stats, SpaKernelStats, SpaScratch};
-pub use reader::{CursorReader, MatrixReader, StreamingSystem};
+pub use reader::{Answer, CursorReader, MatrixReader, Query, StreamingSystem};
 pub use sink::StreamingSink;
 pub use snapshot::MatrixSnapshot;
 pub use types::ScalarType;
@@ -106,7 +106,7 @@ pub mod prelude {
     pub use crate::ops::mxv::{mxv, try_vxm_with, vxm, vxm_btree};
     pub use crate::ops::reader_mx::{
         mxm_reader, mxm_reader_masked, mxv_reader, mxv_reader_masked, vxm_pattern_levels,
-        vxm_reader, vxm_reader_masked, PatternAdd,
+        vxm_reader, vxm_reader_masked,
     };
     pub use crate::ops::reduce::{reduce_cols, reduce_rows, reduce_scalar};
     pub use crate::ops::select::{select, SelectOp};
@@ -115,7 +115,9 @@ pub mod prelude {
     pub use crate::ops::transpose::transpose;
     pub use crate::ops::unary::{AInv, Abs, Identity, MInv, One};
     pub use crate::ops::{BinaryOp, Monoid, Semiring, UnaryOp};
-    pub use crate::reader::{read_tuples, CursorReader, MatrixReader, StreamingSystem};
+    pub use crate::reader::{
+        read_tuples, Answer, CursorReader, MatrixReader, Query, StreamingSystem,
+    };
     pub use crate::sink::StreamingSink;
     pub use crate::snapshot::MatrixSnapshot;
     pub use crate::types::ScalarType;

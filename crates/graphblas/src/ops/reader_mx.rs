@@ -22,9 +22,7 @@
 //!
 //! The pattern push ([`vxm_pattern_levels`]) is the frontier kernel shared
 //! by BFS (add = min) and pagerank (add = plus): `w(j) = ⊕ u(i)` over the
-//! *distinct* stored cells `(i, j)`, values ignored.  [`PatternAdd`] names
-//! the two monoids in non-generic form so the sharded engine can ship the
-//! push over its query channel.
+//! *distinct* stored cells `(i, j)`, values ignored.
 
 use crate::cursor::{merged_row_into, LevelCursors};
 use crate::error::{GrbError, GrbResult};
@@ -422,17 +420,6 @@ where
     }
 }
 
-/// Add-monoid selector for the pattern push when it crosses a non-generic
-/// boundary — the sharded engine's query channel ships the frontier with
-/// one of these instead of a monomorphised operator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PatternAdd {
-    /// Sum contributions (pagerank mass push).
-    Plus,
-    /// Keep the minimum contribution (BFS level push).
-    Min,
-}
-
 /// The pattern push: `w(j) = ⊕ u(i)` over the **distinct** stored cells
 /// `(i, j)` of the level slices — stored values are ignored, duplicate
 /// cells across levels contribute once.  `u` must be sorted by index;
@@ -499,35 +486,6 @@ pub fn vxm_pattern_levels<T, U, A, M>(
     }
     spa.drain(add, &mut |j, v| out.push((j, v)));
     spa.commit_stats();
-}
-
-/// [`vxm_pattern_levels`] with the monoid picked by a [`PatternAdd`] tag
-/// and `f64` push values — the non-generic form the sharded workers run.
-pub fn vxm_pattern_levels_f64<T: ScalarType>(
-    u: &[(Index, f64)],
-    levels: &[&Dcsr<T>],
-    add: PatternAdd,
-    spa: &mut SpaScratch<f64>,
-    out: &mut Vec<(Index, f64)>,
-) {
-    match add {
-        PatternAdd::Plus => vxm_pattern_levels(
-            u,
-            levels,
-            crate::ops::binary::Plus,
-            None::<&VectorMask<'_, f64>>,
-            spa,
-            out,
-        ),
-        PatternAdd::Min => vxm_pattern_levels(
-            u,
-            levels,
-            crate::ops::binary::Min,
-            None::<&VectorMask<'_, f64>>,
-            spa,
-            out,
-        ),
-    }
 }
 
 /// Distinct sorted columns of row `row` across colliding levels.

@@ -275,6 +275,203 @@ pub trait MatrixReader<V: ScalarType> {
     }
 }
 
+/// One read question, as a value: one kind per data-returning `read_*`
+/// method of [`MatrixReader`].  What crosses a shard worker's channel, and
+/// what anything that splits a read over several readers routes and
+/// combines by.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Query {
+    /// [`MatrixReader::read_get`].
+    Get(Index, Index),
+    /// [`MatrixReader::read_row`].
+    Row(Index),
+    /// [`MatrixReader::read_row_degree`].
+    RowDegree(Index),
+    /// [`MatrixReader::read_row_reduce`].
+    RowReduce(Index),
+    /// [`MatrixReader::read_top_k`].
+    TopK(usize),
+    /// [`MatrixReader::read_nnz`].
+    Nnz,
+    /// [`MatrixReader::read_entries`].
+    Entries,
+    /// [`MatrixReader::read_row_range`], half-open.
+    RowRange(Index, Index),
+    /// [`MatrixReader::read_degree_histogram`].
+    DegreeHistogram,
+    /// [`MatrixReader::read_col`].
+    Col(Index),
+    /// [`MatrixReader::read_col_degree`].
+    ColDegree(Index),
+    /// [`MatrixReader::read_col_reduce`].
+    ColReduce(Index),
+    /// [`MatrixReader::read_in_top_k`].
+    InTopK(usize),
+    /// [`MatrixReader::read_in_degree_histogram`].
+    InDegreeHistogram,
+    /// [`MatrixReader::read_col_range`], half-open.
+    ColRange(Index, Index),
+    /// [`MatrixReader::read_rows`].
+    Rows(Vec<Index>),
+    /// [`MatrixReader::read_get_many`].
+    GetMany(Vec<(Index, Index)>),
+}
+
+/// What a reader says to a [`Query`], in the shape the matching `read_*`
+/// method returns (visitor methods collect into a list).
+#[derive(Debug, Clone, PartialEq)]
+pub enum Answer<V> {
+    /// One cell or one reduction: `Get`, `RowReduce`, `ColReduce`.
+    Value(Option<V>),
+    /// `Nnz`, `RowDegree`, `ColDegree`.
+    Count(usize),
+    /// One row as `(col, value)` or one column as `(row, value)`.
+    Line(Vec<(Index, V)>),
+    /// `(id, degree)` by degree descending, then id ascending: `TopK`,
+    /// `InTopK`.
+    Ranked(Vec<(Index, usize)>),
+    /// `(row, col, value)` in the order the method visits: `Entries`,
+    /// `RowRange`, `ColRange`.
+    Entries(Vec<(Index, Index, V)>),
+    /// `degree -> how many`: `DegreeHistogram`, `InDegreeHistogram`.
+    Histogram(std::collections::BTreeMap<u64, u64>),
+    /// One line per requested row: `Rows`.
+    Lines(Vec<Vec<(Index, V)>>),
+    /// One cell per requested key: `GetMany`.
+    Values(Vec<Option<V>>),
+}
+
+impl<V: ScalarType> Answer<V> {
+    /// What an empty matrix answers to `q` — also what stands in for a
+    /// reader that could not be asked.
+    pub fn empty_for(q: &Query) -> Self {
+        match q {
+            Query::Get(..) | Query::RowReduce(_) | Query::ColReduce(_) => Answer::Value(None),
+            Query::Nnz | Query::RowDegree(_) | Query::ColDegree(_) => Answer::Count(0),
+            Query::Row(_) | Query::Col(_) => Answer::Line(Vec::new()),
+            Query::TopK(_) | Query::InTopK(_) => Answer::Ranked(Vec::new()),
+            Query::Entries | Query::RowRange(..) | Query::ColRange(..) => {
+                Answer::Entries(Vec::new())
+            }
+            Query::DegreeHistogram | Query::InDegreeHistogram => {
+                Answer::Histogram(Default::default())
+            }
+            Query::Rows(rows) => Answer::Lines(vec![Vec::new(); rows.len()]),
+            Query::GetMany(keys) => Answer::Values(vec![None; keys.len()]),
+        }
+    }
+
+    /// An answer of another shape than its query's: a bug in whatever
+    /// produced it, never a property of the data.
+    fn mismatch(&self, want: &str) -> ! {
+        unreachable!("a {want} answer was expected, got {self:?}")
+    }
+
+    /// The payload of a [`Answer::Value`].
+    pub fn into_value(self) -> Option<V> {
+        match self {
+            Answer::Value(v) => v,
+            other => other.mismatch("Value"),
+        }
+    }
+
+    /// The payload of a [`Answer::Count`].
+    pub fn into_count(self) -> usize {
+        match self {
+            Answer::Count(n) => n,
+            other => other.mismatch("Count"),
+        }
+    }
+
+    /// The payload of a [`Answer::Line`].
+    pub fn into_line(self) -> Vec<(Index, V)> {
+        match self {
+            Answer::Line(line) => line,
+            other => other.mismatch("Line"),
+        }
+    }
+
+    /// The payload of a [`Answer::Ranked`].
+    pub fn into_ranked(self) -> Vec<(Index, usize)> {
+        match self {
+            Answer::Ranked(ranks) => ranks,
+            other => other.mismatch("Ranked"),
+        }
+    }
+
+    /// The payload of a [`Answer::Entries`].
+    pub fn into_entries(self) -> Vec<(Index, Index, V)> {
+        match self {
+            Answer::Entries(entries) => entries,
+            other => other.mismatch("Entries"),
+        }
+    }
+
+    /// The payload of a [`Answer::Histogram`].
+    pub fn into_histogram(self) -> std::collections::BTreeMap<u64, u64> {
+        match self {
+            Answer::Histogram(counts) => counts,
+            other => other.mismatch("Histogram"),
+        }
+    }
+
+    /// The payload of a [`Answer::Lines`].
+    pub fn into_lines(self) -> Vec<Vec<(Index, V)>> {
+        match self {
+            Answer::Lines(lines) => lines,
+            other => other.mismatch("Lines"),
+        }
+    }
+
+    /// The payload of a [`Answer::Values`].
+    pub fn into_values(self) -> Vec<Option<V>> {
+        match self {
+            Answer::Values(values) => values,
+            other => other.mismatch("Values"),
+        }
+    }
+}
+
+/// Ask one reader one [`Query`] through the `read_*` method of its kind.
+pub fn answer<V: ScalarType, R: MatrixReader<V> + ?Sized>(r: &mut R, q: &Query) -> Answer<V> {
+    let mut line = Vec::new();
+    let mut entries = Vec::new();
+    match q {
+        Query::Get(row, col) => Answer::Value(r.read_get(*row, *col)),
+        Query::Row(row) => {
+            r.read_row(*row, &mut line);
+            Answer::Line(line)
+        }
+        Query::RowDegree(row) => Answer::Count(r.read_row_degree(*row)),
+        Query::RowReduce(row) => Answer::Value(r.read_row_reduce(*row)),
+        Query::TopK(k) => Answer::Ranked(r.read_top_k(*k)),
+        Query::Nnz => Answer::Count(r.read_nnz()),
+        Query::Entries => {
+            r.read_entries(&mut |i, j, v| entries.push((i, j, v)));
+            Answer::Entries(entries)
+        }
+        Query::RowRange(lo, hi) => {
+            r.read_row_range(*lo, *hi, &mut |i, j, v| entries.push((i, j, v)));
+            Answer::Entries(entries)
+        }
+        Query::DegreeHistogram => Answer::Histogram(r.read_degree_histogram()),
+        Query::Col(col) => {
+            r.read_col(*col, &mut line);
+            Answer::Line(line)
+        }
+        Query::ColDegree(col) => Answer::Count(r.read_col_degree(*col)),
+        Query::ColReduce(col) => Answer::Value(r.read_col_reduce(*col)),
+        Query::InTopK(k) => Answer::Ranked(r.read_in_top_k(*k)),
+        Query::InDegreeHistogram => Answer::Histogram(r.read_in_degree_histogram()),
+        Query::ColRange(lo, hi) => {
+            r.read_col_range(*lo, *hi, &mut |i, j, v| entries.push((i, j, v)));
+            Answer::Entries(entries)
+        }
+        Query::Rows(rows) => Answer::Lines(r.read_rows(rows)),
+        Query::GetMany(keys) => Answer::Values(r.read_get_many(keys)),
+    }
+}
+
 /// Extract every entry of a reader into parallel tuple vectors (row-major
 /// sorted) — the bridge the graph algorithms use to rebuild pattern
 /// matrices from any reader.

@@ -60,7 +60,7 @@ pub use config::HierConfig;
 pub use failpoint::FailAction;
 pub use matrix::HierMatrix;
 pub use persist::{DurableConfig, FsyncPolicy, RecoveryReport};
-pub use pool::{InstancePool, PartitionBuffers};
+pub use pool::PartitionBuffers;
 pub use sharded::{EngineHealth, ShardRecovery};
 pub use sharded::{ShardPartitioner, ShardedConfig, ShardedHierMatrix, ShardedSnapshot};
 pub use stats::HierStats;

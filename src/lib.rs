@@ -55,7 +55,7 @@ pub mod prelude {
     pub use hyperstream_graphblas::prelude::*;
 
     pub use hyperstream_hier::{
-        DurableConfig, EngineHealth, FsyncPolicy, HierConfig, HierMatrix, HierStats, InstancePool,
+        DurableConfig, EngineHealth, FsyncPolicy, HierConfig, HierMatrix, HierStats,
         PartitionBuffers, RecoveryReport, ShardPartitioner, ShardRecovery, ShardedConfig,
         ShardedHierMatrix, ShardedSnapshot, WindowedHierMatrix,
     };

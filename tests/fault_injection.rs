@@ -12,7 +12,8 @@
 //! * failures surface as *typed* errors (`GrbError::ShardsLost`,
 //!   `GrbError::Timeout`, `GrbError::Injected`) naming the lost shards;
 //! * with `degraded_reads`, answers from the survivors are byte-identical
-//!   to a flat oracle restricted to the surviving row bands;
+//!   to a flat oracle restricted to the surviving row bands, for every
+//!   `Query` kind, and every one of them names the lost shard;
 //! * `respawn_shard` with replay enabled rebuilds a shard *exactly* when
 //!   the loss happened before any barrier retired the replay buffer;
 //! * dropping the engine mid-fault (barrier outstanding, worker dead)
@@ -22,6 +23,7 @@
 //! through [`exclusive`], which also disarms all sites on scope exit.
 //! That keeps armed sites from leaking into a concurrently running test.
 
+use hyperstream::graphblas::reader;
 use hyperstream::hier::failpoint::{self, FailAction};
 use hyperstream::prelude::*;
 use proptest::prelude::*;
@@ -102,6 +104,44 @@ fn reference_top_k(flat: &Matrix<u64>, k: usize) -> Vec<(u64, usize)> {
     degs
 }
 
+/// One query of every kind: the row-targeted ones aimed at `row`, the
+/// batched ones at `row` after `other`, the rest at the whole matrix.
+fn every_kind(row: u64, col: u64, other: u64, k: usize) -> Vec<Query> {
+    vec![
+        Query::Get(row, col),
+        Query::Row(row),
+        Query::RowDegree(row),
+        Query::RowReduce(row),
+        Query::TopK(k),
+        Query::Nnz,
+        Query::Entries,
+        Query::RowRange(0, DIM),
+        Query::DegreeHistogram,
+        Query::Col(col),
+        Query::ColDegree(col),
+        Query::ColReduce(col),
+        Query::InTopK(k),
+        Query::InDegreeHistogram,
+        Query::ColRange(0, DIM),
+        Query::Rows(vec![other, row]),
+        Query::GetMany(vec![(other, col), (row, col)]),
+    ]
+}
+
+/// The first update on a row `victim` owns (`of_victim`) or does not.
+fn update_owned(
+    updates: &[(u64, u64, u64)],
+    shards: usize,
+    victim: usize,
+    of_victim: bool,
+) -> Option<(u64, u64, u64)> {
+    let owner = |r| ShardPartitioner::RowHash.shard(r, DIM, shards);
+    updates
+        .iter()
+        .copied()
+        .find(|&(r, _, _)| (owner(r) == victim) == of_victim)
+}
+
 /// A small engine with knobs sized so every few updates reach a worker.
 fn chaos_config(shards: usize) -> ShardedConfig {
     ShardedConfig {
@@ -176,16 +216,38 @@ proptest! {
             "flush reported {flushed:?}"
         );
         prop_assert_eq!(engine.health(), EngineHealth::Degraded { lost: vec![victim] });
-        prop_assert!(matches!(
-            engine.try_read_top_k(5),
-            Err(GrbError::ShardsLost { .. })
-        ));
-        prop_assert!(engine.read_top_k(5).is_empty());
-        prop_assert!(matches!(
-            engine.take_read_error(),
-            Some(GrbError::ShardsLost { .. })
-        ));
-        prop_assert!(engine.take_read_error().is_none());
+        // Every kind whose route reaches the victim refuses, typed; its
+        // infallible dual answers empty and latches the same error, once.
+        let is_the_loss = |e: &GrbError| matches!(e, GrbError::ShardsLost { shards, .. } if shards == &vec![victim]);
+        let (lost_row, col, _) = update_owned(&updates, shards, victim, true).unwrap();
+        let live = update_owned(&updates, shards, victim, false);
+        let other = live.map_or(lost_row, |u| u.0);
+        for q in every_kind(lost_row, col, other, 5) {
+            let refused = engine.try_read(q.clone());
+            prop_assert!(matches!(&refused, Err(e) if is_the_loss(e)), "{q:?}: {refused:?}");
+            prop_assert!(engine.take_read_error().is_none(), "try_read latched on {q:?}");
+            prop_assert_eq!(reader::answer(&mut engine, &q), Answer::empty_for(&q));
+            let latched = engine.take_read_error();
+            prop_assert!(matches!(&latched, Some(e) if is_the_loss(e)), "{q:?}: {latched:?}");
+            prop_assert!(engine.take_read_error().is_none());
+        }
+        // A read routed past the victim is answered in full.
+        if let Some((row, col, _)) = live {
+            let mut flat = build_flat(&updates);
+            for q in [
+                Query::Get(row, col),
+                Query::Row(row),
+                Query::RowDegree(row),
+                Query::RowReduce(row),
+                Query::Rows(vec![row]),
+                Query::GetMany(vec![(row, col)]),
+                Query::TopK(0),
+            ] {
+                let want = reader::answer(&mut flat, &q);
+                prop_assert_eq!(engine.try_read(q.clone()), Ok(want), "{:?}", &q);
+                prop_assert!(engine.last_answer_lost().is_empty());
+            }
+        }
         prop_assert!(matches!(
             engine.materialize(),
             Err(GrbError::ShardsLost { .. })
@@ -241,17 +303,30 @@ proptest! {
             oracle.extract_tuples()
         );
         prop_assert_eq!(engine.last_answer_lost(), &[victim]);
-        prop_assert_eq!(engine.try_read_nnz().unwrap(), oracle.nvals());
-        prop_assert_eq!(engine.try_read_top_k(k).unwrap(), reference_top_k(&oracle, k));
-        // A row owned by the lost shard answers empty (and records why).
-        if let Some(&(lost_row, _, _)) = updates
-            .iter()
-            .find(|&&(r, _, _)| partitioner.shard(r, DIM, shards) == victim)
-        {
-            let mut out = Vec::new();
-            engine.try_read_row(lost_row, &mut out).unwrap();
-            prop_assert!(out.is_empty());
-            prop_assert_eq!(engine.last_answer_lost(), &[victim]);
+        prop_assert_eq!(
+            engine.try_read(Query::TopK(k)),
+            Ok(Answer::Ranked(reference_top_k(&oracle, k)))
+        );
+        // Every kind answers what the survivors hold — the lost owner's
+        // rows and keys come back empty — and every answer says who is
+        // missing from it.
+        let mut oracle = oracle;
+        let (lost_row, col, _) = update_owned(&updates, shards, victim, true).unwrap();
+        let live = update_owned(&updates, shards, victim, false);
+        let other = live.map_or(lost_row, |u| u.0);
+        for q in every_kind(lost_row, col, other, k) {
+            let want = reader::answer(&mut oracle, &q);
+            prop_assert_eq!(engine.try_read(q.clone()), Ok(want.clone()), "{:?}", &q);
+            prop_assert_eq!(engine.last_answer_lost(), &[victim], "{:?}", &q);
+            prop_assert_eq!(reader::answer(&mut engine, &q), want, "infallible {:?}", &q);
+            prop_assert_eq!(engine.last_answer_lost(), &[victim], "infallible {:?}", &q);
+        }
+        prop_assert!(engine.take_read_error().is_none());
+        // A row a live shard owns is answered in full, and says so.
+        if let Some((row, _, _)) = live {
+            let want = reader::answer(&mut oracle, &Query::Row(row));
+            prop_assert_eq!(engine.try_read(Query::Row(row)), Ok(want));
+            prop_assert!(engine.last_answer_lost().is_empty());
         }
     }
 
@@ -305,6 +380,69 @@ proptest! {
     }
 }
 
+/// A held in-degree sum that was built without a lost shard keeps saying
+/// so: a row read answered in full by a live shard in between must not
+/// turn the next (cached, still survivors-only) ranking or histogram into
+/// one that claims to be complete.
+#[test]
+fn cached_degraded_in_degrees_still_name_the_lost_shard() {
+    let _fp = exclusive();
+    let (shards, victim) = (3, 1);
+    failpoint::arm_at("worker-apply", Some(victim), 1, FailAction::Panic);
+    let mut engine = ShardedHierMatrix::<u64>::new(
+        DIM,
+        DIM,
+        HierConfig::from_cuts(vec![8, 64]).unwrap(),
+        ShardedConfig {
+            degraded_reads: true,
+            ..chaos_config(shards)
+        },
+    )
+    .unwrap();
+    let updates: Vec<(u64, u64, u64)> = (0..600u64)
+        .map(|i| {
+            (
+                (i % 97) * 20_000_019 % DIM,
+                (i * 7 % 31) * 40_000_003 % DIM,
+                1,
+            )
+        })
+        .collect();
+    for &(r, c, v) in &updates {
+        let _ = engine.update(r, c, v);
+    }
+    assert!(engine.flush().is_err());
+    assert_eq!(engine.lost_shards(), vec![victim]);
+    let owner = |r| ShardPartitioner::RowHash.shard(r, DIM, shards);
+    let surviving: Vec<_> = updates
+        .iter()
+        .copied()
+        .filter(|u| owner(u.0) != victim)
+        .collect();
+    let mut oracle = build_flat(&surviving);
+    let live_row = surviving[0].0;
+
+    let ranking = Answer::Ranked(oracle.read_in_top_k(5));
+    assert_eq!(engine.try_read(Query::InTopK(5)), Ok(ranking.clone()));
+    assert_eq!(engine.last_answer_lost(), &[victim]);
+    // Answered in full by a live shard.
+    let row = reader::answer(&mut oracle, &Query::Row(live_row));
+    assert_eq!(engine.try_read(Query::Row(live_row)), Ok(row));
+    assert!(engine.last_answer_lost().is_empty());
+    // Both served from the held sum: as degraded as when it was built.
+    assert_eq!(
+        engine.read_in_degree_histogram(),
+        oracle.read_in_degree_histogram()
+    );
+    let after_histogram = engine.last_answer_lost().to_vec();
+    let _ = engine.read_row_degree(live_row);
+    assert_eq!(engine.try_read(Query::InTopK(5)), Ok(ranking));
+    assert_eq!(
+        (after_histogram, engine.last_answer_lost()),
+        (vec![victim], &[victim][..])
+    );
+}
+
 /// Satellite regression: a worker-side apply error (injected, but standing
 /// in for any failed batch apply) is latched and surfaces in the *next*
 /// barrier ack — `flush` reports it — instead of being silently dropped.
@@ -355,7 +493,7 @@ fn stalled_worker_times_out_without_being_marked_lost() {
     // Let the stall clear, then the same engine answers in full.
     std::thread::sleep(Duration::from_millis(450));
     engine.flush().unwrap();
-    assert_eq!(engine.try_read_nnz().unwrap(), 2);
+    assert_eq!(engine.try_read(Query::Nnz), Ok(Answer::Count(2)));
 }
 
 /// Drop-under-load: tearing the engine down while a barrier is still

@@ -67,27 +67,6 @@ fn hierarchy_equals_d4m_assoc_on_the_same_stream() {
 }
 
 #[test]
-fn instance_pool_preserves_global_content() {
-    let edges = stream(8_000, 41);
-    let mut pool = InstancePool::<u64>::new(
-        4,
-        1 << 32,
-        1 << 32,
-        HierConfig::from_cuts(vec![64, 1024]).unwrap(),
-    )
-    .unwrap();
-    let mut flat = Matrix::<u64>::new(1 << 32, 1 << 32);
-    for e in &edges {
-        pool.update(e.src, e.dst, e.weight).unwrap();
-        flat.accum_element(e.src, e.dst, e.weight).unwrap();
-    }
-    flat.wait();
-    let union = pool.materialize_union().unwrap();
-    assert_eq!(union.extract_tuples(), flat.extract_tuples());
-    assert_eq!(pool.total_updates(), edges.len() as u64);
-}
-
-#[test]
 fn end_to_end_traffic_analytics_pipeline() {
     // workload -> hierarchical matrix -> graph analytics, all through the
     // facade crate's prelude.

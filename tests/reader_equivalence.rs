@@ -10,9 +10,10 @@
 //! storage engines may only change the *cost* of a query, never its value.
 //!
 //! The level-backed stores (flat, hierarchy, windowed hierarchy, both
-//! snapshot captures) share one `MatrixReader` implementation; the same
-//! generated cases drive all 18 of its `read_*` methods against a
-//! `BTreeMap<(row, col), value>` oracle through [`check_reads`].
+//! snapshot captures) share one `MatrixReader` implementation, the sharded
+//! engine and its snapshot another (one route and one combine over their
+//! shards); the same generated cases drive all 18 `read_*` methods of both
+//! against a `BTreeMap<(row, col), value>` oracle through [`check_reads`].
 
 use hyperstream::prelude::*;
 use proptest::prelude::*;
@@ -311,6 +312,53 @@ fn check_level_backed_stores(updates: &[(u64, u64, u64)], cuts: &[u64], dim: u64
     );
 }
 
+/// `check_reads` over the sharded engine and a snapshot of it: the engine
+/// mid-stream (tuples still staged producer-side) and at the end, the
+/// snapshot — captured a third of the way in, again over staged tuples —
+/// only after the rest of the stream has gone in behind it.
+fn check_sharded_stores(
+    updates: &[(u64, u64, u64)],
+    cuts: &[u64],
+    dim: u64,
+    (shards, partitioner, chunk): (usize, ShardPartitioner, usize),
+    k: usize,
+) {
+    let mut engine = ShardedHierMatrix::<u64>::new(
+        dim,
+        dim,
+        HierConfig::from_cuts(cuts.to_vec()).unwrap(),
+        ShardedConfig {
+            partitioner,
+            chunk_tuples: chunk,
+            channel_depth: 2,
+            round_tuples: 128,
+            ..ShardedConfig::with_shards(shards)
+        },
+    )
+    .unwrap();
+    let third = (updates.len() / 3).max(1);
+    let two_thirds = (2 * updates.len() / 3).max(third);
+    let feed = |engine: &mut ShardedHierMatrix<u64>, part: &[(u64, u64, u64)]| {
+        for &(r, c, v) in part {
+            engine.insert(r, c, v).unwrap();
+        }
+    };
+    feed(&mut engine, &updates[..third]);
+    let mut snapshot = engine.snapshot().unwrap();
+    feed(&mut engine, &updates[third..two_thirds]);
+    check_reads(
+        &mut engine,
+        &cells_of(&updates[..two_thirds]),
+        (dim, dim),
+        k,
+    );
+    feed(&mut engine, &updates[two_thirds..]);
+    check_reads(&mut snapshot, &cells_of(&updates[..third]), (dim, dim), k);
+    check_reads(&mut engine, &cells_of(updates), (dim, dim), k);
+    assert!(engine.take_read_error().is_none());
+    assert_eq!(engine.aggregate_stats().unwrap().materializations, 0);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
@@ -322,6 +370,8 @@ proptest! {
         chunk in 1usize..64,
         flush_at in 0usize..250,
         k in 0usize..10,
+        read_shards in 1usize..=4,
+        row_bands in 0usize..2,
     ) {
         let flat = build_flat(&updates);
         let expect_entries = flat.extract_tuples();
@@ -383,6 +433,8 @@ proptest! {
             prop_assert_eq!(&entries, &expect_entries, "entries of {}", &name);
         }
         check_level_backed_stores(&updates, &cuts, DIM, k);
+        let partitioner = [ShardPartitioner::RowHash, ShardPartitioner::RowRange][row_bands];
+        check_sharded_stores(&updates, &cuts, DIM, (read_shards, partitioner, chunk), k);
     }
 }
 
@@ -400,6 +452,9 @@ fn level_backed_stores_answer_above_2_pow_32() {
         .collect();
     assert!(updates.iter().all(|&(r, c, _)| r > 1 << 32 && c > 1 << 32));
     check_level_backed_stores(&updates, &[8, 64], WIDE, 5);
+    for partitioner in [ShardPartitioner::RowHash, ShardPartitioner::RowRange] {
+        check_sharded_stores(&updates, &[8, 64], WIDE, (3, partitioner, 16), 5);
+    }
 }
 
 /// A retained-window union is a `CursorReader` like any other level store,
