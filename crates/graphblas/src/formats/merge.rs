@@ -253,6 +253,12 @@ pub(crate) fn merge_row_linear<T: ScalarType, Op: BinaryOp<T>, S: MergeSink<T>>(
 /// Output and operator semantics are byte-identical to
 /// [`merge_row_linear`]: ascending unique columns, `op.apply(a, b)` on
 /// collisions with `a` as the left operand.
+///
+/// Never inlined: the kernels' loops keep four slices, two cursors and the
+/// sink live, and folded into a caller that holds more (a cursor read, the
+/// m-way fold) they spill onto the merge's critical path — whether that
+/// happened used to depend on what else the final crate instantiated.
+#[inline(never)]
 pub(crate) fn merge_row_adaptive<T: ScalarType, Op: BinaryOp<T>, S: MergeSink<T>>(
     ca: &[Index],
     va: &[T],
@@ -378,6 +384,8 @@ fn merge_row_branchless<T: ScalarType, Op: BinaryOp<T>, S: MergeSink<T>>(
     sink: &mut S,
 ) {
     let (n, m) = (ca.len(), cb.len());
+    // Equal-length planes, said so the loop carries no bounds checks.
+    let (va, vb) = (&va[..n], &vb[..m]);
     let (mut i, mut j) = (0usize, 0usize);
     while i < n && j < m {
         let a = ca[i];
