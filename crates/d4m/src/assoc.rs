@@ -269,7 +269,7 @@ impl Assoc {
     #[doc(hidden)]
     pub fn add_same_keyspace(&self, other: &Assoc) -> Option<Matrix<f64>> {
         if self.row_keys == other.row_keys && self.col_keys == other.col_keys {
-            Some(ewise_add(&self.values, &other.values, Plus))
+            ewise_add(&self.values, &other.values, Plus).ok()
         } else {
             None
         }

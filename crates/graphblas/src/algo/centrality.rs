@@ -11,20 +11,12 @@
 //! `O(passes · edges)` — three radix passes for ids below `2^32`, more
 //! above — with no comparison sort and no per-edge search; its buffers
 //! (about 20 bytes per edge and 12 per vertex) live for the call only, and
-//! nothing is cached on the reader.
-//!
-//! The `*_tuples` fallbacks pull the pattern through the plain entry
-//! cursor and rebuild a flat matrix first, which is what a store without
-//! level slices (the D4M associative array) uses and what the equivalence
-//! tests compare against.
+//! nothing is cached on the reader.  The equivalence tests compare both
+//! against their `*_tuples` references in the `oracle` module.
 
 use super::compact::CompactGraph;
 use crate::index::Index;
-use crate::matrix::Matrix;
-use crate::ops::binary::Plus;
-use crate::ops::mxv::vxm;
-use crate::ops::semiring::{MinFirst, PlusTimes};
-use crate::reader::{read_tuples, CursorReader, MatrixReader};
+use crate::reader::CursorReader;
 use crate::types::ScalarType;
 use crate::vector::SparseVector;
 
@@ -88,77 +80,6 @@ where
     hand_over(nrows.max(ncols), g.active, rank)
 }
 
-/// [`pagerank`] over any [`MatrixReader`], the tuple-materialising
-/// fallback: the pattern is pulled through the reader's entry cursor, the
-/// column-stochastic transition matrix is built flat, and the iteration
-/// runs as `vxm` over `(plus, times)`.  Kept for readers without level
-/// access and as the oracle the equivalence tests compare against.
-pub fn pagerank_tuples<V, R>(
-    a: &mut R,
-    damping: f64,
-    max_iters: usize,
-    tol: f64,
-) -> SparseVector<f64>
-where
-    V: ScalarType,
-    R: MatrixReader<V> + ?Sized,
-{
-    // Collect the pattern and the active vertex set (sources and
-    // destinations) through the reader cursor.
-    let (rows, cols, _) = read_tuples(a);
-    let (nrows, ncols) = a.read_dims();
-    let mut active: Vec<Index> = rows.iter().chain(cols.iter()).copied().collect();
-    active.sort_unstable();
-    active.dedup();
-    let n = active.len();
-    if n == 0 {
-        return SparseVector::new(nrows);
-    }
-
-    // Column-stochastic transition: P(i, j) = 1 / outdeg(i) for each edge.
-    // The reader contract delivers entries row-major sorted, so each row's
-    // edges are one contiguous run — fill the reciprocal per run instead of
-    // building and re-probing a per-edge degree map.
-    let mut pvals = vec![0.0f64; rows.len()];
-    let mut start = 0;
-    while start < rows.len() {
-        let mut end = start + 1;
-        while end < rows.len() && rows[end] == rows[start] {
-            end += 1;
-        }
-        let inv = 1.0 / (end - start) as f64;
-        for slot in &mut pvals[start..end] {
-            *slot = inv;
-        }
-        start = end;
-    }
-    let p = Matrix::from_tuples(nrows, ncols, &rows, &cols, &pvals, Plus)
-        .expect("transition matrix coordinates are in bounds");
-
-    // Rank vector initialised uniformly over the active set.
-    let mut rank = SparseVector::<f64>::new(nrows);
-    for &v in &active {
-        rank.set(v, 1.0 / n as f64).expect("active vertex in range");
-    }
-    let teleport = (1.0 - damping) / n as f64;
-
-    for _ in 0..max_iters {
-        let spread = vxm(&rank, &p, PlusTimes);
-        let mut next = SparseVector::<f64>::new(nrows);
-        let mut delta = 0.0;
-        for &v in &active {
-            let val = teleport + damping * spread.get(v).unwrap_or(0.0);
-            delta += (val - rank.get(v).unwrap_or(0.0)).abs();
-            next.set(v, val).expect("active vertex in range");
-        }
-        rank = next;
-        if delta < tol {
-            break;
-        }
-    }
-    rank
-}
-
 /// Connected components of the *undirected* graph whose adjacency pattern is
 /// `a` (treated symmetrically), via min-label propagation.
 ///
@@ -202,72 +123,12 @@ where
     hand_over(nrows.max(ncols), g.active, labels)
 }
 
-/// [`connected_components`] over any [`MatrixReader`], the
-/// tuple-materialising fallback: the pattern is pulled through the entry
-/// cursor, symmetrised into a flat matrix, and labels propagate with `vxm`
-/// over `(min, first)`.  Kept for readers without level access and as the
-/// oracle the equivalence tests compare against.
-pub fn connected_components_tuples<V, R>(a: &mut R) -> SparseVector<u64>
-where
-    V: ScalarType,
-    R: MatrixReader<V> + ?Sized,
-{
-    let (rows, cols, _) = read_tuples(a);
-    let (nrows, ncols) = a.read_dims();
-    // Symmetric u64 pattern.
-    let mut sr: Vec<Index> = Vec::with_capacity(rows.len() * 2);
-    let mut sc: Vec<Index> = Vec::with_capacity(rows.len() * 2);
-    for k in 0..rows.len() {
-        sr.push(rows[k]);
-        sc.push(cols[k]);
-        sr.push(cols[k]);
-        sc.push(rows[k]);
-    }
-    let ones = vec![1u64; sr.len()];
-    let sym = Matrix::from_tuples(
-        nrows,
-        nrows.max(ncols),
-        &sr,
-        &sc,
-        &ones,
-        crate::ops::binary::Second,
-    )
-    .expect("pattern rebuild");
-
-    let mut active: Vec<Index> = sr.clone();
-    active.sort_unstable();
-    active.dedup();
-
-    // labels(v) = v initially.
-    let mut labels = SparseVector::<u64>::new(sym.nrows());
-    for &v in &active {
-        labels.set(v, v).expect("vertex in range");
-    }
-    // Propagate the minimum label along edges until a fixed point.
-    loop {
-        let propagated = vxm(&labels, &sym, MinFirst);
-        let mut changed = false;
-        let mut next = labels.clone();
-        for (v, incoming) in propagated.iter() {
-            let current = labels.get(v).unwrap_or(u64::MAX);
-            // MinSecond propagates neighbour labels; take the min of the
-            // incoming label and the current one.
-            if incoming < current {
-                next.set(v, incoming).expect("vertex in range");
-                changed = true;
-            }
-        }
-        labels = next;
-        if !changed {
-            break;
-        }
-    }
-    labels
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::matrix::Matrix;
+    use crate::ops::binary::Plus;
+    use crate::oracle::{connected_components_tuples, pagerank_tuples};
 
     fn graph(nrows: u64, edges: &[(u64, u64)]) -> Matrix<u64> {
         let rows: Vec<u64> = edges.iter().map(|e| e.0).collect();
@@ -318,7 +179,7 @@ mod tests {
             &[(0, 1), (1, 2), (2, 0), (3, 0), (3, 4), (4, 3), (9, 2)],
         );
         let fast = pagerank(&mut g, 0.85, 60, 1e-12);
-        let slow = pagerank_tuples(&mut g, 0.85, 60, 1e-12);
+        let slow = pagerank_tuples(&mut g, 0.85, 60, 1e-12).unwrap();
         assert_eq!(fast.nvals(), slow.nvals());
         for (v, r) in fast.iter() {
             let s = slow.get(v).expect("same active set");
@@ -354,7 +215,7 @@ mod tests {
         for mut g in hostile_graphs() {
             for (damping, iters) in [(0.85, 0), (0.85, 1), (0.85, 40), (0.0, 5), (1.0, 5)] {
                 let fast = pagerank(&mut g, damping, iters, 0.0);
-                let slow = pagerank_tuples(&mut g, damping, iters, 0.0);
+                let slow = pagerank_tuples(&mut g, damping, iters, 0.0).unwrap();
                 assert_eq!(
                     fast.nvals(),
                     slow.nvals(),
@@ -375,7 +236,7 @@ mod tests {
     fn components_survive_hostile_inputs_and_match_the_oracle() {
         for mut g in hostile_graphs() {
             let fast = connected_components(&mut g);
-            let slow = connected_components_tuples(&mut g);
+            let slow = connected_components_tuples(&mut g).unwrap();
             assert_eq!(
                 fast.iter().collect::<Vec<_>>(),
                 slow.iter().collect::<Vec<_>>()
@@ -417,7 +278,7 @@ mod tests {
     fn components_agree_with_tuples_fallback() {
         let mut g = graph(64, &[(1, 2), (2, 3), (10, 11), (11, 1), (40, 41)]);
         let fast = connected_components(&mut g);
-        let slow = connected_components_tuples(&mut g);
+        let slow = connected_components_tuples(&mut g).unwrap();
         assert_eq!(
             fast.iter().collect::<Vec<_>>(),
             slow.iter().collect::<Vec<_>>()

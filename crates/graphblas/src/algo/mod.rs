@@ -8,11 +8,10 @@
 //! [`CursorReader`](crate::reader::CursorReader) — a flat
 //! [`Matrix`](crate::matrix::Matrix), a hierarchical matrix or a snapshot —
 //! driving the kernels directly off the reader's DCSR level slices, so no
-//! materialised `Σ levels` or tuple round-trip is ever formed.  The
-//! `*_tuples` fallbacks accept any
-//! [`MatrixReader`](crate::reader::MatrixReader) (e.g. the D4M associative
-//! array) by pulling the pattern through the sorted entry cursor and
-//! rebuilding a flat matrix first.
+//! materialised `Σ levels` or tuple round-trip is ever formed.  Their
+//! references — the same four over any
+//! [`MatrixReader`](crate::reader::MatrixReader), on a flat pattern rebuilt
+//! from the entry cursor — live in the test-only `oracle` module.
 
 pub mod centrality;
 mod compact;
@@ -20,9 +19,7 @@ pub mod degree;
 pub mod traversal;
 pub mod triangles;
 
-pub use centrality::{
-    connected_components, connected_components_tuples, pagerank, pagerank_tuples,
-};
+pub use centrality::{connected_components, pagerank};
 pub use degree::{col_degree, degree_distribution, row_degree, DegreeDistribution};
-pub use traversal::{bfs_levels, bfs_levels_tuples};
-pub use triangles::{triangle_count, triangle_count_tuples};
+pub use traversal::bfs_levels;
+pub use triangles::triangle_count;

@@ -3,13 +3,10 @@
 
 use crate::index::Index;
 use crate::mask::VectorMask;
-use crate::matrix::Matrix;
 use crate::ops::binary::Min;
-use crate::ops::mxv::vxm;
 use crate::ops::reader_mx::vxm_pattern_levels;
-use crate::ops::semiring::MinSecond;
 use crate::ops::spa::SpaScratch;
-use crate::reader::{read_tuples, CursorReader, MatrixReader};
+use crate::reader::CursorReader;
 use crate::types::ScalarType;
 use crate::vector::SparseVector;
 
@@ -21,7 +18,7 @@ use crate::vector::SparseVector;
 /// slices — the complement of the visited set masks columns *before* any
 /// accumulation, so already-discovered vertices cost one membership check
 /// instead of a product, and the adjacency is never rebuilt as a flat
-/// matrix.  Readers without level access use [`bfs_levels_tuples`].
+/// matrix.
 ///
 /// Returns a sparse vector whose entry `v(j)` is the BFS level of vertex `j`
 /// (source has level 1), containing only the reachable vertices.
@@ -59,59 +56,12 @@ where
     levels
 }
 
-/// [`bfs_levels`] over any [`MatrixReader`], the tuple-materialising
-/// fallback: the pattern is pulled through the reader's entry cursor and
-/// rebuilt flat, then traversed with repeated `vxm` over `(min, second)`.
-/// Kept for readers without level access and as the oracle the equivalence
-/// tests compare against.
-pub fn bfs_levels_tuples<V, R>(a: &mut R, source: Index) -> SparseVector<u64>
-where
-    V: ScalarType,
-    R: MatrixReader<V> + ?Sized,
-{
-    // Work on the pattern as u64 so levels can be carried through the semiring.
-    let (rows, cols, _) = read_tuples(a);
-    let (nrows, ncols) = a.read_dims();
-    let ones = vec![1u64; rows.len()];
-    let pattern = Matrix::from_tuples(
-        nrows,
-        ncols,
-        &rows,
-        &cols,
-        &ones,
-        crate::ops::binary::Second,
-    )
-    .expect("pattern rebuild");
-
-    let mut levels = SparseVector::<u64>::new(nrows);
-    if source >= nrows {
-        return levels;
-    }
-    levels.set(source, 1).expect("source in range");
-    let mut frontier = SparseVector::<u64>::new(nrows);
-    frontier.set(source, 1).expect("source in range");
-
-    let mut level = 1u64;
-    while !frontier.is_empty() {
-        level += 1;
-        // next = frontier * pattern (min-second keeps any reaching parent)
-        let reached = vxm(&frontier, &pattern, MinSecond);
-        let mut next = SparseVector::<u64>::new(nrows);
-        for (j, _) in reached.iter() {
-            if levels.get(j).is_none() {
-                levels.set(j, level).expect("in range");
-                next.set(j, 1).expect("in range");
-            }
-        }
-        frontier = next;
-    }
-    levels
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::matrix::Matrix;
     use crate::ops::binary::Plus;
+    use crate::oracle::bfs_levels_tuples;
 
     fn path_graph(n: u64) -> Matrix<u64> {
         // 0 -> 1 -> 2 -> ... -> n-1
@@ -182,7 +132,7 @@ mod tests {
         .unwrap();
         for src in [0u64, 3, 5, 7] {
             let fast = bfs_levels(&mut g, src);
-            let slow = bfs_levels_tuples(&mut g, src);
+            let slow = bfs_levels_tuples(&mut g, src).unwrap();
             assert_eq!(
                 fast.iter().collect::<Vec<_>>(),
                 slow.iter().collect::<Vec<_>>(),

@@ -1,15 +1,8 @@
 //! Triangle counting via the Burkhardt / Cohen masked-multiply formulation
 //! (`ntri = sum(sum((A*A) .* A)) / 6` for a symmetric adjacency pattern).
 
-use crate::matrix::Matrix;
-use crate::ops::binary::Times;
-use crate::ops::ewise_mult::ewise_mult;
-use crate::ops::monoid::PlusMonoid;
-use crate::ops::mxm::mxm;
 use crate::ops::reader_mx::triangle_count_levels;
-use crate::ops::reduce::reduce_scalar;
-use crate::ops::semiring::PlusTimes;
-use crate::reader::{read_tuples, CursorReader, MatrixReader};
+use crate::reader::CursorReader;
 use crate::types::ScalarType;
 
 /// Count triangles in an undirected graph whose *symmetric* adjacency
@@ -20,9 +13,7 @@ use crate::types::ScalarType;
 /// off the reader's DCSR level slices ([`triangle_count_levels`]), so the
 /// `A ⊕.⊗ A` intermediate is never formed and a hierarchical or snapshot
 /// reader is consumed without materialising `Σ levels` or round-tripping
-/// the pattern through tuples.  For readers that only implement the plain
-/// entry cursor (e.g. the D4M associative array), use
-/// [`triangle_count_tuples`].
+/// the pattern through tuples.
 pub fn triangle_count<V, R>(a: &mut R) -> u64
 where
     V: ScalarType,
@@ -35,43 +26,12 @@ where
     hits / 6
 }
 
-/// [`triangle_count`] over any [`MatrixReader`], the tuple-materialising
-/// fallback: the pattern is pulled through the reader's sorted entry
-/// cursor, rebuilt as a flat ones matrix, and counted with the explicit
-/// `sum((A*A) .* A) / 6` pipeline.  Kept for readers without level access
-/// and as the oracle the equivalence tests compare against.
-pub fn triangle_count_tuples<V, R>(a: &mut R) -> u64
-where
-    V: ScalarType,
-    R: MatrixReader<V> + ?Sized,
-{
-    // Work on a u64 pattern so path counts cannot overflow small types.
-    // The reader cursor delivers duplicates already combined; every value
-    // is rebuilt as literal 1 here (`Second` over a ones vector), so the
-    // pattern needs no extra `apply(One)` normalisation pass.
-    let (rows, cols, _) = read_tuples(a);
-    let (nrows, ncols) = a.read_dims();
-    let ones = vec![1u64; rows.len()];
-    let pattern = Matrix::from_tuples(
-        nrows,
-        ncols,
-        &rows,
-        &cols,
-        &ones,
-        crate::ops::binary::Second,
-    )
-    .expect("pattern rebuild");
-
-    let paths2 = mxm(&pattern, &pattern, PlusTimes);
-    let closed = ewise_mult(&paths2, &pattern, Times);
-    let total = reduce_scalar(&closed, PlusMonoid);
-    total / 6
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::matrix::Matrix;
     use crate::ops::binary::Plus;
+    use crate::oracle::triangle_count_tuples;
 
     fn symmetric(edges: &[(u64, u64)], n: u64) -> Matrix<u64> {
         let mut rows = Vec::new();
@@ -148,6 +108,9 @@ mod tests {
             ],
             16,
         );
-        assert_eq!(triangle_count(&mut g), triangle_count_tuples(&mut g));
+        assert_eq!(
+            triangle_count(&mut g),
+            triangle_count_tuples(&mut g).unwrap()
+        );
     }
 }

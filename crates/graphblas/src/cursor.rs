@@ -124,7 +124,7 @@ impl<'a, T: ScalarType> LevelCursors<'a, T> {
     /// Open cursors positioned at the first row `>= lo` of each level — the
     /// range-scan entry point.  Each level skips its leading rows with one
     /// binary search instead of cursor steps.
-    pub fn new_at(levels: &[&'a Dcsr<T>], lo: Index) -> Self {
+    fn new_at(levels: &[&'a Dcsr<T>], lo: Index) -> Self {
         let mut c = Self::new(levels);
         for (l, d) in c.levels.iter().enumerate() {
             c.slot[l] = d.row_ids().partition_point(|&r| r < lo);
@@ -213,7 +213,7 @@ impl<'a, T: ScalarType> LevelCursors<'a, T> {
     /// for `col`, folding the hits under `op` — the inner step of the
     /// transpose (column-extract) kernels.  `None` when the current row
     /// stores nothing in `col`.
-    pub fn col_in_row<Op: BinaryOp<T>>(&self, col: Index, op: Op) -> Option<T> {
+    fn col_in_row<Op: BinaryOp<T>>(&self, col: Index, op: Op) -> Option<T> {
         let mut acc: Option<T> = None;
         for i in 0..self.active.len() {
             let (cols, vals) = self.part(i);
@@ -664,7 +664,7 @@ pub fn merged_col_reduce<T: ScalarType, Op: BinaryOp<T>>(
 
 /// Distinct-row degree of every non-empty column of `Σ levels` — one full
 /// merged sweep (cells are unique after the merge, so each counts once).
-pub fn merged_col_degrees<T: ScalarType>(
+fn merged_col_degrees<T: ScalarType>(
     levels: &[&Dcsr<T>],
 ) -> std::collections::BTreeMap<Index, u64> {
     let mut degs = std::collections::BTreeMap::new();

@@ -14,9 +14,7 @@
 
 use crate::error::{GrbError, GrbResult};
 use crate::formats::coo::Coo;
-use crate::formats::merge::{
-    gallop_while, merge_row_adaptive, merge_row_linear, MergeTally, PlaneSink,
-};
+use crate::formats::merge::{gallop_while, merge_row_adaptive, MergeTally, PlaneSink};
 use crate::formats::{Entry, MemoryFootprint};
 use crate::index::{validate_dims, Index};
 use crate::ops::BinaryOp;
@@ -191,9 +189,8 @@ impl<T: ScalarType> MergeScratch<T> {
         tally.bulk_row += cols.len() as u64;
     }
 
-    /// Column merge of one colliding row into the staging buffers:
-    /// skew-aware ([`merge_row_adaptive`]) or the retained element-at-a-time
-    /// fallback ([`merge_row_linear`]), selected by the public entry point.
+    /// Column merge of one colliding row into the staging buffers, through
+    /// the skew-aware [`merge_row_adaptive`].
     #[allow(clippy::too_many_arguments)]
     fn push_merged_row<Op: BinaryOp<T>>(
         &mut self,
@@ -203,7 +200,6 @@ impl<T: ScalarType> MergeScratch<T> {
         cb: &[Index],
         vb: &[T],
         op: Op,
-        adaptive: bool,
         tally: &mut MergeTally,
     ) {
         self.row_ids.push(row);
@@ -211,11 +207,7 @@ impl<T: ScalarType> MergeScratch<T> {
             cols: &mut self.col_idx,
             vals: &mut self.vals,
         };
-        if adaptive {
-            merge_row_adaptive(ca, va, cb, vb, op, &mut sink, tally);
-        } else {
-            merge_row_linear(ca, va, cb, vb, op, &mut sink, tally);
-        }
+        merge_row_adaptive(ca, va, cb, vb, op, &mut sink, tally);
         self.row_ptr.push(self.col_idx.len());
     }
 }
@@ -547,25 +539,9 @@ impl<T: ScalarType> Dcsr<T> {
     /// / gallop / branchless two-pointer, picked per row by shape), so the
     /// common cascade case — a small settled batch folded into a large
     /// lower level — costs `O(k log(n/k))` in the colliding rows instead of
-    /// the `O(nnz(self) + nnz(other))` walk of [`Dcsr::merge_linear`].
+    /// an `O(nnz(self) + nnz(other))` walk.  (The `oracle` module's `merge` is
+    /// that walk, and what `tests/merge_equivalence.rs` holds this to.)
     pub fn merge<Op: BinaryOp<T>>(&self, other: &Dcsr<T>, op: Op) -> GrbResult<Dcsr<T>> {
-        self.merge_impl(other, op, true)
-    }
-
-    /// [`Dcsr::merge`] forced through the retained element-at-a-time
-    /// fallback kernel — the verification baseline the equivalence
-    /// proptests compare against.  Output is byte-identical to
-    /// [`Dcsr::merge`].
-    pub fn merge_linear<Op: BinaryOp<T>>(&self, other: &Dcsr<T>, op: Op) -> GrbResult<Dcsr<T>> {
-        self.merge_impl(other, op, false)
-    }
-
-    fn merge_impl<Op: BinaryOp<T>>(
-        &self,
-        other: &Dcsr<T>,
-        op: Op,
-        adaptive: bool,
-    ) -> GrbResult<Dcsr<T>> {
         self.check_same_dims(other)?;
         let mut scratch = MergeScratch::new();
         scratch.begin_merge(
@@ -573,7 +549,7 @@ impl<T: ScalarType> Dcsr<T> {
             self.nvals() + other.nvals(),
         );
         let mut tally = MergeTally::default();
-        self.merge_core(other, op, &mut scratch, adaptive, &mut tally);
+        self.merge_core(other, op, &mut scratch, &mut tally);
         tally.commit();
         Ok(Dcsr {
             nrows: self.nrows,
@@ -596,27 +572,6 @@ impl<T: ScalarType> Dcsr<T> {
         op: Op,
         scratch: &mut MergeScratch<T>,
     ) -> GrbResult<()> {
-        self.merge_into_impl(other, op, scratch, true)
-    }
-
-    /// [`Dcsr::merge_into`] forced through the retained element-at-a-time
-    /// fallback kernel (byte-identical output; equivalence-test baseline).
-    pub fn merge_into_linear<Op: BinaryOp<T>>(
-        &mut self,
-        other: &Dcsr<T>,
-        op: Op,
-        scratch: &mut MergeScratch<T>,
-    ) -> GrbResult<()> {
-        self.merge_into_impl(other, op, scratch, false)
-    }
-
-    fn merge_into_impl<Op: BinaryOp<T>>(
-        &mut self,
-        other: &Dcsr<T>,
-        op: Op,
-        scratch: &mut MergeScratch<T>,
-        adaptive: bool,
-    ) -> GrbResult<()> {
         self.check_same_dims(other)?;
         if other.is_empty() {
             return Ok(());
@@ -638,7 +593,7 @@ impl<T: ScalarType> Dcsr<T> {
             self.nvals() + other.nvals(),
         );
         let mut tally = MergeTally::default();
-        self.merge_core(other, op, scratch, adaptive, &mut tally);
+        self.merge_core(other, op, scratch, &mut tally);
         tally.commit();
         std::mem::swap(&mut self.row_ids, &mut scratch.row_ids);
         std::mem::swap(&mut self.row_ptr, &mut scratch.row_ptr);
@@ -657,28 +612,6 @@ impl<T: ScalarType> Dcsr<T> {
         op: Op,
         scratch: &mut MergeScratch<T>,
     ) -> GrbResult<()> {
-        self.merge_sorted_coo_into_impl(coo, op, scratch, true)
-    }
-
-    /// [`Dcsr::merge_sorted_coo_into`] forced through the retained
-    /// element-at-a-time fallback kernel (byte-identical output;
-    /// equivalence-test baseline).
-    pub fn merge_sorted_coo_into_linear<Op: BinaryOp<T>>(
-        &mut self,
-        coo: &Coo<T>,
-        op: Op,
-        scratch: &mut MergeScratch<T>,
-    ) -> GrbResult<()> {
-        self.merge_sorted_coo_into_impl(coo, op, scratch, false)
-    }
-
-    fn merge_sorted_coo_into_impl<Op: BinaryOp<T>>(
-        &mut self,
-        coo: &Coo<T>,
-        op: Op,
-        scratch: &mut MergeScratch<T>,
-        adaptive: bool,
-    ) -> GrbResult<()> {
         if self.nrows != coo.nrows() || self.ncols != coo.ncols() {
             return Err(GrbError::DimensionMismatch {
                 detail: format!(
@@ -696,7 +629,7 @@ impl<T: ScalarType> Dcsr<T> {
             ));
         }
         let (rows, cols, vals) = coo.parts();
-        self.merge_sorted_tuples_into(rows, cols, vals, op, scratch, adaptive);
+        self.merge_sorted_tuples_into(rows, cols, vals, op, scratch);
         Ok(())
     }
 
@@ -711,7 +644,6 @@ impl<T: ScalarType> Dcsr<T> {
         b_vals: &[T],
         op: Op,
         scratch: &mut MergeScratch<T>,
-        adaptive: bool,
     ) {
         if b_rows.is_empty() {
             return;
@@ -740,7 +672,6 @@ impl<T: ScalarType> Dcsr<T> {
                         &b_cols[ib..end],
                         &b_vals[ib..end],
                         op,
-                        adaptive,
                         &mut tally,
                     );
                     ia += 1;
@@ -851,13 +782,12 @@ impl<T: ScalarType> Dcsr<T> {
     /// `scratch` (which must have been prepared with
     /// [`MergeScratch::begin_merge`]).  Runs of rows unique to one operand
     /// are found by galloping along the row-id arrays and copied in bulk;
-    /// colliding rows dispatch to the adaptive or linear column kernel.
+    /// colliding rows go to the skew-aware column kernel.
     fn merge_core<Op: BinaryOp<T>>(
         &self,
         other: &Dcsr<T>,
         op: Op,
         scratch: &mut MergeScratch<T>,
-        adaptive: bool,
         tally: &mut MergeTally,
     ) {
         let (mut ia, mut ib) = (0usize, 0usize);
@@ -868,7 +798,7 @@ impl<T: ScalarType> Dcsr<T> {
                 (Some(r), Some(rr)) if r == rr => {
                     let (ca, va) = self.row_slot(ia);
                     let (cb, vb) = other.row_slot(ib);
-                    scratch.push_merged_row(r, ca, va, cb, vb, op, adaptive, tally);
+                    scratch.push_merged_row(r, ca, va, cb, vb, op, tally);
                     ia += 1;
                     ib += 1;
                 }

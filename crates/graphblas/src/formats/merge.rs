@@ -16,11 +16,10 @@
 //! | one side ≥ `GALLOP_RATIO` (8)× larger | **gallop**: exponential probe + binary search through the large side, bulk-copy the skipped spans | `O(k log(n/k))` |
 //! | comparable sizes                 | branchless two-pointer (unconditional write, conditional advance) | `O(n + m)`, no unpredictable branches |
 //!
-//! The previous element-at-a-time merge is retained verbatim
-//! ([`merge_row_linear`]) as the verification fallback: the `*_linear`
-//! entry points on [`Dcsr`](crate::formats::dcsr::Dcsr) run it end to end
-//! and the `tests/merge_equivalence.rs` proptests pin the adaptive kernels
-//! byte-identical to it.
+//! The reference is an independent element-at-a-time walk over `(row, col)`
+//! keys, `merge` of the `oracle` module; the `tests/merge_equivalence.rs`
+//! proptests pin the three [`Dcsr`](crate::formats::dcsr::Dcsr) merge entry
+//! points byte-identical to it.
 //!
 //! Strategy counters (process-global, relaxed atomics, committed once per
 //! merge call) record how many elements each strategy processed, so a
@@ -49,7 +48,6 @@ const GALLOP_RATIO: usize = 8;
 static GALLOPED: AtomicU64 = AtomicU64::new(0);
 static BULK_ROW: AtomicU64 = AtomicU64::new(0);
 static BRANCHLESS: AtomicU64 = AtomicU64::new(0);
-static LINEAR: AtomicU64 = AtomicU64::new(0);
 
 /// Snapshot of the process-global merge strategy counters: how many
 /// elements each kernel has processed since process start (readers take
@@ -73,15 +71,16 @@ pub struct MergeKernelStats {
     /// Elements processed by the branchless two-pointer kernel on
     /// comparable-size colliding runs.
     pub branchless_elems: u64,
-    /// Elements processed by the retained element-at-a-time fallback (the
-    /// `*_linear` entry points used by the equivalence tests).
+    /// Always 0: the element-at-a-time fallback this counted is gone (the
+    /// reference merge lives in the `oracle` module).  Still read by
+    /// `benchmark/src/rep.rs`; goes with the next `[benchmark]` PR.
     pub linear_elems: u64,
 }
 
 impl MergeKernelStats {
     /// Total elements processed across all strategies.
     pub fn total(&self) -> u64 {
-        self.galloped_elems + self.bulk_row_elems + self.branchless_elems + self.linear_elems
+        self.galloped_elems + self.bulk_row_elems + self.branchless_elems
     }
 }
 
@@ -91,7 +90,7 @@ pub fn merge_kernel_stats() -> MergeKernelStats {
         galloped_elems: GALLOPED.load(Ordering::Relaxed),
         bulk_row_elems: BULK_ROW.load(Ordering::Relaxed),
         branchless_elems: BRANCHLESS.load(Ordering::Relaxed),
-        linear_elems: LINEAR.load(Ordering::Relaxed),
+        linear_elems: 0,
     }
 }
 
@@ -102,7 +101,6 @@ pub(crate) struct MergeTally {
     pub(crate) galloped: u64,
     pub(crate) bulk_row: u64,
     pub(crate) branchless: u64,
-    pub(crate) linear: u64,
 }
 
 impl MergeTally {
@@ -116,9 +114,6 @@ impl MergeTally {
         }
         if self.branchless != 0 {
             BRANCHLESS.fetch_add(self.branchless, Ordering::Relaxed);
-        }
-        if self.linear != 0 {
-            LINEAR.fetch_add(self.linear, Ordering::Relaxed);
         }
     }
 }
@@ -206,53 +201,10 @@ pub(crate) fn gallop_while<F: Fn(Index) -> bool>(ids: &[Index], from: usize, kee
     lo + 1 + ids[lo + 1..hi].partition_point(|&x| keep(x))
 }
 
-/// The retained element-at-a-time two-pointer merge (the pre-overhaul
-/// kernel, verbatim): set-union on the columns, `op` on collisions with
-/// the `a` side as the left operand.
-pub(crate) fn merge_row_linear<T: ScalarType, Op: BinaryOp<T>, S: MergeSink<T>>(
-    ca: &[Index],
-    va: &[T],
-    cb: &[Index],
-    vb: &[T],
-    op: Op,
-    sink: &mut S,
-    tally: &mut MergeTally,
-) {
-    let (mut ja, mut jb) = (0usize, 0usize);
-    while ja < ca.len() || jb < cb.len() {
-        match (ca.get(ja), cb.get(jb)) {
-            (Some(&a), Some(&b)) if a == b => {
-                sink.push(a, op.apply(va[ja], vb[jb]));
-                ja += 1;
-                jb += 1;
-            }
-            (Some(&a), Some(&b)) if a < b => {
-                sink.push(a, va[ja]);
-                ja += 1;
-            }
-            (Some(_), Some(&b)) => {
-                sink.push(b, vb[jb]);
-                jb += 1;
-            }
-            (Some(&a), None) => {
-                sink.push(a, va[ja]);
-                ja += 1;
-            }
-            (None, Some(&b)) => {
-                sink.push(b, vb[jb]);
-                jb += 1;
-            }
-            (None, None) => break,
-        }
-    }
-    tally.linear += (ca.len() + cb.len()) as u64;
-}
-
 /// Skew-aware adaptive merge of two sorted runs: picks disjoint bulk copy,
 /// gallop, or branchless two-pointer by shape (see the module docs).
-/// Output and operator semantics are byte-identical to
-/// [`merge_row_linear`]: ascending unique columns, `op.apply(a, b)` on
-/// collisions with `a` as the left operand.
+/// Output: ascending unique columns, `op.apply(a, b)` on collisions with
+/// `a` as the left operand.
 ///
 /// Never inlined: the kernels' loops keep four slices, two cursors and the
 /// sink live, and folded into a caller that holds more (a cursor read, the
@@ -427,9 +379,12 @@ fn merge_row_branchless<T: ScalarType, Op: BinaryOp<T>, S: MergeSink<T>>(
 mod tests {
     use super::*;
     use crate::ops::binary::{First, Max, Min, Plus, Second};
+    use std::collections::BTreeMap;
 
     type Pairs = Vec<(Index, u64)>;
 
+    /// The adaptive kernel's output beside a `BTreeMap` fold of the same
+    /// two runs (`a` the left operand on collisions).
     fn run_both<Op: BinaryOp<u64> + Copy>(
         ca: &[Index],
         va: &[u64],
@@ -443,13 +398,15 @@ mod tests {
             let mut sink = PairSink { out: &mut adaptive };
             merge_row_adaptive(ca, va, cb, vb, op, &mut sink, &mut tally);
         }
-        let mut linear = Vec::new();
-        {
-            let mut sink = PairSink { out: &mut linear };
-            merge_row_linear(ca, va, cb, vb, op, &mut sink, &mut tally);
-        }
         tally.commit();
-        (adaptive, linear)
+        let mut model: BTreeMap<Index, u64> = ca.iter().copied().zip(va.iter().copied()).collect();
+        for (&c, &v) in cb.iter().zip(vb) {
+            model
+                .entry(c)
+                .and_modify(|held| *held = op.apply(*held, v))
+                .or_insert(v);
+        }
+        (adaptive, model.into_iter().collect())
     }
 
     #[test]
@@ -470,7 +427,7 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_matches_linear_on_shapes() {
+    fn adaptive_matches_model_on_shapes() {
         // Disjoint (both orders), skewed (both directions), comparable,
         // identical, nested.
         let big: Vec<Index> = (0..1000).map(|i| i * 3).collect();

@@ -39,7 +39,7 @@
 //! // GraphBLAS element-wise add (set union under +).
 //! let mut b = Matrix::<u64>::new(dim, dim);
 //! b.accum_element(7, 9_999_999_999 % dim, 10);
-//! let c = ewise_add(&a, &b, Plus);
+//! let c = ewise_add(&a, &b, Plus).unwrap();
 //! assert_eq!(c.get(7, 9_999_999_999 % dim), Some(15));
 //! ```
 
@@ -66,6 +66,9 @@ pub mod vector;
 pub mod mask;
 
 pub mod algo;
+
+#[doc(hidden)]
+pub mod oracle;
 
 pub use degree_index::{DegreeIndex, DegreeIndexView};
 pub use error::{GrbError, GrbResult};
@@ -102,8 +105,8 @@ pub mod prelude {
     pub use crate::ops::monoid::{
         LandMonoid, LorMonoid, MaxMonoid, MinMonoid, PlusMonoid, TimesMonoid,
     };
-    pub use crate::ops::mxm::{mxm, mxm_btree, try_mxm_with};
-    pub use crate::ops::mxv::{mxv, try_vxm_with, vxm, vxm_btree};
+    pub use crate::ops::mxm::mxm;
+    pub use crate::ops::mxv::{mxv, vxm};
     pub use crate::ops::reader_mx::{
         mxm_reader, mxm_reader_masked, mxv_reader, mxv_reader_masked, vxm_pattern_levels,
         vxm_reader, vxm_reader_masked,

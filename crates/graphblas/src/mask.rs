@@ -7,6 +7,7 @@
 //! are used in the traffic-analysis pipelines (e.g. "only update counts for
 //! flows we are already tracking").
 
+use crate::error::{GrbError, GrbResult};
 use crate::formats::dcsr::Dcsr;
 use crate::index::Index;
 use crate::matrix::Matrix;
@@ -38,6 +39,23 @@ impl<'a, M: ScalarType> Mask<'a, M> {
             pattern: pattern.dcsr(),
             complement: true,
         }
+    }
+
+    /// A mask covers exactly the output it guards: `Err` unless the mask
+    /// matrix is `dims.0 x dims.1`.
+    pub(crate) fn check_dims(&self, dims: (Index, Index)) -> GrbResult<()> {
+        if (self.pattern.nrows(), self.pattern.ncols()) == dims {
+            return Ok(());
+        }
+        Err(GrbError::DimensionMismatch {
+            detail: format!(
+                "mask is {}x{}, output is {}x{}",
+                self.pattern.nrows(),
+                self.pattern.ncols(),
+                dims.0,
+                dims.1
+            ),
+        })
     }
 
     /// True when output position `(row, col)` may be written.
@@ -96,6 +114,17 @@ impl<'a, M: ScalarType> VectorMask<'a, M> {
             pattern,
             complement: true,
         }
+    }
+
+    /// A mask covers exactly the output it guards: `Err` unless the mask
+    /// vector has `size` positions.
+    pub(crate) fn check_size(&self, size: Index) -> GrbResult<()> {
+        if self.pattern.size() == size {
+            return Ok(());
+        }
+        Err(GrbError::DimensionMismatch {
+            detail: format!("mask has size {}, output {size}", self.pattern.size()),
+        })
     }
 
     /// True when output position `i` may be written.

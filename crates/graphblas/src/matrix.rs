@@ -100,7 +100,6 @@ impl<T: ScalarType> ColTwin<T> {
             &self.vals,
             dup,
             &mut self.scratch,
-            true,
         );
     }
 
@@ -246,7 +245,7 @@ impl<T: ScalarType> Matrix<T> {
     pub fn nvals(&self) -> usize {
         // No cheap path with pending tuples: duplicates between pending and
         // settled may collapse.  Clone-and-settle for correctness.
-        self.to_settled().settled.nvals()
+        self.settled_content().nvals()
     }
 
     /// Number of entries in the settled (compressed) structure only.
@@ -406,12 +405,7 @@ impl<T: ScalarType> Matrix<T> {
             }
             _ => self.col_shadow = None,
         }
-        if other.npending() == 0 {
-            Arc::make_mut(&mut self.settled).merge_into(other.dcsr(), op, &mut self.scratch)
-        } else {
-            let settled_other = other.to_settled();
-            Arc::make_mut(&mut self.settled).merge_into(settled_other.dcsr(), op, &mut self.scratch)
-        }
+        Arc::make_mut(&mut self.settled).merge_into(&other.settled_content(), op, &mut self.scratch)
     }
 
     /// Exchange the settled structures of two matrices of equal dimensions
@@ -497,6 +491,17 @@ impl<T: ScalarType> Matrix<T> {
         Arc::clone(&self.settled)
     }
 
+    /// The whole content as one settled structure, `self` untouched: the
+    /// shared handle when nothing is pending, a settled copy's otherwise.
+    /// What every whole-matrix kernel reads its operands through.
+    pub(crate) fn settled_content(&self) -> Arc<Dcsr<T>> {
+        if self.pending.is_empty() {
+            Arc::clone(&self.settled)
+        } else {
+            self.to_settled().settled
+        }
+    }
+
     /// The column-major twin of the settled structure: an `ncols x nrows`
     /// [`Dcsr`] storing the transpose, so a column extract is a *row*
     /// lookup on the twin — O(k) instead of an O(nnz) sweep.
@@ -564,11 +569,7 @@ impl<T: ScalarType> Matrix<T> {
 
     /// Extract all tuples (row-major, pending folded in) without mutating `self`.
     pub fn extract_tuples(&self) -> (Vec<Index>, Vec<Index>, Vec<T>) {
-        if self.pending.is_empty() {
-            self.settled.extract_tuples()
-        } else {
-            self.to_settled().settled.extract_tuples()
-        }
+        self.settled_content().extract_tuples()
     }
 
     /// Total bytes of memory used (settled + pending + scratch structures,
@@ -773,13 +774,13 @@ mod tests {
             .unwrap();
         let mut b = Matrix::<u64>::new(1 << 20, 1 << 20);
         b.accum_tuples(&[2, 3, 4], &[2, 3, 4], &[5, 6, 7]).unwrap();
-        let expect = crate::ops::ewise_add::ewise_add(&a, &b, Plus);
+        let expect = crate::ops::ewise_add::ewise_add(&a, &b, Plus).unwrap();
         a.accum_matrix(&b).unwrap();
         assert_eq!(a.extract_tuples(), expect.extract_tuples());
         // b untouched (still has its pending tuples).
         assert_eq!(b.npending(), 3);
         // Repeated accumulation reuses scratch and stays correct.
-        let expect2 = crate::ops::ewise_add::ewise_add(&a, &b, Plus);
+        let expect2 = crate::ops::ewise_add::ewise_add(&a, &b, Plus).unwrap();
         a.accum_matrix(&b).unwrap();
         assert_eq!(a.extract_tuples(), expect2.extract_tuples());
 

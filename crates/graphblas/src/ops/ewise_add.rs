@@ -12,41 +12,16 @@ use crate::types::ScalarType;
 
 /// `C = A ⊕ B`: the pattern of `C` is the union of the patterns of `A` and
 /// `B`; where both store an entry the values are combined with `op`.
+/// `Err(DimensionMismatch)` when the dimensions differ.
 ///
 /// Pending tuples in either operand are folded in first (on copies; the
 /// operands are not mutated).
-///
-/// # Panics
-/// Panics if the dimensions differ; use [`try_ewise_add`] for a fallible
-/// version.
-pub fn ewise_add<T, Op>(a: &Matrix<T>, b: &Matrix<T>, op: Op) -> Matrix<T>
+pub fn ewise_add<T, Op>(a: &Matrix<T>, b: &Matrix<T>, op: Op) -> GrbResult<Matrix<T>>
 where
     T: ScalarType,
     Op: BinaryOp<T>,
 {
-    try_ewise_add(a, b, op).expect("ewise_add dimension mismatch")
-}
-
-/// Fallible version of [`ewise_add`].
-pub fn try_ewise_add<T, Op>(a: &Matrix<T>, b: &Matrix<T>, op: Op) -> GrbResult<Matrix<T>>
-where
-    T: ScalarType,
-    Op: BinaryOp<T>,
-{
-    let (sa, sb);
-    let da = if a.npending() == 0 {
-        a.dcsr()
-    } else {
-        sa = a.to_settled();
-        sa.dcsr()
-    };
-    let db = if b.npending() == 0 {
-        b.dcsr()
-    } else {
-        sb = b.to_settled();
-        sb.dcsr()
-    };
-    let merged = da.merge(db, op)?;
+    let merged = a.settled_content().merge(&b.settled_content(), op)?;
     Ok(Matrix::from_dcsr(merged))
 }
 
@@ -78,7 +53,7 @@ mod tests {
     fn union_of_patterns() {
         let a = m(&[(1, 1, 10), (2, 2, 20)]);
         let b = m(&[(2, 2, 5), (3, 3, 30)]);
-        let c = ewise_add(&a, &b, Plus);
+        let c = ewise_add(&a, &b, Plus).unwrap();
         assert_eq!(c.nvals(), 3);
         assert_eq!(c.get(1, 1), Some(10));
         assert_eq!(c.get(2, 2), Some(25));
@@ -89,14 +64,14 @@ mod tests {
     fn other_operators() {
         let a = m(&[(1, 1, 10)]);
         let b = m(&[(1, 1, 3)]);
-        assert_eq!(ewise_add(&a, &b, Max).get(1, 1), Some(10));
+        assert_eq!(ewise_add(&a, &b, Max).unwrap().get(1, 1), Some(10));
     }
 
     #[test]
     fn dimension_mismatch_detected() {
         let a = Matrix::<u64>::new(4, 4);
         let b = Matrix::<u64>::new(4, 5);
-        assert!(try_ewise_add(&a, &b, Plus).is_err());
+        assert!(ewise_add(&a, &b, Plus).is_err());
     }
 
     #[test]
@@ -104,7 +79,7 @@ mod tests {
         let mut a = Matrix::<u64>::new(1 << 32, 1 << 32);
         a.accum_element(1, 1, 7).unwrap(); // pending only
         let b = m(&[(1, 1, 3)]);
-        let c = ewise_add(&a, &b, Plus);
+        let c = ewise_add(&a, &b, Plus).unwrap();
         assert_eq!(c.get(1, 1), Some(10));
         // a unchanged
         assert_eq!(a.npending(), 1);
@@ -114,7 +89,7 @@ mod tests {
     fn add_with_empty_is_identity() {
         let a = m(&[(5, 6, 1), (7, 8, 2)]);
         let empty = Matrix::<u64>::new(a.nrows(), a.ncols());
-        let c = ewise_add(&a, &empty, Plus);
+        let c = ewise_add(&a, &empty, Plus).unwrap();
         assert_eq!(c.nvals(), a.nvals());
         assert_eq!(c.get(5, 6), Some(1));
         assert_eq!(c.get(7, 8), Some(2));
@@ -124,8 +99,8 @@ mod tests {
     fn commutative_under_plus() {
         let a = m(&[(1, 2, 3), (4, 5, 6)]);
         let b = m(&[(1, 2, 10), (9, 9, 1)]);
-        let ab = ewise_add(&a, &b, Plus);
-        let ba = ewise_add(&b, &a, Plus);
+        let ab = ewise_add(&a, &b, Plus).unwrap();
+        let ba = ewise_add(&b, &a, Plus).unwrap();
         assert_eq!(ab.extract_tuples(), ba.extract_tuples());
     }
 
@@ -133,7 +108,7 @@ mod tests {
     fn ewise_add_into_matches_functional_form() {
         let a = m(&[(1, 1, 10), (2, 2, 20)]);
         let b = m(&[(2, 2, 5), (3, 3, 30)]);
-        let expect = ewise_add(&a, &b, Plus);
+        let expect = ewise_add(&a, &b, Plus).unwrap();
         let mut acc = a.clone();
         ewise_add_into(&mut acc, &b, Plus).unwrap();
         assert_eq!(acc.extract_tuples(), expect.extract_tuples());
@@ -149,7 +124,7 @@ mod tests {
         a.accum_element(1, 1, 5).unwrap();
         a.accum_element(1, 1, 7).unwrap(); // pending duplicates
         let b = Matrix::from_tuples(100, 100, &[1], &[1], &[3u64], Plus).unwrap();
-        let expect = ewise_add(&a, &b, Max);
+        let expect = ewise_add(&a, &b, Max).unwrap();
         let mut acc = a.clone();
         ewise_add_into(&mut acc, &b, Max).unwrap();
         assert_eq!(acc.extract_tuples(), expect.extract_tuples());

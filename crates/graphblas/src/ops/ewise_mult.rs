@@ -10,19 +10,8 @@ use crate::ops::BinaryOp;
 use crate::types::ScalarType;
 
 /// `C = A ⊗ B`: intersection of patterns, values combined with `op`.
-///
-/// # Panics
-/// Panics on dimension mismatch; see [`try_ewise_mult`].
-pub fn ewise_mult<T, Op>(a: &Matrix<T>, b: &Matrix<T>, op: Op) -> Matrix<T>
-where
-    T: ScalarType,
-    Op: BinaryOp<T>,
-{
-    try_ewise_mult(a, b, op).expect("ewise_mult dimension mismatch")
-}
-
-/// Fallible version of [`ewise_mult`].
-pub fn try_ewise_mult<T, Op>(a: &Matrix<T>, b: &Matrix<T>, op: Op) -> GrbResult<Matrix<T>>
+/// `Err(DimensionMismatch)` when the dimensions differ.
+pub fn ewise_mult<T, Op>(a: &Matrix<T>, b: &Matrix<T>, op: Op) -> GrbResult<Matrix<T>>
 where
     T: ScalarType,
     Op: BinaryOp<T>,
@@ -32,19 +21,7 @@ where
             detail: format!("{}x{} vs {}x{}", a.nrows(), a.ncols(), b.nrows(), b.ncols()),
         });
     }
-    let (sa, sb);
-    let da = if a.npending() == 0 {
-        a.dcsr()
-    } else {
-        sa = a.to_settled();
-        sa.dcsr()
-    };
-    let db = if b.npending() == 0 {
-        b.dcsr()
-    } else {
-        sb = b.to_settled();
-        sb.dcsr()
-    };
+    let (da, db) = (a.settled_content(), b.settled_content());
 
     let mut rows = Vec::new();
     let mut cols = Vec::new();
@@ -52,12 +29,12 @@ where
 
     // Intersect on the smaller operand's non-empty rows.
     let (small, large, swapped) = if da.nrows_nonempty() <= db.nrows_nonempty() {
-        (da, db, false)
+        (&da, &db, false)
     } else {
-        (db, da, true)
+        (&db, &da, true)
     };
-    for &r in small.row_ids() {
-        let (sc, sv) = small.row(r).expect("row id listed as non-empty");
+    for (slot, &r) in small.row_ids().iter().enumerate() {
+        let (sc, sv) = small.row_slot(slot);
         if let Some((lc, lv)) = large.row(r) {
             let (mut i, mut j) = (0usize, 0usize);
             while i < sc.len() && j < lc.len() {
@@ -106,7 +83,7 @@ mod tests {
     fn intersection_of_patterns() {
         let a = m(&[(1, 1, 2), (2, 2, 3), (4, 4, 4)]);
         let b = m(&[(2, 2, 10), (4, 4, 10), (9, 9, 10)]);
-        let c = ewise_mult(&a, &b, Times);
+        let c = ewise_mult(&a, &b, Times).unwrap();
         assert_eq!(c.nvals(), 2);
         assert_eq!(c.get(2, 2), Some(30));
         assert_eq!(c.get(4, 4), Some(40));
@@ -118,20 +95,20 @@ mod tests {
     fn operand_order_respected_for_noncommutative_op() {
         let a = m(&[(1, 1, 10)]);
         let b = m(&[(1, 1, 3)]);
-        assert_eq!(ewise_mult(&a, &b, Minus).get(1, 1), Some(7));
-        assert_eq!(ewise_mult(&b, &a, Minus).get(1, 1), Some(-7));
+        assert_eq!(ewise_mult(&a, &b, Minus).unwrap().get(1, 1), Some(7));
+        assert_eq!(ewise_mult(&b, &a, Minus).unwrap().get(1, 1), Some(-7));
         // Also exercise the swapped path (b has more non-empty rows than a).
         let a2 = m(&[(1, 1, 10)]);
         let b2 = m(&[(1, 1, 3), (2, 2, 1), (3, 3, 1)]);
-        assert_eq!(ewise_mult(&a2, &b2, Minus).get(1, 1), Some(7));
-        assert_eq!(ewise_mult(&b2, &a2, Minus).get(1, 1), Some(-7));
+        assert_eq!(ewise_mult(&a2, &b2, Minus).unwrap().get(1, 1), Some(7));
+        assert_eq!(ewise_mult(&b2, &a2, Minus).unwrap().get(1, 1), Some(-7));
     }
 
     #[test]
     fn empty_intersection() {
         let a = m(&[(1, 1, 2)]);
         let b = m(&[(2, 2, 3)]);
-        let c = ewise_mult(&a, &b, Times);
+        let c = ewise_mult(&a, &b, Times).unwrap();
         assert!(c.is_empty());
     }
 
@@ -139,7 +116,7 @@ mod tests {
     fn dimension_mismatch() {
         let a = Matrix::<i64>::new(4, 4);
         let b = Matrix::<i64>::new(5, 4);
-        assert!(try_ewise_mult(&a, &b, Times).is_err());
+        assert!(ewise_mult(&a, &b, Times).is_err());
     }
 
     #[test]
@@ -147,7 +124,7 @@ mod tests {
         let mut a = Matrix::<i64>::new(10, 10);
         a.accum_element(1, 1, 6).unwrap();
         let b = m_small(&[(1, 1, 7)]);
-        let c = ewise_mult(&a, &b, Times);
+        let c = ewise_mult(&a, &b, Times).unwrap();
         assert_eq!(c.get(1, 1), Some(42));
     }
 

@@ -1,6 +1,8 @@
-//! Reader-native semiring kernels: products driven directly off DCSR level
-//! slices, so `mxm`/`mxv`/`vxm` over a live hierarchy or snapshot never
-//! materialize `Σ levels`.
+//! The semiring product kernels — the only Gustavson/SPA loops in the crate
+//! — driven directly off DCSR level slices, so `mxm`/`mxv`/`vxm` over a live
+//! hierarchy or snapshot never materialize `Σ levels`, and the flat
+//! [`mxm`](crate::ops::mxm::mxm) / [`mxv`](crate::ops::mxv::mxv) /
+//! [`vxm`](crate::ops::mxv::vxm) are their one-level case.
 //!
 //! A [`CursorReader`] exposes its settled content as level slices whose sum
 //! under the `+` monoid of the value type is the represented matrix.  The
@@ -12,13 +14,14 @@
 //!   buffer, because `⊗` must see the *combined* cell value (`⊗` does not
 //!   distribute over `+` for e.g. min-plus), then consumed like any row.
 //!
-//! Accumulation reuses the same [`SpaScratch`] as the flat kernels, so a
-//! reader-native product is byte-identical to the flat product over the
-//! materialized sum — the `tests/algo_equivalence.rs` proptests pin this
-//! across cut schedules, shard counts and snapshots.  Masked duals take the
-//! structural [`Mask`]/[`VectorMask`]; the BFS frontier push uses the
-//! complemented vector mask to skip visited vertices before any product is
-//! formed.
+//! Accumulation goes through the caller's [`SpaScratch`].  A product over k
+//! levels is byte-identical to the product over one — the materialized sum —
+//! and to the `BTreeMap` references of the `oracle` module; the
+//! `tests/algo_equivalence.rs` proptests pin this across cut schedules, shard
+//! counts and snapshots.  Every entry takes an optional structural
+//! [`Mask`]/[`VectorMask`], which must have the output's dimensions; the BFS
+//! frontier push uses the complemented vector mask to skip visited vertices
+//! before any product is formed.
 //!
 //! The pattern push ([`vxm_pattern_levels`]) is the frontier kernel shared
 //! by BFS (add = min) and pagerank (add = plus): `w(j) = ⊕ u(i)` over the
@@ -69,7 +72,6 @@ enum Hit<'a, T> {
 /// Gather row `row` of `levels` (combined under `+`) and record it as a
 /// [`Hit`] scaled by `coeff`; returns `(first_col, last_col, nnz)` or
 /// `None` when the row is empty everywhere.
-#[allow(clippy::too_many_arguments)]
 fn gather_row<'a, T: ScalarType>(
     levels: &[&'a Dcsr<T>],
     row: Index,
@@ -78,79 +80,27 @@ fn gather_row<'a, T: ScalarType>(
     arena: &mut Vec<(Index, T)>,
     tmp: &mut Vec<(Index, T)>,
 ) -> Option<(Index, Index, usize)> {
-    let mut single: Option<(&'a [Index], &'a [T])> = None;
-    let mut n_parts = 0usize;
-    for d in levels {
-        if let Some(part) = d.row(row) {
-            n_parts += 1;
-            single = Some(part);
-        }
+    let mut parts = levels.iter().filter_map(|d| d.row(row));
+    let (cols, vals) = parts.next()?;
+    if parts.next().is_none() {
+        let span = (*cols.first()?, *cols.last()?, cols.len());
+        hits.push(Hit::Slice(coeff, cols, vals));
+        return Some(span);
     }
-    match n_parts {
-        0 => None,
-        1 => {
-            let (cols, vals) = single.expect("one part recorded");
-            hits.push(Hit::Slice(coeff, cols, vals));
-            Some((cols[0], *cols.last().expect("non-empty row"), cols.len()))
-        }
-        _ => {
-            merged_row_into(levels, row, Plus, tmp);
-            let start = arena.len();
-            arena.extend_from_slice(tmp);
-            hits.push(Hit::Arena(coeff, start, arena.len()));
-            let lo = tmp.first().expect("colliding row is non-empty").0;
-            let hi = tmp.last().expect("colliding row is non-empty").0;
-            Some((lo, hi, tmp.len()))
-        }
-    }
+    merged_row_into(levels, row, Plus, tmp);
+    let span = (tmp.first()?.0, tmp.last()?.0, tmp.len());
+    hits.push(Hit::Arena(coeff, arena.len(), arena.len() + tmp.len()));
+    arena.extend_from_slice(tmp);
+    Some(span)
 }
 
-/// `C = A ⊕.⊗ B` with both operands given as level slices.  `adims`/`bdims`
-/// are the logical `(nrows, ncols)` the readers claim (needed because a
-/// slice list may be empty).
-fn mxm_levels<T, S>(
-    adims: (Index, Index),
-    bdims: (Index, Index),
-    a_levels: &[&Dcsr<T>],
-    b_levels: &[&Dcsr<T>],
-    semiring: S,
-    spa: &mut SpaScratch<T>,
-) -> GrbResult<Matrix<T>>
-where
-    T: ScalarType,
-    S: Semiring<T>,
-{
-    mxm_levels_core(
-        adims,
-        bdims,
-        a_levels,
-        b_levels,
-        semiring,
-        None::<&Mask<'_, T>>,
-        spa,
-    )
-}
-
-/// Masked [`mxm_levels`]: only output positions the structural mask allows
-/// are kept (checked at drain time, after accumulation).
-fn mxm_levels_masked<T, S, M>(
-    adims: (Index, Index),
-    bdims: (Index, Index),
-    a_levels: &[&Dcsr<T>],
-    b_levels: &[&Dcsr<T>],
-    semiring: S,
-    mask: &Mask<'_, M>,
-    spa: &mut SpaScratch<T>,
-) -> GrbResult<Matrix<T>>
-where
-    T: ScalarType,
-    S: Semiring<T>,
-    M: ScalarType,
-{
-    mxm_levels_core(adims, bdims, a_levels, b_levels, semiring, Some(mask), spa)
-}
-
-fn mxm_levels_core<T, S, M>(
+/// `C = A ⊕.⊗ B` with both operands given as level slices — the one
+/// Gustavson loop (a flat matrix is the one-level case, its rows all
+/// [`Hit::Slice`]).  `adims`/`bdims` are the logical `(nrows, ncols)` the
+/// operands claim (needed because a slice list may be empty).  With a mask,
+/// only output positions it allows are kept (checked at drain time, after
+/// accumulation).
+pub(crate) fn mxm_levels<T, S, M>(
     adims: (Index, Index),
     bdims: (Index, Index),
     a_levels: &[&Dcsr<T>],
@@ -174,6 +124,7 @@ where
     }
     check_levels(adims, a_levels, "A")?;
     check_levels(bdims, b_levels, "B")?;
+    mask.map_or(Ok(()), |m| m.check_dims((adims.0, bdims.1)))?;
 
     let add = semiring.add();
     let mul = semiring.mul();
@@ -239,38 +190,9 @@ where
 
 /// `w = A ⊕.⊗ u` off level slices: one cursor sweep over A's non-empty
 /// rows, each folded under `+` and probed against `u` with a scalar
-/// accumulator — no scatter structure needed.
-fn mxv_levels<T, S>(
-    adims: (Index, Index),
-    a_levels: &[&Dcsr<T>],
-    u: &SparseVector<T>,
-    semiring: S,
-) -> GrbResult<SparseVector<T>>
-where
-    T: ScalarType,
-    S: Semiring<T>,
-{
-    mxv_levels_core(adims, a_levels, u, semiring, None::<&VectorMask<'_, T>>)
-}
-
-/// Masked [`mxv_levels`]: rows the mask denies are skipped *before* any
-/// product is formed — the masked frontier pull.
-fn mxv_levels_masked<T, S, M>(
-    adims: (Index, Index),
-    a_levels: &[&Dcsr<T>],
-    u: &SparseVector<T>,
-    semiring: S,
-    mask: &VectorMask<'_, M>,
-) -> GrbResult<SparseVector<T>>
-where
-    T: ScalarType,
-    S: Semiring<T>,
-    M: ScalarType,
-{
-    mxv_levels_core(adims, a_levels, u, semiring, Some(mask))
-}
-
-fn mxv_levels_core<T, S, M>(
+/// accumulator — no scatter structure needed.  Rows a mask denies are
+/// skipped *before* any product is formed — the masked frontier pull.
+pub(crate) fn mxv_levels<T, S, M>(
     adims: (Index, Index),
     a_levels: &[&Dcsr<T>],
     u: &SparseVector<T>,
@@ -288,6 +210,7 @@ where
         });
     }
     check_levels(adims, a_levels, "A")?;
+    mask.map_or(Ok(()), |m| m.check_size(adims.0))?;
     let add = semiring.add();
     let mul = semiring.mul();
     let mut out = SparseVector::new(adims.0);
@@ -314,46 +237,9 @@ where
 }
 
 /// `w = u ⊕.⊗ A` off level slices, accumulated through the shared SPA.
-fn vxm_levels<T, S>(
-    u: &SparseVector<T>,
-    adims: (Index, Index),
-    a_levels: &[&Dcsr<T>],
-    semiring: S,
-    spa: &mut SpaScratch<T>,
-) -> GrbResult<SparseVector<T>>
-where
-    T: ScalarType,
-    S: Semiring<T>,
-{
-    vxm_levels_core(
-        u,
-        adims,
-        a_levels,
-        semiring,
-        None::<&VectorMask<'_, T>>,
-        spa,
-    )
-}
-
-/// Masked [`vxm_levels`]: only output positions the vector mask allows are
-/// kept (checked at drain time).
-fn vxm_levels_masked<T, S, M>(
-    u: &SparseVector<T>,
-    adims: (Index, Index),
-    a_levels: &[&Dcsr<T>],
-    semiring: S,
-    mask: &VectorMask<'_, M>,
-    spa: &mut SpaScratch<T>,
-) -> GrbResult<SparseVector<T>>
-where
-    T: ScalarType,
-    S: Semiring<T>,
-    M: ScalarType,
-{
-    vxm_levels_core(u, adims, a_levels, semiring, Some(mask), spa)
-}
-
-fn vxm_levels_core<T, S, M>(
+/// With a mask, only output positions it allows are kept (checked at drain
+/// time).
+pub(crate) fn vxm_levels<T, S, M>(
     u: &SparseVector<T>,
     adims: (Index, Index),
     a_levels: &[&Dcsr<T>],
@@ -372,6 +258,7 @@ where
         });
     }
     check_levels(adims, a_levels, "A")?;
+    mask.map_or(Ok(()), |m| m.check_size(adims.1))?;
     let add = semiring.add();
     let mul = semiring.mul();
 
@@ -576,6 +463,18 @@ fn sorted_intersection_count(a: &[Index], b: &[Index]) -> u64 {
     n
 }
 
+/// Run `f` over `r`'s settled level slices and hand back what it returns;
+/// a reader that hands over no slices at all reads as the empty matrix.
+fn with_levels<T, R, O>(r: &mut R, mut f: impl FnMut(&[&Dcsr<T>]) -> O) -> O
+where
+    T: ScalarType,
+    R: CursorReader<T> + ?Sized,
+{
+    let mut out = None;
+    r.with_level_dcsrs(&mut |levels| out = Some(f(levels)));
+    out.unwrap_or_else(|| f(&[]))
+}
+
 /// `C = A ⊕.⊗ B` over two cursor readers — never materializes either
 /// operand's level sum.
 pub fn mxm_reader<T, S, RA, RB>(
@@ -590,16 +489,13 @@ where
     RA: CursorReader<T> + ?Sized,
     RB: CursorReader<T> + ?Sized,
 {
-    let adims = a.read_dims();
-    let bdims = b.read_dims();
-    let mut out = None;
-    a.with_level_dcsrs(&mut |al| {
-        let al: Vec<&Dcsr<T>> = al.to_vec();
-        b.with_level_dcsrs(&mut |bl| {
-            out = Some(mxm_levels(adims, bdims, &al, bl, semiring, spa));
-        });
-    });
-    out.expect("with_level_dcsrs calls its callback")
+    let (adims, bdims) = (a.read_dims(), b.read_dims());
+    let mask = None::<&Mask<'_, T>>;
+    with_levels(a, |al| {
+        with_levels(b, |bl| {
+            mxm_levels(adims, bdims, al, bl, semiring, mask, spa)
+        })
+    })
 }
 
 /// Masked [`mxm_reader`].
@@ -617,18 +513,12 @@ where
     RA: CursorReader<T> + ?Sized,
     RB: CursorReader<T> + ?Sized,
 {
-    let adims = a.read_dims();
-    let bdims = b.read_dims();
-    let mut out = None;
-    a.with_level_dcsrs(&mut |al| {
-        let al: Vec<&Dcsr<T>> = al.to_vec();
-        b.with_level_dcsrs(&mut |bl| {
-            out = Some(mxm_levels_masked(
-                adims, bdims, &al, bl, semiring, mask, spa,
-            ));
-        });
-    });
-    out.expect("with_level_dcsrs calls its callback")
+    let (adims, bdims) = (a.read_dims(), b.read_dims());
+    with_levels(a, |al| {
+        with_levels(b, |bl| {
+            mxm_levels(adims, bdims, al, bl, semiring, Some(mask), spa)
+        })
+    })
 }
 
 /// `w = A ⊕.⊗ u` over a cursor reader.
@@ -643,11 +533,9 @@ where
     R: CursorReader<T> + ?Sized,
 {
     let adims = a.read_dims();
-    let mut out = None;
-    a.with_level_dcsrs(&mut |al| {
-        out = Some(mxv_levels(adims, al, u, semiring));
-    });
-    out.expect("with_level_dcsrs calls its callback")
+    with_levels(a, |al| {
+        mxv_levels(adims, al, u, semiring, None::<&VectorMask<'_, T>>)
+    })
 }
 
 /// Masked [`mxv_reader`]: denied rows are skipped before any product.
@@ -664,11 +552,7 @@ where
     R: CursorReader<T> + ?Sized,
 {
     let adims = a.read_dims();
-    let mut out = None;
-    a.with_level_dcsrs(&mut |al| {
-        out = Some(mxv_levels_masked(adims, al, u, semiring, mask));
-    });
-    out.expect("with_level_dcsrs calls its callback")
+    with_levels(a, |al| mxv_levels(adims, al, u, semiring, Some(mask)))
 }
 
 /// `w = u ⊕.⊗ A` over a cursor reader.
@@ -684,11 +568,8 @@ where
     R: CursorReader<T> + ?Sized,
 {
     let adims = a.read_dims();
-    let mut out = None;
-    a.with_level_dcsrs(&mut |al| {
-        out = Some(vxm_levels(u, adims, al, semiring, spa));
-    });
-    out.expect("with_level_dcsrs calls its callback")
+    let mask = None::<&VectorMask<'_, T>>;
+    with_levels(a, |al| vxm_levels(u, adims, al, semiring, mask, spa))
 }
 
 /// Masked [`vxm_reader`].
@@ -706,20 +587,19 @@ where
     R: CursorReader<T> + ?Sized,
 {
     let adims = a.read_dims();
-    let mut out = None;
-    a.with_level_dcsrs(&mut |al| {
-        out = Some(vxm_levels_masked(u, adims, al, semiring, mask, spa));
-    });
-    out.expect("with_level_dcsrs calls its callback")
+    with_levels(a, |al| vxm_levels(u, adims, al, semiring, Some(mask), spa))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::ops::binary::{Min, Plus};
-    use crate::ops::mxm::mxm_btree;
-    use crate::ops::mxv::{mxv, vxm_btree};
+    use crate::ops::mxv::mxv;
     use crate::ops::semiring::{MinPlus, PlusTimes};
+    use crate::oracle::{mxm_btree, vxm_btree};
+
+    const NO_MASK: Option<&Mask<'static, i64>> = None;
+    const NO_VMASK: Option<&VectorMask<'static, i64>> = None;
 
     fn m(nrows: u64, ncols: u64, entries: &[(u64, u64, i64)]) -> Matrix<i64> {
         let rows: Vec<_> = entries.iter().map(|e| e.0).collect();
@@ -763,13 +643,23 @@ mod tests {
             let ar: Vec<&Dcsr<i64>> = al.iter().collect();
             let br: Vec<&Dcsr<i64>> = bl.iter().collect();
             let mut spa = SpaScratch::new();
-            let fast = mxm_levels((100, 100), (100, 100), &ar, &br, PlusTimes, &mut spa).unwrap();
-            let slow = mxm_btree(&a, &b, PlusTimes);
+            let fast = mxm_levels(
+                (100, 100),
+                (100, 100),
+                &ar,
+                &br,
+                PlusTimes,
+                NO_MASK,
+                &mut spa,
+            )
+            .unwrap();
+            let slow = mxm_btree(&a, &b, PlusTimes).unwrap();
             assert_eq!(fast.extract_tuples(), slow.extract_tuples(), "k={k}");
             // min-plus exercises the non-distributive fold: split cells must
             // combine under + before ⊗ sees them.
-            let fast = mxm_levels((100, 100), (100, 100), &ar, &br, MinPlus, &mut spa).unwrap();
-            let slow = mxm_btree(&a, &b, MinPlus);
+            let fast =
+                mxm_levels((100, 100), (100, 100), &ar, &br, MinPlus, NO_MASK, &mut spa).unwrap();
+            let slow = mxm_btree(&a, &b, MinPlus).unwrap();
             assert_eq!(
                 fast.extract_tuples(),
                 slow.extract_tuples(),
@@ -785,15 +675,15 @@ mod tests {
         for k in 1..=3 {
             let al = split_levels(&a, k);
             let ar: Vec<&Dcsr<i64>> = al.iter().collect();
-            let got = mxv_levels((64, 64), &ar, &u, PlusTimes).unwrap();
-            let want = mxv(&a, &u, PlusTimes);
+            let got = mxv_levels((64, 64), &ar, &u, PlusTimes, NO_VMASK).unwrap();
+            let want = mxv(&a, &u, PlusTimes).unwrap();
             assert_eq!(
                 got.iter().collect::<Vec<_>>(),
                 want.iter().collect::<Vec<_>>()
             );
             let mut spa = SpaScratch::new();
-            let got = vxm_levels(&u, (64, 64), &ar, PlusTimes, &mut spa).unwrap();
-            let want = vxm_btree(&u, &a, PlusTimes);
+            let got = vxm_levels(&u, (64, 64), &ar, PlusTimes, NO_VMASK, &mut spa).unwrap();
+            let want = vxm_btree(&u, &a, PlusTimes).unwrap();
             assert_eq!(
                 got.iter().collect::<Vec<_>>(),
                 want.iter().collect::<Vec<_>>()
@@ -812,23 +702,24 @@ mod tests {
         let bl = split_levels(&b, 2);
         let ar: Vec<&Dcsr<i64>> = al.iter().collect();
         let br: Vec<&Dcsr<i64>> = bl.iter().collect();
-        let got =
-            mxm_levels_masked((32, 32), (32, 32), &ar, &br, PlusTimes, &mask, &mut spa).unwrap();
-        let want = mask.filter(&mxm_btree(&a, &b, PlusTimes));
+        let dims = (32, 32);
+        let got = mxm_levels(dims, dims, &ar, &br, PlusTimes, Some(&mask), &mut spa).unwrap();
+        let want = mask.filter(&mxm_btree(&a, &b, PlusTimes).unwrap());
         assert_eq!(got.extract_tuples(), want.extract_tuples());
 
         // Vector masks: keep only allowed outputs.
         let allow = SparseVector::from_tuples(32, &[4], &[1i64], Plus).unwrap();
         let vmask = VectorMask::structural(&allow);
         let u = SparseVector::from_tuples(32, &[1, 2], &[1, 1], Plus).unwrap();
-        let got = vxm_levels_masked(&u, (32, 32), &ar, PlusTimes, &vmask, &mut spa).unwrap();
+        let got = vxm_levels(&u, dims, &ar, PlusTimes, Some(&vmask), &mut spa).unwrap();
         let want: Vec<(u64, i64)> = vxm_btree(&u, &a, PlusTimes)
+            .unwrap()
             .iter()
             .filter(|&(j, _)| vmask.allows(j))
             .collect();
         assert_eq!(got.iter().collect::<Vec<_>>(), want);
 
-        let got = mxv_levels_masked((32, 32), &ar, &u, PlusTimes, &vmask).unwrap();
+        let got = mxv_levels(dims, &ar, &u, PlusTimes, Some(&vmask)).unwrap();
         assert!(got.is_empty()); // no allowed row is non-empty in A·u
     }
 
@@ -904,11 +795,11 @@ mod tests {
         let al = split_levels(&a, 1);
         let ar: Vec<&Dcsr<i64>> = al.iter().collect();
         let mut spa = SpaScratch::new();
-        assert!(mxm_levels((4, 5), (4, 4), &ar, &ar, PlusTimes, &mut spa).is_err());
+        assert!(mxm_levels((4, 5), (4, 4), &ar, &ar, PlusTimes, NO_MASK, &mut spa).is_err());
         let u = SparseVector::<i64>::new(3);
-        assert!(mxv_levels((4, 5), &ar, &u, PlusTimes).is_err());
-        assert!(vxm_levels(&u, (4, 5), &ar, PlusTimes, &mut spa).is_err());
+        assert!(mxv_levels((4, 5), &ar, &u, PlusTimes, NO_VMASK).is_err());
+        assert!(vxm_levels(&u, (4, 5), &ar, PlusTimes, NO_VMASK, &mut spa).is_err());
         // Levels that disagree with the claimed dims are rejected.
-        assert!(mxm_levels((9, 9), (9, 9), &ar, &ar, PlusTimes, &mut spa).is_err());
+        assert!(mxm_levels((9, 9), (9, 9), &ar, &ar, PlusTimes, NO_MASK, &mut spa).is_err());
     }
 }

@@ -16,13 +16,7 @@ where
     T: ScalarType,
     M: Monoid<T>,
 {
-    let settled;
-    let da = if a.npending() == 0 {
-        a.dcsr()
-    } else {
-        settled = a.to_settled();
-        settled.dcsr()
-    };
+    let da = a.settled_content();
     let mut out = SparseVector::new(a.nrows());
     for &i in da.row_ids() {
         let (_, vals) = da.row(i).expect("row non-empty");
@@ -41,13 +35,7 @@ where
     T: ScalarType,
     M: Monoid<T>,
 {
-    let settled;
-    let da = if a.npending() == 0 {
-        a.dcsr()
-    } else {
-        settled = a.to_settled();
-        settled.dcsr()
-    };
+    let da = a.settled_content();
     let mut acc: BTreeMap<u64, T> = BTreeMap::new();
     for (_, c, v) in da.iter() {
         acc.entry(c)
@@ -69,13 +57,7 @@ where
     T: ScalarType,
     M: Monoid<T>,
 {
-    let settled;
-    let da = if a.npending() == 0 {
-        a.dcsr()
-    } else {
-        settled = a.to_settled();
-        settled.dcsr()
-    };
+    let da = a.settled_content();
     let mut acc = monoid.identity();
     for (_, _, v) in da.iter() {
         acc = monoid.apply(acc, v);

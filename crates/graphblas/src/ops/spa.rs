@@ -1,8 +1,9 @@
 //! The reusable sparse accumulator (SPA) behind the semiring kernels.
 //!
 //! A row-wise Gustavson product accumulates an unpredictable set of output
-//! columns per row.  The previous kernels used a fresh `BTreeMap` per row —
-//! one heap allocation per node plus pointer-chasing on every product.
+//! columns per row.  A fresh `BTreeMap` per row (what the references of the
+//! `oracle` module still do) costs one heap allocation per node plus
+//! pointer-chasing on every product.
 //! [`SpaScratch`] replaces it with two allocation-reusing strategies picked
 //! per row from the row's column span and flop count:
 //!
@@ -14,10 +15,10 @@
 //! Both strategies reproduce the `BTreeMap` fold *exactly*: products for a
 //! column are combined in arrival order (the `seq` tiebreak keeps the
 //! unstable sort order-preserving), so results are byte-identical to the
-//! retained `*_btree` kernels for any `⊕` — the equivalence proptests pin
-//! this.  The scratch is allocation-free across rows and across calls when
-//! held by the caller (mirroring `MergeScratch`): the band, marks and
-//! scatter buffer only ever grow.
+//! `*_btree` references for any `⊕` — the equivalence proptests pin this.
+//! The scratch is allocation-free across rows and across calls when held by
+//! the caller (mirroring `MergeScratch`): the band, marks and scatter buffer
+//! only ever grow.
 //!
 //! Strategy counters (process-global, relaxed atomics, committed once per
 //! kernel call) record rows and flops per strategy so a benchmark can
@@ -30,15 +31,15 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Spans at or below this width always use the dense band: the drain scan
 /// is cheap enough that the `O(flops · log flops)` sort can never win.
-pub const SPA_DENSE_SPAN: u64 = 4096;
+const SPA_DENSE_SPAN: u64 = 4096;
 
 /// Above [`SPA_DENSE_SPAN`], the band is used while the scan cost stays
 /// within this factor of the flops (band occupancy ≥ 1/4).
-pub const SPA_DENSE_OCCUPANCY: u64 = 4;
+const SPA_DENSE_OCCUPANCY: u64 = 4;
 
 /// Hard cap on the band width (2^18 entries) so a single skewed row cannot
 /// balloon the scratch; wider rows fall back to sorted scatter.
-pub const SPA_DENSE_SPAN_CAP: u64 = 1 << 18;
+const SPA_DENSE_SPAN_CAP: u64 = 1 << 18;
 
 static DENSE_ROWS: AtomicU64 = AtomicU64::new(0);
 static DENSE_FLOPS: AtomicU64 = AtomicU64::new(0);

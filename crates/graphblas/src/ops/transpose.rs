@@ -11,12 +11,7 @@ use crate::types::ScalarType;
 /// comparison sort.  For a traffic matrix this converts "traffic by source"
 /// into "traffic by destination".
 pub fn transpose<T: ScalarType>(a: &Matrix<T>) -> Matrix<T> {
-    let t = if a.npending() == 0 {
-        a.dcsr().transposed()
-    } else {
-        a.to_settled().dcsr().transposed()
-    };
-    Matrix::from_dcsr(t)
+    Matrix::from_dcsr(a.settled_content().transposed())
 }
 
 #[cfg(test)]
@@ -64,7 +59,7 @@ mod tests {
     #[test]
     fn symmetrize_with_transpose() {
         let a = m(10, 10, &[(1, 2, 3)]);
-        let sym = ewise_add(&a, &transpose(&a), Plus);
+        let sym = ewise_add(&a, &transpose(&a), Plus).unwrap();
         assert_eq!(sym.get(1, 2), Some(3));
         assert_eq!(sym.get(2, 1), Some(3));
     }

@@ -56,7 +56,11 @@ impl HierConfig {
         }
         let cuts = (0..levels - 1)
             .map(|i| {
-                base.checked_mul(ratio.pow(i as u32))
+                // Checked all the way: `pow` overflows before `checked_mul`
+                // ever sees its result.
+                ratio
+                    .checked_pow(i as u32)
+                    .and_then(|p| base.checked_mul(p))
                     .ok_or_else(|| GrbError::InvalidValue("cut schedule overflows u64".into()))
             })
             .collect::<GrbResult<Vec<u64>>>()?;
@@ -134,6 +138,12 @@ mod tests {
         assert!(HierConfig::geometric(4, 0, 8).is_err());
         assert!(HierConfig::geometric(4, 1024, 1).is_err());
         assert!(HierConfig::geometric(12, u64::MAX / 2, 8).is_err());
+        // The power alone overflows (8^22 = 2^66, 3^41 > 2^64): `Err`, not a
+        // debug panic or a wrapped cut.  3^40 is the last power that fits.
+        assert!(HierConfig::geometric(24, 1, 8).is_err());
+        assert!(HierConfig::geometric(43, 1, 3).is_err());
+        let widest = HierConfig::geometric(42, 1, 3).unwrap();
+        assert_eq!(widest.cuts().last(), Some(&3u64.pow(40)));
     }
 
     #[test]

@@ -345,6 +345,10 @@ impl<T: ScalarType> HierMatrix<T> {
     }
 
     /// Apply a whole update matrix: `A_1 = A_1 ⊕ A` (the paper's formulation).
+    ///
+    /// The matrix's distinct cells are one [`HierMatrix::update_batch`]: the
+    /// same validation, append, log order and roll-back, and the degree
+    /// indexes see them at the same settle as any batch's.
     pub fn update_matrix(&mut self, a: &Matrix<T>) -> GrbResult<()> {
         if a.nrows() != self.nrows || a.ncols() != self.ncols {
             return Err(GrbError::DimensionMismatch {
@@ -357,38 +361,8 @@ impl<T: ScalarType> HierMatrix<T> {
                 ),
             });
         }
-        let nupd = a.nvals_settled() + a.npending();
-        if let Some(d) = self.durable.as_mut() {
-            d.remove_retired();
-            // Logged before it is applied (the merge below leaves nothing
-            // to take back); in bounds and of equal lengths by construction.
-            let (r, c, v) = a.extract_tuples();
-            d.wal.append(&r, &c, &v, d.cfg.fsync)?;
-        }
-        // `accum_matrix` settles level 0 internally; settle through the
-        // observed path first so the index sees the dedup-unpack, then feed
-        // the whole update matrix through the same observer.
-        self.settle_level(0);
-        let settled;
-        let a = if a.npending() == 0 {
-            a
-        } else {
-            settled = a.to_settled();
-            &settled
-        };
-        if self.degrees.is_live() {
-            let (ids, ptr, cols, vals) = a.dcsr().raw_parts();
-            let mut rows = Vec::with_capacity(cols.len());
-            for (slot, &row) in ids.iter().enumerate() {
-                rows.resize(ptr[slot + 1], row);
-            }
-            self.degrees.observe(&rows, cols, vals);
-        }
-        self.levels[0].accum_matrix(a)?;
-        self.stats.updates += nupd as u64;
-        self.mark_dirty(0);
-        self.maybe_cascade()?;
-        Ok(())
+        let (rows, cols, vals) = a.extract_tuples();
+        self.update_batch(&rows, &cols, &vals)
     }
 
     /// Upper bound on the number of stored entries at level `i`

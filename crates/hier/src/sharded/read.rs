@@ -839,8 +839,8 @@ mod tests {
         engine.update(5, 6, 1).unwrap(); // ingest continues past the capture
         assert_eq!(hyperstream_graphblas::algo::triangle_count(&mut snap), 1);
         assert_eq!(
-            hyperstream_graphblas::algo::triangle_count_tuples(&mut snap),
-            1
+            hyperstream_graphblas::oracle::triangle_count_tuples(&mut snap),
+            Ok(1)
         );
         // Neither capture materialised any shard.
         assert_eq!(engine.aggregate_stats().unwrap().materializations, 0);

@@ -4,25 +4,29 @@
 //! algorithms built on them: for random update streams, cut schedules,
 //! shard counts and mid-stream flushes,
 //!
-//! * the SPA-based `mxm`/`vxm` kernels must be **byte-identical** to the
-//!   retained `*_btree` fallbacks over every semiring (the sorted-scatter
-//!   sequence tiebreak reproduces the BTreeMap fold order exactly, so this
-//!   holds even for non-commutative ⊗ like `first`);
-//! * the cursor-consuming `mxm_reader`/`mxv_reader`/`vxm_reader` entry
-//!   points (masked and unmasked) over every `CursorReader` — flat,
-//!   hierarchical, sharded, and both snapshot flavours — must be
-//!   byte-identical to the flat-oracle kernel over the materialised
-//!   matrix; and
+//! * there is one product kernel, over level slices, and `oracle::mxm_btree`
+//!   / `oracle::vxm_btree` are its references: the flat `mxm` / `mxv` /
+//!   `vxm` (its one-level case) must be **byte-identical** to them over
+//!   every semiring (the sorted-scatter sequence tiebreak reproduces the
+//!   BTreeMap fold order exactly, so this holds even for non-commutative ⊗
+//!   like `first`);
+//! * the same kernel over k levels — `mxm_reader` / `mxv_reader` /
+//!   `vxm_reader`, masked and unmasked, over every `CursorReader`: flat,
+//!   hierarchical, sharded, and both snapshot flavours — must equal the
+//!   one-level case and the reference alike;
+//! * every product entry answers a hostile shape (mismatched dimensions, an
+//!   empty operand, a level that disagrees with its reader's dimensions, a
+//!   mask of the wrong size) with `GrbError::DimensionMismatch` or the empty
+//!   product, never a panic; and
 //! * `triangle_count` / `bfs_levels` / `connected_components` /
-//!   `pagerank` must agree across every system: cursor-native primaries
-//!   on the level-slice readers, `*_tuples` fallbacks on every sink
-//!   system (pagerank to 1e-9; everything else exactly).
+//!   `pagerank` must agree across every system, square or wider than tall:
+//!   cursor-native primaries on the level-slice readers, the `oracle::*_tuples`
+//!   references on every sink system (pagerank to 1e-9; everything else
+//!   exactly, whole vectors where the system is bounded).
 
-use hyperstream::graphblas::algo::{
-    bfs_levels, bfs_levels_tuples, connected_components, connected_components_tuples, pagerank,
-    pagerank_tuples, triangle_count, triangle_count_tuples,
-};
+use hyperstream::graphblas::algo::{bfs_levels, connected_components, pagerank, triangle_count};
 use hyperstream::graphblas::ops::semiring::MinFirst;
+use hyperstream::graphblas::oracle;
 use hyperstream::prelude::*;
 use proptest::prelude::*;
 
@@ -54,7 +58,11 @@ fn cut_schedule() -> impl Strategy<Value = Vec<u64>> {
 }
 
 fn build_flat(updates: &[(u64, u64, u64)]) -> Matrix<u64> {
-    let mut m = Matrix::<u64>::new(DIM, DIM);
+    build_flat_in((DIM, DIM), updates)
+}
+
+fn build_flat_in(dims: (u64, u64), updates: &[(u64, u64, u64)]) -> Matrix<u64> {
+    let mut m = Matrix::<u64>::new(dims.0, dims.1);
     for &(r, c, v) in updates {
         m.accum_element(r, c, v).unwrap();
     }
@@ -84,6 +92,7 @@ fn vec_entries(v: &SparseVector<u64>) -> Vec<(u64, u64)> {
 /// Every cursor-capable system fed the same updates (with a mid-stream
 /// flush), boxed behind the trait the reader kernels consume.
 fn cursor_systems(
+    (nrows, ncols): (u64, u64),
     updates: &[(u64, u64, u64)],
     cuts: &[u64],
     shards: usize,
@@ -98,11 +107,11 @@ fn cursor_systems(
         round_tuples: 128,
         ..ShardedConfig::with_shards(shards)
     };
-    let mut flat = Matrix::<u64>::new(DIM, DIM);
-    let mut hier = HierMatrix::<u64>::new(DIM, DIM, hier_cfg.clone()).unwrap();
-    let mut hier_snap = HierMatrix::<u64>::new(DIM, DIM, hier_cfg.clone()).unwrap();
-    let mut sharded = ShardedHierMatrix::<u64>::new(DIM, DIM, hier_cfg.clone(), scfg).unwrap();
-    let mut sharded_snap = ShardedHierMatrix::<u64>::new(DIM, DIM, hier_cfg, scfg).unwrap();
+    let mut flat = Matrix::<u64>::new(nrows, ncols);
+    let mut hier = HierMatrix::<u64>::new(nrows, ncols, hier_cfg.clone()).unwrap();
+    let mut hier_snap = HierMatrix::<u64>::new(nrows, ncols, hier_cfg.clone()).unwrap();
+    let mut sharded = ShardedHierMatrix::<u64>::new(nrows, ncols, hier_cfg.clone(), scfg).unwrap();
+    let mut sharded_snap = ShardedHierMatrix::<u64>::new(nrows, ncols, hier_cfg, scfg).unwrap();
     for (i, &(r, c, v)) in updates.iter().enumerate() {
         flat.insert(r, c, v).unwrap();
         hier.insert(r, c, v).unwrap();
@@ -131,23 +140,25 @@ fn cursor_systems(
     ]
 }
 
-/// The SPA kernels must reproduce the BTreeMap fallbacks byte for
-/// byte, over commutative and non-commutative semirings alike.
+/// The one-level case of the kernel must reproduce the BTreeMap
+/// references byte for byte, over commutative and non-commutative
+/// semirings alike — `Result`s compared whole.
 fn check_spa_vs_btree(a_updates: &[(u64, u64, u64)], b_updates: &[(u64, u64, u64)]) {
     let a = build_flat(a_updates);
     let b = build_flat(b_updates);
     let u = operand_vector(a_updates);
+    let a_t = transpose(&a);
 
     macro_rules! check {
         ($s:expr, $name:literal) => {
             prop_assert_eq!(
-                mxm(&a, &b, $s).extract_tuples(),
-                mxm_btree(&a, &b, $s).extract_tuples(),
+                mxm(&a, &b, $s).map(|c| c.extract_tuples()),
+                oracle::mxm_btree(&a, &b, $s).map(|c| c.extract_tuples()),
                 concat!("mxm over ", $name)
             );
             prop_assert_eq!(
-                vec_entries(&vxm(&u, &a, $s)),
-                vec_entries(&vxm_btree(&u, &a, $s)),
+                vxm(&u, &a, $s),
+                oracle::vxm_btree(&u, &a, $s),
                 concat!("vxm over ", $name)
             );
         };
@@ -155,10 +166,18 @@ fn check_spa_vs_btree(a_updates: &[(u64, u64, u64)], b_updates: &[(u64, u64, u64
     check!(PlusTimes, "plus-times");
     check!(MinPlus, "min-plus");
     check!(MinFirst, "min-first");
+    // `A u` is `u Aᵀ` wherever ⊗ commutes.
+    prop_assert_eq!(
+        mxv(&a, &u, PlusTimes),
+        oracle::vxm_btree(&u, &a_t, PlusTimes)
+    );
+    prop_assert_eq!(mxv(&a, &u, MinPlus), oracle::vxm_btree(&u, &a_t, MinPlus));
 }
 
-/// The cursor-consuming entry points (masked and unmasked) over every
-/// `CursorReader` must be byte-identical to the flat-oracle kernels.
+/// k levels == one level == reference: the cursor-consuming entry points
+/// (masked and unmasked) over every `CursorReader`, and the flat entry
+/// points over the materialised matrix, must be byte-identical to the
+/// `oracle::*_btree` products.
 #[allow(clippy::too_many_arguments)]
 fn check_readers_vs_oracle(
     updates: &[(u64, u64, u64)],
@@ -181,10 +200,30 @@ fn check_readers_vs_oracle(
     }
 
     let mut spa = SpaScratch::<u64>::new();
-    let expect_vxm = vec_entries(&vxm(&u, &flat, PlusTimes));
-    let expect_vxm_min = vec_entries(&vxm(&u, &flat, MinPlus));
-    let expect_mxv = vec_entries(&mxv(&flat, &u, PlusTimes));
-    let expect_mxm = mxm(&flat, &flat_b, PlusTimes).extract_tuples();
+    let flat_t = transpose(&flat);
+    let expect_vxm = vec_entries(&oracle::vxm_btree(&u, &flat, PlusTimes).unwrap());
+    let expect_vxm_min = vec_entries(&oracle::vxm_btree(&u, &flat, MinPlus).unwrap());
+    let expect_mxv = vec_entries(&oracle::vxm_btree(&u, &flat_t, PlusTimes).unwrap());
+    let expect_mxm = oracle::mxm_btree(&flat, &flat_b, PlusTimes)
+        .unwrap()
+        .extract_tuples();
+    // One level: the flat entry points.
+    prop_assert_eq!(
+        vec_entries(&vxm(&u, &flat, PlusTimes).unwrap()),
+        expect_vxm.clone()
+    );
+    prop_assert_eq!(
+        vec_entries(&vxm(&u, &flat, MinPlus).unwrap()),
+        expect_vxm_min.clone()
+    );
+    prop_assert_eq!(
+        vec_entries(&mxv(&flat, &u, PlusTimes).unwrap()),
+        expect_mxv.clone()
+    );
+    prop_assert_eq!(
+        mxm(&flat, &flat_b, PlusTimes).unwrap().extract_tuples(),
+        expect_mxm.clone()
+    );
     // Masked oracles: masking only skips denied outputs, so the
     // answer is the unmasked oracle filtered by the mask.
     let vmask = VectorMask::structural(&mask_vec);
@@ -214,7 +253,8 @@ fn check_readers_vs_oracle(
         fr
     };
 
-    for (name, mut sys) in cursor_systems(updates, cuts, shards, chunk, flush_at) {
+    // k levels: every reader.
+    for (name, mut sys) in cursor_systems((DIM, DIM), updates, cuts, shards, chunk, flush_at) {
         let got = vxm_reader(&u, sys.as_mut(), PlusTimes, &mut spa).unwrap();
         prop_assert_eq!(vec_entries(&got), expect_vxm.clone(), "vxm of {}", &name);
         let got = vxm_reader(&u, sys.as_mut(), MinPlus, &mut spa).unwrap();
@@ -253,32 +293,38 @@ fn check_readers_vs_oracle(
     }
 }
 
-/// Triangles, BFS, components and pagerank agree across every system:
-/// cursor-native primaries on the level readers, `*_tuples` fallbacks
-/// on every sink system.
+/// Triangles, BFS, components and pagerank agree across every system of
+/// the given dimensions: cursor-native primaries on the level readers, the
+/// `oracle::*_tuples` references on every sink system.  Primaries and
+/// references size their vectors alike (`max(nrows, ncols)`), so whole
+/// vectors are compared wherever the system reports these dimensions (the
+/// D4M store is unbounded: entries only).
 fn check_algorithms_agree(
+    dims: (u64, u64),
     updates: &[(u64, u64, u64)],
     cuts: &[u64],
     shards: usize,
     chunk: usize,
     flush_at: usize,
 ) {
-    let mut flat = build_flat(updates);
+    let (nrows, ncols) = dims;
+    let mut flat = build_flat_in(dims, updates);
     let source = updates[0].0;
     let expect_tri = triangle_count(&mut flat);
-    let expect_bfs = vec_entries(&bfs_levels(&mut flat, source));
-    let expect_cc = vec_entries(&connected_components(&mut flat));
-    let expect_pr: Vec<(u64, f64)> = pagerank(&mut flat, 0.85, 40, 1e-12).iter().collect();
-    let close = |got: &[(u64, f64)]| {
-        got.len() == expect_pr.len()
+    let expect_bfs = bfs_levels(&mut flat, source);
+    let expect_cc = connected_components(&mut flat);
+    let expect_pr = pagerank(&mut flat, 0.85, 40, 1e-12);
+    prop_assert_eq!(expect_pr.size(), nrows.max(ncols));
+    let close = |got: &SparseVector<f64>| {
+        got.nvals() == expect_pr.nvals()
             && got
                 .iter()
                 .zip(expect_pr.iter())
-                .all(|(&(gj, gv), &(ej, ev))| gj == ej && (gv - ev).abs() < 1e-9)
+                .all(|((gj, gv), (ej, ev))| gj == ej && (gv - ev).abs() < 1e-9)
     };
 
     // Cursor-native primaries over every level-slice reader.
-    for (name, mut sys) in cursor_systems(updates, cuts, shards, chunk, flush_at) {
+    for (name, mut sys) in cursor_systems(dims, updates, cuts, shards, chunk, flush_at) {
         prop_assert_eq!(
             triangle_count(sys.as_mut()),
             expect_tri,
@@ -286,31 +332,38 @@ fn check_algorithms_agree(
             &name
         );
         prop_assert_eq!(
-            vec_entries(&bfs_levels(sys.as_mut(), source)),
-            expect_bfs.clone(),
+            &bfs_levels(sys.as_mut(), source),
+            &expect_bfs,
             "bfs of {}",
             &name
         );
         prop_assert_eq!(
-            vec_entries(&connected_components(sys.as_mut())),
-            expect_cc.clone(),
+            &connected_components(sys.as_mut()),
+            &expect_cc,
             "components of {}",
             &name
         );
-        let pr: Vec<(u64, f64)> = pagerank(sys.as_mut(), 0.85, 40, 1e-12).iter().collect();
-        prop_assert!(close(&pr), "pagerank of {}: {:?}", &name, pr);
+        let pr = pagerank(sys.as_mut(), 0.85, 40, 1e-12);
+        prop_assert!(
+            pr.size() == expect_pr.size() && close(&pr),
+            "pagerank of {}: {:?}",
+            &name,
+            pr
+        );
     }
 
-    // Tuple fallbacks over every sink system, the D4M store included.
+    // The references over every sink system, the D4M store included.
     let hier_cfg = HierConfig::from_cuts(cuts.to_vec()).unwrap();
     let mut systems: Vec<Box<dyn StreamingSystem<u64>>> = vec![
-        Box::new(Matrix::<u64>::new(DIM, DIM)),
-        Box::new(HierMatrix::<u64>::new(DIM, DIM, hier_cfg.clone()).unwrap()),
-        Box::new(WindowedHierMatrix::<u64>::new(DIM, DIM, hier_cfg.clone(), u64::MAX, 4).unwrap()),
+        Box::new(Matrix::<u64>::new(nrows, ncols)),
+        Box::new(HierMatrix::<u64>::new(nrows, ncols, hier_cfg.clone()).unwrap()),
+        Box::new(
+            WindowedHierMatrix::<u64>::new(nrows, ncols, hier_cfg.clone(), u64::MAX, 4).unwrap(),
+        ),
         Box::new(
             ShardedHierMatrix::<u64>::new(
-                DIM,
-                DIM,
+                nrows,
+                ncols,
                 hier_cfg,
                 ShardedConfig {
                     partitioner: ShardPartitioner::RowHash,
@@ -332,27 +385,157 @@ fn check_algorithms_agree(
             sys.insert(r, c, v).unwrap();
         }
         let r = sys.as_mut();
+        let bounded = r.read_dims() == dims;
         prop_assert_eq!(
-            triangle_count_tuples(r),
-            expect_tri,
-            "tuple triangles of {}",
+            oracle::triangle_count_tuples(r),
+            Ok(expect_tri),
+            "reference triangles of {}",
             &name
         );
-        prop_assert_eq!(
-            vec_entries(&bfs_levels_tuples(r, source)),
-            expect_bfs.clone(),
-            "tuple bfs of {}",
-            &name
-        );
-        prop_assert_eq!(
-            vec_entries(&connected_components_tuples(r)),
-            expect_cc.clone(),
-            "tuple components of {}",
-            &name
-        );
-        let pr: Vec<(u64, f64)> = pagerank_tuples(r, 0.85, 40, 1e-12).iter().collect();
-        prop_assert!(close(&pr), "tuple pagerank of {}: {:?}", &name, pr);
+        let bfs = oracle::bfs_levels_tuples(r, source).unwrap();
+        let cc = oracle::connected_components_tuples(r).unwrap();
+        let pr = oracle::pagerank_tuples(r, 0.85, 40, 1e-12).unwrap();
+        if bounded {
+            prop_assert_eq!(&bfs, &expect_bfs, "reference bfs of {}", &name);
+            prop_assert_eq!(&cc, &expect_cc, "reference components of {}", &name);
+            prop_assert_eq!(pr.size(), expect_pr.size(), "pagerank size of {}", &name);
+        }
+        prop_assert_eq!(vec_entries(&bfs), vec_entries(&expect_bfs), "{}", &name);
+        prop_assert_eq!(vec_entries(&cc), vec_entries(&expect_cc), "{}", &name);
+        prop_assert!(close(&pr), "reference pagerank of {}: {:?}", &name, pr);
     }
+}
+
+/// A store whose one level disagrees with the dimensions it claims.
+struct Lying(Dcsr<u64>);
+
+impl LevelStore for Lying {
+    type Value = u64;
+
+    fn store_name(&self) -> &str {
+        "lying"
+    }
+
+    fn store_dims(&self) -> (u64, u64) {
+        (DIM, DIM)
+    }
+
+    fn with_levels<R>(&mut self, f: impl FnOnce(&[&Dcsr<u64>]) -> R) -> R {
+        f(&[&self.0])
+    }
+
+    fn with_twins<R>(&mut self, f: impl FnOnce(&[&Dcsr<u64>]) -> R) -> R {
+        f(&[])
+    }
+}
+
+/// Every product entry — flat, reader, masked reader, over every reader of
+/// `cursor_systems` — given a hostile shape answers
+/// `GrbError::DimensionMismatch` or the empty product, and never panics.
+#[test]
+fn product_entries_answer_hostile_shapes_with_typed_errors() {
+    fn mismatch<T: std::fmt::Debug>(r: GrbResult<T>, what: &str) {
+        assert!(
+            matches!(r, Err(GrbError::DimensionMismatch { .. })),
+            "{what}: {r:?}"
+        );
+    }
+    let updates: Vec<(u64, u64, u64)> = (0..40u64)
+        .map(|i| ((i % 7) * 20_000_019, (i % 5) * 40_000_003, 1 + i % 3))
+        .collect();
+    let u = operand_vector(&updates);
+    let mut b = build_flat(&updates);
+    let spa = &mut SpaScratch::<u64>::new();
+
+    // Operands and masks one off the systems' DIM x DIM.
+    let wrong_u = SparseVector::<u64>::new(DIM + 1);
+    let mut wrong_b = Matrix::<u64>::new(DIM + 1, DIM + 1);
+    let wrong_mask_m = Matrix::<u64>::new(DIM, DIM + 1);
+    let wrong_mask = Mask::structural(&wrong_mask_m);
+    let wrong_vmask = VectorMask::structural(&wrong_u);
+    // ... and ones that fit but hold nothing.
+    let empty_u = SparseVector::<u64>::new(DIM);
+    let mut empty_b = Matrix::<u64>::new(DIM, DIM);
+    let all_m = Matrix::<u64>::new(DIM, DIM);
+    let all = Mask::complement(&all_m);
+    let all_v = VectorMask::complement(&empty_u);
+
+    // The flat entries (one level).
+    let a = build_flat(&updates);
+    mismatch(mxm(&a, &wrong_b, PlusTimes), "flat mxm");
+    mismatch(mxv(&a, &wrong_u, PlusTimes), "flat mxv");
+    mismatch(vxm(&wrong_u, &a, PlusTimes), "flat vxm");
+    mismatch(ewise_add(&a, &wrong_b, Plus), "ewise_add");
+    mismatch(ewise_mult(&a, &wrong_b, Times), "ewise_mult");
+    assert!(mxm(&a, &empty_b, PlusTimes).unwrap().is_empty());
+    assert!(mxm(&empty_b, &a, PlusTimes).unwrap().is_empty());
+    assert!(mxv(&a, &empty_u, PlusTimes).unwrap().is_empty());
+    assert!(vxm(&empty_u, &a, PlusTimes).unwrap().is_empty());
+
+    // The reader entries, over every reader (k levels), full and empty.
+    let mut readers = cursor_systems((DIM, DIM), &updates, &[3, 9], 2, 4, 17);
+    readers.extend(
+        cursor_systems((DIM, DIM), &[], &[3, 9], 2, 4, 0)
+            .into_iter()
+            .map(|(name, sys)| (format!("empty {name}"), sys)),
+    );
+    for (name, mut sys) in readers {
+        let r = sys.as_mut();
+        mismatch(mxm_reader(r, &mut wrong_b, PlusTimes, spa), &name);
+        mismatch(mxm_reader(&mut wrong_b, r, PlusTimes, spa), &name);
+        mismatch(
+            mxm_reader_masked(r, &mut wrong_b, PlusTimes, &all, spa),
+            &name,
+        );
+        mismatch(
+            mxm_reader_masked(r, &mut b, PlusTimes, &wrong_mask, spa),
+            &name,
+        );
+        mismatch(mxv_reader(r, &wrong_u, PlusTimes), &name);
+        mismatch(mxv_reader_masked(r, &wrong_u, PlusTimes, &all_v), &name);
+        mismatch(mxv_reader_masked(r, &u, PlusTimes, &wrong_vmask), &name);
+        mismatch(vxm_reader(&wrong_u, r, PlusTimes, spa), &name);
+        mismatch(
+            vxm_reader_masked(&wrong_u, r, PlusTimes, &all_v, spa),
+            &name,
+        );
+        mismatch(
+            vxm_reader_masked(&u, r, PlusTimes, &wrong_vmask, spa),
+            &name,
+        );
+
+        let empty = name.starts_with("empty");
+        let c = mxm_reader(r, &mut empty_b, PlusTimes, spa).unwrap();
+        assert!(c.is_empty(), "{name}");
+        let c = mxm_reader_masked(r, &mut b, PlusTimes, &all, spa).unwrap();
+        assert_eq!(c.is_empty(), empty, "{name}");
+        assert!(mxv_reader(r, &empty_u, PlusTimes).unwrap().is_empty());
+        assert!(vxm_reader(&empty_u, r, PlusTimes, spa).unwrap().is_empty());
+        let w = vxm_reader_masked(&u, r, PlusTimes, &all_v, spa).unwrap();
+        assert_eq!(w.is_empty(), empty, "{name}");
+        let w = mxv_reader_masked(r, &empty_u, PlusTimes, &all_v).unwrap();
+        assert!(w.is_empty(), "{name}");
+    }
+
+    // A level that is not the size its reader claims, on either side.
+    let level = Dcsr::from_tuples(8, 8, &[1], &[2], &[3u64], Plus).unwrap();
+    let mut lying = Lying(level);
+    mismatch(mxm_reader(&mut lying, &mut b, PlusTimes, spa), "lying A");
+    mismatch(mxm_reader(&mut b, &mut lying, PlusTimes, spa), "lying B");
+    mismatch(
+        mxm_reader_masked(&mut lying, &mut b, PlusTimes, &all, spa),
+        "lying A",
+    );
+    mismatch(mxv_reader(&mut lying, &u, PlusTimes), "lying mxv");
+    mismatch(
+        mxv_reader_masked(&mut lying, &u, PlusTimes, &all_v),
+        "lying mxv",
+    );
+    mismatch(vxm_reader(&u, &mut lying, PlusTimes, spa), "lying vxm");
+    mismatch(
+        vxm_reader_masked(&u, &mut lying, PlusTimes, &all_v, spa),
+        "lying vxm",
+    );
 }
 
 proptest! {
@@ -389,7 +572,11 @@ proptest! {
         shards in 1usize..=8,
         chunk in 1usize..64,
         flush_at in 0usize..150,
+        wide in 0u8..2,
     ) {
-        check_algorithms_agree(&updates, &cuts, shards, chunk, flush_at);
+        // Square, or wider than tall: every row id of `update_stream` lies
+        // below 2^31, its column ids reach past it.
+        let dims = if wide == 1 { (DIM / 2, DIM) } else { (DIM, DIM) };
+        check_algorithms_agree(dims, &updates, &cuts, shards, chunk, flush_at);
     }
 }

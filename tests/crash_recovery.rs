@@ -383,6 +383,25 @@ fn batch_cuts() -> HierConfig {
 /// More distinct cells than the fold's index holds (2^16) in one batch.
 const SPILL_CELLS: u64 = (1 << 16) + 5000;
 
+/// One batch as parallel slices.
+type Batch = (Vec<u64>, Vec<u64>, Vec<u64>);
+
+/// The batch kind that goes in through [`HierMatrix::update_matrix`].
+const UPDATE_MATRIX: u8 = 4;
+
+/// Hand a batch of [`batch_of`]`(kind, ..)` to `m` the way its kind says:
+/// as an update matrix (tuples still pending in it, repeats and all), or as
+/// slices.  One log order serves both, so a refused log must leave either
+/// out whole.
+fn apply(m: &mut HierMatrix<u64>, kind: u8, (rows, cols, vals): &Batch) -> GrbResult<()> {
+    if kind != UPDATE_MATRIX {
+        return m.update_batch(rows, cols, vals);
+    }
+    let mut a = Matrix::<u64>::new(DIM, DIM);
+    a.accum_tuples(rows, cols, vals)?;
+    m.update_matrix(&a)
+}
+
 /// One batch as parallel slices, by kind, varied by `salt`:
 ///
 /// * `0` — at least 4,096 tuples over 300 cells: the fold engages and the
@@ -392,11 +411,14 @@ const SPILL_CELLS: u64 = (1 << 16) + 5000;
 /// * `2` — every one of [`SPILL_CELLS`] cells twice: the fold engages and
 ///   spills mid-batch, still one frame;
 /// * `3` — 100 tuples, below the fold's sample and below every cut: a
-///   pending tail for the next batch to land behind.
+///   pending tail for the next batch to land behind;
+/// * [`UPDATE_MATRIX`] — 2,000 tuples over the same 300 cells, which
+///   [`apply`] hands over as an update *matrix*: its 300 distinct cells are
+///   the frame.
 ///
-/// Kinds 0 and 3 share a cell pool, so values accumulate across batches.
+/// Kinds 0, 3 and 4 share a cell pool, so values accumulate across batches.
 /// `weight` scales the values (a weight near `u64::MAX` makes them wrap).
-fn batch_of(kind: u8, salt: u64, weight: u64) -> (Vec<u64>, Vec<u64>, Vec<u64>) {
+fn batch_of(kind: u8, salt: u64, weight: u64) -> Batch {
     let cell = |id: u64| ((id * 20_000_019) % DIM, (id / 3 * 40_000_003) % DIM);
     let ids: Vec<u64> = match kind {
         0 => (0..4096 + salt % 1000)
@@ -406,6 +428,7 @@ fn batch_of(kind: u8, salt: u64, weight: u64) -> (Vec<u64>, Vec<u64>, Vec<u64>) 
             .map(|i| 1000 + salt * 8192 + i)
             .collect(),
         2 => (0..2 * SPILL_CELLS).map(|i| 1_000_000 + i / 2).collect(),
+        UPDATE_MATRIX => (0..2000).map(|i| (i * 11 + salt) % 300).collect(),
         _ => (0..100).map(|i| (i * 3 + salt) % 300).collect(),
     };
     let (rows, cols) = ids.iter().map(|&id| cell(id)).unzip();
@@ -416,7 +439,7 @@ fn batch_of(kind: u8, salt: u64, weight: u64) -> (Vec<u64>, Vec<u64>, Vec<u64>) 
 }
 
 /// Flat oracle of a batch prefix, wrapping like `u64`'s `+` does.
-fn batch_oracle(batches: &[(Vec<u64>, Vec<u64>, Vec<u64>)]) -> BTreeMap<(u64, u64), u64> {
+fn batch_oracle(batches: &[Batch]) -> BTreeMap<(u64, u64), u64> {
     let mut m = BTreeMap::new();
     for (rows, cols, vals) in batches {
         for i in 0..rows.len() {
@@ -438,13 +461,14 @@ fn batches_dropped_without_flush_replay_exactly_for_u64() {
         let dir = TempDir::new("batch-replay");
         let cfg = DurableConfig::new(dir.path()).fsync(FsyncPolicy::Never);
         let mut m = HierMatrix::<u64>::new_durable(DIM, DIM, batch_cuts(), cfg).unwrap();
-        let batches: Vec<_> = [0u8, 3, 1, 0, 2, 3, 0]
+        let kinds = [0u8, 3, 1, 0, UPDATE_MATRIX, 2, 3, 0];
+        let batches: Vec<_> = kinds
             .iter()
             .enumerate()
             .map(|(salt, &kind)| batch_of(kind, salt as u64, weight))
             .collect();
-        for (r, c, v) in &batches {
-            m.update_batch(r, c, v).unwrap();
+        for (batch, &kind) in batches.iter().zip(&kinds) {
+            apply(&mut m, kind, batch).unwrap();
         }
         let want = contents(&m);
         assert_eq!(want, batch_oracle(&batches), "weight {weight}");
@@ -728,7 +752,7 @@ mod failpoint_crashes {
     fn wal_append_failure_rejects_a_batch_atomically() {
         let _x = exclusive();
         for site in ["persist-wal-append", "persist-partial-write"] {
-            for kind in [0u8, 1, 2] {
+            for kind in [0u8, 1, 2, UPDATE_MATRIX] {
                 let dir = TempDir::new("batch-append-fail");
                 let mut m = HierMatrix::<u64>::new_durable(
                     DIM,
@@ -746,9 +770,9 @@ mod failpoint_crashes {
                 let held = contents(&m);
                 assert_eq!(m.level_entries_bound(0), 300 + 100, "cells and a tail");
 
-                let (r, c, v) = batch_of(kind, 3, 1);
+                let batch = batch_of(kind, 3, 1);
                 failpoint::arm(site, 1, FailAction::Error);
-                let refused = m.update_batch(&r, &c, &v);
+                let refused = apply(&mut m, kind, &batch);
                 failpoint::disarm_all();
                 assert!(
                     matches!(refused, Err(GrbError::Injected(_))),
@@ -756,7 +780,7 @@ mod failpoint_crashes {
                 );
                 assert_eq!(observe(&m), before, "{site}, kind {kind}");
 
-                m.update_batch(&r, &c, &v).unwrap();
+                apply(&mut m, kind, &batch).unwrap();
                 let want = contents(&m);
                 assert_ne!(want, held, "the next batch lands");
                 std::mem::forget(m);
@@ -771,7 +795,8 @@ mod failpoint_crashes {
 
         // The crash property of the single-update path, for batches:
         // injected error + simulated kill at every persistence site on a
-        // random schedule of folded, raw, spilling and short batches.  The
+        // random schedule of folded, raw, spilling and short batches and
+        // update matrices.  The
         // reopened store holds an acknowledged *batch* prefix, or that plus
         // the one batch in flight — never part of a batch, although the
         // frame that carries it holds fewer tuples than the caller sent.
@@ -779,7 +804,7 @@ mod failpoint_crashes {
         fn crash_at_any_persistence_site_recovers_an_acked_batch_prefix(
             site in 0usize..6,
             nth in 1u64..10,
-            kinds in prop::collection::vec(0u8..4, 3usize..8),
+            kinds in prop::collection::vec(0u8..5, 3usize..8),
         ) {
             let _x = exclusive();
             let dir = TempDir::new("batch-site-crash");
@@ -794,8 +819,8 @@ mod failpoint_crashes {
             failpoint::arm(SITES[site], nth, FailAction::Error);
             let mut acked = 0usize;
             let mut failed = false;
-            for (r, c, v) in &batches {
-                match m.update_batch(r, c, v) {
+            for (batch, &kind) in batches.iter().zip(&kinds) {
+                match apply(&mut m, kind, batch) {
                     Ok(()) => acked += 1,
                     Err(_) => { failed = true; break; }
                 }

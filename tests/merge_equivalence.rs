@@ -1,19 +1,20 @@
 //! Property-based equivalence of the skew-aware merge kernels: the
 //! adaptive dispatch (bulk row copies, galloped skips, branchless
-//! two-pointer) must produce **byte-identical** DCSR planes to the
-//! element-at-a-time linear kernel it replaced, across the three public
-//! merge entry points, for operand size ratios from 1:1 to 1:10⁴ and for
-//! every overlap pattern (disjoint, interleaved, nested, identical) —
-//! including the order-sensitive `First`/`Second`, which pin the
+//! two-pointer) must produce **byte-identical** DCSR planes to the one
+//! element-at-a-time linear reference, `oracle::merge`, across the three
+//! public merge entry points, for operand size ratios from 1:1 to 1:10⁴
+//! and for every overlap pattern (disjoint, interleaved, nested, identical)
+//! — including the order-sensitive `First`/`Second`, which pin the
 //! `op.apply(a, b)` operand order on collisions regardless of which side
-//! the kernel gallops through.  Both kernels are also checked against an
-//! independent model (a `BTreeMap` ⊕-fold).
+//! the kernel gallops through.  Kernel and reference are also checked
+//! against an independent model (a `BTreeMap` ⊕-fold).
 
 use hyperstream_graphblas::formats::coo::Coo;
 use hyperstream_graphblas::formats::dcsr::Dcsr;
 use hyperstream_graphblas::merge_kernel_stats;
 use hyperstream_graphblas::ops::binary::{First, Max, Min, Plus, Second};
 use hyperstream_graphblas::ops::BinaryOp;
+use hyperstream_graphblas::oracle;
 use hyperstream_graphblas::MergeScratch;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -92,32 +93,22 @@ fn build(tuples: &[(u64, u64, u64)]) -> Dcsr<u64> {
     Dcsr::from_coo(coo, Second).expect("valid operand")
 }
 
-/// All three public merge entry points, adaptive vs forced-linear, under
+/// All three public merge entry points against the linear reference under
 /// one op; every output must be byte-identical and match the model.
 fn check_op<Op: BinaryOp<u64>>(a: &Dcsr<u64>, b: &Dcsr<u64>, op: Op, name: &str) {
+    let linear = oracle::merge(a, b, op).expect("same dims");
     let merged = a.merge(b, op).expect("same dims");
-    let linear = a.merge_linear(b, op).expect("same dims");
     assert_eq!(merged.raw_parts(), linear.raw_parts(), "merge: {name}");
 
     let expect = model(a, b, op);
-    let (mr, mc, mv) = merged.extract_tuples();
+    let (mr, mc, mv) = linear.extract_tuples();
     let got: Vec<(u64, u64, u64)> = (0..mr.len()).map(|i| (mr[i], mc[i], mv[i])).collect();
-    assert_eq!(got, expect, "merge vs model: {name}");
+    assert_eq!(got, expect, "reference vs model: {name}");
 
     let mut into = a.clone();
     let mut scratch = MergeScratch::new();
     into.merge_into(b, op, &mut scratch).expect("same dims");
-    assert_eq!(into.raw_parts(), merged.raw_parts(), "merge_into: {name}");
-
-    let mut into_lin = a.clone();
-    into_lin
-        .merge_into_linear(b, op, &mut scratch)
-        .expect("same dims");
-    assert_eq!(
-        into_lin.raw_parts(),
-        merged.raw_parts(),
-        "merge_into_linear: {name}"
-    );
+    assert_eq!(into.raw_parts(), linear.raw_parts(), "merge_into: {name}");
 
     let coo = b.to_coo();
     let mut from_coo = a.clone();
@@ -126,18 +117,8 @@ fn check_op<Op: BinaryOp<u64>>(a: &Dcsr<u64>, b: &Dcsr<u64>, op: Op, name: &str)
         .expect("same dims");
     assert_eq!(
         from_coo.raw_parts(),
-        merged.raw_parts(),
+        linear.raw_parts(),
         "merge_sorted_coo_into: {name}"
-    );
-
-    let mut from_coo_lin = a.clone();
-    from_coo_lin
-        .merge_sorted_coo_into_linear(&coo, op, &mut scratch)
-        .expect("same dims");
-    assert_eq!(
-        from_coo_lin.raw_parts(),
-        merged.raw_parts(),
-        "merge_sorted_coo_into_linear: {name}"
     );
 }
 
@@ -163,7 +144,7 @@ proptest! {
 
     // Size ratios 1:1 through 1:10^4, every overlap pattern, every
     // accumulate op: adaptive output must be byte-identical to the linear
-    // kernel and to the model.
+    // reference and to the model.
     #[test]
     fn adaptive_merges_equal_linear(
         na in 64usize..500,

@@ -66,8 +66,8 @@ proptest! {
     fn ewise_add_commutative_and_union_sized(a in update_stream(200), b in update_stream(200)) {
         let ma = build_flat(&a);
         let mb = build_flat(&b);
-        let ab = ewise_add(&ma, &mb, Plus);
-        let ba = ewise_add(&mb, &ma, Plus);
+        let ab = ewise_add(&ma, &mb, Plus).unwrap();
+        let ba = ewise_add(&mb, &ma, Plus).unwrap();
         prop_assert_eq!(ab.extract_tuples(), ba.extract_tuples());
 
         // nvals equals the size of the union of the patterns.
@@ -82,8 +82,8 @@ proptest! {
     #[test]
     fn ewise_add_associative(a in update_stream(120), b in update_stream(120), c in update_stream(120)) {
         let (ma, mb, mc) = (build_flat(&a), build_flat(&b), build_flat(&c));
-        let left = ewise_add(&ewise_add(&ma, &mb, Plus), &mc, Plus);
-        let right = ewise_add(&ma, &ewise_add(&mb, &mc, Plus), Plus);
+        let left = ewise_add(&ewise_add(&ma, &mb, Plus).unwrap(), &mc, Plus).unwrap();
+        let right = ewise_add(&ma, &ewise_add(&mb, &mc, Plus).unwrap(), Plus).unwrap();
         prop_assert_eq!(left.extract_tuples(), right.extract_tuples());
     }
 
