@@ -7,12 +7,13 @@
 //! position-carrying radix over the destination ids plus one linear merge
 //! relabels it onto dense `u32` vertex positions (CSR over positions and
 //! the sorted id table), the algorithm iterates on dense arrays, and the
-//! result is handed over as a [`SparseVector`] by move.  Set-up is
-//! `O(passes · edges)` — three radix passes for ids below `2^32`, more
-//! above — with no comparison sort and no per-edge search; its buffers
-//! (about 20 bytes per edge and 12 per vertex) live for the call only, and
-//! nothing is cached on the reader.  The equivalence tests compare both
-//! against their `*_tuples` references in the `oracle` module.
+//! result is handed over as a [`SparseVector`] by move.  Set-up is a few
+//! linear passes over the edges — one radix scatter on the top varying id
+//! bits, every bucket finished in cache, at any id width — with no
+//! comparison sort and no per-edge search; its buffers (about 20 bytes per
+//! edge and 12 per vertex) live for the call only, and nothing is cached
+//! on the reader.  The equivalence tests compare both against their
+//! `*_tuples` references in the `oracle` module.
 
 use super::compact::CompactGraph;
 use crate::index::Index;
@@ -38,8 +39,7 @@ fn hand_over<T: ScalarType>(size: Index, active: Vec<Index>, vals: Vec<T>) -> Sp
 /// iteration is a dense-array push of `rank(i)/outdeg(i)` under `plus`
 /// along `u32` destination positions — no per-iteration level lookups, no
 /// scatter sorts, and the weighted transition matrix is never built.  Cost
-/// is the `O(passes · edges)` set-up plus `O(edges + vertices)` per
-/// iteration.
+/// is the linear set-up plus `O(edges + vertices)` per iteration.
 ///
 /// Returns the rank of every vertex that has at least one in- or out-edge.
 /// `damping` is the usual 0.85; iteration stops after `max_iters` or when
@@ -189,7 +189,7 @@ mod tests {
 
     /// Shapes the front end could trip on: nothing at all, one self-loop,
     /// destinations that are never sources, and ids above `2^32` in a
-    /// `2^40` space (the radix needs more than three passes there).
+    /// `2^40` space (the radix partitions above bit 32 there).
     fn hostile_graphs() -> Vec<Matrix<u64>> {
         let hi = 1u64 << 33;
         vec![

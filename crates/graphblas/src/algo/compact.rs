@@ -6,13 +6,14 @@
 //! set of vertices that occur at all.  That renaming is the transpose's
 //! problem — order the edges by destination, remember where each one came
 //! from — and is solved by the transpose's kernel
-//! ([`radix_sort_with_positions`]): no comparison sort and no per-edge
-//! search, `O(passes · edges)` with three passes covering the paper's
-//! `2^32` ids.  Everything here lives for one algorithm call; nothing is
-//! cached on the reader.
+//! ([`RadixPlanes::sort_positions`]): no comparison sort and no per-edge
+//! search, one scatter on the top varying id bits with every bucket
+//! finished in cache, at any id width.  Everything here lives for one
+//! algorithm call; nothing is cached on the reader.
 
 use crate::cursor::LevelCursors;
-use crate::formats::dcsr::{assert_u32_positions, radix_sort_with_positions, Dcsr};
+use crate::formats::dcsr::Dcsr;
+use crate::formats::radix::{assert_u32_positions, RadixPlanes};
 use crate::index::Index;
 use crate::ops::binary::First;
 use crate::reader::CursorReader;
@@ -73,7 +74,8 @@ impl CompactGraph {
         assert_u32_positions(srcs.len() + adj.len());
 
         // Edges in destination order, each remembering its slot in `adj`.
-        let (dsts, edge) = radix_sort_with_positions(adj);
+        let mut planes = RadixPlanes::default();
+        let (dsts, edge) = planes.sort_positions(&adj);
 
         // One merge of the two ascending id streams names the vertices:
         // each distinct id takes the next position, a source records it,

@@ -20,21 +20,6 @@ use crate::types::ScalarType;
 /// comparison sort is the guarded fallback.
 pub const RADIX_DIM_MAX: Index = 1 << 32;
 
-/// Batch length at which the radix settle kernel switches from 8-bit to
-/// 13-bit digits.  13 bits won a measured sweep (8/11/12/13/14/16) on
-/// settle-sized batches:
-/// wide enough that a full 64-bit key needs only 5 passes, narrow enough
-/// that the 8,192 scatter bucket tails (512 KB) stay cache-resident
-/// instead of thrashing like 65,536 streams do.
-const RADIX_WIDE_MIN: usize = 1 << 14;
-
-/// Batch length at which the kernel widens again to 14-bit digits.  The
-/// re-measured sweep on the split-plane layout shows 14 bits consistently
-/// ahead of 13 by ~6–9% from ~10⁵ tuples (the extra bucket tails amortise
-/// across the longer scatter; at 10⁶ every width from 12–16 measures
-/// within noise, so the mid-size winner decides).
-const RADIX_XWIDE_MIN: usize = 1 << 17;
-
 /// An append-only list of `(row, col, value)` tuples with matrix dimensions.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Coo<T> {
@@ -239,7 +224,9 @@ impl<T: ScalarType> Coo<T> {
     ///
     /// After this call the tuples are strictly increasing in `(row, col)` and
     /// [`Coo::is_sorted_dedup`] returns true.  This is the expensive step of
-    /// `GrB_Matrix_build`; its cost is `O(nnz log nnz)`.
+    /// `GrB_Matrix_build`.  Up to `2^32` dimensions it costs a few linear
+    /// passes (see [`Coo::sort_dedup_with`]); above, the comparison
+    /// fallback's `O(nnz log nnz)`.
     pub fn sort_dedup<Op: BinaryOp<T>>(&mut self, dup: Op) {
         let mut scratch = MergeScratch::default();
         self.sort_dedup_with(dup, &mut scratch);
@@ -251,7 +238,7 @@ impl<T: ScalarType> Coo<T> {
     /// tuples are swapped with the staging vectors in `scratch`; the COO's
     /// previous vectors become the next sort's staging space.
     ///
-    /// Dispatches to the packed-key LSD radix kernel when both dimensions
+    /// Dispatches to the packed-key radix kernel when both dimensions
     /// fit the 32-bit index space (the paper's `2^32 x 2^32` regime) and to
     /// the comparison sort ([`Coo::sort_dedup_comparison_with`]) otherwise.
     pub fn sort_dedup_with<Op: BinaryOp<T>>(&mut self, dup: Op, scratch: &mut MergeScratch<T>) {
@@ -267,88 +254,27 @@ impl<T: ScalarType> Coo<T> {
 
     /// The radix settle kernel: pack each `(row, col)` into a `u64` key
     /// (`row << 32 | col` — valid because both dimensions are at most
-    /// `2^32`), LSD radix-sort parallel key/value planes digit by digit
-    /// through the reusable scratch buffers, and combine duplicates with
-    /// `dup` while unpacking into the output vectors.
+    /// `2^32`), sort the keys with their values through the reusable
+    /// planes of `scratch` (the crate's one radix kernel,
+    /// [`formats::radix`](crate::formats::radix): one scatter on the top
+    /// varying bits, every bucket finished in cache), and combine
+    /// duplicates with `dup` while unpacking into the output vectors.
     ///
-    /// What makes this the streaming hot path's kernel:
-    ///
-    /// * **`O(p·n)` instead of `O(n log n)` comparisons** with `p` ≤ 8
-    ///   scatter passes over contiguous arrays, versus a comparison sort
-    ///   through a permutation index whose every comparison is two
-    ///   random-access gathers;
-    /// * **one fused histogram pass** reads the source arrays once and
-    ///   counts every digit plane simultaneously; the first scatter then
-    ///   packs keys on the fly, so the pairs buffer is never written before
-    ///   its first real use (a full round trip of memory traffic saved);
-    /// * **constant digits are skipped** — a plane whose histogram puts all
-    ///   `n` tuples in one bucket needs no pass, and a hypersparse update
-    ///   batch rarely spans the full 64-bit key space;
-    /// * **digit width adapts**: large batches use 13- then 14-bit digits
-    ///   (5 passes worst case, cache-resident bucket tails — see
-    ///   [`RADIX_WIDE_MIN`] / [`RADIX_XWIDE_MIN`]), small ones 8-bit
-    ///   digits whose histograms stay in L1;
-    /// * **the scatter is stable**, so duplicates of a cell stay in
-    ///   insertion order and order-sensitive duplicate operators
-    ///   (`First`/`Second`, "last write wins") need no re-sorting — the
-    ///   comparison path pays an extra per-run index sort for this.
+    /// The sort is stable, so duplicates of a cell stay in insertion order
+    /// and order-sensitive duplicate operators (`First`/`Second`, "last
+    /// write wins") need no re-sorting — the comparison path pays an extra
+    /// per-run index sort for this.
     fn sort_dedup_radix<Op: BinaryOp<T>>(&mut self, dup: Op, scratch: &mut MergeScratch<T>) {
         let n = self.rows.len();
-        if n == 0 {
-            self.sorted_dedup = true;
-            return;
-        }
         let MergeScratch {
-            radix_keys,
-            radix_vals,
-            radix_keys_alt,
-            radix_vals_alt,
-            radix_hist,
+            radix,
             sort_rows,
             sort_cols,
             sort_vals,
             ..
         } = scratch;
-
-        // Digit width: scatter passes are the expensive part (random
-        // 16-byte writes), so larger batches use 13- then 14-bit digits —
-        // fewer passes whose bucket tails still fit in cache (see
-        // RADIX_WIDE_MIN for the measured sweep).  The fixed-size `active`
-        // table below caps the plane count at 8, so no width under 8 bits.
-        let digit_bits: usize = if n >= RADIX_XWIDE_MIN {
-            14
-        } else if n >= RADIX_WIDE_MIN {
-            13
-        } else {
-            8
-        };
-        let nplanes = 64usize.div_ceil(digit_bits);
-        let nbuckets = 1usize << digit_bits;
-        let digit_mask = (nbuckets - 1) as u64;
-
-        // One fused pass over the source arrays counts every digit plane at
-        // once (the per-plane tables live in the persistent scratch, so no
-        // steady-state allocation).
-        radix_hist.clear();
-        radix_hist.resize(nplanes * nbuckets, 0);
-        for i in 0..n {
-            let k = (self.rows[i] << 32) | self.cols[i];
-            for p in 0..nplanes {
-                radix_hist[p * nbuckets + ((k >> (p * digit_bits)) & digit_mask) as usize] += 1;
-            }
-        }
-
-        // A plane whose histogram holds all n tuples in a single bucket is
-        // constant across the batch and needs no scatter pass.
-        let mut active = [0usize; 8];
-        let mut nactive = 0;
-        for p in 0..nplanes {
-            let plane = &radix_hist[p * nbuckets..(p + 1) * nbuckets];
-            if !plane.contains(&n) {
-                active[nactive] = p;
-                nactive += 1;
-            }
-        }
+        let pairs = self.rows.iter().zip(&self.cols).zip(&self.vals);
+        let (keys, vals) = radix.sort(pairs.map(|((&r, &c), &v)| (r << 32 | c, v)));
 
         // Buffers sized to `n` in one step grow to exactly `n`: doubling
         // would double them whenever a settle is a tuple longer than any
@@ -359,100 +285,8 @@ impl<T: ScalarType> Coo<T> {
         sort_rows.reserve_exact(n);
         sort_cols.reserve_exact(n);
         sort_vals.reserve_exact(n);
-
-        if nactive == 0 {
-            // Every tuple hits the same cell: fold the values in insertion
-            // order and emit the single entry.
-            let k = (self.rows[0] << 32) | self.cols[0];
-            let mut acc = self.vals[0];
-            for &v in &self.vals[1..] {
-                acc = dup.apply(acc, v);
-            }
-            sort_rows.push(k >> 32);
-            sort_cols.push(k & 0xFFFF_FFFF);
-            sort_vals.push(acc);
-            std::mem::swap(&mut self.rows, &mut scratch.sort_rows);
-            std::mem::swap(&mut self.cols, &mut scratch.sort_cols);
-            std::mem::swap(&mut self.vals, &mut scratch.sort_vals);
-            self.sorted_dedup = true;
-            return;
-        }
-
-        // Turn a plane's histogram into exclusive start offsets.
-        let prefix_sum = |plane: &mut [usize]| {
-            let mut sum = 0usize;
-            for slot in plane.iter_mut() {
-                let count = *slot;
-                *slot = sum;
-                sum += count;
-            }
-        };
-
-        // First scatter pass packs keys on the fly from the source arrays —
-        // the key/value planes receive their first write already in
-        // scattered order.  Remaining passes ping-pong between the two
-        // plane sets, which persist in the scratch at working-set size; the
-        // resize only adjusts the length delta (every slot is overwritten
-        // by the offset-driven scatter, so stale contents never surface),
-        // making the steady-state re-fill cost zero.  Keys and values are
-        // separate planes so the key stream stays contiguous `u64`s — the
-        // digit extract vectorises and each scatter store is 8 bytes tight
-        // instead of a padded 16-byte pair.
-        resize_exact(radix_keys, n, 0);
-        resize_exact(radix_vals, n, T::default());
-        {
-            let p = active[0];
-            let shift = p * digit_bits;
-            let plane = &mut radix_hist[p * nbuckets..(p + 1) * nbuckets];
-            prefix_sum(plane);
-            for i in 0..n {
-                let k = (self.rows[i] << 32) | self.cols[i];
-                let slot = &mut plane[((k >> shift) & digit_mask) as usize];
-                radix_keys[*slot] = k;
-                radix_vals[*slot] = self.vals[i];
-                *slot += 1;
-            }
-        }
-        if nactive > 1 {
-            resize_exact(radix_keys_alt, n, 0);
-            resize_exact(radix_vals_alt, n, T::default());
-        }
-        let mut flipped = false; // data currently in radix_keys/radix_vals
-        for &p in &active[1..nactive] {
-            let (src_k, src_v, dst_k, dst_v) = if flipped {
-                (
-                    &*radix_keys_alt,
-                    &*radix_vals_alt,
-                    &mut *radix_keys,
-                    &mut *radix_vals,
-                )
-            } else {
-                (
-                    &*radix_keys,
-                    &*radix_vals,
-                    &mut *radix_keys_alt,
-                    &mut *radix_vals_alt,
-                )
-            };
-            let shift = p * digit_bits;
-            let plane = &mut radix_hist[p * nbuckets..(p + 1) * nbuckets];
-            prefix_sum(plane);
-            for (&k, &v) in src_k.iter().zip(src_v.iter()) {
-                let slot = &mut plane[((k >> shift) & digit_mask) as usize];
-                dst_k[*slot] = k;
-                dst_v[*slot] = v;
-                *slot += 1;
-            }
-            flipped = !flipped;
-        }
-        let (keys, vals) = if flipped {
-            (&*radix_keys_alt, &*radix_vals_alt)
-        } else {
-            (&*radix_keys, &*radix_vals)
-        };
-
         // Dedup while unpacking: runs of equal keys are contiguous and in
-        // insertion order (stable scatter), so `dup` folds left-to-right.
+        // insertion order, so `dup` folds left-to-right.
         let mut i = 0;
         while i < n {
             let k = keys[i];
@@ -467,17 +301,17 @@ impl<T: ScalarType> Coo<T> {
             sort_vals.push(acc);
             i = j;
         }
-        std::mem::swap(&mut self.rows, &mut scratch.sort_rows);
-        std::mem::swap(&mut self.cols, &mut scratch.sort_cols);
-        std::mem::swap(&mut self.vals, &mut scratch.sort_vals);
+        std::mem::swap(&mut self.rows, sort_rows);
+        std::mem::swap(&mut self.cols, sort_cols);
+        std::mem::swap(&mut self.vals, sort_vals);
         self.sorted_dedup = true;
     }
 
     /// The comparison settle path: permutation sort + per-run insertion
     /// re-ordering.  This is the guarded fallback for dimensions beyond the
     /// packed-key space (`> 2^32`); it is public so the radix/comparison
-    /// equivalence property tests and the `sort_dedup` micro-benchmark can
-    /// pin this path at any dimension.
+    /// equivalence tests (`tests/radix_equivalence.rs`) can pin this path
+    /// at any dimension as the radix kernel's reference.
     pub fn sort_dedup_comparison_with<Op: BinaryOp<T>>(
         &mut self,
         dup: Op,
@@ -554,12 +388,6 @@ impl<T: ScalarType> Coo<T> {
             value_bytes: self.vals.capacity() * std::mem::size_of::<T>(),
         }
     }
-}
-
-/// `Vec::resize` that grows the allocation to exactly `n`.
-fn resize_exact<U: Clone>(v: &mut Vec<U>, n: usize, fill: U) {
-    v.reserve_exact(n.saturating_sub(v.len()));
-    v.resize(n, fill);
 }
 
 #[cfg(test)]

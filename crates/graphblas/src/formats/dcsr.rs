@@ -15,6 +15,7 @@
 use crate::error::{GrbError, GrbResult};
 use crate::formats::coo::Coo;
 use crate::formats::merge::{gallop_while, merge_row_adaptive, MergeTally, PlaneSink};
+use crate::formats::radix::RadixPlanes;
 use crate::formats::{Entry, MemoryFootprint};
 use crate::index::{validate_dims, Index};
 use crate::ops::BinaryOp;
@@ -63,20 +64,9 @@ pub struct MergeScratch<T> {
     pub(crate) sort_cols: Vec<Index>,
     /// Staging vals for the pending-tuple sort.
     pub(crate) sort_vals: Vec<T>,
-    /// Packed `(row << 32) | col` keys for the radix settle kernel.  Keys
-    /// and values live in *separate* planes (not interleaved pairs): the
-    /// digit-extract loop then reads a contiguous `u64` stream the compiler
-    /// can vectorise, and each scatter writes two tight 8-byte stores
-    /// instead of one padded 16-byte pair.
-    pub(crate) radix_keys: Vec<u64>,
-    /// Values plane parallel to `radix_keys`.
-    pub(crate) radix_vals: Vec<T>,
-    /// Scatter destination keys (ping-pongs with `radix_keys` per pass).
-    pub(crate) radix_keys_alt: Vec<u64>,
-    /// Scatter destination values (ping-pongs with `radix_vals` per pass).
-    pub(crate) radix_vals_alt: Vec<T>,
-    /// Digit histogram / offset table for the radix passes.
-    pub(crate) radix_hist: Vec<usize>,
+    /// Packed `(row << 32) | col` keys and their values for the radix
+    /// settle kernel.
+    pub(crate) radix: RadixPlanes<T>,
 }
 
 /// Manual impl: empty vectors need no bound on `T` (the derive would
@@ -92,11 +82,7 @@ impl<T> Default for MergeScratch<T> {
             sort_rows: Vec::new(),
             sort_cols: Vec::new(),
             sort_vals: Vec::new(),
-            radix_keys: Vec::new(),
-            radix_vals: Vec::new(),
-            radix_keys_alt: Vec::new(),
-            radix_vals_alt: Vec::new(),
-            radix_hist: Vec::new(),
+            radix: RadixPlanes::default(),
         }
     }
 }
@@ -112,21 +98,19 @@ impl<T: ScalarType> MergeScratch<T> {
     /// destination's previous structure (the ping-pong), so this is a real,
     /// resident cost that [`Matrix::memory`](crate::matrix::Matrix::memory)
     /// includes.
-    pub fn footprint(&self) -> crate::formats::MemoryFootprint {
-        crate::formats::MemoryFootprint {
+    pub fn footprint(&self) -> MemoryFootprint {
+        let radix = self.radix.footprint();
+        MemoryFootprint {
             index_bytes: (self.row_ids.capacity()
                 + self.col_idx.capacity()
                 + self.sort_rows.capacity()
                 + self.sort_cols.capacity())
                 * std::mem::size_of::<Index>()
-                + (self.row_ptr.capacity() + self.perm.capacity() + self.radix_hist.capacity())
-                    * std::mem::size_of::<usize>()
-                + (self.radix_keys.capacity() + self.radix_keys_alt.capacity())
-                    * std::mem::size_of::<u64>(),
+                + (self.row_ptr.capacity() + self.perm.capacity()) * std::mem::size_of::<usize>()
+                + radix.index_bytes,
             value_bytes: (self.vals.capacity() + self.sort_vals.capacity())
                 * std::mem::size_of::<T>()
-                + (self.radix_vals.capacity() + self.radix_vals_alt.capacity())
-                    * std::mem::size_of::<T>(),
+                + radix.value_bytes,
         }
     }
 
@@ -209,141 +193,6 @@ impl<T: ScalarType> MergeScratch<T> {
         };
         merge_row_adaptive(ca, va, cb, vb, op, &mut sink, tally);
         self.row_ptr.push(self.col_idx.len());
-    }
-}
-
-/// Digit width of the position-carrying radix
-/// ([`radix_sort_with_positions`]): 2,048 buckets keep a pass's write heads
-/// and its `u32` histogram (8 KiB) inside L1, and three digits cover the
-/// paper's `2^32` index space.
-const POSITION_RADIX_DIGIT_BITS: u32 = 11;
-
-/// Turn a digit histogram into exclusive start offsets.
-fn exclusive_prefix_sum(plane: &mut [u32]) {
-    let mut sum = 0u32;
-    for slot in plane {
-        let count = *slot;
-        *slot = sum;
-        sum += count;
-    }
-}
-
-/// The one size limit of the position-carrying radix and of the structures
-/// built on it ([`Dcsr::transposed`], the graph algorithms' vertex relabel):
-/// positions are `u32`.
-///
-/// # Panics
-/// Panics when `n` exceeds `u32::MAX`.
-pub(crate) fn assert_u32_positions(n: usize) {
-    assert!(
-        u32::try_from(n).is_ok(),
-        "positions are carried as u32: {n} exceeds u32::MAX"
-    );
-}
-
-/// Stable LSD radix sort of `keys` that carries every key's `u32` source
-/// position: returns `(sorted, pos)` with `sorted[i] == keys[pos[i]]`, equal
-/// keys keeping their input order.  See [`PositionRadix::sort`]; the second
-/// key/position plane pair lives only for the call.
-pub(crate) fn radix_sort_with_positions(keys: Vec<Index>) -> (Vec<Index>, Vec<u32>) {
-    let mut planes = PositionRadix {
-        keys,
-        ..PositionRadix::default()
-    };
-    planes.sort();
-    (planes.keys, planes.pos)
-}
-
-/// The planes of [`radix_sort_with_positions`], for a caller that sorts
-/// batch after batch (a column twin transposing every settle) and keeps
-/// them between calls: once they have grown to the longest batch a sort
-/// allocates nothing.
-#[derive(Debug, Default)]
-pub(crate) struct PositionRadix {
-    keys: Vec<Index>,
-    pos: Vec<u32>,
-    keys_alt: Vec<Index>,
-    pos_alt: Vec<u32>,
-    hist: Vec<u32>,
-}
-
-impl PositionRadix {
-    /// [`radix_sort_with_positions`] of a copy of `keys`; the answer is
-    /// borrowed from the planes and stands until the next call.
-    pub(crate) fn sort_slice(&mut self, keys: &[Index]) -> (&[Index], &[u32]) {
-        self.keys.clear();
-        self.keys.extend_from_slice(keys);
-        self.sort();
-        (&self.keys, &self.pos)
-    }
-
-    /// Bytes held by the planes.
-    pub(crate) fn memory_bytes(&self) -> usize {
-        (self.keys.capacity() + self.keys_alt.capacity()) * std::mem::size_of::<Index>()
-            + (self.pos.capacity() + self.pos_alt.capacity() + self.hist.capacity())
-                * std::mem::size_of::<u32>()
-    }
-
-    /// Sort `self.keys` in place, leaving every key's source position in
-    /// `self.pos`.
-    ///
-    /// [`POSITION_RADIX_DIGIT_BITS`]-bit digits; digits on which every key
-    /// agrees are skipped, so ids above `2^32` are just more passes, and the
-    /// histograms of all varying digits come from one shared read of the keys
-    /// (a digit's distribution does not depend on the order of passes).
-    /// `O(passes * n)`, no comparisons.
-    ///
-    /// # Panics
-    /// Panics when there are more than `u32::MAX` keys
-    /// ([`assert_u32_positions`]).
-    fn sort(&mut self) {
-        const BUCKETS: usize = 1 << POSITION_RADIX_DIGIT_BITS;
-        const DIGIT_MASK: u64 = BUCKETS as u64 - 1;
-
-        let n = self.keys.len();
-        assert_u32_positions(n);
-        self.pos.clear();
-        self.pos.extend(0..n as u32);
-        let Some(&first) = self.keys.first() else {
-            return;
-        };
-
-        // Digits worth a pass: those on which some key differs from the
-        // first.  With none (a single distinct key) the input order already
-        // is the answer.
-        let varying = self.keys.iter().fold(0u64, |m, &c| m | (c ^ first));
-        let mut shifts = [0u32; u64::BITS.div_ceil(POSITION_RADIX_DIGIT_BITS) as usize];
-        let mut passes = 0;
-        for s in (0..u64::BITS).step_by(POSITION_RADIX_DIGIT_BITS as usize) {
-            if (varying >> s) & DIGIT_MASK != 0 {
-                shifts[passes] = s;
-                passes += 1;
-            }
-        }
-        let shifts = &shifts[..passes];
-        self.hist.clear();
-        self.hist.resize(passes * BUCKETS, 0);
-        for &c in &self.keys {
-            for (plane, &s) in self.hist.chunks_exact_mut(BUCKETS).zip(shifts) {
-                plane[((c >> s) & DIGIT_MASK) as usize] += 1;
-            }
-        }
-
-        // (key, source position) planes, stably re-scattered once per varying
-        // digit, least significant first.
-        self.keys_alt.resize(n, 0);
-        self.pos_alt.resize(n, 0);
-        for (plane, &s) in self.hist.chunks_exact_mut(BUCKETS).zip(shifts) {
-            exclusive_prefix_sum(plane);
-            for (&c, &p) in self.keys.iter().zip(&self.pos) {
-                let slot = &mut plane[((c >> s) & DIGIT_MASK) as usize];
-                self.keys_alt[*slot as usize] = c;
-                self.pos_alt[*slot as usize] = p;
-                *slot += 1;
-            }
-            std::mem::swap(&mut self.keys, &mut self.keys_alt);
-            std::mem::swap(&mut self.pos, &mut self.pos_alt);
-        }
     }
 }
 
@@ -723,12 +572,13 @@ impl<T: ScalarType> Dcsr<T> {
     ///
     /// The source is already sorted and duplicate-free, so the transpose is
     /// a *stable sort by column alone*: rows then come out ascending inside
-    /// every column for free.  One position-carrying radix over the column
-    /// ids ([`radix_sort_with_positions`]; a `2^40`-wide matrix is just
-    /// more passes), then one gather writes the four output arrays at exact
-    /// capacity.  `O(passes * nnz)`, no comparison sort, no dedup; the two
-    /// key/position plane pairs and the expanded source-row table (32 bytes
-    /// per entry together) live only for the call.
+    /// every column for free.  One position-carrying sort of the column ids
+    /// ([`RadixPlanes::sort_positions`]: one scatter on the top varying
+    /// column bits, every bucket finished in cache, at any width), then one
+    /// gather writes the four output arrays at exact capacity.  No
+    /// comparison sort, no dedup; the two key/position plane pairs and the
+    /// expanded source-row table (32 bytes per entry together) live only for
+    /// the call.
     ///
     /// # Panics
     /// Panics when the structure holds more than `u32::MAX` entries.
@@ -737,7 +587,8 @@ impl<T: ScalarType> Dcsr<T> {
         if n == 0 {
             return Dcsr::new(self.ncols, self.nrows);
         }
-        let (keys, pos) = radix_sort_with_positions(self.col_idx.clone());
+        let mut planes = RadixPlanes::default();
+        let (keys, pos) = planes.sort_positions(&self.col_idx);
 
         // Gather.  `src_rows[p]` is the row of source entry `p`.
         let mut src_rows = Vec::with_capacity(n);

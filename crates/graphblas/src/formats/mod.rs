@@ -12,6 +12,7 @@
 pub mod coo;
 pub mod dcsr;
 pub mod merge;
+pub(crate) mod radix;
 
 use crate::index::Index;
 

@@ -11,7 +11,8 @@
 
 use crate::error::{GrbError, GrbResult};
 use crate::formats::coo::Coo;
-use crate::formats::dcsr::{Dcsr, MergeScratch, PositionRadix};
+use crate::formats::dcsr::{Dcsr, MergeScratch};
+use crate::formats::radix::RadixPlanes;
 use crate::formats::{Entry, MemoryFootprint};
 use crate::index::{validate_dims, validate_index, Index};
 use crate::level_read::LevelStore;
@@ -62,7 +63,7 @@ pub struct Matrix<T> {
 struct ColTwin<T> {
     dcsr: Arc<Dcsr<T>>,
     scratch: MergeScratch<T>,
-    radix: PositionRadix,
+    radix: RadixPlanes<u32>,
     /// The batch's rows and values in column-major order (its sorted
     /// columns stay in `radix`).
     rows: Vec<Index>,
@@ -74,7 +75,7 @@ impl<T> ColTwin<T> {
         Self {
             dcsr,
             scratch: MergeScratch::default(),
-            radix: PositionRadix::default(),
+            radix: RadixPlanes::default(),
             rows: Vec::new(),
             vals: Vec::new(),
         }
@@ -89,7 +90,7 @@ impl<T: ScalarType> ColTwin<T> {
     /// A reader still holding the old twin keeps it (copy-on-write).
     fn settle<Op: BinaryOp<T>>(&mut self, batch: &Coo<T>, dup: Op) {
         let (rows, cols, vals) = batch.parts();
-        let (cols, pos) = self.radix.sort_slice(cols);
+        let (cols, pos) = self.radix.sort_positions(cols);
         self.rows.clear();
         self.rows.extend(pos.iter().map(|&p| rows[p as usize]));
         self.vals.clear();
@@ -106,7 +107,7 @@ impl<T: ScalarType> ColTwin<T> {
     fn memory(&self) -> MemoryFootprint {
         let (d, sc) = (self.dcsr.memory(), self.scratch.footprint());
         let planes =
-            self.radix.memory_bytes() + self.rows.capacity() * std::mem::size_of::<Index>();
+            self.radix.footprint().total() + self.rows.capacity() * std::mem::size_of::<Index>();
         MemoryFootprint {
             index_bytes: d.index_bytes + sc.index_bytes + planes,
             value_bytes: d.value_bytes
@@ -507,9 +508,9 @@ impl<T: ScalarType> Matrix<T> {
     /// lookup on the twin — O(k) instead of an O(nnz) sweep.
     ///
     /// Lazy and kept: the first call settles pending tuples and builds the
-    /// transpose — one stable radix over the column ids plus one gather,
-    /// `O(nnz)` per varying 11-bit column digit (three for a `2^32`-wide
-    /// matrix), through buffers that live only for the call.  From then on
+    /// transpose — one stable radix sort of the column ids (one scatter on
+    /// their top varying bits, every bucket finished in cache) plus one
+    /// gather, through buffers that live only for the call.  From then on
     /// the twin is merged forward — a settle merges its batch into it
     /// transposed, [`Matrix::accum_matrix_op`] merges the source's twin into
     /// it (or drops it when the source has none) — so a held twin is always

@@ -6,8 +6,8 @@ use crate::types::ScalarType;
 /// `C = Aᵀ`.
 ///
 /// Settles `a`'s pending tuples into a copy if it has any, then runs the
-/// column-radix transpose kernel on the settled structure: `O(nnz)` per
-/// varying 11-bit column digit (three passes for a `2^32`-wide matrix), no
+/// column-radix transpose kernel on the settled structure: one scatter on
+/// the top varying column bits, every bucket finished in cache, no
 /// comparison sort.  For a traffic matrix this converts "traffic by source"
 /// into "traffic by destination".
 pub fn transpose<T: ScalarType>(a: &Matrix<T>) -> Matrix<T> {

@@ -50,8 +50,8 @@ use std::sync::Arc;
 /// serves in-degree / in-degree-top-k / in-degree-histogram in O(1)/O(k),
 /// and per-level column twins ([`Matrix::col_shadow`]) serve column
 /// extracts and column-range scans in O(k) per level.  A twin is built by
-/// the first column read of its level — one radix pass per varying 11-bit
-/// column digit plus a gather over the level's entries — and from then on
+/// the first column read of its level — one radix sort of the column ids
+/// plus a gather over the level's entries — and from then on
 /// rides the settle: each level-0 batch merges into level 0's twin
 /// transposed and a cascade merges twin into twin, so a column read after
 /// a batch finds every twin current.  Only a cascade into an *empty* level

@@ -1,5 +1,5 @@
 //! Property-based equivalence of the two settle-sort kernels: the
-//! packed-key LSD radix sort (dimensions ≤ 2^32, the dispatcher's choice
+//! packed-key MSD radix sort (dimensions ≤ 2^32, the dispatcher's choice
 //! for the paper's IPv4 matrices) must produce **byte-identical**
 //! `(rows, cols, vals)` to the comparison sort it replaced, for every
 //! duplicate-combination operator — including the order-sensitive
@@ -123,28 +123,75 @@ proptest! {
     }
 }
 
-// The duplicate-heavy regime at a settle size that crosses the kernel's
-// wide-digit threshold, so the 13-bit digit path (and its histogram
-// reuse across settles) is exercised — too slow for proptest, run once.
+/// splitmix64's output function: uniform 64-bit keys from a counter.
+fn mix(i: u64) -> u64 {
+    let mut z = i.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// The packed key `k` as an update with value `v`.
+fn cell(k: u64, v: u64) -> (u64, u64, u64) {
+    (k >> 32, k & (DIM - 1), v)
+}
+
+/// `n` updates over uniform 64-bit packed keys; every fourth repeats an
+/// earlier cell.  Values are distinct, so `First`/`Second` see the order.
+fn uniform(n: u64) -> Vec<(u64, u64, u64)> {
+    (0..n)
+        .map(|i| cell(mix(if i % 4 == 3 { i / 2 } else { i }), i))
+        .collect()
+}
+
+// The shapes the MSD kernel's partition has to get right, too slow for
+// proptest, run once each: uniform keys around the rank-sort and
+// partition-width boundaries and at settle sizes; one hub row holding most
+// cells; an outlier with bit 63 set over a block agreeing on all but the
+// low bits (the deepest recursion); all keys equal; one cell repeated
+// among uniform cells (a bucket of equal keys beside others); the index
+// space's ends.
 #[test]
-fn wide_digit_path_matches_comparison() {
-    let mut scratch = MergeScratch::new();
-    for round in 0..3u64 {
-        let updates: Vec<(u64, u64, u64)> = (0..40_000u64)
-            .map(|i| {
-                (
-                    (i.wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                        .rotate_left(7 + round as u32))
-                        % DIM,
-                    (i.wrapping_mul(0xBF58_476D_1CE4_E5B9)) % DIM,
-                    i % 97,
-                )
+fn settle_shapes_match_comparison_and_model() {
+    let mut shapes: Vec<Vec<(u64, u64, u64)>> = [1, 2, 24, 25, 48, 49, 1 << 14, 1 << 17, 200_000]
+        .into_iter()
+        .map(uniform)
+        .collect();
+    let n = 1u64 << 14;
+    shapes.push(
+        (0..n)
+            .map(|i| match i % 8 {
+                0 => cell(mix(i), i),
+                _ => (0x8765_4321, mix(i) & 0xFFF, i),
             })
-            .collect();
-        let mut radix = build_coo(&updates, DIM);
-        radix.sort_dedup_with(Second, &mut scratch);
-        let mut cmp = build_coo(&updates, DIM);
-        cmp.sort_dedup_comparison_with(Second, &mut scratch);
-        assert_eq!(radix.parts(), cmp.parts(), "round {round}");
+            .collect(),
+    );
+    let mut outlier: Vec<(u64, u64, u64)> = (0..n)
+        .map(|i| (5, 0xABC0_0000 | (mix(i) & 0xFF), i))
+        .collect();
+    outlier.insert(n as usize / 2, (1 << 31, 7, n));
+    shapes.push(outlier);
+    shapes.push((0..4096).map(|i| (9, 9, i)).collect());
+    shapes.push(
+        (0..n)
+            .map(|i| {
+                if i % 4 == 0 {
+                    (9, 9, i)
+                } else {
+                    cell(mix(i) | 1 << 63, i)
+                }
+            })
+            .collect(),
+    );
+    shapes.push(
+        (0..1000)
+            .map(|i| {
+                let end = |x: u64| [0, DIM - 1, x & (DIM - 1)][(x % 3) as usize];
+                (end(mix(i)), end(mix(i + 1000)), i)
+            })
+            .collect(),
+    );
+    for updates in &shapes {
+        check_all_ops(updates, DIM);
     }
 }
