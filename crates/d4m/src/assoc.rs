@@ -122,16 +122,6 @@ impl Assoc {
         self.row_keys.keys().map(|s| s.as_str()).collect()
     }
 
-    /// The dense backing-matrix row index of `key`, if seen.
-    pub fn row_index_of(&self, key: &str) -> Option<u64> {
-        self.row_keys.get(key).copied()
-    }
-
-    /// The dense backing-matrix column index of `key`, if seen.
-    pub fn col_index_of(&self, key: &str) -> Option<u64> {
-        self.col_keys.get(key).copied()
-    }
-
     /// The row key behind dense index `idx` (insertion order).
     pub fn row_name(&self, idx: u64) -> Option<&str> {
         self.row_names.get(idx as usize).map(|s| s.as_str())

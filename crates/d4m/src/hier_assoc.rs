@@ -11,7 +11,10 @@
 
 use crate::assoc::Assoc;
 use hyperstream_graphblas::index::MAX_DIM;
-use hyperstream_graphblas::{GrbError, GrbResult, Index, MatrixReader, ScalarType, StreamingSink};
+use hyperstream_graphblas::ops::binary::Plus;
+use hyperstream_graphblas::{
+    Answer, GrbError, GrbResult, Index, Matrix, MatrixReader, Query, ScalarType, StreamingSink,
+};
 use std::collections::BTreeMap;
 
 /// Cut schedule for a hierarchical associative array.
@@ -214,39 +217,38 @@ impl<V: ScalarType> StreamingSink<V> for HierAssoc {
 }
 
 impl HierAssoc {
-    /// Settle every level so the backing matrices expose their complete
-    /// content to the read paths.
-    fn settle_levels(&mut self) {
+    /// The represented array as one flat matrix over the decimal keys: every
+    /// level's cells summed in `f64`, in level order, then converted to `V`.
+    /// Keys that are not decimal ids below [`MAX_DIM`] (possible only when
+    /// the array was fed strings directly, outside the integer-keyed
+    /// harness) are left out.
+    fn flat<V: ScalarType>(&mut self) -> Matrix<V> {
+        let id = |name: Option<&str>| name?.parse::<u64>().ok().filter(|&k| k < MAX_DIM);
+        let mut cells: BTreeMap<(u64, u64), f64> = BTreeMap::new();
         for level in &mut self.levels {
             level.settle();
-        }
-    }
-
-    /// Accumulate one level's row (identified by its decimal string key)
-    /// into a numeric column accumulator.  Non-numeric keys (possible only
-    /// when the array was fed strings directly, outside the integer-keyed
-    /// harness) are skipped.
-    fn fold_level_row(level: &Assoc, key: &str, acc: &mut BTreeMap<u64, f64>) {
-        let Some(ri) = level.row_index_of(key) else {
-            return;
-        };
-        let Some((cols, vals)) = level.matrix().dcsr().row(ri) else {
-            return;
-        };
-        for (j, &cj) in cols.iter().enumerate() {
-            if let Some(c) = level.col_name(cj).and_then(|n| n.parse::<u64>().ok()) {
-                *acc.entry(c).or_insert(0.0) += vals[j];
+            for (ri, ci, v) in level.matrix().dcsr().iter() {
+                if let (Some(r), Some(c)) = (id(level.row_name(ri)), id(level.col_name(ci))) {
+                    *cells.entry((r, c)).or_insert(0.0) += v;
+                }
             }
         }
+        let (mut rows, mut cols, mut vals) = (Vec::new(), Vec::new(), Vec::new());
+        for ((r, c), v) in cells {
+            rows.push(r);
+            cols.push(c);
+            vals.push(V::from_f64(v));
+        }
+        Matrix::from_tuples(MAX_DIM, MAX_DIM, &rows, &cols, &vals, Plus)
+            .expect("distinct ids below MAX_DIM build")
     }
 }
 
 /// The D4M read path driven by integer indices, mirroring the sink: keys
-/// are the decimal strings of `row` / `col`, and the string machinery
-/// (key-map lookups, name decoding) stays *inside* every query — the cost
-/// the "Hierarchical D4M vs Hierarchical GraphBLAS" comparison measures.
-/// Answers merge the per-level associative arrays numerically, so they are
-/// byte-identical to the GraphBLAS systems' answers for the same stream.
+/// are the decimal strings of `row` / `col`.  Every query is answered by a
+/// flat matrix built from the levels' cells, decoded from their string
+/// keys and summed numerically, so answers are byte-identical to the
+/// GraphBLAS systems' answers for the same stream.
 impl<V: ScalarType> MatrixReader<V> for HierAssoc {
     fn reader_name(&self) -> &str {
         "hier-d4m"
@@ -258,37 +260,8 @@ impl<V: ScalarType> MatrixReader<V> for HierAssoc {
         (MAX_DIM, MAX_DIM)
     }
 
-    fn read_get(&mut self, row: Index, col: Index) -> Option<V> {
-        self.get(&row.to_string(), &col.to_string())
-            .map(V::from_f64)
-    }
-
-    fn read_row(&mut self, row: Index, out: &mut Vec<(Index, V)>) {
-        self.settle_levels();
-        let key = row.to_string();
-        let mut acc: BTreeMap<u64, f64> = BTreeMap::new();
-        for level in &self.levels {
-            Self::fold_level_row(level, &key, &mut acc);
-        }
-        out.clear();
-        out.extend(acc.into_iter().map(|(c, v)| (c, V::from_f64(v))));
-    }
-
-    fn read_entries(&mut self, f: &mut dyn FnMut(Index, Index, V)) {
-        self.settle_levels();
-        let mut acc: BTreeMap<(u64, u64), f64> = BTreeMap::new();
-        for level in &self.levels {
-            for (ri, ci, v) in level.matrix().dcsr().iter() {
-                let row = level.row_name(ri).and_then(|n| n.parse::<u64>().ok());
-                let col = level.col_name(ci).and_then(|n| n.parse::<u64>().ok());
-                if let (Some(r), Some(c)) = (row, col) {
-                    *acc.entry((r, c)).or_insert(0.0) += v;
-                }
-            }
-        }
-        for ((r, c), v) in acc {
-            f(r, c, V::from_f64(v));
-        }
+    fn answer(&mut self, q: &Query) -> Answer<V> {
+        self.flat().answer(q)
     }
 }
 

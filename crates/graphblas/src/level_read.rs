@@ -4,10 +4,12 @@
 //! [`MatrixSnapshot`](crate::snapshot::MatrixSnapshot), a hierarchy and a
 //! windowed hierarchy all represent their matrix as a list of settled
 //! row-major [`Dcsr`] levels summed under `+`.  How such a store answers
-//! each read kind is one decision, made here once:
+//! each [`Query`] kind is one decision, made here once, in one `match`
+//! ([`MatrixReader::answer`] of the blanket impl below):
 //!
 //! * **extracts and scans** (point, row, entries, row range, batched rows
 //!   and gets) fold the level list through the [`crate::cursor`] kernels;
+//!   the visitor kinds collect what the kernel visits;
 //! * **degree-centric answers** (nnz, degree, reduce, top-k, histogram)
 //!   come from the store's [`DegreeIndexView`] when it has one, else from
 //!   a cursor sweep — which is observed ("is a stats view present"), never
@@ -15,9 +17,14 @@
 //!   the row-major levels;
 //! * **the column half of the vocabulary is the row half on the other
 //!   side**: the column twins are the levels of the transpose, row-major
-//!   in `(col, row)`, so `read_col` is a row extract on the twins,
-//!   `read_col_range` a row range with the emit swapped back, and the
-//!   column degree answers the stats-or-sweep answer of the column side.
+//!   in `(col, row)`, so a column is a row extract on the twins (checked
+//!   against the row-major levels in debug builds), a column range a row
+//!   range with the emit swapped back, and the column degree answers the
+//!   stats-or-sweep answer of the column side.
+//!
+//! Besides `answer` the impl keeps `read_row` and `read_col`, on the same
+//! helpers as the `Row` and `Col` arms, so an extract into a caller's
+//! reused buffer allocates nothing.
 //!
 //! A store implements [`LevelStore`] — only what actually differs: name
 //! and dims, where its levels, twins and optional stats come from — and
@@ -32,7 +39,7 @@ use crate::degree_index::DegreeIndexView;
 use crate::formats::dcsr::Dcsr;
 use crate::index::Index;
 use crate::ops::binary::Plus;
-use crate::reader::{CursorReader, MatrixReader};
+use crate::reader::{Answer, CursorReader, MatrixReader, Query};
 use crate::types::ScalarType;
 use std::collections::BTreeMap;
 
@@ -87,26 +94,6 @@ enum Side {
     Cols,
 }
 
-impl Side {
-    fn stats<S: LevelStore>(self, s: &mut S) -> Option<&mut DegreeIndexView<S::Value>> {
-        match self {
-            Side::Rows => s.row_stats(),
-            Side::Cols => s.col_stats(),
-        }
-    }
-
-    fn with_levels<S: LevelStore, R>(
-        self,
-        s: &mut S,
-        f: impl FnOnce(&[&Dcsr<S::Value>]) -> R,
-    ) -> R {
-        match self {
-            Side::Rows => s.with_levels(f),
-            Side::Cols => s.with_twins(f),
-        }
-    }
-}
-
 /// Two `+`-reductions agree: exactly for the integer scalars, to relative
 /// rounding for `f64` (the stats fold in arrival order, a sweep in level
 /// order).
@@ -134,8 +121,15 @@ fn stats_or_sweep<S: LevelStore, R: std::fmt::Debug>(
     col_sweep: impl Fn(&[&Dcsr<S::Value>]) -> R,
     agrees: impl Fn(&R, &R) -> bool,
 ) -> R {
-    let Some(stats) = side.stats(s) else {
-        return side.with_levels(s, sweep);
+    let stats = match side {
+        Side::Rows => s.row_stats(),
+        Side::Cols => s.col_stats(),
+    };
+    let Some(stats) = stats else {
+        return match side {
+            Side::Rows => s.with_levels(sweep),
+            Side::Cols => s.with_twins(sweep),
+        };
     };
     let answer = indexed(stats);
     debug_assert!(
@@ -195,6 +189,40 @@ fn histogram<S: LevelStore>(s: &mut S, side: Side) -> BTreeMap<u64, u64> {
     )
 }
 
+/// Row `row` into `out`: a k-way merge of the per-level row runs.
+fn row_into<S: LevelStore>(s: &mut S, row: Index, out: &mut Vec<(Index, S::Value)>) {
+    s.with_levels(|lv| merged_row_into(lv, row, Plus, out));
+}
+
+/// Column `col` into `out`: a row extract on the twins — one binary search
+/// per twin, then a k-way merge of the per-twin column runs.
+fn col_into<S: LevelStore>(s: &mut S, col: Index, out: &mut Vec<(Index, S::Value)>) {
+    s.with_twins(|lv| merged_row_into(lv, col, Plus, out));
+    debug_assert_eq!(
+        *out,
+        s.with_levels(|lv| {
+            let mut swept = Vec::new();
+            merged_col_into(lv, col, Plus, &mut swept);
+            swept
+        }),
+        "column twin diverged from the row-major levels for column {col}"
+    );
+}
+
+/// What a line kernel fills, as an answer.
+fn line<V>(fill: impl FnOnce(&mut Vec<(Index, V)>)) -> Answer<V> {
+    let mut out = Vec::new();
+    fill(&mut out);
+    Answer::Line(out)
+}
+
+/// What a visitor kernel emits, collected in visiting order.
+fn collected<V>(walk: impl FnOnce(&mut dyn FnMut(Index, Index, V))) -> Answer<V> {
+    let mut all = Vec::new();
+    walk(&mut |r, c, v| all.push((r, c, v)));
+    Answer::Entries(all)
+}
+
 impl<S: LevelStore> MatrixReader<S::Value> for S {
     fn reader_name(&self) -> &str {
         self.store_name()
@@ -204,106 +232,66 @@ impl<S: LevelStore> MatrixReader<S::Value> for S {
         self.store_dims()
     }
 
-    fn read_get(&mut self, row: Index, col: Index) -> Option<S::Value> {
-        self.point_get(row, col)
-    }
-
-    fn read_row(&mut self, row: Index, out: &mut Vec<(Index, S::Value)>) {
-        self.with_levels(|lv| merged_row_into(lv, row, Plus, out));
-    }
-
-    fn read_entries(&mut self, f: &mut dyn FnMut(Index, Index, S::Value)) {
-        self.with_levels(|lv| for_each_merged(lv, Plus, f));
-    }
-
-    fn read_row_range(&mut self, lo: Index, hi: Index, f: &mut dyn FnMut(Index, Index, S::Value)) {
-        self.with_levels(|lv| merged_row_range(lv, lo, hi, Plus, f));
-    }
-
-    fn read_nnz(&mut self) -> usize {
-        stats_or_sweep(
-            self,
-            Side::Rows,
-            |ix| ix.nnz(),
-            merged_nnz,
-            merged_nnz,
-            PartialEq::eq,
-        )
-    }
-
-    fn read_row_degree(&mut self, row: Index) -> usize {
-        degree(self, Side::Rows, row)
-    }
-
-    fn read_row_reduce(&mut self, row: Index) -> Option<S::Value> {
-        reduce(self, Side::Rows, row)
-    }
-
-    fn read_top_k(&mut self, k: usize) -> Vec<(Index, usize)> {
-        top_k(self, Side::Rows, k)
-    }
-
-    fn read_degree_histogram(&mut self) -> BTreeMap<u64, u64> {
-        histogram(self, Side::Rows)
-    }
-
-    /// A row extract on the twins: one binary search per twin, then a
-    /// k-way merge of the per-twin column runs.
-    fn read_col(&mut self, col: Index, out: &mut Vec<(Index, S::Value)>) {
-        self.with_twins(|lv| merged_row_into(lv, col, Plus, out));
-        debug_assert_eq!(
-            *out,
-            self.with_levels(|lv| {
-                let mut swept = Vec::new();
-                merged_col_into(lv, col, Plus, &mut swept);
-                swept
-            }),
-            "column twin diverged from the row-major levels for column {col}"
-        );
-    }
-
-    fn read_col_degree(&mut self, col: Index) -> usize {
-        degree(self, Side::Cols, col)
-    }
-
-    fn read_col_reduce(&mut self, col: Index) -> Option<S::Value> {
-        reduce(self, Side::Cols, col)
-    }
-
-    fn read_in_top_k(&mut self, k: usize) -> Vec<(Index, usize)> {
-        top_k(self, Side::Cols, k)
-    }
-
-    fn read_in_degree_histogram(&mut self) -> BTreeMap<u64, u64> {
-        histogram(self, Side::Cols)
-    }
-
-    /// A row-range walk over the twins is already the column-major
-    /// contract order; only the emit swaps back to `(row, col, value)`.
-    fn read_col_range(&mut self, lo: Index, hi: Index, f: &mut dyn FnMut(Index, Index, S::Value)) {
-        self.with_twins(|lv| merged_row_range(lv, lo, hi, Plus, &mut |c, r, v| f(r, c, v)));
-    }
-
-    /// One settle for the whole batch.
-    fn read_rows(&mut self, rows: &[Index]) -> Vec<Vec<(Index, S::Value)>> {
-        self.with_levels(|lv| {
-            rows.iter()
-                .map(|&row| {
-                    let mut out = Vec::new();
-                    merged_row_into(lv, row, Plus, &mut out);
-                    out
+    fn answer(&mut self, q: &Query) -> Answer<S::Value> {
+        match q {
+            Query::Get(row, col) => Answer::Value(self.point_get(*row, *col)),
+            Query::Row(row) => line(|out| row_into(self, *row, out)),
+            Query::RowDegree(row) => Answer::Count(degree(self, Side::Rows, *row)),
+            Query::RowReduce(row) => Answer::Value(reduce(self, Side::Rows, *row)),
+            Query::TopK(k) => Answer::Ranked(top_k(self, Side::Rows, *k)),
+            Query::Nnz => Answer::Count(stats_or_sweep(
+                self,
+                Side::Rows,
+                |ix| ix.nnz(),
+                merged_nnz,
+                merged_nnz,
+                PartialEq::eq,
+            )),
+            Query::Entries => collected(|f| self.with_levels(|lv| for_each_merged(lv, Plus, f))),
+            Query::RowRange(lo, hi) => {
+                collected(|f| self.with_levels(|lv| merged_row_range(lv, *lo, *hi, Plus, f)))
+            }
+            Query::DegreeHistogram => Answer::Histogram(histogram(self, Side::Rows)),
+            Query::Col(col) => line(|out| col_into(self, *col, out)),
+            Query::ColDegree(col) => Answer::Count(degree(self, Side::Cols, *col)),
+            Query::ColReduce(col) => Answer::Value(reduce(self, Side::Cols, *col)),
+            Query::InTopK(k) => Answer::Ranked(top_k(self, Side::Cols, *k)),
+            Query::InDegreeHistogram => Answer::Histogram(histogram(self, Side::Cols)),
+            // A row-range walk over the twins is already the column-major
+            // contract order; only the emit swaps back to `(row, col, value)`.
+            Query::ColRange(lo, hi) => collected(|f| {
+                self.with_twins(|lv| {
+                    merged_row_range(lv, *lo, *hi, Plus, &mut |c, r, v| f(r, c, v))
                 })
-                .collect()
-        })
+            }),
+            // One settle for the whole batch.
+            Query::Rows(rows) => Answer::Lines(self.with_levels(|lv| {
+                rows.iter()
+                    .map(|&row| {
+                        let mut out = Vec::new();
+                        merged_row_into(lv, row, Plus, &mut out);
+                        out
+                    })
+                    .collect()
+            })),
+            // One settle, then two binary searches per key per level.
+            Query::GetMany(keys) => Answer::Values(self.with_levels(|lv| {
+                keys.iter()
+                    .map(|&(row, col)| merged_point(lv, row, col, Plus))
+                    .collect()
+            })),
+        }
     }
 
-    /// One settle, then two binary searches per key per level.
-    fn read_get_many(&mut self, keys: &[(Index, Index)]) -> Vec<Option<S::Value>> {
-        self.with_levels(|lv| {
-            keys.iter()
-                .map(|&(row, col)| merged_point(lv, row, col, Plus))
-                .collect()
-        })
+    /// Kept beside [`Self::answer`] so that an extract into a reused buffer
+    /// allocates nothing.
+    fn read_row(&mut self, row: Index, out: &mut Vec<(Index, S::Value)>) {
+        row_into(self, row, out);
+    }
+
+    /// Kept beside [`Self::answer`] for the same reason as `read_row`.
+    fn read_col(&mut self, col: Index, out: &mut Vec<(Index, S::Value)>) {
+        col_into(self, col, out);
     }
 }
 

@@ -118,9 +118,7 @@ pub mod prelude {
     pub use crate::ops::transpose::transpose;
     pub use crate::ops::unary::{AInv, Abs, Identity, MInv, One};
     pub use crate::ops::{BinaryOp, Monoid, Semiring, UnaryOp};
-    pub use crate::reader::{
-        read_tuples, Answer, CursorReader, MatrixReader, Query, StreamingSystem,
-    };
+    pub use crate::reader::{Answer, CursorReader, MatrixReader, Query, StreamingSystem};
     pub use crate::sink::StreamingSink;
     pub use crate::snapshot::MatrixSnapshot;
     pub use crate::types::ScalarType;

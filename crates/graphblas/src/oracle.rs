@@ -20,7 +20,7 @@ use crate::matrix::Matrix;
 use crate::ops::binary::Second;
 use crate::ops::semiring::{MinFirst, MinSecond, PlusTimes};
 use crate::ops::{BinaryOp, Semiring};
-use crate::reader::{read_tuples, MatrixReader};
+use crate::reader::MatrixReader;
 use crate::types::ScalarType;
 use crate::vector::SparseVector;
 use std::cmp::Ordering;
@@ -129,7 +129,7 @@ where
 }
 
 /// What the graph references work on: the reader's stored cells, pulled
-/// through its plain entry cursor, and the side `n = max(nrows, ncols)` of
+/// through its plain entry scan, and the side `n = max(nrows, ncols)` of
 /// the square every vertex id fits in — the size the product algorithms
 /// give their results, so a test compares whole vectors.
 fn cells<V, R>(a: &mut R) -> (Index, Vec<Index>, Vec<Index>)
@@ -137,7 +137,11 @@ where
     V: ScalarType,
     R: MatrixReader<V> + ?Sized,
 {
-    let (rows, cols, _) = read_tuples(a);
+    let (mut rows, mut cols) = (Vec::new(), Vec::new());
+    a.read_entries(&mut |r, c, _| {
+        rows.push(r);
+        cols.push(c);
+    });
     let (nrows, ncols) = a.read_dims();
     (nrows.max(ncols), rows, cols)
 }

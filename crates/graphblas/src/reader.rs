@@ -6,13 +6,15 @@
 //! source talk to?"), degree counts ("how many distinct destinations?"),
 //! top-k fan-out scans ("scanner candidates"), point gets and full sorted
 //! sweeps — all interleaved with the update stream.  `MatrixReader` is that
-//! contract.  Implementations answer from their native structures without
-//! building a merged copy of the matrix first: every store whose content is
-//! a list of settled levels (the flat matrix, snapshots, the hierarchy, the
-//! windowed hierarchy) through the single implementation in
-//! [`crate::level_read`]; the sharded engine through its worker pool; the
-//! D4M associative array from its string-keyed levels, implementing only
-//! the required methods and taking the provided sweep defaults below.
+//! contract.  A read is a [`Query`] value, and a reader implements one data
+//! method, [`MatrixReader::answer`], as one `match` over the query kinds;
+//! the `read_*` methods wrap it.  Every store whose content is a list of
+//! settled levels (the flat matrix, snapshots, the hierarchy, the windowed
+//! hierarchy) answers through the single implementation in
+//! [`crate::level_read`], from its native structures and without building a
+//! merged copy of the matrix first; the sharded engine answers through its
+//! worker pool; the D4M associative array from one flat matrix of its
+//! summed cells.
 //!
 //! Query methods take `&mut self`: a reader may complete cheap deferred
 //! work (settle a pending-tuple buffer, refresh an index segment, drain an
@@ -24,9 +26,16 @@
 use crate::index::Index;
 use crate::sink::StreamingSink;
 use crate::types::ScalarType;
+use std::collections::BTreeMap;
 
-/// A queryable matrix of `V` values: point get, row extract, per-row
-/// degree/reduce, top-k rows by degree, nnz and sorted entry iteration.
+/// A queryable matrix of `V` values: point get, row and column extracts,
+/// degrees and reductions, top-k by degree, histograms, nnz, sorted entry
+/// and range scans, and batched reads.
+///
+/// A reader implements [`reader_name`](Self::reader_name),
+/// [`read_dims`](Self::read_dims) and [`answer`](Self::answer).  Each
+/// `read_*` method wraps `answer`, asking it the [`Query`] of its kind; a
+/// reader overrides one only to fill a caller's buffer without allocating.
 ///
 /// ## Contract
 ///
@@ -35,7 +44,7 @@ use crate::types::ScalarType;
 ///   [`flush`](StreamingSink::flush) first.
 /// * [`read_entries`](MatrixReader::read_entries) visits entries in
 ///   row-major `(row, col)` ascending order with duplicates already
-///   combined — the order the provided defaults rely on.
+///   combined.
 /// * [`read_top_k`](MatrixReader::read_top_k) orders by degree descending,
 ///   ties broken by ascending row id, so answers are byte-identical across
 ///   systems.
@@ -47,6 +56,8 @@ use crate::types::ScalarType;
 /// * Values accumulate under the `+` monoid of `V` (the paper's update
 ///   model); [`read_row_reduce`](MatrixReader::read_row_reduce) reduces
 ///   with the same monoid.
+/// * A `k` comes from the caller and may exceed anything that could be
+///   allocated: it never sizes an allocation.
 ///
 /// The trait is object-safe: the measurement harness queries every system
 /// through `Box<dyn StreamingSystem<u64>>`.
@@ -59,149 +70,75 @@ pub trait MatrixReader<V: ScalarType> {
     /// ([`crate::index::MAX_DIM`]).
     fn read_dims(&self) -> (Index, Index);
 
+    /// Answer `q` in the shape of its kind (see [`Answer`]): the one read
+    /// every `read_*` method goes through.
+    fn answer(&mut self, q: &Query) -> Answer<V>;
+
     /// Value at `(row, col)`, duplicates combined, or `None`.
-    fn read_get(&mut self, row: Index, col: Index) -> Option<V>;
+    fn read_get(&mut self, row: Index, col: Index) -> Option<V> {
+        self.answer(&Query::Get(row, col)).into_value()
+    }
 
     /// Extract row `row` into `out` (cleared first): `(col, value)` pairs
     /// sorted by column, duplicates combined.
-    fn read_row(&mut self, row: Index, out: &mut Vec<(Index, V)>);
+    fn read_row(&mut self, row: Index, out: &mut Vec<(Index, V)>) {
+        *out = self.answer(&Query::Row(row)).into_line();
+    }
 
     /// Visit every stored entry in row-major sorted order, duplicates
     /// combined.
-    fn read_entries(&mut self, f: &mut dyn FnMut(Index, Index, V));
+    fn read_entries(&mut self, f: &mut dyn FnMut(Index, Index, V)) {
+        visit(self.answer(&Query::Entries), f);
+    }
 
     /// Visit the stored entries of rows `lo..hi` (half-open) in row-major
     /// sorted order, duplicates combined — the subnet-style range scan.
-    ///
-    /// The default filters a full [`read_entries`](MatrixReader::read_entries)
-    /// sweep; level-backed readers use a cursor range-skip (cost
-    /// proportional to the range's content) and the sharded engine
-    /// dispatches only to the workers whose row bands overlap the range.
     fn read_row_range(&mut self, lo: Index, hi: Index, f: &mut dyn FnMut(Index, Index, V)) {
-        if lo >= hi {
-            return;
-        }
-        self.read_entries(&mut |r, c, v| {
-            if r >= lo && r < hi {
-                f(r, c, v);
-            }
-        });
+        visit(self.answer(&Query::RowRange(lo, hi)), f);
     }
 
     /// The degree histogram of the stored pattern: `degree -> number of
     /// rows with that many distinct columns`.
-    ///
-    /// The default run-counts a full entry sweep (valid because entries
-    /// arrive row-major sorted); index-backed readers answer in
-    /// O(distinct degrees).
-    fn read_degree_histogram(&mut self) -> std::collections::BTreeMap<u64, u64> {
-        let mut counts = std::collections::BTreeMap::new();
-        let mut run: Option<(Index, u64)> = None;
-        self.read_entries(&mut |r, _, _| match &mut run {
-            Some((cr, n)) if *cr == r => *n += 1,
-            _ => {
-                if let Some((_, n)) = run.take() {
-                    *counts.entry(n).or_insert(0u64) += 1;
-                }
-                run = Some((r, 1));
-            }
-        });
-        if let Some((_, n)) = run {
-            *counts.entry(n).or_insert(0u64) += 1;
-        }
-        counts
+    fn read_degree_histogram(&mut self) -> BTreeMap<u64, u64> {
+        self.answer(&Query::DegreeHistogram).into_histogram()
     }
 
     /// Number of distinct `(row, col)` cells stored.
     fn read_nnz(&mut self) -> usize {
-        let mut n = 0;
-        self.read_entries(&mut |_, _, _| n += 1);
-        n
+        self.answer(&Query::Nnz).into_count()
     }
 
     /// Number of distinct columns stored in row `row`.
     fn read_row_degree(&mut self, row: Index) -> usize {
-        let mut out = Vec::new();
-        self.read_row(row, &mut out);
-        out.len()
+        self.answer(&Query::RowDegree(row)).into_count()
     }
 
     /// Reduce row `row` to a scalar under `+` (`None` when empty).
     fn read_row_reduce(&mut self, row: Index) -> Option<V> {
-        let mut out = Vec::new();
-        self.read_row(row, &mut out);
-        out.into_iter().map(|(_, v)| v).reduce(|a, b| a.add(b))
+        self.answer(&Query::RowReduce(row)).into_value()
     }
 
     /// The `k` rows with the most distinct columns, sorted by degree
     /// descending then row ascending.
-    ///
-    /// The default sweeps [`read_entries`](MatrixReader::read_entries)
-    /// counting row runs (valid because entries arrive row-major sorted)
-    /// through a min-heap that never holds more than `k + 1` rows.  The
-    /// heap grows on push: `k` comes from the caller and may exceed
-    /// anything that could be allocated, the row count cannot.
     fn read_top_k(&mut self, k: usize) -> Vec<(Index, usize)> {
-        if k == 0 {
-            return Vec::new();
-        }
-        use std::cmp::Reverse;
-        let mut heap: std::collections::BinaryHeap<Reverse<(usize, Reverse<Index>)>> =
-            std::collections::BinaryHeap::new();
-        let mut run: Option<(Index, usize)> = None;
-        self.read_entries(&mut |r, _, _| match &mut run {
-            Some((cr, n)) if *cr == r => *n += 1,
-            _ => {
-                if let Some((cr, n)) = run.take() {
-                    heap.push(Reverse((n, Reverse(cr))));
-                    if heap.len() > k {
-                        heap.pop();
-                    }
-                }
-                run = Some((r, 1));
-            }
-        });
-        if let Some((cr, n)) = run {
-            heap.push(Reverse((n, Reverse(cr))));
-            if heap.len() > k {
-                heap.pop();
-            }
-        }
-        let mut out: Vec<(Index, usize)> = heap
-            .into_iter()
-            .map(|Reverse((n, Reverse(r)))| (r, n))
-            .collect();
-        out.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        out
+        self.answer(&Query::TopK(k)).into_ranked()
     }
 
     /// Extract column `col` into `out` (cleared first): `(row, value)`
     /// pairs sorted by row, duplicates combined — the transpose of
     /// [`read_row`](MatrixReader::read_row), "who talks *to* this host?".
-    ///
-    /// The default filters a full entry sweep (O(nnz)); twin-backed
-    /// readers override with an O(k) row lookup on their column shadow.
     fn read_col(&mut self, col: Index, out: &mut Vec<(Index, V)>) {
-        out.clear();
-        self.read_entries(&mut |r, c, v| {
-            if c == col {
-                out.push((r, v));
-            }
-        });
+        *out = self.answer(&Query::Col(col)).into_line();
     }
 
     /// Number of distinct rows stored in column `col` (the in-degree).
     fn read_col_degree(&mut self, col: Index) -> usize {
-        let mut out = Vec::new();
-        self.read_col(col, &mut out);
-        out.len()
+        self.answer(&Query::ColDegree(col)).into_count()
     }
 
     /// Reduce column `col` to a scalar under `+` (`None` when empty).
     fn read_col_reduce(&mut self, col: Index) -> Option<V> {
-        let mut out = Vec::new();
-        self.read_col(col, &mut out);
-        out.into_iter().map(|(_, v)| v).reduce(|a, b| a.add(b))
+        self.answer(&Query::ColReduce(col)).into_value()
     }
 
     /// The `k` columns with the most distinct rows (highest in-degree),
@@ -209,27 +146,13 @@ pub trait MatrixReader<V: ScalarType> {
     /// destination-centric dual of [`read_top_k`](MatrixReader::read_top_k)
     /// (DDoS-victim candidates instead of scanner candidates).
     fn read_in_top_k(&mut self, k: usize) -> Vec<(Index, usize)> {
-        if k == 0 {
-            return Vec::new();
-        }
-        let mut degs: std::collections::BTreeMap<Index, usize> = Default::default();
-        self.read_entries(&mut |_, c, _| *degs.entry(c).or_insert(0) += 1);
-        let mut out: Vec<(Index, usize)> = degs.into_iter().collect();
-        out.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        out.truncate(k);
-        out
+        self.answer(&Query::InTopK(k)).into_ranked()
     }
 
     /// The in-degree histogram of the stored pattern: `in-degree -> number
     /// of columns with that many distinct rows`.
-    fn read_in_degree_histogram(&mut self) -> std::collections::BTreeMap<u64, u64> {
-        let mut degs: std::collections::BTreeMap<Index, u64> = Default::default();
-        self.read_entries(&mut |_, c, _| *degs.entry(c).or_insert(0) += 1);
-        let mut counts = std::collections::BTreeMap::new();
-        for d in degs.into_values() {
-            *counts.entry(d).or_insert(0u64) += 1;
-        }
-        counts
+    fn read_in_degree_histogram(&mut self) -> BTreeMap<u64, u64> {
+        self.answer(&Query::InDegreeHistogram).into_histogram()
     }
 
     /// Visit the stored entries of columns `lo..hi` (half-open) in
@@ -237,48 +160,34 @@ pub trait MatrixReader<V: ScalarType> {
     /// the destination-subnet range scan.  The callback still receives
     /// `(row, col, value)` like every other visitor.
     fn read_col_range(&mut self, lo: Index, hi: Index, f: &mut dyn FnMut(Index, Index, V)) {
-        if lo >= hi {
-            return;
-        }
-        let mut hits: Vec<(Index, Index, V)> = Vec::new();
-        self.read_entries(&mut |r, c, v| {
-            if c >= lo && c < hi {
-                hits.push((c, r, v));
-            }
-        });
-        hits.sort_unstable_by_key(|&(c, r, _)| (c, r));
-        for (c, r, v) in hits {
-            f(r, c, v);
-        }
+        visit(self.answer(&Query::ColRange(lo, hi)), f);
     }
 
     /// Extract many rows in one call: one `(col, value)` vector per
-    /// requested row, in the order given (duplicate keys allowed).
-    ///
-    /// The default loops [`read_row`](MatrixReader::read_row); batching
-    /// readers amortise the per-query setup across keys — one settle and
-    /// one cursor walk for the hierarchies, one barrier round-trip per
+    /// requested row, in the order given (duplicate keys allowed).  One
+    /// settle and one cursor walk for the hierarchies, one round trip per
     /// shard (instead of per key) for the sharded engine.
     fn read_rows(&mut self, rows: &[Index]) -> Vec<Vec<(Index, V)>> {
-        let mut out = Vec::new();
-        rows.iter()
-            .map(|&r| {
-                self.read_row(r, &mut out);
-                std::mem::take(&mut out)
-            })
-            .collect()
+        self.answer(&Query::Rows(rows.to_vec())).into_lines()
     }
 
     /// Point-get many cells in one call, answers in key order.
     fn read_get_many(&mut self, keys: &[(Index, Index)]) -> Vec<Option<V>> {
-        keys.iter().map(|&(r, c)| self.read_get(r, c)).collect()
+        self.answer(&Query::GetMany(keys.to_vec())).into_values()
+    }
+}
+
+/// Hand an [`Answer::Entries`] to a visitor, in order.
+fn visit<V: ScalarType>(a: Answer<V>, f: &mut dyn FnMut(Index, Index, V)) {
+    for (r, c, v) in a.into_entries() {
+        f(r, c, v);
     }
 }
 
 /// One read question, as a value: one kind per data-returning `read_*`
-/// method of [`MatrixReader`].  What crosses a shard worker's channel, and
-/// what anything that splits a read over several readers routes and
-/// combines by.
+/// method of [`MatrixReader`].  What [`MatrixReader::answer`] takes, what
+/// crosses a shard worker's channel, and what anything that splits a read
+/// over several readers routes and combines by.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Query {
     /// [`MatrixReader::read_get`].
@@ -334,7 +243,7 @@ pub enum Answer<V> {
     /// `RowRange`, `ColRange`.
     Entries(Vec<(Index, Index, V)>),
     /// `degree -> how many`: `DegreeHistogram`, `InDegreeHistogram`.
-    Histogram(std::collections::BTreeMap<u64, u64>),
+    Histogram(BTreeMap<u64, u64>),
     /// One line per requested row: `Rows`.
     Lines(Vec<Vec<(Index, V)>>),
     /// One cell per requested key: `GetMany`.
@@ -408,7 +317,7 @@ impl<V: ScalarType> Answer<V> {
     }
 
     /// The payload of a [`Answer::Histogram`].
-    pub fn into_histogram(self) -> std::collections::BTreeMap<u64, u64> {
+    pub fn into_histogram(self) -> BTreeMap<u64, u64> {
         match self {
             Answer::Histogram(counts) => counts,
             other => other.mismatch("Histogram"),
@@ -430,63 +339,6 @@ impl<V: ScalarType> Answer<V> {
             other => other.mismatch("Values"),
         }
     }
-}
-
-/// Ask one reader one [`Query`] through the `read_*` method of its kind.
-pub fn answer<V: ScalarType, R: MatrixReader<V> + ?Sized>(r: &mut R, q: &Query) -> Answer<V> {
-    let mut line = Vec::new();
-    let mut entries = Vec::new();
-    match q {
-        Query::Get(row, col) => Answer::Value(r.read_get(*row, *col)),
-        Query::Row(row) => {
-            r.read_row(*row, &mut line);
-            Answer::Line(line)
-        }
-        Query::RowDegree(row) => Answer::Count(r.read_row_degree(*row)),
-        Query::RowReduce(row) => Answer::Value(r.read_row_reduce(*row)),
-        Query::TopK(k) => Answer::Ranked(r.read_top_k(*k)),
-        Query::Nnz => Answer::Count(r.read_nnz()),
-        Query::Entries => {
-            r.read_entries(&mut |i, j, v| entries.push((i, j, v)));
-            Answer::Entries(entries)
-        }
-        Query::RowRange(lo, hi) => {
-            r.read_row_range(*lo, *hi, &mut |i, j, v| entries.push((i, j, v)));
-            Answer::Entries(entries)
-        }
-        Query::DegreeHistogram => Answer::Histogram(r.read_degree_histogram()),
-        Query::Col(col) => {
-            r.read_col(*col, &mut line);
-            Answer::Line(line)
-        }
-        Query::ColDegree(col) => Answer::Count(r.read_col_degree(*col)),
-        Query::ColReduce(col) => Answer::Value(r.read_col_reduce(*col)),
-        Query::InTopK(k) => Answer::Ranked(r.read_in_top_k(*k)),
-        Query::InDegreeHistogram => Answer::Histogram(r.read_in_degree_histogram()),
-        Query::ColRange(lo, hi) => {
-            r.read_col_range(*lo, *hi, &mut |i, j, v| entries.push((i, j, v)));
-            Answer::Entries(entries)
-        }
-        Query::Rows(rows) => Answer::Lines(r.read_rows(rows)),
-        Query::GetMany(keys) => Answer::Values(r.read_get_many(keys)),
-    }
-}
-
-/// Extract every entry of a reader into parallel tuple vectors (row-major
-/// sorted) — the bridge the graph algorithms use to rebuild pattern
-/// matrices from any reader.
-pub fn read_tuples<V: ScalarType, R: MatrixReader<V> + ?Sized>(
-    r: &mut R,
-) -> (Vec<Index>, Vec<Index>, Vec<V>) {
-    let mut rows = Vec::new();
-    let mut cols = Vec::new();
-    let mut vals = Vec::new();
-    r.read_entries(&mut |i, j, v| {
-        rows.push(i);
-        cols.push(j);
-        vals.push(v);
-    });
-    (rows, cols, vals)
 }
 
 /// A reader whose settled content is reachable as DCSR level slices — the
@@ -550,10 +402,10 @@ mod tests {
     #[test]
     fn read_entries_sorted_row_major() {
         let mut m = sample();
-        let (r, c, v) = read_tuples(&mut m);
-        assert_eq!(r, vec![5, 5, 5, 9]);
-        assert_eq!(c, vec![1, 2, 3, 9]);
-        assert_eq!(v, vec![10, 25, 30, 1]);
+        let mut got = Vec::new();
+        m.read_entries(&mut |r, c, v| got.push((r, c, v)));
+        assert_eq!(got, vec![(5, 1, 10), (5, 2, 25), (5, 3, 30), (9, 9, 1)]);
+        assert_eq!(m.answer(&Query::Entries), Answer::Entries(got));
     }
 
     #[test]
@@ -567,61 +419,6 @@ mod tests {
         assert_eq!(sys.read_get(1, 2), Some(7));
         assert_eq!(sys.read_nnz(), 1);
         assert_eq!(sys.read_dims(), (100, 100));
-    }
-
-    #[test]
-    fn default_top_k_matches_cursor_top_k() {
-        // Exercise the provided default through a thin wrapper that only
-        // supplies the required methods.
-        struct Wrap(Matrix<u64>);
-        impl MatrixReader<u64> for Wrap {
-            fn reader_name(&self) -> &str {
-                "wrap"
-            }
-            fn read_dims(&self) -> (Index, Index) {
-                self.0.read_dims()
-            }
-            fn read_get(&mut self, r: Index, c: Index) -> Option<u64> {
-                self.0.read_get(r, c)
-            }
-            fn read_row(&mut self, r: Index, out: &mut Vec<(Index, u64)>) {
-                self.0.read_row(r, out)
-            }
-            fn read_entries(&mut self, f: &mut dyn FnMut(Index, Index, u64)) {
-                self.0.read_entries(f)
-            }
-        }
-        let mut w = Wrap(sample());
-        let mut m = sample();
-        assert_eq!(w.read_top_k(2), m.read_top_k(2));
-        assert_eq!(w.read_nnz(), m.read_nnz());
-        assert_eq!(w.read_row_degree(5), 3);
-        assert_eq!(w.read_row_reduce(5), Some(65));
-        assert!(w.read_top_k(0).is_empty());
-        // Column-side defaults (entry sweeps) equal the shadow-served
-        // overrides on the same content.
-        let mut dw = Vec::new();
-        let mut dm = Vec::new();
-        for col in [1u64, 2, 3, 9, 77] {
-            w.read_col(col, &mut dw);
-            m.read_col(col, &mut dm);
-            assert_eq!(dw, dm, "col {col}");
-            assert_eq!(w.read_col_degree(col), m.read_col_degree(col));
-            assert_eq!(w.read_col_reduce(col), m.read_col_reduce(col));
-        }
-        assert_eq!(w.read_in_top_k(3), m.read_in_top_k(3));
-        assert!(w.read_in_top_k(0).is_empty());
-        assert!(m.read_in_top_k(0).is_empty());
-        assert_eq!(w.read_in_degree_histogram(), m.read_in_degree_histogram());
-        let (mut gw, mut gm) = (Vec::new(), Vec::new());
-        w.read_col_range(2, 10, &mut |r, c, v| gw.push((r, c, v)));
-        m.read_col_range(2, 10, &mut |r, c, v| gm.push((r, c, v)));
-        assert_eq!(gw, gm);
-        // Batched defaults equal the amortised overrides.
-        let rows = [5u64, 7, 9, 5];
-        assert_eq!(w.read_rows(&rows), m.read_rows(&rows));
-        let keys = [(5u64, 2u64), (9, 9), (0, 0)];
-        assert_eq!(w.read_get_many(&keys), m.read_get_many(&keys));
     }
 
     #[test]

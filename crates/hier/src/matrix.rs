@@ -1092,7 +1092,7 @@ impl<T: ScalarType> StreamingSink<T> for HierMatrix<T> {
 /// buffers settle first) are the hierarchy's level list, the per-level
 /// column shadows its twins, and the two incremental [`DegreeIndex`]es its
 /// stats — so nnz, degree, reduce, top-k and the histograms are O(1)/O(k)
-/// on both sides.  Every `read_*` body is the shared one.
+/// on both sides.  Every answer is the shared one.
 impl<T: ScalarType> LevelStore for HierMatrix<T> {
     type Value = T;
 

@@ -56,8 +56,8 @@
 //! keys.  *Ask* puts the query to those shards: the engine over its worker
 //! channels, behind each shard's staged tuples, with every wait bounded and
 //! every loss typed (below); the snapshot by calling
-//! [`reader::answer`] on its captures; a worker answers with the same
-//! function.  *Combine* folds the parts by query kind, and every rule is
+//! [`MatrixReader::answer`] on its captures; a worker answers with the same
+//! method.  *Combine* folds the parts by query kind, and every rule is
 //! exact for the same reason: a row lives in one shard.  Cell counts,
 //! per-column row counts and row-degree histogram bins add; a column's
 //! weights fold under `+`; the global row top-k is the top-k of the local
@@ -70,9 +70,8 @@
 //! column first* and ranked or binned afterwards, and the sum is held until
 //! the content changes, together with the shards it had to leave out.
 //! [`ShardedHierMatrix::try_read`] is the fallible form of all of it; the
-//! [`MatrixReader`](hyperstream_graphblas::MatrixReader) methods wrap it,
-//! answer empty on an error and latch the error for
-//! [`ShardedHierMatrix::take_read_error`].
+//! engine's [`MatrixReader::answer`] wraps it, answers empty on an error
+//! and latches the error for [`ShardedHierMatrix::take_read_error`].
 //!
 //! # Fault tolerance
 //!
@@ -103,11 +102,12 @@ use crate::pool::{row_hash, PartitionBuffers};
 use crate::stats::HierStats;
 use hyperstream_graphblas::ops::binary::Plus;
 use hyperstream_graphblas::ops::ewise_add::ewise_add_into;
-use hyperstream_graphblas::reader::{self, Answer, Query};
+use hyperstream_graphblas::reader::{Answer, Query};
 use hyperstream_graphblas::sink::check_tuple_lengths;
 use hyperstream_graphblas::GrbError;
 use hyperstream_graphblas::{
-    validate_index, GrbResult, Index, Matrix, MatrixSnapshot, ScalarType, StreamingSink,
+    validate_index, GrbResult, Index, Matrix, MatrixReader, MatrixSnapshot, ScalarType,
+    StreamingSink,
 };
 use parking_lot::Mutex;
 use std::panic::AssertUnwindSafe;
@@ -437,7 +437,7 @@ fn worker_loop<T: ScalarType>(
             }
             WorkerMsg::Query(query, reply) => {
                 crate::failpoint_panic!("worker-query", shard_idx);
-                let _ = reply.send(reader::answer(&mut *shard.lock(), &query));
+                let _ = reply.send(shard.lock().answer(&query));
             }
             WorkerMsg::Snapshot(reply) => {
                 crate::failpoint_panic!("worker-query", shard_idx);
@@ -669,6 +669,11 @@ impl<T: ScalarType> ShardedHierMatrix<T> {
         self.shards.len()
     }
 
+    /// [`GrbError::IndexOutOfBounds`] unless `i` names a shard.
+    fn check_shard(&self, i: usize) -> GrbResult<()> {
+        validate_index(i as Index, self.workers.len() as Index)
+    }
+
     /// Whether shard `i`'s worker thread is alive.
     fn is_alive(&self, i: usize) -> bool {
         self.workers[i].shared.alive.load(Ordering::Acquire)
@@ -701,9 +706,8 @@ impl<T: ScalarType> ShardedHierMatrix<T> {
     }
 
     /// Take (and clear) the first error swallowed by an infallible
-    /// [`MatrixReader`](hyperstream_graphblas::MatrixReader) method since
-    /// the previous call.  [`Self::try_read`] never latches — prefer it on
-    /// supervised engines.
+    /// [`MatrixReader`] method since the previous call.  [`Self::try_read`]
+    /// never latches — prefer it on supervised engines.
     pub fn take_read_error(&self) -> Option<GrbError> {
         self.last_error.lock().take()
     }
@@ -751,6 +755,7 @@ impl<T: ScalarType> ShardedHierMatrix<T> {
     /// A snapshot of one shard's hierarchy statistics (drains that shard's
     /// worker first so in-flight batches are counted).
     pub fn shard_stats(&self, i: usize) -> GrbResult<HierStats> {
+        self.check_shard(i)?;
         self.barrier_shard(i)?;
         Ok(self.shards[i].lock().stats().clone())
     }
@@ -1172,7 +1177,7 @@ impl<T: ScalarType> ShardedHierMatrix<T> {
     /// recovered — the returned [`ShardRecovery`] reports them, so data
     /// loss is always explicit.  A no-op on a live worker.
     pub fn respawn_shard(&mut self, i: usize) -> GrbResult<ShardRecovery> {
-        assert!(i < self.workers.len(), "shard index out of range");
+        self.check_shard(i)?;
         if self.is_alive(i) {
             return Ok(ShardRecovery {
                 shard: i,
@@ -1356,7 +1361,6 @@ impl<T: ScalarType> StreamingSink<T> for ShardedHierMatrix<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hyperstream_graphblas::MatrixReader;
 
     pub(super) const DIM: u64 = 1 << 32;
 
@@ -1534,6 +1538,23 @@ mod tests {
         assert_eq!(agg.updates, 2000);
         assert!(agg.total_cascades() > 0, "small cuts must cascade");
         assert!((0..engine.num_shards()).all(|i| engine.shard_stats(i).unwrap().updates > 0));
+    }
+
+    #[test]
+    fn out_of_range_shard_index_is_a_typed_error() {
+        let mut engine = tiny_engine(3, ShardPartitioner::RowHash);
+        let dim = engine.num_shards() as Index;
+        for i in [engine.num_shards(), usize::MAX] {
+            let want = GrbError::IndexOutOfBounds {
+                index: i as Index,
+                dim,
+            };
+            assert_eq!(engine.shard_stats(i).unwrap_err(), want);
+            assert_eq!(engine.respawn_shard(i).unwrap_err(), want);
+        }
+        // The engine is untouched: every shard still answers.
+        assert!(engine.shard_stats(2).is_ok());
+        assert_eq!(engine.health(), EngineHealth::Healthy);
     }
 
     #[test]

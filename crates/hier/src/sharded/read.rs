@@ -5,7 +5,7 @@
 
 use super::{ShardPartitioner, ShardedHierMatrix, WorkerMsg};
 use hyperstream_graphblas::formats::dcsr::Dcsr;
-use hyperstream_graphblas::reader::{self, Answer, Query};
+use hyperstream_graphblas::reader::{Answer, Query};
 use hyperstream_graphblas::{
     CursorReader, GrbError, GrbResult, Index, MatrixReader, MatrixSnapshot, ScalarType,
 };
@@ -383,12 +383,12 @@ fn across<T: ScalarType, S: ShardSet<T>>(set: &mut S, q: &Query) -> GrbResult<An
     Ok(answer)
 }
 
-/// [`across`] for the infallible [`MatrixReader`] signatures: an error is
+/// [`across`] for the infallible [`MatrixReader::answer`]: an error is
 /// latched and the empty answer stands in.
-fn read<T: ScalarType, S: ShardSet<T>>(set: &mut S, q: Query) -> Answer<T> {
-    across(set, &q).unwrap_or_else(|e| {
+fn read<T: ScalarType, S: ShardSet<T>>(set: &mut S, q: &Query) -> Answer<T> {
+    across(set, q).unwrap_or_else(|e| {
         set.latch(e);
-        Answer::empty_for(&q)
+        Answer::empty_for(q)
     })
 }
 
@@ -476,79 +476,22 @@ impl<T: ScalarType> ShardedHierMatrix<T> {
     }
 }
 
-/// [`MatrixReader`] for a [`ShardSet`]: every method is its [`Query`]
-/// through [`read`].  For the engine an error (lost shard, timeout) answers
-/// empty and latches into [`ShardedHierMatrix::take_read_error`];
-/// [`ShardedHierMatrix::try_read`] returns it instead.
-macro_rules! read_across_shards {
-    ($store:ident, $name:literal) => {
-        impl<T: ScalarType> MatrixReader<T> for $store<T> {
-            fn reader_name(&self) -> &str {
-                $name
-            }
-            fn read_dims(&self) -> (Index, Index) {
-                (self.nrows, self.ncols)
-            }
-            fn read_get(&mut self, row: Index, col: Index) -> Option<T> {
-                read(self, Query::Get(row, col)).into_value()
-            }
-            fn read_row(&mut self, row: Index, out: &mut Vec<(Index, T)>) {
-                *out = read(self, Query::Row(row)).into_line();
-            }
-            fn read_entries(&mut self, f: &mut dyn FnMut(Index, Index, T)) {
-                let entries = read(self, Query::Entries).into_entries();
-                entries.into_iter().for_each(|(r, c, v)| f(r, c, v));
-            }
-            fn read_row_range(&mut self, lo: Index, hi: Index, f: &mut dyn FnMut(Index, Index, T)) {
-                let entries = read(self, Query::RowRange(lo, hi)).into_entries();
-                entries.into_iter().for_each(|(r, c, v)| f(r, c, v));
-            }
-            fn read_degree_histogram(&mut self) -> BTreeMap<u64, u64> {
-                read(self, Query::DegreeHistogram).into_histogram()
-            }
-            fn read_nnz(&mut self) -> usize {
-                read(self, Query::Nnz).into_count()
-            }
-            fn read_row_degree(&mut self, row: Index) -> usize {
-                read(self, Query::RowDegree(row)).into_count()
-            }
-            fn read_row_reduce(&mut self, row: Index) -> Option<T> {
-                read(self, Query::RowReduce(row)).into_value()
-            }
-            fn read_top_k(&mut self, k: usize) -> Vec<(Index, usize)> {
-                read(self, Query::TopK(k)).into_ranked()
-            }
-            fn read_col(&mut self, col: Index, out: &mut Vec<(Index, T)>) {
-                *out = read(self, Query::Col(col)).into_line();
-            }
-            fn read_col_degree(&mut self, col: Index) -> usize {
-                read(self, Query::ColDegree(col)).into_count()
-            }
-            fn read_col_reduce(&mut self, col: Index) -> Option<T> {
-                read(self, Query::ColReduce(col)).into_value()
-            }
-            fn read_in_top_k(&mut self, k: usize) -> Vec<(Index, usize)> {
-                read(self, Query::InTopK(k)).into_ranked()
-            }
-            fn read_in_degree_histogram(&mut self) -> BTreeMap<u64, u64> {
-                read(self, Query::InDegreeHistogram).into_histogram()
-            }
-            fn read_col_range(&mut self, lo: Index, hi: Index, f: &mut dyn FnMut(Index, Index, T)) {
-                let entries = read(self, Query::ColRange(lo, hi)).into_entries();
-                entries.into_iter().for_each(|(r, c, v)| f(r, c, v));
-            }
-            fn read_rows(&mut self, rows: &[Index]) -> Vec<Vec<(Index, T)>> {
-                read(self, Query::Rows(rows.to_vec())).into_lines()
-            }
-            fn read_get_many(&mut self, keys: &[(Index, Index)]) -> Vec<Option<T>> {
-                read(self, Query::GetMany(keys.to_vec())).into_values()
-            }
-        }
-    };
-}
+/// For the engine an error (lost shard, timeout) answers empty and latches
+/// into [`ShardedHierMatrix::take_read_error`]; [`ShardedHierMatrix::try_read`]
+/// returns it instead.
+impl<T: ScalarType> MatrixReader<T> for ShardedHierMatrix<T> {
+    fn reader_name(&self) -> &str {
+        "sharded-hier-graphblas"
+    }
 
-read_across_shards!(ShardedHierMatrix, "sharded-hier-graphblas");
-read_across_shards!(ShardedSnapshot, "sharded-hier-graphblas-snapshot");
+    fn read_dims(&self) -> (Index, Index) {
+        (self.nrows, self.ncols)
+    }
+
+    fn answer(&mut self, q: &Query) -> Answer<T> {
+        read(self, q)
+    }
+}
 
 impl<T: ScalarType> CursorReader<T> for ShardedHierMatrix<T> {
     fn with_level_dcsrs(&mut self, f: &mut dyn FnMut(&[&Dcsr<T>])) {
@@ -617,13 +560,27 @@ impl<T: ScalarType> ShardSet<T> for ShardedSnapshot<T> {
 
     fn ask_owner(&mut self, shard: usize, q: &Query) -> GrbResult<Answer<T>> {
         Ok(match &mut self.shards[shard] {
-            Some(captured) => reader::answer(captured, q),
+            Some(captured) => captured.answer(q),
             None => Answer::empty_for(q),
         })
     }
 
     fn in_degrees(&mut self) -> &mut Option<SummedInDegrees> {
         &mut self.in_degrees
+    }
+}
+
+impl<T: ScalarType> MatrixReader<T> for ShardedSnapshot<T> {
+    fn reader_name(&self) -> &str {
+        "sharded-hier-graphblas-snapshot"
+    }
+
+    fn read_dims(&self) -> (Index, Index) {
+        (self.nrows, self.ncols)
+    }
+
+    fn answer(&mut self, q: &Query) -> Answer<T> {
+        read(self, q)
     }
 }
 

@@ -23,7 +23,6 @@
 //! through [`exclusive`], which also disarms all sites on scope exit.
 //! That keeps armed sites from leaking into a concurrently running test.
 
-use hyperstream::graphblas::reader;
 use hyperstream::hier::failpoint::{self, FailAction};
 use hyperstream::prelude::*;
 use proptest::prelude::*;
@@ -226,7 +225,7 @@ proptest! {
             let refused = engine.try_read(q.clone());
             prop_assert!(matches!(&refused, Err(e) if is_the_loss(e)), "{q:?}: {refused:?}");
             prop_assert!(engine.take_read_error().is_none(), "try_read latched on {q:?}");
-            prop_assert_eq!(reader::answer(&mut engine, &q), Answer::empty_for(&q));
+            prop_assert_eq!(engine.answer(&q), Answer::empty_for(&q));
             let latched = engine.take_read_error();
             prop_assert!(matches!(&latched, Some(e) if is_the_loss(e)), "{q:?}: {latched:?}");
             prop_assert!(engine.take_read_error().is_none());
@@ -243,7 +242,7 @@ proptest! {
                 Query::GetMany(vec![(row, col)]),
                 Query::TopK(0),
             ] {
-                let want = reader::answer(&mut flat, &q);
+                let want = flat.answer(&q);
                 prop_assert_eq!(engine.try_read(q.clone()), Ok(want), "{:?}", &q);
                 prop_assert!(engine.last_answer_lost().is_empty());
             }
@@ -315,16 +314,16 @@ proptest! {
         let live = update_owned(&updates, shards, victim, false);
         let other = live.map_or(lost_row, |u| u.0);
         for q in every_kind(lost_row, col, other, k) {
-            let want = reader::answer(&mut oracle, &q);
+            let want = oracle.answer(&q);
             prop_assert_eq!(engine.try_read(q.clone()), Ok(want.clone()), "{:?}", &q);
             prop_assert_eq!(engine.last_answer_lost(), &[victim], "{:?}", &q);
-            prop_assert_eq!(reader::answer(&mut engine, &q), want, "infallible {:?}", &q);
+            prop_assert_eq!(engine.answer(&q), want, "infallible {:?}", &q);
             prop_assert_eq!(engine.last_answer_lost(), &[victim], "infallible {:?}", &q);
         }
         prop_assert!(engine.take_read_error().is_none());
         // A row a live shard owns is answered in full, and says so.
         if let Some((row, _, _)) = live {
-            let want = reader::answer(&mut oracle, &Query::Row(row));
+            let want = oracle.answer(&Query::Row(row));
             prop_assert_eq!(engine.try_read(Query::Row(row)), Ok(want));
             prop_assert!(engine.last_answer_lost().is_empty());
         }
@@ -426,7 +425,7 @@ fn cached_degraded_in_degrees_still_name_the_lost_shard() {
     assert_eq!(engine.try_read(Query::InTopK(5)), Ok(ranking.clone()));
     assert_eq!(engine.last_answer_lost(), &[victim]);
     // Answered in full by a live shard.
-    let row = reader::answer(&mut oracle, &Query::Row(live_row));
+    let row = oracle.answer(&Query::Row(live_row));
     assert_eq!(engine.try_read(Query::Row(live_row)), Ok(row));
     assert!(engine.last_answer_lost().is_empty());
     // Both served from the held sum: as degraded as when it was built.

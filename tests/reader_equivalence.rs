@@ -10,11 +10,13 @@
 //! storage engines may only change the *cost* of a query, never its value.
 //!
 //! The level-backed stores (flat, hierarchy, windowed hierarchy, both
-//! snapshot captures) share one `MatrixReader` implementation, the sharded
-//! engine and its snapshot another (one route and one combine over their
-//! shards); the same generated cases drive all 18 `read_*` methods of both
-//! against a `BTreeMap<(row, col), value>` oracle through [`check_reads`].
+//! snapshot captures) share one `MatrixReader::answer`, the sharded engine
+//! and its snapshot another (one route and one combine over their shards),
+//! and the D4M hierarchy a third (one flat matrix of its decoded cells);
+//! the same generated cases drive all 18 `read_*` methods of each against
+//! a `BTreeMap<(row, col), value>` oracle through [`check_reads`].
 
+use hyperstream::graphblas::index::MAX_DIM;
 use hyperstream::prelude::*;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -135,10 +137,10 @@ fn histogram_of(lines: &BTreeMap<u64, Vec<(u64, u64)>>) -> BTreeMap<u64, u64> {
     hist
 }
 
-/// All 18 `read_*` methods of one reader (and its `CursorReader` levels)
-/// against the cell oracle: present and absent rows/columns, a straddling
-/// range, the whole range and `lo >= hi`, `k` of 0, `k` and `usize::MAX`.
-fn check_reads<S: CursorReader<u64>>(s: &mut S, cells: &Cells, dims: (u64, u64), k: usize) {
+/// All 18 `read_*` methods of one reader against the cell oracle: present
+/// and absent rows/columns, a straddling range, the whole range and
+/// `lo >= hi`, `k` of 0, `k` and `usize::MAX`.
+fn check_reads<S: MatrixReader<u64>>(s: &mut S, cells: &Cells, dims: (u64, u64), k: usize) {
     let name = s.reader_name().to_string();
     let rows = grouped(cells, false);
     let cols = grouped(cells, true);
@@ -149,16 +151,6 @@ fn check_reads<S: CursorReader<u64>>(s: &mut S, cells: &Cells, dims: (u64, u64),
     s.read_entries(&mut |r, c, v| entries.push(((r, c), v)));
     let expect: Vec<_> = cells.iter().map(|(&rc, &v)| (rc, v)).collect();
     assert_eq!(entries, expect, "entries of {name}");
-    // The cursor form sums to the same content.
-    let mut summed = Cells::new();
-    s.with_level_dcsrs(&mut |levels| {
-        for level in levels {
-            for (r, c, v) in level.iter() {
-                *summed.entry((r, c)).or_insert(0) += v;
-            }
-        }
-    });
-    assert_eq!(&summed, cells, "levels of {name}");
 
     // One probe set per side: first, last and an id nothing stores.
     let probes = |lines: &BTreeMap<u64, Vec<(u64, u64)>>, dim: u64| -> Vec<u64> {
@@ -266,6 +258,21 @@ fn check_reads<S: CursorReader<u64>>(s: &mut S, cells: &Cells, dims: (u64, u64),
     }
 }
 
+/// [`check_reads`], and the `CursorReader` levels summing to the same
+/// content.
+fn check_cursor_reads<S: CursorReader<u64>>(s: &mut S, cells: &Cells, dims: (u64, u64), k: usize) {
+    check_reads(s, cells, dims, k);
+    let mut summed = Cells::new();
+    s.with_level_dcsrs(&mut |levels| {
+        for level in levels {
+            for (r, c, v) in level.iter() {
+                *summed.entry((r, c)).or_insert(0) += v;
+            }
+        }
+    });
+    assert_eq!(&summed, cells, "levels of {}", s.reader_name());
+}
+
 /// `check_reads` over every level-backed store fed `updates`: the flat
 /// matrix, the hierarchy (pending tail unsettled), a windowed hierarchy
 /// that rotates and evicts mid-stream, and both snapshot captures — one
@@ -280,16 +287,16 @@ fn check_level_backed_stores(updates: &[(u64, u64, u64)], cuts: &[u64], dim: u64
         flat.insert(r, c, v).unwrap();
         hier.insert(r, c, v).unwrap();
     }
-    check_reads(&mut flat, &cells, (dim, dim), k);
+    check_cursor_reads(&mut flat, &cells, (dim, dim), k);
     // Captured before any read settles the hierarchy: the tail is copied
     // and the degree answers sweep.
     let mut tailed = hier.snapshot_ref();
-    check_reads(&mut tailed, &cells, (dim, dim), k);
-    check_reads(&mut hier, &cells, (dim, dim), k);
+    check_cursor_reads(&mut tailed, &cells, (dim, dim), k);
+    check_cursor_reads(&mut hier, &cells, (dim, dim), k);
     // Both indexes are live now, so their views ride along.
     let mut settled = hier.snapshot();
     assert!(settled.has_index() && settled.has_col_index());
-    check_reads(&mut settled, &cells, (dim, dim), k);
+    check_cursor_reads(&mut settled, &cells, (dim, dim), k);
 
     // Four-ish windows, two closed ones retained: the oldest are evicted.
     let window = (updates.len() as u64 / 4).max(1);
@@ -304,7 +311,7 @@ fn check_level_backed_stores(updates: &[(u64, u64, u64)], cuts: &[u64], dim: u64
     let current = (updates.len() as u64 - 1) / window;
     let first_retained = (current.saturating_sub(2) * window) as usize;
     assert_eq!(windowed.windows_closed(), current);
-    check_reads(
+    check_cursor_reads(
         &mut windowed,
         &cells_of(&updates[first_retained..]),
         (dim, dim),
@@ -346,15 +353,15 @@ fn check_sharded_stores(
     feed(&mut engine, &updates[..third]);
     let mut snapshot = engine.snapshot().unwrap();
     feed(&mut engine, &updates[third..two_thirds]);
-    check_reads(
+    check_cursor_reads(
         &mut engine,
         &cells_of(&updates[..two_thirds]),
         (dim, dim),
         k,
     );
     feed(&mut engine, &updates[two_thirds..]);
-    check_reads(&mut snapshot, &cells_of(&updates[..third]), (dim, dim), k);
-    check_reads(&mut engine, &cells_of(updates), (dim, dim), k);
+    check_cursor_reads(&mut snapshot, &cells_of(&updates[..third]), (dim, dim), k);
+    check_cursor_reads(&mut engine, &cells_of(updates), (dim, dim), k);
     assert!(engine.take_read_error().is_none());
     assert_eq!(engine.aggregate_stats().unwrap().materializations, 0);
 }
@@ -432,6 +439,11 @@ proptest! {
             });
             prop_assert_eq!(&entries, &expect_entries, "entries of {}", &name);
         }
+        let mut assoc = HierAssoc::new(HierAssocConfig::from_cuts(cuts.clone()).unwrap());
+        for &(r, c, v) in &updates {
+            StreamingSink::<u64>::insert(&mut assoc, r, c, v).unwrap();
+        }
+        check_reads(&mut assoc, &cells_of(&updates), (MAX_DIM, MAX_DIM), k);
         check_level_backed_stores(&updates, &cuts, DIM, k);
         let partitioner = [ShardPartitioner::RowHash, ShardPartitioner::RowRange][row_bands];
         check_sharded_stores(&updates, &cuts, DIM, (read_shards, partitioner, chunk), k);
@@ -485,47 +497,24 @@ fn pagerank_over_retained_windows_matches_the_materialized_union() {
 }
 
 /// A caller-chosen `k` never sizes an allocation: `usize::MAX` ranks every
-/// row and column through the provided defaults (a defaults-only wrapper,
-/// the D4M store) and through the sharded engine and its snapshot.
+/// row and column through the D4M store and through the sharded engine and
+/// its snapshot.
 #[test]
 fn hostile_k_ranks_everything() {
-    /// Only the required methods: every other answer is a provided default.
-    struct Defaults(Matrix<u64>);
-    impl MatrixReader<u64> for Defaults {
-        fn reader_name(&self) -> &str {
-            "defaults-only"
-        }
-        fn read_dims(&self) -> (u64, u64) {
-            self.0.read_dims()
-        }
-        fn read_get(&mut self, r: u64, c: u64) -> Option<u64> {
-            self.0.read_get(r, c)
-        }
-        fn read_row(&mut self, r: u64, out: &mut Vec<(u64, u64)>) {
-            self.0.read_row(r, out)
-        }
-        fn read_entries(&mut self, f: &mut dyn FnMut(u64, u64, u64)) {
-            self.0.read_entries(f)
-        }
-    }
-
     let updates: Vec<(u64, u64, u64)> = (0..500u64).map(|i| (i % 23, (i * 7) % 41, 1)).collect();
     let cells = cells_of(&updates);
     let (by_row, by_col) = (
         ranked(&grouped(&cells, false), usize::MAX),
         ranked(&grouped(&cells, true), usize::MAX),
     );
-    let mut flat = Matrix::<u64>::new(DIM, DIM);
     let mut assoc = HierAssoc::with_default_config();
     let mut engine = ShardedHierMatrix::<u64>::with_shards(DIM, DIM, 3).unwrap();
     for &(r, c, v) in &updates {
-        flat.insert(r, c, v).unwrap();
         StreamingSink::<u64>::insert(&mut assoc, r, c, v).unwrap();
         engine.insert(r, c, v).unwrap();
     }
     let mut snapshot = engine.snapshot().unwrap();
-    let readers: [&mut dyn MatrixReader<u64>; 4] =
-        [&mut Defaults(flat), &mut assoc, &mut engine, &mut snapshot];
+    let readers: [&mut dyn MatrixReader<u64>; 3] = [&mut assoc, &mut engine, &mut snapshot];
     for reader in readers {
         let name = reader.reader_name().to_string();
         for k in [usize::MAX, usize::MAX - 1, 1_000_000_000_000] {
