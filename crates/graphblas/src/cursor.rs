@@ -244,8 +244,8 @@ fn check_dims<T: ScalarType>(nrows: Index, ncols: Index, levels: &[&Dcsr<T>]) ->
 /// position plus direct access to the four compressed arrays, so a *run*
 /// of rows unique to one level costs three slice copies (or one pointer
 /// subtraction, for counting) instead of a visit per row — the same trick
-/// the cascade's two-way merge uses (`push_rows_bulk`), generalised to a
-/// k-way frontier.
+/// the cascade's two-way merge uses (`RowSide::push_bulk`), generalised to
+/// a k-way frontier.
 struct RawLevel<'a, T> {
     ids: &'a [Index],
     ptr: &'a [usize],

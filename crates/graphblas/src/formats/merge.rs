@@ -15,6 +15,7 @@
 //! | column ranges disjoint           | two bulk copies | `O(1)` check + memcpy |
 //! | one side ≥ `GALLOP_RATIO` (8)× larger | **gallop**: exponential probe + binary search through the large side, bulk-copy the skipped spans | `O(k log(n/k))` |
 //! | comparable sizes                 | branchless two-pointer (unconditional write, conditional advance) | `O(n + m)`, no unpredictable branches |
+//! | *row level* (`Dcsr::interleave_rows`): both head rows one entry | the same select per row; after `STREAK` wins in a row, gallop the row ids and bulk-copy runs | `O(1)` per row |
 //!
 //! The reference is an independent element-at-a-time walk over `(row, col)`
 //! keys, `merge` of the `oracle` module; the `tests/merge_equivalence.rs`
@@ -68,8 +69,10 @@ pub struct MergeKernelStats {
     /// unique to one operand, and colliding rows whose column ranges the
     /// O(1) bounds check proved disjoint.
     pub bulk_row_elems: u64,
-    /// Elements processed by the branchless two-pointer kernel on
-    /// comparable-size colliding runs.
+    /// Elements processed by the branchless two-pointer select: the column
+    /// kernel on comparable-size colliding runs, and the row loop's
+    /// singleton step, which picks between two single-entry rows the same
+    /// way.
     pub branchless_elems: u64,
     /// Always 0: the element-at-a-time fallback this counted is gone (the
     /// reference merge lives in the `oracle` module).  Still read by

@@ -7,7 +7,10 @@
 //! — including the order-sensitive `First`/`Second`, which pin the
 //! `op.apply(a, b)` operand order on collisions regardless of which side
 //! the kernel gallops through.  Kernel and reference are also checked
-//! against an independent model (a `BTreeMap` ⊕-fold).
+//! against an independent model (a `BTreeMap` ⊕-fold).  A second generator
+//! makes uniform hypersparse operands, nearly every row a single entry,
+//! which is the shape the row loop's singleton step and its switch to
+//! galloped run copies are built for.
 
 use hyperstream_graphblas::formats::coo::Coo;
 use hyperstream_graphblas::formats::dcsr::Dcsr;
@@ -64,6 +67,44 @@ fn b_tuples(a: &[(u64, u64, u64)], nb: usize, pattern: u8, salt: u64) -> Vec<(u6
             }
         })
         .collect()
+}
+
+/// A uniform hypersparse operand: `nrows` row ids spread over `DIM`, one
+/// entry per row except every ~40th row, which holds two to six.
+fn hyper_tuples(nrows: usize, salt: u64) -> Vec<(u64, u64, u64)> {
+    let mut t = Vec::new();
+    for k in 0..nrows as u64 {
+        let h = mix(salt ^ k);
+        let len = if (h >> 40) % 40 == 0 {
+            2 + (h >> 20) % 5
+        } else {
+            1
+        };
+        for j in 0..len {
+            let c = mix(h ^ j);
+            t.push((h % DIM, c % DIM, 1 + (c >> 40) % 1000));
+        }
+    }
+    t
+}
+
+/// Two hypersparse operands of `na` and `nb` rows.  About 1% of `b`'s
+/// entries move onto a row of `a`: half onto `a`'s column too (a colliding
+/// entry), half keeping their own (a shared row, columns interleaved).
+fn hyper_pair(na: usize, nb: usize, salt: u64) -> (Dcsr<u64>, Dcsr<u64>) {
+    let at = hyper_tuples(na, salt);
+    let mut bt = hyper_tuples(nb, !salt);
+    for (k, e) in bt.iter_mut().enumerate() {
+        let h = mix(salt.wrapping_add(0xA5A5) ^ k as u64);
+        if h % 100 == 0 {
+            let (r, c, _) = at[(h >> 8) as usize % at.len()];
+            e.0 = r;
+            if h & (1 << 40) != 0 {
+                e.1 = c;
+            }
+        }
+    }
+    (build(&at), build(&bt))
 }
 
 /// Reference merge: fold `b` into `a`'s map with `op` (`a` is always the
@@ -162,6 +203,22 @@ proptest! {
     fn identical_coordinate_merges(na in 16usize..300, salt in 0u64..u64::MAX) {
         check_all_ops(na, 1, 3, salt);
     }
+
+    // Uniform hypersparse operands, nearly every row a single entry: the
+    // row-level singleton step carries the merge, and at every ratio some
+    // side wins enough steps in a row to switch to a galloped bulk copy
+    // mid-merge.
+    #[test]
+    fn hypersparse_singleton_merges(na in 500usize..3000, salt in 0u64..u64::MAX) {
+        for ratio in [1, 2, 5, 8, 64] {
+            let (a, b) = hyper_pair(na, (na / ratio).max(1), salt);
+            for (x, y) in [(&a, &b), (&b, &a)] {
+                check_op(x, y, Plus, "Plus");
+                check_op(x, y, First, "First");
+                check_op(x, y, Second, "Second");
+            }
+        }
+    }
 }
 
 // A skewed colliding-row merge must go through the gallop kernel and a
@@ -197,5 +254,16 @@ fn skewed_merge_gallops_and_disjoint_rows_bulk_copy() {
         "disjoint-row merge must bulk-copy rows (before {}, after {})",
         before.bulk_row_elems,
         after.bulk_row_elems
+    );
+
+    let (a, b) = hyper_pair(2000, 2000, 7);
+    let before = merge_kernel_stats();
+    a.merge(&b, Plus).expect("same dims");
+    let after = merge_kernel_stats();
+    assert!(
+        after.branchless_elems > before.branchless_elems,
+        "1:1 singleton-row merge must step rows branch-free (before {}, after {})",
+        before.branchless_elems,
+        after.branchless_elems
     );
 }
