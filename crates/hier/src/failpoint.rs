@@ -2,20 +2,9 @@
 //!
 //! Compiled only under the `failpoints` feature; release builds without the
 //! feature compile every [`crate::failpoint!`] site to nothing.  Sites are
-//! armed by name through [`arm`]/[`arm_at`] or the `HYPERSTREAM_FAILPOINTS`
-//! environment variable, fire deterministically on their n-th evaluation,
-//! and can target one shard index so a chaos test kills a chosen worker
-//! regardless of thread scheduling.
-//!
-//! Environment syntax (sites separated by `;`):
-//!
-//! ```text
-//! HYPERSTREAM_FAILPOINTS="worker-apply#2=panic@5;hier-flush=error"
-//! ```
-//!
-//! `#idx` restricts the site to one shard index, `@n` fires on the n-th
-//! evaluation (1-based, default 1).  Actions: `panic`, `error`,
-//! `sleep:<ms>`.
+//! armed by name through [`arm`]/[`arm_at`], fire deterministically on
+//! their n-th evaluation, and can target one shard index so a chaos test
+//! kills a chosen worker regardless of thread scheduling.
 
 use hyperstream_graphblas::{GrbError, GrbResult};
 use std::collections::HashMap;
@@ -58,16 +47,9 @@ static ANY_ARMED: AtomicBool = AtomicBool::new(false);
 fn registry() -> &'static Mutex<Registry> {
     static REG: OnceLock<Mutex<Registry>> = OnceLock::new();
     REG.get_or_init(|| {
-        let mut reg = Registry {
+        Mutex::new(Registry {
             sites: HashMap::new(),
-        };
-        if let Ok(spec) = std::env::var("HYPERSTREAM_FAILPOINTS") {
-            arm_from_spec(&mut reg, &spec);
-        }
-        if !reg.sites.is_empty() {
-            ANY_ARMED.store(true, Ordering::Release);
-        }
-        Mutex::new(reg)
+        })
     })
 }
 
@@ -77,44 +59,6 @@ fn lock_registry() -> std::sync::MutexGuard<'static, Registry> {
     registry()
         .lock()
         .unwrap_or_else(|poison| poison.into_inner())
-}
-
-/// Parse one `name[#idx]=action[@nth]` spec list into the registry.  Site
-/// names must match string literals used at `failpoint!` sites; names are
-/// interned by leaking (env arming happens once per process).
-fn arm_from_spec(reg: &mut Registry, spec: &str) {
-    for part in spec.split(';').filter(|p| !p.trim().is_empty()) {
-        let Some((site, action)) = part.split_once('=') else {
-            continue;
-        };
-        let (name, idx) = match site.split_once('#') {
-            Some((n, i)) => (n.trim(), i.trim().parse::<usize>().ok()),
-            None => (site.trim(), None),
-        };
-        let (action, nth) = match action.split_once('@') {
-            Some((a, n)) => (a.trim(), n.trim().parse::<u64>().unwrap_or(1)),
-            None => (action.trim(), 1),
-        };
-        let action = if action == "panic" {
-            FailAction::Panic
-        } else if action == "error" {
-            FailAction::Error
-        } else if let Some(ms) = action.strip_prefix("sleep:") {
-            FailAction::Sleep(Duration::from_millis(ms.parse().unwrap_or(1)))
-        } else {
-            continue;
-        };
-        let name: &'static str = Box::leak(name.to_string().into_boxed_str());
-        reg.sites.insert(
-            (name, idx),
-            Site {
-                action,
-                nth: nth.max(1),
-                hits: 0,
-                fired: 0,
-            },
-        );
-    }
 }
 
 /// Arm `name` for every shard index: fires on its `nth` evaluation
@@ -281,20 +225,5 @@ mod tests {
         assert!(check("fp-test-sleep", 0).is_ok());
         assert!(start.elapsed() >= Duration::from_millis(5));
         disarm("fp-test-sleep");
-    }
-
-    #[test]
-    fn env_spec_parses_names_indices_and_nth() {
-        let mut reg = Registry {
-            sites: HashMap::new(),
-        };
-        arm_from_spec(&mut reg, "a#2=panic@5; b=error ;c=sleep:7;junk;d=bogus");
-        assert_eq!(reg.sites.len(), 3);
-        let a = reg.sites.get(&("a", Some(2))).unwrap();
-        assert_eq!((a.action, a.nth), (FailAction::Panic, 5));
-        let b = reg.sites.get(&("b", None)).unwrap();
-        assert_eq!((b.action, b.nth), (FailAction::Error, 1));
-        let c = reg.sites.get(&("c", None)).unwrap();
-        assert_eq!(c.action, FailAction::Sleep(Duration::from_millis(7)));
     }
 }

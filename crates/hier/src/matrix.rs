@@ -293,7 +293,7 @@ impl<T: ScalarType> HierMatrix<T> {
         self.wal_log_appended(appended_from)?;
         self.raw_pending += 1;
         self.stats.updates += 1;
-        self.mark_dirty(0);
+        self.level_0_diverged();
         self.maybe_cascade()?;
         Ok(())
     }
@@ -339,7 +339,7 @@ impl<T: ScalarType> HierMatrix<T> {
         self.wal_log_appended(appended_from)?;
         self.raw_pending += rows.len();
         self.stats.updates += rows.len() as u64;
-        self.mark_dirty(0);
+        self.level_0_diverged();
         self.maybe_cascade()?;
         Ok(())
     }
@@ -589,10 +589,8 @@ impl<T: ScalarType> HierMatrix<T> {
         self.raw_pending = 0;
         self.degrees.clear();
         self.reset_stats();
-        if self.durable.is_some() {
-            for i in 0..self.levels.len() {
-                self.mark_dirty(i);
-            }
+        if let Some(d) = self.durable.as_mut() {
+            d.levels.fill(None);
             self.checkpoint()
                 .expect("durable clear: checkpointing the empty state failed");
         }
@@ -666,6 +664,9 @@ impl<T: ScalarType> HierMatrix<T> {
         if moved == 0 {
             return;
         }
+        if let Some(d) = self.durable.as_mut() {
+            d.cascade(i, self.levels[i].dcsr(), self.config.cuts());
+        }
         let (src_levels, dst_levels) = self.levels.split_at_mut(i + 1);
         let (src, dst) = (&mut src_levels[i], &mut dst_levels[0]);
         if dst.is_empty() {
@@ -677,8 +678,6 @@ impl<T: ScalarType> HierMatrix<T> {
         .expect("levels share dimensions by construction");
         self.stats.cascades[i] += 1;
         self.stats.entries_moved[i] += moved;
-        self.mark_dirty(i);
-        self.mark_dirty(i + 1);
     }
 
     // ----- durability ---------------------------------------------------
@@ -706,8 +705,7 @@ impl<T: ScalarType> HierMatrix<T> {
         let wal_gen = 1u64;
         let wal_path = cfg.dir.join(manifest::wal_file_name(wal_gen));
         let wal = wal::WalWriter::create(&wal_path, T::TYPE_TAG)?;
-        let n_levels = m.levels.len();
-        let entries = vec![manifest::LevelEntry { gen: 0, nnz: 0 }; n_levels];
+        let lists = vec![Vec::new(); m.levels.len()];
         manifest::write(
             &cfg.dir,
             &manifest::Manifest {
@@ -717,7 +715,7 @@ impl<T: ScalarType> HierMatrix<T> {
                 next_gen: 2,
                 wal_gen,
                 cuts: m.config.cuts().to_vec(),
-                levels: entries.clone(),
+                levels: lists.clone(),
             },
         )?;
         m.durable = Some(Box::new(DurableState {
@@ -725,8 +723,8 @@ impl<T: ScalarType> HierMatrix<T> {
             wal,
             wal_gen,
             next_gen: 2,
-            levels: entries,
-            dirty: vec![false; n_levels],
+            levels: lists.into_iter().map(Some).collect(),
+            on_disk: Vec::new(),
             report: None,
             level_buf: Vec::new(),
             retired: Vec::new(),
@@ -742,9 +740,9 @@ impl<T: ScalarType> HierMatrix<T> {
         Self::open_with(DurableConfig::new(dir))
     }
 
-    /// Reopen a durable store: load the checkpointed level files
-    /// (O(levels) structural work — each settled level is one sequential
-    /// read, never a per-entry re-ingest), truncate any torn WAL tail,
+    /// Reopen a durable store: load the checkpointed level files (one
+    /// sequential read each, and one merge per level of several — never a
+    /// per-entry re-ingest), truncate any torn WAL tail,
     /// replay the surviving WAL records, and resume logging.
     ///
     /// The dimensions and cut schedule come from the manifest; the scalar
@@ -788,18 +786,22 @@ impl<T: ScalarType> HierMatrix<T> {
         // Replay is reconstruction, not new ingest.
         m.reset_stats();
         // Replayed state diverges from the level files until the next
-        // checkpoint; a corrupt-but-salvaged level must also be rewritten.
-        let mut dirty = vec![replayed; n_levels];
+        // checkpoint rewrites every level whole; so does a salvaged one.
+        let on_disk = man.levels.iter().flatten().map(|f| f.gen).collect();
+        let mut levels: Vec<_> = man.levels.into_iter().map(Some).collect();
         for &i in &report.corrupt_levels {
-            dirty[i] = true;
+            levels[i] = None;
+        }
+        if replayed {
+            levels.fill(None);
         }
         m.durable = Some(Box::new(DurableState {
             cfg,
             wal: wal_writer,
             wal_gen: man.wal_gen,
             next_gen: man.next_gen,
-            levels: man.levels,
-            dirty,
+            levels,
+            on_disk,
             report: Some(report),
             level_buf: Vec::new(),
             retired: Vec::new(),
@@ -863,20 +865,9 @@ impl<T: ScalarType> HierMatrix<T> {
         })
     }
 
-    /// Force the WAL tail to stable storage regardless of the configured
-    /// [`FsyncPolicy`](crate::persist::FsyncPolicy) — a durability barrier
-    /// for `EveryN`/`Never` stores.
-    /// No-op on non-durable matrices.
-    pub fn wal_sync(&mut self) -> GrbResult<()> {
-        if let Some(d) = self.durable.as_mut() {
-            d.wal.sync()?;
-        }
-        Ok(())
-    }
-
-    /// Checkpoint the settled levels to fresh files and rotate the WAL.
+    /// Checkpoint the settled levels and rotate the WAL.
     ///
-    /// Crash-consistency: every new file (dirty level files, the empty
+    /// Crash-consistency: every new file (level files, the empty
     /// replacement WAL) is written and fsynced under a *fresh* generation
     /// number the old manifest does not reference, then the new manifest
     /// is committed via write-temp → fsync → rename → directory fsync.
@@ -903,6 +894,11 @@ impl<T: ScalarType> HierMatrix<T> {
 
     /// [`HierMatrix::checkpoint`] up to and including the manifest commit;
     /// the files it retires are queued in [`DurableState::retired`].
+    ///
+    /// A level whose file list still holds it is listed as it is; only a
+    /// level to be rewritten whole (after replay, salvage or `clear()`, a
+    /// level 0 holding cells, or a cascade over the list bound) is written
+    /// here, as one file.
     fn commit_checkpoint(&mut self) -> GrbResult<()> {
         if self.durable.is_none() {
             return Ok(());
@@ -911,30 +907,20 @@ impl<T: ScalarType> HierMatrix<T> {
         self.settle_levels();
         let d = self.durable.as_mut().expect("checked durable above");
         let dir = d.cfg.dir.clone();
-        let mut next_gen = d.next_gen;
-        // Build the new entry table locally; `self.durable` is swapped only
-        // after the manifest commit succeeds.
-        let mut new_entries = Vec::with_capacity(self.levels.len());
+        // Build the new lists locally; `d.levels` changes only after the
+        // manifest commit succeeds.
+        let mut lists = Vec::with_capacity(self.levels.len());
         for (i, level) in self.levels.iter().enumerate() {
             debug_assert_eq!(level.npending(), 0, "settled above");
-            let nnz = level.nvals_settled() as u64;
-            if !d.dirty[i] {
-                new_entries.push(d.levels[i]);
-                continue;
-            }
-            if nnz == 0 {
-                new_entries.push(manifest::LevelEntry { gen: 0, nnz: 0 });
-                continue;
-            }
-            let gen = next_gen;
-            next_gen += 1;
-            let name = manifest::level_file_name(gen);
-            persist::format::write_level(&dir, &name, level.dcsr(), &mut d.level_buf)?;
-            new_entries.push(manifest::LevelEntry { gen, nnz });
+            lists.push(match d.levels[i].clone() {
+                Some(files) => files,
+                None if level.is_empty() => Vec::new(),
+                None => vec![d.write_file(level.dcsr())?],
+            });
         }
         // Fresh empty WAL for the post-checkpoint tail.
-        let new_wal_gen = next_gen;
-        next_gen += 1;
+        let new_wal_gen = d.next_gen;
+        d.next_gen += 1;
         let wal_path = dir.join(manifest::wal_file_name(new_wal_gen));
         let new_wal = wal::WalWriter::create(&wal_path, T::TYPE_TAG)?;
         // The new files must be *named* durably before the manifest can
@@ -945,39 +931,35 @@ impl<T: ScalarType> HierMatrix<T> {
             type_tag: T::TYPE_TAG,
             nrows: self.nrows,
             ncols: self.ncols,
-            next_gen,
+            next_gen: d.next_gen,
             wal_gen: new_wal_gen,
             cuts: self.config.cuts().to_vec(),
-            levels: new_entries.clone(),
+            levels: lists,
         };
         manifest::write(&dir, &man)?;
-        // Committed: swap in-memory state and queue the old generation's
-        // files for removal (best-effort — reopen sweeps leftovers).
-        let old_wal_gen = d.wal_gen;
-        let old_entries = std::mem::replace(&mut d.levels, new_entries);
+        // Committed: swap in-memory state and queue every level file the
+        // manifest does not list, and the old log, for removal
+        // (best-effort — reopen sweeps leftovers).
+        let listed: Vec<u64> = man.levels.iter().flatten().map(|f| f.gen).collect();
+        let (kept, gone): (Vec<u64>, Vec<u64>) =
+            d.on_disk.iter().partition(|gen| listed.contains(gen));
+        d.on_disk = kept;
+        let gone = gone.into_iter().map(manifest::level_file_name);
+        d.retired.extend(gone.map(|name| dir.join(name)));
+        d.retired.push(dir.join(manifest::wal_file_name(d.wal_gen)));
+        d.levels = man.levels.into_iter().map(Some).collect();
         let retired = std::mem::replace(&mut d.wal, new_wal);
         d.retired_appends += retired.appends();
         d.retired_syncs += retired.syncs();
         d.wal.inherit_buffer(retired);
         d.wal_gen = new_wal_gen;
-        d.next_gen = next_gen;
-        for flag in d.dirty.iter_mut() {
-            *flag = false;
-        }
-        for (old, new) in old_entries.iter().zip(d.levels.iter()) {
-            if old.gen != 0 && old.gen != new.gen {
-                d.retired.push(dir.join(manifest::level_file_name(old.gen)));
-            }
-        }
-        d.retired
-            .push(dir.join(manifest::wal_file_name(old_wal_gen)));
         Ok(())
     }
 
-    /// Mark level `i`'s committed file stale (no-op when not durable).
-    fn mark_dirty(&mut self, i: usize) {
+    /// Level 0 holds cells no level file has (no-op when not durable).
+    fn level_0_diverged(&mut self) {
         if let Some(d) = self.durable.as_mut() {
-            d.dirty[i] = true;
+            d.levels[0] = None;
         }
     }
 
@@ -1906,9 +1888,9 @@ mod tests {
         };
         let referenced = |m: &HierMatrix<u64>| -> BTreeSet<String> {
             let d = m.durable.as_ref().unwrap();
-            let levels = d.levels.iter().filter(|l| l.gen != 0);
-            levels
-                .map(|l| manifest::level_file_name(l.gen))
+            let files = d.levels.iter().flatten().flatten();
+            files
+                .map(|f| manifest::level_file_name(f.gen))
                 .chain([manifest::wal_file_name(d.wal_gen), "MANIFEST".into()])
                 .collect()
         };
@@ -1931,8 +1913,13 @@ mod tests {
         );
         assert!(!referenced(&m).contains(&first_wal));
         cascade(&mut m);
-        // The first call after it sweeps; these two retired a level file too.
-        assert_eq!(on_disk(&dir).len(), referenced(&m).len() + 2);
+        // The first call after it sweeps.  Each cascade added its run to
+        // level 1's list, so the old log is all the second one retired.
+        assert_eq!(
+            m.durable.as_ref().unwrap().levels[1].as_ref().map(Vec::len),
+            Some(2)
+        );
+        assert_eq!(on_disk(&dir).len(), referenced(&m).len() + 1);
         m.update(1, 2, 3).unwrap();
         assert_eq!(on_disk(&dir), referenced(&m), "after update");
         cascade(&mut m);

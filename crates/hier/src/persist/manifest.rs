@@ -1,6 +1,6 @@
 //! The manifest: the single mutable name in a durable directory.
 //!
-//! Layout (little-endian):
+//! Layout, version 2 (little-endian):
 //!
 //! ```text
 //! 0   magic u32 ("HSMF")
@@ -12,9 +12,13 @@
 //! 32  next_gen u64
 //! 40  wal_gen u64
 //! 48  cuts[n_levels - 1] u64
-//! ..  levels[n_levels] { gen u64 (0 = empty level), nnz u64 }
+//! ..  levels[n_levels] { n_files u32, files[n_files] { gen u64, nnz u64 } }
 //! ..  crc32 u32 (over everything before it)
 //! ```
+//!
+//! A level is the ⊕ of its files, an empty level lists none, and no gen
+//! is listed twice.  Version 1 held one `{ gen u64 (0 = empty), nnz u64 }`
+//! per level in place of each list; it is still read, as one-file lists.
 //!
 //! Committed via write-temp → fsync → rename → fsync-directory: the
 //! rename is atomic, so the directory always holds either the old or the
@@ -27,18 +31,17 @@ use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 
 pub(crate) const MANIFEST_MAGIC: u32 = 0x4853_4D46; // "HSMF"
-pub(crate) const MANIFEST_VERSION: u32 = 1;
+pub(crate) const MANIFEST_VERSION: u32 = 2;
 /// Sanity cap on the level count: a hierarchy needs a strictly
 /// increasing u64 cut per level, so 64 is already unreachable; anything
 /// larger in a manifest is corruption, not configuration.
 const MAX_LEVELS: u32 = 64;
 pub(crate) const MANIFEST_NAME: &str = "MANIFEST";
 
-/// One level's committed backing file.
+/// One immutable level file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct LevelEntry {
-    /// Generation number of the level file (`lvl-<gen>.dat`); 0 means
-    /// the level is empty and has no file.
+pub(crate) struct LevelFile {
+    /// Generation number of the file (`lvl-<gen>.dat`), never 0.
     pub(crate) gen: u64,
     /// Entry count the file must carry (cross-checked on load).
     pub(crate) nnz: u64,
@@ -59,8 +62,8 @@ pub(crate) struct Manifest {
     pub(crate) wal_gen: u64,
     /// Hierarchy cut schedule (`levels.len() - 1` entries).
     pub(crate) cuts: Vec<u64>,
-    /// Per-level backing files.
-    pub(crate) levels: Vec<LevelEntry>,
+    /// Per level, the files whose ⊕ is the level.
+    pub(crate) levels: Vec<Vec<LevelFile>>,
 }
 
 /// `<dir>/MANIFEST`.
@@ -84,7 +87,8 @@ pub(crate) fn wal_file_name(gen: u64) -> String {
 }
 
 fn encode(m: &Manifest) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(64 + 8 * m.cuts.len() + 16 * m.levels.len());
+    let files: usize = m.levels.iter().map(Vec::len).sum();
+    let mut buf = Vec::with_capacity(64 + 8 * m.cuts.len() + 4 * m.levels.len() + 16 * files);
     put_u32(&mut buf, MANIFEST_MAGIC);
     put_u32(&mut buf, MANIFEST_VERSION);
     put_u32(&mut buf, m.type_tag as u32);
@@ -96,9 +100,12 @@ fn encode(m: &Manifest) -> Vec<u8> {
     for &c in &m.cuts {
         put_u64(&mut buf, c);
     }
-    for e in &m.levels {
-        put_u64(&mut buf, e.gen);
-        put_u64(&mut buf, e.nnz);
+    for level in &m.levels {
+        put_u32(&mut buf, level.len() as u32);
+        for f in level {
+            put_u64(&mut buf, f.gen);
+            put_u64(&mut buf, f.nnz);
+        }
     }
     let crc = crc32(&buf);
     put_u32(&mut buf, crc);
@@ -138,64 +145,94 @@ pub(crate) fn read(dir: &Path) -> GrbResult<Manifest> {
     let mut bytes = Vec::new();
     file.read_to_end(&mut bytes)
         .map_err(|e| io_err("read manifest", e))?;
+    decode(&bytes)
+}
+
+/// Strictly validate a manifest image of either version.
+fn decode(bytes: &[u8]) -> GrbResult<Manifest> {
     if bytes.len() < 52 {
         return Err(corruption(format!(
             "manifest: {} bytes is shorter than any valid manifest",
             bytes.len()
         )));
     }
-    let body_len = bytes.len() - 4;
-    if get_u32(&bytes, body_len, "manifest crc")? != crc32(&bytes[..body_len]) {
+    let body = &bytes[..bytes.len() - 4];
+    if get_u32(bytes, body.len(), "manifest crc")? != crc32(body) {
         return Err(corruption("manifest: crc mismatch"));
     }
-    if get_u32(&bytes, 0, "manifest magic")? != MANIFEST_MAGIC {
+    if get_u32(body, 0, "manifest magic")? != MANIFEST_MAGIC {
         return Err(corruption("manifest: bad magic"));
     }
-    if get_u32(&bytes, 4, "manifest version")? != MANIFEST_VERSION {
+    let version = get_u32(body, 4, "manifest version")?;
+    if !(1..=MANIFEST_VERSION).contains(&version) {
         return Err(corruption("manifest: unsupported version"));
     }
-    let tag = get_u32(&bytes, 8, "manifest type tag")?;
+    let tag = get_u32(body, 8, "manifest type tag")?;
     if tag > u8::MAX as u32 {
         return Err(corruption("manifest: type tag out of range"));
     }
-    let n_levels = get_u32(&bytes, 12, "manifest level count")?;
+    let n_levels = get_u32(body, 12, "manifest level count")?;
     if !(2..=MAX_LEVELS).contains(&n_levels) {
         return Err(corruption(format!(
             "manifest: level count {n_levels} outside [2, {MAX_LEVELS}]"
         )));
     }
-    let nrows = get_u64(&bytes, 16, "manifest nrows")?;
-    let ncols = get_u64(&bytes, 24, "manifest ncols")?;
-    let next_gen = get_u64(&bytes, 32, "manifest next_gen")?;
-    let wal_gen = get_u64(&bytes, 40, "manifest wal_gen")?;
+    let nrows = get_u64(body, 16, "manifest nrows")?;
+    let ncols = get_u64(body, 24, "manifest ncols")?;
+    let next_gen = get_u64(body, 32, "manifest next_gen")?;
+    let wal_gen = get_u64(body, 40, "manifest wal_gen")?;
     let n = n_levels as usize;
-    let expected_len = 48 + 8 * (n - 1) + 16 * n + 4;
-    if bytes.len() != expected_len {
-        return Err(corruption(format!(
-            "manifest: length {} does not match expected {expected_len} for {n} levels",
-            bytes.len()
-        )));
-    }
-    let mut cuts = Vec::with_capacity(n - 1);
     let mut off = 48;
+    let mut cuts = Vec::with_capacity(n - 1);
     for _ in 0..n - 1 {
-        cuts.push(get_u64(&bytes, off, "manifest cut")?);
+        cuts.push(get_u64(body, off, "manifest cut")?);
         off += 8;
     }
     let mut levels = Vec::with_capacity(n);
     for _ in 0..n {
-        let gen = get_u64(&bytes, off, "manifest level gen")?;
-        let nnz = get_u64(&bytes, off + 8, "manifest level nnz")?;
-        if gen == 0 && nnz != 0 {
+        // Version 1 holds one `{gen, nnz}` a level, gen 0 for an empty one.
+        let count = match version {
+            1 => 1,
+            _ => get_u32(body, off, "manifest file count")? as usize,
+        };
+        off += 4 * usize::from(version > 1);
+        // Checked before anything is allocated for it.
+        if count > (body.len() - off) / 16 {
+            return Err(corruption(format!("manifest: {count} files overrun it")));
+        }
+        let mut files = Vec::with_capacity(count);
+        for at in (off..off + 16 * count).step_by(16) {
+            let gen = get_u64(body, at, "manifest file gen")?;
+            let nnz = get_u64(body, at + 8, "manifest file nnz")?;
+            files.push(LevelFile { gen, nnz });
+        }
+        off += 16 * count;
+        if version == 1 && files[0].gen == 0 && files.pop().is_some_and(|f| f.nnz != 0) {
             return Err(corruption("manifest: empty level with non-zero nnz"));
         }
-        if gen != 0 && gen >= next_gen {
+        if let Some(f) = files.iter().find(|f| f.gen == 0 || f.gen >= next_gen) {
             return Err(corruption(format!(
-                "manifest: level gen {gen} not below next_gen {next_gen}"
+                "manifest: level gen {} not in (0, next_gen {next_gen})",
+                f.gen
             )));
         }
-        levels.push(LevelEntry { gen, nnz });
-        off += 16;
+        files
+            .iter()
+            .try_fold(0u64, |sum, f| sum.checked_add(f.nnz))
+            .ok_or_else(|| corruption("manifest: a level's nnz overflows u64"))?;
+        levels.push(files);
+    }
+    if off != body.len() {
+        return Err(corruption(format!(
+            "manifest: length {} does not match the {} bytes its {n} levels need",
+            bytes.len(),
+            off + 4
+        )));
+    }
+    let mut gens: Vec<u64> = levels.iter().flatten().map(|f| f.gen).collect();
+    gens.sort_unstable();
+    if let Some(w) = gens.windows(2).find(|w| w[0] == w[1]) {
+        return Err(corruption(format!("manifest: gen {} listed twice", w[0])));
     }
     if wal_gen == 0 || wal_gen >= next_gen {
         return Err(corruption(format!(
@@ -224,8 +261,8 @@ pub(crate) fn sweep_unreferenced(dir: &Path, m: &Manifest) {
     let mut referenced: Vec<String> = m
         .levels
         .iter()
-        .filter(|e| e.gen != 0)
-        .map(|e| level_file_name(e.gen))
+        .flatten()
+        .map(|f| level_file_name(f.gen))
         .collect();
     referenced.push(wal_file_name(m.wal_gen));
     referenced.push(MANIFEST_NAME.to_string());
@@ -254,23 +291,32 @@ mod tests {
         d
     }
 
+    fn file(gen: u64, nnz: u64) -> LevelFile {
+        LevelFile { gen, nnz }
+    }
+
+    /// Multi-file levels, an empty one, and a file that holds nothing.
     fn sample() -> Manifest {
         Manifest {
             type_tag: 9,
             nrows: 1 << 32,
             ncols: 1 << 32,
-            next_gen: 7,
-            wal_gen: 6,
+            next_gen: 12,
+            wal_gen: 11,
             cuts: vec![1 << 12, 1 << 15, 1 << 18],
             levels: vec![
-                LevelEntry { gen: 0, nnz: 0 },
-                LevelEntry { gen: 3, nnz: 1000 },
-                LevelEntry {
-                    gen: 4,
-                    nnz: 50_000,
-                },
-                LevelEntry { gen: 5, nnz: 0 },
+                vec![],
+                vec![file(3, 1000), file(7, 4096), file(9, 1)],
+                vec![file(4, 50_000)],
+                vec![file(5, 0), file(10, 1 << 40)],
             ],
+        }
+    }
+
+    fn corruption_detail(r: GrbResult<Manifest>) -> String {
+        match r {
+            Err(hyperstream_graphblas::GrbError::Corruption { detail }) => detail,
+            other => panic!("expected Corruption, got {other:?}"),
         }
     }
 
@@ -294,16 +340,50 @@ mod tests {
             let mut mutated = orig.clone();
             mutated[i] ^= 0x10;
             std::fs::write(&p, &mutated).unwrap();
-            assert!(read(&dir).is_err(), "flip at byte {i} went undetected");
+            corruption_detail(read(&dir));
         }
         // Truncation and extension too.
         std::fs::write(&p, &orig[..orig.len() - 3]).unwrap();
-        assert!(read(&dir).is_err());
+        corruption_detail(read(&dir));
         let mut ext = orig.clone();
         ext.extend_from_slice(&[1, 2, 3]);
         std::fs::write(&p, &ext).unwrap();
-        assert!(read(&dir).is_err());
+        corruption_detail(read(&dir));
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Images whose checksum is right and whose lists lie: each is a typed
+    /// refusal, never a panic or an allocation the file cannot back.
+    #[test]
+    fn hostile_lists_with_valid_checksums_are_corruption() {
+        let reseal = |mut image: Vec<u8>| {
+            let body = image.len() - 4;
+            let crc = crc32(&image[..body]);
+            image[body..].copy_from_slice(&crc.to_le_bytes());
+            image
+        };
+        // Level 0's file count, right behind the three cuts.
+        let count_at = 48 + 8 * 3;
+        for count in [1u32, 4, 1 << 28, u32::MAX] {
+            let mut image = encode(&sample());
+            image[count_at..count_at + 4].copy_from_slice(&count.to_le_bytes());
+            let detail = corruption_detail(decode(&reseal(image)));
+            assert!(count < 1 << 28 || detail.contains("overrun"), "{detail}");
+        }
+        let mut twice = sample();
+        twice.levels[2].push(file(7, 5));
+        assert!(corruption_detail(decode(&encode(&twice))).contains("twice"));
+        let mut ahead = sample();
+        ahead.levels[1][1].gen = ahead.next_gen;
+        assert!(corruption_detail(decode(&encode(&ahead))).contains("next_gen"));
+        let mut zero = sample();
+        zero.levels[0].push(file(0, 0));
+        assert!(corruption_detail(decode(&encode(&zero))).contains("next_gen"));
+        let mut overflow = sample();
+        overflow.levels[3] = vec![file(5, u64::MAX / 2 + 1), file(10, u64::MAX / 2 + 1)];
+        assert!(corruption_detail(decode(&encode(&overflow))).contains("overflows"));
+        // The untouched sample still decodes.
+        assert_eq!(decode(&encode(&sample())).unwrap(), sample());
     }
 
     #[test]
@@ -312,15 +392,18 @@ mod tests {
         let m = sample();
         write(&dir, &m).unwrap();
         let keep_lvl = dir.join(level_file_name(3));
-        let keep_wal = dir.join(wal_file_name(6));
+        let keep_run = dir.join(level_file_name(9));
+        let keep_wal = dir.join(wal_file_name(11));
         let drop_lvl = dir.join(level_file_name(99));
         let drop_tmp = dir.join("lvl-x.dat.tmp");
         let unrelated = dir.join("notes.txt");
-        for f in [&keep_lvl, &keep_wal, &drop_lvl, &drop_tmp, &unrelated] {
+        for f in [
+            &keep_lvl, &keep_run, &keep_wal, &drop_lvl, &drop_tmp, &unrelated,
+        ] {
             std::fs::write(f, b"x").unwrap();
         }
         sweep_unreferenced(&dir, &m);
-        assert!(keep_lvl.exists() && keep_wal.exists() && unrelated.exists());
+        assert!(keep_lvl.exists() && keep_run.exists() && keep_wal.exists() && unrelated.exists());
         assert!(!drop_lvl.exists() && !drop_tmp.exists());
         assert!(exists(&dir));
         std::fs::remove_dir_all(&dir).unwrap();

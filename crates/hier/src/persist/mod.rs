@@ -3,11 +3,9 @@
 //!
 //! ## Directory layout
 //!
-//! A durable matrix owns one directory:
-//!
 //! ```text
-//! <dir>/MANIFEST            # root of trust: which files are current
-//! <dir>/lvl-<gen>.dat       # one immutable DCSR per non-empty level
+//! <dir>/MANIFEST            # root of trust: each level's list of files
+//! <dir>/lvl-<gen>.dat       # one immutable DCSR; a level is the ⊕ of its list
 //! <dir>/wal-<gen>.log       # pending-tail write-ahead log
 //! ```
 //!
@@ -19,53 +17,52 @@
 //! ## Crash-consistency argument
 //!
 //! The manifest is the *only* mutable name.  Level files and WAL files are
-//! written once under fresh generation numbers, fsynced, and only then
-//! referenced by a new manifest that is itself committed by
-//! write-temp → fsync → rename → fsync-directory.  A crash at any
-//! intermediate point leaves the old manifest naming the old (complete,
-//! checksummed) file set; new-generation files that were mid-write are
-//! simply unreferenced garbage, swept on the next open or checkpoint.
-//! Within the WAL, a torn final frame fails its length or CRC check and
-//! recovery truncates the log there — the acknowledged-fsynced prefix is
-//! exactly what survives.
+//! written once under fresh generation numbers and fsynced, and only then
+//! listed by a new manifest, itself committed by write-temp → fsync →
+//! rename → fsync-directory.  A crash at any point leaves the old manifest
+//! naming the old (complete, checksummed) file set; newer files are
+//! unreferenced garbage, swept on the next open.  A torn final WAL frame
+//! fails its length or CRC check and recovery truncates the log there.
 //!
-//! Checkpoints ride the cascade: when a cascade chain completes, level 0
-//! is empty and the settled levels are the complete state, so the
-//! checkpoint rewrites the dirty levels, rotates the WAL, and commits.
-//! Because ⊕ is associative and commutative, replaying WAL records on top
-//! of checkpointed levels reproduces the represented matrix regardless of
-//! where the cascade schedule was interrupted.
+//! Checkpoints ride the cascade, and write only what moved.  A cascade out
+//! of level 0 writes the cells it moves once, as a file that joins level
+//! 1's list; a cascade further up moves a list and writes nothing.  When a
+//! chain completes, level 0 is empty and the lists are the whole state, so
+//! the checkpoint rotates the WAL and commits.  A level is rewritten whole,
+//! as one file, only after replay, salvage or `clear()`, on an explicit
+//! `checkpoint()` while level 0 holds cells, after a failed write, or when
+//! its list would outgrow [`max_files`].  ⊕ is associative and
+//! commutative, so merging a level's files and replaying the WAL on top
+//! reproduces the matrix wherever the schedule was interrupted.
 //!
 //! ## What a frame holds, and when it is written
 //!
-//! The hierarchy absorbs repeated cells in fast memory, and the log rides
-//! on that: a batch is first appended to level 0's pending buffer — through
-//! the in-batch fold, which keeps 34k distinct cells of a 100k-tuple batch
-//! of the paper's stream — and its frame carries exactly the tuples that
-//! append added, not the slices the caller sent.  The order is append →
-//! log → acknowledge.  If the log refuses the frame (too large, an I/O
-//! error, a failed fsync) the appended tuples are cut off the pending
-//! buffer before the error returns, so neither side holds the batch:
-//! statistics, cascade and checkpoint run after the log, `&mut self` keeps
-//! readers out, and a crash in the interval loses memory that was never
-//! acknowledged.  An `Ok` means what it meant: the frame is in the log,
-//! fsynced where the [`FsyncPolicy`] says so.  Replay settles on a schedule
-//! of its own (it counts logged tuples, the live matrix counted raw ones):
-//! nothing for integer weights, at most the order of an `f64` sum.
+//! A batch is first appended to level 0's pending buffer — through the
+//! in-batch fold, which keeps 34k distinct cells of a 100k-tuple batch of
+//! the paper's stream — and its frame carries exactly the tuples that
+//! append added.  The order is append → log → acknowledge.  If the log
+//! refuses the frame (too large, an I/O error, a failed fsync) the
+//! appended tuples are cut off the pending buffer before the error
+//! returns, so neither side holds the batch; `&mut self` keeps readers out
+//! in between.  An `Ok` means the frame is in the log, fsynced where the
+//! [`FsyncPolicy`] says so.  Replay settles on a schedule of its own (it
+//! counts logged tuples, the live matrix counted raw ones): nothing for
+//! integer weights, at most the order of an `f64` sum.
 //!
-//! A commit leaves the previous generation's files unreferenced.  Unlinking
-//! them costs 2–3 ms on what is already the slowest batch around, so the
-//! checkpoint a cascade triggers only *queues* them: the next update call
-//! unlinks them before it logs, `flush()`, `clear()` and `checkpoint()`
-//! before they return, and so does drop.  A crash in between leaves what
-//! every open already sweeps.
+//! A commit leaves the files it no longer lists on disk.  Unlinking them
+//! costs 2–3 ms on what is already the slowest batch, so a cascade's
+//! checkpoint only *queues* them: the next update call unlinks them before
+//! it logs, `flush()`, `clear()`, `checkpoint()` and drop before they
+//! return.  A crash in between leaves what every open sweeps.
 
 pub mod format;
 pub mod manifest;
 pub mod recover;
 pub mod wal;
 
-use hyperstream_graphblas::GrbError;
+use hyperstream_graphblas::formats::dcsr::Dcsr;
+use hyperstream_graphblas::{GrbError, GrbResult, ScalarType};
+use manifest::LevelFile;
 use std::path::PathBuf;
 
 /// When the write-ahead log is flushed to stable storage.
@@ -74,20 +71,18 @@ use std::path::PathBuf;
 /// |---|---|---|
 /// | `EveryBatch` | every acknowledged batch | 1.1–1.3x the `Never` window (`persist.every_batch_tax`) |
 /// | `EveryN(n)`  | all but the last `< n` batches | between the two |
-/// | `Never`      | only checkpointed levels | 1.8–2.1x (`persist.ingest_tax`; 2.1–2.5x while frames held raw tuples, 3.88x before the sliced CRC) |
+/// | `Never`      | only checkpointed levels | 1.35–1.5x (`persist.ingest_tax`; 1.8–2.1x while checkpoints rewrote whole levels, 2.1–2.5x while frames held raw tuples, 3.88x before the sliced CRC) |
 ///
 /// Measured by `benchmark/run.sh --trace --workload durable_ingest` (2M
 /// power-law updates in 100k batches, 20 WAL frames and 4 checkpoints, on
-/// one host against the previous commit).  The format never changed on the
-/// way down: slicing-by-16 [`Crc32`] (1.84 GB/s here, bytewise 0.35) and
-/// single-pass encoding took the tax from 3.88 to 2.14; frames that hold
-/// what level 0 kept of a batch (see the [module text](self)) write 19.56
-/// bytes per raw update, was 35.42 (`persist.wchar_per_update`, exact), a
-/// plain batch's append costs 0.85 ms, was 2.6, and every policy fsyncs a
-/// third of the bytes it did.  What is left is the checkpoint: each
-/// completed cascade chain rewrites its dirty levels whole (encode + CRC,
-/// write, fsync) and commits through fsync → rename → manifest, 9–19 ms
-/// on top of a 5–9 ms cascade batch.
+/// one host against the previous commit).  Slicing-by-16 [`Crc32`] (1.84
+/// GB/s here, bytewise 0.35) and single-pass encoding took the tax from
+/// 3.88 to 2.14; frames that hold what level 0 kept of a batch write 19.56
+/// bytes per raw update, was 35.42 (`persist.wchar_per_update`, exact);
+/// checkpoints that write only the cells a cascade moved write 13.16, and
+/// took the tax from 2.05–2.08 to 1.35–1.51.  What is left of a checkpoint
+/// is that one file (~5 ms for 150k cells: encode and CRC, write, fsync)
+/// and the commit, ~1 ms.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FsyncPolicy {
     /// Fsync the WAL after every appended batch: an `Ok` from an update
@@ -97,17 +92,6 @@ pub enum FsyncPolicy {
     EveryN(u64),
     /// Never fsync on append; only checkpoints force data to disk.
     Never,
-}
-
-impl FsyncPolicy {
-    /// Stable label used by benchmark artifacts.
-    pub fn label(self) -> String {
-        match self {
-            FsyncPolicy::EveryBatch => "every-batch".to_string(),
-            FsyncPolicy::EveryN(n) => format!("every-{n}"),
-            FsyncPolicy::Never => "never".to_string(),
-        }
-    }
 }
 
 /// Configuration of a durable matrix directory.
@@ -163,6 +147,9 @@ impl DurableConfig {
 pub struct RecoveryReport {
     /// Non-empty levels loaded from checkpointed level files.
     pub levels_loaded: usize,
+    /// Level files those levels were merged from (a level is the ⊕ of
+    /// its files).
+    pub files_loaded: usize,
     /// WAL records (batches) replayed on top of the checkpoint.
     pub wal_records_replayed: u64,
     /// True when the WAL ended in a torn or corrupt frame that recovery
@@ -179,8 +166,9 @@ impl std::fmt::Display for RecoveryReport {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "recovered {} level file(s), replayed {} WAL record(s), torn tail: {}, corrupt levels: {:?}",
+            "recovered {} level(s) from {} file(s), replayed {} WAL record(s), torn tail: {}, corrupt levels: {:?}",
             self.levels_loaded,
+            self.files_loaded,
             self.wal_records_replayed,
             self.torn_tail_truncated,
             self.corrupt_levels
@@ -352,10 +340,21 @@ pub(crate) fn le_u64s(bytes: &[u8]) -> impl ExactSizeIterator<Item = u64> + '_ {
         .map(|c| u64::from_le_bytes(c.try_into().expect("8-byte chunk")))
 }
 
+/// The most files level `level`'s list may hold: the ratio of its cut to
+/// the cut below it, the top level taking the last ratio (8 for
+/// `paper_default`; 1 for level 0 and for a schedule of one cut).  It caps
+/// the merge at open, and the copies of a cell the store holds.
+pub(crate) fn max_files(cuts: &[u64], level: usize) -> usize {
+    match level.min(cuts.len() - 1) {
+        0 => 1,
+        i => usize::try_from(cuts[i] / cuts[i - 1]).unwrap_or(usize::MAX),
+    }
+}
+
 /// Mutable durable bookkeeping carried by a durable
 /// [`HierMatrix`](crate::HierMatrix).  Value-independent: the WAL stores
 /// [`ScalarType::encode_bits`](hyperstream_graphblas::ScalarType::encode_bits)
-/// words, so nothing here is generic.
+/// words, so nothing here is generic but the two writers.
 #[derive(Debug)]
 pub(crate) struct DurableState {
     /// The directory + policy this matrix persists to.
@@ -366,16 +365,19 @@ pub(crate) struct DurableState {
     pub(crate) wal_gen: u64,
     /// Next unused generation number.
     pub(crate) next_gen: u64,
-    /// The level files the committed manifest references.
-    pub(crate) levels: Vec<manifest::LevelEntry>,
-    /// Levels whose in-memory settled content has diverged from their
-    /// committed level file since the last checkpoint.
-    pub(crate) dirty: Vec<bool>,
+    /// Per level, the files whose ⊕ is its settled content — what the
+    /// next manifest lists for it — or `None` when the level holds cells
+    /// no listed file has and is rewritten whole at the next checkpoint.
+    pub(crate) levels: Vec<Option<Vec<LevelFile>>>,
+    /// Gens of the level files on disk that no queued removal covers: the
+    /// committed manifest's and those written since.  A commit retires
+    /// the ones its manifest does not list.
+    pub(crate) on_disk: Vec<u64>,
     /// Report of the recovery that produced this state (None for a
     /// freshly created store).
     pub(crate) report: Option<RecoveryReport>,
     /// Reusable file image for [`format::write_level`]: grows to the
-    /// largest level checkpointed so far and is then reused, so
+    /// largest level file written so far and is then reused, so
     /// steady-state checkpoints allocate nothing.  I/O scratch, not matrix
     /// content: it is not part of `memory_bytes()`.
     pub(crate) level_buf: Vec<u8>,
@@ -396,6 +398,41 @@ impl DurableState {
         for path in self.retired.drain(..) {
             let _ = std::fs::remove_file(path);
         }
+    }
+
+    /// Write `level` as one new file under a fresh gen, fsynced (the
+    /// directory is fsynced by the commit that first lists it).
+    pub(crate) fn write_file<T: ScalarType>(&mut self, d: &Dcsr<T>) -> GrbResult<LevelFile> {
+        let gen = self.next_gen;
+        self.next_gen += 1;
+        let name = manifest::level_file_name(gen);
+        format::write_level(&self.cfg.dir, &name, d, &mut self.level_buf)?;
+        self.on_disk.push(gen);
+        let nnz = d.nvals() as u64;
+        Ok(LevelFile { gen, nnz })
+    }
+
+    /// Level `i`, holding `src`, is about to cascade into level `i + 1`:
+    /// its backing moves with its cells.  A file list moves as it is, and
+    /// no byte is written; level 0's cells, which no file holds, are
+    /// written once as a new file.  A level to be rewritten whole makes
+    /// its destination one too, and so do a list that would exceed
+    /// [`max_files`] and a write that fails (the commit's whole rewrite
+    /// then surfaces the error).
+    pub(crate) fn cascade<T: ScalarType>(&mut self, i: usize, src: &Dcsr<T>, cuts: &[u64]) {
+        let bound = max_files(cuts, i + 1);
+        let room = |dst: &Option<Vec<_>>| dst.as_ref().is_some_and(|d| d.len() < bound);
+        let moved = match self.levels[i].replace(Vec::new()) {
+            None if i == 0 && room(&self.levels[1]) => self.write_file(src).ok().map(|f| vec![f]),
+            files => files,
+        };
+        self.levels[i + 1] = match (self.levels[i + 1].take(), moved) {
+            (Some(mut dst), Some(files)) if dst.len() + files.len() <= bound => {
+                dst.extend(files);
+                Some(dst)
+            }
+            _ => None,
+        };
     }
 }
 
@@ -461,16 +498,17 @@ mod tests {
         }
     }
 
-    /// "The format did not change" as a test: a fixed WAL, level file and
-    /// manifest must come out byte-identical to what the commit before the
-    /// sliced CRC and single-pass encoders wrote.  The constants are the
-    /// length and bytewise CRC of the files that commit produced for
-    /// exactly these inputs.
+    /// "The format did not change" as a test: a fixed WAL and level file
+    /// must come out byte-identical to what the commit before the sliced
+    /// CRC and single-pass encoders wrote, and the version-1 manifest that
+    /// commit wrote must still open, as one-file lists.  The constants are
+    /// the length and bytewise CRC of the files produced for exactly these
+    /// inputs; the version-2 manifest's pin is the first of its writer.
     #[test]
     fn golden_files_match_the_previous_writer() {
         use hyperstream_graphblas::formats::dcsr::Dcsr;
         use hyperstream_graphblas::prelude::Plus;
-        use hyperstream_graphblas::ScalarType;
+        use manifest::LevelFile;
 
         let dir = std::env::temp_dir().join(format!("hyperstream-golden-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
@@ -498,35 +536,66 @@ mod tests {
         let mut buf = vec![0xA5u8; 64 * 1024];
         format::write_level(&dir, "l.dat", &d, &mut buf).unwrap();
 
-        manifest::write(
-            &dir,
-            &manifest::Manifest {
-                type_tag: 9,
-                nrows: 1 << 32,
-                ncols: 1 << 32,
-                next_gen: 7,
-                wal_gen: 6,
-                cuts: vec![1 << 12, 1 << 15],
-                levels: vec![
-                    manifest::LevelEntry { gen: 0, nnz: 0 },
-                    manifest::LevelEntry { gen: 3, nnz: 1000 },
-                    manifest::LevelEntry {
-                        gen: 5,
-                        nnz: 50_000,
-                    },
-                ],
-            },
-        )
-        .unwrap();
+        let file = |gen, nnz| LevelFile { gen, nnz };
+        let mut m = manifest::Manifest {
+            type_tag: 9,
+            nrows: 1 << 32,
+            ncols: 1 << 32,
+            next_gen: 7,
+            wal_gen: 6,
+            cuts: vec![1 << 12, 1 << 15],
+            levels: vec![vec![], vec![file(3, 1000)], vec![file(5, 50_000)]],
+        };
+        // The version-1 image, field by field: `{gen, nnz}` per level.
+        let mut v1 = Vec::new();
+        for word in [manifest::MANIFEST_MAGIC, 1, 9, 3] {
+            put_u32(&mut v1, word);
+        }
+        for word in [
+            1 << 32,
+            1 << 32,
+            7,
+            6,
+            1 << 12,
+            1 << 15,
+            0,
+            0,
+            3,
+            1000,
+            5,
+            50_000,
+        ] {
+            put_u64(&mut v1, word);
+        }
+        let crc = crc32(&v1);
+        put_u32(&mut v1, crc);
+        std::fs::write(dir.join("v1"), &v1).unwrap();
+        std::fs::write(manifest::path(&dir), &v1).unwrap();
+        assert_eq!(
+            manifest::read(&dir).unwrap(),
+            m,
+            "v1 opens as one-file lists"
+        );
 
-        for (file, len, crc) in [
-            ("w.log", 136, 0x1F61_F5C7u32),
-            ("l.dat", 20480, 0x2750_1E9A),
-            ("MANIFEST", 116, 0x2144_DF1C),
+        m.next_gen = 9;
+        m.wal_gen = 8;
+        m.levels[2].push(file(7, 4096));
+        manifest::write(&dir, &m).unwrap();
+        assert_eq!(manifest::read(&dir).unwrap(), m);
+
+        // A manifest ends in the CRC of everything before it, so the CRC of
+        // the whole file is CRC-32's residue 0x2144_DF1C for every valid
+        // manifest: its pin covers the bytes before that CRC.
+        for (file, sealed, len, crc) in [
+            ("w.log", 0, 136, 0x1F61_F5C7u32),
+            ("l.dat", 0, 20480, 0x2750_1E9A),
+            ("v1", 4, 116, 0xFAB7_9E47),
+            ("MANIFEST", 4, 128, 0xA889_5C7A),
         ] {
             let bytes = std::fs::read(dir.join(file)).unwrap();
             assert_eq!(bytes.len(), len, "{file}: length changed");
-            assert_eq!(crc32_bytewise(&bytes), crc, "{file}: bytes changed");
+            let body = &bytes[..len - sealed];
+            assert_eq!(crc32_bytewise(body), crc, "{file}: bytes changed");
         }
         assert_eq!(
             (
@@ -534,16 +603,9 @@ mod tests {
                 format::LEVEL_VERSION,
                 manifest::MANIFEST_VERSION
             ),
-            (1, 1, 1)
+            (1, 1, 2)
         );
         std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn fsync_policy_labels() {
-        assert_eq!(FsyncPolicy::EveryBatch.label(), "every-batch");
-        assert_eq!(FsyncPolicy::EveryN(64).label(), "every-64");
-        assert_eq!(FsyncPolicy::Never.label(), "never");
     }
 
     #[test]
@@ -562,11 +624,13 @@ mod tests {
     fn recovery_report_display_mentions_fields() {
         let r = RecoveryReport {
             levels_loaded: 3,
+            files_loaded: 8,
             wal_records_replayed: 17,
             torn_tail_truncated: true,
             corrupt_levels: vec![1],
         };
         let s = r.to_string();
-        assert!(s.contains('3') && s.contains("17") && s.contains("true") && s.contains("[1]"));
+        assert!(s.contains("3 level(s) from 8 file(s)"), "{s}");
+        assert!(s.contains("17") && s.contains("true") && s.contains("[1]"));
     }
 }

@@ -6,10 +6,11 @@
 //! 1. Parse the manifest strictly (the commit point of the last
 //!    successful checkpoint).
 //! 2. Load every referenced level file, cross-checking dimensions and
-//!    entry counts against the manifest.  A corrupt level either fails
-//!    the open ([`GrbError::Corruption`](hyperstream_graphblas::GrbError))
-//!    or, under [`DurableConfig::salvage_corrupt_levels`], loads empty
-//!    and is reported.
+//!    entry counts against the manifest, and merge each level's files
+//!    into the level.  A corrupt file either fails the open
+//!    ([`GrbError::Corruption`](hyperstream_graphblas::GrbError)) or,
+//!    under [`DurableConfig::salvage_corrupt_levels`], loads its whole
+//!    level empty and is reported.
 //! 3. Scan the WAL of the manifest's generation, truncating the torn
 //!    tail at the first bad frame; the surviving records are exactly the
 //!    acknowledged-fsynced prefix (plus any unsynced frames the OS
@@ -17,8 +18,11 @@
 //! 4. Sweep unreferenced files — the garbage a crash mid-checkpoint can
 //!    leave behind.
 
-use super::manifest::{self, Manifest};
-use super::{corruption, wal, DurableConfig, RecoveryReport};
+use super::manifest::{self, LevelFile, Manifest};
+use super::{corruption, format, wal, DurableConfig, RecoveryReport};
+use hyperstream_graphblas::cursor::merge_levels;
+use hyperstream_graphblas::formats::dcsr::Dcsr;
+use hyperstream_graphblas::ops::binary::Plus;
 use hyperstream_graphblas::{GrbResult, Matrix, ScalarType};
 use std::path::Path;
 
@@ -37,9 +41,10 @@ pub(crate) struct Recovered<T> {
     pub(crate) report: RecoveryReport,
 }
 
-/// Load a durable directory.  `O(levels)` structural work: each level is
-/// one sequential file read straight into the arrays `Matrix` backs
-/// itself with — no per-entry re-sort or re-ingest.
+/// Load a durable directory.  `O(files)` structural work: each file is
+/// one sequential read straight into the arrays `Matrix` backs itself
+/// with, and only a level of several files is merged — no per-entry
+/// re-sort or re-ingest.
 pub(crate) fn open_dir<T: ScalarType>(cfg: &DurableConfig) -> GrbResult<Recovered<T>> {
     let dir: &Path = &cfg.dir;
     let m = manifest::read(dir)?;
@@ -53,23 +58,18 @@ pub(crate) fn open_dir<T: ScalarType>(cfg: &DurableConfig) -> GrbResult<Recovere
 
     let mut report = RecoveryReport::default();
     let mut levels = Vec::with_capacity(m.levels.len());
-    for (i, entry) in m.levels.iter().enumerate() {
-        if entry.gen == 0 {
-            levels.push(empty_level::<T>(m.nrows, m.ncols)?);
-            continue;
-        }
-        let name = manifest::level_file_name(entry.gen);
-        match super::format::read_level::<T>(dir, &name, m.nrows, m.ncols, entry.nnz) {
-            Ok(dcsr) => {
-                levels.push(Matrix::from_dcsr(dcsr).with_pending_limit(usize::MAX));
-                report.levels_loaded += 1;
+    for (i, files) in m.levels.iter().enumerate() {
+        match load_level::<T>(dir, &m, files) {
+            Ok(level) => {
+                report.levels_loaded += usize::from(!files.is_empty());
+                report.files_loaded += files.len();
+                levels.push(level);
             }
-            Err(e) if cfg.salvage_corrupt_levels => {
+            // The entries the manifest promised are gone: the level loads
+            // empty, and the report says which.
+            Err(_) if cfg.salvage_corrupt_levels => {
                 report.corrupt_levels.push(i);
-                levels.push(empty_level::<T>(m.nrows, m.ncols)?);
-                // The entry count the manifest promised is gone; drop
-                // the detail but keep going.
-                let _ = e;
+                levels.push(load_level::<T>(dir, &m, &[])?);
             }
             Err(e) => return Err(e),
         }
@@ -96,6 +96,20 @@ pub(crate) fn open_dir<T: ScalarType>(cfg: &DurableConfig) -> GrbResult<Recovere
     })
 }
 
-fn empty_level<T: ScalarType>(nrows: u64, ncols: u64) -> GrbResult<Matrix<T>> {
-    Ok(Matrix::try_new(nrows, ncols)?.with_pending_limit(usize::MAX))
+/// One level: the ⊕ of its files (one file is the level as read).
+fn load_level<T: ScalarType>(dir: &Path, m: &Manifest, fs: &[LevelFile]) -> GrbResult<Matrix<T>> {
+    let read = |f: &LevelFile| {
+        let name = manifest::level_file_name(f.gen);
+        format::read_level::<T>(dir, &name, m.nrows, m.ncols, f.nnz)
+    };
+    let mut parts: Vec<Dcsr<T>> = fs.iter().map(read).collect::<GrbResult<_>>()?;
+    if parts.len() > 1 {
+        let refs: Vec<&Dcsr<T>> = parts.iter().collect();
+        parts = vec![merge_levels(m.nrows, m.ncols, &refs, Plus)?];
+    }
+    let level = match parts.pop() {
+        Some(d) => Matrix::from_dcsr(d),
+        None => Matrix::try_new(m.nrows, m.ncols)?,
+    };
+    Ok(level.with_pending_limit(usize::MAX))
 }

@@ -105,11 +105,6 @@ impl<T: ScalarType> WindowedHierMatrix<T> {
         self.windows_closed
     }
 
-    /// Updates absorbed by the in-progress window so far.
-    pub fn current_window_updates(&self) -> u64 {
-        self.current_count
-    }
-
     /// Apply one streaming update to the current window, rotating first if
     /// the window is full.
     pub fn update(&mut self, row: Index, col: Index, val: T) -> GrbResult<()> {
@@ -148,11 +143,6 @@ impl<T: ScalarType> WindowedHierMatrix<T> {
         Some(self.closed[idx].materialize_ref())
     }
 
-    /// Materialise the in-progress window.
-    pub fn current_window(&self) -> Matrix<T> {
-        self.current.materialize_ref()
-    }
-
     /// The hierarchies covering the last `k` closed windows plus the
     /// current one (current first).
     fn recent_windows(&self, k: usize) -> Vec<&HierMatrix<T>> {
@@ -181,14 +171,6 @@ impl<T: ScalarType> WindowedHierMatrix<T> {
             w.fold_pending_into(&mut acc);
         }
         Ok(acc)
-    }
-
-    /// Per-window total weights (oldest retained first, then the current
-    /// window) — the raw series for temporal-fluctuation analysis.
-    pub fn weight_series(&self) -> Vec<u64> {
-        let mut out: Vec<u64> = self.closed.iter().map(|w| w.total_weight()).collect();
-        out.push(self.current.total_weight());
-        out
     }
 
     /// Total weight across all *retained* windows plus the current one
@@ -380,9 +362,7 @@ mod tests {
         }
         assert_eq!(w.windows_closed(), 3);
         assert_eq!(w.retained_windows(), 3);
-        assert_eq!(w.current_window_updates(), 50);
-        let series = w.weight_series();
-        assert_eq!(series, vec![100, 100, 100, 50]);
+        assert_eq!(w.total_weight_f64(), 350.0, "three full windows and a half");
     }
 
     #[test]
@@ -621,6 +601,7 @@ mod tests {
         let mut w = windowed(10, 4);
         w.rotate().unwrap();
         assert_eq!(w.windows_closed(), 1);
-        assert_eq!(w.weight_series(), vec![0, 0]);
+        assert_eq!(w.window(0).map(|m| m.nvals()), Some(0));
+        assert_eq!(w.total_weight_f64(), 0.0);
     }
 }

@@ -8,11 +8,13 @@
 //! 2. stream updates into it and record a flat in-memory oracle alongside,
 //! 3. "crash" — the matrix is leaked with `std::mem::forget`, so the
 //!    orderly `Drop` WAL sync never runs, exactly like a process kill,
-//! 4. reopen the directory, print the [`RecoveryReport`], and
+//! 4. reopen the directory, print the [`RecoveryReport`] — a level is the
+//!    ⊕ of a short list of files, one added by each cascade out of level
+//!    0, and the report counts both — and
 //! 5. verify the recovered contents against the oracle, entry for entry.
 //!
 //! With the `failpoints` feature the crash is harsher: an injected error
-//! tears a write mid-checkpoint first.  Run with
+//! kills a checkpoint just before its commit first.  Run with
 //! `cargo run --release --example durability` (add
 //! `--features failpoints` for the torn variant).
 
@@ -27,8 +29,10 @@ fn main() {
     println!("durable store: {}", dir.display());
 
     // 1. A small cut schedule so cascades (and therefore checkpoints)
-    //    happen visibly often even in a short example.
-    let config = HierConfig::from_cuts(vec![1 << 8, 1 << 12]).unwrap();
+    //    happen visibly often even in a short example: every cascade out
+    //    of level 0 adds a file to level 1's list, up to 1000 / 100 = 10,
+    //    and the crash finds seven there.
+    let config = HierConfig::from_cuts(vec![100, 1000]).unwrap();
     let mut m = HierMatrix::<u64>::new_durable(
         DIM,
         DIM,
@@ -51,13 +55,13 @@ fn main() {
         oracle.len()
     );
 
-    // With failpoints compiled in, make the crash nastier: the next
-    // checkpoint dies mid-rename, leaving a half-finished generation for
-    // recovery to sweep.
+    // With failpoints compiled in, make the crash nastier: the flush's
+    // checkpoint dies just before its manifest swap, leaving the files it
+    // wrote for recovery to sweep.
     #[cfg(feature = "failpoints")]
     {
         hyperstream::hier::failpoint::arm(
-            "persist-mid-rename",
+            "persist-manifest-swap",
             1,
             hyperstream::hier::failpoint::FailAction::Error,
         );
@@ -77,6 +81,10 @@ fn main() {
     let r = HierMatrix::<u64>::open(&dir).unwrap();
     let report = r.recovery_report().expect("reopen always reports").clone();
     println!("recovery: {report}");
+    assert!(
+        report.files_loaded > report.levels_loaded,
+        "the store held a level of several files"
+    );
 
     // 5. Verify against the oracle.
     let (rows, cols, vals) = r.materialize_ref().extract_tuples();

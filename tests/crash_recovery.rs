@@ -279,22 +279,29 @@ fn corrupt_level_strict_open_fails_salvage_reports() {
     let mut m =
         HierMatrix::<u64>::new_durable(DIM, DIM, small_cuts(), DurableConfig::new(dir.path()))
             .unwrap();
-    for i in 0..500u64 {
-        m.update((i * 7) % 211, (i * 3) % 223, 1).unwrap();
+    // Six batches of twenty new cells: each cascade out of level 0 adds a
+    // run to level 1's list, the fourth moves that list to the top, and the
+    // flush moves the last two behind it.
+    for b in 0..6u64 {
+        let ids: Vec<u64> = (b * 20..b * 20 + 20).collect();
+        let rows: Vec<u64> = ids.iter().map(|i| (i * 7) % 211).collect();
+        let cols: Vec<u64> = ids.iter().map(|i| (i * 3) % 223).collect();
+        m.update_batch(&rows, &cols, &[1; 20]).unwrap();
     }
     m.flush().unwrap();
     drop(m);
 
-    // Flip one byte in the middle of a level file's data pages.
-    let lvl = std::fs::read_dir(dir.path())
-        .unwrap()
-        .map(|e| e.unwrap().path())
-        .find(|p| {
-            p.file_name()
-                .and_then(|n| n.to_str())
-                .is_some_and(|n| n.starts_with("lvl-"))
-        })
-        .expect("flush must have produced a level file");
+    // Flip one byte in the middle of the data pages of one file of a
+    // level that lists several.
+    let lists = level_files(dir.path());
+    let (bad_level, files) = lists
+        .iter()
+        .enumerate()
+        .find(|(_, files)| files.len() > 1)
+        .expect("the flush left a level of several files");
+    let lvl = dir
+        .path()
+        .join(format!("lvl-{:016x}.dat", files[files.len() / 2]));
     let mut bytes = std::fs::read(&lvl).unwrap();
     let mid = 4096 + (bytes.len() - 4096) / 2;
     bytes[mid] ^= 0xff;
@@ -309,10 +316,21 @@ fn corrupt_level_strict_open_fails_salvage_reports() {
     // Salvage open: succeeds, the bad level loads empty and is reported.
     let r = HierMatrix::<u64>::open_with(DurableConfig::new(dir.path()).salvage(true)).unwrap();
     let rep = r.recovery_report().unwrap().clone();
-    assert!(
-        !rep.corrupt_levels.is_empty(),
+    assert_eq!(
+        rep.corrupt_levels,
+        vec![bad_level],
         "salvage must report the loss"
     );
+    let listed: usize = lists.iter().map(Vec::len).sum();
+    assert_eq!(
+        rep.files_loaded,
+        listed - files.len(),
+        "the whole level is dropped"
+    );
+    assert!(rep
+        .to_string()
+        .contains(&format!("from {} file(s)", rep.files_loaded)));
+    assert_eq!(r.entries_per_level()[bad_level], 0);
     drop(r);
     // The salvage open rewrites nothing until a checkpoint; reopening
     // strictly still fails, proving salvage did not quietly "repair" the
@@ -515,6 +533,202 @@ fn batches_dropped_without_flush_replay_up_to_reassociation_for_f64() {
             "{g} vs {w}: more than reassociation"
         );
     }
+}
+
+// ---------------------------------------------------------------------
+// The delta store as a state machine: a level is a list of immutable
+// files, a cascade out of level 0 adds one, a cascade above it moves a
+// list, and a list past its bound is rewritten whole.  A delta lost or
+// counted twice shows as a reopened store that differs from the oracle.
+// ---------------------------------------------------------------------
+
+/// Level 0 cascades above 64 cells, level 1 above 512: the file bound is
+/// 8 on level 1 and on the top level.
+fn delta_cuts() -> HierConfig {
+    HierConfig::from_cuts(vec![64, 512]).unwrap()
+}
+
+/// The most files each level of [`delta_cuts`] may list.
+const DELTA_BOUNDS: [usize; 3] = [1, 8, 8];
+
+/// One step of the state machine.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Step {
+    /// 1..=60 tuples over a pool of 300 cells: stays in level 0.
+    Tiny(u64),
+    /// 100..=300 tuples over the same pool: one cascade out of level 0,
+    /// whose run joins level 1's list (level 1 never outgrows 300 cells).
+    Pool(u64),
+    /// 200..=800 cells never seen before: level 1 overflows, a chain.
+    Fresh(u64),
+    Flush,
+    Checkpoint,
+    Clear,
+}
+
+impl Step {
+    fn from_pick(pick: u8, salt: u64) -> Step {
+        match pick {
+            0..=3 => Step::Pool(salt),
+            4 => Step::Fresh(salt),
+            5 | 6 => Step::Tiny(salt),
+            7 => Step::Flush,
+            8 => Step::Checkpoint,
+            _ if salt % 3 == 0 => Step::Clear,
+            _ => Step::Tiny(salt),
+        }
+    }
+
+    /// The step's tuples (empty for the three store calls).
+    fn batch(self) -> Batch {
+        let cell = |id: u64| ((id * 20_000_019) % DIM, (id / 3 * 40_000_003) % DIM);
+        let ids: Vec<u64> = match self {
+            Step::Tiny(salt) => (0..1 + salt % 60).map(|i| (i * 7 + salt) % 300).collect(),
+            Step::Pool(salt) => (0..100 + salt % 201)
+                .map(|i| (i * 13 + salt) % 300)
+                .collect(),
+            Step::Fresh(salt) => (0..200 + salt % 601)
+                .map(|i| 1000 + salt * 1000 + i)
+                .collect(),
+            _ => Vec::new(),
+        };
+        let (rows, cols) = ids.iter().map(|&id| cell(id)).unzip();
+        let vals = ids.iter().map(|&id| 1 + id % 4).collect();
+        (rows, cols, vals)
+    }
+
+    /// Apply the step; `Err` when the store refused it.  `clear()` panics
+    /// when its checkpoint fails, which counts as a refusal here.
+    fn apply(self, m: &mut HierMatrix<u64>) -> Result<(), String> {
+        let (rows, cols, vals) = self.batch();
+        let done = match self {
+            Step::Flush => m.flush(),
+            Step::Checkpoint => m.checkpoint(),
+            Step::Clear => {
+                let clear = std::panic::AssertUnwindSafe(|| m.clear());
+                return std::panic::catch_unwind(clear).map_err(|_| "clear panicked".into());
+            }
+            _ => m.update_batch(&rows, &cols, &vals),
+        };
+        done.map_err(|e| e.to_string())
+    }
+
+    /// The step applied to the oracle.
+    fn model(self, oracle: &mut BTreeMap<(u64, u64), u64>) {
+        if self == Step::Clear {
+            oracle.clear();
+        }
+        let (rows, cols, vals) = self.batch();
+        for i in 0..rows.len() {
+            let cell = oracle.entry((rows[i], cols[i])).or_insert(0);
+            *cell = cell.wrapping_add(vals[i]);
+        }
+    }
+}
+
+/// The gens each level lists in the committed manifest, read off its
+/// version-2 layout: a 48-byte header, the cuts, then per level a `u32`
+/// count and a `{gen u64, nnz u64}` per file.
+fn level_files(dir: &Path) -> Vec<Vec<u64>> {
+    let bytes = std::fs::read(dir.join("MANIFEST")).unwrap();
+    let word = |at: usize| u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap()) as usize;
+    let gen = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
+    assert_eq!(word(4), 2, "manifest version");
+    let levels = word(12);
+    let mut at = 48 + 8 * (levels - 1);
+    (0..levels)
+        .map(|_| {
+            let files = word(at);
+            at += 4 + 16 * files;
+            (0..files).map(|k| gen(at - 16 * (files - k))).collect()
+        })
+        .collect()
+}
+
+fn files_per_level(dir: &Path) -> Vec<usize> {
+    level_files(dir).iter().map(Vec::len).collect()
+}
+
+/// A 300-step stream through every structural case — merges into
+/// non-empty levels, swaps into empty ones, chains, `flush()`, an explicit
+/// `checkpoint()` over a non-empty level 0, `clear()`, lists that reach
+/// their bound and are rewritten whole — reopened every 25 steps (cleanly
+/// or after a kill) and compared with the oracle each time.  It ends with
+/// every level's list within its bound.
+#[test]
+fn delta_store_stream_matches_the_oracle_across_reopens() {
+    let _quiet = unarmed();
+    let dir = TempDir::new("delta-stream");
+    let cfg = || DurableConfig::new(dir.path()).fsync(FsyncPolicy::Never);
+    let mut m = HierMatrix::<u64>::new_durable(DIM, DIM, delta_cuts(), cfg()).unwrap();
+    let mut oracle = BTreeMap::new();
+    let mut rng = proptest::TestRng::seed_from_u64(0x5eed);
+    // merge into level 1, swap into an empty level, chain, checkpoint
+    // over level 0, whole rewrite at the bound
+    let mut seen = [0u32; 5];
+    let mut peak = [0usize; 3];
+    for k in 0..300u64 {
+        let step = match k % 50 {
+            // Pinned: a checkpoint with level 0 holding cells, and a clear.
+            10 => Step::Tiny(k),
+            11 => Step::Checkpoint,
+            49 if k == 149 => Step::Clear,
+            _ => Step::from_pick(rng.below(10) as u8, rng.below(1000)),
+        };
+        let before = m.entries_per_level();
+        let cascades = |m: &HierMatrix<u64>| -> Vec<u64> {
+            (0..2).map(|i| m.stats().cascades_from_level(i)).collect()
+        };
+        let was = cascades(&m);
+        let files_before = files_per_level(dir.path());
+        step.apply(&mut m).unwrap();
+        step.model(&mut oracle);
+        let grew: Vec<bool> = cascades(&m).iter().zip(&was).map(|(n, w)| n > w).collect();
+        if step != Step::Clear && step != Step::Flush {
+            seen[0] += u32::from(grew[0] && before[1] > 0);
+            seen[1] += u32::from(grew[0] && before[1] == 0 || grew[1] && before[2] == 0);
+            seen[2] += u32::from(grew[0] && grew[1]);
+        }
+        if step == Step::Checkpoint && before[0] > 0 {
+            seen[3] += 1;
+            assert_eq!(files_per_level(dir.path())[0], 1, "level 0 written whole");
+        }
+        let files = files_per_level(dir.path());
+        for (level, &n) in files.iter().enumerate() {
+            assert!(n <= DELTA_BOUNDS[level], "step {k} ({step:?}): {files:?}");
+            peak[level] = peak[level].max(n);
+            // A list at its bound that takes another run is rewritten whole.
+            if files_before[level] == DELTA_BOUNDS[level] && n == 1 && level > 0 {
+                seen[4] += 1;
+            }
+        }
+        if k % 25 == 24 {
+            assert_eq!(contents(&m), oracle, "step {k}: before reopen");
+            if k % 50 == 24 {
+                drop(m);
+            } else {
+                std::mem::forget(m);
+            }
+            m = HierMatrix::<u64>::open_with(cfg()).unwrap();
+            assert_eq!(contents(&m), oracle, "step {k}: after reopen");
+            let report = m.recovery_report().unwrap();
+            let listed: usize = files_per_level(dir.path()).iter().sum();
+            assert_eq!(report.files_loaded, listed, "step {k}");
+        }
+    }
+    m.flush().unwrap();
+    assert_eq!(contents(&m), oracle);
+    let files = files_per_level(dir.path());
+    assert!(
+        files.iter().zip(DELTA_BOUNDS).all(|(&n, bound)| n <= bound),
+        "{files:?}"
+    );
+    assert!(seen.iter().all(|&n| n > 0), "unreached cases: {seen:?}");
+    assert_eq!(peak[1], DELTA_BOUNDS[1], "level 1 never filled its list");
+    drop(m);
+    let r = HierMatrix::<u64>::open_with(cfg()).unwrap();
+    assert_eq!(contents(&r), oracle);
+    assert_eq!(r.recovery_report().unwrap().wal_records_replayed, 0);
 }
 
 // ---------------------------------------------------------------------
@@ -849,6 +1063,74 @@ mod failpoint_crashes {
         }
     }
 
+    /// The oracle after `steps`.
+    fn step_oracle(steps: &[Step]) -> BTreeMap<(u64, u64), u64> {
+        let mut oracle = BTreeMap::new();
+        for step in steps {
+            step.model(&mut oracle);
+        }
+        oracle
+    }
+
+    fn step_sequence(max_len: usize) -> impl Strategy<Value = Vec<Step>> {
+        prop::collection::vec((0u8..10, 0u64..1000), 4..max_len)
+            .prop_map(|v| v.into_iter().map(|(p, s)| Step::from_pick(p, s)).collect())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(36))]
+
+        // The crash property over the state machine's steps: injected
+        // error + simulated kill at every persistence site, on sequences
+        // of runs added to lists, chains, whole rewrites, `flush()`,
+        // `checkpoint()` and `clear()`.  The reopened store holds the
+        // acknowledged step prefix, or that plus the step in flight.
+        #[test]
+        fn crash_at_any_site_in_the_delta_store_recovers_the_acked_steps(
+            site in 0usize..6,
+            nth in 1u64..16,
+            steps in step_sequence(28),
+        ) {
+            let _x = exclusive();
+            quiet_failpoint_panics();
+            let dir = TempDir::new("delta-crash");
+            let mut m = HierMatrix::<u64>::new_durable(
+                DIM, DIM, delta_cuts(), DurableConfig::new(dir.path()),
+            ).unwrap();
+            failpoint::arm(SITES[site], nth, FailAction::Error);
+            let mut acked = 0usize;
+            let mut failed = false;
+            for step in &steps {
+                match step.apply(&mut m) {
+                    Ok(()) => acked += 1,
+                    Err(_) => { failed = true; break; }
+                }
+            }
+            failpoint::disarm_all();
+            std::mem::forget(m);
+
+            let mut r = HierMatrix::<u64>::open(dir.path()).unwrap();
+            let got = contents(&r);
+            let lo = step_oracle(&steps[..acked]);
+            let hi = step_oracle(&steps[..(acked + usize::from(failed)).min(steps.len())]);
+            prop_assert!(
+                got == lo || got == hi,
+                "site {} nth {} steps {:?}: recovered neither the {} acked steps nor one more",
+                SITES[site], nth, steps, acked,
+            );
+            let files = files_per_level(dir.path());
+            prop_assert!(files.iter().zip(DELTA_BOUNDS).all(|(&n, b)| n <= b), "{:?}", files);
+
+            // The reopened store must be fully serviceable.
+            Step::Pool(7).apply(&mut r).unwrap();
+            r.flush().unwrap();
+            let want2 = contents(&r);
+            drop(r);
+            let r2 = HierMatrix::<u64>::open(dir.path()).unwrap();
+            prop_assert_eq!(contents(&r2), want2);
+        }
+    }
+
     /// Durable sharded engine: a worker killed mid-cascade respawns from
     /// its on-disk store — `ShardRecovery::disk` reports the reopen, the
     /// checkpointed prefix survives, and the engine returns to healthy.
@@ -940,7 +1222,7 @@ mod failpoint_crashes {
                     .map(String::as_str)
                     .or_else(|| info.payload().downcast_ref::<&str>().copied())
                     .unwrap_or("");
-                if !msg.contains("failpoint") {
+                if !msg.contains("failpoint") && !msg.contains("durable clear") {
                     previous(info);
                 }
             }));

@@ -70,6 +70,9 @@ fn contents(m: &HierMatrix<u64>) -> BTreeMap<(u64, u64), u64> {
 
 /// Build a store holding `updates` (flushed half-way so both level files
 /// and a non-empty WAL tail exist), leaving it crash-shaped via `forget`.
+/// The first half goes in as batches of 16, each of which cascades out of
+/// level 0 and adds a file to a level's list, so the flushed store holds
+/// a level of several files.
 fn build_store(dir: &Path, updates: &[(u64, u64, u64)]) {
     let mut m = HierMatrix::<u64>::new_durable(
         DIM,
@@ -79,10 +82,25 @@ fn build_store(dir: &Path, updates: &[(u64, u64, u64)]) {
     )
     .unwrap();
     let half = updates.len() / 2;
-    for &(r, c, v) in &updates[..half] {
-        m.update(r, c, v).unwrap();
+    for batch in updates[..half].chunks(16) {
+        let rows: Vec<u64> = batch.iter().map(|u| u.0).collect();
+        let cols: Vec<u64> = batch.iter().map(|u| u.1).collect();
+        let vals: Vec<u64> = batch.iter().map(|u| u.2).collect();
+        m.update_batch(&rows, &cols, &vals).unwrap();
     }
     m.flush().unwrap();
+    let level_files = store_files(dir)
+        .iter()
+        .filter(|p| {
+            p.file_name()
+                .and_then(|n| n.to_str())
+                .is_some_and(|n| n.starts_with("lvl-"))
+        })
+        .count();
+    assert!(
+        level_files > 1,
+        "the flushed store lists {level_files} level file(s)"
+    );
     for &(r, c, v) in &updates[half..] {
         m.update(r, c, v).unwrap();
     }
