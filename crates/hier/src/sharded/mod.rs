@@ -68,7 +68,8 @@
 //! ranking or histogram says nothing about the global one: every shard
 //! ships its complete column → degree list, the lists are *summed per
 //! column first* and ranked or binned afterwards, and the sum is held until
-//! the content changes, together with the shards it had to leave out.
+//! the content changes.  No read answers without a shard it is routed to: a
+//! lost one is a typed error.
 //! [`ShardedHierMatrix::try_read`] is the fallible form of all of it; the
 //! engine's [`MatrixReader::answer`] wraps it, answers empty on an error
 //! and latches the error for [`ShardedHierMatrix::take_read_error`].
@@ -85,12 +86,13 @@
 //! wait is capped by [`ShardedConfig::wait_timeout`]
 //! ([`GrbError::Timeout`]; a timeout does not declare the worker dead).
 //! [`ShardedHierMatrix::health`] reports the pool state as an
-//! [`EngineHealth`]; with [`ShardedConfig::degraded_reads`] enabled,
-//! reads answer from the survivors and name the shards each answer is
-//! missing ([`ShardedHierMatrix::last_answer_lost`]);
-//! [`ShardedHierMatrix::respawn_shard`] rebuilds a dead worker
-//! and replays the batches retained under
-//! [`ShardedConfig::replay_limit_tuples`].  The `failpoints` feature
+//! [`EngineHealth`].  Reads are strict: one that touches a lost shard
+//! returns [`GrbError::ShardsLost`], whole-matrix reads, snapshots and
+//! statistics included.  [`ShardedHierMatrix::respawn_shard`] rebuilds a
+//! dead worker on one recovery path: a durable shard reopens its own
+//! store, an in-memory shard restarts empty, and either way the tuples
+//! that may be gone are counted ([`ShardRecovery::lost_tuples`]), never
+//! retained.  The `failpoints` feature
 //! compiles deterministic fault-injection sites into the worker loop
 //! (see [`crate::failpoint`]) — the chaos suite drives panics, injected
 //! errors, and stalls through every one of these paths.
@@ -172,17 +174,6 @@ pub struct ShardedConfig {
     /// what proves death).  The default is generous: it exists to bound
     /// pathological stalls, not to race healthy workers.
     pub wait_timeout: Duration,
-    /// When `true`, whole-matrix reads against a degraded engine answer
-    /// from the surviving shards and record the lost row bands in
-    /// [`ShardedHierMatrix::last_answer_lost`]; when `false` (default),
-    /// any read touching a lost shard returns [`GrbError::ShardsLost`].
-    pub degraded_reads: bool,
-    /// Per-shard bound on the tuples retained for replay after a worker
-    /// loss ([`ShardedHierMatrix::respawn_shard`]).  `0` (default)
-    /// disables retention entirely — the ingest hot path then does no
-    /// copying — and a respawned shard restarts empty with the loss
-    /// recorded.
-    pub replay_limit_tuples: usize,
 }
 
 impl ShardedConfig {
@@ -195,8 +186,6 @@ impl ShardedConfig {
             channel_depth: 4,
             round_tuples: 1 << 19,
             wait_timeout: Duration::from_secs(60),
-            degraded_reads: false,
-            replay_limit_tuples: 0,
         }
     }
 }
@@ -223,8 +212,8 @@ pub enum EngineHealth {
     /// Every worker is alive.
     Healthy,
     /// Some workers died; the listed shards' row bands are unreachable.
-    /// Reads either fail typed or, with [`ShardedConfig::degraded_reads`],
-    /// answer from the survivors.
+    /// A read routed only to survivors is answered in full; one that
+    /// touches a lost shard returns [`GrbError::ShardsLost`].
     Degraded {
         /// Indices of the lost shards, ascending.
         lost: Vec<usize>,
@@ -234,26 +223,26 @@ pub enum EngineHealth {
 }
 
 /// The outcome of [`ShardedHierMatrix::respawn_shard`]: how much of the
-/// lost shard's stream could be restored — from the in-memory replay
-/// buffer, or (on a durable engine) from the shard's on-disk store.
+/// lost shard's stream may be gone.  Nothing is replayed: a durable shard
+/// reopens its own store, an in-memory shard restarts empty.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardRecovery {
     /// The respawned shard.
     pub shard: usize,
-    /// Tuples re-dispatched into the fresh hierarchy from the replay
-    /// buffer (always 0 on a durable engine, where the on-disk store is
-    /// authoritative and re-dispatching would double-apply under `⊕`).
-    pub replayed_tuples: usize,
-    /// In-memory engine: tuples that could not be recovered — dropped by
-    /// the replay bound (or disabled retention) or retired by a pre-loss
-    /// barrier.  Zero means the rebuilt shard is exact.
+    /// In-memory engine: the tuples the dead worker was handed since it
+    /// was spawned — all of them are gone with its hierarchy.
     ///
     /// Durable engine: an *upper bound* on the at-risk tuples — those
-    /// dispatched since the last acknowledged barrier, which may or may
-    /// not have reached the store before the worker died (a batch is
+    /// dispatched since the worker last acknowledged a `flush()` barrier
+    /// cleanly, which may or may not have reached the store before the
+    /// worker died (a batch is
     /// WAL-logged before its apply is acknowledged, so under
     /// [`crate::persist::FsyncPolicy::EveryBatch`] everything the worker
-    /// acknowledged is on disk).  Zero still means provably exact.
+    /// acknowledged is on disk).
+    ///
+    /// Either way, zero means the rebuilt shard is exact.  Tuples still
+    /// staged for the shard were never handed over; they flow to the fresh
+    /// worker and are not counted.
     pub lost_tuples: u64,
     /// Present when the shard is durable: what reopening its on-disk
     /// store observed.  `None` on in-memory engines.
@@ -281,49 +270,15 @@ impl WorkerShared {
     }
 }
 
-/// Producer-side retention of one shard's dispatched tuples, replayed into
-/// a fresh hierarchy by [`ShardedHierMatrix::respawn_shard`].  Batches are
-/// retained from dispatch until the next fully-acknowledged drain barrier
-/// (the worker has then provably applied them *and* stayed alive), bounded
-/// by [`ShardedConfig::replay_limit_tuples`].
-#[derive(Debug, Default)]
-struct ReplayBuffer<T> {
-    rows: Vec<Index>,
-    cols: Vec<Index>,
-    vals: Vec<T>,
-    /// Tuples dispatched but *not* retained (limit exceeded or retention
-    /// disabled).  Non-zero at respawn time means the rebuilt shard is
-    /// missing data — recorded, never silent.
-    dropped: u64,
-    /// Tuples retired by an acknowledged barrier since the last respawn.
-    /// Non-zero at respawn time likewise means unrecoverable data: the
-    /// dead worker's hierarchy held them and the replay buffer no longer
-    /// does.
-    retired: u64,
-}
-
-impl<T: ScalarType> ReplayBuffer<T> {
-    fn retained(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Retire retained batches after a fully-acknowledged barrier.
-    fn on_barrier_ack(&mut self) {
-        self.retired += self.rows.len() as u64;
-        self.rows.clear();
-        self.cols.clear();
-        self.vals.clear();
-    }
-
-    /// Forget everything (after a respawn replayed the retained tuples the
-    /// fresh hierarchy corresponds to the buffer exactly).
-    fn reset(&mut self) {
-        self.rows.clear();
-        self.cols.clear();
-        self.vals.clear();
-        self.dropped = 0;
-        self.retired = 0;
-    }
+/// Tuples handed to one shard's worker, counted the two ways
+/// [`ShardRecovery::lost_tuples`] reports a loss.
+#[derive(Debug, Default, Clone, Copy)]
+struct Dispatched {
+    /// Since the worker was spawned: what an in-memory respawn loses.
+    since_spawn: u64,
+    /// Since the worker last acknowledged a [`ShardedHierMatrix::flush`]
+    /// barrier cleanly: what a durable respawn may lose.
+    since_ack: u64,
 }
 
 /// A tuple batch travelling to a worker (and, emptied, back).
@@ -484,25 +439,21 @@ pub struct ShardedHierMatrix<T> {
     /// tuple empties it; flushes and settles don't (they never change the
     /// represented union); a respawn does.
     in_degrees_cache: Option<read::SummedInDegrees>,
-    /// Per-shard replay retention (empty vectors when
-    /// [`ShardedConfig::replay_limit_tuples`] is 0).
-    replay: Vec<ReplayBuffer<T>>,
+    /// Per shard, the tuples its worker was handed.
+    dispatched: Vec<Dispatched>,
     /// Shard cut schedule, kept so [`Self::respawn_shard`] can build a
     /// fresh hierarchy identical to the lost one's.
     hier_config: HierConfig,
     /// Durable backing for the whole engine: shard `i` persists to
     /// `dir/shard-i` ([`DurableConfig::shard`]).  `None` for in-memory
     /// engines.  Kept so [`Self::respawn_shard`] can reopen a lost
-    /// shard's store instead of rebuilding from the replay buffer.
+    /// shard's store.
     durable: Option<DurableConfig>,
     /// First error swallowed by an infallible [`MatrixReader`] method since
     /// the last [`Self::take_read_error`] — the trait's signatures cannot
     /// carry it, so it is latched here instead of vanishing.  Mutexed so
     /// `&self` paths (e.g. [`StreamingSink::nvals`]) can latch too.
     last_error: Mutex<Option<GrbError>>,
-    /// Shards skipped by the most recent degraded read (empty when the
-    /// answer was complete).
-    last_answer_lost: Vec<usize>,
 }
 
 /// Spawn one supervised worker thread for shard `i`: the loop runs under
@@ -599,7 +550,6 @@ impl<T: ScalarType> ShardedHierMatrix<T> {
         let depth = config.channel_depth.max(1);
         let mut shards = Vec::with_capacity(nshards);
         let mut workers = Vec::with_capacity(nshards);
-        let mut replay = Vec::with_capacity(nshards);
         for i in 0..nshards {
             let hier = match &durable {
                 Some(dcfg) => {
@@ -610,7 +560,6 @@ impl<T: ScalarType> ShardedHierMatrix<T> {
             let shard = Arc::new(Mutex::new(hier));
             workers.push(spawn_worker(i, Arc::clone(&shard), depth));
             shards.push(shard);
-            replay.push(ReplayBuffer::default());
         }
         Ok(Self {
             nrows,
@@ -629,11 +578,10 @@ impl<T: ScalarType> ShardedHierMatrix<T> {
             pushdown_queries: 0,
             last_fanout: 0,
             in_degrees_cache: None,
-            replay,
+            dispatched: vec![Dispatched::default(); nshards],
             hier_config,
             durable,
             last_error: Mutex::new(None),
-            last_answer_lost: Vec::new(),
         })
     }
 
@@ -698,13 +646,6 @@ impl<T: ScalarType> ShardedHierMatrix<T> {
         }
     }
 
-    /// Shards skipped by the most recent degraded read (empty when the
-    /// last answer was complete).  Only meaningful with
-    /// [`ShardedConfig::degraded_reads`] enabled.
-    pub fn last_answer_lost(&self) -> &[usize] {
-        &self.last_answer_lost
-    }
-
     /// Take (and clear) the first error swallowed by an infallible
     /// [`MatrixReader`] method since the previous call.  [`Self::try_read`]
     /// never latches — prefer it on supervised engines.
@@ -720,6 +661,16 @@ impl<T: ScalarType> ShardedHierMatrix<T> {
             .find_map(|&i| self.workers[i].shared.panic_msg.lock().clone())
             .unwrap_or_else(|| "worker channel closed".to_string());
         GrbError::ShardsLost { shards, detail }
+    }
+
+    /// The typed error naming those of `shards` that are lost, if any.
+    fn ensure_live(&self, shards: impl Iterator<Item = usize>) -> GrbResult<()> {
+        let lost: Vec<usize> = shards.filter(|&i| !self.is_alive(i)).collect();
+        if lost.is_empty() {
+            Ok(())
+        } else {
+            Err(self.lost_error(lost))
+        }
     }
 
     /// Record shard `i`'s worker as dead after a disconnected channel and
@@ -788,16 +739,11 @@ impl<T: ScalarType> ShardedHierMatrix<T> {
     }
 
     /// Aggregate hierarchy statistics (sums over shards, after a drain).
-    /// A degraded engine with [`ShardedConfig::degraded_reads`] sums the
-    /// surviving shards.
     pub fn aggregate_stats(&self) -> GrbResult<HierStats> {
-        let lost = self.barrier_live()?;
+        self.barrier_live()?;
         let levels = self.shards.first().map(|m| m.lock().levels()).unwrap_or(1);
         let mut agg = HierStats::new(levels);
-        for (i, m) in self.shards.iter().enumerate() {
-            if lost.contains(&i) {
-                continue;
-            }
+        for m in &self.shards {
             let m = m.lock();
             let s = m.stats();
             agg.updates += s.updates;
@@ -861,7 +807,8 @@ impl<T: ScalarType> ShardedHierMatrix<T> {
     /// worker is `channel_depth` batches behind — the engine's
     /// backpressure (a *dead* worker's channel is disconnected and fails
     /// immediately instead).  On a send failure the batch is re-staged, so
-    /// a later [`Self::respawn_shard`] can still dispatch it.
+    /// a later [`Self::respawn_shard`] can still dispatch it; a sent batch
+    /// is counted in `dispatched`.
     fn dispatch_shard(&mut self, shard: usize) -> GrbResult<()> {
         if self.staging.staged(shard) == 0 {
             return Ok(());
@@ -869,61 +816,25 @@ impl<T: ScalarType> ShardedHierMatrix<T> {
         if !self.is_alive(shard) {
             return Err(self.lost_error(vec![shard]));
         }
-        // Retain a replay copy before the buffers travel (rolled back if
-        // the send fails — the tuples then live in staging, not both).
-        let batch_len = self.staging.staged(shard);
-        let retained_before = self.replay_retain(shard);
         let replacement = self.workers[shard].recycled.try_recv().unwrap_or_default();
         let buf = self.staging.take_shard(shard, replacement);
-        match self.send_msg(shard, WorkerMsg::Apply(buf)) {
-            Ok(()) => {
-                self.chunks_sent += 1;
-                Ok(())
-            }
-            Err(WorkerMsg::Apply((rows, cols, vals))) => {
-                // The worker died between the liveness check and the send:
-                // salvage the batch back into staging and undo the replay
-                // append so the tuples are counted exactly once.
+        let n = buf.0.len() as u64;
+        if let Err(msg) = self.send_msg(shard, WorkerMsg::Apply(buf)) {
+            // The worker died between the liveness check and the send:
+            // salvage the batch back into staging, where it waits for a
+            // respawn instead of counting as handed over.
+            if let WorkerMsg::Apply((rows, cols, vals)) = msg {
                 for i in 0..rows.len() {
                     self.staging.push(shard, rows[i], cols[i], vals[i]);
                 }
-                self.replay_rollback(shard, retained_before, batch_len);
-                Err(self.mark_lost(shard))
             }
-            Err(_) => unreachable!("send returned a different message than it was given"),
+            return Err(self.mark_lost(shard));
         }
-    }
-
-    /// Append `shard`'s currently staged tuples to its replay buffer
-    /// (bounded; overflow is recorded, not silently dropped).  Returns the
-    /// buffer's prior retained length for rollback.
-    fn replay_retain(&mut self, shard: usize) -> usize {
-        let staged = self.staging.staged(shard);
-        let rb = &mut self.replay[shard];
-        let before = rb.retained();
-        let limit = self.config.replay_limit_tuples;
-        if limit == 0 || before + staged > limit {
-            rb.dropped += staged as u64;
-            return before;
-        }
-        let (r, c, v) = self.staging.shard_slices(shard);
-        rb.rows.extend_from_slice(r);
-        rb.cols.extend_from_slice(c);
-        rb.vals.extend_from_slice(v);
-        before
-    }
-
-    /// Undo a [`Self::replay_retain`] after a failed dispatch.
-    fn replay_rollback(&mut self, shard: usize, retained_before: usize, batch_len: usize) {
-        let rb = &mut self.replay[shard];
-        if rb.retained() > retained_before {
-            rb.rows.truncate(retained_before);
-            rb.cols.truncate(retained_before);
-            rb.vals.truncate(retained_before);
-        } else {
-            // The batch was never retained — it was counted as dropped.
-            rb.dropped = rb.dropped.saturating_sub(batch_len as u64);
-        }
+        self.chunks_sent += 1;
+        let d = &mut self.dispatched[shard];
+        d.since_spawn += n;
+        d.since_ack += n;
+        Ok(())
     }
 
     /// Dispatch every live shard's staged remainder, surfacing the first
@@ -1051,59 +962,21 @@ impl<T: ScalarType> ShardedHierMatrix<T> {
             .collect()
     }
 
-    /// Drain every live worker, tolerating already-lost shards when
-    /// degraded reads are enabled.  Returns the lost shards the caller
-    /// must exclude from producer-side sums (a dead worker's hierarchy may
-    /// be mid-mutation and is never read).
-    fn barrier_live(&self) -> GrbResult<Vec<usize>> {
-        let known_lost = self.lost_shards();
-        if !known_lost.is_empty() && !self.config.degraded_reads {
-            return Err(self.lost_error(known_lost));
-        }
-        let mut result = Ok(());
-        for (_, ack) in self.collect_barrier_acks() {
-            let r = match ack {
-                Ok(a) => a.result,
-                Err(GrbError::ShardsLost { .. }) if self.config.degraded_reads => Ok(()),
-                Err(e) => Err(e),
-            };
-            if result.is_ok() {
-                result = r;
-            }
-        }
-        result?;
-        Ok(self.lost_shards())
-    }
-
-    /// [`Self::barrier_all`] plus replay retirement: a shard whose ack came
-    /// back clean has provably applied every retained batch, so its replay
-    /// buffer empties (this is what bounds the buffer on a healthy engine).
-    fn settle_barrier(&mut self) -> GrbResult<()> {
-        let acks = self.collect_barrier_acks();
-        let mut result = Ok(());
-        for (shard, ack) in acks {
-            match ack {
-                Ok(a) if a.result.is_ok() => self.replay[shard].on_barrier_ack(),
-                Ok(a) => {
-                    if result.is_ok() {
-                        result = a.result;
-                    }
-                }
-                Err(e) => {
-                    if result.is_ok() {
-                        result = Err(e);
-                    }
-                }
-            }
-        }
-        result
+    /// Drain every worker, surfacing the first error; a lost shard is one
+    /// (a dead worker's hierarchy may be mid-mutation and is never read).
+    fn barrier_live(&self) -> GrbResult<()> {
+        self.ensure_live(0..self.workers.len())?;
+        self.collect_barrier_acks()
+            .into_iter()
+            .try_for_each(|(_, ack)| ack.and_then(|a| a.result))
     }
 
     /// Complete all deferred work: dispatch staged tuples, wait for the
     /// workers to apply them, and finish every shard's outstanding
     /// cascades.  The workers stay parked on their channels afterwards.
     /// On a degraded engine the surviving shards are still flushed and the
-    /// first loss is reported.
+    /// first loss is reported.  A clean ack proves its worker applied every
+    /// batch it was handed, so it clears that shard's at-risk count.
     pub fn flush(&mut self) -> GrbResult<()> {
         let mut result = Ok(());
         if self.since_round > 0 || self.staging.total() > 0 {
@@ -1125,31 +998,27 @@ impl<T: ScalarType> ShardedHierMatrix<T> {
                 }
             }
         }
-        let settled = self.settle_barrier();
-        if result.is_ok() {
-            result = settled;
+        for (shard, ack) in self.collect_barrier_acks() {
+            let r = ack.and_then(|a| a.result);
+            if r.is_ok() {
+                self.dispatched[shard].since_ack = 0;
+            } else if result.is_ok() {
+                result = r;
+            }
         }
         result
     }
 
     /// Materialise the full matrix `A = Σ_shards Σ_levels` (staged and
     /// in-flight tuples are applied first; streaming can continue
-    /// afterwards).  With [`ShardedConfig::degraded_reads`], a degraded
-    /// engine materialises the surviving shards and records the skipped
-    /// bands in [`Self::last_answer_lost`].
+    /// afterwards).  A lost shard is a [`GrbError::ShardsLost`].
     pub fn materialize(&mut self) -> GrbResult<Matrix<T>> {
-        let known_lost = self.lost_shards();
-        if !known_lost.is_empty() && !self.config.degraded_reads {
-            return Err(self.lost_error(known_lost));
-        }
+        self.ensure_live(0..self.workers.len())?;
         for s in 0..self.shards.len() {
-            if self.is_alive(s) {
-                self.dispatch_shard(s)?;
-            }
+            self.dispatch_shard(s)?;
         }
-        let lost = self.barrier_live()?;
-        self.last_answer_lost = lost.clone();
-        Ok(self.shard_sum(&lost))
+        self.barrier_live()?;
+        Ok(self.shard_sum(&[]))
     }
 
     /// `Σ_shards Σ_levels` of the shards' contents, excluding `skip` (lost
@@ -1170,18 +1039,16 @@ impl<T: ScalarType> ShardedHierMatrix<T> {
         acc
     }
 
-    /// Rebuild shard `i` after a worker loss: fresh hierarchy, fresh
-    /// channels, a fresh supervised thread, then replay of the retained
-    /// batches ([`ShardedConfig::replay_limit_tuples`]).  Tuples that were
-    /// dropped by the bound, or retired by a pre-loss barrier, cannot be
-    /// recovered — the returned [`ShardRecovery`] reports them, so data
-    /// loss is always explicit.  A no-op on a live worker.
+    /// Rebuild shard `i` after a worker loss: fresh channels and a fresh
+    /// supervised thread over the shard's own store reopened (durable) or
+    /// an empty hierarchy (in-memory).  Nothing is replayed; the returned
+    /// [`ShardRecovery`] counts what may be gone, so data loss is always
+    /// explicit.  A no-op on a live worker.
     pub fn respawn_shard(&mut self, i: usize) -> GrbResult<ShardRecovery> {
         self.check_shard(i)?;
         if self.is_alive(i) {
             return Ok(ShardRecovery {
                 shard: i,
-                replayed_tuples: 0,
                 lost_tuples: 0,
                 disk: None,
             });
@@ -1191,24 +1058,17 @@ impl<T: ScalarType> ShardedHierMatrix<T> {
         // acknowledged each apply.  The old worker's file handles are
         // harmless — the thread has already exited, so nothing writes
         // through them.
-        let mut disk = None;
-        let fresh = match &self.durable {
-            Some(dcfg) => {
-                let reopened = HierMatrix::open_or_create(
-                    self.nrows,
-                    self.ncols,
-                    self.hier_config.clone(),
-                    dcfg.shard(i),
-                )?;
-                disk = reopened.recovery_report().cloned();
-                Arc::new(Mutex::new(reopened))
-            }
-            None => Arc::new(Mutex::new(HierMatrix::new(
+        let hier = match &self.durable {
+            Some(dcfg) => HierMatrix::open_or_create(
                 self.nrows,
                 self.ncols,
                 self.hier_config.clone(),
-            )?)),
+                dcfg.shard(i),
+            )?,
+            None => HierMatrix::new(self.nrows, self.ncols, self.hier_config.clone())?,
         };
+        let disk = hier.recovery_report().cloned();
+        let fresh = Arc::new(Mutex::new(hier));
         let depth = self.config.channel_depth.max(1);
         let old = std::mem::replace(
             &mut self.workers[i],
@@ -1222,45 +1082,19 @@ impl<T: ScalarType> ShardedHierMatrix<T> {
         let _ = old.handle.join();
         // Answers derived from the dead shard's contents are stale now.
         self.in_degrees_cache = None;
-        if self.durable.is_some() {
-            // The store is authoritative: re-dispatching retained tuples
-            // would double-apply everything the dead worker both logged
-            // and applied (⊕ is not idempotent).  The retained count is
-            // instead the honest at-risk bound — see [`ShardRecovery`].
-            let rb = &mut self.replay[i];
-            let lost_tuples = rb.retained() as u64;
-            rb.reset();
-            // Tuples still staged for the shard were never sent anywhere;
-            // they remain valid and flow to the fresh worker now.
-            self.dispatch_shard(i)?;
-            return Ok(ShardRecovery {
-                shard: i,
-                replayed_tuples: 0,
-                lost_tuples,
-                disk,
-            });
-        }
-        let rb = &mut self.replay[i];
-        let lost_tuples = rb.dropped + rb.retired;
-        let replayed_tuples = rb.retained();
-        let rows = std::mem::take(&mut rb.rows);
-        let cols = std::mem::take(&mut rb.cols);
-        let vals = std::mem::take(&mut rb.vals);
-        rb.reset();
-        // Re-dispatch through the normal path: the replayed tuples join
-        // whatever is still staged for the shard (⊕ is commutative, order
-        // is irrelevant) and are themselves retained until the next
-        // acknowledged barrier.  Weight totals were counted at original
-        // ingest and are not recounted.
-        for j in 0..rows.len() {
-            self.staging.push(i, rows[j], cols[j], vals[j]);
-        }
+        let d = std::mem::take(&mut self.dispatched[i]);
+        let lost_tuples = if self.durable.is_some() {
+            d.since_ack
+        } else {
+            d.since_spawn
+        };
+        // Tuples still staged for the shard were never sent anywhere; they
+        // remain valid and flow to the fresh worker now.
         self.dispatch_shard(i)?;
         Ok(ShardRecovery {
             shard: i,
-            replayed_tuples,
             lost_tuples,
-            disk: None,
+            disk,
         })
     }
 

@@ -156,13 +156,10 @@ pub(super) struct SummedInDegrees {
     degrees: BTreeMap<Index, usize>,
     /// The first [`IN_TOP_READY`] ranks (or all there are).
     top: Vec<(Index, usize)>,
-    /// The lost shards the sum had to leave out: every answer derived from
-    /// it is missing exactly their rows, however long it has been held.
-    skipped: Vec<usize>,
 }
 
 impl SummedInDegrees {
-    fn sum(parts: impl Iterator<Item = Vec<(Index, usize)>>, skipped: Vec<usize>) -> Self {
+    fn sum(parts: impl Iterator<Item = Vec<(Index, usize)>>) -> Self {
         let mut degrees = BTreeMap::new();
         for (c, d) in parts.flatten() {
             *degrees.entry(c).or_insert(0) += d;
@@ -170,7 +167,6 @@ impl SummedInDegrees {
         Self {
             top: rank(&degrees, IN_TOP_READY),
             degrees,
-            skipped,
         }
     }
 
@@ -224,8 +220,7 @@ fn concat<A>(mut lists: impl Iterator<Item = Vec<A>>) -> Vec<A> {
     all
 }
 
-/// Batched answers back into request order; keys nobody answered for (a
-/// lost owner under degraded reads) keep `empty`.
+/// Batched answers back into request order (every slot is some shard's).
 fn gather<A: Clone>(
     n: usize,
     empty: A,
@@ -240,30 +235,23 @@ fn gather<A: Clone>(
     out
 }
 
-/// The held in-degree sum, built from `parts` (every live shard's complete
-/// column → degree list) when none is held.  `lost` becomes what the sum
-/// left out — on a hit, what it left out when it was built.
-fn summed<'a, T: ScalarType>(
-    held: &'a mut Option<SummedInDegrees>,
+/// The held in-degree sum, built from `parts` (every shard's complete
+/// column → degree list) when none is held.
+fn summed<T: ScalarType>(
+    held: &mut Option<SummedInDegrees>,
     parts: impl Iterator<Item = (Answer<T>, Vec<usize>)>,
-    lost: &mut Vec<usize>,
-) -> &'a SummedInDegrees {
-    let sum = held.get_or_insert_with(|| {
-        SummedInDegrees::sum(parts.map(|p| p.0.into_ranked()), std::mem::take(lost))
-    });
-    lost.clone_from(&sum.skipped);
-    sum
+) -> &SummedInDegrees {
+    held.get_or_insert_with(|| SummedInDegrees::sum(parts.map(|p| p.0.into_ranked())))
 }
 
 /// One answer out of the shards' `(answer, slots)` parts.  Every rule
 /// below is exact because shards own disjoint row sets and values combine
-/// under an associative, commutative `+`; a skipped shard has no part, so
-/// its rows are simply absent.
+/// under an associative, commutative `+`; a shard that holds nothing adds
+/// nothing.
 fn combine<T: ScalarType>(
     q: &Query,
     mut parts: impl Iterator<Item = (Answer<T>, Vec<usize>)>,
     in_degrees: &mut Option<SummedInDegrees>,
-    lost: &mut Vec<usize>,
 ) -> Answer<T> {
     match q {
         // One shard holds the row: what it says is the answer.
@@ -309,8 +297,8 @@ fn combine<T: ScalarType>(
         }
         // In-degrees alone are summed per column *before* they are ranked
         // or binned (see `route`).
-        Query::InTopK(k) => Answer::Ranked(summed(in_degrees, parts, lost).top_k(*k)),
-        Query::InDegreeHistogram => Answer::Histogram(summed(in_degrees, parts, lost).histogram()),
+        Query::InTopK(k) => Answer::Ranked(summed(in_degrees, parts).top_k(*k)),
+        Query::InDegreeHistogram => Answer::Histogram(summed(in_degrees, parts).histogram()),
         Query::Rows(rows) => {
             let parts = parts.map(|(a, slots)| (a.into_lines(), slots));
             Answer::Lines(gather(rows.len(), Vec::new(), parts))
@@ -329,15 +317,16 @@ trait ShardSet<T: ScalarType> {
     /// How rows map to shards.
     fn partition(&self) -> Partition;
 
-    /// Of `shards`, the ones that are lost and have to be left out — or the
-    /// typed error, where answering without them is not allowed.
-    fn skipped(&self, shards: &mut dyn Iterator<Item = usize>) -> GrbResult<Vec<usize>>;
+    /// The typed error when any of `shards` is lost: a read never answers
+    /// without a shard it needs.
+    fn check_live(&self, _shards: &mut dyn Iterator<Item = usize>) -> GrbResult<()> {
+        Ok(())
+    }
 
-    /// Ask one shard that is not lost.
+    /// Ask one shard.
     fn ask_owner(&mut self, shard: usize, q: &Query) -> GrbResult<Answer<T>>;
 
-    /// Ask several shards that are not lost, each its own query; answers in
-    /// `asks` order.
+    /// Ask several shards, each its own query; answers in `asks` order.
     fn ask_each(&mut self, asks: Vec<(usize, Query)>) -> GrbResult<Vec<Answer<T>>> {
         asks.iter().map(|(s, q)| self.ask_owner(*s, q)).collect()
     }
@@ -345,42 +334,31 @@ trait ShardSet<T: ScalarType> {
     /// Where the summed in-degree map is held between reads.
     fn in_degrees(&mut self) -> &mut Option<SummedInDegrees>;
 
-    /// The shards the answer just given is missing.
-    fn note_lost(&mut self, _lost: Vec<usize>) {}
-
     /// An error the infallible reader surface could not return.
     fn latch(&self, _e: GrbError) {}
 }
 
-/// Answer `q` across `set`: route it, ask the shards that are there,
-/// combine what they say.
+/// Answer `q` across `set`: route it, ask the shards it names, combine
+/// what they say.
 fn across<T: ScalarType, S: ShardSet<T>>(set: &mut S, q: &Query) -> GrbResult<Answer<T>> {
     let warm = set.in_degrees().is_some();
-    let mut lost = Vec::new();
-    let answer = match route(&set.partition(), q, warm) {
+    Ok(match route(&set.partition(), q, warm) {
         Route::Nobody => Answer::empty_for(q),
         Route::Owner(shard) => {
-            lost = set.skipped(&mut std::iter::once(shard))?;
-            let part = if lost.is_empty() {
-                Some((set.ask_owner(shard, q)?, Vec::new()))
-            } else {
-                None
-            };
-            combine(q, part.into_iter(), set.in_degrees(), &mut lost)
+            set.check_live(&mut std::iter::once(shard))?;
+            let part = (set.ask_owner(shard, q)?, Vec::new());
+            combine(q, std::iter::once(part), set.in_degrees())
         }
-        Route::Each(mut asks) => {
-            lost = set.skipped(&mut asks.iter().map(|a| a.shard))?;
-            asks.retain(|a| !lost.contains(&a.shard));
+        Route::Each(asks) => {
+            set.check_live(&mut asks.iter().map(|a| a.shard))?;
             let (queries, slots): (Vec<_>, Vec<_>) = asks
                 .into_iter()
                 .map(|a| ((a.shard, a.query), a.slots))
                 .unzip();
             let parts = set.ask_each(queries)?.into_iter().zip(slots);
-            combine(q, parts, set.in_degrees(), &mut lost)
+            combine(q, parts, set.in_degrees())
         }
-    };
-    set.note_lost(lost);
-    Ok(answer)
+    })
 }
 
 /// [`across`] for the infallible [`MatrixReader::answer`]: an error is
@@ -401,15 +379,10 @@ impl<T: ScalarType> ShardSet<T> for ShardedHierMatrix<T> {
         }
     }
 
-    /// Strict reads fail fast on any lost target; degraded reads leave it
-    /// out.  A worker that dies *during* the ask is always an error.
-    fn skipped(&self, shards: &mut dyn Iterator<Item = usize>) -> GrbResult<Vec<usize>> {
-        let lost: Vec<usize> = shards.filter(|&s| !self.is_alive(s)).collect();
-        if lost.is_empty() || self.config.degraded_reads {
-            Ok(lost)
-        } else {
-            Err(self.lost_error(lost))
-        }
+    /// Fails fast, before any target is asked; a worker that dies *during*
+    /// the ask is an error too.
+    fn check_live(&self, shards: &mut dyn Iterator<Item = usize>) -> GrbResult<()> {
+        self.ensure_live(shards)
     }
 
     fn ask_owner(&mut self, shard: usize, q: &Query) -> GrbResult<Answer<T>> {
@@ -427,10 +400,6 @@ impl<T: ScalarType> ShardSet<T> for ShardedHierMatrix<T> {
         &mut self.in_degrees_cache
     }
 
-    fn note_lost(&mut self, lost: Vec<usize>) {
-        self.last_answer_lost = lost;
-    }
-
     fn latch(&self, e: GrbError) {
         self.latch_err(e);
     }
@@ -438,10 +407,8 @@ impl<T: ScalarType> ShardSet<T> for ShardedHierMatrix<T> {
 
 impl<T: ScalarType> ShardedHierMatrix<T> {
     /// Answer one [`Query`] — the fallible form of every [`MatrixReader`]
-    /// method.  A lost shard or a timed-out wait is a typed error; with
-    /// [`degraded_reads`](super::ShardedConfig::degraded_reads) a lost
-    /// shard's rows are left out of the answer instead and
-    /// [`Self::last_answer_lost`] names it.
+    /// method.  A lost shard the query is routed to, or a timed-out wait,
+    /// is a typed error.
     pub fn try_read(&mut self, q: Query) -> GrbResult<Answer<T>> {
         across(self, &q)
     }
@@ -455,22 +422,15 @@ impl<T: ScalarType> ShardedHierMatrix<T> {
     /// the analytics-while-ingest overlap the roadmap parked here.
     pub fn snapshot(&mut self) -> GrbResult<ShardedSnapshot<T>> {
         let all = 0..self.workers.len();
-        let lost = self.skipped(&mut all.clone())?;
-        let live = all.clone().filter(|s| !lost.contains(s));
-        let mut taken = self
-            .ask_workers(live.map(|s| (s, ())).collect(), |(), tx| {
-                WorkerMsg::Snapshot(tx)
-            })?
-            .into_iter();
-        self.last_answer_lost = lost.clone();
+        self.ensure_live(all.clone())?;
+        let shards = self.ask_workers(all.map(|s| (s, ())).collect(), |(), tx| {
+            WorkerMsg::Snapshot(tx)
+        })?;
         Ok(ShardedSnapshot {
             nrows: self.nrows,
             ncols: self.ncols,
             partitioner: self.config.partitioner,
-            shards: all
-                .map(|s| (!lost.contains(&s)).then(|| taken.next()).flatten())
-                .collect(),
-            lost,
+            shards,
             in_degrees: None,
         })
     }
@@ -522,11 +482,8 @@ pub struct ShardedSnapshot<T> {
     nrows: Index,
     ncols: Index,
     partitioner: ShardPartitioner,
-    /// One capture per shard of the engine; `None` for a shard in `lost`.
-    shards: Vec<Option<MatrixSnapshot<T>>>,
-    /// Shards missing from the capture (degraded snapshot of a degraded
-    /// engine); empty for a complete capture.
-    lost: Vec<usize>,
+    /// One capture per shard of the engine.
+    shards: Vec<MatrixSnapshot<T>>,
     /// The summed in-degree map, built by the first in-degree read and
     /// good for as long as the capture.
     in_degrees: Option<SummedInDegrees>,
@@ -535,13 +492,7 @@ pub struct ShardedSnapshot<T> {
 impl<T: ScalarType> ShardedSnapshot<T> {
     /// Number of captured shard snapshots.
     pub fn num_shards(&self) -> usize {
-        self.shards.len() - self.lost.len()
-    }
-
-    /// Shards missing from the capture (only non-empty when the snapshot
-    /// was taken from a degraded engine with degraded reads enabled).
-    pub fn lost_shards(&self) -> &[usize] {
-        &self.lost
+        self.shards.len()
     }
 }
 
@@ -554,15 +505,8 @@ impl<T: ScalarType> ShardSet<T> for ShardedSnapshot<T> {
         }
     }
 
-    fn skipped(&self, shards: &mut dyn Iterator<Item = usize>) -> GrbResult<Vec<usize>> {
-        Ok(shards.filter(|s| self.lost.contains(s)).collect())
-    }
-
     fn ask_owner(&mut self, shard: usize, q: &Query) -> GrbResult<Answer<T>> {
-        Ok(match &mut self.shards[shard] {
-            Some(captured) => captured.answer(q),
-            None => Answer::empty_for(q),
-        })
+        Ok(self.shards[shard].answer(q))
     }
 
     fn in_degrees(&mut self) -> &mut Option<SummedInDegrees> {
@@ -588,12 +532,7 @@ impl<T: ScalarType> CursorReader<T> for ShardedSnapshot<T> {
     fn with_level_dcsrs(&mut self, f: &mut dyn FnMut(&[&Dcsr<T>])) {
         // Shards hold disjoint rows, so their captured levels concatenate
         // into one valid level decomposition of the whole engine.
-        let levels: Vec<&Dcsr<T>> = self
-            .shards
-            .iter()
-            .flatten()
-            .flat_map(|s| s.level_dcsrs())
-            .collect();
+        let levels: Vec<&Dcsr<T>> = self.shards.iter().flat_map(|s| s.level_dcsrs()).collect();
         f(&levels);
     }
 }

@@ -1181,10 +1181,6 @@ mod failpoint_crashes {
         for i in lost {
             let rec = e.respawn_shard(i).unwrap();
             assert_eq!(rec.shard, i);
-            assert_eq!(
-                rec.replayed_tuples, 0,
-                "durable respawn must not double-apply"
-            );
             let disk = rec.disk.expect("durable respawn reports the disk reopen");
             assert!(disk.levels_loaded > 0 || disk.wal_records_replayed > 0);
         }
@@ -1207,6 +1203,54 @@ mod failpoint_crashes {
                 "entry {k:?} shrank below the checkpointed value"
             );
         }
+    }
+
+    /// A durable respawn counts what the dead worker was handed since its
+    /// last clean flush: a worker killed on its first batch never applied
+    /// or logged the batches queued behind it, so the count is non-zero and
+    /// covers every unit of weight the reopened engine is missing.
+    #[test]
+    fn durable_respawn_counts_the_batches_the_dead_worker_never_logged() {
+        let _x = exclusive();
+        quiet_failpoint_panics();
+        let dir = TempDir::new("respawn-count");
+        let victim = 1;
+        let mut e = ShardedHierMatrix::<u64>::new_durable(
+            DIM,
+            DIM,
+            small_cuts(),
+            ShardedConfig {
+                chunk_tuples: 4,
+                channel_depth: 2,
+                ..ShardedConfig::with_shards(2)
+            },
+            DurableConfig::new(dir.path()),
+        )
+        .unwrap();
+        failpoint::arm_at("worker-apply", Some(victim), 1, FailAction::Panic);
+        for i in 0..400u64 {
+            // Once the victim is gone its tuples stay staged (and counted
+            // in the total weight) behind a `ShardsLost` error.
+            let _ = e.update((i * 2_654_435_761) % DIM, i % 50, 1);
+        }
+        let start = std::time::Instant::now();
+        while !e.lost_shards().contains(&victim) {
+            assert!(start.elapsed().as_secs() < 10, "the victim never died");
+            std::thread::sleep(std::time::Duration::from_millis(2));
+        }
+        let rec = e.respawn_shard(victim).unwrap();
+        assert!(
+            rec.lost_tuples > 0,
+            "the dead worker's batches were never logged"
+        );
+        let kept: u64 = e.materialize().unwrap().extract_tuples().2.iter().sum();
+        assert!(
+            e.total_weight_f64() - kept as f64 <= rec.lost_tuples as f64,
+            "missing {} of {} weight, {} tuples counted lost",
+            e.total_weight_f64() - kept as f64,
+            e.total_weight_f64(),
+            rec.lost_tuples
+        );
     }
 
     /// Injected worker panics are the *point* of this suite; silence

@@ -10,12 +10,12 @@
 //! * a worker panic never panics the producer and never hangs it — every
 //!   wait is bounded by `ShardedConfig::wait_timeout`;
 //! * failures surface as *typed* errors (`GrbError::ShardsLost`,
-//!   `GrbError::Timeout`, `GrbError::Injected`) naming the lost shards;
-//! * with `degraded_reads`, answers from the survivors are byte-identical
-//!   to a flat oracle restricted to the surviving row bands, for every
-//!   `Query` kind, and every one of them names the lost shard;
-//! * `respawn_shard` with replay enabled rebuilds a shard *exactly* when
-//!   the loss happened before any barrier retired the replay buffer;
+//!   `GrbError::Timeout`, `GrbError::Injected`) naming the lost shards, and
+//!   every `Query` kind routed to a lost shard refuses rather than answer
+//!   without it;
+//! * `respawn_shard` restarts an in-memory shard empty and counts exactly
+//!   the tuples it held; every `Query` kind then combines the empty shard
+//!   with the others into the flat oracle of what is left;
 //! * dropping the engine mid-fault (barrier outstanding, worker dead)
 //!   completes in bounded time.
 //!
@@ -171,9 +171,9 @@ proptest! {
 
     // A worker panic mid-stream: the producer must never panic or hang,
     // every surfaced error must be `ShardsLost` naming exactly the victim,
-    // and health must degrade to report it.  Strict mode (no degraded
-    // reads): reads touching the loss fail typed, and the infallible
-    // `MatrixReader` signatures answer defaults while latching the error.
+    // and health must degrade to report it.  Reads touching the loss fail
+    // typed, and the infallible `MatrixReader` signatures answer defaults
+    // while latching the error.
     #[test]
     fn worker_panic_mid_stream_is_typed_and_bounded(
         updates in update_stream(400),
@@ -244,202 +244,78 @@ proptest! {
             ] {
                 let want = flat.answer(&q);
                 prop_assert_eq!(engine.try_read(q.clone()), Ok(want), "{:?}", &q);
-                prop_assert!(engine.last_answer_lost().is_empty());
             }
         }
-        prop_assert!(matches!(
-            engine.materialize(),
-            Err(GrbError::ShardsLost { .. })
-        ));
+        let is_lost = |r: GrbResult<()>| matches!(r, Err(GrbError::ShardsLost { .. }));
+        prop_assert!(is_lost(engine.materialize().map(drop)));
+        prop_assert!(is_lost(engine.snapshot().map(drop)));
+        prop_assert!(is_lost(engine.aggregate_stats().map(drop)));
     }
 
-    // Degraded reads after a worker panic answer from the survivors,
-    // byte-identical to a flat oracle restricted to the surviving row
-    // bands, with the lost band reported on every answer.
+    // A worker that dies after applying its whole share restarts empty: the
+    // respawn counts exactly the tuples it held, and every kind combines
+    // the empty shard with the others into the flat oracle of the first
+    // stream without the victim's rows plus the whole second stream.
     #[test]
-    fn degraded_reads_match_surviving_shard_oracle(
-        updates in update_stream(400),
-        shards in 2usize..=8,
-        victim_sel in 0usize..8,
+    fn restarted_empty_shard_combines_exactly_for_every_kind(
+        first in update_stream(300),
+        second in update_stream(300),
+        victim_sel in 0usize..4,
         k in 1usize..10,
     ) {
         let _fp = exclusive();
-        let victim = victim_sel % shards;
-        failpoint::arm_at("worker-apply", Some(victim), 1, FailAction::Panic);
-        let config = ShardedConfig {
-            degraded_reads: true,
-            ..chaos_config(shards)
-        };
-        let partitioner = config.partitioner;
-        let mut engine = ShardedHierMatrix::<u64>::new(
-            DIM,
-            DIM,
-            HierConfig::from_cuts(vec![8, 64]).unwrap(),
-            config,
-        )
-        .unwrap();
-        for &(r, c, v) in &updates {
-            let _ = engine.update(r, c, v);
-        }
-        // Flush reports the loss (mutating the stream under a fault is
-        // never silent) while draining the survivors.
-        let flushed = engine.flush();
-        if failpoint::fired("worker-apply") == 0 {
-            prop_assert!(flushed.is_ok());
-            return;
-        }
-        prop_assert!(flushed.is_err());
-        prop_assert_eq!(engine.health(), EngineHealth::Degraded { lost: vec![victim] });
-        // The oracle: the same stream, minus every row the victim owns.
-        let surviving: Vec<(u64, u64, u64)> = updates
-            .iter()
-            .copied()
-            .filter(|&(r, _, _)| partitioner.shard(r, DIM, shards) != victim)
-            .collect();
-        let oracle = build_flat(&surviving);
-        prop_assert_eq!(
-            engine.materialize().unwrap().extract_tuples(),
-            oracle.extract_tuples()
-        );
-        prop_assert_eq!(engine.last_answer_lost(), &[victim]);
-        prop_assert_eq!(
-            engine.try_read(Query::TopK(k)),
-            Ok(Answer::Ranked(reference_top_k(&oracle, k)))
-        );
-        // Every kind answers what the survivors hold — the lost owner's
-        // rows and keys come back empty — and every answer says who is
-        // missing from it.
-        let mut oracle = oracle;
-        let (lost_row, col, _) = update_owned(&updates, shards, victim, true).unwrap();
-        let live = update_owned(&updates, shards, victim, false);
-        let other = live.map_or(lost_row, |u| u.0);
-        for q in every_kind(lost_row, col, other, k) {
-            let want = oracle.answer(&q);
-            prop_assert_eq!(engine.try_read(q.clone()), Ok(want.clone()), "{:?}", &q);
-            prop_assert_eq!(engine.last_answer_lost(), &[victim], "{:?}", &q);
-            prop_assert_eq!(engine.answer(&q), want, "infallible {:?}", &q);
-            prop_assert_eq!(engine.last_answer_lost(), &[victim], "infallible {:?}", &q);
-        }
-        prop_assert!(engine.take_read_error().is_none());
-        // A row a live shard owns is answered in full, and says so.
-        if let Some((row, _, _)) = live {
-            let want = oracle.answer(&Query::Row(row));
-            prop_assert_eq!(engine.try_read(Query::Row(row)), Ok(want));
-            prop_assert!(engine.last_answer_lost().is_empty());
-        }
-    }
-
-    // Respawn with replay: a worker killed before any barrier retires the
-    // replay buffer is rebuilt *exactly* — `lost_tuples == 0` and the
-    // recovered engine equals the flat accumulation of the full stream.
-    #[test]
-    fn respawn_with_replay_recovers_exactly(
-        updates in update_stream(400),
-        shards in 2usize..=6,
-        victim_sel in 0usize..6,
-    ) {
-        let _fp = exclusive();
-        let victim = victim_sel % shards;
-        failpoint::arm_at("worker-apply", Some(victim), 1, FailAction::Panic);
-        let mut engine = ShardedHierMatrix::<u64>::new(
-            DIM,
-            DIM,
-            HierConfig::from_cuts(vec![8, 64]).unwrap(),
-            ShardedConfig {
-                replay_limit_tuples: 1 << 20,
-                ..chaos_config(shards)
-            },
-        )
-        .unwrap();
-        // Stream without a single barrier: no flush, no query, so nothing
-        // retires the replay buffers before the fault.
-        for &(r, c, v) in &updates {
-            let _ = engine.update(r, c, v);
-        }
-        if failpoint::fired("worker-apply") == 0 {
-            engine.flush().unwrap();
-            prop_assert_eq!(engine.health(), EngineHealth::Healthy);
-            return;
-        }
-        prop_assert!(await_loss(&engine, victim, Duration::from_secs(10)));
-        let recovery = engine.respawn_shard(victim).unwrap();
-        prop_assert_eq!(recovery.shard, victim);
-        prop_assert_eq!(recovery.lost_tuples, 0, "loss preceded every barrier");
-        prop_assert_eq!(engine.health(), EngineHealth::Healthy);
-        engine.flush().unwrap();
-        let flat = build_flat(&updates);
-        prop_assert_eq!(
-            engine.materialize().unwrap().extract_tuples(),
-            flat.extract_tuples()
-        );
-        prop_assert_eq!(
-            engine.total_weight_f64(),
-            updates.iter().map(|u| u.2).sum::<u64>() as f64
-        );
-    }
-}
-
-/// A held in-degree sum that was built without a lost shard keeps saying
-/// so: a row read answered in full by a live shard in between must not
-/// turn the next (cached, still survivors-only) ranking or histogram into
-/// one that claims to be complete.
-#[test]
-fn cached_degraded_in_degrees_still_name_the_lost_shard() {
-    let _fp = exclusive();
-    let (shards, victim) = (3, 1);
-    failpoint::arm_at("worker-apply", Some(victim), 1, FailAction::Panic);
-    let mut engine = ShardedHierMatrix::<u64>::new(
-        DIM,
-        DIM,
-        HierConfig::from_cuts(vec![8, 64]).unwrap(),
-        ShardedConfig {
-            degraded_reads: true,
-            ..chaos_config(shards)
-        },
-    )
-    .unwrap();
-    let updates: Vec<(u64, u64, u64)> = (0..600u64)
-        .map(|i| {
-            (
-                (i % 97) * 20_000_019 % DIM,
-                (i * 7 % 31) * 40_000_003 % DIM,
-                1,
+        for shards in [2usize, 4] {
+            let victim = victim_sel % shards;
+            let owned = |r| ShardPartitioner::RowHash.shard(r, DIM, shards) == victim;
+            failpoint::disarm_all();
+            failpoint::arm_at("worker-barrier", Some(victim), 1, FailAction::Panic);
+            let mut engine = ShardedHierMatrix::<u64>::new(
+                DIM,
+                DIM,
+                HierConfig::from_cuts(vec![8, 64]).unwrap(),
+                chaos_config(shards),
             )
-        })
-        .collect();
-    for &(r, c, v) in &updates {
-        let _ = engine.update(r, c, v);
+            .unwrap();
+            for &(r, c, v) in &first {
+                engine.update(r, c, v).unwrap();
+            }
+            // Hold a summed in-degree map built with the victim in it.
+            let _ = engine.try_read(Query::InTopK(k)).unwrap();
+            // The flush barrier is the victim's first: it has applied and
+            // flushed everything it was handed, then dies.
+            let flushed = engine.flush();
+            prop_assert!(
+                matches!(&flushed, Err(GrbError::ShardsLost { shards, .. }) if shards == &vec![victim]),
+                "flush reported {flushed:?}"
+            );
+            let recovery = engine.respawn_shard(victim).unwrap();
+            let held = first.iter().filter(|u| owned(u.0)).count() as u64;
+            prop_assert_eq!(recovery.lost_tuples, held);
+            prop_assert_eq!(engine.health(), EngineHealth::Healthy);
+            // The respawn dropped the held sum: no ranking still counts
+            // the victim's lost columns.
+            let mut kept: Vec<(u64, u64, u64)> =
+                first.iter().copied().filter(|u| !owned(u.0)).collect();
+            let q = Query::InTopK(k);
+            prop_assert_eq!(engine.try_read(q.clone()), Ok(build_flat(&kept).answer(&q)));
+            for &(r, c, v) in &second {
+                engine.update(r, c, v).unwrap();
+            }
+            kept.extend_from_slice(&second);
+            let mut flat = build_flat(&kept);
+            // Aim the row-targeted kinds at a row the victim lost, and the
+            // batched ones at one it owns again after the respawn.
+            let (row, col, _) = update_owned(&first, shards, victim, true).unwrap_or(first[0]);
+            let other = update_owned(&second, shards, victim, true).unwrap_or(second[0]).0;
+            let mut snap = engine.snapshot().unwrap();
+            for q in every_kind(row, col, other, k) {
+                let want = flat.answer(&q);
+                prop_assert_eq!(engine.try_read(q.clone()), Ok(want.clone()), "{} shards: {:?}", shards, &q);
+                prop_assert_eq!(snap.answer(&q), want, "{} shards, snapshot: {:?}", shards, &q);
+            }
+            prop_assert!(engine.take_read_error().is_none());
+        }
     }
-    assert!(engine.flush().is_err());
-    assert_eq!(engine.lost_shards(), vec![victim]);
-    let owner = |r| ShardPartitioner::RowHash.shard(r, DIM, shards);
-    let surviving: Vec<_> = updates
-        .iter()
-        .copied()
-        .filter(|u| owner(u.0) != victim)
-        .collect();
-    let mut oracle = build_flat(&surviving);
-    let live_row = surviving[0].0;
-
-    let ranking = Answer::Ranked(oracle.read_in_top_k(5));
-    assert_eq!(engine.try_read(Query::InTopK(5)), Ok(ranking.clone()));
-    assert_eq!(engine.last_answer_lost(), &[victim]);
-    // Answered in full by a live shard.
-    let row = oracle.answer(&Query::Row(live_row));
-    assert_eq!(engine.try_read(Query::Row(live_row)), Ok(row));
-    assert!(engine.last_answer_lost().is_empty());
-    // Both served from the held sum: as degraded as when it was built.
-    assert_eq!(
-        engine.read_in_degree_histogram(),
-        oracle.read_in_degree_histogram()
-    );
-    let after_histogram = engine.last_answer_lost().to_vec();
-    let _ = engine.read_row_degree(live_row);
-    assert_eq!(engine.try_read(Query::InTopK(5)), Ok(ranking));
-    assert_eq!(
-        (after_histogram, engine.last_answer_lost()),
-        (vec![victim], &[victim][..])
-    );
 }
 
 /// Satellite regression: a worker-side apply error (injected, but standing
