@@ -996,23 +996,14 @@ impl<T: ScalarType> HierMatrix<T> {
     /// [`MatrixReader`](hyperstream_graphblas::MatrixReader) query
     /// independently while this matrix keeps ingesting (subsequent settles
     /// and cascades copy-on-write their own structures).
+    ///
+    /// Column stats ride along only when the column index is already live
+    /// — snapshotting must not defeat its lazy activation.  A snapshot
+    /// without the view still answers column queries off its own
+    /// lazily-built merged twin.
     pub fn snapshot(&mut self) -> MatrixSnapshot<T> {
         self.ensure_degrees(false);
-        // Column stats ride along only when the column index is already
-        // live — snapshotting must not defeat its lazy activation.  A
-        // snapshot without the view still answers column queries off its
-        // own lazily-built merged twin.
-        let cols = &self.degrees.cols;
-        let col_view = cols.is_active().then(|| cols.view());
-        MatrixSnapshot::new(
-            "hier-graphblas-snapshot",
-            self.nrows,
-            self.ncols,
-            self.levels.iter().map(|l| l.settled_arc()).collect(),
-            (&[], &[], &[]),
-            Some(self.degrees.rows.view()),
-        )
-        .with_col_index(col_view)
+        self.snapshot_ref()
     }
 
     /// Snapshot through `&self`: the settled levels share as in

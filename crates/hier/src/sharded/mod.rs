@@ -61,9 +61,9 @@
 //! exact for the same reason: a row lives in one shard.  Cell counts,
 //! per-column row counts and row-degree histogram bins add; a column's
 //! weights fold under `+`; the global row top-k is the top-k of the local
-//! top-k's, because each row is ranked by exactly one shard; row-major
-//! entry lists merge by whole-row runs; column slices hold disjoint rows,
-//! so one sort orders them.  In-degrees alone cannot be combined after the
+//! top-k's, because each row is ranked by exactly one shard; entry lists
+//! and column slices are sorted per shard and share no key, so linear
+//! merges order them.  In-degrees alone cannot be combined after the
 //! fact — a column's cells split over the shards, so a shard's in-degree
 //! ranking or histogram says nothing about the global one: every shard
 //! ships its complete column → degree list, the lists are *summed per
@@ -299,8 +299,9 @@ enum WorkerMsg<T> {
     /// message); the other workers keep ingesting meanwhile.
     Query(Query, SyncSender<Answer<T>>),
     /// Capture the shard at this point of its queue (Arc'd levels + the
-    /// degree-index views): the analytics-while-ingest handoff — the
-    /// producer sweeps the capture while this worker keeps draining.
+    /// degree-index views that are live): the analytics-while-ingest
+    /// handoff — the producer sweeps the capture while this worker keeps
+    /// draining.
     Snapshot(SyncSender<MatrixSnapshot<T>>),
 }
 
@@ -396,7 +397,11 @@ fn worker_loop<T: ScalarType>(
             }
             WorkerMsg::Snapshot(reply) => {
                 crate::failpoint_panic!("worker-query", shard_idx);
-                let _ = reply.send(shard.lock().snapshot());
+                // Settled through the observers, so the capture carries
+                // each degree view that is live — and activates none.
+                let mut shard = shard.lock();
+                shard.settle_levels();
+                let _ = reply.send(shard.snapshot_ref());
             }
         }
     }
@@ -1372,6 +1377,27 @@ mod tests {
         assert_eq!(agg.updates, 2000);
         assert!(agg.total_cascades() > 0, "small cuts must cascade");
         assert!((0..engine.num_shards()).all(|i| engine.shard_stats(i).unwrap().updates > 0));
+    }
+
+    #[test]
+    fn level_sweeps_and_snapshots_activate_no_degree_index() {
+        let mut engine = tiny_engine(2, ShardPartitioner::RowHash);
+        for &(r, c, v) in &stream(5000) {
+            engine.update(r, c, v).unwrap();
+        }
+        engine.flush().unwrap();
+        let bytes = |e: &ShardedHierMatrix<u64>| -> Vec<usize> {
+            e.shards.iter().map(|s| s.lock().memory_bytes()).collect()
+        };
+        let before = bytes(&engine);
+        let _ = hyperstream_graphblas::algo::pagerank(&mut engine, 0.85, 5, 1e-9);
+        assert_eq!(bytes(&engine), before, "pagerank");
+        let snapshot = engine.snapshot().unwrap();
+        assert_eq!(bytes(&engine), before, "snapshot");
+        drop(snapshot);
+        // The first degree question still activates the row index.
+        let _ = engine.read_top_k(3);
+        assert!(bytes(&engine).iter().zip(&before).all(|(a, b)| a > b));
     }
 
     #[test]

@@ -187,37 +187,47 @@ impl SummedInDegrees {
     }
 }
 
-/// Merge per-shard row-major entry lists into one.  Shards own disjoint row
-/// sets, so all entries of a row sit contiguously in one list: after
-/// picking the list with the smallest head row the whole run of that row is
-/// emitted before re-scanning heads.
-fn merge_disjoint_entries<T: ScalarType>(
-    parts: Vec<Vec<(Index, Index, T)>>,
-) -> Vec<(Index, Index, T)> {
-    let mut out = Vec::with_capacity(parts.iter().map(Vec::len).sum());
-    let mut pos = vec![0usize; parts.len()];
-    loop {
-        let mut best: Option<(usize, Index)> = None;
-        for (i, p) in parts.iter().enumerate() {
-            if let Some(&(r, _, _)) = p.get(pos[i]) {
-                if best.map_or(true, |(_, br)| r < br) {
-                    best = Some((i, r));
-                }
-            }
-        }
-        let Some((i, row)) = best else { break };
-        let before = out.len();
-        out.extend(parts[i][pos[i]..].iter().take_while(|e| e.0 == row));
-        pos[i] += out.len() - before;
-    }
-    out
-}
-
 /// Per-shard lists end to end, each appended with one exact reservation.
 fn concat<A>(mut lists: impl Iterator<Item = Vec<A>>) -> Vec<A> {
     let mut all = lists.next().unwrap_or_default();
     lists.for_each(|list| all.extend(list));
     all
+}
+
+/// Whether `list` is strictly ascending in `key`.
+fn ascending<E, K: Ord>(list: &[E], key: impl Fn(&E) -> K) -> bool {
+    list.windows(2).all(|w| key(&w[0]) < key(&w[1]))
+}
+
+/// One list ascending in `key` out of per-shard `parts` that each ascend in
+/// it and share no key, folded two at a time through [`merge_two`].
+fn merge_parts<E: Copy, K: Ord>(parts: Vec<Vec<E>>, key: impl Fn(&E) -> K) -> Vec<E> {
+    debug_assert!(
+        parts.iter().all(|p| ascending(p, &key)),
+        "a shard answered out of order"
+    );
+    let out = parts
+        .into_iter()
+        .reduce(|a, b| merge_two(&a, &b, &key))
+        .unwrap_or_default();
+    debug_assert!(ascending(&out, &key), "the merge is out of order");
+    out
+}
+
+/// Two parts merged front to back: each step writes the smaller head by a
+/// select, not a branch (the keys interleave at random), and what is left
+/// of one side once the other runs out is appended whole.
+fn merge_two<E: Copy, K: Ord>(a: &[E], b: &[E], key: impl Fn(&E) -> K) -> Vec<E> {
+    let mut out = Vec::with_capacity(a.len() + b.len());
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        let take_b = key(&b[j]) < key(&a[i]);
+        out.push(if take_b { b[j] } else { a[i] });
+        (i, j) = (i + usize::from(!take_b), j + usize::from(take_b));
+    }
+    out.extend_from_slice(&a[i..]);
+    out.extend_from_slice(&b[j..]);
+    out
 }
 
 /// Batched answers back into request order (every slot is some shard's).
@@ -273,9 +283,6 @@ fn combine<T: ScalarType>(
             all.truncate(*k);
             Answer::Ranked(all)
         }
-        Query::Entries | Query::RowRange(..) => Answer::Entries(merge_disjoint_entries(
-            parts.map(|p| p.0.into_entries()).collect(),
-        )),
         // Every row is counted by exactly one shard: the bins add.
         Query::DegreeHistogram => {
             let mut counts = BTreeMap::new();
@@ -284,17 +291,19 @@ fn combine<T: ScalarType>(
             }
             Answer::Histogram(counts)
         }
-        // Column slices hold disjoint rows: one sort puts them in order.
-        Query::Col(_) => {
-            let mut all = concat(parts.map(|p| p.0.into_line()));
-            all.sort_unstable_by_key(|&(r, _)| r);
-            Answer::Line(all)
-        }
-        Query::ColRange(..) => {
-            let mut all = concat(parts.map(|p| p.0.into_entries()));
-            all.sort_unstable_by_key(|&(r, c, _)| (c, r));
-            Answer::Entries(all)
-        }
+        // Sorted per shard, no key in two shards: linear merges order them.
+        Query::Entries | Query::RowRange(..) => Answer::Entries(merge_parts(
+            parts.map(|p| p.0.into_entries()).collect(),
+            |&(r, c, _)| (u128::from(r) << 64) | u128::from(c),
+        )),
+        Query::Col(_) => Answer::Line(merge_parts(
+            parts.map(|p| p.0.into_line()).collect(),
+            |&(r, _)| r,
+        )),
+        Query::ColRange(..) => Answer::Entries(merge_parts(
+            parts.map(|p| p.0.into_entries()).collect(),
+            |&(r, c, _)| (u128::from(c) << 64) | u128::from(r),
+        )),
         // In-degrees alone are summed per column *before* they are ranked
         // or binned (see `route`).
         Query::InTopK(k) => Answer::Ranked(summed(in_degrees, parts).top_k(*k)),
@@ -416,7 +425,9 @@ impl<T: ScalarType> ShardedHierMatrix<T> {
     /// Take a consistent engine-wide snapshot: staged tuples dispatch,
     /// every worker snapshots its shard at its drain barrier (O(levels)
     /// Arc bumps — no entries are copied or shipped), and the producer
-    /// receives one [`MatrixSnapshot`] per shard.  The returned
+    /// receives one [`MatrixSnapshot`] per shard.  A shard's degree views
+    /// ride along only when its indexes are already live: a capture
+    /// activates none, so pure ingest keeps paying no upkeep.  The returned
     /// [`ShardedSnapshot`] answers every [`MatrixReader`] query from the
     /// captured state while the workers keep draining their channels —
     /// the analytics-while-ingest overlap the roadmap parked here.
@@ -489,13 +500,6 @@ pub struct ShardedSnapshot<T> {
     in_degrees: Option<SummedInDegrees>,
 }
 
-impl<T: ScalarType> ShardedSnapshot<T> {
-    /// Number of captured shard snapshots.
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
-    }
-}
-
 impl<T: ScalarType> ShardSet<T> for ShardedSnapshot<T> {
     fn partition(&self) -> Partition {
         Partition {
@@ -542,6 +546,63 @@ mod tests {
     use super::super::tests::{stream, tiny_engine, DIM};
     use super::*;
     use hyperstream_graphblas::Matrix;
+
+    /// `merge_parts` against a sort of the concatenation.
+    fn check_merge(parts: Vec<Vec<(Index, u64)>>) {
+        let mut want = concat(parts.clone().into_iter());
+        want.sort_unstable();
+        assert_eq!(merge_parts(parts, |&(r, _)| r), want);
+    }
+
+    /// `n` parts of `len` rows dealt from one ascending run by `owner`.
+    fn dealt(n: usize, len: u64, owner: impl Fn(u64) -> usize) -> Vec<Vec<(Index, u64)>> {
+        let mut parts = vec![Vec::new(); n];
+        for r in 0..len {
+            parts[owner(r)].push((r * 3 + 1, r));
+        }
+        parts
+    }
+
+    #[test]
+    fn merge_parts_equals_a_sort_of_the_concatenation() {
+        check_merge(Vec::new());
+        check_merge(vec![Vec::new(), Vec::new()]);
+        check_merge(vec![vec![(4, 1), (9, 2)]]);
+        // Empty parts among full ones.
+        check_merge(vec![
+            Vec::new(),
+            vec![(1, 1), (5, 1)],
+            Vec::new(),
+            vec![(7, 1)],
+        ]);
+        check_merge(vec![vec![(2, 1), (6, 1)], Vec::new(), vec![(1, 1), (5, 1)]]);
+        let mut three = dealt(3, 40, |r| (r % 3) as usize);
+        three.insert(1, Vec::new());
+        check_merge(three);
+        // Banded parts, given in band order and out of it.
+        let bands = dealt(4, 100, |r| (r / 25) as usize);
+        check_merge(bands.clone());
+        check_merge(bands.into_iter().rev().collect());
+        // Two parts interleaved one by one, in runs, and one under the other.
+        check_merge(dealt(2, 1000, |r| (r % 2) as usize));
+        check_merge(dealt(2, 1000, |r| (r / 7 % 2) as usize));
+        check_merge(dealt(2, 1000, |r| usize::from(r == 500)));
+        // Five parts, hashed and in runs.
+        check_merge(dealt(5, 1000, |r| {
+            (r.wrapping_mul(0x9E37_79B9) >> 7) as usize % 5
+        }));
+        check_merge(dealt(5, 1000, |r| (r / 13 % 5) as usize));
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "a shard answered out of order")]
+    fn a_shard_answering_out_of_order_fails_loudly() {
+        merge_parts(
+            vec![vec![(1u64, 1u64), (3, 1)], vec![(4, 1), (2, 1)]],
+            |&(r, _)| r,
+        );
+    }
 
     #[test]
     fn reader_pushdown_never_materializes() {
@@ -731,7 +792,7 @@ mod tests {
         }
         assert_eq!(hyperstream_graphblas::algo::triangle_count(&mut engine), 1);
         let mut snap = engine.snapshot().unwrap();
-        assert_eq!(snap.num_shards(), 2);
+        assert_eq!(snap.shards.len(), 2);
         engine.update(5, 6, 1).unwrap(); // ingest continues past the capture
         assert_eq!(hyperstream_graphblas::algo::triangle_count(&mut snap), 1);
         assert_eq!(

@@ -71,27 +71,25 @@ fn reference_top_k(flat: &Matrix<u64>, k: usize) -> Vec<(u64, usize)> {
 /// Every system under test, constructed with the randomised knobs.
 fn all_systems(cuts: &[u64], shards: usize, chunk: usize) -> Vec<Box<dyn StreamingSystem<u64>>> {
     let hier_cfg = HierConfig::from_cuts(cuts.to_vec()).unwrap();
+    let sharded = |partitioner| -> Box<dyn StreamingSystem<u64>> {
+        let config = ShardedConfig {
+            partitioner,
+            chunk_tuples: chunk,
+            channel_depth: 2,
+            round_tuples: 128,
+            ..ShardedConfig::with_shards(shards)
+        };
+        Box::new(ShardedHierMatrix::<u64>::new(DIM, DIM, hier_cfg.clone(), config).unwrap())
+    };
     vec![
         Box::new(Matrix::<u64>::new(DIM, DIM)),
         Box::new(HierMatrix::<u64>::new(DIM, DIM, hier_cfg.clone()).unwrap()),
         // A window large enough never to rotate: retained content equals
         // the full stream, so the windowed reader is comparable too.
         Box::new(WindowedHierMatrix::<u64>::new(DIM, DIM, hier_cfg.clone(), u64::MAX, 4).unwrap()),
-        Box::new(
-            ShardedHierMatrix::<u64>::new(
-                DIM,
-                DIM,
-                hier_cfg,
-                ShardedConfig {
-                    partitioner: ShardPartitioner::RowHash,
-                    chunk_tuples: chunk,
-                    channel_depth: 2,
-                    round_tuples: 128,
-                    ..ShardedConfig::with_shards(shards)
-                },
-            )
-            .unwrap(),
-        ),
+        // Hashed rows interleave in every column; banded rows do not.
+        sharded(ShardPartitioner::RowHash),
+        sharded(ShardPartitioner::RowRange),
         Box::new(HierAssoc::new(
             HierAssocConfig::from_cuts(cuts.to_vec()).unwrap(),
         )),
@@ -377,8 +375,6 @@ proptest! {
         chunk in 1usize..64,
         flush_at in 0usize..250,
         k in 0usize..10,
-        read_shards in 1usize..=4,
-        row_bands in 0usize..2,
     ) {
         let flat = build_flat(&updates);
         let expect_entries = flat.extract_tuples();
@@ -445,8 +441,11 @@ proptest! {
         }
         check_reads(&mut assoc, &cells_of(&updates), (MAX_DIM, MAX_DIM), k);
         check_level_backed_stores(&updates, &cuts, DIM, k);
-        let partitioner = [ShardPartitioner::RowHash, ShardPartitioner::RowRange][row_bands];
-        check_sharded_stores(&updates, &cuts, DIM, (read_shards, partitioner, chunk), k);
+        // Both partitioners at up to 8 shards: interleaved, banded and
+        // many-part merges all meet the oracle.
+        for partitioner in [ShardPartitioner::RowHash, ShardPartitioner::RowRange] {
+            check_sharded_stores(&updates, &cuts, DIM, (shards, partitioner, chunk), k);
+        }
     }
 }
 
