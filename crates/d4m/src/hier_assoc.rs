@@ -10,12 +10,7 @@
 //! path.
 
 use crate::assoc::Assoc;
-use hyperstream_graphblas::index::MAX_DIM;
-use hyperstream_graphblas::ops::binary::Plus;
-use hyperstream_graphblas::{
-    Answer, GrbError, GrbResult, Index, Matrix, MatrixReader, Query, ScalarType, StreamingSink,
-};
-use std::collections::BTreeMap;
+use hyperstream_graphblas::{GrbError, GrbResult, Index, ScalarType, StreamingSink};
 
 /// Cut schedule for a hierarchical associative array.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -216,55 +211,6 @@ impl<V: ScalarType> StreamingSink<V> for HierAssoc {
     }
 }
 
-impl HierAssoc {
-    /// The represented array as one flat matrix over the decimal keys: every
-    /// level's cells summed in `f64`, in level order, then converted to `V`.
-    /// Keys that are not decimal ids below [`MAX_DIM`] (possible only when
-    /// the array was fed strings directly, outside the integer-keyed
-    /// harness) are left out.
-    fn flat<V: ScalarType>(&mut self) -> Matrix<V> {
-        let id = |name: Option<&str>| name?.parse::<u64>().ok().filter(|&k| k < MAX_DIM);
-        let mut cells: BTreeMap<(u64, u64), f64> = BTreeMap::new();
-        for level in &mut self.levels {
-            level.settle();
-            for (ri, ci, v) in level.matrix().dcsr().iter() {
-                if let (Some(r), Some(c)) = (id(level.row_name(ri)), id(level.col_name(ci))) {
-                    *cells.entry((r, c)).or_insert(0.0) += v;
-                }
-            }
-        }
-        let (mut rows, mut cols, mut vals) = (Vec::new(), Vec::new(), Vec::new());
-        for ((r, c), v) in cells {
-            rows.push(r);
-            cols.push(c);
-            vals.push(V::from_f64(v));
-        }
-        Matrix::from_tuples(MAX_DIM, MAX_DIM, &rows, &cols, &vals, Plus)
-            .expect("distinct ids below MAX_DIM build")
-    }
-}
-
-/// The D4M read path driven by integer indices, mirroring the sink: keys
-/// are the decimal strings of `row` / `col`.  Every query is answered by a
-/// flat matrix built from the levels' cells, decoded from their string
-/// keys and summed numerically, so answers are byte-identical to the
-/// GraphBLAS systems' answers for the same stream.
-impl<V: ScalarType> MatrixReader<V> for HierAssoc {
-    fn reader_name(&self) -> &str {
-        "hier-d4m"
-    }
-
-    fn read_dims(&self) -> (Index, Index) {
-        // Associative arrays are unbounded; report the workspace dimension
-        // cap so rebuilt pattern matrices stay valid.
-        (MAX_DIM, MAX_DIM)
-    }
-
-    fn answer(&mut self, q: &Query) -> Answer<V> {
-        self.flat().answer(q)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -351,47 +297,6 @@ mod tests {
         }
         assert_eq!(a.materialize().triples(), b.materialize().triples());
         assert_eq!(a.updates(), b.updates());
-    }
-
-    #[test]
-    fn reader_merges_levels_numerically() {
-        let mut h = small();
-        let sink: &mut dyn StreamingSink<u64> = &mut h;
-        // Enough distinct cells to cascade (cuts 8/64), plus duplicates.
-        for i in 0..40u64 {
-            sink.insert(i % 13, (i * 3) % 11, i % 4 + 1).unwrap();
-        }
-        let reader: &mut dyn MatrixReader<u64> = &mut h;
-        let mut total = 0u64;
-        let mut entries = Vec::new();
-        reader.read_entries(&mut |r, c, v| {
-            total += v;
-            entries.push((r, c, v));
-        });
-        let mut sorted = entries.clone();
-        sorted.sort();
-        assert_eq!(entries, sorted, "entries must arrive row-major sorted");
-        assert_eq!(total as f64, h.total());
-        let reader: &mut dyn MatrixReader<u64> = &mut h;
-        assert_eq!(reader.read_nnz(), h.materialize().nnz());
-        // Row extract equals the per-cell gets.
-        let reader: &mut dyn MatrixReader<u64> = &mut h;
-        let mut row = Vec::new();
-        reader.read_row(3, &mut row);
-        assert!(!row.is_empty());
-        for &(c, v) in &row {
-            assert_eq!(h.get("3", &c.to_string()), Some(v as f64));
-        }
-        let reader: &mut dyn MatrixReader<u64> = &mut h;
-        assert_eq!(reader.read_row_degree(3), row.len());
-        assert_eq!(
-            reader.read_row_reduce(3),
-            Some(row.iter().map(|&(_, v)| v).sum())
-        );
-        reader.read_row(999, &mut row);
-        assert!(row.is_empty());
-        assert_eq!(reader.read_get(999, 0), None);
-        assert!(!reader.read_top_k(3).is_empty());
     }
 
     #[test]

@@ -10,16 +10,18 @@
 //! be achieved" (§I).  This crate provides
 //!
 //! * [`Assoc`] — an associative array over `f64` values with string keys,
-//!   supporting element-wise addition (the D4M `+`), sub-array extraction,
-//!   transpose and reductions; and
+//!   supporting accumulation (the D4M streaming `+=`), point reads and the
+//!   in-place `A += B` merge; and
 //! * [`HierAssoc`] — the *hierarchical* associative array of the earlier
 //!   Kepner et al. HPEC 2019 paper ("Streaming 1.9 billion hypersparse
 //!   network updates per second with D4M"), which is the "Hierarchical D4M"
-//!   baseline curve of Fig. 2.
+//!   baseline curve of Fig. 2.  It ingests through `StreamingSink`, the
+//!   interface every GraphBLAS system shares, so one loop can time both.
 //!
 //! Both are deliberately faithful to the D4M data model (string keys, sorted
-//! key maps) so the benchmark comparison against integer-keyed GraphBLAS
+//! key maps) so an ingest comparison against integer-keyed GraphBLAS
 //! matrices reflects the same representation overheads the paper describes.
+//! This crate is an insert-path comparator only: it has no `MatrixReader`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

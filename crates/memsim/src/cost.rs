@@ -64,21 +64,31 @@ impl CostModel {
         &self.hierarchy
     }
 
+    /// Bytes held by `entries` entries, saturating: a structure too large to
+    /// count in `u64` bytes resides in the last level all the same.
+    fn bytes(&self, entries: u64) -> u64 {
+        entries.saturating_mul(self.bytes_per_entry)
+    }
+
+    /// Bytes one merge streams: both structures read and written once.
+    /// Priced in `f64`, so a cut near `u64::MAX` costs what its size says.
+    fn merge_bytes(&self, a: u64, b: u64) -> f64 {
+        2.0 * (a as f64 + b as f64) * self.bytes_per_entry as f64
+    }
+
     /// Cost per update of the flat strategy with a settled structure of
     /// `nnz` entries and a pending buffer merged every `pending_limit`
     /// updates.
     pub fn flat_update_cost(&self, nnz: u64, pending_limit: u64) -> UpdateCost {
         let pending_limit = pending_limit.max(1);
         // Append to the pending buffer: sequential access to a small buffer.
-        let pending_bytes = pending_limit * self.bytes_per_entry;
         let fast_ns = self
             .hierarchy
-            .access_latency_ns(pending_bytes.min(64 * 1024));
+            .access_latency_ns(self.bytes(pending_limit).min(64 * 1024));
         // Every pending_limit updates the whole settled structure is re-read
-        // and re-written (two-pointer merge): 2 * nnz * bytes streamed.
-        let settled_bytes = nnz.saturating_mul(self.bytes_per_entry);
-        let level = self.hierarchy.residence(settled_bytes.max(1));
-        let merge_total_ns = level.stream_time_ns(2 * settled_bytes + 2 * pending_bytes);
+        // and re-written (two-pointer merge) along with the pending buffer.
+        let level = self.hierarchy.residence(self.bytes(nnz).max(1));
+        let merge_total_ns = level.stream_time_ns(self.merge_bytes(nnz, pending_limit));
         UpdateCost {
             fast_ns,
             merge_ns: merge_total_ns / pending_limit as f64,
@@ -92,8 +102,9 @@ impl CostModel {
             return self.flat_update_cost(total_nnz, 1 << 20);
         }
         // Level-1 append.
-        let l1_bytes = cuts[0] * self.bytes_per_entry;
-        let fast_ns = self.hierarchy.access_latency_ns(l1_bytes.min(64 * 1024));
+        let fast_ns = self
+            .hierarchy
+            .access_latency_ns(self.bytes(cuts[0]).min(64 * 1024));
 
         // Each level i cascades into level i+1 once every `cuts[i]` updates
         // (approximately: level i fills after cuts[i] new entries arrive).
@@ -105,10 +116,8 @@ impl CostModel {
             } else {
                 total_nnz.max(cut)
             };
-            let this_bytes = cut * self.bytes_per_entry;
-            let next_bytes = next_size * self.bytes_per_entry;
-            let level = self.hierarchy.residence(next_bytes.max(1));
-            let cascade_ns = level.stream_time_ns(2 * (this_bytes + next_bytes));
+            let level = self.hierarchy.residence(self.bytes(next_size).max(1));
+            let cascade_ns = level.stream_time_ns(self.merge_bytes(cut, next_size));
             // Amortise over the cut[i] updates between cascades at this level.
             merge_ns += cascade_ns / cut.max(1) as f64;
         }
@@ -196,6 +205,21 @@ mod tests {
             "model predicts only {} updates/s",
             cost.updates_per_second()
         );
+    }
+
+    #[test]
+    fn huge_cuts_price_like_any_dram_cut() {
+        // Every cut from 2^30 up resides in DRAM, where a cascade's cost per
+        // update is the same streamed bytes over the same bandwidth.
+        let m = CostModel::default();
+        let merge_ns = |cut: u64| m.hierarchical_update_cost(&[cut], 1_000_000).merge_ns;
+        let dram = merge_ns(1 << 40);
+        // `HierConfig::effectively_flat()`'s cut.
+        let flat = merge_ns(u64::MAX / 2);
+        assert!((flat / dram - 1.0).abs() < 0.01, "{flat} ns vs {dram} ns");
+        let pending = |limit: u64| m.flat_update_cost(1_000_000, limit).merge_ns;
+        let (huge, large) = (pending(1 << 60), pending(1 << 40));
+        assert!((huge / large - 1.0).abs() < 0.01, "{huge} ns vs {large} ns");
     }
 
     #[test]

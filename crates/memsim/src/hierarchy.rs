@@ -25,10 +25,11 @@ impl MemoryLevel {
     }
 
     /// Time in nanoseconds to stream `bytes` through this level
-    /// (latency + bytes / bandwidth).
-    pub fn stream_time_ns(&self, bytes: u64) -> f64 {
+    /// (latency + bytes / bandwidth).  The volume is a float so that a
+    /// stream larger than `u64::MAX` bytes is priced, not wrapped.
+    pub fn stream_time_ns(&self, bytes: f64) -> f64 {
         let gib = self.bandwidth_gib_s * 1024.0 * 1024.0 * 1024.0;
-        self.latency_ns + bytes as f64 / gib * 1e9
+        self.latency_ns + bytes / gib * 1e9
     }
 }
 
@@ -153,8 +154,8 @@ mod tests {
     #[test]
     fn stream_time_increases_with_bytes() {
         let l = MemoryLevel::new("DRAM", 1 << 40, 90.0, 12.0);
-        assert!(l.stream_time_ns(1 << 20) < l.stream_time_ns(1 << 30));
-        assert!(l.stream_time_ns(0) >= 90.0);
+        assert!(l.stream_time_ns(1e6) < l.stream_time_ns(1e9));
+        assert!(l.stream_time_ns(0.0) >= 90.0);
     }
 
     #[test]

@@ -7,8 +7,7 @@
 //! 100,000,000 entries divided up into 1,000 sets of 100,000 entries" into
 //! each matrix instance.  This crate regenerates that workload exactly
 //! (§III), plus the IPv4/IPv6 origin–destination traffic streams the
-//! introduction motivates, and R-MAT/Kronecker graphs as an alternative
-//! scale-free generator.
+//! introduction motivates.  Both draw ranks from one [`Zipf`] sampler.
 //!
 //! All generators are deterministic given a seed, so experiments are
 //! reproducible across machines and runs.
@@ -18,16 +17,10 @@
 
 pub mod edge;
 pub mod ip_traffic;
-pub mod kronecker;
-pub mod partition;
 pub mod powerlaw;
-pub mod stream;
 pub mod zipf;
 
 pub use edge::{edges_to_tuples, edges_to_tuples_into, Edge};
 pub use ip_traffic::{IpTrafficConfig, IpTrafficGenerator, IpVersion};
-pub use kronecker::{KroneckerConfig, KroneckerGenerator};
-pub use partition::{partition_batch, shard_streams};
 pub use powerlaw::{PowerLawConfig, PowerLawGenerator};
-pub use stream::{BatchIter, StreamConfig, StreamPartitioner};
 pub use zipf::Zipf;

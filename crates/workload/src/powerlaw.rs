@@ -44,9 +44,8 @@ impl Default for PowerLawConfig {
 
 impl PowerLawConfig {
     /// The exact workload of the paper's §III experiment: 10^8 edges over a
-    /// scale-free vertex set, streamed into a 2^32-dimension matrix.
-    /// (Callers usually generate a prefix of it; see
-    /// [`StreamConfig::paper`](crate::stream::StreamConfig::paper).)
+    /// scale-free vertex set, streamed into a 2^32-dimension matrix, as
+    /// 1,000 batches of 100,000.  (Callers usually take a prefix of it.)
     pub fn paper() -> Self {
         Self {
             vertices: 1 << 22,
@@ -68,7 +67,12 @@ pub struct PowerLawGenerator {
 
 impl PowerLawGenerator {
     /// Create a generator from a configuration.
+    ///
+    /// # Panics
+    /// Panics when `dim` is 0, or when [`Zipf::new`] refuses `vertices` or
+    /// `alpha` (no vertices, or an exponent not positive and finite).
     pub fn new(cfg: PowerLawConfig) -> Self {
+        assert!(cfg.dim > 0, "the matrix dimension must be at least 1");
         let zipf = Zipf::new(cfg.vertices, cfg.alpha);
         let rng = StdRng::seed_from_u64(cfg.seed);
         Self { cfg, zipf, rng }
@@ -226,6 +230,15 @@ mod tests {
         let edges: Vec<Edge> = gen.take(10).collect();
         assert_eq!(edges.len(), 10);
         assert!(edges.iter().all(|e| e.weight == 1));
+    }
+
+    #[test]
+    #[should_panic(expected = "dimension must be at least 1")]
+    fn zero_dimension_panics_at_construction() {
+        PowerLawGenerator::new(PowerLawConfig {
+            dim: 0,
+            ..Default::default()
+        });
     }
 
     #[test]

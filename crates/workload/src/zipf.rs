@@ -88,11 +88,6 @@ impl Zipf {
             }
         }
     }
-
-    /// Draw `count` samples.
-    pub fn sample_many<R: Rng + ?Sized>(&self, rng: &mut R, count: usize) -> Vec<u64> {
-        (0..count).map(|_| self.sample(rng)).collect()
-    }
 }
 
 #[cfg(test)]
@@ -140,7 +135,7 @@ mod tests {
     fn exponent_one_special_case() {
         let z = Zipf::new(50, 1.0);
         let mut rng = StdRng::seed_from_u64(11);
-        let samples = z.sample_many(&mut rng, 5000);
+        let samples: Vec<u64> = (0..5000).map(|_| z.sample(&mut rng)).collect();
         assert!(samples.iter().all(|&k| (1..=50).contains(&k)));
         let ones = samples.iter().filter(|&&k| k == 1).count();
         assert!(ones > 500, "rank 1 should dominate, got {ones}");
@@ -149,8 +144,11 @@ mod tests {
     #[test]
     fn deterministic_given_seed() {
         let z = Zipf::new(1000, 1.3);
-        let a = z.sample_many(&mut StdRng::seed_from_u64(42), 100);
-        let b = z.sample_many(&mut StdRng::seed_from_u64(42), 100);
+        let draw = |seed| {
+            let mut rng = StdRng::seed_from_u64(seed);
+            (0..100).map(|_| z.sample(&mut rng)).collect::<Vec<u64>>()
+        };
+        let (a, b) = (draw(42), draw(42));
         assert_eq!(a, b);
     }
 

@@ -145,8 +145,8 @@ fn main() {
     let heavy = select(&snapshot, SelectOp::ValueGe(16));
     println!("\nflows with >= 16 packets: {}", heavy.nvals());
 
-    // D4M view: the same analysis is available through string-keyed
-    // associative arrays during feature discovery.
+    // D4M view: the same flows accumulated into a string-keyed associative
+    // array, the representation used during feature discovery.
     let mut assoc = Assoc::new();
     for flow in gen.take(5_000) {
         assoc.accum(

@@ -13,9 +13,9 @@
 //! * [`hier`] — the hierarchical hypersparse matrix (the paper's
 //!   contribution) plus cut tuning;
 //! * [`d4m`] — D4M-style associative arrays and hierarchical associative
-//!   arrays (the string-keyed comparison system);
-//! * [`workload`] — power-law / Kronecker / IP-traffic stream generators;
-//! * [`memsim`] — memory-hierarchy cost model and cache simulator.
+//!   arrays (the string-keyed comparison system, an ingest path only);
+//! * [`workload`] — power-law and IP-traffic stream generators;
+//! * [`memsim`] — the memory-hierarchy cost model that prices cut schedules.
 //!
 //! Rates are measured in one place, the `benchmark/` package
 //! (`benchmark/run.sh`), which is its own workspace on top of `graphblas`,
@@ -63,12 +63,9 @@ pub mod prelude {
     pub use hyperstream_d4m::{Assoc, HierAssoc, HierAssocConfig};
 
     pub use hyperstream_workload::{
-        edges_to_tuples, partition_batch, shard_streams, Edge, IpTrafficConfig, IpTrafficGenerator,
-        IpVersion, KroneckerConfig, KroneckerGenerator, PowerLawConfig, PowerLawGenerator,
-        StreamConfig, StreamPartitioner, Zipf,
+        edges_to_tuples, Edge, IpTrafficConfig, IpTrafficGenerator, IpVersion, PowerLawConfig,
+        PowerLawGenerator, Zipf,
     };
 
-    pub use hyperstream_memsim::{
-        AccessTracker, CacheConfig, CacheSim, CostModel, MemoryHierarchy,
-    };
+    pub use hyperstream_memsim::{CostModel, MemoryHierarchy};
 }

@@ -22,53 +22,16 @@
 //!   `pagerank` must agree across every system, square or wider than tall:
 //!   cursor-native primaries on the level-slice readers, the `oracle::*_tuples`
 //!   references on every sink system (pagerank to 1e-9; everything else
-//!   exactly, whole vectors where the system is bounded).
+//!   exactly, whole vectors).
 
+mod common;
+
+use common::{build_flat, build_flat_in, cut_schedule, update_stream, DIM};
 use hyperstream::graphblas::algo::{bfs_levels, connected_components, pagerank, triangle_count};
 use hyperstream::graphblas::ops::semiring::MinFirst;
 use hyperstream::graphblas::oracle;
 use hyperstream::prelude::*;
 use proptest::prelude::*;
-
-const DIM: u64 = 1 << 32;
-
-/// A stream of updates drawn from a small id pool (to force duplicates and
-/// row collisions across hierarchy levels) scattered over the hypersparse
-/// index space.
-fn update_stream(max_len: usize) -> impl Strategy<Value = Vec<(u64, u64, u64)>> {
-    prop::collection::vec((0u64..60, 0u64..60, 1u64..5), 1..max_len).prop_map(|v| {
-        v.into_iter()
-            .map(|(r, c, w)| ((r * 20_000_019) % DIM, (c * 40_000_003) % DIM, w))
-            .collect()
-    })
-}
-
-/// An arbitrary valid cut schedule (strictly increasing, non-zero).
-fn cut_schedule() -> impl Strategy<Value = Vec<u64>> {
-    prop::collection::vec(1u64..64, 1usize..4).prop_map(|deltas| {
-        let mut acc = 0u64;
-        deltas
-            .into_iter()
-            .map(|d| {
-                acc += d;
-                acc
-            })
-            .collect()
-    })
-}
-
-fn build_flat(updates: &[(u64, u64, u64)]) -> Matrix<u64> {
-    build_flat_in((DIM, DIM), updates)
-}
-
-fn build_flat_in(dims: (u64, u64), updates: &[(u64, u64, u64)]) -> Matrix<u64> {
-    let mut m = Matrix::<u64>::new(dims.0, dims.1);
-    for &(r, c, v) in updates {
-        m.accum_element(r, c, v).unwrap();
-    }
-    m.wait();
-    m
-}
 
 /// A sparse operand vector over the stream's row ids (deterministic
 /// weights, some rows absent so kernels see misses too).
@@ -297,8 +260,7 @@ fn check_readers_vs_oracle(
 /// the given dimensions: cursor-native primaries on the level readers, the
 /// `oracle::*_tuples` references on every sink system.  Primaries and
 /// references size their vectors alike (`max(nrows, ncols)`), so whole
-/// vectors are compared wherever the system reports these dimensions (the
-/// D4M store is unbounded: entries only).
+/// vectors are compared.
 fn check_algorithms_agree(
     dims: (u64, u64),
     updates: &[(u64, u64, u64)],
@@ -352,7 +314,7 @@ fn check_algorithms_agree(
         );
     }
 
-    // The references over every sink system, the D4M store included.
+    // The references over every sink system.
     let hier_cfg = HierConfig::from_cuts(cuts.to_vec()).unwrap();
     let mut systems: Vec<Box<dyn StreamingSystem<u64>>> = vec![
         Box::new(Matrix::<u64>::new(nrows, ncols)),
@@ -375,9 +337,6 @@ fn check_algorithms_agree(
             )
             .unwrap(),
         ),
-        Box::new(HierAssoc::new(
-            HierAssocConfig::from_cuts(cuts.to_vec()).unwrap(),
-        )),
     ];
     for sys in systems.iter_mut() {
         let name = sys.reader_name().to_string();
@@ -385,7 +344,6 @@ fn check_algorithms_agree(
             sys.insert(r, c, v).unwrap();
         }
         let r = sys.as_mut();
-        let bounded = r.read_dims() == dims;
         prop_assert_eq!(
             oracle::triangle_count_tuples(r),
             Ok(expect_tri),
@@ -395,13 +353,9 @@ fn check_algorithms_agree(
         let bfs = oracle::bfs_levels_tuples(r, source).unwrap();
         let cc = oracle::connected_components_tuples(r).unwrap();
         let pr = oracle::pagerank_tuples(r, 0.85, 40, 1e-12).unwrap();
-        if bounded {
-            prop_assert_eq!(&bfs, &expect_bfs, "reference bfs of {}", &name);
-            prop_assert_eq!(&cc, &expect_cc, "reference components of {}", &name);
-            prop_assert_eq!(pr.size(), expect_pr.size(), "pagerank size of {}", &name);
-        }
-        prop_assert_eq!(vec_entries(&bfs), vec_entries(&expect_bfs), "{}", &name);
-        prop_assert_eq!(vec_entries(&cc), vec_entries(&expect_cc), "{}", &name);
+        prop_assert_eq!(&bfs, &expect_bfs, "reference bfs of {}", &name);
+        prop_assert_eq!(&cc, &expect_cc, "reference components of {}", &name);
+        prop_assert_eq!(pr.size(), expect_pr.size(), "pagerank size of {}", &name);
         prop_assert!(close(&pr), "reference pagerank of {}: {:?}", &name, pr);
     }
 }
@@ -543,17 +497,17 @@ proptest! {
 
     #[test]
     fn spa_kernels_match_btree_fallbacks(
-        a_updates in update_stream(200),
-        b_updates in update_stream(200),
+        a_updates in update_stream(60, 1, 200),
+        b_updates in update_stream(60, 1, 200),
     ) {
         check_spa_vs_btree(&a_updates, &b_updates);
     }
 
     #[test]
     fn reader_kernels_match_flat_oracle(
-        updates in update_stream(200),
-        b_updates in update_stream(100),
-        cuts in cut_schedule(),
+        updates in update_stream(60, 1, 200),
+        b_updates in update_stream(60, 1, 100),
+        cuts in cut_schedule(4),
         shards in 1usize..=8,
         chunk in 1usize..64,
         flush_at in 0usize..200,
@@ -567,8 +521,8 @@ proptest! {
 
     #[test]
     fn algorithms_agree_across_all_systems(
-        updates in update_stream(150),
-        cuts in cut_schedule(),
+        updates in update_stream(60, 1, 150),
+        cuts in cut_schedule(4),
         shards in 1usize..=8,
         chunk in 1usize..64,
         flush_at in 0usize..150,

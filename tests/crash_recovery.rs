@@ -20,40 +20,13 @@
 //! neighbouring test thread can never fire inside it.  Everything else
 //! runs in the default test sweep.
 
+mod common;
+
+use common::{contents, oracle, update_stream, TempDir, DIM};
 use hyperstream::prelude::*;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
-
-const DIM: u64 = 1 << 32;
-
-/// Unique-per-test scratch directory, removed on drop (kept on panic so a
-/// failing case leaves its evidence behind).
-struct TempDir(PathBuf);
-
-impl TempDir {
-    fn new(name: &str) -> Self {
-        static SEQ: AtomicU64 = AtomicU64::new(0);
-        let n = SEQ.fetch_add(1, Ordering::Relaxed);
-        let p =
-            std::env::temp_dir().join(format!("hs-crash-{}-{}-{}", std::process::id(), name, n));
-        let _ = std::fs::remove_dir_all(&p);
-        Self(p)
-    }
-
-    fn path(&self) -> &Path {
-        &self.0
-    }
-}
-
-impl Drop for TempDir {
-    fn drop(&mut self) {
-        if !std::thread::panicking() {
-            let _ = std::fs::remove_dir_all(&self.0);
-        }
-    }
-}
 
 /// Test-order lock over the process-global failpoint registry: shared by
 /// tests that arm nothing, exclusive for the ones that arm sites.
@@ -69,35 +42,6 @@ fn unarmed() -> std::sync::RwLockReadGuard<'static, ()> {
 
 fn small_cuts() -> HierConfig {
     HierConfig::from_cuts(vec![8, 64]).unwrap()
-}
-
-/// Flat oracle: the represented matrix of an update prefix as a sum map.
-fn oracle(updates: &[(u64, u64, u64)]) -> BTreeMap<(u64, u64), u64> {
-    let mut m = BTreeMap::new();
-    for &(r, c, v) in updates {
-        *m.entry((r, c)).or_insert(0) += v;
-    }
-    m
-}
-
-fn contents(m: &HierMatrix<u64>) -> BTreeMap<(u64, u64), u64> {
-    let (r, c, v) = m.materialize_ref().extract_tuples();
-    let mut out = BTreeMap::new();
-    for i in 0..r.len() {
-        *out.entry((r[i], c[i])).or_insert(0) += v[i];
-    }
-    out
-}
-
-/// A stream of updates drawn from a small id pool (duplicates included,
-/// so `⊕` accumulation is actually exercised) scattered over the
-/// hypersparse index space.
-fn update_stream(max_len: usize) -> impl Strategy<Value = Vec<(u64, u64, u64)>> {
-    prop::collection::vec((0u64..120, 0u64..120, 1u64..5), 32..max_len).prop_map(|v| {
-        v.into_iter()
-            .map(|(r, c, w)| ((r * 20_000_019) % DIM, (c * 40_000_003) % DIM, w))
-            .collect()
-    })
 }
 
 /// The live WAL of a store no checkpoint failed on: the highest generation
@@ -125,7 +69,7 @@ fn the_wal_file(dir: &Path) -> PathBuf {
 #[test]
 fn clean_reopen_after_flush_replays_nothing() {
     let _quiet = unarmed();
-    let dir = TempDir::new("clean-flush");
+    let dir = TempDir::new("hs-crash", "clean-flush");
     let updates: Vec<(u64, u64, u64)> = (0..300u64)
         .map(|i| ((i * 7) % 97, (i * 13) % 89, 1 + i % 3))
         .collect();
@@ -154,7 +98,7 @@ fn clean_reopen_after_flush_replays_nothing() {
 #[test]
 fn clean_drop_without_flush_leaves_no_torn_tail() {
     let _quiet = unarmed();
-    let dir = TempDir::new("clean-drop");
+    let dir = TempDir::new("hs-crash", "clean-drop");
     let updates: Vec<(u64, u64, u64)> = (0..50u64).map(|i| (i % 11, i % 7, 1)).collect();
     let mut m = HierMatrix::<u64>::new_durable(
         DIM,
@@ -180,7 +124,7 @@ fn clean_drop_without_flush_leaves_no_torn_tail() {
 #[test]
 fn simulated_kill_recovers_every_fsynced_batch() {
     let _quiet = unarmed();
-    let dir = TempDir::new("kill");
+    let dir = TempDir::new("hs-crash", "kill");
     let updates: Vec<(u64, u64, u64)> = (0..200u64)
         .map(|i| ((i * 3) % 31, (i * 5) % 29, 1 + i % 2))
         .collect();
@@ -213,7 +157,7 @@ fn reopen_is_o_levels_not_o_nnz_reingest() {
     // replay zero WAL records whatever the entry count — the levels come
     // back as whole files, not as re-ingested tuples.
     for n in [100u64, 2000] {
-        let dir = TempDir::new("olevels");
+        let dir = TempDir::new("hs-crash", "olevels");
         let mut m =
             HierMatrix::<u64>::new_durable(DIM, DIM, small_cuts(), DurableConfig::new(dir.path()))
                 .unwrap();
@@ -232,7 +176,7 @@ fn reopen_is_o_levels_not_o_nnz_reingest() {
 #[test]
 fn new_durable_refuses_an_initialised_directory() {
     let _quiet = unarmed();
-    let dir = TempDir::new("refuse");
+    let dir = TempDir::new("hs-crash", "refuse");
     let m = HierMatrix::<u64>::new_durable(DIM, DIM, small_cuts(), DurableConfig::new(dir.path()))
         .unwrap();
     drop(m);
@@ -256,7 +200,7 @@ fn new_durable_refuses_an_initialised_directory() {
 #[test]
 fn scalar_type_mismatch_is_typed_corruption() {
     let _quiet = unarmed();
-    let dir = TempDir::new("tag");
+    let dir = TempDir::new("hs-crash", "tag");
     let m = HierMatrix::<f64>::new_durable(DIM, DIM, small_cuts(), DurableConfig::new(dir.path()))
         .unwrap();
     drop(m);
@@ -275,7 +219,7 @@ fn scalar_type_mismatch_is_typed_corruption() {
 #[test]
 fn corrupt_level_strict_open_fails_salvage_reports() {
     let _quiet = unarmed();
-    let dir = TempDir::new("corrupt-lvl");
+    let dir = TempDir::new("hs-crash", "corrupt-lvl");
     let mut m =
         HierMatrix::<u64>::new_durable(DIM, DIM, small_cuts(), DurableConfig::new(dir.path()))
             .unwrap();
@@ -347,11 +291,11 @@ proptest! {
 
     #[test]
     fn wal_cut_at_any_byte_recovers_an_update_prefix(
-        updates in update_stream(200),
+        updates in update_stream(120, 32, 200),
         cut_ppm in 0u64..1_000_000,
     ) {
         let _quiet = unarmed();
-        let dir = TempDir::new("wal-cut");
+        let dir = TempDir::new("hs-crash", "wal-cut");
         let mut m = HierMatrix::<u64>::new_durable(
             DIM, DIM, small_cuts(), DurableConfig::new(dir.path()),
         ).unwrap();
@@ -476,7 +420,7 @@ fn batch_oracle(batches: &[Batch]) -> BTreeMap<(u64, u64), u64> {
 fn batches_dropped_without_flush_replay_exactly_for_u64() {
     let _quiet = unarmed();
     for weight in [1, u64::MAX / 3] {
-        let dir = TempDir::new("batch-replay");
+        let dir = TempDir::new("hs-crash", "batch-replay");
         let cfg = DurableConfig::new(dir.path()).fsync(FsyncPolicy::Never);
         let mut m = HierMatrix::<u64>::new_durable(DIM, DIM, batch_cuts(), cfg).unwrap();
         let kinds = [0u8, 3, 1, 0, UPDATE_MATRIX, 2, 3, 0];
@@ -510,7 +454,7 @@ fn batches_dropped_without_flush_replay_exactly_for_u64() {
 #[test]
 fn batches_dropped_without_flush_replay_up_to_reassociation_for_f64() {
     let _quiet = unarmed();
-    let dir = TempDir::new("batch-replay-f64");
+    let dir = TempDir::new("hs-crash", "batch-replay-f64");
     let cfg = DurableConfig::new(dir.path()).fsync(FsyncPolicy::Never);
     let mut m = HierMatrix::<f64>::new_durable(DIM, DIM, batch_cuts(), cfg).unwrap();
     let mut terms = 0usize;
@@ -658,7 +602,7 @@ fn files_per_level(dir: &Path) -> Vec<usize> {
 #[test]
 fn delta_store_stream_matches_the_oracle_across_reopens() {
     let _quiet = unarmed();
-    let dir = TempDir::new("delta-stream");
+    let dir = TempDir::new("hs-crash", "delta-stream");
     let cfg = || DurableConfig::new(dir.path()).fsync(FsyncPolicy::Never);
     let mut m = HierMatrix::<u64>::new_durable(DIM, DIM, delta_cuts(), cfg()).unwrap();
     let mut oracle = BTreeMap::new();
@@ -738,7 +682,7 @@ fn delta_store_stream_matches_the_oracle_across_reopens() {
 #[test]
 fn sharded_durable_engine_reopens_every_shard() {
     let _quiet = unarmed();
-    let dir = TempDir::new("sharded");
+    let dir = TempDir::new("hs-crash", "sharded");
     let updates: Vec<(u64, u64, u64)> = (0..800u64)
         .map(|i| ((i * 2_654_435_761) % DIM, (i * 40_503) % DIM, 1 + i % 4))
         .collect();
@@ -824,10 +768,10 @@ mod failpoint_crashes {
         fn crash_at_any_persistence_site_recovers_acked_prefix(
             site in 0usize..6,
             nth in 1u64..20,
-            updates in update_stream(160),
+            updates in update_stream(120, 32, 160),
         ) {
             let _x = exclusive();
-            let dir = TempDir::new("site-crash");
+            let dir = TempDir::new("hs-crash", "site-crash");
             let mut m = HierMatrix::<u64>::new_durable(
                 DIM, DIM, small_cuts(), DurableConfig::new(dir.path()),
             ).unwrap();
@@ -882,10 +826,10 @@ mod failpoint_crashes {
         fn failed_append_then_continued_ingest_loses_no_acked_update(
             site in 0usize..2,
             nth in 1u64..40,
-            updates in update_stream(160),
+            updates in update_stream(120, 32, 160),
         ) {
             let _x = exclusive();
-            let dir = TempDir::new("fail-continue");
+            let dir = TempDir::new("hs-crash", "fail-continue");
             let mut m = HierMatrix::<u64>::new_durable(
                 DIM, DIM, small_cuts(), DurableConfig::new(dir.path()),
             ).unwrap();
@@ -927,7 +871,7 @@ mod failpoint_crashes {
     #[test]
     fn wal_append_failure_rejects_update_atomically() {
         let _x = exclusive();
-        let dir = TempDir::new("append-fail");
+        let dir = TempDir::new("hs-crash", "append-fail");
         let mut m =
             HierMatrix::<u64>::new_durable(DIM, DIM, small_cuts(), DurableConfig::new(dir.path()))
                 .unwrap();
@@ -967,7 +911,7 @@ mod failpoint_crashes {
         let _x = exclusive();
         for site in ["persist-wal-append", "persist-partial-write"] {
             for kind in [0u8, 1, 2, UPDATE_MATRIX] {
-                let dir = TempDir::new("batch-append-fail");
+                let dir = TempDir::new("hs-crash", "batch-append-fail");
                 let mut m = HierMatrix::<u64>::new_durable(
                     DIM,
                     DIM,
@@ -1021,7 +965,7 @@ mod failpoint_crashes {
             kinds in prop::collection::vec(0u8..5, 3usize..8),
         ) {
             let _x = exclusive();
-            let dir = TempDir::new("batch-site-crash");
+            let dir = TempDir::new("hs-crash", "batch-site-crash");
             let mut m = HierMatrix::<u64>::new_durable(
                 DIM, DIM, batch_cuts(), DurableConfig::new(dir.path()),
             ).unwrap();
@@ -1093,7 +1037,7 @@ mod failpoint_crashes {
         ) {
             let _x = exclusive();
             quiet_failpoint_panics();
-            let dir = TempDir::new("delta-crash");
+            let dir = TempDir::new("hs-crash", "delta-crash");
             let mut m = HierMatrix::<u64>::new_durable(
                 DIM, DIM, delta_cuts(), DurableConfig::new(dir.path()),
             ).unwrap();
@@ -1138,7 +1082,7 @@ mod failpoint_crashes {
     fn durable_engine_respawns_lost_shard_from_disk() {
         let _x = exclusive();
         quiet_failpoint_panics();
-        let dir = TempDir::new("respawn");
+        let dir = TempDir::new("hs-crash", "respawn");
         let mut e = ShardedHierMatrix::<u64>::new_durable(
             DIM,
             DIM,
@@ -1213,7 +1157,7 @@ mod failpoint_crashes {
     fn durable_respawn_counts_the_batches_the_dead_worker_never_logged() {
         let _x = exclusive();
         quiet_failpoint_panics();
-        let dir = TempDir::new("respawn-count");
+        let dir = TempDir::new("hs-crash", "respawn-count");
         let victim = 1;
         let mut e = ShardedHierMatrix::<u64>::new_durable(
             DIM,

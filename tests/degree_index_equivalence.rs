@@ -8,63 +8,20 @@
 //! materialised flat matrix.  Snapshots taken mid-stream must keep
 //! answering the captured state no matter how far the source streams on.
 
+mod common;
+
+use common::{build_flat, cut_schedule, reference_top_k, update_stream, DIM};
 use hyperstream::graphblas::cursor::*;
 use hyperstream::prelude::*;
 use proptest::prelude::*;
-
-const DIM: u64 = 1 << 32;
-
-// A stream from a small id pool (duplicates + cross-level row collisions)
-// scattered over the hypersparse index space.
-fn update_stream(max_len: usize) -> impl Strategy<Value = Vec<(u64, u64, u64)>> {
-    prop::collection::vec((0u64..48, 0u64..48, 1u64..5), 1..max_len).prop_map(|v| {
-        v.into_iter()
-            .map(|(r, c, w)| ((r * 20_000_019) % DIM, (c * 40_000_003) % DIM, w))
-            .collect()
-    })
-}
-
-// An arbitrary valid cut schedule (strictly increasing, non-zero).
-fn cut_schedule() -> impl Strategy<Value = Vec<u64>> {
-    prop::collection::vec(1u64..64, 1usize..4).prop_map(|deltas| {
-        let mut acc = 0u64;
-        deltas
-            .into_iter()
-            .map(|d| {
-                acc += d;
-                acc
-            })
-            .collect()
-    })
-}
-
-fn build_flat(updates: &[(u64, u64, u64)]) -> Matrix<u64> {
-    let mut m = Matrix::<u64>::new(DIM, DIM);
-    for &(r, c, v) in updates {
-        m.accum_element(r, c, v).unwrap();
-    }
-    m.wait();
-    m
-}
-
-// Reference top-k (degree descending, row ascending) from a flat matrix.
-fn reference_top_k(flat: &Matrix<u64>, k: usize) -> Vec<(u64, usize)> {
-    let d = flat.dcsr();
-    let mut degs: Vec<(u64, usize)> = (0..d.nrows_nonempty())
-        .map(|slot| (d.row_ids()[slot], d.row_slot(slot).0.len()))
-        .collect();
-    degs.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-    degs.truncate(k);
-    degs
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     #[test]
     fn hier_index_matches_sweep_and_flat(
-        updates in update_stream(300),
-        cuts in cut_schedule(),
+        updates in update_stream(48, 1, 300),
+        cuts in cut_schedule(4),
         flush_at in 0usize..300,
         k in 0usize..12,
     ) {
@@ -126,8 +83,8 @@ proptest! {
 
     #[test]
     fn sharded_pushdown_index_matches_flat(
-        updates in update_stream(300),
-        cuts in cut_schedule(),
+        updates in update_stream(48, 1, 300),
+        cuts in cut_schedule(4),
         shards in 1usize..=8,
         chunk in 1usize..64,
         flush_at in 0usize..300,
@@ -200,8 +157,8 @@ proptest! {
 
     #[test]
     fn windowed_rotation_index_matches_sweep_and_retained_union(
-        updates in update_stream(300),
-        cuts in cut_schedule(),
+        updates in update_stream(48, 1, 300),
+        cuts in cut_schedule(4),
         window in 10u64..120,
         max_windows in 1usize..4,
         k in 0usize..10,

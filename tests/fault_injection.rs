@@ -23,12 +23,13 @@
 //! through [`exclusive`], which also disarms all sites on scope exit.
 //! That keeps armed sites from leaking into a concurrently running test.
 
+mod common;
+
+use common::{build_flat, reference_top_k, update_stream, DIM};
 use hyperstream::hier::failpoint::{self, FailAction};
 use hyperstream::prelude::*;
 use proptest::prelude::*;
 use std::time::{Duration, Instant};
-
-const DIM: u64 = 1 << 32;
 
 /// Global test-order lock: held for the duration of any test that arms
 /// failpoints.  Disarms everything when released, even on panic.
@@ -71,36 +72,6 @@ fn quiet_failpoint_panics() {
             }
         }));
     });
-}
-
-/// A stream of updates drawn from a small id pool (duplicates included)
-/// scattered over the hypersparse index space.
-fn update_stream(max_len: usize) -> impl Strategy<Value = Vec<(u64, u64, u64)>> {
-    prop::collection::vec((0u64..200, 0u64..200, 1u64..5), 64..max_len).prop_map(|v| {
-        v.into_iter()
-            .map(|(r, c, w)| ((r * 20_000_019) % DIM, (c * 40_000_003) % DIM, w))
-            .collect()
-    })
-}
-
-fn build_flat(updates: &[(u64, u64, u64)]) -> Matrix<u64> {
-    let mut m = Matrix::<u64>::new(DIM, DIM);
-    for &(r, c, v) in updates {
-        m.accum_element(r, c, v).unwrap();
-    }
-    m.wait();
-    m
-}
-
-/// Reference ranking (degree descending, id ascending) from a flat matrix.
-fn reference_top_k(flat: &Matrix<u64>, k: usize) -> Vec<(u64, usize)> {
-    let d = flat.dcsr();
-    let mut degs: Vec<(u64, usize)> = (0..d.nrows_nonempty())
-        .map(|slot| (d.row_ids()[slot], d.row_slot(slot).0.len()))
-        .collect();
-    degs.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-    degs.truncate(k);
-    degs
 }
 
 /// One query of every kind: the row-targeted ones aimed at `row`, the
@@ -176,7 +147,7 @@ proptest! {
     // while latching the error.
     #[test]
     fn worker_panic_mid_stream_is_typed_and_bounded(
-        updates in update_stream(400),
+        updates in update_stream(200, 64, 400),
         shards in 2usize..=8,
         victim_sel in 0usize..8,
         nth in 1u64..4,
@@ -258,8 +229,8 @@ proptest! {
     // stream without the victim's rows plus the whole second stream.
     #[test]
     fn restarted_empty_shard_combines_exactly_for_every_kind(
-        first in update_stream(300),
-        second in update_stream(300),
+        first in update_stream(200, 64, 300),
+        second in update_stream(200, 64, 300),
         victim_sel in 0usize..4,
         k in 1usize..10,
     ) {

@@ -49,15 +49,25 @@ fn hierarchy_equals_flat_for_many_cut_schedules() {
 #[test]
 fn hierarchy_equals_d4m_assoc_on_the_same_stream() {
     let edges = stream(3_000, 23);
+    let (rows, cols, vals) = edges_to_tuples(&edges);
     let mut hier = HierMatrix::<u64>::with_default_config(1 << 32, 1 << 32).unwrap();
     let mut assoc = HierAssoc::with_default_config();
-    for e in &edges {
-        hier.update(e.src, e.dst, e.weight).unwrap();
-        assoc.update(&e.src.to_string(), &e.dst.to_string(), e.weight as f64);
+    // Both ingest through `StreamingSink::insert_batch`, in the batches a
+    // comparator would time.
+    let sinks: [&mut dyn StreamingSink<u64>; 2] = [&mut hier, &mut assoc];
+    for sink in sinks {
+        for ((r, c), v) in rows
+            .chunks(1_000)
+            .zip(cols.chunks(1_000))
+            .zip(vals.chunks(1_000))
+        {
+            sink.insert_batch(r, c, v).unwrap();
+        }
+        sink.flush().unwrap();
     }
     // Same total weight and same number of distinct cells.
     assert_eq!(hier.total_weight(), assoc.total() as u64);
-    assert_eq!(hier.nvals_exact(), assoc.materialize().nnz());
+    assert_eq!(hier.nvals_exact(), StreamingSink::<u64>::nvals(&assoc));
     // Spot-check a handful of cells through both APIs.
     for e in edges.iter().take(50) {
         let h = hier.get(e.src, e.dst).unwrap();

@@ -19,54 +19,13 @@
 //! prefix — is a parser bug.  Runs in the default sweep (no failpoints
 //! needed: the corruption is literal bytes on disk).
 
+mod common;
+
+use common::{contents, oracle, update_stream, TempDir, DIM};
 use hyperstream::prelude::*;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
-
-const DIM: u64 = 1 << 32;
-
-struct TempDir(PathBuf);
-
-impl TempDir {
-    fn new(name: &str) -> Self {
-        static SEQ: AtomicU64 = AtomicU64::new(0);
-        let n = SEQ.fetch_add(1, Ordering::Relaxed);
-        let p = std::env::temp_dir().join(format!("hs-fuzz-{}-{}-{}", std::process::id(), name, n));
-        let _ = std::fs::remove_dir_all(&p);
-        Self(p)
-    }
-
-    fn path(&self) -> &Path {
-        &self.0
-    }
-}
-
-impl Drop for TempDir {
-    fn drop(&mut self) {
-        if !std::thread::panicking() {
-            let _ = std::fs::remove_dir_all(&self.0);
-        }
-    }
-}
-
-fn oracle(updates: &[(u64, u64, u64)]) -> BTreeMap<(u64, u64), u64> {
-    let mut m = BTreeMap::new();
-    for &(r, c, v) in updates {
-        *m.entry((r, c)).or_insert(0) += v;
-    }
-    m
-}
-
-fn contents(m: &HierMatrix<u64>) -> BTreeMap<(u64, u64), u64> {
-    let (r, c, v) = m.materialize_ref().extract_tuples();
-    let mut out = BTreeMap::new();
-    for i in 0..r.len() {
-        *out.entry((r[i], c[i])).or_insert(0) += v[i];
-    }
-    out
-}
 
 /// Build a store holding `updates` (flushed half-way so both level files
 /// and a non-empty WAL tail exist), leaving it crash-shaped via `forget`.
@@ -129,14 +88,6 @@ fn wal_file(dir: &Path) -> PathBuf {
         .expect("store has a live WAL")
 }
 
-fn update_stream(max_len: usize) -> impl Strategy<Value = Vec<(u64, u64, u64)>> {
-    prop::collection::vec((0u64..120, 0u64..120, 1u64..5), 64..max_len).prop_map(|v| {
-        v.into_iter()
-            .map(|(r, c, w)| ((r * 20_000_019) % DIM, (c * 40_000_003) % DIM, w))
-            .collect()
-    })
-}
-
 /// The three shapes of disk rot under test.
 #[derive(Debug, Clone, Copy)]
 enum Mutation {
@@ -172,7 +123,7 @@ fn is_some_prefix(got: &BTreeMap<(u64, u64), u64>, updates: &[(u64, u64, u64)]) 
 /// as a torn tail and the checkpointed state below it is untouched.
 #[test]
 fn flip_in_every_crc_lane_and_in_the_remainder_drops_the_frame() {
-    let dir = TempDir::new("crc-lanes");
+    let dir = TempDir::new("hs-fuzz", "crc-lanes");
     let mut m = HierMatrix::<u64>::new_durable(
         DIM,
         DIM,
@@ -226,13 +177,13 @@ proptest! {
 
     #[test]
     fn mutated_store_is_refused_typed_or_recovered_to_a_prefix(
-        updates in update_stream(200),
+        updates in update_stream(120, 64, 200),
         file_ppm in 0u64..1_000_000,
         pos_ppm in 0u64..1_000_000,
         kind_sel in 0u8..3,
         garbage in 0u8..255,
     ) {
-        let dir = TempDir::new("mutate");
+        let dir = TempDir::new("hs-fuzz", "mutate");
         build_store(dir.path(), &updates);
         let files = store_files(dir.path());
         prop_assert!(!files.is_empty());
@@ -278,11 +229,11 @@ proptest! {
     // after the mutated byte — everything before it must survive.
     #[test]
     fn wal_mutation_never_loses_preceding_frames(
-        updates in update_stream(160),
+        updates in update_stream(120, 64, 160),
         pos_ppm in 0u64..1_000_000,
         garbage in 1u8..255,
     ) {
-        let dir = TempDir::new("wal-rot");
+        let dir = TempDir::new("hs-fuzz", "wal-rot");
         build_store(dir.path(), &updates);
         let wal = wal_file(dir.path());
         let len = std::fs::metadata(&wal).unwrap().len();

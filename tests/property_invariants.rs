@@ -8,53 +8,17 @@
 //!   relies on);
 //! * DCSR structural invariants survive arbitrary merges.
 
+mod common;
+
+use common::{build_flat, cut_schedule, update_stream, DIM};
 use hyperstream::prelude::*;
 use proptest::prelude::*;
-
-const DIM: u64 = 1 << 32;
-
-/// Strategy: a stream of updates with indices drawn from a small id pool
-/// (to force duplicates) scattered over the hypersparse index space.
-fn update_stream(max_len: usize) -> impl Strategy<Value = Vec<(u64, u64, u64)>> {
-    prop::collection::vec((0u64..200, 0u64..200, 1u64..5), 0..max_len).prop_map(|v| {
-        v.into_iter()
-            .map(|(r, c, w)| {
-                // Scatter over the 2^32 space while keeping collisions likely.
-                (r * 20_000_019 % DIM, c * 40_000_003 % DIM, w)
-            })
-            .collect()
-    })
-}
-
-fn build_flat(updates: &[(u64, u64, u64)]) -> Matrix<u64> {
-    let mut m = Matrix::<u64>::new(DIM, DIM);
-    for &(r, c, v) in updates {
-        m.accum_element(r, c, v).unwrap();
-    }
-    m.wait();
-    m
-}
-
-/// Strategy: an arbitrary valid cut schedule (strictly increasing, non-zero),
-/// 2–5 levels with small cuts so streams of a few hundred updates cascade.
-fn cut_schedule() -> impl Strategy<Value = Vec<u64>> {
-    prop::collection::vec(1u64..64, 1usize..5).prop_map(|deltas| {
-        let mut acc = 0u64;
-        deltas
-            .into_iter()
-            .map(|d| {
-                acc += d;
-                acc
-            })
-            .collect()
-    })
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     #[test]
-    fn build_extract_round_trip(updates in update_stream(300)) {
+    fn build_extract_round_trip(updates in update_stream(200, 0, 300)) {
         let m = build_flat(&updates);
         let (r, c, v) = m.extract_tuples();
         let rebuilt = Matrix::from_tuples(DIM, DIM, &r, &c, &v, Plus).unwrap();
@@ -63,7 +27,10 @@ proptest! {
     }
 
     #[test]
-    fn ewise_add_commutative_and_union_sized(a in update_stream(200), b in update_stream(200)) {
+    fn ewise_add_commutative_and_union_sized(
+        a in update_stream(200, 0, 200),
+        b in update_stream(200, 0, 200),
+    ) {
         let ma = build_flat(&a);
         let mb = build_flat(&b);
         let ab = ewise_add(&ma, &mb, Plus).unwrap();
@@ -80,7 +47,11 @@ proptest! {
     }
 
     #[test]
-    fn ewise_add_associative(a in update_stream(120), b in update_stream(120), c in update_stream(120)) {
+    fn ewise_add_associative(
+        a in update_stream(200, 0, 120),
+        b in update_stream(200, 0, 120),
+        c in update_stream(200, 0, 120),
+    ) {
         let (ma, mb, mc) = (build_flat(&a), build_flat(&b), build_flat(&c));
         let left = ewise_add(&ewise_add(&ma, &mb, Plus).unwrap(), &mc, Plus).unwrap();
         let right = ewise_add(&ma, &ewise_add(&mb, &mc, Plus).unwrap(), Plus).unwrap();
@@ -89,7 +60,7 @@ proptest! {
 
     #[test]
     fn hierarchy_matches_flat_for_arbitrary_cuts(
-        updates in update_stream(400),
+        updates in update_stream(200, 0, 400),
         cut0 in 1u64..64,
         growth in 2u64..10,
         levels in 2usize..5,
@@ -107,7 +78,7 @@ proptest! {
     }
 
     #[test]
-    fn hierarchy_batch_and_single_update_agree(updates in update_stream(250)) {
+    fn hierarchy_batch_and_single_update_agree(updates in update_stream(200, 0, 250)) {
         let cfg = HierConfig::from_cuts(vec![32, 256]).unwrap();
         let mut one_by_one = HierMatrix::<u64>::new(DIM, DIM, cfg.clone()).unwrap();
         for &(r, c, v) in &updates {
@@ -126,9 +97,9 @@ proptest! {
 
     #[test]
     fn cascade_schedule_invariance(
-        updates in update_stream(400),
-        cuts_a in cut_schedule(),
-        cuts_b in cut_schedule(),
+        updates in update_stream(200, 0, 400),
+        cuts_a in cut_schedule(5),
+        cuts_b in cut_schedule(5),
         query_at in 1usize..400,
     ) {
         // The paper's correctness claim: because ⊕ is associative and
@@ -163,14 +134,14 @@ proptest! {
     }
 
     #[test]
-    fn transpose_involution(updates in update_stream(200)) {
+    fn transpose_involution(updates in update_stream(200, 0, 200)) {
         let m = build_flat(&updates);
         let tt = transpose(&transpose(&m));
         prop_assert_eq!(tt.extract_tuples(), m.extract_tuples());
     }
 
     #[test]
-    fn reductions_conserve_total(updates in update_stream(300)) {
+    fn reductions_conserve_total(updates in update_stream(200, 0, 300)) {
         let m = build_flat(&updates);
         let total = reduce_scalar(&m, PlusMonoid);
         let by_rows = reduce_rows(&m, PlusMonoid).reduce(PlusMonoid);

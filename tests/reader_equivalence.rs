@@ -6,67 +6,21 @@
 //! top-k / nnz / sorted entries) from *every* sink system must be
 //! byte-identical to the answer computed from the materialised flat
 //! matrix.  This is the read-side mirror of the write-side equivalence
-//! suites: the cascade schedule, the sharding, the string keys and the
-//! storage engines may only change the *cost* of a query, never its value.
+//! suites: the cascade schedule, the sharding and the storage engines may
+//! only change the *cost* of a query, never its value.
 //!
 //! The level-backed stores (flat, hierarchy, windowed hierarchy, both
-//! snapshot captures) share one `MatrixReader::answer`, the sharded engine
-//! and its snapshot another (one route and one combine over their shards),
-//! and the D4M hierarchy a third (one flat matrix of its decoded cells);
-//! the same generated cases drive all 18 `read_*` methods of each against
-//! a `BTreeMap<(row, col), value>` oracle through [`check_reads`].
+//! snapshot captures) share one `MatrixReader::answer`, and the sharded
+//! engine and its snapshot another (one route and one combine over their
+//! shards); the same generated cases drive all 18 `read_*` methods of each
+//! against a `BTreeMap<(row, col), value>` oracle through [`check_reads`].
 
-use hyperstream::graphblas::index::MAX_DIM;
+mod common;
+
+use common::{build_flat, cut_schedule, reference_top_k, update_stream, DIM};
 use hyperstream::prelude::*;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
-
-const DIM: u64 = 1 << 32;
-
-/// A stream of updates drawn from a small id pool (to force duplicates and
-/// row collisions across hierarchy levels) scattered over the hypersparse
-/// index space.
-fn update_stream(max_len: usize) -> impl Strategy<Value = Vec<(u64, u64, u64)>> {
-    prop::collection::vec((0u64..60, 0u64..60, 1u64..5), 1..max_len).prop_map(|v| {
-        v.into_iter()
-            .map(|(r, c, w)| ((r * 20_000_019) % DIM, (c * 40_000_003) % DIM, w))
-            .collect()
-    })
-}
-
-/// An arbitrary valid cut schedule (strictly increasing, non-zero).
-fn cut_schedule() -> impl Strategy<Value = Vec<u64>> {
-    prop::collection::vec(1u64..64, 1usize..4).prop_map(|deltas| {
-        let mut acc = 0u64;
-        deltas
-            .into_iter()
-            .map(|d| {
-                acc += d;
-                acc
-            })
-            .collect()
-    })
-}
-
-fn build_flat(updates: &[(u64, u64, u64)]) -> Matrix<u64> {
-    let mut m = Matrix::<u64>::new(DIM, DIM);
-    for &(r, c, v) in updates {
-        m.accum_element(r, c, v).unwrap();
-    }
-    m.wait();
-    m
-}
-
-/// Reference top-k (degree descending, row ascending) from the flat matrix.
-fn reference_top_k(flat: &Matrix<u64>, k: usize) -> Vec<(u64, usize)> {
-    let d = flat.dcsr();
-    let mut degs: Vec<(u64, usize)> = (0..d.nrows_nonempty())
-        .map(|slot| (d.row_ids()[slot], d.row_slot(slot).0.len()))
-        .collect();
-    degs.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-    degs.truncate(k);
-    degs
-}
 
 /// Every system under test, constructed with the randomised knobs.
 fn all_systems(cuts: &[u64], shards: usize, chunk: usize) -> Vec<Box<dyn StreamingSystem<u64>>> {
@@ -90,9 +44,6 @@ fn all_systems(cuts: &[u64], shards: usize, chunk: usize) -> Vec<Box<dyn Streami
         // Hashed rows interleave in every column; banded rows do not.
         sharded(ShardPartitioner::RowHash),
         sharded(ShardPartitioner::RowRange),
-        Box::new(HierAssoc::new(
-            HierAssocConfig::from_cuts(cuts.to_vec()).unwrap(),
-        )),
     ]
 }
 
@@ -369,8 +320,8 @@ proptest! {
 
     #[test]
     fn every_reader_matches_the_materialized_matrix(
-        updates in update_stream(250),
-        cuts in cut_schedule(),
+        updates in update_stream(60, 1, 250),
+        cuts in cut_schedule(4),
         shards in 1usize..=8,
         chunk in 1usize..64,
         flush_at in 0usize..250,
@@ -435,11 +386,6 @@ proptest! {
             });
             prop_assert_eq!(&entries, &expect_entries, "entries of {}", &name);
         }
-        let mut assoc = HierAssoc::new(HierAssocConfig::from_cuts(cuts.clone()).unwrap());
-        for &(r, c, v) in &updates {
-            StreamingSink::<u64>::insert(&mut assoc, r, c, v).unwrap();
-        }
-        check_reads(&mut assoc, &cells_of(&updates), (MAX_DIM, MAX_DIM), k);
         check_level_backed_stores(&updates, &cuts, DIM, k);
         // Both partitioners at up to 8 shards: interleaved, banded and
         // many-part merges all meet the oracle.
@@ -496,8 +442,7 @@ fn pagerank_over_retained_windows_matches_the_materialized_union() {
 }
 
 /// A caller-chosen `k` never sizes an allocation: `usize::MAX` ranks every
-/// row and column through the D4M store and through the sharded engine and
-/// its snapshot.
+/// row and column through the sharded engine and its snapshot.
 #[test]
 fn hostile_k_ranks_everything() {
     let updates: Vec<(u64, u64, u64)> = (0..500u64).map(|i| (i % 23, (i * 7) % 41, 1)).collect();
@@ -506,14 +451,12 @@ fn hostile_k_ranks_everything() {
         ranked(&grouped(&cells, false), usize::MAX),
         ranked(&grouped(&cells, true), usize::MAX),
     );
-    let mut assoc = HierAssoc::with_default_config();
     let mut engine = ShardedHierMatrix::<u64>::with_shards(DIM, DIM, 3).unwrap();
     for &(r, c, v) in &updates {
-        StreamingSink::<u64>::insert(&mut assoc, r, c, v).unwrap();
         engine.insert(r, c, v).unwrap();
     }
     let mut snapshot = engine.snapshot().unwrap();
-    let readers: [&mut dyn MatrixReader<u64>; 3] = [&mut assoc, &mut engine, &mut snapshot];
+    let readers: [&mut dyn MatrixReader<u64>; 2] = [&mut engine, &mut snapshot];
     for reader in readers {
         let name = reader.reader_name().to_string();
         for k in [usize::MAX, usize::MAX - 1, 1_000_000_000_000] {

@@ -7,53 +7,21 @@
 //! produces.  This is the paper's linearity argument one level up: sharding
 //! by row is just another way of splitting the sum `A = Σ_i A_i`.
 
+mod common;
+
+use common::{build_flat, cut_schedule, update_stream, DIM};
 use hyperstream::prelude::*;
 use proptest::prelude::*;
-
-const DIM: u64 = 1 << 32;
-
-/// A stream of updates drawn from a small id pool (to force duplicates)
-/// scattered over the hypersparse index space.
-fn update_stream(max_len: usize) -> impl Strategy<Value = Vec<(u64, u64, u64)>> {
-    prop::collection::vec((0u64..200, 0u64..200, 1u64..5), 1..max_len).prop_map(|v| {
-        v.into_iter()
-            .map(|(r, c, w)| ((r * 20_000_019) % DIM, (c * 40_000_003) % DIM, w))
-            .collect()
-    })
-}
-
-/// An arbitrary valid cut schedule (strictly increasing, non-zero).
-fn cut_schedule() -> impl Strategy<Value = Vec<u64>> {
-    prop::collection::vec(1u64..64, 1usize..5).prop_map(|deltas| {
-        let mut acc = 0u64;
-        deltas
-            .into_iter()
-            .map(|d| {
-                acc += d;
-                acc
-            })
-            .collect()
-    })
-}
-
-fn build_flat(updates: &[(u64, u64, u64)]) -> Matrix<u64> {
-    let mut m = Matrix::<u64>::new(DIM, DIM);
-    for &(r, c, v) in updates {
-        m.accum_element(r, c, v).unwrap();
-    }
-    m.wait();
-    m
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
     fn sharded_engine_matches_flat_accumulation(
-        updates in update_stream(400),
+        updates in update_stream(200, 1, 400),
         shards in 1usize..=8,
         row_range in 0u64..2,
-        cuts in cut_schedule(),
+        cuts in cut_schedule(5),
         chunk in 1usize..128,
         round in 1usize..300,
         query_at in 0usize..400,
@@ -108,7 +76,7 @@ proptest! {
 
     #[test]
     fn sharded_batch_ingest_matches_flat(
-        updates in update_stream(300),
+        updates in update_stream(200, 1, 300),
         shards in 1usize..=8,
         batch_len in 1usize..80,
     ) {
@@ -143,7 +111,7 @@ proptest! {
     // a flat accumulation of everything ever inserted.
     #[test]
     fn one_worker_pool_serves_many_rounds(
-        updates in update_stream(600),
+        updates in update_stream(200, 1, 600),
         shards in 1usize..=6,
         rounds in 2usize..8,
         chunk in 1usize..96,
@@ -194,7 +162,7 @@ proptest! {
     // deadlock against a producer-side backlog.
     #[test]
     fn dropping_loaded_engine_is_bounded(
-        updates in update_stream(600),
+        updates in update_stream(200, 1, 600),
         shards in 1usize..=8,
     ) {
         let start = std::time::Instant::now();
