@@ -13,8 +13,7 @@
 //! hierarchy) answers through the single implementation in
 //! [`crate::level_read`], from its native structures and without building a
 //! merged copy of the matrix first; the sharded engine answers through its
-//! worker pool; the D4M associative array from one flat matrix of its
-//! summed cells.
+//! worker pool.  (The D4M associative arrays are sinks only, not readers.)
 //!
 //! Query methods take `&mut self`: a reader may complete cheap deferred
 //! work (settle a pending-tuple buffer, refresh an index segment, drain an

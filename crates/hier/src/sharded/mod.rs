@@ -1,11 +1,11 @@
 //! The sharded parallel ingest engine: a **persistent pool** of N worker
-//! threads, each owning a private [`HierMatrix`] shard, fed through
-//! long-lived bounded SPSC tuple-batch channels.
+//! threads, each the only owner of a [`HierMatrix`] shard, fed through
+//! long-lived bounded SPSC channels.
 //!
 //! The paper's 75 G-updates/s headline is the *sum* of many independent
 //! hierarchical hypersparse matrices, one per process.  Within one process
-//! the same structure is a [`ShardedHierMatrix`]: a row partitioner routes
-//! every update to the shard that owns its row, each shard is an ordinary
+//! the same structure is a [`ShardedHierMatrix`]: a row hash routes every
+//! update to the shard that owns its row, each shard is an ordinary
 //! [`HierMatrix`] maintained by its own worker thread, and a read is
 //! `⊕` over what the shards say — valid because the shards hold disjoint
 //! row sets and ⊕ is associative and commutative.
@@ -22,40 +22,40 @@
 //!
 //! # Threading model
 //!
-//! Workers are **persistent threads** spawned once at construction.  Each
-//! worker owns its shard (behind an uncontended mutex that queries take
-//! after a drain barrier), parks on its SPSC command channel when idle, and
+//! Workers are **persistent threads** spawned once at construction.  A
+//! shard's hierarchy moves into its worker's thread, and no other thread
+//! can reach it: the producer holds only the worker's channel.  A message
+//! is either a tuple batch to apply or a job to run on the shard, and every
+//! other request — a drain barrier, a flush, a read, a capture, statistics,
+//! the worker's thread id — is a job that sends its own reply.  The channel
+//! is FIFO, so a job runs after every batch queued before it: each job is
+//! its own drain barrier.  A worker parks on its channel when idle and
 //! lives until the engine is dropped — there are no per-round spawns or
-//! joins.  The long-lived threads are also the parking spot the roadmap's
-//! NUMA/affinity follow-on needs: a worker is a stable OS thread that can
-//! be pinned once, not a scoped thread that vanishes every round.
+//! joins, and a worker is a stable OS thread that can be pinned once (the
+//! parking spot the roadmap's NUMA/affinity follow-on needs).
 //!
 //! Inserts are staged into per-shard partition buffers
 //! ([`PartitionBuffers`]); a shard's staging is handed to its worker
 //! *whole* (a zero-copy `Vec` handoff, with emptied buffers recycled back
-//! through a return channel) as soon as [`ShardedConfig::chunk_tuples`]
-//! accumulate, so partitioning overlaps worker application continuously.
-//! Every [`ShardedConfig::round_tuples`] staged updates the engine counts
-//! one ingest *round* and force-dispatches all remainders.  The bounded
-//! command channels provide backpressure: the producer blocks when a shard
-//! falls [`ShardedConfig::channel_depth`] batches behind.
-//!
-//! Queries and [`ShardedHierMatrix::flush`] use a **drain barrier**: a
-//! barrier message per worker, acknowledged only after every previously
-//! queued batch has been applied (workers also report their thread id,
-//! which the thread-reuse tests round-trip).
+//! through a return channel) once it reaches the hand-off size — 8192
+//! tuples, or the shard's level-0 cut if that is smaller, so that a
+//! hand-off never holds more than level 0 absorbs before it cascades.
+//! Every 64 hand-offs' worth of staged updates the engine counts one ingest
+//! *round* and dispatches all remainders.  A channel holds four hand-offs:
+//! a producer that far ahead of a worker blocks (backpressure).  None of
+//! these is an option; for [`HierConfig::paper_default`] they come to 8192
+//! tuples, 4 hand-offs and 2^19 tuples a round.
 //!
 //! # The read path
 //!
 //! A read is a [`Query`] value and goes **route → ask → combine**, each
 //! written once for anything that is a set of row-disjoint shards — the
 //! live engine and a [`ShardedSnapshot`] of it.  *Route* picks who can hold
-//! part of the answer: the one owner of a row, the row bands a range
-//! overlaps (every shard under `RowHash`), every shard for whole-matrix and
-//! column reads, or — for a batch of keys — each key's owner with just its
-//! keys.  *Ask* puts the query to those shards: the engine over its worker
-//! channels, behind each shard's staged tuples, with every wait bounded and
-//! every loss typed (below); the snapshot by calling
+//! part of the answer: the one owner of a row, every shard for range,
+//! whole-matrix and column reads, or — for a batch of keys — each key's
+//! owner with just its keys.  *Ask* puts the query to those shards: the
+//! engine as a job behind each shard's staged tuples, with every wait
+//! bounded and every loss typed (below); the snapshot by calling
 //! [`MatrixReader::answer`] on its captures; a worker answers with the same
 //! method.  *Combine* folds the parts by query kind, and every rule is
 //! exact for the same reason: a row lives in one shard.  Cell counts,
@@ -67,9 +67,9 @@
 //! fact — a column's cells split over the shards, so a shard's in-degree
 //! ranking or histogram says nothing about the global one: every shard
 //! ships its complete column → degree list, the lists are *summed per
-//! column first* and ranked or binned afterwards, and the sum is held until
-//! the content changes.  No read answers without a shard it is routed to: a
-//! lost one is a typed error.
+//! column first* into one [`DegreeIndex`] that ranks and bins them, and
+//! the sum is held until the content changes.  No read answers without a
+//! shard it is routed to: a lost one is a typed error.
 //! [`ShardedHierMatrix::try_read`] is the fallible form of all of it; the
 //! engine's [`MatrixReader::answer`] wraps it, answers empty on an error
 //! and latches the error for [`ShardedHierMatrix::take_read_error`].
@@ -82,8 +82,8 @@
 //! [`GrbError::ShardsLost`] — instead of panicking or hanging.  The
 //! producer never blocks unboundedly: sends fail immediately once a dead
 //! worker's channel disconnects (a live worker always drains, so the
-//! blocking send is bounded by backpressure alone), and every ack/reply
-//! wait is capped by [`ShardedConfig::wait_timeout`]
+//! blocking send is bounded by backpressure alone), and every reply wait
+//! is capped by [`ShardedConfig::wait_timeout`]
 //! ([`GrbError::Timeout`]; a timeout does not declare the worker dead).
 //! [`ShardedHierMatrix::health`] reports the pool state as an
 //! [`EngineHealth`].  Reads are strict: one that touches a lost shard
@@ -93,7 +93,7 @@
 //! store, an in-memory shard restarts empty, and either way the tuples
 //! that may be gone are counted ([`ShardRecovery::lost_tuples`]), never
 //! retained.  The `failpoints` feature
-//! compiles deterministic fault-injection sites into the worker loop
+//! compiles deterministic fault-injection sites into the worker
 //! (see [`crate::failpoint`]) — the chaos suite drives panics, injected
 //! errors, and stalls through every one of these paths.
 
@@ -108,8 +108,8 @@ use hyperstream_graphblas::reader::{Answer, Query};
 use hyperstream_graphblas::sink::check_tuple_lengths;
 use hyperstream_graphblas::GrbError;
 use hyperstream_graphblas::{
-    validate_index, GrbResult, Index, Matrix, MatrixReader, MatrixSnapshot, ScalarType,
-    StreamingSink,
+    validate_index, DegreeIndex, GrbResult, Index, Matrix, MatrixReader, MatrixSnapshot,
+    ScalarType, StreamingSink,
 };
 use parking_lot::Mutex;
 use std::panic::AssertUnwindSafe;
@@ -122,69 +122,58 @@ use std::time::Duration;
 mod read;
 pub use read::ShardedSnapshot;
 
-/// How updates are routed to shards.  Both strategies depend only on the
-/// row, so every `(row, col)` cell lives in exactly one shard and per-shard
-/// results sum without overlap.
+/// How updates are routed to shards: by the row alone, so every
+/// `(row, col)` cell lives in exactly one shard and per-shard results sum
+/// without overlap.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShardPartitioner {
-    /// Multiplicative row hash (default): spreads adjacent rows across
-    /// shards, robust to skewed row spaces.
+    /// Multiplicative row hash: spreads adjacent rows across shards,
+    /// robust to skewed row spaces.
     RowHash,
-    /// Contiguous row bands: shard `k` owns rows
-    /// `[k·ceil(nrows/N), (k+1)·ceil(nrows/N))`.  Preserves row locality
-    /// within a shard (useful when queries are row-range scans).
-    RowRange,
 }
 
 impl ShardPartitioner {
-    /// The shard that owns `row` in an `nshards`-way partition of `nrows`.
-    pub fn shard(&self, row: Index, nrows: Index, nshards: usize) -> usize {
-        match self {
-            ShardPartitioner::RowHash => (row_hash(row) % nshards.max(1) as u64) as usize,
-            ShardPartitioner::RowRange => {
-                let band = nrows.div_ceil(nshards.max(1) as u64).max(1);
-                ((row / band) as usize).min(nshards.max(1) - 1)
-            }
-        }
+    /// The shard that owns `row` in an `nshards`-way partition (a hash
+    /// needs no row count: `nrows` is ignored).
+    pub fn shard(&self, row: Index, _nrows: Index, nshards: usize) -> usize {
+        owner(row, nshards)
     }
 }
 
-/// Tuning knobs of the sharded engine.
+/// The shard that owns `row` among `nshards`.
+fn owner(row: Index, nshards: usize) -> usize {
+    (row_hash(row) % nshards.max(1) as u64) as usize
+}
+
+/// The most tuples a shard stages before they are handed to its worker.
+const MAX_HAND_OFF: u64 = 8192;
+
+/// Hand-offs a worker's channel holds before the producer blocks.
+const CHANNEL_DEPTH: usize = 4;
+
+/// Hand-offs' worth of staged updates that make one ingest round.
+const ROUND_HAND_OFFS: usize = 64;
+
+/// Options of the sharded engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardedConfig {
     /// Number of shards (= persistent worker threads).  Clamped to at
     /// least 1.
     pub shards: usize,
-    /// Row partitioning strategy.
-    pub partitioner: ShardPartitioner,
-    /// Staged tuples at which a shard's buffer is handed to its worker.
-    /// Larger batches amortise channel synchronisation; smaller batches
-    /// start workers sooner.
-    pub chunk_tuples: usize,
-    /// Bounded channel capacity in batches — the producer blocks when a
-    /// worker falls this far behind (backpressure).
-    pub channel_depth: usize,
-    /// Staged tuples that count one ingest round (all remainders are
-    /// force-dispatched).  Rounds also complete on flush and queries.
-    pub round_tuples: usize,
-    /// Upper bound on any single wait for a worker (barrier acks, query
-    /// replies).  A wait that exceeds it returns [`GrbError::Timeout`]
-    /// instead of blocking forever; a timeout does *not* mark the worker
-    /// lost (a slow worker is not a dead one — channel disconnection is
-    /// what proves death).  The default is generous: it exists to bound
-    /// pathological stalls, not to race healthy workers.
+    /// Upper bound on any single wait for a worker's reply.  A wait that
+    /// exceeds it returns [`GrbError::Timeout`] instead of blocking
+    /// forever; a timeout does *not* mark the worker lost (a slow worker is
+    /// not a dead one — channel disconnection is what proves death).  The
+    /// default is generous: it exists to bound pathological stalls, not to
+    /// race healthy workers.
     pub wait_timeout: Duration,
 }
 
 impl ShardedConfig {
-    /// Default knobs for `shards` shards.
+    /// Default options for `shards` shards.
     pub fn with_shards(shards: usize) -> Self {
         Self {
             shards: shards.max(1),
-            partitioner: ShardPartitioner::RowHash,
-            chunk_tuples: 8192,
-            channel_depth: 4,
-            round_tuples: 1 << 19,
             wait_timeout: Duration::from_secs(60),
         }
     }
@@ -211,7 +200,7 @@ impl Default for ShardedConfig {
 pub enum EngineHealth {
     /// Every worker is alive.
     Healthy,
-    /// Some workers died; the listed shards' row bands are unreachable.
+    /// Some workers died; the listed shards' rows are unreachable.
     /// A read routed only to survivors is answered in full; one that
     /// touches a lost shard returns [`GrbError::ShardsLost`].
     Degraded {
@@ -233,10 +222,9 @@ pub struct ShardRecovery {
     /// was spawned — all of them are gone with its hierarchy.
     ///
     /// Durable engine: an *upper bound* on the at-risk tuples — those
-    /// dispatched since the worker last acknowledged a `flush()` barrier
-    /// cleanly, which may or may not have reached the store before the
-    /// worker died (a batch is
-    /// WAL-logged before its apply is acknowledged, so under
+    /// dispatched since the worker last acknowledged a `flush()` cleanly,
+    /// which may or may not have reached the store before the worker died
+    /// (a batch is WAL-logged before its apply is acknowledged, so under
     /// [`crate::persist::FsyncPolicy::EveryBatch`] everything the worker
     /// acknowledged is on disk).
     ///
@@ -261,15 +249,6 @@ struct WorkerShared {
     panic_msg: Mutex<Option<String>>,
 }
 
-impl WorkerShared {
-    fn new() -> Self {
-        Self {
-            alive: AtomicBool::new(true),
-            panic_msg: Mutex::new(None),
-        }
-    }
-}
-
 /// Tuples handed to one shard's worker, counted the two ways
 /// [`ShardRecovery::lost_tuples`] reports a loss.
 #[derive(Debug, Default, Clone, Copy)]
@@ -277,48 +256,99 @@ struct Dispatched {
     /// Since the worker was spawned: what an in-memory respawn loses.
     since_spawn: u64,
     /// Since the worker last acknowledged a [`ShardedHierMatrix::flush`]
-    /// barrier cleanly: what a durable respawn may lose.
+    /// cleanly: what a durable respawn may lose.
     since_ack: u64,
 }
 
 /// A tuple batch travelling to a worker (and, emptied, back).
 type TupleBuf<T> = (Vec<Index>, Vec<Index>, Vec<T>);
 
-/// Commands a worker consumes from its SPSC channel.
+/// One shard as its worker owns it.
+struct Shard<T> {
+    /// Which shard this is: the index the fault-injection sites report.
+    #[cfg_attr(not(feature = "failpoints"), allow(dead_code))]
+    idx: usize,
+    hier: HierMatrix<T>,
+    /// The first error since the worker last acknowledged — a failed batch
+    /// apply or shard flush is latched here and surfaces in the next
+    /// acknowledgement rather than being lost.  Batches are not applied
+    /// while one is latched.
+    error: GrbResult<()>,
+}
+
+impl<T: ScalarType> Shard<T> {
+    /// Apply one batch behind the fallible `worker-apply-error` site.
+    fn apply(&mut self, rows: &[Index], cols: &[Index], vals: &[T]) -> GrbResult<()> {
+        crate::failpoint!("worker-apply-error", self.idx);
+        self.hier.update_batch(rows, cols, vals)
+    }
+
+    /// Acknowledge as a drain barrier — everything queued before this job
+    /// has been applied — reporting (and clearing) the latched error.
+    fn ack(&mut self) -> GrbResult<()> {
+        crate::failpoint_panic!("worker-barrier", self.idx);
+        std::mem::replace(&mut self.error, Ok(()))
+    }
+
+    /// Complete the shard's outstanding cascades, then acknowledge.
+    fn flush(&mut self) -> GrbResult<()> {
+        let flushed = self.hier.flush();
+        if self.error.is_ok() {
+            self.error = flushed;
+        }
+        self.ack()
+    }
+
+    /// The shard's statistics, after an acknowledgement.
+    fn stats(&mut self) -> GrbResult<HierStats> {
+        self.ack()?;
+        Ok(self.hier.stats().clone())
+    }
+
+    /// Answer a read from the shard.
+    fn answer(&mut self, q: &Query) -> Answer<T> {
+        crate::failpoint_panic!("worker-query", self.idx);
+        self.hier.answer(q)
+    }
+
+    /// Capture the shard (Arc'd levels plus the degree-index views that
+    /// are live): the analytics-while-ingest handoff — the producer sweeps
+    /// the capture while this worker keeps draining.  Settled through the
+    /// observers, so the capture carries each live view — and activates
+    /// none.
+    fn snapshot(&mut self) -> MatrixSnapshot<T> {
+        crate::failpoint_panic!("worker-query", self.idx);
+        self.hier.settle_levels();
+        self.hier.snapshot_ref()
+    }
+
+    /// Distinct cells of the shard with `staged` (tuples the producer still
+    /// holds for it) accumulated in.
+    fn nvals_with(&mut self, (rows, cols, vals): TupleBuf<T>) -> usize {
+        if rows.is_empty() {
+            return self.hier.nvals_exact();
+        }
+        // Staged tuples may collide with stored cells; settle a snapshot.
+        let mut sum = self.hier.materialize();
+        sum.accum_tuples(&rows, &cols, &vals)
+            .map_or(0, |()| sum.nvals())
+    }
+}
+
+/// Work a worker runs on its shard, in queue order; it sends its own reply.
+type Job<T> = Box<dyn FnOnce(&mut Shard<T>) + Send>;
+
+/// What a worker consumes from its SPSC channel.
 enum WorkerMsg<T> {
     /// Apply a batch of pre-validated tuples to the shard.  The buffers
     /// return through the recycle channel.
     Apply(TupleBuf<T>),
-    /// Complete the shard's outstanding cascades.
-    Flush,
-    /// Acknowledge once every prior message has been applied.
-    Barrier(SyncSender<BarrierAck>),
-    /// Answer a read from the owned shard.  Rides the same FIFO channel as
-    /// `Apply`, so by the time the worker answers it has applied every
-    /// previously queued batch (the drain barrier and the query are one
-    /// message); the other workers keep ingesting meanwhile.
-    Query(Query, SyncSender<Answer<T>>),
-    /// Capture the shard at this point of its queue (Arc'd levels + the
-    /// degree-index views that are live): the analytics-while-ingest
-    /// handoff — the producer sweeps the capture while this worker keeps
-    /// draining.
-    Snapshot(SyncSender<MatrixSnapshot<T>>),
+    /// Run a job on the shard: a barrier, flush, read, capture or count.
+    Run(Job<T>),
 }
 
-/// A worker's answer to a drain barrier.
-struct BarrierAck {
-    /// Index of the acknowledging shard.
-    shard: usize,
-    /// OS thread identity — round-tripped by the thread-reuse tests to
-    /// prove the pool is persistent.
-    worker: ThreadId,
-    /// First error since the previous barrier, if any — a failed shard
-    /// flush or a failed batch apply is latched worker-side and surfaces
-    /// here rather than being lost.
-    result: GrbResult<()>,
-}
-
-/// The producer-side handle of one persistent worker.
+/// The producer's side of one shard: its worker's handle and what the
+/// producer accounts for it.
 #[derive(Debug)]
 struct ShardWorker<T> {
     /// Command channel (bounded: provides ingest backpressure).
@@ -329,38 +359,29 @@ struct ShardWorker<T> {
     handle: JoinHandle<()>,
     /// Liveness flag and captured panic payload.
     shared: Arc<WorkerShared>,
-}
-
-/// One batch apply inside the worker, behind the fallible
-/// `worker-apply-error` fault site — a failure is latched worker-side and
-/// surfaces in the next barrier ack.
-#[cfg_attr(not(feature = "failpoints"), allow(unused_variables))]
-fn apply_batch<T: ScalarType>(
-    shard_idx: usize,
-    shard: &Mutex<HierMatrix<T>>,
-    rows: &[Index],
-    cols: &[Index],
-    vals: &[T],
-) -> GrbResult<()> {
-    crate::failpoint!("worker-apply-error", shard_idx);
-    shard.lock().update_batch(rows, cols, vals)
+    /// What reopening the shard's store observed when the worker was
+    /// spawned; `None` when the shard was created fresh or is in-memory.
+    recovery: Option<RecoveryReport>,
+    /// The weight the shard represents: its hierarchy's total when the
+    /// worker was spawned plus every tuple staged for it since.
+    weight: f64,
+    /// The tuples the worker was handed.
+    dispatched: Dispatched,
 }
 
 /// The worker thread body: park on the channel, apply batches to the owned
-/// shard, answer barriers.  Exits when the engine drops its sender.
+/// shard, run jobs on it.  Exits when the engine drops its sender.
 fn worker_loop<T: ScalarType>(
-    shard_idx: usize,
-    shard: Arc<Mutex<HierMatrix<T>>>,
+    mut shard: Shard<T>,
     rx: Receiver<WorkerMsg<T>>,
     recycle: Sender<TupleBuf<T>>,
 ) {
-    let mut error: GrbResult<()> = Ok(());
     while let Ok(msg) = rx.recv() {
         match msg {
             WorkerMsg::Apply((mut rows, mut cols, mut vals)) => {
-                crate::failpoint_panic!("worker-apply", shard_idx);
-                if error.is_ok() {
-                    error = apply_batch(shard_idx, &shard, &rows, &cols, &vals);
+                crate::failpoint_panic!("worker-apply", shard.idx);
+                if shard.error.is_ok() {
+                    shard.error = shard.apply(&rows, &cols, &vals);
                 }
                 rows.clear();
                 cols.clear();
@@ -370,40 +391,82 @@ fn worker_loop<T: ScalarType>(
                 let _ = recycle.send((rows, cols, vals));
                 // With fewer cores than threads a producer blocked on this
                 // worker's full channel otherwise waits out the whole
-                // backlog (four chunks per shard) in one stall; handing the
-                // core over after each chunk lets it refill the freed slot.
+                // backlog (four hand-offs) in one stall; handing the core
+                // over after each batch lets it refill the freed slot.
                 // Free when nobody else is runnable on this core.
                 std::thread::yield_now();
             }
-            WorkerMsg::Flush => {
-                // Latch a failed flush: the next barrier ack reports it
-                // instead of the outcome silently vanishing.
-                let result = shard.lock().flush();
-                if error.is_ok() {
-                    error = result;
-                }
-            }
-            WorkerMsg::Barrier(ack) => {
-                crate::failpoint_panic!("worker-barrier", shard_idx);
-                let _ = ack.send(BarrierAck {
-                    shard: shard_idx,
-                    worker: std::thread::current().id(),
-                    result: std::mem::replace(&mut error, Ok(())),
-                });
-            }
-            WorkerMsg::Query(query, reply) => {
-                crate::failpoint_panic!("worker-query", shard_idx);
-                let _ = reply.send(shard.lock().answer(&query));
-            }
-            WorkerMsg::Snapshot(reply) => {
-                crate::failpoint_panic!("worker-query", shard_idx);
-                // Settled through the observers, so the capture carries
-                // each degree view that is live — and activates none.
-                let mut shard = shard.lock();
-                shard.settle_levels();
-                let _ = reply.send(shard.snapshot_ref());
-            }
+            WorkerMsg::Run(job) => job(&mut shard),
         }
+    }
+}
+
+/// Spawn one supervised worker thread that owns `hier` as shard `i`: the
+/// loop runs under `catch_unwind`, and any exit — panic or channel closure
+/// — clears the shared liveness flag so the producer observes the death
+/// instead of blocking on it.
+fn spawn_worker<T: ScalarType>(i: usize, hier: HierMatrix<T>) -> ShardWorker<T> {
+    let recovery = hier.recovery_report().cloned();
+    let weight = hier.total_weight_f64();
+    let (tx, rx) = sync_channel::<WorkerMsg<T>>(CHANNEL_DEPTH);
+    let (recycle_tx, recycle_rx) = channel::<TupleBuf<T>>();
+    let shared = Arc::new(WorkerShared {
+        alive: AtomicBool::new(true),
+        panic_msg: Mutex::new(None),
+    });
+    let worker_shared = Arc::clone(&shared);
+    let shard = Shard {
+        idx: i,
+        hier,
+        error: Ok(()),
+    };
+    let handle = std::thread::Builder::new()
+        .name(format!("shard-worker-{i}"))
+        .spawn(move || {
+            // AssertUnwindSafe: on panic the shard hierarchy may be
+            // mid-mutation; it dies with the thread, and a respawn builds
+            // a fresh one, so the broken invariants never escape.
+            let outcome =
+                std::panic::catch_unwind(AssertUnwindSafe(|| worker_loop(shard, rx, recycle_tx)));
+            if let Err(payload) = outcome {
+                let msg = panic_message(payload.as_ref());
+                *worker_shared.panic_msg.lock() = Some(msg);
+            }
+            worker_shared.alive.store(false, Ordering::Release);
+        })
+        .expect("spawn shard worker");
+    ShardWorker {
+        tx,
+        recycled: recycle_rx,
+        handle,
+        shared,
+        recovery,
+        weight,
+        dispatched: Dispatched::default(),
+    }
+}
+
+impl<T> ShardWorker<T> {
+    /// Close the worker's channels and reap its thread: a live worker
+    /// exits as soon as it drains, a dead one already has.  Panics were
+    /// captured by the supervision wrapper, so the join cannot propagate
+    /// one (propagating out of drop would abort).
+    fn join(self) {
+        drop(self.tx);
+        drop(self.recycled);
+        let _ = self.handle.join();
+    }
+}
+
+/// Best-effort rendering of a panic payload (panics carry `&str` or
+/// `String` in practice).
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "worker panicked (non-string payload)".to_string()
     }
 }
 
@@ -418,16 +481,10 @@ pub struct ShardedHierMatrix<T> {
     nrows: Index,
     ncols: Index,
     config: ShardedConfig,
-    /// The shard hierarchies.  A worker locks its own shard only while
-    /// applying a batch; the engine locks a shard only after a drain
-    /// barrier, so the mutexes are uncontended by construction.
-    shards: Vec<Arc<Mutex<HierMatrix<T>>>>,
+    /// Staged tuples at which a shard's buffer is handed to its worker.
+    hand_off: usize,
     workers: Vec<ShardWorker<T>>,
     staging: PartitionBuffers<T>,
-    /// Exact sum of all successfully ingested weight (staged, in flight,
-    /// or applied) — kept producer-side so [`StreamingSink::total_weight`]
-    /// needs no barrier.
-    ingested_weight: f64,
     /// Staged tuples since the last completed round.
     since_round: usize,
     rounds: u64,
@@ -436,16 +493,12 @@ pub struct ShardedHierMatrix<T> {
     /// materialised matrix) — the counter the cache-hit and one-round
     /// tests assert against.
     pushdown_queries: u64,
-    /// Workers consulted by the most recent round — the range-dispatch
-    /// tests assert a narrow `read_row_range` on a RowRange-partitioned
-    /// engine touches only the overlapping workers.
+    /// Workers consulted by the most recent round.
     last_fanout: usize,
-    /// The held column → in-degree sum ([`read::SummedInDegrees`]).  Any staged
-    /// tuple empties it; flushes and settles don't (they never change the
-    /// represented union); a respawn does.
-    in_degrees_cache: Option<read::SummedInDegrees>,
-    /// Per shard, the tuples its worker was handed.
-    dispatched: Vec<Dispatched>,
+    /// The held column → in-degree sum.  Any staged tuple empties it;
+    /// flushes and settles don't (they never change the represented
+    /// union); a respawn does.
+    in_degrees: Option<DegreeIndex<T>>,
     /// Shard cut schedule, kept so [`Self::respawn_shard`] can build a
     /// fresh hierarchy identical to the lost one's.
     hier_config: HierConfig,
@@ -459,56 +512,6 @@ pub struct ShardedHierMatrix<T> {
     /// carry it, so it is latched here instead of vanishing.  Mutexed so
     /// `&self` paths (e.g. [`StreamingSink::nvals`]) can latch too.
     last_error: Mutex<Option<GrbError>>,
-}
-
-/// Spawn one supervised worker thread for shard `i`: the loop runs under
-/// `catch_unwind`, and any exit — panic or channel closure — clears the
-/// shared liveness flag so the producer observes the death instead of
-/// blocking on it.
-fn spawn_worker<T: ScalarType>(
-    i: usize,
-    shard: Arc<Mutex<HierMatrix<T>>>,
-    depth: usize,
-) -> ShardWorker<T> {
-    let (tx, rx) = sync_channel::<WorkerMsg<T>>(depth);
-    let (recycle_tx, recycle_rx) = channel::<TupleBuf<T>>();
-    let shared = Arc::new(WorkerShared::new());
-    let worker_shared = Arc::clone(&shared);
-    let handle = std::thread::Builder::new()
-        .name(format!("shard-worker-{i}"))
-        .spawn(move || {
-            // AssertUnwindSafe: on panic the shard hierarchy may be
-            // mid-mutation; the engine treats a lost shard's contents as
-            // unreliable and rebuilds from scratch on respawn, so the
-            // broken invariants never escape.
-            let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                worker_loop(i, shard, rx, recycle_tx)
-            }));
-            if let Err(payload) = outcome {
-                let msg = panic_message(payload.as_ref());
-                *worker_shared.panic_msg.lock() = Some(msg);
-            }
-            worker_shared.alive.store(false, Ordering::Release);
-        })
-        .expect("spawn shard worker");
-    ShardWorker {
-        tx,
-        recycled: recycle_rx,
-        handle,
-        shared,
-    }
-}
-
-/// Best-effort rendering of a panic payload (panics carry `&str` or
-/// `String` in practice).
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "worker panicked (non-string payload)".to_string()
-    }
 }
 
 impl<T: ScalarType> ShardedHierMatrix<T> {
@@ -552,42 +555,43 @@ impl<T: ScalarType> ShardedHierMatrix<T> {
         durable: Option<DurableConfig>,
     ) -> GrbResult<Self> {
         let nshards = config.shards.max(1);
-        let depth = config.channel_depth.max(1);
-        let mut shards = Vec::with_capacity(nshards);
-        let mut workers = Vec::with_capacity(nshards);
-        for i in 0..nshards {
-            let hier = match &durable {
-                Some(dcfg) => {
-                    HierMatrix::open_or_create(nrows, ncols, hier_config.clone(), dcfg.shard(i))?
-                }
-                None => HierMatrix::new(nrows, ncols, hier_config.clone())?,
-            };
-            let shard = Arc::new(Mutex::new(hier));
-            workers.push(spawn_worker(i, Arc::clone(&shard), depth));
-            shards.push(shard);
-        }
-        Ok(Self {
+        let hand_off = hier_config.cut(0).unwrap_or(u64::MAX).min(MAX_HAND_OFF) as usize;
+        let mut engine = Self {
             nrows,
             ncols,
             config: ShardedConfig {
                 shards: nshards,
                 ..config
             },
+            hand_off,
+            workers: Vec::with_capacity(nshards),
             staging: PartitionBuffers::new(nshards),
-            shards,
-            workers,
-            ingested_weight: 0.0,
             since_round: 0,
             rounds: 0,
             chunks_sent: 0,
             pushdown_queries: 0,
             last_fanout: 0,
-            in_degrees_cache: None,
-            dispatched: vec![Dispatched::default(); nshards],
+            in_degrees: None,
             hier_config,
             durable,
             last_error: Mutex::new(None),
-        })
+        };
+        for i in 0..nshards {
+            let hier = engine.open_shard(i)?;
+            engine.workers.push(spawn_worker(i, hier));
+        }
+        Ok(engine)
+    }
+
+    /// Shard `i`'s hierarchy as it starts a worker: its store reopened
+    /// (durable: checkpointed levels plus the WAL tail) or created, or an
+    /// empty hierarchy (in-memory).
+    fn open_shard(&self, i: usize) -> GrbResult<HierMatrix<T>> {
+        let cfg = self.hier_config.clone();
+        match &self.durable {
+            Some(d) => HierMatrix::open_or_create(self.nrows, self.ncols, cfg, d.shard(i)),
+            None => HierMatrix::new(self.nrows, self.ncols, cfg),
+        }
     }
 
     /// Per-shard recovery reports from a durable open: `reports[i]` is
@@ -595,10 +599,7 @@ impl<T: ScalarType> ShardedHierMatrix<T> {
     /// was freshly created (or the engine is in-memory, in which case
     /// every entry is `None`).
     pub fn shard_recovery_reports(&self) -> Vec<Option<RecoveryReport>> {
-        self.shards
-            .iter()
-            .map(|s| s.lock().recovery_report().cloned())
-            .collect()
+        self.workers.iter().map(|w| w.recovery.clone()).collect()
     }
 
     /// Whether this engine persists its shards to disk.
@@ -607,7 +608,7 @@ impl<T: ScalarType> ShardedHierMatrix<T> {
     }
 
     /// Convenience constructor: `shards` shards with the paper-default cut
-    /// schedule and default engine knobs.
+    /// schedule and default engine options.
     pub fn with_shards(nrows: Index, ncols: Index, shards: usize) -> GrbResult<Self> {
         Self::new(
             nrows,
@@ -619,7 +620,7 @@ impl<T: ScalarType> ShardedHierMatrix<T> {
 
     /// Number of shards (= persistent workers).
     pub fn num_shards(&self) -> usize {
-        self.shards.len()
+        self.workers.len()
     }
 
     /// [`GrbError::IndexOutOfBounds`] unless `i` names a shard.
@@ -685,40 +686,88 @@ impl<T: ScalarType> ShardedHierMatrix<T> {
         self.lost_error(vec![i])
     }
 
-    /// Send one command to shard `i`'s worker.  The send blocks only while
-    /// the bounded channel is full of a *live* worker's backlog
+    /// Queue `job` for shard `i`'s worker behind everything sent to it so
+    /// far, and hand back where its result will arrive.  The send blocks
+    /// only while the bounded channel is full of a *live* worker's backlog
     /// (backpressure); a dead worker's channel is disconnected, which
-    /// returns immediately — so this cannot hang.  Returns the message on
-    /// failure so callers can salvage its payload.
-    fn send_msg(&self, i: usize, msg: WorkerMsg<T>) -> Result<(), WorkerMsg<T>> {
-        self.workers[i].tx.send(msg).map_err(|e| e.0)
+    /// returns a typed error at once — so this cannot hang.
+    fn post<R: Send + 'static>(
+        &self,
+        i: usize,
+        job: impl FnOnce(&mut Shard<T>) -> GrbResult<R> + Send + 'static,
+    ) -> GrbResult<Receiver<GrbResult<R>>> {
+        if !self.is_alive(i) {
+            return Err(self.lost_error(vec![i]));
+        }
+        let (reply, rx) = sync_channel(1);
+        // A producer that timed out has dropped `rx`; the reply is dropped.
+        let run: Job<T> = Box::new(move |shard| {
+            let _ = reply.send(job(shard));
+        });
+        match self.workers[i].tx.send(WorkerMsg::Run(run)) {
+            Ok(()) => Ok(rx),
+            Err(_) => Err(self.mark_lost(i)),
+        }
     }
 
-    /// Bounded wait for one reply from shard `i`: a disconnect marks the
-    /// worker lost; exceeding [`ShardedConfig::wait_timeout`] returns a
-    /// typed timeout *without* declaring the worker dead.
-    fn recv_bounded<R>(&self, i: usize, what: &'static str, rx: &Receiver<R>) -> GrbResult<R> {
+    /// Bounded wait for shard `i`'s result: a disconnect marks the worker
+    /// lost; exceeding [`ShardedConfig::wait_timeout`] returns a typed
+    /// timeout *without* declaring the worker dead.
+    fn recv_bounded<R>(&self, i: usize, rx: &Receiver<GrbResult<R>>) -> GrbResult<R> {
         match rx.recv_timeout(self.config.wait_timeout) {
-            Ok(r) => Ok(r),
+            Ok(r) => r,
             Err(RecvTimeoutError::Disconnected) => Err(self.mark_lost(i)),
             Err(RecvTimeoutError::Timeout) => Err(GrbError::Timeout {
-                what,
+                what: "worker reply",
                 after_ms: self.config.wait_timeout.as_millis() as u64,
             }),
         }
+    }
+
+    /// Run `job` on shard `i` and wait (bounded) for its result.
+    fn run<R: Send + 'static>(
+        &self,
+        i: usize,
+        job: impl FnOnce(&mut Shard<T>) -> GrbResult<R> + Send + 'static,
+    ) -> GrbResult<R> {
+        let rx = self.post(i, job)?;
+        self.recv_bounded(i, &rx)
+    }
+
+    /// Run `job` on each listed shard with that shard's argument, all in
+    /// flight at once: every job is queued before any result is awaited,
+    /// so the workers run them concurrently, and one reply channel per
+    /// worker keeps loss attribution exact.  One result per ask, in order.
+    fn run_each<A: Send + 'static, R: Send + 'static>(
+        &self,
+        asks: impl IntoIterator<Item = (usize, A)>,
+        job: impl Fn(A, &mut Shard<T>) -> GrbResult<R> + Copy + Send + 'static,
+    ) -> Vec<GrbResult<R>> {
+        let pending: Vec<_> = asks
+            .into_iter()
+            .map(|(i, a)| (i, self.post(i, move |shard| job(a, shard))))
+            .collect();
+        pending
+            .into_iter()
+            .map(|(i, rx)| rx.and_then(|rx| self.recv_bounded(i, &rx)))
+            .collect()
+    }
+
+    /// Every shard, each with no argument: the asks of a pool-wide job.
+    fn every_shard(&self) -> impl Iterator<Item = (usize, ())> {
+        (0..self.workers.len()).map(|i| (i, ()))
     }
 
     /// A snapshot of one shard's hierarchy statistics (drains that shard's
     /// worker first so in-flight batches are counted).
     pub fn shard_stats(&self, i: usize) -> GrbResult<HierStats> {
         self.check_shard(i)?;
-        self.barrier_shard(i)?;
-        Ok(self.shards[i].lock().stats().clone())
+        self.run(i, Shard::stats)
     }
 
     /// Ingest rounds completed so far.  Rounds meter the stream into
-    /// [`ShardedConfig::round_tuples`] slices; since the worker pool is
-    /// persistent they no longer imply any thread spawns.
+    /// slices of 64 hand-offs; since the worker pool is persistent they
+    /// imply no thread spawns.
     pub fn rounds(&self) -> u64 {
         self.rounds
     }
@@ -728,32 +777,26 @@ impl<T: ScalarType> ShardedHierMatrix<T> {
         self.chunks_sent
     }
 
-    /// The OS thread ids of the worker pool, obtained through a drain
-    /// barrier.  Repeated calls on a live engine return the same ids —
-    /// the property the thread-reuse tests assert.
+    /// The OS thread ids of the worker pool, each reported behind a drain
+    /// barrier.  Repeated calls on a live engine return the same ids — the
+    /// property the thread-reuse tests assert.
     pub fn worker_ids(&self) -> GrbResult<Vec<ThreadId>> {
-        let mut acks = Vec::with_capacity(self.workers.len());
-        for (shard, ack) in self.collect_barrier_acks() {
-            let ack = ack?;
-            debug_assert_eq!(ack.shard, shard);
-            ack.result?;
-            acks.push((ack.shard, ack.worker));
-        }
-        acks.sort_by_key(|&(shard, _)| shard);
-        Ok(acks.into_iter().map(|(_, worker)| worker).collect())
+        self.run_each(self.every_shard(), |(), shard| {
+            shard.ack().map(|()| std::thread::current().id())
+        })
+        .into_iter()
+        .collect()
     }
 
     /// Aggregate hierarchy statistics (sums over shards, after a drain).
     pub fn aggregate_stats(&self) -> GrbResult<HierStats> {
-        self.barrier_live()?;
-        let levels = self.shards.first().map(|m| m.lock().levels()).unwrap_or(1);
-        let mut agg = HierStats::new(levels);
-        for m in &self.shards {
-            let m = m.lock();
-            let s = m.stats();
+        self.ensure_live(0..self.workers.len())?;
+        let mut agg = HierStats::new(self.hier_config.levels());
+        for stats in self.run_each(self.every_shard(), |(), shard| shard.stats()) {
+            let s = stats?;
             agg.updates += s.updates;
             agg.materializations += s.materializations;
-            for l in 0..levels {
+            for l in 0..agg.cascades.len() {
                 agg.cascades[l] += s.cascades_from_level(l);
                 agg.entries_moved[l] += s.entries_moved_from_level(l);
             }
@@ -761,19 +804,22 @@ impl<T: ScalarType> ShardedHierMatrix<T> {
         Ok(agg)
     }
 
+    /// Stage one tuple for the shard that owns its row.
+    fn stage(&mut self, row: Index, col: Index, val: T) -> usize {
+        let shard = owner(row, self.workers.len());
+        self.staging.push(shard, row, col, val);
+        self.workers[shard].weight += val.to_f64();
+        shard
+    }
+
     /// Apply one streaming update `A(row, col) += val`.
     pub fn update(&mut self, row: Index, col: Index, val: T) -> GrbResult<()> {
         validate_index(row, self.nrows)?;
         validate_index(col, self.ncols)?;
-        let shard = self
-            .config
-            .partitioner
-            .shard(row, self.nrows, self.shards.len());
-        self.staging.push(shard, row, col, val);
-        self.ingested_weight += val.to_f64();
+        let shard = self.stage(row, col, val);
         self.since_round += 1;
-        self.in_degrees_cache = None;
-        if self.staging.staged(shard) >= self.config.chunk_tuples.max(1) {
+        self.in_degrees = None;
+        if self.staging.staged(shard) >= self.hand_off {
             self.dispatch_shard(shard)?;
         }
         self.maybe_complete_round()
@@ -787,19 +833,15 @@ impl<T: ScalarType> ShardedHierMatrix<T> {
             validate_index(rows[i], self.nrows)?;
             validate_index(cols[i], self.ncols)?;
         }
-        let nshards = self.shards.len();
         for i in 0..rows.len() {
-            let shard = self.config.partitioner.shard(rows[i], self.nrows, nshards);
-            self.staging.push(shard, rows[i], cols[i], vals[i]);
-            self.ingested_weight += vals[i].to_f64();
+            self.stage(rows[i], cols[i], vals[i]);
         }
         self.since_round += rows.len();
         if !rows.is_empty() {
-            self.in_degrees_cache = None;
+            self.in_degrees = None;
         }
-        let chunk = self.config.chunk_tuples.max(1);
-        for shard in 0..nshards {
-            if self.staging.staged(shard) >= chunk {
+        for shard in 0..self.workers.len() {
+            if self.staging.staged(shard) >= self.hand_off {
                 self.dispatch_shard(shard)?;
             }
         }
@@ -809,11 +851,11 @@ impl<T: ScalarType> ShardedHierMatrix<T> {
     /// Hand `shard`'s staged tuples to its worker: swap the staging vectors
     /// out (replaced by recycled buffers when the worker has returned any),
     /// and send them whole over the bounded channel.  Blocks when the
-    /// worker is `channel_depth` batches behind — the engine's
-    /// backpressure (a *dead* worker's channel is disconnected and fails
-    /// immediately instead).  On a send failure the batch is re-staged, so
-    /// a later [`Self::respawn_shard`] can still dispatch it; a sent batch
-    /// is counted in `dispatched`.
+    /// worker's channel is full — the engine's backpressure (a *dead*
+    /// worker's channel is disconnected and fails immediately instead).  On
+    /// a send failure the batch is re-staged, so a later
+    /// [`Self::respawn_shard`] can still dispatch it; a sent batch is
+    /// counted in the shard's `dispatched`.
     fn dispatch_shard(&mut self, shard: usize) -> GrbResult<()> {
         if self.staging.staged(shard) == 0 {
             return Ok(());
@@ -824,11 +866,11 @@ impl<T: ScalarType> ShardedHierMatrix<T> {
         let replacement = self.workers[shard].recycled.try_recv().unwrap_or_default();
         let buf = self.staging.take_shard(shard, replacement);
         let n = buf.0.len() as u64;
-        if let Err(msg) = self.send_msg(shard, WorkerMsg::Apply(buf)) {
+        if let Err(e) = self.workers[shard].tx.send(WorkerMsg::Apply(buf)) {
             // The worker died between the liveness check and the send:
             // salvage the batch back into staging, where it waits for a
             // respawn instead of counting as handed over.
-            if let WorkerMsg::Apply((rows, cols, vals)) = msg {
+            if let WorkerMsg::Apply((rows, cols, vals)) = e.0 {
                 for i in 0..rows.len() {
                     self.staging.push(shard, rows[i], cols[i], vals[i]);
                 }
@@ -836,27 +878,18 @@ impl<T: ScalarType> ShardedHierMatrix<T> {
             return Err(self.mark_lost(shard));
         }
         self.chunks_sent += 1;
-        let d = &mut self.dispatched[shard];
+        let d = &mut self.workers[shard].dispatched;
         d.since_spawn += n;
         d.since_ack += n;
         Ok(())
     }
 
     /// Dispatch every live shard's staged remainder, surfacing the first
-    /// failure after trying them all.
+    /// failure after trying them all.  A lost shard's tuples stay staged
+    /// for a future respawn.
     fn dispatch_all(&mut self) -> GrbResult<()> {
         let mut result = Ok(());
-        for shard in 0..self.shards.len() {
-            if self.staging.staged(shard) == 0 {
-                continue;
-            }
-            if !self.is_alive(shard) {
-                // Leave the staged tuples in place for a future respawn.
-                if result.is_ok() {
-                    result = Err(self.lost_error(vec![shard]));
-                }
-                continue;
-            }
+        for shard in 0..self.workers.len() {
             let r = self.dispatch_shard(shard);
             if result.is_ok() {
                 result = r;
@@ -865,11 +898,11 @@ impl<T: ScalarType> ShardedHierMatrix<T> {
         result
     }
 
-    /// Count a round once `round_tuples` have been staged since the last
-    /// one, force-dispatching all remainders so the round is fully in
-    /// flight.
+    /// Count a round once 64 hand-offs' worth of tuples have been staged
+    /// since the last one, force-dispatching all remainders so the round is
+    /// fully in flight.
     fn maybe_complete_round(&mut self) -> GrbResult<()> {
-        if self.since_round >= self.config.round_tuples.max(1) {
+        if self.since_round >= ROUND_HAND_OFFS * self.hand_off {
             let r = self.dispatch_all();
             self.since_round = 0;
             self.rounds += 1;
@@ -878,44 +911,22 @@ impl<T: ScalarType> ShardedHierMatrix<T> {
         Ok(())
     }
 
-    /// Enqueue one reply-carrying message for `shard`'s worker behind that
-    /// shard's staged tuples (FIFO ⇒ the message is its own drain barrier),
-    /// and hand back where the reply will arrive.
-    fn post<R>(
+    /// Run `job` on each asked shard behind that shard's staged tuples
+    /// (dispatched first), counting one round of pushed-down reads.
+    fn ask_workers<A: Send + 'static, R: Send + 'static>(
         &mut self,
-        shard: usize,
-        msg: impl FnOnce(SyncSender<R>) -> WorkerMsg<T>,
-    ) -> GrbResult<Receiver<R>> {
-        self.dispatch_shard(shard)?;
-        let (reply_tx, reply_rx) = sync_channel(1);
-        if self.send_msg(shard, msg(reply_tx)).is_err() {
-            return Err(self.mark_lost(shard));
-        }
-        Ok(reply_rx)
-    }
-
-    /// One supervised round trip to each listed worker, all in flight at
-    /// once: every message is enqueued before any reply is awaited, so the
-    /// workers compute concurrently, and one reply channel per worker
-    /// keeps loss attribution exact.  Replies come back in `asks` order.
-    fn ask_workers<Q, R>(
-        &mut self,
-        asks: Vec<(usize, Q)>,
-        msg: impl Fn(Q, SyncSender<R>) -> WorkerMsg<T>,
+        asks: Vec<(usize, A)>,
+        job: impl Fn(A, &mut Shard<T>) -> GrbResult<R> + Copy + Send + 'static,
     ) -> GrbResult<Vec<R>> {
         if asks.is_empty() {
             return Ok(Vec::new());
         }
-        let mut pending = Vec::with_capacity(asks.len());
-        for (shard, q) in asks {
-            pending.push((shard, self.post(shard, |tx| msg(q, tx))?));
+        for &(shard, _) in &asks {
+            self.dispatch_shard(shard)?;
         }
         self.pushdown_queries += 1;
-        self.last_fanout = pending.len();
-        pending
-            .iter()
-            .map(|(shard, rx)| self.recv_bounded(*shard, "query reply", rx))
-            .collect()
+        self.last_fanout = asks.len();
+        self.run_each(asks, job).into_iter().collect()
     }
 
     /// Workers consulted by the most recent pushed-down query.
@@ -923,65 +934,13 @@ impl<T: ScalarType> ShardedHierMatrix<T> {
         self.last_fanout
     }
 
-    /// Block until `shard`'s worker has applied everything queued so far,
-    /// surfacing any worker error (a failed apply or flush latched since
-    /// the previous barrier) — never swallowed.
-    fn barrier_shard(&self, shard: usize) -> GrbResult<()> {
-        if !self.is_alive(shard) {
-            return Err(self.lost_error(vec![shard]));
-        }
-        let (ack_tx, ack_rx) = sync_channel(1);
-        if self.send_msg(shard, WorkerMsg::Barrier(ack_tx)).is_err() {
-            return Err(self.mark_lost(shard));
-        }
-        let ack = self.recv_bounded(shard, "barrier ack", &ack_rx)?;
-        debug_assert_eq!(ack.shard, shard);
-        ack.result
-    }
-
-    /// Send a drain barrier to every *live* worker and collect the
-    /// acknowledgements, one entry per shard.  A known-lost or
-    /// newly-disconnected shard yields a typed error entry; the rest are
-    /// still drained (all barriers are sent before any ack is awaited, so
-    /// live workers drain concurrently).
-    fn collect_barrier_acks(&self) -> Vec<(usize, GrbResult<BarrierAck>)> {
-        let mut pending: Vec<(usize, Result<Receiver<BarrierAck>, GrbError>)> =
-            Vec::with_capacity(self.workers.len());
-        for i in 0..self.workers.len() {
-            if !self.is_alive(i) {
-                pending.push((i, Err(self.lost_error(vec![i]))));
-                continue;
-            }
-            let (ack_tx, ack_rx) = sync_channel(1);
-            match self.send_msg(i, WorkerMsg::Barrier(ack_tx)) {
-                Ok(()) => pending.push((i, Ok(ack_rx))),
-                Err(_) => pending.push((i, Err(self.mark_lost(i)))),
-            }
-        }
-        pending
-            .into_iter()
-            .map(|(i, rx)| {
-                let ack = rx.and_then(|rx| self.recv_bounded(i, "barrier ack", &rx));
-                (i, ack)
-            })
-            .collect()
-    }
-
-    /// Drain every worker, surfacing the first error; a lost shard is one
-    /// (a dead worker's hierarchy may be mid-mutation and is never read).
-    fn barrier_live(&self) -> GrbResult<()> {
-        self.ensure_live(0..self.workers.len())?;
-        self.collect_barrier_acks()
-            .into_iter()
-            .try_for_each(|(_, ack)| ack.and_then(|a| a.result))
-    }
-
     /// Complete all deferred work: dispatch staged tuples, wait for the
     /// workers to apply them, and finish every shard's outstanding
     /// cascades.  The workers stay parked on their channels afterwards.
     /// On a degraded engine the surviving shards are still flushed and the
-    /// first loss is reported.  A clean ack proves its worker applied every
-    /// batch it was handed, so it clears that shard's at-risk count.
+    /// first loss is reported.  A clean acknowledgement proves its worker
+    /// applied every batch it was handed, so it clears that shard's
+    /// at-risk count.
     pub fn flush(&mut self) -> GrbResult<()> {
         let mut result = Ok(());
         if self.since_round > 0 || self.staging.total() > 0 {
@@ -989,26 +948,12 @@ impl<T: ScalarType> ShardedHierMatrix<T> {
             self.since_round = 0;
             self.rounds += 1;
         }
-        for i in 0..self.workers.len() {
-            if !self.is_alive(i) {
-                if result.is_ok() {
-                    result = Err(self.lost_error(vec![i]));
-                }
-                continue;
-            }
-            if self.send_msg(i, WorkerMsg::Flush).is_err() {
-                let e = self.mark_lost(i);
-                if result.is_ok() {
-                    result = Err(e);
-                }
-            }
-        }
-        for (shard, ack) in self.collect_barrier_acks() {
-            let r = ack.and_then(|a| a.result);
-            if r.is_ok() {
-                self.dispatched[shard].since_ack = 0;
-            } else if result.is_ok() {
-                result = r;
+        let acks = self.run_each(self.every_shard(), |(), shard| shard.flush());
+        for (w, ack) in self.workers.iter_mut().zip(acks) {
+            match ack {
+                Ok(()) => w.dispatched.since_ack = 0,
+                Err(e) if result.is_ok() => result = Err(e),
+                Err(_) => {}
             }
         }
         result
@@ -1016,32 +961,23 @@ impl<T: ScalarType> ShardedHierMatrix<T> {
 
     /// Materialise the full matrix `A = Σ_shards Σ_levels` (staged and
     /// in-flight tuples are applied first; streaming can continue
-    /// afterwards).  A lost shard is a [`GrbError::ShardsLost`].
+    /// afterwards).  A lost shard is a [`GrbError::ShardsLost`].  Each
+    /// shard counts one materialisation, which is how the tests verify
+    /// that the query push-down never comes through here.
     pub fn materialize(&mut self) -> GrbResult<Matrix<T>> {
         self.ensure_live(0..self.workers.len())?;
-        for s in 0..self.shards.len() {
+        for s in 0..self.workers.len() {
             self.dispatch_shard(s)?;
         }
-        self.barrier_live()?;
-        Ok(self.shard_sum(&[]))
-    }
-
-    /// `Σ_shards Σ_levels` of the shards' contents, excluding `skip` (lost
-    /// shards, whose hierarchies may be mid-mutation).  Callers must have
-    /// drained the live workers; tuples still staged producer-side are
-    /// folded in by the caller where required.  This is the *snapshot*
-    /// path — it counts one materialisation per shard, which is how the
-    /// tests verify that the query push-down never comes through here.
-    fn shard_sum(&self, skip: &[usize]) -> Matrix<T> {
+        let parts = self.run_each(self.every_shard(), |(), shard| {
+            shard.ack()?;
+            Ok(shard.hier.materialize())
+        });
         let mut acc = Matrix::new(self.nrows, self.ncols);
-        for (i, shard) in self.shards.iter().enumerate() {
-            if skip.contains(&i) {
-                continue;
-            }
-            let level_sum = shard.lock().materialize();
-            ewise_add_into(&mut acc, &level_sum, Plus).expect("shards share dimensions");
+        for part in parts {
+            ewise_add_into(&mut acc, &part?, Plus)?;
         }
-        acc
+        Ok(acc)
     }
 
     /// Rebuild shard `i` after a worker loss: fresh channels and a fresh
@@ -1058,43 +994,23 @@ impl<T: ScalarType> ShardedHierMatrix<T> {
                 disk: None,
             });
         }
-        // Durable shards recover from their on-disk store: checkpointed
-        // levels plus the WAL tail the dead worker logged before it
-        // acknowledged each apply.  The old worker's file handles are
-        // harmless — the thread has already exited, so nothing writes
-        // through them.
-        let hier = match &self.durable {
-            Some(dcfg) => HierMatrix::open_or_create(
-                self.nrows,
-                self.ncols,
-                self.hier_config.clone(),
-                dcfg.shard(i),
-            )?,
-            None => HierMatrix::new(self.nrows, self.ncols, self.hier_config.clone())?,
-        };
-        let disk = hier.recovery_report().cloned();
-        let fresh = Arc::new(Mutex::new(hier));
-        let depth = self.config.channel_depth.max(1);
-        let old = std::mem::replace(
-            &mut self.workers[i],
-            spawn_worker(i, Arc::clone(&fresh), depth),
-        );
-        self.shards[i] = fresh;
-        drop(old.tx);
-        drop(old.recycled);
-        // The old thread already exited (that is what being lost means);
-        // join just reaps it.
-        let _ = old.handle.join();
-        // Answers derived from the dead shard's contents are stale now.
-        self.in_degrees_cache = None;
-        let d = std::mem::take(&mut self.dispatched[i]);
-        let lost_tuples = if self.durable.is_some() {
-            d.since_ack
-        } else {
-            d.since_spawn
-        };
+        // The old worker's file handles are harmless — the thread has
+        // already exited, so nothing writes through them.
+        let mut fresh = spawn_worker(i, self.open_shard(i)?);
         // Tuples still staged for the shard were never sent anywhere; they
-        // remain valid and flow to the fresh worker now.
+        // remain valid, stay counted, and flow to the fresh worker now.
+        let (_, _, staged) = self.staging.shard_slices(i);
+        fresh.weight += staged.iter().map(|v| v.to_f64()).sum::<f64>();
+        let disk = fresh.recovery.clone();
+        let old = std::mem::replace(&mut self.workers[i], fresh);
+        let lost_tuples = if self.durable.is_some() {
+            old.dispatched.since_ack
+        } else {
+            old.dispatched.since_spawn
+        };
+        old.join();
+        // Answers derived from the dead shard's contents are stale now.
+        self.in_degrees = None;
         self.dispatch_shard(i)?;
         Ok(ShardRecovery {
             shard: i,
@@ -1112,11 +1028,12 @@ impl<T: ScalarType> ShardedHierMatrix<T> {
         }
     }
 
-    /// Sum of all weight currently represented — staged, in flight, or
-    /// applied.  Maintained producer-side, so this is exact at any moment
-    /// and never blocks on the workers.
+    /// Sum of all weight currently represented — stored, staged, or in
+    /// flight.  Maintained producer-side per shard (seeded from what each
+    /// shard's store held when its worker was spawned), so this is exact
+    /// at any moment and never blocks on the workers.
     pub fn total_weight_f64(&self) -> f64 {
-        self.ingested_weight
+        self.workers.iter().map(|w| w.weight).sum()
     }
 }
 
@@ -1128,14 +1045,7 @@ impl<T: ScalarType> ShardedHierMatrix<T> {
 /// immediately.
 impl<T> Drop for ShardedHierMatrix<T> {
     fn drop(&mut self) {
-        for w in self.workers.drain(..) {
-            drop(w.tx);
-            drop(w.recycled);
-            // Panics were captured by the supervision wrapper, so this
-            // join cannot propagate one (propagating out of drop would
-            // abort).
-            let _ = w.handle.join();
-        }
+        self.workers.drain(..).for_each(ShardWorker::join);
     }
 }
 
@@ -1160,36 +1070,31 @@ impl<T: ScalarType> StreamingSink<T> for ShardedHierMatrix<T> {
     }
 
     fn nvals(&self) -> usize {
-        // Infallible legacy signature: drain what can be drained, latch
-        // any error into `take_read_error`, and count the surviving
-        // shards (a lost hierarchy may be mid-mutation and is never
-        // read).  Bounded like every other wait — this cannot hang.
-        for (_, ack) in self.collect_barrier_acks() {
-            if let Err(e) = ack.and_then(|a| a.result) {
-                self.latch_err(e);
-            }
-        }
-        let lost = self.lost_shards();
-        if self.staging.total() == 0 {
-            // Shards own disjoint row sets: distinct cells simply add up.
-            self.shards
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| !lost.contains(i))
-                .map(|(_, s)| s.lock().nvals_exact())
-                .sum()
-        } else {
-            // Staged tuples may collide with stored cells; settle a snapshot.
-            let mut acc = self.shard_sum(&lost);
-            for s in 0..self.staging.shards() {
-                if lost.contains(&s) {
-                    continue;
+        // Infallible legacy signature: every shard acknowledges and counts
+        // its cells with the tuples still staged for it (shards own
+        // disjoint row sets, so the counts add); an error is latched into
+        // `take_read_error`, and a lost shard counts nothing (its
+        // hierarchy died with its worker).  Bounded like every other wait.
+        let ask = |i| {
+            let (r, c, v) = self.staging.shard_slices(i);
+            (i, (r.to_vec(), c.to_vec(), v.to_vec()))
+        };
+        let counts = self.run_each((0..self.workers.len()).map(ask), |staged, shard| {
+            Ok((shard.ack(), shard.nvals_with(staged)))
+        });
+        let mut total = 0;
+        for count in counts {
+            match count {
+                Ok((acked, n)) => {
+                    total += n;
+                    if let Err(e) = acked {
+                        self.latch_err(e);
+                    }
                 }
-                let (r, c, v) = self.staging.shard_slices(s);
-                acc.accum_tuples(r, c, v).expect("staged tuples validated");
+                Err(e) => self.latch_err(e),
             }
-            acc.nvals()
         }
+        total
     }
 
     fn total_weight(&self) -> f64 {
@@ -1207,24 +1112,9 @@ mod tests {
         HierConfig::from_cuts(vec![16, 128, 1024]).unwrap()
     }
 
-    pub(super) fn tiny_engine(
-        shards: usize,
-        partitioner: ShardPartitioner,
-    ) -> ShardedHierMatrix<u64> {
-        ShardedHierMatrix::new(
-            DIM,
-            DIM,
-            small_cfg(),
-            ShardedConfig {
-                shards,
-                partitioner,
-                chunk_tuples: 64,
-                channel_depth: 2,
-                round_tuples: 256,
-                ..ShardedConfig::with_shards(shards)
-            },
-        )
-        .unwrap()
+    /// An engine over `small_cfg`: hand-offs of 16 tuples, rounds of 1024.
+    pub(super) fn tiny_engine(shards: usize) -> ShardedHierMatrix<u64> {
+        ShardedHierMatrix::new(DIM, DIM, small_cfg(), ShardedConfig::with_shards(shards)).unwrap()
     }
 
     pub(super) fn stream(n: u64) -> Vec<(u64, u64, u64)> {
@@ -1233,25 +1123,69 @@ mod tests {
             .collect()
     }
 
-    #[test]
-    fn matches_flat_accumulation_for_both_partitioners() {
-        for partitioner in [ShardPartitioner::RowHash, ShardPartitioner::RowRange] {
-            let mut engine = tiny_engine(4, partitioner);
-            let mut flat = Matrix::<u64>::new(DIM, DIM);
-            for &(r, c, v) in &stream(3000) {
-                engine.update(r, c, v).unwrap();
-                flat.accum_element(r, c, v).unwrap();
-            }
-            flat.wait();
-            let snap = engine.materialize().unwrap();
-            assert_eq!(
-                snap.extract_tuples(),
-                flat.extract_tuples(),
-                "{partitioner:?}"
-            );
-            assert!(engine.rounds() > 1, "expected multiple ingest rounds");
-            assert!(engine.chunks_sent() > engine.rounds());
+    fn flat_of(updates: &[(u64, u64, u64)]) -> Matrix<u64> {
+        let mut flat = Matrix::<u64>::new(DIM, DIM);
+        for &(r, c, v) in updates {
+            flat.accum_element(r, c, v).unwrap();
         }
+        flat.wait();
+        flat
+    }
+
+    #[test]
+    fn matches_flat_accumulation() {
+        let mut engine = tiny_engine(4);
+        let updates = stream(3000);
+        for &(r, c, v) in &updates {
+            engine.update(r, c, v).unwrap();
+        }
+        let snap = engine.materialize().unwrap();
+        assert_eq!(snap.extract_tuples(), flat_of(&updates).extract_tuples());
+        assert!(engine.rounds() > 1, "expected multiple ingest rounds");
+        assert!(engine.chunks_sent() > engine.rounds());
+    }
+
+    /// The hand-off, channel depth and round are derived, not options:
+    /// `paper_default` gets 8192 / 4 / 2^19 (what the `sharded_ingest`
+    /// benchmark workload runs with), and a small level-0 cut gets a small
+    /// hand-off that dispatches at its threshold while a full channel
+    /// holds the producer.
+    #[test]
+    fn hand_off_is_derived_from_the_level_0_cut() {
+        let paper = ShardedHierMatrix::<u64>::with_shards(DIM, DIM, 1).unwrap();
+        assert_eq!(
+            (
+                paper.hand_off,
+                CHANNEL_DEPTH,
+                ROUND_HAND_OFFS * paper.hand_off
+            ),
+            (8192, 4, 1 << 19)
+        );
+        let mut engine = tiny_engine(1);
+        assert_eq!(engine.hand_off, 16);
+        // Stall the worker in a job, then stage four hand-offs and most of
+        // a fifth: each goes out the moment it is full.
+        let (release, stalled) = sync_channel::<()>(0);
+        let job = engine.post(0, move |_| Ok(stalled.recv().is_ok())).unwrap();
+        let updates = stream(4 * 16 + 15);
+        for (n, &(r, c, v)) in updates.iter().enumerate() {
+            engine.update(r, c, v).unwrap();
+            assert_eq!(engine.chunks_sent(), (n as u64 + 1) / 16);
+        }
+        assert_eq!(engine.staging.staged(0), 15);
+        // The four hand-offs fill the channel behind the stalled job: one
+        // more message would block the producer.
+        let probe = WorkerMsg::Run(Box::new(|_: &mut Shard<u64>| {}));
+        assert!(matches!(
+            engine.workers[0].tx.try_send(probe),
+            Err(std::sync::mpsc::TrySendError::Full(_))
+        ));
+        release.send(()).unwrap();
+        assert_eq!(engine.recv_bounded(0, &job), Ok(true));
+        assert_eq!(
+            engine.materialize().unwrap().extract_tuples(),
+            flat_of(&updates).extract_tuples()
+        );
     }
 
     #[test]
@@ -1261,11 +1195,11 @@ mod tests {
         let cols: Vec<u64> = updates.iter().map(|u| u.1).collect();
         let vals: Vec<u64> = updates.iter().map(|u| u.2).collect();
 
-        let mut singles = tiny_engine(3, ShardPartitioner::RowHash);
+        let mut singles = tiny_engine(3);
         for &(r, c, v) in &updates {
             singles.update(r, c, v).unwrap();
         }
-        let mut batched = tiny_engine(3, ShardPartitioner::RowHash);
+        let mut batched = tiny_engine(3);
         batched.update_batch(&rows, &cols, &vals).unwrap();
         assert_eq!(
             singles.materialize().unwrap().extract_tuples(),
@@ -1275,7 +1209,7 @@ mod tests {
 
     #[test]
     fn mid_stream_query_and_flush_do_not_disturb() {
-        let mut engine = tiny_engine(2, ShardPartitioner::RowHash);
+        let mut engine = tiny_engine(2);
         let updates = stream(1500);
         for (i, &(r, c, v)) in updates.iter().enumerate() {
             engine.update(r, c, v).unwrap();
@@ -1284,23 +1218,18 @@ mod tests {
                 engine.flush().unwrap();
             }
         }
-        let mut flat = Matrix::<u64>::new(DIM, DIM);
-        for &(r, c, v) in &updates {
-            flat.accum_element(r, c, v).unwrap();
-        }
-        flat.wait();
         assert_eq!(
             engine.materialize().unwrap().extract_tuples(),
-            flat.extract_tuples()
+            flat_of(&updates).extract_tuples()
         );
     }
 
     #[test]
     fn weight_exact_with_staged_tuples() {
-        let mut engine = tiny_engine(4, ShardPartitioner::RowHash);
+        let mut engine = tiny_engine(4);
         engine.update(1, 1, 10).unwrap();
         engine.update(2, 2, 5).unwrap();
-        // Nothing dispatched yet (chunk_tuples = 64), weight still exact.
+        // Nothing dispatched yet (hand-offs of 16), weight still exact.
         assert_eq!(engine.rounds(), 0);
         assert_eq!(engine.total_weight_f64(), 15.0);
         assert_eq!(engine.read_get(1, 1), Some(10));
@@ -1313,7 +1242,7 @@ mod tests {
 
     #[test]
     fn bounds_rejected_and_batches_atomic() {
-        let mut engine = tiny_engine(2, ShardPartitioner::RowHash);
+        let mut engine = tiny_engine(2);
         assert!(engine.update(DIM, 0, 1).is_err());
         assert!(engine.update(0, DIM, 1).is_err());
         assert!(engine.update_batch(&[1, DIM], &[1, 1], &[1, 1]).is_err());
@@ -1324,7 +1253,7 @@ mod tests {
 
     #[test]
     fn single_shard_works() {
-        let mut engine = tiny_engine(1, ShardPartitioner::RowRange);
+        let mut engine = tiny_engine(1);
         for &(r, c, v) in &stream(500) {
             engine.update(r, c, v).unwrap();
         }
@@ -1338,8 +1267,7 @@ mod tests {
 
     #[test]
     fn sink_interface_round_trip() {
-        let mut sink: Box<dyn StreamingSink<u64>> =
-            Box::new(tiny_engine(3, ShardPartitioner::RowHash));
+        let mut sink: Box<dyn StreamingSink<u64>> = Box::new(tiny_engine(3));
         for &(r, c, v) in &stream(800) {
             sink.insert(r, c, v).unwrap();
         }
@@ -1351,24 +1279,19 @@ mod tests {
     }
 
     #[test]
-    fn partitioners_cover_all_shards() {
-        for partitioner in [ShardPartitioner::RowHash, ShardPartitioner::RowRange] {
-            let mut seen = [false; 8];
-            for r in 0..10_000u64 {
-                // Spread rows over the whole index space for RowRange.
-                let row = r * (DIM / 10_000);
-                seen[partitioner.shard(row, DIM, 8)] = true;
-            }
-            assert!(seen.iter().all(|&s| s), "{partitioner:?} starves shards");
+    fn partitioner_covers_all_shards() {
+        let mut seen = [false; 8];
+        for r in 0..10_000u64 {
+            seen[ShardPartitioner::RowHash.shard(r * (DIM / 10_000), DIM, 8)] = true;
         }
+        assert!(seen.iter().all(|&s| s), "the row hash starves shards");
         // Rows at the very top of the space stay in range.
-        assert!(ShardPartitioner::RowRange.shard(DIM - 1, DIM, 7) < 7);
         assert!(ShardPartitioner::RowHash.shard(DIM - 1, DIM, 7) < 7);
     }
 
     #[test]
     fn shard_stats_aggregate() {
-        let mut engine = tiny_engine(4, ShardPartitioner::RowHash);
+        let mut engine = tiny_engine(4);
         for &(r, c, v) in &stream(2000) {
             engine.update(r, c, v).unwrap();
         }
@@ -1381,13 +1304,16 @@ mod tests {
 
     #[test]
     fn level_sweeps_and_snapshots_activate_no_degree_index() {
-        let mut engine = tiny_engine(2, ShardPartitioner::RowHash);
+        let mut engine = tiny_engine(2);
         for &(r, c, v) in &stream(5000) {
             engine.update(r, c, v).unwrap();
         }
         engine.flush().unwrap();
         let bytes = |e: &ShardedHierMatrix<u64>| -> Vec<usize> {
-            e.shards.iter().map(|s| s.lock().memory_bytes()).collect()
+            e.run_each(e.every_shard(), |(), s| Ok(s.hier.memory_bytes()))
+                .into_iter()
+                .map(Result::unwrap)
+                .collect()
         };
         let before = bytes(&engine);
         let _ = hyperstream_graphblas::algo::pagerank(&mut engine, 0.85, 5, 1e-9);
@@ -1402,7 +1328,7 @@ mod tests {
 
     #[test]
     fn out_of_range_shard_index_is_a_typed_error() {
-        let mut engine = tiny_engine(3, ShardPartitioner::RowHash);
+        let mut engine = tiny_engine(3);
         let dim = engine.num_shards() as Index;
         for i in [engine.num_shards(), usize::MAX] {
             let want = GrbError::IndexOutOfBounds {
@@ -1419,7 +1345,7 @@ mod tests {
 
     #[test]
     fn workers_persist_across_rounds_and_flushes() {
-        let mut engine = tiny_engine(3, ShardPartitioner::RowHash);
+        let mut engine = tiny_engine(3);
         let ids_start = engine.worker_ids().unwrap();
         assert_eq!(ids_start.len(), 3);
         // All workers are distinct threads, none of them this one.
@@ -1447,7 +1373,7 @@ mod tests {
 
     #[test]
     fn drop_joins_workers_cleanly() {
-        let mut engine = tiny_engine(2, ShardPartitioner::RowHash);
+        let mut engine = tiny_engine(2);
         for &(r, c, v) in &stream(300) {
             engine.update(r, c, v).unwrap();
         }

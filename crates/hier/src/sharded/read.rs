@@ -3,38 +3,13 @@
 //! [`ShardedSnapshot`].  The paragraph in the [parent module](super) says
 //! why each step is what it is.
 
-use super::{ShardPartitioner, ShardedHierMatrix, WorkerMsg};
+use super::{owner, Shard, ShardedHierMatrix};
 use hyperstream_graphblas::formats::dcsr::Dcsr;
 use hyperstream_graphblas::reader::{Answer, Query};
 use hyperstream_graphblas::{
-    CursorReader, GrbError, GrbResult, Index, MatrixReader, MatrixSnapshot, ScalarType,
+    CursorReader, DegreeIndex, GrbError, GrbResult, Index, MatrixReader, MatrixSnapshot, ScalarType,
 };
 use std::collections::BTreeMap;
-
-/// How rows map to shards: all that routing a read needs to know.
-struct Partition {
-    by: ShardPartitioner,
-    nrows: Index,
-    shards: usize,
-}
-
-impl Partition {
-    fn owner(&self, row: Index) -> usize {
-        self.by.shard(row, self.nrows, self.shards)
-    }
-
-    /// The shards whose rows can fall in the non-empty range `lo..hi`: a
-    /// run of bands under `RowRange`, every shard under `RowHash`.
-    fn span(&self, lo: Index, hi: Index) -> std::ops::Range<usize> {
-        match self.by {
-            ShardPartitioner::RowRange => {
-                let last = (hi - 1).min(self.nrows.saturating_sub(1));
-                self.owner(lo)..self.owner(last) + 1
-            }
-            ShardPartitioner::RowHash => 0..self.shards,
-        }
-    }
-}
 
 /// One shard's part of a read: what it is asked, and — for a batched read —
 /// the positions in the request its answers go back to.
@@ -51,13 +26,14 @@ enum Route {
     /// The one shard that owns the row asked about — one round trip, no
     /// list of targets built.
     Owner(usize),
-    /// Several shards at once: the row bands a range overlaps, every shard,
-    /// or the owners of a batch of keys (each asked for its own keys only).
+    /// Several shards at once: every shard, or the owners of a batch of
+    /// keys (each asked for its own keys only).
     Each(Vec<Ask>),
 }
 
-/// Whom `q` goes to under `p`.  `warm`: a summed in-degree map is held.
-fn route(p: &Partition, q: &Query, warm: bool) -> Route {
+/// Whom `q` goes to among `shards`.  `warm`: a summed in-degree index is
+/// held.
+fn route(shards: usize, q: &Query, warm: bool) -> Route {
     let each = |shards: std::ops::Range<usize>, query: &Query| {
         let ask = |shard| Ask {
             shard,
@@ -68,52 +44,49 @@ fn route(p: &Partition, q: &Query, warm: bool) -> Route {
     };
     match q {
         Query::Get(row, _) | Query::Row(row) | Query::RowDegree(row) | Query::RowReduce(row) => {
-            Route::Owner(p.owner(*row))
+            Route::Owner(owner(*row, shards))
         }
         Query::TopK(0) | Query::InTopK(0) => Route::Nobody,
         Query::RowRange(lo, hi) | Query::ColRange(lo, hi) if lo >= hi => Route::Nobody,
-        // Only the workers whose row bands overlap the range: a narrow scan
-        // of a `RowRange` engine is served by one while the rest ingest.
-        Query::RowRange(lo, hi) => each(p.span(*lo, *hi), q),
         // The held sum answers; it goes stale only with the content.
         Query::InTopK(_) | Query::InDegreeHistogram if warm => each(0..0, q),
         // A column's cells split over the row-partitioned shards, so a
         // shard's in-degree ranking says nothing about the global one:
         // every shard ships its complete column → degree list instead.
-        Query::InTopK(_) | Query::InDegreeHistogram => {
-            each(0..p.shards, &Query::InTopK(usize::MAX))
-        }
-        // Whole-matrix and column reads touch every row partition.
-        Query::Nnz
+        Query::InTopK(_) | Query::InDegreeHistogram => each(0..shards, &Query::InTopK(usize::MAX)),
+        // Range, whole-matrix and column reads touch every shard: hashed
+        // rows of any range fall in all of them.
+        Query::RowRange(..)
+        | Query::Nnz
         | Query::Entries
         | Query::TopK(_)
         | Query::DegreeHistogram
         | Query::Col(_)
         | Query::ColDegree(_)
         | Query::ColReduce(_)
-        | Query::ColRange(..) => each(0..p.shards, q),
-        Query::Rows(rows) => scatter(p, rows, |&row| row, Query::Rows),
-        Query::GetMany(keys) => scatter(p, keys, |&(row, _)| row, Query::GetMany),
+        | Query::ColRange(..) => each(0..shards, q),
+        Query::Rows(rows) => scatter(shards, rows, |&row| row, Query::Rows),
+        Query::GetMany(keys) => scatter(shards, keys, |&(row, _)| row, Query::GetMany),
     }
 }
 
 /// Group `keys` by owning shard: one batched query per involved shard,
 /// built by `query` from the keys that shard owns.
 fn scatter<K: Copy>(
-    p: &Partition,
+    shards: usize,
     keys: &[K],
     row_of: impl Fn(&K) -> Index,
     query: impl Fn(Vec<K>) -> Query,
 ) -> Route {
     let mut groups: Vec<(usize, Vec<usize>, Vec<K>)> = Vec::new();
     for (slot, key) in keys.iter().enumerate() {
-        let owner = p.owner(row_of(key));
-        match groups.iter_mut().find(|g| g.0 == owner) {
+        let shard = owner(row_of(key), shards);
+        match groups.iter_mut().find(|g| g.0 == shard) {
             Some((_, slots, owned)) => {
                 slots.push(slot);
                 owned.push(*key);
             }
-            None => groups.push((owner, vec![slot], vec![*key])),
+            None => groups.push((shard, vec![slot], vec![*key])),
         }
     }
     let ask = |(shard, slots, owned)| Ask {
@@ -128,63 +101,6 @@ fn scatter<K: Copy>(
 /// id ascending.
 fn by_rank(a: &(Index, usize), b: &(Index, usize)) -> std::cmp::Ordering {
     b.1.cmp(&a.1).then(a.0.cmp(&b.0))
-}
-
-/// The first `k` of `degrees` by rank: a selection of the `k` best, then a
-/// sort of those alone.
-fn rank(degrees: &BTreeMap<Index, usize>, k: usize) -> Vec<(Index, usize)> {
-    let mut all: Vec<(Index, usize)> = degrees.iter().map(|(&c, &d)| (c, d)).collect();
-    if (1..all.len()).contains(&k) {
-        all.select_nth_unstable_by(k, by_rank);
-    }
-    all.truncate(k);
-    all.sort_unstable_by(by_rank);
-    all
-}
-
-/// Ranks of a summed in-degree map that are ranked when it is built — the
-/// cover of the degree index's own top-k cache.
-const IN_TOP_READY: usize = 128;
-
-/// The column → in-degree map summed over the shards, with its top ranks
-/// beside it.  Summing every shard's complete list is expensive enough that
-/// a burst of in-degree reads must not repeat it: holders keep the sum
-/// until their content changes, and the ranking is done once, here, so a
-/// read against a held sum copies a prefix instead of sorting every column.
-#[derive(Debug)]
-pub(super) struct SummedInDegrees {
-    degrees: BTreeMap<Index, usize>,
-    /// The first [`IN_TOP_READY`] ranks (or all there are).
-    top: Vec<(Index, usize)>,
-}
-
-impl SummedInDegrees {
-    fn sum(parts: impl Iterator<Item = Vec<(Index, usize)>>) -> Self {
-        let mut degrees = BTreeMap::new();
-        for (c, d) in parts.flatten() {
-            *degrees.entry(c).or_insert(0) += d;
-        }
-        Self {
-            top: rank(&degrees, IN_TOP_READY),
-            degrees,
-        }
-    }
-
-    fn top_k(&self, k: usize) -> Vec<(Index, usize)> {
-        if k <= self.top.len() || self.top.len() == self.degrees.len() {
-            self.top[..k.min(self.top.len())].to_vec()
-        } else {
-            rank(&self.degrees, k)
-        }
-    }
-
-    fn histogram(&self) -> BTreeMap<u64, u64> {
-        let mut counts = BTreeMap::new();
-        for &d in self.degrees.values() {
-            *counts.entry(d as u64).or_insert(0) += 1;
-        }
-        counts
-    }
 }
 
 /// Per-shard lists end to end, each appended with one exact reservation.
@@ -246,12 +162,22 @@ fn gather<A: Clone>(
 }
 
 /// The held in-degree sum, built from `parts` (every shard's complete
-/// column → degree list) when none is held.
+/// column → degree list) when none is held: a degree index keyed by
+/// column, which ranks and bins the sums.  Summing every shard's list is
+/// expensive enough that a burst of in-degree reads must not repeat it, so
+/// holders keep the index until their content changes, and its top-k
+/// cache serves the burst.
 fn summed<T: ScalarType>(
-    held: &mut Option<SummedInDegrees>,
+    held: &mut Option<DegreeIndex<T>>,
     parts: impl Iterator<Item = (Answer<T>, Vec<usize>)>,
-) -> &SummedInDegrees {
-    held.get_or_insert_with(|| SummedInDegrees::sum(parts.map(|p| p.0.into_ranked())))
+) -> &mut DegreeIndex<T> {
+    held.get_or_insert_with(|| {
+        let mut sum = DegreeIndex::new();
+        for (col, degree) in parts.flat_map(|p| p.0.into_ranked()) {
+            sum.add_unique_row(col, degree as u64, T::default());
+        }
+        sum
+    })
 }
 
 /// One answer out of the shards' `(answer, slots)` parts.  Every rule
@@ -261,7 +187,7 @@ fn summed<T: ScalarType>(
 fn combine<T: ScalarType>(
     q: &Query,
     mut parts: impl Iterator<Item = (Answer<T>, Vec<usize>)>,
-    in_degrees: &mut Option<SummedInDegrees>,
+    in_degrees: &mut Option<DegreeIndex<T>>,
 ) -> Answer<T> {
     match q {
         // One shard holds the row: what it says is the answer.
@@ -307,7 +233,9 @@ fn combine<T: ScalarType>(
         // In-degrees alone are summed per column *before* they are ranked
         // or binned (see `route`).
         Query::InTopK(k) => Answer::Ranked(summed(in_degrees, parts).top_k(*k)),
-        Query::InDegreeHistogram => Answer::Histogram(summed(in_degrees, parts).histogram()),
+        Query::InDegreeHistogram => {
+            Answer::Histogram(summed(in_degrees, parts).view_mut().degree_histogram())
+        }
         Query::Rows(rows) => {
             let parts = parts.map(|(a, slots)| (a.into_lines(), slots));
             Answer::Lines(gather(rows.len(), Vec::new(), parts))
@@ -323,8 +251,8 @@ fn combine<T: ScalarType>(
 /// be asked a [`Query`]: the live engine (over its worker channels, under
 /// supervision) and its snapshot (directly).
 trait ShardSet<T: ScalarType> {
-    /// How rows map to shards.
-    fn partition(&self) -> Partition;
+    /// How many shards the rows are hashed over.
+    fn shards(&self) -> usize;
 
     /// The typed error when any of `shards` is lost: a read never answers
     /// without a shard it needs.
@@ -340,8 +268,8 @@ trait ShardSet<T: ScalarType> {
         asks.iter().map(|(s, q)| self.ask_owner(*s, q)).collect()
     }
 
-    /// Where the summed in-degree map is held between reads.
-    fn in_degrees(&mut self) -> &mut Option<SummedInDegrees>;
+    /// Where the summed in-degree index is held between reads.
+    fn in_degrees(&mut self) -> &mut Option<DegreeIndex<T>>;
 
     /// An error the infallible reader surface could not return.
     fn latch(&self, _e: GrbError) {}
@@ -351,7 +279,7 @@ trait ShardSet<T: ScalarType> {
 /// what they say.
 fn across<T: ScalarType, S: ShardSet<T>>(set: &mut S, q: &Query) -> GrbResult<Answer<T>> {
     let warm = set.in_degrees().is_some();
-    Ok(match route(&set.partition(), q, warm) {
+    Ok(match route(set.shards(), q, warm) {
         Route::Nobody => Answer::empty_for(q),
         Route::Owner(shard) => {
             set.check_live(&mut std::iter::once(shard))?;
@@ -380,12 +308,8 @@ fn read<T: ScalarType, S: ShardSet<T>>(set: &mut S, q: &Query) -> Answer<T> {
 }
 
 impl<T: ScalarType> ShardSet<T> for ShardedHierMatrix<T> {
-    fn partition(&self) -> Partition {
-        Partition {
-            by: self.config.partitioner,
-            nrows: self.nrows,
-            shards: self.shards.len(),
-        }
+    fn shards(&self) -> usize {
+        self.workers.len()
     }
 
     /// Fails fast, before any target is asked; a worker that dies *during*
@@ -395,18 +319,19 @@ impl<T: ScalarType> ShardSet<T> for ShardedHierMatrix<T> {
     }
 
     fn ask_owner(&mut self, shard: usize, q: &Query) -> GrbResult<Answer<T>> {
-        let reply = self.post(shard, |tx| WorkerMsg::Query(q.clone(), tx))?;
+        self.dispatch_shard(shard)?;
         self.pushdown_queries += 1;
         self.last_fanout = 1;
-        self.recv_bounded(shard, "query reply", &reply)
+        let q = q.clone();
+        self.run(shard, move |s| Ok(s.answer(&q)))
     }
 
     fn ask_each(&mut self, asks: Vec<(usize, Query)>) -> GrbResult<Vec<Answer<T>>> {
-        self.ask_workers(asks, WorkerMsg::Query)
+        self.ask_workers(asks, |q, s| Ok(s.answer(&q)))
     }
 
-    fn in_degrees(&mut self) -> &mut Option<SummedInDegrees> {
-        &mut self.in_degrees_cache
+    fn in_degrees(&mut self) -> &mut Option<DegreeIndex<T>> {
+        &mut self.in_degrees
     }
 
     fn latch(&self, e: GrbError) {
@@ -432,15 +357,12 @@ impl<T: ScalarType> ShardedHierMatrix<T> {
     /// captured state while the workers keep draining their channels —
     /// the analytics-while-ingest overlap the roadmap parked here.
     pub fn snapshot(&mut self) -> GrbResult<ShardedSnapshot<T>> {
-        let all = 0..self.workers.len();
-        self.ensure_live(all.clone())?;
-        let shards = self.ask_workers(all.map(|s| (s, ())).collect(), |(), tx| {
-            WorkerMsg::Snapshot(tx)
-        })?;
+        self.ensure_live(0..self.workers.len())?;
+        let asks = self.every_shard().collect();
+        let shards = self.ask_workers(asks, |(), s: &mut Shard<T>| Ok(s.snapshot()))?;
         Ok(ShardedSnapshot {
             nrows: self.nrows,
             ncols: self.ncols,
-            partitioner: self.config.partitioner,
             shards,
             in_degrees: None,
         })
@@ -492,28 +414,23 @@ impl<T: ScalarType> CursorReader<T> for ShardedHierMatrix<T> {
 pub struct ShardedSnapshot<T> {
     nrows: Index,
     ncols: Index,
-    partitioner: ShardPartitioner,
     /// One capture per shard of the engine.
     shards: Vec<MatrixSnapshot<T>>,
-    /// The summed in-degree map, built by the first in-degree read and
+    /// The summed in-degree index, built by the first in-degree read and
     /// good for as long as the capture.
-    in_degrees: Option<SummedInDegrees>,
+    in_degrees: Option<DegreeIndex<T>>,
 }
 
 impl<T: ScalarType> ShardSet<T> for ShardedSnapshot<T> {
-    fn partition(&self) -> Partition {
-        Partition {
-            by: self.partitioner,
-            nrows: self.nrows,
-            shards: self.shards.len(),
-        }
+    fn shards(&self) -> usize {
+        self.shards.len()
     }
 
     fn ask_owner(&mut self, shard: usize, q: &Query) -> GrbResult<Answer<T>> {
         Ok(self.shards[shard].answer(q))
     }
 
-    fn in_degrees(&mut self) -> &mut Option<SummedInDegrees> {
+    fn in_degrees(&mut self) -> &mut Option<DegreeIndex<T>> {
         &mut self.in_degrees
     }
 }
@@ -606,7 +523,7 @@ mod tests {
 
     #[test]
     fn reader_pushdown_never_materializes() {
-        let mut engine = tiny_engine(3, ShardPartitioner::RowHash);
+        let mut engine = tiny_engine(3);
         for &(r, c, v) in &stream(2000) {
             engine.update(r, c, v).unwrap();
         }
@@ -640,7 +557,7 @@ mod tests {
 
     #[test]
     fn column_battery_never_materializes() {
-        let mut engine = tiny_engine(3, ShardPartitioner::RowHash);
+        let mut engine = tiny_engine(3);
         for &(r, c, v) in &col_stream(2000) {
             engine.update(r, c, v).unwrap();
         }
@@ -677,10 +594,10 @@ mod tests {
 
     #[test]
     fn batched_pushdown_matches_singles() {
-        // RowRange spreads consecutive probe rows across different owners,
+        // The row hash spreads the probe rows across different owners,
         // exercising the group-by-shard dispatch and request-order
         // reassembly.
-        let mut engine = tiny_engine(4, ShardPartitioner::RowRange);
+        let mut engine = tiny_engine(4);
         let updates = col_stream(2000);
         for &(r, c, v) in &updates {
             engine.update(r, c, v).unwrap();
@@ -710,48 +627,6 @@ mod tests {
     }
 
     #[test]
-    fn row_range_dispatches_only_overlapping_workers() {
-        let mut range_engine = tiny_engine(4, ShardPartitioner::RowRange);
-        let mut hash_engine = tiny_engine(4, ShardPartitioner::RowHash);
-        let updates = stream(2000);
-        let mut flat = Matrix::<u64>::new(DIM, DIM);
-        for &(r, c, v) in &updates {
-            range_engine.update(r, c, v).unwrap();
-            hash_engine.update(r, c, v).unwrap();
-            flat.accum_element(r, c, v).unwrap();
-        }
-        flat.wait();
-        // A band well inside the first shard's range (rows < DIM / 4).
-        let (lo, hi) = (0u64, 1u64 << 26);
-        let expect: Vec<(u64, u64, u64)> = flat
-            .iter_settled()
-            .filter(|&(r, _, _)| r >= lo && r < hi)
-            .collect();
-        let mut got = Vec::new();
-        range_engine.read_row_range(lo, hi, &mut |r, c, v| got.push((r, c, v)));
-        assert_eq!(got, expect);
-        assert_eq!(
-            range_engine.last_query_fanout(),
-            1,
-            "narrow range should visit one RowRange worker"
-        );
-        // The hash partitioner cannot bound the scan: full fan-out.
-        got.clear();
-        hash_engine.read_row_range(lo, hi, &mut |r, c, v| got.push((r, c, v)));
-        assert_eq!(got, expect);
-        assert_eq!(hash_engine.last_query_fanout(), 4);
-        // Wide ranges visit every band worker and agree too.
-        got.clear();
-        range_engine.read_row_range(0, DIM, &mut |r, c, v| got.push((r, c, v)));
-        assert_eq!(got.len(), flat.nvals());
-        assert_eq!(range_engine.last_query_fanout(), 4);
-        // Empty range is free.
-        got.clear();
-        range_engine.read_row_range(5, 5, &mut |r, c, v| got.push((r, c, v)));
-        assert!(got.is_empty());
-    }
-
-    #[test]
     fn cursor_pagerank_matches_flat_oracle() {
         let edges: &[(u64, u64)] = &[
             (0, 1),
@@ -763,20 +638,18 @@ mod tests {
             (9, 2),
             (1 << 30, 0),
         ];
-        for partitioner in [ShardPartitioner::RowHash, ShardPartitioner::RowRange] {
-            let mut engine = tiny_engine(4, partitioner);
-            let mut flat = Matrix::<u64>::new(DIM, DIM);
-            for &(r, c) in edges {
-                engine.update(r, c, 1).unwrap();
-                flat.accum_element(r, c, 1).unwrap();
-            }
-            let pr = hyperstream_graphblas::algo::pagerank(&mut engine, 0.85, 60, 1e-12);
-            let oracle = hyperstream_graphblas::algo::pagerank(&mut flat, 0.85, 60, 1e-12);
-            assert_eq!(pr.nvals(), oracle.nvals(), "{partitioner:?}");
-            for (v, r) in pr.iter() {
-                let s = oracle.get(v).expect("same active set");
-                assert!((r - s).abs() < 1e-9, "{partitioner:?} v={v}: {r} vs {s}");
-            }
+        let mut engine = tiny_engine(4);
+        let mut flat = Matrix::<u64>::new(DIM, DIM);
+        for &(r, c) in edges {
+            engine.update(r, c, 1).unwrap();
+            flat.accum_element(r, c, 1).unwrap();
+        }
+        let pr = hyperstream_graphblas::algo::pagerank(&mut engine, 0.85, 60, 1e-12);
+        let oracle = hyperstream_graphblas::algo::pagerank(&mut flat, 0.85, 60, 1e-12);
+        assert_eq!(pr.nvals(), oracle.nvals());
+        for (v, r) in pr.iter() {
+            let s = oracle.get(v).expect("same active set");
+            assert!((r - s).abs() < 1e-9, "v={v}: {r} vs {s}");
         }
     }
 
@@ -785,7 +658,7 @@ mod tests {
         // A symmetric triangle plus stragglers, counted straight off the
         // engine (snapshot-backed CursorReader) and off an explicit
         // snapshot while ingest continues.
-        let mut engine = tiny_engine(2, ShardPartitioner::RowHash);
+        let mut engine = tiny_engine(2);
         for (a, b) in [(1u64, 2u64), (2, 3), (1, 3), (3, 900)] {
             engine.update(a, b, 1).unwrap();
             engine.update(b, a, 1).unwrap();

@@ -26,7 +26,7 @@
 
 mod common;
 
-use common::{build_flat, build_flat_in, cut_schedule, update_stream, DIM};
+use common::{build_flat, build_flat_in, cut_schedule, sharded_in, update_stream, DIM};
 use hyperstream::graphblas::algo::{bfs_levels, connected_components, pagerank, triangle_count};
 use hyperstream::graphblas::ops::semiring::MinFirst;
 use hyperstream::graphblas::oracle;
@@ -59,22 +59,14 @@ fn cursor_systems(
     updates: &[(u64, u64, u64)],
     cuts: &[u64],
     shards: usize,
-    chunk: usize,
     flush_at: usize,
 ) -> Vec<(String, Box<dyn CursorReader<u64>>)> {
     let hier_cfg = HierConfig::from_cuts(cuts.to_vec()).unwrap();
-    let scfg = ShardedConfig {
-        partitioner: ShardPartitioner::RowHash,
-        chunk_tuples: chunk,
-        channel_depth: 2,
-        round_tuples: 128,
-        ..ShardedConfig::with_shards(shards)
-    };
     let mut flat = Matrix::<u64>::new(nrows, ncols);
     let mut hier = HierMatrix::<u64>::new(nrows, ncols, hier_cfg.clone()).unwrap();
-    let mut hier_snap = HierMatrix::<u64>::new(nrows, ncols, hier_cfg.clone()).unwrap();
-    let mut sharded = ShardedHierMatrix::<u64>::new(nrows, ncols, hier_cfg.clone(), scfg).unwrap();
-    let mut sharded_snap = ShardedHierMatrix::<u64>::new(nrows, ncols, hier_cfg, scfg).unwrap();
+    let mut hier_snap = HierMatrix::<u64>::new(nrows, ncols, hier_cfg).unwrap();
+    let mut sharded = sharded_in((nrows, ncols), shards, cuts);
+    let mut sharded_snap = sharded_in((nrows, ncols), shards, cuts);
     for (i, &(r, c, v)) in updates.iter().enumerate() {
         flat.insert(r, c, v).unwrap();
         hier.insert(r, c, v).unwrap();
@@ -147,7 +139,6 @@ fn check_readers_vs_oracle(
     b_updates: &[(u64, u64, u64)],
     cuts: &[u64],
     shards: usize,
-    chunk: usize,
     flush_at: usize,
 ) {
     let flat = build_flat(updates);
@@ -217,7 +208,7 @@ fn check_readers_vs_oracle(
     };
 
     // k levels: every reader.
-    for (name, mut sys) in cursor_systems((DIM, DIM), updates, cuts, shards, chunk, flush_at) {
+    for (name, mut sys) in cursor_systems((DIM, DIM), updates, cuts, shards, flush_at) {
         let got = vxm_reader(&u, sys.as_mut(), PlusTimes, &mut spa).unwrap();
         prop_assert_eq!(vec_entries(&got), expect_vxm.clone(), "vxm of {}", &name);
         let got = vxm_reader(&u, sys.as_mut(), MinPlus, &mut spa).unwrap();
@@ -266,7 +257,6 @@ fn check_algorithms_agree(
     updates: &[(u64, u64, u64)],
     cuts: &[u64],
     shards: usize,
-    chunk: usize,
     flush_at: usize,
 ) {
     let (nrows, ncols) = dims;
@@ -286,7 +276,7 @@ fn check_algorithms_agree(
     };
 
     // Cursor-native primaries over every level-slice reader.
-    for (name, mut sys) in cursor_systems(dims, updates, cuts, shards, chunk, flush_at) {
+    for (name, mut sys) in cursor_systems(dims, updates, cuts, shards, flush_at) {
         prop_assert_eq!(
             triangle_count(sys.as_mut()),
             expect_tri,
@@ -319,24 +309,8 @@ fn check_algorithms_agree(
     let mut systems: Vec<Box<dyn StreamingSystem<u64>>> = vec![
         Box::new(Matrix::<u64>::new(nrows, ncols)),
         Box::new(HierMatrix::<u64>::new(nrows, ncols, hier_cfg.clone()).unwrap()),
-        Box::new(
-            WindowedHierMatrix::<u64>::new(nrows, ncols, hier_cfg.clone(), u64::MAX, 4).unwrap(),
-        ),
-        Box::new(
-            ShardedHierMatrix::<u64>::new(
-                nrows,
-                ncols,
-                hier_cfg,
-                ShardedConfig {
-                    partitioner: ShardPartitioner::RowHash,
-                    chunk_tuples: chunk,
-                    channel_depth: 2,
-                    round_tuples: 128,
-                    ..ShardedConfig::with_shards(shards)
-                },
-            )
-            .unwrap(),
-        ),
+        Box::new(WindowedHierMatrix::<u64>::new(nrows, ncols, hier_cfg, u64::MAX, 4).unwrap()),
+        Box::new(sharded_in(dims, shards, cuts)),
     ];
     for sys in systems.iter_mut() {
         let name = sys.reader_name().to_string();
@@ -427,9 +401,9 @@ fn product_entries_answer_hostile_shapes_with_typed_errors() {
     assert!(vxm(&empty_u, &a, PlusTimes).unwrap().is_empty());
 
     // The reader entries, over every reader (k levels), full and empty.
-    let mut readers = cursor_systems((DIM, DIM), &updates, &[3, 9], 2, 4, 17);
+    let mut readers = cursor_systems((DIM, DIM), &updates, &[3, 9], 2, 17);
     readers.extend(
-        cursor_systems((DIM, DIM), &[], &[3, 9], 2, 4, 0)
+        cursor_systems((DIM, DIM), &[], &[3, 9], 2, 0)
             .into_iter()
             .map(|(name, sys)| (format!("empty {name}"), sys)),
     );
@@ -509,10 +483,9 @@ proptest! {
         b_updates in update_stream(60, 1, 100),
         cuts in cut_schedule(4),
         shards in 1usize..=8,
-        chunk in 1usize..64,
         flush_at in 0usize..200,
     ) {
-        check_readers_vs_oracle(&updates, &b_updates, &cuts, shards, chunk, flush_at);
+        check_readers_vs_oracle(&updates, &b_updates, &cuts, shards, flush_at);
     }
 }
 
@@ -524,13 +497,12 @@ proptest! {
         updates in update_stream(60, 1, 150),
         cuts in cut_schedule(4),
         shards in 1usize..=8,
-        chunk in 1usize..64,
         flush_at in 0usize..150,
         wide in 0u8..2,
     ) {
         // Square, or wider than tall: every row id of `update_stream` lies
         // below 2^31, its column ids reach past it.
         let dims = if wide == 1 { (DIM / 2, DIM) } else { (DIM, DIM) };
-        check_algorithms_agree(dims, &updates, &cuts, shards, chunk, flush_at);
+        check_algorithms_agree(dims, &updates, &cuts, shards, flush_at);
     }
 }

@@ -1,6 +1,7 @@
 //! Helpers shared by the integration suites: the proptest update stream and
-//! cut schedule, the flat reference matrix and its top-k, and the durable
-//! suites' temporary directory and cell maps.
+//! cut schedule, the flat reference matrix and its top-k, the sharded
+//! engine's constructor, and the durable suites' temporary directory and
+//! cell maps.
 
 // Each suite compiles this module on its own and uses only part of it.
 #![allow(dead_code)]
@@ -55,6 +56,18 @@ pub fn build_flat_in(dims: (u64, u64), updates: &[(u64, u64, u64)]) -> Matrix<u6
     }
     m.wait();
     m
+}
+
+/// The sharded engine every suite builds: `shards` workers over `DIM x DIM`
+/// hierarchies with the cut schedule `cuts` (whose level-0 cut also sizes
+/// the engine's hand-offs, so small cuts hand small batches to workers).
+pub fn sharded(shards: usize, cuts: &[u64]) -> ShardedHierMatrix<u64> {
+    sharded_in((DIM, DIM), shards, cuts)
+}
+
+pub fn sharded_in(dims: (u64, u64), shards: usize, cuts: &[u64]) -> ShardedHierMatrix<u64> {
+    let cfg = HierConfig::from_cuts(cuts.to_vec()).unwrap();
+    ShardedHierMatrix::new(dims.0, dims.1, cfg, ShardedConfig::with_shards(shards)).unwrap()
 }
 
 /// Reference ranking (degree descending, id ascending) from a flat matrix;

@@ -10,7 +10,7 @@
 
 mod common;
 
-use common::{build_flat, cut_schedule, reference_top_k, update_stream, DIM};
+use common::{build_flat, cut_schedule, reference_top_k, sharded, update_stream, DIM};
 use hyperstream::graphblas::cursor::*;
 use hyperstream::prelude::*;
 use proptest::prelude::*;
@@ -86,31 +86,11 @@ proptest! {
         updates in update_stream(48, 1, 300),
         cuts in cut_schedule(4),
         shards in 1usize..=8,
-        chunk in 1usize..64,
         flush_at in 0usize..300,
         k in 0usize..12,
-        partitioner_sel in 0u64..2,
     ) {
         let flat = build_flat(&updates);
-        let cfg = HierConfig::from_cuts(cuts).unwrap();
-        let partitioner = if partitioner_sel == 1 {
-            ShardPartitioner::RowRange
-        } else {
-            ShardPartitioner::RowHash
-        };
-        let mut engine = ShardedHierMatrix::<u64>::new(
-            DIM,
-            DIM,
-            cfg,
-            ShardedConfig {
-                partitioner,
-                chunk_tuples: chunk,
-                channel_depth: 2,
-                round_tuples: 128,
-                ..ShardedConfig::with_shards(shards)
-            },
-        )
-        .unwrap();
+        let mut engine = sharded(shards, &cuts);
         let mut snap = None;
         for (i, &(r, c, v)) in updates.iter().enumerate() {
             engine.update(r, c, v).unwrap();
@@ -136,8 +116,8 @@ proptest! {
             flat.dcsr().row(probe).map_or(0, |(c, _)| c.len())
         );
         prop_assert_eq!(engine.aggregate_stats().unwrap().materializations, 0);
-        // Range scans dispatch to the overlapping workers only (RowRange)
-        // or everyone (RowHash) — answers identical either way.
+        // A range scan fans out to every shard (hashed rows of any range
+        // fall in all of them) and merges back in row order.
         let (lo, hi) = (0u64, DIM / 2);
         let mut got = Vec::new();
         engine.read_row_range(lo, hi, &mut |r, c, v| got.push((r, c, v)));
@@ -146,7 +126,7 @@ proptest! {
             .filter(|&(r, _, _)| r < hi)
             .collect();
         prop_assert_eq!(got, expect);
-        prop_assert!(engine.last_query_fanout() <= shards);
+        prop_assert_eq!(engine.last_query_fanout(), shards);
         // The engine-wide snapshot froze the captured prefix.
         if let Some((mut snap, at)) = snap {
             let prefix = build_flat(&updates[..=at]);

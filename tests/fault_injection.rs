@@ -25,7 +25,7 @@
 
 mod common;
 
-use common::{build_flat, reference_top_k, update_stream, DIM};
+use common::{build_flat, reference_top_k, sharded, update_stream, DIM};
 use hyperstream::hier::failpoint::{self, FailAction};
 use hyperstream::prelude::*;
 use proptest::prelude::*;
@@ -112,15 +112,10 @@ fn update_owned(
         .find(|&(r, _, _)| (owner(r) == victim) == of_victim)
 }
 
-/// A small engine with knobs sized so every few updates reach a worker.
-fn chaos_config(shards: usize) -> ShardedConfig {
-    ShardedConfig {
-        chunk_tuples: 4,
-        channel_depth: 2,
-        round_tuples: 64,
-        wait_timeout: Duration::from_secs(10),
-        ..ShardedConfig::with_shards(shards)
-    }
+/// A small engine whose level-0 cut of 4 hands every four updates a shard
+/// stages to its worker.
+fn chaos_engine(shards: usize) -> ShardedHierMatrix<u64> {
+    sharded(shards, &[4, 64])
 }
 
 /// Wait (bounded) for a worker loss to become visible producer-side; a
@@ -155,13 +150,7 @@ proptest! {
         let _fp = exclusive();
         let victim = victim_sel % shards;
         failpoint::arm_at("worker-apply", Some(victim), nth, FailAction::Panic);
-        let mut engine = ShardedHierMatrix::<u64>::new(
-            DIM,
-            DIM,
-            HierConfig::from_cuts(vec![8, 64]).unwrap(),
-            chaos_config(shards),
-        )
-        .unwrap();
+        let mut engine = chaos_engine(shards);
         for &(r, c, v) in &updates {
             if let Err(e) = engine.update(r, c, v) {
                 match e {
@@ -240,13 +229,7 @@ proptest! {
             let owned = |r| ShardPartitioner::RowHash.shard(r, DIM, shards) == victim;
             failpoint::disarm_all();
             failpoint::arm_at("worker-barrier", Some(victim), 1, FailAction::Panic);
-            let mut engine = ShardedHierMatrix::<u64>::new(
-                DIM,
-                DIM,
-                HierConfig::from_cuts(vec![8, 64]).unwrap(),
-                chaos_config(shards),
-            )
-            .unwrap();
+            let mut engine = chaos_engine(shards);
             for &(r, c, v) in &first {
                 engine.update(r, c, v).unwrap();
             }
@@ -392,16 +375,8 @@ fn drop_after_worker_panic_is_bounded() {
     failpoint::arm_at("worker-apply", Some(0), 1, FailAction::Panic);
     let start = Instant::now();
     {
-        let mut engine = ShardedHierMatrix::<u64>::new(
-            DIM,
-            DIM,
-            HierConfig::from_cuts(vec![8, 64]).unwrap(),
-            ShardedConfig {
-                chunk_tuples: 1,
-                ..chaos_config(3)
-            },
-        )
-        .unwrap();
+        // A level-0 cut of 1: every update reaches its worker on its own.
+        let mut engine = sharded(3, &[1, 64]);
         for i in 0..64u64 {
             let _ = engine.update(i * 1_000_003, i, 1);
         }
@@ -450,13 +425,7 @@ fn disarmed_build_fires_nothing_and_answers_like_flat() {
         .collect();
     let (rows, (cols, vals)): (Vec<u64>, (Vec<u64>, Vec<u64>)) =
         updates.iter().map(|&(r, c, v)| (r, (c, v))).unzip();
-    let mut engine = ShardedHierMatrix::<u64>::new(
-        DIM,
-        DIM,
-        HierConfig::from_cuts(vec![8, 64]).unwrap(),
-        chaos_config(3),
-    )
-    .unwrap();
+    let mut engine = chaos_engine(3);
     engine.insert_batch(&rows, &cols, &vals).unwrap();
     engine.flush().unwrap();
     let mut flat = build_flat(&updates);

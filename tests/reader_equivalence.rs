@@ -17,33 +17,23 @@
 
 mod common;
 
-use common::{build_flat, cut_schedule, reference_top_k, update_stream, DIM};
+use common::{build_flat, cut_schedule, reference_top_k, sharded_in, update_stream, DIM};
 use hyperstream::prelude::*;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
-/// Every system under test, constructed with the randomised knobs.
-fn all_systems(cuts: &[u64], shards: usize, chunk: usize) -> Vec<Box<dyn StreamingSystem<u64>>> {
+/// Every system under test, constructed with the randomised cuts and
+/// shard count.
+fn all_systems(cuts: &[u64], shards: usize) -> Vec<Box<dyn StreamingSystem<u64>>> {
     let hier_cfg = HierConfig::from_cuts(cuts.to_vec()).unwrap();
-    let sharded = |partitioner| -> Box<dyn StreamingSystem<u64>> {
-        let config = ShardedConfig {
-            partitioner,
-            chunk_tuples: chunk,
-            channel_depth: 2,
-            round_tuples: 128,
-            ..ShardedConfig::with_shards(shards)
-        };
-        Box::new(ShardedHierMatrix::<u64>::new(DIM, DIM, hier_cfg.clone(), config).unwrap())
-    };
     vec![
         Box::new(Matrix::<u64>::new(DIM, DIM)),
         Box::new(HierMatrix::<u64>::new(DIM, DIM, hier_cfg.clone()).unwrap()),
         // A window large enough never to rotate: retained content equals
         // the full stream, so the windowed reader is comparable too.
-        Box::new(WindowedHierMatrix::<u64>::new(DIM, DIM, hier_cfg.clone(), u64::MAX, 4).unwrap()),
-        // Hashed rows interleave in every column; banded rows do not.
-        sharded(ShardPartitioner::RowHash),
-        sharded(ShardPartitioner::RowRange),
+        Box::new(WindowedHierMatrix::<u64>::new(DIM, DIM, hier_cfg, u64::MAX, 4).unwrap()),
+        // Hashed rows interleave in every column.
+        Box::new(sharded_in((DIM, DIM), shards, cuts)),
     ]
 }
 
@@ -276,22 +266,10 @@ fn check_sharded_stores(
     updates: &[(u64, u64, u64)],
     cuts: &[u64],
     dim: u64,
-    (shards, partitioner, chunk): (usize, ShardPartitioner, usize),
+    shards: usize,
     k: usize,
 ) {
-    let mut engine = ShardedHierMatrix::<u64>::new(
-        dim,
-        dim,
-        HierConfig::from_cuts(cuts.to_vec()).unwrap(),
-        ShardedConfig {
-            partitioner,
-            chunk_tuples: chunk,
-            channel_depth: 2,
-            round_tuples: 128,
-            ..ShardedConfig::with_shards(shards)
-        },
-    )
-    .unwrap();
+    let mut engine = sharded_in((dim, dim), shards, cuts);
     let third = (updates.len() / 3).max(1);
     let two_thirds = (2 * updates.len() / 3).max(third);
     let feed = |engine: &mut ShardedHierMatrix<u64>, part: &[(u64, u64, u64)]| {
@@ -323,7 +301,6 @@ proptest! {
         updates in update_stream(60, 1, 250),
         cuts in cut_schedule(4),
         shards in 1usize..=8,
-        chunk in 1usize..64,
         flush_at in 0usize..250,
         k in 0usize..10,
     ) {
@@ -341,7 +318,7 @@ proptest! {
             .collect();
         let expect_reduce: u64 = expect_row.iter().map(|&(_, v)| v).sum();
 
-        for sys in all_systems(&cuts, shards, chunk).iter_mut() {
+        for sys in all_systems(&cuts, shards).iter_mut() {
             let name = sys.reader_name().to_string();
             for (i, &(r, c, v)) in updates.iter().enumerate() {
                 sys.insert(r, c, v).unwrap();
@@ -387,11 +364,9 @@ proptest! {
             prop_assert_eq!(&entries, &expect_entries, "entries of {}", &name);
         }
         check_level_backed_stores(&updates, &cuts, DIM, k);
-        // Both partitioners at up to 8 shards: interleaved, banded and
-        // many-part merges all meet the oracle.
-        for partitioner in [ShardPartitioner::RowHash, ShardPartitioner::RowRange] {
-            check_sharded_stores(&updates, &cuts, DIM, (shards, partitioner, chunk), k);
-        }
+        // Up to 8 shards: interleaved and many-part merges all meet the
+        // oracle.
+        check_sharded_stores(&updates, &cuts, DIM, shards, k);
     }
 }
 
@@ -409,9 +384,7 @@ fn level_backed_stores_answer_above_2_pow_32() {
         .collect();
     assert!(updates.iter().all(|&(r, c, _)| r > 1 << 32 && c > 1 << 32));
     check_level_backed_stores(&updates, &[8, 64], WIDE, 5);
-    for partitioner in [ShardPartitioner::RowHash, ShardPartitioner::RowRange] {
-        check_sharded_stores(&updates, &[8, 64], WIDE, (3, partitioner, 16), 5);
-    }
+    check_sharded_stores(&updates, &[8, 64], WIDE, 3, 5);
 }
 
 /// A retained-window union is a `CursorReader` like any other level store,

@@ -1,15 +1,16 @@
 #![recursion_limit = "256"] // the proptest macro expansion is token-heavy
 
 //! Property-based tests (proptest) of the sharded parallel ingest engine:
-//! a `ShardedHierMatrix` with *any* shard count, *any* row partitioner and
-//! *any* cut schedule — interrupted mid-stream by a query and a full flush —
+//! a `ShardedHierMatrix` with *any* shard count and *any* cut schedule (and
+//! so any hand-off size) — interrupted mid-stream by a query and a full
+//! flush —
 //! must represent exactly the matrix a flat single-threaded accumulation
 //! produces.  This is the paper's linearity argument one level up: sharding
 //! by row is just another way of splitting the sum `A = Σ_i A_i`.
 
 mod common;
 
-use common::{build_flat, cut_schedule, update_stream, DIM};
+use common::{build_flat, cut_schedule, sharded, update_stream, DIM};
 use hyperstream::prelude::*;
 use proptest::prelude::*;
 
@@ -20,31 +21,10 @@ proptest! {
     fn sharded_engine_matches_flat_accumulation(
         updates in update_stream(200, 1, 400),
         shards in 1usize..=8,
-        row_range in 0u64..2,
         cuts in cut_schedule(5),
-        chunk in 1usize..128,
-        round in 1usize..300,
         query_at in 0usize..400,
     ) {
-        let partitioner = if row_range == 1 {
-            ShardPartitioner::RowRange
-        } else {
-            ShardPartitioner::RowHash
-        };
-        let config = ShardedConfig {
-            partitioner,
-            chunk_tuples: chunk,
-            channel_depth: 2,
-            round_tuples: round,
-            ..ShardedConfig::with_shards(shards)
-        };
-        let mut engine = ShardedHierMatrix::<u64>::new(
-            DIM,
-            DIM,
-            HierConfig::from_cuts(cuts).unwrap(),
-            config,
-        )
-        .unwrap();
+        let mut engine = sharded(shards, &cuts);
 
         let expected_weight: u64 = updates.iter().map(|u| u.2).sum();
         for (i, &(r, c, v)) in updates.iter().enumerate() {
@@ -80,17 +60,7 @@ proptest! {
         shards in 1usize..=8,
         batch_len in 1usize..80,
     ) {
-        let mut engine = ShardedHierMatrix::<u64>::new(
-            DIM,
-            DIM,
-            HierConfig::from_cuts(vec![16, 64]).unwrap(),
-            ShardedConfig {
-                chunk_tuples: 32,
-                round_tuples: 128,
-                ..ShardedConfig::with_shards(shards)
-            },
-        )
-        .unwrap();
+        let mut engine = sharded(shards, &[16, 64]);
         for chunk in updates.chunks(batch_len) {
             let rows: Vec<u64> = chunk.iter().map(|u| u.0).collect();
             let cols: Vec<u64> = chunk.iter().map(|u| u.1).collect();
@@ -114,22 +84,9 @@ proptest! {
         updates in update_stream(200, 1, 600),
         shards in 1usize..=6,
         rounds in 2usize..8,
-        chunk in 1usize..96,
+        cuts in cut_schedule(3),
     ) {
-        let config = ShardedConfig {
-            partitioner: ShardPartitioner::RowHash,
-            chunk_tuples: chunk,
-            channel_depth: 2,
-            round_tuples: 64,
-            ..ShardedConfig::with_shards(shards)
-        };
-        let mut engine = ShardedHierMatrix::<u64>::new(
-            DIM,
-            DIM,
-            HierConfig::from_cuts(vec![16, 128]).unwrap(),
-            config,
-        )
-        .unwrap();
+        let mut engine = sharded(shards, &cuts);
         let ids = engine.worker_ids().unwrap();
         prop_assert_eq!(ids.len(), shards);
 
@@ -167,20 +124,9 @@ proptest! {
     ) {
         let start = std::time::Instant::now();
         {
-            let mut engine = ShardedHierMatrix::<u64>::new(
-                DIM,
-                DIM,
-                HierConfig::from_cuts(vec![4, 16]).unwrap(),
-                ShardedConfig {
-                    // Tiny chunks + depth-1 channels: the stream below is
-                    // guaranteed to leave every worker with queued batches.
-                    chunk_tuples: 1,
-                    channel_depth: 1,
-                    round_tuples: 1,
-                    ..ShardedConfig::with_shards(shards)
-                },
-            )
-            .unwrap();
+            // A level-0 cut of 1 hands every tuple to its worker on its
+            // own: the stream below leaves every worker with full channels.
+            let mut engine = sharded(shards, &[1, 16]);
             for &(r, c, v) in &updates {
                 engine.update(r, c, v).unwrap();
             }
@@ -202,10 +148,8 @@ proptest! {
 /// snapshot's.
 #[test]
 fn sharded_in_top_k_equals_a_transposed_single_instance() {
+    let mut engine = sharded(3, &[64, 1024]);
     let cuts = HierConfig::from_cuts(vec![64, 1024]).unwrap();
-    let mut engine =
-        ShardedHierMatrix::<u64>::new(DIM, DIM, cuts.clone(), ShardedConfig::with_shards(3))
-            .unwrap();
     let mut transposed = HierMatrix::<u64>::new(DIM, DIM, cuts).unwrap();
     // Column `c` gets `1 + c % 7` cells (so every degree is shared by dozens
     // of columns) in rows spread over the shards, `extra` more on request.

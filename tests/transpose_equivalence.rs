@@ -11,7 +11,7 @@
 
 mod common;
 
-use common::{cut_schedule, reference_top_k, update_stream, DIM};
+use common::{cut_schedule, reference_top_k, sharded, update_stream, DIM};
 use hyperstream::graphblas::cursor::*;
 use hyperstream::prelude::*;
 use proptest::prelude::*;
@@ -136,31 +136,11 @@ proptest! {
         updates in update_stream(48, 1, 300),
         cuts in cut_schedule(4),
         shards in 1usize..=8,
-        chunk in 1usize..64,
         flush_at in 0usize..300,
         k in 0usize..12,
-        partitioner_sel in 0u64..2,
     ) {
         let transposed = build_transposed(&updates);
-        let cfg = HierConfig::from_cuts(cuts).unwrap();
-        let partitioner = if partitioner_sel == 1 {
-            ShardPartitioner::RowRange
-        } else {
-            ShardPartitioner::RowHash
-        };
-        let mut engine = ShardedHierMatrix::<u64>::new(
-            DIM,
-            DIM,
-            cfg,
-            ShardedConfig {
-                partitioner,
-                chunk_tuples: chunk,
-                channel_depth: 2,
-                round_tuples: 128,
-                ..ShardedConfig::with_shards(shards)
-            },
-        )
-        .unwrap();
+        let mut engine = sharded(shards, &cuts);
         let mut snap = None;
         for (i, &(r, c, v)) in updates.iter().enumerate() {
             engine.update(r, c, v).unwrap();
