@@ -535,11 +535,12 @@ impl<T: ScalarType> Matrix<T> {
         Arc::clone(&twin.dcsr)
     }
 
-    /// Whether the column twin is currently materialised — lets tests and
-    /// the overhead report verify lazy activation (pure ingest never
-    /// builds it).
-    pub fn has_col_shadow(&self) -> bool {
-        self.col_shadow.is_some()
+    /// The column twin when one is held — the transpose of the settled
+    /// structure ([`Matrix::settled_arc`]), shared like it — and `None`
+    /// when not; builds nothing, so tests read lazy activation off it too
+    /// (pure ingest never builds a twin).
+    pub fn held_col_shadow(&self) -> Option<Arc<Dcsr<T>>> {
+        self.col_shadow.as_ref().map(|twin| Arc::clone(&twin.dcsr))
     }
 
     /// The pending (not yet settled) tuples as parallel slices — read-side
@@ -832,9 +833,9 @@ mod tests {
         let mut m = Matrix::<u64>::new(1 << 32, 1 << 20);
         m.accum_tuples(&[5, 5, 9, 5], &[1, 2, 2, 2], &[10, 20, 30, 5])
             .unwrap();
-        assert!(!m.has_col_shadow());
+        assert!(m.held_col_shadow().is_none());
         let shadow = m.col_shadow();
-        assert!(m.has_col_shadow());
+        assert!(m.held_col_shadow().is_some());
         assert_eq!((shadow.nrows(), shadow.ncols()), (1 << 20, 1 << 32));
         // Shadow "rows" are the matrix's columns, duplicates combined.
         assert_eq!(shadow.row(2), Some((&[5u64, 9][..], &[25u64, 30][..])));
@@ -846,10 +847,10 @@ mod tests {
         // into the original's own copy and leaves the clone's (and the
         // reader's `shadow`) as they were.
         let clone = m.clone();
-        assert!(clone.has_col_shadow());
+        assert!(clone.held_col_shadow().is_some());
         m.accum_element(9, 1, 1).unwrap();
         m.wait();
-        assert!(m.has_col_shadow());
+        assert!(m.held_col_shadow().is_some());
         let kept = m.col_shadow();
         assert_eq!(kept.raw_parts(), m.dcsr().transposed().raw_parts());
         assert_eq!(kept.row(1), Some((&[5u64, 9][..], &[10u64, 1][..])));
@@ -857,7 +858,7 @@ mod tests {
         assert!(Arc::ptr_eq(&shadow, &clone.clone().col_shadow()));
         // Clearing drops it.
         m.clear();
-        assert!(!m.has_col_shadow());
+        assert!(m.held_col_shadow().is_none());
         assert_eq!(m.col_shadow().nvals(), 0);
     }
 
@@ -870,7 +871,7 @@ mod tests {
         b.accum_element(2, 3, 5).unwrap();
         // A source without a twin costs the destination its own.
         a.accum_matrix(&b).unwrap();
-        assert!(!a.has_col_shadow());
+        assert!(a.held_col_shadow().is_none());
         assert_eq!(
             a.col_shadow().row(3),
             Some((&[1u64, 2][..], &[7u64, 5][..]))
@@ -880,7 +881,7 @@ mod tests {
         b.accum_element(4, 3, 1).unwrap();
         b.wait();
         a.accum_matrix(&b).unwrap();
-        assert!(a.has_col_shadow());
+        assert!(a.held_col_shadow().is_some());
         let kept = a.col_shadow();
         assert_eq!(kept.raw_parts(), a.dcsr().transposed().raw_parts());
         assert_eq!(kept.row(3), Some((&[1u64, 2, 4][..], &[7u64, 10, 1][..])));

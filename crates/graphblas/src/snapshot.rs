@@ -16,21 +16,23 @@
 //!   source's [`DegreeIndex`], so `top_k`/`nnz`/degree answers stay
 //!   O(k)/O(1) off the live path too.
 //!
-//! The snapshot is a [`LevelStore`] — captured levels (tail included), one
-//! lazily built twin, the captured views as stats — so it reads through
+//! The snapshot is a [`LevelStore`] — captured levels (tail included),
+//! their column twins, the captured views as stats — so it reads through
 //! the same [`crate::level_read`] implementation as the live stores, and
 //! every generic analytic (the `algo` module, the mixed-workload harness)
 //! runs against it unchanged — the "analytics while ingest" overlap of the
 //! roadmap: take a snapshot at a drain barrier, answer the sweep from it,
 //! and let the ingest channel keep draining underneath.
 //!
+//! A level's twin is captured with it when the source held one; a level
+//! captured without (the tail always) is transposed by the snapshot's
+//! first column read, once.
+//!
 //! [`Matrix`]: crate::matrix::Matrix
 //! [`MatrixReader`]: crate::reader::MatrixReader
 //! [`DegreeIndex`]: crate::degree_index::DegreeIndex
 
-use crate::cursor::for_each_merged;
 use crate::degree_index::DegreeIndexView;
-use crate::formats::coo::Coo;
 use crate::formats::dcsr::Dcsr;
 use crate::index::Index;
 use crate::level_read::LevelStore;
@@ -38,83 +40,71 @@ use crate::ops::binary::Plus;
 use crate::types::ScalarType;
 use std::sync::Arc;
 
+/// A settled level and its column twin, when the source held one.
+type Captured<V> = (Arc<Dcsr<V>>, Option<Arc<Dcsr<V>>>);
+
 /// A point-in-time, independently owned view of a matrix: Arc'd settled
-/// levels + optional pending tail + optional degree-index view.  See the
-/// [module documentation](self).
+/// levels with their twins + optional pending tail + optional degree-index
+/// views.  See the [module documentation](self).
 #[derive(Debug, Clone)]
 pub struct MatrixSnapshot<V> {
     name: String,
     nrows: Index,
     ncols: Index,
+    /// The captured levels, lowest first; pending tuples captured
+    /// un-settled are compressed into one extra level at the end.
     levels: Vec<Arc<Dcsr<V>>>,
-    /// Pending tuples captured un-settled, compressed into one extra level.
-    tail: Option<Dcsr<V>>,
-    /// Present when the source settled before capturing (the tail is empty
-    /// then) — serves the O(1)/O(k) degree-centric answers.
+    /// `twins[i]` is level `i` transposed: captured, or built by the first
+    /// column read.
+    twins: Vec<Option<Arc<Dcsr<V>>>>,
+    /// Present when the source settled before capturing (no tail then) —
+    /// serves the O(1)/O(k) degree-centric answers.
     index: Option<DegreeIndexView<V>>,
     /// Arc-shared *column* stats (in-degree index) captured from sources
     /// that maintain one; same tail rule as `index`.
     col_index: Option<DegreeIndexView<V>>,
-    /// Column twin built on the first column-extract query: the whole
-    /// captured content (levels + tail) merged and transposed once, then
-    /// every column read is O(k).  Lazy like the source matrices' twins.
-    col_shadow: Option<Arc<Dcsr<V>>>,
 }
 
 impl<V: ScalarType> MatrixSnapshot<V> {
-    /// Assemble a snapshot.  `tail_tuples` are pending tuples not yet
+    /// Assemble a snapshot from settled `levels`, each with its column twin
+    /// when the source holds one.  `tail_tuples` are pending tuples not yet
     /// settled at capture (any order, duplicates allowed — they compress
     /// under `+` here); when a tail exists the degree-centric queries fall
-    /// back to cursor sweeps, so sources that can settle first should
-    /// (then the tail is empty and `index` applies).
+    /// back to cursor sweeps and the `(row, column)` stats views are
+    /// dropped, so sources that can settle first should.
     pub fn new(
         name: impl Into<String>,
         nrows: Index,
         ncols: Index,
-        levels: Vec<Arc<Dcsr<V>>>,
+        levels: Vec<Captured<V>>,
         tail_tuples: (&[Index], &[Index], &[V]),
-        index: Option<DegreeIndexView<V>>,
+        (index, col_index): (Option<DegreeIndexView<V>>, Option<DegreeIndexView<V>>),
     ) -> Self {
+        let (mut levels, mut twins): (Vec<_>, Vec<_>) = levels.into_iter().unzip();
         let (tr, tc, tv) = tail_tuples;
-        let tail = if tr.is_empty() {
-            None
-        } else {
-            Some(
-                Dcsr::from_tuples(nrows, ncols, tr, tc, tv, Plus)
-                    .expect("snapshot tail tuples are within bounds"),
-            )
-        };
+        let settled = tr.is_empty();
+        if !settled {
+            let tail = Dcsr::from_tuples(nrows, ncols, tr, tc, tv, Plus)
+                .expect("snapshot tail tuples are within bounds");
+            levels.push(Arc::new(tail));
+            twins.push(None);
+        }
         Self {
             name: name.into(),
             nrows,
             ncols,
             levels,
-            index: if tail.is_none() { index } else { None },
-            col_index: None,
-            col_shadow: None,
-            tail,
+            twins,
+            index: index.filter(|_| settled),
+            col_index: col_index.filter(|_| settled),
         }
-    }
-
-    /// Attach an Arc-shared column-stats view captured from the source's
-    /// column [`DegreeIndex`](crate::degree_index::DegreeIndex), serving
-    /// O(1) in-degree / O(k) in-degree-top-k straight off the snapshot.
-    /// Dropped when a pending tail was captured — the same rule as the row
-    /// index (the view cannot cover un-settled tuples).
-    pub fn with_col_index(mut self, col_index: Option<DegreeIndexView<V>>) -> Self {
-        self.col_index = if self.tail.is_none() { col_index } else { None };
-        self
     }
 
     /// The captured level structures (tail included), lowest first — for
     /// engines that k-way merge several snapshots (e.g. per-shard
     /// snapshots whose rows are disjoint).
     pub fn level_dcsrs(&self) -> Vec<&Dcsr<V>> {
-        self.levels
-            .iter()
-            .map(|a| a.as_ref())
-            .chain(self.tail.as_ref())
-            .collect()
+        self.levels.iter().map(|a| a.as_ref()).collect()
     }
 
     /// True when the degree-index view serves this snapshot's degree
@@ -127,30 +117,12 @@ impl<V: ScalarType> MatrixSnapshot<V> {
     pub fn has_col_index(&self) -> bool {
         self.col_index.is_some()
     }
-
-    /// The captured content transposed into one column-major structure,
-    /// built on first use and cached (cheap Arc clone afterwards).
-    fn col_shadow(&mut self) -> Arc<Dcsr<V>> {
-        if self.col_shadow.is_none() {
-            // The merged stream is row-major and duplicate-free, so the
-            // COO stays in sorted state and compresses without a sort.
-            let mut merged = Coo::new(self.nrows, self.ncols);
-            for_each_merged(&self.level_dcsrs(), Plus, &mut |r, c, v| {
-                merged.push(r, c, v)
-            });
-            let t = Dcsr::from_sorted_coo(&merged)
-                .expect("a merged level stream is sorted and duplicate-free")
-                .transposed();
-            self.col_shadow = Some(Arc::new(t));
-        }
-        Arc::clone(self.col_shadow.as_ref().expect("just built"))
-    }
 }
 
 /// Snapshot queries run over the captured levels only — by construction
 /// nothing here ever settles, drains or otherwise disturbs the source.  The
 /// captured views are the stats (absent when a pending tail was captured,
-/// so those snapshots sweep); the one twin is the whole capture transposed.
+/// so those snapshots sweep); the twins are the levels' own.
 impl<V: ScalarType> LevelStore for MatrixSnapshot<V> {
     type Value = V;
 
@@ -167,8 +139,13 @@ impl<V: ScalarType> LevelStore for MatrixSnapshot<V> {
     }
 
     fn with_twins<R>(&mut self, f: impl FnOnce(&[&Dcsr<V>]) -> R) -> R {
-        let twin = self.col_shadow();
-        f(&[&*twin])
+        let twins: Vec<&Dcsr<V>> = self
+            .levels
+            .iter()
+            .zip(&mut self.twins)
+            .map(|(level, twin)| &**twin.get_or_insert_with(|| Arc::new(level.transposed())))
+            .collect();
+        f(&twins)
     }
 
     fn row_stats(&mut self) -> Option<&mut DegreeIndexView<V>> {
@@ -196,9 +173,9 @@ mod tests {
             "snap",
             m.nrows(),
             m.ncols(),
-            vec![m.settled_arc()],
+            vec![(m.settled_arc(), None)],
             (&[], &[], &[]),
-            None,
+            (None, None),
         );
         // Mutate the source: copy-on-write must leave the snapshot alone.
         m.accum_element(9, 9, 99).unwrap();
@@ -231,9 +208,9 @@ mod tests {
             "snap",
             m.nrows(),
             m.ncols(),
-            vec![m.settled_arc()],
+            vec![(m.settled_arc(), None)],
             (pr, pc, pv),
-            None,
+            (None, None),
         );
         assert_eq!(snap.read_nnz(), 3);
         assert_eq!(snap.read_get(7, 7), Some(3));
@@ -262,11 +239,10 @@ mod tests {
             "snap",
             m.nrows(),
             m.ncols(),
-            vec![m.settled_arc()],
+            vec![(m.settled_arc(), None)],
             (&[], &[], &[]),
-            None,
-        )
-        .with_col_index(Some(cix.view()));
+            (None, Some(cix.view())),
+        );
         assert!(snap.has_col_index());
         assert_eq!(snap.read_col_degree(7), 3);
         assert_eq!(snap.read_col_reduce(7), Some(6));
@@ -285,9 +261,9 @@ mod tests {
             "plain",
             m.nrows(),
             m.ncols(),
-            vec![m.settled_arc()],
+            vec![(m.settled_arc(), None)],
             (&[], &[], &[]),
-            None,
+            (None, None),
         );
         assert!(!plain.has_col_index());
         assert_eq!(plain.read_col_degree(7), 4);
@@ -301,5 +277,65 @@ mod tests {
             got,
             vec![(9, 2, 4), (1, 7, 1), (2, 7, 2), (3, 7, 9), (5, 7, 3)]
         );
+    }
+
+    /// Column answers off a level whose twin was captured, a level whose
+    /// twin the snapshot transposes itself, and a pending tail, against a
+    /// fresh transpose of the whole content.
+    #[test]
+    fn captured_and_lazy_twins_answer_like_a_fresh_transpose() {
+        use crate::ops::ewise_add::ewise_add;
+        use crate::ops::transpose::transpose;
+        let n = 1 << 20;
+        let mut held = Matrix::<u64>::new(n, n);
+        held.accum_tuples(&[1, 2, 5, 9, 9], &[7, 7, 3, 2, 7], &[1, 2, 3, 4, 5])
+            .unwrap();
+        let twin = held.col_shadow();
+        assert!(held
+            .held_col_shadow()
+            .is_some_and(|t| Arc::ptr_eq(&t, &twin)));
+        let mut bare = Matrix::<u64>::new(n, n);
+        bare.accum_tuples(&[2, 4, 9], &[7, 7, 11], &[10, 20, 30])
+            .unwrap();
+        bare.wait();
+        assert!(bare.held_col_shadow().is_none());
+        let tail = ([4u64, 6, 6], [7u64, 3, 3], [1u64, 1, 1]);
+        let mut snap = MatrixSnapshot::new(
+            "twins",
+            n,
+            n,
+            vec![
+                (held.settled_arc(), held.held_col_shadow()),
+                (bare.settled_arc(), None),
+            ],
+            (&tail.0, &tail.1, &tail.2),
+            (None, None),
+        );
+        let mut all = ewise_add(&held, &bare, Plus).unwrap();
+        all.accum_tuples(&tail.0, &tail.1, &tail.2).unwrap();
+        let t = transpose(&all);
+        let mut col = Vec::new();
+        for c in [2, 3, 7, 11, 12] {
+            snap.read_col(c, &mut col);
+            let want: Vec<(u64, u64)> = t
+                .dcsr()
+                .row(c)
+                .map(|(rows, vals)| rows.iter().copied().zip(vals.iter().copied()).collect())
+                .unwrap_or_default();
+            assert_eq!(col, want, "column {c}");
+        }
+        let mut got = Vec::new();
+        snap.read_col_range(0, n, &mut |r, c, v| got.push((c, r, v)));
+        let (tr, tc, tv) = t.extract_tuples();
+        let want: Vec<(u64, u64, u64)> = tr
+            .into_iter()
+            .zip(tc)
+            .zip(tv)
+            .map(|((r, c), v)| (r, c, v))
+            .collect();
+        assert_eq!(got, want);
+        // The captured twin is the one read; the others were built once.
+        assert!(Arc::ptr_eq(snap.twins[0].as_ref().unwrap(), &twin));
+        assert!(snap.twins.iter().all(Option::is_some));
     }
 }

@@ -997,20 +997,46 @@ impl<T: ScalarType> HierMatrix<T> {
     /// independently while this matrix keeps ingesting (subsequent settles
     /// and cascades copy-on-write their own structures).
     ///
-    /// Column stats ride along only when the column index is already live
-    /// — snapshotting must not defeat its lazy activation.  A snapshot
-    /// without the view still answers column queries off its own
-    /// lazily-built merged twin.
+    /// Column stats and twins ride along only when already live —
+    /// snapshotting must not defeat their lazy activation.  A level
+    /// captured without its twin is transposed by the snapshot's first
+    /// column read.
     pub fn snapshot(&mut self) -> MatrixSnapshot<T> {
         self.ensure_degrees(false);
         self.snapshot_ref()
     }
 
+    /// Settle, make live what `need` asks for, and snapshot: the capture a
+    /// sharded engine's worker hands its producer, with what is live in it.
+    /// Twins are kept for every level once any level holds one — a column
+    /// read asked for them, and a cascade into an empty level dropped the
+    /// swapped ones since — so the capture carries all of them or none.
+    pub(crate) fn capture(&mut self, need: Live) -> (MatrixSnapshot<T>, Live) {
+        self.settle_levels();
+        if need.rows {
+            self.ensure_degrees(false);
+        }
+        if need.cols {
+            self.ensure_degrees(true);
+        }
+        let twins = need.twins || self.levels.iter().any(|l| l.held_col_shadow().is_some());
+        if twins {
+            drop(self.settled_col_shadows());
+        }
+        let live = Live {
+            rows: self.degrees.rows.is_active(),
+            cols: self.degrees.cols.is_active(),
+            twins,
+        };
+        (self.snapshot_ref(), live)
+    }
+
     /// Snapshot through `&self`: the settled levels share as in
-    /// [`HierMatrix::snapshot`] and any not-yet-settled pending tuples are
-    /// *copied* as the snapshot's tail level.  When a tail exists the
-    /// snapshot's degree answers fall back to cursor sweeps (the index has
-    /// not seen those cells yet).
+    /// [`HierMatrix::snapshot`], each with the column twin it holds (none is
+    /// built), and any not-yet-settled pending tuples are *copied* as the
+    /// snapshot's tail level.  When a tail exists the snapshot's degree
+    /// answers fall back to cursor sweeps (the index has not seen those
+    /// cells yet).
     pub fn snapshot_ref(&self) -> MatrixSnapshot<T> {
         let (mut tr, mut tc, mut tv) = (Vec::new(), Vec::new(), Vec::new());
         for level in &self.levels {
@@ -1019,18 +1045,29 @@ impl<T: ScalarType> HierMatrix<T> {
             tc.extend_from_slice(c);
             tv.extend_from_slice(v);
         }
-        let view = |ix: &DegreeIndex<T>| (tr.is_empty() && ix.is_active()).then(|| ix.view());
-        let (index, col_view) = (view(&self.degrees.rows), view(&self.degrees.cols));
+        let view = |ix: &DegreeIndex<T>| ix.is_active().then(|| ix.view());
         MatrixSnapshot::new(
             "hier-graphblas-snapshot",
             self.nrows,
             self.ncols,
-            self.levels.iter().map(|l| l.settled_arc()).collect(),
+            self.levels
+                .iter()
+                .map(|l| (l.settled_arc(), l.held_col_shadow()))
+                .collect(),
             (&tr, &tc, &tv),
-            index,
+            (view(&self.degrees.rows), view(&self.degrees.cols)),
         )
-        .with_col_index(col_view)
     }
+}
+
+/// What a capture of a hierarchy carries beyond its levels — the row and
+/// the column degree views, the column twins — and so what a read answered
+/// from a capture needs live first ([`HierMatrix::capture`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct Live {
+    pub(crate) rows: bool,
+    pub(crate) cols: bool,
+    pub(crate) twins: bool,
 }
 
 /// The paper's insert path: `insert` feeds level 0 and runs the cascade

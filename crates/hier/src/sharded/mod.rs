@@ -48,31 +48,46 @@
 //!
 //! # The read path
 //!
-//! A read is a [`Query`] value and goes **route → ask → combine**, each
-//! written once for anything that is a set of row-disjoint shards — the
-//! live engine and a [`ShardedSnapshot`] of it.  *Route* picks who can hold
-//! part of the answer: the one owner of a row, every shard for range,
-//! whole-matrix and column reads, or — for a batch of keys — each key's
-//! owner with just its keys.  *Ask* puts the query to those shards: the
-//! engine as a job behind each shard's staged tuples, with every wait
-//! bounded and every loss typed (below); the snapshot by calling
-//! [`MatrixReader::answer`] on its captures; a worker answers with the same
-//! method.  *Combine* folds the parts by query kind, and every rule is
-//! exact for the same reason: a row lives in one shard.  Cell counts,
-//! per-column row counts and row-degree histogram bins add; a column's
-//! weights fold under `+`; the global row top-k is the top-k of the local
-//! top-k's, because each row is ranked by exactly one shard; entry lists
-//! and column slices are sorted per shard and share no key, so linear
-//! merges order them.  In-degrees alone cannot be combined after the
+//! A read is a [`Query`](hyperstream_graphblas::Query) value and goes
+//! **route → capture → combine**, each written once for anything that is
+//! a set of row-disjoint shards — the live engine and a
+//! [`ShardedSnapshot`] of it.  *Route* picks who can hold part of the
+//! answer: the one owner of a row, every shard for range, whole-matrix and
+//! column reads, or — for a batch of keys — each key's owner with just its
+//! keys.  *Capture*: the answer comes from per-shard captures — a shard's
+//! settled levels and, as far as they are live, the views of its degree
+//! indexes and its per-level column twins, all `Arc` handles taken by one
+//! job behind the shard's staged tuples.  The engine holds one capture
+//! per shard between writes and takes a routed shard's only when it holds
+//! none that serves the query, all in flight at once and every wait
+//! bounded; so a burst of reads between two writes costs one job per
+//! shard, and each read after that is answered on the producer thread.
+//! Every write — `update`, `update_batch`, `flush`, `respawn_shard` —
+//! drops all captures before a tuple or job reaches a worker, so no worker
+//! ever copy-on-writes a level a capture still holds.  A capture activates
+//! exactly what the query would activate on a live [`HierMatrix`]: a
+//! side's degree index for the degree-centric kinds, the twins for column
+//! extracts and scans.  A read that needs a side's index captures every
+//! live shard with it, so no later read of the burst pays one shard's
+//! activation; a snapshot, `with_level_dcsrs` and `materialize` activate
+//! nothing.  *Combine* folds what the captures say (each asked through
+//! [`MatrixReader::answer`](hyperstream_graphblas::MatrixReader::answer))
+//! by query kind, and every rule is exact for the same reason: a row
+//! lives in one shard.  Cell counts, per-column row counts and row-degree
+//! histogram bins add; a column's weights fold under `+`; the global row
+//! top-k is the top-k of the local top-k's, because each row is ranked by
+//! exactly one shard; entry lists and column slices are sorted per shard
+//! and share no key, so linear merges order them.  In-degrees alone cannot be combined after the
 //! fact — a column's cells split over the shards, so a shard's in-degree
-//! ranking or histogram says nothing about the global one: every shard
-//! ships its complete column → degree list, the lists are *summed per
-//! column first* into one [`DegreeIndex`] that ranks and bins them, and
-//! the sum is held until the content changes.  No read answers without a
-//! shard it is routed to: a lost one is a typed error.
-//! [`ShardedHierMatrix::try_read`] is the fallible form of all of it; the
-//! engine's [`MatrixReader::answer`] wraps it, answers empty on an error
-//! and latches the error for [`ShardedHierMatrix::take_read_error`].
+//! ranking or histogram says nothing about the global one: every shard's
+//! complete column → degree list is *summed per column first* into one
+//! [`DegreeIndex`](hyperstream_graphblas::DegreeIndex) that ranks and bins
+//! them, and the sum is held with the captures.  No read answers without
+//! a shard it is routed to: a lost one is a typed error, whether or not
+//! its capture is held.  [`ShardedHierMatrix::try_read`] is the fallible
+//! form of all of it; the engine's `MatrixReader::answer` wraps it,
+//! answers empty on an error and latches the error for
+//! [`ShardedHierMatrix::take_read_error`].
 //!
 //! # Fault tolerance
 //!
@@ -98,18 +113,16 @@
 //! errors, and stalls through every one of these paths.
 
 use crate::config::HierConfig;
-use crate::matrix::HierMatrix;
+use crate::matrix::{HierMatrix, Live};
 use crate::persist::{DurableConfig, RecoveryReport};
 use crate::pool::{row_hash, PartitionBuffers};
 use crate::stats::HierStats;
 use hyperstream_graphblas::ops::binary::Plus;
 use hyperstream_graphblas::ops::ewise_add::ewise_add_into;
-use hyperstream_graphblas::reader::{Answer, Query};
 use hyperstream_graphblas::sink::check_tuple_lengths;
 use hyperstream_graphblas::GrbError;
 use hyperstream_graphblas::{
-    validate_index, DegreeIndex, GrbResult, Index, Matrix, MatrixReader, MatrixSnapshot,
-    ScalarType, StreamingSink,
+    validate_index, GrbResult, Index, Matrix, MatrixSnapshot, ScalarType, StreamingSink,
 };
 use parking_lot::Mutex;
 use std::panic::AssertUnwindSafe;
@@ -305,33 +318,26 @@ impl<T: ScalarType> Shard<T> {
         Ok(self.hier.stats().clone())
     }
 
-    /// Answer a read from the shard.
-    fn answer(&mut self, q: &Query) -> Answer<T> {
+    /// Capture the shard for the producer's reads — Arc'd levels, the
+    /// degree views and twins that are live, with `need` made live first
+    /// — and say what is live in it.  The producer answers from the capture
+    /// while this worker keeps draining.
+    fn capture(&mut self, need: Live) -> (MatrixSnapshot<T>, Live) {
         crate::failpoint_panic!("worker-query", self.idx);
-        self.hier.answer(q)
+        self.hier.capture(need)
     }
 
-    /// Capture the shard (Arc'd levels plus the degree-index views that
-    /// are live): the analytics-while-ingest handoff — the producer sweeps
-    /// the capture while this worker keeps draining.  Settled through the
-    /// observers, so the capture carries each live view — and activates
-    /// none.
-    fn snapshot(&mut self) -> MatrixSnapshot<T> {
-        crate::failpoint_panic!("worker-query", self.idx);
+    /// Distinct cells of the shard with `staged` (the cells of tuples the
+    /// producer still holds for it) accumulated in: the settled count plus
+    /// the staged cells no level holds.  Nothing is materialised.
+    fn nvals_with(&mut self, mut staged: Vec<(Index, Index)>) -> usize {
         self.hier.settle_levels();
-        self.hier.snapshot_ref()
-    }
-
-    /// Distinct cells of the shard with `staged` (tuples the producer still
-    /// holds for it) accumulated in.
-    fn nvals_with(&mut self, (rows, cols, vals): TupleBuf<T>) -> usize {
-        if rows.is_empty() {
-            return self.hier.nvals_exact();
-        }
-        // Staged tuples may collide with stored cells; settle a snapshot.
-        let mut sum = self.hier.materialize();
-        sum.accum_tuples(&rows, &cols, &vals)
-            .map_or(0, |()| sum.nvals())
+        staged.sort_unstable();
+        staged.dedup();
+        let new = staged
+            .iter()
+            .filter(|&&(r, c)| self.hier.get(r, c).is_none());
+        self.hier.nvals_exact() + new.count()
     }
 }
 
@@ -489,16 +495,13 @@ pub struct ShardedHierMatrix<T> {
     since_round: usize,
     rounds: u64,
     chunks_sent: u64,
-    /// Rounds of reads put to the worker pool (never answered through a
-    /// materialised matrix) — the counter the cache-hit and one-round
-    /// tests assert against.
-    pushdown_queries: u64,
-    /// Workers consulted by the most recent round.
-    last_fanout: usize,
-    /// The held column → in-degree sum.  Any staged tuple empties it;
-    /// flushes and settles don't (they never change the represented
-    /// union); a respawn does.
-    in_degrees: Option<DegreeIndex<T>>,
+    /// What reads are answered from: the shards' captures taken since the
+    /// last write, and the in-degree sum built from them.  Every write
+    /// empties it before a tuple or job reaches a worker, so no worker
+    /// copy-on-writes a level a capture still holds.
+    held: ShardedSnapshot<T>,
+    /// Capture jobs put to the workers so far.
+    capture_jobs: u64,
     /// Shard cut schedule, kept so [`Self::respawn_shard`] can build a
     /// fresh hierarchy identical to the lost one's.
     hier_config: HierConfig,
@@ -569,9 +572,8 @@ impl<T: ScalarType> ShardedHierMatrix<T> {
             since_round: 0,
             rounds: 0,
             chunks_sent: 0,
-            pushdown_queries: 0,
-            last_fanout: 0,
-            in_degrees: None,
+            held: ShardedSnapshot::new(nrows, ncols, nshards),
+            capture_jobs: 0,
             hier_config,
             durable,
             last_error: Mutex::new(None),
@@ -653,8 +655,9 @@ impl<T: ScalarType> ShardedHierMatrix<T> {
     }
 
     /// Take (and clear) the first error swallowed by an infallible
-    /// [`MatrixReader`] method since the previous call.  [`Self::try_read`]
-    /// never latches — prefer it on supervised engines.
+    /// [`MatrixReader`](hyperstream_graphblas::MatrixReader) method since
+    /// the previous call.  [`Self::try_read`] never latches — prefer it on
+    /// supervised engines.
     pub fn take_read_error(&self) -> Option<GrbError> {
         self.last_error.lock().take()
     }
@@ -816,9 +819,9 @@ impl<T: ScalarType> ShardedHierMatrix<T> {
     pub fn update(&mut self, row: Index, col: Index, val: T) -> GrbResult<()> {
         validate_index(row, self.nrows)?;
         validate_index(col, self.ncols)?;
+        self.held.clear();
         let shard = self.stage(row, col, val);
         self.since_round += 1;
-        self.in_degrees = None;
         if self.staging.staged(shard) >= self.hand_off {
             self.dispatch_shard(shard)?;
         }
@@ -833,13 +836,13 @@ impl<T: ScalarType> ShardedHierMatrix<T> {
             validate_index(rows[i], self.nrows)?;
             validate_index(cols[i], self.ncols)?;
         }
+        if !rows.is_empty() {
+            self.held.clear();
+        }
         for i in 0..rows.len() {
             self.stage(rows[i], cols[i], vals[i]);
         }
         self.since_round += rows.len();
-        if !rows.is_empty() {
-            self.in_degrees = None;
-        }
         for shard in 0..self.workers.len() {
             if self.staging.staged(shard) >= self.hand_off {
                 self.dispatch_shard(shard)?;
@@ -911,27 +914,11 @@ impl<T: ScalarType> ShardedHierMatrix<T> {
         Ok(())
     }
 
-    /// Run `job` on each asked shard behind that shard's staged tuples
-    /// (dispatched first), counting one round of pushed-down reads.
-    fn ask_workers<A: Send + 'static, R: Send + 'static>(
-        &mut self,
-        asks: Vec<(usize, A)>,
-        job: impl Fn(A, &mut Shard<T>) -> GrbResult<R> + Copy + Send + 'static,
-    ) -> GrbResult<Vec<R>> {
-        if asks.is_empty() {
-            return Ok(Vec::new());
-        }
-        for &(shard, _) in &asks {
-            self.dispatch_shard(shard)?;
-        }
-        self.pushdown_queries += 1;
-        self.last_fanout = asks.len();
-        self.run_each(asks, job).into_iter().collect()
-    }
-
-    /// Workers consulted by the most recent pushed-down query.
-    pub fn last_query_fanout(&self) -> usize {
-        self.last_fanout
+    /// Capture jobs put to the workers so far: one for each shard a read
+    /// found without a capture that serves it.  A burst of reads with no
+    /// write in between adds at most one per shard and side activated.
+    pub fn capture_jobs(&self) -> u64 {
+        self.capture_jobs
     }
 
     /// Complete all deferred work: dispatch staged tuples, wait for the
@@ -942,6 +929,7 @@ impl<T: ScalarType> ShardedHierMatrix<T> {
     /// applied every batch it was handed, so it clears that shard's
     /// at-risk count.
     pub fn flush(&mut self) -> GrbResult<()> {
+        self.held.clear();
         let mut result = Ok(());
         if self.since_round > 0 || self.staging.total() > 0 {
             result = self.dispatch_all();
@@ -966,9 +954,7 @@ impl<T: ScalarType> ShardedHierMatrix<T> {
     /// that the query push-down never comes through here.
     pub fn materialize(&mut self) -> GrbResult<Matrix<T>> {
         self.ensure_live(0..self.workers.len())?;
-        for s in 0..self.workers.len() {
-            self.dispatch_shard(s)?;
-        }
+        self.dispatch_all()?;
         let parts = self.run_each(self.every_shard(), |(), shard| {
             shard.ack()?;
             Ok(shard.hier.materialize())
@@ -994,6 +980,8 @@ impl<T: ScalarType> ShardedHierMatrix<T> {
                 disk: None,
             });
         }
+        // Answers derived from the dead shard's contents are stale now.
+        self.held.clear();
         // The old worker's file handles are harmless — the thread has
         // already exited, so nothing writes through them.
         let mut fresh = spawn_worker(i, self.open_shard(i)?);
@@ -1009,8 +997,6 @@ impl<T: ScalarType> ShardedHierMatrix<T> {
             old.dispatched.since_spawn
         };
         old.join();
-        // Answers derived from the dead shard's contents are stale now.
-        self.in_degrees = None;
         self.dispatch_shard(i)?;
         Ok(ShardRecovery {
             shard: i,
@@ -1076,22 +1062,18 @@ impl<T: ScalarType> StreamingSink<T> for ShardedHierMatrix<T> {
         // `take_read_error`, and a lost shard counts nothing (its
         // hierarchy died with its worker).  Bounded like every other wait.
         let ask = |i| {
-            let (r, c, v) = self.staging.shard_slices(i);
-            (i, (r.to_vec(), c.to_vec(), v.to_vec()))
+            let (r, c, _) = self.staging.shard_slices(i);
+            (i, r.iter().copied().zip(c.iter().copied()).collect())
         };
         let counts = self.run_each((0..self.workers.len()).map(ask), |staged, shard| {
             Ok((shard.ack(), shard.nvals_with(staged)))
         });
         let mut total = 0;
         for count in counts {
-            match count {
-                Ok((acked, n)) => {
-                    total += n;
-                    if let Err(e) = acked {
-                        self.latch_err(e);
-                    }
-                }
-                Err(e) => self.latch_err(e),
+            let (acked, n) = count.unwrap_or_else(|e| (Err(e), 0));
+            total += n;
+            if let Err(e) = acked {
+                self.latch_err(e);
             }
         }
         total
@@ -1105,6 +1087,7 @@ impl<T: ScalarType> StreamingSink<T> for ShardedHierMatrix<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hyperstream_graphblas::MatrixReader;
 
     pub(super) const DIM: u64 = 1 << 32;
 
@@ -1123,7 +1106,7 @@ mod tests {
             .collect()
     }
 
-    fn flat_of(updates: &[(u64, u64, u64)]) -> Matrix<u64> {
+    pub(super) fn flat_of(updates: &[(u64, u64, u64)]) -> Matrix<u64> {
         let mut flat = Matrix::<u64>::new(DIM, DIM);
         for &(r, c, v) in updates {
             flat.accum_element(r, c, v).unwrap();
@@ -1238,6 +1221,27 @@ mod tests {
         assert_eq!(engine.total_weight_f64(), 15.0);
         assert_eq!(engine.read_get(1, 1), Some(10));
         assert_eq!(engine.aggregate_stats().unwrap().updates, 2);
+    }
+
+    /// Counting cells mid-stream — tuples staged, in flight and pending in
+    /// level 0, some on cells the levels already hold — settles each shard
+    /// and looks the staged cells up; it materialises nothing.
+    #[test]
+    fn nvals_mid_stream_counts_without_materializing() {
+        for shards in 1..=4 {
+            let mut engine = tiny_engine(shards);
+            let updates = stream(1000);
+            for (i, &(r, c, v)) in updates.iter().enumerate() {
+                engine.update(r, c, v).unwrap();
+                if i % 97 == 0 {
+                    let want = flat_of(&updates[..=i]).nvals();
+                    assert_eq!(StreamingSink::nvals(&engine), want, "{shards} shards, {i}");
+                }
+            }
+            let stats = engine.aggregate_stats().unwrap();
+            assert_eq!(stats.materializations, 0, "{shards} shards");
+            assert!(engine.take_read_error().is_none());
+        }
     }
 
     #[test]

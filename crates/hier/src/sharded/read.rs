@@ -1,13 +1,16 @@
-//! The sharded read path — route → ask → combine — written once over a
-//! [`ShardSet`], with its two instances: the live engine and
-//! [`ShardedSnapshot`].  The paragraph in the [parent module](super) says
-//! why each step is what it is.
+//! The sharded read path — route → capture → combine — written once over
+//! [`ShardedSnapshot`], the per-shard captures a read is answered from:
+//! the live engine holds one, taking a shard's capture when a read first
+//! needs it and dropping them all at the next write; a snapshot is one
+//! with every shard captured, held for its lifetime.  The paragraph in the
+//! [parent module](super) says why each step is what it is.
 
-use super::{owner, Shard, ShardedHierMatrix};
+use super::{owner, ShardedHierMatrix};
+use crate::matrix::Live;
 use hyperstream_graphblas::formats::dcsr::Dcsr;
 use hyperstream_graphblas::reader::{Answer, Query};
 use hyperstream_graphblas::{
-    CursorReader, DegreeIndex, GrbError, GrbResult, Index, MatrixReader, MatrixSnapshot, ScalarType,
+    CursorReader, DegreeIndex, GrbResult, Index, MatrixReader, MatrixSnapshot, ScalarType,
 };
 use std::collections::BTreeMap;
 
@@ -19,35 +22,44 @@ struct Ask {
     slots: Vec<usize>,
 }
 
-/// Whom a read is put to.
-enum Route {
-    /// The answer is empty whatever the shards hold.
-    Nobody,
-    /// The one shard that owns the row asked about — one round trip, no
-    /// list of targets built.
-    Owner(usize),
-    /// Several shards at once: every shard, or the owners of a batch of
-    /// keys (each asked for its own keys only).
-    Each(Vec<Ask>),
+/// What answering `q` from a capture needs live on the shard: exactly what
+/// the query activates on a live [`HierMatrix`](crate::HierMatrix) — a
+/// side's degree index for the degree-centric kinds, the column twins for
+/// the column extracts and scans.
+fn needs(q: &Query) -> Live {
+    use Query::*;
+    Live {
+        rows: matches!(
+            q,
+            RowDegree(_) | RowReduce(_) | TopK(_) | Nnz | DegreeHistogram
+        ),
+        cols: matches!(
+            q,
+            ColDegree(_) | ColReduce(_) | InTopK(_) | InDegreeHistogram
+        ),
+        twins: matches!(q, Col(_) | ColRange(..)),
+    }
 }
 
-/// Whom `q` goes to among `shards`.  `warm`: a summed in-degree index is
-/// held.
-fn route(shards: usize, q: &Query, warm: bool) -> Route {
+/// Whom `q` goes to among `shards`, one [`Ask`] per shard; `None` when the
+/// answer is empty whatever the shards hold.  `warm`: a summed in-degree
+/// index is held.
+fn route(shards: usize, q: &Query, warm: bool) -> Option<Vec<Ask>> {
     let each = |shards: std::ops::Range<usize>, query: &Query| {
         let ask = |shard| Ask {
             shard,
             query: query.clone(),
             slots: Vec::new(),
         };
-        Route::Each(shards.map(ask).collect())
+        Some(shards.map(ask).collect())
     };
     match q {
         Query::Get(row, _) | Query::Row(row) | Query::RowDegree(row) | Query::RowReduce(row) => {
-            Route::Owner(owner(*row, shards))
+            let shard = owner(*row, shards);
+            each(shard..shard + 1, q)
         }
-        Query::TopK(0) | Query::InTopK(0) => Route::Nobody,
-        Query::RowRange(lo, hi) | Query::ColRange(lo, hi) if lo >= hi => Route::Nobody,
+        Query::TopK(0) | Query::InTopK(0) => None,
+        Query::RowRange(lo, hi) | Query::ColRange(lo, hi) if lo >= hi => None,
         // The held sum answers; it goes stale only with the content.
         Query::InTopK(_) | Query::InDegreeHistogram if warm => each(0..0, q),
         // A column's cells split over the row-partitioned shards, so a
@@ -77,7 +89,7 @@ fn scatter<K: Copy>(
     keys: &[K],
     row_of: impl Fn(&K) -> Index,
     query: impl Fn(Vec<K>) -> Query,
-) -> Route {
+) -> Option<Vec<Ask>> {
     let mut groups: Vec<(usize, Vec<usize>, Vec<K>)> = Vec::new();
     for (slot, key) in keys.iter().enumerate() {
         let shard = owner(row_of(key), shards);
@@ -94,7 +106,7 @@ fn scatter<K: Copy>(
         query: query(owned),
         slots,
     };
-    Route::Each(groups.into_iter().map(ask).collect())
+    Some(groups.into_iter().map(ask).collect())
 }
 
 /// The one ranking order of `(id, degree)` pairs: degree descending, then
@@ -247,125 +259,135 @@ fn combine<T: ScalarType>(
     }
 }
 
-/// A set of shards holding disjoint rows of one matrix, each of which can
-/// be asked a [`Query`]: the live engine (over its worker channels, under
-/// supervision) and its snapshot (directly).
-trait ShardSet<T: ScalarType> {
-    /// How many shards the rows are hashed over.
-    fn shards(&self) -> usize;
-
-    /// The typed error when any of `shards` is lost: a read never answers
-    /// without a shard it needs.
-    fn check_live(&self, _shards: &mut dyn Iterator<Item = usize>) -> GrbResult<()> {
-        Ok(())
-    }
-
-    /// Ask one shard.
-    fn ask_owner(&mut self, shard: usize, q: &Query) -> GrbResult<Answer<T>>;
-
-    /// Ask several shards, each its own query; answers in `asks` order.
-    fn ask_each(&mut self, asks: Vec<(usize, Query)>) -> GrbResult<Vec<Answer<T>>> {
-        asks.iter().map(|(s, q)| self.ask_owner(*s, q)).collect()
-    }
-
-    /// Where the summed in-degree index is held between reads.
-    fn in_degrees(&mut self) -> &mut Option<DegreeIndex<T>>;
-
-    /// An error the infallible reader surface could not return.
-    fn latch(&self, _e: GrbError) {}
+/// One consistent point-in-time view of the whole sharded engine: a
+/// capture per shard ([`ShardedHierMatrix::snapshot`]), read by the same
+/// route and combine as the engine itself — and because every capture
+/// holds Arc'd level structures, the engine keeps ingesting (and its
+/// workers keep draining) while this view answers long sweeps.  The
+/// engine reads through one of these too, filling a shard's slot when a
+/// read first needs it and emptying every slot at the next write.
+#[derive(Debug, Clone)]
+pub struct ShardedSnapshot<T> {
+    nrows: Index,
+    ncols: Index,
+    /// Each shard's capture — settled levels and, as far as they are live
+    /// on the shard, its degree views and column twins — and what is live.
+    shards: Vec<Option<(MatrixSnapshot<T>, Live)>>,
+    /// The summed in-degree index, built by the first in-degree read and
+    /// good for as long as the captures.
+    in_degrees: Option<DegreeIndex<T>>,
 }
 
-/// Answer `q` across `set`: route it, ask the shards it names, combine
-/// what they say.
-fn across<T: ScalarType, S: ShardSet<T>>(set: &mut S, q: &Query) -> GrbResult<Answer<T>> {
-    let warm = set.in_degrees().is_some();
-    Ok(match route(set.shards(), q, warm) {
-        Route::Nobody => Answer::empty_for(q),
-        Route::Owner(shard) => {
-            set.check_live(&mut std::iter::once(shard))?;
-            let part = (set.ask_owner(shard, q)?, Vec::new());
-            combine(q, std::iter::once(part), set.in_degrees())
+impl<T: ScalarType> ShardedSnapshot<T> {
+    /// No shard captured yet.
+    pub(super) fn new(nrows: Index, ncols: Index, shards: usize) -> Self {
+        Self {
+            nrows,
+            ncols,
+            shards: vec![None; shards],
+            in_degrees: None,
         }
-        Route::Each(asks) => {
-            set.check_live(&mut asks.iter().map(|a| a.shard))?;
-            let (queries, slots): (Vec<_>, Vec<_>) = asks
-                .into_iter()
-                .map(|a| ((a.shard, a.query), a.slots))
-                .unzip();
-            let parts = set.ask_each(queries)?.into_iter().zip(slots);
-            combine(q, parts, set.in_degrees())
-        }
-    })
-}
-
-/// [`across`] for the infallible [`MatrixReader::answer`]: an error is
-/// latched and the empty answer stands in.
-fn read<T: ScalarType, S: ShardSet<T>>(set: &mut S, q: &Query) -> Answer<T> {
-    across(set, q).unwrap_or_else(|e| {
-        set.latch(e);
-        Answer::empty_for(q)
-    })
-}
-
-impl<T: ScalarType> ShardSet<T> for ShardedHierMatrix<T> {
-    fn shards(&self) -> usize {
-        self.workers.len()
     }
 
-    /// Fails fast, before any target is asked; a worker that dies *during*
-    /// the ask is an error too.
-    fn check_live(&self, shards: &mut dyn Iterator<Item = usize>) -> GrbResult<()> {
-        self.ensure_live(shards)
+    /// Drop every capture and the in-degree sum.
+    pub(super) fn clear(&mut self) {
+        self.shards.iter_mut().for_each(|s| *s = None);
+        self.in_degrees = None;
     }
 
-    fn ask_owner(&mut self, shard: usize, q: &Query) -> GrbResult<Answer<T>> {
-        self.dispatch_shard(shard)?;
-        self.pushdown_queries += 1;
-        self.last_fanout = 1;
-        let q = q.clone();
-        self.run(shard, move |s| Ok(s.answer(&q)))
+    /// Whether shard `s`'s capture is held and has what `need` asks for.
+    fn serves(&self, s: usize, need: Live) -> bool {
+        self.shards[s].as_ref().is_some_and(|(_, live)| {
+            live.rows >= need.rows && live.cols >= need.cols && live.twins >= need.twins
+        })
     }
 
-    fn ask_each(&mut self, asks: Vec<(usize, Query)>) -> GrbResult<Vec<Answer<T>>> {
-        self.ask_workers(asks, |q, s| Ok(s.answer(&q)))
+    /// Whom `q` goes to.
+    fn route(&self, q: &Query) -> Option<Vec<Ask>> {
+        route(self.shards.len(), q, self.in_degrees.is_some())
     }
 
-    fn in_degrees(&mut self) -> &mut Option<DegreeIndex<T>> {
-        &mut self.in_degrees
-    }
-
-    fn latch(&self, e: GrbError) {
-        self.latch_err(e);
+    /// `q` answered from the captures `asks` names, every one of which is
+    /// held: each is asked through [`MatrixReader::answer`], and what they
+    /// say is combined.
+    fn ask(&mut self, q: &Query, asks: Option<Vec<Ask>>) -> Answer<T> {
+        let Some(asks) = asks else {
+            return Answer::empty_for(q);
+        };
+        let shards = &mut self.shards;
+        let parts = asks.into_iter().map(|a| {
+            let (capture, _) = shards[a.shard].as_mut().expect("a routed capture is held");
+            (capture.answer(&a.query), a.slots)
+        });
+        combine(q, parts, &mut self.in_degrees)
     }
 }
 
 impl<T: ScalarType> ShardedHierMatrix<T> {
+    /// Hold a capture of every routed shard that has what `need` asks for,
+    /// and hand the captures back.  A lost routed shard is
+    /// [`GrbError::ShardsLost`](hyperstream_graphblas::GrbError::ShardsLost)
+    /// whether or not its capture is held.  Each shard missing one gets one
+    /// capture job behind its staged tuples, all in flight at once; a read
+    /// that needs a side's index captures every live shard without it, so
+    /// no later read of the burst pays one shard's activation.
+    fn capture(
+        &mut self,
+        routed: impl Iterator<Item = usize> + Clone,
+        need: Live,
+    ) -> GrbResult<&mut ShardedSnapshot<T>> {
+        self.ensure_live(routed.clone())?;
+        let stale = |s: &usize| !self.held.serves(*s, need);
+        let mut targets: Vec<usize> = routed.clone().filter(stale).collect();
+        if !targets.is_empty() && (need.rows || need.cols) {
+            let live = (0..self.workers.len()).filter(|&s| self.is_alive(s));
+            targets = live.filter(stale).collect();
+        }
+        for &s in &targets {
+            // A hand-off fails only to a lost worker, which its capture
+            // job then reports.
+            let _ = self.dispatch_shard(s);
+        }
+        self.capture_jobs += targets.len() as u64;
+        let asks = targets.iter().map(|&s| (s, need));
+        let captured = self.run_each(asks, |need, shard| Ok(shard.capture(need)));
+        for (s, capture) in targets.into_iter().zip(captured) {
+            match capture {
+                Ok(capture) => self.held.shards[s] = Some(capture),
+                Err(e) if routed.clone().any(|r| r == s) => return Err(e),
+                // Lost while captured for another shard's read: the read
+                // does not need it.
+                Err(_) => {}
+            }
+        }
+        Ok(&mut self.held)
+    }
+
     /// Answer one [`Query`] — the fallible form of every [`MatrixReader`]
     /// method.  A lost shard the query is routed to, or a timed-out wait,
     /// is a typed error.
     pub fn try_read(&mut self, q: Query) -> GrbResult<Answer<T>> {
-        across(self, &q)
+        self.read(&q)
     }
 
-    /// Take a consistent engine-wide snapshot: staged tuples dispatch,
-    /// every worker snapshots its shard at its drain barrier (O(levels)
-    /// Arc bumps — no entries are copied or shipped), and the producer
-    /// receives one [`MatrixSnapshot`] per shard.  A shard's degree views
-    /// ride along only when its indexes are already live: a capture
-    /// activates none, so pure ingest keeps paying no upkeep.  The returned
-    /// [`ShardedSnapshot`] answers every [`MatrixReader`] query from the
-    /// captured state while the workers keep draining their channels —
-    /// the analytics-while-ingest overlap the roadmap parked here.
+    fn read(&mut self, q: &Query) -> GrbResult<Answer<T>> {
+        let asks = self.held.route(q);
+        let routed = asks.iter().flatten().map(|a| a.shard);
+        let held = self.capture(routed, needs(q))?;
+        Ok(held.ask(q, asks))
+    }
+
+    /// Take a consistent engine-wide snapshot: every shard's capture, the
+    /// ones the engine holds reused — each taken by its worker at its drain
+    /// barrier, staged tuples dispatched first (O(levels) Arc bumps, no
+    /// entries copied or shipped).  A shard's degree views and twins ride
+    /// along only when already live: a capture activates none, so pure
+    /// ingest keeps paying no upkeep.  The [`ShardedSnapshot`] answers every
+    /// [`MatrixReader`] query from the captured state while the workers
+    /// keep draining their channels.
     pub fn snapshot(&mut self) -> GrbResult<ShardedSnapshot<T>> {
-        self.ensure_live(0..self.workers.len())?;
-        let asks = self.every_shard().collect();
-        let shards = self.ask_workers(asks, |(), s: &mut Shard<T>| Ok(s.snapshot()))?;
-        Ok(ShardedSnapshot {
-            nrows: self.nrows,
-            ncols: self.ncols,
-            shards,
-            in_degrees: None,
-        })
+        let every = 0..self.workers.len();
+        Ok(self.capture(every, Live::default())?.clone())
     }
 }
 
@@ -382,56 +404,25 @@ impl<T: ScalarType> MatrixReader<T> for ShardedHierMatrix<T> {
     }
 
     fn answer(&mut self, q: &Query) -> Answer<T> {
-        read(self, q)
+        self.read(q).unwrap_or_else(|e| {
+            self.latch_err(e);
+            Answer::empty_for(q)
+        })
     }
 }
 
 impl<T: ScalarType> CursorReader<T> for ShardedHierMatrix<T> {
+    /// Every shard's capture, as for [`ShardedHierMatrix::snapshot`]; the
+    /// Arc'd level structures stay alive for the callback while the
+    /// workers keep draining.
     fn with_level_dcsrs(&mut self, f: &mut dyn FnMut(&[&Dcsr<T>])) {
-        // A consistent engine-wide capture: every worker snapshots its
-        // shard at its drain barrier (O(levels) Arc bumps, no copies),
-        // and the Arc'd level structures stay alive for the duration of
-        // the callback while the workers keep draining.  Shards own
-        // disjoint rows, so the concatenated level list is a valid level
-        // decomposition of the whole engine.
-        match self.snapshot() {
-            Ok(mut snap) => snap.with_level_dcsrs(f),
+        match self.capture(0..self.workers.len(), Live::default()) {
+            Ok(held) => held.with_level_dcsrs(f),
             Err(e) => {
                 self.latch_err(e);
                 f(&[]);
             }
         }
-    }
-}
-
-/// One consistent point-in-time view of the whole sharded engine: a
-/// [`MatrixSnapshot`] per shard, captured at each worker's drain barrier,
-/// read by the same route and combine as the engine itself — and because
-/// every per-shard snapshot holds Arc'd level structures, the engine keeps
-/// ingesting (and its workers keep draining) while this view answers long
-/// sweeps.
-#[derive(Debug)]
-pub struct ShardedSnapshot<T> {
-    nrows: Index,
-    ncols: Index,
-    /// One capture per shard of the engine.
-    shards: Vec<MatrixSnapshot<T>>,
-    /// The summed in-degree index, built by the first in-degree read and
-    /// good for as long as the capture.
-    in_degrees: Option<DegreeIndex<T>>,
-}
-
-impl<T: ScalarType> ShardSet<T> for ShardedSnapshot<T> {
-    fn shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    fn ask_owner(&mut self, shard: usize, q: &Query) -> GrbResult<Answer<T>> {
-        Ok(self.shards[shard].answer(q))
-    }
-
-    fn in_degrees(&mut self) -> &mut Option<DegreeIndex<T>> {
-        &mut self.in_degrees
     }
 }
 
@@ -445,24 +436,26 @@ impl<T: ScalarType> MatrixReader<T> for ShardedSnapshot<T> {
     }
 
     fn answer(&mut self, q: &Query) -> Answer<T> {
-        read(self, q)
+        let asks = self.route(q);
+        self.ask(q, asks)
     }
 }
 
 impl<T: ScalarType> CursorReader<T> for ShardedSnapshot<T> {
+    /// Shards hold disjoint rows, so their captured levels concatenate into
+    /// one valid level decomposition of the whole engine.
     fn with_level_dcsrs(&mut self, f: &mut dyn FnMut(&[&Dcsr<T>])) {
-        // Shards hold disjoint rows, so their captured levels concatenate
-        // into one valid level decomposition of the whole engine.
-        let levels: Vec<&Dcsr<T>> = self.shards.iter().flat_map(|s| s.level_dcsrs()).collect();
+        let captures = self.shards.iter().flatten();
+        let levels: Vec<&Dcsr<T>> = captures.flat_map(|(c, _)| c.level_dcsrs()).collect();
         f(&levels);
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::super::tests::{stream, tiny_engine, DIM};
+    use super::super::tests::{flat_of, stream, tiny_engine, DIM};
     use super::*;
-    use hyperstream_graphblas::Matrix;
+    use hyperstream_graphblas::{GrbError, Matrix};
 
     /// `merge_parts` against a sort of the concatenation.
     fn check_merge(parts: Vec<Vec<(Index, u64)>>) {
@@ -521,28 +514,65 @@ mod tests {
         );
     }
 
+    /// Captures the engine holds.
+    fn held(e: &ShardedHierMatrix<u64>) -> usize {
+        e.held.shards.iter().flatten().count()
+    }
+
+    /// Kill shard `victim`'s worker with a job that panics.
+    fn kill(e: &ShardedHierMatrix<u64>, victim: usize) {
+        let died = e.run(victim, |_| -> GrbResult<()> {
+            panic!("worker killed by a test")
+        });
+        assert!(matches!(died, Err(GrbError::ShardsLost { .. })), "{died:?}");
+    }
+
+    /// `burst` answered exactly by the engine after a write: the first time
+    /// at one capture job for each of `routed` shards, a second time at
+    /// none, and with nothing materialised.  `burst` runs once before the
+    /// write so that what it activates is live already.
+    fn one_capture_per_routed_shard(
+        engine: &mut ShardedHierMatrix<u64>,
+        updates: &mut Vec<(u64, u64, u64)>,
+        burst: &[Query],
+        routed: u64,
+    ) {
+        let check = |e: &mut ShardedHierMatrix<u64>, updates: &[(u64, u64, u64)]| {
+            let mut flat = flat_of(updates);
+            let before = e.capture_jobs();
+            for q in burst {
+                assert_eq!(e.try_read(q.clone()), Ok(flat.answer(q)), "{q:?}");
+            }
+            e.capture_jobs() - before
+        };
+        check(engine, updates);
+        let write = (3 * 797_003, 7, 1);
+        engine.update(write.0, write.1, write.2).unwrap();
+        updates.push(write);
+        assert_eq!(held(engine), 0);
+        assert_eq!(check(engine, updates), routed, "the burst after a write");
+        assert_eq!(check(engine, updates), 0, "a burst with no write before it");
+        assert_eq!(engine.aggregate_stats().unwrap().materializations, 0);
+    }
+
     #[test]
     fn reader_pushdown_never_materializes() {
         let mut engine = tiny_engine(3);
-        for &(r, c, v) in &stream(2000) {
+        let mut updates = stream(2000);
+        for &(r, c, v) in &updates {
             engine.update(r, c, v).unwrap();
         }
-        let before = engine.pushdown_queries;
-        let _ = engine.read_nnz();
-        let _ = engine.read_top_k(5);
-        let mut row = Vec::new();
-        engine.read_row(797_003, &mut row);
-        let _ = engine.read_get(797_003, 1);
-        let _ = engine.read_row_degree(797_003);
-        let mut n = 0usize;
-        engine.read_entries(&mut |_, _, _| n += 1);
-        assert!(n > 0);
-        assert!(engine.pushdown_queries >= before + 6);
-        // The whole query battery ran through the worker pool's cursors:
-        // no shard ever materialised `Σ levels`.
-        assert_eq!(engine.aggregate_stats().unwrap().materializations, 0);
-        // The snapshot path, by contrast, is counted — proving the counter
-        // would have caught a materialising query path.
+        let burst = [
+            Query::Row(797_003),
+            Query::Get(797_003, 1),
+            Query::Nnz,
+            Query::TopK(5),
+            Query::RowDegree(797_003),
+            Query::Entries,
+        ];
+        one_capture_per_routed_shard(&mut engine, &mut updates, &burst, 3);
+        // The materialisation path, by contrast, is counted — proving the
+        // counter would have caught a materialising read.
         let _ = engine.materialize().unwrap();
         assert_eq!(engine.aggregate_stats().unwrap().materializations, 3);
     }
@@ -558,38 +588,26 @@ mod tests {
     #[test]
     fn column_battery_never_materializes() {
         let mut engine = tiny_engine(3);
-        for &(r, c, v) in &col_stream(2000) {
+        let mut updates = col_stream(2000);
+        for &(r, c, v) in &updates {
             engine.update(r, c, v).unwrap();
         }
-        let before = engine.pushdown_queries;
-        let mut col = Vec::new();
-        engine.read_col(7, &mut col);
-        assert!(!col.is_empty());
-        let _ = engine.read_col_degree(7);
-        let _ = engine.read_col_reduce(7);
-        let _ = engine.read_in_top_k(5);
-        let _ = engine.read_in_degree_histogram();
-        let mut n = 0usize;
-        engine.read_col_range(0, 30, &mut |_, _, _| n += 1);
-        assert!(n > 0);
-        let _ = engine.read_rows(&[0, 797_003]);
-        let _ = engine.read_get_many(&[(797_003, 7)]);
-        // 7 push-down rounds, not 8: the histogram right after top-k reuses
-        // the producer-side summed in-degree cache instead of re-shipping
-        // every shard's column stats.
-        assert!(engine.pushdown_queries >= before + 7);
-        let warm = engine.pushdown_queries;
-        let _ = engine.read_in_top_k(5);
-        assert_eq!(engine.pushdown_queries, warm, "cache hit expected");
+        let burst = [
+            Query::Col(7),
+            Query::ColDegree(7),
+            Query::ColReduce(7),
+            Query::InTopK(5),
+            Query::InDegreeHistogram,
+            Query::ColRange(0, 30),
+            Query::Rows(vec![0, 797_003]),
+            Query::GetMany(vec![(797_003, 7)]),
+        ];
+        one_capture_per_routed_shard(&mut engine, &mut updates, &burst, 3);
+        // The summed in-degree index is held with the captures, and a
+        // write drops both.
+        assert!(engine.held.in_degrees.is_some());
         engine.update(1, 1, 1).unwrap();
-        let _ = engine.read_in_top_k(5);
-        assert!(
-            engine.pushdown_queries > warm,
-            "ingest must invalidate the in-degree cache"
-        );
-        // The whole column battery ran off worker-side twins and cursors:
-        // no shard ever materialised `Σ levels`.
-        assert_eq!(engine.aggregate_stats().unwrap().materializations, 0);
+        assert!(engine.held.in_degrees.is_none());
     }
 
     #[test]
@@ -598,7 +616,7 @@ mod tests {
         // exercising the group-by-shard dispatch and request-order
         // reassembly.
         let mut engine = tiny_engine(4);
-        let updates = col_stream(2000);
+        let mut updates = col_stream(2000);
         for &(r, c, v) in &updates {
             engine.update(r, c, v).unwrap();
         }
@@ -618,12 +636,140 @@ mod tests {
         for (&(r, c), got) in keys.iter().zip(&values) {
             assert_eq!(*got, engine.read_get(r, c), "key ({r}, {c})");
         }
-        // One batched call is a single push-down round, fanning out to at
-        // most one query per owning shard.
-        let before = engine.pushdown_queries;
-        let _ = engine.read_rows(&probe_rows);
-        assert_eq!(engine.pushdown_queries, before + 1);
-        assert!(engine.last_query_fanout() <= 4);
+        // A batched read captures each owning shard once.
+        let owners = probe_rows.iter().map(|&r| owner(r, 4));
+        let routed = owners.collect::<std::collections::BTreeSet<_>>().len();
+        let burst = [Query::Rows(probe_rows), Query::GetMany(keys)];
+        one_capture_per_routed_shard(&mut engine, &mut updates, &burst, routed as u64);
+    }
+
+    #[test]
+    fn a_degree_read_activates_every_shard() {
+        let mut engine = tiny_engine(3);
+        let updates = stream(3000);
+        for &(r, c, v) in &updates {
+            engine.update(r, c, v).unwrap();
+        }
+        let row_on = |shard| updates.iter().find(|u| owner(u.0, 3) == shard).unwrap().0;
+        let _ = engine.read_row_degree(row_on(0));
+        let before = engine.capture_jobs();
+        assert_eq!(before, 3, "every shard captured with its row index live");
+        let mut flat = flat_of(&updates);
+        assert_eq!(engine.read_top_k(5), flat.read_top_k(5));
+        let other = row_on(2);
+        assert_eq!(engine.read_row_degree(other), flat.read_row_degree(other));
+        assert_eq!(
+            engine.capture_jobs(),
+            before,
+            "no worker job after the first"
+        );
+    }
+
+    #[test]
+    fn writes_leave_no_capture_held() {
+        let mut engine = tiny_engine(3);
+        let updates = stream(600);
+        let rows: Vec<u64> = updates.iter().map(|u| u.0).collect();
+        let cols: Vec<u64> = updates.iter().map(|u| u.1).collect();
+        let vals: Vec<u64> = updates.iter().map(|u| u.2).collect();
+        let capture_all = |e: &mut ShardedHierMatrix<u64>| {
+            let _ = e.read_in_top_k(3);
+            assert_eq!(held(e), 3);
+            assert!(e.held.in_degrees.is_some());
+        };
+        let none_held = |e: &ShardedHierMatrix<u64>| held(e) == 0 && e.held.in_degrees.is_none();
+        capture_all(&mut engine);
+        engine.update_batch(&rows, &cols, &vals).unwrap();
+        assert!(none_held(&engine), "update_batch");
+        capture_all(&mut engine);
+        engine.flush().unwrap();
+        assert!(none_held(&engine), "flush");
+        capture_all(&mut engine);
+        // A worker loss is not a write: the captures stay until the respawn.
+        kill(&engine, 1);
+        assert_eq!(held(&engine), 3);
+        engine.respawn_shard(1).unwrap();
+        assert!(none_held(&engine), "respawn_shard");
+    }
+
+    #[test]
+    fn held_captures_refuse_a_lost_route_and_answer_past_it() {
+        let mut engine = tiny_engine(3);
+        let updates = stream(2000);
+        for &(r, c, v) in &updates {
+            engine.update(r, c, v).unwrap();
+        }
+        let mut flat = flat_of(&updates);
+        let _ = engine.read_nnz();
+        let _ = engine.read_col_degree(1);
+        let (lost, col, _) = updates[0];
+        let victim = owner(lost, 3);
+        let live = updates.iter().find(|u| owner(u.0, 3) != victim).unwrap().0;
+        kill(&engine, victim);
+        let before = engine.capture_jobs();
+        for q in [
+            Query::Get(lost, col),
+            Query::RowDegree(lost),
+            Query::Nnz,
+            Query::Col(col),
+            Query::InTopK(3),
+            Query::Rows(vec![live, lost]),
+        ] {
+            let refused = engine.try_read(q.clone());
+            let named = |e: &GrbError| matches!(e, GrbError::ShardsLost { shards, .. } if shards == &vec![victim]);
+            assert!(matches!(&refused, Err(e) if named(e)), "{q:?}: {refused:?}");
+        }
+        for q in [
+            Query::Get(live, col),
+            Query::Row(live),
+            Query::RowDegree(live),
+            Query::RowReduce(live),
+            Query::Rows(vec![live]),
+        ] {
+            assert_eq!(engine.try_read(q.clone()), Ok(flat.answer(&q)), "{q:?}");
+        }
+        assert_eq!(
+            engine.capture_jobs(),
+            before,
+            "answered from the held captures"
+        );
+    }
+
+    /// The capture job's fault site: a worker that dies capturing for a
+    /// read routed to another shard — one that needs every shard's row
+    /// index — costs that read nothing; only reads routed to it refuse.
+    /// Shard 5 of six: no other unit test's engine has a shard 5, so the
+    /// process-global arm reaches this engine alone.
+    #[test]
+    #[cfg(feature = "failpoints")]
+    fn a_worker_lost_in_its_capture_job_fails_only_its_own_reads() {
+        use crate::failpoint::{self, FailAction};
+        let mut engine = tiny_engine(6);
+        let updates = stream(2000);
+        for &(r, c, v) in &updates {
+            engine.update(r, c, v).unwrap();
+        }
+        let row_on = |on: bool| {
+            updates
+                .iter()
+                .find(|u| (owner(u.0, 6) == 5) == on)
+                .unwrap()
+                .0
+        };
+        failpoint::arm_at("worker-query", Some(5), 1, FailAction::Panic);
+        let live = Query::RowDegree(row_on(false));
+        assert_eq!(
+            engine.try_read(live.clone()),
+            Ok(flat_of(&updates).answer(&live))
+        );
+        assert_eq!(failpoint::fired("worker-query"), 1);
+        failpoint::disarm("worker-query");
+        assert_eq!(engine.lost_shards(), vec![5]);
+        let refused = engine.try_read(Query::RowDegree(row_on(true)));
+        assert!(
+            matches!(&refused, Err(GrbError::ShardsLost { shards, .. }) if shards == &vec![5]),
+            "{refused:?}"
+        );
     }
 
     #[test]

@@ -99,8 +99,9 @@ proptest! {
                 engine.flush().unwrap();
             }
         }
-        // Pushed-down answers (each worker serves from its shard's index)
-        // equal the flat reference; nothing materialises.
+        // Answers off the shards' captures (each serving from its shard's
+        // index view) equal the flat reference; nothing materialises.
+        let captured = engine.capture_jobs();
         prop_assert_eq!(engine.read_nnz(), flat.nvals());
         prop_assert_eq!(engine.read_top_k(k), reference_top_k(&flat, k));
         prop_assert_eq!(
@@ -126,7 +127,10 @@ proptest! {
             .filter(|&(r, _, _)| r < hi)
             .collect();
         prop_assert_eq!(got, expect);
-        prop_assert_eq!(engine.last_query_fanout(), shards);
+        // The reads after the last write took one capture of every shard:
+        // the first activated each shard's row index, the rest were
+        // answered on the producer.
+        prop_assert_eq!(engine.capture_jobs() - captured, shards as u64);
         // The engine-wide snapshot froze the captured prefix.
         if let Some((mut snap, at)) = snap {
             let prefix = build_flat(&updates[..=at]);

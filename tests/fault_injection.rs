@@ -272,6 +272,100 @@ proptest! {
     }
 }
 
+/// The stream `updates` as one batch's parallel slices.
+fn batch_of(updates: &[(u64, u64, u64)]) -> (Vec<u64>, Vec<u64>, Vec<u64>) {
+    let (rows, (cols, vals)) = updates.iter().map(|&(r, c, v)| (r, (c, v))).unzip();
+    (rows, cols, vals)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    // Read-your-writes across held captures, at 1..=4 shards: the stream
+    // goes in as single updates and as batches, with flushes and one worker
+    // kill followed by a respawn between them, and a query of every kind
+    // after each step.  Every answer equals the flat oracle of what the
+    // engine acknowledged: every update, less the rows the killed shard
+    // held (an in-memory respawn restarts it empty).  The kill comes while
+    // every shard's capture is held: reads routed to the victim refuse,
+    // reads routed past it answer from the captures.
+    #[test]
+    fn captures_read_your_writes_across_a_kill_and_respawn(
+        updates in update_stream(200, 64, 300),
+        steps in prop::collection::vec(0u8..4, 4usize..10),
+        shards in 1usize..=4,
+        victim_sel in 0usize..4,
+        k in 1usize..8,
+    ) {
+        let _fp = exclusive();
+        let victim = victim_sel % shards;
+        let owned = |r| ShardPartitioner::RowHash.shard(r, DIM, shards) == victim;
+        let is_the_loss = |r: &GrbResult<Answer<u64>>| {
+            matches!(r, Err(GrbError::ShardsLost { shards, .. }) if shards == &vec![victim])
+        };
+        let mut engine = chaos_engine(shards);
+        let mut kept: Vec<(u64, u64, u64)> = Vec::new();
+        let mut killed = false;
+        let chunk = updates.len().div_ceil(steps.len());
+        for (&step, part) in steps.iter().zip(updates.chunks(chunk)) {
+            let (rows, cols, vals) = batch_of(part);
+            match step {
+                0 => {
+                    for &(r, c, v) in part {
+                        engine.update(r, c, v).unwrap();
+                    }
+                }
+                1 => engine.update_batch(&rows, &cols, &vals).unwrap(),
+                2 => {
+                    engine.update_batch(&rows, &cols, &vals).unwrap();
+                    engine.flush().unwrap();
+                }
+                _ if killed => engine.update_batch(&rows, &cols, &vals).unwrap(),
+                _ => {
+                    killed = true;
+                    engine.update_batch(&rows, &cols, &vals).unwrap();
+                    engine.flush().unwrap();
+                    kept.extend_from_slice(part);
+                    // Every shard captured, the row index live; then the
+                    // victim dies at its next acknowledgement.
+                    let mut flat = build_flat(&kept);
+                    prop_assert_eq!(engine.try_read(Query::Nnz), Ok(flat.answer(&Query::Nnz)));
+                    failpoint::arm_at("worker-barrier", Some(victim), 1, FailAction::Panic);
+                    let stats = engine.shard_stats(victim);
+                    prop_assert!(matches!(stats, Err(GrbError::ShardsLost { .. })), "{stats:?}");
+                    failpoint::disarm_all();
+                    for &(r, c, _) in part.iter().take(4) {
+                        for q in [Query::Get(r, c), Query::RowDegree(r), Query::Rows(vec![r])] {
+                            let got = engine.try_read(q.clone());
+                            if owned(r) {
+                                prop_assert!(is_the_loss(&got), "{:?}: {:?}", &q, got);
+                            } else {
+                                prop_assert_eq!(got, Ok(flat.answer(&q)), "{:?}", &q);
+                            }
+                        }
+                    }
+                    prop_assert!(is_the_loss(&engine.try_read(Query::TopK(k))));
+                    let recovery = engine.respawn_shard(victim).unwrap();
+                    let held = kept.iter().filter(|u| owned(u.0)).count() as u64;
+                    prop_assert_eq!(recovery.lost_tuples, held);
+                    kept.retain(|u| !owned(u.0));
+                    continue;
+                }
+            }
+            kept.extend_from_slice(part);
+            let mut flat = build_flat(&kept);
+            let (row, col, _) = part[0];
+            let other = part[part.len() / 2].0;
+            for q in every_kind(row, col, other, k) {
+                let want = flat.answer(&q);
+                prop_assert_eq!(engine.try_read(q.clone()), Ok(want), "step {}: {:?}", step, &q);
+            }
+        }
+        prop_assert!(engine.take_read_error().is_none());
+        prop_assert_eq!(engine.aggregate_stats().unwrap().materializations, 0);
+    }
+}
+
 /// Satellite regression: a worker-side apply error (injected, but standing
 /// in for any failed batch apply) is latched and surfaces in the *next*
 /// barrier ack — `flush` reports it — instead of being silently dropped.

@@ -396,14 +396,14 @@ proptest! {
                     // A source whose twin is behind its pending tuples.
                     let mut b = operand(true);
                     b.accum_tuples(&rows, &cols, &vals).unwrap();
-                    prop_assert!(b.has_col_shadow());
+                    prop_assert!(b.held_col_shadow().is_some());
                     m.accum_matrix(&b).unwrap();
                     kept &= b.npending() == 0;
                 }
                 12 => {
                     let mut b = operand(true);
                     m.swap_settled(&mut b).unwrap();
-                    prop_assert!(!b.has_col_shadow());
+                    prop_assert!(b.held_col_shadow().is_none());
                     kept = false;
                 }
                 13 => {
@@ -424,7 +424,7 @@ proptest! {
                     held.get_or_insert_with(|| (twin.clone(), twin.as_ref().clone()));
                 }
             }
-            prop_assert_eq!(m.has_col_shadow(), kept, "after op {}", op);
+            prop_assert_eq!(m.held_col_shadow().is_some(), kept, "after op {}", op);
             // Read the live twin through a clone (clones share it), so that
             // the check itself settles nothing in `m`.
             let mut probe = m.clone();
