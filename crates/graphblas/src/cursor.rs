@@ -325,7 +325,8 @@ fn frontier<T: ScalarType>(lvs: &[RawLevel<'_, T>]) -> Option<(Index, usize, Opt
 /// Merge `levels` into one [`Dcsr`] — the materialisation kernel
 /// `A = Σ_i A_i`.
 ///
-/// Builds smallest-first through one reused [`MergeScratch`]
+/// Builds smallest-first through one reused
+/// [`MergeScratch`](crate::formats::dcsr::MergeScratch)
 /// (the cascade's allocation-discipline applied to the read side): every
 /// step is a two-way bulk-run merge whose staging buffers ping-pong with
 /// the accumulator, so the whole materialisation performs O(1) allocations

@@ -123,8 +123,8 @@ impl<T: ScalarType> Coo<T> {
     /// appended (the batch applies atomically), then the three vectors are
     /// extended with bulk copies — one bounds/sortedness scan and three
     /// `memcpy`-style extends instead of a checked push per tuple.  This is
-    /// the bulk insert path of [`Matrix::accum_tuples`]
-    /// (`Matrix`: crate::matrix::Matrix).
+    /// the bulk insert path of
+    /// [`Matrix::accum_tuples`](crate::matrix::Matrix::accum_tuples).
     pub fn extend_from_slices(
         &mut self,
         rows: &[Index],

@@ -7,8 +7,8 @@
 //! each [`Query`] kind is one decision, made here once, in one `match`
 //! ([`MatrixReader::answer`] of the blanket impl below):
 //!
-//! * **extracts and scans** (point, row, entries, row range, batched rows
-//!   and gets) fold the level list through the [`crate::cursor`] kernels;
+//! * **extracts and scans** (point, row, entries, row range) fold the level
+//!   list through the [`crate::cursor`] kernels;
 //!   the visitor kinds collect what the kernel visits;
 //! * **degree-centric answers** (nnz, degree, reduce, top-k, histogram)
 //!   come from the store's [`DegreeIndexView`] when it has one, else from
@@ -264,32 +264,17 @@ impl<S: LevelStore> MatrixReader<S::Value> for S {
                     merged_row_range(lv, *lo, *hi, Plus, &mut |c, r, v| f(r, c, v))
                 })
             }),
-            // One settle for the whole batch.
-            Query::Rows(rows) => Answer::Lines(self.with_levels(|lv| {
-                rows.iter()
-                    .map(|&row| {
-                        let mut out = Vec::new();
-                        merged_row_into(lv, row, Plus, &mut out);
-                        out
-                    })
-                    .collect()
-            })),
-            // One settle, then two binary searches per key per level.
-            Query::GetMany(keys) => Answer::Values(self.with_levels(|lv| {
-                keys.iter()
-                    .map(|&(row, col)| merged_point(lv, row, col, Plus))
-                    .collect()
-            })),
         }
     }
 
-    /// Kept beside [`Self::answer`] so that an extract into a reused buffer
-    /// allocates nothing.
+    /// Kept beside [`answer`](MatrixReader::answer) so that an extract into
+    /// a reused buffer allocates nothing.
     fn read_row(&mut self, row: Index, out: &mut Vec<(Index, S::Value)>) {
         row_into(self, row, out);
     }
 
-    /// Kept beside [`Self::answer`] for the same reason as `read_row`.
+    /// Kept beside [`answer`](MatrixReader::answer) for the same reason as
+    /// `read_row`.
     fn read_col(&mut self, col: Index, out: &mut Vec<(Index, S::Value)>) {
         col_into(self, col, out);
     }

@@ -16,11 +16,11 @@
 //!   arithmetic, min-plus path algebra, boolean reachability, etc.  The
 //!   hierarchical cascade of the `hyperstream-hier` crate relies on monoid
 //!   addition being associative and commutative.
-//! * **Lazy updates** — like SuiteSparse, [`Matrix::set_element`] and
-//!   [`Matrix::accum_element`] append to a *pending tuple* buffer that is
-//!   folded into the compressed structure on [`Matrix::wait`] (or implicitly
-//!   by any whole-matrix operation).  This is the single-level ancestor of
-//!   the paper's multi-level hierarchy.
+//! * **Lazy updates** — like SuiteSparse, [`Matrix::accum_element`] appends
+//!   to a *pending tuple* buffer that is folded into the compressed
+//!   structure on [`Matrix::wait`] (or implicitly by any whole-matrix
+//!   operation).  This is the single-level ancestor of the paper's
+//!   multi-level hierarchy.
 //!
 //! ## Quick example
 //!

@@ -2,12 +2,11 @@
 //! pending tuples.
 //!
 //! A `Matrix<T>` is a settled [`Dcsr`] plus an append-only [`Coo`] of
-//! *pending tuples*.  Point updates ([`Matrix::set_element`],
-//! [`Matrix::accum_element`]) go to the pending buffer in `O(1)`; whole-matrix
-//! operations and queries first call [`Matrix::wait`], which sorts the
-//! pending tuples and merges them into the settled structure — the same
-//! "defer and batch" idea the hierarchical matrix generalises to multiple
-//! levels.
+//! *pending tuples*.  Point updates ([`Matrix::accum_element`]) go to the
+//! pending buffer in `O(1)`; whole-matrix operations and queries first call
+//! [`Matrix::wait`], which sorts the pending tuples and merges them into
+//! the settled structure — the same "defer and batch" idea the
+//! hierarchical matrix generalises to multiple levels.
 
 use crate::error::{GrbError, GrbResult};
 use crate::formats::coo::Coo;
@@ -16,7 +15,7 @@ use crate::formats::radix::RadixPlanes;
 use crate::formats::{Entry, MemoryFootprint};
 use crate::index::{validate_dims, validate_index, Index};
 use crate::level_read::LevelStore;
-use crate::ops::binary::{Plus, Second};
+use crate::ops::binary::Plus;
 use crate::ops::BinaryOp;
 use crate::types::ScalarType;
 use std::sync::Arc;
@@ -267,17 +266,6 @@ impl<T: ScalarType> Matrix<T> {
     /// Number of non-empty rows in the settled structure.
     pub fn nrows_nonempty(&self) -> usize {
         self.settled.nrows_nonempty()
-    }
-
-    /// Overwrite the element at `(row, col)` ("last write wins").
-    pub fn set_element(&mut self, row: Index, col: Index, val: T) -> GrbResult<()> {
-        validate_index(row, self.nrows)?;
-        validate_index(col, self.ncols)?;
-        self.pending.push(row, col, val);
-        if self.pending.len() >= self.pending_limit {
-            self.wait_with(Second);
-        }
-        Ok(())
     }
 
     /// Accumulate `val` into `(row, col)` under `+` — the streaming-update
@@ -657,16 +645,6 @@ mod tests {
     }
 
     #[test]
-    fn set_element_last_write_wins() {
-        let mut m = Matrix::<u64>::new(100, 100);
-        m.set_element(5, 7, 2).unwrap();
-        m.set_element(5, 7, 9).unwrap();
-        m.wait_with(Second);
-        assert_eq!(m.get(5, 7), Some(9));
-        assert_eq!(m.nvals(), 1);
-    }
-
-    #[test]
     fn mixed_settled_and_pending_get() {
         let mut m = Matrix::<u64>::new(100, 100);
         m.accum_element(1, 1, 10).unwrap();
@@ -696,7 +674,6 @@ mod tests {
     fn out_of_bounds_rejected() {
         let mut m = Matrix::<u64>::new(10, 10);
         assert!(m.accum_element(10, 0, 1).is_err());
-        assert!(m.set_element(0, 10, 1).is_err());
         assert!(m.accum_tuples(&[1, 11], &[1, 1], &[1, 1]).is_err());
     }
 

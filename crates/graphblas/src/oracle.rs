@@ -63,7 +63,7 @@ where
     }
     let rows: Vec<Index> = acc.keys().map(|k| k.0).collect();
     let cols: Vec<Index> = acc.keys().map(|k| k.1).collect();
-    let vals: Vec<T> = acc.into_values().collect();
+    let vals: Vec<T> = acc.values().copied().collect();
     Matrix::from_tuples(a.nrows(), b.ncols(), &rows, &cols, &vals, Second)
 }
 

@@ -12,8 +12,9 @@
 //! settled levels (the flat matrix, snapshots, the hierarchy, the windowed
 //! hierarchy) answers through the single implementation in
 //! [`crate::level_read`], from its native structures and without building a
-//! merged copy of the matrix first; the sharded engine answers through its
-//! worker pool.  (The D4M associative arrays are sinks only, not readers.)
+//! merged copy of the matrix first; the sharded engine answers from the
+//! per-shard captures its workers take.  (The D4M associative arrays are
+//! sinks only, not readers.)
 //!
 //! Query methods take `&mut self`: a reader may complete cheap deferred
 //! work (settle a pending-tuple buffer, refresh an index segment, drain an
@@ -29,7 +30,7 @@ use std::collections::BTreeMap;
 
 /// A queryable matrix of `V` values: point get, row and column extracts,
 /// degrees and reductions, top-k by degree, histograms, nnz, sorted entry
-/// and range scans, and batched reads.
+/// and range scans.
 ///
 /// A reader implements [`reader_name`](Self::reader_name),
 /// [`read_dims`](Self::read_dims) and [`answer`](Self::answer).  Each
@@ -161,19 +162,6 @@ pub trait MatrixReader<V: ScalarType> {
     fn read_col_range(&mut self, lo: Index, hi: Index, f: &mut dyn FnMut(Index, Index, V)) {
         visit(self.answer(&Query::ColRange(lo, hi)), f);
     }
-
-    /// Extract many rows in one call: one `(col, value)` vector per
-    /// requested row, in the order given (duplicate keys allowed).  One
-    /// settle and one cursor walk for the hierarchies, one round trip per
-    /// shard (instead of per key) for the sharded engine.
-    fn read_rows(&mut self, rows: &[Index]) -> Vec<Vec<(Index, V)>> {
-        self.answer(&Query::Rows(rows.to_vec())).into_lines()
-    }
-
-    /// Point-get many cells in one call, answers in key order.
-    fn read_get_many(&mut self, keys: &[(Index, Index)]) -> Vec<Option<V>> {
-        self.answer(&Query::GetMany(keys.to_vec())).into_values()
-    }
 }
 
 /// Hand an [`Answer::Entries`] to a visitor, in order.
@@ -184,10 +172,10 @@ fn visit<V: ScalarType>(a: Answer<V>, f: &mut dyn FnMut(Index, Index, V)) {
 }
 
 /// One read question, as a value: one kind per data-returning `read_*`
-/// method of [`MatrixReader`].  What [`MatrixReader::answer`] takes, what
-/// crosses a shard worker's channel, and what anything that splits a read
-/// over several readers routes and combines by.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// method of [`MatrixReader`].  What [`MatrixReader::answer`] takes, and
+/// what anything that splits a read over several readers routes and
+/// combines by.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Query {
     /// [`MatrixReader::read_get`].
     Get(Index, Index),
@@ -219,10 +207,6 @@ pub enum Query {
     InDegreeHistogram,
     /// [`MatrixReader::read_col_range`], half-open.
     ColRange(Index, Index),
-    /// [`MatrixReader::read_rows`].
-    Rows(Vec<Index>),
-    /// [`MatrixReader::read_get_many`].
-    GetMany(Vec<(Index, Index)>),
 }
 
 /// What a reader says to a [`Query`], in the shape the matching `read_*`
@@ -243,10 +227,6 @@ pub enum Answer<V> {
     Entries(Vec<(Index, Index, V)>),
     /// `degree -> how many`: `DegreeHistogram`, `InDegreeHistogram`.
     Histogram(BTreeMap<u64, u64>),
-    /// One line per requested row: `Rows`.
-    Lines(Vec<Vec<(Index, V)>>),
-    /// One cell per requested key: `GetMany`.
-    Values(Vec<Option<V>>),
 }
 
 impl<V: ScalarType> Answer<V> {
@@ -264,8 +244,6 @@ impl<V: ScalarType> Answer<V> {
             Query::DegreeHistogram | Query::InDegreeHistogram => {
                 Answer::Histogram(Default::default())
             }
-            Query::Rows(rows) => Answer::Lines(vec![Vec::new(); rows.len()]),
-            Query::GetMany(keys) => Answer::Values(vec![None; keys.len()]),
         }
     }
 
@@ -320,22 +298,6 @@ impl<V: ScalarType> Answer<V> {
         match self {
             Answer::Histogram(counts) => counts,
             other => other.mismatch("Histogram"),
-        }
-    }
-
-    /// The payload of a [`Answer::Lines`].
-    pub fn into_lines(self) -> Vec<Vec<(Index, V)>> {
-        match self {
-            Answer::Lines(lines) => lines,
-            other => other.mismatch("Lines"),
-        }
-    }
-
-    /// The payload of a [`Answer::Values`].
-    pub fn into_values(self) -> Vec<Option<V>> {
-        match self {
-            Answer::Values(values) => values,
-            other => other.mismatch("Values"),
         }
     }
 }
@@ -469,18 +431,5 @@ mod tests {
         for &(r, d) in &swept {
             assert_eq!(m.read_row_degree(r), d);
         }
-    }
-
-    #[test]
-    fn batched_reads_answer_in_key_order() {
-        let mut m = sample();
-        let rows = m.read_rows(&[9, 5, 7]);
-        assert_eq!(rows[0], vec![(9, 1)]);
-        assert_eq!(rows[1], vec![(1, 10), (2, 25), (3, 30)]);
-        assert!(rows[2].is_empty());
-        assert_eq!(
-            m.read_get_many(&[(5, 3), (0, 0), (5, 2)]),
-            vec![Some(30), None, Some(25)]
-        );
     }
 }

@@ -7,9 +7,10 @@
 //! captures, in O(levels):
 //!
 //! * **Arc'd settled levels** — shared handles to the levels' compressed
-//!   structures ([`Matrix::settled_arc`]); the owning matrix keeps
-//!   cascading and settling, copy-on-writing its own copies, while the
-//!   snapshot keeps reading the captured ones;
+//!   structures
+//!   ([`Matrix::settled_arc`](crate::matrix::Matrix::settled_arc)); the
+//!   owning matrix keeps cascading and settling, copy-on-writing its own
+//!   copies, while the snapshot keeps reading the captured ones;
 //! * an optional **pending-tail copy** — pending tuples captured through
 //!   `&self` are settled into one private tail level; and
 //! * an optional **degree-index view** — the Arc-shared row stats of the

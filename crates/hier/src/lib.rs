@@ -68,8 +68,8 @@ pub use tuning::{recommend_cuts, sweep_cut_schedules, CutRecommendation};
 pub use windowed::WindowedHierMatrix;
 
 /// Evaluate a fallible fault-injection site: under the `failpoints`
-/// feature an armed site may return [`GrbError::Injected`]
-/// (`GrbError` = `hyperstream_graphblas::GrbError`), panic, or sleep;
+/// feature an armed site may return
+/// [`GrbError::Injected`](hyperstream_graphblas::GrbError::Injected), panic, or sleep;
 /// without the feature the macro compiles to nothing.  The optional second
 /// argument is the shard index the site reports for per-index arming.
 #[macro_export]

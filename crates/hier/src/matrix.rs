@@ -308,7 +308,7 @@ impl<T: ScalarType> HierMatrix<T> {
     ///
     /// Where the packed `row << 32 | col` key exists (both dimensions at
     /// most `2^32`) the append goes through the in-batch duplicate fold
-    /// ([`crate::fold`]): a batch whose prefix repeats cells reaches level
+    /// (the `fold` module): a batch whose prefix repeats cells reaches level
     /// 0 as its distinct cells, each carrying the `+` of its repeats.
     /// Integer weights wrap exactly as they would unfolded; `f64` weights
     /// agree up to reassociation (a cell's repeats inside one batch are
@@ -1696,26 +1696,6 @@ mod tests {
             transposed.read_row_range(lo, hi, &mut |c, r, v| expect.push((r, c, v)));
             assert_eq!(got, expect, "range {lo}..{hi}");
         }
-    }
-
-    #[test]
-    fn batched_reads_match_singles() {
-        let mut m = HierMatrix::<u64>::new(1 << 16, 1 << 16, small_config()).unwrap();
-        for i in 0..900u64 {
-            m.update(i % 50, (i * 3) % 70, 1).unwrap();
-        }
-        let rows = [0u64, 7, 49, 50, 60_000];
-        let batch = m.read_rows(&rows);
-        assert_eq!(batch.len(), rows.len());
-        for (i, &row) in rows.iter().enumerate() {
-            let mut single = Vec::new();
-            m.read_row(row, &mut single);
-            assert_eq!(batch[i], single, "row {row}");
-        }
-        let keys = [(0u64, 0u64), (7, 21), (49, 3), (50, 50), (60_000, 1)];
-        let got = m.read_get_many(&keys);
-        let expect: Vec<Option<u64>> = keys.iter().map(|&(r, c)| m.read_get(r, c)).collect();
-        assert_eq!(got, expect);
     }
 
     #[test]

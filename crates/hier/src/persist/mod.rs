@@ -31,7 +31,7 @@
 //! the checkpoint rotates the WAL and commits.  A level is rewritten whole,
 //! as one file, only after replay, salvage or `clear()`, on an explicit
 //! `checkpoint()` while level 0 holds cells, after a failed write, or when
-//! its list would outgrow [`max_files`].  ⊕ is associative and
+//! its list would outgrow `max_files`.  ⊕ is associative and
 //! commutative, so merging a level's files and replaying the WAL on top
 //! reproduces the matrix wherever the schedule was interrupted.
 //!
@@ -75,7 +75,7 @@ use std::path::PathBuf;
 ///
 /// Measured by `benchmark/run.sh --trace --workload durable_ingest` (2M
 /// power-law updates in 100k batches, 20 WAL frames and 4 checkpoints, on
-/// one host against the previous commit).  Slicing-by-16 [`Crc32`] (1.84
+/// one host against the previous commit).  Slicing-by-16 `Crc32` (1.84
 /// GB/s here, bytewise 0.35) and single-pass encoding took the tax from
 /// 3.88 to 2.14; frames that hold what level 0 kept of a batch write 19.56
 /// bytes per raw update, was 35.42 (`persist.wchar_per_update`, exact);

@@ -52,9 +52,8 @@
 //! **route → capture → combine**, each written once for anything that is
 //! a set of row-disjoint shards — the live engine and a
 //! [`ShardedSnapshot`] of it.  *Route* picks who can hold part of the
-//! answer: the one owner of a row, every shard for range, whole-matrix and
-//! column reads, or — for a batch of keys — each key's owner with just its
-//! keys.  *Capture*: the answer comes from per-shard captures — a shard's
+//! answer: the one owner of a row, or every shard for range, whole-matrix
+//! and column reads.  *Capture*: the answer comes from per-shard captures — a shard's
 //! settled levels and, as far as they are live, the views of its degree
 //! indexes and its per-level column twins, all `Arc` handles taken by one
 //! job behind the shard's staged tuples.  The engine holds one capture

@@ -13,14 +13,7 @@ use hyperstream_graphblas::{
     CursorReader, DegreeIndex, GrbResult, Index, MatrixReader, MatrixSnapshot, ScalarType,
 };
 use std::collections::BTreeMap;
-
-/// One shard's part of a read: what it is asked, and — for a batched read —
-/// the positions in the request its answers go back to.
-struct Ask {
-    shard: usize,
-    query: Query,
-    slots: Vec<usize>,
-}
+use std::ops::Range;
 
 /// What answering `q` from a capture needs live on the shard: exactly what
 /// the query activates on a live [`HierMatrix`](crate::HierMatrix) — a
@@ -41,31 +34,23 @@ fn needs(q: &Query) -> Live {
     }
 }
 
-/// Whom `q` goes to among `shards`, one [`Ask`] per shard; `None` when the
-/// answer is empty whatever the shards hold.  `warm`: a summed in-degree
-/// index is held.
-fn route(shards: usize, q: &Query, warm: bool) -> Option<Vec<Ask>> {
-    let each = |shards: std::ops::Range<usize>, query: &Query| {
-        let ask = |shard| Ask {
-            shard,
-            query: query.clone(),
-            slots: Vec::new(),
-        };
-        Some(shards.map(ask).collect())
-    };
+/// Whom `q` goes to among `shards` — its row's one owner, every shard, or
+/// none — and what each of them is asked; `None` when the answer is empty
+/// whatever the shards hold.  `warm`: a summed in-degree index is held.
+fn route(shards: usize, q: Query, warm: bool) -> Option<(Range<usize>, Query)> {
     match q {
         Query::Get(row, _) | Query::Row(row) | Query::RowDegree(row) | Query::RowReduce(row) => {
-            let shard = owner(*row, shards);
-            each(shard..shard + 1, q)
+            let shard = owner(row, shards);
+            Some((shard..shard + 1, q))
         }
         Query::TopK(0) | Query::InTopK(0) => None,
         Query::RowRange(lo, hi) | Query::ColRange(lo, hi) if lo >= hi => None,
         // The held sum answers; it goes stale only with the content.
-        Query::InTopK(_) | Query::InDegreeHistogram if warm => each(0..0, q),
+        Query::InTopK(_) | Query::InDegreeHistogram if warm => Some((0..0, q)),
         // A column's cells split over the row-partitioned shards, so a
         // shard's in-degree ranking says nothing about the global one:
         // every shard ships its complete column → degree list instead.
-        Query::InTopK(_) | Query::InDegreeHistogram => each(0..shards, &Query::InTopK(usize::MAX)),
+        Query::InTopK(_) | Query::InDegreeHistogram => Some((0..shards, Query::InTopK(usize::MAX))),
         // Range, whole-matrix and column reads touch every shard: hashed
         // rows of any range fall in all of them.
         Query::RowRange(..)
@@ -76,37 +61,8 @@ fn route(shards: usize, q: &Query, warm: bool) -> Option<Vec<Ask>> {
         | Query::Col(_)
         | Query::ColDegree(_)
         | Query::ColReduce(_)
-        | Query::ColRange(..) => each(0..shards, q),
-        Query::Rows(rows) => scatter(shards, rows, |&row| row, Query::Rows),
-        Query::GetMany(keys) => scatter(shards, keys, |&(row, _)| row, Query::GetMany),
+        | Query::ColRange(..) => Some((0..shards, q)),
     }
-}
-
-/// Group `keys` by owning shard: one batched query per involved shard,
-/// built by `query` from the keys that shard owns.
-fn scatter<K: Copy>(
-    shards: usize,
-    keys: &[K],
-    row_of: impl Fn(&K) -> Index,
-    query: impl Fn(Vec<K>) -> Query,
-) -> Option<Vec<Ask>> {
-    let mut groups: Vec<(usize, Vec<usize>, Vec<K>)> = Vec::new();
-    for (slot, key) in keys.iter().enumerate() {
-        let shard = owner(row_of(key), shards);
-        match groups.iter_mut().find(|g| g.0 == shard) {
-            Some((_, slots, owned)) => {
-                slots.push(slot);
-                owned.push(*key);
-            }
-            None => groups.push((shard, vec![slot], vec![*key])),
-        }
-    }
-    let ask = |(shard, slots, owned)| Ask {
-        shard,
-        query: query(owned),
-        slots,
-    };
-    Some(groups.into_iter().map(ask).collect())
 }
 
 /// The one ranking order of `(id, degree)` pairs: degree descending, then
@@ -158,21 +114,6 @@ fn merge_two<E: Copy, K: Ord>(a: &[E], b: &[E], key: impl Fn(&E) -> K) -> Vec<E>
     out
 }
 
-/// Batched answers back into request order (every slot is some shard's).
-fn gather<A: Clone>(
-    n: usize,
-    empty: A,
-    parts: impl Iterator<Item = (Vec<A>, Vec<usize>)>,
-) -> Vec<A> {
-    let mut out = vec![empty; n];
-    for (answers, slots) in parts {
-        for (slot, answer) in slots.into_iter().zip(answers) {
-            out[slot] = answer;
-        }
-    }
-    out
-}
-
 /// The held in-degree sum, built from `parts` (every shard's complete
 /// column → degree list) when none is held: a degree index keyed by
 /// column, which ranks and bins the sums.  Summing every shard's list is
@@ -181,42 +122,39 @@ fn gather<A: Clone>(
 /// cache serves the burst.
 fn summed<T: ScalarType>(
     held: &mut Option<DegreeIndex<T>>,
-    parts: impl Iterator<Item = (Answer<T>, Vec<usize>)>,
+    parts: impl Iterator<Item = Answer<T>>,
 ) -> &mut DegreeIndex<T> {
     held.get_or_insert_with(|| {
         let mut sum = DegreeIndex::new();
-        for (col, degree) in parts.flat_map(|p| p.0.into_ranked()) {
+        for (col, degree) in parts.flat_map(Answer::into_ranked) {
             sum.add_unique_row(col, degree as u64, T::default());
         }
         sum
     })
 }
 
-/// One answer out of the shards' `(answer, slots)` parts.  Every rule
-/// below is exact because shards own disjoint row sets and values combine
-/// under an associative, commutative `+`; a shard that holds nothing adds
-/// nothing.
+/// One answer out of the shards' parts.  Every rule below is exact because
+/// shards own disjoint row sets and values combine under an associative,
+/// commutative `+`; a shard that holds nothing adds nothing.
 fn combine<T: ScalarType>(
     q: &Query,
-    mut parts: impl Iterator<Item = (Answer<T>, Vec<usize>)>,
+    mut parts: impl Iterator<Item = Answer<T>>,
     in_degrees: &mut Option<DegreeIndex<T>>,
 ) -> Answer<T> {
     match q {
         // One shard holds the row: what it says is the answer.
         Query::Get(..) | Query::Row(_) | Query::RowDegree(_) | Query::RowReduce(_) => {
-            parts.next().map_or_else(|| Answer::empty_for(q), |p| p.0)
+            parts.next().unwrap_or_else(|| Answer::empty_for(q))
         }
         // Distinct cells, and the distinct rows of one column, add up.
-        Query::Nnz | Query::ColDegree(_) => Answer::Count(parts.map(|p| p.0.into_count()).sum()),
-        Query::ColReduce(_) => Answer::Value(
-            parts
-                .filter_map(|p| p.0.into_value())
-                .reduce(|a, b| a.add(b)),
-        ),
+        Query::Nnz | Query::ColDegree(_) => Answer::Count(parts.map(Answer::into_count).sum()),
+        Query::ColReduce(_) => {
+            Answer::Value(parts.filter_map(Answer::into_value).reduce(|a, b| a.add(b)))
+        }
         // Every row is ranked by exactly one shard, so the global top-k is
         // the top-k of the local top-k's put together.
         Query::TopK(k) => {
-            let mut all = concat(parts.map(|p| p.0.into_ranked()));
+            let mut all = concat(parts.map(Answer::into_ranked));
             all.sort_by(by_rank);
             all.truncate(*k);
             Answer::Ranked(all)
@@ -224,22 +162,22 @@ fn combine<T: ScalarType>(
         // Every row is counted by exactly one shard: the bins add.
         Query::DegreeHistogram => {
             let mut counts = BTreeMap::new();
-            for (d, n) in parts.flat_map(|p| p.0.into_histogram()) {
+            for (d, n) in parts.flat_map(Answer::into_histogram) {
                 *counts.entry(d).or_insert(0) += n;
             }
             Answer::Histogram(counts)
         }
         // Sorted per shard, no key in two shards: linear merges order them.
         Query::Entries | Query::RowRange(..) => Answer::Entries(merge_parts(
-            parts.map(|p| p.0.into_entries()).collect(),
+            parts.map(Answer::into_entries).collect(),
             |&(r, c, _)| (u128::from(r) << 64) | u128::from(c),
         )),
         Query::Col(_) => Answer::Line(merge_parts(
-            parts.map(|p| p.0.into_line()).collect(),
+            parts.map(Answer::into_line).collect(),
             |&(r, _)| r,
         )),
         Query::ColRange(..) => Answer::Entries(merge_parts(
-            parts.map(|p| p.0.into_entries()).collect(),
+            parts.map(Answer::into_entries).collect(),
             |&(r, c, _)| (u128::from(c) << 64) | u128::from(r),
         )),
         // In-degrees alone are summed per column *before* they are ranked
@@ -247,14 +185,6 @@ fn combine<T: ScalarType>(
         Query::InTopK(k) => Answer::Ranked(summed(in_degrees, parts).top_k(*k)),
         Query::InDegreeHistogram => {
             Answer::Histogram(summed(in_degrees, parts).view_mut().degree_histogram())
-        }
-        Query::Rows(rows) => {
-            let parts = parts.map(|(a, slots)| (a.into_lines(), slots));
-            Answer::Lines(gather(rows.len(), Vec::new(), parts))
-        }
-        Query::GetMany(keys) => {
-            let parts = parts.map(|(a, slots)| (a.into_values(), slots));
-            Answer::Values(gather(keys.len(), None, parts))
         }
     }
 }
@@ -302,22 +232,21 @@ impl<T: ScalarType> ShardedSnapshot<T> {
         })
     }
 
-    /// Whom `q` goes to.
-    fn route(&self, q: &Query) -> Option<Vec<Ask>> {
-        route(self.shards.len(), q, self.in_degrees.is_some())
+    /// Whom `q` goes to, and what they are asked.
+    fn route(&self, q: &Query) -> Option<(Range<usize>, Query)> {
+        route(self.shards.len(), *q, self.in_degrees.is_some())
     }
 
-    /// `q` answered from the captures `asks` names, every one of which is
-    /// held: each is asked through [`MatrixReader::answer`], and what they
-    /// say is combined.
-    fn ask(&mut self, q: &Query, asks: Option<Vec<Ask>>) -> Answer<T> {
-        let Some(asks) = asks else {
+    /// `q` answered as `routed` says, from captures that are all held: each
+    /// is asked through [`MatrixReader::answer`], and what they say is
+    /// combined.
+    fn ask(&mut self, q: &Query, routed: Option<(Range<usize>, Query)>) -> Answer<T> {
+        let Some((shards, asked)) = routed else {
             return Answer::empty_for(q);
         };
-        let shards = &mut self.shards;
-        let parts = asks.into_iter().map(|a| {
-            let (capture, _) = shards[a.shard].as_mut().expect("a routed capture is held");
-            (capture.answer(&a.query), a.slots)
+        let parts = self.shards[shards].iter_mut().map(|s| {
+            let (capture, _) = s.as_mut().expect("a routed capture is held");
+            capture.answer(&asked)
         });
         combine(q, parts, &mut self.in_degrees)
     }
@@ -331,11 +260,7 @@ impl<T: ScalarType> ShardedHierMatrix<T> {
     /// capture job behind its staged tuples, all in flight at once; a read
     /// that needs a side's index captures every live shard without it, so
     /// no later read of the burst pays one shard's activation.
-    fn capture(
-        &mut self,
-        routed: impl Iterator<Item = usize> + Clone,
-        need: Live,
-    ) -> GrbResult<&mut ShardedSnapshot<T>> {
+    fn capture(&mut self, routed: Range<usize>, need: Live) -> GrbResult<&mut ShardedSnapshot<T>> {
         self.ensure_live(routed.clone())?;
         let stale = |s: &usize| !self.held.serves(*s, need);
         let mut targets: Vec<usize> = routed.clone().filter(stale).collect();
@@ -354,7 +279,7 @@ impl<T: ScalarType> ShardedHierMatrix<T> {
         for (s, capture) in targets.into_iter().zip(captured) {
             match capture {
                 Ok(capture) => self.held.shards[s] = Some(capture),
-                Err(e) if routed.clone().any(|r| r == s) => return Err(e),
+                Err(e) if routed.contains(&s) => return Err(e),
                 // Lost while captured for another shard's read: the read
                 // does not need it.
                 Err(_) => {}
@@ -371,10 +296,10 @@ impl<T: ScalarType> ShardedHierMatrix<T> {
     }
 
     fn read(&mut self, q: &Query) -> GrbResult<Answer<T>> {
-        let asks = self.held.route(q);
-        let routed = asks.iter().flatten().map(|a| a.shard);
-        let held = self.capture(routed, needs(q))?;
-        Ok(held.ask(q, asks))
+        let routed = self.held.route(q);
+        let shards = routed.as_ref().map_or(0..0, |(shards, _)| shards.clone());
+        let held = self.capture(shards, needs(q))?;
+        Ok(held.ask(q, routed))
     }
 
     /// Take a consistent engine-wide snapshot: every shard's capture, the
@@ -436,8 +361,8 @@ impl<T: ScalarType> MatrixReader<T> for ShardedSnapshot<T> {
     }
 
     fn answer(&mut self, q: &Query) -> Answer<T> {
-        let asks = self.route(q);
-        self.ask(q, asks)
+        let routed = self.route(q);
+        self.ask(q, routed)
     }
 }
 
@@ -541,7 +466,7 @@ mod tests {
             let mut flat = flat_of(updates);
             let before = e.capture_jobs();
             for q in burst {
-                assert_eq!(e.try_read(q.clone()), Ok(flat.answer(q)), "{q:?}");
+                assert_eq!(e.try_read(*q), Ok(flat.answer(q)), "{q:?}");
             }
             e.capture_jobs() - before
         };
@@ -599,8 +524,6 @@ mod tests {
             Query::InTopK(5),
             Query::InDegreeHistogram,
             Query::ColRange(0, 30),
-            Query::Rows(vec![0, 797_003]),
-            Query::GetMany(vec![(797_003, 7)]),
         ];
         one_capture_per_routed_shard(&mut engine, &mut updates, &burst, 3);
         // The summed in-degree index is held with the captures, and a
@@ -611,36 +534,24 @@ mod tests {
     }
 
     #[test]
-    fn batched_pushdown_matches_singles() {
-        // The row hash spreads the probe rows across different owners,
-        // exercising the group-by-shard dispatch and request-order
-        // reassembly.
+    fn a_burst_of_single_reads_captures_each_shard_once() {
+        // The row hash spreads the probe rows over every shard: a burst of
+        // row extracts and point gets after a write takes each shard's
+        // capture once, however many of its keys the burst asks for.
         let mut engine = tiny_engine(4);
         let mut updates = col_stream(2000);
         for &(r, c, v) in &updates {
             engine.update(r, c, v).unwrap();
         }
-        let mut probe_rows: Vec<u64> = updates.iter().take(9).map(|u| u.0).collect();
-        probe_rows.push(DIM - 1); // absent row
-        let batched = engine.read_rows(&probe_rows);
-        assert_eq!(batched.len(), probe_rows.len());
-        for (&row, got) in probe_rows.iter().zip(&batched) {
-            let mut single = Vec::new();
-            engine.read_row(row, &mut single);
-            assert_eq!(*got, single, "row {row}");
-        }
-        let mut keys: Vec<(u64, u64)> = updates.iter().take(9).map(|u| (u.0, u.1)).collect();
-        keys.push((DIM - 1, DIM - 1)); // absent cell
-        let values = engine.read_get_many(&keys);
-        assert_eq!(values.len(), keys.len());
-        for (&(r, c), got) in keys.iter().zip(&values) {
-            assert_eq!(*got, engine.read_get(r, c), "key ({r}, {c})");
-        }
-        // A batched read captures each owning shard once.
-        let owners = probe_rows.iter().map(|&r| owner(r, 4));
-        let routed = owners.collect::<std::collections::BTreeSet<_>>().len();
-        let burst = [Query::Rows(probe_rows), Query::GetMany(keys)];
-        one_capture_per_routed_shard(&mut engine, &mut updates, &burst, routed as u64);
+        let mut keys: Vec<(u64, u64)> = updates.iter().take(24).map(|u| (u.0, u.1)).collect();
+        keys.push((DIM - 1, DIM - 1)); // absent row and cell
+        let owners = keys.iter().map(|&(r, _)| owner(r, 4));
+        assert_eq!(owners.collect::<std::collections::BTreeSet<_>>().len(), 4);
+        let burst: Vec<Query> = keys
+            .iter()
+            .flat_map(|&(r, c)| [Query::Row(r), Query::Get(r, c)])
+            .collect();
+        one_capture_per_routed_shard(&mut engine, &mut updates, &burst, 4);
     }
 
     #[test]
@@ -713,9 +624,8 @@ mod tests {
             Query::Nnz,
             Query::Col(col),
             Query::InTopK(3),
-            Query::Rows(vec![live, lost]),
         ] {
-            let refused = engine.try_read(q.clone());
+            let refused = engine.try_read(q);
             let named = |e: &GrbError| matches!(e, GrbError::ShardsLost { shards, .. } if shards == &vec![victim]);
             assert!(matches!(&refused, Err(e) if named(e)), "{q:?}: {refused:?}");
         }
@@ -724,9 +634,8 @@ mod tests {
             Query::Row(live),
             Query::RowDegree(live),
             Query::RowReduce(live),
-            Query::Rows(vec![live]),
         ] {
-            assert_eq!(engine.try_read(q.clone()), Ok(flat.answer(&q)), "{q:?}");
+            assert_eq!(engine.try_read(q), Ok(flat.answer(&q)), "{q:?}");
         }
         assert_eq!(
             engine.capture_jobs(),
@@ -758,10 +667,7 @@ mod tests {
         };
         failpoint::arm_at("worker-query", Some(5), 1, FailAction::Panic);
         let live = Query::RowDegree(row_on(false));
-        assert_eq!(
-            engine.try_read(live.clone()),
-            Ok(flat_of(&updates).answer(&live))
-        );
+        assert_eq!(engine.try_read(live), Ok(flat_of(&updates).answer(&live)));
         assert_eq!(failpoint::fired("worker-query"), 1);
         failpoint::disarm("worker-query");
         assert_eq!(engine.lost_shards(), vec![5]);

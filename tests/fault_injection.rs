@@ -74,9 +74,9 @@ fn quiet_failpoint_panics() {
     });
 }
 
-/// One query of every kind: the row-targeted ones aimed at `row`, the
-/// batched ones at `row` after `other`, the rest at the whole matrix.
-fn every_kind(row: u64, col: u64, other: u64, k: usize) -> Vec<Query> {
+/// One query of every kind: the row-targeted ones aimed at `row`, the rest
+/// at the whole matrix.
+fn every_kind(row: u64, col: u64, k: usize) -> Vec<Query> {
     vec![
         Query::Get(row, col),
         Query::Row(row),
@@ -93,8 +93,6 @@ fn every_kind(row: u64, col: u64, other: u64, k: usize) -> Vec<Query> {
         Query::InTopK(k),
         Query::InDegreeHistogram,
         Query::ColRange(0, DIM),
-        Query::Rows(vec![other, row]),
-        Query::GetMany(vec![(other, col), (row, col)]),
     ]
 }
 
@@ -180,9 +178,8 @@ proptest! {
         let is_the_loss = |e: &GrbError| matches!(e, GrbError::ShardsLost { shards, .. } if shards == &vec![victim]);
         let (lost_row, col, _) = update_owned(&updates, shards, victim, true).unwrap();
         let live = update_owned(&updates, shards, victim, false);
-        let other = live.map_or(lost_row, |u| u.0);
-        for q in every_kind(lost_row, col, other, 5) {
-            let refused = engine.try_read(q.clone());
+        for q in every_kind(lost_row, col, 5) {
+            let refused = engine.try_read(q);
             prop_assert!(matches!(&refused, Err(e) if is_the_loss(e)), "{q:?}: {refused:?}");
             prop_assert!(engine.take_read_error().is_none(), "try_read latched on {q:?}");
             prop_assert_eq!(engine.answer(&q), Answer::empty_for(&q));
@@ -198,12 +195,10 @@ proptest! {
                 Query::Row(row),
                 Query::RowDegree(row),
                 Query::RowReduce(row),
-                Query::Rows(vec![row]),
-                Query::GetMany(vec![(row, col)]),
                 Query::TopK(0),
             ] {
                 let want = flat.answer(&q);
-                prop_assert_eq!(engine.try_read(q.clone()), Ok(want), "{:?}", &q);
+                prop_assert_eq!(engine.try_read(q), Ok(want), "{:?}", &q);
             }
         }
         let is_lost = |r: GrbResult<()>| matches!(r, Err(GrbError::ShardsLost { .. }));
@@ -251,20 +246,22 @@ proptest! {
             let mut kept: Vec<(u64, u64, u64)> =
                 first.iter().copied().filter(|u| !owned(u.0)).collect();
             let q = Query::InTopK(k);
-            prop_assert_eq!(engine.try_read(q.clone()), Ok(build_flat(&kept).answer(&q)));
+            prop_assert_eq!(engine.try_read(q), Ok(build_flat(&kept).answer(&q)));
             for &(r, c, v) in &second {
                 engine.update(r, c, v).unwrap();
             }
             kept.extend_from_slice(&second);
             let mut flat = build_flat(&kept);
-            // Aim the row-targeted kinds at a row the victim lost, and the
-            // batched ones at one it owns again after the respawn.
+            // Aim the row-targeted kinds at a row the victim lost, then a
+            // row extract and a point get at one it owns again after the
+            // respawn.
             let (row, col, _) = update_owned(&first, shards, victim, true).unwrap_or(first[0]);
-            let other = update_owned(&second, shards, victim, true).unwrap_or(second[0]).0;
+            let (again, again_col, _) = update_owned(&second, shards, victim, true).unwrap_or(second[0]);
             let mut snap = engine.snapshot().unwrap();
-            for q in every_kind(row, col, other, k) {
+            let owned_again = [Query::Row(again), Query::Get(again, again_col)];
+            for q in every_kind(row, col, k).into_iter().chain(owned_again) {
                 let want = flat.answer(&q);
-                prop_assert_eq!(engine.try_read(q.clone()), Ok(want.clone()), "{} shards: {:?}", shards, &q);
+                prop_assert_eq!(engine.try_read(q), Ok(want.clone()), "{} shards: {:?}", shards, &q);
                 prop_assert_eq!(snap.answer(&q), want, "{} shards, snapshot: {:?}", shards, &q);
             }
             prop_assert!(engine.take_read_error().is_none());
@@ -335,8 +332,8 @@ proptest! {
                     prop_assert!(matches!(stats, Err(GrbError::ShardsLost { .. })), "{stats:?}");
                     failpoint::disarm_all();
                     for &(r, c, _) in part.iter().take(4) {
-                        for q in [Query::Get(r, c), Query::RowDegree(r), Query::Rows(vec![r])] {
-                            let got = engine.try_read(q.clone());
+                        for q in [Query::Get(r, c), Query::RowDegree(r), Query::Row(r)] {
+                            let got = engine.try_read(q);
                             if owned(r) {
                                 prop_assert!(is_the_loss(&got), "{:?}: {:?}", &q, got);
                             } else {
@@ -355,10 +352,9 @@ proptest! {
             kept.extend_from_slice(part);
             let mut flat = build_flat(&kept);
             let (row, col, _) = part[0];
-            let other = part[part.len() / 2].0;
-            for q in every_kind(row, col, other, k) {
+            for q in every_kind(row, col, k) {
                 let want = flat.answer(&q);
-                prop_assert_eq!(engine.try_read(q.clone()), Ok(want), "step {}: {:?}", step, &q);
+                prop_assert_eq!(engine.try_read(q), Ok(want), "step {}: {:?}", step, &q);
             }
         }
         prop_assert!(engine.take_read_error().is_none());

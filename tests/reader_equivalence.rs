@@ -12,7 +12,7 @@
 //! The level-backed stores (flat, hierarchy, windowed hierarchy, both
 //! snapshot captures) share one `MatrixReader::answer`, and the sharded
 //! engine and its snapshot another (one route and one combine over their
-//! shards); the same generated cases drive all 18 `read_*` methods of each
+//! shards); the same generated cases drive all 16 `read_*` methods of each
 //! against a `BTreeMap<(row, col), value>` oracle through [`check_reads`].
 
 mod common;
@@ -76,7 +76,7 @@ fn histogram_of(lines: &BTreeMap<u64, Vec<(u64, u64)>>) -> BTreeMap<u64, u64> {
     hist
 }
 
-/// All 18 `read_*` methods of one reader against the cell oracle: present
+/// All 16 `read_*` methods of one reader against the cell oracle: present
 /// and absent rows/columns, a straddling range, the whole range and
 /// `lo >= hi`, `k` of 0, `k` and `usize::MAX`.
 fn check_reads<S: MatrixReader<u64>>(s: &mut S, cells: &Cells, dims: (u64, u64), k: usize) {
@@ -133,19 +133,6 @@ fn check_reads<S: MatrixReader<u64>>(s: &mut S, cells: &Cells, dims: (u64, u64),
         let sum = (!line.is_empty()).then(|| line.iter().map(|&(_, v)| v).sum::<u64>());
         assert_eq!(s.read_col_reduce(c), sum, "reduce of col {c} of {name}");
     }
-
-    let batch = s.read_rows(&row_probes);
-    let expect: Vec<_> = row_probes
-        .iter()
-        .map(|r| rows.get(r).cloned().unwrap_or_default())
-        .collect();
-    assert_eq!(batch, expect, "batched rows of {name}");
-    let keys: Vec<(u64, u64)> = row_probes
-        .iter()
-        .flat_map(|&r| col_probes.iter().map(move |&c| (r, c)))
-        .collect();
-    let expect: Vec<_> = keys.iter().map(|rc| cells.get(rc).copied()).collect();
-    assert_eq!(s.read_get_many(&keys), expect, "batched gets of {name}");
 
     for k in [0, k, usize::MAX] {
         assert_eq!(s.read_top_k(k), ranked(&rows, k), "top-{k} of {name}");
