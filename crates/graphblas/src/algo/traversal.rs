@@ -3,7 +3,7 @@
 
 use crate::index::Index;
 use crate::mask::VectorMask;
-use crate::ops::binary::Min;
+use crate::ops::binary::{First, Min};
 use crate::ops::reader_mx::vxm_pattern_levels;
 use crate::ops::spa::SpaScratch;
 use crate::reader::CursorReader;
@@ -46,11 +46,11 @@ where
                 let unvisited = VectorMask::complement(&levels);
                 vxm_pattern_levels(&frontier, lv, Min, Some(&unvisited), &mut spa, &mut reached);
             }
-            frontier.clear();
-            for &(j, _) in &reached {
-                levels.set(j, level).expect("in range");
-                frontier.push((j, 1));
-            }
+            let (idx, vals) = reached.iter().map(|&(j, _)| (j, level)).unzip();
+            levels = SparseVector::from_sorted_parts(levels.size(), idx, vals)
+                .and_then(|wave| levels.ewise_add(&wave, First))
+                .expect("a wave is sorted and sized like the level vector");
+            std::mem::swap(&mut frontier, &mut reached); // each reached vertex holds a one
         }
     });
     levels
@@ -116,6 +116,42 @@ mod tests {
         let levels = bfs_levels(&mut g, 2);
         assert_eq!(levels.nvals(), 1);
         assert_eq!(levels.get(2), Some(1));
+    }
+
+    /// A seeded power-law digraph: `edges` arcs between `n` vertices whose
+    /// ends crowd onto a few hubs (`n·u³` for uniform `u`), the ids
+    /// scattered over `0..dim` by an odd multiplier (a bijection mod
+    /// `2^k`).
+    fn power_law(dim: u64, n: u64, edges: usize, seed: u64) -> Matrix<u64> {
+        let mut state = seed;
+        let mut vertex = || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            let u = ((z ^ (z >> 31)) >> 11) as f64 / (1u64 << 53) as f64;
+            let v = (n as f64 * u.powi(3)) as u64;
+            v.wrapping_mul(0xD1B5_4A32_D192_ED03) % dim
+        };
+        let (rows, cols): (Vec<u64>, Vec<u64>) = (0..edges).map(|_| (vertex(), vertex())).unzip();
+        Matrix::from_tuples(dim, dim, &rows, &cols, &vec![1u64; edges], Plus).unwrap()
+    }
+
+    #[test]
+    fn wide_waves_match_the_tuples_reference() {
+        for dim in [1u64 << 20, 1 << 40] {
+            let mut g = power_law(dim, 30_000, 60_000, dim ^ 7);
+            let hub = 0; // vertex 0 maps to id 0 and is the heaviest
+            let fast = bfs_levels(&mut g, hub);
+            let slow = bfs_levels_tuples(&mut g, hub).unwrap();
+            assert_eq!(fast, slow, "dim {dim}");
+            let mut waves = std::collections::BTreeMap::new();
+            for (_, level) in fast.iter() {
+                *waves.entry(level).or_insert(0) += 1;
+            }
+            let widest = waves.values().copied().max().unwrap_or(0);
+            assert!(widest >= 2_000, "dim {dim}: waves {waves:?}");
+        }
     }
 
     #[test]

@@ -23,8 +23,11 @@
 
 use crate::error::{GrbError, GrbResult};
 use crate::formats::dcsr::Dcsr;
-use crate::formats::merge::{gallop_while, merge_row_adaptive, MergeTally, PairSink, PlaneSink};
+use crate::formats::merge::{
+    gallop_while, merge_row_adaptive, MergeSink, MergeTally, PairSink, PlaneSink,
+};
 use crate::index::Index;
+use crate::ops::binary::First;
 use crate::ops::BinaryOp;
 use crate::types::ScalarType;
 use std::cmp::Reverse;
@@ -192,7 +195,7 @@ impl<'a, T: ScalarType> LevelCursors<'a, T> {
             return self.part(0).0.len();
         }
         let mut n = 0;
-        self.merge_active(crate::ops::binary::First, &mut |_, _| n += 1);
+        self.merge_active(First, &mut |_, _| n += 1);
         n
     }
 
@@ -378,9 +381,7 @@ pub fn merged_nnz<T: ScalarType>(levels: &[&Dcsr<T>]) -> usize {
                     lv.slot += 1;
                 }
             }
-            merge_parts(&parts, &mut pos, crate::ops::binary::First, &mut |_, _| {
-                n += 1
-            });
+            merge_parts(&parts, &mut pos, First, &mut |_, _| n += 1);
         }
     }
     n
@@ -432,7 +433,7 @@ pub fn merged_point<T: ScalarType, Op: BinaryOp<T>>(
 }
 
 /// Merge one logical row of `Σ levels` into `out` (cleared first), sorted
-/// by column, values combined under `op`.
+/// by column, values combined under `op`, by a tree of two-way merges.
 pub fn merged_row_into<T: ScalarType, Op: BinaryOp<T>>(
     levels: &[&Dcsr<T>],
     row: Index,
@@ -441,26 +442,36 @@ pub fn merged_row_into<T: ScalarType, Op: BinaryOp<T>>(
 ) {
     out.clear();
     let parts: Vec<(&[Index], &[T])> = levels.iter().filter_map(|d| d.row(row)).collect();
-    match parts.len() {
-        0 => {}
-        1 => {
-            let (cols, vals) = parts[0];
-            out.extend(cols.iter().copied().zip(vals.iter().copied()));
-        }
-        2 => {
-            // Two colliding parts: the skew-aware kernel with a tuple sink,
-            // so skipped spans bulk-extend `out` instead of pushing one
-            // element at a time.
-            let mut tally = MergeTally::default();
-            let mut sink = PairSink { out };
-            merge_row_adaptive(
-                parts[0].0, parts[0].1, parts[1].0, parts[1].1, op, &mut sink, &mut tally,
-            );
-            tally.commit();
-        }
+    let mut tally = MergeTally::default();
+    merge_tree(&parts, op, &mut PairSink { out }, &mut tally);
+    tally.commit();
+}
+
+/// `parts` merged into `sink` left to right as a balanced tree of two-way
+/// merges: no element passes more than `⌈log₂ parts⌉` of them.
+fn merge_tree<T: ScalarType, Op: BinaryOp<T>, S: MergeSink<T>>(
+    parts: &[(&[Index], &[T])],
+    op: Op,
+    sink: &mut S,
+    tally: &mut MergeTally,
+) {
+    match parts {
+        [] => {}
+        [(cols, vals)] => sink.push_run(cols, vals),
+        [(ca, va), (cb, vb)] => merge_row_adaptive(ca, va, cb, vb, op, sink, tally),
         _ => {
-            let mut pos = Vec::with_capacity(parts.len());
-            merge_parts(&parts, &mut pos, op, &mut |c, v| out.push((c, v)));
+            let (left, right) = parts.split_at(parts.len() / 2);
+            let [(ca, va), (cb, vb)] = [left, right].map(|half| {
+                let len = half.iter().map(|(cols, _)| cols.len()).sum();
+                let (mut cols, mut vals) = (Vec::with_capacity(len), Vec::with_capacity(len));
+                let mut sink = PlaneSink {
+                    cols: &mut cols,
+                    vals: &mut vals,
+                };
+                merge_tree(half, op, &mut sink, tally);
+                (cols, vals)
+            });
+            merge_row_adaptive(&ca, &va, &cb, &vb, op, sink, tally);
         }
     }
 }
@@ -468,18 +479,13 @@ pub fn merged_row_into<T: ScalarType, Op: BinaryOp<T>>(
 /// Number of distinct columns in row `row` of `Σ levels`.
 pub fn merged_row_degree<T: ScalarType>(levels: &[&Dcsr<T>], row: Index) -> usize {
     let parts: Vec<(&[Index], &[T])> = levels.iter().filter_map(|d| d.row(row)).collect();
-    match parts.len() {
-        0 => 0,
-        1 => parts[0].0.len(),
-        _ => {
-            let mut pos = Vec::with_capacity(parts.len());
-            let mut n = 0;
-            merge_parts(&parts, &mut pos, crate::ops::binary::First, &mut |_, _| {
-                n += 1
-            });
-            n
-        }
+    if let [(cols, _)] = parts[..] {
+        return cols.len();
     }
+    let (mut n, mut tally) = (0, MergeTally::default());
+    merge_tree(&parts, First, &mut |_, _: T| n += 1, &mut tally);
+    tally.commit();
+    n
 }
 
 /// Reduce row `row` of `Σ levels` to a scalar under `op` (`None` when the
@@ -632,7 +638,7 @@ pub fn merged_col_degree<T: ScalarType>(levels: &[&Dcsr<T>], col: Index) -> usiz
     let mut cur = LevelCursors::new(levels);
     let mut n = 0;
     while cur.next_row().is_some() {
-        if cur.col_in_row(col, crate::ops::binary::First).is_some() {
+        if cur.col_in_row(col, First).is_some() {
             n += 1;
         }
     }
@@ -669,7 +675,7 @@ fn merged_col_degrees<T: ScalarType>(
     levels: &[&Dcsr<T>],
 ) -> std::collections::BTreeMap<Index, u64> {
     let mut degs = std::collections::BTreeMap::new();
-    for_each_merged(levels, crate::ops::binary::First, &mut |_, c, _| {
+    for_each_merged(levels, First, &mut |_, c, _| {
         *degs.entry(c).or_insert(0u64) += 1;
     });
     degs
@@ -701,34 +707,6 @@ pub fn merged_in_degree_histogram<T: ScalarType>(
         *counts.entry(d).or_insert(0u64) += 1;
     }
     counts
-}
-
-/// Column-major iteration over the columns `lo..hi` (half-open) of
-/// `Σ levels` under `op`: `f(row, col, value)` fires in (col asc, row asc)
-/// order.  Row-major levels cannot stream a column range directly, so this
-/// fallback collects the matching cells from one merged row sweep and
-/// sorts them into column-major order — the shadow fast path streams the
-/// same order with no sort.
-pub fn merged_col_range<T: ScalarType, Op: BinaryOp<T>>(
-    levels: &[&Dcsr<T>],
-    lo: Index,
-    hi: Index,
-    op: Op,
-    f: &mut dyn FnMut(Index, Index, T),
-) {
-    if lo >= hi {
-        return;
-    }
-    let mut hits: Vec<(Index, Index, T)> = Vec::new();
-    for_each_merged(levels, op, &mut |r, c, v| {
-        if c >= lo && c < hi {
-            hits.push((c, r, v));
-        }
-    });
-    hits.sort_unstable_by_key(|&(c, r, _)| (c, r));
-    for (c, r, v) in hits {
-        f(r, c, v);
-    }
 }
 
 #[cfg(test)]
@@ -803,6 +781,64 @@ mod tests {
         let levels: Vec<&Dcsr<u64>> = owned.iter().collect();
         assert_eq!(merged_nnz(&levels), pairwise_reference(&levels).nvals());
         assert_eq!(merged_nnz::<u64>(&[]), 0);
+    }
+
+    /// `merged_row_into` over one level a part, each level holding row 7
+    /// at its part's columns, into a reused non-empty buffer, against a sort
+    /// of the parts' concatenation.
+    fn check_parts(parts: Vec<Vec<(Index, u64)>>) {
+        assert!((3..=8).contains(&parts.len()));
+        let owned: Vec<Dcsr<u64>> = parts
+            .iter()
+            .map(|p| dcsr(&p.iter().map(|&(c, v)| (7, c, v)).collect::<Vec<_>>()))
+            .collect();
+        let levels: Vec<&Dcsr<u64>> = owned.iter().collect();
+        let mut want = parts.concat();
+        want.sort_unstable();
+        let mut got = vec![(1, 1)];
+        merged_row_into(&levels, 7, Plus, &mut got);
+        assert_eq!(got, want, "{} parts", parts.len());
+    }
+
+    /// `n` key-disjoint parts of `len` columns dealt from one ascending run
+    /// by `owner`.
+    fn dealt(n: usize, len: u64, owner: impl Fn(u64) -> usize) -> Vec<Vec<(Index, u64)>> {
+        let mut parts = vec![Vec::new(); n];
+        for c in 0..len {
+            parts[owner(c)].push((c * 3 + 1, c));
+        }
+        parts
+    }
+
+    #[test]
+    fn merged_row_over_disjoint_parts_equals_a_sort_of_the_concatenation() {
+        // Empty parts among full ones.
+        check_parts(vec![
+            Vec::new(),
+            vec![(1, 1), (5, 1)],
+            Vec::new(),
+            vec![(7, 1)],
+        ]);
+        check_parts(vec![vec![(2, 1), (6, 1)], Vec::new(), vec![(1, 1), (5, 1)]]);
+        let mut three = dealt(3, 40, |c| (c % 3) as usize);
+        three.insert(1, Vec::new());
+        check_parts(three);
+        // Banded parts, given in band order and out of it.
+        let bands = dealt(4, 100, |c| (c / 25) as usize);
+        check_parts(bands.clone());
+        check_parts(bands.into_iter().rev().collect());
+        // Parts interleaved one by one, in runs, and one under the others.
+        for n in 3..=8 {
+            check_parts(dealt(n, 1000, |c| (c % n as u64) as usize));
+            check_parts(dealt(n, 1000, |c| (c / 7 % n as u64) as usize));
+        }
+        check_parts(dealt(3, 1000, |c| usize::from(c == 500) * 2));
+        // Hashed, with and without empty parts.
+        let hash = |c: u64| (c.wrapping_mul(0x9E37_79B9) >> 7) as usize;
+        check_parts(dealt(5, 1000, |c| hash(c) % 5));
+        check_parts(dealt(8, 1000, |c| hash(c) % 6));
+        check_parts(dealt(7, 1000, |c| hash(c) % 7));
+        check_parts(dealt(5, 1000, |c| (c / 13 % 5) as usize));
     }
 
     #[test]
@@ -925,23 +961,6 @@ mod tests {
         assert_eq!(hist.get(&3), Some(&1));
         assert_eq!(hist.get(&2), Some(&1));
         assert_eq!(hist.get(&1), Some(&1));
-    }
-
-    #[test]
-    fn merged_col_range_is_column_major() {
-        let owned = sample_levels();
-        let levels: Vec<&Dcsr<u64>> = owned.iter().collect();
-        let reference = pairwise_reference(&levels);
-        for (lo, hi) in [(0u64, u64::MAX), (2, 4), (9, 10), (5, 5), (100, 2)] {
-            let mut got = Vec::new();
-            merged_col_range(&levels, lo, hi, Plus, &mut |r, c, v| got.push((r, c, v)));
-            let mut expect: Vec<_> = reference
-                .iter()
-                .filter(|&(_, c, _)| c >= lo && c < hi)
-                .collect();
-            expect.sort_by_key(|&(r, c, _)| (c, r));
-            assert_eq!(got, expect, "cols {lo}..{hi}");
-        }
     }
 
     #[test]

@@ -28,7 +28,8 @@
 //!
 //! A store implements [`LevelStore`] — only what actually differs: name
 //! and dims, where its levels, twins and optional stats come from — and
-//! gets [`MatrixReader`] and [`CursorReader`] from the blanket impls below.
+//! gets [`MatrixReader`] and [`CursorReader`] from the blanket impls below
+//! (a sharded engine's captures, put end to end, are one such store).
 
 use crate::cursor::{
     for_each_merged, merged_col_degree, merged_col_into, merged_col_reduce,

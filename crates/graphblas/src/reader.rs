@@ -166,8 +166,9 @@ pub trait MatrixReader<V: ScalarType> {
 
 /// Hand an [`Answer::Entries`] to a visitor, in order.
 fn visit<V: ScalarType>(a: Answer<V>, f: &mut dyn FnMut(Index, Index, V)) {
-    for (r, c, v) in a.into_entries() {
-        f(r, c, v);
+    match a {
+        Answer::Entries(all) => all.into_iter().for_each(|(r, c, v)| f(r, c, v)),
+        other => other.mismatch("Entries"),
     }
 }
 
@@ -282,14 +283,6 @@ impl<V: ScalarType> Answer<V> {
         match self {
             Answer::Ranked(ranks) => ranks,
             other => other.mismatch("Ranked"),
-        }
-    }
-
-    /// The payload of a [`Answer::Entries`].
-    pub fn into_entries(self) -> Vec<(Index, Index, V)> {
-        match self {
-            Answer::Entries(entries) => entries,
-            other => other.mismatch("Entries"),
         }
     }
 

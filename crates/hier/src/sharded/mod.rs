@@ -69,14 +69,15 @@
 //! extracts and scans.  A read that needs a side's index captures every
 //! live shard with it, so no later read of the burst pays one shard's
 //! activation; a snapshot, `with_level_dcsrs` and `materialize` activate
-//! nothing.  *Combine* folds what the captures say (each asked through
-//! [`MatrixReader::answer`](hyperstream_graphblas::MatrixReader::answer))
-//! by query kind, and every rule is exact for the same reason: a row
-//! lives in one shard.  Cell counts, per-column row counts and row-degree
-//! histogram bins add; a column's weights fold under `+`; the global row
-//! top-k is the top-k of the local top-k's, because each row is ranked by
-//! exactly one shard; entry lists and column slices are sorted per shard
-//! and share no key, so linear merges order them.  In-degrees alone cannot be combined after the
+//! nothing.  *Combine* is exact by kind because a row lives in one shard.
+//! Extracts and scans need none: the routed captures' levels (and twins)
+//! put end to end are one level decomposition of the matrix, which the one
+//! level-read path (`hyperstream_graphblas::level_read`) reads directly.
+//! The other kinds fold what the captures say (each asked through
+//! [`MatrixReader::answer`](hyperstream_graphblas::MatrixReader::answer)):
+//! cell counts, per-column row counts and row-degree histogram bins add;
+//! a column's weights fold under `+`; the global row top-k is the top-k of
+//! the local top-k's.  In-degrees alone cannot be combined after the
 //! fact — a column's cells split over the shards, so a shard's in-degree
 //! ranking or histogram says nothing about the global one: every shard's
 //! complete column → degree list is *summed per column first* into one

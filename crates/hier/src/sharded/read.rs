@@ -10,7 +10,8 @@ use crate::matrix::Live;
 use hyperstream_graphblas::formats::dcsr::Dcsr;
 use hyperstream_graphblas::reader::{Answer, Query};
 use hyperstream_graphblas::{
-    CursorReader, DegreeIndex, GrbResult, Index, MatrixReader, MatrixSnapshot, ScalarType,
+    CursorReader, DegreeIndex, GrbResult, Index, LevelStore, MatrixReader, MatrixSnapshot,
+    ScalarType,
 };
 use std::collections::BTreeMap;
 use std::ops::Range;
@@ -34,86 +35,6 @@ fn needs(q: &Query) -> Live {
     }
 }
 
-/// Whom `q` goes to among `shards` — its row's one owner, every shard, or
-/// none — and what each of them is asked; `None` when the answer is empty
-/// whatever the shards hold.  `warm`: a summed in-degree index is held.
-fn route(shards: usize, q: Query, warm: bool) -> Option<(Range<usize>, Query)> {
-    match q {
-        Query::Get(row, _) | Query::Row(row) | Query::RowDegree(row) | Query::RowReduce(row) => {
-            let shard = owner(row, shards);
-            Some((shard..shard + 1, q))
-        }
-        Query::TopK(0) | Query::InTopK(0) => None,
-        Query::RowRange(lo, hi) | Query::ColRange(lo, hi) if lo >= hi => None,
-        // The held sum answers; it goes stale only with the content.
-        Query::InTopK(_) | Query::InDegreeHistogram if warm => Some((0..0, q)),
-        // A column's cells split over the row-partitioned shards, so a
-        // shard's in-degree ranking says nothing about the global one:
-        // every shard ships its complete column → degree list instead.
-        Query::InTopK(_) | Query::InDegreeHistogram => Some((0..shards, Query::InTopK(usize::MAX))),
-        // Range, whole-matrix and column reads touch every shard: hashed
-        // rows of any range fall in all of them.
-        Query::RowRange(..)
-        | Query::Nnz
-        | Query::Entries
-        | Query::TopK(_)
-        | Query::DegreeHistogram
-        | Query::Col(_)
-        | Query::ColDegree(_)
-        | Query::ColReduce(_)
-        | Query::ColRange(..) => Some((0..shards, q)),
-    }
-}
-
-/// The one ranking order of `(id, degree)` pairs: degree descending, then
-/// id ascending.
-fn by_rank(a: &(Index, usize), b: &(Index, usize)) -> std::cmp::Ordering {
-    b.1.cmp(&a.1).then(a.0.cmp(&b.0))
-}
-
-/// Per-shard lists end to end, each appended with one exact reservation.
-fn concat<A>(mut lists: impl Iterator<Item = Vec<A>>) -> Vec<A> {
-    let mut all = lists.next().unwrap_or_default();
-    lists.for_each(|list| all.extend(list));
-    all
-}
-
-/// Whether `list` is strictly ascending in `key`.
-fn ascending<E, K: Ord>(list: &[E], key: impl Fn(&E) -> K) -> bool {
-    list.windows(2).all(|w| key(&w[0]) < key(&w[1]))
-}
-
-/// One list ascending in `key` out of per-shard `parts` that each ascend in
-/// it and share no key, folded two at a time through [`merge_two`].
-fn merge_parts<E: Copy, K: Ord>(parts: Vec<Vec<E>>, key: impl Fn(&E) -> K) -> Vec<E> {
-    debug_assert!(
-        parts.iter().all(|p| ascending(p, &key)),
-        "a shard answered out of order"
-    );
-    let out = parts
-        .into_iter()
-        .reduce(|a, b| merge_two(&a, &b, &key))
-        .unwrap_or_default();
-    debug_assert!(ascending(&out, &key), "the merge is out of order");
-    out
-}
-
-/// Two parts merged front to back: each step writes the smaller head by a
-/// select, not a branch (the keys interleave at random), and what is left
-/// of one side once the other runs out is appended whole.
-fn merge_two<E: Copy, K: Ord>(a: &[E], b: &[E], key: impl Fn(&E) -> K) -> Vec<E> {
-    let mut out = Vec::with_capacity(a.len() + b.len());
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        let take_b = key(&b[j]) < key(&a[i]);
-        out.push(if take_b { b[j] } else { a[i] });
-        (i, j) = (i + usize::from(!take_b), j + usize::from(take_b));
-    }
-    out.extend_from_slice(&a[i..]);
-    out.extend_from_slice(&b[j..]);
-    out
-}
-
 /// The held in-degree sum, built from `parts` (every shard's complete
 /// column → degree list) when none is held: a degree index keyed by
 /// column, which ranks and bins the sums.  Summing every shard's list is
@@ -133,60 +54,57 @@ fn summed<T: ScalarType>(
     })
 }
 
-/// One answer out of the shards' parts.  Every rule below is exact because
-/// shards own disjoint row sets and values combine under an associative,
-/// commutative `+`; a shard that holds nothing adds nothing.
-fn combine<T: ScalarType>(
-    q: &Query,
-    mut parts: impl Iterator<Item = Answer<T>>,
-    in_degrees: &mut Option<DegreeIndex<T>>,
-) -> Answer<T> {
-    match q {
-        // One shard holds the row: what it says is the answer.
-        Query::Get(..) | Query::Row(_) | Query::RowDegree(_) | Query::RowReduce(_) => {
-            parts.next().unwrap_or_else(|| Answer::empty_for(q))
-        }
-        // Distinct cells, and the distinct rows of one column, add up.
-        Query::Nnz | Query::ColDegree(_) => Answer::Count(parts.map(Answer::into_count).sum()),
-        Query::ColReduce(_) => {
-            Answer::Value(parts.filter_map(Answer::into_value).reduce(|a, b| a.add(b)))
-        }
-        // Every row is ranked by exactly one shard, so the global top-k is
-        // the top-k of the local top-k's put together.
-        Query::TopK(k) => {
-            let mut all = concat(parts.map(Answer::into_ranked));
-            all.sort_by(by_rank);
-            all.truncate(*k);
-            Answer::Ranked(all)
-        }
-        // Every row is counted by exactly one shard: the bins add.
-        Query::DegreeHistogram => {
-            let mut counts = BTreeMap::new();
-            for (d, n) in parts.flat_map(Answer::into_histogram) {
-                *counts.entry(d).or_insert(0) += n;
-            }
-            Answer::Histogram(counts)
-        }
-        // Sorted per shard, no key in two shards: linear merges order them.
-        Query::Entries | Query::RowRange(..) => Answer::Entries(merge_parts(
-            parts.map(Answer::into_entries).collect(),
-            |&(r, c, _)| (u128::from(r) << 64) | u128::from(c),
-        )),
-        Query::Col(_) => Answer::Line(merge_parts(
-            parts.map(Answer::into_line).collect(),
-            |&(r, _)| r,
-        )),
-        Query::ColRange(..) => Answer::Entries(merge_parts(
-            parts.map(Answer::into_entries).collect(),
-            |&(r, c, _)| (u128::from(c) << 64) | u128::from(r),
-        )),
-        // In-degrees alone are summed per column *before* they are ranked
-        // or binned (see `route`).
-        Query::InTopK(k) => Answer::Ranked(summed(in_degrees, parts).top_k(*k)),
-        Query::InDegreeHistogram => {
-            Answer::Histogram(summed(in_degrees, parts).view_mut().degree_histogram())
-        }
+/// A shard's capture, if held, and what is live in it.
+type Slot<T> = Option<(MatrixSnapshot<T>, Live)>;
+
+/// A routed slot's capture, which the read path holds before it asks.
+fn held<T>(slot: &mut Slot<T>) -> &mut MatrixSnapshot<T> {
+    &mut slot.as_mut().expect("a routed capture is held").0
+}
+
+/// Row-disjoint shards' captures as one [`LevelStore`]: their levels (and
+/// twins) end to end are a level decomposition of the engine's matrix.
+struct Joined<'a, T> {
+    dims: (Index, Index),
+    captures: &'a mut [Slot<T>],
+}
+
+impl<T: ScalarType> LevelStore for Joined<'_, T> {
+    type Value = T;
+
+    fn store_name(&self) -> &str {
+        "sharded-hier-graphblas-levels"
     }
+
+    fn store_dims(&self) -> (Index, Index) {
+        self.dims
+    }
+
+    fn with_levels<R>(&mut self, f: impl FnOnce(&[&Dcsr<T>]) -> R) -> R {
+        let captures = self.captures.iter_mut().map(|slot| &*held(slot));
+        let levels: Vec<&Dcsr<T>> = captures.flat_map(MatrixSnapshot::level_dcsrs).collect();
+        f(&levels)
+    }
+
+    fn with_twins<R>(&mut self, f: impl FnOnce(&[&Dcsr<T>]) -> R) -> R {
+        joined_twins(self.captures, &[], f)
+    }
+}
+
+/// `f` over `before` and every capture's twins: a capture lends its twins
+/// only inside a call, so the calls nest, one a shard.
+fn joined_twins<T: ScalarType, R>(
+    captures: &mut [Slot<T>],
+    before: &[&Dcsr<T>],
+    f: impl FnOnce(&[&Dcsr<T>]) -> R,
+) -> R {
+    let Some((first, rest)) = captures.split_first_mut() else {
+        return f(before);
+    };
+    held(first).with_twins(|twins| {
+        let joined: Vec<&Dcsr<T>> = before.iter().chain(twins).copied().collect();
+        joined_twins(rest, &joined, f)
+    })
 }
 
 /// One consistent point-in-time view of the whole sharded engine: a
@@ -202,7 +120,7 @@ pub struct ShardedSnapshot<T> {
     ncols: Index,
     /// Each shard's capture — settled levels and, as far as they are live
     /// on the shard, its degree views and column twins — and what is live.
-    shards: Vec<Option<(MatrixSnapshot<T>, Live)>>,
+    shards: Vec<Slot<T>>,
     /// The summed in-degree index, built by the first in-degree read and
     /// good for as long as the captures.
     in_degrees: Option<DegreeIndex<T>>,
@@ -232,23 +150,110 @@ impl<T: ScalarType> ShardedSnapshot<T> {
         })
     }
 
-    /// Whom `q` goes to, and what they are asked.
+    /// Whom `q` goes to among the shards — its row's one owner, every
+    /// shard, or none — and what each of them is asked; `None` when the
+    /// answer is empty whatever the shards hold.
     fn route(&self, q: &Query) -> Option<(Range<usize>, Query)> {
-        route(self.shards.len(), *q, self.in_degrees.is_some())
+        let (shards, q, warm) = (self.shards.len(), *q, self.in_degrees.is_some());
+        match q {
+            Query::Get(row, _)
+            | Query::Row(row)
+            | Query::RowDegree(row)
+            | Query::RowReduce(row) => {
+                let shard = owner(row, shards);
+                Some((shard..shard + 1, q))
+            }
+            Query::TopK(0) | Query::InTopK(0) => None,
+            Query::RowRange(lo, hi) | Query::ColRange(lo, hi) if lo >= hi => None,
+            // The held sum answers; it goes stale only with the content.
+            Query::InTopK(_) | Query::InDegreeHistogram if warm => Some((0..0, q)),
+            // A column's cells split over the row-partitioned shards, so a
+            // shard's in-degree ranking says nothing about the global one:
+            // every shard ships its complete column → degree list instead.
+            Query::InTopK(_) | Query::InDegreeHistogram => {
+                Some((0..shards, Query::InTopK(usize::MAX)))
+            }
+            // Range, whole-matrix and column reads touch every shard: hashed
+            // rows of any range fall in all of them.
+            Query::RowRange(..)
+            | Query::Nnz
+            | Query::Entries
+            | Query::TopK(_)
+            | Query::DegreeHistogram
+            | Query::Col(_)
+            | Query::ColDegree(_)
+            | Query::ColReduce(_)
+            | Query::ColRange(..) => Some((0..shards, q)),
+        }
     }
 
-    /// `q` answered as `routed` says, from captures that are all held: each
-    /// is asked through [`MatrixReader::answer`], and what they say is
-    /// combined.
+    /// The held captures of `shards`, read as one level store.
+    fn joined(&mut self, shards: Range<usize>) -> Joined<'_, T> {
+        Joined {
+            dims: (self.nrows, self.ncols),
+            captures: &mut self.shards[shards],
+        }
+    }
+
+    /// `q` answered as `routed` says, from captures that are all held.
+    /// Every rule below is exact because shards own disjoint row sets and
+    /// values combine under an associative, commutative `+`; a shard that
+    /// holds nothing adds nothing.
     fn ask(&mut self, q: &Query, routed: Option<(Range<usize>, Query)>) -> Answer<T> {
         let Some((shards, asked)) = routed else {
             return Answer::empty_for(q);
         };
-        let parts = self.shards[shards].iter_mut().map(|s| {
-            let (capture, _) = s.as_mut().expect("a routed capture is held");
-            capture.answer(&asked)
-        });
-        combine(q, parts, &mut self.in_degrees)
+        let captures = self.shards[shards.clone()].iter_mut();
+        let mut parts = captures.map(|slot| held(slot).answer(&asked));
+        match q {
+            // One shard holds the row: what it says is the answer.
+            Query::Get(..) | Query::Row(_) | Query::RowDegree(_) | Query::RowReduce(_) => {
+                parts.next().unwrap_or_else(|| Answer::empty_for(q))
+            }
+            // Distinct cells, and the distinct rows of one column, add up.
+            Query::Nnz | Query::ColDegree(_) => Answer::Count(parts.map(Answer::into_count).sum()),
+            Query::ColReduce(_) => {
+                Answer::Value(parts.filter_map(Answer::into_value).reduce(|a, b| a.add(b)))
+            }
+            // Every row is ranked by exactly one shard, so the global top-k
+            // is the top-k of the local top-k's put together: degree
+            // descending, then id ascending.
+            Query::TopK(k) => {
+                let mut all: Vec<_> = parts.flat_map(Answer::into_ranked).collect();
+                all.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+                all.truncate(*k);
+                Answer::Ranked(all)
+            }
+            // Every row is counted by exactly one shard: the bins add.
+            Query::DegreeHistogram => {
+                let mut counts = BTreeMap::new();
+                for (d, n) in parts.flat_map(Answer::into_histogram) {
+                    *counts.entry(d).or_insert(0) += n;
+                }
+                Answer::Histogram(counts)
+            }
+            // Extracts and scans read every routed shard's levels at once.
+            Query::Entries | Query::RowRange(..) | Query::Col(_) | Query::ColRange(..) => {
+                self.joined(shards).answer(q)
+            }
+            // In-degrees alone are summed per column *before* they are
+            // ranked or binned (see `route`).
+            Query::InTopK(k) => Answer::Ranked(summed(&mut self.in_degrees, parts).top_k(*k)),
+            Query::InDegreeHistogram => {
+                let sum = summed(&mut self.in_degrees, parts);
+                Answer::Histogram(sum.view_mut().degree_histogram())
+            }
+        }
+    }
+
+    /// Row or column `q` into `out` off the routed captures.
+    fn line_into(&mut self, q: Query, out: &mut Vec<(Index, T)>) {
+        let shards = self.route(&q).map_or(0..0, |(shards, _)| shards);
+        match q {
+            Query::Col(col) => self.joined(shards).read_col(col, out),
+            Query::Row(row) => self.joined(shards).read_row(row, out),
+            _ => out.clear(),
+        }
     }
 }
 
@@ -292,14 +297,21 @@ impl<T: ScalarType> ShardedHierMatrix<T> {
     /// method.  A lost shard the query is routed to, or a timed-out wait,
     /// is a typed error.
     pub fn try_read(&mut self, q: Query) -> GrbResult<Answer<T>> {
-        self.read(&q)
+        let routed = self.held.route(&q);
+        let shards = routed.as_ref().map_or(0..0, |(shards, _)| shards.clone());
+        let held = self.capture(shards, needs(&q))?;
+        Ok(held.ask(&q, routed))
     }
 
-    fn read(&mut self, q: &Query) -> GrbResult<Answer<T>> {
-        let routed = self.held.route(q);
-        let shards = routed.as_ref().map_or(0..0, |(shards, _)| shards.clone());
-        let held = self.capture(shards, needs(q))?;
-        Ok(held.ask(q, routed))
+    /// Row or column `q` into `out` (see [`ShardedSnapshot::line_into`]);
+    /// an error leaves `out` empty and latches.
+    fn read_line(&mut self, q: Query, out: &mut Vec<(Index, T)>) {
+        out.clear();
+        let shards = self.held.route(&q).map_or(0..0, |(shards, _)| shards);
+        match self.capture(shards, needs(&q)) {
+            Ok(held) => held.line_into(q, out),
+            Err(e) => self.latch_err(e),
+        }
     }
 
     /// Take a consistent engine-wide snapshot: every shard's capture, the
@@ -329,10 +341,18 @@ impl<T: ScalarType> MatrixReader<T> for ShardedHierMatrix<T> {
     }
 
     fn answer(&mut self, q: &Query) -> Answer<T> {
-        self.read(q).unwrap_or_else(|e| {
+        self.try_read(*q).unwrap_or_else(|e| {
             self.latch_err(e);
             Answer::empty_for(q)
         })
+    }
+
+    fn read_row(&mut self, row: Index, out: &mut Vec<(Index, T)>) {
+        self.read_line(Query::Row(row), out);
+    }
+
+    fn read_col(&mut self, col: Index, out: &mut Vec<(Index, T)>) {
+        self.read_line(Query::Col(col), out);
     }
 }
 
@@ -364,15 +384,21 @@ impl<T: ScalarType> MatrixReader<T> for ShardedSnapshot<T> {
         let routed = self.route(q);
         self.ask(q, routed)
     }
+
+    fn read_row(&mut self, row: Index, out: &mut Vec<(Index, T)>) {
+        self.line_into(Query::Row(row), out);
+    }
+
+    fn read_col(&mut self, col: Index, out: &mut Vec<(Index, T)>) {
+        self.line_into(Query::Col(col), out);
+    }
 }
 
 impl<T: ScalarType> CursorReader<T> for ShardedSnapshot<T> {
     /// Shards hold disjoint rows, so their captured levels concatenate into
     /// one valid level decomposition of the whole engine.
     fn with_level_dcsrs(&mut self, f: &mut dyn FnMut(&[&Dcsr<T>])) {
-        let captures = self.shards.iter().flatten();
-        let levels: Vec<&Dcsr<T>> = captures.flat_map(|(c, _)| c.level_dcsrs()).collect();
-        f(&levels);
+        self.joined(0..self.shards.len()).with_level_dcsrs(f);
     }
 }
 
@@ -382,61 +408,157 @@ mod tests {
     use super::*;
     use hyperstream_graphblas::{GrbError, Matrix};
 
-    /// `merge_parts` against a sort of the concatenation.
-    fn check_merge(parts: Vec<Vec<(Index, u64)>>) {
-        let mut want = concat(parts.clone().into_iter());
-        want.sort_unstable();
-        assert_eq!(merge_parts(parts, |&(r, _)| r), want);
-    }
-
-    /// `n` parts of `len` rows dealt from one ascending run by `owner`.
-    fn dealt(n: usize, len: u64, owner: impl Fn(u64) -> usize) -> Vec<Vec<(Index, u64)>> {
-        let mut parts = vec![Vec::new(); n];
-        for r in 0..len {
-            parts[owner(r)].push((r * 3 + 1, r));
+    /// `read_row` / `read_col` of `rows` / `cols` into a reused, non-empty
+    /// buffer, and the scans `scans`, against the flat oracle.
+    fn check_buffer_reads(
+        reader: &mut dyn MatrixReader<u64>,
+        flat: &mut Matrix<u64>,
+        (rows, cols, scans): (&[u64], &[u64], &[Query]),
+    ) {
+        let name = reader.reader_name().to_string();
+        let (mut got, mut want) = (vec![(u64::MAX, 9)], Vec::new());
+        for &c in cols {
+            reader.read_col(c, &mut got);
+            flat.read_col(c, &mut want);
+            assert_eq!(got, want, "{name}: column {c}");
         }
-        parts
+        for &r in rows {
+            reader.read_row(r, &mut got);
+            flat.read_row(r, &mut want);
+            assert_eq!(got, want, "{name}: row {r}");
+        }
+        for q in scans {
+            assert_eq!(reader.answer(q), flat.answer(q), "{name}: {q:?}");
+        }
     }
 
     #[test]
-    fn merge_parts_equals_a_sort_of_the_concatenation() {
-        check_merge(Vec::new());
-        check_merge(vec![Vec::new(), Vec::new()]);
-        check_merge(vec![vec![(4, 1), (9, 2)]]);
-        // Empty parts among full ones.
-        check_merge(vec![
-            Vec::new(),
-            vec![(1, 1), (5, 1)],
-            Vec::new(),
-            vec![(7, 1)],
-        ]);
-        check_merge(vec![vec![(2, 1), (6, 1)], Vec::new(), vec![(1, 1), (5, 1)]]);
-        let mut three = dealt(3, 40, |r| (r % 3) as usize);
-        three.insert(1, Vec::new());
-        check_merge(three);
-        // Banded parts, given in band order and out of it.
-        let bands = dealt(4, 100, |r| (r / 25) as usize);
-        check_merge(bands.clone());
-        check_merge(bands.into_iter().rev().collect());
-        // Two parts interleaved one by one, in runs, and one under the other.
-        check_merge(dealt(2, 1000, |r| (r % 2) as usize));
-        check_merge(dealt(2, 1000, |r| (r / 7 % 2) as usize));
-        check_merge(dealt(2, 1000, |r| usize::from(r == 500)));
-        // Five parts, hashed and in runs.
-        check_merge(dealt(5, 1000, |r| {
-            (r.wrapping_mul(0x9E37_79B9) >> 7) as usize % 5
-        }));
-        check_merge(dealt(5, 1000, |r| (r / 13 % 5) as usize));
+    fn buffer_reads_and_scans_match_the_flat_oracle_at_every_shard_count() {
+        const ONE_SHARD: u64 = 4000; // stored by shard 0's rows only
+        const EVERY_SHARD: u64 = 4001; // stored by rows on every shard
+        const ABSENT: u64 = 4002;
+        for shards in 1..=8 {
+            let rows_of = |s: usize| {
+                let rows = (0..).map(|i: u64| i * 797_003 + 11);
+                rows.filter(move |&r| owner(r, shards) == s)
+            };
+            let mut updates = stream(1500);
+            updates.extend(rows_of(0).take(20).map(|r| (r, ONE_SHARD, 3)));
+            for s in 0..shards {
+                updates.extend(rows_of(s).take(5).map(|r| (r, EVERY_SHARD, 2)));
+            }
+            let mut engine = tiny_engine(shards);
+            for &(r, c, v) in &updates {
+                engine.update(r, c, v).unwrap();
+            }
+            let mut flat = flat_of(&updates);
+            // A range of rows, and one of columns, that several shards hold.
+            let (lo, hi) = (
+                updates[0].0.min(updates[1].0),
+                updates[0].0.max(updates[1].0) + 1,
+            );
+            let in_range = updates.iter().filter(|u| (lo..hi).contains(&u.0));
+            let owners: std::collections::BTreeSet<usize> =
+                in_range.map(|u| owner(u.0, shards)).collect();
+            assert!(
+                owners.len() >= shards.min(2),
+                "{shards} shards: rows {lo}..{hi}"
+            );
+            let scans = [
+                Query::RowRange(lo, hi),
+                Query::ColRange(7, 12),
+                Query::ColRange(ONE_SHARD, ABSENT + 1),
+                Query::Entries,
+            ];
+            let rows: Vec<u64> = (0..shards)
+                .flat_map(|s| rows_of(s).next())
+                .chain([DIM - 1])
+                .collect();
+            let keys = (
+                &rows[..],
+                &[ONE_SHARD, EVERY_SHARD, ABSENT, 7][..],
+                &scans[..],
+            );
+            // Taken before any column read: no capture carries a twin.
+            let mut snap = engine.snapshot().unwrap();
+            assert!(snap.shards.iter().flatten().all(|(_, live)| !live.twins));
+            check_buffer_reads(&mut snap, &mut flat, keys);
+            check_buffer_reads(&mut engine, &mut flat, keys);
+            assert_eq!(engine.take_read_error(), None);
+        }
     }
 
+    #[test]
+    fn buffer_reads_after_a_worker_loss_answer_empty_and_latch() {
+        let mut engine = tiny_engine(3);
+        let updates = stream(2000);
+        for &(r, c, v) in &updates {
+            engine.update(r, c, v).unwrap();
+        }
+        let (row, col, _) = updates[0];
+        let mut out = Vec::new();
+        engine.read_col(col, &mut out);
+        assert!(!out.is_empty());
+        kill(&engine, owner(row, 3));
+        let refused = engine.try_read(Query::Col(col));
+        assert!(
+            matches!(refused, Err(GrbError::ShardsLost { .. })),
+            "{refused:?}"
+        );
+        for read in [ShardedHierMatrix::read_col, ShardedHierMatrix::read_row] {
+            out.push((1, 1));
+            read(
+                &mut engine,
+                if out.len() == 1 { col } else { row },
+                &mut out,
+            );
+            assert!(out.is_empty());
+            let latched = engine.take_read_error();
+            assert!(
+                matches!(latched, Some(GrbError::ShardsLost { .. })),
+                "{latched:?}"
+            );
+        }
+    }
+
+    /// What replaced the sharded combine's order check: a column answered
+    /// off a twin that disagrees with its shard's row-major level fails
+    /// `level_read`'s debug re-derivation.
     #[test]
     #[cfg(debug_assertions)]
-    #[should_panic(expected = "a shard answered out of order")]
-    fn a_shard_answering_out_of_order_fails_loudly() {
-        merge_parts(
-            vec![vec![(1u64, 1u64), (3, 1)], vec![(4, 1), (2, 1)]],
-            |&(r, _)| r,
-        );
+    #[should_panic(expected = "column twin diverged")]
+    fn a_twin_that_disagrees_with_its_level_fails_loudly() {
+        let level = |r: &[u64], c: &[u64]| {
+            let d = Dcsr::from_tuples(
+                DIM,
+                DIM,
+                r,
+                c,
+                &[1, 1],
+                hyperstream_graphblas::ops::binary::Plus,
+            );
+            std::sync::Arc::new(d.unwrap())
+        };
+        let mut snap = ShardedSnapshot::new(DIM, DIM, 2);
+        for (s, rows) in [[1, 5], [2, 6]].into_iter().enumerate() {
+            // The twin swaps the two cells' columns.
+            let captured = (level(&rows, &[3, 4]), Some(level(&[4, 3], &rows)));
+            let capture = MatrixSnapshot::new(
+                "shard",
+                DIM,
+                DIM,
+                vec![captured],
+                (&[], &[], &[]),
+                (None, None),
+            );
+            let live = Live {
+                twins: true,
+                ..Live::default()
+            };
+            snap.shards[s] = Some((capture, live));
+        }
+        let mut out = Vec::new();
+        snap.read_col(3, &mut out);
     }
 
     /// Captures the engine holds.
