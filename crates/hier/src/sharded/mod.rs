@@ -147,14 +147,14 @@ pub enum ShardPartitioner {
 
 impl ShardPartitioner {
     /// The shard that owns `row` in an `nshards`-way partition (a hash
-    /// needs no row count: `nrows` is ignored).
+    /// needs no row count: `nrows` is ignored); the same as [`owner`].
     pub fn shard(&self, row: Index, _nrows: Index, nshards: usize) -> usize {
         owner(row, nshards)
     }
 }
 
-/// The shard that owns `row` among `nshards`.
-fn owner(row: Index, nshards: usize) -> usize {
+/// The shard that owns `row` among `nshards`, for updates and reads alike.
+pub fn owner(row: Index, nshards: usize) -> usize {
     (row_hash(row) % nshards.max(1) as u64) as usize
 }
 

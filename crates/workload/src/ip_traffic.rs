@@ -105,11 +105,6 @@ impl IpTrafficGenerator {
         }
     }
 
-    /// The configuration this generator was built from.
-    pub fn config(&self) -> &IpTrafficConfig {
-        &self.cfg
-    }
-
     /// The addresses designated as supernode servers.
     pub fn supernode_addresses(&self) -> &[u64] {
         &self.supernode_addrs
@@ -238,6 +233,19 @@ mod tests {
             supernode_fraction: 1.5,
             ..Default::default()
         });
+    }
+
+    #[test]
+    fn default_stream_is_pinned() {
+        // Word-wise FNV-1a over the first 400k flows: any change to the
+        // sampler, the address hash or the RNG fails here.
+        let hash = IpTrafficGenerator::new(IpTrafficConfig::default())
+            .take(400_000)
+            .flat_map(|e| [e.src, e.dst, e.weight])
+            .fold(0xCBF2_9CE4_8422_2325, |h, w| {
+                (h ^ w).wrapping_mul(0x100_0000_01B3)
+            });
+        assert_eq!(hash, 0x957B_8595_6A1F_424E);
     }
 
     #[test]

@@ -2,22 +2,29 @@
 //!
 //! Network endpoints are famously Zipfian: a handful of servers appear in a
 //! large fraction of all flows.  The sampler uses the rejection–inversion
-//! method of Hörmann & Derflinger, which needs `O(1)` memory and works for
-//! element counts up to `2^64` — required when sampling IPv6-sized index
-//! spaces where a CDF table is impossible.
+//! method of Hörmann & Derflinger, which works for element counts up to
+//! `2^64` — required when sampling IPv6-sized index spaces where a CDF table
+//! is impossible.  Its memory is bounded all the same: the ranks where most
+//! draws land read the method's quantities from tables of constant size.
 
 use rand::Rng;
 
+/// Ranks `1..=TABLE_RANKS` are served from tables: 93.8% of the draws of
+/// the paper's stream (`n = 2^22`, `s = 1.3`).
+const TABLE_RANKS: usize = 4096;
+
 /// Zipf distribution over `{1, 2, …, n}` with exponent `s > 0`
 /// (probability of `k` proportional to `k^-s`).
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone)]
 pub struct Zipf {
     n: u64,
     s: f64,
     // Precomputed constants of the rejection-inversion sampler.
     h_x1: f64,
     h_n: f64,
-    dominant_s: f64,
+    /// `(h(k + 0.5), k^-s)` at index `k - 1` for ranks `1..=min(n, TABLE_RANKS)`,
+    /// computed as `sample` would.
+    ranks: Vec<(f64, f64)>,
 }
 
 impl Zipf {
@@ -28,25 +35,19 @@ impl Zipf {
     pub fn new(n: u64, s: f64) -> Self {
         assert!(n > 0, "Zipf support must be non-empty");
         assert!(s > 0.0 && s.is_finite(), "Zipf exponent must be positive");
-        let h_x1 = Self::h_static(1.5, s) - 1.0;
-        let h_n = Self::h_static(n as f64 + 0.5, s);
+        let ranks = (1..=n.min(TABLE_RANKS as u64))
+            .map(|k| {
+                let k = k as f64;
+                (Self::h_static(k + 0.5, s), k.powf(-s))
+            })
+            .collect();
         Self {
             n,
             s,
-            h_x1,
-            h_n,
-            dominant_s: s,
+            h_x1: Self::h_static(1.5, s) - 1.0,
+            h_n: Self::h_static(n as f64 + 0.5, s),
+            ranks,
         }
-    }
-
-    /// Number of distinct values.
-    pub fn n(&self) -> u64 {
-        self.n
-    }
-
-    /// Exponent.
-    pub fn s(&self) -> f64 {
-        self.s
     }
 
     // H(x) = integral of x^-s: ((x)^(1-s) - 1)/(1-s), with the s≈1 limit ln(x).
@@ -58,12 +59,8 @@ impl Zipf {
         }
     }
 
-    fn h(&self, x: f64) -> f64 {
-        Self::h_static(x, self.dominant_s)
-    }
-
     fn h_inv(&self, x: f64) -> f64 {
-        let s = self.dominant_s;
+        let s = self.s;
         if (s - 1.0).abs() < 1e-9 {
             x.exp()
         } else {
@@ -76,17 +73,24 @@ impl Zipf {
         // Rejection-inversion (Hörmann & Derflinger 1996).
         loop {
             let u = self.h_n + rng.gen::<f64>() * (self.h_x1 - self.h_n);
-            let x = self.h_inv(u);
-            let k = (x + 0.5).floor().clamp(1.0, self.n as f64);
-            let k_u64 = k as u64;
-            if (self.h(k + 0.5) - u) <= (k).powf(-self.s) || k_u64 == 1 {
-                // Acceptance test; k=1 is always accepted because the hat is
-                // exact there by construction of h_x1.
-                if k_u64 >= 1 && k_u64 <= self.n {
-                    return k_u64;
-                }
+            if let Some(k) = self.attempt(u) {
+                return k;
             }
         }
+    }
+
+    /// One rejection-inversion trial at `u`: its rank, if accepted.
+    fn attempt(&self, u: f64) -> Option<u64> {
+        let k = (self.h_inv(u) + 0.5).floor().clamp(1.0, self.n as f64);
+        let k_u64 = k as u64;
+        let (h_k, p_k) = match self.ranks.get((k_u64 as usize).wrapping_sub(1)) {
+            Some(&pair) => pair,
+            None => (Self::h_static(k + 0.5, self.s), k.powf(-self.s)),
+        };
+        // k=1 is always accepted: the hat is exact there by construction of
+        // h_x1.  `n as f64` rounds up for some `n > 2^53`, and a NaN from
+        // `h_inv` casts to 0: both are refused.
+        ((1..=self.n).contains(&k_u64) && (h_k - u <= p_k || k_u64 == 1)).then_some(k_u64)
     }
 }
 
@@ -122,8 +126,9 @@ mod tests {
 
     #[test]
     fn works_for_huge_supports() {
-        // IPv6-scale support: no table allocation may happen.
+        // IPv6-scale support: the tables stop at `TABLE_RANKS`, whatever `n`.
         let z = Zipf::new(u64::MAX / 2, 1.1);
+        assert_eq!(z.ranks.len(), TABLE_RANKS);
         let mut rng = StdRng::seed_from_u64(3);
         for _ in 0..1000 {
             let k = z.sample(&mut rng);
@@ -164,10 +169,106 @@ mod tests {
         Zipf::new(10, 0.0);
     }
 
+    /// The sampler before its tables, kept as the reference the tabled
+    /// one must equal bit for bit: three `powf` per trial.
+    struct Reference {
+        n: u64,
+        s: f64,
+        h_x1: f64,
+        h_n: f64,
+    }
+
+    impl Reference {
+        fn new(n: u64, s: f64) -> Self {
+            let mut r = Self {
+                n,
+                s,
+                h_x1: 0.0,
+                h_n: 0.0,
+            };
+            r.h_x1 = r.h(1.5) - 1.0;
+            r.h_n = r.h(n as f64 + 0.5);
+            r
+        }
+
+        fn h(&self, x: f64) -> f64 {
+            if (self.s - 1.0).abs() < 1e-9 {
+                x.ln()
+            } else {
+                (x.powf(1.0 - self.s) - 1.0) / (1.0 - self.s)
+            }
+        }
+
+        fn h_inv(&self, x: f64) -> f64 {
+            let s = self.s;
+            if (s - 1.0).abs() < 1e-9 {
+                x.exp()
+            } else {
+                (1.0 + x * (1.0 - s)).powf(1.0 / (1.0 - s))
+            }
+        }
+
+        fn attempt(&self, u: f64) -> Option<u64> {
+            let x = self.h_inv(u);
+            let k = (x + 0.5).floor().clamp(1.0, self.n as f64);
+            let k_u64 = k as u64;
+            if (self.h(k + 0.5) - u) <= (k).powf(-self.s) || k_u64 == 1 {
+                // Acceptance test; k=1 is always accepted because the hat is
+                // exact there by construction of h_x1.
+                if k_u64 >= 1 && k_u64 <= self.n {
+                    return Some(k_u64);
+                }
+            }
+            None
+        }
+
+        fn sample(&self, rng: &mut StdRng) -> u64 {
+            loop {
+                let u = self.h_n + rng.gen::<f64>() * (self.h_x1 - self.h_n);
+                if let Some(k) = self.attempt(u) {
+                    return k;
+                }
+            }
+        }
+    }
+
+    const SUPPORTS: [u64; 7] = [1, 7, 100, 4095, 4097, 1 << 22, u64::MAX / 2];
+    const EXPONENTS: [f64; 6] = [0.5, 0.8, 1.0, 1.3, 2.0, 5.0];
+
     #[test]
-    fn accessors() {
-        let z = Zipf::new(10, 2.0);
-        assert_eq!(z.n(), 10);
-        assert_eq!(z.s(), 2.0);
+    fn tables_draw_the_reference_stream_bit_for_bit() {
+        for n in SUPPORTS {
+            for s in EXPONENTS {
+                let (z, reference) = (Zipf::new(n, s), Reference::new(n, s));
+                assert_eq!((z.h_x1, z.h_n), (reference.h_x1, reference.h_n));
+                for seed in [1, 2, 2020, 0xBEEF] {
+                    let mut a = StdRng::seed_from_u64(seed);
+                    let mut b = a.clone();
+                    for i in 0..500_000 {
+                        let (got, want) = (z.sample(&mut a), reference.sample(&mut b));
+                        assert_eq!(got, want, "n {n}, s {s}, seed {seed}, draw {i}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn trials_at_the_boundaries_match_the_reference() {
+        // A few ULPs either side of each of the first 64 boundaries
+        // `h(k + 0.5)`, where `h_inv` rounds to one rank or the next.
+        for n in SUPPORTS {
+            for s in EXPONENTS {
+                let (z, reference) = (Zipf::new(n, s), Reference::new(n, s));
+                for k in 1..=n.min(64) {
+                    let bits = reference.h(k as f64 + 0.5).to_bits();
+                    for step in 0..=8 {
+                        for u in [f64::from_bits(bits + step), f64::from_bits(bits - step)] {
+                            assert_eq!(z.attempt(u), reference.attempt(u), "n {n}, s {s}, u {u:e}");
+                        }
+                    }
+                }
+            }
+        }
     }
 }
