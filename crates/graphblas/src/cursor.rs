@@ -2,30 +2,38 @@
 //! cascade's merge kernel.
 //!
 //! A hierarchical hypersparse matrix represents `A = Σ_i A_i` but stores the
-//! levels separately; every query used to *materialise* that sum into a
-//! fresh matrix before answering.  The cursor kernel answers queries by
-//! walking the L settled level structures simultaneously — one sorted
-//! position per level, the duplicate-combination operator applied on the
-//! fly where levels collide — so point gets, row extracts, degree counts,
-//! top-k scans, nnz and full sorted iteration all run without allocating a
-//! merged copy.
+//! levels separately, so every read of the sum is a k-way merge of sorted
+//! parts.  This module takes each step of that merge one way, without
+//! building a merged copy:
+//!
+//! * the next row: [`LevelCursors::next_row`] walks the settled levels
+//!   together, one sorted position per level, and hands out the slices of
+//!   every level that holds the next row of the union;
+//! * the columns of one row: `merge_k_way` merges a row's parts as a
+//!   balanced tree of the cascade's skew-aware two-way merges, neighbours
+//!   first, its half-merges written into planes drawn from a reusable pool.
+//!   Every row sweep ([`LevelCursors::fold_row`],
+//!   [`LevelCursors::row_degree`]), every row read ([`merged_row_into`],
+//!   [`merged_row_degree`], the product kernels' rows) and
+//!   [`merged_col_into`]'s per-level hit planes go through it.
+//!
+//! Point gets, row and column extracts, degree counts, top-k scans, nnz and
+//! full sorted iteration are built on these two steps.
 //!
 //! The same layer also *produces* merged structures: [`merge_levels`]
 //! materialises `Σ levels` smallest-first through one reused
 //! [`MergeScratch`](crate::formats::dcsr::MergeScratch), so a snapshot
-//! performs O(1) allocations regardless of the level count — previously
-//! the query path rebuilt the accumulator once per level.
+//! performs O(1) allocations regardless of the level count.
 //!
 //! Collision order: where several levels store the same `(row, col)` cell
-//! the operator is applied left-to-right in the order the levels appear in
-//! the slice.  Every reader in the workspace uses the `Plus` monoid, for
-//! which the order is immaterial (the paper's linearity argument).
+//! the operator sees their values in the order the levels appear in the
+//! slice, paired as the tree pairs them (`(a ⊕ b) ⊕ (c ⊕ d)`).  Every reader
+//! in the workspace uses the `Plus` monoid, for which neither order nor
+//! grouping matters (the paper's linearity argument).
 
 use crate::error::{GrbError, GrbResult};
 use crate::formats::dcsr::Dcsr;
-use crate::formats::merge::{
-    gallop_while, merge_row_adaptive, MergeSink, MergeTally, PairSink, PlaneSink,
-};
+use crate::formats::merge::{merge_row_adaptive, MergeSink, MergeTally, PairSink, PlaneSink};
 use crate::index::Index;
 use crate::ops::binary::First;
 use crate::ops::BinaryOp;
@@ -36,80 +44,23 @@ use std::collections::BinaryHeap;
 /// A set of synchronised cursors, one per level, yielding the merged rows
 /// of `Σ levels` in ascending row order.
 ///
-/// Usage: call [`LevelCursors::next_row`] to advance to the next non-empty
-/// row of the union; then [`LevelCursors::row_degree`],
-/// [`LevelCursors::single_part`] or [`LevelCursors::fold_row`] inspect that
-/// row's columns without materialising anything.  All scratch state is
-/// reused across rows, so a full sweep performs no per-row allocation.
+/// Usage: call [`LevelCursors::next_row`] — the one step every sweep of
+/// the crate takes to the next non-empty row of the union; then
+/// [`LevelCursors::row_degree`], [`LevelCursors::single_part`] or
+/// [`LevelCursors::fold_row`] inspect that row's columns without
+/// materialising anything.  A row held by several levels merges through the
+/// one k-way column merge (a balanced tree of two-way merges), whose
+/// half-merge planes the cursors keep, so a full sweep performs no per-row
+/// allocation.
 pub struct LevelCursors<'a, T> {
     levels: Vec<&'a Dcsr<T>>,
     /// Next unread row-slot per level.
     slot: Vec<usize>,
-    /// Level indices that hold the current row (their `slot` already points
-    /// one past it).
-    active: Vec<usize>,
-    /// Per-active-part column positions, reused by the column merges.
-    pos: Vec<usize>,
-    /// The active parts' slices, reused by the column merges.
+    /// The current row's column/value slices, one per level holding it, in
+    /// level order.
     parts: Vec<(&'a [Index], &'a [T])>,
-}
-
-/// M-way column merge of one row's sorted parts: each distinct column is
-/// emitted once, the values of every part holding it folded left-to-right
-/// under `op`.  This is the *one* merge loop every cursor query shares —
-/// degree counts pass an emit that only counts.  `pos` is caller scratch
-/// (cleared here) so repeated sweeps reuse a single allocation.
-fn merge_parts<T: ScalarType, Op: BinaryOp<T>>(
-    parts: &[(&[Index], &[T])],
-    pos: &mut Vec<usize>,
-    op: Op,
-    emit: &mut dyn FnMut(Index, T),
-) {
-    if parts.len() == 2 {
-        // The common collision width (two levels share a row) dispatches to
-        // the skew-aware two-way kernel — parts[0] stays the left operand,
-        // preserving the left-to-right collision order.
-        let mut tally = MergeTally::default();
-        merge_row_adaptive(
-            parts[0].0,
-            parts[0].1,
-            parts[1].0,
-            parts[1].1,
-            op,
-            &mut |c, v| emit(c, v),
-            &mut tally,
-        );
-        tally.commit();
-        return;
-    }
-    pos.clear();
-    pos.resize(parts.len(), 0);
-    loop {
-        let mut min: Option<Index> = None;
-        for (i, &p) in pos.iter().enumerate() {
-            if let Some(&c) = parts[i].0.get(p) {
-                min = Some(match min {
-                    Some(m) if m <= c => m,
-                    _ => c,
-                });
-            }
-        }
-        let Some(col) = min else { break };
-        let mut acc: Option<T> = None;
-        for (i, p) in pos.iter_mut().enumerate() {
-            if parts[i].0.get(*p) == Some(&col) {
-                acc = Some(match acc {
-                    Some(a) => op.apply(a, parts[i].1[*p]),
-                    None => parts[i].1[*p],
-                });
-                *p += 1;
-            }
-        }
-        emit(
-            col,
-            acc.expect("at least one part holds the minimum column"),
-        );
-    }
+    /// Planes the column merge's tree reuses from row to row.
+    pool: Vec<(Vec<Index>, Vec<T>)>,
 }
 
 impl<'a, T: ScalarType> LevelCursors<'a, T> {
@@ -118,9 +69,8 @@ impl<'a, T: ScalarType> LevelCursors<'a, T> {
         Self {
             levels: levels.to_vec(),
             slot: vec![0; levels.len()],
-            active: Vec::with_capacity(levels.len()),
-            pos: Vec::with_capacity(levels.len()),
             parts: Vec::with_capacity(levels.len()),
+            pool: Vec::new(),
         }
     }
 
@@ -138,88 +88,51 @@ impl<'a, T: ScalarType> LevelCursors<'a, T> {
     /// Advance to the next non-empty row of the union and return its id;
     /// `None` when every level is exhausted.
     pub fn next_row(&mut self) -> Option<Index> {
-        let mut min: Option<Index> = None;
-        for (l, d) in self.levels.iter().enumerate() {
-            if let Some(&r) = d.row_ids().get(self.slot[l]) {
-                min = Some(match min {
-                    Some(m) if m <= r => m,
-                    _ => r,
-                });
-            }
-        }
-        let row = min?;
-        self.active.clear();
-        for l in 0..self.levels.len() {
-            if self.levels[l].row_ids().get(self.slot[l]) == Some(&row) {
-                self.active.push(l);
-                self.slot[l] += 1;
+        let heads = self.levels.iter().zip(&self.slot);
+        let row = *heads.filter_map(|(d, &s)| d.row_ids().get(s)).min()?;
+        self.parts.clear();
+        for (d, s) in self.levels.iter().zip(&mut self.slot) {
+            if d.row_ids().get(*s) == Some(&row) {
+                self.parts.push(d.row_slot(*s));
+                *s += 1;
             }
         }
         Some(row)
-    }
-
-    /// The `i`-th part (column/value slices) of the current row.
-    fn part(&self, i: usize) -> (&'a [Index], &'a [T]) {
-        let l = self.active[i];
-        self.levels[l].row_slot(self.slot[l] - 1)
     }
 
     /// When exactly one level holds the current row, its slices — the
     /// common hypersparse case (row collisions between levels are rare),
     /// which callers bulk-copy instead of merging element-wise.
     pub fn single_part(&self) -> Option<(&'a [Index], &'a [T])> {
-        if self.active.len() == 1 {
-            Some(self.part(0))
-        } else {
-            None
+        match self.parts[..] {
+            [part] => Some(part),
+            _ => None,
         }
-    }
-
-    /// Gather the active parts' slices into the reusable buffer and run
-    /// the shared m-way merge over them.
-    fn merge_active<Op: BinaryOp<T>>(&mut self, op: Op, emit: &mut dyn FnMut(Index, T)) {
-        let mut parts = std::mem::take(&mut self.parts);
-        parts.clear();
-        for i in 0..self.active.len() {
-            parts.push(self.part(i));
-        }
-        let mut pos = std::mem::take(&mut self.pos);
-        merge_parts(&parts, &mut pos, op, emit);
-        self.pos = pos;
-        self.parts = parts;
     }
 
     /// Number of distinct columns in the current row.
     pub fn row_degree(&mut self) -> usize {
-        if self.active.len() == 1 {
-            return self.part(0).0.len();
+        if let Some((cols, _)) = self.single_part() {
+            return cols.len();
         }
         let mut n = 0;
-        self.merge_active(First, &mut |_, _| n += 1);
+        self.fold_row(First, &mut |_, _| n += 1);
         n
     }
 
     /// Merge the current row's columns under `op`, emitting
     /// `(col, combined value)` in ascending column order.
     pub fn fold_row<Op: BinaryOp<T>>(&mut self, op: Op, emit: &mut dyn FnMut(Index, T)) {
-        if self.active.len() == 1 {
-            let (cols, vals) = self.part(0);
-            for j in 0..cols.len() {
-                emit(cols[j], vals[j]);
-            }
-            return;
-        }
-        self.merge_active(op, emit);
+        merge_k_way(&self.parts, op, &mut |c, v| emit(c, v), &mut self.pool);
     }
 
-    /// Column-seek within the current row: binary-search each active part
-    /// for `col`, folding the hits under `op` — the inner step of the
-    /// transpose (column-extract) kernels.  `None` when the current row
-    /// stores nothing in `col`.
+    /// Column-seek within the current row: binary-search each part for
+    /// `col`, folding the hits under `op` — the inner step of the transpose
+    /// (column-extract) kernels.  `None` when the current row stores
+    /// nothing in `col`.
     fn col_in_row<Op: BinaryOp<T>>(&self, col: Index, op: Op) -> Option<T> {
         let mut acc: Option<T> = None;
-        for i in 0..self.active.len() {
-            let (cols, vals) = self.part(i);
+        for (cols, vals) in &self.parts {
             if let Ok(j) = cols.binary_search(&col) {
                 acc = Some(match acc {
                     Some(a) => op.apply(a, vals[j]),
@@ -241,88 +154,6 @@ fn check_dims<T: ScalarType>(nrows: Index, ncols: Index, levels: &[&Dcsr<T>]) ->
         }
     }
     Ok(())
-}
-
-/// Per-level raw-array view used by the run-skipping sweeps: the cursor
-/// position plus direct access to the four compressed arrays, so a *run*
-/// of rows unique to one level costs three slice copies (or one pointer
-/// subtraction, for counting) instead of a visit per row — the same trick
-/// the cascade's two-way merge uses (`RowSide::push_bulk`), generalised to
-/// a k-way frontier.
-struct RawLevel<'a, T> {
-    ids: &'a [Index],
-    ptr: &'a [usize],
-    cols: &'a [Index],
-    vals: &'a [T],
-    slot: usize,
-}
-
-impl<'a, T: ScalarType> RawLevel<'a, T> {
-    fn open(levels: &[&'a Dcsr<T>]) -> Vec<Self> {
-        levels
-            .iter()
-            .map(|d| {
-                let (ids, ptr, cols, vals) = d.raw_parts();
-                RawLevel {
-                    ids,
-                    ptr,
-                    cols,
-                    vals,
-                    slot: 0,
-                }
-            })
-            .collect()
-    }
-
-    fn head(&self) -> Option<Index> {
-        self.ids.get(self.slot).copied()
-    }
-
-    /// One past the last slot whose row id stays below `bound`, found by
-    /// galloping (the run is usually long when one level dominates a region
-    /// of the row space, and short otherwise — gallop pays `O(log run)`
-    /// either way).
-    fn run_end(&self, bound: Option<Index>) -> usize {
-        match bound {
-            None => self.ids.len(),
-            Some(b) => gallop_while(self.ids, self.slot + 1, |x| x < b),
-        }
-    }
-
-    /// The column/value slices of the current head row.
-    fn head_row(&self) -> (&'a [Index], &'a [T]) {
-        let (lo, hi) = (self.ptr[self.slot], self.ptr[self.slot + 1]);
-        (&self.cols[lo..hi], &self.vals[lo..hi])
-    }
-}
-
-/// The k-way frontier state: the minimum head row, how many levels share
-/// it, and the second-smallest distinct head row (the bulk-run bound).
-fn frontier<T: ScalarType>(lvs: &[RawLevel<'_, T>]) -> Option<(Index, usize, Option<Index>)> {
-    let mut min: Option<Index> = None;
-    let mut count = 0usize;
-    let mut second: Option<Index> = None;
-    for lv in lvs {
-        let Some(r) = lv.head() else { continue };
-        match min {
-            None => {
-                min = Some(r);
-                count = 1;
-            }
-            Some(m) if r == m => count += 1,
-            Some(m) if r < m => {
-                second = Some(m);
-                min = Some(r);
-                count = 1;
-            }
-            Some(_) => {
-                if second.map_or(true, |s| r < s) {
-                    second = Some(r);
-                }
-            }
-        }
-    }
-    min.map(|m| (m, count, second))
 }
 
 /// Merge `levels` into one [`Dcsr`] — the materialisation kernel
@@ -356,33 +187,13 @@ pub fn merge_levels<T: ScalarType, Op: BinaryOp<T>>(
     Ok(acc)
 }
 
-/// Number of distinct `(row, col)` cells in `Σ levels`, counted through the
-/// cursors — no merged structure is built.  Runs of rows unique to one
-/// level count as one `row_ptr` subtraction.
+/// Number of distinct `(row, col)` cells in `Σ levels`: one cursor sweep
+/// summing row degrees — no merged structure is built.
 pub fn merged_nnz<T: ScalarType>(levels: &[&Dcsr<T>]) -> usize {
-    let mut lvs = RawLevel::open(levels);
-    let mut parts: Vec<(&[Index], &[T])> = Vec::with_capacity(levels.len());
-    let mut pos: Vec<usize> = Vec::with_capacity(levels.len());
-    let mut n = 0usize;
-    while let Some((row, sharers, second)) = frontier(&lvs) {
-        if sharers == 1 {
-            let lv = lvs
-                .iter_mut()
-                .find(|lv| lv.head() == Some(row))
-                .expect("frontier level present");
-            let end = lv.run_end(second);
-            n += lv.ptr[end] - lv.ptr[lv.slot];
-            lv.slot = end;
-        } else {
-            parts.clear();
-            for lv in lvs.iter_mut() {
-                if lv.head() == Some(row) {
-                    parts.push(lv.head_row());
-                    lv.slot += 1;
-                }
-            }
-            merge_parts(&parts, &mut pos, First, &mut |_, _| n += 1);
-        }
+    let mut cur = LevelCursors::new(levels);
+    let mut n = 0;
+    while cur.next_row().is_some() {
+        n += cur.row_degree();
     }
     n
 }
@@ -433,7 +244,7 @@ pub fn merged_point<T: ScalarType, Op: BinaryOp<T>>(
 }
 
 /// Merge one logical row of `Σ levels` into `out` (cleared first), sorted
-/// by column, values combined under `op`, by a tree of two-way merges.
+/// by column, values combined under `op`.
 pub fn merged_row_into<T: ScalarType, Op: BinaryOp<T>>(
     levels: &[&Dcsr<T>],
     row: Index,
@@ -442,18 +253,35 @@ pub fn merged_row_into<T: ScalarType, Op: BinaryOp<T>>(
 ) {
     out.clear();
     let parts: Vec<(&[Index], &[T])> = levels.iter().filter_map(|d| d.row(row)).collect();
+    merge_k_way(&parts, op, &mut PairSink { out }, &mut Vec::new());
+}
+
+/// The one k-way column merge of the workspace: `parts` (sorted, unique
+/// columns each) merged into `sink` under `op` by [`merge_tree`], its
+/// strategy tally committed once.  `pool` lends the tree's half-merge
+/// planes: a sweep passes the same pool for every row, a one-shot read an
+/// empty one.
+pub(crate) fn merge_k_way<T: ScalarType, Op: BinaryOp<T>, S: MergeSink<T>>(
+    parts: &[(&[Index], &[T])],
+    op: Op,
+    sink: &mut S,
+    pool: &mut Vec<(Vec<Index>, Vec<T>)>,
+) {
     let mut tally = MergeTally::default();
-    merge_tree(&parts, op, &mut PairSink { out }, &mut tally);
+    merge_tree(parts, op, sink, &mut tally, pool);
     tally.commit();
 }
 
 /// `parts` merged into `sink` left to right as a balanced tree of two-way
-/// merges: no element passes more than `⌈log₂ parts⌉` of them.
+/// merges (neighbours first): no element passes more than
+/// `⌈log₂ parts⌉` of them.  Each half above two parts merges into a plane
+/// taken from `pool` and returned to it.
 fn merge_tree<T: ScalarType, Op: BinaryOp<T>, S: MergeSink<T>>(
     parts: &[(&[Index], &[T])],
     op: Op,
     sink: &mut S,
     tally: &mut MergeTally,
+    pool: &mut Vec<(Vec<Index>, Vec<T>)>,
 ) {
     match parts {
         [] => {}
@@ -463,15 +291,20 @@ fn merge_tree<T: ScalarType, Op: BinaryOp<T>, S: MergeSink<T>>(
             let (left, right) = parts.split_at(parts.len() / 2);
             let [(ca, va), (cb, vb)] = [left, right].map(|half| {
                 let len = half.iter().map(|(cols, _)| cols.len()).sum();
-                let (mut cols, mut vals) = (Vec::with_capacity(len), Vec::with_capacity(len));
+                let (mut cols, mut vals) = pool.pop().unwrap_or_default();
+                cols.clear();
+                vals.clear();
+                cols.reserve(len);
+                vals.reserve(len);
                 let mut sink = PlaneSink {
                     cols: &mut cols,
                     vals: &mut vals,
                 };
-                merge_tree(half, op, &mut sink, tally);
+                merge_tree(half, op, &mut sink, tally, pool);
                 (cols, vals)
             });
             merge_row_adaptive(&ca, &va, &cb, &vb, op, sink, tally);
+            pool.extend([(ca, va), (cb, vb)]);
         }
     }
 }
@@ -482,9 +315,8 @@ pub fn merged_row_degree<T: ScalarType>(levels: &[&Dcsr<T>], row: Index) -> usiz
     if let [(cols, _)] = parts[..] {
         return cols.len();
     }
-    let (mut n, mut tally) = (0, MergeTally::default());
-    merge_tree(&parts, First, &mut |_, _: T| n += 1, &mut tally);
-    tally.commit();
+    let mut n = 0;
+    merge_k_way(&parts, First, &mut |_, _: T| n += 1, &mut Vec::new());
     n
 }
 
@@ -577,12 +409,11 @@ pub fn merged_row_range<T: ScalarType, Op: BinaryOp<T>>(
 /// [`merged_row_into`].  Row-major storage cannot seek a column directly,
 /// so each level is column-seeked independently (one binary search per
 /// non-empty row), producing a sorted per-level hit plane; the planes then
-/// fold left-to-right (level order, preserving the collision order)
-/// through the same skew-aware merge kernel the cascade uses — levels
-/// rarely store the same column in the same rows, so the folds are mostly
-/// disjoint bulk copies or galloped skips.  `O(rows · log degree)` for the
-/// seeks; this is the retained fallback, the column-shadow fast path
-/// answers in `O(column degree)`.
+/// go through the one k-way merge in level order — levels rarely store the
+/// same column in the same rows, so its two-way steps are mostly disjoint
+/// bulk copies or galloped skips.  `O(rows · log degree)` for the seeks;
+/// this is the retained fallback, the column-shadow fast path answers in
+/// `O(column degree)`.
 pub fn merged_col_into<T: ScalarType, Op: BinaryOp<T>>(
     levels: &[&Dcsr<T>],
     col: Index,
@@ -593,8 +424,7 @@ pub fn merged_col_into<T: ScalarType, Op: BinaryOp<T>>(
     let mut hits: Vec<(Vec<Index>, Vec<T>)> = Vec::new();
     for d in levels {
         let (ids, ptr, cols, vals) = d.raw_parts();
-        let mut hit_rows: Vec<Index> = Vec::new();
-        let mut hit_vals: Vec<T> = Vec::new();
+        let (mut hit_rows, mut hit_vals) = (Vec::new(), Vec::new());
         for slot in 0..ids.len() {
             let (lo, hi) = (ptr[slot], ptr[slot + 1]);
             if let Ok(j) = cols[lo..hi].binary_search(&col) {
@@ -606,30 +436,8 @@ pub fn merged_col_into<T: ScalarType, Op: BinaryOp<T>>(
             hits.push((hit_rows, hit_vals));
         }
     }
-    let mut iter = hits.into_iter();
-    let Some((mut acc_rows, mut acc_vals)) = iter.next() else {
-        return;
-    };
-    let mut tally = MergeTally::default();
-    let mut alt_rows: Vec<Index> = Vec::new();
-    let mut alt_vals: Vec<T> = Vec::new();
-    for (hit_rows, hit_vals) in iter {
-        alt_rows.clear();
-        alt_vals.clear();
-        {
-            let mut sink = PlaneSink {
-                cols: &mut alt_rows,
-                vals: &mut alt_vals,
-            };
-            merge_row_adaptive(
-                &acc_rows, &acc_vals, &hit_rows, &hit_vals, op, &mut sink, &mut tally,
-            );
-        }
-        std::mem::swap(&mut acc_rows, &mut alt_rows);
-        std::mem::swap(&mut acc_vals, &mut alt_vals);
-    }
-    tally.commit();
-    out.extend(acc_rows.iter().copied().zip(acc_vals.iter().copied()));
+    let parts: Vec<(&[Index], &[T])> = hits.iter().map(|(r, v)| (&r[..], &v[..])).collect();
+    merge_k_way(&parts, op, &mut PairSink { out }, &mut Vec::new());
 }
 
 /// Number of distinct rows storing something in column `col` of
@@ -783,21 +591,58 @@ mod tests {
         assert_eq!(merged_nnz::<u64>(&[]), 0);
     }
 
-    /// `merged_row_into` over one level a part, each level holding row 7
-    /// at its part's columns, into a reused non-empty buffer, against a sort
-    /// of the parts' concatenation.
+    /// `cells` sorted, each repeated key once with its values summed — what
+    /// `Σ levels` under `Plus` holds.
+    fn folded<K: Ord + Copy>(mut cells: Vec<(K, u64)>) -> Vec<(K, u64)> {
+        cells.sort_unstable();
+        let mut out: Vec<(K, u64)> = Vec::with_capacity(cells.len());
+        for (k, v) in cells {
+            match out.last_mut() {
+                Some(last) if last.0 == k => last.1 += v,
+                _ => out.push((k, v)),
+            }
+        }
+        out
+    }
+
+    /// One level a part, each level holding row 7 at its part's columns:
+    /// every row read and sweep of `Σ levels` (and `merged_col_into` over
+    /// the transposed levels) against the folded sort of the parts'
+    /// concatenation; the `*_into` reads fill reused non-empty buffers.
     fn check_parts(parts: Vec<Vec<(Index, u64)>>) {
         assert!((3..=8).contains(&parts.len()));
-        let owned: Vec<Dcsr<u64>> = parts
-            .iter()
-            .map(|p| dcsr(&p.iter().map(|&(c, v)| (7, c, v)).collect::<Vec<_>>()))
-            .collect();
+        let n = parts.len();
+        let level = |p: &Vec<(Index, u64)>, at: fn(Index, u64) -> (u64, u64, u64)| {
+            dcsr(&p.iter().map(|&(c, v)| at(c, v)).collect::<Vec<_>>())
+        };
+        let owned: Vec<Dcsr<u64>> = parts.iter().map(|p| level(p, |c, v| (7, c, v))).collect();
         let levels: Vec<&Dcsr<u64>> = owned.iter().collect();
-        let mut want = parts.concat();
-        want.sort_unstable();
+        let want = folded(parts.concat());
         let mut got = vec![(1, 1)];
         merged_row_into(&levels, 7, Plus, &mut got);
-        assert_eq!(got, want, "{} parts", parts.len());
+        assert_eq!(got, want, "{n} parts");
+        assert_eq!(merged_row_degree(&levels, 7), want.len(), "{n} parts");
+        assert_eq!(merged_nnz(&levels), want.len(), "{n} parts");
+
+        let cells: Vec<(Index, Index, u64)> = want.iter().map(|&(c, v)| (7, c, v)).collect();
+        let mut swept = Vec::new();
+        for_each_merged(&levels, Plus, &mut |r, c, v| swept.push((r, c, v)));
+        assert_eq!(swept, cells, "{n} parts");
+        swept.clear();
+        merged_row_range(&levels, 7, 8, Plus, &mut |r, c, v| swept.push((r, c, v)));
+        assert_eq!(swept, cells, "{n} parts");
+        let (top, hist) = match want.len() {
+            0 => (vec![], Default::default()),
+            d => (vec![(7, d)], [(d as u64, 1)].into()),
+        };
+        assert_eq!(merged_top_k(&levels, 3), top, "{n} parts");
+        assert_eq!(merged_degree_histogram(&levels), hist, "{n} parts");
+
+        let owned_t: Vec<Dcsr<u64>> = parts.iter().map(|p| level(p, |c, v| (c, 7, v))).collect();
+        let levels_t: Vec<&Dcsr<u64>> = owned_t.iter().collect();
+        got = vec![(1, 1)];
+        merged_col_into(&levels_t, 7, Plus, &mut got);
+        assert_eq!(got, want, "{n} transposed parts");
     }
 
     /// `n` key-disjoint parts of `len` columns dealt from one ascending run
@@ -839,6 +684,109 @@ mod tests {
         check_parts(dealt(8, 1000, |c| hash(c) % 6));
         check_parts(dealt(7, 1000, |c| hash(c) % 7));
         check_parts(dealt(5, 1000, |c| (c / 13 % 5) as usize));
+    }
+
+    /// Parts `0..n`, part `i` given by `part(i)`.
+    fn parts_by(n: u64, part: impl Fn(u64) -> Vec<(Index, u64)>) -> Vec<Vec<(Index, u64)>> {
+        (0..n).map(part).collect()
+    }
+
+    #[test]
+    fn merged_row_over_overlapping_parts_folds_collisions_under_plus() {
+        // Every part the same, with distinct values per part.
+        check_parts(parts_by(5, |i| vec![(3, i), (9, 10 + i), (40, 20 + i)]));
+        // Sliding windows, nested prefixes and one column every part holds.
+        for n in 3..=8 {
+            check_parts(parts_by(n, |i| {
+                (i * 5..i * 5 + 40).map(|c| (c, i + 1)).collect()
+            }));
+            check_parts(parts_by(n, |i| {
+                (0..(i + 1) * 30).map(|c| (c, c ^ i)).collect()
+            }));
+            check_parts(parts_by(n, |i| {
+                let mut p: Vec<(Index, u64)> = (0..50).map(|c| (c * n + i, 1)).collect();
+                p.push((1_000_000, i));
+                p
+            }));
+        }
+        // Hashed membership: each column in any subset of the parts.
+        let hash = |c: u64, i: u64| (c ^ i << 32).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 61;
+        for n in [3, 4, 6, 8] {
+            check_parts(parts_by(n, |i| {
+                (0..1000)
+                    .filter(|&c| hash(c, i) < 3)
+                    .map(|c| (c, c + i))
+                    .collect()
+            }));
+        }
+        // A dense part under sparse ones, and empty parts among colliding ones.
+        let dense: Vec<(Index, u64)> = (0..2000).map(|c| (c, 1)).collect();
+        check_parts(vec![
+            vec![(7, 5)],
+            dense.clone(),
+            vec![(1999, 2), (5000, 3)],
+            vec![(0, 4)],
+        ]);
+        check_parts(vec![
+            Vec::new(),
+            dense.clone(),
+            Vec::new(),
+            dense,
+            vec![(3, 3)],
+        ]);
+    }
+
+    #[test]
+    fn a_sweep_whose_rows_change_their_part_count_reuses_the_pool() {
+        // Row r is held by `counts[r % 8]` of eight levels, starting at
+        // level `r % 8`, its columns overlapping from level to level.
+        let counts = [1usize, 3, 5, 2, 8, 4, 7, 6];
+        let mut cells: Vec<Vec<(u64, u64, u64)>> = vec![Vec::new(); 8];
+        for r in 0..200u64 {
+            let start = (r % 8) as usize;
+            for k in 0..counts[start] {
+                let l = (start + k) % 8;
+                cells[l]
+                    .extend((0..20 + r % 13).map(|j| (r, j * (k as u64 + 1), r + j + l as u64)));
+            }
+        }
+        let owned: Vec<Dcsr<u64>> = cells.iter().map(|c| dcsr(c)).collect();
+        let levels: Vec<&Dcsr<u64>> = owned.iter().collect();
+        let want: Vec<((u64, u64), u64)> = folded(
+            cells
+                .concat()
+                .into_iter()
+                .map(|(r, c, v)| ((r, c), v))
+                .collect(),
+        );
+        let mut got = Vec::new();
+        let mut cur = LevelCursors::new(&levels);
+        while let Some(r) = cur.next_row() {
+            let parts = cur.parts.len();
+            assert_eq!(parts, counts[(r % 8) as usize], "row {r}");
+            let degree = cur.row_degree();
+            let before = got.len();
+            cur.fold_row(Plus, &mut |c, v| got.push(((r, c), v)));
+            assert_eq!(got.len() - before, degree, "row {r}");
+            // Two planes per tree level above the two-part merges.
+            assert!(cur.pool.len() <= 4, "row {r}: {} planes", cur.pool.len());
+        }
+        assert_eq!(cur.pool.len(), 4, "the eight-part rows left their planes");
+        assert_eq!(got, want);
+        assert_eq!(merged_nnz(&levels), want.len());
+        let mut degree = std::collections::BTreeMap::<u64, usize>::new();
+        for &((r, _), _) in &want {
+            *degree.entry(r).or_default() += 1;
+        }
+        let mut hist = std::collections::BTreeMap::new();
+        for &d in degree.values() {
+            *hist.entry(d as u64).or_insert(0u64) += 1;
+        }
+        assert_eq!(merged_degree_histogram(&levels), hist);
+        let mut ranked: Vec<(Index, usize)> = degree.into_iter().collect();
+        ranked.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+        ranked.truncate(10);
+        assert_eq!(merged_top_k(&levels, 10), ranked);
     }
 
     #[test]

@@ -168,7 +168,7 @@ impl<T: ScalarType> MergeSink<T> for PairSink<'_, T> {
 }
 
 /// Any `FnMut(Index, T)` emit callback is a sink (runs degrade to a loop —
-/// the m-way cursor fold uses this to reuse the kernels under its
+/// the cursor's row fold uses this to reuse the kernels under its
 /// `&mut dyn FnMut` interface).
 impl<T: ScalarType, F: FnMut(Index, T)> MergeSink<T> for F {
     fn push(&mut self, col: Index, val: T) {
@@ -211,7 +211,7 @@ pub(crate) fn gallop_while<F: Fn(Index) -> bool>(ids: &[Index], from: usize, kee
 ///
 /// Never inlined: the kernels' loops keep four slices, two cursors and the
 /// sink live, and folded into a caller that holds more (a cursor read, the
-/// m-way fold) they spill onto the merge's critical path — whether that
+/// k-way tree) they spill onto the merge's critical path — whether that
 /// happened used to depend on what else the final crate instantiated.
 #[inline(never)]
 pub(crate) fn merge_row_adaptive<T: ScalarType, Op: BinaryOp<T>, S: MergeSink<T>>(

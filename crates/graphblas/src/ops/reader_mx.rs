@@ -6,13 +6,19 @@
 //!
 //! A [`CursorReader`] exposes its settled content as level slices whose sum
 //! under the `+` monoid of the value type is the represented matrix.  The
-//! kernels here walk those slices with [`LevelCursors`]:
+//! kernels take rows of that sum the two ways the [`cursor`](crate::cursor)
+//! module offers: an operand swept in row order steps with
+//! [`LevelCursors::next_row`], and a row looked up by id (`B`'s row `k` in
+//! `mxm`, `A`'s row `i` in `vxm` and the pattern push, row `k` of the
+//! triangle count) gathers the slices of the levels that hold it.  Either
+//! way:
 //!
-//! * operand rows that live in a **single** level are consumed as raw
-//!   slices (the common hypersparse case — level row collisions are rare);
-//! * rows split across levels are first folded under `+` into a reusable
-//!   buffer, because `⊗` must see the *combined* cell value (`⊗` does not
-//!   distribute over `+` for e.g. min-plus), then consumed like any row.
+//! * a row that lives in a **single** level is consumed as its raw slices
+//!   (the common hypersparse case — level row collisions are rare);
+//! * a row split across levels goes through the cursor module's one k-way
+//!   column merge — under `+`, because `⊗` must see the *combined* cell
+//!   value (`⊗` does not distribute over `+` for e.g. min-plus), or under
+//!   `First` where only the pattern counts.
 //!
 //! Accumulation goes through the caller's [`SpaScratch`].  A product over k
 //! levels is byte-identical to the product over one — the materialized sum —
@@ -27,13 +33,13 @@
 //! by BFS (add = min) and pagerank (add = plus): `w(j) = ⊕ u(i)` over the
 //! *distinct* stored cells `(i, j)`, values ignored.
 
-use crate::cursor::{merged_row_into, LevelCursors};
+use crate::cursor::{merge_k_way, merged_row_into, LevelCursors};
 use crate::error::{GrbError, GrbResult};
 use crate::formats::dcsr::Dcsr;
 use crate::index::Index;
 use crate::mask::{Mask, VectorMask};
 use crate::matrix::Matrix;
-use crate::ops::binary::Plus;
+use crate::ops::binary::{First, Plus};
 use crate::ops::spa::{SpaScratch, SpaStrategy};
 use crate::ops::{BinaryOp, Semiring};
 use crate::reader::CursorReader;
@@ -337,71 +343,21 @@ pub fn vxm_pattern_levels<T, U, A, M>(
     // whole product always uses sorted scatter (one strategy decision for
     // the call, counted as one accumulator row).
     spa.begin(SpaStrategy::SortedScatter, 0, 0);
-    let mut cols_buf: Vec<Index> = Vec::new();
+    let (mut parts, mut pool) = (Vec::new(), Vec::new());
     for &(i, ui) in u {
-        // Distinct columns of row i: raw slice when one level holds the
-        // row, m-way column union otherwise.
-        let mut single: Option<&[Index]> = None;
-        let mut n_parts = 0usize;
-        for d in levels {
-            if d.row(i).is_some() {
-                n_parts += 1;
-                if n_parts == 1 {
-                    single = d.row(i).map(|(c, _)| c);
-                }
+        // Distinct columns of row i, pushed as the one k-way merge emits
+        // them (a row one level holds is its own slice).
+        parts.clear();
+        parts.extend(levels.iter().filter_map(|d| d.row(i)));
+        let mut push = |j, _: T| {
+            if mask.map_or(true, |m| m.allows(j)) {
+                spa.push(j, ui, add);
             }
-        }
-        match n_parts {
-            0 => {}
-            1 => {
-                for &j in single.expect("one part recorded") {
-                    if mask.map_or(true, |m| m.allows(j)) {
-                        spa.push(j, ui, add);
-                    }
-                }
-            }
-            _ => {
-                cols_buf.clear();
-                merged_row_cols(levels, i, &mut cols_buf);
-                for &j in &cols_buf {
-                    if mask.map_or(true, |m| m.allows(j)) {
-                        spa.push(j, ui, add);
-                    }
-                }
-            }
-        }
+        };
+        merge_k_way(&parts, First, &mut push, &mut pool);
     }
     spa.drain(add, &mut |j, v| out.push((j, v)));
     spa.commit_stats();
-}
-
-/// Distinct sorted columns of row `row` across colliding levels.
-fn merged_row_cols<T: ScalarType>(levels: &[&Dcsr<T>], row: Index, out: &mut Vec<Index>) {
-    let mut parts: Vec<&[Index]> = Vec::with_capacity(levels.len());
-    for d in levels {
-        if let Some((cols, _)) = d.row(row) {
-            parts.push(cols);
-        }
-    }
-    let mut pos = vec![0usize; parts.len()];
-    loop {
-        let mut min: Option<Index> = None;
-        for (p, part) in parts.iter().enumerate() {
-            if let Some(&c) = part.get(pos[p]) {
-                min = Some(match min {
-                    Some(m) if m <= c => m,
-                    _ => c,
-                });
-            }
-        }
-        let Some(col) = min else { break };
-        for (p, part) in parts.iter().enumerate() {
-            if part.get(pos[p]) == Some(&col) {
-                pos[p] += 1;
-            }
-        }
-        out.push(col);
-    }
 }
 
 /// The masked-`mxm` triangle count off level slices: for a symmetric
@@ -412,31 +368,20 @@ fn merged_row_cols<T: ScalarType>(levels: &[&Dcsr<T>], row: Index, out: &mut Vec
 pub fn triangle_count_levels<T: ScalarType>(levels: &[&Dcsr<T>]) -> u64 {
     let mut total = 0u64;
     let mut cur = LevelCursors::new(levels);
-    let mut row_i: Vec<Index> = Vec::new();
-    let mut row_k: Vec<Index> = Vec::new();
-    while let Some(_i) = cur.next_row() {
+    let (mut row_i, mut row_k): (Vec<Index>, Vec<Index>) = (Vec::new(), Vec::new());
+    let (mut parts, mut pool) = (Vec::new(), Vec::new());
+    while cur.next_row().is_some() {
         row_i.clear();
-        if let Some((cols, _)) = cur.single_part() {
-            row_i.extend_from_slice(cols);
-        } else {
-            cur.fold_row(crate::ops::binary::First, &mut |j, _| row_i.push(j));
-        }
+        cur.fold_row(First, &mut |j, _| row_i.push(j));
         for &k in &row_i {
-            // row(k): raw slice when one level holds it, union otherwise.
-            let mut single: Option<&[Index]> = None;
-            let mut n_parts = 0usize;
-            for d in levels {
-                if let Some((cols, _)) = d.row(k) {
-                    n_parts += 1;
-                    single = Some(cols);
-                }
-            }
-            let cols_k: &[Index] = match n_parts {
-                0 => continue,
-                1 => single.expect("one part recorded"),
+            parts.clear();
+            parts.extend(levels.iter().filter_map(|d| d.row(k)));
+            let cols_k = match parts[..] {
+                [] => continue,
+                [(cols, _)] => cols,
                 _ => {
                     row_k.clear();
-                    merged_row_cols(levels, k, &mut row_k);
+                    merge_k_way(&parts, First, &mut |j, _| row_k.push(j), &mut pool);
                     &row_k
                 }
             };
