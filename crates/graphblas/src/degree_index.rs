@@ -182,7 +182,7 @@ struct QueryCache {
 
 /// Ranking order of the top-k cache: degree descending, row ascending.
 #[inline]
-fn rank(a: &(Index, usize), b: &(Index, usize)) -> std::cmp::Ordering {
+pub(crate) fn rank(a: &(Index, usize), b: &(Index, usize)) -> std::cmp::Ordering {
     b.1.cmp(&a.1).then(a.0.cmp(&b.0))
 }
 
@@ -469,24 +469,16 @@ impl<V: ScalarType> DegreeIndex<V> {
         core.version += 1;
     }
 
-    /// Distinct `(row, col)` cells — O(1).
-    pub fn nnz(&self) -> usize {
-        self.view.nnz()
-    }
-
-    /// Distinct columns stored in `row` — O(1).
-    pub fn row_degree(&self, row: Index) -> usize {
-        self.view.row_degree(row)
-    }
-
-    /// `+`-reduction of `row`'s accumulated values — O(1).
-    pub fn row_weight(&self, row: Index) -> Option<V> {
-        self.view.row_weight(row)
-    }
-
-    /// The `k` highest-degree rows (degree desc, row asc) — O(k) warm.
-    pub fn top_k(&mut self, k: usize) -> Vec<(Index, usize)> {
-        self.view.top_k(k)
+    /// Add every key of `part` — its degree and its weight — to this
+    /// index's: the per-key sum of stats whose keys may recur across parts
+    /// (a sharded engine's per-shard column stats).  The top-k cache is
+    /// left to its next lazy rebuild.
+    pub fn absorb(&mut self, part: &DegreeIndexView<V>) {
+        let core = Arc::make_mut(&mut self.view.core);
+        for (&key, stat) in &part.core.rows {
+            core.add(key, stat.degree, stat.weight);
+        }
+        core.version += 1;
     }
 }
 
@@ -504,16 +496,17 @@ mod tests {
         by_col: bool,
     }
 
+    /// Queries read the index's own view, as a live store's do.
     impl std::ops::Deref for Owned {
-        type Target = DegreeIndex<u64>;
+        type Target = DegreeIndexView<u64>;
         fn deref(&self) -> &Self::Target {
-            &self.ix
+            &self.ix.view
         }
     }
 
     impl std::ops::DerefMut for Owned {
         fn deref_mut(&mut self) -> &mut Self::Target {
-            &mut self.ix
+            self.ix.view_mut()
         }
     }
 
@@ -535,13 +528,13 @@ mod tests {
         assert!(!ix.is_active());
         ix.observe(&[1, 2], &[1, 1], &[true, true]);
         // Nothing recorded: pure-ingest streams pay no maintenance.
-        assert_eq!(ix.nnz(), 0);
-        assert!(ix.top_k(5).is_empty());
+        assert_eq!(ix.view_mut().nnz(), 0);
+        assert!(ix.view_mut().top_k(5).is_empty());
         // Activation starts maintenance; clear() deactivates again.
         ix.activate();
         assert!(ix.is_active());
         ix.observe(&[3], &[3], &[true]);
-        assert_eq!(ix.nnz(), 1);
+        assert_eq!(ix.view_mut().nnz(), 1);
         ix.clear();
         assert!(!ix.is_active());
     }
@@ -569,14 +562,14 @@ mod tests {
         assert_eq!(ix.top_k(2), vec![(5, 3), (9, 1)]);
         assert_eq!(ix.top_k(100), vec![(5, 3), (9, 1)]);
 
-        let hist = ix.view_mut().degree_histogram();
+        let hist = ix.degree_histogram();
         assert_eq!(hist.get(&3), Some(&1));
         assert_eq!(hist.get(&1), Some(&1));
 
-        ix.clear();
+        ix.ix.clear();
         assert_eq!(ix.nnz(), 0);
         assert!(ix.top_k(5).is_empty());
-        assert!(ix.view_mut().degree_histogram().is_empty());
+        assert!(ix.degree_histogram().is_empty());
     }
 
     #[test]
@@ -721,7 +714,7 @@ mod tests {
         assert_eq!(ix.top_k(3), vec![(2, 4), (3, 4), (1, 2)]);
         assert_eq!(ix.ix.view.cache.rebuilds, 1);
         // A refill through `add_unique_row` is not upkept.
-        ix.add_unique_row(77, 9, 9);
+        ix.ix.add_unique_row(77, 9, 9);
         assert_eq!(ix.top_k(1), vec![(77, 9)]);
         assert_eq!(ix.ix.view.cache.rebuilds, 2);
     }
@@ -730,7 +723,7 @@ mod tests {
     fn view_is_stable_under_writer_mutation() {
         let mut ix = Owned::default();
         settle(&mut ix, &[(1, 1, 5), (2, 1, 6), (2, 2, 7)]);
-        let mut view = ix.view();
+        let mut view = ix.ix.view();
         settle(&mut ix, &[(3, 1, 1), (3, 2, 1), (3, 3, 1)]);
         // The view still answers from the captured state...
         assert_eq!(view.nnz(), 3);
@@ -771,9 +764,29 @@ mod tests {
         let mut ix = DegreeIndex::<u64>::new();
         ix.add_unique_row(8, 3, 15);
         ix.add_unique_row(2, 1, 4);
-        assert_eq!(ix.nnz(), 4);
-        assert_eq!(ix.row_degree(8), 3);
-        assert_eq!(ix.top_k(2), vec![(8, 3), (2, 1)]);
+        let view = ix.view_mut();
+        assert_eq!(view.nnz(), 4);
+        assert_eq!(view.row_degree(8), 3);
+        assert_eq!(view.top_k(2), vec![(8, 3), (2, 1)]);
+    }
+
+    #[test]
+    fn absorb_sums_the_stats_of_keys_shared_across_parts() {
+        let (mut a, mut b) = (DegreeIndex::<u64>::new(), DegreeIndex::<u64>::new());
+        a.add_unique_row(7, 2, 5);
+        a.add_unique_row(3, 1, 1);
+        b.add_unique_row(7, 1, 4);
+        b.add_unique_row(9, 3, 3);
+        let mut sum = DegreeIndex::new();
+        assert_eq!(sum.view_mut().top_k(1), vec![]);
+        sum.absorb(&a.view());
+        sum.absorb(&b.view());
+        let view = sum.view_mut();
+        assert_eq!(
+            (view.nnz(), view.row_degree(7), view.row_weight(7)),
+            (7, 3, Some(9))
+        );
+        assert_eq!(view.top_k(3), vec![(7, 3), (9, 3), (3, 1)]);
     }
 
     #[test]

@@ -11,10 +11,12 @@
 //!   list through the [`crate::cursor`] kernels;
 //!   the visitor kinds collect what the kernel visits;
 //! * **degree-centric answers** (nnz, degree, reduce, top-k, histogram)
-//!   come from the store's [`DegreeIndexView`] when it has one, else from
-//!   a cursor sweep — which is observed ("is a stats view present"), never
-//!   configured.  In debug builds every indexed answer is re-derived from
-//!   the row-major levels;
+//!   come from the store's stats when it has them, else from a cursor
+//!   sweep — which is observed ("are stats present"), never configured.
+//!   Stats are key-disjoint [`DegreeIndexView`] parts, combined here alone:
+//!   counts add, a top-k is the top-k of the parts' top-k's, bins add.  In
+//!   debug builds every indexed answer, combined or not, is re-derived
+//!   from the row-major levels;
 //! * **the column half of the vocabulary is the row half on the other
 //!   side**: the column twins are the levels of the transpose, row-major
 //!   in `(col, row)`, so a column is a row extract on the twins (checked
@@ -29,14 +31,14 @@
 //! A store implements [`LevelStore`] — only what actually differs: name
 //! and dims, where its levels, twins and optional stats come from — and
 //! gets [`MatrixReader`] and [`CursorReader`] from the blanket impls below
-//! (a sharded engine's captures, put end to end, are one such store).
+//! (a sharded engine's captures, joined, are one such store).
 
 use crate::cursor::{
     for_each_merged, merged_col_degree, merged_col_into, merged_col_reduce,
     merged_degree_histogram, merged_in_degree_histogram, merged_in_top_k, merged_nnz, merged_point,
     merged_row_degree, merged_row_into, merged_row_range, merged_row_reduce, merged_top_k,
 };
-use crate::degree_index::DegreeIndexView;
+use crate::degree_index::{rank, DegreeIndexView};
 use crate::formats::dcsr::Dcsr;
 use crate::index::Index;
 use crate::ops::binary::Plus;
@@ -70,14 +72,14 @@ pub trait LevelStore {
     /// will do — one twin per level, or one for the whole store.
     fn with_twins<R>(&mut self, f: impl FnOnce(&[&Dcsr<Self::Value>]) -> R) -> R;
 
-    /// Per-row stats covering the whole content, when the store keeps them.
-    fn row_stats(&mut self) -> Option<&mut DegreeIndexView<Self::Value>> {
-        None
-    }
-
-    /// Per-column stats covering the whole content, when the store keeps
-    /// them.
-    fn col_stats(&mut self) -> Option<&mut DegreeIndexView<Self::Value>> {
+    /// `f` over `side`'s per-key stats covering the whole content, as
+    /// key-disjoint parts (every key's stats in one part; a store with one
+    /// index hands it alone), or `None` when the store keeps none.
+    fn with_stats<R>(
+        &mut self,
+        _side: Side,
+        _f: impl FnOnce(&mut [&mut DegreeIndexView<Self::Value>]) -> R,
+    ) -> Option<R> {
         None
     }
 
@@ -89,9 +91,11 @@ pub trait LevelStore {
 
 /// Which half of the vocabulary a read belongs to: keyed by row over the
 /// levels, or keyed by column over the twins.
-#[derive(Clone, Copy)]
-enum Side {
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Side {
+    /// Keyed by row: the levels and the row stats.
     Rows,
+    /// Keyed by column: the twins and the column stats.
     Cols,
 }
 
@@ -109,30 +113,26 @@ fn reduce_agrees<V: ScalarType>(a: &Option<V>, b: &Option<V>) -> bool {
     }
 }
 
-/// A degree-centric answer for `side`: `indexed` off the side's stats when
-/// the store has them, else `sweep` — a row kernel — over the side's own
-/// levels.  Debug builds re-derive every indexed answer from the row-major
-/// levels (`sweep` again for the row side, `col_sweep` for the column
-/// side, so the check never builds a twin) and compare with `agrees`.
+/// A degree-centric answer for `side`: `indexed` combining the side's
+/// stats parts when the store has them, else `sweep` — a row kernel — over
+/// the side's own levels.  Debug builds re-derive every indexed answer,
+/// combined or not, from the row-major levels (`sweep` again for the row
+/// side, `col_sweep` for the column side, so the check never builds a
+/// twin) and compare with `agrees`.
 fn stats_or_sweep<S: LevelStore, R: std::fmt::Debug>(
     s: &mut S,
     side: Side,
-    indexed: impl FnOnce(&mut DegreeIndexView<S::Value>) -> R,
+    indexed: impl FnOnce(&mut [&mut DegreeIndexView<S::Value>]) -> R,
     sweep: impl Fn(&[&Dcsr<S::Value>]) -> R,
     col_sweep: impl Fn(&[&Dcsr<S::Value>]) -> R,
     agrees: impl Fn(&R, &R) -> bool,
 ) -> R {
-    let stats = match side {
-        Side::Rows => s.row_stats(),
-        Side::Cols => s.col_stats(),
-    };
-    let Some(stats) = stats else {
+    let Some(answer) = s.with_stats(side, indexed) else {
         return match side {
             Side::Rows => s.with_levels(sweep),
             Side::Cols => s.with_twins(sweep),
         };
     };
-    let answer = indexed(stats);
     debug_assert!(
         {
             let swept = s.with_levels(|lv| match side {
@@ -150,7 +150,7 @@ fn degree<S: LevelStore>(s: &mut S, side: Side, key: Index) -> usize {
     stats_or_sweep(
         s,
         side,
-        |ix| ix.row_degree(key),
+        |parts| parts.iter().map(|ix| ix.row_degree(key)).sum(),
         |lv| merged_row_degree(lv, key),
         |lv| merged_col_degree(lv, key),
         PartialEq::eq,
@@ -161,7 +161,10 @@ fn reduce<S: LevelStore>(s: &mut S, side: Side, key: Index) -> Option<S::Value> 
     stats_or_sweep(
         s,
         side,
-        |ix| ix.row_weight(key),
+        |parts| {
+            let weights = parts.iter().filter_map(|ix| ix.row_weight(key));
+            weights.reduce(|a, b| a.add(b))
+        },
         |lv| merged_row_reduce(lv, key, Plus),
         |lv| merged_col_reduce(lv, key, Plus),
         reduce_agrees,
@@ -172,7 +175,15 @@ fn top_k<S: LevelStore>(s: &mut S, side: Side, k: usize) -> Vec<(Index, usize)> 
     stats_or_sweep(
         s,
         side,
-        |ix| ix.top_k(k),
+        |parts| match parts {
+            [one] => one.top_k(k),
+            parts => {
+                let mut all: Vec<_> = parts.iter_mut().flat_map(|ix| ix.top_k(k)).collect();
+                all.sort_unstable_by(rank);
+                all.truncate(k);
+                all
+            }
+        },
         |lv| merged_top_k(lv, k),
         |lv| merged_in_top_k(lv, k),
         PartialEq::eq,
@@ -183,7 +194,13 @@ fn histogram<S: LevelStore>(s: &mut S, side: Side) -> BTreeMap<u64, u64> {
     stats_or_sweep(
         s,
         side,
-        |ix| ix.degree_histogram(),
+        |parts| {
+            let mut bins = BTreeMap::new();
+            for (degree, n) in parts.iter_mut().flat_map(|ix| ix.degree_histogram()) {
+                *bins.entry(degree).or_insert(0) += n;
+            }
+            bins
+        },
         merged_degree_histogram,
         merged_in_degree_histogram,
         PartialEq::eq,
@@ -243,7 +260,7 @@ impl<S: LevelStore> MatrixReader<S::Value> for S {
             Query::Nnz => Answer::Count(stats_or_sweep(
                 self,
                 Side::Rows,
-                |ix| ix.nnz(),
+                |parts| parts.iter().map(|ix| ix.nnz()).sum(),
                 merged_nnz,
                 merged_nnz,
                 PartialEq::eq,

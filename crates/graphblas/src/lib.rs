@@ -75,7 +75,7 @@ pub use error::{GrbError, GrbResult};
 pub use formats::dcsr::MergeScratch;
 pub use formats::merge::{merge_kernel_stats, MergeKernelStats};
 pub use index::{validate_dims, validate_index, Index};
-pub use level_read::LevelStore;
+pub use level_read::{LevelStore, Side};
 pub use matrix::Matrix;
 pub use ops::spa::{spa_kernel_stats, SpaKernelStats, SpaScratch};
 pub use reader::{Answer, CursorReader, MatrixReader, Query, StreamingSystem};
@@ -91,7 +91,7 @@ pub mod prelude {
     pub use crate::formats::coo::Coo;
     pub use crate::formats::dcsr::Dcsr;
     pub use crate::index::Index;
-    pub use crate::level_read::LevelStore;
+    pub use crate::level_read::{LevelStore, Side};
     pub use crate::mask::Mask;
     pub use crate::mask::VectorMask;
     pub use crate::matrix::Matrix;

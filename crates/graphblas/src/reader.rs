@@ -10,11 +10,11 @@
 //! method, [`MatrixReader::answer`], as one `match` over the query kinds;
 //! the `read_*` methods wrap it.  Every store whose content is a list of
 //! settled levels (the flat matrix, snapshots, the hierarchy, the windowed
-//! hierarchy) answers through the single implementation in
-//! [`crate::level_read`], from its native structures and without building a
-//! merged copy of the matrix first; the sharded engine answers from the
-//! per-shard captures its workers take.  (The D4M associative arrays are
-//! sinks only, not readers.)
+//! hierarchy, a sharded engine's per-shard captures joined) answers through
+//! the single implementation in [`crate::level_read`], from its native
+//! structures and without building a merged copy of the matrix first; the
+//! sharded engine only picks the captures a read is routed to.  (The D4M
+//! associative arrays are sinks only, not readers.)
 //!
 //! Query methods take `&mut self`: a reader may complete cheap deferred
 //! work (settle a pending-tuple buffer, refresh an index segment, drain an

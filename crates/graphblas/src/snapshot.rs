@@ -36,13 +36,16 @@
 use crate::degree_index::DegreeIndexView;
 use crate::formats::dcsr::Dcsr;
 use crate::index::Index;
-use crate::level_read::LevelStore;
+use crate::level_read::{LevelStore, Side};
 use crate::ops::binary::Plus;
 use crate::types::ScalarType;
 use std::sync::Arc;
 
 /// A settled level and its column twin, when the source held one.
 type Captured<V> = (Arc<Dcsr<V>>, Option<Arc<Dcsr<V>>>);
+
+/// A side's captured stats view, when it serves that side.
+type Stats<'a, V> = Option<&'a mut DegreeIndexView<V>>;
 
 /// A point-in-time, independently owned view of a matrix: Arc'd settled
 /// levels with their twins + optional pending tail + optional degree-index
@@ -108,15 +111,11 @@ impl<V: ScalarType> MatrixSnapshot<V> {
         self.levels.iter().map(|a| a.as_ref()).collect()
     }
 
-    /// True when the degree-index view serves this snapshot's degree
-    /// answers (no pending tail was captured).
-    pub fn has_index(&self) -> bool {
-        self.index.is_some()
-    }
-
-    /// True when a column-stats view serves the in-degree answers.
-    pub fn has_col_index(&self) -> bool {
-        self.col_index.is_some()
+    /// The captured `(row, column)` stats views, each present when it
+    /// serves this snapshot's degree answers on its side: captured from a
+    /// live index, and no pending tail captured beside it.
+    pub fn stats_mut(&mut self) -> (Stats<'_, V>, Stats<'_, V>) {
+        (self.index.as_mut(), self.col_index.as_mut())
     }
 }
 
@@ -149,12 +148,13 @@ impl<V: ScalarType> LevelStore for MatrixSnapshot<V> {
         f(&twins)
     }
 
-    fn row_stats(&mut self) -> Option<&mut DegreeIndexView<V>> {
-        self.index.as_mut()
-    }
-
-    fn col_stats(&mut self) -> Option<&mut DegreeIndexView<V>> {
-        self.col_index.as_mut()
+    fn with_stats<R>(
+        &mut self,
+        side: Side,
+        f: impl FnOnce(&mut [&mut DegreeIndexView<V>]) -> R,
+    ) -> Option<R> {
+        let (rows, cols) = self.stats_mut();
+        Some(f(&mut [if side == Side::Rows { rows } else { cols }?]))
     }
 }
 
@@ -193,7 +193,7 @@ mod tests {
         assert_eq!(got, vec![(1, 1, 10), (1, 2, 20), (5, 5, 50)]);
         assert_eq!(snap.read_dims(), (1 << 20, 1 << 20));
         assert_eq!(snap.reader_name(), "snap");
-        assert!(!snap.has_index());
+        assert!(snap.stats_mut().0.is_none());
     }
 
     #[test]
@@ -244,7 +244,7 @@ mod tests {
             (&[], &[], &[]),
             (None, Some(cix.view())),
         );
-        assert!(snap.has_col_index());
+        assert!(snap.stats_mut().1.is_some());
         assert_eq!(snap.read_col_degree(7), 3);
         assert_eq!(snap.read_col_reduce(7), Some(6));
         assert_eq!(snap.read_in_top_k(1), vec![(7, 3)]);
@@ -266,7 +266,7 @@ mod tests {
             (&[], &[], &[]),
             (None, None),
         );
-        assert!(!plain.has_col_index());
+        assert!(plain.stats_mut().1.is_none());
         assert_eq!(plain.read_col_degree(7), 4);
         assert_eq!(plain.read_in_top_k(1), vec![(7, 4)]);
         let hist = plain.read_in_degree_histogram();

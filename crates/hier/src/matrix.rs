@@ -15,7 +15,7 @@ use hyperstream_graphblas::ops::reduce::reduce_scalar;
 use hyperstream_graphblas::sink::check_tuple_lengths;
 use hyperstream_graphblas::{
     validate_index, DegreeIndex, DegreeIndexView, GrbError, GrbResult, Index, LevelStore, Matrix,
-    MatrixSnapshot, ScalarType, StreamingSink,
+    MatrixSnapshot, ScalarType, Side, StreamingSink,
 };
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -1126,14 +1126,17 @@ impl<T: ScalarType> LevelStore for HierMatrix<T> {
         f(&twins)
     }
 
-    fn row_stats(&mut self) -> Option<&mut DegreeIndexView<T>> {
-        self.ensure_degrees(false);
-        Some(self.degrees.rows.view_mut())
-    }
-
-    fn col_stats(&mut self) -> Option<&mut DegreeIndexView<T>> {
-        self.ensure_degrees(true);
-        Some(self.degrees.cols.view_mut())
+    fn with_stats<R>(
+        &mut self,
+        side: Side,
+        f: impl FnOnce(&mut [&mut DegreeIndexView<T>]) -> R,
+    ) -> Option<R> {
+        self.ensure_degrees(side == Side::Cols);
+        let index = match side {
+            Side::Rows => &mut self.degrees.rows,
+            Side::Cols => &mut self.degrees.cols,
+        };
+        Some(f(&mut [index.view_mut()]))
     }
 
     /// Per-level gets fold pending tuples in directly; no settle needed.
@@ -1405,11 +1408,14 @@ mod tests {
         let in_top = m.read_in_top_k(3);
         assert_eq!(in_top, m.with_levels(|lv| merged_in_top_k(lv, 3)));
         let nnz = m.with_levels(merged_nnz);
-        assert_eq!((m.degrees.cells.len(), m.degrees.cols.nnz()), (nnz, nnz));
+        assert_eq!(
+            (m.degrees.cells.len(), m.degrees.cols.view_mut().nnz()),
+            (nnz, nnz)
+        );
         let oracle = m.degrees.cells.capacity() * std::mem::size_of::<u128>();
         // The row side joins without touching it, and ingest keeps it one.
         assert_eq!(m.read_top_k(3), m.with_levels(|lv| merged_top_k(lv, 3)));
-        assert_eq!(m.degrees.rows.nnz(), nnz);
+        assert_eq!(m.degrees.rows.view_mut().nnz(), nnz);
         assert_eq!(
             oracle,
             m.degrees.cells.capacity() * std::mem::size_of::<u128>()
@@ -1707,8 +1713,8 @@ mod tests {
         // No column query yet: snapshot has row index only, but still
         // answers column queries via its own merged twin.
         let mut plain = m.snapshot();
-        assert!(plain.has_index());
-        assert!(!plain.has_col_index());
+        assert!(plain.stats_mut().0.is_some());
+        assert!(plain.stats_mut().1.is_none());
         let expect_top = m.with_levels(|lv| merged_in_top_k(lv, 4));
         assert_eq!(plain.read_in_top_k(4), expect_top);
         // Activate the column index, snapshot again: the view rides along
@@ -1716,7 +1722,7 @@ mod tests {
         let live_top = m.read_in_top_k(4);
         assert_eq!(live_top, expect_top);
         let mut indexed = m.snapshot();
-        assert!(indexed.has_col_index());
+        assert!(indexed.stats_mut().1.is_some());
         for i in 0..400u64 {
             m.update(i + 1000, 0, 1).unwrap();
         }
@@ -1752,7 +1758,7 @@ mod tests {
         }
         let frozen = m.materialize_ref();
         let mut snap = m.snapshot();
-        assert!(snap.has_index());
+        assert!(snap.stats_mut().0.is_some());
         // Keep streaming: the snapshot must not move.
         for i in 0..500u64 {
             m.update((i % 89) + 100_000, i % 50, 1).unwrap();
@@ -1784,7 +1790,7 @@ mod tests {
         m.update(3, 4, 6).unwrap();
         // Pending only — the &self snapshot copies the tail.
         let mut snap = m.snapshot_ref();
-        assert!(!snap.has_index());
+        assert!(snap.stats_mut().0.is_none());
         assert_eq!(snap.read_nnz(), 2);
         assert_eq!(snap.read_get(3, 3), Some(5));
         assert_eq!(snap.read_row_reduce(3), Some(11));
@@ -1792,7 +1798,7 @@ mod tests {
         // snapshot carries the index view.
         assert_eq!(m.read_nnz(), 2);
         let mut settled_snap = m.snapshot_ref();
-        assert!(settled_snap.has_index());
+        assert!(settled_snap.stats_mut().0.is_some());
         assert_eq!(settled_snap.read_nnz(), 2);
         assert_eq!(settled_snap.read_top_k(1), vec![(3, 2)]);
     }

@@ -49,45 +49,43 @@
 //! # The read path
 //!
 //! A read is a [`Query`](hyperstream_graphblas::Query) value and goes
-//! **route → capture → combine**, each written once for anything that is
-//! a set of row-disjoint shards — the live engine and a
-//! [`ShardedSnapshot`] of it.  *Route* picks who can hold part of the
-//! answer: the one owner of a row, or every shard for range, whole-matrix
-//! and column reads.  *Capture*: the answer comes from per-shard captures — a shard's
-//! settled levels and, as far as they are live, the views of its degree
-//! indexes and its per-level column twins, all `Arc` handles taken by one
-//! job behind the shard's staged tuples.  The engine holds one capture
-//! per shard between writes and takes a routed shard's only when it holds
-//! none that serves the query, all in flight at once and every wait
-//! bounded; so a burst of reads between two writes costs one job per
-//! shard, and each read after that is answered on the producer thread.
-//! Every write — `update`, `update_batch`, `flush`, `respawn_shard` —
-//! drops all captures before a tuple or job reaches a worker, so no worker
-//! ever copy-on-writes a level a capture still holds.  A capture activates
-//! exactly what the query would activate on a live [`HierMatrix`]: a
-//! side's degree index for the degree-centric kinds, the twins for column
-//! extracts and scans.  A read that needs a side's index captures every
-//! live shard with it, so no later read of the burst pays one shard's
-//! activation; a snapshot, `with_level_dcsrs` and `materialize` activate
-//! nothing.  *Combine* is exact by kind because a row lives in one shard.
-//! Extracts and scans need none: the routed captures' levels (and twins)
-//! put end to end are one level decomposition of the matrix, which the one
-//! level-read path (`hyperstream_graphblas::level_read`) reads directly.
-//! The other kinds fold what the captures say (each asked through
-//! [`MatrixReader::answer`](hyperstream_graphblas::MatrixReader::answer)):
-//! cell counts, per-column row counts and row-degree histogram bins add;
-//! a column's weights fold under `+`; the global row top-k is the top-k of
-//! the local top-k's.  In-degrees alone cannot be combined after the
-//! fact — a column's cells split over the shards, so a shard's in-degree
-//! ranking or histogram says nothing about the global one: every shard's
-//! complete column → degree list is *summed per column first* into one
-//! [`DegreeIndex`](hyperstream_graphblas::DegreeIndex) that ranks and bins
-//! them, and the sum is held with the captures.  No read answers without
-//! a shard it is routed to: a lost one is a typed error, whether or not
-//! its capture is held.  [`ShardedHierMatrix::try_read`] is the fallible
-//! form of all of it; the engine's `MatrixReader::answer` wraps it,
-//! answers empty on an error and latches the error for
-//! [`ShardedHierMatrix::take_read_error`].
+//! **route → capture → `level_read`**, written once for anything that is a
+//! set of row-disjoint shards — the live engine and a [`ShardedSnapshot`]
+//! of it.  *Route* picks who can hold part of the answer: a row's one owner
+//! for the reads keyed by one row, no shard when the answer is empty
+//! whatever they hold (`k = 0`, an empty range), else every shard.
+//! *Capture*: the answer comes from per-shard captures — a shard's settled
+//! levels and, as far as they are live, the views of its degree indexes
+//! and its per-level column twins, all `Arc` handles taken by one job
+//! behind the shard's staged tuples.  The engine holds one capture per
+//! shard between writes and takes a routed shard's only when it holds none
+//! that serves the query, all in flight at once and every wait bounded; so
+//! a burst of reads between two writes costs one job per shard, and each
+//! read after that is answered on the producer thread.  Every write —
+//! `update`, `update_batch`, `flush`, `respawn_shard` — drops all captures
+//! before a tuple or job reaches a worker, so no worker ever copy-on-writes
+//! a level a capture still holds.  A capture activates exactly what the
+//! query would activate on a live [`HierMatrix`]: a side's degree index for
+//! the degree-centric kinds, the twins for column extracts and scans.  A
+//! read that needs a side's index captures every live shard with it, so no
+//! later read of the burst pays one shard's activation; a snapshot,
+//! `with_level_dcsrs` and `materialize` activate nothing.  *`level_read`*:
+//! the routed captures, joined, are one more
+//! [`LevelStore`](hyperstream_graphblas::LevelStore), answered by the one
+//! level-read path every store uses, so no kind has a sharded answer of
+//! its own.  Their levels (and twins) end to end are a level decomposition
+//! of the matrix.  A row lives in one shard, so their row stats are
+//! key-disjoint parts, which that path combines: counts add, the top-k is
+//! the top-k of the parts' top-k's, histogram bins add.  A column's cells
+//! split over the shards, so its stats would add only per key: the column
+//! side is one part, the per-column sum of every shard's column stats
+//! ([`DegreeIndex::absorb`](hyperstream_graphblas::DegreeIndex::absorb)),
+//! built by the first column-stats read of a capture set and held with the
+//! captures.  No read answers without a shard it is routed to: a lost one
+//! is a typed error, whether or not its capture is held.
+//! [`ShardedHierMatrix::try_read`] is the fallible form of all of it; the
+//! engine's `MatrixReader::answer` wraps it, answers empty on an error and
+//! latches the error for [`ShardedHierMatrix::take_read_error`].
 //!
 //! # Fault tolerance
 //!
@@ -1091,7 +1089,7 @@ mod tests {
 
     pub(super) const DIM: u64 = 1 << 32;
 
-    fn small_cfg() -> HierConfig {
+    pub(super) fn small_cfg() -> HierConfig {
         HierConfig::from_cuts(vec![16, 128, 1024]).unwrap()
     }
 

@@ -1,19 +1,18 @@
-//! The sharded read path — route → capture → combine — written once over
-//! [`ShardedSnapshot`], the per-shard captures a read is answered from:
-//! the live engine holds one, taking a shard's capture when a read first
-//! needs it and dropping them all at the next write; a snapshot is one
-//! with every shard captured, held for its lifetime.  The paragraph in the
-//! [parent module](super) says why each step is what it is.
+//! The sharded read path — route → capture → `level_read` — written once
+//! over [`ShardedSnapshot`], the per-shard captures a read is answered
+//! from: the live engine holds one, taking a shard's capture when a read
+//! first needs it and dropping them all at the next write; a snapshot is
+//! one with every shard captured, held for its lifetime.  The paragraph in
+//! the [parent module](super) says why each step is what it is.
 
 use super::{owner, ShardedHierMatrix};
 use crate::matrix::Live;
 use hyperstream_graphblas::formats::dcsr::Dcsr;
 use hyperstream_graphblas::reader::{Answer, Query};
 use hyperstream_graphblas::{
-    CursorReader, DegreeIndex, GrbResult, Index, LevelStore, MatrixReader, MatrixSnapshot,
-    ScalarType,
+    CursorReader, DegreeIndex, DegreeIndexView, GrbResult, Index, LevelStore, MatrixReader,
+    MatrixSnapshot, ScalarType, Side,
 };
-use std::collections::BTreeMap;
 use std::ops::Range;
 
 /// What answering `q` from a capture needs live on the shard: exactly what
@@ -35,38 +34,43 @@ fn needs(q: &Query) -> Live {
     }
 }
 
-/// The held in-degree sum, built from `parts` (every shard's complete
-/// column → degree list) when none is held: a degree index keyed by
-/// column, which ranks and bins the sums.  Summing every shard's list is
-/// expensive enough that a burst of in-degree reads must not repeat it, so
-/// holders keep the index until their content changes, and its top-k
-/// cache serves the burst.
-fn summed<T: ScalarType>(
-    held: &mut Option<DegreeIndex<T>>,
-    parts: impl Iterator<Item = Answer<T>>,
-) -> &mut DegreeIndex<T> {
-    held.get_or_insert_with(|| {
-        let mut sum = DegreeIndex::new();
-        for (col, degree) in parts.flat_map(Answer::into_ranked) {
-            sum.add_unique_row(col, degree as u64, T::default());
+/// The shards among `shards` that can hold part of `q`'s answer: a row's
+/// one owner for the reads keyed by one row, none when the answer is empty
+/// whatever the shards hold, else every shard — hashed rows of any range,
+/// and the cells of any column, fall in all of them.
+fn route(q: &Query, shards: usize) -> Range<usize> {
+    use Query::*;
+    match *q {
+        // Every held capture could answer, but only the owner's levels
+        // need a binary search.
+        Get(row, _) | Row(row) | RowDegree(row) | RowReduce(row) => {
+            let shard = owner(row, shards);
+            shard..shard + 1
         }
-        sum
-    })
+        TopK(0) | InTopK(0) => 0..0,
+        RowRange(lo, hi) | ColRange(lo, hi) if lo >= hi => 0..0,
+        _ => 0..shards,
+    }
 }
 
 /// A shard's capture, if held, and what is live in it.
 type Slot<T> = Option<(MatrixSnapshot<T>, Live)>;
 
-/// A routed slot's capture, which the read path holds before it asks.
+/// A routed slot's capture, which the read path holds before it reads.
 fn held<T>(slot: &mut Slot<T>) -> &mut MatrixSnapshot<T> {
     &mut slot.as_mut().expect("a routed capture is held").0
 }
 
 /// Row-disjoint shards' captures as one [`LevelStore`]: their levels (and
-/// twins) end to end are a level decomposition of the engine's matrix.
+/// twins) end to end are a level decomposition of the engine's matrix, and
+/// their row stats are key-disjoint parts.  Their column stats are not — a
+/// column's cells split over the shards — so the column side is one part,
+/// the per-column sum, built once per capture set and held in `col_sum`;
+/// only a store that joins every shard has one.
 struct Joined<'a, T> {
     dims: (Index, Index),
     captures: &'a mut [Slot<T>],
+    col_sum: Option<&'a mut Option<DegreeIndex<T>>>,
 }
 
 impl<T: ScalarType> LevelStore for Joined<'_, T> {
@@ -89,6 +93,29 @@ impl<T: ScalarType> LevelStore for Joined<'_, T> {
     fn with_twins<R>(&mut self, f: impl FnOnce(&[&Dcsr<T>]) -> R) -> R {
         joined_twins(self.captures, &[], f)
     }
+
+    /// Stats only when every capture has the side's view: a side live on
+    /// some shards alone sweeps.
+    fn with_stats<R>(
+        &mut self,
+        side: Side,
+        f: impl FnOnce(&mut [&mut DegreeIndexView<T>]) -> R,
+    ) -> Option<R> {
+        let mut views = Vec::with_capacity(self.captures.len());
+        for slot in self.captures.iter_mut() {
+            let (rows, cols) = held(slot).stats_mut();
+            views.push(if side == Side::Rows { rows } else { cols }?);
+        }
+        if side == Side::Rows {
+            return Some(f(&mut views));
+        }
+        let sum = self.col_sum.as_mut()?.get_or_insert_with(|| {
+            let mut sum = DegreeIndex::new();
+            views.iter().for_each(|view| sum.absorb(view));
+            sum
+        });
+        Some(f(&mut [sum.view_mut()]))
+    }
 }
 
 /// `f` over `before` and every capture's twins: a capture lends its twins
@@ -108,12 +135,13 @@ fn joined_twins<T: ScalarType, R>(
 }
 
 /// One consistent point-in-time view of the whole sharded engine: a
-/// capture per shard ([`ShardedHierMatrix::snapshot`]), read by the same
-/// route and combine as the engine itself — and because every capture
-/// holds Arc'd level structures, the engine keeps ingesting (and its
-/// workers keep draining) while this view answers long sweeps.  The
-/// engine reads through one of these too, filling a shard's slot when a
-/// read first needs it and emptying every slot at the next write.
+/// capture per shard ([`ShardedHierMatrix::snapshot`]), read as one
+/// [`LevelStore`] through the same `level_read` path as the engine itself
+/// — and because every capture holds Arc'd level structures, the engine
+/// keeps ingesting (and its workers keep draining) while this view answers
+/// long sweeps.  The engine reads through one of these too, filling a
+/// shard's slot when a read first needs it and emptying every slot at the
+/// next write.
 #[derive(Debug, Clone)]
 pub struct ShardedSnapshot<T> {
     nrows: Index,
@@ -121,8 +149,8 @@ pub struct ShardedSnapshot<T> {
     /// Each shard's capture — settled levels and, as far as they are live
     /// on the shard, its degree views and column twins — and what is live.
     shards: Vec<Slot<T>>,
-    /// The summed in-degree index, built by the first in-degree read and
-    /// good for as long as the captures.
+    /// The per-column sum of the shards' column stats, built by the first
+    /// column-stats read and good for as long as the captures.
     in_degrees: Option<DegreeIndex<T>>,
 }
 
@@ -137,7 +165,7 @@ impl<T: ScalarType> ShardedSnapshot<T> {
         }
     }
 
-    /// Drop every capture and the in-degree sum.
+    /// Drop every capture and the column sum.
     pub(super) fn clear(&mut self) {
         self.shards.iter_mut().for_each(|s| *s = None);
         self.in_degrees = None;
@@ -150,110 +178,49 @@ impl<T: ScalarType> ShardedSnapshot<T> {
         })
     }
 
-    /// Whom `q` goes to among the shards — its row's one owner, every
-    /// shard, or none — and what each of them is asked; `None` when the
-    /// answer is empty whatever the shards hold.
-    fn route(&self, q: &Query) -> Option<(Range<usize>, Query)> {
-        let (shards, q, warm) = (self.shards.len(), *q, self.in_degrees.is_some());
-        match q {
-            Query::Get(row, _)
-            | Query::Row(row)
-            | Query::RowDegree(row)
-            | Query::RowReduce(row) => {
-                let shard = owner(row, shards);
-                Some((shard..shard + 1, q))
-            }
-            Query::TopK(0) | Query::InTopK(0) => None,
-            Query::RowRange(lo, hi) | Query::ColRange(lo, hi) if lo >= hi => None,
-            // The held sum answers; it goes stale only with the content.
-            Query::InTopK(_) | Query::InDegreeHistogram if warm => Some((0..0, q)),
-            // A column's cells split over the row-partitioned shards, so a
-            // shard's in-degree ranking says nothing about the global one:
-            // every shard ships its complete column → degree list instead.
-            Query::InTopK(_) | Query::InDegreeHistogram => {
-                Some((0..shards, Query::InTopK(usize::MAX)))
-            }
-            // Range, whole-matrix and column reads touch every shard: hashed
-            // rows of any range fall in all of them.
-            Query::RowRange(..)
-            | Query::Nnz
-            | Query::Entries
-            | Query::TopK(_)
-            | Query::DegreeHistogram
-            | Query::Col(_)
-            | Query::ColDegree(_)
-            | Query::ColReduce(_)
-            | Query::ColRange(..) => Some((0..shards, q)),
-        }
-    }
-
     /// The held captures of `shards`, read as one level store.
     fn joined(&mut self, shards: Range<usize>) -> Joined<'_, T> {
+        let every = shards == (0..self.shards.len());
         Joined {
             dims: (self.nrows, self.ncols),
             captures: &mut self.shards[shards],
+            col_sum: every.then_some(&mut self.in_degrees),
         }
     }
+}
 
-    /// `q` answered as `routed` says, from captures that are all held.
-    /// Every rule below is exact because shards own disjoint row sets and
-    /// values combine under an associative, commutative `+`; a shard that
-    /// holds nothing adds nothing.
-    fn ask(&mut self, q: &Query, routed: Option<(Range<usize>, Query)>) -> Answer<T> {
-        let Some((shards, asked)) = routed else {
-            return Answer::empty_for(q);
-        };
-        let captures = self.shards[shards.clone()].iter_mut();
-        let mut parts = captures.map(|slot| held(slot).answer(&asked));
-        match q {
-            // One shard holds the row: what it says is the answer.
-            Query::Get(..) | Query::Row(_) | Query::RowDegree(_) | Query::RowReduce(_) => {
-                parts.next().unwrap_or_else(|| Answer::empty_for(q))
-            }
-            // Distinct cells, and the distinct rows of one column, add up.
-            Query::Nnz | Query::ColDegree(_) => Answer::Count(parts.map(Answer::into_count).sum()),
-            Query::ColReduce(_) => {
-                Answer::Value(parts.filter_map(Answer::into_value).reduce(|a, b| a.add(b)))
-            }
-            // Every row is ranked by exactly one shard, so the global top-k
-            // is the top-k of the local top-k's put together: degree
-            // descending, then id ascending.
-            Query::TopK(k) => {
-                let mut all: Vec<_> = parts.flat_map(Answer::into_ranked).collect();
-                all.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-                all.truncate(*k);
-                Answer::Ranked(all)
-            }
-            // Every row is counted by exactly one shard: the bins add.
-            Query::DegreeHistogram => {
-                let mut counts = BTreeMap::new();
-                for (d, n) in parts.flat_map(Answer::into_histogram) {
-                    *counts.entry(d).or_insert(0) += n;
-                }
-                Answer::Histogram(counts)
-            }
-            // Extracts and scans read every routed shard's levels at once.
-            Query::Entries | Query::RowRange(..) | Query::Col(_) | Query::ColRange(..) => {
-                self.joined(shards).answer(q)
-            }
-            // In-degrees alone are summed per column *before* they are
-            // ranked or binned (see `route`).
-            Query::InTopK(k) => Answer::Ranked(summed(&mut self.in_degrees, parts).top_k(*k)),
-            Query::InDegreeHistogram => {
-                let sum = summed(&mut self.in_degrees, parts);
-                Answer::Histogram(sum.view_mut().degree_histogram())
-            }
-        }
+/// Every shard's capture joined.  Reads keyed by one row sweep every
+/// shard's levels; a point read goes to its owner alone.
+impl<T: ScalarType> LevelStore for ShardedSnapshot<T> {
+    type Value = T;
+
+    fn store_name(&self) -> &str {
+        "sharded-hier-graphblas-snapshot"
     }
 
-    /// Row or column `q` into `out` off the routed captures.
-    fn line_into(&mut self, q: Query, out: &mut Vec<(Index, T)>) {
-        let shards = self.route(&q).map_or(0..0, |(shards, _)| shards);
-        match q {
-            Query::Col(col) => self.joined(shards).read_col(col, out),
-            Query::Row(row) => self.joined(shards).read_row(row, out),
-            _ => out.clear(),
-        }
+    fn store_dims(&self) -> (Index, Index) {
+        (self.nrows, self.ncols)
+    }
+
+    fn with_levels<R>(&mut self, f: impl FnOnce(&[&Dcsr<T>]) -> R) -> R {
+        self.joined(0..self.shards.len()).with_levels(f)
+    }
+
+    fn with_twins<R>(&mut self, f: impl FnOnce(&[&Dcsr<T>]) -> R) -> R {
+        self.joined(0..self.shards.len()).with_twins(f)
+    }
+
+    fn with_stats<R>(
+        &mut self,
+        side: Side,
+        f: impl FnOnce(&mut [&mut DegreeIndexView<T>]) -> R,
+    ) -> Option<R> {
+        self.joined(0..self.shards.len()).with_stats(side, f)
+    }
+
+    fn point_get(&mut self, row: Index, col: Index) -> Option<T> {
+        let shard = owner(row, self.shards.len());
+        self.joined(shard..shard + 1).point_get(row, col)
     }
 }
 
@@ -293,25 +260,19 @@ impl<T: ScalarType> ShardedHierMatrix<T> {
         Ok(&mut self.held)
     }
 
+    /// `read` over the captures `q` is routed to, joined as one level
+    /// store: route → capture → `level_read`.
+    fn reading<R>(&mut self, q: Query, read: impl FnOnce(&mut Joined<'_, T>) -> R) -> GrbResult<R> {
+        let routed = route(&q, self.workers.len());
+        let held = self.capture(routed.clone(), needs(&q))?;
+        Ok(read(&mut held.joined(routed)))
+    }
+
     /// Answer one [`Query`] — the fallible form of every [`MatrixReader`]
     /// method.  A lost shard the query is routed to, or a timed-out wait,
     /// is a typed error.
     pub fn try_read(&mut self, q: Query) -> GrbResult<Answer<T>> {
-        let routed = self.held.route(&q);
-        let shards = routed.as_ref().map_or(0..0, |(shards, _)| shards.clone());
-        let held = self.capture(shards, needs(&q))?;
-        Ok(held.ask(&q, routed))
-    }
-
-    /// Row or column `q` into `out` (see [`ShardedSnapshot::line_into`]);
-    /// an error leaves `out` empty and latches.
-    fn read_line(&mut self, q: Query, out: &mut Vec<(Index, T)>) {
-        out.clear();
-        let shards = self.held.route(&q).map_or(0..0, |(shards, _)| shards);
-        match self.capture(shards, needs(&q)) {
-            Ok(held) => held.line_into(q, out),
-            Err(e) => self.latch_err(e),
-        }
+        self.reading(q, |joined| joined.answer(&q))
     }
 
     /// Take a consistent engine-wide snapshot: every shard's capture, the
@@ -330,7 +291,7 @@ impl<T: ScalarType> ShardedHierMatrix<T> {
 
 /// For the engine an error (lost shard, timeout) answers empty and latches
 /// into [`ShardedHierMatrix::take_read_error`]; [`ShardedHierMatrix::try_read`]
-/// returns it instead.
+/// returns it instead.  The extracts fill the caller's buffer.
 impl<T: ScalarType> MatrixReader<T> for ShardedHierMatrix<T> {
     fn reader_name(&self) -> &str {
         "sharded-hier-graphblas"
@@ -348,11 +309,15 @@ impl<T: ScalarType> MatrixReader<T> for ShardedHierMatrix<T> {
     }
 
     fn read_row(&mut self, row: Index, out: &mut Vec<(Index, T)>) {
-        self.read_line(Query::Row(row), out);
+        out.clear();
+        let read = self.reading(Query::Row(row), |joined| joined.read_row(row, out));
+        read.unwrap_or_else(|e| self.latch_err(e));
     }
 
     fn read_col(&mut self, col: Index, out: &mut Vec<(Index, T)>) {
-        self.read_line(Query::Col(col), out);
+        out.clear();
+        let read = self.reading(Query::Col(col), |joined| joined.read_col(col, out));
+        read.unwrap_or_else(|e| self.latch_err(e));
     }
 }
 
@@ -371,40 +336,10 @@ impl<T: ScalarType> CursorReader<T> for ShardedHierMatrix<T> {
     }
 }
 
-impl<T: ScalarType> MatrixReader<T> for ShardedSnapshot<T> {
-    fn reader_name(&self) -> &str {
-        "sharded-hier-graphblas-snapshot"
-    }
-
-    fn read_dims(&self) -> (Index, Index) {
-        (self.nrows, self.ncols)
-    }
-
-    fn answer(&mut self, q: &Query) -> Answer<T> {
-        let routed = self.route(q);
-        self.ask(q, routed)
-    }
-
-    fn read_row(&mut self, row: Index, out: &mut Vec<(Index, T)>) {
-        self.line_into(Query::Row(row), out);
-    }
-
-    fn read_col(&mut self, col: Index, out: &mut Vec<(Index, T)>) {
-        self.line_into(Query::Col(col), out);
-    }
-}
-
-impl<T: ScalarType> CursorReader<T> for ShardedSnapshot<T> {
-    /// Shards hold disjoint rows, so their captured levels concatenate into
-    /// one valid level decomposition of the whole engine.
-    fn with_level_dcsrs(&mut self, f: &mut dyn FnMut(&[&Dcsr<T>])) {
-        self.joined(0..self.shards.len()).with_level_dcsrs(f);
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::super::tests::{flat_of, stream, tiny_engine, DIM};
+    use super::super::tests::{flat_of, small_cfg, stream, tiny_engine, DIM};
+    use super::super::{Shard, ShardedConfig};
     use super::*;
     use hyperstream_graphblas::{GrbError, Matrix};
 
@@ -559,6 +494,166 @@ mod tests {
         }
         let mut out = Vec::new();
         snap.read_col(3, &mut out);
+    }
+
+    /// Rows the row hash puts on `shard` of `shards`, ascending.
+    fn rows_on(shard: usize, shards: usize) -> impl Iterator<Item = u64> {
+        let rows = (0..).map(|i: u64| i * 797_003 + 11);
+        rows.filter(move |&r| owner(r, shards) == shard)
+    }
+
+    /// A column every row of the combine battery stores.
+    const HUB: u64 = 4001;
+
+    /// Three rows on each shard: two of degree 4 — equal degrees on every
+    /// shard, so the global top-k breaks ties across shards — and one of
+    /// degree 2 to 4 by shard; every row also stores [`HUB`].
+    fn combine_cells(shards: usize) -> Vec<(u64, u64)> {
+        let mut cells = Vec::new();
+        for s in 0..shards {
+            for (i, row) in rows_on(s, shards).take(3).enumerate() {
+                let degree = if i < 2 { 3 } else { 1 + s as u64 % 3 };
+                cells.extend((0..degree).map(|c| (row, 10 + c + i as u64)));
+                cells.push((row, HUB));
+            }
+        }
+        cells
+    }
+
+    /// Every degree-centric kind over `cells` (weighted by `weight`),
+    /// answered by the engine and by its snapshot through the combined
+    /// stats, against the flat oracle.  In a debug build `level_read`
+    /// re-derives each combined answer from the levels as well.
+    fn check_combine<T: ScalarType>(shards: usize, cells: &[(u64, u64)], weight: fn(usize) -> T) {
+        let cfg = ShardedConfig::with_shards(shards);
+        let mut engine = ShardedHierMatrix::<T>::new(DIM, DIM, small_cfg(), cfg).unwrap();
+        let mut flat = Matrix::<T>::new(DIM, DIM);
+        for (i, &(r, c)) in cells.iter().enumerate() {
+            engine.update(r, c, weight(i)).unwrap();
+            flat.accum_element(r, c, weight(i)).unwrap();
+        }
+        let rows = 3 * shards;
+        let (row, col) = cells[0];
+        let queries = [
+            Query::TopK(1),
+            Query::TopK(rows),
+            Query::TopK(usize::MAX),
+            Query::Nnz,
+            Query::DegreeHistogram,
+            Query::RowDegree(row),
+            Query::RowReduce(row),
+            Query::ColDegree(HUB),
+            Query::ColReduce(HUB),
+            Query::ColDegree(col),
+            Query::InTopK(1),
+            Query::InTopK(3),
+            Query::InTopK(usize::MAX),
+            Query::InDegreeHistogram,
+        ];
+        for q in queries {
+            let want = flat.answer(&q);
+            assert_eq!(
+                engine.try_read(q),
+                Ok(want.clone()),
+                "{shards} shards: {q:?}"
+            );
+        }
+        // Both sides live on every shard now, so the snapshot combines too.
+        let mut snap = engine.snapshot().unwrap();
+        let mut live = snap.shards.iter_mut().flatten();
+        assert!(live.all(|(capture, _)| matches!(capture.stats_mut(), (Some(_), Some(_)))));
+        for q in queries {
+            assert_eq!(snap.answer(&q), flat.answer(&q), "{shards} shards: {q:?}");
+        }
+    }
+
+    #[test]
+    fn the_stats_combine_matches_the_flat_oracle_at_every_shard_count() {
+        for shards in 1..=8 {
+            let cells = combine_cells(shards);
+            check_combine(shards, &cells, |i| i as u64 % 5 + 1);
+            // Quarters add exactly in any order, as the oracle's sums must.
+            check_combine(shards, &cells, |i| (i % 7) as f64 * 0.25 + 0.5);
+        }
+    }
+
+    /// A snapshot whose row index is live on shard 0 alone and whose column
+    /// index is live on the last shard alone answers every degree-centric
+    /// kind by the sweep, and exactly.
+    #[test]
+    fn a_side_live_on_some_shards_only_sweeps() {
+        for shards in 2..=8 {
+            let cells = combine_cells(shards);
+            let weighted = cells.iter().enumerate();
+            let updates: Vec<_> = weighted
+                .map(|(i, &(r, c))| (r, c, i as u64 % 3 + 1))
+                .collect();
+            let mut engine = tiny_engine(shards);
+            for &(r, c, v) in &updates {
+                engine.update(r, c, v).unwrap();
+            }
+            let mut flat = flat_of(&updates);
+            let activate = |s: &mut Shard<u64>, cols: bool| {
+                let q = if cols {
+                    Query::InTopK(1)
+                } else {
+                    Query::TopK(1)
+                };
+                let _ = s.hier.answer(&q);
+                Ok(())
+            };
+            engine.run(0, move |s| activate(s, false)).unwrap();
+            engine.run(shards - 1, move |s| activate(s, true)).unwrap();
+            let mut snap = engine.snapshot().unwrap();
+            let mut views = snap.shards.iter_mut().flatten().map(|(capture, _)| {
+                let (rows, cols) = capture.stats_mut();
+                (rows.is_some(), cols.is_some())
+            });
+            let first = views.next();
+            let last = views.last();
+            assert_eq!((first, last), (Some((true, false)), Some((false, true))));
+            let (row, _) = cells[0];
+            for q in [
+                Query::TopK(2),
+                Query::Nnz,
+                Query::DegreeHistogram,
+                Query::RowDegree(row),
+                Query::ColDegree(HUB),
+                Query::ColReduce(HUB),
+                Query::InTopK(2),
+                Query::InDegreeHistogram,
+            ] {
+                assert_eq!(snap.answer(&q), flat.answer(&q), "{shards} shards: {q:?}");
+            }
+            assert!(
+                snap.in_degrees.is_none(),
+                "no column sum without every view"
+            );
+        }
+    }
+
+    /// A read whose answer is empty whatever the shards hold is routed to
+    /// none: it takes no capture and activates no index.
+    #[test]
+    fn empty_reads_capture_nothing_and_activate_nothing() {
+        let mut engine = tiny_engine(3);
+        let updates = stream(600);
+        for &(r, c, v) in &updates {
+            engine.update(r, c, v).unwrap();
+        }
+        let mut flat = flat_of(&updates);
+        for q in [
+            Query::TopK(0),
+            Query::InTopK(0),
+            Query::RowRange(5, 5),
+            Query::ColRange(9, 3),
+        ] {
+            assert_eq!(engine.try_read(q), Ok(flat.answer(&q)), "{q:?}");
+            assert_eq!(engine.capture_jobs(), 0, "{q:?}");
+        }
+        let mut snap = engine.snapshot().unwrap();
+        let mut captures = snap.shards.iter_mut().flatten();
+        assert!(captures.all(|(capture, _)| matches!(capture.stats_mut(), (None, None))));
     }
 
     /// Captures the engine holds.

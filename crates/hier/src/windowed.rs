@@ -20,7 +20,8 @@ use hyperstream_graphblas::cursor::{for_each_merged, merge_levels, LevelCursors}
 use hyperstream_graphblas::formats::dcsr::Dcsr;
 use hyperstream_graphblas::ops::binary::Plus;
 use hyperstream_graphblas::{
-    DegreeIndex, DegreeIndexView, GrbResult, Index, LevelStore, Matrix, ScalarType, StreamingSink,
+    DegreeIndex, DegreeIndexView, GrbResult, Index, LevelStore, Matrix, ScalarType, Side,
+    StreamingSink,
 };
 use std::collections::{BTreeMap, VecDeque};
 
@@ -255,14 +256,20 @@ impl<T: ScalarType> LevelStore for WindowedHierMatrix<T> {
         f(&twins)
     }
 
-    fn row_stats(&mut self) -> Option<&mut DegreeIndexView<T>> {
-        self.refresh_index();
-        Some(self.index.view_mut())
-    }
-
-    fn col_stats(&mut self) -> Option<&mut DegreeIndexView<T>> {
-        self.refresh_col_index();
-        Some(self.col_index.view_mut())
+    fn with_stats<R>(
+        &mut self,
+        side: Side,
+        f: impl FnOnce(&mut [&mut DegreeIndexView<T>]) -> R,
+    ) -> Option<R> {
+        match side {
+            Side::Rows => self.refresh_index(),
+            Side::Cols => self.refresh_col_index(),
+        }
+        let index = match side {
+            Side::Rows => &mut self.index,
+            Side::Cols => &mut self.col_index,
+        };
+        Some(f(&mut [index.view_mut()]))
     }
 }
 

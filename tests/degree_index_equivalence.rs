@@ -292,32 +292,32 @@ proptest! {
             // This step's width first (it decides what the cache looks
             // like going into the next settle), then a narrow one.
             for k in [KS[k_sel], 10] {
-                let got = row_ix.top_k(k);
-                prop_assert_eq!(&got, &scratch_row.top_k(k));
+                let got = row_ix.view_mut().top_k(k);
+                prop_assert_eq!(&got, &scratch_row.view_mut().top_k(k));
                 prop_assert_eq!(&got, &reference_top_k(&flat, k));
                 if ask_rows {
                     prop_assert_eq!(&got, &hier.read_top_k(k));
                 }
-                let got = col_ix.top_k(k);
-                prop_assert_eq!(&got, &scratch_col.top_k(k));
+                let got = col_ix.view_mut().top_k(k);
+                prop_assert_eq!(&got, &scratch_col.view_mut().top_k(k));
                 prop_assert_eq!(&got, &reference_top_k(&flat_t, k));
                 if ask_cols {
                     prop_assert_eq!(&got, &hier.read_in_top_k(k));
                 }
             }
-            prop_assert_eq!(row_ix.nnz(), flat.nvals());
-            prop_assert_eq!(col_ix.nnz(), flat.nvals());
+            prop_assert_eq!(row_ix.view_mut().nnz(), flat.nvals());
+            prop_assert_eq!(col_ix.view_mut().nnz(), flat.nvals());
             // Degree and weight of a key of this batch, and nnz: off the
             // oracle itself once a column read has settled the levels.
             let (row, col) = (rows[0], cols[0]);
             if ask_cols {
-                prop_assert_eq!(hier.read_col_degree(col), scratch_col.row_degree(col));
-                prop_assert_eq!(hier.read_col_reduce(col), scratch_col.row_weight(col));
+                prop_assert_eq!(hier.read_col_degree(col), scratch_col.view_mut().row_degree(col));
+                prop_assert_eq!(hier.read_col_reduce(col), scratch_col.view_mut().row_weight(col));
                 prop_assert_eq!(hier.nvals_exact(), flat.nvals());
             }
             if ask_rows {
-                prop_assert_eq!(hier.read_row_degree(row), scratch_row.row_degree(row));
-                prop_assert_eq!(hier.read_row_reduce(row), scratch_row.row_weight(row));
+                prop_assert_eq!(hier.read_row_degree(row), scratch_row.view_mut().row_degree(row));
+                prop_assert_eq!(hier.read_row_reduce(row), scratch_row.view_mut().row_weight(row));
                 prop_assert_eq!(hier.read_nnz(), flat.nvals());
             }
 

@@ -221,7 +221,7 @@ fn check_level_backed_stores(updates: &[(u64, u64, u64)], cuts: &[u64], dim: u64
     check_cursor_reads(&mut hier, &cells, (dim, dim), k);
     // Both indexes are live now, so their views ride along.
     let mut settled = hier.snapshot();
-    assert!(settled.has_index() && settled.has_col_index());
+    assert!(matches!(settled.stats_mut(), (Some(_), Some(_))));
     check_cursor_reads(&mut settled, &cells, (dim, dim), k);
 
     // Four-ish windows, two closed ones retained: the oldest are evicted.
