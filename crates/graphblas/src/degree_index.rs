@@ -34,13 +34,13 @@
 //! it ends — so a `top_k(k <= 128)` after a batch is `O(k)`, and the
 //! upkeep is a compare or two per raised row plus 128 probes and a
 //! 128-entry sort per settle.  This is exact, not approximate: degrees
-//! only grow between `clear()`s, so a row the batch did not touch cannot
+//! only grow over an index's life, so a row the batch did not touch cannot
 //! overtake anything, every cached row still ranks at or above the old
 //! last entry afterwards, and so a row from outside makes the new top
 //! ranks only if the batch raised it above that entry.  What still
 //! rebuilds lazily (first query after a mutation
-//! scans the row stats once): a cold or just-activated cache, an index
-//! refilled through [`DegreeIndex::add_unique_row`], any `k` above 128
+//! scans the row stats once): the cold cache of an index just built by
+//! [`DegreeIndex::from_levels`], any `k` above 128
 //! (a wide cache is never upkept — re-ranking it costs a probe per covered
 //! rank on every settle), and the degree histogram, which no streaming
 //! reader asks for between writes.  Answers are deterministic (degree
@@ -53,7 +53,11 @@
 //! reader uses the `+` monoid is associative and the answers are
 //! byte-identical; for `f64` the two paths may differ in the last ulp.
 
+use crate::cursor::for_each_merged;
+use crate::formats::dcsr::Dcsr;
 use crate::index::Index;
+use crate::level_read::Side;
+use crate::ops::binary::Plus;
 use crate::types::ScalarType;
 use std::collections::{BTreeMap, HashMap};
 use std::hash::{BuildHasherDefault, Hasher};
@@ -356,47 +360,67 @@ impl<V: ScalarType> DegreeIndexView<V> {
 /// The incremental degree index a hierarchical matrix maintains alongside
 /// its levels.  See the [module documentation](self) for the design.
 ///
-/// The index starts **inactive**: pure-ingest workloads never touch it
-/// (the observer returns immediately), so streams that are never asked a
-/// degree question pay zero maintenance.  The first degree query
-/// activates it ([`DegreeIndex::activate`] + one deduplicated sweep of the
-/// current content by the owner); from then on the owner's settle observer
-/// maintains it incrementally.
+/// An index is held only while it is current: its owner keeps an
+/// `Option<DegreeIndex>` per side, empty until the first degree question
+/// on that side and again whenever the content changes in a way the
+/// observer cannot follow (a cleared matrix, a windowed matrix's writes and
+/// evictions).  The question builds it ([`DegreeIndex::from_levels`], one
+/// deduplicated sweep of the current content), so streams that are never
+/// asked one pay no maintenance; from then on the owner's settle observer
+/// keeps it current through [`DegreeIndex::observe`].
 #[derive(Debug, Clone, Default)]
 pub struct DegreeIndex<V> {
-    /// False until the first degree query: the observer is a no-op while
-    /// inactive.
-    active: bool,
     view: DegreeIndexView<V>,
 }
 
 impl<V: ScalarType> DegreeIndex<V> {
-    /// An empty, inactive index.
+    /// An empty index.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// True once a degree query has activated maintenance.
-    pub fn is_active(&self) -> bool {
-        self.active
-    }
-
-    /// Start maintaining the index.  The owner must immediately feed it
-    /// the current content (one deduplicated sweep through
-    /// [`DegreeIndex::add_unique_row`]); afterwards every settle flows
-    /// through [`DegreeIndex::observe`].  Idempotent.
-    pub fn activate(&mut self) {
-        self.active = true;
-    }
-
-    /// Remove everything and deactivate (the matrix was cleared; the next
-    /// degree query rebuilds from scratch).
-    pub fn clear(&mut self) {
-        self.active = false;
-        let core = Arc::make_mut(&mut self.view.core);
-        core.rows.clear();
-        core.nnz = 0;
-        core.version += 1;
+    /// The index of the union of `levels` on `side` (keyed by row, or by
+    /// column): one deduplicated sweep, so a cell that sits in several
+    /// levels arrives once with its values summed, and every cell is new.
+    ///
+    /// The sweep is staged a few thousand cells at a time and `staged` sees
+    /// each chunk before the index does, so an owner that fills a cell
+    /// oracle of its own does it there: nearly every probe of either table
+    /// misses the cache, and only back to back, each in a loop of its own,
+    /// do the misses overlap.  A run of equal keys (a whole row, on the row
+    /// side) is one update of the index.
+    pub fn from_levels(
+        levels: &[&Dcsr<V>],
+        side: Side,
+        mut staged: impl FnMut(&[(Index, Index, V)]),
+    ) -> Self {
+        const CHUNK: usize = 4096;
+        let mut index = Self::new();
+        let key = |cell: &(Index, Index, V)| match side {
+            Side::Rows => cell.0,
+            Side::Cols => cell.1,
+        };
+        let mut chunk = Vec::with_capacity(CHUNK);
+        let mut unload = |chunk: &mut Vec<(Index, Index, V)>| {
+            staged(chunk);
+            let mut rest = &chunk[..];
+            while let Some(first) = rest.first() {
+                let run = rest.iter().take_while(|cell| key(cell) == key(first));
+                let (n, weight) =
+                    run.fold((0, V::default()), |(n, w), cell| (n + 1, w.add(cell.2)));
+                index.add_unique_row(key(first), n as u64, weight);
+                rest = &rest[n..];
+            }
+            chunk.clear();
+        };
+        for_each_merged(levels, Plus, &mut |r, c, v| {
+            chunk.push((r, c, v));
+            if chunk.len() == CHUNK {
+                unload(&mut chunk);
+            }
+        });
+        unload(&mut chunk);
+        index
     }
 
     /// A cheap, immutable view sharing the row stats (the snapshot
@@ -436,7 +460,7 @@ impl<V: ScalarType> DegreeIndex<V> {
     /// cache at the end.  Grouping is a fast path, not a requirement: the
     /// column index is fed the batch's columns, where a key recurs often.
     pub fn observe(&mut self, keys: &[Index], vals: &[V], new: &[bool]) {
-        if !self.active || keys.is_empty() {
+        if keys.is_empty() {
             return;
         }
         let (core, cache) = (Arc::make_mut(&mut self.view.core), &mut self.view.cache);
@@ -460,10 +484,9 @@ impl<V: ScalarType> DegreeIndex<V> {
     }
 
     /// Record one key's worth of cells that are *known distinct and new* —
-    /// the fill path of an owner walking an already-deduplicated union
-    /// sweep: a hierarchy activating a side, the windowed union index
-    /// rebuilding.  The top-k cache is left to its next lazy rebuild.
-    pub fn add_unique_row(&mut self, row: Index, degree: u64, weight: V) {
+    /// the fill path of [`DegreeIndex::from_levels`]'s deduplicated sweep.
+    /// The top-k cache is left to its next lazy rebuild.
+    fn add_unique_row(&mut self, row: Index, degree: u64, weight: V) {
         let core = Arc::make_mut(&mut self.view.core);
         core.add(row, degree, weight);
         core.version += 1;
@@ -514,29 +537,11 @@ mod tests {
     /// and feed the index its axis.  Batches arrive sorted row-major and
     /// deduplicated, like the real settle produces.
     fn settle(o: &mut Owned, batch: &[(u64, u64, u64)]) {
-        o.ix.activate();
         let key = |e: &(u64, u64, u64)| if o.by_col { e.1 } else { e.0 };
         let keys: Vec<u64> = batch.iter().map(key).collect();
         let vals: Vec<u64> = batch.iter().map(|e| e.2).collect();
         let new: Vec<bool> = batch.iter().map(|e| o.cells.insert((e.0, e.1))).collect();
         o.ix.observe(&keys, &vals, &new);
-    }
-
-    #[test]
-    fn inactive_index_ignores_the_observer() {
-        let mut ix = DegreeIndex::<u64>::new();
-        assert!(!ix.is_active());
-        ix.observe(&[1, 2], &[1, 1], &[true, true]);
-        // Nothing recorded: pure-ingest streams pay no maintenance.
-        assert_eq!(ix.view_mut().nnz(), 0);
-        assert!(ix.view_mut().top_k(5).is_empty());
-        // Activation starts maintenance; clear() deactivates again.
-        ix.activate();
-        assert!(ix.is_active());
-        ix.observe(&[3], &[3], &[true]);
-        assert_eq!(ix.view_mut().nnz(), 1);
-        ix.clear();
-        assert!(!ix.is_active());
     }
 
     #[test]
@@ -565,11 +570,6 @@ mod tests {
         let hist = ix.degree_histogram();
         assert_eq!(hist.get(&3), Some(&1));
         assert_eq!(hist.get(&1), Some(&1));
-
-        ix.ix.clear();
-        assert_eq!(ix.nnz(), 0);
-        assert!(ix.top_k(5).is_empty());
-        assert!(ix.degree_histogram().is_empty());
     }
 
     #[test]
@@ -768,6 +768,59 @@ mod tests {
         assert_eq!(view.nnz(), 4);
         assert_eq!(view.row_degree(8), 3);
         assert_eq!(view.top_k(2), vec![(8, 3), (2, 1)]);
+    }
+
+    /// Three levels whose cells overlap, each cell's values summing across
+    /// the levels it sits in: the sweep-built index equals the one an owner
+    /// feeds level by level through its cell oracle, on either side, in
+    /// every answer — including a column side whose keys the row-major
+    /// sweep hands over one cell at a time, and ranks past the cache.
+    #[test]
+    fn from_levels_equals_the_observed_index_on_both_sides() {
+        let n = 1 << 20;
+        let cells = |salt: u64| -> Vec<(u64, u64, u64)> {
+            (0..600u64)
+                .map(|i| ((i * salt) % 157, (i * 7 + salt) % 211, i % 5 + 1))
+                .collect()
+        };
+        let levels: Vec<Dcsr<u64>> = [3u64, 5, 11]
+            .iter()
+            .map(|&salt| {
+                let c = cells(salt);
+                let (r, c, v): (Vec<_>, Vec<_>, Vec<_>) = (
+                    c.iter().map(|e| e.0).collect(),
+                    c.iter().map(|e| e.1).collect(),
+                    c.iter().map(|e| e.2).collect(),
+                );
+                Dcsr::from_tuples(n, n, &r, &c, &v, Plus).unwrap()
+            })
+            .collect();
+        let refs: Vec<&Dcsr<u64>> = levels.iter().collect();
+        let shared: usize = levels.iter().map(|l| l.nvals()).sum();
+        for (side, by_col) in [(Side::Rows, false), (Side::Cols, true)] {
+            let mut fed = Owned {
+                by_col,
+                ..Owned::default()
+            };
+            for level in &levels {
+                settle(&mut fed, &level.iter().collect::<Vec<_>>());
+            }
+            assert!(fed.nnz() < shared, "some cells sit in several levels");
+            let mut staged = 0;
+            let mut built = DegreeIndex::from_levels(&refs, side, |chunk| staged += chunk.len());
+            assert_eq!(staged, fed.nnz(), "each cell staged once");
+            let view = built.view_mut();
+            assert_eq!(view.nnz(), fed.nnz());
+            for key in 0..300 {
+                assert_eq!(view.row_degree(key), fed.row_degree(key), "{side:?} {key}");
+                assert_eq!(view.row_weight(key), fed.row_weight(key), "{side:?} {key}");
+            }
+            for k in [3, 150, usize::MAX] {
+                assert_eq!(view.top_k(k), fed.top_k(k), "{side:?} k = {k}");
+            }
+            assert!(view.top_k(usize::MAX).len() > TOPK_MIN_COVER);
+            assert_eq!(view.degree_histogram(), fed.degree_histogram());
+        }
     }
 
     #[test]

@@ -301,7 +301,7 @@ impl<V: ScalarType> Answer<V> {
 ///
 /// The represented matrix is `Σ levels` under the `+` monoid of `V` (the
 /// flat matrix is the single-level case, a hierarchy exposes one slice per
-/// level, a snapshot adds its pending tail as an extra level).  Handing the
+/// level, a snapshot the levels it captured).  Handing the
 /// slices to a callback lets every implementation complete its cheap
 /// deferred work (settle, drain, index refresh) first and keep borrowing
 /// local — products over a live structure never materialize `Σ levels`.

@@ -59,9 +59,12 @@ pub trait StreamingSink<V> {
 
     /// Apply a batch of updates given as parallel slices.
     ///
-    /// The default loops over [`insert`](StreamingSink::insert);
-    /// implementations with a cheaper bulk path (e.g. one cascade check per
-    /// batch) should override it.
+    /// A refused batch changes nothing: mismatched lengths or any index out
+    /// of range is an `Err` before the first update is applied.  The default
+    /// checks the lengths, then loops over [`insert`](StreamingSink::insert);
+    /// an implementation whose `insert` can refuse a tuple overrides it to
+    /// check the whole batch first, as does one with a cheaper bulk path
+    /// (e.g. one cascade check per batch).
     fn insert_batch(&mut self, rows: &[Index], cols: &[Index], vals: &[V]) -> GrbResult<()>
     where
         V: Copy,

@@ -10,15 +10,15 @@
 //!   structures
 //!   ([`Matrix::settled_arc`](crate::matrix::Matrix::settled_arc)); the
 //!   owning matrix keeps cascading and settling, copy-on-writing its own
-//!   copies, while the snapshot keeps reading the captured ones;
-//! * an optional **pending-tail copy** — pending tuples captured through
-//!   `&self` are settled into one private tail level; and
-//! * an optional **degree-index view** — the Arc-shared row stats of the
-//!   source's [`DegreeIndex`], so `top_k`/`nnz`/degree answers stay
+//!   copies, while the snapshot keeps reading the captured ones; and
+//! * an optional **degree-index view** per side — the Arc-shared stats of
+//!   the source's [`DegreeIndex`], so `top_k`/`nnz`/degree answers stay
 //!   O(k)/O(1) off the live path too.
 //!
-//! The snapshot is a [`LevelStore`] — captured levels (tail included),
-//! their column twins, the captured views as stats — so it reads through
+//! A source settles before it captures, so the levels are the whole
+//! content and a view, when the source holds one, is current with them.
+//! The snapshot is a [`LevelStore`] — captured levels, their column twins,
+//! the captured views as stats — so it reads through
 //! the same [`crate::level_read`] implementation as the live stores, and
 //! every generic analytic (the `algo` module, the mixed-workload harness)
 //! runs against it unchanged — the "analytics while ingest" overlap of the
@@ -26,8 +26,8 @@
 //! and let the ingest channel keep draining underneath.
 //!
 //! A level's twin is captured with it when the source held one; a level
-//! captured without (the tail always) is transposed by the snapshot's
-//! first column read, once.
+//! captured without is transposed by the snapshot's first column read,
+//! once.
 //!
 //! [`Matrix`]: crate::matrix::Matrix
 //! [`MatrixReader`]: crate::reader::MatrixReader
@@ -37,7 +37,6 @@ use crate::degree_index::DegreeIndexView;
 use crate::formats::dcsr::Dcsr;
 use crate::index::Index;
 use crate::level_read::{LevelStore, Side};
-use crate::ops::binary::Plus;
 use crate::types::ScalarType;
 use std::sync::Arc;
 
@@ -48,72 +47,58 @@ type Captured<V> = (Arc<Dcsr<V>>, Option<Arc<Dcsr<V>>>);
 type Stats<'a, V> = Option<&'a mut DegreeIndexView<V>>;
 
 /// A point-in-time, independently owned view of a matrix: Arc'd settled
-/// levels with their twins + optional pending tail + optional degree-index
-/// views.  See the [module documentation](self).
+/// levels with their twins + optional degree-index views.  See the
+/// [module documentation](self).
 #[derive(Debug, Clone)]
 pub struct MatrixSnapshot<V> {
     name: String,
     nrows: Index,
     ncols: Index,
-    /// The captured levels, lowest first; pending tuples captured
-    /// un-settled are compressed into one extra level at the end.
+    /// The captured levels, lowest first.
     levels: Vec<Arc<Dcsr<V>>>,
     /// `twins[i]` is level `i` transposed: captured, or built by the first
     /// column read.
     twins: Vec<Option<Arc<Dcsr<V>>>>,
-    /// Present when the source settled before capturing (no tail then) —
-    /// serves the O(1)/O(k) degree-centric answers.
+    /// The source's row stats, when it held them — serves the O(1)/O(k)
+    /// degree-centric answers.
     index: Option<DegreeIndexView<V>>,
-    /// Arc-shared *column* stats (in-degree index) captured from sources
-    /// that maintain one; same tail rule as `index`.
+    /// Arc-shared *column* stats (in-degree index), when the source held
+    /// them.
     col_index: Option<DegreeIndexView<V>>,
 }
 
 impl<V: ScalarType> MatrixSnapshot<V> {
     /// Assemble a snapshot from settled `levels`, each with its column twin
-    /// when the source holds one.  `tail_tuples` are pending tuples not yet
-    /// settled at capture (any order, duplicates allowed — they compress
-    /// under `+` here); when a tail exists the degree-centric queries fall
-    /// back to cursor sweeps and the `(row, column)` stats views are
-    /// dropped, so sources that can settle first should.
+    /// when the source holds one, and the `(row, column)` stats views the
+    /// source holds current with them.
     pub fn new(
         name: impl Into<String>,
         nrows: Index,
         ncols: Index,
         levels: Vec<Captured<V>>,
-        tail_tuples: (&[Index], &[Index], &[V]),
         (index, col_index): (Option<DegreeIndexView<V>>, Option<DegreeIndexView<V>>),
     ) -> Self {
-        let (mut levels, mut twins): (Vec<_>, Vec<_>) = levels.into_iter().unzip();
-        let (tr, tc, tv) = tail_tuples;
-        let settled = tr.is_empty();
-        if !settled {
-            let tail = Dcsr::from_tuples(nrows, ncols, tr, tc, tv, Plus)
-                .expect("snapshot tail tuples are within bounds");
-            levels.push(Arc::new(tail));
-            twins.push(None);
-        }
+        let (levels, twins) = levels.into_iter().unzip();
         Self {
             name: name.into(),
             nrows,
             ncols,
             levels,
             twins,
-            index: index.filter(|_| settled),
-            col_index: col_index.filter(|_| settled),
+            index,
+            col_index,
         }
     }
 
-    /// The captured level structures (tail included), lowest first — for
+    /// The captured level structures, lowest first — for
     /// engines that k-way merge several snapshots (e.g. per-shard
     /// snapshots whose rows are disjoint).
     pub fn level_dcsrs(&self) -> Vec<&Dcsr<V>> {
         self.levels.iter().map(|a| a.as_ref()).collect()
     }
 
-    /// The captured `(row, column)` stats views, each present when it
-    /// serves this snapshot's degree answers on its side: captured from a
-    /// live index, and no pending tail captured beside it.
+    /// The captured `(row, column)` stats views, each present when the
+    /// source held that side's index.
     pub fn stats_mut(&mut self) -> (Stats<'_, V>, Stats<'_, V>) {
         (self.index.as_mut(), self.col_index.as_mut())
     }
@@ -121,8 +106,8 @@ impl<V: ScalarType> MatrixSnapshot<V> {
 
 /// Snapshot queries run over the captured levels only — by construction
 /// nothing here ever settles, drains or otherwise disturbs the source.  The
-/// captured views are the stats (absent when a pending tail was captured,
-/// so those snapshots sweep); the twins are the levels' own.
+/// captured views are the stats (a side captured without one sweeps); the
+/// twins are the levels' own.
 impl<V: ScalarType> LevelStore for MatrixSnapshot<V> {
     type Value = V;
 
@@ -162,6 +147,7 @@ impl<V: ScalarType> LevelStore for MatrixSnapshot<V> {
 mod tests {
     use super::*;
     use crate::matrix::Matrix;
+    use crate::ops::binary::Plus;
     use crate::reader::MatrixReader;
 
     #[test]
@@ -175,7 +161,6 @@ mod tests {
             m.nrows(),
             m.ncols(),
             vec![(m.settled_arc(), None)],
-            (&[], &[], &[]),
             (None, None),
         );
         // Mutate the source: copy-on-write must leave the snapshot alone.
@@ -197,35 +182,6 @@ mod tests {
     }
 
     #[test]
-    fn pending_tail_copy_compresses_and_answers() {
-        let mut m = Matrix::<u64>::new(100, 100);
-        m.accum_tuples(&[3], &[3], &[3]).unwrap();
-        m.wait();
-        // Captured through &self with a live pending tail (duplicates on
-        // (7, 7) must combine under +).
-        m.accum_tuples(&[7, 7, 3], &[7, 7, 4], &[1, 2, 4]).unwrap();
-        let (pr, pc, pv) = m.pending_parts();
-        let mut snap = MatrixSnapshot::new(
-            "snap",
-            m.nrows(),
-            m.ncols(),
-            vec![(m.settled_arc(), None)],
-            (pr, pc, pv),
-            (None, None),
-        );
-        assert_eq!(snap.read_nnz(), 3);
-        assert_eq!(snap.read_get(7, 7), Some(3));
-        assert_eq!(snap.read_get(3, 4), Some(4));
-        assert_eq!(snap.read_row_degree(3), 2);
-        let hist = snap.read_degree_histogram();
-        assert_eq!(hist.get(&2), Some(&1));
-        assert_eq!(hist.get(&1), Some(&1));
-        let mut range = Vec::new();
-        snap.read_row_range(4, 100, &mut |r, c, v| range.push((r, c, v)));
-        assert_eq!(range, vec![(7, 7, 3)]);
-    }
-
-    #[test]
     fn snapshot_column_reads_with_and_without_view() {
         use crate::degree_index::DegreeIndex;
         let mut m = Matrix::<u64>::new(1 << 20, 1 << 20);
@@ -234,14 +190,12 @@ mod tests {
         m.wait();
         // An Arc-shared column view captured alongside the levels.
         let mut cix = DegreeIndex::<u64>::new();
-        cix.activate();
         cix.observe(&[7, 7, 7, 2], &[1, 2, 3, 4], &[true; 4]);
         let mut snap = MatrixSnapshot::new(
             "snap",
             m.nrows(),
             m.ncols(),
             vec![(m.settled_arc(), None)],
-            (&[], &[], &[]),
             (None, Some(cix.view())),
         );
         assert!(snap.stats_mut().1.is_some());
@@ -263,7 +217,6 @@ mod tests {
             m.nrows(),
             m.ncols(),
             vec![(m.settled_arc(), None)],
-            (&[], &[], &[]),
             (None, None),
         );
         assert!(plain.stats_mut().1.is_none());
@@ -280,9 +233,9 @@ mod tests {
         );
     }
 
-    /// Column answers off a level whose twin was captured, a level whose
-    /// twin the snapshot transposes itself, and a pending tail, against a
-    /// fresh transpose of the whole content.
+    /// Column answers off a level whose twin was captured and a level whose
+    /// twin the snapshot transposes itself, against a fresh transpose of the
+    /// whole content.
     #[test]
     fn captured_and_lazy_twins_answer_like_a_fresh_transpose() {
         use crate::ops::ewise_add::ewise_add;
@@ -300,7 +253,6 @@ mod tests {
             .unwrap();
         bare.wait();
         assert!(bare.held_col_shadow().is_none());
-        let tail = ([4u64, 6, 6], [7u64, 3, 3], [1u64, 1, 1]);
         let mut snap = MatrixSnapshot::new(
             "twins",
             n,
@@ -309,11 +261,9 @@ mod tests {
                 (held.settled_arc(), held.held_col_shadow()),
                 (bare.settled_arc(), None),
             ],
-            (&tail.0, &tail.1, &tail.2),
             (None, None),
         );
-        let mut all = ewise_add(&held, &bare, Plus).unwrap();
-        all.accum_tuples(&tail.0, &tail.1, &tail.2).unwrap();
+        let all = ewise_add(&held, &bare, Plus).unwrap();
         let t = transpose(&all);
         let mut col = Vec::new();
         for c in [2, 3, 7, 11, 12] {
@@ -335,7 +285,7 @@ mod tests {
             .map(|((r, c), v)| (r, c, v))
             .collect();
         assert_eq!(got, want);
-        // The captured twin is the one read; the others were built once.
+        // The captured twin is the one read; the other was built once.
         assert!(Arc::ptr_eq(snap.twins[0].as_ref().unwrap(), &twin));
         assert!(snap.twins.iter().all(Option::is_some));
     }

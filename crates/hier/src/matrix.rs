@@ -4,7 +4,7 @@ use crate::config::HierConfig;
 use crate::fold::BatchFold;
 use crate::persist::{self, manifest, recover, wal, DurableConfig, DurableState, RecoveryReport};
 use crate::stats::HierStats;
-use hyperstream_graphblas::cursor::{for_each_merged, merge_levels, merged_nnz};
+use hyperstream_graphblas::cursor::{merge_levels, merged_nnz};
 use hyperstream_graphblas::degree_index::FxBuildHasher;
 use hyperstream_graphblas::formats::coo::RADIX_DIM_MAX;
 use hyperstream_graphblas::formats::dcsr::Dcsr;
@@ -44,8 +44,13 @@ use std::sync::Arc;
 /// path ([`hyperstream_graphblas::level_read`]) re-derives every indexed
 /// answer from a cursor sweep in debug builds.
 ///
+/// Each side's index exists only while it is current: none is held until
+/// the first degree question on that side builds it over the settled
+/// levels ([`DegreeIndex::from_levels`]), and `clear()` drops both, so
+/// pure ingest maintains nothing.
+///
 /// The *column* read path mirrors all of this through the transpose: a
-/// second, lazily-activated [`DegreeIndex`] keyed by column (fed by the
+/// second [`DegreeIndex`], built on first use and keyed by column (fed by the
 /// same settle observer: the batch's columns and the same oracle answers)
 /// serves in-degree / in-degree-top-k / in-degree-histogram in O(1)/O(k),
 /// and per-level column twins ([`Matrix::col_shadow`]) serve column
@@ -99,6 +104,23 @@ impl<T: Clone> Clone for HierMatrix<T> {
     }
 }
 
+/// Refuse a batch of parallel slices that a `dims` matrix could not apply
+/// whole — mismatched lengths, or any index out of range — so the caller
+/// checks before it changes anything.  Two branch-free maximum scans.
+pub(crate) fn check_batch<T>(
+    (nrows, ncols): (Index, Index),
+    rows: &[Index],
+    cols: &[Index],
+    vals: &[T],
+) -> GrbResult<()> {
+    check_tuple_lengths(rows, cols, vals)?;
+    if let (Some(&max_row), Some(&max_col)) = (rows.iter().max(), cols.iter().max()) {
+        validate_index(max_row, nrows)?;
+        validate_index(max_col, ncols)?;
+    }
+    Ok(())
+}
+
 /// Pack a `(row, col)` coordinate into the cell-oracle key.  Dimensions are
 /// capped at `2^60`, so both halves fit.
 #[inline]
@@ -109,28 +131,28 @@ fn cell_key(row: Index, col: Index) -> u128 {
 /// The row and the column [`DegreeIndex`] and the one cell oracle that
 /// feeds both: whether a settled cell is new to the represented union is
 /// one question with one answer for both axes, so it is asked once.
-/// Both sides start inactive and the oracle empty (pure ingest pays
-/// nothing); the first degree question on a side activates it and, if the
+/// Both sides start absent and the oracle empty (pure ingest pays
+/// nothing); the first degree question on a side builds it and, if the
 /// other is not live yet, fills the oracle in the same sweep — so the
-/// oracle is complete exactly while a side is active.
+/// oracle is complete exactly while a side is held.
 #[derive(Debug, Clone, Default)]
 struct Degrees<T> {
-    /// Every distinct cell of the represented union, while a side is active.
+    /// Every distinct cell of the represented union, while a side is held.
     cells: HashSet<u128, FxBuildHasher>,
     /// Per cell of the batch being observed: did the union grow?
     grew: Vec<bool>,
-    rows: DegreeIndex<T>,
-    cols: DegreeIndex<T>,
+    rows: Option<DegreeIndex<T>>,
+    cols: Option<DegreeIndex<T>>,
 }
 
 impl<T: ScalarType> Degrees<T> {
     fn is_live(&self) -> bool {
-        self.rows.is_active() || self.cols.is_active()
+        self.rows.is_some() || self.cols.is_some()
     }
 
     /// The settle observer: `rows / cols / vals` are cells about to merge
     /// into a level, duplicate-free, values combined under `+`.  One oracle
-    /// probe per cell; each active side then folds its own coordinate.
+    /// probe per cell; each held side then folds its own coordinate.
     fn observe(&mut self, rows: &[Index], cols: &[Index], vals: &[T]) {
         if !self.is_live() {
             return;
@@ -142,69 +164,21 @@ impl<T: ScalarType> Degrees<T> {
                 .zip(cols)
                 .map(|(&r, &c)| cells.insert(cell_key(r, c))),
         );
-        self.rows.observe(rows, vals, &self.grew);
-        self.cols.observe(cols, vals, &self.grew);
-    }
-
-    /// Make one side live over the settled `levels`: one deduplicated sweep
-    /// (a cell that sits in several levels arrives once, its values
-    /// summed), every cell new to that side's index, which also fills the
-    /// oracle unless the other side already keeps it complete.
-    fn activate(&mut self, by_col: bool, levels: &[&Dcsr<T>]) {
-        const CHUNK: usize = 4096;
-        let fill = !self.is_live();
-        let (rows, cols) = (&mut self.rows, &mut self.cols);
-        let index = if by_col { cols } else { rows };
-        index.activate();
-        if fill {
-            // The union holds at least what its largest level holds.
-            let largest = levels.iter().map(|d| d.nvals()).max();
-            self.cells.reserve(largest.unwrap_or(0));
+        if let Some(index) = &mut self.rows {
+            index.observe(rows, vals, &self.grew);
         }
-        // Staged a few thousand cells at a time, so that the oracle and the
-        // index are each filled in a loop of their own: nearly every probe
-        // misses the cache, and only back to back do the misses overlap.
-        let key = |cell: &(Index, Index, T)| if by_col { cell.1 } else { cell.0 };
-        let mut staged = Vec::with_capacity(CHUNK);
-        let mut unload = |staged: &mut Vec<(Index, Index, T)>| {
-            if fill {
-                self.cells
-                    .extend(staged.iter().map(|&(r, c, _)| cell_key(r, c)));
-            }
-            // A run of equal keys (a whole row, on the row side) is one update.
-            let mut rest = &staged[..];
-            while let Some(first) = rest.first() {
-                let run = rest.iter().take_while(|cell| key(cell) == key(first));
-                let (n, weight) =
-                    run.fold((0, T::default()), |(n, w), cell| (n + 1, w.add(cell.2)));
-                index.add_unique_row(key(first), n as u64, weight);
-                rest = &rest[n..];
-            }
-            staged.clear();
-        };
-        for_each_merged(levels, Plus, &mut |r, c, v| {
-            staged.push((r, c, v));
-            if staged.len() == CHUNK {
-                unload(&mut staged);
-            }
-        });
-        unload(&mut staged);
-    }
-
-    /// Forget everything and deactivate both sides (the matrix was cleared;
-    /// the next degree question re-activates over what is there then).
-    fn clear(&mut self) {
-        self.cells = HashSet::default();
-        self.rows.clear();
-        self.cols.clear();
+        if let Some(index) = &mut self.cols {
+            index.observe(cols, vals, &self.grew);
+        }
     }
 
     /// Bytes held: both indexes' tables, and the oracle once.
     fn memory_bytes(&self) -> usize {
+        let index = |ix: &Option<DegreeIndex<T>>| ix.as_ref().map_or(0, DegreeIndex::memory_bytes);
         self.cells.capacity() * std::mem::size_of::<u128>()
             + self.grew.capacity()
-            + self.rows.memory_bytes()
-            + self.cols.memory_bytes()
+            + index(&self.rows)
+            + index(&self.cols)
     }
 }
 
@@ -232,17 +206,23 @@ impl<T: ScalarType> HierMatrix<T> {
             // the batching policy.
             levels.push(Matrix::try_new(nrows, ncols)?.with_pending_limit(usize::MAX));
         }
-        Ok(Self {
+        Ok(Self::assemble(nrows, ncols, config, levels))
+    }
+
+    /// An in-memory hierarchy over `levels`, nothing pending, no degree
+    /// index held and fresh statistics.
+    fn assemble(nrows: Index, ncols: Index, config: HierConfig, levels: Vec<Matrix<T>>) -> Self {
+        Self {
             nrows,
             ncols,
-            stats: HierStats::new(n_levels),
+            stats: HierStats::new(levels.len()),
             config,
             levels,
             raw_pending: 0,
             fold: BatchFold::new(),
             degrees: Degrees::default(),
             durable: None,
-        })
+        }
     }
 
     /// Create with the default (paper) cut schedule.
@@ -324,12 +304,8 @@ impl<T: ScalarType> HierMatrix<T> {
     pub fn update_batch(&mut self, rows: &[Index], cols: &[Index], vals: &[T]) -> GrbResult<()> {
         // The one check a batch gets, before anything changes: it serves
         // the fold, the raw append and the WAL (replay must be able to
-        // apply every record).  Two branch-free maximum scans.
-        check_tuple_lengths(rows, cols, vals)?;
-        if let (Some(&max_row), Some(&max_col)) = (rows.iter().max(), cols.iter().max()) {
-            validate_index(max_row, self.nrows)?;
-            validate_index(max_col, self.ncols)?;
-        }
+        // apply every record).
+        check_batch((self.nrows, self.ncols), rows, cols, vals)?;
         let appended_from = self.levels[0].npending();
         if self.nrows <= RADIX_DIM_MAX && self.ncols <= RADIX_DIM_MAX {
             self.fold.append(&mut self.levels[0], rows, cols, vals)?;
@@ -485,18 +461,34 @@ impl<T: ScalarType> HierMatrix<T> {
         }
     }
 
-    /// Settle everything and make sure one side's degree index (`by_col`:
-    /// the column side's) is live.  The first degree question of a side
-    /// lands here and activates it ([`Degrees::activate`]); every later
-    /// settle maintains it incrementally through the observer.
-    fn ensure_degrees(&mut self, by_col: bool) {
+    /// Settle everything and return `side`'s degree index.  The first
+    /// degree question of a side lands here and builds it over the settled
+    /// levels ([`DegreeIndex::from_levels`]), filling the cell oracle in
+    /// the same sweep unless the other side already keeps it complete;
+    /// every later settle maintains it incrementally through the observer.
+    fn degrees(&mut self, side: Side) -> &mut DegreeIndex<T> {
         self.settle_levels();
-        let d = &self.degrees;
-        let active = if by_col { &d.cols } else { &d.rows }.is_active();
-        if !active {
-            let levels: Vec<&Dcsr<T>> = self.levels.iter().map(|l| l.dcsr()).collect();
-            self.degrees.activate(by_col, &levels);
-        }
+        let d = &mut self.degrees;
+        let fill = !d.is_live();
+        let levels = &self.levels;
+        let slot = match side {
+            Side::Rows => &mut d.rows,
+            Side::Cols => &mut d.cols,
+        };
+        slot.get_or_insert_with(|| {
+            let levels: Vec<&Dcsr<T>> = levels.iter().map(|l| l.dcsr()).collect();
+            if fill {
+                // The union holds at least what its largest level holds.
+                let largest = levels.iter().map(|d| d.nvals()).max();
+                d.cells.reserve(largest.unwrap_or(0));
+            }
+            DegreeIndex::from_levels(&levels, side, |chunk| {
+                if fill {
+                    d.cells
+                        .extend(chunk.iter().map(|&(r, c, _)| cell_key(r, c)));
+                }
+            })
+        })
     }
 
     /// Settle (through the index observers) and return each level's column
@@ -587,7 +579,7 @@ impl<T: ScalarType> HierMatrix<T> {
             level.clear();
         }
         self.raw_pending = 0;
-        self.degrees.clear();
+        self.degrees = Degrees::default();
         self.reset_stats();
         if let Some(d) = self.durable.as_mut() {
             d.levels.fill(None);
@@ -702,35 +694,19 @@ impl<T: ScalarType> HierMatrix<T> {
             )));
         }
         let mut m = Self::new(nrows, ncols, config)?;
-        let wal_gen = 1u64;
-        let wal_path = cfg.dir.join(manifest::wal_file_name(wal_gen));
-        let wal = wal::WalWriter::create(&wal_path, T::TYPE_TAG)?;
-        let lists = vec![Vec::new(); m.levels.len()];
-        manifest::write(
-            &cfg.dir,
-            &manifest::Manifest {
-                type_tag: T::TYPE_TAG,
-                nrows,
-                ncols,
-                next_gen: 2,
-                wal_gen,
-                cuts: m.config.cuts().to_vec(),
-                levels: lists.clone(),
-            },
-        )?;
-        m.durable = Some(Box::new(DurableState {
-            cfg,
-            wal,
-            wal_gen,
+        let man = manifest::Manifest {
+            type_tag: T::TYPE_TAG,
+            nrows,
+            ncols,
             next_gen: 2,
-            levels: lists.into_iter().map(Some).collect(),
-            on_disk: Vec::new(),
-            report: None,
-            level_buf: Vec::new(),
-            retired: Vec::new(),
-            retired_appends: 0,
-            retired_syncs: 0,
-        }));
+            wal_gen: 1,
+            cuts: m.config.cuts().to_vec(),
+            levels: vec![Vec::new(); m.levels.len()],
+        };
+        let wal_path = cfg.dir.join(manifest::wal_file_name(man.wal_gen));
+        let wal = wal::WalWriter::create(&wal_path, T::TYPE_TAG)?;
+        manifest::write(&cfg.dir, &man)?;
+        m.durable = Some(Box::new(DurableState::new(cfg, wal, man)));
         Ok(m)
     }
 
@@ -759,18 +735,7 @@ impl<T: ScalarType> HierMatrix<T> {
             mut report,
         } = recovered;
         let config = HierConfig::from_cuts(man.cuts.clone())?;
-        let n_levels = levels.len();
-        let mut m = Self {
-            nrows: man.nrows,
-            ncols: man.ncols,
-            config,
-            levels,
-            raw_pending: 0,
-            fold: BatchFold::new(),
-            stats: HierStats::new(n_levels),
-            degrees: Degrees::default(),
-            durable: None,
-        };
+        let mut m = Self::assemble(man.nrows, man.ncols, config, levels);
         // Replay the WAL on top of the checkpoint while `durable` is still
         // `None`: replay must not re-log records or trigger checkpoints,
         // and any cascades it causes stay in memory (⊕ is associative and
@@ -787,27 +752,15 @@ impl<T: ScalarType> HierMatrix<T> {
         m.reset_stats();
         // Replayed state diverges from the level files until the next
         // checkpoint rewrites every level whole; so does a salvaged one.
-        let on_disk = man.levels.iter().flatten().map(|f| f.gen).collect();
-        let mut levels: Vec<_> = man.levels.into_iter().map(Some).collect();
+        let mut d = DurableState::new(cfg, wal_writer, man);
         for &i in &report.corrupt_levels {
-            levels[i] = None;
+            d.levels[i] = None;
         }
         if replayed {
-            levels.fill(None);
+            d.levels.fill(None);
         }
-        m.durable = Some(Box::new(DurableState {
-            cfg,
-            wal: wal_writer,
-            wal_gen: man.wal_gen,
-            next_gen: man.next_gen,
-            levels,
-            on_disk,
-            report: Some(report),
-            level_buf: Vec::new(),
-            retired: Vec::new(),
-            retired_appends: 0,
-            retired_syncs: 0,
-        }));
+        d.report = Some(report);
+        m.durable = Some(Box::new(d));
         Ok(m)
     }
 
@@ -991,9 +944,9 @@ impl<T: ScalarType> HierMatrix<T> {
 
     /// Take a consistent point-in-time snapshot: settles the cache-resident
     /// pending tuples (through the index observer), then captures Arc'd
-    /// handles to every level plus a degree-index view — O(levels), no
-    /// entry is copied.  The snapshot answers every
-    /// [`MatrixReader`](hyperstream_graphblas::MatrixReader) query
+    /// handles to every level plus a row degree-index view, built first if
+    /// none is held — O(levels), no entry is copied.  The snapshot answers
+    /// every [`MatrixReader`](hyperstream_graphblas::MatrixReader) query
     /// independently while this matrix keeps ingesting (subsequent settles
     /// and cascades copy-on-write their own structures).
     ///
@@ -1002,8 +955,8 @@ impl<T: ScalarType> HierMatrix<T> {
     /// captured without its twin is transposed by the snapshot's first
     /// column read.
     pub fn snapshot(&mut self) -> MatrixSnapshot<T> {
-        self.ensure_degrees(false);
-        self.snapshot_ref()
+        self.degrees(Side::Rows);
+        self.captured()
     }
 
     /// Settle, make live what `need` asks for, and snapshot: the capture a
@@ -1014,38 +967,29 @@ impl<T: ScalarType> HierMatrix<T> {
     pub(crate) fn capture(&mut self, need: Live) -> (MatrixSnapshot<T>, Live) {
         self.settle_levels();
         if need.rows {
-            self.ensure_degrees(false);
+            self.degrees(Side::Rows);
         }
         if need.cols {
-            self.ensure_degrees(true);
+            self.degrees(Side::Cols);
         }
         let twins = need.twins || self.levels.iter().any(|l| l.held_col_shadow().is_some());
         if twins {
             drop(self.settled_col_shadows());
         }
         let live = Live {
-            rows: self.degrees.rows.is_active(),
-            cols: self.degrees.cols.is_active(),
+            rows: self.degrees.rows.is_some(),
+            cols: self.degrees.cols.is_some(),
             twins,
         };
-        (self.snapshot_ref(), live)
+        (self.captured(), live)
     }
 
-    /// Snapshot through `&self`: the settled levels share as in
-    /// [`HierMatrix::snapshot`], each with the column twin it holds (none is
-    /// built), and any not-yet-settled pending tuples are *copied* as the
-    /// snapshot's tail level.  When a tail exists the snapshot's degree
-    /// answers fall back to cursor sweeps (the index has not seen those
-    /// cells yet).
-    pub fn snapshot_ref(&self) -> MatrixSnapshot<T> {
-        let (mut tr, mut tc, mut tv) = (Vec::new(), Vec::new(), Vec::new());
-        for level in &self.levels {
-            let (r, c, v) = level.pending_parts();
-            tr.extend_from_slice(r);
-            tc.extend_from_slice(c);
-            tv.extend_from_slice(v);
-        }
-        let view = |ix: &DegreeIndex<T>| ix.is_active().then(|| ix.view());
+    /// The snapshot of a settled hierarchy: every level shared, each with
+    /// the column twin it holds (none is built), and the degree views of
+    /// the sides held.
+    fn captured(&self) -> MatrixSnapshot<T> {
+        debug_assert!(self.levels.iter().all(|l| l.npending() == 0));
+        let view = |ix: &Option<DegreeIndex<T>>| ix.as_ref().map(DegreeIndex::view);
         MatrixSnapshot::new(
             "hier-graphblas-snapshot",
             self.nrows,
@@ -1054,7 +998,6 @@ impl<T: ScalarType> HierMatrix<T> {
                 .iter()
                 .map(|l| (l.settled_arc(), l.held_col_shadow()))
                 .collect(),
-            (&tr, &tc, &tv),
             (view(&self.degrees.rows), view(&self.degrees.cols)),
         )
     }
@@ -1131,12 +1074,7 @@ impl<T: ScalarType> LevelStore for HierMatrix<T> {
         side: Side,
         f: impl FnOnce(&mut [&mut DegreeIndexView<T>]) -> R,
     ) -> Option<R> {
-        self.ensure_degrees(side == Side::Cols);
-        let index = match side {
-            Side::Rows => &mut self.degrees.rows,
-            Side::Cols => &mut self.degrees.cols,
-        };
-        Some(f(&mut [index.view_mut()]))
+        Some(f(&mut [self.degrees(side).view_mut()]))
     }
 
     /// Per-level gets fold pending tuples in directly; no settle needed.
@@ -1397,7 +1335,7 @@ mod tests {
     #[test]
     fn both_degree_sides_share_one_cell_oracle_counted_once() {
         let mut m = HierMatrix::<u64>::new(1 << 20, 1 << 20, small_config()).unwrap();
-        // 31 x 47 cells hit again and again: when a side activates, most
+        // 31 x 47 cells hit again and again: when a side is built, most
         // cells sit in several levels at once.
         for i in 0..2000u64 {
             m.update(i % 31, (i * 11) % 47, 1).unwrap();
@@ -1408,14 +1346,18 @@ mod tests {
         let in_top = m.read_in_top_k(3);
         assert_eq!(in_top, m.with_levels(|lv| merged_in_top_k(lv, 3)));
         let nnz = m.with_levels(merged_nnz);
+        assert!(m.degrees.rows.is_none());
         assert_eq!(
-            (m.degrees.cells.len(), m.degrees.cols.view_mut().nnz()),
+            (
+                m.degrees.cells.len(),
+                m.degrees(Side::Cols).view_mut().nnz()
+            ),
             (nnz, nnz)
         );
         let oracle = m.degrees.cells.capacity() * std::mem::size_of::<u128>();
         // The row side joins without touching it, and ingest keeps it one.
         assert_eq!(m.read_top_k(3), m.with_levels(|lv| merged_top_k(lv, 3)));
-        assert_eq!(m.degrees.rows.view_mut().nnz(), nnz);
+        assert_eq!(m.degrees(Side::Rows).view_mut().nnz(), nnz);
         assert_eq!(
             oracle,
             m.degrees.cells.capacity() * std::mem::size_of::<u128>()
@@ -1426,7 +1368,8 @@ mod tests {
         let nnz = m.read_nnz();
         assert_eq!(m.degrees.cells.len(), nnz);
         let d = &m.degrees;
-        let sides = d.rows.memory_bytes() + d.cols.memory_bytes();
+        let sides = [&d.rows, &d.cols].map(|ix| ix.as_ref().unwrap().memory_bytes());
+        let sides = sides[0] + sides[1];
         let oracle = d.cells.capacity() * std::mem::size_of::<u128>();
         assert!(oracle > 0 && sides > 0);
         let levels: usize = m.memory_per_level().iter().map(|f| f.total()).sum();
@@ -1435,9 +1378,10 @@ mod tests {
             m.memory_bytes(),
             levels + m.fold.memory_bytes() + sides + oracle + d.grew.capacity()
         );
-        // `clear()` gives all of it back.
+        // `clear()` gives all of it back and holds no side.
         m.clear();
         assert_eq!(m.degrees.cells.capacity(), 0);
+        assert!(!m.degrees.is_live());
     }
 
     #[test]
@@ -1781,26 +1725,6 @@ mod tests {
         assert_eq!(entries, expect);
         // The live matrix has moved on.
         assert!(m.read_nnz() > snap.read_nnz());
-    }
-
-    #[test]
-    fn snapshot_ref_carries_pending_tail() {
-        let mut m = HierMatrix::<u64>::new(1 << 16, 1 << 16, small_config()).unwrap();
-        m.update(3, 3, 5).unwrap();
-        m.update(3, 4, 6).unwrap();
-        // Pending only — the &self snapshot copies the tail.
-        let mut snap = m.snapshot_ref();
-        assert!(snap.stats_mut().0.is_none());
-        assert_eq!(snap.read_nnz(), 2);
-        assert_eq!(snap.read_get(3, 3), Some(5));
-        assert_eq!(snap.read_row_reduce(3), Some(11));
-        // Settled source with a live (query-activated) index: the &self
-        // snapshot carries the index view.
-        assert_eq!(m.read_nnz(), 2);
-        let mut settled_snap = m.snapshot_ref();
-        assert!(settled_snap.stats_mut().0.is_some());
-        assert_eq!(settled_snap.read_nnz(), 2);
-        assert_eq!(settled_snap.read_top_k(1), vec![(3, 2)]);
     }
 
     #[test]

@@ -392,6 +392,25 @@ pub(crate) struct DurableState {
 }
 
 impl DurableState {
+    /// The state the committed `man` describes, logging to `wal`: every
+    /// listed level file on disk and current, nothing retired, no recovery
+    /// report and no WAL telemetry carried over.
+    pub(crate) fn new(cfg: DurableConfig, wal: wal::WalWriter, man: manifest::Manifest) -> Self {
+        Self {
+            cfg,
+            wal,
+            wal_gen: man.wal_gen,
+            next_gen: man.next_gen,
+            on_disk: man.levels.iter().flatten().map(|f| f.gen).collect(),
+            levels: man.levels.into_iter().map(Some).collect(),
+            report: None,
+            level_buf: Vec::new(),
+            retired: Vec::new(),
+            retired_appends: 0,
+            retired_syncs: 0,
+        }
+    }
+
     /// Unlink the queued [`DurableState::retired`] files.  Best-effort:
     /// they are unreferenced, and whatever survives the next open sweeps.
     pub(crate) fn remove_retired(&mut self) {

@@ -478,14 +478,7 @@ mod tests {
         for (s, rows) in [[1, 5], [2, 6]].into_iter().enumerate() {
             // The twin swaps the two cells' columns.
             let captured = (level(&rows, &[3, 4]), Some(level(&[4, 3], &rows)));
-            let capture = MatrixSnapshot::new(
-                "shard",
-                DIM,
-                DIM,
-                vec![captured],
-                (&[], &[], &[]),
-                (None, None),
-            );
+            let capture = MatrixSnapshot::new("shard", DIM, DIM, vec![captured], (None, None));
             let live = Live {
                 twins: true,
                 ..Live::default()

@@ -15,28 +15,29 @@
 //! algorithms run over "the last k windows" without materialising them.
 
 use crate::config::HierConfig;
-use crate::matrix::HierMatrix;
-use hyperstream_graphblas::cursor::{for_each_merged, merge_levels, LevelCursors};
+use crate::matrix::{check_batch, HierMatrix};
+use hyperstream_graphblas::cursor::merge_levels;
 use hyperstream_graphblas::formats::dcsr::Dcsr;
 use hyperstream_graphblas::ops::binary::Plus;
 use hyperstream_graphblas::{
     DegreeIndex, DegreeIndexView, GrbResult, Index, LevelStore, Matrix, ScalarType, Side,
     StreamingSink,
 };
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 /// A rotating sequence of hierarchical matrices, one per time window.
 ///
 /// The reader's degree-centric answers come from a **union degree index**
-/// over the retained windows.  Unlike a single hierarchy — whose index
-/// maintains itself incrementally because cells never leave the union —
-/// rotation *evicts* whole windows, and a cell may or may not survive in
-/// other retained windows; the union index therefore follows the
-/// decrement-or-rebuild rule in its simplest exact form: any mutation
-/// (update, rotation, eviction) marks it stale and the next degree query
-/// rebuilds it in one merged cursor sweep.  Within a query burst (the
-/// analytics pattern: a batch arrives, then many queries) every answer
-/// after the first is O(1)/O(k).
+/// per side over the retained windows.  Unlike a single hierarchy — whose
+/// index maintains itself incrementally because cells never leave the
+/// union — rotation *evicts* whole windows, and a cell may or may not
+/// survive in other retained windows; the union index therefore follows
+/// the decrement-or-rebuild rule in its simplest exact form: any mutation
+/// (update, rotation, eviction) drops both sides, and the next degree query
+/// on a side builds it in one merged sweep ([`DegreeIndex::from_levels`]).
+/// Within a query burst (the analytics pattern: a batch arrives, then many
+/// queries) every answer after the first is O(1)/O(k).  `flush` keeps
+/// them: cascades move cells between levels without changing the union.
 #[derive(Debug, Clone)]
 pub struct WindowedHierMatrix<T> {
     nrows: Index,
@@ -54,19 +55,10 @@ pub struct WindowedHierMatrix<T> {
     current_count: u64,
     /// Total windows ever closed (including dropped ones).
     windows_closed: u64,
-    /// Lazily rebuilt union degree index over the retained windows.
-    index: DegreeIndex<T>,
-    /// True when a mutation has outdated `index`.
-    index_stale: bool,
-    /// Column twin of `index`: union in-degree stats over the retained
-    /// windows, following the same stale-mark + wholesale-rebuild rule
-    /// (eviction can remove a column's cells from one window while they
-    /// survive in another, so incremental maintenance is not exact here).
-    /// Rebuilt only by column-side degree queries, so row-only workloads
-    /// never pay for it.
-    col_index: DegreeIndex<T>,
-    /// True when a mutation has outdated `col_index`.
-    col_index_stale: bool,
+    /// The union degree index of each side (`Side::Rows` first), held only
+    /// while current: every write empties both, and a degree query builds
+    /// its side alone, so row-only workloads never pay for the column side.
+    stats: [Option<DegreeIndex<T>>; 2],
 }
 
 impl<T: ScalarType> WindowedHierMatrix<T> {
@@ -89,10 +81,7 @@ impl<T: ScalarType> WindowedHierMatrix<T> {
             closed: VecDeque::new(),
             current_count: 0,
             windows_closed: 0,
-            index: DegreeIndex::new(),
-            index_stale: false,
-            col_index: DegreeIndex::new(),
-            col_index_stale: false,
+            stats: [None, None],
         })
     }
 
@@ -114,8 +103,7 @@ impl<T: ScalarType> WindowedHierMatrix<T> {
         }
         self.current.update(row, col, val)?;
         self.current_count += 1;
-        self.index_stale = true;
-        self.col_index_stale = true;
+        self.stats = [None, None];
         Ok(())
     }
 
@@ -133,8 +121,7 @@ impl<T: ScalarType> WindowedHierMatrix<T> {
             // by rebuilding.
             self.closed.pop_front();
         }
-        self.index_stale = true;
-        self.col_index_stale = true;
+        self.stats = [None, None];
         Ok(())
     }
 
@@ -203,6 +190,16 @@ impl<T: ScalarType> StreamingSink<T> for WindowedHierMatrix<T> {
         self.update(row, col, val)
     }
 
+    /// Checked whole before the first update, so a refused batch neither
+    /// stores a prefix nor rotates a window.
+    fn insert_batch(&mut self, rows: &[Index], cols: &[Index], vals: &[T]) -> GrbResult<()> {
+        check_batch((self.nrows, self.ncols), rows, cols, vals)?;
+        for ((&row, &col), &val) in rows.iter().zip(cols).zip(vals) {
+            self.update(row, col, val)?;
+        }
+        Ok(())
+    }
+
     fn flush(&mut self) -> GrbResult<()> {
         // Completing deferred work means finishing cascades in every
         // retained hierarchy; the window schedule itself is not advanced.
@@ -228,9 +225,10 @@ impl<T: ScalarType> StreamingSink<T> for WindowedHierMatrix<T> {
 /// current one (evicted windows are gone by design, matching the sink's
 /// totals).  The level list is every retained window's levels, the twins
 /// every window's per-level column shadows (Arc-cached, so a query burst
-/// between rotations builds them once), and the stats the two lazily
-/// rebuilt union indexes.  Every `read_*` body — and `CursorReader`, so
-/// the graph algorithms run over the retained windows — is the shared one.
+/// between rotations builds them once), and the stats the union indexes,
+/// each built when a read asks for its side.  Every `read_*` body — and
+/// `CursorReader`, so the graph algorithms run over the retained windows —
+/// is the shared one.
 impl<T: ScalarType> LevelStore for WindowedHierMatrix<T> {
     type Value = T;
 
@@ -261,14 +259,11 @@ impl<T: ScalarType> LevelStore for WindowedHierMatrix<T> {
         side: Side,
         f: impl FnOnce(&mut [&mut DegreeIndexView<T>]) -> R,
     ) -> Option<R> {
-        match side {
-            Side::Rows => self.refresh_index(),
-            Side::Cols => self.refresh_col_index(),
-        }
-        let index = match side {
-            Side::Rows => &mut self.index,
-            Side::Cols => &mut self.col_index,
-        };
+        self.settle_windows();
+        let (closed, current) = (&self.closed, &self.current);
+        let index = self.stats[side as usize].get_or_insert_with(|| {
+            DegreeIndex::from_levels(&Self::retained_dcsrs(closed, current), side, |_| {})
+        });
         Some(f(&mut [index.view_mut()]))
     }
 }
@@ -283,7 +278,7 @@ impl<T: ScalarType> WindowedHierMatrix<T> {
 
     /// Every retained window's level DCSRs, oldest window first — callers
     /// must have settled first ([`WindowedHierMatrix::settle_windows`]).
-    /// Borrows only the windows, so an index can be refilled alongside.
+    /// Borrows only the windows, so an index can be built alongside.
     fn retained_dcsrs<'a>(
         closed: &'a VecDeque<HierMatrix<T>>,
         current: &'a HierMatrix<T>,
@@ -293,54 +288,6 @@ impl<T: ScalarType> WindowedHierMatrix<T> {
             .chain([current])
             .flat_map(|w| w.level_dcsrs())
             .collect()
-    }
-
-    /// Rebuild the union index if any mutation outdated it: one merged
-    /// cursor sweep over every retained window's levels, emitting each
-    /// union row's degree and weight straight into the index (the entries
-    /// are already deduplicated, so the rebuild skips the cell oracle).
-    fn refresh_index(&mut self) {
-        if !self.index_stale {
-            return;
-        }
-        self.settle_windows();
-        self.index.clear();
-        let dcsrs = Self::retained_dcsrs(&self.closed, &self.current);
-        let mut cur = LevelCursors::new(&dcsrs);
-        while let Some(row) = cur.next_row() {
-            let mut degree = 0u64;
-            let mut weight = T::default();
-            cur.fold_row(Plus, &mut |_, v| {
-                degree += 1;
-                weight = weight.add(v);
-            });
-            self.index.add_unique_row(row, degree, weight);
-        }
-        self.index_stale = false;
-    }
-
-    /// Rebuild the union *column* index if any mutation outdated it — the
-    /// transpose mirror of [`WindowedHierMatrix::refresh_index`].  A
-    /// row-major union sweep does not group columns the way it groups rows,
-    /// so the rebuild first accumulates per-column (degree, weight) in a
-    /// map, then bulk-loads the already-deduplicated stats.
-    fn refresh_col_index(&mut self) {
-        if !self.col_index_stale {
-            return;
-        }
-        self.settle_windows();
-        self.col_index.clear();
-        let mut cols: BTreeMap<Index, (u64, T)> = BTreeMap::new();
-        let dcsrs = Self::retained_dcsrs(&self.closed, &self.current);
-        for_each_merged(&dcsrs, Plus, &mut |_, c, v| {
-            let slot = cols.entry(c).or_insert((0, T::default()));
-            slot.0 += 1;
-            slot.1 = slot.1.add(v);
-        });
-        for (c, (degree, weight)) in cols {
-            self.col_index.add_unique_row(c, degree, weight);
-        }
-        self.col_index_stale = false;
     }
 }
 
@@ -589,6 +536,72 @@ mod tests {
             .filter(|&(r, _, _)| (10..20).contains(&r))
             .collect();
         assert_eq!(got, expect);
+    }
+
+    /// A refused batch stores nothing and rotates nothing: with windows of
+    /// two updates, even a two-tuple prefix would close a window.
+    #[test]
+    fn a_refused_batch_changes_nothing() {
+        let mut w = windowed(2, 4);
+        w.update(9, 9, 1).unwrap();
+        let observe =
+            |w: &WindowedHierMatrix<u64>| (w.total_weight_f64(), w.nvals(), w.windows_closed());
+        let before = observe(&w);
+        let sink: &mut dyn StreamingSink<u64> = &mut w;
+        let out_of_range = 1 << 40;
+        assert!(sink
+            .insert_batch(&[1, 2, 3], &[1, 2, out_of_range], &[5, 6, 7])
+            .is_err());
+        assert!(sink
+            .insert_batch(&[1, 2, out_of_range], &[1, 2, 3], &[5, 6, 7])
+            .is_err());
+        assert!(sink.insert_batch(&[1, 2, 3], &[1, 2], &[5, 6, 7]).is_err());
+        assert!(sink.insert_batch(&[1, 2, 3], &[1, 2, 3], &[5, 6]).is_err());
+        assert_eq!(observe(&w), before);
+        // A valid batch goes in whole, rotating on schedule.
+        let sink: &mut dyn StreamingSink<u64> = &mut w;
+        sink.insert_batch(&[1, 2, 3], &[1, 2, 3], &[5, 6, 7])
+            .unwrap();
+        assert_eq!(observe(&w), (19.0, 4, 1));
+    }
+
+    /// A side's union index is held only while current: a degree read
+    /// builds its side alone, every write and rotation (evicting or not)
+    /// empties both, and a flush, which moves cells between levels but
+    /// leaves the union alone, keeps them.
+    #[test]
+    fn stats_are_held_only_while_current() {
+        let held = |w: &WindowedHierMatrix<u64>| w.stats.each_ref().map(Option::is_some);
+        let mut w = windowed(10, 2);
+        for i in 0..15u64 {
+            w.update(i % 4, i % 3, 1).unwrap();
+        }
+        assert_eq!(held(&w), [false, false]);
+        w.read_row_degree(1);
+        assert_eq!(held(&w), [true, false]);
+        w.read_col_degree(1);
+        assert_eq!(held(&w), [true, true]);
+        w.flush().unwrap();
+        assert_eq!(held(&w), [true, true]);
+        assert_eq!(w.read_nnz(), w.with_levels(merged_nnz));
+        w.update(7, 7, 1).unwrap();
+        assert_eq!(held(&w), [false, false]);
+        w.read_in_top_k(2);
+        assert_eq!(held(&w), [false, true]);
+        w.read_top_k(2);
+        // A rotation with room for the closed window...
+        w.rotate().unwrap();
+        assert_eq!((held(&w), w.retained_windows()), ([false, false], 2));
+        w.read_row_degree(1);
+        w.read_col_degree(1);
+        // ...and one that evicts the oldest.
+        w.rotate().unwrap();
+        assert_eq!((held(&w), w.windows_closed()), ([false, false], 3));
+        assert_eq!(w.read_top_k(3), w.with_levels(|lv| merged_top_k(lv, 3)));
+        assert_eq!(
+            w.read_in_top_k(3),
+            w.with_levels(|lv| merged_in_top_k(lv, 3))
+        );
     }
 
     #[test]

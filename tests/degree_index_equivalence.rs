@@ -201,7 +201,6 @@ fn settle_batch() -> impl Strategy<Value = Vec<(u64, u64, u64)>> {
 fn from_scratch_index(flat: &Matrix<u64>, by_col: bool) -> DegreeIndex<u64> {
     let (rows, cols, vals) = flat.extract_tuples();
     let mut ix = DegreeIndex::<u64>::new();
-    ix.activate();
     let keys = if by_col { &cols } else { &rows };
     ix.observe(keys, &vals, &vec![true; vals.len()]);
     ix
@@ -219,7 +218,7 @@ proptest! {
     // share its one oracle — gives the same answers whichever side is
     // asked first (`order`), from whichever step on (`ask_from`), across
     // `clear()` and `update_matrix`, with cells sitting in several levels
-    // when a side activates (cuts of 8 and 64 against batches of up to 80).
+    // when a side is built (cuts of 8 and 64 against batches of up to 80).
     #[test]
     fn upkept_top_k_equals_from_scratch_index_and_flat(
         steps in prop::collection::vec((settle_batch(), 0usize..7, 0u64..12), 1usize..30),
@@ -228,8 +227,6 @@ proptest! {
     ) {
         let mut row_ix = DegreeIndex::<u64>::new();
         let mut col_ix = DegreeIndex::<u64>::new();
-        row_ix.activate();
-        col_ix.activate();
         // The owner's half: which cells the union holds.
         let mut cells = std::collections::HashSet::new();
         let mut flat = Matrix::<u64>::new(DIM, DIM);
@@ -250,14 +247,13 @@ proptest! {
         let mut frozen: Option<(DegreeIndexView<u64>, DegreeIndexView<u64>, Matrix<u64>)> = None;
         for (i, (batch, k_sel, action)) in steps.into_iter().enumerate() {
             if action == 0 {
-                // The matrix was cleared: both indexes deactivate, and the
-                // next degree query re-activates them over what is there.
-                row_ix.clear();
-                col_ix.clear();
+                // The matrix was cleared: its owner starts both indexes
+                // afresh, as the hierarchy drops its own and builds them
+                // again at the next degree query over what is there.
+                row_ix = DegreeIndex::new();
+                col_ix = DegreeIndex::new();
                 cells.clear();
                 flat = Matrix::<u64>::new(DIM, DIM);
-                row_ix.activate();
-                col_ix.activate();
                 hier.clear();
             }
             // The settle's dedup-unpack: sorted row-major, duplicates folded.

@@ -201,8 +201,8 @@ fn check_cursor_reads<S: CursorReader<u64>>(s: &mut S, cells: &Cells, dims: (u64
 
 /// `check_reads` over every level-backed store fed `updates`: the flat
 /// matrix, the hierarchy (pending tail unsettled), a windowed hierarchy
-/// that rotates and evicts mid-stream, and both snapshot captures — one
-/// settled with its stats views, one through `&self` with a pending tail.
+/// that rotates and evicts mid-stream, and a snapshot with its stats
+/// views.
 fn check_level_backed_stores(updates: &[(u64, u64, u64)], cuts: &[u64], dim: u64, k: usize) {
     let cfg = HierConfig::from_cuts(cuts.to_vec()).unwrap();
     let cells = cells_of(updates);
@@ -214,10 +214,6 @@ fn check_level_backed_stores(updates: &[(u64, u64, u64)], cuts: &[u64], dim: u64
         hier.insert(r, c, v).unwrap();
     }
     check_cursor_reads(&mut flat, &cells, (dim, dim), k);
-    // Captured before any read settles the hierarchy: the tail is copied
-    // and the degree answers sweep.
-    let mut tailed = hier.snapshot_ref();
-    check_cursor_reads(&mut tailed, &cells, (dim, dim), k);
     check_cursor_reads(&mut hier, &cells, (dim, dim), k);
     // Both indexes are live now, so their views ride along.
     let mut settled = hier.snapshot();
