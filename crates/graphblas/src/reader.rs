@@ -13,8 +13,7 @@
 //! hierarchy, a sharded engine's per-shard captures joined) answers through
 //! the single implementation in [`crate::level_read`], from its native
 //! structures and without building a merged copy of the matrix first; the
-//! sharded engine only picks the captures a read is routed to.  (The D4M
-//! associative arrays are sinks only, not readers.)
+//! sharded engine only picks the captures a read is routed to.
 //!
 //! Query methods take `&mut self`: a reader may complete cheap deferred
 //! work (settle a pending-tuple buffer, refresh an index segment, drain an

@@ -2,8 +2,9 @@
 //! system under test.
 //!
 //! The paper's Fig. 2 compares hierarchical hypersparse GraphBLAS matrices
-//! against flat GraphBLAS matrices and hierarchical D4M associative arrays
-//! — all ingesting the *same* stream of `(row, col, value)` updates.
+//! against flat GraphBLAS matrices (and against hierarchical D4M
+//! associative arrays, which this workspace does not reproduce) — all
+//! ingesting the *same* stream of `(row, col, value)` updates.
 //! `StreamingSink` is that common contract: anything that can absorb
 //! accumulate-updates and report what it stored can be driven by one
 //! generic loop (the `benchmark/` package's workloads, the equivalence
@@ -14,7 +15,8 @@
 //! * [`Matrix`] — the flat pending-tuple path (this crate);
 //! * `HierMatrix`, `WindowedHierMatrix` — the hierarchical cascade
 //!   (`hyperstream-hier`);
-//! * `HierAssoc` — hierarchical D4M associative arrays (`hyperstream-d4m`).
+//! * `ShardedHierMatrix` — the hierarchy partitioned by row over worker
+//!   threads (`hyperstream-hier`).
 
 use crate::error::{GrbError, GrbResult};
 use crate::index::Index;
@@ -60,21 +62,10 @@ pub trait StreamingSink<V> {
     /// Apply a batch of updates given as parallel slices.
     ///
     /// A refused batch changes nothing: mismatched lengths or any index out
-    /// of range is an `Err` before the first update is applied.  The default
-    /// checks the lengths, then loops over [`insert`](StreamingSink::insert);
-    /// an implementation whose `insert` can refuse a tuple overrides it to
-    /// check the whole batch first, as does one with a cheaper bulk path
-    /// (e.g. one cascade check per batch).
-    fn insert_batch(&mut self, rows: &[Index], cols: &[Index], vals: &[V]) -> GrbResult<()>
-    where
-        V: Copy,
-    {
-        check_tuple_lengths(rows, cols, vals)?;
-        for i in 0..rows.len() {
-            self.insert(rows[i], cols[i], vals[i])?;
-        }
-        Ok(())
-    }
+    /// of range is an `Err` before the first update is applied.  Every
+    /// implementation checks the whole batch first, then takes its bulk
+    /// path (e.g. one cascade check per batch).
+    fn insert_batch(&mut self, rows: &[Index], cols: &[Index], vals: &[V]) -> GrbResult<()>;
 
     /// Complete all deferred work (merge pending tuples, run outstanding
     /// cascades, flush memtables, refresh indexes).

@@ -121,6 +121,33 @@ pub(crate) fn check_batch<T>(
     Ok(())
 }
 
+/// Exact number of distinct cells of `Σ hiers` with the `staged` cells
+/// (tuples a caller still holds for them) accumulated in: [`merged_nnz`]
+/// over every settled level, plus the distinct unsettled cells — pending or
+/// staged — that no settled level holds.  Works through `&self` and builds
+/// no [`Matrix`].  A lone hierarchy with a live cell oracle counts its
+/// settled cells off the oracle: everything settled has passed through it.
+pub(crate) fn distinct_cells<T: ScalarType>(
+    hiers: &[&HierMatrix<T>],
+    mut staged: Vec<(Index, Index)>,
+) -> usize {
+    let levels: Vec<&Dcsr<T>> = hiers.iter().flat_map(|h| h.level_dcsrs()).collect();
+    let settled = match hiers {
+        [h] if h.degrees.is_live() => h.degrees.cells.len(),
+        _ => merged_nnz(&levels),
+    };
+    for level in hiers.iter().flat_map(|h| &h.levels) {
+        let (rows, cols, _) = level.pending_parts();
+        staged.extend(rows.iter().copied().zip(cols.iter().copied()));
+    }
+    staged.sort_unstable();
+    staged.dedup();
+    let unheld = staged
+        .iter()
+        .filter(|&&(r, c)| levels.iter().all(|l| l.get(r, c).is_none()));
+    settled + unheld.count()
+}
+
 /// Pack a `(row, col)` coordinate into the cell-oracle key.  Dimensions are
 /// capped at `2^60`, so both halves fit.
 #[inline]
@@ -503,25 +530,11 @@ impl<T: ScalarType> HierMatrix<T> {
         self.levels.iter_mut().map(|l| l.col_shadow()).collect()
     }
 
-    /// Exact number of stored entries of the represented matrix.
-    ///
-    /// Settled hierarchies are counted through the merged cursors without
-    /// materialising; only when pending tuples exist does this fall back to
-    /// a materialisation pass (use the
-    /// [`MatrixReader`](hyperstream_graphblas::MatrixReader) interface to settle
-    /// and avoid even that).
+    /// Exact number of stored entries of the represented matrix, counted
+    /// without materialising: the settled levels' distinct cells plus the
+    /// pending cells no settled level holds.
     pub fn nvals_exact(&self) -> usize {
-        if self.levels.iter().all(|l| l.npending() == 0) {
-            if self.degrees.is_live() {
-                // Everything settled has passed through the oracle.
-                self.degrees.cells.len()
-            } else {
-                let dcsrs: Vec<&Dcsr<T>> = self.level_dcsrs().collect();
-                merged_nnz(&dcsrs)
-            }
-        } else {
-            self.materialize_ref().nvals()
-        }
+        distinct_cells(&[self], Vec::new())
     }
 
     /// Value of the represented matrix at `(row, col)`: the sum of the
@@ -1489,6 +1502,30 @@ mod tests {
         assert_eq!(m.nvals_exact(), 300);
         m.update(1 << 15, 1, 1).unwrap();
         assert_eq!(m.nvals_exact(), 301);
+    }
+
+    /// With level-0 tuples pending, some on cells a settled level holds,
+    /// the exact count equals a set of the cells — before the cell oracle
+    /// is live and after — and counting settles nothing.
+    #[test]
+    fn nvals_exact_with_pending_equals_a_cell_set() {
+        let mut m = HierMatrix::<u64>::new(1 << 16, 1 << 16, small_config()).unwrap();
+        let mut cells = std::collections::BTreeSet::new();
+        let mut counted_pending = 0;
+        for i in 0..900u64 {
+            let (r, c) = (i % 37, i % 11);
+            m.update(r, c, 1).unwrap();
+            cells.insert((r, c));
+            if i == 450 {
+                m.read_row_degree(0);
+            }
+            let pending = m.levels[0].npending();
+            assert_eq!(m.nvals_exact(), cells.len(), "after update {i}");
+            assert_eq!(m.levels[0].npending(), pending, "after update {i}");
+            counted_pending += usize::from(pending > 0);
+        }
+        assert!(m.degrees.is_live());
+        assert!(counted_pending > 600, "{counted_pending}");
     }
 
     #[test]

@@ -111,7 +111,7 @@
 //! errors, and stalls through every one of these paths.
 
 use crate::config::HierConfig;
-use crate::matrix::{HierMatrix, Live};
+use crate::matrix::{distinct_cells, HierMatrix, Live};
 use crate::persist::{DurableConfig, RecoveryReport};
 use crate::pool::{row_hash, PartitionBuffers};
 use crate::stats::HierStats;
@@ -326,16 +326,10 @@ impl<T: ScalarType> Shard<T> {
     }
 
     /// Distinct cells of the shard with `staged` (the cells of tuples the
-    /// producer still holds for it) accumulated in: the settled count plus
-    /// the staged cells no level holds.  Nothing is materialised.
-    fn nvals_with(&mut self, mut staged: Vec<(Index, Index)>) -> usize {
-        self.hier.settle_levels();
-        staged.sort_unstable();
-        staged.dedup();
-        let new = staged
-            .iter()
-            .filter(|&&(r, c)| self.hier.get(r, c).is_none());
-        self.hier.nvals_exact() + new.count()
+    /// producer still holds for it) accumulated in.  Nothing is
+    /// materialised.
+    fn nvals_with(&self, staged: Vec<(Index, Index)>) -> usize {
+        distinct_cells(&[&self.hier], staged)
     }
 }
 
@@ -1222,8 +1216,9 @@ mod tests {
     }
 
     /// Counting cells mid-stream — tuples staged, in flight and pending in
-    /// level 0, some on cells the levels already hold — settles each shard
-    /// and looks the staged cells up; it materialises nothing.
+    /// level 0, some on cells the levels already hold — looks the staged
+    /// and pending cells up in each shard's settled levels; it materialises
+    /// nothing.
     #[test]
     fn nvals_mid_stream_counts_without_materializing() {
         for shards in 1..=4 {

@@ -15,7 +15,7 @@
 //! algorithms run over "the last k windows" without materialising them.
 
 use crate::config::HierConfig;
-use crate::matrix::{check_batch, HierMatrix};
+use crate::matrix::{check_batch, distinct_cells, HierMatrix};
 use hyperstream_graphblas::cursor::merge_levels;
 use hyperstream_graphblas::formats::dcsr::Dcsr;
 use hyperstream_graphblas::ops::binary::Plus;
@@ -191,11 +191,24 @@ impl<T: ScalarType> StreamingSink<T> for WindowedHierMatrix<T> {
     }
 
     /// Checked whole before the first update, so a refused batch neither
-    /// stores a prefix nor rotates a window.
+    /// stores a prefix nor rotates a window.  The batch is cut at window
+    /// boundaries and each slice is one [`HierMatrix::update_batch`] on the
+    /// window it falls in, rotating between slices exactly where a loop of
+    /// `insert` would.
     fn insert_batch(&mut self, rows: &[Index], cols: &[Index], vals: &[T]) -> GrbResult<()> {
         check_batch((self.nrows, self.ncols), rows, cols, vals)?;
-        for ((&row, &col), &val) in rows.iter().zip(cols).zip(vals) {
-            self.update(row, col, val)?;
+        let mut at = 0;
+        while at < rows.len() {
+            if self.current_count >= self.window_updates {
+                self.rotate()?;
+            }
+            let room = self.window_updates - self.current_count;
+            let end = at + room.min((rows.len() - at) as u64) as usize;
+            self.current
+                .update_batch(&rows[at..end], &cols[at..end], &vals[at..end])?;
+            self.current_count += (end - at) as u64;
+            self.stats = [None, None];
+            at = end;
         }
         Ok(())
     }
@@ -210,10 +223,8 @@ impl<T: ScalarType> StreamingSink<T> for WindowedHierMatrix<T> {
     }
 
     fn nvals(&self) -> usize {
-        // Infallible trait signature over a now-fallible materialisation:
-        // the merge can only fail on a dimension-invariant break, in which
-        // case report nothing rather than panic.
-        self.materialize_retained().map(|m| m.nvals()).unwrap_or(0)
+        let windows: Vec<&HierMatrix<T>> = self.closed.iter().chain([&self.current]).collect();
+        distinct_cells(&windows, Vec::new())
     }
 
     fn total_weight(&self) -> f64 {
@@ -296,6 +307,7 @@ mod tests {
     use super::*;
     use hyperstream_graphblas::cursor::*;
     use hyperstream_graphblas::MatrixReader;
+    use std::collections::BTreeSet;
 
     fn windowed(window: u64, max: usize) -> WindowedHierMatrix<u64> {
         WindowedHierMatrix::new(
@@ -563,6 +575,57 @@ mod tests {
         sink.insert_batch(&[1, 2, 3], &[1, 2, 3], &[5, 6, 7])
             .unwrap();
         assert_eq!(observe(&w), (19.0, 4, 1));
+    }
+
+    /// The sink's cell count over the retained windows equals a set of
+    /// their cells while tuples are pending in the current window and
+    /// cells recur across windows, evictions included.
+    #[test]
+    fn nvals_equals_the_retained_cell_set() {
+        let mut w = windowed(40, 3);
+        let updates: Vec<(u64, u64)> = (0..300u64).map(|i| (i % 7, (i * 3) % 5)).collect();
+        let mut counted_pending = 0;
+        for (n, &(r, c)) in updates.iter().enumerate() {
+            w.update(r, c, 1).unwrap();
+            let evicted = (w.windows_closed() - w.retained_windows() as u64) as usize;
+            let retained: BTreeSet<_> = updates[40 * evicted..=n].iter().collect();
+            assert_eq!(w.nvals(), retained.len(), "after update {n}");
+            let settled = w.current.level_dcsrs().next().map_or(0, Dcsr::nvals);
+            counted_pending += usize::from(w.current.level_entries_bound(0) > settled);
+        }
+        assert_eq!((w.windows_closed(), w.retained_windows()), (7, 3));
+        assert!(counted_pending > 200, "{counted_pending}");
+    }
+
+    /// A batch that crosses window boundaries rotates where a loop of
+    /// `insert` does and leaves every window with the same contents.
+    #[test]
+    fn a_batch_across_windows_equals_single_inserts() {
+        let (rows, cols): (Vec<u64>, Vec<u64>) = (0..230u64).map(|i| (i % 9, i % 14)).unzip();
+        let vals: Vec<u64> = (0..230u64).map(|i| i % 5 + 1).collect();
+        // One update first, so no boundary falls on a batch's start.
+        let mut single = windowed(50, 3);
+        single.update(0, 0, 1).unwrap();
+        for i in 0..rows.len() {
+            StreamingSink::insert(&mut single, rows[i], cols[i], vals[i]).unwrap();
+        }
+        let mut batched = windowed(50, 3);
+        batched.update(0, 0, 1).unwrap();
+        let sink: &mut dyn StreamingSink<u64> = &mut batched;
+        sink.insert_batch(&rows[..10], &cols[..10], &vals[..10])
+            .unwrap();
+        sink.insert_batch(&rows[10..], &cols[10..], &vals[10..])
+            .unwrap();
+        let observe = |w: &WindowedHierMatrix<u64>| {
+            let windows: Vec<_> = (0..w.retained_windows())
+                .map(|k| w.window(k).unwrap().extract_tuples())
+                .collect();
+            let current = w.recent(0).unwrap().extract_tuples();
+            (w.windows_closed(), w.retained_windows(), windows, current)
+        };
+        let want = observe(&single);
+        assert_eq!((want.0, want.1), (4, 3));
+        assert_eq!(observe(&batched), want);
     }
 
     /// A side's union index is held only while current: a degree read

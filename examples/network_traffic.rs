@@ -144,21 +144,4 @@ fn main() {
     let snapshot = traffic.materialize();
     let heavy = select(&snapshot, SelectOp::ValueGe(16));
     println!("\nflows with >= 16 packets: {}", heavy.nvals());
-
-    // D4M view: the same flows accumulated into a string-keyed associative
-    // array, the representation used during feature discovery.
-    let mut assoc = Assoc::new();
-    for flow in gen.take(5_000) {
-        assoc.accum(
-            &format!("{}.{}", flow.src >> 16, flow.src & 0xffff),
-            &format!("{}.{}", flow.dst >> 16, flow.dst & 0xffff),
-            flow.weight as f64,
-        );
-    }
-    println!(
-        "\nD4M associative-array view of a 5,000-flow sample: {} rows x {} cols, {} entries",
-        assoc.nrows(),
-        assoc.ncols(),
-        assoc.nnz()
-    );
 }

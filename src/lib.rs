@@ -12,8 +12,6 @@
 //!   semirings, kernels, graph algorithms);
 //! * [`hier`] — the hierarchical hypersparse matrix (the paper's
 //!   contribution) plus cut tuning;
-//! * [`d4m`] — D4M-style associative arrays and hierarchical associative
-//!   arrays (the string-keyed comparison system, an ingest path only);
 //! * [`workload`] — power-law and IP-traffic stream generators;
 //! * [`memsim`] — the memory-hierarchy cost model that prices cut schedules.
 //!
@@ -44,7 +42,6 @@
 
 #![forbid(unsafe_code)]
 
-pub use hyperstream_d4m as d4m;
 pub use hyperstream_graphblas as graphblas;
 pub use hyperstream_hier as hier;
 pub use hyperstream_memsim as memsim;
@@ -59,8 +56,6 @@ pub mod prelude {
         PartitionBuffers, RecoveryReport, ShardPartitioner, ShardRecovery, ShardedConfig,
         ShardedHierMatrix, ShardedSnapshot, WindowedHierMatrix,
     };
-
-    pub use hyperstream_d4m::{Assoc, HierAssoc, HierAssocConfig};
 
     pub use hyperstream_workload::{
         edges_to_tuples, Edge, IpTrafficConfig, IpTrafficGenerator, IpVersion, PowerLawConfig,

@@ -1,8 +1,7 @@
 //! Cross-crate integration tests: the hierarchical matrix must represent
-//! exactly the same mathematical object as a flat GraphBLAS matrix and as a
-//! D4M associative array fed the same stream, regardless of the cut
-//! schedule, and the whole pipeline (workload -> hierarchy -> analytics)
-//! must hold together.
+//! exactly the same mathematical object as a flat GraphBLAS matrix fed the
+//! same stream, regardless of the cut schedule, and the whole pipeline
+//! (workload -> hierarchy -> analytics) must hold together.
 
 use hyperstream::prelude::*;
 
@@ -43,36 +42,6 @@ fn hierarchy_equals_flat_for_many_cut_schedules() {
             flat.extract_tuples(),
             "hierarchy with cuts {cuts:?} diverged from the flat matrix"
         );
-    }
-}
-
-#[test]
-fn hierarchy_equals_d4m_assoc_on_the_same_stream() {
-    let edges = stream(3_000, 23);
-    let (rows, cols, vals) = edges_to_tuples(&edges);
-    let mut hier = HierMatrix::<u64>::with_default_config(1 << 32, 1 << 32).unwrap();
-    let mut assoc = HierAssoc::with_default_config();
-    // Both ingest through `StreamingSink::insert_batch`, in the batches a
-    // comparator would time.
-    let sinks: [&mut dyn StreamingSink<u64>; 2] = [&mut hier, &mut assoc];
-    for sink in sinks {
-        for ((r, c), v) in rows
-            .chunks(1_000)
-            .zip(cols.chunks(1_000))
-            .zip(vals.chunks(1_000))
-        {
-            sink.insert_batch(r, c, v).unwrap();
-        }
-        sink.flush().unwrap();
-    }
-    // Same total weight and same number of distinct cells.
-    assert_eq!(hier.total_weight(), assoc.total() as u64);
-    assert_eq!(hier.nvals_exact(), StreamingSink::<u64>::nvals(&assoc));
-    // Spot-check a handful of cells through both APIs.
-    for e in edges.iter().take(50) {
-        let h = hier.get(e.src, e.dst).unwrap();
-        let a = assoc.get(&e.src.to_string(), &e.dst.to_string()).unwrap();
-        assert_eq!(h as f64, a);
     }
 }
 
