@@ -1,15 +1,21 @@
-//! A tiny fault-injection facility in the spirit of the `fail` crate.
+//! A tiny fault-injection facility in the spirit of the `fail` crate,
+//! scoped to one engine.
 //!
-//! Compiled only under the `failpoints` feature; release builds without the
-//! feature compile every [`crate::failpoint!`] site to nothing.  Sites are
-//! armed by name through [`arm`]/[`arm_at`], fire deterministically on
-//! their n-th evaluation, and can target one shard index so a chaos test
-//! kills a chosen worker regardless of thread scheduling.
+//! Compiled only under the `failpoints` feature; without it the handle is
+//! a zero-sized type whose sites are inlined no-ops.  Every
+//! [`HierMatrix`](crate::HierMatrix) and
+//! [`ShardedHierMatrix`](crate::ShardedHierMatrix) owns one [`Failpoints`]
+//! handle, and a sharded engine shares its own with every shard, so an arm
+//! reaches each of that engine's workers and no other engine in the
+//! process.  Sites are armed by name through [`Failpoints::arm`], fire
+//! once, deterministically, on their n-th evaluation, and can target one
+//! shard index so a chaos test kills a chosen worker regardless of thread
+//! scheduling.
 
 use hyperstream_graphblas::{GrbError, GrbResult};
+use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// What an armed failpoint does when it fires.
@@ -27,152 +33,80 @@ pub enum FailAction {
 /// A site key: name plus an optional shard-index restriction.
 type SiteKey = (&'static str, Option<usize>);
 
+#[derive(Debug)]
 struct Site {
     action: FailAction,
     /// Fire on the n-th evaluation of this site (1-based).
     nth: u64,
     /// Evaluations of this site seen so far.
     hits: u64,
-    /// Times the site has fired.
-    fired: u64,
 }
 
-struct Registry {
-    sites: HashMap<SiteKey, Site>,
+/// One engine's armed fault sites.  Clones share the table: a sharded
+/// engine hands its shards clones, so an arm made after construction
+/// reaches every worker.
+#[derive(Debug, Clone, Default)]
+pub struct Failpoints {
+    sites: Arc<Mutex<HashMap<SiteKey, Site>>>,
 }
 
-/// Fast disarmed-path check: a single relaxed load when nothing is armed.
-static ANY_ARMED: AtomicBool = AtomicBool::new(false);
-
-fn registry() -> &'static Mutex<Registry> {
-    static REG: OnceLock<Mutex<Registry>> = OnceLock::new();
-    REG.get_or_init(|| {
-        Mutex::new(Registry {
-            sites: HashMap::new(),
-        })
-    })
-}
-
-fn lock_registry() -> std::sync::MutexGuard<'static, Registry> {
-    // The registry mutex is poisoned if a worker panics *while holding it*;
-    // the registry is just counters, so recover the data.
-    registry()
-        .lock()
-        .unwrap_or_else(|poison| poison.into_inner())
-}
-
-/// Arm `name` for every shard index: fires on its `nth` evaluation
-/// (1-based) with `action`.
-pub fn arm(name: &'static str, nth: u64, action: FailAction) {
-    arm_at(name, None, nth, action);
-}
-
-/// Arm `name` restricted to evaluations reporting shard index `idx`
-/// (`None` = any index).  Per-index arming is the deterministic form: each
-/// worker evaluates its own sites in a scheduling-independent order.
-pub fn arm_at(name: &'static str, idx: Option<usize>, nth: u64, action: FailAction) {
-    let mut reg = lock_registry();
-    reg.sites.insert(
-        (name, idx),
-        Site {
+impl Failpoints {
+    /// Arm `name` to fire with `action` on its `nth` evaluation (1-based),
+    /// restricted to evaluations reporting shard index `idx` (`None` = any
+    /// index).  Per-index arming is the deterministic form: each worker
+    /// evaluates its own sites in a scheduling-independent order.
+    pub fn arm(&self, name: &'static str, idx: Option<usize>, nth: u64, action: FailAction) {
+        let site = Site {
             action,
             nth: nth.max(1),
             hits: 0,
-            fired: 0,
-        },
-    );
-    ANY_ARMED.store(true, Ordering::Release);
-}
-
-/// Disarm one site (both its wildcard and every per-index entry).
-pub fn disarm(name: &str) {
-    let mut reg = lock_registry();
-    reg.sites.retain(|(n, _), _| *n != name);
-    if reg.sites.is_empty() {
-        ANY_ARMED.store(false, Ordering::Release);
+        };
+        self.sites.lock().insert((name, idx), site);
     }
-}
 
-/// Disarm every site and reset all counters.
-pub fn disarm_all() {
-    let mut reg = lock_registry();
-    reg.sites.clear();
-    ANY_ARMED.store(false, Ordering::Release);
-}
-
-/// Evaluations seen by `name` (summed over its per-index entries) since it
-/// was armed.  Counting only happens while the site is armed.
-pub fn hits(name: &str) -> u64 {
-    let reg = lock_registry();
-    reg.sites
-        .iter()
-        .filter(|((n, _), _)| *n == name)
-        .map(|(_, s)| s.hits)
-        .sum()
-}
-
-/// Total fires across every armed site — a run taken with the feature
-/// compiled in reads this to attest that no fault actually fired
-/// (`tests/fault_injection.rs` pins it at zero for a disarmed build).
-pub fn total_fired() -> u64 {
-    let reg = lock_registry();
-    reg.sites.values().map(|s| s.fired).sum()
-}
-
-/// Times `name` has fired since it was armed.
-pub fn fired(name: &str) -> u64 {
-    let reg = lock_registry();
-    reg.sites
-        .iter()
-        .filter(|((n, _), _)| *n == name)
-        .map(|(_, s)| s.fired)
-        .sum()
-}
-
-/// Look up the action to take for one evaluation, maintaining counters.
-/// Exact `(name, Some(idx))` entries take precedence over the wildcard.
-fn evaluate(name: &'static str, idx: usize) -> Option<FailAction> {
-    if !ANY_ARMED.load(Ordering::Acquire) {
-        return None;
+    /// Times `name` has fired since it was armed, over its per-index arms.
+    pub fn fired(&self, name: &str) -> u64 {
+        let sites = self.sites.lock();
+        let fired = sites
+            .iter()
+            .filter(|((n, _), s)| *n == name && s.hits >= s.nth);
+        fired.count() as u64
     }
-    let mut reg = lock_registry();
-    let key = if reg.sites.contains_key(&(name, Some(idx))) {
-        (name, Some(idx))
-    } else {
-        (name, None)
-    };
-    let site = reg.sites.get_mut(&key)?;
-    site.hits += 1;
-    if site.hits == site.nth {
-        site.fired += 1;
-        Some(site.action)
-    } else {
-        None
-    }
-}
 
-/// Evaluate a fallible failpoint site.  Used through
-/// [`crate::failpoint!`]; `idx` is `usize::MAX` for sites with no shard
-/// identity.
-pub fn check(name: &'static str, idx: usize) -> GrbResult<()> {
-    match evaluate(name, idx) {
-        None => Ok(()),
-        Some(FailAction::Panic) => panic!("failpoint '{name}' injected panic (shard {idx})"),
-        Some(FailAction::Error) => Err(GrbError::Injected(name)),
-        Some(FailAction::Sleep(d)) => {
-            std::thread::sleep(d);
-            Ok(())
+    /// Count one evaluation and say what to do.  An exact `(name,
+    /// Some(idx))` arm takes precedence over the wildcard.
+    fn evaluate(&self, name: &'static str, idx: usize) -> Option<FailAction> {
+        let mut sites = self.sites.lock();
+        let key = if sites.contains_key(&(name, Some(idx))) {
+            (name, Some(idx))
+        } else {
+            (name, None)
+        };
+        let site = sites.get_mut(&key)?;
+        site.hits += 1;
+        (site.hits == site.nth).then_some(site.action)
+    }
+
+    /// Evaluate a fallible site; `idx` is `usize::MAX` for sites with no
+    /// shard identity.
+    pub(crate) fn check(&self, name: &'static str, idx: usize) -> GrbResult<()> {
+        match self.evaluate(name, idx) {
+            None => Ok(()),
+            Some(FailAction::Panic) => panic!("failpoint '{name}' injected panic (shard {idx})"),
+            Some(FailAction::Error) => Err(GrbError::Injected(name)),
+            Some(FailAction::Sleep(d)) => {
+                std::thread::sleep(d);
+                Ok(())
+            }
         }
     }
-}
 
-/// Evaluate a panic-only failpoint site (infallible contexts).  An armed
-/// `Error` action escalates to a panic here.
-pub fn check_panic_only(name: &'static str, idx: usize) {
-    match evaluate(name, idx) {
-        None => {}
-        Some(FailAction::Sleep(d)) => std::thread::sleep(d),
-        Some(_) => panic!("failpoint '{name}' injected panic (shard {idx})"),
+    /// Evaluate a panic-only site (infallible contexts).  An armed `Error`
+    /// action escalates to a panic here.
+    pub(crate) fn check_panic(&self, name: &'static str, idx: usize) {
+        if self.check(name, idx).is_err() {
+            panic!("failpoint '{name}' injected panic (shard {idx})");
+        }
     }
 }
 
@@ -180,50 +114,43 @@ pub fn check_panic_only(name: &'static str, idx: usize) {
 mod tests {
     use super::*;
 
-    // The registry is process-global; every test uses its own site names so
-    // the cases stay independent under the parallel test runner.
-
     #[test]
-    fn disarmed_sites_are_inert() {
-        assert!(check("fp-test-inert", 0).is_ok());
-        assert_eq!(hits("fp-test-inert"), 0);
-    }
-
-    #[test]
-    fn nth_evaluation_fires_exactly_once() {
-        arm("fp-test-nth", 3, FailAction::Error);
-        assert!(check("fp-test-nth", 0).is_ok());
-        assert!(check("fp-test-nth", 1).is_ok());
-        assert_eq!(
-            check("fp-test-nth", 2),
-            Err(GrbError::Injected("fp-test-nth"))
-        );
-        assert!(check("fp-test-nth", 0).is_ok());
-        assert_eq!(hits("fp-test-nth"), 4);
-        assert_eq!(fired("fp-test-nth"), 1);
-        disarm("fp-test-nth");
-        assert!(check("fp-test-nth", 2).is_ok());
+    fn nth_evaluation_fires_exactly_once_on_its_own_handle() {
+        let (armed, other) = (Failpoints::default(), Failpoints::default());
+        armed.arm("site", None, 3, FailAction::Error);
+        for idx in 0..4 {
+            assert!(other.check("site", idx).is_ok(), "another handle is inert");
+        }
+        assert!(armed.check("site", 0).is_ok());
+        assert!(armed.check("site", 1).is_ok());
+        assert_eq!(armed.check("site", 2), Err(GrbError::Injected("site")));
+        assert!(armed.check("site", 0).is_ok());
+        assert_eq!((armed.fired("site"), other.fired("site")), (1, 0));
+        let clone = armed.clone();
+        clone.arm("late", None, 1, FailAction::Error);
+        assert!(armed.check("late", 0).is_err(), "clones share one table");
     }
 
     #[test]
     fn per_index_arming_only_hits_that_index() {
-        arm_at("fp-test-idx", Some(2), 1, FailAction::Error);
-        assert!(check("fp-test-idx", 0).is_ok());
-        assert!(check("fp-test-idx", 1).is_ok());
-        assert!(check("fp-test-idx", 2).is_err());
-        disarm("fp-test-idx");
+        let (a, b) = (Failpoints::default(), Failpoints::default());
+        a.arm("site", Some(2), 1, FailAction::Error);
+        b.arm("site", Some(1), 1, FailAction::Error);
+        assert!(a.check("site", 0).is_ok());
+        assert!(a.check("site", 1).is_ok());
+        assert!(b.check("site", 2).is_ok());
+        assert!(a.check("site", 2).is_err());
+        assert!(b.check("site", 1).is_err());
+        assert_eq!((a.fired("site"), b.fired("site")), (1, 1));
     }
 
     #[test]
     fn sleep_action_delays_then_continues() {
-        arm(
-            "fp-test-sleep",
-            1,
-            FailAction::Sleep(Duration::from_millis(5)),
-        );
+        let (slow, fast) = (Failpoints::default(), Failpoints::default());
+        slow.arm("site", None, 1, FailAction::Sleep(Duration::from_millis(5)));
         let start = std::time::Instant::now();
-        assert!(check("fp-test-sleep", 0).is_ok());
+        assert!(fast.check("site", 0).is_ok());
+        assert!(slow.check("site", 0).is_ok());
         assert!(start.elapsed() >= Duration::from_millis(5));
-        disarm("fp-test-sleep");
     }
 }

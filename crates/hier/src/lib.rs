@@ -46,6 +46,23 @@
 pub mod config;
 #[cfg(feature = "failpoints")]
 pub mod failpoint;
+/// Without the `failpoints` feature an engine's fault sites are inlined
+/// no-ops on a zero-sized handle.
+#[cfg(not(feature = "failpoints"))]
+mod failpoint {
+    #[derive(Debug, Clone, Default)]
+    pub(crate) struct Failpoints {}
+
+    impl Failpoints {
+        #[inline]
+        pub(crate) fn check(&self, _: &str, _: usize) -> hyperstream_graphblas::GrbResult<()> {
+            Ok(())
+        }
+
+        #[inline]
+        pub(crate) fn check_panic(&self, _: &str, _: usize) {}
+    }
+}
 mod fold;
 pub mod matrix;
 pub mod persist;
@@ -66,35 +83,3 @@ pub use sharded::{ShardPartitioner, ShardedConfig, ShardedHierMatrix, ShardedSna
 pub use stats::HierStats;
 pub use tuning::{recommend_cuts, sweep_cut_schedules, CutRecommendation};
 pub use windowed::WindowedHierMatrix;
-
-/// Evaluate a fallible fault-injection site: under the `failpoints`
-/// feature an armed site may return
-/// [`GrbError::Injected`](hyperstream_graphblas::GrbError::Injected), panic, or sleep;
-/// without the feature the macro compiles to nothing.  The optional second
-/// argument is the shard index the site reports for per-index arming.
-#[macro_export]
-macro_rules! failpoint {
-    ($name:expr) => {
-        #[cfg(feature = "failpoints")]
-        $crate::failpoint::check($name, usize::MAX)?;
-    };
-    ($name:expr, $idx:expr) => {
-        #[cfg(feature = "failpoints")]
-        $crate::failpoint::check($name, $idx)?;
-    };
-}
-
-/// Panic-only form of [`failpoint!`] for infallible contexts (an armed
-/// `error` action escalates to a panic).  Compiles to nothing without the
-/// `failpoints` feature.
-#[macro_export]
-macro_rules! failpoint_panic {
-    ($name:expr) => {
-        #[cfg(feature = "failpoints")]
-        $crate::failpoint::check_panic_only($name, usize::MAX);
-    };
-    ($name:expr, $idx:expr) => {
-        #[cfg(feature = "failpoints")]
-        $crate::failpoint::check_panic_only($name, $idx);
-    };
-}

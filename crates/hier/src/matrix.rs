@@ -1,6 +1,7 @@
 //! The hierarchical hypersparse matrix itself.
 
 use crate::config::HierConfig;
+use crate::failpoint::Failpoints;
 use crate::fold::BatchFold;
 use crate::persist::{self, manifest, recover, wal, DurableConfig, DurableState, RecoveryReport};
 use crate::stats::HierStats;
@@ -83,11 +84,15 @@ pub struct HierMatrix<T> {
     /// [`HierMatrix::open`].  See [`crate::persist`].  Boxed: the
     /// bookkeeping is cold beside the levels and most matrices have none.
     durable: Option<Box<DurableState>>,
+    /// The fault sites this matrix evaluates, its WAL and level writes
+    /// included; a sharded engine replaces it with its own.
+    pub(crate) fp: Failpoints,
 }
 
 /// A clone is a detached in-memory copy: it shares no durable directory
 /// with the original (two writers to one WAL would corrupt it), so the
-/// clone's `durable` state is `None` regardless of the source's.
+/// clone's `durable` state is `None` regardless of the source's, and no
+/// fault site either: it gets a fresh `Failpoints` handle.
 impl<T: Clone> Clone for HierMatrix<T> {
     fn clone(&self) -> Self {
         Self {
@@ -100,6 +105,7 @@ impl<T: Clone> Clone for HierMatrix<T> {
             stats: self.stats.clone(),
             degrees: self.degrees.clone(),
             durable: None,
+            fp: Failpoints::default(),
         }
     }
 }
@@ -217,7 +223,7 @@ impl<T: ScalarType> Degrees<T> {
 impl<T> Drop for HierMatrix<T> {
     fn drop(&mut self) {
         if let Some(d) = self.durable.as_mut() {
-            let _ = d.wal.sync();
+            let _ = d.wal.sync(&self.fp);
             d.remove_retired();
         }
     }
@@ -249,6 +255,7 @@ impl<T: ScalarType> HierMatrix<T> {
             fold: BatchFold::new(),
             degrees: Degrees::default(),
             durable: None,
+            fp: Failpoints::default(),
         }
     }
 
@@ -285,6 +292,12 @@ impl<T: ScalarType> HierMatrix<T> {
     /// Reset instrumentation counters (matrix contents are unchanged).
     pub fn reset_stats(&mut self) {
         self.stats = HierStats::new(self.levels.len());
+    }
+
+    /// The fault sites this matrix evaluates, for a test to arm.
+    #[cfg(feature = "failpoints")]
+    pub fn failpoints(&self) -> &Failpoints {
+        &self.fp
     }
 
     /// Apply one streaming update `A(row, col) += val`.
@@ -470,7 +483,6 @@ impl<T: ScalarType> HierMatrix<T> {
         if self.levels[i].npending() == 0 {
             return;
         }
-        crate::failpoint_panic!("hier-settle");
         let degrees = &mut self.degrees;
         self.levels[i].wait_observed(&mut |rows, cols, vals| degrees.observe(rows, cols, vals));
         if i == 0 {
@@ -560,7 +572,7 @@ impl<T: ScalarType> HierMatrix<T> {
     /// signature is what lets a shard worker latch and report a flush
     /// failure instead of dropping it.
     pub fn flush(&mut self) -> GrbResult<()> {
-        crate::failpoint!("hier-flush");
+        self.fp.check("hier-flush", usize::MAX)?;
         let top = self.levels.len() - 1;
         for i in 0..top {
             let entries = self.level_entries_bound(i);
@@ -660,7 +672,7 @@ impl<T: ScalarType> HierMatrix<T> {
     /// level and leave each copy's buffers allocated behind it.
     fn cascade_level(&mut self, i: usize) {
         debug_assert!(i + 1 < self.levels.len());
-        crate::failpoint_panic!("hier-cascade");
+        self.fp.check_panic("hier-cascade", usize::MAX);
         // Settle level i first so the merge sees compressed data.  The
         // merge itself moves cells between levels without changing the
         // represented union, so the cascade costs the degree index nothing.
@@ -670,7 +682,7 @@ impl<T: ScalarType> HierMatrix<T> {
             return;
         }
         if let Some(d) = self.durable.as_mut() {
-            d.cascade(i, self.levels[i].dcsr(), self.config.cuts());
+            d.cascade(i, self.levels[i].dcsr(), self.config.cuts(), &self.fp);
         }
         let (src_levels, dst_levels) = self.levels.split_at_mut(i + 1);
         let (src, dst) = (&mut src_levels[i], &mut dst_levels[0]);
@@ -718,7 +730,7 @@ impl<T: ScalarType> HierMatrix<T> {
         };
         let wal_path = cfg.dir.join(manifest::wal_file_name(man.wal_gen));
         let wal = wal::WalWriter::create(&wal_path, T::TYPE_TAG)?;
-        manifest::write(&cfg.dir, &man)?;
+        manifest::write(&cfg.dir, &man, &m.fp)?;
         m.durable = Some(Box::new(DurableState::new(cfg, wal, man)));
         Ok(m)
     }
@@ -881,7 +893,7 @@ impl<T: ScalarType> HierMatrix<T> {
             lists.push(match d.levels[i].clone() {
                 Some(files) => files,
                 None if level.is_empty() => Vec::new(),
-                None => vec![d.write_file(level.dcsr())?],
+                None => vec![d.write_file(level.dcsr(), &self.fp)?],
             });
         }
         // Fresh empty WAL for the post-checkpoint tail.
@@ -902,7 +914,7 @@ impl<T: ScalarType> HierMatrix<T> {
             cuts: self.config.cuts().to_vec(),
             levels: lists,
         };
-        manifest::write(&dir, &man)?;
+        manifest::write(&dir, &man, &self.fp)?;
         // Committed: swap in-memory state and queue every level file the
         // manifest does not list, and the old log, for removal
         // (best-effort — reopen sweeps leftovers).
@@ -946,9 +958,8 @@ impl<T: ScalarType> HierMatrix<T> {
         };
         d.remove_retired();
         let (rows, cols, vals) = self.levels[0].pending_parts();
-        let logged = d
-            .wal
-            .append(&rows[from..], &cols[from..], &vals[from..], d.cfg.fsync);
+        let (rows, cols, vals) = (&rows[from..], &cols[from..], &vals[from..]);
+        let logged = d.wal.append(rows, cols, vals, d.cfg.fsync, &self.fp);
         if logged.is_err() {
             self.levels[0].truncate_pending(from);
         }

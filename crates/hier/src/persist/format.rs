@@ -32,6 +32,7 @@
 //! can cause a panic or an out-of-bounds read.
 
 use super::{corruption, crc32, encode_u64s, get_u32, get_u64, io_err, le_u64s, Crc32};
+use crate::failpoint::Failpoints;
 use hyperstream_graphblas::formats::dcsr::Dcsr;
 use hyperstream_graphblas::{GrbResult, ScalarType};
 use std::fs::File;
@@ -99,6 +100,7 @@ pub(crate) fn write_level<T: ScalarType>(
     name: &str,
     dcsr: &Dcsr<T>,
     buf: &mut Vec<u8>,
+    fp: &Failpoints,
 ) -> GrbResult<()> {
     let (row_ids, row_ptr, col_idx, vals) = dcsr.raw_parts();
     let ne = row_ids.len() as u64;
@@ -156,14 +158,14 @@ pub(crate) fn write_level<T: ScalarType>(
         .map_err(|e| io_err("write level header", e))?;
     // An armed `persist-partial-write` leaves a header-only temp file —
     // the state a crash between the header and body writes produces.
-    crate::failpoint!("persist-partial-write");
+    fp.check("persist-partial-write", usize::MAX)?;
     file.write_all(body)
         .map_err(|e| io_err("write level sections", e))?;
-    crate::failpoint!("persist-pre-fsync");
+    fp.check("persist-pre-fsync", usize::MAX)?;
     file.sync_all().map_err(|e| io_err("fsync level file", e))?;
-    crate::failpoint!("persist-post-fsync");
+    fp.check("persist-post-fsync", usize::MAX)?;
     drop(file);
-    crate::failpoint!("persist-mid-rename");
+    fp.check("persist-mid-rename", usize::MAX)?;
     std::fs::rename(&tmp, dir.join(name)).map_err(|e| io_err("rename level file", e))?;
     Ok(())
 }
@@ -298,9 +300,10 @@ mod tests {
 
     #[test]
     fn write_then_read_round_trips() {
+        let fp = Failpoints::default();
         let dir = tmpdir("roundtrip");
         let d = sample();
-        write_level(&dir, "lvl-test.dat", &d, &mut Vec::new()).unwrap();
+        write_level(&dir, "lvl-test.dat", &d, &mut Vec::new(), &fp).unwrap();
         let back: Dcsr<u64> =
             read_level(&dir, "lvl-test.dat", d.nrows(), d.ncols(), d.nvals() as u64).unwrap();
         assert_eq!(back, d);
@@ -310,9 +313,10 @@ mod tests {
 
     #[test]
     fn empty_level_round_trips() {
+        let fp = Failpoints::default();
         let dir = tmpdir("empty");
         let d = Dcsr::<u64>::new(100, 100);
-        write_level(&dir, "lvl-e.dat", &d, &mut Vec::new()).unwrap();
+        write_level(&dir, "lvl-e.dat", &d, &mut Vec::new(), &fp).unwrap();
         let back: Dcsr<u64> = read_level(&dir, "lvl-e.dat", 100, 100, 0).unwrap();
         assert!(back.is_empty());
         std::fs::remove_dir_all(&dir).unwrap();
@@ -320,9 +324,10 @@ mod tests {
 
     #[test]
     fn mismatched_expectations_are_corruption() {
+        let fp = Failpoints::default();
         let dir = tmpdir("mismatch");
         let d = sample();
-        write_level(&dir, "lvl-m.dat", &d, &mut Vec::new()).unwrap();
+        write_level(&dir, "lvl-m.dat", &d, &mut Vec::new(), &fp).unwrap();
         // Wrong nnz.
         assert!(read_level::<u64>(&dir, "lvl-m.dat", d.nrows(), d.ncols(), 99).is_err());
         // Wrong dims.
@@ -336,9 +341,10 @@ mod tests {
 
     #[test]
     fn truncation_extension_and_flips_are_corruption() {
+        let fp = Failpoints::default();
         let dir = tmpdir("mutate");
         let d = sample();
-        write_level(&dir, "lvl-x.dat", &d, &mut Vec::new()).unwrap();
+        write_level(&dir, "lvl-x.dat", &d, &mut Vec::new(), &fp).unwrap();
         let path = dir.join("lvl-x.dat");
         let orig = std::fs::read(&path).unwrap();
 
@@ -365,17 +371,18 @@ mod tests {
 
     #[test]
     fn rewriting_a_level_reuses_the_buffer_and_leaks_no_stale_bytes() {
+        let fp = Failpoints::default();
         let dir = tmpdir("reuse");
         let idx: Vec<u64> = (0..5000).collect();
         let big = Dcsr::from_tuples(1 << 20, 1 << 20, &idx, &idx, &idx, Plus).unwrap();
         let mut buf = Vec::new();
-        write_level(&dir, "big-1.dat", &big, &mut buf).unwrap();
+        write_level(&dir, "big-1.dat", &big, &mut buf, &fp).unwrap();
         let (ptr, cap) = (buf.as_ptr(), buf.capacity());
-        write_level(&dir, "big-2.dat", &big, &mut buf).unwrap();
+        write_level(&dir, "big-2.dat", &big, &mut buf, &fp).unwrap();
         // A smaller level through the same, now dirty, buffer.
-        write_level(&dir, "small.dat", &sample(), &mut buf).unwrap();
+        write_level(&dir, "small.dat", &sample(), &mut buf, &fp).unwrap();
         assert_eq!((buf.as_ptr(), buf.capacity()), (ptr, cap));
-        write_level(&dir, "small-fresh.dat", &sample(), &mut Vec::new()).unwrap();
+        write_level(&dir, "small-fresh.dat", &sample(), &mut Vec::new(), &fp).unwrap();
         let read = |name: &str| std::fs::read(dir.join(name)).unwrap();
         assert_eq!(read("big-1.dat"), read("big-2.dat"));
         assert_eq!(read("small.dat"), read("small-fresh.dat"));

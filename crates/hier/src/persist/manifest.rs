@@ -25,6 +25,7 @@
 //! new manifest, each internally consistent and CRC-protected.
 
 use super::{corruption, crc32, get_u32, get_u64, io_err, put_u32, put_u64};
+use crate::failpoint::Failpoints;
 use hyperstream_graphblas::GrbResult;
 use std::fs::File;
 use std::io::{Read, Write};
@@ -114,19 +115,19 @@ fn encode(m: &Manifest) -> Vec<u8> {
 
 /// Commit `m` atomically: write `MANIFEST.tmp`, fsync it, rename over
 /// `MANIFEST`, fsync the directory.
-pub(crate) fn write(dir: &Path, m: &Manifest) -> GrbResult<()> {
+pub(crate) fn write(dir: &Path, m: &Manifest, fp: &Failpoints) -> GrbResult<()> {
     let bytes = encode(m);
     let tmp = dir.join(format!("{MANIFEST_NAME}.tmp"));
     let mut file = File::create(&tmp).map_err(|e| io_err("create manifest tmp", e))?;
     file.write_all(&bytes)
         .map_err(|e| io_err("write manifest", e))?;
-    crate::failpoint!("persist-pre-fsync");
+    fp.check("persist-pre-fsync", usize::MAX)?;
     file.sync_all().map_err(|e| io_err("fsync manifest", e))?;
-    crate::failpoint!("persist-post-fsync");
+    fp.check("persist-post-fsync", usize::MAX)?;
     drop(file);
     // The commit point: everything before the rename is invisible to
     // recovery; everything after it is fully committed.
-    crate::failpoint!("persist-manifest-swap");
+    fp.check("persist-manifest-swap", usize::MAX)?;
     std::fs::rename(&tmp, path(dir)).map_err(|e| io_err("swap manifest", e))?;
     fsync_dir(dir)?;
     Ok(())
@@ -322,9 +323,10 @@ mod tests {
 
     #[test]
     fn write_then_read_round_trips() {
+        let fp = Failpoints::default();
         let dir = tmpdir("roundtrip");
         let m = sample();
-        write(&dir, &m).unwrap();
+        write(&dir, &m, &fp).unwrap();
         assert!(exists(&dir));
         assert_eq!(read(&dir).unwrap(), m);
         std::fs::remove_dir_all(&dir).unwrap();
@@ -332,8 +334,9 @@ mod tests {
 
     #[test]
     fn every_byte_flip_is_rejected() {
+        let fp = Failpoints::default();
         let dir = tmpdir("flips");
-        write(&dir, &sample()).unwrap();
+        write(&dir, &sample(), &fp).unwrap();
         let p = path(&dir);
         let orig = std::fs::read(&p).unwrap();
         for i in 0..orig.len() {
@@ -388,9 +391,10 @@ mod tests {
 
     #[test]
     fn sweep_removes_only_unreferenced_store_files() {
+        let fp = Failpoints::default();
         let dir = tmpdir("sweep");
         let m = sample();
-        write(&dir, &m).unwrap();
+        write(&dir, &m, &fp).unwrap();
         let keep_lvl = dir.join(level_file_name(3));
         let keep_run = dir.join(level_file_name(9));
         let keep_wal = dir.join(wal_file_name(11));

@@ -60,6 +60,7 @@ pub mod manifest;
 pub mod recover;
 pub mod wal;
 
+use crate::failpoint::Failpoints;
 use hyperstream_graphblas::formats::dcsr::Dcsr;
 use hyperstream_graphblas::{GrbError, GrbResult, ScalarType};
 use manifest::LevelFile;
@@ -421,11 +422,15 @@ impl DurableState {
 
     /// Write `level` as one new file under a fresh gen, fsynced (the
     /// directory is fsynced by the commit that first lists it).
-    pub(crate) fn write_file<T: ScalarType>(&mut self, d: &Dcsr<T>) -> GrbResult<LevelFile> {
+    pub(crate) fn write_file<T: ScalarType>(
+        &mut self,
+        d: &Dcsr<T>,
+        fp: &Failpoints,
+    ) -> GrbResult<LevelFile> {
         let gen = self.next_gen;
         self.next_gen += 1;
         let name = manifest::level_file_name(gen);
-        format::write_level(&self.cfg.dir, &name, d, &mut self.level_buf)?;
+        format::write_level(&self.cfg.dir, &name, d, &mut self.level_buf, fp)?;
         self.on_disk.push(gen);
         let nnz = d.nvals() as u64;
         Ok(LevelFile { gen, nnz })
@@ -438,11 +443,19 @@ impl DurableState {
     /// its destination one too, and so do a list that would exceed
     /// [`max_files`] and a write that fails (the commit's whole rewrite
     /// then surfaces the error).
-    pub(crate) fn cascade<T: ScalarType>(&mut self, i: usize, src: &Dcsr<T>, cuts: &[u64]) {
+    pub(crate) fn cascade<T: ScalarType>(
+        &mut self,
+        i: usize,
+        src: &Dcsr<T>,
+        cuts: &[u64],
+        fp: &Failpoints,
+    ) {
         let bound = max_files(cuts, i + 1);
         let room = |dst: &Option<Vec<_>>| dst.as_ref().is_some_and(|d| d.len() < bound);
         let moved = match self.levels[i].replace(Vec::new()) {
-            None if i == 0 && room(&self.levels[1]) => self.write_file(src).ok().map(|f| vec![f]),
+            None if i == 0 && room(&self.levels[1]) => {
+                self.write_file(src, fp).ok().map(|f| vec![f])
+            }
             files => files,
         };
         self.levels[i + 1] = match (self.levels[i + 1].take(), moved) {
@@ -525,6 +538,7 @@ mod tests {
     /// inputs; the version-2 manifest's pin is the first of its writer.
     #[test]
     fn golden_files_match_the_previous_writer() {
+        let fp = Failpoints::default();
         use hyperstream_graphblas::formats::dcsr::Dcsr;
         use hyperstream_graphblas::prelude::Plus;
         use manifest::LevelFile;
@@ -539,9 +553,10 @@ mod tests {
             &[2, 9, (1 << 32) - 1],
             &[1.5f64, -2.25, 1e300],
             FsyncPolicy::Never,
+            &fp,
         )
         .unwrap();
-        w.append(&[42], &[43], &[0.5f64], FsyncPolicy::EveryBatch)
+        w.append(&[42], &[43], &[0.5f64], FsyncPolicy::EveryBatch, &fp)
             .unwrap();
         drop(w);
 
@@ -553,7 +568,7 @@ mod tests {
         let d = Dcsr::from_tuples(1 << 32, 1 << 32, &rows, &cols, &vals, Plus).unwrap();
         // A dirty, oversized buffer: reuse must not leak stale bytes.
         let mut buf = vec![0xA5u8; 64 * 1024];
-        format::write_level(&dir, "l.dat", &d, &mut buf).unwrap();
+        format::write_level(&dir, "l.dat", &d, &mut buf, &fp).unwrap();
 
         let file = |gen, nnz| LevelFile { gen, nnz };
         let mut m = manifest::Manifest {
@@ -599,7 +614,7 @@ mod tests {
         m.next_gen = 9;
         m.wal_gen = 8;
         m.levels[2].push(file(7, 4096));
-        manifest::write(&dir, &m).unwrap();
+        manifest::write(&dir, &m, &fp).unwrap();
         assert_eq!(manifest::read(&dir).unwrap(), m);
 
         // A manifest ends in the CRC of everything before it, so the CRC of

@@ -22,6 +22,7 @@
 use super::{
     corruption, crc32, encode_u64s, get_u32, io_err, le_u64s, put_u32, Crc32, FsyncPolicy,
 };
+use crate::failpoint::Failpoints;
 use hyperstream_graphblas::{GrbError, GrbResult, ScalarType};
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
@@ -164,6 +165,7 @@ impl WalWriter {
         cols: &[u64],
         vals: &[T],
         policy: FsyncPolicy,
+        fp: &Failpoints,
     ) -> GrbResult<()> {
         let len = frame_payload_len(rows.len())?;
         if self.latched {
@@ -175,7 +177,7 @@ impl WalWriter {
         if len == 0 {
             return Ok(());
         }
-        let result = self.write_frame(len, rows, cols, vals, policy);
+        let result = self.write_frame(len, rows, cols, vals, policy, fp);
         if result.is_err() {
             self.rollback();
         }
@@ -191,8 +193,9 @@ impl WalWriter {
         cols: &[u64],
         vals: &[T],
         policy: FsyncPolicy,
+        fp: &Failpoints,
     ) -> GrbResult<()> {
-        crate::failpoint!("persist-wal-append");
+        fp.check("persist-wal-append", usize::MAX)?;
         let plane = 8 * rows.len();
         self.buf.resize(FRAME_HEADER_BYTES + len as usize, 0);
         let (header, payload) = self.buf.split_at_mut(FRAME_HEADER_BYTES);
@@ -212,7 +215,7 @@ impl WalWriter {
         self.file
             .write_all(&self.buf[..mid])
             .map_err(|e| io_err("append wal frame", e))?;
-        crate::failpoint!("persist-partial-write");
+        fp.check("persist-partial-write", usize::MAX)?;
         self.file
             .write_all(&self.buf[mid..])
             .map_err(|e| io_err("append wal frame", e))?;
@@ -222,7 +225,7 @@ impl WalWriter {
             FsyncPolicy::Never => false,
         };
         if sync_due {
-            self.sync()?;
+            self.sync(fp)?;
         } else {
             self.unsynced += 1;
         }
@@ -241,10 +244,10 @@ impl WalWriter {
     }
 
     /// Force appended frames to stable storage.
-    pub(crate) fn sync(&mut self) -> GrbResult<()> {
-        crate::failpoint!("persist-pre-fsync");
+    pub(crate) fn sync(&mut self, fp: &Failpoints) -> GrbResult<()> {
+        fp.check("persist-pre-fsync", usize::MAX)?;
         self.file.sync_data().map_err(|e| io_err("fsync wal", e))?;
-        crate::failpoint!("persist-post-fsync");
+        fp.check("persist-post-fsync", usize::MAX)?;
         self.unsynced = 0;
         self.syncs += 1;
         Ok(())
@@ -385,11 +388,13 @@ mod tests {
 
     #[test]
     fn append_then_scan_round_trips() {
+        let fp = Failpoints::default();
         let path = tmp("roundtrip");
         let mut w = WalWriter::create(&path, 9).unwrap();
-        w.append(&[1, 2], &[3, 4], &[10u64, 20], FsyncPolicy::EveryBatch)
+        w.append(&[1, 2], &[3, 4], &[10u64, 20], FsyncPolicy::EveryBatch, &fp)
             .unwrap();
-        w.append(&[5], &[6], &[30u64], FsyncPolicy::Never).unwrap();
+        w.append(&[5], &[6], &[30u64], FsyncPolicy::Never, &fp)
+            .unwrap();
         drop(w);
         let scan = scan::<u64>(&path).unwrap();
         assert_eq!(scan.records.len(), 2);
@@ -404,11 +409,12 @@ mod tests {
 
     #[test]
     fn torn_tail_is_detected_and_truncatable() {
+        let fp = Failpoints::default();
         let path = tmp("torn");
         let mut w = WalWriter::create(&path, 9).unwrap();
-        w.append(&[1], &[2], &[3u64], FsyncPolicy::EveryBatch)
+        w.append(&[1], &[2], &[3u64], FsyncPolicy::EveryBatch, &fp)
             .unwrap();
-        w.append(&[4], &[5], &[6u64], FsyncPolicy::EveryBatch)
+        w.append(&[4], &[5], &[6u64], FsyncPolicy::EveryBatch, &fp)
             .unwrap();
         drop(w);
         // Chop the last frame in half.
@@ -425,7 +431,7 @@ mod tests {
         assert!(!clean.torn);
         // Resume appending after the truncation.
         let mut w = WalWriter::resume(&path, clean.good_len, clean.next_seq).unwrap();
-        w.append(&[7], &[8], &[9u64], FsyncPolicy::EveryBatch)
+        w.append(&[7], &[8], &[9u64], FsyncPolicy::EveryBatch, &fp)
             .unwrap();
         drop(w);
         let s = scan::<u64>(&path).unwrap();
@@ -456,11 +462,12 @@ mod tests {
 
     #[test]
     fn corrupt_frame_payload_ends_scan_at_previous_frame() {
+        let fp = Failpoints::default();
         let path = tmp("badframe");
         let mut w = WalWriter::create(&path, 9).unwrap();
-        w.append(&[1], &[2], &[3u64], FsyncPolicy::EveryBatch)
+        w.append(&[1], &[2], &[3u64], FsyncPolicy::EveryBatch, &fp)
             .unwrap();
-        w.append(&[4], &[5], &[6u64], FsyncPolicy::EveryBatch)
+        w.append(&[4], &[5], &[6u64], FsyncPolicy::EveryBatch, &fp)
             .unwrap();
         drop(w);
         let mut bytes = std::fs::read(&path).unwrap();
@@ -491,15 +498,17 @@ mod tests {
 
     #[test]
     fn steady_state_appends_reuse_the_frame_buffer() {
+        let fp = Failpoints::default();
         let path = tmp("reuse");
         let mut w = WalWriter::create(&path, 9).unwrap();
         let idx: Vec<u64> = (0..1000).collect();
-        w.append(&idx, &idx, &idx, FsyncPolicy::Never).unwrap();
+        w.append(&idx, &idx, &idx, FsyncPolicy::Never, &fp).unwrap();
         let (ptr, cap) = (w.buf.as_ptr(), w.buf.capacity());
         // Same size, smaller (the single-update path), same size again.
-        w.append(&idx, &idx, &idx, FsyncPolicy::Never).unwrap();
-        w.append(&[1], &[2], &[3u64], FsyncPolicy::Never).unwrap();
-        w.append(&idx, &idx, &idx, FsyncPolicy::Never).unwrap();
+        w.append(&idx, &idx, &idx, FsyncPolicy::Never, &fp).unwrap();
+        w.append(&[1], &[2], &[3u64], FsyncPolicy::Never, &fp)
+            .unwrap();
+        w.append(&idx, &idx, &idx, FsyncPolicy::Never, &fp).unwrap();
         assert_eq!((w.buf.as_ptr(), w.buf.capacity()), (ptr, cap));
         drop(w);
         let s = scan::<u64>(&path).unwrap();
@@ -511,14 +520,17 @@ mod tests {
 
     #[test]
     fn rollback_cuts_a_torn_frame_so_later_frames_stay_reachable() {
+        let fp = Failpoints::default();
         let path = tmp("rollback");
         let mut w = WalWriter::create(&path, 9).unwrap();
-        w.append(&[1], &[2], &[3u64], FsyncPolicy::Never).unwrap();
+        w.append(&[1], &[2], &[3u64], FsyncPolicy::Never, &fp)
+            .unwrap();
         // What a failed second write leaves behind: half a frame.
         w.file.write_all(&[0xEE; 20]).unwrap();
         w.rollback();
         assert!(!w.latched);
-        w.append(&[4], &[5], &[6u64], FsyncPolicy::Never).unwrap();
+        w.append(&[4], &[5], &[6u64], FsyncPolicy::Never, &fp)
+            .unwrap();
         drop(w);
         let s = scan::<u64>(&path).unwrap();
         assert!(!s.torn);
@@ -529,14 +541,17 @@ mod tests {
 
     #[test]
     fn failed_rollback_latches_the_writer() {
+        let fp = Failpoints::default();
         let path = tmp("latch");
         drop(WalWriter::create(&path, 9).unwrap());
         // A read-only handle: the frame write fails and so does the
         // truncation that would undo it.
         let mut w = WalWriter::at(File::open(&path).unwrap(), WAL_HEADER_BYTES, 0);
-        assert!(w.append(&[1], &[2], &[3u64], FsyncPolicy::Never).is_err());
+        assert!(w
+            .append(&[1], &[2], &[3u64], FsyncPolicy::Never, &fp)
+            .is_err());
         assert!(w.latched);
-        match w.append(&[4], &[5], &[6u64], FsyncPolicy::Never) {
+        match w.append(&[4], &[5], &[6u64], FsyncPolicy::Never, &fp) {
             Err(GrbError::Corruption { detail }) => assert!(detail.contains("rolled back")),
             other => panic!("latched writer must refuse appends, got {other:?}"),
         }

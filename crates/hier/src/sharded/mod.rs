@@ -106,11 +106,13 @@
 //! store, an in-memory shard restarts empty, and either way the tuples
 //! that may be gone are counted ([`ShardRecovery::lost_tuples`]), never
 //! retained.  The `failpoints` feature
-//! compiles deterministic fault-injection sites into the worker
-//! (see [`crate::failpoint`]) — the chaos suite drives panics, injected
+//! compiles deterministic fault-injection sites into the worker, armed
+//! through the engine's own handle (`ShardedHierMatrix::failpoints`) and
+//! shared by its shards alone — the chaos suite drives panics, injected
 //! errors, and stalls through every one of these paths.
 
 use crate::config::HierConfig;
+use crate::failpoint::Failpoints;
 use crate::matrix::{distinct_cells, HierMatrix, Live};
 use crate::persist::{DurableConfig, RecoveryReport};
 use crate::pool::{row_hash, PartitionBuffers};
@@ -277,7 +279,6 @@ type TupleBuf<T> = (Vec<Index>, Vec<Index>, Vec<T>);
 /// One shard as its worker owns it.
 struct Shard<T> {
     /// Which shard this is: the index the fault-injection sites report.
-    #[cfg_attr(not(feature = "failpoints"), allow(dead_code))]
     idx: usize,
     hier: HierMatrix<T>,
     /// The first error since the worker last acknowledged — a failed batch
@@ -288,16 +289,10 @@ struct Shard<T> {
 }
 
 impl<T: ScalarType> Shard<T> {
-    /// Apply one batch behind the fallible `worker-apply-error` site.
-    fn apply(&mut self, rows: &[Index], cols: &[Index], vals: &[T]) -> GrbResult<()> {
-        crate::failpoint!("worker-apply-error", self.idx);
-        self.hier.update_batch(rows, cols, vals)
-    }
-
     /// Acknowledge as a drain barrier — everything queued before this job
     /// has been applied — reporting (and clearing) the latched error.
     fn ack(&mut self) -> GrbResult<()> {
-        crate::failpoint_panic!("worker-barrier", self.idx);
+        self.hier.fp.check_panic("worker-barrier", self.idx);
         std::mem::replace(&mut self.error, Ok(()))
     }
 
@@ -321,7 +316,7 @@ impl<T: ScalarType> Shard<T> {
     /// — and say what is live in it.  The producer answers from the capture
     /// while this worker keeps draining.
     fn capture(&mut self, need: Live) -> (MatrixSnapshot<T>, Live) {
-        crate::failpoint_panic!("worker-query", self.idx);
+        self.hier.fp.check_panic("worker-query", self.idx);
         self.hier.capture(need)
     }
 
@@ -377,9 +372,11 @@ fn worker_loop<T: ScalarType>(
     while let Ok(msg) = rx.recv() {
         match msg {
             WorkerMsg::Apply((mut rows, mut cols, mut vals)) => {
-                crate::failpoint_panic!("worker-apply", shard.idx);
+                let hier = &mut shard.hier;
+                hier.fp.check_panic("worker-apply", shard.idx);
                 if shard.error.is_ok() {
-                    shard.error = shard.apply(&rows, &cols, &vals);
+                    let applied = hier.fp.check("worker-apply-error", shard.idx);
+                    shard.error = applied.and_then(|()| hier.update_batch(&rows, &cols, &vals));
                 }
                 rows.clear();
                 cols.clear();
@@ -507,6 +504,8 @@ pub struct ShardedHierMatrix<T> {
     /// carry it, so it is latched here instead of vanishing.  Mutexed so
     /// `&self` paths (e.g. [`StreamingSink::nvals`]) can latch too.
     last_error: Mutex<Option<GrbError>>,
+    /// The fault sites of the engine, shared by every shard's hierarchy.
+    fp: Failpoints,
 }
 
 impl<T: ScalarType> ShardedHierMatrix<T> {
@@ -569,6 +568,7 @@ impl<T: ScalarType> ShardedHierMatrix<T> {
             hier_config,
             durable,
             last_error: Mutex::new(None),
+            fp: Failpoints::default(),
         };
         for i in 0..nshards {
             let hier = engine.open_shard(i)?;
@@ -579,13 +579,16 @@ impl<T: ScalarType> ShardedHierMatrix<T> {
 
     /// Shard `i`'s hierarchy as it starts a worker: its store reopened
     /// (durable: checkpointed levels plus the WAL tail) or created, or an
-    /// empty hierarchy (in-memory).
+    /// empty hierarchy (in-memory).  It evaluates the engine's fault sites
+    /// from then on, so opening it fires none.
     fn open_shard(&self, i: usize) -> GrbResult<HierMatrix<T>> {
         let cfg = self.hier_config.clone();
-        match &self.durable {
-            Some(d) => HierMatrix::open_or_create(self.nrows, self.ncols, cfg, d.shard(i)),
-            None => HierMatrix::new(self.nrows, self.ncols, cfg),
-        }
+        let mut hier = match &self.durable {
+            Some(d) => HierMatrix::open_or_create(self.nrows, self.ncols, cfg, d.shard(i))?,
+            None => HierMatrix::new(self.nrows, self.ncols, cfg)?,
+        };
+        hier.fp = self.fp.clone();
+        Ok(hier)
     }
 
     /// Per-shard recovery reports from a durable open: `reports[i]` is
@@ -599,6 +602,13 @@ impl<T: ScalarType> ShardedHierMatrix<T> {
     /// Whether this engine persists its shards to disk.
     pub fn is_durable(&self) -> bool {
         self.durable.is_some()
+    }
+
+    /// The engine's fault sites, for a test to arm: every shard, a
+    /// respawned one included, evaluates them.
+    #[cfg(feature = "failpoints")]
+    pub fn failpoints(&self) -> &Failpoints {
+        &self.fp
     }
 
     /// Convenience constructor: `shards` shards with the paper-default cut

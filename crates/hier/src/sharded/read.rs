@@ -857,12 +857,10 @@ mod tests {
     /// The capture job's fault site: a worker that dies capturing for a
     /// read routed to another shard — one that needs every shard's row
     /// index — costs that read nothing; only reads routed to it refuse.
-    /// Shard 5 of six: no other unit test's engine has a shard 5, so the
-    /// process-global arm reaches this engine alone.
     #[test]
     #[cfg(feature = "failpoints")]
     fn a_worker_lost_in_its_capture_job_fails_only_its_own_reads() {
-        use crate::failpoint::{self, FailAction};
+        use crate::failpoint::FailAction;
         let mut engine = tiny_engine(6);
         let updates = stream(2000);
         for &(r, c, v) in &updates {
@@ -875,17 +873,47 @@ mod tests {
                 .unwrap()
                 .0
         };
-        failpoint::arm_at("worker-query", Some(5), 1, FailAction::Panic);
+        engine
+            .failpoints()
+            .arm("worker-query", Some(5), 1, FailAction::Panic);
         let live = Query::RowDegree(row_on(false));
         assert_eq!(engine.try_read(live), Ok(flat_of(&updates).answer(&live)));
-        assert_eq!(failpoint::fired("worker-query"), 1);
-        failpoint::disarm("worker-query");
+        assert_eq!(engine.failpoints().fired("worker-query"), 1);
         assert_eq!(engine.lost_shards(), vec![5]);
         let refused = engine.try_read(Query::RowDegree(row_on(true)));
         assert!(
             matches!(&refused, Err(GrbError::ShardsLost { shards, .. }) if shards == &vec![5]),
             "{refused:?}"
         );
+    }
+
+    /// Fault sites belong to an engine: shard 1 of an unarmed engine,
+    /// captured first, fires nothing while the same arm on another engine
+    /// loses that engine its shard 1.
+    #[test]
+    #[cfg(feature = "failpoints")]
+    fn an_arm_reaches_its_own_engine_alone() {
+        use crate::failpoint::FailAction;
+        use crate::EngineHealth;
+        let (mut armed, mut other) = (tiny_engine(2), tiny_engine(2));
+        let updates = stream(2000);
+        for &(r, c, v) in &updates {
+            armed.update(r, c, v).unwrap();
+            other.update(r, c, v).unwrap();
+        }
+        armed
+            .failpoints()
+            .arm("worker-query", Some(1), 1, FailAction::Panic);
+        let nnz = Query::Nnz;
+        assert_eq!(other.try_read(nnz), Ok(flat_of(&updates).answer(&nnz)));
+        assert_eq!(other.health(), EngineHealth::Healthy);
+        assert_eq!(other.failpoints().fired("worker-query"), 0);
+        let refused = armed.try_read(nnz);
+        assert!(
+            matches!(&refused, Err(GrbError::ShardsLost { shards, .. }) if shards == &vec![1]),
+            "{refused:?}"
+        );
+        assert_eq!(armed.failpoints().fired("worker-query"), 1);
     }
 
     #[test]

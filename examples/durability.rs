@@ -60,16 +60,12 @@ fn main() {
     // wrote for recovery to sweep.
     #[cfg(feature = "failpoints")]
     {
-        hyperstream::hier::failpoint::arm(
-            "persist-manifest-swap",
-            1,
-            hyperstream::hier::failpoint::FailAction::Error,
-        );
+        let fail = hyperstream::hier::FailAction::Error;
+        m.failpoints().arm("persist-manifest-swap", None, 1, fail);
         match m.flush() {
             Err(e) => println!("injected checkpoint failure: {e}"),
             Ok(()) => println!("(failpoint did not fire — nothing was dirty)"),
         }
-        hyperstream::hier::failpoint::disarm_all();
     }
 
     // 3. Crash.  `forget` skips Drop, so the WAL tail is whatever the OS

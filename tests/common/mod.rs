@@ -129,3 +129,25 @@ pub fn contents(m: &HierMatrix<u64>) -> BTreeMap<(u64, u64), u64> {
     }
     out
 }
+
+/// Injected panics are the point of the fault suites: silence the default
+/// report of a failpoint's panic (and of the durable `clear` one it
+/// provokes), leaving every other panic loud.
+#[cfg(feature = "failpoints")]
+pub fn quiet_failpoint_panics() {
+    static ONCE: std::sync::Once = std::sync::Once::new();
+    ONCE.call_once(|| {
+        let previous = std::panic::take_hook();
+        std::panic::set_hook(Box::new(move |info| {
+            let msg = info
+                .payload()
+                .downcast_ref::<String>()
+                .map(String::as_str)
+                .or_else(|| info.payload().downcast_ref::<&str>().copied())
+                .unwrap_or("");
+            if !msg.contains("failpoint") && !msg.contains("durable clear") {
+                previous(info);
+            }
+        }));
+    });
+}

@@ -14,11 +14,10 @@
 //! * report what it did ([`RecoveryReport`]) instead of guessing
 //!   silently.
 //!
-//! The failpoint-armed cases live behind `--features failpoints`.  The
-//! registry is process-global, so they serialise through `exclusive`,
-//! and every other test here holds [`unarmed`] so a site armed by a
-//! neighbouring test thread can never fire inside it.  Everything else
-//! runs in the default test sweep.
+//! The failpoint-armed cases live behind `--features failpoints`; each
+//! arms the sites of its own matrix or engine, which no other test's
+//! evaluates, so every case runs in parallel.  Everything else runs in the
+//! default test sweep.
 
 mod common;
 
@@ -27,18 +26,6 @@ use hyperstream::prelude::*;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
-
-/// Test-order lock over the process-global failpoint registry: shared by
-/// tests that arm nothing, exclusive for the ones that arm sites.
-static REGISTRY_LOCK: std::sync::RwLock<()> = std::sync::RwLock::new(());
-
-/// Hold for the duration of a test that runs persistence code but arms no
-/// failpoint: keeps it from overlapping a test that does.
-fn unarmed() -> std::sync::RwLockReadGuard<'static, ()> {
-    REGISTRY_LOCK
-        .read()
-        .unwrap_or_else(|poison| poison.into_inner())
-}
 
 fn small_cuts() -> HierConfig {
     HierConfig::from_cuts(vec![8, 64]).unwrap()
@@ -68,7 +55,6 @@ fn the_wal_file(dir: &Path) -> PathBuf {
 
 #[test]
 fn clean_reopen_after_flush_replays_nothing() {
-    let _quiet = unarmed();
     let dir = TempDir::new("hs-crash", "clean-flush");
     let updates: Vec<(u64, u64, u64)> = (0..300u64)
         .map(|i| ((i * 7) % 97, (i * 13) % 89, 1 + i % 3))
@@ -97,7 +83,6 @@ fn clean_reopen_after_flush_replays_nothing() {
 /// replay the tail *without* reporting a torn frame.
 #[test]
 fn clean_drop_without_flush_leaves_no_torn_tail() {
-    let _quiet = unarmed();
     let dir = TempDir::new("hs-crash", "clean-drop");
     let updates: Vec<(u64, u64, u64)> = (0..50u64).map(|i| (i % 11, i % 7, 1)).collect();
     let mut m = HierMatrix::<u64>::new_durable(
@@ -123,7 +108,6 @@ fn clean_drop_without_flush_leaves_no_torn_tail() {
 
 #[test]
 fn simulated_kill_recovers_every_fsynced_batch() {
-    let _quiet = unarmed();
     let dir = TempDir::new("hs-crash", "kill");
     let updates: Vec<(u64, u64, u64)> = (0..200u64)
         .map(|i| ((i * 3) % 31, (i * 5) % 29, 1 + i % 2))
@@ -152,7 +136,6 @@ fn simulated_kill_recovers_every_fsynced_batch() {
 
 #[test]
 fn reopen_is_o_levels_not_o_nnz_reingest() {
-    let _quiet = unarmed();
     // Structural check on the recovery path: after a flush, reopen must
     // replay zero WAL records whatever the entry count — the levels come
     // back as whole files, not as re-ingested tuples.
@@ -175,7 +158,6 @@ fn reopen_is_o_levels_not_o_nnz_reingest() {
 
 #[test]
 fn new_durable_refuses_an_initialised_directory() {
-    let _quiet = unarmed();
     let dir = TempDir::new("hs-crash", "refuse");
     let m = HierMatrix::<u64>::new_durable(DIM, DIM, small_cuts(), DurableConfig::new(dir.path()))
         .unwrap();
@@ -199,7 +181,6 @@ fn new_durable_refuses_an_initialised_directory() {
 
 #[test]
 fn scalar_type_mismatch_is_typed_corruption() {
-    let _quiet = unarmed();
     let dir = TempDir::new("hs-crash", "tag");
     let m = HierMatrix::<f64>::new_durable(DIM, DIM, small_cuts(), DurableConfig::new(dir.path()))
         .unwrap();
@@ -218,7 +199,6 @@ fn scalar_type_mismatch_is_typed_corruption() {
 
 #[test]
 fn corrupt_level_strict_open_fails_salvage_reports() {
-    let _quiet = unarmed();
     let dir = TempDir::new("hs-crash", "corrupt-lvl");
     let mut m =
         HierMatrix::<u64>::new_durable(DIM, DIM, small_cuts(), DurableConfig::new(dir.path()))
@@ -294,7 +274,6 @@ proptest! {
         updates in update_stream(120, 32, 200),
         cut_ppm in 0u64..1_000_000,
     ) {
-        let _quiet = unarmed();
         let dir = TempDir::new("hs-crash", "wal-cut");
         let mut m = HierMatrix::<u64>::new_durable(
             DIM, DIM, small_cuts(), DurableConfig::new(dir.path()),
@@ -418,7 +397,6 @@ fn batch_oracle(batches: &[Batch]) -> BTreeMap<(u64, u64), u64> {
 /// associatively, `u64::MAX` included.
 #[test]
 fn batches_dropped_without_flush_replay_exactly_for_u64() {
-    let _quiet = unarmed();
     for weight in [1, u64::MAX / 3] {
         let dir = TempDir::new("hs-crash", "batch-replay");
         let cfg = DurableConfig::new(dir.path()).fsync(FsyncPolicy::Never);
@@ -453,7 +431,6 @@ fn batches_dropped_without_flush_replay_exactly_for_u64() {
 /// summation orders agree within `terms * f64::EPSILON` of the sum.
 #[test]
 fn batches_dropped_without_flush_replay_up_to_reassociation_for_f64() {
-    let _quiet = unarmed();
     let dir = TempDir::new("hs-crash", "batch-replay-f64");
     let cfg = DurableConfig::new(dir.path()).fsync(FsyncPolicy::Never);
     let mut m = HierMatrix::<f64>::new_durable(DIM, DIM, batch_cuts(), cfg).unwrap();
@@ -601,7 +578,6 @@ fn files_per_level(dir: &Path) -> Vec<usize> {
 /// every level's list within its bound.
 #[test]
 fn delta_store_stream_matches_the_oracle_across_reopens() {
-    let _quiet = unarmed();
     let dir = TempDir::new("hs-crash", "delta-stream");
     let cfg = || DurableConfig::new(dir.path()).fsync(FsyncPolicy::Never);
     let mut m = HierMatrix::<u64>::new_durable(DIM, DIM, delta_cuts(), cfg()).unwrap();
@@ -681,7 +657,6 @@ fn delta_store_stream_matches_the_oracle_across_reopens() {
 
 #[test]
 fn sharded_durable_engine_reopens_every_shard() {
-    let _quiet = unarmed();
     let dir = TempDir::new("hs-crash", "sharded");
     let updates: Vec<(u64, u64, u64)> = (0..800u64)
         .map(|i| ((i * 2_654_435_761) % DIM, (i * 40_503) % DIM, 1 + i % 4))
@@ -724,7 +699,6 @@ fn sharded_durable_engine_reopens_every_shard() {
 /// tuples never reached a worker) — and counts on exactly from there.
 #[test]
 fn sharded_durable_engine_reopens_with_its_total_weight() {
-    let _quiet = unarmed();
     let dir = TempDir::new("hs-crash", "sharded-weight");
     let mk = || {
         ShardedHierMatrix::<u64>::new_durable(
@@ -764,31 +738,14 @@ fn sharded_durable_engine_reopens_with_its_total_weight() {
 }
 
 // ---------------------------------------------------------------------
-// Failpoint-armed crash injection (process-global registry: serialised).
+// Failpoint-armed crash injection.
 // ---------------------------------------------------------------------
 
 #[cfg(feature = "failpoints")]
 mod failpoint_crashes {
     use super::*;
-    use hyperstream::hier::failpoint::{self, FailAction};
-
-    /// [`REGISTRY_LOCK`] held exclusively, for the duration of any test
-    /// that arms failpoints; disarms everything on release, even on panic.
-    struct Exclusive(#[allow(dead_code)] std::sync::RwLockWriteGuard<'static, ()>);
-
-    impl Drop for Exclusive {
-        fn drop(&mut self) {
-            failpoint::disarm_all();
-        }
-    }
-
-    fn exclusive() -> Exclusive {
-        let guard = REGISTRY_LOCK
-            .write()
-            .unwrap_or_else(|poison| poison.into_inner());
-        failpoint::disarm_all();
-        Exclusive(guard)
-    }
+    use crate::common::quiet_failpoint_panics;
+    use hyperstream::hier::FailAction;
 
     /// Every fallible persistence site, in WAL-append → checkpoint order.
     const SITES: [&str; 6] = [
@@ -814,12 +771,11 @@ mod failpoint_crashes {
             nth in 1u64..20,
             updates in update_stream(120, 32, 160),
         ) {
-            let _x = exclusive();
             let dir = TempDir::new("hs-crash", "site-crash");
             let mut m = HierMatrix::<u64>::new_durable(
                 DIM, DIM, small_cuts(), DurableConfig::new(dir.path()),
             ).unwrap();
-            failpoint::arm(SITES[site], nth, FailAction::Error);
+            m.failpoints().arm(SITES[site], None, nth, FailAction::Error);
             let mut acked = 0usize;
             let mut failed = false;
             for &(r, c, v) in &updates {
@@ -828,7 +784,6 @@ mod failpoint_crashes {
                     Err(_) => { failed = true; break; }
                 }
             }
-            failpoint::disarm_all();
             std::mem::forget(m);
 
             // Reopen must ALWAYS succeed, whatever torn state the
@@ -872,12 +827,11 @@ mod failpoint_crashes {
             nth in 1u64..40,
             updates in update_stream(120, 32, 160),
         ) {
-            let _x = exclusive();
             let dir = TempDir::new("hs-crash", "fail-continue");
             let mut m = HierMatrix::<u64>::new_durable(
                 DIM, DIM, small_cuts(), DurableConfig::new(dir.path()),
             ).unwrap();
-            failpoint::arm(SITES[site], nth, FailAction::Error);
+            m.failpoints().arm(SITES[site], None, nth, FailAction::Error);
             let mut acked = Vec::new();
             let mut failed = Vec::new();
             for &u in &updates {
@@ -887,7 +841,6 @@ mod failpoint_crashes {
                 }
             }
             prop_assert!(failed.len() <= 1, "a site fires exactly once");
-            failpoint::disarm_all();
             let in_memory = contents(&m);
             std::mem::forget(m);
 
@@ -914,17 +867,16 @@ mod failpoint_crashes {
     /// keeps working once the fault clears.
     #[test]
     fn wal_append_failure_rejects_update_atomically() {
-        let _x = exclusive();
         let dir = TempDir::new("hs-crash", "append-fail");
         let mut m =
             HierMatrix::<u64>::new_durable(DIM, DIM, small_cuts(), DurableConfig::new(dir.path()))
                 .unwrap();
         m.update(1, 1, 10).unwrap();
         let before = contents(&m);
-        failpoint::arm("persist-wal-append", 1, FailAction::Error);
+        m.failpoints()
+            .arm("persist-wal-append", None, 1, FailAction::Error);
         assert!(matches!(m.update(2, 2, 20), Err(GrbError::Injected(_))));
         assert_eq!(contents(&m), before, "rejected update must not apply");
-        failpoint::disarm_all();
         m.update(3, 3, 30).unwrap();
         m.flush().unwrap();
         let want = contents(&m);
@@ -952,7 +904,6 @@ mod failpoint_crashes {
     /// store must keep working once the fault clears.
     #[test]
     fn wal_append_failure_rejects_a_batch_atomically() {
-        let _x = exclusive();
         for site in ["persist-wal-append", "persist-partial-write"] {
             for kind in [0u8, 1, 2, UPDATE_MATRIX] {
                 let dir = TempDir::new("hs-crash", "batch-append-fail");
@@ -973,9 +924,8 @@ mod failpoint_crashes {
                 assert_eq!(m.level_entries_bound(0), 300 + 100, "cells and a tail");
 
                 let batch = batch_of(kind, 3, 1);
-                failpoint::arm(site, 1, FailAction::Error);
+                m.failpoints().arm(site, None, 1, FailAction::Error);
                 let refused = apply(&mut m, kind, &batch);
-                failpoint::disarm_all();
                 assert!(
                     matches!(refused, Err(GrbError::Injected(_))),
                     "{site}, kind {kind}: {refused:?}"
@@ -1008,7 +958,6 @@ mod failpoint_crashes {
             nth in 1u64..10,
             kinds in prop::collection::vec(0u8..5, 3usize..8),
         ) {
-            let _x = exclusive();
             let dir = TempDir::new("hs-crash", "batch-site-crash");
             let mut m = HierMatrix::<u64>::new_durable(
                 DIM, DIM, batch_cuts(), DurableConfig::new(dir.path()),
@@ -1018,7 +967,7 @@ mod failpoint_crashes {
                 .enumerate()
                 .map(|(salt, &kind)| batch_of(kind, salt as u64, 1))
                 .collect();
-            failpoint::arm(SITES[site], nth, FailAction::Error);
+            m.failpoints().arm(SITES[site], None, nth, FailAction::Error);
             let mut acked = 0usize;
             let mut failed = false;
             for (batch, &kind) in batches.iter().zip(&kinds) {
@@ -1027,7 +976,6 @@ mod failpoint_crashes {
                     Err(_) => { failed = true; break; }
                 }
             }
-            failpoint::disarm_all();
             std::mem::forget(m);
 
             let mut r = HierMatrix::<u64>::open(dir.path()).unwrap();
@@ -1079,13 +1027,12 @@ mod failpoint_crashes {
             nth in 1u64..16,
             steps in step_sequence(28),
         ) {
-            let _x = exclusive();
             quiet_failpoint_panics();
             let dir = TempDir::new("hs-crash", "delta-crash");
             let mut m = HierMatrix::<u64>::new_durable(
                 DIM, DIM, delta_cuts(), DurableConfig::new(dir.path()),
             ).unwrap();
-            failpoint::arm(SITES[site], nth, FailAction::Error);
+            m.failpoints().arm(SITES[site], None, nth, FailAction::Error);
             let mut acked = 0usize;
             let mut failed = false;
             for step in &steps {
@@ -1094,7 +1041,6 @@ mod failpoint_crashes {
                     Err(_) => { failed = true; break; }
                 }
             }
-            failpoint::disarm_all();
             std::mem::forget(m);
 
             let mut r = HierMatrix::<u64>::open(dir.path()).unwrap();
@@ -1124,7 +1070,6 @@ mod failpoint_crashes {
     /// checkpointed prefix survives, and the engine returns to healthy.
     #[test]
     fn durable_engine_respawns_lost_shard_from_disk() {
-        let _x = exclusive();
         quiet_failpoint_panics();
         let dir = TempDir::new("hs-crash", "respawn");
         let mut e = ShardedHierMatrix::<u64>::new_durable(
@@ -1150,7 +1095,8 @@ mod failpoint_crashes {
 
         // Kill whichever worker cascades next, then drive until the
         // engine notices the loss.
-        failpoint::arm("hier-cascade", 1, FailAction::Panic);
+        e.failpoints()
+            .arm("hier-cascade", None, 1, FailAction::Panic);
         let mut saw_loss = false;
         for i in 0..2000u64 {
             let r = e.update((i * 2_654_435_761) % DIM, i % 50, 1);
@@ -1160,7 +1106,6 @@ mod failpoint_crashes {
             }
         }
         assert!(saw_loss, "the armed cascade panic never killed a worker");
-        failpoint::disarm_all();
 
         let lost = match e.health() {
             EngineHealth::Degraded { lost } => lost,
@@ -1199,7 +1144,6 @@ mod failpoint_crashes {
     /// covers every unit of weight the reopened engine is missing.
     #[test]
     fn durable_respawn_counts_the_batches_the_dead_worker_never_logged() {
-        let _x = exclusive();
         quiet_failpoint_panics();
         let dir = TempDir::new("hs-crash", "respawn-count");
         let victim = 1;
@@ -1211,7 +1155,8 @@ mod failpoint_crashes {
             DurableConfig::new(dir.path()),
         )
         .unwrap();
-        failpoint::arm_at("worker-apply", Some(victim), 1, FailAction::Panic);
+        e.failpoints()
+            .arm("worker-apply", Some(victim), 1, FailAction::Panic);
         for i in 0..400u64 {
             // Once the victim is gone its tuples stay staged (and counted
             // in the total weight) behind a `ShardsLost` error.
@@ -1234,25 +1179,5 @@ mod failpoint_crashes {
         // The victim died before applying or logging anything, so every
         // tuple it was handed is gone — exactly the ones counted lost.
         assert_eq!(400 - kept, rec.lost_tuples);
-    }
-
-    /// Injected worker panics are the *point* of this suite; silence
-    /// their default backtrace spew while leaving other panics loud.
-    fn quiet_failpoint_panics() {
-        static ONCE: std::sync::Once = std::sync::Once::new();
-        ONCE.call_once(|| {
-            let previous = std::panic::take_hook();
-            std::panic::set_hook(Box::new(move |info| {
-                let msg = info
-                    .payload()
-                    .downcast_ref::<String>()
-                    .map(String::as_str)
-                    .or_else(|| info.payload().downcast_ref::<&str>().copied())
-                    .unwrap_or("");
-                if !msg.contains("failpoint") && !msg.contains("durable clear") {
-                    previous(info);
-                }
-            }));
-        });
     }
 }

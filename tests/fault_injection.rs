@@ -19,60 +19,17 @@
 //! * dropping the engine mid-fault (barrier outstanding, worker dead)
 //!   completes in bounded time.
 //!
-//! The failpoint registry is process-global, so every test serialises
-//! through [`exclusive`], which also disarms all sites on scope exit.
-//! That keeps armed sites from leaking into a concurrently running test.
+//! Each test arms its own engine's sites (`ShardedHierMatrix::failpoints`),
+//! which no other engine evaluates, so the cases run in parallel like any
+//! other suite.
 
 mod common;
 
-use common::{build_flat, reference_top_k, sharded, update_stream, DIM};
-use hyperstream::hier::failpoint::{self, FailAction};
+use common::{build_flat, quiet_failpoint_panics, reference_top_k, sharded, update_stream, DIM};
+use hyperstream::hier::FailAction;
 use hyperstream::prelude::*;
 use proptest::prelude::*;
 use std::time::{Duration, Instant};
-
-/// Global test-order lock: held for the duration of any test that arms
-/// failpoints.  Disarms everything when released, even on panic.
-static REGISTRY_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-struct Exclusive(#[allow(dead_code)] std::sync::MutexGuard<'static, ()>);
-
-impl Drop for Exclusive {
-    fn drop(&mut self) {
-        failpoint::disarm_all();
-    }
-}
-
-fn exclusive() -> Exclusive {
-    // A previous test panicking under the lock poisons it; the registry is
-    // reset below, so the poison carries no state worth propagating.
-    let guard = REGISTRY_LOCK
-        .lock()
-        .unwrap_or_else(|poison| poison.into_inner());
-    failpoint::disarm_all();
-    quiet_failpoint_panics();
-    Exclusive(guard)
-}
-
-/// Injected worker panics are the *point* of this suite; silence their
-/// default backtrace spew while leaving every other panic loud.
-fn quiet_failpoint_panics() {
-    static ONCE: std::sync::Once = std::sync::Once::new();
-    ONCE.call_once(|| {
-        let previous = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            let msg = info
-                .payload()
-                .downcast_ref::<String>()
-                .map(String::as_str)
-                .or_else(|| info.payload().downcast_ref::<&str>().copied())
-                .unwrap_or("");
-            if !msg.contains("failpoint") {
-                previous(info);
-            }
-        }));
-    });
-}
 
 /// One query of every kind: the row-targeted ones aimed at `row`, the rest
 /// at the whole matrix.
@@ -145,10 +102,10 @@ proptest! {
         victim_sel in 0usize..8,
         nth in 1u64..4,
     ) {
-        let _fp = exclusive();
+        quiet_failpoint_panics();
         let victim = victim_sel % shards;
-        failpoint::arm_at("worker-apply", Some(victim), nth, FailAction::Panic);
         let mut engine = chaos_engine(shards);
+        engine.failpoints().arm("worker-apply", Some(victim), nth, FailAction::Panic);
         for &(r, c, v) in &updates {
             if let Err(e) = engine.update(r, c, v) {
                 match e {
@@ -160,7 +117,7 @@ proptest! {
             }
         }
         let flushed = engine.flush();
-        if failpoint::fired("worker-apply") == 0 {
+        if engine.failpoints().fired("worker-apply") == 0 {
             // The victim never saw its nth batch — nothing may have failed.
             prop_assert!(flushed.is_ok());
             prop_assert_eq!(engine.health(), EngineHealth::Healthy);
@@ -218,13 +175,12 @@ proptest! {
         victim_sel in 0usize..4,
         k in 1usize..10,
     ) {
-        let _fp = exclusive();
+        quiet_failpoint_panics();
         for shards in [2usize, 4] {
             let victim = victim_sel % shards;
             let owned = |r| ShardPartitioner::RowHash.shard(r, DIM, shards) == victim;
-            failpoint::disarm_all();
-            failpoint::arm_at("worker-barrier", Some(victim), 1, FailAction::Panic);
             let mut engine = chaos_engine(shards);
+            engine.failpoints().arm("worker-barrier", Some(victim), 1, FailAction::Panic);
             for &(r, c, v) in &first {
                 engine.update(r, c, v).unwrap();
             }
@@ -294,7 +250,7 @@ proptest! {
         victim_sel in 0usize..4,
         k in 1usize..8,
     ) {
-        let _fp = exclusive();
+        quiet_failpoint_panics();
         let victim = victim_sel % shards;
         let owned = |r| ShardPartitioner::RowHash.shard(r, DIM, shards) == victim;
         let is_the_loss = |r: &GrbResult<Answer<u64>>| {
@@ -327,10 +283,9 @@ proptest! {
                     // victim dies at its next acknowledgement.
                     let mut flat = build_flat(&kept);
                     prop_assert_eq!(engine.try_read(Query::Nnz), Ok(flat.answer(&Query::Nnz)));
-                    failpoint::arm_at("worker-barrier", Some(victim), 1, FailAction::Panic);
+                    engine.failpoints().arm("worker-barrier", Some(victim), 1, FailAction::Panic);
                     let stats = engine.shard_stats(victim);
                     prop_assert!(matches!(stats, Err(GrbError::ShardsLost { .. })), "{stats:?}");
-                    failpoint::disarm_all();
                     for &(r, c, _) in part.iter().take(4) {
                         for q in [Query::Get(r, c), Query::RowDegree(r), Query::Row(r)] {
                             let got = engine.try_read(q);
@@ -368,9 +323,10 @@ proptest! {
 /// The worker stays alive and the engine recovers on the next round.
 #[test]
 fn injected_apply_error_surfaces_at_flush() {
-    let _fp = exclusive();
-    failpoint::arm("worker-apply-error", 1, FailAction::Error);
     let mut engine = ShardedHierMatrix::<u64>::with_shards(DIM, DIM, 2).unwrap();
+    engine
+        .failpoints()
+        .arm("worker-apply-error", None, 1, FailAction::Error);
     engine.update(7, 9, 3).unwrap();
     let flushed = engine.flush();
     assert_eq!(flushed, Err(GrbError::Injected("worker-apply-error")));
@@ -385,12 +341,6 @@ fn injected_apply_error_surfaces_at_flush() {
 /// `Healthy` and the engine answers exactly once the stall clears.
 #[test]
 fn stalled_worker_times_out_without_being_marked_lost() {
-    let _fp = exclusive();
-    failpoint::arm(
-        "worker-barrier",
-        1,
-        FailAction::Sleep(Duration::from_millis(400)),
-    );
     let mut engine = ShardedHierMatrix::<u64>::new(
         DIM,
         DIM,
@@ -401,6 +351,8 @@ fn stalled_worker_times_out_without_being_marked_lost() {
         },
     )
     .unwrap();
+    let stall = FailAction::Sleep(Duration::from_millis(400));
+    engine.failpoints().arm("worker-barrier", None, 1, stall);
     engine.update(3, 4, 5).unwrap();
     engine.update(1 << 20, 4, 6).unwrap();
     let flushed = engine.flush();
@@ -421,12 +373,6 @@ fn stalled_worker_times_out_without_being_marked_lost() {
 /// clear, never forever.
 #[test]
 fn drop_with_barrier_outstanding_is_bounded() {
-    let _fp = exclusive();
-    failpoint::arm(
-        "worker-barrier",
-        1,
-        FailAction::Sleep(Duration::from_millis(300)),
-    );
     let start = Instant::now();
     {
         let mut engine = ShardedHierMatrix::<u64>::new(
@@ -439,6 +385,8 @@ fn drop_with_barrier_outstanding_is_bounded() {
             },
         )
         .unwrap();
+        let stall = FailAction::Sleep(Duration::from_millis(300));
+        engine.failpoints().arm("worker-barrier", None, 1, stall);
         for i in 0..32u64 {
             engine.update(i * 1_000_003, i, 1).unwrap();
         }
@@ -461,12 +409,14 @@ fn drop_with_barrier_outstanding_is_bounded() {
 /// worker's channel, and the captured panic must not resurface.
 #[test]
 fn drop_after_worker_panic_is_bounded() {
-    let _fp = exclusive();
-    failpoint::arm_at("worker-apply", Some(0), 1, FailAction::Panic);
+    quiet_failpoint_panics();
     let start = Instant::now();
     {
         // A level-0 cut of 1: every update reaches its worker on its own.
         let mut engine = sharded(3, &[1, 64]);
+        engine
+            .failpoints()
+            .arm("worker-apply", Some(0), 1, FailAction::Panic);
         for i in 0..64u64 {
             let _ = engine.update(i * 1_000_003, i, 1);
         }
@@ -488,9 +438,10 @@ fn drop_after_worker_panic_is_bounded() {
 /// reported by the engine-level flush, exactly like a batch-apply error.
 #[test]
 fn injected_hier_flush_error_propagates_through_engine() {
-    let _fp = exclusive();
-    failpoint::arm("hier-flush", 1, FailAction::Error);
     let mut engine = ShardedHierMatrix::<u64>::with_shards(DIM, DIM, 2).unwrap();
+    engine
+        .failpoints()
+        .arm("hier-flush", None, 1, FailAction::Error);
     engine.update(11, 13, 2).unwrap();
     let flushed = engine.flush();
     assert_eq!(flushed, Err(GrbError::Injected("hier-flush")));
@@ -498,12 +449,11 @@ fn injected_hier_flush_error_propagates_through_engine() {
     engine.flush().unwrap();
 }
 
-/// Failpoints compiled in, nothing armed: a sharded batch ingest and the
-/// read battery fire no site and every answer equals the flat matrix — a
+/// Failpoints compiled in, nothing armed: after a sharded batch ingest
+/// every answer of the read battery equals the flat matrix's — a
 /// fault-capable build that injects nothing behaves like a plain one.
 #[test]
 fn disarmed_build_fires_nothing_and_answers_like_flat() {
-    let _fp = exclusive();
     let updates: Vec<(u64, u64, u64)> = (0..4_000u64)
         .map(|i| {
             (
@@ -537,5 +487,4 @@ fn disarmed_build_fires_nothing_and_answers_like_flat() {
     }
     assert!(engine.take_read_error().is_none());
     assert_eq!(engine.health(), EngineHealth::Healthy);
-    assert_eq!(failpoint::total_fired(), 0);
 }

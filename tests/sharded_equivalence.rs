@@ -213,6 +213,4 @@ fn sharded_in_top_k_equals_a_transposed_single_instance() {
 // flush) and drop after a worker panic — need fault injection to create
 // those states deterministically; they live with the rest of the chaos
 // suite in `tests/fault_injection.rs` (compiled under `--features
-// failpoints`), where a test-order mutex serialises use of the
-// process-global failpoint registry that the proptests above must never
-// observe armed.
+// failpoints`), where each test arms its own engine's sites.
