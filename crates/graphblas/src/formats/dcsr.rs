@@ -43,10 +43,13 @@ pub struct Dcsr<T> {
 ///
 /// An in-place merge writes into these staging vectors and then swaps them
 /// with the destination's, so the destination's previous buffers become the
-/// next merge's staging space.  After warm-up the streaming hot path —
-/// settle pending tuples, cascade a level — performs no heap allocation at
-/// all, which is what the hierarchical matrix needs to sustain its insert
-/// rate (every cascade used to rebuild the destination level from scratch).
+/// next merge's staging space.  Between flushes, once the buffers have
+/// grown, the streaming hot path — settle pending tuples, cascade a level —
+/// performs no heap allocation at all, which is what the hierarchical
+/// matrix needs to sustain its insert rate (every cascade used to rebuild
+/// the destination level from scratch).  A hierarchy's flush gives the
+/// buffers back ([`Matrix::clear`](crate::matrix::Matrix::clear)), and the
+/// first cascades after it grow them again.
 #[derive(Debug, Clone)]
 pub struct MergeScratch<T> {
     /// Staging row ids for the merged structure.

@@ -440,18 +440,23 @@ impl<T: ScalarType> Matrix<T> {
         acc
     }
 
-    /// Remove every stored entry, keeping dimensions.  Frees the settled
-    /// structure's buffers; see [`Matrix::clear_retaining_capacity`] for the
-    /// streaming variant.
+    /// Remove every stored entry, keeping dimensions and the pending limit,
+    /// and give back every buffer: the settled structure, the pending
+    /// tuples' capacity, the merge scratch and the column twin.  Afterwards
+    /// [`Matrix::memory`] reads what a new matrix's does.  See
+    /// [`Matrix::clear_retaining_capacity`] for the streaming variant.
     pub fn clear(&mut self) {
         self.settled = Arc::new(Dcsr::new(self.nrows, self.ncols));
-        self.pending.clear();
+        self.pending = Coo::new(self.nrows, self.ncols);
+        self.scratch = MergeScratch::new();
         self.col_shadow = None;
     }
 
-    /// Remove every stored entry but keep every buffer's capacity, so the
-    /// matrix can be refilled without touching the allocator.  Used by the
-    /// hierarchical cascade to clear a level after moving it up.
+    /// Remove every stored entry but keep the settled structure's, the
+    /// pending tuples' and the merge scratch's capacity, so the matrix can
+    /// be refilled without touching the allocator (the column twin goes).
+    /// The hierarchical cascade clears a level this way after moving it
+    /// up; [`Matrix::clear`] is the one that frees.
     pub fn clear_retaining_capacity(&mut self) {
         // When a snapshot shares the structure, detach instead of
         // copy-on-writing a structure we are about to empty.
@@ -767,17 +772,48 @@ mod tests {
         assert!(a.accum_matrix(&wrong).is_err());
     }
 
-    #[test]
-    fn clear_retaining_capacity_resets_content() {
-        let mut m = Matrix::<u64>::new(100, 100);
+    /// A matrix that has settled, merged a matrix in and built a twin, so
+    /// that every buffer `clear` may give back holds something.
+    fn worked_matrix() -> Matrix<u64> {
+        let mut m = Matrix::<u64>::new(100, 100).with_pending_limit(64);
         m.accum_tuples(&[1, 2], &[1, 2], &[1, 2]).unwrap();
+        let mut other = Matrix::<u64>::new(100, 100);
+        other.accum_tuples(&[2, 4], &[2, 9], &[5, 6]).unwrap();
+        m.accum_matrix(&other).unwrap();
+        let _ = m.col_shadow();
+        // This settle merges into the twin through the twin's own buffers.
+        m.accum_element(5, 7, 1).unwrap();
         m.wait();
         m.accum_element(3, 3, 3).unwrap();
+        m
+    }
+
+    #[test]
+    fn clear_returns_the_footprint_of_a_new_matrix() {
+        let mut m = worked_matrix();
+        let fresh = Matrix::<u64>::new(100, 100).memory();
+        assert!(m.memory().total() > fresh.total());
+        m.clear();
+        assert!(m.is_empty());
+        assert_eq!(m.memory(), fresh);
+        // Still the same matrix: dimensions, pending limit, refills.
+        for i in 0..64 {
+            m.accum_element(i, i, 1).unwrap();
+        }
+        assert_eq!((m.npending(), m.nvals_settled()), (0, 64));
+    }
+
+    #[test]
+    fn clear_retaining_capacity_resets_content() {
+        let mut m = worked_matrix();
+        let twin = m.col_shadow.as_ref().map(ColTwin::memory).unwrap();
         let bytes = m.memory().total();
         m.clear_retaining_capacity();
         assert!(m.is_empty());
         assert_eq!(m.nvals(), 0);
-        assert_eq!(m.memory().total(), bytes);
+        // Every buffer but the twin's keeps its capacity.
+        assert_eq!(m.memory().total(), bytes - twin.total());
+        assert!(m.memory().total() > Matrix::<u64>::new(100, 100).memory().total());
         // Refill after clearing works.
         m.accum_element(5, 5, 5).unwrap();
         m.wait();

@@ -402,6 +402,9 @@ impl<T: ScalarType> HierMatrix<T> {
 
     /// Total bytes across all levels, including the degree indexes' tables,
     /// the cell oracle they share (counted once) and the batch fold's index.
+    /// After [`HierMatrix::flush`] that is the data alone: the top level,
+    /// the degree indexes and their oracle, and a new level's few bytes for
+    /// every other level; mid-stream, the levels' ingest buffers too.
     pub fn memory_bytes(&self) -> usize {
         self.memory_per_level()
             .iter()
@@ -568,6 +571,13 @@ impl<T: ScalarType> HierMatrix<T> {
     /// cascades), leaving levels `0..N-1` empty.  Useful before handing the
     /// matrix off for analysis or for checkpointing.
     ///
+    /// A flushed hierarchy holds its data, not its ingest buffers: the
+    /// levels below the top give back every buffer ([`Matrix::clear`]), the
+    /// top level keeps its structure and twin but not their merge scratch
+    /// (a [`Matrix`] clone shares the one and starts without the other),
+    /// and the batch fold and the degree observer give back theirs.  The
+    /// first cascades after a flush grow the buffers again.
+    ///
     /// Infallible today except under fault injection — the fallible
     /// signature is what lets a shard worker latch and report a flush
     /// failure instead of dropping it.
@@ -581,6 +591,12 @@ impl<T: ScalarType> HierMatrix<T> {
             }
             self.cascade_level(i);
         }
+        for level in &mut self.levels[..top] {
+            level.clear();
+        }
+        self.levels[top] = self.levels[top].clone();
+        self.fold = BatchFold::new();
+        self.degrees.grew = Vec::new();
         // A durable flush is also a checkpoint barrier: the flushed state
         // lands in level files and the WAL rotates empty, so a reopen
         // after a clean flush replays nothing.
@@ -591,7 +607,9 @@ impl<T: ScalarType> HierMatrix<T> {
     }
 
     /// Remove every stored entry from every level (dimensions and
-    /// configuration are kept; statistics are reset).
+    /// configuration are kept; statistics are reset) and give back every
+    /// buffer, as [`Matrix::clear`] does: afterwards
+    /// [`HierMatrix::memory_bytes`] reads what a new hierarchy's does.
     ///
     /// # Panics
     ///
@@ -604,6 +622,7 @@ impl<T: ScalarType> HierMatrix<T> {
             level.clear();
         }
         self.raw_pending = 0;
+        self.fold = BatchFold::new();
         self.degrees = Degrees::default();
         self.reset_stats();
         if let Some(d) = self.durable.as_mut() {
@@ -664,8 +683,10 @@ impl<T: ScalarType> HierMatrix<T> {
     ///
     /// The merge is in place ([`Matrix::accum_matrix`]): the destination
     /// level's old structure becomes its scratch space for the next cascade
-    /// and the source level keeps its buffer capacity, so steady-state
-    /// cascading allocates nothing.  Into a destination that holds nothing
+    /// and the source level keeps its buffer capacity
+    /// ([`Matrix::clear_retaining_capacity`]), so cascading between flushes
+    /// allocates nothing once the buffers have grown; [`HierMatrix::flush`]
+    /// gives them back.  Into a destination that holds nothing
     /// there is nothing to merge: the two levels exchange their structures
     /// ([`Matrix::swap_settled`]) and no entry is copied — a `flush()`
     /// through empty upper levels used to copy the whole matrix once per
@@ -1314,13 +1335,25 @@ mod tests {
     #[test]
     fn clear_resets_contents_and_stats() {
         let mut m = HierMatrix::<u64>::new(100, 100, small_config()).unwrap();
+        let fresh = m.memory_bytes();
         for i in 0..50u64 {
             m.update(i, i, 1).unwrap();
         }
+        // A batch the fold takes, a held row index and twins: every buffer
+        // `clear` gives back holds something.
+        let n = crate::fold::SAMPLE as u64;
+        let rows: Vec<u64> = (0..n).map(|i| i % 97).collect();
+        m.update_batch(&rows, &rows, &vec![1; n as usize]).unwrap();
+        assert!(m.fold.memory_bytes() > 0);
+        let _ = m.read_row_degree(3);
+        m.read_col(5, &mut Vec::new());
+        m.update(7, 8, 1).unwrap();
+        assert!(m.memory_bytes() > fresh);
         m.clear();
         assert_eq!(m.entries_per_level(), vec![0; 4]);
         assert_eq!(m.stats().updates, 0);
         assert_eq!(m.nvals_exact(), 0);
+        assert_eq!(m.memory_bytes(), fresh);
     }
 
     #[test]
@@ -1402,6 +1435,21 @@ mod tests {
             m.memory_bytes(),
             levels + m.fold.memory_bytes() + sides + oracle + d.grew.capacity()
         );
+        // A flush keeps the sides and the oracle, and of the levels only
+        // the top one's structure: the others read as new levels.
+        assert!(d.grew.capacity() > 0);
+        m.flush().unwrap();
+        let d = &m.degrees;
+        assert_eq!((d.grew.capacity(), m.fold.memory_bytes()), (0, 0));
+        let per_level = m.memory_per_level();
+        let (top, below) = per_level.split_last().unwrap();
+        let new_level = Matrix::<u64>::new(1 << 20, 1 << 20).memory();
+        assert!(below.iter().all(|f| *f == new_level));
+        assert_eq!(
+            m.memory_bytes(),
+            top.total() + below.len() * new_level.total() + sides + oracle
+        );
+        assert_eq!(m.read_nnz(), nnz);
         // `clear()` gives all of it back and holds no side.
         m.clear();
         assert_eq!(m.degrees.cells.capacity(), 0);

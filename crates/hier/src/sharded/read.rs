@@ -965,4 +965,55 @@ mod tests {
         // Neither capture materialised any shard.
         assert_eq!(engine.aggregate_stats().unwrap().materializations, 0);
     }
+
+    /// Every shard's flush gives back the ingest buffers of its levels
+    /// below the top, and the engine answers as it did before the flush.
+    #[test]
+    fn a_flush_leaves_each_shard_its_data_and_every_answer() {
+        let updates = stream(3000);
+        let (r, c) = (updates[7].0, updates[7].1);
+        let queries = [
+            Query::Get(r, c),
+            Query::Row(r),
+            Query::RowDegree(r),
+            Query::Col(c),
+            Query::ColDegree(c),
+            Query::TopK(5),
+            Query::InTopK(5),
+            Query::Nnz,
+            Query::Entries,
+        ];
+        let mut flat = flat_of(&updates);
+        let want: Vec<Answer<u64>> = queries.iter().map(|q| flat.answer(q)).collect();
+        let mut engine = tiny_engine(3);
+        for &(r, c, v) in &updates {
+            engine.update(r, c, v).unwrap();
+        }
+        let ask = |e: &mut ShardedHierMatrix<u64>| -> Vec<Answer<u64>> {
+            queries.iter().map(|q| e.try_read(*q).unwrap()).collect()
+        };
+        assert_eq!(ask(&mut engine), want);
+        engine.flush().unwrap();
+        let levels = small_cfg().levels();
+        let fresh = Dcsr::<u64>::new(DIM, DIM).memory();
+        let mut tops = 0;
+        engine.with_level_dcsrs(&mut |lv| {
+            assert_eq!(lv.len(), 3 * levels);
+            for (i, level) in lv.iter().enumerate() {
+                if i % levels == levels - 1 {
+                    tops += level.nvals();
+                } else {
+                    assert_eq!(
+                        level.memory(),
+                        fresh,
+                        "shard {}, level {}",
+                        i / levels,
+                        i % levels
+                    );
+                }
+            }
+        });
+        assert_eq!(tops, flat.nvals());
+        assert_eq!(ask(&mut engine), want);
+    }
 }

@@ -57,4 +57,21 @@ fn main() {
         traffic.update(flow.src, flow.dst, flow.weight).unwrap();
     }
     println!("total updates after resuming: {}", traffic.stats().updates);
+
+    // 5. Flush: every entry moves to the top level, and the levels below
+    //    give back the buffers they kept for ingest.
+    let streaming = traffic.memory_bytes();
+    traffic.flush().expect("an in-memory flush cannot fail");
+    let per_level: Vec<usize> = traffic
+        .memory_per_level()
+        .iter()
+        .map(|f| f.total())
+        .collect();
+    let entries = traffic.nvals_exact();
+    println!(
+        "after flush: bytes per level {:?}, {:.1} bytes per stored entry ({:.1} before the flush)",
+        per_level,
+        traffic.memory_bytes() as f64 / entries as f64,
+        streaming as f64 / entries as f64
+    );
 }

@@ -308,3 +308,63 @@ fn fold_tripwire_on_a_fixed_power_law_stream() {
         }
     );
 }
+
+/// A flushed hierarchy holds its data, not its ingest buffers: every level
+/// below the top reads as a new level, and without a degree index the
+/// whole footprint is the top level's.  A held index answers as before, and
+/// a second segment grows the buffers again and flushes back to the same.
+#[test]
+fn a_flush_gives_back_every_ingest_buffer() {
+    let dim = 1u64 << 32;
+    let cfg = HierConfig::from_cuts(vec![256, 2_048, 8_192]).unwrap();
+    let new_level = Matrix::<u64>::new(dim, dim).memory();
+    let mut bare = HierMatrix::<u64>::new(dim, dim, cfg.clone()).unwrap();
+    let mut indexed = HierMatrix::<u64>::new(dim, dim, cfg).unwrap();
+    // Held from the start: every settle, cascade and flush keeps it.
+    assert_eq!(indexed.read_row_degree(0), 0);
+    let top = bare.levels() - 1;
+    let mut flat = Matrix::<u64>::new(dim, dim);
+    let mut seed = 0x5EED;
+    for segment in 0..2 {
+        let into_top = bare.stats().cascades[top - 1];
+        for _ in 0..12 {
+            let (rows, cols, vals) = batch(&mut seed, 5_000, 20_000, dim);
+            flat.accum_tuples(&rows, &cols, &vals).unwrap();
+            for m in [&mut bare, &mut indexed] {
+                m.update_batch(&rows, &cols, &vals).unwrap();
+            }
+        }
+        flat.wait();
+        let (stored_rows, _, _) = flat.extract_tuples();
+        assert!(
+            bare.stats().cascades[top - 1] > into_top,
+            "segment {segment} cascades into the top level before its flush"
+        );
+        for m in [&mut bare, &mut indexed] {
+            let streaming = m.memory_bytes();
+            m.flush().unwrap();
+            assert!(m.memory_bytes() < streaming, "segment {segment}");
+            let per_level = m.memory_per_level();
+            assert!(
+                per_level[..top].iter().all(|f| *f == new_level),
+                "segment {segment}: {per_level:?}"
+            );
+            assert_eq!(m.materialize().extract_tuples(), flat.extract_tuples());
+        }
+        let top_level = bare.memory_per_level()[top].total();
+        assert!(bare.memory_bytes() <= top_level + top * new_level.total());
+        for q in [
+            Query::RowDegree(stored_rows[0]),
+            Query::RowDegree(stored_rows[stored_rows.len() / 2]),
+            Query::TopK(10),
+            Query::Nnz,
+            Query::DegreeHistogram,
+        ] {
+            assert_eq!(
+                indexed.answer(&q),
+                flat.answer(&q),
+                "segment {segment}: {q:?}"
+            );
+        }
+    }
+}
