@@ -19,10 +19,12 @@
 //! The index does **not** know which cells exist.  Whether a settled cell
 //! is new to the represented union is a question about `(row, col)` pairs,
 //! and its answer serves the row index and the column index alike, so the
-//! *owner* keeps the one cell-membership oracle (the hierarchy: a set of
-//! every distinct cell, probed once per settled cell) and hands each index
-//! what [`DegreeIndex::observe`] takes: the batch's keys on this index's
-//! axis, its values, and one flag per cell saying whether the union grew.
+//! *owner* answers it once (the hierarchy: its levels' settled structures
+//! already hold every cell sorted, and one [`Dcsr::clear_stored`] walk per
+//! level clears the flags of the cells some level stores) and hands each
+//! index what [`DegreeIndex::observe`] takes: the batch's keys on this
+//! index's axis, its values, and one flag per cell saying whether the union
+//! grew.
 //! Cascades (`merge_into` between levels) move cells without changing the
 //! union, so they need **no** index maintenance at all.
 //!
@@ -63,11 +65,11 @@ use std::collections::{BTreeMap, HashMap};
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
-/// A multiply-rotate hasher (FxHash-style) for the index's hot cell and row
-/// probes: the default SipHash is measurably slower on the settle path and
-/// the keys here are attacker-free internal coordinates.
+/// A multiply-rotate hasher (FxHash-style) for the index's hot row probes:
+/// the default SipHash is measurably slower on the settle path and the keys
+/// here are attacker-free internal coordinates.
 #[derive(Debug, Default)]
-pub struct FxHasher {
+pub(crate) struct FxHasher {
     hash: u64,
 }
 
@@ -79,9 +81,12 @@ impl FxHasher {
 }
 
 impl Hasher for FxHasher {
+    /// A multiply mixes key bits upward only, and the table picks buckets
+    /// from the low bits: keys with shared trailing zeros (`/16` IPv4 rows,
+    /// `i << 16`) would share one.  The well-mixed high bits rotate down.
     #[inline]
     fn finish(&self) -> u64 {
-        self.hash
+        self.hash.rotate_left(26)
     }
 
     fn write(&mut self, bytes: &[u8]) {
@@ -96,17 +101,11 @@ impl Hasher for FxHasher {
     fn write_u64(&mut self, n: u64) {
         self.mix(n);
     }
-
-    #[inline]
-    fn write_u128(&mut self, n: u128) {
-        self.mix(n as u64);
-        self.mix((n >> 64) as u64);
-    }
 }
 
 /// Deterministic builder: no per-process random seed, so iteration order —
 /// which never leaks into answers, all of which sort — is reproducible.
-pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
+pub(crate) type FxBuildHasher = BuildHasherDefault<FxHasher>;
 
 /// Degree and weight-reduce counters of one non-empty row.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -382,51 +381,34 @@ impl<V: ScalarType> DegreeIndex<V> {
     /// The index of the union of `levels` on `side` (keyed by row, or by
     /// column): one deduplicated sweep, so a cell that sits in several
     /// levels arrives once with its values summed, and every cell is new.
-    ///
-    /// The sweep is staged a few thousand cells at a time and `staged` sees
-    /// each chunk before the index does, so an owner that fills a cell
-    /// oracle of its own does it there: nearly every probe of either table
-    /// misses the cache, and only back to back, each in a loop of its own,
-    /// do the misses overlap.  A run of equal keys (a whole row, on the row
-    /// side) is one update of the index.
-    pub fn from_levels(
-        levels: &[&Dcsr<V>],
-        side: Side,
-        mut staged: impl FnMut(&[(Index, Index, V)]),
-    ) -> Self {
-        const CHUNK: usize = 4096;
+    /// A run of equal keys (a whole row, on the row side) is one update of
+    /// the index.
+    pub fn from_levels(levels: &[&Dcsr<V>], side: Side) -> Self {
         let mut index = Self::new();
-        let key = |cell: &(Index, Index, V)| match side {
-            Side::Rows => cell.0,
-            Side::Cols => cell.1,
-        };
-        let mut chunk = Vec::with_capacity(CHUNK);
-        let mut unload = |chunk: &mut Vec<(Index, Index, V)>| {
-            staged(chunk);
-            let mut rest = &chunk[..];
-            while let Some(first) = rest.first() {
-                let run = rest.iter().take_while(|cell| key(cell) == key(first));
-                let (n, weight) =
-                    run.fold((0, V::default()), |(n, w), cell| (n + 1, w.add(cell.2)));
-                index.add_unique_row(key(first), n as u64, weight);
-                rest = &rest[n..];
+        let mut end_run = |run: Option<(Index, u64, V)>| {
+            if let Some((key, n, weight)) = run {
+                index.add_unique_row(key, n, weight);
             }
-            chunk.clear();
         };
+        let mut run: Option<(Index, u64, V)> = None;
         for_each_merged(levels, Plus, &mut |r, c, v| {
-            chunk.push((r, c, v));
-            if chunk.len() == CHUNK {
-                unload(&mut chunk);
+            let key = if side == Side::Rows { r } else { c };
+            match &mut run {
+                Some((at, n, weight)) if *at == key => {
+                    *n += 1;
+                    *weight = weight.add(v);
+                }
+                _ => end_run(run.replace((key, 1, V::default().add(v)))),
             }
         });
-        unload(&mut chunk);
+        end_run(run);
         index
     }
 
-    /// A cheap, immutable view sharing the row stats (the snapshot
-    /// companion).  The caches are cloned warm.
-    pub fn view(&self) -> DegreeIndexView<V> {
-        self.view.clone()
+    /// The index's view, read-only: what a snapshot clones (the row stats
+    /// shared, the caches warm) and what a count through `&self` reads.
+    pub fn view(&self) -> &DegreeIndexView<V> {
+        &self.view
     }
 
     /// The index's own view, for querying in place: the stats a live
@@ -447,8 +429,8 @@ impl<V: ScalarType> DegreeIndex<V> {
 
     /// Observe cells entering or re-entering the represented union: cell
     /// `i` lies on this index's axis at `keys[i]`, carries `vals[i]`, and
-    /// `new[i]` says whether the union did not hold it before (the owner's
-    /// cell oracle decides that, once, for both axes).  The settle
+    /// `new[i]` says whether the union did not hold it before (the owner
+    /// decides that, once, for both axes).  The settle
     /// dedup-unpack feeds this — a sorted, in-batch-deduplicated pending
     /// batch with values already combined under `+` — and so does a bulk
     /// matrix update.
@@ -723,7 +705,7 @@ mod tests {
     fn view_is_stable_under_writer_mutation() {
         let mut ix = Owned::default();
         settle(&mut ix, &[(1, 1, 5), (2, 1, 6), (2, 2, 7)]);
-        let mut view = ix.ix.view();
+        let mut view = ix.ix.view().clone();
         settle(&mut ix, &[(3, 1, 1), (3, 2, 1), (3, 3, 1)]);
         // The view still answers from the captured state...
         assert_eq!(view.nnz(), 3);
@@ -806,9 +788,7 @@ mod tests {
                 settle(&mut fed, &level.iter().collect::<Vec<_>>());
             }
             assert!(fed.nnz() < shared, "some cells sit in several levels");
-            let mut staged = 0;
-            let mut built = DegreeIndex::from_levels(&refs, side, |chunk| staged += chunk.len());
-            assert_eq!(staged, fed.nnz(), "each cell staged once");
+            let mut built = DegreeIndex::from_levels(&refs, side);
             let view = built.view_mut();
             assert_eq!(view.nnz(), fed.nnz());
             for key in 0..300 {
@@ -832,8 +812,8 @@ mod tests {
         b.add_unique_row(9, 3, 3);
         let mut sum = DegreeIndex::new();
         assert_eq!(sum.view_mut().top_k(1), vec![]);
-        sum.absorb(&a.view());
-        sum.absorb(&b.view());
+        sum.absorb(a.view());
+        sum.absorb(b.view());
         let view = sum.view_mut();
         assert_eq!(
             (view.nnz(), view.row_degree(7), view.row_weight(7)),
@@ -853,5 +833,23 @@ mod tests {
         let mut c = FxHasher::default();
         "hello-degree-indey".hash(&mut c);
         assert_ne!(a.finish(), c.finish());
+    }
+
+    /// Keys that share trailing zeros — row ids aggregated to a prefix,
+    /// `i << 16` for `/16` IPv4 blocks — still spread over the low bits the
+    /// table picks buckets from.
+    #[test]
+    fn fx_hasher_spreads_keys_with_trailing_zeros_over_the_low_bits() {
+        use std::hash::Hash;
+        for shift in [0, 8, 16, 20, 32] {
+            let low_bits: HashSet<u64> = (0..4096u64)
+                .map(|i| {
+                    let mut h = FxHasher::default();
+                    (i << shift).hash(&mut h);
+                    h.finish() & 0xffff
+                })
+                .collect();
+            assert!(low_bits.len() >= 4000, "shift {shift}: {}", low_bits.len());
+        }
     }
 }

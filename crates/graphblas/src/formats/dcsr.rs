@@ -310,6 +310,29 @@ impl<T: ScalarType> Dcsr<T> {
         Some(vals[j])
     }
 
+    /// Clear `new[i]` for every cell `(rows[i], cols[i])` this structure
+    /// stores.  The cells must be sorted row-major and duplicate-free, as a
+    /// settled batch is: then one forward walk answers all of them, galloping
+    /// over `row_ids` from one batch row to the next and, inside a row both
+    /// hold, over its columns from one batch column to the next.
+    pub fn clear_stored(&self, rows: &[Index], cols: &[Index], new: &mut [bool]) {
+        let (mut slot, mut i) = (0, 0);
+        while i < rows.len() && slot < self.row_ids.len() {
+            let row = rows[i];
+            let end = i + rows[i..].iter().take_while(|&&r| r == row).count();
+            slot = gallop_while(&self.row_ids, slot, |r| r < row);
+            if self.row_ids.get(slot) == Some(&row) {
+                let stored = self.row_slot(slot).0;
+                let mut at = 0;
+                for (col, new) in cols[i..end].iter().zip(&mut new[i..end]) {
+                    at = gallop_while(stored, at, |c| c < *col);
+                    *new &= stored.get(at) != Some(col);
+                }
+            }
+            i = end;
+        }
+    }
+
     /// Iterate over stored entries in row-major order.
     pub fn iter(&self) -> DcsrIter<'_, T> {
         DcsrIter {
@@ -811,6 +834,53 @@ mod tests {
         assert_eq!(m.get(7, 10), Some(4));
         assert_eq!(m.get(7, 11), None);
         assert_eq!(m.get(6, 10), None);
+    }
+
+    /// The walk clears exactly the flags of the cells `get` finds, whatever
+    /// the batch's rows do around the stored ones.
+    #[test]
+    fn clear_stored_agrees_with_get() {
+        let n = 1 << 40;
+        let stored = |cells: &[(u64, u64)]| {
+            let (r, c): (Vec<u64>, Vec<u64>) = cells.iter().copied().unzip();
+            Dcsr::from_tuples(n, n, &r, &c, &vec![1u64; r.len()], Plus).unwrap()
+        };
+        let lone = [(7, 1), (7, 4), (7, 9)];
+        let spread = [(3, 5), (3, 6), (8, 0), (8, 5), (8, 7), (900_000_000_000, 2)];
+        let structures = [stored(&[]), stored(&lone), stored(&spread)];
+        let batches: [&[(u64, u64)]; 5] = [
+            // Rows before, between and after the stored ones.
+            &[(1, 1), (5, 5), (9, 9), (1 << 39, 0)],
+            // Every stored column of row 7 and of row 8, with misses between.
+            &[
+                (7, 0),
+                (7, 1),
+                (7, 2),
+                (7, 4),
+                (7, 9),
+                (8, 0),
+                (8, 5),
+                (8, 6),
+                (8, 7),
+            ],
+            // A row's columns past its last stored one, then the far row.
+            &[(3, 5), (3, 7), (3, 8), (900_000_000_000, 2)],
+            &[(7, 4)],
+            &[],
+        ];
+        for (s, d) in structures.iter().enumerate() {
+            for (b, batch) in batches.iter().enumerate() {
+                let (r, c): (Vec<u64>, Vec<u64>) = batch.iter().copied().unzip();
+                let mut new = vec![true; r.len()];
+                d.clear_stored(&r, &c, &mut new);
+                let want: Vec<bool> = batch.iter().map(|&(r, c)| d.get(r, c).is_none()).collect();
+                assert_eq!(new, want, "structure {s}, batch {b}");
+            }
+        }
+        // Flags already clear stay clear: a later level only clears more.
+        let mut new = vec![false, true];
+        structures[1].clear_stored(&[7, 7], &[2, 9], &mut new);
+        assert_eq!(new, [false, false]);
     }
 
     #[test]

@@ -329,35 +329,38 @@ impl<T: ScalarType> Matrix<T> {
     /// performs no allocation once the buffers have grown to the working-set
     /// size.
     pub fn wait_with<Op: BinaryOp<T>>(&mut self, dup: Op) {
-        self.settle(dup, |_, _, _| {});
+        self.settle(dup, |_, _, _, _| {});
     }
 
     /// [`Matrix::wait`] with a hook into the settle's dedup-unpack: after
     /// the pending tuples are sorted and in-batch-deduplicated under `+`
     /// but *before* they merge into the settled structure, `observe` sees
-    /// the batch as sorted row-major parallel slices.  This is the event
-    /// an incremental [`DegreeIndex`](crate::degree_index::DegreeIndex)
+    /// the batch as sorted row-major parallel slices, and the settled
+    /// structure as it stands before the merge.  This is the event an
+    /// incremental [`DegreeIndex`](crate::degree_index::DegreeIndex)
     /// maintains itself on: the batch is exactly the set of cells whose
-    /// stored values change in this settle.
+    /// stored values change in this settle, and the ones new to this
+    /// matrix are those the structure does not store
+    /// ([`Dcsr::clear_stored`]).
     #[allow(clippy::type_complexity)]
-    pub fn wait_observed(&mut self, observe: &mut dyn FnMut(&[Index], &[Index], &[T])) {
+    pub fn wait_observed(&mut self, observe: &mut dyn FnMut(&[Index], &[Index], &[T], &Dcsr<T>)) {
         self.settle(Plus, observe);
     }
 
     /// One settle: the pending tuples are sorted and deduplicated under
-    /// `dup`, shown to `observe`, and merged into the settled structure —
-    /// and, transposed, into the column twin if there is one.
+    /// `dup`, shown to `observe` beside the settled structure, and merged
+    /// into it — and, transposed, into the column twin if there is one.
     fn settle<Op: BinaryOp<T>>(
         &mut self,
         dup: Op,
-        mut observe: impl FnMut(&[Index], &[Index], &[T]),
+        mut observe: impl FnMut(&[Index], &[Index], &[T], &Dcsr<T>),
     ) {
         if self.pending.is_empty() {
             return;
         }
         self.pending.sort_dedup_with(dup, &mut self.scratch);
         let (rows, cols, vals) = self.pending.parts();
-        observe(rows, cols, vals);
+        observe(rows, cols, vals, &self.settled);
         if let Some(twin) = &mut self.col_shadow {
             twin.settle(&self.pending, dup);
         }

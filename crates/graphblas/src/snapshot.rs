@@ -196,7 +196,7 @@ mod tests {
             m.nrows(),
             m.ncols(),
             vec![(m.settled_arc(), None)],
-            (None, Some(cix.view())),
+            (None, Some(cix.view().clone())),
         );
         assert!(snap.stats_mut().1.is_some());
         assert_eq!(snap.read_col_degree(7), 3);

@@ -6,7 +6,6 @@ use crate::fold::BatchFold;
 use crate::persist::{self, manifest, recover, wal, DurableConfig, DurableState, RecoveryReport};
 use crate::stats::HierStats;
 use hyperstream_graphblas::cursor::{merge_levels, merged_nnz};
-use hyperstream_graphblas::degree_index::FxBuildHasher;
 use hyperstream_graphblas::formats::coo::RADIX_DIM_MAX;
 use hyperstream_graphblas::formats::dcsr::Dcsr;
 use hyperstream_graphblas::formats::MemoryFootprint;
@@ -18,7 +17,6 @@ use hyperstream_graphblas::{
     validate_index, DegreeIndex, DegreeIndexView, GrbError, GrbResult, Index, LevelStore, Matrix,
     MatrixSnapshot, ScalarType, Side, StreamingSink,
 };
-use std::collections::HashSet;
 use std::sync::Arc;
 
 /// An N-level hierarchical hypersparse matrix accumulating under `+`.
@@ -30,10 +28,12 @@ use std::sync::Arc;
 /// GraphBLAS `ewise_add` calls.
 ///
 /// Alongside the levels the matrix maintains an incremental
-/// [`DegreeIndex`]: every level-0 settle asks the matrix's one cell oracle
-/// which cells of its sorted, deduplicated batch are new to the union and
-/// feeds the index the answer (cascades move cells between levels without
-/// changing the represented union, so they cost the index nothing), which
+/// [`DegreeIndex`]: every level-0 settle finds which cells of its sorted,
+/// deduplicated batch are new to the union by one forward walk over each
+/// level's sorted structure ([`Dcsr::clear_stored`]) — the levels are the
+/// only record of which cells exist — and feeds the index the answer
+/// (cascades move cells between levels without changing the represented
+/// union, so they cost the index nothing), which
 /// turns `read_nnz` / `read_row_degree` / `read_row_reduce` into O(1)
 /// answers and `read_top_k` into an O(k) answer off a cache of the top 128
 /// ranks that the same settle keeps current: degrees only grow, so a row
@@ -52,7 +52,7 @@ use std::sync::Arc;
 ///
 /// The *column* read path mirrors all of this through the transpose: a
 /// second [`DegreeIndex`], built on first use and keyed by column (fed by the
-/// same settle observer: the batch's columns and the same oracle answers)
+/// same settle observer: the batch's columns and the same newness flags)
 /// serves in-degree / in-degree-top-k / in-degree-histogram in O(1)/O(k),
 /// and per-level column twins ([`Matrix::col_shadow`]) serve column
 /// extracts and column-range scans in O(k) per level.  A twin is built by
@@ -131,17 +131,18 @@ pub(crate) fn check_batch<T>(
 /// (tuples a caller still holds for them) accumulated in: [`merged_nnz`]
 /// over every settled level, plus the distinct unsettled cells — pending or
 /// staged — that no settled level holds.  Works through `&self` and builds
-/// no [`Matrix`].  A lone hierarchy with a live cell oracle counts its
-/// settled cells off the oracle: everything settled has passed through it.
+/// no [`Matrix`].  A lone hierarchy with a degree index held counts its
+/// settled cells off the index's exact `nnz`: the index follows every settle.
 pub(crate) fn distinct_cells<T: ScalarType>(
     hiers: &[&HierMatrix<T>],
     mut staged: Vec<(Index, Index)>,
 ) -> usize {
     let levels: Vec<&Dcsr<T>> = hiers.iter().flat_map(|h| h.level_dcsrs()).collect();
-    let settled = match hiers {
-        [h] if h.degrees.is_live() => h.degrees.cells.len(),
-        _ => merged_nnz(&levels),
+    let held = match hiers {
+        [h] => h.degrees.rows.as_ref().or(h.degrees.cols.as_ref()),
+        _ => None,
     };
+    let settled = held.map_or_else(|| merged_nnz(&levels), |ix| ix.view().nnz());
     for level in hiers.iter().flat_map(|h| &h.levels) {
         let (rows, cols, _) = level.pending_parts();
         staged.extend(rows.iter().copied().zip(cols.iter().copied()));
@@ -154,24 +155,13 @@ pub(crate) fn distinct_cells<T: ScalarType>(
     settled + unheld.count()
 }
 
-/// Pack a `(row, col)` coordinate into the cell-oracle key.  Dimensions are
-/// capped at `2^60`, so both halves fit.
-#[inline]
-fn cell_key(row: Index, col: Index) -> u128 {
-    ((row as u128) << 64) | col as u128
-}
-
-/// The row and the column [`DegreeIndex`] and the one cell oracle that
+/// The row and the column [`DegreeIndex`] and the settle observer that
 /// feeds both: whether a settled cell is new to the represented union is
-/// one question with one answer for both axes, so it is asked once.
-/// Both sides start absent and the oracle empty (pure ingest pays
-/// nothing); the first degree question on a side builds it and, if the
-/// other is not live yet, fills the oracle in the same sweep — so the
-/// oracle is complete exactly while a side is held.
+/// one question with one answer for both axes, so it is asked once, of the
+/// levels themselves.  Both sides start absent (pure ingest pays nothing);
+/// the first degree question on a side builds it.
 #[derive(Debug, Clone, Default)]
 struct Degrees<T> {
-    /// Every distinct cell of the represented union, while a side is held.
-    cells: HashSet<u128, FxBuildHasher>,
     /// Per cell of the batch being observed: did the union grow?
     grew: Vec<bool>,
     rows: Option<DegreeIndex<T>>,
@@ -184,19 +174,25 @@ impl<T: ScalarType> Degrees<T> {
     }
 
     /// The settle observer: `rows / cols / vals` are cells about to merge
-    /// into a level, duplicate-free, values combined under `+`.  One oracle
-    /// probe per cell; each held side then folds its own coordinate.
-    fn observe(&mut self, rows: &[Index], cols: &[Index], vals: &[T]) {
+    /// into a level, sorted row-major, duplicate-free, values combined
+    /// under `+`, and `levels` is every level's settled structure before
+    /// the merge.  A cell is new unless some level stores it: one walk per
+    /// level; each held side then folds its own coordinate.
+    fn observe<'a>(
+        &mut self,
+        rows: &[Index],
+        cols: &[Index],
+        vals: &[T],
+        levels: impl Iterator<Item = &'a Dcsr<T>>,
+    ) {
         if !self.is_live() {
             return;
         }
-        let cells = &mut self.cells;
         self.grew.clear();
-        self.grew.extend(
-            rows.iter()
-                .zip(cols)
-                .map(|(&r, &c)| cells.insert(cell_key(r, c))),
-        );
+        self.grew.resize(rows.len(), true);
+        for level in levels {
+            level.clear_stored(rows, cols, &mut self.grew);
+        }
         if let Some(index) = &mut self.rows {
             index.observe(rows, vals, &self.grew);
         }
@@ -205,13 +201,10 @@ impl<T: ScalarType> Degrees<T> {
         }
     }
 
-    /// Bytes held: both indexes' tables, and the oracle once.
+    /// Bytes held: both indexes' tables and the observer's flags.
     fn memory_bytes(&self) -> usize {
         let index = |ix: &Option<DegreeIndex<T>>| ix.as_ref().map_or(0, DegreeIndex::memory_bytes);
-        self.cells.capacity() * std::mem::size_of::<u128>()
-            + self.grew.capacity()
-            + index(&self.rows)
-            + index(&self.cols)
+        self.grew.capacity() + index(&self.rows) + index(&self.cols)
     }
 }
 
@@ -400,11 +393,11 @@ impl<T: ScalarType> HierMatrix<T> {
         self.levels.iter().map(|l| l.memory()).collect()
     }
 
-    /// Total bytes across all levels, including the degree indexes' tables,
-    /// the cell oracle they share (counted once) and the batch fold's index.
-    /// After [`HierMatrix::flush`] that is the data alone: the top level,
-    /// the degree indexes and their oracle, and a new level's few bytes for
-    /// every other level; mid-stream, the levels' ingest buffers too.
+    /// Total bytes across all levels, including the degree indexes' tables
+    /// and the batch fold's index.  After [`HierMatrix::flush`] that is the
+    /// data alone: the top level, the degree indexes, and a new level's few
+    /// bytes for every other level; mid-stream, the levels' ingest buffers
+    /// too.
     pub fn memory_bytes(&self) -> usize {
         self.memory_per_level()
             .iter()
@@ -480,14 +473,21 @@ impl<T: ScalarType> HierMatrix<T> {
 
     /// Settle level `i`'s pending tuples through the degree-index observer:
     /// the sorted, in-batch-deduplicated pending batch is exactly the settle
-    /// dedup-unpack event the index maintains itself on.  Every settle in
-    /// the hierarchy routes through here so the index never misses a cell.
+    /// dedup-unpack event the index maintains itself on, and every level —
+    /// the others, and level `i` as it stands before the merge — tells it
+    /// which of the batch's cells are not new.  Every settle in the
+    /// hierarchy routes through here so the index never misses a cell.
     fn settle_level(&mut self, i: usize) {
         if self.levels[i].npending() == 0 {
             return;
         }
         let degrees = &mut self.degrees;
-        self.levels[i].wait_observed(&mut |rows, cols, vals| degrees.observe(rows, cols, vals));
+        let (below, rest) = self.levels.split_at_mut(i);
+        let (level, above) = rest.split_at_mut(1);
+        level[0].wait_observed(&mut |rows, cols, vals, own| {
+            let others = below.iter().chain(above.iter()).map(|l| l.dcsr());
+            degrees.observe(rows, cols, vals, others.chain([own]))
+        });
         if i == 0 {
             self.raw_pending = 0;
         }
@@ -505,31 +505,18 @@ impl<T: ScalarType> HierMatrix<T> {
 
     /// Settle everything and return `side`'s degree index.  The first
     /// degree question of a side lands here and builds it over the settled
-    /// levels ([`DegreeIndex::from_levels`]), filling the cell oracle in
-    /// the same sweep unless the other side already keeps it complete;
-    /// every later settle maintains it incrementally through the observer.
+    /// levels ([`DegreeIndex::from_levels`]); every later settle maintains
+    /// it incrementally through the observer.
     fn degrees(&mut self, side: Side) -> &mut DegreeIndex<T> {
         self.settle_levels();
-        let d = &mut self.degrees;
-        let fill = !d.is_live();
         let levels = &self.levels;
         let slot = match side {
-            Side::Rows => &mut d.rows,
-            Side::Cols => &mut d.cols,
+            Side::Rows => &mut self.degrees.rows,
+            Side::Cols => &mut self.degrees.cols,
         };
         slot.get_or_insert_with(|| {
             let levels: Vec<&Dcsr<T>> = levels.iter().map(|l| l.dcsr()).collect();
-            if fill {
-                // The union holds at least what its largest level holds.
-                let largest = levels.iter().map(|d| d.nvals()).max();
-                d.cells.reserve(largest.unwrap_or(0));
-            }
-            DegreeIndex::from_levels(&levels, side, |chunk| {
-                if fill {
-                    d.cells
-                        .extend(chunk.iter().map(|&(r, c, _)| cell_key(r, c)));
-                }
-            })
+            DegreeIndex::from_levels(&levels, side)
         })
     }
 
@@ -575,8 +562,9 @@ impl<T: ScalarType> HierMatrix<T> {
     /// levels below the top give back every buffer ([`Matrix::clear`]), the
     /// top level keeps its structure and twin but not their merge scratch
     /// (a [`Matrix`] clone shares the one and starts without the other),
-    /// and the batch fold and the degree observer give back theirs.  The
-    /// first cascades after a flush grow the buffers again.
+    /// the batch fold and the degree observer give back theirs, and so does
+    /// a durable store's level-file encode buffer.  The first cascades
+    /// after a flush grow the buffers again.
     ///
     /// Infallible today except under fault injection — the fallible
     /// signature is what lets a shard worker latch and report a flush
@@ -600,8 +588,9 @@ impl<T: ScalarType> HierMatrix<T> {
         // A durable flush is also a checkpoint barrier: the flushed state
         // lands in level files and the WAL rotates empty, so a reopen
         // after a clean flush replays nothing.
-        if self.durable.is_some() {
-            self.checkpoint()?;
+        self.checkpoint()?;
+        if let Some(d) = self.durable.as_mut() {
+            d.level_buf = Vec::new();
         }
         Ok(())
     }
@@ -1034,7 +1023,7 @@ impl<T: ScalarType> HierMatrix<T> {
     /// the sides held.
     fn captured(&self) -> MatrixSnapshot<T> {
         debug_assert!(self.levels.iter().all(|l| l.npending() == 0));
-        let view = |ix: &Option<DegreeIndex<T>>| ix.as_ref().map(DegreeIndex::view);
+        let view = |ix: &Option<DegreeIndex<T>>| ix.as_ref().map(|ix| ix.view().clone());
         MatrixSnapshot::new(
             "hier-graphblas-snapshot",
             self.nrows,
@@ -1389,8 +1378,13 @@ mod tests {
         assert_eq!(m.memory_per_level().len(), 4);
     }
 
+    /// Nothing is kept beside the levels to tell which cells exist: with
+    /// both sides held, the footprint is the levels, the fold, the two
+    /// sides' tables and the observer's flags, and at rest after a flush the
+    /// top level, a new level's few bytes for every other level and the
+    /// two sides' tables.
     #[test]
-    fn both_degree_sides_share_one_cell_oracle_counted_once() {
+    fn held_degree_sides_cost_their_tables_beside_the_levels() {
         let mut m = HierMatrix::<u64>::new(1 << 20, 1 << 20, small_config()).unwrap();
         // 31 x 47 cells hit again and again: when a side is built, most
         // cells sit in several levels at once.
@@ -1398,46 +1392,34 @@ mod tests {
             m.update(i % 31, (i * 11) % 47, 1).unwrap();
         }
         assert!(m.entries_per_level().iter().sum::<usize>() > m.nvals_exact());
-        assert_eq!(m.degrees.memory_bytes(), 0, "pure ingest builds no oracle");
-        // Column side first: its sweep fills the oracle, deduplicated.
+        assert_eq!(m.degrees.memory_bytes(), 0, "pure ingest builds no index");
+        // Column side first, then the row side: each sweep deduplicates.
+        let nnz = m.with_levels(merged_nnz);
         let in_top = m.read_in_top_k(3);
         assert_eq!(in_top, m.with_levels(|lv| merged_in_top_k(lv, 3)));
-        let nnz = m.with_levels(merged_nnz);
         assert!(m.degrees.rows.is_none());
-        assert_eq!(
-            (
-                m.degrees.cells.len(),
-                m.degrees(Side::Cols).view_mut().nnz()
-            ),
-            (nnz, nnz)
-        );
-        let oracle = m.degrees.cells.capacity() * std::mem::size_of::<u128>();
-        // The row side joins without touching it, and ingest keeps it one.
         assert_eq!(m.read_top_k(3), m.with_levels(|lv| merged_top_k(lv, 3)));
-        assert_eq!(m.degrees(Side::Rows).view_mut().nnz(), nnz);
-        assert_eq!(
-            oracle,
-            m.degrees.cells.capacity() * std::mem::size_of::<u128>()
-        );
+        for side in [Side::Rows, Side::Cols] {
+            assert_eq!(m.degrees(side).view().nnz(), nnz);
+        }
+        // Ingest with both held: the walks keep both sides exact.
         for i in 0..500u64 {
             m.update(i % 31, 100 + i % 7, 1).unwrap();
         }
         let nnz = m.read_nnz();
-        assert_eq!(m.degrees.cells.len(), nnz);
+        assert_eq!(nnz, m.with_levels(merged_nnz));
+        assert_eq!(m.degrees(Side::Cols).view().nnz(), nnz);
         let d = &m.degrees;
         let sides = [&d.rows, &d.cols].map(|ix| ix.as_ref().unwrap().memory_bytes());
         let sides = sides[0] + sides[1];
-        let oracle = d.cells.capacity() * std::mem::size_of::<u128>();
-        assert!(oracle > 0 && sides > 0);
+        assert!(sides > 0 && d.grew.capacity() > 0);
         let levels: usize = m.memory_per_level().iter().map(|f| f.total()).sum();
-        // Once: with an oracle inside each index this read `2 * oracle`.
         assert_eq!(
             m.memory_bytes(),
-            levels + m.fold.memory_bytes() + sides + oracle + d.grew.capacity()
+            levels + m.fold.memory_bytes() + sides + d.grew.capacity()
         );
-        // A flush keeps the sides and the oracle, and of the levels only
-        // the top one's structure: the others read as new levels.
-        assert!(d.grew.capacity() > 0);
+        // A flush keeps the sides, and of the levels only the top one's
+        // structure: the others read as new levels.
         m.flush().unwrap();
         let d = &m.degrees;
         assert_eq!((d.grew.capacity(), m.fold.memory_bytes()), (0, 0));
@@ -1447,13 +1429,17 @@ mod tests {
         assert!(below.iter().all(|f| *f == new_level));
         assert_eq!(
             m.memory_bytes(),
-            top.total() + below.len() * new_level.total() + sides + oracle
+            top.total() + below.len() * new_level.total() + sides
         );
         assert_eq!(m.read_nnz(), nnz);
+        assert_eq!(
+            m.read_in_top_k(3),
+            m.with_levels(|lv| merged_in_top_k(lv, 3))
+        );
         // `clear()` gives all of it back and holds no side.
         m.clear();
-        assert_eq!(m.degrees.cells.capacity(), 0);
         assert!(!m.degrees.is_live());
+        assert_eq!(m.degrees.memory_bytes(), 0);
     }
 
     #[test]
@@ -1564,8 +1550,9 @@ mod tests {
     }
 
     /// With level-0 tuples pending, some on cells a settled level holds,
-    /// the exact count equals a set of the cells — before the cell oracle
-    /// is live and after — and counting settles nothing.
+    /// the exact count equals a set of the cells — while no degree index
+    /// is held (a sweep of the levels counts) and once one is (its `nnz`
+    /// counts) — and counting settles nothing.
     #[test]
     fn nvals_exact_with_pending_equals_a_cell_set() {
         let mut m = HierMatrix::<u64>::new(1 << 16, 1 << 16, small_config()).unwrap();
@@ -1578,12 +1565,12 @@ mod tests {
             if i == 450 {
                 m.read_row_degree(0);
             }
+            assert_eq!(m.degrees.is_live(), i >= 450, "after update {i}");
             let pending = m.levels[0].npending();
             assert_eq!(m.nvals_exact(), cells.len(), "after update {i}");
             assert_eq!(m.levels[0].npending(), pending, "after update {i}");
             counted_pending += usize::from(pending > 0);
         }
-        assert!(m.degrees.is_live());
         assert!(counted_pending > 600, "{counted_pending}");
     }
 
@@ -1632,6 +1619,12 @@ mod tests {
             Plus,
         )
         .unwrap();
+        m.update_matrix(&upd).unwrap();
+        assert_eq!(m.read_nnz(), m.with_levels(merged_nnz));
+        assert_eq!(m.read_row_degree(500_000), 1);
+        // Again: the read left those cells settled in level 0 itself, whose
+        // structure before the merge the settle must find them in.
+        assert_eq!(m.levels[0].nvals_settled(), 3);
         m.update_matrix(&upd).unwrap();
         assert_eq!(m.read_nnz(), m.with_levels(merged_nnz));
         assert_eq!(m.read_row_degree(500_000), 1);
@@ -1842,13 +1835,16 @@ mod tests {
         };
         let idx: Vec<u64> = (0..2000).collect();
         m.update_batch(&idx, &idx, &idx).unwrap();
-        m.flush().unwrap();
+        m.checkpoint().unwrap();
         let first = level_buf(&m);
         assert!(first.1 >= 2000 * 16, "the checkpoint encoded through it");
         // The same cells again: every level file comes out the same size.
         m.update_batch(&idx, &idx, &idx).unwrap();
-        m.flush().unwrap();
+        m.checkpoint().unwrap();
         assert_eq!(level_buf(&m), first);
+        // A flush is the end of an ingest phase: it gives the buffer back.
+        m.flush().unwrap();
+        assert_eq!(level_buf(&m).1, 0);
         assert_eq!(m.get(7, 7), Some(14));
         drop(m);
         std::fs::remove_dir_all(&dir).unwrap();

@@ -378,9 +378,10 @@ pub(crate) struct DurableState {
     /// freshly created store).
     pub(crate) report: Option<RecoveryReport>,
     /// Reusable file image for [`format::write_level`]: grows to the
-    /// largest level file written so far and is then reused, so
-    /// steady-state checkpoints allocate nothing.  I/O scratch, not matrix
-    /// content: it is not part of `memory_bytes()`.
+    /// largest level file written since the last `flush()`, which gives it
+    /// back, and is reused until then, so steady-state checkpoints allocate
+    /// nothing.  I/O scratch, not matrix content: it is not part of
+    /// `memory_bytes()`.
     pub(crate) level_buf: Vec<u8>,
     /// Files the committed manifest stopped referencing that are still on
     /// disk, queued by a checkpoint for [`DurableState::remove_retired`].

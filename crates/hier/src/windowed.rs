@@ -273,7 +273,7 @@ impl<T: ScalarType> LevelStore for WindowedHierMatrix<T> {
         self.settle_windows();
         let (closed, current) = (&self.closed, &self.current);
         let index = self.stats[side as usize].get_or_insert_with(|| {
-            DegreeIndex::from_levels(&Self::retained_dcsrs(closed, current), side, |_| {})
+            DegreeIndex::from_levels(&Self::retained_dcsrs(closed, current), side)
         });
         Some(f(&mut [index.view_mut()]))
     }

@@ -212,129 +212,151 @@ proptest! {
     // The top-k cache the settle observer keeps current is exact: after
     // every settle, for every width, the row index (grouped feed) and the
     // column index (the same event's columns, so keys recur un-grouped),
-    // both fed from ONE cell oracle, answer exactly what an index built
+    // both fed the same newness flags, answer exactly what an index built
     // from scratch over the same cells answers, and what the flat matrix
-    // says.  A hierarchy driven by the same steps — whose two indexes
-    // share its one oracle — gives the same answers whichever side is
-    // asked first (`order`), from whichever step on (`ask_from`), across
-    // `clear()` and `update_matrix`, with cells sitting in several levels
-    // when a side is built (cuts of 8 and 64 against batches of up to 80).
+    // says.  A hierarchy driven by the same steps — whose two indexes are
+    // fed by one walk of its levels per settle — gives the same answers
+    // whichever side is asked first (`order`), from whichever step on
+    // (`ask_from`), across `clear()` and `update_matrix`, with cells
+    // sitting in several levels when a side is built (cuts of 8 and 64
+    // against batches of up to 80).  All of it at dimension 2^32, and
+    // again at 2^40 with every key shifted past 2^32.
     #[test]
     fn upkept_top_k_equals_from_scratch_index_and_flat(
         steps in prop::collection::vec((settle_batch(), 0usize..7, 0u64..12), 1usize..30),
         order in 0usize..4,
         ask_from in 0usize..6,
     ) {
-        let mut row_ix = DegreeIndex::<u64>::new();
-        let mut col_ix = DegreeIndex::<u64>::new();
-        // The owner's half: which cells the union holds.
-        let mut cells = std::collections::HashSet::new();
-        let mut flat = Matrix::<u64>::new(DIM, DIM);
-        let cfg = HierConfig::from_cuts(vec![8, 64]).unwrap();
-        let mut hier = HierMatrix::<u64>::new(DIM, DIM, cfg).unwrap();
-        // Which sides of the hierarchy step `i` may ask: rows then columns,
-        // columns then rows, columns only, or both before the first batch.
-        let asks = |i: usize| match order {
-            0 => (i >= ask_from, i >= ask_from + 2),
-            1 => (i >= ask_from + 2, i >= ask_from),
-            2 => (false, i >= ask_from),
-            _ => (true, true),
-        };
-        if order == 3 {
-            prop_assert!(hier.read_top_k(3).is_empty() && hier.read_in_top_k(3).is_empty());
-        }
-        // A view taken mid-stream with the answers it must keep giving.
-        let mut frozen: Option<(DegreeIndexView<u64>, DegreeIndexView<u64>, Matrix<u64>)> = None;
-        for (i, (batch, k_sel, action)) in steps.into_iter().enumerate() {
-            if action == 0 {
-                // The matrix was cleared: its owner starts both indexes
-                // afresh, as the hierarchy drops its own and builds them
-                // again at the next degree query over what is there.
-                row_ix = DegreeIndex::new();
-                col_ix = DegreeIndex::new();
-                cells.clear();
-                flat = Matrix::<u64>::new(DIM, DIM);
-                hier.clear();
+        for (dim, shift) in [(DIM, 0), (1u64 << 40, 8)] {
+            let mut row_ix = DegreeIndex::<u64>::new();
+            let mut col_ix = DegreeIndex::<u64>::new();
+            // The owner's half: which cells the union holds.
+            let mut cells = std::collections::HashSet::new();
+            let mut flat = Matrix::<u64>::new(dim, dim);
+            let cfg = HierConfig::from_cuts(vec![8, 64]).unwrap();
+            let mut hier = HierMatrix::<u64>::new(dim, dim, cfg).unwrap();
+            // Which sides of the hierarchy step `i` may ask: rows then
+            // columns, columns then rows, columns only, or both before the
+            // first batch.
+            let asks = |i: usize| match order {
+                0 => (i >= ask_from, i >= ask_from + 2),
+                1 => (i >= ask_from + 2, i >= ask_from),
+                2 => (false, i >= ask_from),
+                _ => (true, true),
+            };
+            if order == 3 {
+                prop_assert!(hier.read_top_k(3).is_empty() && hier.read_in_top_k(3).is_empty());
             }
-            // The settle's dedup-unpack: sorted row-major, duplicates folded.
-            let (r, c, v): (Vec<u64>, Vec<u64>, Vec<u64>) = (
-                batch.iter().map(|e| e.0).collect(),
-                batch.iter().map(|e| e.1).collect(),
-                batch.iter().map(|e| e.2).collect(),
-            );
-            let settled = Matrix::from_tuples(DIM, DIM, &r, &c, &v, Plus).unwrap();
-            let (rows, cols, vals) = settled.extract_tuples();
-            let new: Vec<bool> =
-                rows.iter().zip(&cols).map(|(&r, &c)| cells.insert((r, c))).collect();
-            row_ix.observe(&rows, &vals, &new);
-            col_ix.observe(&cols, &vals, &new);
-            flat.accum_tuples(&rows, &cols, &vals).unwrap();
-            flat.wait();
-            let flat_t = transpose(&flat);
-            match action {
-                3 | 4 => hier.update_matrix(&settled).unwrap(),
-                5 => {
-                    let mut pending = Matrix::<u64>::new(DIM, DIM);
-                    pending.accum_tuples(&r, &c, &v).unwrap();
-                    hier.update_matrix(&pending).unwrap();
+            // A view taken mid-stream with the answers it must keep giving.
+            let mut frozen: Option<(DegreeIndexView<u64>, DegreeIndexView<u64>, Matrix<u64>)> =
+                None;
+            for (i, (batch, k_sel, action)) in steps.iter().cloned().enumerate() {
+                let batch: Vec<(u64, u64, u64)> =
+                    batch.into_iter().map(|(r, c, v)| (r << shift, c << shift, v)).collect();
+                if action == 0 {
+                    // The matrix was cleared: its owner starts both indexes
+                    // afresh, as the hierarchy drops its own and builds them
+                    // again at the next degree query over what is there.
+                    row_ix = DegreeIndex::new();
+                    col_ix = DegreeIndex::new();
+                    cells.clear();
+                    flat = Matrix::<u64>::new(dim, dim);
+                    hier.clear();
                 }
-                _ => hier.update_batch(&r, &c, &v).unwrap(),
-            }
-
-            let mut scratch_row = from_scratch_index(&flat, false);
-            let mut scratch_col = from_scratch_index(&flat, true);
-            let (ask_rows, ask_cols) = asks(i);
-
-            // This step's width first (it decides what the cache looks
-            // like going into the next settle), then a narrow one.
-            for k in [KS[k_sel], 10] {
-                let got = row_ix.view_mut().top_k(k);
-                prop_assert_eq!(&got, &scratch_row.view_mut().top_k(k));
-                prop_assert_eq!(&got, &reference_top_k(&flat, k));
-                if ask_rows {
-                    prop_assert_eq!(&got, &hier.read_top_k(k));
+                // The settle's dedup-unpack: sorted row-major, duplicates
+                // folded.
+                let (r, c, v): (Vec<u64>, Vec<u64>, Vec<u64>) = (
+                    batch.iter().map(|e| e.0).collect(),
+                    batch.iter().map(|e| e.1).collect(),
+                    batch.iter().map(|e| e.2).collect(),
+                );
+                let settled = Matrix::from_tuples(dim, dim, &r, &c, &v, Plus).unwrap();
+                let (rows, cols, vals) = settled.extract_tuples();
+                let new: Vec<bool> =
+                    rows.iter().zip(&cols).map(|(&r, &c)| cells.insert((r, c))).collect();
+                row_ix.observe(&rows, &vals, &new);
+                col_ix.observe(&cols, &vals, &new);
+                flat.accum_tuples(&rows, &cols, &vals).unwrap();
+                flat.wait();
+                let flat_t = transpose(&flat);
+                match action {
+                    3 | 4 => hier.update_matrix(&settled).unwrap(),
+                    5 => {
+                        let mut pending = Matrix::<u64>::new(dim, dim);
+                        pending.accum_tuples(&r, &c, &v).unwrap();
+                        hier.update_matrix(&pending).unwrap();
+                    }
+                    _ => hier.update_batch(&r, &c, &v).unwrap(),
                 }
-                let got = col_ix.view_mut().top_k(k);
-                prop_assert_eq!(&got, &scratch_col.view_mut().top_k(k));
-                prop_assert_eq!(&got, &reference_top_k(&flat_t, k));
+
+                let mut scratch_row = from_scratch_index(&flat, false);
+                let mut scratch_col = from_scratch_index(&flat, true);
+                let (ask_rows, ask_cols) = asks(i);
+
+                // This step's width first (it decides what the cache looks
+                // like going into the next settle), then a narrow one.
+                for k in [KS[k_sel], 10] {
+                    let got = row_ix.view_mut().top_k(k);
+                    prop_assert_eq!(&got, &scratch_row.view_mut().top_k(k));
+                    prop_assert_eq!(&got, &reference_top_k(&flat, k));
+                    if ask_rows {
+                        prop_assert_eq!(&got, &hier.read_top_k(k));
+                    }
+                    let got = col_ix.view_mut().top_k(k);
+                    prop_assert_eq!(&got, &scratch_col.view_mut().top_k(k));
+                    prop_assert_eq!(&got, &reference_top_k(&flat_t, k));
+                    if ask_cols {
+                        prop_assert_eq!(&got, &hier.read_in_top_k(k));
+                    }
+                }
+                prop_assert_eq!(row_ix.view_mut().nnz(), flat.nvals());
+                prop_assert_eq!(col_ix.view_mut().nnz(), flat.nvals());
+                // Degree and weight of a key of this batch, and nnz: off a
+                // held index's count once a column read has settled the
+                // levels.
+                let (row, col) = (rows[0], cols[0]);
                 if ask_cols {
-                    prop_assert_eq!(&got, &hier.read_in_top_k(k));
+                    prop_assert_eq!(
+                        hier.read_col_degree(col),
+                        scratch_col.view_mut().row_degree(col)
+                    );
+                    prop_assert_eq!(
+                        hier.read_col_reduce(col),
+                        scratch_col.view_mut().row_weight(col)
+                    );
+                    prop_assert_eq!(hier.nvals_exact(), flat.nvals());
                 }
-            }
-            prop_assert_eq!(row_ix.view_mut().nnz(), flat.nvals());
-            prop_assert_eq!(col_ix.view_mut().nnz(), flat.nvals());
-            // Degree and weight of a key of this batch, and nnz: off the
-            // oracle itself once a column read has settled the levels.
-            let (row, col) = (rows[0], cols[0]);
-            if ask_cols {
-                prop_assert_eq!(hier.read_col_degree(col), scratch_col.view_mut().row_degree(col));
-                prop_assert_eq!(hier.read_col_reduce(col), scratch_col.view_mut().row_weight(col));
-                prop_assert_eq!(hier.nvals_exact(), flat.nvals());
-            }
-            if ask_rows {
-                prop_assert_eq!(hier.read_row_degree(row), scratch_row.view_mut().row_degree(row));
-                prop_assert_eq!(hier.read_row_reduce(row), scratch_row.view_mut().row_weight(row));
-                prop_assert_eq!(hier.read_nnz(), flat.nvals());
-            }
+                if ask_rows {
+                    prop_assert_eq!(
+                        hier.read_row_degree(row),
+                        scratch_row.view_mut().row_degree(row)
+                    );
+                    prop_assert_eq!(
+                        hier.read_row_reduce(row),
+                        scratch_row.view_mut().row_weight(row)
+                    );
+                    prop_assert_eq!(hier.read_nnz(), flat.nvals());
+                }
 
-            if let Some((row_view, col_view, at)) = frozen.as_mut() {
-                let at_t = transpose(at);
-                for k in [1, 10, 128, usize::MAX] {
-                    prop_assert_eq!(row_view.top_k(k), reference_top_k(at, k));
-                    prop_assert_eq!(col_view.top_k(k), reference_top_k(&at_t, k));
+                if let Some((row_view, col_view, at)) = frozen.as_mut() {
+                    let at_t = transpose(at);
+                    for k in [1, 10, 128, usize::MAX] {
+                        prop_assert_eq!(row_view.top_k(k), reference_top_k(at, k));
+                        prop_assert_eq!(col_view.top_k(k), reference_top_k(&at_t, k));
+                    }
+                }
+                if action == 1 {
+                    frozen = Some((row_ix.view().clone(), col_ix.view().clone(), flat.clone()));
                 }
             }
-            if action == 1 {
-                frozen = Some((row_ix.view(), col_ix.view(), flat.clone()));
+            // Whatever was asked along the way, both sides end exact.
+            let flat_t = transpose(&flat);
+            for k in [10, usize::MAX] {
+                prop_assert_eq!(hier.read_in_top_k(k), reference_top_k(&flat_t, k));
+                prop_assert_eq!(hier.read_top_k(k), reference_top_k(&flat, k));
             }
+            prop_assert_eq!(hier.read_nnz(), flat.nvals());
         }
-        // Whatever was asked along the way, both sides end exact.
-        let flat_t = transpose(&flat);
-        for k in [10, usize::MAX] {
-            prop_assert_eq!(hier.read_in_top_k(k), reference_top_k(&flat_t, k));
-            prop_assert_eq!(hier.read_top_k(k), reference_top_k(&flat, k));
-        }
-        prop_assert_eq!(hier.read_nnz(), flat.nvals());
     }
 }
 
