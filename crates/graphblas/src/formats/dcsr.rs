@@ -482,8 +482,8 @@ impl<T: ScalarType> Dcsr<T> {
     }
 
     /// The transpose as a new `ncols x nrows` structure — the one kernel
-    /// behind [`Matrix::col_shadow`](crate::matrix::Matrix::col_shadow),
-    /// the snapshot twin and [`ops::transpose`](crate::ops::transpose).
+    /// behind [`Matrix::col_shadow`](crate::matrix::Matrix::col_shadow)
+    /// and the snapshot twin.
     ///
     /// The source is already sorted and duplicate-free, so the transpose is
     /// a *stable sort by column alone*: rows then come out ascending inside

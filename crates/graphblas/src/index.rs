@@ -40,47 +40,6 @@ pub fn validate_index(index: Index, dim: Index) -> GrbResult<()> {
     }
 }
 
-/// A half-open index range `[start, end)` used by extract operations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct IndexRange {
-    /// Inclusive start.
-    pub start: Index,
-    /// Exclusive end.
-    pub end: Index,
-}
-
-impl IndexRange {
-    /// Construct a new range, validating that `start <= end`.
-    pub fn new(start: Index, end: Index) -> GrbResult<Self> {
-        if start > end {
-            return Err(GrbError::InvalidValue(format!(
-                "range start {start} exceeds end {end}"
-            )));
-        }
-        Ok(Self { start, end })
-    }
-
-    /// The whole axis `[0, dim)`.
-    pub fn all(dim: Index) -> Self {
-        Self { start: 0, end: dim }
-    }
-
-    /// Number of indices covered by the range.
-    pub fn len(&self) -> Index {
-        self.end - self.start
-    }
-
-    /// True when the range covers no indices.
-    pub fn is_empty(&self) -> bool {
-        self.start == self.end
-    }
-
-    /// True when `i` falls inside the range.
-    pub fn contains(&self, i: Index) -> bool {
-        i >= self.start && i < self.end
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -111,21 +70,5 @@ mod tests {
             }
             other => panic!("unexpected error {other:?}"),
         }
-    }
-
-    #[test]
-    fn ranges() {
-        let r = IndexRange::new(3, 7).unwrap();
-        assert_eq!(r.len(), 4);
-        assert!(!r.is_empty());
-        assert!(r.contains(3));
-        assert!(r.contains(6));
-        assert!(!r.contains(7));
-        assert!(!r.contains(2));
-
-        let all = IndexRange::all(100);
-        assert_eq!(all.len(), 100);
-        assert!(IndexRange::new(5, 4).is_err());
-        assert!(IndexRange::new(4, 4).unwrap().is_empty());
     }
 }

@@ -95,29 +95,17 @@ pub mod prelude {
     pub use crate::mask::Mask;
     pub use crate::mask::VectorMask;
     pub use crate::matrix::Matrix;
-    pub use crate::ops::apply::apply;
-    pub use crate::ops::binary::{
-        Div, First, Land, Lor, Lxor, Max, Min, Minus, Plus, Second, Times,
-    };
+    pub use crate::ops::binary::{First, Max, Min, Plus, Second, Times};
     pub use crate::ops::ewise_add::{ewise_add, ewise_add_into};
-    pub use crate::ops::ewise_mult::ewise_mult;
-    pub use crate::ops::extract::extract;
-    pub use crate::ops::monoid::{
-        LandMonoid, LorMonoid, MaxMonoid, MinMonoid, PlusMonoid, TimesMonoid,
-    };
-    pub use crate::ops::mxm::mxm;
-    pub use crate::ops::mxv::{mxv, vxm};
+    pub use crate::ops::monoid::{MaxMonoid, MinMonoid, PlusMonoid};
     pub use crate::ops::reader_mx::{
         mxm_reader, mxm_reader_masked, mxv_reader, mxv_reader_masked, vxm_pattern_levels,
         vxm_reader, vxm_reader_masked,
     };
     pub use crate::ops::reduce::{reduce_cols, reduce_rows, reduce_scalar};
-    pub use crate::ops::select::{select, SelectOp};
-    pub use crate::ops::semiring::{MaxPlus, MinPlus, PlusTimes};
+    pub use crate::ops::semiring::{MinPlus, PlusTimes};
     pub use crate::ops::spa::{spa_kernel_stats, SpaKernelStats, SpaScratch};
-    pub use crate::ops::transpose::transpose;
-    pub use crate::ops::unary::{AInv, Abs, Identity, MInv, One};
-    pub use crate::ops::{BinaryOp, Monoid, Semiring, UnaryOp};
+    pub use crate::ops::{BinaryOp, Monoid, Semiring};
     pub use crate::reader::{Answer, CursorReader, MatrixReader, Query, StreamingSystem};
     pub use crate::sink::StreamingSink;
     pub use crate::snapshot::MatrixSnapshot;

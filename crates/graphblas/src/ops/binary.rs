@@ -1,4 +1,5 @@
-//! Predefined binary operators (the `GrB_*` built-in operator set).
+//! The predefined binary operators the hierarchy and its analyses use (a
+//! subset of the `GrB_*` built-ins).
 
 use super::BinaryOp;
 use crate::types::ScalarType;
@@ -7,18 +8,9 @@ use crate::types::ScalarType;
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Plus;
 
-/// `z = x - y`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Minus;
-
 /// `z = x * y` (logical AND for `bool`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Times;
-
-/// `z = x / y` (division by zero yields zero, matching SuiteSparse integer
-/// semantics).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Div;
 
 /// `z = min(x, y)`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -37,26 +29,6 @@ pub struct First;
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Second;
 
-/// Logical AND of the truthiness of both operands, returned as `one()`/`zero()`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Land;
-
-/// Logical OR of the truthiness of both operands, returned as `one()`/`zero()`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Lor;
-
-/// Logical XOR of the truthiness of both operands, returned as `one()`/`zero()`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Lxor;
-
-/// `z = 1` if `x == y` else `0` (ISEQ).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct IsEq;
-
-/// `z = 1` if `x != y` else `0` (ISNE).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct IsNe;
-
 impl<T: ScalarType> BinaryOp<T> for Plus {
     const SPECULATION_SAFE: bool = true;
     fn apply(&self, x: T, y: T) -> T {
@@ -64,24 +36,10 @@ impl<T: ScalarType> BinaryOp<T> for Plus {
     }
 }
 
-impl<T: ScalarType> BinaryOp<T> for Minus {
-    const SPECULATION_SAFE: bool = true;
-    fn apply(&self, x: T, y: T) -> T {
-        x.sub(y)
-    }
-}
-
 impl<T: ScalarType> BinaryOp<T> for Times {
     const SPECULATION_SAFE: bool = true;
     fn apply(&self, x: T, y: T) -> T {
         x.mul(y)
-    }
-}
-
-impl<T: ScalarType> BinaryOp<T> for Div {
-    const SPECULATION_SAFE: bool = true;
-    fn apply(&self, x: T, y: T) -> T {
-        x.div(y)
     }
 }
 
@@ -113,87 +71,6 @@ impl<T: ScalarType> BinaryOp<T> for Second {
     }
 }
 
-impl<T: ScalarType> BinaryOp<T> for Land {
-    const SPECULATION_SAFE: bool = true;
-    fn apply(&self, x: T, y: T) -> T {
-        if !x.is_zero() && !y.is_zero() {
-            T::one()
-        } else {
-            T::zero()
-        }
-    }
-}
-
-impl<T: ScalarType> BinaryOp<T> for Lor {
-    const SPECULATION_SAFE: bool = true;
-    fn apply(&self, x: T, y: T) -> T {
-        if !x.is_zero() || !y.is_zero() {
-            T::one()
-        } else {
-            T::zero()
-        }
-    }
-}
-
-impl<T: ScalarType> BinaryOp<T> for Lxor {
-    const SPECULATION_SAFE: bool = true;
-    fn apply(&self, x: T, y: T) -> T {
-        if x.is_zero() != y.is_zero() {
-            T::one()
-        } else {
-            T::zero()
-        }
-    }
-}
-
-impl<T: ScalarType> BinaryOp<T> for IsEq {
-    const SPECULATION_SAFE: bool = true;
-    fn apply(&self, x: T, y: T) -> T {
-        if x == y {
-            T::one()
-        } else {
-            T::zero()
-        }
-    }
-}
-
-impl<T: ScalarType> BinaryOp<T> for IsNe {
-    const SPECULATION_SAFE: bool = true;
-    fn apply(&self, x: T, y: T) -> T {
-        if x != y {
-            T::one()
-        } else {
-            T::zero()
-        }
-    }
-}
-
-/// A binary operator defined by an arbitrary function, for user-defined
-/// algebra (the GraphBLAS `GrB_BinaryOp_new` equivalent).
-#[derive(Clone, Copy)]
-pub struct FnBinaryOp<T> {
-    f: fn(T, T) -> T,
-}
-
-impl<T> FnBinaryOp<T> {
-    /// Wrap a plain function pointer as a binary operator.
-    pub fn new(f: fn(T, T) -> T) -> Self {
-        Self { f }
-    }
-}
-
-impl<T: ScalarType> BinaryOp<T> for FnBinaryOp<T> {
-    fn apply(&self, x: T, y: T) -> T {
-        (self.f)(x, y)
-    }
-}
-
-impl<T> std::fmt::Debug for FnBinaryOp<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("FnBinaryOp")
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -201,10 +78,7 @@ mod tests {
     #[test]
     fn arithmetic_ops() {
         assert_eq!(BinaryOp::<i64>::apply(&Plus, 3, 4), 7);
-        assert_eq!(BinaryOp::<i64>::apply(&Minus, 3, 4), -1);
         assert_eq!(BinaryOp::<i64>::apply(&Times, 3, 4), 12);
-        assert_eq!(BinaryOp::<i64>::apply(&Div, 12, 4), 3);
-        assert_eq!(BinaryOp::<i64>::apply(&Div, 12, 0), 0);
         assert_eq!(BinaryOp::<f64>::apply(&Plus, 0.5, 0.25), 0.75);
     }
 
@@ -219,31 +93,6 @@ mod tests {
     fn selection_ops() {
         assert_eq!(BinaryOp::<u32>::apply(&First, 10, 20), 10);
         assert_eq!(BinaryOp::<u32>::apply(&Second, 10, 20), 20);
-    }
-
-    #[test]
-    fn logical_ops_on_numeric_values() {
-        assert_eq!(BinaryOp::<u32>::apply(&Land, 5, 7), 1);
-        assert_eq!(BinaryOp::<u32>::apply(&Land, 5, 0), 0);
-        assert_eq!(BinaryOp::<u32>::apply(&Lor, 0, 7), 1);
-        assert_eq!(BinaryOp::<u32>::apply(&Lor, 0, 0), 0);
-        assert_eq!(BinaryOp::<u32>::apply(&Lxor, 5, 0), 1);
-        assert_eq!(BinaryOp::<u32>::apply(&Lxor, 5, 7), 0);
-    }
-
-    #[test]
-    fn comparison_ops() {
-        assert_eq!(BinaryOp::<i32>::apply(&IsEq, 4, 4), 1);
-        assert_eq!(BinaryOp::<i32>::apply(&IsEq, 4, 5), 0);
-        assert_eq!(BinaryOp::<i32>::apply(&IsNe, 4, 5), 1);
-        assert_eq!(BinaryOp::<i32>::apply(&IsNe, 4, 4), 0);
-    }
-
-    #[test]
-    fn fn_binary_op() {
-        let saturating = FnBinaryOp::new(|a: u8, b: u8| a.saturating_add(b));
-        assert_eq!(saturating.apply(200, 100), 255);
-        assert_eq!(format!("{saturating:?}"), "FnBinaryOp");
     }
 
     #[test]

@@ -1,5 +1,12 @@
-//! Algebraic operators (binary ops, unary ops, monoids, semirings) and the
-//! GraphBLAS operations built from them.
+//! The algebra the hierarchy rests on and the GraphBLAS operations built
+//! from it.
+//!
+//! The hierarchy needs one fact: `⊕` is an associative, commutative
+//! [`Monoid`], so a cascade `A_{i+1} ⊕= A_i` may run in any order.  The
+//! operations are the ones its readers and analyses call: element-wise
+//! add ([`ewise_add`]), reductions ([`reduce`]) and the products over level
+//! slices ([`reader_mx`], one Gustavson/SPA kernel with [`spa`] as its
+//! accumulator; a flat `Matrix` is a one-level reader).
 //!
 //! The operator traits are deliberately tiny: an operator is a zero-sized
 //! `Copy` struct whose `apply` method is monomorphised into each kernel, so
@@ -8,19 +15,11 @@
 pub mod binary;
 pub mod monoid;
 pub mod semiring;
-pub mod unary;
 
-pub mod apply;
 pub mod ewise_add;
-pub mod ewise_mult;
-pub mod extract;
-pub mod mxm;
-pub mod mxv;
 pub mod reader_mx;
 pub mod reduce;
-pub mod select;
 pub mod spa;
-pub mod transpose;
 
 use crate::types::ScalarType;
 
@@ -37,16 +36,10 @@ pub trait BinaryOp<T: ScalarType>: Copy + Send + Sync {
     /// operands that do not actually collide and discard the result.  The
     /// branchless merge kernel uses this to replace its collision branch
     /// with conditional moves.  All built-in operators opt in (integer
-    /// arithmetic wraps and division by zero yields zero, so none can
-    /// panic); the default is `false` so a custom operator that may panic
-    /// or observe its inputs keeps the guarded merge path.
+    /// arithmetic wraps, so none can panic); the default is `false` so a
+    /// custom operator that may panic or observe its inputs keeps the
+    /// guarded merge path.
     const SPECULATION_SAFE: bool = false;
-}
-
-/// A unary operator `z = f(x)`.
-pub trait UnaryOp<T: ScalarType>: Copy + Send + Sync {
-    /// Apply the operator.
-    fn apply(&self, x: T) -> T;
 }
 
 /// A commutative monoid: an associative, commutative [`BinaryOp`] together
@@ -62,8 +55,8 @@ pub trait Monoid<T: ScalarType>: BinaryOp<T> {
 }
 
 /// A semiring: a [`Monoid`] used for "addition" plus a [`BinaryOp`] used for
-/// "multiplication", as required by [`mxm`](crate::ops::mxm::mxm) and
-/// friends.
+/// "multiplication", as required by [`mxm_reader`](reader_mx::mxm_reader)
+/// and friends.
 pub trait Semiring<T: ScalarType>: Copy + Send + Sync {
     /// The additive monoid type.
     type Add: Monoid<T>;
@@ -91,7 +84,6 @@ mod tests {
     #[test]
     fn generic_fold_over_monoids() {
         assert_eq!(fold(PlusMonoid, &[1u64, 2, 3, 4]), 10);
-        assert_eq!(fold(TimesMonoid, &[1i32, 2, 3, 4]), 24);
         assert_eq!(fold(MinMonoid, &[5.0f64, -2.0, 7.5]), -2.0);
         assert_eq!(fold(MaxMonoid, &[5i64, -2, 7]), 7);
         assert_eq!(fold(PlusMonoid, &[] as &[u32]), 0);

@@ -7,17 +7,13 @@
 //! commutative and because clearing a level corresponds to resetting it to
 //! the identity-annihilated (empty) matrix.
 
-use super::binary::{Land, Lor, Lxor, Max, Min, Plus, Times};
+use super::binary::{Max, Min, Plus};
 use super::{BinaryOp, Monoid};
 use crate::types::ScalarType;
 
 /// The `(+, 0)` monoid.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PlusMonoid;
-
-/// The `(*, 1)` monoid.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TimesMonoid;
 
 /// The `(min, +inf)` monoid.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -27,18 +23,6 @@ pub struct MinMonoid;
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MaxMonoid;
 
-/// The `(logical-or, 0)` monoid.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LorMonoid;
-
-/// The `(logical-and, 1)` monoid.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LandMonoid;
-
-/// The `(logical-xor, 0)` monoid.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LxorMonoid;
-
 impl<T: ScalarType> BinaryOp<T> for PlusMonoid {
     fn apply(&self, x: T, y: T) -> T {
         Plus.apply(x, y)
@@ -47,17 +31,6 @@ impl<T: ScalarType> BinaryOp<T> for PlusMonoid {
 impl<T: ScalarType> Monoid<T> for PlusMonoid {
     fn identity(&self) -> T {
         T::zero()
-    }
-}
-
-impl<T: ScalarType> BinaryOp<T> for TimesMonoid {
-    fn apply(&self, x: T, y: T) -> T {
-        Times.apply(x, y)
-    }
-}
-impl<T: ScalarType> Monoid<T> for TimesMonoid {
-    fn identity(&self) -> T {
-        T::one()
     }
 }
 
@@ -80,39 +53,6 @@ impl<T: ScalarType> BinaryOp<T> for MaxMonoid {
 impl<T: ScalarType> Monoid<T> for MaxMonoid {
     fn identity(&self) -> T {
         T::min_value()
-    }
-}
-
-impl<T: ScalarType> BinaryOp<T> for LorMonoid {
-    fn apply(&self, x: T, y: T) -> T {
-        Lor.apply(x, y)
-    }
-}
-impl<T: ScalarType> Monoid<T> for LorMonoid {
-    fn identity(&self) -> T {
-        T::zero()
-    }
-}
-
-impl<T: ScalarType> BinaryOp<T> for LandMonoid {
-    fn apply(&self, x: T, y: T) -> T {
-        Land.apply(x, y)
-    }
-}
-impl<T: ScalarType> Monoid<T> for LandMonoid {
-    fn identity(&self) -> T {
-        T::one()
-    }
-}
-
-impl<T: ScalarType> BinaryOp<T> for LxorMonoid {
-    fn apply(&self, x: T, y: T) -> T {
-        Lxor.apply(x, y)
-    }
-}
-impl<T: ScalarType> Monoid<T> for LxorMonoid {
-    fn identity(&self) -> T {
-        T::zero()
     }
 }
 
@@ -151,29 +91,11 @@ mod tests {
     }
 
     #[test]
-    fn times_monoid_laws() {
-        check_identity(TimesMonoid, SAMPLES);
-        check_assoc_comm(TimesMonoid, SAMPLES);
-    }
-
-    #[test]
     fn min_max_monoid_laws() {
         check_identity(MinMonoid, SAMPLES);
         check_assoc_comm(MinMonoid, SAMPLES);
         check_identity(MaxMonoid, SAMPLES);
         check_assoc_comm(MaxMonoid, SAMPLES);
-    }
-
-    #[test]
-    fn logical_monoid_laws() {
-        // logical monoids operate on truthiness; use 0/1 samples
-        let bits: &[i64] = &[0, 1];
-        check_identity(LorMonoid, bits);
-        check_assoc_comm(LorMonoid, bits);
-        check_identity(LandMonoid, bits);
-        check_assoc_comm(LandMonoid, bits);
-        check_identity(LxorMonoid, bits);
-        check_assoc_comm(LxorMonoid, bits);
     }
 
     #[test]

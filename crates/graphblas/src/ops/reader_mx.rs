@@ -1,8 +1,8 @@
 //! The semiring product kernels — the only Gustavson/SPA loops in the crate
 //! — driven directly off DCSR level slices, so `mxm`/`mxv`/`vxm` over a live
-//! hierarchy or snapshot never materialize `Σ levels`, and the flat
-//! [`mxm`](crate::ops::mxm::mxm) / [`mxv`](crate::ops::mxv::mxv) /
-//! [`vxm`](crate::ops::mxv::vxm) are their one-level case.
+//! hierarchy or snapshot never materialize `Σ levels`.  A flat [`Matrix`] is
+//! a [`CursorReader`] of one level, so [`mxm_reader`] / [`mxv_reader`] /
+//! [`vxm_reader`] over it are the flat products.
 //!
 //! A [`CursorReader`] exposes its settled content as level slices whose sum
 //! under the `+` monoid of the value type is the represented matrix.  The
@@ -539,9 +539,8 @@ where
 mod tests {
     use super::*;
     use crate::ops::binary::{Min, Plus};
-    use crate::ops::mxv::mxv;
     use crate::ops::semiring::{MinPlus, PlusTimes};
-    use crate::oracle::{mxm_btree, vxm_btree};
+    use crate::oracle::{mxm_btree, transpose, vxm_btree};
 
     const NO_MASK: Option<&Mask<'static, i64>> = None;
     const NO_VMASK: Option<&VectorMask<'static, i64>> = None;
@@ -617,11 +616,12 @@ mod tests {
     fn level_mxv_and_vxm_equal_flat() {
         let a = m(64, 64, &[(3, 7, 2), (3, 9, 5), (9, 7, 1), (40, 3, 8)]);
         let u = SparseVector::from_tuples(64, &[3, 7, 9, 40], &[1, 2, 3, 4], Plus).unwrap();
+        let a_t = transpose(&a).unwrap();
         for k in 1..=3 {
             let al = split_levels(&a, k);
             let ar: Vec<&Dcsr<i64>> = al.iter().collect();
             let got = mxv_levels((64, 64), &ar, &u, PlusTimes, NO_VMASK).unwrap();
-            let want = mxv(&a, &u, PlusTimes).unwrap();
+            let want = vxm_btree(&u, &a_t, PlusTimes).unwrap();
             assert_eq!(
                 got.iter().collect::<Vec<_>>(),
                 want.iter().collect::<Vec<_>>()
@@ -732,6 +732,46 @@ mod tests {
         let u2 = SparseVector::from_tuples(16, &[2], &[1i64], Plus).unwrap();
         let w = mxv_reader(&mut a, &u2, PlusTimes).unwrap();
         assert_eq!(w.get(1), Some(3));
+    }
+
+    /// The flat products are the reader entries over a one-level `Matrix`:
+    /// a narrow band (dense SPA) and rows 2^40 wide (scatter SPA) in one
+    /// product, and an operand with tuples still pending, against the
+    /// `BTreeMap` references.
+    #[test]
+    fn flat_products_span_the_index_space_and_see_pending_tuples() {
+        let big = 1u64 << 44;
+        let a = m(
+            big,
+            big,
+            &[(0, 1, 2), (0, 2, 3), (5, 1, 1), (5, 2, -4), (9, big - 1, 7)],
+        );
+        let mut b = Matrix::<i64>::new(big, big);
+        b.accum_tuples(
+            &[1, 1, 2, 2, big - 1],
+            &[10, 11, 10, 1 << 40, 3],
+            &[5, 6, 7, 8, 9],
+        )
+        .unwrap();
+        assert!(b.npending() > 0);
+        let u = SparseVector::from_tuples(big, &[0, 5, 9], &[1, 2, 3], Plus).unwrap();
+        let a_t = transpose(&a).unwrap();
+        let mut spa = SpaScratch::new();
+        let c = mxm_reader(&mut a.clone(), &mut b.clone(), MinPlus, &mut spa).unwrap();
+        let want = mxm_btree(&a, &b, MinPlus).unwrap();
+        assert_eq!(c.extract_tuples(), want.extract_tuples());
+        let c = mxm_reader(&mut a.clone(), &mut b.clone(), PlusTimes, &mut spa).unwrap();
+        let want = mxm_btree(&a, &b, PlusTimes).unwrap();
+        assert_eq!(c.extract_tuples(), want.extract_tuples());
+        assert_eq!(c.get(9, 3), Some(63));
+        assert_eq!(c.get(0, 1 << 40), Some(24));
+        let w = vxm_reader(&u, &mut a.clone(), PlusTimes, &mut spa).unwrap();
+        assert_eq!(w, vxm_btree(&u, &a, PlusTimes).unwrap());
+        assert_eq!(w.get(big - 1), Some(21));
+        let v = SparseVector::from_tuples(big, &[2, big - 1], &[1, 10], Plus).unwrap();
+        let w = mxv_reader(&mut a.clone(), &v, PlusTimes).unwrap();
+        assert_eq!(w, vxm_btree(&v, &a_t, PlusTimes).unwrap());
+        assert_eq!(w.get(9), Some(70));
     }
 
     #[test]

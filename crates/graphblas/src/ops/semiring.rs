@@ -1,9 +1,8 @@
 //! Predefined semirings for matrix multiplication.
 
 use super::binary::{First, Plus, Second, Times};
-use super::monoid::{LorMonoid, MaxMonoid, MinMonoid, PlusMonoid};
+use super::monoid::{MinMonoid, PlusMonoid};
 use super::Semiring;
-use crate::ops::binary::Land;
 use crate::types::ScalarType;
 
 /// The conventional arithmetic semiring `(+, *)`.
@@ -33,52 +32,6 @@ impl<T: ScalarType> Semiring<T> for MinPlus {
     }
     fn mul(&self) -> Plus {
         Plus
-    }
-}
-
-/// The widest-path / critical-path semiring `(max, +)`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MaxPlus;
-
-impl<T: ScalarType> Semiring<T> for MaxPlus {
-    type Add = MaxMonoid;
-    type Mul = Plus;
-    fn add(&self) -> MaxMonoid {
-        MaxMonoid
-    }
-    fn mul(&self) -> Plus {
-        Plus
-    }
-}
-
-/// The boolean reachability semiring `(or, and)`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LorLand;
-
-impl<T: ScalarType> Semiring<T> for LorLand {
-    type Add = LorMonoid;
-    type Mul = Land;
-    fn add(&self) -> LorMonoid {
-        LorMonoid
-    }
-    fn mul(&self) -> Land {
-        Land
-    }
-}
-
-/// The `(plus, second)` semiring used by breadth-first-search-style
-/// "propagate the value of the source" products.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PlusSecond;
-
-impl<T: ScalarType> Semiring<T> for PlusSecond {
-    type Add = PlusMonoid;
-    type Mul = Second;
-    fn add(&self) -> PlusMonoid {
-        PlusMonoid
-    }
-    fn mul(&self) -> Second {
-        Second
     }
 }
 
@@ -141,30 +94,10 @@ mod tests {
     }
 
     #[test]
-    fn max_plus_components() {
-        let s = MaxPlus;
-        let add = Semiring::<i64>::add(&s);
-        assert_eq!(Monoid::<i64>::identity(&add), i64::MIN);
-        assert_eq!(add.apply(2, 3), 3);
-    }
-
-    #[test]
-    fn lor_land_components() {
-        let s = LorLand;
-        let add = Semiring::<u8>::add(&s);
-        let mul = Semiring::<u8>::mul(&s);
-        assert_eq!(Monoid::<u8>::identity(&add), 0);
-        assert_eq!(add.apply(1, 0), 1);
-        assert_eq!(mul.apply(1, 0), 0);
-        assert_eq!(mul.apply(1, 1), 1);
-    }
-
-    #[test]
     fn second_based_semirings() {
-        let s = PlusSecond;
+        let s = MinSecond;
         let mul = Semiring::<u32>::mul(&s);
         assert_eq!(mul.apply(100, 7), 7);
-        let s = MinSecond;
         let add = Semiring::<u32>::add(&s);
         assert_eq!(Monoid::<u32>::identity(&add), u32::MAX);
     }

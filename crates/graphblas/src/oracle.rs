@@ -6,8 +6,10 @@
 //! `oracle::` on non-test lines).  Each is written for being obviously right,
 //! not fast, and none stands on the code it checks: the two semiring products
 //! fold into a `BTreeMap`, the four graph algorithms run on those two
-//! products over a pattern rebuilt from the reader's plain entry cursor, and
-//! the merge is one two-pointer walk over `(row, col)` keys.
+//! products over a pattern rebuilt from the reader's plain entry cursor, the
+//! merge is one two-pointer walk over `(row, col)` keys, and the transpose
+//! rebuilds from the swapped tuples through the COO sort, not through the
+//! column radix of the twin it checks.
 //!
 //! A reference fails with a typed error where its product fails (mismatched
 //! dimensions), so a test compares `Result`s whole.
@@ -126,6 +128,17 @@ where
         }
     }
     Dcsr::from_sorted_coo(&out)
+}
+
+/// `Aᵀ`: `a`'s tuples (pending ones settled in) with row and column
+/// swapped, rebuilt by [`Dcsr::from_tuples`].  What
+/// `Matrix::col_shadow`, the column twin behind every column read, must
+/// equal plane for plane.  Fails only where a `Dcsr` of `a`'s dimensions
+/// could not be built.
+pub fn transpose<T: ScalarType>(a: &Matrix<T>) -> GrbResult<Matrix<T>> {
+    let (rows, cols, vals) = a.extract_tuples();
+    let t = Dcsr::from_tuples(a.ncols(), a.nrows(), &cols, &rows, &vals, Second)?;
+    Ok(Matrix::from_dcsr(t))
 }
 
 /// What the graph references work on: the reader's stored cells, pulled

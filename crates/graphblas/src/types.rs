@@ -3,7 +3,7 @@
 //! The GraphBLAS C API predefines a small set of numeric types
 //! (`GrB_BOOL`, `GrB_INT8` … `GrB_FP64`).  Here the same role is played by
 //! the [`ScalarType`] trait, which every kernel is generic over.  The trait
-//! deliberately carries the handful of arithmetic primitives the predefined
+//! deliberately carries only the arithmetic primitives the predefined
 //! operators need, so the crate has no dependency on `num-traits`.
 
 /// A scalar type storable in a sparse matrix.
@@ -22,28 +22,20 @@ pub trait ScalarType:
 
     /// Additive identity.
     fn zero() -> Self;
-    /// Multiplicative identity.
-    fn one() -> Self;
     /// Identity of the `Min` monoid (the largest representable value).
     fn max_value() -> Self;
     /// Identity of the `Max` monoid (the smallest representable value).
     fn min_value() -> Self;
 
-    /// Wrapping / saturating-free addition as used by the `Plus` operator.
+    /// Addition as used by the `Plus` operator (wrapping for integers).
     fn add(self, rhs: Self) -> Self;
-    /// Subtraction as used by the `Minus` operator.
-    fn sub(self, rhs: Self) -> Self;
-    /// Multiplication as used by the `Times` operator.
+    /// Multiplication as used by the `Times` operator (wrapping for
+    /// integers).
     fn mul(self, rhs: Self) -> Self;
-    /// Division as used by the `Div` operator (integer division for integer
-    /// types; division by zero yields `zero()` as in SuiteSparse).
-    fn div(self, rhs: Self) -> Self;
     /// Pairwise minimum.
     fn min_val(self, rhs: Self) -> Self;
     /// Pairwise maximum.
     fn max_val(self, rhs: Self) -> Self;
-    /// Absolute value (identity for unsigned types).
-    fn abs_val(self) -> Self;
 
     /// Lossy conversion to `f64`, used for reporting and rate computations.
     fn to_f64(self) -> f64;
@@ -71,16 +63,12 @@ macro_rules! impl_scalar_float {
         impl ScalarType for $t {
             const TYPE_TAG: u8 = $tag;
             fn zero() -> Self { 0.0 }
-            fn one() -> Self { 1.0 }
             fn max_value() -> Self { <$t>::INFINITY }
             fn min_value() -> Self { <$t>::NEG_INFINITY }
             fn add(self, rhs: Self) -> Self { self + rhs }
-            fn sub(self, rhs: Self) -> Self { self - rhs }
             fn mul(self, rhs: Self) -> Self { self * rhs }
-            fn div(self, rhs: Self) -> Self { self / rhs }
             fn min_val(self, rhs: Self) -> Self { if self < rhs { self } else { rhs } }
             fn max_val(self, rhs: Self) -> Self { if self > rhs { self } else { rhs } }
-            fn abs_val(self) -> Self { self.abs() }
             fn to_f64(self) -> f64 { self as f64 }
             fn from_f64(v: f64) -> Self { v as $t }
             fn from_u64(v: u64) -> Self { v as $t }
@@ -95,21 +83,12 @@ macro_rules! impl_scalar_int {
         impl ScalarType for $t {
             const TYPE_TAG: u8 = $tag;
             fn zero() -> Self { 0 }
-            fn one() -> Self { 1 }
             fn max_value() -> Self { <$t>::MAX }
             fn min_value() -> Self { <$t>::MIN }
             fn add(self, rhs: Self) -> Self { self.wrapping_add(rhs) }
-            fn sub(self, rhs: Self) -> Self { self.wrapping_sub(rhs) }
             fn mul(self, rhs: Self) -> Self { self.wrapping_mul(rhs) }
-            fn div(self, rhs: Self) -> Self {
-                if rhs == 0 { 0 } else { self.wrapping_div(rhs) }
-            }
             fn min_val(self, rhs: Self) -> Self { std::cmp::min(self, rhs) }
             fn max_val(self, rhs: Self) -> Self { std::cmp::max(self, rhs) }
-            fn abs_val(self) -> Self {
-                #[allow(unused_comparisons)]
-                if self < 0 { self.wrapping_neg() } else { self }
-            }
             fn to_f64(self) -> f64 { self as f64 }
             fn from_f64(v: f64) -> Self { v as $t }
             fn from_u64(v: u64) -> Self { v as $t }
@@ -133,9 +112,6 @@ impl ScalarType for bool {
     fn zero() -> Self {
         false
     }
-    fn one() -> Self {
-        true
-    }
     fn max_value() -> Self {
         true
     }
@@ -145,27 +121,14 @@ impl ScalarType for bool {
     fn add(self, rhs: Self) -> Self {
         self || rhs
     }
-    fn sub(self, rhs: Self) -> Self {
-        self && !rhs
-    }
     fn mul(self, rhs: Self) -> Self {
         self && rhs
-    }
-    fn div(self, rhs: Self) -> Self {
-        if rhs {
-            self
-        } else {
-            false
-        }
     }
     fn min_val(self, rhs: Self) -> Self {
         self && rhs
     }
     fn max_val(self, rhs: Self) -> Self {
         self || rhs
-    }
-    fn abs_val(self) -> Self {
-        self
     }
     fn to_f64(self) -> f64 {
         if self {
@@ -195,21 +158,17 @@ mod tests {
     #[test]
     fn float_identities() {
         assert_eq!(f64::zero(), 0.0);
-        assert_eq!(f64::one(), 1.0);
         assert_eq!(f64::max_value(), f64::INFINITY);
         assert_eq!(f64::min_value(), f64::NEG_INFINITY);
         assert!(f64::zero().is_zero());
-        assert!(!f64::one().is_zero());
+        assert!(!1.0f64.is_zero());
     }
 
     #[test]
     fn integer_arithmetic_wraps() {
         assert_eq!(u8::MAX.add(1), 0);
-        assert_eq!(0u8.sub(1), u8::MAX);
         assert_eq!(200u8.mul(2), 144); // wrapping
-        assert_eq!(10u32.div(0), 0); // div-by-zero policy
-        assert_eq!((-5i32).abs_val(), 5);
-        assert_eq!(5u32.abs_val(), 5);
+        assert_eq!((-1i8).mul(-128), -128); // wrapping
     }
 
     #[test]
@@ -236,7 +195,6 @@ mod tests {
         assert!(!false.add(false));
         assert!(!true.mul(false));
         assert!(true.mul(true));
-        assert!(!true.sub(true));
         assert!(bool::from_u64(3));
         assert!(!bool::from_f64(0.0));
         assert_eq!(true.to_f64(), 1.0);

@@ -3,7 +3,7 @@
 //! A sparse vector is stored as parallel sorted `(index, value)` arrays.
 //! Vectors appear in the traffic-analysis examples as row/column reductions
 //! of a traffic matrix — packets per source, packets per destination — and
-//! as the operands of `mxv`/`vxm`.
+//! as the operands of `mxv_reader`/`vxm_reader`.
 
 use crate::error::{GrbError, GrbResult};
 use crate::index::{validate_index, Index};
@@ -119,19 +119,6 @@ impl<T: ScalarType> SparseVector<T> {
         validate_index(i, self.size)?;
         match self.idx.binary_search(&i) {
             Ok(k) => self.vals[k] = val,
-            Err(k) => {
-                self.idx.insert(k, i);
-                self.vals.insert(k, val);
-            }
-        }
-        Ok(())
-    }
-
-    /// Accumulate `val` into position `i` under `op`.
-    pub fn accum<Op: BinaryOp<T>>(&mut self, i: Index, val: T, op: Op) -> GrbResult<()> {
-        validate_index(i, self.size)?;
-        match self.idx.binary_search(&i) {
-            Ok(k) => self.vals[k] = op.apply(self.vals[k], val),
             Err(k) => {
                 self.idx.insert(k, i);
                 self.vals.insert(k, val);
@@ -265,17 +252,14 @@ mod tests {
     }
 
     #[test]
-    fn set_and_accum() {
+    fn set_overwrites() {
         let mut v = SparseVector::<u64>::new(100);
         v.set(10, 5).unwrap();
         v.set(10, 7).unwrap();
         assert_eq!(v.get(10), Some(7));
-        v.accum(10, 3, Plus).unwrap();
-        assert_eq!(v.get(10), Some(10));
-        v.accum(20, 1, Plus).unwrap();
+        v.set(20, 1).unwrap();
         assert_eq!(v.nvals(), 2);
         assert!(v.set(100, 1).is_err());
-        assert!(v.accum(200, 1, Plus).is_err());
     }
 
     #[test]

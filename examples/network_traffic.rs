@@ -11,7 +11,6 @@
 
 use hyperstream::graphblas::algo::degree::{degree_distribution, row_degree};
 use hyperstream::graphblas::algo::pagerank;
-use hyperstream::graphblas::ops::select::{select, SelectOp};
 use hyperstream::prelude::*;
 
 fn main() {
@@ -139,9 +138,21 @@ fn main() {
     }
     println!("  top-16 ranking agrees with a flat-oracle rerun of pagerank");
 
-    // Heavy-flow extraction: flows with at least 16 packets (a whole-matrix
-    // transform, so this one still materialises a snapshot).
-    let snapshot = traffic.materialize();
-    let heavy = select(&snapshot, SelectOp::ValueGe(16));
-    println!("\nflows with >= 16 packets: {}", heavy.nvals());
+    // Heavy-flow extraction: flows with at least 16 packets, one filter over
+    // the live hierarchy's merged entries, checked against the same filter
+    // over the flat oracle.
+    let heavy = heavy_flows(&mut traffic);
+    assert_eq!(
+        heavy,
+        heavy_flows(&mut flat_oracle),
+        "the hierarchy and the flat oracle must hold the same heavy flows"
+    );
+    println!("\nflows with >= 16 packets: {heavy}");
+}
+
+/// Stored cells whose accumulated packet count is at least 16.
+fn heavy_flows<R: MatrixReader<u64>>(reader: &mut R) -> usize {
+    let mut heavy = 0;
+    reader.read_entries(&mut |_, _, packets| heavy += usize::from(packets >= 16));
+    heavy
 }

@@ -5,11 +5,11 @@
 //! shard counts and mid-stream flushes,
 //!
 //! * there is one product kernel, over level slices, and `oracle::mxm_btree`
-//!   / `oracle::vxm_btree` are its references: the flat `mxm` / `mxv` /
-//!   `vxm` (its one-level case) must be **byte-identical** to them over
-//!   every semiring (the sorted-scatter sequence tiebreak reproduces the
-//!   BTreeMap fold order exactly, so this holds even for non-commutative ⊗
-//!   like `first`);
+//!   / `oracle::vxm_btree` are its references: `mxm_reader` / `mxv_reader`
+//!   / `vxm_reader` over a flat `Matrix` (its one-level case) must be
+//!   **byte-identical** to them over every semiring (the sorted-scatter
+//!   sequence tiebreak reproduces the BTreeMap fold order exactly, so this
+//!   holds even for non-commutative ⊗ like `first`);
 //! * the same kernel over k levels — `mxm_reader` / `mxv_reader` /
 //!   `vxm_reader`, masked and unmasked, over every `CursorReader`: flat,
 //!   hierarchical, sharded, and both snapshot flavours — must equal the
@@ -95,24 +95,27 @@ fn cursor_systems(
     ]
 }
 
-/// The one-level case of the kernel must reproduce the BTreeMap
-/// references byte for byte, over commutative and non-commutative
-/// semirings alike — `Result`s compared whole.
+/// The one-level case of the kernel — the reader entries over a flat
+/// `Matrix`, each on its own clone so the references read operands no
+/// product has settled — must reproduce the BTreeMap references byte for
+/// byte, over commutative and non-commutative semirings alike — `Result`s
+/// compared whole.
 fn check_spa_vs_btree(a_updates: &[(u64, u64, u64)], b_updates: &[(u64, u64, u64)]) {
     let a = build_flat(a_updates);
     let b = build_flat(b_updates);
     let u = operand_vector(a_updates);
-    let a_t = transpose(&a);
+    let a_t = oracle::transpose(&a).unwrap();
+    let spa = &mut SpaScratch::<u64>::new();
 
     macro_rules! check {
         ($s:expr, $name:literal) => {
             prop_assert_eq!(
-                mxm(&a, &b, $s).map(|c| c.extract_tuples()),
+                mxm_reader(&mut a.clone(), &mut b.clone(), $s, spa).map(|c| c.extract_tuples()),
                 oracle::mxm_btree(&a, &b, $s).map(|c| c.extract_tuples()),
                 concat!("mxm over ", $name)
             );
             prop_assert_eq!(
-                vxm(&u, &a, $s),
+                vxm_reader(&u, &mut a.clone(), $s, spa),
                 oracle::vxm_btree(&u, &a, $s),
                 concat!("vxm over ", $name)
             );
@@ -123,16 +126,19 @@ fn check_spa_vs_btree(a_updates: &[(u64, u64, u64)], b_updates: &[(u64, u64, u64
     check!(MinFirst, "min-first");
     // `A u` is `u Aᵀ` wherever ⊗ commutes.
     prop_assert_eq!(
-        mxv(&a, &u, PlusTimes),
+        mxv_reader(&mut a.clone(), &u, PlusTimes),
         oracle::vxm_btree(&u, &a_t, PlusTimes)
     );
-    prop_assert_eq!(mxv(&a, &u, MinPlus), oracle::vxm_btree(&u, &a_t, MinPlus));
+    prop_assert_eq!(
+        mxv_reader(&mut a.clone(), &u, MinPlus),
+        oracle::vxm_btree(&u, &a_t, MinPlus)
+    );
 }
 
 /// k levels == one level == reference: the cursor-consuming entry points
-/// (masked and unmasked) over every `CursorReader`, and the flat entry
-/// points over the materialised matrix, must be byte-identical to the
-/// `oracle::*_btree` products.
+/// (masked and unmasked) over every `CursorReader`, the flat `Matrix`
+/// (one level) among them, must be byte-identical to the `oracle::*_btree`
+/// products.
 #[allow(clippy::too_many_arguments)]
 fn check_readers_vs_oracle(
     updates: &[(u64, u64, u64)],
@@ -154,30 +160,13 @@ fn check_readers_vs_oracle(
     }
 
     let mut spa = SpaScratch::<u64>::new();
-    let flat_t = transpose(&flat);
+    let flat_t = oracle::transpose(&flat).unwrap();
     let expect_vxm = vec_entries(&oracle::vxm_btree(&u, &flat, PlusTimes).unwrap());
     let expect_vxm_min = vec_entries(&oracle::vxm_btree(&u, &flat, MinPlus).unwrap());
     let expect_mxv = vec_entries(&oracle::vxm_btree(&u, &flat_t, PlusTimes).unwrap());
     let expect_mxm = oracle::mxm_btree(&flat, &flat_b, PlusTimes)
         .unwrap()
         .extract_tuples();
-    // One level: the flat entry points.
-    prop_assert_eq!(
-        vec_entries(&vxm(&u, &flat, PlusTimes).unwrap()),
-        expect_vxm.clone()
-    );
-    prop_assert_eq!(
-        vec_entries(&vxm(&u, &flat, MinPlus).unwrap()),
-        expect_vxm_min.clone()
-    );
-    prop_assert_eq!(
-        vec_entries(&mxv(&flat, &u, PlusTimes).unwrap()),
-        expect_mxv.clone()
-    );
-    prop_assert_eq!(
-        mxm(&flat, &flat_b, PlusTimes).unwrap().extract_tuples(),
-        expect_mxm.clone()
-    );
     // Masked oracles: masking only skips denied outputs, so the
     // answer is the unmasked oracle filtered by the mask.
     let vmask = VectorMask::structural(&mask_vec);
@@ -357,8 +346,9 @@ impl LevelStore for Lying {
     }
 }
 
-/// Every product entry — flat, reader, masked reader, over every reader of
-/// `cursor_systems` — given a hostile shape answers
+/// Every product entry — reader and masked reader, over every reader of
+/// `cursor_systems` (the flat `Matrix` among them), and element-wise add —
+/// given a hostile shape answers
 /// `GrbError::DimensionMismatch` or the empty product, and never panics.
 #[test]
 fn product_entries_answer_hostile_shapes_with_typed_errors() {
@@ -388,17 +378,8 @@ fn product_entries_answer_hostile_shapes_with_typed_errors() {
     let all = Mask::complement(&all_m);
     let all_v = VectorMask::complement(&empty_u);
 
-    // The flat entries (one level).
-    let a = build_flat(&updates);
-    mismatch(mxm(&a, &wrong_b, PlusTimes), "flat mxm");
-    mismatch(mxv(&a, &wrong_u, PlusTimes), "flat mxv");
-    mismatch(vxm(&wrong_u, &a, PlusTimes), "flat vxm");
-    mismatch(ewise_add(&a, &wrong_b, Plus), "ewise_add");
-    mismatch(ewise_mult(&a, &wrong_b, Times), "ewise_mult");
-    assert!(mxm(&a, &empty_b, PlusTimes).unwrap().is_empty());
-    assert!(mxm(&empty_b, &a, PlusTimes).unwrap().is_empty());
-    assert!(mxv(&a, &empty_u, PlusTimes).unwrap().is_empty());
-    assert!(vxm(&empty_u, &a, PlusTimes).unwrap().is_empty());
+    // Element-wise add, the one whole-matrix entry off the reader path.
+    mismatch(ewise_add(&b, &wrong_b, Plus), "ewise_add");
 
     // The reader entries, over every reader (k levels), full and empty.
     let mut readers = cursor_systems((DIM, DIM), &updates, &[3, 9], 2, 17);

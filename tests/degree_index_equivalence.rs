@@ -12,6 +12,7 @@ mod common;
 
 use common::{build_flat, cut_schedule, reference_top_k, sharded, update_stream, DIM};
 use hyperstream::graphblas::cursor::*;
+use hyperstream::graphblas::oracle;
 use hyperstream::prelude::*;
 use proptest::prelude::*;
 
@@ -278,7 +279,7 @@ proptest! {
                 col_ix.observe(&cols, &vals, &new);
                 flat.accum_tuples(&rows, &cols, &vals).unwrap();
                 flat.wait();
-                let flat_t = transpose(&flat);
+                let flat_t = oracle::transpose(&flat).unwrap();
                 match action {
                     3 | 4 => hier.update_matrix(&settled).unwrap(),
                     5 => {
@@ -339,7 +340,7 @@ proptest! {
                 }
 
                 if let Some((row_view, col_view, at)) = frozen.as_mut() {
-                    let at_t = transpose(at);
+                    let at_t = oracle::transpose(at).unwrap();
                     for k in [1, 10, 128, usize::MAX] {
                         prop_assert_eq!(row_view.top_k(k), reference_top_k(at, k));
                         prop_assert_eq!(col_view.top_k(k), reference_top_k(&at_t, k));
@@ -350,7 +351,7 @@ proptest! {
                 }
             }
             // Whatever was asked along the way, both sides end exact.
-            let flat_t = transpose(&flat);
+            let flat_t = oracle::transpose(&flat).unwrap();
             for k in [10, usize::MAX] {
                 prop_assert_eq!(hier.read_in_top_k(k), reference_top_k(&flat_t, k));
                 prop_assert_eq!(hier.read_top_k(k), reference_top_k(&flat, k));
@@ -378,7 +379,7 @@ fn hostile_reads_between_batches_are_total_and_harmless() {
             sys.insert_batch(&rows, &cols, &vals).unwrap();
             flat.accum_tuples(&rows, &cols, &vals).unwrap();
             flat.wait();
-            let flat_t = transpose(&flat);
+            let flat_t = oracle::transpose(&flat).unwrap();
             let name = sys.reader_name().to_string();
             assert!(sys.read_top_k(0).is_empty(), "{name}");
             assert!(sys.read_in_top_k(0).is_empty(), "{name}");

@@ -13,6 +13,7 @@ mod common;
 
 use common::{cut_schedule, reference_top_k, sharded, update_stream, DIM};
 use hyperstream::graphblas::cursor::*;
+use hyperstream::graphblas::oracle;
 use hyperstream::prelude::*;
 use proptest::prelude::*;
 
@@ -273,10 +274,13 @@ fn shaped_entries(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    // The one transpose kernel (`ops::transpose`, `Matrix::col_shadow`) is
-    // byte-identical to rebuilding from the swapped tuples, at every width
-    // of the column space: 100 (one radix digit), 2^32 (three) and 2^40
-    // with columns above 2^32 (four).
+    // The one transpose kernel (`Dcsr::transposed`, behind
+    // `Matrix::col_shadow`) is byte-identical to the `oracle` module's
+    // rebuild from the swapped tuples, at every width of the column space:
+    // 100 (one radix digit), 2^32 (three) and 2^40 with columns above 2^32
+    // (four); the dimensions swap, pending tuples are settled into the
+    // answer, an empty matrix (shape 4) has an empty transpose, and
+    // transposing twice gives the matrix back.
     #[test]
     fn transpose_kernel_is_byte_identical_to_a_rebuild_from_swapped_tuples(
         raw in prop::collection::vec((0u64..u64::MAX, 0u64..u64::MAX, 1u64..1000), 1usize..100),
@@ -288,24 +292,21 @@ proptest! {
         let (nrows, ncols) = (DIMS[row_dim], DIMS[col_dim]);
         let (rows, cols, vals) = shaped_entries(raw, shape, nrows, ncols);
         let a = Matrix::from_tuples(nrows, ncols, &rows, &cols, &vals, Plus).unwrap();
-        let (sr, sc, sv) = a.extract_tuples();
-        let oracle = Dcsr::from_tuples(ncols, nrows, &sc, &sr, &sv, Plus).unwrap();
+        let want = oracle::transpose(&a).unwrap();
+        prop_assert_eq!((want.nrows(), want.ncols()), (ncols, nrows));
 
-        let t = transpose(&a);
-        prop_assert_eq!((t.nrows(), t.ncols()), (ncols, nrows));
-        prop_assert_eq!(t.dcsr().raw_parts(), oracle.raw_parts());
-        prop_assert!(t.check_invariants().is_ok());
         let twin = a.clone().col_shadow();
-        prop_assert_eq!(twin.raw_parts(), oracle.raw_parts());
+        prop_assert_eq!((twin.nrows(), twin.ncols()), (ncols, nrows));
+        prop_assert_eq!(twin.raw_parts(), want.dcsr().raw_parts());
         prop_assert!(twin.check_invariants().is_ok());
         // Pending tuples are settled into the answer, not dropped.
         let mut pending = Matrix::<u64>::new(nrows, ncols);
         pending.accum_tuples(&rows, &cols, &vals).unwrap();
-        prop_assert_eq!(transpose(&pending).dcsr().raw_parts(), oracle.raw_parts());
+        prop_assert_eq!(pending.col_shadow().raw_parts(), want.dcsr().raw_parts());
         // An involution.
-        let back = transpose(&t);
+        let back = Matrix::from_dcsr(twin.as_ref().clone()).col_shadow();
         prop_assert_eq!((back.nrows(), back.ncols()), (nrows, ncols));
-        prop_assert_eq!(back.dcsr().raw_parts(), a.dcsr().raw_parts());
+        prop_assert_eq!(back.raw_parts(), a.dcsr().raw_parts());
     }
 
     // A held column twin is merged forward, exactly: after any sequence of
@@ -328,10 +329,6 @@ proptest! {
     ) {
         const DIMS: [u64; 3] = [100, 1 << 32, 1 << 40];
         let (nrows, ncols) = (DIMS[row_dim], DIMS[col_dim]);
-        let rebuilt = |m: &Matrix<u64>| {
-            let (r, c, v) = m.extract_tuples();
-            Matrix::from_tuples(nrows, ncols, &r, &c, &v, Plus).unwrap()
-        };
         let mut m = Matrix::<u64>::new(nrows, ncols);
         let mut kept = false;
         let mut held: Option<(std::sync::Arc<Dcsr<u64>>, Dcsr<u64>)> = None;
@@ -413,7 +410,7 @@ proptest! {
                 prop_assert!(twin.check_invariants().is_ok());
                 prop_assert_eq!(
                     twin.raw_parts(),
-                    transpose(&rebuilt(&probe)).dcsr().raw_parts(),
+                    oracle::transpose(&probe).unwrap().dcsr().raw_parts(),
                     "after op {}", op
                 );
             }
