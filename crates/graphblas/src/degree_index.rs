@@ -362,9 +362,9 @@ impl<V: ScalarType> DegreeIndexView<V> {
 /// An index is held only while it is current: its owner keeps an
 /// `Option<DegreeIndex>` per side, empty until the first degree question
 /// on that side and again whenever the content changes in a way the
-/// observer cannot follow (a cleared matrix, a windowed matrix's writes and
-/// evictions).  The question builds it ([`DegreeIndex::from_levels`], one
-/// deduplicated sweep of the current content), so streams that are never
+/// observer cannot follow (a cleared matrix).  The question builds it
+/// ([`DegreeIndex::from_levels`], one deduplicated sweep of the current
+/// content), so streams that are never
 /// asked one pay no maintenance; from then on the owner's settle observer
 /// keeps it current through [`DegreeIndex::observe`].
 #[derive(Debug, Clone, Default)]

@@ -2,14 +2,14 @@
 //!
 //! A flat [`Matrix`](crate::matrix::Matrix), a
 //! [`MatrixSnapshot`](crate::snapshot::MatrixSnapshot), a hierarchy and a
-//! windowed hierarchy all represent their matrix as a list of settled
-//! row-major [`Dcsr`] levels summed under `+`.  How such a store answers
-//! each [`Query`] kind is one decision, made here once, in one `match`
-//! ([`MatrixReader::answer`] of the blanket impl below):
+//! sharded engine's joined captures all represent their matrix as a list
+//! of settled row-major [`Dcsr`] levels summed under `+`.  How such a
+//! store answers each [`Query`] kind is one decision, made here once, in
+//! one `match` ([`MatrixReader::answer`] of the blanket impl below):
 //!
 //! * **extracts and scans** (point, row, entries, row range) fold the level
 //!   list through the [`crate::cursor`] kernels;
-//!   the visitor kinds collect what the kernel visits;
+//!   the visitor kinds' answers collect what the visit emits;
 //! * **degree-centric answers** (nnz, degree, reduce, top-k, histogram)
 //!   come from the store's stats when it has them, else from a cursor
 //!   sweep — which is observed ("are stats present"), never configured.
@@ -26,7 +26,10 @@
 //!
 //! Besides `answer` the impl keeps `read_row` and `read_col`, on the same
 //! helpers as the `Row` and `Col` arms, so an extract into a caller's
-//! reused buffer allocates nothing.
+//! reused buffer allocates nothing, and the three visitors
+//! (`read_entries`, `read_row_range`, `read_col_range`), which hand each
+//! entry straight to the caller and which the `Entries`, `RowRange` and
+//! `ColRange` arms collect through.
 //!
 //! A store implements [`LevelStore`] — only what actually differs: name
 //! and dims, where its levels, twins and optional stats come from — and
@@ -265,23 +268,15 @@ impl<S: LevelStore> MatrixReader<S::Value> for S {
                 merged_nnz,
                 PartialEq::eq,
             )),
-            Query::Entries => collected(|f| self.with_levels(|lv| for_each_merged(lv, Plus, f))),
-            Query::RowRange(lo, hi) => {
-                collected(|f| self.with_levels(|lv| merged_row_range(lv, *lo, *hi, Plus, f)))
-            }
+            Query::Entries => collected(|f| self.read_entries(f)),
+            Query::RowRange(lo, hi) => collected(|f| self.read_row_range(*lo, *hi, f)),
             Query::DegreeHistogram => Answer::Histogram(histogram(self, Side::Rows)),
             Query::Col(col) => line(|out| col_into(self, *col, out)),
             Query::ColDegree(col) => Answer::Count(degree(self, Side::Cols, *col)),
             Query::ColReduce(col) => Answer::Value(reduce(self, Side::Cols, *col)),
             Query::InTopK(k) => Answer::Ranked(top_k(self, Side::Cols, *k)),
             Query::InDegreeHistogram => Answer::Histogram(histogram(self, Side::Cols)),
-            // A row-range walk over the twins is already the column-major
-            // contract order; only the emit swaps back to `(row, col, value)`.
-            Query::ColRange(lo, hi) => collected(|f| {
-                self.with_twins(|lv| {
-                    merged_row_range(lv, *lo, *hi, Plus, &mut |c, r, v| f(r, c, v))
-                })
-            }),
+            Query::ColRange(lo, hi) => collected(|f| self.read_col_range(*lo, *hi, f)),
         }
     }
 
@@ -295,6 +290,23 @@ impl<S: LevelStore> MatrixReader<S::Value> for S {
     /// `read_row`.
     fn read_col(&mut self, col: Index, out: &mut Vec<(Index, S::Value)>) {
         col_into(self, col, out);
+    }
+
+    /// Visits the merged levels straight into `f`, so a count or a filter
+    /// holds no copy of the entries.
+    fn read_entries(&mut self, f: &mut dyn FnMut(Index, Index, S::Value)) {
+        self.with_levels(|lv| for_each_merged(lv, Plus, f));
+    }
+
+    /// Visits like `read_entries`.
+    fn read_row_range(&mut self, lo: Index, hi: Index, f: &mut dyn FnMut(Index, Index, S::Value)) {
+        self.with_levels(|lv| merged_row_range(lv, lo, hi, Plus, f));
+    }
+
+    /// A row-range walk over the twins is already the column-major
+    /// contract order; only the emit swaps back to `(row, col, value)`.
+    fn read_col_range(&mut self, lo: Index, hi: Index, f: &mut dyn FnMut(Index, Index, S::Value)) {
+        self.with_twins(|lv| merged_row_range(lv, lo, hi, Plus, &mut |c, r, v| f(r, c, v)));
     }
 }
 

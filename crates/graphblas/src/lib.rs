@@ -92,16 +92,12 @@ pub mod prelude {
     pub use crate::formats::dcsr::Dcsr;
     pub use crate::index::Index;
     pub use crate::level_read::{LevelStore, Side};
-    pub use crate::mask::Mask;
     pub use crate::mask::VectorMask;
     pub use crate::matrix::Matrix;
     pub use crate::ops::binary::{First, Max, Min, Plus, Second, Times};
     pub use crate::ops::ewise_add::{ewise_add, ewise_add_into};
     pub use crate::ops::monoid::{MaxMonoid, MinMonoid, PlusMonoid};
-    pub use crate::ops::reader_mx::{
-        mxm_reader, mxm_reader_masked, mxv_reader, mxv_reader_masked, vxm_pattern_levels,
-        vxm_reader, vxm_reader_masked,
-    };
+    pub use crate::ops::reader_mx::{mxm_reader, mxv_reader, vxm_pattern_levels, vxm_reader};
     pub use crate::ops::reduce::{reduce_cols, reduce_rows, reduce_scalar};
     pub use crate::ops::semiring::{MinPlus, PlusTimes};
     pub use crate::ops::spa::{spa_kernel_stats, SpaKernelStats, SpaScratch};

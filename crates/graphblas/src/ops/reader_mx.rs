@@ -24,10 +24,9 @@
 //! levels is byte-identical to the product over one — the materialized sum —
 //! and to the `BTreeMap` references of the `oracle` module; the
 //! `tests/algo_equivalence.rs` proptests pin this across cut schedules, shard
-//! counts and snapshots.  Every entry takes an optional structural
-//! [`Mask`]/[`VectorMask`], which must have the output's dimensions; the BFS
-//! frontier push uses the complemented vector mask to skip visited vertices
-//! before any product is formed.
+//! counts and snapshots.  The BFS frontier push takes an optional structural
+//! [`VectorMask`]: the complement of the visited vector skips levelled
+//! vertices before any product is formed.
 //!
 //! The pattern push ([`vxm_pattern_levels`]) is the frontier kernel shared
 //! by BFS (add = min) and pagerank (add = plus): `w(j) = ⊕ u(i)` over the
@@ -37,7 +36,7 @@ use crate::cursor::{merge_k_way, merged_row_into, LevelCursors};
 use crate::error::{GrbError, GrbResult};
 use crate::formats::dcsr::Dcsr;
 use crate::index::Index;
-use crate::mask::{Mask, VectorMask};
+use crate::mask::VectorMask;
 use crate::matrix::Matrix;
 use crate::ops::binary::{First, Plus};
 use crate::ops::spa::{SpaScratch, SpaStrategy};
@@ -103,22 +102,18 @@ fn gather_row<'a, T: ScalarType>(
 /// `C = A ⊕.⊗ B` with both operands given as level slices — the one
 /// Gustavson loop (a flat matrix is the one-level case, its rows all
 /// [`Hit::Slice`]).  `adims`/`bdims` are the logical `(nrows, ncols)` the
-/// operands claim (needed because a slice list may be empty).  With a mask,
-/// only output positions it allows are kept (checked at drain time, after
-/// accumulation).
-pub(crate) fn mxm_levels<T, S, M>(
+/// operands claim (needed because a slice list may be empty).
+pub(crate) fn mxm_levels<T, S>(
     adims: (Index, Index),
     bdims: (Index, Index),
     a_levels: &[&Dcsr<T>],
     b_levels: &[&Dcsr<T>],
     semiring: S,
-    mask: Option<&Mask<'_, M>>,
     spa: &mut SpaScratch<T>,
 ) -> GrbResult<Matrix<T>>
 where
     T: ScalarType,
     S: Semiring<T>,
-    M: ScalarType,
 {
     if adims.1 != bdims.0 {
         return Err(GrbError::DimensionMismatch {
@@ -130,7 +125,6 @@ where
     }
     check_levels(adims, a_levels, "A")?;
     check_levels(bdims, b_levels, "B")?;
-    mask.map_or(Ok(()), |m| m.check_dims((adims.0, bdims.1)))?;
 
     let add = semiring.add();
     let mul = semiring.mul();
@@ -177,17 +171,12 @@ where
                 }
             }
         }
-        let before = col_idx.len();
         spa.drain(add, &mut |j, v| {
-            if mask.map_or(true, |m| m.allows(i, j)) {
-                col_idx.push(j);
-                vals.push(v);
-            }
+            col_idx.push(j);
+            vals.push(v);
         });
-        if col_idx.len() > before {
-            row_ids.push(i);
-            row_ptr.push(col_idx.len());
-        }
+        row_ids.push(i);
+        row_ptr.push(col_idx.len());
     }
     spa.commit_stats();
     let d = Dcsr::try_from_raw_parts(adims.0, bdims.1, row_ids, row_ptr, col_idx, vals)?;
@@ -196,19 +185,16 @@ where
 
 /// `w = A ⊕.⊗ u` off level slices: one cursor sweep over A's non-empty
 /// rows, each folded under `+` and probed against `u` with a scalar
-/// accumulator — no scatter structure needed.  Rows a mask denies are
-/// skipped *before* any product is formed — the masked frontier pull.
-pub(crate) fn mxv_levels<T, S, M>(
+/// accumulator — no scatter structure needed.
+pub(crate) fn mxv_levels<T, S>(
     adims: (Index, Index),
     a_levels: &[&Dcsr<T>],
     u: &SparseVector<T>,
     semiring: S,
-    mask: Option<&VectorMask<'_, M>>,
 ) -> GrbResult<SparseVector<T>>
 where
     T: ScalarType,
     S: Semiring<T>,
-    M: ScalarType,
 {
     if adims.1 != u.size() {
         return Err(GrbError::DimensionMismatch {
@@ -216,15 +202,11 @@ where
         });
     }
     check_levels(adims, a_levels, "A")?;
-    mask.map_or(Ok(()), |m| m.check_size(adims.0))?;
     let add = semiring.add();
     let mul = semiring.mul();
     let mut out = SparseVector::new(adims.0);
     let mut cur = LevelCursors::new(a_levels);
     while let Some(i) = cur.next_row() {
-        if !mask.map_or(true, |m| m.allows(i)) {
-            continue;
-        }
         let mut acc: Option<T> = None;
         cur.fold_row(Plus, &mut |j, aij| {
             if let Some(uj) = u.get(j) {
@@ -243,20 +225,16 @@ where
 }
 
 /// `w = u ⊕.⊗ A` off level slices, accumulated through the shared SPA.
-/// With a mask, only output positions it allows are kept (checked at drain
-/// time).
-pub(crate) fn vxm_levels<T, S, M>(
+pub(crate) fn vxm_levels<T, S>(
     u: &SparseVector<T>,
     adims: (Index, Index),
     a_levels: &[&Dcsr<T>],
     semiring: S,
-    mask: Option<&VectorMask<'_, M>>,
     spa: &mut SpaScratch<T>,
 ) -> GrbResult<SparseVector<T>>
 where
     T: ScalarType,
     S: Semiring<T>,
-    M: ScalarType,
 {
     if u.size() != adims.0 {
         return Err(GrbError::DimensionMismatch {
@@ -264,7 +242,6 @@ where
         });
     }
     check_levels(adims, a_levels, "A")?;
-    mask.map_or(Ok(()), |m| m.check_size(adims.1))?;
     let add = semiring.add();
     let mul = semiring.mul();
 
@@ -300,10 +277,8 @@ where
     }
     let mut err = None;
     spa.drain(add, &mut |j, v| {
-        if mask.map_or(true, |m| m.allows(j)) {
-            if let Err(e) = out.set(j, v) {
-                err = Some(e);
-            }
+        if let Err(e) = out.set(j, v) {
+            err = Some(e);
         }
     });
     spa.commit_stats();
@@ -435,34 +410,8 @@ where
     RB: CursorReader<T> + ?Sized,
 {
     let (adims, bdims) = (a.read_dims(), b.read_dims());
-    let mask = None::<&Mask<'_, T>>;
     with_levels(a, |al| {
-        with_levels(b, |bl| {
-            mxm_levels(adims, bdims, al, bl, semiring, mask, spa)
-        })
-    })
-}
-
-/// Masked [`mxm_reader`].
-pub fn mxm_reader_masked<T, S, M, RA, RB>(
-    a: &mut RA,
-    b: &mut RB,
-    semiring: S,
-    mask: &Mask<'_, M>,
-    spa: &mut SpaScratch<T>,
-) -> GrbResult<Matrix<T>>
-where
-    T: ScalarType,
-    S: Semiring<T>,
-    M: ScalarType,
-    RA: CursorReader<T> + ?Sized,
-    RB: CursorReader<T> + ?Sized,
-{
-    let (adims, bdims) = (a.read_dims(), b.read_dims());
-    with_levels(a, |al| {
-        with_levels(b, |bl| {
-            mxm_levels(adims, bdims, al, bl, semiring, Some(mask), spa)
-        })
+        with_levels(b, |bl| mxm_levels(adims, bdims, al, bl, semiring, spa))
     })
 }
 
@@ -478,26 +427,7 @@ where
     R: CursorReader<T> + ?Sized,
 {
     let adims = a.read_dims();
-    with_levels(a, |al| {
-        mxv_levels(adims, al, u, semiring, None::<&VectorMask<'_, T>>)
-    })
-}
-
-/// Masked [`mxv_reader`]: denied rows are skipped before any product.
-pub fn mxv_reader_masked<T, S, M, R>(
-    a: &mut R,
-    u: &SparseVector<T>,
-    semiring: S,
-    mask: &VectorMask<'_, M>,
-) -> GrbResult<SparseVector<T>>
-where
-    T: ScalarType,
-    S: Semiring<T>,
-    M: ScalarType,
-    R: CursorReader<T> + ?Sized,
-{
-    let adims = a.read_dims();
-    with_levels(a, |al| mxv_levels(adims, al, u, semiring, Some(mask)))
+    with_levels(a, |al| mxv_levels(adims, al, u, semiring))
 }
 
 /// `w = u ⊕.⊗ A` over a cursor reader.
@@ -513,26 +443,7 @@ where
     R: CursorReader<T> + ?Sized,
 {
     let adims = a.read_dims();
-    let mask = None::<&VectorMask<'_, T>>;
-    with_levels(a, |al| vxm_levels(u, adims, al, semiring, mask, spa))
-}
-
-/// Masked [`vxm_reader`].
-pub fn vxm_reader_masked<T, S, M, R>(
-    u: &SparseVector<T>,
-    a: &mut R,
-    semiring: S,
-    mask: &VectorMask<'_, M>,
-    spa: &mut SpaScratch<T>,
-) -> GrbResult<SparseVector<T>>
-where
-    T: ScalarType,
-    S: Semiring<T>,
-    M: ScalarType,
-    R: CursorReader<T> + ?Sized,
-{
-    let adims = a.read_dims();
-    with_levels(a, |al| vxm_levels(u, adims, al, semiring, Some(mask), spa))
+    with_levels(a, |al| vxm_levels(u, adims, al, semiring, spa))
 }
 
 #[cfg(test)]
@@ -541,9 +452,6 @@ mod tests {
     use crate::ops::binary::{Min, Plus};
     use crate::ops::semiring::{MinPlus, PlusTimes};
     use crate::oracle::{mxm_btree, transpose, vxm_btree};
-
-    const NO_MASK: Option<&Mask<'static, i64>> = None;
-    const NO_VMASK: Option<&VectorMask<'static, i64>> = None;
 
     fn m(nrows: u64, ncols: u64, entries: &[(u64, u64, i64)]) -> Matrix<i64> {
         let rows: Vec<_> = entries.iter().map(|e| e.0).collect();
@@ -587,22 +495,12 @@ mod tests {
             let ar: Vec<&Dcsr<i64>> = al.iter().collect();
             let br: Vec<&Dcsr<i64>> = bl.iter().collect();
             let mut spa = SpaScratch::new();
-            let fast = mxm_levels(
-                (100, 100),
-                (100, 100),
-                &ar,
-                &br,
-                PlusTimes,
-                NO_MASK,
-                &mut spa,
-            )
-            .unwrap();
+            let fast = mxm_levels((100, 100), (100, 100), &ar, &br, PlusTimes, &mut spa).unwrap();
             let slow = mxm_btree(&a, &b, PlusTimes).unwrap();
             assert_eq!(fast.extract_tuples(), slow.extract_tuples(), "k={k}");
             // min-plus exercises the non-distributive fold: split cells must
             // combine under + before ⊗ sees them.
-            let fast =
-                mxm_levels((100, 100), (100, 100), &ar, &br, MinPlus, NO_MASK, &mut spa).unwrap();
+            let fast = mxm_levels((100, 100), (100, 100), &ar, &br, MinPlus, &mut spa).unwrap();
             let slow = mxm_btree(&a, &b, MinPlus).unwrap();
             assert_eq!(
                 fast.extract_tuples(),
@@ -620,52 +518,20 @@ mod tests {
         for k in 1..=3 {
             let al = split_levels(&a, k);
             let ar: Vec<&Dcsr<i64>> = al.iter().collect();
-            let got = mxv_levels((64, 64), &ar, &u, PlusTimes, NO_VMASK).unwrap();
+            let got = mxv_levels((64, 64), &ar, &u, PlusTimes).unwrap();
             let want = vxm_btree(&u, &a_t, PlusTimes).unwrap();
             assert_eq!(
                 got.iter().collect::<Vec<_>>(),
                 want.iter().collect::<Vec<_>>()
             );
             let mut spa = SpaScratch::new();
-            let got = vxm_levels(&u, (64, 64), &ar, PlusTimes, NO_VMASK, &mut spa).unwrap();
+            let got = vxm_levels(&u, (64, 64), &ar, PlusTimes, &mut spa).unwrap();
             let want = vxm_btree(&u, &a, PlusTimes).unwrap();
             assert_eq!(
                 got.iter().collect::<Vec<_>>(),
                 want.iter().collect::<Vec<_>>()
             );
         }
-    }
-
-    #[test]
-    fn masked_duals_filter_like_oracle() {
-        let a = m(32, 32, &[(1, 2, 3), (1, 5, 1), (2, 5, 7), (9, 2, 4)]);
-        let b = m(32, 32, &[(2, 4, 1), (5, 4, 2), (5, 6, 3)]);
-        let mm = m(32, 32, &[(1, 4, 1), (9, 9, 1)]);
-        let mask = Mask::structural(&mm);
-        let mut spa = SpaScratch::new();
-        let al = split_levels(&a, 2);
-        let bl = split_levels(&b, 2);
-        let ar: Vec<&Dcsr<i64>> = al.iter().collect();
-        let br: Vec<&Dcsr<i64>> = bl.iter().collect();
-        let dims = (32, 32);
-        let got = mxm_levels(dims, dims, &ar, &br, PlusTimes, Some(&mask), &mut spa).unwrap();
-        let want = mask.filter(&mxm_btree(&a, &b, PlusTimes).unwrap());
-        assert_eq!(got.extract_tuples(), want.extract_tuples());
-
-        // Vector masks: keep only allowed outputs.
-        let allow = SparseVector::from_tuples(32, &[4], &[1i64], Plus).unwrap();
-        let vmask = VectorMask::structural(&allow);
-        let u = SparseVector::from_tuples(32, &[1, 2], &[1, 1], Plus).unwrap();
-        let got = vxm_levels(&u, dims, &ar, PlusTimes, Some(&vmask), &mut spa).unwrap();
-        let want: Vec<(u64, i64)> = vxm_btree(&u, &a, PlusTimes)
-            .unwrap()
-            .iter()
-            .filter(|&(j, _)| vmask.allows(j))
-            .collect();
-        assert_eq!(got.iter().collect::<Vec<_>>(), want);
-
-        let got = mxv_levels(dims, &ar, &u, PlusTimes, Some(&vmask)).unwrap();
-        assert!(got.is_empty()); // no allowed row is non-empty in A·u
     }
 
     #[test]
@@ -780,11 +646,11 @@ mod tests {
         let al = split_levels(&a, 1);
         let ar: Vec<&Dcsr<i64>> = al.iter().collect();
         let mut spa = SpaScratch::new();
-        assert!(mxm_levels((4, 5), (4, 4), &ar, &ar, PlusTimes, NO_MASK, &mut spa).is_err());
+        assert!(mxm_levels((4, 5), (4, 4), &ar, &ar, PlusTimes, &mut spa).is_err());
         let u = SparseVector::<i64>::new(3);
-        assert!(mxv_levels((4, 5), &ar, &u, PlusTimes, NO_VMASK).is_err());
-        assert!(vxm_levels(&u, (4, 5), &ar, PlusTimes, NO_VMASK, &mut spa).is_err());
+        assert!(mxv_levels((4, 5), &ar, &u, PlusTimes).is_err());
+        assert!(vxm_levels(&u, (4, 5), &ar, PlusTimes, &mut spa).is_err());
         // Levels that disagree with the claimed dims are rejected.
-        assert!(mxm_levels((9, 9), (9, 9), &ar, &ar, PlusTimes, NO_MASK, &mut spa).is_err());
+        assert!(mxm_levels((9, 9), (9, 9), &ar, &ar, PlusTimes, &mut spa).is_err());
     }
 }

@@ -9,8 +9,8 @@
 //! contract.  A read is a [`Query`] value, and a reader implements one data
 //! method, [`MatrixReader::answer`], as one `match` over the query kinds;
 //! the `read_*` methods wrap it.  Every store whose content is a list of
-//! settled levels (the flat matrix, snapshots, the hierarchy, the windowed
-//! hierarchy, a sharded engine's per-shard captures joined) answers through
+//! settled levels (the flat matrix, snapshots, the hierarchy, a sharded
+//! engine's per-shard captures joined) answers through
 //! the single implementation in [`crate::level_read`], from its native
 //! structures and without building a merged copy of the matrix first; the
 //! sharded engine only picks the captures a read is routed to.

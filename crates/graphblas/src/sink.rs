@@ -13,8 +13,7 @@
 //! Implementations in this workspace:
 //!
 //! * [`Matrix`] — the flat pending-tuple path (this crate);
-//! * `HierMatrix`, `WindowedHierMatrix` — the hierarchical cascade
-//!   (`hyperstream-hier`);
+//! * `HierMatrix` — the hierarchical cascade (`hyperstream-hier`);
 //! * `ShardedHierMatrix` — the hierarchy partitioned by row over worker
 //!   threads (`hyperstream-hier`).
 
@@ -81,13 +80,9 @@ pub trait StreamingSink<V> {
     /// Sum of all weight the sink currently represents, as `f64`.
     ///
     /// Exact at any time (no flush required): accumulation under `+` is
-    /// linear across pending buffers and hierarchy levels alike.  For
-    /// non-evicting sinks this equals everything ever inserted, which is
-    /// how the measurement harness verifies that no system silently drops
-    /// updates.  Sinks that evict by design (e.g. a time-windowed hierarchy
-    /// past its retention horizon) report only what they retain and must
-    /// say so in their impl docs; they are not driven through the
-    /// no-drop check.
+    /// linear across pending buffers and hierarchy levels alike.  It equals
+    /// everything ever inserted, which is how the measurement harness
+    /// verifies that no system silently drops updates.
     fn total_weight(&self) -> f64;
 }
 

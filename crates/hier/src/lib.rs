@@ -70,7 +70,6 @@ pub mod pool;
 pub mod sharded;
 pub mod stats;
 pub mod tuning;
-pub mod windowed;
 
 pub use config::HierConfig;
 #[cfg(feature = "failpoints")]
@@ -82,4 +81,3 @@ pub use sharded::{EngineHealth, ShardRecovery};
 pub use sharded::{ShardPartitioner, ShardedConfig, ShardedHierMatrix, ShardedSnapshot};
 pub use stats::HierStats;
 pub use tuning::{recommend_cuts, sweep_cut_schedules, CutRecommendation};
-pub use windowed::WindowedHierMatrix;

@@ -127,23 +127,20 @@ pub(crate) fn check_batch<T>(
     Ok(())
 }
 
-/// Exact number of distinct cells of `Σ hiers` with the `staged` cells
-/// (tuples a caller still holds for them) accumulated in: [`merged_nnz`]
+/// Exact number of distinct cells of `hier` with the `staged` cells
+/// (tuples a caller still holds for it) accumulated in: [`merged_nnz`]
 /// over every settled level, plus the distinct unsettled cells — pending or
 /// staged — that no settled level holds.  Works through `&self` and builds
-/// no [`Matrix`].  A lone hierarchy with a degree index held counts its
-/// settled cells off the index's exact `nnz`: the index follows every settle.
+/// no [`Matrix`].  With a degree index held, the settled cells are the
+/// index's exact `nnz`: the index follows every settle.
 pub(crate) fn distinct_cells<T: ScalarType>(
-    hiers: &[&HierMatrix<T>],
+    hier: &HierMatrix<T>,
     mut staged: Vec<(Index, Index)>,
 ) -> usize {
-    let levels: Vec<&Dcsr<T>> = hiers.iter().flat_map(|h| h.level_dcsrs()).collect();
-    let held = match hiers {
-        [h] => h.degrees.rows.as_ref().or(h.degrees.cols.as_ref()),
-        _ => None,
-    };
+    let levels: Vec<&Dcsr<T>> = hier.level_dcsrs().collect();
+    let held = hier.degrees.rows.as_ref().or(hier.degrees.cols.as_ref());
     let settled = held.map_or_else(|| merged_nnz(&levels), |ix| ix.view().nnz());
-    for level in hiers.iter().flat_map(|h| &h.levels) {
+    for level in &hier.levels {
         let (rows, cols, _) = level.pending_parts();
         staged.extend(rows.iter().copied().zip(cols.iter().copied()));
     }
@@ -436,27 +433,12 @@ impl<T: ScalarType> HierMatrix<T> {
     /// The settled level structures merge through the k-way cursor kernel
     /// in one pass — a single output allocation instead of the old
     /// per-level `ewise_add` loop that rewrote the accumulator L times —
-    /// and any pending level-0 tuples fold in afterwards.
+    /// and every level's pending tuples fold in afterwards.
     pub fn materialize_ref(&self) -> Matrix<T> {
         let dcsrs: Vec<&Dcsr<T>> = self.level_dcsrs().collect();
         let merged =
             merge_levels(self.nrows, self.ncols, &dcsrs, Plus).expect("levels share dimensions");
         let mut acc = Matrix::from_dcsr(merged);
-        self.fold_pending_into(&mut acc);
-        acc
-    }
-
-    /// The settled DCSR structure of every level, lowest first (pending
-    /// level-0 tuples are *not* included — see
-    /// [`HierMatrix::fold_pending_into`]).
-    pub(crate) fn level_dcsrs(&self) -> impl Iterator<Item = &Dcsr<T>> {
-        self.levels.iter().map(|l| l.dcsr())
-    }
-
-    /// Fold every level's pending tuples into `acc` — the companion of
-    /// [`HierMatrix::level_dcsrs`] for read paths that merge settled
-    /// structures first.
-    pub(crate) fn fold_pending_into(&self, acc: &mut Matrix<T>) {
         let mut any = false;
         for level in &self.levels {
             let (r, c, v) = level.pending_parts();
@@ -469,6 +451,13 @@ impl<T: ScalarType> HierMatrix<T> {
         if any {
             acc.wait();
         }
+        acc
+    }
+
+    /// The settled DCSR structure of every level, lowest first (pending
+    /// tuples are *not* included).
+    fn level_dcsrs(&self) -> impl Iterator<Item = &Dcsr<T>> {
+        self.levels.iter().map(|l| l.dcsr())
     }
 
     /// Settle level `i`'s pending tuples through the degree-index observer:
@@ -497,7 +486,7 @@ impl<T: ScalarType> HierMatrix<T> {
     /// can hold pending data, and it is cache resident by construction).
     /// The represented matrix is unchanged; afterwards the level DCSRs are
     /// the complete content, which is what the cursor queries walk.
-    pub(crate) fn settle_levels(&mut self) {
+    fn settle_levels(&mut self) {
         for i in 0..self.levels.len() {
             self.settle_level(i);
         }
@@ -527,7 +516,7 @@ impl<T: ScalarType> HierMatrix<T> {
     /// a no-op.  Twins are lazily built per level and then kept current by
     /// the settles and cascades themselves, so only a level that was
     /// swapped or cleared since the last column read is transposed here.
-    pub(crate) fn settled_col_shadows(&mut self) -> Vec<Arc<Dcsr<T>>> {
+    fn settled_col_shadows(&mut self) -> Vec<Arc<Dcsr<T>>> {
         self.settle_levels();
         self.levels.iter_mut().map(|l| l.col_shadow()).collect()
     }
@@ -536,7 +525,7 @@ impl<T: ScalarType> HierMatrix<T> {
     /// without materialising: the settled levels' distinct cells plus the
     /// pending cells no settled level holds.
     pub fn nvals_exact(&self) -> usize {
-        distinct_cells(&[self], Vec::new())
+        distinct_cells(self, Vec::new())
     }
 
     /// Value of the represented matrix at `(row, col)`: the sum of the
@@ -841,9 +830,7 @@ impl<T: ScalarType> HierMatrix<T> {
     /// WAL telemetry `(frames appended, fsyncs issued)` over this store's
     /// lifetime in this process, accumulated across checkpoint rotations;
     /// `None` for non-durable matrices.  Recorded in bench artifacts so a
-    /// policy's *actual* sync behaviour is visible — e.g. `EveryN(64)`
-    /// never reaching its threshold on a short stream, making it
-    /// behaviourally identical to `Never` for that run.
+    /// policy's *actual* sync behaviour is visible.
     pub fn wal_telemetry(&self) -> Option<(u64, u64)> {
         self.durable.as_ref().map(|d| {
             (

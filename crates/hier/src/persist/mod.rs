@@ -71,7 +71,6 @@ use std::path::PathBuf;
 /// | Policy | Durability on crash | Measured ingest window vs. in-memory |
 /// |---|---|---|
 /// | `EveryBatch` | every acknowledged batch | 1.1–1.3x the `Never` window (`persist.every_batch_tax`) |
-/// | `EveryN(n)`  | all but the last `< n` batches | between the two |
 /// | `Never`      | only checkpointed levels | 1.35–1.5x (`persist.ingest_tax`; 1.8–2.1x while checkpoints rewrote whole levels, 2.1–2.5x while frames held raw tuples, 3.88x before the sliced CRC) |
 ///
 /// Measured by `benchmark/run.sh --trace --workload durable_ingest` (2M
@@ -89,8 +88,6 @@ pub enum FsyncPolicy {
     /// Fsync the WAL after every appended batch: an `Ok` from an update
     /// means the batch survives any crash.
     EveryBatch,
-    /// Fsync after every `n` appended batches (clamped to at least 1).
-    EveryN(u64),
     /// Never fsync on append; only checkpoints force data to disk.
     Never,
 }
@@ -646,9 +643,9 @@ mod tests {
     #[test]
     fn durable_config_builder_and_shard_dirs() {
         let cfg = DurableConfig::new("/tmp/x")
-            .fsync(FsyncPolicy::EveryN(8))
+            .fsync(FsyncPolicy::Never)
             .salvage(true);
-        assert_eq!(cfg.fsync, FsyncPolicy::EveryN(8));
+        assert_eq!(cfg.fsync, FsyncPolicy::Never);
         assert!(cfg.salvage_corrupt_levels);
         let s2 = cfg.shard(2);
         assert!(s2.dir.ends_with("shard-2"));

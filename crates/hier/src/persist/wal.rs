@@ -65,8 +65,6 @@ pub(crate) struct WalWriter {
     file: File,
     /// Sequence number of the next frame to append.
     seq: u32,
-    /// Batches appended since the last fsync.
-    unsynced: u64,
     /// Reusable frame buffer: header and the three payload planes are
     /// encoded in place, straight from the caller's slices, and the CRC is
     /// patched into the header afterwards.  It is resized, never cleared,
@@ -124,7 +122,6 @@ impl WalWriter {
         Self {
             file,
             seq,
-            unsynced: 0,
             buf: Vec::new(),
             good_len,
             latched: false,
@@ -219,15 +216,8 @@ impl WalWriter {
         self.file
             .write_all(&self.buf[mid..])
             .map_err(|e| io_err("append wal frame", e))?;
-        let sync_due = match policy {
-            FsyncPolicy::EveryBatch => true,
-            FsyncPolicy::EveryN(n) => self.unsynced + 1 >= n.max(1),
-            FsyncPolicy::Never => false,
-        };
-        if sync_due {
+        if policy == FsyncPolicy::EveryBatch {
             self.sync(fp)?;
-        } else {
-            self.unsynced += 1;
         }
         self.seq = self.seq.wrapping_add(1);
         self.appends += 1;
@@ -248,7 +238,6 @@ impl WalWriter {
         fp.check("persist-pre-fsync", usize::MAX)?;
         self.file.sync_data().map_err(|e| io_err("fsync wal", e))?;
         fp.check("persist-post-fsync", usize::MAX)?;
-        self.unsynced = 0;
         self.syncs += 1;
         Ok(())
     }

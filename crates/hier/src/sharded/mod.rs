@@ -113,13 +113,12 @@
 
 use crate::config::HierConfig;
 use crate::failpoint::Failpoints;
-use crate::matrix::{distinct_cells, HierMatrix, Live};
+use crate::matrix::{check_batch, distinct_cells, HierMatrix, Live};
 use crate::persist::{DurableConfig, RecoveryReport};
 use crate::pool::{row_hash, PartitionBuffers};
 use crate::stats::HierStats;
 use hyperstream_graphblas::ops::binary::Plus;
 use hyperstream_graphblas::ops::ewise_add::ewise_add_into;
-use hyperstream_graphblas::sink::check_tuple_lengths;
 use hyperstream_graphblas::GrbError;
 use hyperstream_graphblas::{
     validate_index, GrbResult, Index, Matrix, MatrixSnapshot, ScalarType, StreamingSink,
@@ -324,7 +323,7 @@ impl<T: ScalarType> Shard<T> {
     /// producer still holds for it) accumulated in.  Nothing is
     /// materialised.
     fn nvals_with(&self, staged: Vec<(Index, Index)>) -> usize {
-        distinct_cells(&[&self.hier], staged)
+        distinct_cells(&self.hier, staged)
     }
 }
 
@@ -833,11 +832,7 @@ impl<T: ScalarType> ShardedHierMatrix<T> {
     /// Apply a batch of updates given as parallel slices.  The batch is
     /// validated up front and applies atomically.
     pub fn update_batch(&mut self, rows: &[Index], cols: &[Index], vals: &[T]) -> GrbResult<()> {
-        check_tuple_lengths(rows, cols, vals)?;
-        for i in 0..rows.len() {
-            validate_index(rows[i], self.nrows)?;
-            validate_index(cols[i], self.ncols)?;
-        }
+        check_batch((self.nrows, self.ncols), rows, cols, vals)?;
         if !rows.is_empty() {
             self.held.clear();
         }

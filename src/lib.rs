@@ -54,7 +54,7 @@ pub mod prelude {
     pub use hyperstream_hier::{
         DurableConfig, EngineHealth, FsyncPolicy, HierConfig, HierMatrix, HierStats,
         PartitionBuffers, RecoveryReport, ShardPartitioner, ShardRecovery, ShardedConfig,
-        ShardedHierMatrix, ShardedSnapshot, WindowedHierMatrix,
+        ShardedHierMatrix, ShardedSnapshot,
     };
 
     pub use hyperstream_workload::{

@@ -11,13 +11,13 @@
 //!   sequence tiebreak reproduces the BTreeMap fold order exactly, so this
 //!   holds even for non-commutative ⊗ like `first`);
 //! * the same kernel over k levels — `mxm_reader` / `mxv_reader` /
-//!   `vxm_reader`, masked and unmasked, over every `CursorReader`: flat,
+//!   `vxm_reader` over every `CursorReader`: flat,
 //!   hierarchical, sharded, and both snapshot flavours — must equal the
 //!   one-level case and the reference alike;
 //! * every product entry answers a hostile shape (mismatched dimensions, an
-//!   empty operand, a level that disagrees with its reader's dimensions, a
-//!   mask of the wrong size) with `GrbError::DimensionMismatch` or the empty
-//!   product, never a panic; and
+//!   empty operand, a level that disagrees with its reader's dimensions)
+//!   with `GrbError::DimensionMismatch` or the empty product, never a
+//!   panic; and
 //! * `triangle_count` / `bfs_levels` / `connected_components` /
 //!   `pagerank` must agree across every system, square or wider than tall:
 //!   cursor-native primaries on the level-slice readers, the `oracle::*_tuples`
@@ -136,7 +136,7 @@ fn check_spa_vs_btree(a_updates: &[(u64, u64, u64)], b_updates: &[(u64, u64, u64
 }
 
 /// k levels == one level == reference: the cursor-consuming entry points
-/// (masked and unmasked) over every `CursorReader`, the flat `Matrix`
+/// over every `CursorReader`, the flat `Matrix`
 /// (one level) among them, must be byte-identical to the `oracle::*_btree`
 /// products.
 #[allow(clippy::too_many_arguments)]
@@ -150,14 +150,6 @@ fn check_readers_vs_oracle(
     let flat = build_flat(updates);
     let mut flat_b = build_flat(b_updates);
     let u = operand_vector(updates);
-    // Vector mask: the odd-position operand rows; matrix mask: b's
-    // pattern (exercises both polarity flags).
-    let mut mask_vec = SparseVector::<u64>::new(DIM);
-    for (i, (j, _)) in u.iter().enumerate() {
-        if i % 2 == 1 {
-            mask_vec.set(j, 1).unwrap();
-        }
-    }
 
     let mut spa = SpaScratch::<u64>::new();
     let flat_t = oracle::transpose(&flat).unwrap();
@@ -167,34 +159,6 @@ fn check_readers_vs_oracle(
     let expect_mxm = oracle::mxm_btree(&flat, &flat_b, PlusTimes)
         .unwrap()
         .extract_tuples();
-    // Masked oracles: masking only skips denied outputs, so the
-    // answer is the unmasked oracle filtered by the mask.
-    let vmask = VectorMask::structural(&mask_vec);
-    let vmask_c = VectorMask::<u64>::complement(&mask_vec);
-    let expect_vxm_masked: Vec<(u64, u64)> = expect_vxm
-        .iter()
-        .copied()
-        .filter(|&(j, _)| vmask.allows(j))
-        .collect();
-    let expect_mxv_masked: Vec<(u64, u64)> = expect_mxv
-        .iter()
-        .copied()
-        .filter(|&(i, _)| vmask_c.allows(i))
-        .collect();
-    let mask_m = build_flat(b_updates);
-    let mmask = Mask::structural(&mask_m);
-    let expect_mxm_masked = {
-        let (r, c, v) = &expect_mxm;
-        let mut fr = (Vec::new(), Vec::new(), Vec::new());
-        for k in 0..r.len() {
-            if mmask.allows(r[k], c[k]) {
-                fr.0.push(r[k]);
-                fr.1.push(c[k]);
-                fr.2.push(v[k]);
-            }
-        }
-        fr
-    };
 
     // k levels: every reader.
     for (name, mut sys) in cursor_systems((DIM, DIM), updates, cuts, shards, flush_at) {
@@ -207,32 +171,10 @@ fn check_readers_vs_oracle(
             "vxm min-plus of {}",
             &name
         );
-        let got = vxm_reader_masked(&u, sys.as_mut(), PlusTimes, &vmask, &mut spa).unwrap();
-        prop_assert_eq!(
-            vec_entries(&got),
-            expect_vxm_masked.clone(),
-            "masked vxm of {}",
-            &name
-        );
         let got = mxv_reader(sys.as_mut(), &u, PlusTimes).unwrap();
         prop_assert_eq!(vec_entries(&got), expect_mxv.clone(), "mxv of {}", &name);
-        let got = mxv_reader_masked(sys.as_mut(), &u, PlusTimes, &vmask_c).unwrap();
-        prop_assert_eq!(
-            vec_entries(&got),
-            expect_mxv_masked.clone(),
-            "masked mxv of {}",
-            &name
-        );
         let got = mxm_reader(sys.as_mut(), &mut flat_b, PlusTimes, &mut spa).unwrap();
         prop_assert_eq!(got.extract_tuples(), expect_mxm.clone(), "mxm of {}", &name);
-        let got =
-            mxm_reader_masked(sys.as_mut(), &mut flat_b, PlusTimes, &mmask, &mut spa).unwrap();
-        prop_assert_eq!(
-            got.extract_tuples(),
-            expect_mxm_masked.clone(),
-            "masked mxm of {}",
-            &name
-        );
     }
 }
 
@@ -297,8 +239,7 @@ fn check_algorithms_agree(
     let hier_cfg = HierConfig::from_cuts(cuts.to_vec()).unwrap();
     let mut systems: Vec<Box<dyn StreamingSystem<u64>>> = vec![
         Box::new(Matrix::<u64>::new(nrows, ncols)),
-        Box::new(HierMatrix::<u64>::new(nrows, ncols, hier_cfg.clone()).unwrap()),
-        Box::new(WindowedHierMatrix::<u64>::new(nrows, ncols, hier_cfg, u64::MAX, 4).unwrap()),
+        Box::new(HierMatrix::<u64>::new(nrows, ncols, hier_cfg).unwrap()),
         Box::new(sharded_in(dims, shards, cuts)),
     ];
     for sys in systems.iter_mut() {
@@ -346,7 +287,7 @@ impl LevelStore for Lying {
     }
 }
 
-/// Every product entry — reader and masked reader, over every reader of
+/// Every product entry — each reader entry, over every reader of
 /// `cursor_systems` (the flat `Matrix` among them), and element-wise add —
 /// given a hostile shape answers
 /// `GrbError::DimensionMismatch` or the empty product, and never panics.
@@ -365,18 +306,12 @@ fn product_entries_answer_hostile_shapes_with_typed_errors() {
     let mut b = build_flat(&updates);
     let spa = &mut SpaScratch::<u64>::new();
 
-    // Operands and masks one off the systems' DIM x DIM.
+    // Operands one off the systems' DIM x DIM.
     let wrong_u = SparseVector::<u64>::new(DIM + 1);
     let mut wrong_b = Matrix::<u64>::new(DIM + 1, DIM + 1);
-    let wrong_mask_m = Matrix::<u64>::new(DIM, DIM + 1);
-    let wrong_mask = Mask::structural(&wrong_mask_m);
-    let wrong_vmask = VectorMask::structural(&wrong_u);
     // ... and ones that fit but hold nothing.
     let empty_u = SparseVector::<u64>::new(DIM);
     let mut empty_b = Matrix::<u64>::new(DIM, DIM);
-    let all_m = Matrix::<u64>::new(DIM, DIM);
-    let all = Mask::complement(&all_m);
-    let all_v = VectorMask::complement(&empty_u);
 
     // Element-wise add, the one whole-matrix entry off the reader path.
     mismatch(ewise_add(&b, &wrong_b, Plus), "ewise_add");
@@ -392,38 +327,13 @@ fn product_entries_answer_hostile_shapes_with_typed_errors() {
         let r = sys.as_mut();
         mismatch(mxm_reader(r, &mut wrong_b, PlusTimes, spa), &name);
         mismatch(mxm_reader(&mut wrong_b, r, PlusTimes, spa), &name);
-        mismatch(
-            mxm_reader_masked(r, &mut wrong_b, PlusTimes, &all, spa),
-            &name,
-        );
-        mismatch(
-            mxm_reader_masked(r, &mut b, PlusTimes, &wrong_mask, spa),
-            &name,
-        );
         mismatch(mxv_reader(r, &wrong_u, PlusTimes), &name);
-        mismatch(mxv_reader_masked(r, &wrong_u, PlusTimes, &all_v), &name);
-        mismatch(mxv_reader_masked(r, &u, PlusTimes, &wrong_vmask), &name);
         mismatch(vxm_reader(&wrong_u, r, PlusTimes, spa), &name);
-        mismatch(
-            vxm_reader_masked(&wrong_u, r, PlusTimes, &all_v, spa),
-            &name,
-        );
-        mismatch(
-            vxm_reader_masked(&u, r, PlusTimes, &wrong_vmask, spa),
-            &name,
-        );
 
-        let empty = name.starts_with("empty");
         let c = mxm_reader(r, &mut empty_b, PlusTimes, spa).unwrap();
         assert!(c.is_empty(), "{name}");
-        let c = mxm_reader_masked(r, &mut b, PlusTimes, &all, spa).unwrap();
-        assert_eq!(c.is_empty(), empty, "{name}");
         assert!(mxv_reader(r, &empty_u, PlusTimes).unwrap().is_empty());
         assert!(vxm_reader(&empty_u, r, PlusTimes, spa).unwrap().is_empty());
-        let w = vxm_reader_masked(&u, r, PlusTimes, &all_v, spa).unwrap();
-        assert_eq!(w.is_empty(), empty, "{name}");
-        let w = mxv_reader_masked(r, &empty_u, PlusTimes, &all_v).unwrap();
-        assert!(w.is_empty(), "{name}");
     }
 
     // A level that is not the size its reader claims, on either side.
@@ -431,20 +341,8 @@ fn product_entries_answer_hostile_shapes_with_typed_errors() {
     let mut lying = Lying(level);
     mismatch(mxm_reader(&mut lying, &mut b, PlusTimes, spa), "lying A");
     mismatch(mxm_reader(&mut b, &mut lying, PlusTimes, spa), "lying B");
-    mismatch(
-        mxm_reader_masked(&mut lying, &mut b, PlusTimes, &all, spa),
-        "lying A",
-    );
     mismatch(mxv_reader(&mut lying, &u, PlusTimes), "lying mxv");
-    mismatch(
-        mxv_reader_masked(&mut lying, &u, PlusTimes, &all_v),
-        "lying mxv",
-    );
     mismatch(vxm_reader(&u, &mut lying, PlusTimes, spa), "lying vxm");
-    mismatch(
-        vxm_reader_masked(&u, &mut lying, PlusTimes, &all_v, spa),
-        "lying vxm",
-    );
 }
 
 proptest! {

@@ -1,8 +1,7 @@
 #![recursion_limit = "256"] // the proptest macro expansion is token-heavy
 
 //! Property-based tests of the incremental degree index: for random update
-//! streams, cut schedules, shard counts, window rotations and mid-stream
-//! flushes, every index-served answer — per-row degree, row reduce, top-k,
+//! streams, cut schedules, shard counts and mid-stream flushes, every index-served answer — per-row degree, row reduce, top-k,
 //! nnz, degree histogram — must be byte-identical to the retained
 //! cursor-sweep fallback *and* to the answer computed from the
 //! materialised flat matrix.  Snapshots taken mid-stream must keep
@@ -138,41 +137,6 @@ proptest! {
             prop_assert_eq!(snap.read_nnz(), prefix.nvals());
             prop_assert_eq!(snap.read_top_k(4), reference_top_k(&prefix, 4));
         }
-    }
-
-    #[test]
-    fn windowed_rotation_index_matches_sweep_and_retained_union(
-        updates in update_stream(48, 1, 300),
-        cuts in cut_schedule(4),
-        window in 10u64..120,
-        max_windows in 1usize..4,
-        k in 0usize..10,
-    ) {
-        let cfg = HierConfig::from_cuts(cuts).unwrap();
-        let mut w =
-            WindowedHierMatrix::<u64>::new(DIM, DIM, cfg, window, max_windows).unwrap();
-        for (i, &(r, c, v)) in updates.iter().enumerate() {
-            w.update(r, c, v).unwrap();
-            if i == updates.len() / 2 {
-                // A query mid-stream exercises rebuild-then-invalidate.
-                let _ = w.read_nnz();
-            }
-        }
-        // Index answers == cursor sweep over the retained windows ==
-        // materialised retained union (evictions included).
-        let retained = w.materialize_retained().unwrap();
-        prop_assert_eq!(w.read_nnz(), w.with_levels(merged_nnz));
-        prop_assert_eq!(w.read_nnz(), retained.nvals());
-        prop_assert_eq!(w.read_top_k(k), w.with_levels(|lv| merged_top_k(lv, k)));
-        prop_assert_eq!(w.read_top_k(k), reference_top_k(&retained, k));
-        prop_assert_eq!(w.read_degree_histogram(), w.with_levels(merged_degree_histogram));
-        let probe = updates[updates.len() - 1].0;
-        prop_assert_eq!(w.read_row_degree(probe), w.with_levels(|lv| merged_row_degree(lv, probe)));
-        prop_assert_eq!(w.read_row_reduce(probe), w.with_levels(|lv| merged_row_reduce(lv, probe, Plus)));
-        prop_assert_eq!(
-            w.read_row_degree(probe),
-            retained.dcsr().row(probe).map_or(0, |(c, _)| c.len())
-        );
     }
 }
 
@@ -411,7 +375,6 @@ fn hostile_reads_between_batches_are_total_and_harmless() {
     let cfg = || HierConfig::from_cuts(vec![64, 1024]).unwrap();
     drive(&mut Matrix::<u64>::new(DIM, DIM));
     drive(&mut HierMatrix::<u64>::new(DIM, DIM, cfg()).unwrap());
-    drive(&mut WindowedHierMatrix::<u64>::new(DIM, DIM, cfg(), 1 << 40, 2).unwrap());
     drive(&mut ShardedHierMatrix::<u64>::with_shards(DIM, DIM, 3).unwrap());
 }
 

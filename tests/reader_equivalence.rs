@@ -9,8 +9,8 @@
 //! suites: the cascade schedule, the sharding and the storage engines may
 //! only change the *cost* of a query, never its value.
 //!
-//! The level-backed stores (flat, hierarchy, windowed hierarchy, both
-//! snapshot captures) share one `MatrixReader::answer`, and the sharded
+//! The level-backed stores (flat, hierarchy, both snapshot captures)
+//! share one `MatrixReader::answer`, and the sharded
 //! engine and its snapshot another (one route and one combine over their
 //! shards); the same generated cases drive all 16 `read_*` methods of each
 //! against a `BTreeMap<(row, col), value>` oracle through [`check_reads`].
@@ -28,10 +28,7 @@ fn all_systems(cuts: &[u64], shards: usize) -> Vec<Box<dyn StreamingSystem<u64>>
     let hier_cfg = HierConfig::from_cuts(cuts.to_vec()).unwrap();
     vec![
         Box::new(Matrix::<u64>::new(DIM, DIM)),
-        Box::new(HierMatrix::<u64>::new(DIM, DIM, hier_cfg.clone()).unwrap()),
-        // A window large enough never to rotate: retained content equals
-        // the full stream, so the windowed reader is comparable too.
-        Box::new(WindowedHierMatrix::<u64>::new(DIM, DIM, hier_cfg, u64::MAX, 4).unwrap()),
+        Box::new(HierMatrix::<u64>::new(DIM, DIM, hier_cfg).unwrap()),
         // Hashed rows interleave in every column.
         Box::new(sharded_in((DIM, DIM), shards, cuts)),
     ]
@@ -200,15 +197,14 @@ fn check_cursor_reads<S: CursorReader<u64>>(s: &mut S, cells: &Cells, dims: (u64
 }
 
 /// `check_reads` over every level-backed store fed `updates`: the flat
-/// matrix, the hierarchy (pending tail unsettled), a windowed hierarchy
-/// that rotates and evicts mid-stream, and a snapshot with its stats
-/// views.
+/// matrix, the hierarchy (pending tail unsettled), and a snapshot with its
+/// stats views.
 fn check_level_backed_stores(updates: &[(u64, u64, u64)], cuts: &[u64], dim: u64, k: usize) {
     let cfg = HierConfig::from_cuts(cuts.to_vec()).unwrap();
     let cells = cells_of(updates);
 
     let mut flat = Matrix::<u64>::new(dim, dim);
-    let mut hier = HierMatrix::<u64>::new(dim, dim, cfg.clone()).unwrap();
+    let mut hier = HierMatrix::<u64>::new(dim, dim, cfg).unwrap();
     for &(r, c, v) in updates {
         flat.insert(r, c, v).unwrap();
         hier.insert(r, c, v).unwrap();
@@ -219,26 +215,6 @@ fn check_level_backed_stores(updates: &[(u64, u64, u64)], cuts: &[u64], dim: u64
     let mut settled = hier.snapshot();
     assert!(matches!(settled.stats_mut(), (Some(_), Some(_))));
     check_cursor_reads(&mut settled, &cells, (dim, dim), k);
-
-    // Four-ish windows, two closed ones retained: the oldest are evicted.
-    let window = (updates.len() as u64 / 4).max(1);
-    let mut windowed = WindowedHierMatrix::<u64>::new(dim, dim, cfg, window, 2).unwrap();
-    for (i, &(r, c, v)) in updates.iter().enumerate() {
-        windowed.insert(r, c, v).unwrap();
-        if i == updates.len() / 2 {
-            // A mid-stream read must survive the rotations that follow.
-            let _ = windowed.read_in_top_k(k);
-        }
-    }
-    let current = (updates.len() as u64 - 1) / window;
-    let first_retained = (current.saturating_sub(2) * window) as usize;
-    assert_eq!(windowed.windows_closed(), current);
-    check_cursor_reads(
-        &mut windowed,
-        &cells_of(&updates[first_retained..]),
-        (dim, dim),
-        k,
-    );
 }
 
 /// `check_reads` over the sharded engine and a snapshot of it: the engine
@@ -368,33 +344,6 @@ fn level_backed_stores_answer_above_2_pow_32() {
     assert!(updates.iter().all(|&(r, c, _)| r > 1 << 32 && c > 1 << 32));
     check_level_backed_stores(&updates, &[8, 64], WIDE, 5);
     check_sharded_stores(&updates, &[8, 64], WIDE, 3, 5);
-}
-
-/// A retained-window union is a `CursorReader` like any other level store,
-/// so the graph algorithms run over it directly.
-#[test]
-fn pagerank_over_retained_windows_matches_the_materialized_union() {
-    use hyperstream::graphblas::algo::pagerank;
-
-    let cfg = HierConfig::from_cuts(vec![8, 64]).unwrap();
-    let mut windowed = WindowedHierMatrix::<u64>::new(DIM, DIM, cfg, 300, 2).unwrap();
-    for i in 0..1500u64 {
-        windowed
-            .insert((i * 13) % 101, (i * 7 + i / 300) % 101, 1)
-            .unwrap();
-    }
-    assert!(windowed.windows_closed() > windowed.retained_windows() as u64);
-    let mut union = windowed.materialize_retained().unwrap();
-    let got = pagerank(&mut windowed, 0.85, 40, 1e-12);
-    let want = pagerank(&mut union, 0.85, 40, 1e-12);
-    assert_eq!(got.nvals(), want.nvals());
-    for (v, rank) in got.iter() {
-        let expect = want.get(v).expect("same active set");
-        assert!(
-            (rank - expect).abs() < 1e-9,
-            "vertex {v}: {rank} vs {expect}"
-        );
-    }
 }
 
 /// A caller-chosen `k` never sizes an allocation: `usize::MAX` ranks every

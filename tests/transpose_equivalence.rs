@@ -1,7 +1,7 @@
 #![recursion_limit = "256"] // the proptest macro expansion is token-heavy
 
 //! Property-based tests of the column/transpose read path: for random
-//! update streams, cut schedules, shard counts and window rotations, every
+//! update streams, cut schedules and shard counts, every
 //! column answer — column extract, column degree, column reduce, in-degree
 //! top-k, in-degree histogram, column-band scan — must be byte-identical
 //! to the retained cursor-sweep fallback *and* to the row-side answer of a
@@ -190,53 +190,6 @@ proptest! {
             }
             prop_assert_eq!(got, expect);
         }
-    }
-
-    #[test]
-    fn windowed_rotation_column_index_matches_sweep_and_retained_union(
-        updates in update_stream(48, 1, 300),
-        cuts in cut_schedule(4),
-        window in 10u64..120,
-        max_windows in 1usize..4,
-        k in 0usize..10,
-    ) {
-        let cfg = HierConfig::from_cuts(cuts).unwrap();
-        let mut w =
-            WindowedHierMatrix::<u64>::new(DIM, DIM, cfg, window, max_windows).unwrap();
-        for (i, &(r, c, v)) in updates.iter().enumerate() {
-            w.update(r, c, v).unwrap();
-            if i == updates.len() / 2 {
-                // A mid-stream column query exercises the stale-mark +
-                // wholesale-rebuild path across later rotations.
-                let _ = w.read_in_top_k(3);
-            }
-        }
-        // Eviction makes incremental column maintenance inexact, so the
-        // union index rebuilds wholesale; answers must equal the cursor
-        // sweep over retained windows and the transposed retained union.
-        let retained = w.materialize_retained().unwrap();
-        let (rrows, rcols, rvals) = retained.extract_tuples();
-        let retained_t =
-            Matrix::from_tuples(DIM, DIM, &rcols, &rrows, &rvals, Plus).unwrap();
-        prop_assert_eq!(w.read_in_top_k(k), w.with_levels(|lv| merged_in_top_k(lv, k)));
-        prop_assert_eq!(w.read_in_top_k(k), reference_top_k(&retained_t, k));
-        prop_assert_eq!(
-            w.read_in_degree_histogram(),
-            w.with_levels(merged_in_degree_histogram)
-        );
-        let probe = updates[updates.len() - 1].1;
-        let mut got = Vec::new();
-        w.read_col(probe, &mut got);
-        let mut swept = Vec::new();
-        w.with_levels(|lv| merged_col_into(lv, probe, Plus, &mut swept));
-        prop_assert_eq!(&got, &swept);
-        let expect_deg = retained_t.dcsr().row(probe).map_or(0, |(c, _)| c.len());
-        prop_assert_eq!(w.read_col_degree(probe), w.with_levels(|lv| merged_col_degree(lv, probe)));
-        prop_assert_eq!(w.read_col_degree(probe), expect_deg);
-        prop_assert_eq!(w.read_col_reduce(probe), w.with_levels(|lv| merged_col_reduce(lv, probe, Plus)));
-        let mut band = Vec::new();
-        w.read_col_range(0, DIM / 2, &mut |r, c, v| band.push((r, c, v)));
-        prop_assert_eq!(band, w.with_levels(|lv| col_band_sweep(lv, 0, DIM / 2)));
     }
 }
 
