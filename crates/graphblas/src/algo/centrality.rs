@@ -1,40 +1,28 @@
-//! Centrality measures: PageRank and connected components.
+//! PageRank, the one centrality measure computed on streaming traffic
+//! matrices here (paper §III's "various network statistics").
 //!
-//! These round out the "various network statistics" computed on streaming
-//! traffic matrices (paper §III).  The primary entry points run over any
-//! [`CursorReader`] and share one pipeline: a merged cursor sweep of the
-//! reader's level slices collects the distinct adjacency pattern, one
+//! [`pagerank`] runs over any [`CursorReader`]: a merged cursor sweep of
+//! the reader's level slices collects the distinct adjacency pattern, one
 //! position-carrying radix over the destination ids plus one linear merge
 //! relabels it onto dense `u32` vertex positions (CSR over positions and
-//! the sorted id table), the algorithm iterates on dense arrays, and the
+//! the sorted id table), the iteration runs on dense arrays, and the
 //! result is handed over as a [`SparseVector`] by move.  Set-up is a few
 //! linear passes over the edges — one radix scatter on the top varying id
 //! bits, every bucket finished in cache, at any id width — with no
 //! comparison sort and no per-edge search; its buffers (about 20 bytes per
 //! edge and 12 per vertex) live for the call only, and nothing is cached
-//! on the reader.  The equivalence tests compare both against their
-//! `*_tuples` references in the `oracle` module.
+//! on the reader.  The equivalence tests compare it against its
+//! `pagerank_tuples` reference in the `oracle` module.
 
 use super::compact::CompactGraph;
-use crate::index::Index;
 use crate::reader::CursorReader;
 use crate::types::ScalarType;
 use crate::vector::SparseVector;
 
-/// Hand a dense per-position result over as a sparse vector, by move.
-fn hand_over<T: ScalarType>(size: Index, active: Vec<Index>, vals: Vec<T>) -> SparseVector<T> {
-    let out = SparseVector::from_sorted_parts(size, active, vals);
-    // Sorted and distinct by construction, and inside the dims of the
-    // reader whose levels they came from; a reader that broke that contract
-    // gets the empty answer in release builds, not a panic.
-    debug_assert!(out.is_ok(), "vertex table rejected: {out:?}");
-    out.unwrap_or_else(|_| SparseVector::new(size))
-}
-
 /// PageRank over the directed graph whose adjacency pattern is `a`
 /// (edge `i -> j` for every stored entry; weights ignored).
 ///
-/// Runs over any [`CursorReader`] on the module's shared front end: the
+/// Runs over any [`CursorReader`] on the module's front end: the
 /// out-degree of a source is the width of its destination list, and every
 /// iteration is a dense-array push of `rank(i)/outdeg(i)` under `plus`
 /// along `u32` destination positions — no per-iteration level lookups, no
@@ -51,10 +39,11 @@ where
     R: CursorReader<V> + ?Sized,
 {
     let (nrows, ncols) = a.read_dims();
+    let size = nrows.max(ncols);
     let g = CompactGraph::from_reader(a);
     let n = g.active.len();
     if n == 0 {
-        return SparseVector::new(nrows.max(ncols));
+        return SparseVector::new(size);
     }
     let teleport = (1.0 - damping) / n as f64;
     let mut rank = vec![1.0 / n as f64; n];
@@ -77,50 +66,12 @@ where
             break;
         }
     }
-    hand_over(nrows.max(ncols), g.active, rank)
-}
-
-/// Connected components of the *undirected* graph whose adjacency pattern is
-/// `a` (treated symmetrically), via min-label propagation.
-///
-/// Runs over any [`CursorReader`] on the module's shared front end: labels
-/// are a dense array over vertex positions, and each round walks the
-/// distinct edges once, pulling the smaller endpoint label across in
-/// whichever direction it points — no symmetrised copy of the pattern is
-/// ever built.  Labels only ever fall and a label is always the id of a
-/// vertex in the same component, so the fixpoint is the component minimum
-/// whatever the order of updates within a round.
-///
-/// Returns, for every vertex with at least one edge, the smallest vertex id
-/// in its component.
-pub fn connected_components<V, R>(a: &mut R) -> SparseVector<u64>
-where
-    V: ScalarType,
-    R: CursorReader<V> + ?Sized,
-{
-    let (nrows, ncols) = a.read_dims();
-    let g = CompactGraph::from_reader(a);
-    // labels[p] is the label of vertex active[p]; start from the id.
-    let mut labels: Vec<u64> = g.active.clone();
-    let mut changed = true;
-    while changed {
-        changed = false;
-        for (&src, w) in g.src_pos.iter().zip(g.offsets.windows(2)) {
-            let pi = src as usize;
-            for &t in &g.targets[w[0]..w[1]] {
-                let pj = t as usize;
-                let (li, lj) = (labels[pi], labels[pj]);
-                if lj < li {
-                    labels[pi] = lj;
-                    changed = true;
-                } else if li < lj {
-                    labels[pj] = li;
-                    changed = true;
-                }
-            }
-        }
-    }
-    hand_over(nrows.max(ncols), g.active, labels)
+    let out = SparseVector::from_sorted_parts(size, g.active, rank);
+    // Sorted and distinct by construction, and inside the dims of the
+    // reader whose levels they came from; a reader that broke that contract
+    // gets the empty answer in release builds, not a panic.
+    debug_assert!(out.is_ok(), "vertex table rejected: {out:?}");
+    out.unwrap_or_else(|_| SparseVector::new(size))
 }
 
 #[cfg(test)]
@@ -128,7 +79,7 @@ mod tests {
     use super::*;
     use crate::matrix::Matrix;
     use crate::ops::binary::Plus;
-    use crate::oracle::{connected_components_tuples, pagerank_tuples};
+    use crate::oracle::pagerank_tuples;
 
     fn graph(nrows: u64, edges: &[(u64, u64)]) -> Matrix<u64> {
         let rows: Vec<u64> = edges.iter().map(|e| e.0).collect();
@@ -230,58 +181,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn components_survive_hostile_inputs_and_match_the_oracle() {
-        for mut g in hostile_graphs() {
-            let fast = connected_components(&mut g);
-            let slow = connected_components_tuples(&mut g).unwrap();
-            assert_eq!(
-                fast.iter().collect::<Vec<_>>(),
-                slow.iter().collect::<Vec<_>>()
-            );
-        }
-    }
-
-    #[test]
-    fn components_two_clusters() {
-        let mut g = graph(1 << 32, &[(1, 2), (2, 3), (100, 101)]);
-        let cc = connected_components(&mut g);
-        assert_eq!(cc.get(1), Some(1));
-        assert_eq!(cc.get(2), Some(1));
-        assert_eq!(cc.get(3), Some(1));
-        assert_eq!(cc.get(100), Some(100));
-        assert_eq!(cc.get(101), Some(100));
-        assert_eq!(cc.get(50), None);
-    }
-
-    #[test]
-    fn components_chain_converges_to_smallest_id() {
-        let mut g = graph(100, &[(9, 8), (8, 7), (7, 6), (6, 5)]);
-        let cc = connected_components(&mut g);
-        for v in 5..=9u64 {
-            assert_eq!(cc.get(v), Some(5));
-        }
-    }
-
-    #[test]
-    fn components_hypersparse_ids() {
-        let a = 1u64 << 33;
-        let mut g = graph(1 << 40, &[(a, a + 7)]);
-        let cc = connected_components(&mut g);
-        assert_eq!(cc.get(a), Some(a));
-        assert_eq!(cc.get(a + 7), Some(a));
-    }
-
-    #[test]
-    fn components_agree_with_tuples_fallback() {
-        let mut g = graph(64, &[(1, 2), (2, 3), (10, 11), (11, 1), (40, 41)]);
-        let fast = connected_components(&mut g);
-        let slow = connected_components_tuples(&mut g).unwrap();
-        assert_eq!(
-            fast.iter().collect::<Vec<_>>(),
-            slow.iter().collect::<Vec<_>>()
-        );
     }
 }

@@ -1,5 +1,5 @@
-//! The graph algorithms' shared front end: the distinct adjacency pattern
-//! of `Σ levels` relabelled onto dense `u32` vertex positions.
+//! PageRank's front end: the distinct adjacency pattern of `Σ levels`
+//! relabelled onto dense `u32` vertex positions.
 //!
 //! Vertex ids live in a `2^32`–`2^64` index space, so an algorithm that
 //! iterates needs every edge endpoint renamed to its position in the sorted

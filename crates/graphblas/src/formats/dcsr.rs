@@ -355,15 +355,6 @@ impl<T: ScalarType> Dcsr<T> {
         (rows, cols, vals)
     }
 
-    /// Convert back to a (sorted, deduplicated) COO.
-    pub fn to_coo(&self) -> Coo<T> {
-        let mut coo = Coo::new(self.nrows, self.ncols);
-        for (r, c, v) in self.iter() {
-            coo.push(r, c, v);
-        }
-        coo
-    }
-
     /// Merge another DCSR into this one under the binary operator `op`
     /// (set-union on the pattern, `op` on collisions).
     ///
@@ -479,6 +470,15 @@ impl<T: ScalarType> Dcsr<T> {
         self.row_ptr.push(0);
         self.col_idx.clear();
         self.vals.clear();
+    }
+
+    /// Give the four arrays an exact fit: drop the spare capacity that
+    /// doubling growth and merge swaps leave behind.
+    pub(crate) fn shrink_to_fit(&mut self) {
+        self.row_ids.shrink_to_fit();
+        self.row_ptr.shrink_to_fit();
+        self.col_idx.shrink_to_fit();
+        self.vals.shrink_to_fit();
     }
 
     /// The transpose as a new `ncols x nrows` structure — the one kernel
@@ -961,9 +961,11 @@ mod tests {
     }
 
     #[test]
-    fn to_coo_is_sorted() {
+    fn extract_tuples_are_sorted_and_distinct() {
         let m = sample();
-        let coo = m.to_coo();
+        let (r, c, v) = m.extract_tuples();
+        let mut coo = Coo::new(m.nrows(), m.ncols());
+        coo.extend_from_slices(&r, &c, &v).unwrap();
         assert!(coo.is_sorted_dedup());
         assert_eq!(coo.len(), m.nvals());
     }

@@ -12,7 +12,7 @@ use crate::error::{GrbError, GrbResult};
 use crate::formats::coo::Coo;
 use crate::formats::dcsr::{Dcsr, MergeScratch};
 use crate::formats::radix::RadixPlanes;
-use crate::formats::{Entry, MemoryFootprint};
+use crate::formats::MemoryFootprint;
 use crate::index::{validate_dims, validate_index, Index};
 use crate::level_read::LevelStore;
 use crate::ops::binary::Plus;
@@ -471,6 +471,15 @@ impl<T: ScalarType> Matrix<T> {
         self.col_shadow = None;
     }
 
+    /// Give the settled structure's arrays an exact fit, for a matrix that
+    /// has stopped growing.  A structure a snapshot shares is left as it
+    /// is: fitting it would copy it.
+    pub fn shrink_to_fit(&mut self) {
+        if let Some(d) = Arc::get_mut(&mut self.settled) {
+            d.shrink_to_fit();
+        }
+    }
+
     /// Access the settled hypersparse structure (pending tuples excluded).
     ///
     /// Kernels call [`Matrix::wait`] first, so in practice this is the whole
@@ -557,12 +566,6 @@ impl<T: ScalarType> Matrix<T> {
             m.wait();
         }
         m
-    }
-
-    /// Iterate over settled entries in row-major order.  Call
-    /// [`Matrix::wait`] first if pending tuples must be included.
-    pub fn iter_settled(&self) -> impl Iterator<Item = Entry<T>> + '_ {
-        self.settled.iter()
     }
 
     /// Extract all tuples (row-major, pending folded in) without mutating `self`.

@@ -9,9 +9,8 @@
 //! kernels take rows of that sum the two ways the [`cursor`](crate::cursor)
 //! module offers: an operand swept in row order steps with
 //! [`LevelCursors::next_row`], and a row looked up by id (`B`'s row `k` in
-//! `mxm`, `A`'s row `i` in `vxm` and the pattern push, row `k` of the
-//! triangle count) gathers the slices of the levels that hold it.  Either
-//! way:
+//! `mxm`, `A`'s row `i` in `vxm` and the pattern push) gathers the slices
+//! of the levels that hold it.  Either way:
 //!
 //! * a row that lives in a **single** level is consumed as its raw slices
 //!   (the common hypersparse case — level row collisions are rare);
@@ -28,9 +27,9 @@
 //! [`VectorMask`]: the complement of the visited vector skips levelled
 //! vertices before any product is formed.
 //!
-//! The pattern push ([`vxm_pattern_levels`]) is the frontier kernel shared
-//! by BFS (add = min) and pagerank (add = plus): `w(j) = ⊕ u(i)` over the
-//! *distinct* stored cells `(i, j)`, values ignored.
+//! The pattern push ([`vxm_pattern_levels`]) is BFS's frontier kernel
+//! (add = min): `w(j) = ⊕ u(i)` over the *distinct* stored cells `(i, j)`,
+//! values ignored.
 
 use crate::cursor::{merge_k_way, merged_row_into, LevelCursors};
 use crate::error::{GrbError, GrbResult};
@@ -335,54 +334,6 @@ pub fn vxm_pattern_levels<T, U, A, M>(
     spa.commit_stats();
 }
 
-/// The masked-`mxm` triangle count off level slices: for a symmetric
-/// simple-graph pattern this is `Σ (A ⊕.⊗ A) .* A` over the stored cells —
-/// `Σ_{(i,k) stored} |row(i) ∩ row(k)|` — without ever forming `A ⊕.⊗ A`.
-/// Divide by 6 for the triangle count (each triangle is counted once per
-/// ordered edge per direction); [`crate::algo::triangle_count`] does.
-pub fn triangle_count_levels<T: ScalarType>(levels: &[&Dcsr<T>]) -> u64 {
-    let mut total = 0u64;
-    let mut cur = LevelCursors::new(levels);
-    let (mut row_i, mut row_k): (Vec<Index>, Vec<Index>) = (Vec::new(), Vec::new());
-    let (mut parts, mut pool) = (Vec::new(), Vec::new());
-    while cur.next_row().is_some() {
-        row_i.clear();
-        cur.fold_row(First, &mut |j, _| row_i.push(j));
-        for &k in &row_i {
-            parts.clear();
-            parts.extend(levels.iter().filter_map(|d| d.row(k)));
-            let cols_k = match parts[..] {
-                [] => continue,
-                [(cols, _)] => cols,
-                _ => {
-                    row_k.clear();
-                    merge_k_way(&parts, First, &mut |j, _| row_k.push(j), &mut pool);
-                    &row_k
-                }
-            };
-            total += sorted_intersection_count(&row_i, cols_k);
-        }
-    }
-    total
-}
-
-/// `|a ∩ b|` for sorted index slices (two-pointer).
-fn sorted_intersection_count(a: &[Index], b: &[Index]) -> u64 {
-    let (mut x, mut y, mut n) = (0usize, 0usize, 0u64);
-    while x < a.len() && y < b.len() {
-        match a[x].cmp(&b[y]) {
-            std::cmp::Ordering::Less => x += 1,
-            std::cmp::Ordering::Greater => y += 1,
-            std::cmp::Ordering::Equal => {
-                n += 1;
-                x += 1;
-                y += 1;
-            }
-        }
-    }
-    n
-}
-
 /// Run `f` over `r`'s settled level slices and hand back what it returns;
 /// a reader that hands over no slices at all reads as the empty matrix.
 fn with_levels<T, R, O>(r: &mut R, mut f: impl FnMut(&[&Dcsr<T>]) -> O) -> O
@@ -557,29 +508,6 @@ mod tests {
         let mask = VectorMask::structural(&visible);
         vxm_pattern_levels(&u, &levels, Min, Some(&mask), &mut spa, &mut out);
         assert_eq!(out, vec![(5, 2.0)]);
-    }
-
-    #[test]
-    fn triangle_kernel_counts_k4() {
-        // K4: every pair connected, C(4,3) = 4 triangles => 24 ordered hits.
-        let mut rows = Vec::new();
-        let mut cols = Vec::new();
-        let mut vals = Vec::new();
-        for i in 0..4u64 {
-            for j in 0..4u64 {
-                if i != j {
-                    rows.push(i);
-                    cols.push(j);
-                    vals.push(1i64);
-                }
-            }
-        }
-        let a = Matrix::from_tuples(8, 8, &rows, &cols, &vals, Plus).unwrap();
-        for k in 1..=3 {
-            let al = split_levels(&a, k);
-            let ar: Vec<&Dcsr<i64>> = al.iter().collect();
-            assert_eq!(triangle_count_levels(&ar), 24, "k={k}");
-        }
     }
 
     #[test]

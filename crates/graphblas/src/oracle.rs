@@ -5,7 +5,7 @@
 //! kernels against these; product code never calls them (CI counts
 //! `oracle::` on non-test lines).  Each is written for being obviously right,
 //! not fast, and none stands on the code it checks: the two semiring products
-//! fold into a `BTreeMap`, the four graph algorithms run on those two
+//! fold into a `BTreeMap`, the two graph algorithms run on those two
 //! products over a pattern rebuilt from the reader's plain entry cursor, the
 //! merge is one two-pointer walk over `(row, col)` keys, and the transpose
 //! rebuilds from the swapped tuples through the COO sort, not through the
@@ -20,7 +20,7 @@ use crate::formats::dcsr::Dcsr;
 use crate::index::Index;
 use crate::matrix::Matrix;
 use crate::ops::binary::Second;
-use crate::ops::semiring::{MinFirst, MinSecond, PlusTimes};
+use crate::ops::semiring::{MinSecond, PlusTimes};
 use crate::ops::{BinaryOp, Semiring};
 use crate::reader::MatrixReader;
 use crate::types::ScalarType;
@@ -215,37 +215,6 @@ where
     SparseVector::from_sorted_parts(n, active, rank)
 }
 
-/// Connected components of the pattern of `a` taken symmetrically (see
-/// [`algo::connected_components`](crate::algo::connected_components)): the
-/// symmetrised pattern built flat, labels falling along [`vxm_btree`] over
-/// `(min, first)` until none moves.
-pub fn connected_components_tuples<V, R>(a: &mut R) -> GrbResult<SparseVector<u64>>
-where
-    V: ScalarType,
-    R: MatrixReader<V> + ?Sized,
-{
-    let (n, rows, cols) = cells(a);
-    let both: Vec<Index> = rows.iter().chain(&cols).copied().collect();
-    let swapped: Vec<Index> = cols.iter().chain(&rows).copied().collect();
-    let sym = pattern(n, &both, &swapped)?;
-    let active = distinct(both.into_iter());
-    // labels(v) = v to start with.
-    let mut labels = SparseVector::from_sorted_parts(n, active.clone(), active)?;
-    loop {
-        let incoming = vxm_btree(&labels, &sym, MinFirst)?;
-        let mut changed = false;
-        for (v, label) in incoming.iter() {
-            if labels.get(v).is_some_and(|held| label < held) {
-                labels.set(v, label)?;
-                changed = true;
-            }
-        }
-        if !changed {
-            return Ok(labels);
-        }
-    }
-}
-
 /// BFS levels from `source` over the directed pattern of `a` (see
 /// [`algo::bfs_levels`](crate::algo::bfs_levels)): every wave one
 /// [`vxm_btree`] over `(min, second)`, visited vertices dropped afterwards.
@@ -275,23 +244,4 @@ where
         }
     }
     Ok(levels)
-}
-
-/// Triangles of the symmetric pattern of `a` (see
-/// [`algo::triangle_count`](crate::algo::triangle_count)), by the explicit
-/// `sum((A*A) .* A) / 6`: [`mxm_btree`] forms the 2-path counts, the stored
-/// cells select the closed ones.
-pub fn triangle_count_tuples<V, R>(a: &mut R) -> GrbResult<u64>
-where
-    V: ScalarType,
-    R: MatrixReader<V> + ?Sized,
-{
-    let (n, rows, cols) = cells(a);
-    let adjacency = pattern(n, &rows, &cols)?;
-    let paths2 = mxm_btree(&adjacency, &adjacency, PlusTimes)?;
-    let closed = rows
-        .iter()
-        .zip(&cols)
-        .filter_map(|(&i, &j)| paths2.get(i, j));
-    Ok(closed.fold(0u64, u64::wrapping_add) / 6)
 }

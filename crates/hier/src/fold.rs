@@ -184,7 +184,7 @@ mod tests {
     /// What `level0` represents after a settle, as sorted `(row, col, value)`.
     fn settled(level0: &mut Matrix<u64>) -> Vec<(Index, Index, u64)> {
         level0.wait();
-        level0.iter_settled().collect()
+        level0.dcsr().iter().collect()
     }
 
     /// The same content appended raw, as the reference.

@@ -69,7 +69,6 @@ pub mod persist;
 pub mod pool;
 pub mod sharded;
 pub mod stats;
-pub mod tuning;
 
 pub use config::HierConfig;
 #[cfg(feature = "failpoints")]
@@ -80,4 +79,3 @@ pub use pool::PartitionBuffers;
 pub use sharded::{EngineHealth, ShardRecovery};
 pub use sharded::{ShardPartitioner, ShardedConfig, ShardedHierMatrix, ShardedSnapshot};
 pub use stats::HierStats;
-pub use tuning::{recommend_cuts, sweep_cut_schedules, CutRecommendation};

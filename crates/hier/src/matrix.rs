@@ -290,22 +290,11 @@ impl<T: ScalarType> HierMatrix<T> {
         &self.fp
     }
 
-    /// Apply one streaming update `A(row, col) += val`.
-    ///
-    /// Logged in [`HierMatrix::update_batch`]'s order (append, log, take
-    /// back on `Err`) although one tuple has nothing to fold: one order
-    /// means one roll-back, which the single-update crash properties drive.
+    /// Apply one streaming update `A(row, col) += val`: a one-tuple
+    /// [`HierMatrix::update_batch`], with its validation, append, log
+    /// order and roll-back.
     pub fn update(&mut self, row: Index, col: Index, val: T) -> GrbResult<()> {
-        validate_index(row, self.nrows)?;
-        validate_index(col, self.ncols)?;
-        let appended_from = self.levels[0].npending();
-        self.levels[0].accum_element(row, col, val)?;
-        self.wal_log_appended(appended_from)?;
-        self.raw_pending += 1;
-        self.stats.updates += 1;
-        self.level_0_diverged();
-        self.maybe_cascade()?;
-        Ok(())
+        self.update_batch(&[row], &[col], &[val])
     }
 
     /// Apply a batch of updates given as parallel slices.
@@ -551,9 +540,10 @@ impl<T: ScalarType> HierMatrix<T> {
     /// levels below the top give back every buffer ([`Matrix::clear`]), the
     /// top level keeps its structure and twin but not their merge scratch
     /// (a [`Matrix`] clone shares the one and starts without the other),
-    /// the batch fold and the degree observer give back theirs, and so does
-    /// a durable store's level-file encode buffer.  The first cascades
-    /// after a flush grow the buffers again.
+    /// its structure is fitted to its entries ([`Matrix::shrink_to_fit`],
+    /// unless a snapshot shares it), the batch fold and the degree observer
+    /// give back theirs, and so does a durable store's level-file encode
+    /// buffer.  The first cascades after a flush grow the buffers again.
     ///
     /// Infallible today except under fault injection — the fallible
     /// signature is what lets a shard worker latch and report a flush
@@ -572,6 +562,7 @@ impl<T: ScalarType> HierMatrix<T> {
             level.clear();
         }
         self.levels[top] = self.levels[top].clone();
+        self.levels[top].shrink_to_fit();
         self.fold = BatchFold::new();
         self.degrees.grew = Vec::new();
         // A durable flush is also a checkpoint barrier: the flushed state
@@ -1290,6 +1281,34 @@ mod tests {
             }
         }
         assert_eq!(m.total_weight(), 200);
+    }
+
+    /// A flushed pure-ingest hierarchy is its top level at its real size —
+    /// 16 bytes per entry, 16 per non-empty row and the closing row
+    /// pointer — plus a new level's bytes for every other level.
+    #[test]
+    fn a_flushed_top_level_is_fitted_to_its_entries() {
+        let dim = 1 << 32;
+        let new_level = Matrix::<u64>::new(dim, dim).memory().total();
+        let mut m = HierMatrix::<u64>::new(dim, dim, small_config()).unwrap();
+        let mut seed = 0x5EEDu64;
+        for _ in 0..40 {
+            let (rows, cols): (Vec<Index>, Vec<Index>) = (0..250)
+                .map(|_| {
+                    seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1);
+                    ((seed >> 40) % 97, (seed >> 20) % 1013)
+                })
+                .unzip();
+            m.update_batch(&rows, &cols, &vec![1; rows.len()]).unwrap();
+        }
+        m.flush().unwrap();
+        let top = m.levels() - 1;
+        let (row_ids, _, col_idx, _) = m.levels[top].dcsr().raw_parts();
+        assert!(m.stats().cascades[top - 1] > 1 && row_ids.len() < col_idx.len());
+        assert_eq!(
+            m.memory_bytes(),
+            16 * col_idx.len() + 16 * row_ids.len() + 8 + top * new_level
+        );
     }
 
     #[test]

@@ -17,8 +17,9 @@
 //! ```
 //!
 //! A level is the ⊕ of its files, an empty level lists none, and no gen
-//! is listed twice.  Version 1 held one `{ gen u64 (0 = empty), nnz u64 }`
-//! per level in place of each list; it is still read, as one-file lists.
+//! is listed twice.  Only this version is read: an image of any other,
+//! version 1's one `{ gen, nnz }` per level included, is refused as
+//! corruption.
 //!
 //! Committed via write-temp → fsync → rename → fsync-directory: the
 //! rename is atomic, so the directory always holds either the old or the
@@ -149,7 +150,7 @@ pub(crate) fn read(dir: &Path) -> GrbResult<Manifest> {
     decode(&bytes)
 }
 
-/// Strictly validate a manifest image of either version.
+/// Strictly validate a manifest image.
 fn decode(bytes: &[u8]) -> GrbResult<Manifest> {
     if bytes.len() < 52 {
         return Err(corruption(format!(
@@ -164,8 +165,7 @@ fn decode(bytes: &[u8]) -> GrbResult<Manifest> {
     if get_u32(body, 0, "manifest magic")? != MANIFEST_MAGIC {
         return Err(corruption("manifest: bad magic"));
     }
-    let version = get_u32(body, 4, "manifest version")?;
-    if !(1..=MANIFEST_VERSION).contains(&version) {
+    if get_u32(body, 4, "manifest version")? != MANIFEST_VERSION {
         return Err(corruption("manifest: unsupported version"));
     }
     let tag = get_u32(body, 8, "manifest type tag")?;
@@ -191,12 +191,8 @@ fn decode(bytes: &[u8]) -> GrbResult<Manifest> {
     }
     let mut levels = Vec::with_capacity(n);
     for _ in 0..n {
-        // Version 1 holds one `{gen, nnz}` a level, gen 0 for an empty one.
-        let count = match version {
-            1 => 1,
-            _ => get_u32(body, off, "manifest file count")? as usize,
-        };
-        off += 4 * usize::from(version > 1);
+        let count = get_u32(body, off, "manifest file count")? as usize;
+        off += 4;
         // Checked before anything is allocated for it.
         if count > (body.len() - off) / 16 {
             return Err(corruption(format!("manifest: {count} files overrun it")));
@@ -208,9 +204,6 @@ fn decode(bytes: &[u8]) -> GrbResult<Manifest> {
             files.push(LevelFile { gen, nnz });
         }
         off += 16 * count;
-        if version == 1 && files[0].gen == 0 && files.pop().is_some_and(|f| f.nnz != 0) {
-            return Err(corruption("manifest: empty level with non-zero nnz"));
-        }
         if let Some(f) = files.iter().find(|f| f.gen == 0 || f.gen >= next_gen) {
             return Err(corruption(format!(
                 "manifest: level gen {} not in (0, next_gen {next_gen})",

@@ -531,7 +531,7 @@ mod tests {
     /// "The format did not change" as a test: a fixed WAL and level file
     /// must come out byte-identical to what the commit before the sliced
     /// CRC and single-pass encoders wrote, and the version-1 manifest that
-    /// commit wrote must still open, as one-file lists.  The constants are
+    /// commit wrote is refused as corruption.  The constants are
     /// the length and bytewise CRC of the files produced for exactly these
     /// inputs; the version-2 manifest's pin is the first of its writer.
     #[test]
@@ -578,7 +578,8 @@ mod tests {
             cuts: vec![1 << 12, 1 << 15],
             levels: vec![vec![], vec![file(3, 1000)], vec![file(5, 50_000)]],
         };
-        // The version-1 image, field by field: `{gen, nnz}` per level.
+        // The version-1 image, field by field: `{gen, nnz}` per level.  No
+        // store writes it any more, and it is refused whole.
         let mut v1 = Vec::new();
         for word in [manifest::MANIFEST_MAGIC, 1, 9, 3] {
             put_u32(&mut v1, word);
@@ -604,9 +605,9 @@ mod tests {
         std::fs::write(dir.join("v1"), &v1).unwrap();
         std::fs::write(manifest::path(&dir), &v1).unwrap();
         assert_eq!(
-            manifest::read(&dir).unwrap(),
-            m,
-            "v1 opens as one-file lists"
+            manifest::read(&dir),
+            Err(corruption("manifest: unsupported version")),
+            "v1 is refused"
         );
 
         m.next_gen = 9;

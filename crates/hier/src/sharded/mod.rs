@@ -128,7 +128,7 @@ use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, sync_channel, Receiver, RecvTimeoutError, Sender, SyncSender};
 use std::sync::Arc;
-use std::thread::{JoinHandle, ThreadId};
+use std::thread::JoinHandle;
 use std::time::Duration;
 
 mod read;
@@ -781,17 +781,6 @@ impl<T: ScalarType> ShardedHierMatrix<T> {
         self.chunks_sent
     }
 
-    /// The OS thread ids of the worker pool, each reported behind a drain
-    /// barrier.  Repeated calls on a live engine return the same ids — the
-    /// property the thread-reuse tests assert.
-    pub fn worker_ids(&self) -> GrbResult<Vec<ThreadId>> {
-        self.run_each(self.every_shard(), |(), shard| {
-            shard.ack().map(|()| std::thread::current().id())
-        })
-        .into_iter()
-        .collect()
-    }
-
     /// Aggregate hierarchy statistics (sums over shards, after a drain).
     pub fn aggregate_stats(&self) -> GrbResult<HierStats> {
         self.ensure_live(0..self.workers.len())?;
@@ -1345,10 +1334,21 @@ mod tests {
         assert_eq!(engine.health(), EngineHealth::Healthy);
     }
 
+    /// The OS thread ids of the worker pool, each reported behind a drain
+    /// barrier.
+    fn worker_ids(engine: &ShardedHierMatrix<u64>) -> GrbResult<Vec<std::thread::ThreadId>> {
+        engine
+            .run_each(engine.every_shard(), |(), shard| {
+                shard.ack().map(|()| std::thread::current().id())
+            })
+            .into_iter()
+            .collect()
+    }
+
     #[test]
     fn workers_persist_across_rounds_and_flushes() {
         let mut engine = tiny_engine(3);
-        let ids_start = engine.worker_ids().unwrap();
+        let ids_start = worker_ids(&engine).unwrap();
         assert_eq!(ids_start.len(), 3);
         // All workers are distinct threads, none of them this one.
         let me = std::thread::current().id();
@@ -1365,7 +1365,7 @@ mod tests {
             engine.flush().unwrap();
             let _ = engine.materialize().unwrap();
             assert_eq!(
-                engine.worker_ids().unwrap(),
+                worker_ids(&engine).unwrap(),
                 ids_start,
                 "worker set changed in round {round}"
             );

@@ -945,23 +945,26 @@ mod tests {
 
     #[test]
     fn engine_and_snapshot_serve_cursor_algorithms() {
-        // A symmetric triangle plus stragglers, counted straight off the
-        // engine (snapshot-backed CursorReader) and off an explicit
-        // snapshot while ingest continues.
+        // A triangle plus a straggler, searched straight off the engine
+        // (snapshot-backed CursorReader) and off an explicit snapshot
+        // while ingest continues.
+        use hyperstream_graphblas::algo::bfs_levels;
         let mut engine = tiny_engine(2);
         for (a, b) in [(1u64, 2u64), (2, 3), (1, 3), (3, 900)] {
             engine.update(a, b, 1).unwrap();
             engine.update(b, a, 1).unwrap();
         }
-        assert_eq!(hyperstream_graphblas::algo::triangle_count(&mut engine), 1);
+        let levels = bfs_levels(&mut engine, 1);
+        assert_eq!(levels.get(900), Some(3));
         let mut snap = engine.snapshot().unwrap();
         assert_eq!(snap.shards.len(), 2);
-        engine.update(5, 6, 1).unwrap(); // ingest continues past the capture
-        assert_eq!(hyperstream_graphblas::algo::triangle_count(&mut snap), 1);
+        engine.update(900, 5, 1).unwrap(); // ingest continues past the capture
+        assert_eq!(bfs_levels(&mut snap, 1), levels);
         assert_eq!(
-            hyperstream_graphblas::oracle::triangle_count_tuples(&mut snap),
-            Ok(1)
+            hyperstream_graphblas::oracle::bfs_levels_tuples(&mut snap, 1),
+            Ok(levels)
         );
+        assert_eq!(bfs_levels(&mut engine, 1).get(5), Some(4));
         // Neither capture materialised any shard.
         assert_eq!(engine.aggregate_stats().unwrap().materializations, 0);
     }

@@ -88,12 +88,6 @@ impl MemoryHierarchy {
         &self.levels[self.residence_level(bytes)]
     }
 
-    /// True when a working set of `bytes` fits in any cache level
-    /// (i.e. anything but the last level).
-    pub fn fits_in_cache(&self, bytes: u64) -> bool {
-        self.residence_level(bytes) + 1 < self.levels.len()
-    }
-
     /// Latency (ns) of a random access to a structure of `bytes` total size.
     pub fn access_latency_ns(&self, bytes: u64) -> f64 {
         self.residence(bytes).latency_ns
@@ -135,14 +129,6 @@ mod tests {
         for w in lats.windows(2) {
             assert!(w[0] <= w[1]);
         }
-    }
-
-    #[test]
-    fn fits_in_cache_boundary() {
-        let h = MemoryHierarchy::xeon_node();
-        assert!(h.fits_in_cache(1024));
-        assert!(h.fits_in_cache(30 * 1024 * 1024));
-        assert!(!h.fits_in_cache(64 * 1024 * 1024 * 1024));
     }
 
     #[test]

@@ -13,8 +13,10 @@
 //! * [`cost::CostModel`] — the per-update cost of a flat matrix and of a
 //!   hierarchy with a given cut schedule over that hierarchy.
 //!
-//! The model prices the cut schedules that `hyperstream_hier::tuning`
-//! recommends and sweeps.
+//! No engine code calls the model.  At the benchmark's sizes and the
+//! paper's cuts it predicts a flat matrix out-ingesting the hierarchy on the
+//! power-law stream, where the benchmark measures the reverse, so nothing
+//! picks a cut schedule by it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

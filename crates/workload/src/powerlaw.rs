@@ -22,10 +22,6 @@ pub struct PowerLawConfig {
     pub alpha: f64,
     /// Dimension of the target hypersparse matrix (e.g. `2^32` for IPv4).
     pub dim: u64,
-    /// When true, vertex ranks are scattered over `[0, dim)` with a
-    /// multiplicative hash (hypersparse); when false, ids stay dense in
-    /// `[0, vertices)`.
-    pub scatter: bool,
     /// RNG seed (generation is fully deterministic given the seed).
     pub seed: u64,
 }
@@ -36,7 +32,6 @@ impl Default for PowerLawConfig {
             vertices: 1 << 20,
             alpha: 1.3,
             dim: 1 << 32,
-            scatter: true,
             seed: 0x5eed,
         }
     }
@@ -51,7 +46,6 @@ impl PowerLawConfig {
             vertices: 1 << 22,
             alpha: 1.3,
             dim: 1 << 32,
-            scatter: true,
             seed: 2020,
         }
     }
@@ -85,9 +79,6 @@ impl PowerLawGenerator {
     /// distinct ranks never collide for `dim = 2^64` and collide only by
     /// truncation for smaller dims.
     fn scatter_id(&self, rank: u64) -> u64 {
-        if !self.cfg.scatter {
-            return (rank - 1) % self.cfg.dim;
-        }
         let mut x = rank;
         x = x.wrapping_mul(0x9E37_79B9_7F4A_7C15);
         x ^= x >> 30;
@@ -172,7 +163,6 @@ mod tests {
             vertices: 10_000,
             alpha: 1.5,
             dim: 1 << 32,
-            scatter: true,
             seed: 5,
         };
         let edges = PowerLawGenerator::new(cfg).batch(50_000);
@@ -195,28 +185,12 @@ mod tests {
     fn hypersparsity_when_scattered() {
         // Scattered ids should be spread widely over the 2^32 space, not
         // clustered at small indices.
-        let cfg = PowerLawConfig {
-            scatter: true,
-            ..Default::default()
-        };
-        let edges = PowerLawGenerator::new(cfg).batch(1000);
+        let edges = PowerLawGenerator::new(PowerLawConfig::default()).batch(1000);
         let above_half = edges.iter().filter(|e| e.src > (1 << 31)).count();
         assert!(
             above_half > 200,
             "ids not spread: {above_half}/1000 above 2^31"
         );
-    }
-
-    #[test]
-    fn dense_ids_when_not_scattered() {
-        let cfg = PowerLawConfig {
-            vertices: 1000,
-            scatter: false,
-            dim: 1 << 32,
-            ..Default::default()
-        };
-        let edges = PowerLawGenerator::new(cfg).batch(1000);
-        assert!(edges.iter().all(|e| e.src < 1000 && e.dst < 1000));
     }
 
     #[test]
@@ -255,6 +229,5 @@ mod tests {
     fn paper_config_values() {
         let cfg = PowerLawConfig::paper();
         assert_eq!(cfg.dim, 1 << 32);
-        assert!(cfg.scatter);
     }
 }

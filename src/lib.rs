@@ -11,9 +11,10 @@
 //! * [`graphblas`] — hypersparse GraphBLAS substrate (formats, monoids,
 //!   semirings, kernels, graph algorithms);
 //! * [`hier`] — the hierarchical hypersparse matrix (the paper's
-//!   contribution) plus cut tuning;
+//!   contribution), its sharded engine and its durable store;
 //! * [`workload`] — power-law and IP-traffic stream generators;
-//! * [`memsim`] — the memory-hierarchy cost model that prices cut schedules.
+//! * [`memsim`] — a memory-hierarchy cost model of a flat and a
+//!   hierarchical matrix; no engine code calls it.
 //!
 //! Rates are measured in one place, the `benchmark/` package
 //! (`benchmark/run.sh`), which is its own workspace on top of `graphblas`,

@@ -18,16 +18,15 @@
 //!   empty operand, a level that disagrees with its reader's dimensions)
 //!   with `GrbError::DimensionMismatch` or the empty product, never a
 //!   panic; and
-//! * `triangle_count` / `bfs_levels` / `connected_components` /
-//!   `pagerank` must agree across every system, square or wider than tall:
-//!   cursor-native primaries on the level-slice readers, the `oracle::*_tuples`
-//!   references on every sink system (pagerank to 1e-9; everything else
-//!   exactly, whole vectors).
+//! * `bfs_levels` / `pagerank` must agree across every system, square or
+//!   wider than tall: cursor-native primaries on the level-slice readers,
+//!   the `oracle::*_tuples` references on every sink system (pagerank to
+//!   1e-9; BFS exactly, whole vectors).
 
 mod common;
 
 use common::{build_flat, build_flat_in, cut_schedule, sharded_in, update_stream, DIM};
-use hyperstream::graphblas::algo::{bfs_levels, connected_components, pagerank, triangle_count};
+use hyperstream::graphblas::algo::{bfs_levels, pagerank};
 use hyperstream::graphblas::ops::semiring::MinFirst;
 use hyperstream::graphblas::oracle;
 use hyperstream::prelude::*;
@@ -178,7 +177,7 @@ fn check_readers_vs_oracle(
     }
 }
 
-/// Triangles, BFS, components and pagerank agree across every system of
+/// BFS and pagerank agree across every system of
 /// the given dimensions: cursor-native primaries on the level readers, the
 /// `oracle::*_tuples` references on every sink system.  Primaries and
 /// references size their vectors alike (`max(nrows, ncols)`), so whole
@@ -193,9 +192,7 @@ fn check_algorithms_agree(
     let (nrows, ncols) = dims;
     let mut flat = build_flat_in(dims, updates);
     let source = updates[0].0;
-    let expect_tri = triangle_count(&mut flat);
     let expect_bfs = bfs_levels(&mut flat, source);
-    let expect_cc = connected_components(&mut flat);
     let expect_pr = pagerank(&mut flat, 0.85, 40, 1e-12);
     prop_assert_eq!(expect_pr.size(), nrows.max(ncols));
     let close = |got: &SparseVector<f64>| {
@@ -209,21 +206,9 @@ fn check_algorithms_agree(
     // Cursor-native primaries over every level-slice reader.
     for (name, mut sys) in cursor_systems(dims, updates, cuts, shards, flush_at) {
         prop_assert_eq!(
-            triangle_count(sys.as_mut()),
-            expect_tri,
-            "triangles of {}",
-            &name
-        );
-        prop_assert_eq!(
             &bfs_levels(sys.as_mut(), source),
             &expect_bfs,
             "bfs of {}",
-            &name
-        );
-        prop_assert_eq!(
-            &connected_components(sys.as_mut()),
-            &expect_cc,
-            "components of {}",
             &name
         );
         let pr = pagerank(sys.as_mut(), 0.85, 40, 1e-12);
@@ -248,17 +233,9 @@ fn check_algorithms_agree(
             sys.insert(r, c, v).unwrap();
         }
         let r = sys.as_mut();
-        prop_assert_eq!(
-            oracle::triangle_count_tuples(r),
-            Ok(expect_tri),
-            "reference triangles of {}",
-            &name
-        );
         let bfs = oracle::bfs_levels_tuples(r, source).unwrap();
-        let cc = oracle::connected_components_tuples(r).unwrap();
         let pr = oracle::pagerank_tuples(r, 0.85, 40, 1e-12).unwrap();
         prop_assert_eq!(&bfs, &expect_bfs, "reference bfs of {}", &name);
-        prop_assert_eq!(&cc, &expect_cc, "reference components of {}", &name);
         prop_assert_eq!(pr.size(), expect_pr.size(), "pagerank size of {}", &name);
         prop_assert!(close(&pr), "reference pagerank of {}: {:?}", &name, pr);
     }

@@ -64,7 +64,7 @@ proptest! {
         let mut got = Vec::new();
         hier.read_row_range(lo, hi, &mut |r, c, v| got.push((r, c, v)));
         let expect: Vec<(u64, u64, u64)> = flat
-            .iter_settled()
+            .dcsr().iter()
             .filter(|&(r, _, _)| r >= lo && r < hi)
             .collect();
         prop_assert_eq!(got, expect);
@@ -123,7 +123,7 @@ proptest! {
         let mut got = Vec::new();
         engine.read_row_range(lo, hi, &mut |r, c, v| got.push((r, c, v)));
         let expect: Vec<(u64, u64, u64)> = flat
-            .iter_settled()
+            .dcsr().iter()
             .filter(|&(r, _, _)| r < hi)
             .collect();
         prop_assert_eq!(got, expect);

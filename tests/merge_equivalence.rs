@@ -151,7 +151,9 @@ fn check_op<Op: BinaryOp<u64>>(a: &Dcsr<u64>, b: &Dcsr<u64>, op: Op, name: &str)
     into.merge_into(b, op, &mut scratch).expect("same dims");
     assert_eq!(into.raw_parts(), linear.raw_parts(), "merge_into: {name}");
 
-    let coo = b.to_coo();
+    let (br, bc, bv) = b.extract_tuples();
+    let mut coo = Coo::new(DIM, DIM);
+    coo.extend_from_slices(&br, &bc, &bv).expect("in bounds");
     let mut from_coo = a.clone();
     from_coo
         .merge_sorted_coo_into(&coo, op, &mut scratch)

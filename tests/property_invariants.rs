@@ -42,7 +42,7 @@ proptest! {
 
         // nvals equals the size of the union of the patterns.
         let mut union: std::collections::HashSet<(u64, u64)> = std::collections::HashSet::new();
-        for (r, c, _) in ma.iter_settled().chain(mb.iter_settled()) {
+        for (r, c, _) in ma.dcsr().iter().chain(mb.dcsr().iter()) {
             union.insert((r, c));
         }
         prop_assert_eq!(ab.nvals(), union.len());

@@ -75,10 +75,10 @@ proptest! {
     }
 
     // Persistent-pool property: ONE engine (one worker set) serves many
-    // ingest rounds with flushes and queries interleaved between them.
-    // The worker thread ids must be identical before, throughout, and
-    // after — the pool never respawns — and the final contents must match
-    // a flat accumulation of everything ever inserted.
+    // ingest rounds with flushes and queries interleaved between them, and
+    // the final contents must match a flat accumulation of everything ever
+    // inserted.  That the worker threads stay the same is the unit test
+    // `sharded::tests::workers_persist_across_rounds_and_flushes`.
     #[test]
     fn one_worker_pool_serves_many_rounds(
         updates in update_stream(200, 1, 600),
@@ -87,9 +87,6 @@ proptest! {
         cuts in cut_schedule(3),
     ) {
         let mut engine = sharded(shards, &cuts);
-        let ids = engine.worker_ids().unwrap();
-        prop_assert_eq!(ids.len(), shards);
-
         let per_round = updates.len().div_ceil(rounds);
         for (round, slice) in updates.chunks(per_round.max(1)).enumerate() {
             for &(r, c, v) in slice {
@@ -101,7 +98,6 @@ proptest! {
                 1 => { let _ = engine.materialize().unwrap(); }
                 _ => { let _ = StreamingSink::nvals(&engine); }
             }
-            prop_assert_eq!(&engine.worker_ids().unwrap(), &ids, "worker set changed in round {}", round);
         }
 
         let flat = build_flat(&updates);

@@ -33,7 +33,8 @@ fn build_transposed(updates: &[(u64, u64, u64)]) -> Matrix<u64> {
 /// `read_col_range` contract.
 fn reference_col_band(transposed: &Matrix<u64>, lo: u64, hi: u64) -> Vec<(u64, u64, u64)> {
     transposed
-        .iter_settled()
+        .dcsr()
+        .iter()
         .filter(|&(c, _, _)| c >= lo && c < hi)
         .map(|(c, r, v)| (r, c, v))
         .collect()
