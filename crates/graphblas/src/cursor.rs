@@ -210,7 +210,7 @@ pub fn for_each_merged<T: ScalarType, Op: BinaryOp<T>>(
     if let (Some(only), None) = (nonempty.next(), nonempty.next()) {
         let (ids, ptr, cols, vals) = only.raw_parts();
         for (slot, &row) in ids.iter().enumerate() {
-            let (lo, hi) = (ptr[slot], ptr[slot + 1]);
+            let (lo, hi) = (ptr[slot] as usize, ptr[slot + 1] as usize);
             for (&c, &v) in cols[lo..hi].iter().zip(&vals[lo..hi]) {
                 f(row, c, v);
             }
@@ -426,7 +426,7 @@ pub fn merged_col_into<T: ScalarType, Op: BinaryOp<T>>(
         let (ids, ptr, cols, vals) = d.raw_parts();
         let (mut hit_rows, mut hit_vals) = (Vec::new(), Vec::new());
         for slot in 0..ids.len() {
-            let (lo, hi) = (ptr[slot], ptr[slot + 1]);
+            let (lo, hi) = (ptr[slot] as usize, ptr[slot + 1] as usize);
             if let Ok(j) = cols[lo..hi].binary_search(&col) {
                 hit_rows.push(ids[slot]);
                 hit_vals.push(vals[lo + j]);
@@ -465,7 +465,7 @@ pub fn merged_col_reduce<T: ScalarType, Op: BinaryOp<T>>(
     for d in levels {
         let (ids, ptr, cols, vals) = d.raw_parts();
         for slot in 0..ids.len() {
-            let (lo, hi) = (ptr[slot], ptr[slot + 1]);
+            let (lo, hi) = (ptr[slot] as usize, ptr[slot + 1] as usize);
             if let Ok(j) = cols[lo..hi].binary_search(&col) {
                 acc = Some(match acc {
                     Some(a) => op.apply(a, vals[lo + j]),

@@ -32,6 +32,14 @@ pub enum GrbError {
     NoValue,
     /// An invalid argument value (e.g. zero dimension, malformed cut list).
     InvalidValue(String),
+    /// A write could make one structure hold more than `u32::MAX` entries,
+    /// the most its 32-bit row pointers address.  Nothing was staged.
+    CapacityExceeded {
+        /// Entries held before the write.
+        held: usize,
+        /// Entries the write would add.
+        adding: usize,
+    },
     /// A supervised engine lost one or more worker threads (panic or
     /// channel closure).  `shards` lists the dead shard indices; `detail`
     /// carries the first captured panic message, if any.
@@ -75,6 +83,9 @@ impl fmt::Display for GrbError {
             GrbError::Domain(msg) => write!(f, "domain error: {msg}"),
             GrbError::NoValue => write!(f, "no value stored at the requested position"),
             GrbError::InvalidValue(msg) => write!(f, "invalid value: {msg}"),
+            GrbError::CapacityExceeded { held, adding } => {
+                write!(f, "{held} entries held plus {adding} could pass u32::MAX")
+            }
             GrbError::ShardsLost { shards, detail } => {
                 write!(f, "lost shard workers {shards:?}: {detail}")
             }
@@ -116,6 +127,9 @@ mod tests {
 
         let e = GrbError::InvalidValue("zero dim".into());
         assert!(e.to_string().contains("zero dim"));
+
+        let e = GrbError::CapacityExceeded { held: 7, adding: 9 };
+        assert!(e.to_string().contains("7 entries held plus 9"));
 
         let e = GrbError::ShardsLost {
             shards: vec![2, 5],

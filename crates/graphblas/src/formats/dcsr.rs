@@ -5,7 +5,9 @@
 //! thousand rows are occupied.  DCSR additionally compresses the row axis:
 //! only non-empty rows appear, each identified by its 64-bit row id.  Memory
 //! is `O(nnz + #non-empty rows)` — the "hypersparse" property the paper's
-//! traffic matrices depend on.
+//! traffic matrices depend on: 16 bytes an entry of an 8-byte value (its
+//! `u64` column id and the value) and 12 a non-empty row (its `u64` id and a
+//! `u32` row pointer).
 //!
 //! A `Dcsr` is immutable once built; streaming mutation happens in COO form
 //! (pending tuples or the lowest hierarchy level) and is *merged* into a
@@ -23,6 +25,10 @@ use crate::types::ScalarType;
 use std::ops::Range;
 
 /// Doubly compressed sparse row matrix.
+///
+/// Its 32-bit row pointers cap it at `u32::MAX` entries.  Every write that
+/// could pass the cap is refused, before it stages anything, with
+/// [`GrbError::CapacityExceeded`] ([`check_capacity`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Dcsr<T> {
     nrows: Index,
@@ -30,11 +36,22 @@ pub struct Dcsr<T> {
     /// Sorted ids of non-empty rows.
     row_ids: Vec<Index>,
     /// `row_ptr[k]..row_ptr[k+1]` is the slice of `col_idx`/`vals` for row `row_ids[k]`.
-    row_ptr: Vec<usize>,
+    row_ptr: Vec<u32>,
     /// Column indices, sorted within each row.
     col_idx: Vec<Index>,
     /// Stored values, parallel to `col_idx`.
     vals: Vec<T>,
+}
+
+/// Refuse a write of `adding` entries into a structure holding `held` when
+/// the two could pass `u32::MAX`, the most a [`Dcsr`]'s row pointers
+/// address.  Every write asks before it stages anything, so a refused
+/// write changes nothing.
+pub fn check_capacity(held: usize, adding: usize) -> GrbResult<()> {
+    match held.checked_add(adding) {
+        Some(n) if n <= u32::MAX as usize => Ok(()),
+        _ => Err(GrbError::CapacityExceeded { held, adding }),
+    }
 }
 
 /// Reusable scratch buffers for [`Dcsr::merge_into`],
@@ -55,7 +72,7 @@ pub struct MergeScratch<T> {
     /// Staging row ids for the merged structure.
     pub(crate) row_ids: Vec<Index>,
     /// Staging row pointers for the merged structure.
-    pub(crate) row_ptr: Vec<usize>,
+    pub(crate) row_ptr: Vec<u32>,
     /// Staging column indices for the merged structure.
     pub(crate) col_idx: Vec<Index>,
     /// Staging values for the merged structure.
@@ -110,7 +127,8 @@ impl<T: ScalarType> MergeScratch<T> {
                 + self.sort_rows.capacity()
                 + self.sort_cols.capacity())
                 * std::mem::size_of::<Index>()
-                + (self.row_ptr.capacity() + self.perm.capacity()) * std::mem::size_of::<usize>()
+                + self.row_ptr.capacity() * std::mem::size_of::<u32>()
+                + self.perm.capacity() * std::mem::size_of::<usize>()
                 + radix.index_bytes,
             value_bytes: (self.vals.capacity() + self.sort_vals.capacity())
                 * std::mem::size_of::<T>()
@@ -154,7 +172,7 @@ impl<T: ScalarType> MergeScratch<T> {
             vals: &mut self.vals,
         };
         merge_row_adaptive(ca, va, cb, vb, op, &mut sink, tally);
-        self.row_ptr.push(self.col_idx.len());
+        self.row_ptr.push(self.col_idx.len() as u32);
     }
 }
 
@@ -180,7 +198,7 @@ impl<T: ScalarType> Dcsr<T> {
     /// The four raw compressed arrays `(row_ids, row_ptr, col_idx, vals)` —
     /// read-only access for the cursor kernel's bulk run copies and the
     /// durable level-file writer.
-    pub fn raw_parts(&self) -> (&[Index], &[usize], &[Index], &[T]) {
+    pub fn raw_parts(&self) -> (&[Index], &[u32], &[Index], &[T]) {
         (&self.row_ids, &self.row_ptr, &self.col_idx, &self.vals)
     }
 
@@ -194,7 +212,7 @@ impl<T: ScalarType> Dcsr<T> {
         nrows: Index,
         ncols: Index,
         row_ids: Vec<Index>,
-        row_ptr: Vec<usize>,
+        row_ptr: Vec<u32>,
         col_idx: Vec<Index>,
         vals: Vec<T>,
     ) -> GrbResult<Self> {
@@ -223,6 +241,7 @@ impl<T: ScalarType> Dcsr<T> {
                 "COO must be sorted and deduplicated before DCSR conversion".into(),
             ));
         }
+        check_capacity(0, coo.len())?;
         let mut m = Self::try_new(coo.nrows(), coo.ncols())?;
         let (rows, cols, vals) = coo.parts();
         m.col_idx.reserve(cols.len());
@@ -231,19 +250,13 @@ impl<T: ScalarType> Dcsr<T> {
             let r = rows[i];
             if m.row_ids.last() != Some(&r) {
                 m.row_ids.push(r);
-                m.row_ptr.push(m.col_idx.len());
+                m.row_ptr.push(m.col_idx.len() as u32);
             }
             m.col_idx.push(cols[i]);
             m.vals.push(vals[i]);
-            *m.row_ptr.last_mut().expect("row_ptr non-empty") = m.col_idx.len();
+            *m.row_ptr.last_mut().expect("row_ptr non-empty") = m.col_idx.len() as u32;
         }
         Ok(m)
-    }
-
-    /// Build by sorting and deduplicating an arbitrary COO with `dup`.
-    pub fn from_coo<Op: BinaryOp<T>>(mut coo: Coo<T>, dup: Op) -> GrbResult<Self> {
-        coo.sort_dedup(dup);
-        Self::from_sorted_coo(&coo)
     }
 
     /// Build directly from tuple slices (convenience used heavily in tests).
@@ -257,7 +270,8 @@ impl<T: ScalarType> Dcsr<T> {
     ) -> GrbResult<Self> {
         let mut coo = Coo::try_new(nrows, ncols)?;
         coo.extend_from_slices(rows, cols, vals)?;
-        Self::from_coo(coo, dup)
+        coo.sort_dedup(dup);
+        Self::from_sorted_coo(&coo)
     }
 
     /// Number of rows of the logical matrix.
@@ -298,8 +312,7 @@ impl<T: ScalarType> Dcsr<T> {
 
     /// The columns and values of the `k`-th non-empty row.
     pub fn row_slot(&self, k: usize) -> (&[Index], &[T]) {
-        let lo = self.row_ptr[k];
-        let hi = self.row_ptr[k + 1];
+        let (lo, hi) = (self.row_ptr[k] as usize, self.row_ptr[k + 1] as usize);
         (&self.col_idx[lo..hi], &self.vals[lo..hi])
     }
 
@@ -367,18 +380,9 @@ impl<T: ScalarType> Dcsr<T> {
     /// an `O(nnz(self) + nnz(other))` walk.  (The `oracle` module's `merge` is
     /// that walk, and what `tests/merge_equivalence.rs` holds this to.)
     pub fn merge<Op: BinaryOp<T>>(&self, other: &Dcsr<T>, op: Op) -> GrbResult<Dcsr<T>> {
-        self.check_dims(other.nrows, other.ncols)?;
-        let mut scratch = MergeScratch::new();
-        let rows = self.row_ids.len().max(other.row_ids.len());
-        self.interleave_rows(other, op, &mut scratch, rows);
-        Ok(Dcsr {
-            nrows: self.nrows,
-            ncols: self.ncols,
-            row_ids: std::mem::take(&mut scratch.row_ids),
-            row_ptr: std::mem::take(&mut scratch.row_ptr),
-            col_idx: std::mem::take(&mut scratch.col_idx),
-            vals: std::mem::take(&mut scratch.vals),
-        })
+        let mut merged = self.clone();
+        merged.merge_into(other, op, &mut MergeScratch::new())?;
+        Ok(merged)
     }
 
     /// In-place variant of [`Dcsr::merge`]: `self = self ⊕ other`, building
@@ -393,6 +397,7 @@ impl<T: ScalarType> Dcsr<T> {
         scratch: &mut MergeScratch<T>,
     ) -> GrbResult<()> {
         self.check_dims(other.nrows, other.ncols)?;
+        check_capacity(self.nvals(), other.nvals())?;
         if other.is_empty() {
             return Ok(());
         }
@@ -428,6 +433,7 @@ impl<T: ScalarType> Dcsr<T> {
         scratch: &mut MergeScratch<T>,
     ) -> GrbResult<()> {
         self.check_dims(coo.nrows(), coo.ncols())?;
+        check_capacity(self.nvals(), coo.len())?;
         if !coo.is_sorted_dedup() {
             return Err(GrbError::InvalidValue(
                 "COO must be sorted and deduplicated before merging".into(),
@@ -494,9 +500,6 @@ impl<T: ScalarType> Dcsr<T> {
     /// comparison sort, no dedup; the two key/position plane pairs and the
     /// expanded source-row table (32 bytes per entry together) live only for
     /// the call.
-    ///
-    /// # Panics
-    /// Panics when the structure holds more than `u32::MAX` entries.
     pub(crate) fn transposed(&self) -> Dcsr<T> {
         let n = self.col_idx.len();
         if n == 0 {
@@ -508,7 +511,7 @@ impl<T: ScalarType> Dcsr<T> {
         // Gather.  `src_rows[p]` is the row of source entry `p`.
         let mut src_rows = Vec::with_capacity(n);
         for (k, &r) in self.row_ids.iter().enumerate() {
-            src_rows.resize(self.row_ptr[k + 1], r);
+            src_rows.resize(self.row_ptr[k + 1] as usize, r);
         }
         let distinct = 1 + keys.windows(2).filter(|w| w[0] != w[1]).count();
         let mut row_ids = Vec::with_capacity(distinct);
@@ -518,10 +521,10 @@ impl<T: ScalarType> Dcsr<T> {
         for (i, w) in keys.windows(2).enumerate() {
             if w[0] != w[1] {
                 row_ids.push(w[1]);
-                row_ptr.push(i + 1);
+                row_ptr.push(i as u32 + 1);
             }
         }
-        row_ptr.push(n);
+        row_ptr.push(n as u32);
         Dcsr {
             nrows: self.ncols,
             ncols: self.nrows,
@@ -587,11 +590,11 @@ impl<T: ScalarType> Dcsr<T> {
                 (streak, last) = (if s == last { streak + 1 } else { 1 }, s);
             }
             if n > 0 {
-                let base = scratch.col_idx.len();
+                let base = scratch.col_idx.len() as u32;
                 scratch.row_ids.extend_from_slice(&rows[..n]);
                 scratch.col_idx.extend_from_slice(&cols[..n]);
                 scratch.vals.extend_from_slice(&vals[..n]);
-                scratch.row_ptr.extend(base + 1..=base + n);
+                scratch.row_ptr.extend(base + 1..=base + n as u32);
                 tally.branchless += n as u64;
                 continue;
             }
@@ -620,7 +623,7 @@ impl<T: ScalarType> Dcsr<T> {
     pub fn memory(&self) -> MemoryFootprint {
         MemoryFootprint {
             index_bytes: self.row_ids.capacity() * std::mem::size_of::<Index>()
-                + self.row_ptr.capacity() * std::mem::size_of::<usize>()
+                + self.row_ptr.capacity() * std::mem::size_of::<u32>()
                 + self.col_idx.capacity() * std::mem::size_of::<Index>(),
             value_bytes: self.vals.capacity() * std::mem::size_of::<T>(),
         }
@@ -636,7 +639,7 @@ impl<T: ScalarType> Dcsr<T> {
         if self.col_idx.len() != self.vals.len() {
             return Err(GrbError::InvalidValue("col/val length mismatch".into()));
         }
-        if *self.row_ptr.last().expect("non-empty row_ptr") != self.col_idx.len() {
+        if *self.row_ptr.last().expect("non-empty row_ptr") as usize != self.col_idx.len() {
             return Err(GrbError::InvalidValue("row_ptr tail mismatch".into()));
         }
         for w in self.row_ids.windows(2) {
@@ -709,23 +712,27 @@ impl<T: ScalarType> RowSide<T> for Dcsr<T> {
     }
 
     fn head(&self, i: usize) -> (Range<usize>, usize) {
-        (self.row_ptr[i]..self.row_ptr[i + 1], i + 1)
+        (
+            self.row_ptr[i] as usize..self.row_ptr[i + 1] as usize,
+            i + 1,
+        )
     }
 
     fn single(&self, i: usize) -> Option<usize> {
         let p = self.row_ptr[i];
-        (self.row_ptr[i + 1] == p + 1).then_some(p)
+        (self.row_ptr[i + 1] == p + 1).then_some(p as usize)
     }
 
     /// Three slice copies plus an arithmetic rebase of the row pointers.
     fn push_bulk(&self, to: &mut MergeScratch<T>, lo: usize, hi: usize, tally: &mut MergeTally) {
         if lo < hi {
-            let (base, plo, phi) = (to.col_idx.len(), self.row_ptr[lo], self.row_ptr[hi]);
+            let (base, plo, phi) = (to.col_idx.len() as u32, self.row_ptr[lo], self.row_ptr[hi]);
+            let entries = plo as usize..phi as usize;
             to.row_ids.extend_from_slice(&self.row_ids[lo..hi]);
-            to.col_idx.extend_from_slice(&self.col_idx[plo..phi]);
-            to.vals.extend_from_slice(&self.vals[plo..phi]);
+            to.col_idx.extend_from_slice(&self.col_idx[entries.clone()]);
+            to.vals.extend_from_slice(&self.vals[entries]);
             let ptrs = self.row_ptr[lo + 1..=hi].iter();
-            to.row_ptr.extend(ptrs.map(|&p| base + p - plo));
+            to.row_ptr.extend(ptrs.map(|&p| p - plo + base));
             tally.bulk_row += (phi - plo) as u64;
         }
     }
@@ -754,7 +761,7 @@ impl<T: ScalarType> RowSide<T> for SortedTuples<'_, T> {
         while i < hi {
             let (_, next) = self.head(i);
             to.row_ids.push(self.0[i]);
-            to.row_ptr.push(base + next - lo);
+            to.row_ptr.push((base + next - lo) as u32);
             i = next;
         }
         to.col_idx.extend_from_slice(&self.1[lo..hi]);
@@ -775,9 +782,8 @@ impl<'a, T: ScalarType> Iterator for DcsrIter<'a, T> {
 
     fn next(&mut self) -> Option<Self::Item> {
         while self.slot < self.dcsr.row_ids.len() {
-            let lo = self.dcsr.row_ptr[self.slot];
-            let hi = self.dcsr.row_ptr[self.slot + 1];
-            let i = lo + self.offset;
+            let hi = self.dcsr.row_ptr[self.slot + 1] as usize;
+            let i = self.dcsr.row_ptr[self.slot] as usize + self.offset;
             if i < hi {
                 self.offset += 1;
                 return Some((
@@ -793,14 +799,9 @@ impl<'a, T: ScalarType> Iterator for DcsrIter<'a, T> {
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        let remaining = self.dcsr.nvals()
-            - self
-                .dcsr
-                .row_ptr
-                .get(self.slot)
-                .copied()
-                .unwrap_or(self.dcsr.nvals())
-            - self.offset;
+        let at = self.dcsr.row_ptr.get(self.slot);
+        let remaining =
+            self.dcsr.nvals() - at.map_or(self.dcsr.nvals(), |&p| p as usize) - self.offset;
         (remaining, Some(remaining))
     }
 }
@@ -968,6 +969,31 @@ mod tests {
         coo.extend_from_slices(&r, &c, &v).unwrap();
         assert!(coo.is_sorted_dedup());
         assert_eq!(coo.len(), m.nvals());
+    }
+
+    /// The capacity rule at its boundary: `u32::MAX` entries held is
+    /// accepted, one more is refused with the typed error, whichever side
+    /// brings it.  A 4G-entry structure is out of reach, so the check that
+    /// every write asks before it stages anything is driven directly.
+    #[test]
+    fn capacity_is_u32_max_entries() {
+        let max = u32::MAX as usize;
+        assert_eq!(check_capacity(max, 0), Ok(()));
+        assert_eq!(check_capacity(max - 7, 7), Ok(()));
+        let refused = |held, adding| Err(GrbError::CapacityExceeded { held, adding });
+        assert_eq!(check_capacity(max, 1), refused(max, 1));
+        assert_eq!(check_capacity(0, max + 1), refused(0, max + 1));
+        assert_eq!(check_capacity(usize::MAX, 1), refused(usize::MAX, 1));
+    }
+
+    /// 16 bytes an entry, 12 a non-empty row and the closing row pointer.
+    #[test]
+    fn an_exact_structure_costs_16_per_entry_and_12_per_row() {
+        let m = sample();
+        let mut exact = m.clone();
+        exact.shrink_to_fit();
+        assert_eq!(exact.memory().total(), 16 * 4 + 12 * 3 + 4);
+        assert_eq!(Dcsr::<u64>::new(1, 1).memory().total(), 4);
     }
 
     #[test]

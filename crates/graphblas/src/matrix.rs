@@ -10,10 +10,10 @@
 
 use crate::error::{GrbError, GrbResult};
 use crate::formats::coo::Coo;
-use crate::formats::dcsr::{Dcsr, MergeScratch};
+use crate::formats::dcsr::{check_capacity, Dcsr, MergeScratch};
 use crate::formats::radix::RadixPlanes;
 use crate::formats::MemoryFootprint;
-use crate::index::{validate_dims, validate_index, Index};
+use crate::index::Index;
 use crate::level_read::LevelStore;
 use crate::ops::binary::Plus;
 use crate::ops::BinaryOp;
@@ -83,11 +83,11 @@ impl<T> ColTwin<T> {
 
 impl<T: ScalarType> ColTwin<T> {
     /// Apply one settle: `batch` — sorted row-major, duplicate-free — is
-    /// transposed and merged into the twin under the settle's own `dup`.
+    /// transposed and merged into the twin under `+`.
     /// A stable sort by column alone leaves rows ascending inside every
     /// column: the transposed batch is again sorted and duplicate-free.
     /// A reader still holding the old twin keeps it (copy-on-write).
-    fn settle<Op: BinaryOp<T>>(&mut self, batch: &Coo<T>, dup: Op) {
+    fn settle(&mut self, batch: &Coo<T>) {
         let (rows, cols, vals) = batch.parts();
         let (cols, pos) = self.radix.sort_positions(cols);
         self.rows.clear();
@@ -98,7 +98,7 @@ impl<T: ScalarType> ColTwin<T> {
             cols,
             &self.rows,
             &self.vals,
-            dup,
+            Plus,
             &mut self.scratch,
         );
     }
@@ -172,16 +172,7 @@ impl<T: ScalarType> Matrix<T> {
 
     /// Fallible constructor.
     pub fn try_new(nrows: Index, ncols: Index) -> GrbResult<Self> {
-        validate_dims(nrows, ncols)?;
-        Ok(Self {
-            nrows,
-            ncols,
-            settled: Arc::new(Dcsr::try_new(nrows, ncols)?),
-            pending: Coo::try_new(nrows, ncols)?,
-            pending_limit: DEFAULT_PENDING_LIMIT,
-            scratch: MergeScratch::new(),
-            col_shadow: None,
-        })
+        Ok(Self::from_dcsr(Dcsr::try_new(nrows, ncols)?))
     }
 
     /// Build a matrix from tuple slices, combining duplicates with `dup`
@@ -195,15 +186,7 @@ impl<T: ScalarType> Matrix<T> {
         dup: Op,
     ) -> GrbResult<Self> {
         let settled = Dcsr::from_tuples(nrows, ncols, rows, cols, vals, dup)?;
-        Ok(Self {
-            nrows,
-            ncols,
-            settled: Arc::new(settled),
-            pending: Coo::try_new(nrows, ncols)?,
-            pending_limit: DEFAULT_PENDING_LIMIT,
-            scratch: MergeScratch::new(),
-            col_shadow: None,
-        })
+        Ok(Self::from_dcsr(settled))
     }
 
     /// Wrap an existing settled [`Dcsr`] as a matrix.
@@ -269,15 +252,10 @@ impl<T: ScalarType> Matrix<T> {
     }
 
     /// Accumulate `val` into `(row, col)` under `+` — the streaming-update
-    /// operation of the paper (`A(i,j) += v`).
+    /// operation of the paper (`A(i,j) += v`): a one-tuple
+    /// [`Matrix::accum_tuples`].
     pub fn accum_element(&mut self, row: Index, col: Index, val: T) -> GrbResult<()> {
-        validate_index(row, self.nrows)?;
-        validate_index(col, self.ncols)?;
-        self.pending.push(row, col, val);
-        if self.pending.len() >= self.pending_limit {
-            self.wait();
-        }
-        Ok(())
+        self.accum_tuples(&[row], &[col], &[val])
     }
 
     /// Accumulate a batch of tuples under `+` — the bulk insert path.
@@ -285,9 +263,12 @@ impl<T: ScalarType> Matrix<T> {
     /// The whole batch is validated in one pass and appended with three bulk
     /// extends; the automatic-settle check runs once per batch instead of
     /// once per tuple.  The batch applies atomically: on any invalid index
-    /// nothing is inserted.
+    /// nothing is inserted.  A matrix holds at most `u32::MAX` tuples,
+    /// settled plus pending: a batch that could pass that is refused with
+    /// [`GrbError::CapacityExceeded`] and nothing is inserted either.
     pub fn accum_tuples(&mut self, rows: &[Index], cols: &[Index], vals: &[T]) -> GrbResult<()> {
         crate::sink::check_tuple_lengths(rows, cols, vals)?;
+        check_capacity(self.settled.nvals() + self.pending.len(), rows.len())?;
         self.pending.extend_from_slices(rows, cols, vals)?;
         if self.pending.len() >= self.pending_limit {
             self.wait();
@@ -317,19 +298,13 @@ impl<T: ScalarType> Matrix<T> {
 
     /// Force all pending tuples into the settled structure using `+` on
     /// duplicates (the common accumulate semantics).
-    pub fn wait(&mut self) {
-        self.wait_with(Plus);
-    }
-
-    /// Force all pending tuples into the settled structure using an explicit
-    /// duplicate-combination operator.
     ///
     /// The settle reuses the matrix's internal sort/merge scratch buffers
     /// across calls, so steady-state streaming (append — settle — append …)
     /// performs no allocation once the buffers have grown to the working-set
     /// size.
-    pub fn wait_with<Op: BinaryOp<T>>(&mut self, dup: Op) {
-        self.settle(dup, |_, _, _, _| {});
+    pub fn wait(&mut self) {
+        self.settle(|_, _, _, _| {});
     }
 
     /// [`Matrix::wait`] with a hook into the settle's dedup-unpack: after
@@ -344,29 +319,25 @@ impl<T: ScalarType> Matrix<T> {
     /// ([`Dcsr::clear_stored`]).
     #[allow(clippy::type_complexity)]
     pub fn wait_observed(&mut self, observe: &mut dyn FnMut(&[Index], &[Index], &[T], &Dcsr<T>)) {
-        self.settle(Plus, observe);
+        self.settle(observe);
     }
 
     /// One settle: the pending tuples are sorted and deduplicated under
-    /// `dup`, shown to `observe` beside the settled structure, and merged
+    /// `+`, shown to `observe` beside the settled structure, and merged
     /// into it — and, transposed, into the column twin if there is one.
-    fn settle<Op: BinaryOp<T>>(
-        &mut self,
-        dup: Op,
-        mut observe: impl FnMut(&[Index], &[Index], &[T], &Dcsr<T>),
-    ) {
+    fn settle(&mut self, mut observe: impl FnMut(&[Index], &[Index], &[T], &Dcsr<T>)) {
         if self.pending.is_empty() {
             return;
         }
-        self.pending.sort_dedup_with(dup, &mut self.scratch);
+        self.pending.sort_dedup_with(Plus, &mut self.scratch);
         let (rows, cols, vals) = self.pending.parts();
         observe(rows, cols, vals, &self.settled);
         if let Some(twin) = &mut self.col_shadow {
-            twin.settle(&self.pending, dup);
+            twin.settle(&self.pending);
         }
         Arc::make_mut(&mut self.settled)
-            .merge_sorted_coo_into(&self.pending, dup, &mut self.scratch)
-            .expect("pending tuples are within bounds");
+            .merge_sorted_coo_into(&self.pending, Plus, &mut self.scratch)
+            .expect("pending tuples were checked for bounds and capacity on entry");
         self.pending.clear();
     }
 
@@ -471,12 +442,16 @@ impl<T: ScalarType> Matrix<T> {
         self.col_shadow = None;
     }
 
-    /// Give the settled structure's arrays an exact fit, for a matrix that
-    /// has stopped growing.  A structure a snapshot shares is left as it
-    /// is: fitting it would copy it.
+    /// Give the settled structure's arrays, and the column twin's when one
+    /// is held, an exact fit, for a matrix that has stopped growing.  A
+    /// structure a snapshot shares is left as it is: fitting it would copy
+    /// it.
     pub fn shrink_to_fit(&mut self) {
-        if let Some(d) = Arc::get_mut(&mut self.settled) {
-            d.shrink_to_fit();
+        let twin = self.col_shadow.as_mut().map(|twin| &mut twin.dcsr);
+        for d in [Some(&mut self.settled), twin].into_iter().flatten() {
+            if let Some(d) = Arc::get_mut(d) {
+                d.shrink_to_fit();
+            }
         }
     }
 

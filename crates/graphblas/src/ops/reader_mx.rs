@@ -33,7 +33,7 @@
 
 use crate::cursor::{merge_k_way, merged_row_into, LevelCursors};
 use crate::error::{GrbError, GrbResult};
-use crate::formats::dcsr::Dcsr;
+use crate::formats::dcsr::{check_capacity, Dcsr};
 use crate::index::Index;
 use crate::mask::VectorMask;
 use crate::matrix::Matrix;
@@ -128,7 +128,7 @@ where
     let add = semiring.add();
     let mul = semiring.mul();
     let mut row_ids = Vec::new();
-    let mut row_ptr = vec![0usize];
+    let mut row_ptr = vec![0u32];
     let mut col_idx = Vec::new();
     let mut vals = Vec::new();
 
@@ -174,8 +174,9 @@ where
             col_idx.push(j);
             vals.push(v);
         });
+        check_capacity(col_idx.len(), 0)?;
         row_ids.push(i);
-        row_ptr.push(col_idx.len());
+        row_ptr.push(col_idx.len() as u32);
     }
     spa.commit_stats();
     let d = Dcsr::try_from_raw_parts(adims.0, bdims.1, row_ids, row_ptr, col_idx, vals)?;

@@ -7,7 +7,7 @@ use crate::persist::{self, manifest, recover, wal, DurableConfig, DurableState, 
 use crate::stats::HierStats;
 use hyperstream_graphblas::cursor::{merge_levels, merged_nnz};
 use hyperstream_graphblas::formats::coo::RADIX_DIM_MAX;
-use hyperstream_graphblas::formats::dcsr::Dcsr;
+use hyperstream_graphblas::formats::dcsr::{check_capacity, Dcsr};
 use hyperstream_graphblas::formats::MemoryFootprint;
 use hyperstream_graphblas::ops::binary::Plus;
 use hyperstream_graphblas::ops::monoid::PlusMonoid;
@@ -303,7 +303,11 @@ impl<T: ScalarType> HierMatrix<T> {
     /// append to the level-0 pending buffer, and one cascade check — which
     /// mirrors how the paper's benchmark feeds 100,000-edge sets into `A_1`.
     /// The batch applies atomically: on mismatched slice lengths or any
-    /// invalid index nothing is logged and nothing is inserted.
+    /// invalid index nothing is logged and nothing is inserted.  Nor when
+    /// it could pass `u32::MAX` entries across the levels, settled plus
+    /// pending, the most a hierarchy holds ([`GrbError::CapacityExceeded`]):
+    /// a level never holds more than the hierarchy, so no cascade or flush
+    /// can pass it either.
     ///
     /// Where the packed `row << 32 | col` key exists (both dimensions at
     /// most `2^32`) the append goes through the in-batch duplicate fold
@@ -325,6 +329,8 @@ impl<T: ScalarType> HierMatrix<T> {
         // the fold, the raw append and the WAL (replay must be able to
         // apply every record).
         check_batch((self.nrows, self.ncols), rows, cols, vals)?;
+        let held = (0..self.levels.len()).map(|i| self.level_entries_bound(i));
+        check_capacity(held.sum(), rows.len())?;
         let appended_from = self.levels[0].npending();
         if self.nrows <= RADIX_DIM_MAX && self.ncols <= RADIX_DIM_MAX {
             self.fold.append(&mut self.levels[0], rows, cols, vals)?;
@@ -1283,16 +1289,17 @@ mod tests {
         assert_eq!(m.total_weight(), 200);
     }
 
-    /// A flushed pure-ingest hierarchy is its top level at its real size —
-    /// 16 bytes per entry, 16 per non-empty row and the closing row
-    /// pointer — plus a new level's bytes for every other level.
+    /// A flushed hierarchy is its top level and that level's column twin
+    /// at their real size — 16 bytes per entry, 12 per non-empty row (its
+    /// id and a `u32` row pointer) and the closing row pointer, each —
+    /// plus a new level's bytes for every other level.
     #[test]
     fn a_flushed_top_level_is_fitted_to_its_entries() {
         let dim = 1 << 32;
         let new_level = Matrix::<u64>::new(dim, dim).memory().total();
         let mut m = HierMatrix::<u64>::new(dim, dim, small_config()).unwrap();
         let mut seed = 0x5EEDu64;
-        for _ in 0..40 {
+        for batch in 0..40 {
             let (rows, cols): (Vec<Index>, Vec<Index>) = (0..250)
                 .map(|_| {
                     seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1);
@@ -1300,15 +1307,25 @@ mod tests {
                 })
                 .unzip();
             m.update_batch(&rows, &cols, &vec![1; rows.len()]).unwrap();
+            if batch >= 30 {
+                // Builds every level's twin, then keeps it current: the
+                // settles and cascades from here on merge into twins.
+                m.read_col(0, &mut Vec::new());
+            }
         }
         m.flush().unwrap();
         let top = m.levels() - 1;
-        let (row_ids, _, col_idx, _) = m.levels[top].dcsr().raw_parts();
-        assert!(m.stats().cascades[top - 1] > 1 && row_ids.len() < col_idx.len());
+        let twin = m.levels[top]
+            .held_col_shadow()
+            .expect("the top level keeps its twin");
+        let fitted = |d: &Dcsr<u64>| 16 * d.nvals() + 12 * d.nrows_nonempty() + 4;
+        let level = m.levels[top].dcsr();
+        assert!(m.stats().cascades[top - 1] > 1 && level.nrows_nonempty() < level.nvals());
         assert_eq!(
             m.memory_bytes(),
-            16 * col_idx.len() + 16 * row_ids.len() + 8 + top * new_level
+            fitted(level) + fitted(&twin) + top * new_level
         );
+        assert_eq!(new_level, 4);
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //!   ..4096 zero padding
 //! sections, each starting on a 4096-byte boundary, in order:
 //!   row_ids  u64 × nrows_nonempty
-//!   row_ptr  u64 × (nrows_nonempty + 1)
+//!   row_ptr  u64 × (nrows_nonempty + 1), each at most u32::MAX
 //!   col_idx  u64 × nnz
 //!   vals     encode_bits u64 × nnz
 //! ```
@@ -116,7 +116,7 @@ pub(crate) fn write_level<T: ScalarType>(
     let next = |i: usize| sections.get(i + 1).map_or(total, |s| s.0 as usize);
     let crcs = [
         encode_section(buf, sections[0], next(0), row_ids.iter().copied()),
-        encode_section(buf, sections[1], next(1), row_ptr.iter().map(|&p| p as u64)),
+        encode_section(buf, sections[1], next(1), row_ptr.iter().map(|&p| p.into())),
         encode_section(buf, sections[2], next(2), col_idx.iter().copied()),
         encode_section(
             buf,
@@ -262,8 +262,8 @@ pub(crate) fn read_level<T: ScalarType>(
     let row_ids = le_u64s(sections[0]).collect();
     let mut row_ptr = Vec::with_capacity(sections[1].len() / 8);
     for w in le_u64s(sections[1]) {
-        let p = usize::try_from(w)
-            .map_err(|_| corruption(format!("level {name}: row_ptr value {w} overflows usize")))?;
+        let p = u32::try_from(w)
+            .map_err(|_| corruption(format!("level {name}: row_ptr value {w} exceeds u32::MAX")))?;
         row_ptr.push(p);
     }
     let col_idx = le_u64s(sections[2]).collect();
@@ -276,6 +276,7 @@ pub(crate) fn read_level<T: ScalarType>(
 mod tests {
     use super::*;
     use hyperstream_graphblas::prelude::Plus;
+    use hyperstream_graphblas::GrbError;
     use std::path::PathBuf;
 
     fn tmpdir(name: &str) -> PathBuf {
@@ -366,6 +367,36 @@ mod tests {
         flip[32] ^= 0x01;
         std::fs::write(&path, &flip).unwrap();
         assert!(read_level::<u64>(&dir, "lvl-x.dat", d.nrows(), d.ncols(), 4).is_err());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A row pointer past `u32::MAX` is corruption even with every
+    /// checksum valid: each word decodes into the `u32` a `Dcsr` stores.
+    #[test]
+    fn a_row_pointer_past_u32_max_is_corruption() {
+        let fp = Failpoints::default();
+        let dir = tmpdir("wide-ptr");
+        let d = sample();
+        write_level(&dir, "lvl-w.dat", &d, &mut Vec::new(), &fp).unwrap();
+        let path = dir.join("lvl-w.dat");
+        let mut bytes = std::fs::read(&path).unwrap();
+        // The last word of the row_ptr section (section 1), then that
+        // section's CRC in its descriptor, then the header's CRC.
+        let desc = 48 + 24;
+        let off = get_u64(&bytes, desc, "offset").unwrap() as usize;
+        let end = off + get_u64(&bytes, desc + 8, "length").unwrap() as usize;
+        bytes[end - 8..end].copy_from_slice(&(1u64 << 32).to_le_bytes());
+        let crc = crc32(&bytes[off..end]);
+        bytes[desc + 16..desc + 20].copy_from_slice(&crc.to_le_bytes());
+        let crc = crc32(&bytes[..HEADER_CRC_OFFSET]);
+        bytes[HEADER_CRC_OFFSET..HEADER_CRC_OFFSET + 4].copy_from_slice(&crc.to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+        match read_level::<u64>(&dir, "lvl-w.dat", d.nrows(), d.ncols(), 4) {
+            Err(GrbError::Corruption { detail }) => {
+                assert!(detail.contains("row_ptr value 4294967296 exceeds u32::MAX"))
+            }
+            other => panic!("expected corruption, got {other:?}"),
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

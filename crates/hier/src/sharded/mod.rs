@@ -469,7 +469,10 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 ///
 /// See the [module documentation](self) for the design.  The engine
 /// implements [`StreamingSink`], so the existing `make_sink`/`drive_sink`
-/// measurement harness drives it unchanged.
+/// measurement harness drives it unchanged.  Each shard holds at most
+/// `u32::MAX` entries, as any [`HierMatrix`] does: a batch that would pass
+/// that is refused by the shard's worker and surfaces, like any failed
+/// apply, in the next acknowledgement.
 #[derive(Debug)]
 pub struct ShardedHierMatrix<T> {
     nrows: Index,

@@ -131,7 +131,8 @@ fn build(tuples: &[(u64, u64, u64)]) -> Dcsr<u64> {
     }
     // Duplicate construction collisions fold under Second so the operand
     // itself is well-defined before the merge under test.
-    Dcsr::from_coo(coo, Second).expect("valid operand")
+    coo.sort_dedup(Second);
+    Dcsr::from_sorted_coo(&coo).expect("valid operand")
 }
 
 /// All three public merge entry points against the linear reference under

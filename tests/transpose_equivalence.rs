@@ -312,7 +312,7 @@ proptest! {
                     }
                 }
                 5 => m.wait(),
-                6 => m.wait_with(Second),
+                6 => m.wait_observed(&mut |_, _, _, _| {}),
                 7 | 8 => {
                     // Twin into twin, or the destination loses its own.
                     let b = operand(op == 8);
