@@ -14,7 +14,7 @@
 //!   first, its half-merges written into planes drawn from a reusable pool.
 //!   Every row sweep ([`LevelCursors::fold_row`],
 //!   [`LevelCursors::row_degree`]), every row read ([`merged_row_into`],
-//!   [`merged_row_degree`], the product kernels' rows) and
+//!   [`merged_row_degree`], the pattern push's rows) and
 //!   [`merged_col_into`]'s per-level hit planes go through it.
 //!
 //! Point gets, row and column extracts, degree counts, top-k scans, nnz and

@@ -310,8 +310,7 @@ impl<S: LevelStore> MatrixReader<S::Value> for S {
     }
 }
 
-/// The settled levels *are* the cursor form the reader-native semiring
-/// kernels build on.
+/// The settled levels *are* the cursor form the graph algorithms build on.
 impl<S: LevelStore> CursorReader<S::Value> for S {
     fn with_level_dcsrs(&mut self, f: &mut dyn FnMut(&[&Dcsr<S::Value>])) {
         self.with_levels(|lv| f(lv));

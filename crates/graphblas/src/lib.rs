@@ -11,11 +11,10 @@
 //!   `O(n)`.  The primary storage format is DCSR (doubly compressed sparse
 //!   row): only non-empty rows are represented.
 //! * **Algebraic generality** — operations are parameterised by
-//!   [`BinaryOp`](ops::BinaryOp), [`Monoid`](ops::Monoid) and
-//!   [`Semiring`](ops::Semiring), so the same kernels implement ordinary
-//!   arithmetic, min-plus path algebra, boolean reachability, etc.  The
-//!   hierarchical cascade of the `hyperstream-hier` crate relies on monoid
-//!   addition being associative and commutative.
+//!   [`BinaryOp`](ops::BinaryOp) and [`Monoid`](ops::Monoid), so the same
+//!   kernels merge under `+`, fold a BFS wave under `min` or keep the first
+//!   or last write.  The hierarchical cascade of the `hyperstream-hier`
+//!   crate relies on monoid addition being associative and commutative.
 //! * **Lazy updates** — like SuiteSparse, [`Matrix::accum_element`] appends
 //!   to a *pending tuple* buffer that is folded into the compressed
 //!   structure on [`Matrix::wait`] (or implicitly by any whole-matrix
@@ -96,12 +95,11 @@ pub mod prelude {
     pub use crate::matrix::Matrix;
     pub use crate::ops::binary::{First, Max, Min, Plus, Second, Times};
     pub use crate::ops::ewise_add::{ewise_add, ewise_add_into};
-    pub use crate::ops::monoid::{MaxMonoid, MinMonoid, PlusMonoid};
-    pub use crate::ops::reader_mx::{mxm_reader, mxv_reader, vxm_pattern_levels, vxm_reader};
+    pub use crate::ops::monoid::PlusMonoid;
+    pub use crate::ops::reader_mx::vxm_pattern_levels;
     pub use crate::ops::reduce::{reduce_cols, reduce_rows, reduce_scalar};
-    pub use crate::ops::semiring::{MinPlus, PlusTimes};
     pub use crate::ops::spa::{spa_kernel_stats, SpaKernelStats, SpaScratch};
-    pub use crate::ops::{BinaryOp, Monoid, Semiring};
+    pub use crate::ops::{BinaryOp, Monoid};
     pub use crate::reader::{Answer, CursorReader, MatrixReader, Query, StreamingSystem};
     pub use crate::sink::StreamingSink;
     pub use crate::snapshot::MatrixSnapshot;

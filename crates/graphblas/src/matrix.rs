@@ -158,7 +158,7 @@ impl<T: ScalarType> PartialEq for Matrix<T> {
 /// SuiteSparse grows its pending list adaptively; a fixed, generous default
 /// keeps behaviour predictable for the streaming benchmarks (the hierarchy
 /// supplies the adaptivity instead).
-pub const DEFAULT_PENDING_LIMIT: usize = 1 << 20;
+const DEFAULT_PENDING_LIMIT: usize = 1 << 20;
 
 impl<T: ScalarType> Matrix<T> {
     /// Create an empty `nrows x ncols` matrix.
@@ -534,7 +534,7 @@ impl<T: ScalarType> Matrix<T> {
     /// is something to settle the copy gives up the shared column twin:
     /// keeping it current would copy it whole, for a copy that may never be
     /// asked a column question.
-    pub fn to_settled(&self) -> Matrix<T> {
+    fn to_settled(&self) -> Matrix<T> {
         let mut m = self.clone();
         if !m.pending.is_empty() {
             m.col_shadow = None;

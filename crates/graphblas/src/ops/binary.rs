@@ -21,7 +21,7 @@ pub struct Min;
 pub struct Max;
 
 /// `z = x` — keep the first operand.  Useful as a "no accumulate, last write
-/// does not win" policy and as the multiplicative op of structural semirings.
+/// does not win" policy and where only a cell's pattern counts.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct First;
 

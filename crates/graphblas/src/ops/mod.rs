@@ -4,9 +4,9 @@
 //! The hierarchy needs one fact: `⊕` is an associative, commutative
 //! [`Monoid`], so a cascade `A_{i+1} ⊕= A_i` may run in any order.  The
 //! operations are the ones its readers and analyses call: element-wise
-//! add ([`ewise_add`]), reductions ([`reduce`]) and the products over level
-//! slices ([`reader_mx`], one Gustavson/SPA kernel with [`spa`] as its
-//! accumulator; a flat `Matrix` is a one-level reader).
+//! add ([`ewise_add`]), reductions ([`reduce`]) and BFS's frontier push
+//! over level slices ([`reader_mx`], with the sorted scatter of [`spa`] as
+//! its accumulator).
 //!
 //! The operator traits are deliberately tiny: an operator is a zero-sized
 //! `Copy` struct whose `apply` method is monomorphised into each kernel, so
@@ -14,7 +14,6 @@
 
 pub mod binary;
 pub mod monoid;
-pub mod semiring;
 
 pub mod ewise_add;
 pub mod reader_mx;
@@ -54,21 +53,6 @@ pub trait Monoid<T: ScalarType>: BinaryOp<T> {
     fn identity(&self) -> T;
 }
 
-/// A semiring: a [`Monoid`] used for "addition" plus a [`BinaryOp`] used for
-/// "multiplication", as required by [`mxm_reader`](reader_mx::mxm_reader)
-/// and friends.
-pub trait Semiring<T: ScalarType>: Copy + Send + Sync {
-    /// The additive monoid type.
-    type Add: Monoid<T>;
-    /// The multiplicative operator type.
-    type Mul: BinaryOp<T>;
-
-    /// The additive monoid.
-    fn add(&self) -> Self::Add;
-    /// The multiplicative operator.
-    fn mul(&self) -> Self::Mul;
-}
-
 #[cfg(test)]
 mod tests {
     use super::binary::*;
@@ -84,8 +68,7 @@ mod tests {
     #[test]
     fn generic_fold_over_monoids() {
         assert_eq!(fold(PlusMonoid, &[1u64, 2, 3, 4]), 10);
-        assert_eq!(fold(MinMonoid, &[5.0f64, -2.0, 7.5]), -2.0);
-        assert_eq!(fold(MaxMonoid, &[5i64, -2, 7]), 7);
+        assert_eq!(fold(PlusMonoid, &[5.0f64, -2.0, 7.5]), 10.5);
         assert_eq!(fold(PlusMonoid, &[] as &[u32]), 0);
     }
 

@@ -7,21 +7,13 @@
 //! commutative and because clearing a level corresponds to resetting it to
 //! the identity-annihilated (empty) matrix.
 
-use super::binary::{Max, Min, Plus};
+use super::binary::Plus;
 use super::{BinaryOp, Monoid};
 use crate::types::ScalarType;
 
 /// The `(+, 0)` monoid.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PlusMonoid;
-
-/// The `(min, +inf)` monoid.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MinMonoid;
-
-/// The `(max, -inf)` monoid.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MaxMonoid;
 
 impl<T: ScalarType> BinaryOp<T> for PlusMonoid {
     fn apply(&self, x: T, y: T) -> T {
@@ -31,28 +23,6 @@ impl<T: ScalarType> BinaryOp<T> for PlusMonoid {
 impl<T: ScalarType> Monoid<T> for PlusMonoid {
     fn identity(&self) -> T {
         T::zero()
-    }
-}
-
-impl<T: ScalarType> BinaryOp<T> for MinMonoid {
-    fn apply(&self, x: T, y: T) -> T {
-        Min.apply(x, y)
-    }
-}
-impl<T: ScalarType> Monoid<T> for MinMonoid {
-    fn identity(&self) -> T {
-        T::max_value()
-    }
-}
-
-impl<T: ScalarType> BinaryOp<T> for MaxMonoid {
-    fn apply(&self, x: T, y: T) -> T {
-        Max.apply(x, y)
-    }
-}
-impl<T: ScalarType> Monoid<T> for MaxMonoid {
-    fn identity(&self) -> T {
-        T::min_value()
     }
 }
 
@@ -91,20 +61,7 @@ mod tests {
     }
 
     #[test]
-    fn min_max_monoid_laws() {
-        check_identity(MinMonoid, SAMPLES);
-        check_assoc_comm(MinMonoid, SAMPLES);
-        check_identity(MaxMonoid, SAMPLES);
-        check_assoc_comm(MaxMonoid, SAMPLES);
-    }
-
-    #[test]
-    fn float_identities() {
-        let m = MinMonoid;
-        assert_eq!(Monoid::<f64>::identity(&m), f64::INFINITY);
-        let m = MaxMonoid;
-        assert_eq!(Monoid::<f64>::identity(&m), f64::NEG_INFINITY);
-        let m = PlusMonoid;
-        assert_eq!(Monoid::<f64>::identity(&m), 0.0);
+    fn float_identity() {
+        assert_eq!(Monoid::<f64>::identity(&PlusMonoid), 0.0);
     }
 }

@@ -4,12 +4,12 @@
 //! `tests/merge_equivalence.rs`, the in-crate unit tests) compare the product
 //! kernels against these; product code never calls them (CI counts
 //! `oracle::` on non-test lines).  Each is written for being obviously right,
-//! not fast, and none stands on the code it checks: the two semiring products
-//! fold into a `BTreeMap`, the two graph algorithms run on those two
-//! products over a pattern rebuilt from the reader's plain entry cursor, the
-//! merge is one two-pointer walk over `(row, col)` keys, and the transpose
-//! rebuilds from the swapped tuples through the COO sort, not through the
-//! column radix of the twin it checks.
+//! not fast, and none stands on the code it checks: the two graph
+//! algorithms run on one `BTreeMap` product over a pattern rebuilt from the
+//! reader's plain entry cursor, the merge is one two-pointer walk over
+//! `(row, col)` keys, and the transpose rebuilds from the swapped tuples
+//! through the COO sort, not through the column radix of the twin it
+//! checks.
 //!
 //! A reference fails with a typed error where its product fails (mismatched
 //! dimensions), so a test compares `Result`s whole.
@@ -19,77 +19,37 @@ use crate::formats::coo::Coo;
 use crate::formats::dcsr::Dcsr;
 use crate::index::Index;
 use crate::matrix::Matrix;
-use crate::ops::binary::Second;
-use crate::ops::semiring::{MinSecond, PlusTimes};
-use crate::ops::{BinaryOp, Semiring};
+use crate::ops::binary::{Min, Plus, Second, Times};
+use crate::ops::BinaryOp;
 use crate::reader::MatrixReader;
 use crate::types::ScalarType;
 use crate::vector::SparseVector;
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
 
-/// `acc(key) ⊕= p`, first arrival stored as is.
-fn fold_in<K: Ord, T: ScalarType>(acc: &mut BTreeMap<K, T>, key: K, p: T, add: impl BinaryOp<T>) {
-    acc.entry(key)
-        .and_modify(|v| *v = add.apply(*v, p))
-        .or_insert(p);
-}
-
-/// `C = A ⊕.⊗ B` through a `BTreeMap` accumulator: per output cell the
-/// products fold in ascending inner index, which is the order the SPA
-/// kernel reproduces.
-pub fn mxm_btree<T, S>(a: &Matrix<T>, b: &Matrix<T>, semiring: S) -> GrbResult<Matrix<T>>
-where
-    T: ScalarType,
-    S: Semiring<T>,
-{
-    if a.ncols() != b.nrows() {
-        return Err(GrbError::DimensionMismatch {
-            detail: format!(
-                "inner dimensions differ: A is {}x{}, B is {}x{}",
-                a.nrows(),
-                a.ncols(),
-                b.nrows(),
-                b.ncols()
-            ),
-        });
-    }
-    let (da, db) = (a.settled_content(), b.settled_content());
-    let mut acc: BTreeMap<(Index, Index), T> = BTreeMap::new();
-    for (i, k, aik) in da.iter() {
-        let (cols, vals) = db.row(k).unwrap_or_default();
-        for (&j, &bkj) in cols.iter().zip(vals) {
-            let p = semiring.mul().apply(aik, bkj);
-            fold_in(&mut acc, (i, j), p, semiring.add());
-        }
-    }
-    let rows: Vec<Index> = acc.keys().map(|k| k.0).collect();
-    let cols: Vec<Index> = acc.keys().map(|k| k.1).collect();
-    let vals: Vec<T> = acc.values().copied().collect();
-    Matrix::from_tuples(a.nrows(), b.ncols(), &rows, &cols, &vals, Second)
-}
-
-/// `w = u ⊕.⊗ A` through a `BTreeMap` accumulator.
-pub fn vxm_btree<T, S>(
+/// `w(j) = add over i of mul(u(i), a(i, j))` through a `BTreeMap`
+/// accumulator, each column's products folded in ascending `i`.  The graph
+/// references' one product; `u` is sized like `a`'s rows by every caller.
+fn vxm_btree<T, M, A>(
     u: &SparseVector<T>,
     a: &Matrix<T>,
-    semiring: S,
+    mul: M,
+    add: A,
 ) -> GrbResult<SparseVector<T>>
 where
     T: ScalarType,
-    S: Semiring<T>,
+    M: BinaryOp<T>,
+    A: BinaryOp<T>,
 {
-    if u.size() != a.nrows() {
-        return Err(GrbError::DimensionMismatch {
-            detail: format!("u has size {}, A is {}x{}", u.size(), a.nrows(), a.ncols()),
-        });
-    }
     let da = a.settled_content();
     let mut acc: BTreeMap<Index, T> = BTreeMap::new();
     for (i, ui) in u.iter() {
         let (cols, vals) = da.row(i).unwrap_or_default();
         for (&j, &aij) in cols.iter().zip(vals) {
-            fold_in(&mut acc, j, semiring.mul().apply(ui, aij), semiring.add());
+            let p = mul.apply(ui, aij);
+            acc.entry(j)
+                .and_modify(|v| *v = add.apply(*v, p))
+                .or_insert(p);
         }
     }
     let (idx, vals) = acc.into_iter().unzip();
@@ -175,7 +135,7 @@ fn distinct(ids: impl Iterator<Item = Index>) -> Vec<Index> {
 /// PageRank of the directed pattern of `a` (see
 /// [`algo::pagerank`](crate::algo::pagerank) for the contract): the
 /// row-stochastic transition matrix built flat, every iteration one
-/// [`vxm_btree`] over `(plus, times)`.
+/// `vxm_btree` under `(times, plus)`.
 pub fn pagerank_tuples<V, R>(
     a: &mut R,
     damping: f64,
@@ -201,7 +161,7 @@ where
     let mut rank = vec![uniform; active.len()];
     for _ in 0..max_iters {
         let held = SparseVector::from_sorted_parts(n, active.clone(), rank.clone())?;
-        let spread = vxm_btree(&held, &p, PlusTimes)?;
+        let spread = vxm_btree(&held, &p, Times, Plus)?;
         let mut delta = 0.0;
         for (r, &v) in rank.iter_mut().zip(&active) {
             let next = teleport + damping * spread.get(v).unwrap_or(0.0);
@@ -217,7 +177,7 @@ where
 
 /// BFS levels from `source` over the directed pattern of `a` (see
 /// [`algo::bfs_levels`](crate::algo::bfs_levels)): every wave one
-/// [`vxm_btree`] over `(min, second)`, visited vertices dropped afterwards.
+/// `vxm_btree` under `(second, min)`, visited vertices dropped afterwards.
 pub fn bfs_levels_tuples<V, R>(a: &mut R, source: Index) -> GrbResult<SparseVector<u64>>
 where
     V: ScalarType,
@@ -234,7 +194,7 @@ where
     let mut level = 1;
     while !frontier.is_empty() {
         level += 1;
-        let reached = vxm_btree(&frontier, &adjacency, MinSecond)?;
+        let reached = vxm_btree(&frontier, &adjacency, Second, Min)?;
         frontier = SparseVector::new(n);
         for (j, _) in reached.iter() {
             if levels.get(j).is_none() {

@@ -254,7 +254,7 @@ impl<V: ScalarType> Answer<V> {
     }
 
     /// The payload of a [`Answer::Value`].
-    pub fn into_value(self) -> Option<V> {
+    fn into_value(self) -> Option<V> {
         match self {
             Answer::Value(v) => v,
             other => other.mismatch("Value"),
@@ -262,7 +262,7 @@ impl<V: ScalarType> Answer<V> {
     }
 
     /// The payload of a [`Answer::Count`].
-    pub fn into_count(self) -> usize {
+    fn into_count(self) -> usize {
         match self {
             Answer::Count(n) => n,
             other => other.mismatch("Count"),
@@ -270,7 +270,7 @@ impl<V: ScalarType> Answer<V> {
     }
 
     /// The payload of a [`Answer::Line`].
-    pub fn into_line(self) -> Vec<(Index, V)> {
+    fn into_line(self) -> Vec<(Index, V)> {
         match self {
             Answer::Line(line) => line,
             other => other.mismatch("Line"),
@@ -278,7 +278,7 @@ impl<V: ScalarType> Answer<V> {
     }
 
     /// The payload of a [`Answer::Ranked`].
-    pub fn into_ranked(self) -> Vec<(Index, usize)> {
+    fn into_ranked(self) -> Vec<(Index, usize)> {
         match self {
             Answer::Ranked(ranks) => ranks,
             other => other.mismatch("Ranked"),
@@ -286,7 +286,7 @@ impl<V: ScalarType> Answer<V> {
     }
 
     /// The payload of a [`Answer::Histogram`].
-    pub fn into_histogram(self) -> BTreeMap<u64, u64> {
+    fn into_histogram(self) -> BTreeMap<u64, u64> {
         match self {
             Answer::Histogram(counts) => counts,
             other => other.mismatch("Histogram"),
@@ -295,15 +295,15 @@ impl<V: ScalarType> Answer<V> {
 }
 
 /// A reader whose settled content is reachable as DCSR level slices — the
-/// contract the reader-native semiring kernels
-/// ([`crate::ops::reader_mx`]) build on.
+/// contract the graph algorithms build on (BFS's pattern push,
+/// [`crate::ops::reader_mx`], and PageRank's CSR front end).
 ///
 /// The represented matrix is `Σ levels` under the `+` monoid of `V` (the
 /// flat matrix is the single-level case, a hierarchy exposes one slice per
 /// level, a snapshot the levels it captured).  Handing the
 /// slices to a callback lets every implementation complete its cheap
 /// deferred work (settle, drain, index refresh) first and keep borrowing
-/// local — products over a live structure never materialize `Σ levels`.
+/// local — an algorithm over a live structure never builds `Σ levels`.
 /// Every [`LevelStore`](crate::level_read::LevelStore) is one; the sharded
 /// engine and its snapshot concatenate their shards' levels.
 pub trait CursorReader<V: ScalarType>: MatrixReader<V> {

@@ -9,8 +9,8 @@
 /// A scalar type storable in a sparse matrix.
 ///
 /// The trait provides the primitive operations out of which the predefined
-/// [binary operators](crate::ops::binary), [monoids](crate::ops::monoid) and
-/// [semirings](crate::ops::semiring) are built.
+/// [binary operators](crate::ops::binary) and [monoids](crate::ops::monoid)
+/// are built.
 pub trait ScalarType:
     Copy + PartialEq + PartialOrd + std::fmt::Debug + Default + Send + Sync + 'static
 {
@@ -22,10 +22,6 @@ pub trait ScalarType:
 
     /// Additive identity.
     fn zero() -> Self;
-    /// Identity of the `Min` monoid (the largest representable value).
-    fn max_value() -> Self;
-    /// Identity of the `Max` monoid (the smallest representable value).
-    fn min_value() -> Self;
 
     /// Addition as used by the `Plus` operator (wrapping for integers).
     fn add(self, rhs: Self) -> Self;
@@ -63,8 +59,6 @@ macro_rules! impl_scalar_float {
         impl ScalarType for $t {
             const TYPE_TAG: u8 = $tag;
             fn zero() -> Self { 0.0 }
-            fn max_value() -> Self { <$t>::INFINITY }
-            fn min_value() -> Self { <$t>::NEG_INFINITY }
             fn add(self, rhs: Self) -> Self { self + rhs }
             fn mul(self, rhs: Self) -> Self { self * rhs }
             fn min_val(self, rhs: Self) -> Self { if self < rhs { self } else { rhs } }
@@ -83,8 +77,6 @@ macro_rules! impl_scalar_int {
         impl ScalarType for $t {
             const TYPE_TAG: u8 = $tag;
             fn zero() -> Self { 0 }
-            fn max_value() -> Self { <$t>::MAX }
-            fn min_value() -> Self { <$t>::MIN }
             fn add(self, rhs: Self) -> Self { self.wrapping_add(rhs) }
             fn mul(self, rhs: Self) -> Self { self.wrapping_mul(rhs) }
             fn min_val(self, rhs: Self) -> Self { std::cmp::min(self, rhs) }
@@ -110,12 +102,6 @@ impl_scalar_int!(
 impl ScalarType for bool {
     const TYPE_TAG: u8 = 1;
     fn zero() -> Self {
-        false
-    }
-    fn max_value() -> Self {
-        true
-    }
-    fn min_value() -> Self {
         false
     }
     fn add(self, rhs: Self) -> Self {
@@ -156,10 +142,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn float_identities() {
+    fn float_identity() {
         assert_eq!(f64::zero(), 0.0);
-        assert_eq!(f64::max_value(), f64::INFINITY);
-        assert_eq!(f64::min_value(), f64::NEG_INFINITY);
         assert!(f64::zero().is_zero());
         assert!(!1.0f64.is_zero());
     }
@@ -177,8 +161,6 @@ mod tests {
         assert_eq!(3i64.max_val(-7), 3);
         assert_eq!(3.5f64.min_val(2.5), 2.5);
         assert_eq!(3.5f64.max_val(2.5), 3.5);
-        assert_eq!(<i32 as ScalarType>::max_value(), i32::MAX);
-        assert_eq!(<u16 as ScalarType>::min_value(), 0);
     }
 
     #[test]

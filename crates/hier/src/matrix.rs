@@ -280,7 +280,7 @@ impl<T: ScalarType> HierMatrix<T> {
     }
 
     /// Reset instrumentation counters (matrix contents are unchanged).
-    pub fn reset_stats(&mut self) {
+    fn reset_stats(&mut self) {
         self.stats = HierStats::new(self.levels.len());
     }
 

@@ -9,7 +9,7 @@
 //! depend on a single crate:
 //!
 //! * [`graphblas`] — hypersparse GraphBLAS substrate (formats, monoids,
-//!   semirings, kernels, graph algorithms);
+//!   merge and sort kernels, reads, BFS and PageRank);
 //! * [`hier`] — the hierarchical hypersparse matrix (the paper's
 //!   contribution), its sharded engine and its durable store;
 //! * [`workload`] — power-law and IP-traffic stream generators;

@@ -3,8 +3,9 @@
 //! * GraphBLAS build / extract round-trips and format conversions agree;
 //! * the column twin is the transpose, and transposing it again gives the
 //!   matrix back;
-//! * `ewise_add` is commutative and associative under `Plus` and its nvals
-//!   equals the union of patterns;
+//! * `ewise_add` is commutative and associative under `Plus`, its nvals
+//!   equals the union of patterns, and operands of different shapes are a
+//!   typed error;
 //! * the hierarchical matrix equals a flat accumulation for *arbitrary*
 //!   streams and cut schedules (the linearity property the paper's cascade
 //!   relies on);
@@ -159,4 +160,24 @@ proptest! {
         let expected: u64 = updates.iter().map(|u| u.2).sum();
         prop_assert_eq!(total, expected);
     }
+}
+
+/// Element-wise add of operands whose shapes differ answers
+/// `GrbError::DimensionMismatch`, in either order and into an accumulator,
+/// and never panics.
+#[test]
+fn ewise_add_of_mismatched_shapes_is_a_typed_error() {
+    fn mismatch<T: std::fmt::Debug>(r: GrbResult<T>, what: &str) {
+        assert!(
+            matches!(r, Err(GrbError::DimensionMismatch { .. })),
+            "{what}: {r:?}"
+        );
+    }
+    let mut a = build_flat(&[(1, 2, 3), (DIM - 1, 0, 1)]);
+    let mut wrong = Matrix::<u64>::new(DIM + 1, DIM + 1);
+    mismatch(ewise_add(&a, &wrong, Plus), "a + wrong");
+    mismatch(ewise_add(&wrong, &a, Plus), "wrong + a");
+    mismatch(ewise_add_into(&mut a, &wrong, Plus), "a += wrong");
+    mismatch(ewise_add_into(&mut wrong, &a, Plus), "wrong += a");
+    assert_eq!(a.nvals(), 2);
 }
